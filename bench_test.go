@@ -279,6 +279,13 @@ func BenchmarkBaselineSkyline(b *testing.B) {
 	b.ReportMetric(float64(net.Stats().Physical)/float64(b.N), "pages/query")
 }
 
+// BenchmarkDiskSkyline: the disk row of `make benchmem` — CEA skylines over
+// the default dataset behind a 1 % buffer pool, where nearly every page
+// access is a miss.
+func BenchmarkDiskSkyline(b *testing.B) {
+	runSkylineBench(b, dataset(b, "fig9b", baseWorkload(b)), 0.01, core.CEA)
+}
+
 // BenchmarkBatchSkyline: concurrent skyline throughput through the batch
 // executor at several worker counts, over one shared disk-resident network.
 // Reports queries/sec next to the usual ns/op (which here is wall time for

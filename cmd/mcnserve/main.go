@@ -156,8 +156,6 @@ func main() {
 		log.Printf("mcnserve: lower-bound pruning disabled")
 	} else if is, ok := net.IndexStats(); ok {
 		log.Printf("mcnserve: pruning index attached (%d bytes)", is.BoundsBytes)
-	} else {
-		log.Printf("mcnserve: no pruning index (pre-v3 database); queries run unpruned")
 	}
 	if *cacheEntries > 0 {
 		cache := net.EnableResultCache(mcn.CacheOptions{

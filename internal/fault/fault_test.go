@@ -236,16 +236,17 @@ func TestRetryingPoolSurvivesTransientOnlyFaults(t *testing.T) {
 	want := make([]byte, storage.PageSize)
 	for i := 0; i < 200; i++ {
 		id := storage.PageID(i % 16)
-		data, err := pool.Get(id)
+		fr, err := pool.Get(id)
 		if err != nil {
 			t.Fatalf("read %d of page %d failed despite retry budget: %v", i, id, err)
 		}
 		if err := dev.ReadPage(id, want); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(data, want) {
+		if !bytes.Equal(fr.Data(), want) {
 			t.Fatalf("page %d content mismatch", id)
 		}
+		fr.Release()
 		pool.Drop() // force a real read next round
 	}
 	fs := pool.FailureStats()
@@ -261,7 +262,7 @@ func TestPermanentFaultSurfacesThroughPool(t *testing.T) {
 	fd := Wrap(memDev(t, 4), Options{Seed: 23})
 	pool := storage.NewBufferPool(fd, 4, storage.PoolOptions{Retry: storage.RetryPolicy{MaxRetries: 3}})
 	fd.FailPage(2)
-	if _, err := pool.Get(2); err == nil {
+	if _, err := pool.Get(2); err == nil { // a failed Get pins nothing
 		t.Fatal("read of failed page succeeded")
 	} else if storage.IsTransient(err) {
 		t.Fatalf("permanent fault surfaced as transient: %v", err)
@@ -272,8 +273,10 @@ func TestPermanentFaultSurfacesThroughPool(t *testing.T) {
 	// The failure must not poison the frame table: clearing the fault makes
 	// the page readable again.
 	fd.ClearPage(2)
-	if _, err := pool.Get(2); err != nil {
+	if fr, err := pool.Get(2); err != nil {
 		t.Fatalf("page still failing after ClearPage: %v", err)
+	} else {
+		fr.Release()
 	}
 	var errNil error
 	if errors.Is(errNil, storage.ErrChecksum) {

@@ -2,7 +2,7 @@
 // lower-bound vectors from every network node to its nearest facility,
 // in the spirit of ParetoPrep's backward preparation pass. The bounds are
 // computed once — at graph compile time (mcn.FromGraph), database build time
-// (storage.Build, persisted in layout v3) or overlay compile time (one set
+// (storage.Build, persisted in the database) or overlay compile time (one set
 // per elementary interval) — and consulted by the expansion layer as an
 // admissible node-discard prune: a popped node label whose cost plus lower
 // bound provably cannot contribute a result facility is dropped before its
@@ -147,7 +147,7 @@ func FromCosts(g *graph.Graph, cost func(e graph.EdgeID, costIdx int) float64) *
 	return b
 }
 
-// FromData rehydrates a persisted bounds table (storage layout v3). data is
+// FromData rehydrates a persisted bounds table (see storage.Build). data is
 // criterion-major and retained, not copied.
 func FromData(d, numNodes int, data []float64) (*Bounds, error) {
 	if d < 1 || numNodes < 0 || len(data) != d*numNodes {

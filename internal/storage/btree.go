@@ -133,56 +133,68 @@ func (t *BTree) Lookup(key uint64) (value uint64, ok bool, err error) {
 }
 
 // LookupCtx is Lookup with the page reads bound to ctx (see
-// BufferPool.GetCtx); a nil ctx behaves like Lookup.
+// BufferPool.GetCtx); a nil ctx behaves like Lookup. Each node is pinned
+// only while it is searched.
 func (t *BTree) LookupCtx(ctx context.Context, key uint64) (value uint64, ok bool, err error) {
 	page := t.root
 	for {
-		data, err := t.pool.GetCtx(ctx, page)
-		if err != nil {
+		var fr *Frame
+		if fr, err = t.pool.GetCtx(ctx, page); err != nil {
 			return 0, false, err
 		}
+		data := fr.Data()
 		kind := data[0]
 		n := int(binary.LittleEndian.Uint16(data[1:3]))
-		switch kind {
-		case leafKind:
-			lo, hi := 0, n
-			for lo < hi {
-				mid := (lo + hi) / 2
-				k := binary.LittleEndian.Uint64(data[btreeHeader+mid*leafEntry:])
-				switch {
-				case k == key:
-					v := binary.LittleEndian.Uint64(data[btreeHeader+mid*leafEntry+8:])
-					return v, true, nil
-				case k < key:
-					lo = mid + 1
-				default:
-					hi = mid
-				}
-			}
-			return 0, false, nil
-		case innerKind:
-			if n == 0 {
-				return 0, false, fmt.Errorf("storage: empty inner btree node at page %d", page)
-			}
-			// Largest i with firstKey[i] <= key; keys below firstKey[0]
-			// cannot exist but descend leftmost for a definitive miss.
-			lo, hi := 0, n
-			for lo < hi {
-				mid := (lo + hi) / 2
-				k := binary.LittleEndian.Uint64(data[btreeHeader+mid*innerEntry:])
-				if k <= key {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			idx := lo - 1
-			if idx < 0 {
-				idx = 0
-			}
-			page = PageID(binary.LittleEndian.Uint32(data[btreeHeader+idx*innerEntry+8:]))
+		switch {
+		case kind == leafKind:
+			value, ok = searchLeaf(data, n, key)
+		case kind == innerKind && n > 0:
+			page = searchInner(data, n, key)
 		default:
-			return 0, false, fmt.Errorf("storage: page %d is not a btree node (kind %d)", page, kind)
+			err = fmt.Errorf("storage: page %d is not a searchable btree node (kind %d, %d entries)", page, kind, n)
+		}
+		fr.Release()
+		if kind == leafKind || err != nil {
+			return value, ok, err
 		}
 	}
+}
+
+// searchLeaf binary-searches the n entries of a leaf node for key.
+func searchLeaf(data []byte, n int, key uint64) (value uint64, ok bool) {
+	lo, hi := 0, n
+	for lo < hi {
+		mid := (lo + hi) / 2
+		k := binary.LittleEndian.Uint64(data[btreeHeader+mid*leafEntry:])
+		switch {
+		case k == key:
+			return binary.LittleEndian.Uint64(data[btreeHeader+mid*leafEntry+8:]), true
+		case k < key:
+			lo = mid + 1
+		default:
+			hi = mid
+		}
+	}
+	return 0, false
+}
+
+// searchInner returns the child of an inner node with n > 0 entries that
+// covers key: the largest i with firstKey[i] <= key. Keys below firstKey[0]
+// cannot exist but descend leftmost for a definitive miss.
+func searchInner(data []byte, n int, key uint64) PageID {
+	lo, hi := 0, n
+	for lo < hi {
+		mid := (lo + hi) / 2
+		k := binary.LittleEndian.Uint64(data[btreeHeader+mid*innerEntry:])
+		if k <= key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	idx := lo - 1
+	if idx < 0 {
+		idx = 0
+	}
+	return PageID(binary.LittleEndian.Uint32(data[btreeHeader+idx*innerEntry+8:]))
 }

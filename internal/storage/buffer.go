@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,10 +115,6 @@ type PoolOptions struct {
 	// Retry bounds re-reads of transiently failing pages (see RetryPolicy).
 	// The zero value surfaces every device error immediately.
 	Retry RetryPolicy
-	// NoVerify disables per-page checksum verification even when the
-	// database carries a checksum table (see Build). Kept for A/B
-	// experiments; leave it false in servers.
-	NoVerify bool
 }
 
 // BufferPool is a sharded page cache over a Device. Pages are distributed
@@ -128,9 +125,11 @@ type PoolOptions struct {
 // a physical read.
 //
 // The pool is read-only — query processing never mutates the database — and
-// safe for concurrent readers: page contents remain valid after eviction
-// (frames are immutable snapshots), so a reader may keep decoding a page
-// another query just displaced.
+// safe for concurrent readers under a pin/unpin contract: Get returns the
+// page's Frame pinned, its bytes are valid until the caller's Release, and
+// the replacement policy never picks a pinned frame. Each frame owns one
+// page buffer for the life of the pool; a miss reads the device straight
+// into the victim's buffer, so a warmed-up pool allocates nothing per miss.
 //
 // Misses are coalesced per page (singleflight): when several queries want
 // the same cold page at once, one of them reads the device and the rest wait
@@ -142,11 +141,11 @@ type BufferPool struct {
 	policy   Policy
 	coalesce bool
 	retry    RetryPolicy
-	noVerify bool
-	// verify, when set (OpenWithPool wires it to the database's checksum
-	// table), checks a freshly read page's content; a failure is classified
-	// like a transient device error and retried.
-	verify func(PageID, []byte) error
+	// sums, when set (OpenWithPool loads it from the database's checksum
+	// table), holds the CRC-32C of every covered page, indexed by page id; a
+	// freshly read page that disagrees is classified like a transient device
+	// error and retried.
+	sums   []uint32
 	shift  uint // shard index = hash(id) >> shift
 	shards []poolShard
 
@@ -167,36 +166,87 @@ type poolShard struct {
 	coalesced atomic.Int64
 	cached    atomic.Int64 // len(frames), mirrored for lock-free Len
 
-	mu       sync.Mutex
-	cap      int
-	policy   Policy
-	frames   map[PageID]*frame
-	inflight map[PageID]*inflightRead
+	mu     sync.Mutex
+	cap    int
+	policy Policy
+	// frames maps the cached pages to their frames; inflight the pages being
+	// read to the frame their leader is filling (coalescing only). Every
+	// frame on the clock ring or LRU list is either cached or pinned by the
+	// leader reading into it.
+	frames   map[PageID]*Frame
+	inflight map[PageID]*Frame
+	// free holds frames that carry no page (after Drop or a failed read);
+	// nframes counts the frames allocated so far, at most cap.
+	free    []*Frame
+	nframes int
 
 	// Clock state: a ring of frames and the sweep hand.
-	slots []*frame
+	slots []*Frame
 	hand  int
 
 	// LRU state: head is most recently used.
-	head, tail *frame
+	head, tail *Frame
 
 	// pad keeps neighbouring shards off one cache line, so shard counters
 	// updated by different cores do not false-share.
 	_ [64]byte
 }
 
-type frame struct {
-	id         PageID
-	data       []byte
+// Frame is one page buffer of a pool, handed to readers pinned: Data stays
+// valid, and the frame is never chosen for replacement, until Release. A
+// reader releases the frame it holds before asking the pool for another
+// page, so a single query never holds more than one pin.
+type Frame struct {
+	id   PageID
+	data []byte
+	// pins counts the readers using data. It is raised only under the owning
+	// shard's lock (a hit, a leader taking the frame, a leader pinning for
+	// its waiters) and dropped lock-free by Release, so a frame the victim
+	// search sees unpinned under that lock has no reader left.
+	pins atomic.Int32
+	// transient marks a buffer borrowed from framePool because the pool has
+	// no capacity or every frame of the shard was pinned; the last Release
+	// returns it.
+	transient  bool
 	ref        bool // clock reference bit
-	prev, next *frame
+	prev, next *Frame
+	// wait is non-nil while readers are blocked on the read into this frame.
+	wait *coalesced
 }
 
-// inflightRead is one coalesced device read: the first misser fills data/err
-// and closes done; waiters block on done and share the result.
-type inflightRead struct {
+// Data returns the page's bytes, read-only and valid until Release.
+func (f *Frame) Data() []byte { return f.data }
+
+// Release unpins the frame; the caller must not touch Data afterwards.
+func (f *Frame) Release() {
+	n := f.pins.Add(-1)
+	if n < 0 {
+		panic("storage: Frame released more often than pinned")
+	}
+	if n == 0 && f.transient {
+		framePool.Put(f)
+	}
+}
+
+// take hands an unpinned frame to the reader about to fill it with page id.
+func (f *Frame) take(id PageID) {
+	f.id, f.ref = id, false
+	f.pins.Store(1)
+}
+
+// framePool lends page buffers to reads that no shard frame can hold.
+var framePool = sync.Pool{New: func() any {
+	return &Frame{data: make([]byte, PageSize), transient: true}
+}}
+
+// coalesced is the rendezvous of one in-flight read that other readers wait
+// for: the leader fills f/err and closes done while holding the shard lock.
+// It is allocated by the first waiter, so an uncontended miss allocates
+// nothing.
+type coalesced struct {
 	done chan struct{}
-	data []byte
+	n    int // waiters still interested (guarded by the shard lock)
+	f    *Frame
 	err  error
 }
 
@@ -242,7 +292,6 @@ func NewBufferPool(dev Device, capacity int, opts ...PoolOptions) *BufferPool {
 		policy:   o.Policy,
 		coalesce: !o.NoCoalesce,
 		retry:    o.Retry.withDefaults(),
-		noVerify: o.NoVerify,
 		shift:    uint(32 - bits.Len(uint(n-1))),
 		shards:   make([]poolShard, n),
 	}
@@ -258,8 +307,8 @@ func NewBufferPool(dev Device, capacity int, opts ...PoolOptions) *BufferPool {
 			s.cap++
 		}
 		s.policy = o.Policy
-		s.frames = make(map[PageID]*frame, s.cap)
-		s.inflight = make(map[PageID]*inflightRead)
+		s.frames = make(map[PageID]*Frame, s.cap)
+		s.inflight = make(map[PageID]*Frame)
 	}
 	return b
 }
@@ -352,33 +401,51 @@ func (b *BufferPool) Len() int {
 	return int(n)
 }
 
-// Drop evicts all cached pages (a cold restart) without touching counters.
+// Drop evicts every cached page no reader has pinned (a cold restart)
+// without touching counters. A pinned frame keeps its page and its buffer —
+// its reader is still decoding it — and becomes evictable on Release.
 func (b *BufferPool) Drop() {
 	for i := range b.shards {
 		s := &b.shards[i]
 		s.mu.Lock()
-		s.frames = make(map[PageID]*frame, s.cap)
-		s.slots = nil
-		s.hand = 0
-		s.head, s.tail = nil, nil
-		s.cached.Store(0)
+		spare := func(f *Frame) bool {
+			if f.pins.Load() > 0 {
+				return false
+			}
+			delete(s.frames, f.id)
+			s.free = append(s.free, f)
+			return true
+		}
+		if s.policy == PolicyClock {
+			s.slots, s.hand = slices.DeleteFunc(s.slots, spare), 0
+		} else {
+			for f := s.head; f != nil; {
+				next := f.next
+				if spare(f) {
+					s.unlink(f)
+				}
+				f = next
+			}
+		}
+		s.cached.Store(int64(len(s.frames)))
 		s.mu.Unlock()
 	}
 }
 
-// Get returns the contents of page id. The returned slice is owned by the
-// pool and must be treated as read-only; it stays valid even after eviction.
-func (b *BufferPool) Get(id PageID) ([]byte, error) {
+// Get returns page id pinned in a frame; see GetCtx.
+func (b *BufferPool) Get(id PageID) (*Frame, error) {
 	return b.GetCtx(nil, id)
 }
 
-// GetCtx is Get bound to a query context: a ctx that is cancelled (or whose
-// deadline passes) aborts retry backoff sleeps immediately and releases
-// coalesced waiters without waiting for the leader's read, returning the
-// context's error. A nil ctx behaves like Get. The leader of a coalesced
-// read always runs its retry schedule to completion under its own ctx, so
-// one waiter's cancellation never fails the read for the others.
-func (b *BufferPool) GetCtx(ctx context.Context, id PageID) ([]byte, error) {
+// GetCtx returns the frame holding page id, pinned: the caller reads
+// Frame.Data and then calls Frame.Release, before its next Get. It is bound
+// to a query context: a ctx that is cancelled (or whose deadline passes)
+// aborts retry backoff sleeps immediately and releases coalesced waiters
+// without waiting for the leader's read, returning the context's error. A
+// nil ctx never cancels. The leader of a coalesced read always runs its
+// retry schedule to completion under its own ctx, so one waiter's
+// cancellation never fails the read for the others.
+func (b *BufferPool) GetCtx(ctx context.Context, id PageID) (*Frame, error) {
 	s := b.shard(id)
 	s.logical.Add(1)
 	if b.cap == 0 {
@@ -386,85 +453,129 @@ func (b *BufferPool) GetCtx(ctx context.Context, id PageID) ([]byte, error) {
 		// definition of the paper's 0% buffer configuration (no coalescing
 		// either — the counters must stay equal).
 		s.physical.Add(1)
-		data := make([]byte, PageSize)
-		if err := b.readPage(ctx, id, data); err != nil {
+		f := framePool.Get().(*Frame)
+		f.take(id)
+		if err := b.readPage(ctx, id, f.data); err != nil {
+			f.Release()
 			return nil, err
 		}
-		return data, nil
+		return f, nil
 	}
 
 	s.mu.Lock()
 	if f, ok := s.frames[id]; ok {
 		s.touch(f)
-		data := f.data
+		f.pins.Add(1)
 		s.mu.Unlock()
-		return data, nil
+		return f, nil
 	}
+	if lead, ok := s.inflight[id]; ok {
+		// Another query is already reading this page; share its read —
+		// including the outcome of any retries the leader performs.
+		return b.join(ctx, s, lead, id)
+	}
+	// Miss: take the victim's frame out of the frame table now and read
+	// into its buffer outside the lock. The leader's pin keeps the frame
+	// from being chosen again while the read is in flight.
+	f := s.acquire()
+	if f == nil {
+		f = framePool.Get().(*Frame) // every frame of the shard is pinned
+	}
+	f.take(id)
 	if b.coalesce {
-		if c, ok := s.inflight[id]; ok {
-			// Another query is already reading this page; share its read —
-			// including the outcome of any retries the leader performs. A
-			// cancelled waiter leaves early; the leader's read still
-			// completes and populates the frame.
-			s.coalesced.Add(1)
-			s.mu.Unlock()
-			if ctx != nil {
-				select {
-				case <-c.done:
-				case <-ctx.Done():
-					return nil, fmt.Errorf("storage: page %d: coalesced read abandoned: %w", id, ctx.Err())
-				}
-			} else {
-				<-c.done
-			}
-			if c.err != nil && isCtxErr(c.err) && (ctx == nil || ctx.Err() == nil) {
-				// The leader abandoned the read because *its* context died;
-				// this waiter's is still live, so re-issue the read (becoming
-				// the new leader) instead of inheriting a failure that says
-				// nothing about the device.
-				return b.GetCtx(ctx, id)
-			}
-			return c.data, c.err
-		}
-		c := &inflightRead{done: make(chan struct{})}
-		s.inflight[id] = c
-		s.mu.Unlock()
-
-		s.physical.Add(1)
-		data := make([]byte, PageSize)
-		err := b.readPage(ctx, id, data)
-		if err != nil {
-			data = nil
-		}
-		c.data, c.err = data, err
-
-		s.mu.Lock()
-		delete(s.inflight, id)
-		if err == nil {
-			if _, ok := s.frames[id]; !ok {
-				s.insert(id, data)
-			}
-		}
-		s.mu.Unlock()
-		close(c.done)
-		return data, err
+		s.inflight[id] = f
 	}
-
-	// Uncoalesced miss (NoCoalesce): read outside the lock; concurrent
-	// readers of the same missing page may each hit the device, which only
-	// overstates physical I/O, never corrupts state.
 	s.physical.Add(1)
 	s.mu.Unlock()
-	data := make([]byte, PageSize)
-	if err := b.readPage(ctx, id, data); err != nil {
-		return nil, err
-	}
+
+	err := b.readPage(ctx, id, f.data)
+
 	s.mu.Lock()
-	if _, ok := s.frames[id]; !ok {
-		s.insert(id, data)
+	w := f.wait
+	f.wait = nil
+	if b.coalesce {
+		delete(s.inflight, id)
+	}
+	got := f
+	switch {
+	case f.transient:
+		// Nothing to install; the last Release returns the buffer.
+		if err != nil {
+			f.Release()
+		}
+	case err != nil:
+		// The frame carries no page: a failure never poisons the table.
+		s.discard(f)
+	case s.frames[id] != nil:
+		// Only without coalescing: a concurrent reader of the same cold page
+		// installed it first. Share that frame and keep this one spare.
+		s.discard(f)
+		got = s.frames[id]
+		got.pins.Add(1)
+	default:
+		s.frames[id] = f
+		s.cached.Store(int64(len(s.frames)))
+	}
+	if w != nil {
+		if err == nil {
+			got.pins.Add(int32(w.n)) // one pin per waiter, taken on its behalf
+		}
+		w.f, w.err = got, err
+		close(w.done)
 	}
 	s.mu.Unlock()
-	return data, nil
+	if err != nil {
+		return nil, err
+	}
+	return got, nil
+}
+
+// join waits for the in-flight read led by lead and returns its frame with a
+// pin the leader took for this waiter. The caller holds s.mu; join unlocks.
+// A cancelled waiter leaves early; the leader's read still completes and
+// populates the frame.
+func (b *BufferPool) join(ctx context.Context, s *poolShard, lead *Frame, id PageID) (*Frame, error) {
+	w := lead.wait
+	if w == nil {
+		w = &coalesced{done: make(chan struct{})}
+		lead.wait = w
+	}
+	w.n++
+	s.coalesced.Add(1)
+	s.mu.Unlock()
+	if ctx != nil {
+		select {
+		case <-w.done:
+		case <-ctx.Done():
+			// Withdraw; if the leader finished first it already pinned the
+			// frame for this waiter, and that pin goes back.
+			s.mu.Lock()
+			select {
+			case <-w.done:
+				s.mu.Unlock()
+				if w.err == nil {
+					w.f.Release()
+				}
+			default:
+				w.n--
+				s.mu.Unlock()
+			}
+			return nil, fmt.Errorf("storage: page %d: coalesced read abandoned: %w", id, ctx.Err())
+		}
+	} else {
+		<-w.done
+	}
+	if w.err == nil {
+		return w.f, nil
+	}
+	if isCtxErr(w.err) && (ctx == nil || ctx.Err() == nil) {
+		// The leader abandoned the read because *its* context died; this
+		// waiter's is still live, so re-issue the read (becoming the new
+		// leader) instead of inheriting a failure that says nothing about
+		// the device.
+		return b.GetCtx(ctx, id)
+	}
+	return nil, w.err
 }
 
 // FailureStats returns the pool's lifetime I/O failure counters (lock-free).
@@ -477,15 +588,6 @@ func (b *BufferPool) FailureStats() FailureStats {
 	}
 }
 
-// setVerify installs the per-page content check applied after every
-// successful device read (OpenWithPool wires the database's checksum table
-// through it unless PoolOptions.NoVerify is set).
-func (b *BufferPool) setVerify(v func(PageID, []byte) error) {
-	if !b.noVerify {
-		b.verify = v
-	}
-}
-
 // isCtxErr reports whether err stems from context cancellation or deadline
 // expiry rather than the device.
 func isCtxErr(err error) bool {
@@ -493,21 +595,19 @@ func isCtxErr(err error) bool {
 }
 
 // readPage performs one logical device read of page id into data: the raw
-// read, optional checksum verification, and bounded retry with exponential
+// read, checksum verification, and bounded retry with exponential
 // backoff and jitter on transient failures. Classification (see errors.go):
 // transient errors and checksum mismatches are retried up to the policy's
-// budget; anything else — and a cancelled ctx — surfaces immediately. Frames
-// are only ever populated from a fully successful attempt, so a failure can
-// never poison the cache.
+// budget; anything else — and a cancelled ctx — surfaces immediately. A frame
+// enters the frame table only after a fully successful attempt, so a failure
+// can never poison the cache.
 func (b *BufferPool) readPage(ctx context.Context, id PageID, data []byte) error {
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = b.dev.ReadPage(id, data)
-		if err == nil && b.verify != nil {
-			if verr := b.verify(id, data); verr != nil {
-				b.checksumErrs.Add(1)
-				err = verr
-			}
+		if err == nil && id != 0 && int(id) < len(b.sums) && PageChecksum(data) != b.sums[id] {
+			b.checksumErrs.Add(1)
+			err = fmt.Errorf("storage: page %d: %w", id, ErrChecksum)
 		}
 		if err == nil {
 			return nil
@@ -544,7 +644,7 @@ func (b *BufferPool) readPage(ctx context.Context, id PageID, data []byte) error
 }
 
 // touch records a hit under the shard lock.
-func (s *poolShard) touch(f *frame) {
+func (s *poolShard) touch(f *Frame) {
 	if s.policy == PolicyClock {
 		f.ref = true
 		return
@@ -552,47 +652,95 @@ func (s *poolShard) touch(f *frame) {
 	s.moveToFront(f)
 }
 
-// insert places a new frame, evicting if the shard is full. Caller holds mu.
-func (s *poolShard) insert(id PageID, data []byte) {
-	f := &frame{id: id, data: data}
+// acquire returns an unpinned frame for a new page, placed where the policy
+// puts a newcomer: a spare frame, a fresh one while the shard is below
+// capacity, otherwise the policy's victim, taken out of the frame table. It
+// returns nil when every frame is pinned. Caller holds mu.
+func (s *poolShard) acquire() *Frame {
+	var f *Frame
+	switch n := len(s.free); {
+	case n > 0:
+		f, s.free = s.free[n-1], s.free[:n-1]
+	case s.nframes < s.cap:
+		f = &Frame{data: make([]byte, PageSize)}
+		s.nframes++
+	case s.policy == PolicyClock:
+		return s.evictClock()
+	default:
+		return s.evictLRU()
+	}
 	if s.policy == PolicyClock {
-		s.insertClock(f)
+		s.slots = append(s.slots, f)
 	} else {
-		if len(s.frames) >= s.cap {
-			s.evictLRU()
-		}
 		s.pushFront(f)
 	}
-	s.frames[id] = f
+	return f
+}
+
+// discard takes a frame that carries no page off the ring or list and keeps
+// it spare. Caller holds mu.
+func (s *poolShard) discard(f *Frame) {
+	if s.policy == PolicyClock {
+		i := slices.Index(s.slots, f)
+		s.slots = slices.Delete(s.slots, i, i+1)
+		if i < s.hand {
+			s.hand--
+		}
+		if s.hand >= len(s.slots) {
+			s.hand = 0
+		}
+	} else {
+		s.unlink(f)
+	}
+	f.pins.Store(0)
+	s.free = append(s.free, f)
+}
+
+// evict removes the victim's page from the frame table.
+func (s *poolShard) evict(f *Frame) {
+	s.evictions.Add(1)
+	delete(s.frames, f.id)
 	s.cached.Store(int64(len(s.frames)))
 }
 
-// insertClock places f on the clock ring, sweeping the hand past referenced
-// frames (clearing their bit — the second chance) until it finds a victim.
-// New frames enter with the bit clear just behind the hand, so they survive
-// a full rotation before becoming eviction candidates.
-func (s *poolShard) insertClock(f *frame) {
-	if len(s.slots) < s.cap {
-		s.slots = append(s.slots, f)
-		return
-	}
-	for s.slots[s.hand].ref {
-		s.slots[s.hand].ref = false
+// evictClock sweeps the hand past pinned frames and referenced ones
+// (clearing their bit — the second chance) until it finds a victim, which
+// keeps its slot for the new page: newcomers enter with the bit clear just
+// behind the hand, so they survive a full rotation before becoming eviction
+// candidates. Two rotations without a victim mean every frame is pinned.
+func (s *poolShard) evictClock() *Frame {
+	for n := 2 * len(s.slots); n > 0; n-- {
+		f := s.slots[s.hand]
 		s.hand++
 		if s.hand == len(s.slots) {
 			s.hand = 0
 		}
+		switch {
+		case f.pins.Load() > 0:
+		case f.ref:
+			f.ref = false
+		default:
+			s.evict(f)
+			return f
+		}
 	}
-	s.evictions.Add(1)
-	delete(s.frames, s.slots[s.hand].id)
-	s.slots[s.hand] = f
-	s.hand++
-	if s.hand == len(s.slots) {
-		s.hand = 0
-	}
+	return nil
 }
 
-func (s *poolShard) pushFront(f *frame) {
+// evictLRU takes the least recently used unpinned frame and moves it to the
+// front for the new page.
+func (s *poolShard) evictLRU() *Frame {
+	for f := s.tail; f != nil; f = f.prev {
+		if f.pins.Load() == 0 {
+			s.evict(f)
+			s.moveToFront(f)
+			return f
+		}
+	}
+	return nil
+}
+
+func (s *poolShard) pushFront(f *Frame) {
 	f.prev = nil
 	f.next = s.head
 	if s.head != nil {
@@ -604,35 +752,23 @@ func (s *poolShard) pushFront(f *frame) {
 	}
 }
 
-func (s *poolShard) moveToFront(f *frame) {
-	if s.head == f {
-		return
-	}
-	// Unlink.
+func (s *poolShard) unlink(f *Frame) {
 	if f.prev != nil {
 		f.prev.next = f.next
+	} else {
+		s.head = f.next
 	}
 	if f.next != nil {
 		f.next.prev = f.prev
-	}
-	if s.tail == f {
+	} else {
 		s.tail = f.prev
 	}
-	s.pushFront(f)
+	f.prev, f.next = nil, nil
 }
 
-func (s *poolShard) evictLRU() {
-	victim := s.tail
-	if victim == nil {
-		return
+func (s *poolShard) moveToFront(f *Frame) {
+	if s.head != f {
+		s.unlink(f)
+		s.pushFront(f)
 	}
-	s.evictions.Add(1)
-	if victim.prev != nil {
-		victim.prev.next = nil
-	}
-	s.tail = victim.prev
-	if s.head == victim {
-		s.head = nil
-	}
-	delete(s.frames, victim.id)
 }

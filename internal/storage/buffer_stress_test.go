@@ -10,8 +10,8 @@ import (
 
 // Stress test for the sharded pool under -race: workers hammer a mix of hot
 // pages (always resident after warmup) and a cold tail (constant eviction
-// churn). Frames must stay valid after eviction — a reader that got a slice
-// just before its page was displaced must still see the right contents.
+// churn). A pinned frame must keep its page — a reader holding one while
+// the other workers evict around it must still see the right contents.
 func TestBufferPoolStressMixedHotCold(t *testing.T) {
 	const (
 		pages   = 512
@@ -43,13 +43,13 @@ func TestBufferPoolStressMixedHotCold(t *testing.T) {
 						} else {
 							id = PageID(hotSet + rng.Intn(pages-hotSet))
 						}
-						data, err := pool.Get(id)
+						stamp, err := readStamp(pool, id)
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						if pageStamp(data) != uint32(id) {
-							t.Errorf("page %d returned stamp %d", id, pageStamp(data))
+						if stamp != uint32(id) {
+							t.Errorf("page %d returned stamp %d", id, stamp)
 							return
 						}
 					}
@@ -91,7 +91,7 @@ func TestBufferPoolStatsMonotonic(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := pool.Get(PageID(rng.Intn(pages))); err != nil {
+				if _, err := readStamp(pool, PageID(rng.Intn(pages))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -139,13 +139,13 @@ func TestBufferPoolCoalescesPopularPage(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				data, err := pool.Get(7)
+				stamp, err := readStamp(pool, 7)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if pageStamp(data) != 7 {
-					t.Errorf("stamp = %d, want 7", pageStamp(data))
+				if stamp != 7 {
+					t.Errorf("stamp = %d, want 7", stamp)
 				}
 			}()
 		}
@@ -174,22 +174,22 @@ func TestBufferPoolCoalescesPopularPage(t *testing.T) {
 func TestBufferPoolCoalescedReadError(t *testing.T) {
 	dev := stampDevice(t, 4)
 	pool := NewBufferPool(dev, 4)
-	if _, err := pool.Get(99); err == nil {
+	if _, err := readStamp(pool, 99); err == nil {
 		t.Fatal("read of unallocated page succeeded")
 	}
-	if _, err := pool.Get(99); err == nil {
+	if _, err := readStamp(pool, 99); err == nil {
 		t.Fatal("second read of unallocated page succeeded (error frame cached?)")
 	}
 	if s := pool.Stats(); s.Physical != 2 {
 		t.Errorf("physical = %d, want 2 (failed reads are not cached)", s.Physical)
 	}
 	// A good page still works afterwards.
-	data, err := pool.Get(2)
+	stamp, err := readStamp(pool, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pageStamp(data) != 2 {
-		t.Errorf("stamp = %d, want 2", pageStamp(data))
+	if stamp != 2 {
+		t.Errorf("stamp = %d, want 2", stamp)
 	}
 }
 
@@ -227,7 +227,7 @@ func BenchmarkBufferPoolParallel(b *testing.B) {
 					if rng.Intn(8) == 0 {
 						id = PageID(rng.Intn(pages))
 					}
-					if _, err := pool.Get(id); err != nil {
+					if _, err := readStamp(pool, id); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -27,21 +28,36 @@ func stampDevice(t *testing.T, n int) *MemDevice {
 
 func pageStamp(data []byte) uint32 { return binary.LittleEndian.Uint32(data) }
 
+// readStamp reads page id through the pool and returns its stamp, unpinning
+// the frame before it returns.
+func readStamp(pool *BufferPool, id PageID) (uint32, error) {
+	return readStampCtx(nil, pool, id)
+}
+
+func readStampCtx(ctx context.Context, pool *BufferPool, id PageID) (uint32, error) {
+	fr, err := pool.GetCtx(ctx, id)
+	if err != nil {
+		return 0, err
+	}
+	defer fr.Release()
+	return pageStamp(fr.Data()), nil
+}
+
 func TestBufferPoolHitAndMiss(t *testing.T) {
 	dev := stampDevice(t, 4)
 	pool := NewBufferPool(dev, 2)
 
-	data, err := pool.Get(3)
+	stamp, err := readStamp(pool, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pageStamp(data) != 3 {
-		t.Fatalf("stamp = %d, want 3", pageStamp(data))
+	if stamp != 3 {
+		t.Fatalf("stamp = %d, want 3", stamp)
 	}
 	if s := pool.Stats(); s.Logical != 1 || s.Physical != 1 {
 		t.Fatalf("stats after miss: %+v", s)
 	}
-	if _, err := pool.Get(3); err != nil {
+	if _, err := readStamp(pool, 3); err != nil {
 		t.Fatal(err)
 	}
 	if s := pool.Stats(); s.Logical != 2 || s.Physical != 1 {
@@ -54,7 +70,7 @@ func TestBufferPoolLRUEviction(t *testing.T) {
 	pool := NewBufferPool(dev, 2, PoolOptions{Shards: 1, Policy: PolicyLRU})
 	mustGet := func(id PageID) {
 		t.Helper()
-		if _, err := pool.Get(id); err != nil {
+		if _, err := readStamp(pool, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,7 +96,7 @@ func TestBufferPoolZeroCapacity(t *testing.T) {
 	dev := stampDevice(t, 3)
 	pool := NewBufferPool(dev, 0)
 	for i := 0; i < 5; i++ {
-		if _, err := pool.Get(1); err != nil {
+		if _, err := readStamp(pool, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,21 +120,21 @@ func TestBufferPoolFrac(t *testing.T) {
 func TestBufferPoolResetAndDrop(t *testing.T) {
 	dev := stampDevice(t, 3)
 	pool := NewBufferPool(dev, 3)
-	if _, err := pool.Get(0); err != nil {
+	if _, err := readStamp(pool, 0); err != nil {
 		t.Fatal(err)
 	}
 	pool.ResetStats()
 	if s := pool.Stats(); s.Logical != 0 || s.Physical != 0 {
 		t.Errorf("stats not reset: %+v", s)
 	}
-	if _, err := pool.Get(0); err != nil {
+	if _, err := readStamp(pool, 0); err != nil {
 		t.Fatal(err)
 	}
 	if s := pool.Stats(); s.Physical != 0 {
 		t.Error("ResetStats must keep cached pages")
 	}
 	pool.Drop()
-	if _, err := pool.Get(0); err != nil {
+	if _, err := readStamp(pool, 0); err != nil {
 		t.Fatal(err)
 	}
 	if s := pool.Stats(); s.Physical != 1 {
@@ -138,11 +154,11 @@ func TestBufferPoolMatchesReferenceLRU(t *testing.T) {
 		for step := 0; step < 3000; step++ {
 			id := PageID(rng.Intn(pages))
 			before := pool.Stats().Physical
-			data, err := pool.Get(id)
+			stamp, err := readStamp(pool, id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pageStamp(data) != uint32(id) {
+			if stamp != uint32(id) {
 				t.Fatalf("cap %d: wrong contents for page %d", capacity, id)
 			}
 			missed := pool.Stats().Physical > before
@@ -195,11 +211,11 @@ func TestBufferPoolMatchesReferenceClock(t *testing.T) {
 		for step := 0; step < 3000; step++ {
 			id := PageID(rng.Intn(pages))
 			before := pool.Stats().Physical
-			data, err := pool.Get(id)
+			stamp, err := readStamp(pool, id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pageStamp(data) != uint32(id) {
+			if stamp != uint32(id) {
 				t.Fatalf("cap %d: wrong contents for page %d", capacity, id)
 			}
 			missed := pool.Stats().Physical > before
@@ -241,12 +257,12 @@ func TestBufferPoolSharded(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(shards)))
 		for step := 0; step < 5000; step++ {
 			id := PageID(rng.Intn(pages))
-			data, err := pool.Get(id)
+			stamp, err := readStamp(pool, id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pageStamp(data) != uint32(id) {
-				t.Fatalf("shards=%d: page %d returned stamp %d", shards, id, pageStamp(data))
+			if stamp != uint32(id) {
+				t.Fatalf("shards=%d: page %d returned stamp %d", shards, id, stamp)
 			}
 			if n := pool.Len(); n > 32 {
 				t.Fatalf("shards=%d: pool holds %d pages, capacity 32", shards, n)
@@ -271,7 +287,7 @@ func TestBufferPoolShardClamp(t *testing.T) {
 		t.Fatalf("Shards() = %d, want 2 (clamped by capacity 3)", got)
 	}
 	for i := 0; i < 64; i++ {
-		if _, err := pool.Get(PageID(i)); err != nil {
+		if _, err := readStamp(pool, PageID(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,7 +329,7 @@ func TestShardStats(t *testing.T) {
 
 	mustGet := func(id PageID) {
 		t.Helper()
-		if _, err := pool.Get(id); err != nil {
+		if _, err := readStamp(pool, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -359,7 +375,7 @@ func TestShardStatsCoalesced(t *testing.T) {
 	for w := 0; w < readers; w++ {
 		go func() {
 			<-start
-			_, err := pool.Get(7) // same cold page for everyone
+			_, err := readStamp(pool, 7) // same cold page for everyone
 			errs <- err
 		}()
 	}

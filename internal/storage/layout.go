@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 
 	"mcn/internal/graph"
 	"mcn/internal/index"
@@ -16,6 +17,8 @@ import (
 //	adjacency tree    B+-tree: node id → packed Ref of its adjacency record
 //	facility tree     B+-tree: facility id → edge id
 //	edge tree         B+-tree: edge id → U end-node id
+//	bounds table      pruning index, d × numNodes f64
+//	checksum table    one 8-byte slot per page above (header excluded)
 //
 // Adjacency record:  count u16, then per arc:
 //
@@ -24,37 +27,36 @@ import (
 //
 // Facility record (per edge): facCount × { facility u32, T f64 }.
 //
-// Version 2 appends a checksum table after the trees: one FNV-1a u64 per
-// data/index page (pages 1..checksumPages, i.e. everything written before the
-// table; the header page is excluded because it is read before the table is
-// known, and the table's own pages are excluded because they are read once at
-// Open, directly from the device). OpenWithPool loads the table into memory
-// and wires it into the buffer pool, which verifies every page it reads.
-// Version-1 databases (no table) still open; reads are simply unverified.
+// The pruning-index bounds table follows the trees: d × numNodes f64 values,
+// criterion-major (the internal/index layout), the exact distance from each
+// node to its nearest facility per cost type. It is loaded once at Open.
 //
-// Version 3 inserts the pruning-index bounds table between the trees and the
-// checksum table: d × numNodes f64 values, criterion-major (the
-// internal/index layout), the exact distance from each node to its nearest
-// facility per cost type. Writing it before the checksum table keeps it
-// covered by the page checksums; like the checksum table it is loaded once
-// at Open. Version-1/2 databases still open with no bounds — queries simply
-// run unpruned.
+// The checksum table comes last: one 8-byte slot per data/index page (pages
+// 1..checksumPages, i.e. everything written before the table, the bounds
+// table included; the header page is excluded because it is read before the
+// table is known, and the table's own pages are excluded because they are
+// read once at Open, directly from the device). A slot holds the page's
+// CRC-32C (Castagnoli) in its low 32 bits, the rest zero. CRC-32C because
+// hash/crc32 computes it with the SSE4.2 / ARMv8 CRC instructions, so
+// verifying a page costs a fraction of reading it; the slot stays 8 bytes
+// wide so the table — and with it the page count every buffer-size
+// percentage and page-access figure is measured against — is the size it has
+// always been. OpenWithPool loads the table into memory and hands it to the
+// buffer pool, which verifies every page it reads.
+//
+// This is layout version 4, the only one Open accepts: a database written by
+// an earlier version is regenerated with mcngen, not migrated.
 const (
-	magic            = 0x4D434E31 // "MCN1"
-	version          = 3
-	checksumOffset64 = 14695981039346656037
-	checksumPrime64  = 1099511628211
+	magic   = 0x4D434E31 // "MCN1"
+	version = 4
 )
 
-// PageChecksum returns the FNV-1a 64-bit hash of a page's content, the
-// checksum stored in the database's checksum table.
-func PageChecksum(data []byte) uint64 {
-	h := uint64(checksumOffset64)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= checksumPrime64
-	}
-	return h
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// PageChecksum returns the CRC-32C of a page's content, the checksum stored
+// in the database's checksum table.
+func PageChecksum(data []byte) uint32 {
+	return crc32.Checksum(data, castagnoli)
 }
 
 type header struct {
@@ -68,9 +70,9 @@ type header struct {
 	edgeTreeRoot  PageID
 	adjFileFirst  PageID
 	facFileFirst  PageID
-	checksumFirst PageID // first page of the checksum table (0 when absent)
+	checksumFirst PageID // first page of the checksum table
 	checksumPages int    // pages covered by the table: ids 1..checksumPages
-	boundsFirst   PageID // first page of the pruning-bounds table (0 when absent)
+	boundsFirst   PageID // first page of the pruning-bounds table
 }
 
 func (h *header) encode() []byte {
@@ -101,30 +103,24 @@ func decodeHeader(buf []byte) (*header, error) {
 	if le.Uint32(buf[0:]) != magic {
 		return nil, fmt.Errorf("storage: not an MCN database (bad magic)")
 	}
-	v := le.Uint16(buf[4:])
-	if v < 1 || v > version {
-		return nil, fmt.Errorf("storage: unsupported database version %d", v)
+	if v := le.Uint16(buf[4:]); v != version {
+		return nil, fmt.Errorf("storage: database layout version %d, this build reads version %d: regenerate the database with mcngen", v, version)
 	}
-	h := &header{
-		d:            int(le.Uint16(buf[6:])),
-		directed:     buf[8] == 1,
-		numNodes:     int(le.Uint32(buf[12:])),
-		numEdges:     int(le.Uint32(buf[16:])),
-		numFacs:      int(le.Uint32(buf[20:])),
-		adjTreeRoot:  PageID(le.Uint32(buf[24:])),
-		facTreeRoot:  PageID(le.Uint32(buf[28:])),
-		edgeTreeRoot: PageID(le.Uint32(buf[32:])),
-		adjFileFirst: PageID(le.Uint32(buf[36:])),
-		facFileFirst: PageID(le.Uint32(buf[40:])),
-	}
-	if v >= 2 {
-		h.checksumFirst = PageID(le.Uint32(buf[44:]))
-		h.checksumPages = int(le.Uint32(buf[48:]))
-	}
-	if v >= 3 {
-		h.boundsFirst = PageID(le.Uint32(buf[52:]))
-	}
-	return h, nil
+	return &header{
+		d:             int(le.Uint16(buf[6:])),
+		directed:      buf[8] == 1,
+		numNodes:      int(le.Uint32(buf[12:])),
+		numEdges:      int(le.Uint32(buf[16:])),
+		numFacs:       int(le.Uint32(buf[20:])),
+		adjTreeRoot:   PageID(le.Uint32(buf[24:])),
+		facTreeRoot:   PageID(le.Uint32(buf[28:])),
+		edgeTreeRoot:  PageID(le.Uint32(buf[32:])),
+		adjFileFirst:  PageID(le.Uint32(buf[36:])),
+		facFileFirst:  PageID(le.Uint32(buf[40:])),
+		checksumFirst: PageID(le.Uint32(buf[44:])),
+		checksumPages: int(le.Uint32(buf[48:])),
+		boundsFirst:   PageID(le.Uint32(buf[52:])),
+	}, nil
 }
 
 // Build writes the database for g onto dev, which must be empty. The
@@ -266,9 +262,9 @@ func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 		return nil, fmt.Errorf("storage: edge tree: %w", err)
 	}
 
-	// Pruning-bounds table (layout v3): the per-criterion nearest-facility
-	// distances, written before the checksum table so its pages are covered
-	// by the checksums.
+	// Pruning-bounds table: the per-criterion nearest-facility distances,
+	// written before the checksum table so its pages are covered by the
+	// checksums.
 	bounds := index.FromGraph(g)
 	bw := newPageWriter(dev)
 	bref, err := bw.pos()
@@ -285,9 +281,9 @@ func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 		return nil, fmt.Errorf("storage: bounds table: %w", err)
 	}
 
-	// Checksum table: one FNV-1a u64 per page written so far (1..n-1; the
-	// header page is written last, after the table's location is known, and
-	// is excluded — see the layout comment).
+	// Checksum table: one slot per page written so far (1..n-1; the header
+	// page is written last, after the table's location is known, and is
+	// excluded — see the layout comment).
 	n := dev.NumPages()
 	h.checksumPages = n - 1
 	cw := newPageWriter(dev)
@@ -301,7 +297,7 @@ func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 		if err := dev.ReadPage(PageID(p), page); err != nil {
 			return nil, fmt.Errorf("storage: checksum table: %w", err)
 		}
-		if err := cw.writeU64(PageChecksum(page)); err != nil {
+		if err := cw.writeU64(uint64(PageChecksum(page))); err != nil {
 			return nil, fmt.Errorf("storage: checksum table: %w", err)
 		}
 	}

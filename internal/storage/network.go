@@ -21,8 +21,7 @@ type Network struct {
 	adjTree  *BTree
 	facTree  *BTree
 	edgeTree *BTree
-	// bounds is the pruning index loaded from the layout-v3 bounds table,
-	// nil for v1/v2 databases (queries run unpruned).
+	// bounds is the pruning index loaded from the bounds table.
 	bounds *index.Bounds
 	// ctx, when non-nil, bounds every page read issued through this handle
 	// (see WithReadContext). Shared by all views of one database.
@@ -71,53 +70,26 @@ func OpenWithPool(dev Device, pool *BufferPool) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	if hdr.checksumPages > 0 {
-		// Load the checksum table (8 bytes per covered page, ~0.2% of the
-		// database) directly from the device — its own pages are not covered
-		// — and have the pool verify every page it reads against it.
-		sums := make([]uint64, hdr.checksumPages+1) // indexed by page id; 0 unused
-		page, idx := hdr.checksumFirst, 1
-		for idx <= hdr.checksumPages {
-			if err := dev.ReadPage(page, buf); err != nil {
-				return nil, fmt.Errorf("storage: checksum table: %w", err)
-			}
-			for off := 0; off+8 <= PageSize && idx <= hdr.checksumPages; off += 8 {
-				sums[idx] = binary.LittleEndian.Uint64(buf[off:])
-				idx++
-			}
-			page++
-		}
-		pool.setVerify(func(id PageID, data []byte) error {
-			if id == 0 || int(id) >= len(sums) {
-				return nil
-			}
-			if PageChecksum(data) != sums[id] {
-				return fmt.Errorf("storage: page %d: %w", id, ErrChecksum)
-			}
-			return nil
-		})
+	// Load the checksum table (8 bytes per covered page, ~0.2% of the
+	// database) directly from the device — its own pages are not covered —
+	// and have the pool verify every page it reads against it.
+	sums := make([]uint32, hdr.checksumPages+1) // indexed by page id; 0 unused
+	err = loadTable(dev, hdr.checksumFirst, hdr.checksumPages, func(i int, v uint64) { sums[i+1] = uint32(v) })
+	if err != nil {
+		return nil, fmt.Errorf("storage: checksum table: %w", err)
 	}
-	var bounds *index.Bounds
-	if hdr.boundsFirst != 0 {
-		// Load the pruning-bounds table (d × numNodes f64, criterion-major)
-		// directly from the device, like the checksum table: it is read once
-		// here and never again, so routing it through the pool would only
-		// perturb the cache statistics.
-		data := make([]float64, hdr.d*hdr.numNodes)
-		page, idx := hdr.boundsFirst, 0
-		for idx < len(data) {
-			if err := dev.ReadPage(page, buf); err != nil {
-				return nil, fmt.Errorf("storage: bounds table: %w", err)
-			}
-			for off := 0; off+8 <= PageSize && idx < len(data); off += 8 {
-				data[idx] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-				idx++
-			}
-			page++
-		}
-		if bounds, err = index.FromData(hdr.d, hdr.numNodes, data); err != nil {
-			return nil, fmt.Errorf("storage: bounds table: %w", err)
-		}
+	pool.sums = sums
+	// Load the pruning-bounds table (d × numNodes f64, criterion-major)
+	// directly from the device too: it is read once here and never again, so
+	// routing it through the pool would only perturb the cache statistics.
+	data := make([]float64, hdr.d*hdr.numNodes)
+	err = loadTable(dev, hdr.boundsFirst, len(data), func(i int, v uint64) { data[i] = math.Float64frombits(v) })
+	if err != nil {
+		return nil, fmt.Errorf("storage: bounds table: %w", err)
+	}
+	bounds, err := index.FromData(hdr.d, hdr.numNodes, data)
+	if err != nil {
+		return nil, fmt.Errorf("storage: bounds table: %w", err)
 	}
 	return &Network{
 		pool:     pool,
@@ -127,6 +99,22 @@ func OpenWithPool(dev Device, pool *BufferPool) (*Network, error) {
 		edgeTree: OpenBTree(pool, hdr.edgeTreeRoot),
 		bounds:   bounds,
 	}, nil
+}
+
+// loadTable reads the n u64 values stored from page first on, straight from
+// the device.
+func loadTable(dev Device, first PageID, n int, put func(i int, v uint64)) error {
+	buf := make([]byte, PageSize)
+	for i := 0; i < n; first++ {
+		if err := dev.ReadPage(first, buf); err != nil {
+			return err
+		}
+		for off := 0; off+8 <= PageSize && i < n; off += 8 {
+			put(i, binary.LittleEndian.Uint64(buf[off:]))
+			i++
+		}
+	}
+	return nil
 }
 
 // D returns the number of cost types.
@@ -144,8 +132,7 @@ func (n *Network) NumEdges() int { return n.hdr.numEdges }
 // NumFacilities returns the facility count.
 func (n *Network) NumFacilities() int { return n.hdr.numFacs }
 
-// Bounds returns the pruning index persisted in the database (layout v3),
-// or nil for version-1/2 databases, which carry none.
+// Bounds returns the pruning index persisted in the database.
 func (n *Network) Bounds() *index.Bounds { return n.bounds }
 
 // Pool exposes the buffer pool (for statistics and resets).
@@ -157,10 +144,16 @@ func (n *Network) Stats() Stats { return n.pool.Stats() }
 // FailureStats returns the buffer pool's I/O failure counters.
 func (n *Network) FailureStats() FailureStats { return n.pool.FailureStats() }
 
-// Adjacency returns the adjacency list of v: one entry per outgoing arc with
-// the edge's full cost vector and its facility-record pointer. It performs
-// an adjacency-tree lookup followed by an adjacency-file record read.
-func (n *Network) Adjacency(v graph.NodeID) ([]graph.AdjEntry, error) {
+// Record sizes of the adjacency and facility files (see the layout comment).
+const (
+	arcFixed = 4 + 4 + 1 + 2 + 8 // neighbor, edge, flags, facCount, facRef
+	facSize  = 4 + 8             // facility, T
+)
+
+// arcs positions c on the adjacency record of v — an adjacency-tree lookup
+// followed by an adjacency-file record read — and returns the record's arcs
+// as raw bytes, arcFixed+8d each, valid until c is closed.
+func (n *Network) arcs(c *cursor, v graph.NodeID) ([]byte, error) {
 	if int(v) >= n.hdr.numNodes {
 		return nil, fmt.Errorf("storage: node %d out of range (%d nodes)", v, n.hdr.numNodes)
 	}
@@ -171,45 +164,46 @@ func (n *Network) Adjacency(v graph.NodeID) ([]graph.AdjEntry, error) {
 	if !ok {
 		return nil, fmt.Errorf("storage: node %d missing from adjacency tree", v)
 	}
-	c := newCursorCtx(n.ctx, n.pool, UnpackRef(packed))
-	count, err := c.readU16()
+	*c = newCursor(n.ctx, n.pool, UnpackRef(packed))
+	head, err := c.next(2)
 	if err != nil {
 		return nil, err
 	}
-	entries := make([]graph.AdjEntry, count)
+	count := int(binary.LittleEndian.Uint16(head))
+	return c.next(count * (arcFixed + 8*n.hdr.d))
+}
+
+// decodeArc fills e from one arc's bytes, its costs into w (len d).
+func decodeArc(arc []byte, e *graph.AdjEntry, w vec.Costs) {
+	le := binary.LittleEndian
+	e.Neighbor = graph.NodeID(le.Uint32(arc[0:]))
+	e.Edge = graph.EdgeID(le.Uint32(arc[4:]))
+	e.Forward = arc[8]&1 != 0
+	e.FacCount = int(le.Uint16(arc[9:]))
+	e.FacRef = le.Uint64(arc[11:])
+	for j := range w {
+		w[j] = math.Float64frombits(le.Uint64(arc[arcFixed+8*j:]))
+	}
+	e.W = w
+}
+
+// Adjacency returns the adjacency list of v: one entry per outgoing arc with
+// the edge's full cost vector and its facility-record pointer. The entries
+// are decoded in place from the pinned page into one slice whose cost
+// vectors share one slab; both are the caller's to keep.
+func (n *Network) Adjacency(v graph.NodeID) ([]graph.AdjEntry, error) {
+	var c cursor
+	defer c.close()
+	arcs, err := n.arcs(&c, v)
+	if err != nil {
+		return nil, err
+	}
+	d := n.hdr.d
+	size := arcFixed + 8*d
+	entries := make([]graph.AdjEntry, len(arcs)/size)
+	slab := make(vec.Costs, len(entries)*d)
 	for i := range entries {
-		e := &entries[i]
-		var nb, eid uint32
-		if nb, err = c.readU32(); err != nil {
-			return nil, err
-		}
-		if eid, err = c.readU32(); err != nil {
-			return nil, err
-		}
-		var flags [1]byte
-		if err = c.read(flags[:]); err != nil {
-			return nil, err
-		}
-		var fc uint16
-		if fc, err = c.readU16(); err != nil {
-			return nil, err
-		}
-		var fref uint64
-		if fref, err = c.readU64(); err != nil {
-			return nil, err
-		}
-		w := make(vec.Costs, n.hdr.d)
-		for j := range w {
-			if w[j], err = c.readF64(); err != nil {
-				return nil, err
-			}
-		}
-		e.Neighbor = graph.NodeID(nb)
-		e.Edge = graph.EdgeID(eid)
-		e.Forward = flags[0]&1 != 0
-		e.FacCount = int(fc)
-		e.FacRef = fref
-		e.W = w
+		decodeArc(arcs[i*size:(i+1)*size], &entries[i], slab[i*d:(i+1)*d:(i+1)*d])
 	}
 	return entries, nil
 }
@@ -220,18 +214,19 @@ func (n *Network) Facilities(facRef uint64, count int) ([]graph.FacEntry, error)
 	if facRef == graph.NoFacRef || count == 0 {
 		return nil, nil
 	}
-	c := newCursorCtx(n.ctx, n.pool, UnpackRef(facRef))
+	c := newCursor(n.ctx, n.pool, UnpackRef(facRef))
+	defer c.close()
+	rec, err := c.next(count * facSize)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]graph.FacEntry, count)
 	for i := range out {
-		id, err := c.readU32()
-		if err != nil {
-			return nil, err
+		fac := rec[i*facSize:]
+		out[i] = graph.FacEntry{
+			ID: graph.FacilityID(binary.LittleEndian.Uint32(fac)),
+			T:  math.Float64frombits(binary.LittleEndian.Uint64(fac[4:])),
 		}
-		t, err := c.readF64()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = graph.FacEntry{ID: graph.FacilityID(id), T: t}
 	}
 	return out, nil
 }
@@ -262,20 +257,19 @@ func (n *Network) EdgeInfo(e graph.EdgeID) (graph.EdgeInfo, error) {
 		return graph.EdgeInfo{}, fmt.Errorf("storage: edge %d missing from edge tree", e)
 	}
 	u := graph.NodeID(uVal)
-	entries, err := n.Adjacency(u)
+	var c cursor
+	defer c.close()
+	arcs, err := n.arcs(&c, u)
 	if err != nil {
 		return graph.EdgeInfo{}, err
 	}
-	for i := range entries {
-		if entries[i].Edge == e {
-			return graph.EdgeInfo{
-				U:        u,
-				V:        entries[i].Neighbor,
-				W:        entries[i].W,
-				FacRef:   entries[i].FacRef,
-				FacCount: entries[i].FacCount,
-			}, nil
+	for size := arcFixed + 8*n.hdr.d; len(arcs) >= size; arcs = arcs[size:] {
+		if graph.EdgeID(binary.LittleEndian.Uint32(arcs[4:])) != e {
+			continue
 		}
+		var a graph.AdjEntry
+		decodeArc(arcs[:size], &a, make(vec.Costs, n.hdr.d))
+		return graph.EdgeInfo{U: u, V: a.Neighbor, W: a.W, FacRef: a.FacRef, FacCount: a.FacCount}, nil
 	}
 	return graph.EdgeInfo{}, fmt.Errorf("storage: edge %d not present in adjacency of node %d", e, u)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mcn/internal/graph"
@@ -292,7 +293,7 @@ func TestNetworkBoundsRoundtrip(t *testing.T) {
 		n := openNetwork(t, g, 0.3)
 		got := n.Bounds()
 		if got == nil {
-			t.Fatal("v3 database opened with nil bounds")
+			t.Fatal("database opened with nil bounds")
 		}
 		want := index.FromGraph(g)
 		if got.D() != want.D() || got.NumNodes() != want.NumNodes() {
@@ -307,30 +308,24 @@ func TestNetworkBoundsRoundtrip(t *testing.T) {
 	}
 }
 
-// Version-2 databases (no bounds table) must still open, with nil Bounds.
-func TestNetworkOpensV2WithoutBounds(t *testing.T) {
-	g := sampleGraph(t)
-	dev, err := BuildMem(g)
+// A database of any other layout version is refused with the way out named.
+func TestOpenRejectsOtherLayoutVersions(t *testing.T) {
+	dev, err := BuildMem(sampleGraph(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the header as version 2 with no bounds pointer. The bounds
-	// table pages become dead space, exactly like a v2-era file.
 	buf := make([]byte, PageSize)
 	if err := dev.ReadPage(0, buf); err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint16(buf[4:], 2)
-	binary.LittleEndian.PutUint32(buf[52:], 0)
-	if err := dev.WritePage(0, buf); err != nil {
-		t.Fatal(err)
+	for _, v := range []uint16{1, 2, 3, version + 1} {
+		binary.LittleEndian.PutUint16(buf[4:], v)
+		if err := dev.WritePage(0, buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(dev, 0.3)
+		if err == nil || !strings.Contains(err.Error(), "mcngen") {
+			t.Errorf("version %d: Open error = %v, want one that says to regenerate with mcngen", v, err)
+		}
 	}
-	n, err := Open(dev, 0.3)
-	if err != nil {
-		t.Fatalf("v2 database failed to open: %v", err)
-	}
-	if n.Bounds() != nil {
-		t.Error("v2 database returned non-nil bounds")
-	}
-	verifyAgainstGraph(t, g, n)
 }

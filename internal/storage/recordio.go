@@ -121,41 +121,45 @@ func (w *pageWriter) close() error {
 }
 
 // cursor reads bytes sequentially from a ref through a buffer pool,
-// following records across contiguous pages. A non-nil ctx binds every page
-// read to it (see BufferPool.GetCtx).
+// following records across contiguous pages. It keeps the page it is on
+// pinned and unpins it before asking for the next, so it holds at most one
+// pin; close drops the last one. A non-nil ctx binds every page read to it
+// (see BufferPool.GetCtx).
 type cursor struct {
 	pool *BufferPool
 	ctx  context.Context
 	page PageID
 	off  int
-	data []byte
+	fr   *Frame
 }
 
-func newCursor(pool *BufferPool, ref Ref) *cursor {
-	return &cursor{pool: pool, page: ref.Page, off: int(ref.Off)}
+func newCursor(ctx context.Context, pool *BufferPool, ref Ref) cursor {
+	return cursor{pool: pool, ctx: ctx, page: ref.Page, off: int(ref.Off)}
 }
 
-func newCursorCtx(ctx context.Context, pool *BufferPool, ref Ref) *cursor {
-	return &cursor{pool: pool, ctx: ctx, page: ref.Page, off: int(ref.Off)}
-}
-
-func (c *cursor) ensure() error {
-	if c.data == nil {
-		data, err := c.pool.GetCtx(c.ctx, c.page)
-		if err != nil {
-			return err
-		}
-		c.data = data
+// close unpins the page the cursor is on.
+func (c *cursor) close() {
+	if c.fr != nil {
+		c.fr.Release()
+		c.fr = nil
 	}
-	if c.off == PageSize {
+}
+
+// ensure pins the page holding the next byte.
+func (c *cursor) ensure() error {
+	if c.fr != nil && c.off < PageSize {
+		return nil
+	}
+	if c.fr != nil {
+		c.close()
 		c.page++
 		c.off = 0
-		data, err := c.pool.GetCtx(c.ctx, c.page)
-		if err != nil {
-			return err
-		}
-		c.data = data
 	}
+	fr, err := c.pool.GetCtx(c.ctx, c.page)
+	if err != nil {
+		return err
+	}
+	c.fr = fr
 	return nil
 }
 
@@ -164,38 +168,29 @@ func (c *cursor) read(p []byte) error {
 		if err := c.ensure(); err != nil {
 			return err
 		}
-		n := copy(p, c.data[c.off:])
+		n := copy(p, c.fr.data[c.off:])
 		c.off += n
 		p = p[n:]
 	}
 	return nil
 }
 
-func (c *cursor) readU16() (uint16, error) {
-	var b [2]byte
-	if err := c.read(b[:]); err != nil {
-		return 0, err
+// next returns the next n bytes: a view into the pinned page when they lie
+// within it — the common case, decoded in place — and a copy assembled
+// across pages when the record spans a boundary. The view is valid until the
+// cursor's next call.
+func (c *cursor) next(n int) ([]byte, error) {
+	if n == 0 {
+		return nil, nil
 	}
-	return binary.LittleEndian.Uint16(b[:]), nil
-}
-
-func (c *cursor) readU32() (uint32, error) {
-	var b [4]byte
-	if err := c.read(b[:]); err != nil {
-		return 0, err
+	if err := c.ensure(); err != nil {
+		return nil, err
 	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func (c *cursor) readU64() (uint64, error) {
-	var b [8]byte
-	if err := c.read(b[:]); err != nil {
-		return 0, err
+	if c.off+n <= PageSize {
+		b := c.fr.data[c.off : c.off+n]
+		c.off += n
+		return b, nil
 	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-func (c *cursor) readF64() (float64, error) {
-	v, err := c.readU64()
-	return math.Float64frombits(v), err
+	b := make([]byte, n)
+	return b, c.read(b)
 }

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -43,19 +45,22 @@ func TestPageWriterCursorRoundtrip(t *testing.T) {
 	}
 
 	pool := NewBufferPool(dev, 4)
-	c := newCursor(pool, ref1)
-	if v, err := c.readU16(); err != nil || v != 7 {
-		t.Fatalf("readU16 = %d, %v", v, err)
+	le := binary.LittleEndian
+	c := newCursor(nil, pool, ref1)
+	defer c.close()
+	if b, err := c.next(2); err != nil || le.Uint16(b) != 7 {
+		t.Fatalf("u16 = %v, %v", b, err)
 	}
-	if v, err := c.readU32(); err != nil || v != 0xCAFEBABE {
-		t.Fatalf("readU32 = %x, %v", v, err)
+	if b, err := c.next(4); err != nil || le.Uint32(b) != 0xCAFEBABE {
+		t.Fatalf("u32 = %x, %v", b, err)
 	}
-	c2 := newCursor(pool, ref2)
-	if v, err := c2.readU64(); err != nil || v != 1<<40 {
-		t.Fatalf("readU64 = %d, %v", v, err)
+	c2 := newCursor(nil, pool, ref2)
+	defer c2.close()
+	if b, err := c2.next(8); err != nil || le.Uint64(b) != 1<<40 {
+		t.Fatalf("u64 = %v, %v", b, err)
 	}
-	if v, err := c2.readF64(); err != nil || v != 3.25 {
-		t.Fatalf("readF64 = %g, %v", v, err)
+	if b, err := c2.next(8); err != nil || math.Float64frombits(le.Uint64(b)) != 3.25 {
+		t.Fatalf("f64 = %v, %v", b, err)
 	}
 }
 
@@ -84,9 +89,10 @@ func TestRecordSpansPages(t *testing.T) {
 	}
 
 	pool := NewBufferPool(dev, 8)
-	c := newCursor(pool, ref)
-	got := make([]byte, len(record))
-	if err := c.read(got); err != nil {
+	c := newCursor(nil, pool, ref)
+	defer c.close()
+	got, err := c.next(len(record))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, record) {
@@ -124,14 +130,15 @@ func TestPageWriterRandomizedRoundtrip(t *testing.T) {
 		pool := NewBufferPool(dev, 2) // tiny pool to stress page re-reads
 		order := rng.Perm(len(recs))
 		for _, i := range order {
-			got := make([]byte, len(recs[i].data))
-			c := newCursor(pool, recs[i].ref)
-			if err := c.read(got); err != nil {
+			c := newCursor(nil, pool, recs[i].ref)
+			got, err := c.next(len(recs[i].data))
+			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, recs[i].data) {
 				t.Fatalf("trial %d: record %d corrupted", trial, i)
 			}
+			c.close()
 		}
 	}
 }

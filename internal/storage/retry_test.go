@@ -83,7 +83,7 @@ func TestCoalescedWaitersObserveLeaderRetryError(t *testing.T) {
 	errs := make(chan error, waiters+1)
 	for i := 0; i < waiters+1; i++ {
 		go func() {
-			_, err := pool.Get(3)
+			_, err := readStamp(pool, 3)
 			errs <- err
 		}()
 	}
@@ -114,7 +114,7 @@ func TestCoalescedWaitersObserveLeaderRetryError(t *testing.T) {
 	// The error was shared, not cached: a later read retries the device and
 	// succeeds once the fault clears.
 	dev.setFails(3, 0)
-	if _, err := pool.Get(3); err != nil {
+	if _, err := readStamp(pool, 3); err != nil {
 		t.Fatalf("page still failing after fault cleared: %v", err)
 	}
 }
@@ -132,7 +132,7 @@ func TestCoalescedWaiterReissuesAfterLeaderCancel(t *testing.T) {
 	leaderCtx, cancel := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err := pool.GetCtx(leaderCtx, 5)
+		_, err := readStampCtx(leaderCtx, pool, 5)
 		leaderErr <- err
 	}()
 	// Wait for the leader to fail its first attempt and enter backoff, then
@@ -145,10 +145,10 @@ func TestCoalescedWaiterReissuesAfterLeaderCancel(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	waiterErr := make(chan error, 1)
-	var waiterData []byte
+	var waiterStamp uint32
 	go func() {
-		data, err := pool.GetCtx(context.Background(), 5)
-		waiterData = data
+		stamp, err := readStampCtx(context.Background(), pool, 5)
+		waiterStamp = stamp
 		waiterErr <- err
 	}()
 	for coalescedCount(pool) == 0 {
@@ -168,8 +168,8 @@ func TestCoalescedWaiterReissuesAfterLeaderCancel(t *testing.T) {
 	if err := <-waiterErr; err != nil {
 		t.Fatalf("live waiter inherited the leader's cancellation: %v", err)
 	}
-	if waiterData[0] != 5 {
-		t.Fatalf("waiter read wrong content: %d", waiterData[0])
+	if waiterStamp != 5 {
+		t.Fatalf("waiter read wrong content: %d", waiterStamp)
 	}
 }
 
@@ -185,7 +185,7 @@ func TestCtxCancelAbortsBackoffSleep(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := pool.GetCtx(ctx, 1)
+	_, err := readStampCtx(ctx, pool, 1)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("read succeeded on an always-failing page")

@@ -289,9 +289,9 @@ type Network struct {
 	// this network creates; see EnableResultCache.
 	cache *rescache.Cache
 	// bounds is the precomputed lower-bound pruning index: built at
-	// FromGraph time for in-memory networks, loaded from the layout-v3
-	// bounds table for disk databases (nil for v1/v2 files). Attached to
-	// every query by default; see WithoutPruning and DisablePruning.
+	// FromGraph time for in-memory networks, loaded from the bounds table
+	// for disk databases. Attached to every query by default; see
+	// WithoutPruning and DisablePruning.
 	bounds *index.Bounds
 }
 
@@ -306,8 +306,7 @@ func FromGraph(g *Graph) *Network {
 
 // CreateDatabase writes g to a disk database at path using the paper's
 // storage scheme (Fig. 2). The lower-bound pruning index is computed and
-// embedded in the database (layout v3); OpenDatabase picks it up
-// automatically.
+// embedded in the database; OpenDatabase picks it up automatically.
 func CreateDatabase(g *Graph, path string) error {
 	_, err := CreateDatabaseIndexed(g, path)
 	return err
@@ -874,8 +873,8 @@ type IndexStats struct {
 }
 
 // IndexStats returns the pruning index's size and build time; ok is false
-// when the network has none (a v1/v2 database, or DisablePruning was
-// called).
+// when the network has none (DisablePruning was called, or Maintain
+// detached a stale one).
 func (n *Network) IndexStats() (IndexStats, bool) {
 	if n.bounds == nil {
 		return IndexStats{}, false
