@@ -134,17 +134,21 @@ benchbaseline: build
 chaossmoke:
 	$(GO) test -race -short -count=1 ./internal/chaos
 
-# Cluster tier smoke: the gateway equivalence/failover suite (3 in-process
-# replicas behind httptest) under the race detector. Also part of the plain
-# test suite; this target is the dedicated CI step so a scatter-gather or
+# Cluster tier smoke: the gateway suite (in-process replicas behind httptest)
+# under the race detector — the decoder-equivalence table (GET, JSON and MCNB
+# forms of one request, replica vs gateway under both policies), the
+# malformed-input table, failover, the bounded replica read and the
+# FuzzV1Query corpus replayed through a gateway. Also part of the plain test
+# suite; this target is the dedicated CI step so a decode, scatter-gather or
 # failover regression is named in the failing step.
 cluster-smoke:
 	$(GO) test -race -count=1 ./internal/cluster
 
 # Soak smoke: mcnsoak drives one second of sustained /v1/query load through
 # each codec against an in-process replica, then one second through the
-# gateway path. Exits non-zero when any request fails, so a wire-protocol or
-# negotiation regression is named in its own CI step.
+# gateway (proxied verbatim, on the same decode path as the replica). Exits
+# non-zero when any request fails, so a wire-protocol or negotiation
+# regression is named in its own CI step.
 soak-smoke: build
 	$(GO) run ./cmd/mcnsoak -duration 1s -clients 4 -scale 0.02 -queries 8
 	$(GO) run ./cmd/mcnsoak -duration 1s -clients 4 -replicas 2 -scale 0.02 -queries 8
@@ -152,17 +156,24 @@ soak-smoke: build
 chaos:
 	CHAOS_SCHEDULES=$(CHAOS_SCHEDULES) $(GO) test -race -count=1 -timeout 60m ./internal/chaos
 
-# Native Go fuzzing sessions over the query invariants: skyline (mutual
+# Native Go fuzzing sessions. Over the query invariants: skyline (mutual
 # non-dominance + maximality vs the materialised baseline), top-k (score
 # monotonicity + NaiveTopK agreement + pruned-vs-unpruned byte-identity) and
-# within (budget soundness/completeness + pruned-vs-unpruned). `go test`
-# accepts one -fuzz target per invocation, so the targets run sequentially,
-# each for FUZZTIME. CI runs a short smoke (FUZZTIME=10s); locally run with a
-# longer budget to hunt.
+# within (budget soundness/completeness + pruned-vs-unpruned). Over hostile
+# input: the MCNB request and response decoders (no panic, accepted frames
+# are a fixed point of the codec) and the serving handler itself
+# (FuzzV1Query: arbitrary body x Content-Type x Accept on /v1/query plus
+# arbitrary query strings on the GET routes — only 200/400/503, errors
+# decodable in the negotiated codec). `go test` accepts one -fuzz target per
+# invocation, so the targets run sequentially, each for FUZZTIME. CI runs a
+# short smoke (FUZZTIME=10s); locally run with a longer budget to hunt.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSkylineInvariants -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzTopKInvariants -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzWithinInvariants -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzV1Query -fuzztime $(FUZZTIME) ./internal/serve
 
 # Docs freshness: the markdown dead-link/anchor and package-comment checks
 # (internal/docscheck, also part of the ordinary test suite) plus a `go doc`

@@ -26,7 +26,7 @@
 //	GET /debug/pprof/   (only with -pprof)
 //
 // Every query endpoint accepts timeout_ms to tighten the per-request deadline
-// below the server's -timeout. When more than -max-inflight queries are
+// below the server's -timeout. When more than -workers queries are
 // running and -queue-depth more are waiting, further queries are shed with
 // 503 and a Retry-After hint rather than queued without bound; /readyz turns
 // unready only while the shed rate exceeds -shed-rate over -shed-window. On
@@ -68,8 +68,7 @@ func main() {
 		d          = flag.Int("d", 4, "synthetic: cost types")
 		seed       = flag.Int64("seed", 1, "synthetic: generator seed")
 		timedep    = flag.Bool("timedep", false, "synthetic: attach deterministic time profiles and enable the /skyline/period and /topk/period endpoints")
-		workers    = flag.Int("workers", 0, "max concurrent queries (0 = GOMAXPROCS); -max-inflight is an alias")
-		maxInfl    = flag.Int("max-inflight", 0, "max concurrent queries (0 = GOMAXPROCS); overrides -workers when set")
+		workers    = flag.Int("workers", 0, "max concurrent queries (0 = GOMAXPROCS)")
 		queueDepth = flag.Int("queue-depth", 64, "queries allowed to wait for a worker slot before admission sheds with 503 (0 = unbounded)")
 		shedRate   = flag.Float64("shed-rate", serve.DefaultShedRate, "sustained sheds/s over -shed-window above which /readyz reports unready (negative = any shed)")
 		shedWindow = flag.Duration("shed-window", serve.DefaultShedWindow, "sliding window the shed rate is averaged over")
@@ -165,9 +164,6 @@ func main() {
 		})
 		log.Printf("mcnserve: result cache enabled (%d entries, %d shards)",
 			cache.Capacity(), cache.Shards())
-	}
-	if *maxInfl > 0 {
-		*workers = *maxInfl
 	}
 	srv := serve.New(net, serve.Config{
 		Workers:    *workers,

@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mcn/internal/wire"
 )
 
 var ctx = context.Background()
@@ -106,22 +108,6 @@ func urls(bs []*Backend) []string {
 		out[i] = b.URL()
 	}
 	return out
-}
-
-func TestCanonicalKey(t *testing.T) {
-	u, err := url.Parse("/skyline?t=0.5&timeout_ms=250&edge=3&stream=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := CanonicalKey(u), "/skyline?edge=3&t=0.5"; got != want {
-		t.Fatalf("CanonicalKey = %q, want %q (sorted, delivery params stripped)", got, want)
-	}
-	// The streamed and buffered forms of one query share a key — and thus a
-	// replica and its cache entry.
-	u2, _ := url.Parse("/skyline?edge=3&t=0.5")
-	if CanonicalKey(u) != CanonicalKey(u2) {
-		t.Fatal("stream=1 changed the routing key")
-	}
 }
 
 func TestParsePolicy(t *testing.T) {
@@ -252,5 +238,30 @@ func TestMembershipStartLoop(t *testing.T) {
 	}
 	if n := len(m.Available()); n != 1 {
 		t.Fatalf("available = %d, want 1", n)
+	}
+}
+
+// split must hand every replica a non-empty sub-range whose ends meet their
+// neighbours' exactly, and decline anything it cannot cut that way.
+func TestSplit(t *testing.T) {
+	period := func(from, to float64) *wire.Request {
+		return &wire.Request{Kind: wire.KindSkylinePeriod, From: from, To: to}
+	}
+	for _, q := range []*wire.Request{period(6, 18), period(0, 1e-300), period(-math.MaxFloat64, math.MaxFloat64)} {
+		b := split(q, 3)
+		if len(b) != 4 || b[0] != q.From || b[3] != q.To || !(b[0] < b[1] && b[1] < b[2] && b[2] < b[3]) {
+			t.Errorf("split([%g, %g), 3) = %v, want 4 increasing bounds from From to To", q.From, q.To, b)
+		}
+	}
+	for name, b := range map[string][]float64{
+		"one replica":     split(period(6, 18), 1),
+		"empty range":     split(period(9, 9), 3),
+		"infinite range":  split(period(0, math.Inf(1)), 3),
+		"NaN bound":       split(period(math.NaN(), 5), 3),
+		"two floats wide": split(period(1, math.Nextafter(math.Nextafter(1, 2), 2)), 3),
+	} {
+		if b != nil {
+			t.Errorf("split(%s) = %v, want nil (proxy it)", name, b)
+		}
 	}
 }

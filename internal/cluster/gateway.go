@@ -1,11 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,11 +16,13 @@ import (
 	"mcn/internal/wire"
 )
 
-// Gateway is the cluster front: it terminates client HTTP, routes
-// single-location queries to one replica (with overload-aware failover),
-// and scatter-gathers multi-source and period queries across every
-// available replica, merging through the core dominance re-filter so the
-// merged response is byte-identical to a single replica's answer.
+// Gateway is the cluster front. Every query — a GET route or POST /v1/query,
+// on whichever codec — is decoded once into a wire.Request and then takes one
+// of three routes: single-location queries are proxied verbatim to one
+// replica (with overload-aware failover), multi-source queries are scattered
+// to every available replica, and period queries are range-split across
+// them; the gathered parts merge through the core dominance re-filter and
+// seam fusion, so the response equals a single replica's answer.
 type Gateway struct {
 	m      *Membership
 	router *Router
@@ -47,7 +49,8 @@ func NewGateway(m *Membership, policy Policy, timeout time.Duration) *Gateway {
 	}
 }
 
-// Handler returns the gateway's HTTP handler.
+// Handler returns the gateway's HTTP handler: the GET query routes — one per
+// wire kind — and POST /v1/query all land on handle.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -55,19 +58,10 @@ func (g *Gateway) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /readyz", g.handleReadyz)
 	mux.HandleFunc("GET /stats", g.handleStats)
-	mux.HandleFunc("GET /skyline", g.proxy)
-	mux.HandleFunc("GET /topk", g.proxy)
-	mux.HandleFunc("GET /nearest", g.proxy)
-	mux.HandleFunc("GET /within", g.proxy)
-	mux.HandleFunc("GET /multisource/skyline", func(w http.ResponseWriter, r *http.Request) {
-		g.scatter(w, r, false)
-	})
-	mux.HandleFunc("GET /multisource/topk", func(w http.ResponseWriter, r *http.Request) {
-		g.scatter(w, r, true)
-	})
-	mux.HandleFunc("GET /skyline/period", g.period)
-	mux.HandleFunc("GET /topk/period", g.period)
-	mux.HandleFunc("POST /v1/query", g.handleV1Query)
+	for _, kind := range wire.Kinds {
+		mux.HandleFunc("GET /"+kind, g.handle)
+	}
+	mux.HandleFunc("POST /v1/query", g.handle)
 	return mux
 }
 
@@ -75,7 +69,7 @@ func (g *Gateway) Handler() http.Handler {
 func (g *Gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	n := len(g.m.Available())
 	if n == 0 {
-		unavailable(w)
+		unavailable(w, wire.ModeJSON)
 		return
 	}
 	wire.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready", "backends": n})
@@ -108,9 +102,53 @@ func (g *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 // unavailable is the gateway's own shed response, mirroring the replicas'
 // overload contract so clients need only one retry discipline.
-func unavailable(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", "1")
-	wire.WriteJSON(w, http.StatusServiceUnavailable, wire.Error{Error: "cluster: no backend available"})
+func unavailable(w http.ResponseWriter, mode wire.Mode) {
+	wire.WriteShed(w, mode, wire.Error{Error: "cluster: no backend available"})
+}
+
+// handle answers every query endpoint: decode, then route | scatter | split.
+// A request the shared decoder rejects is answered here with the 400 a
+// replica would give. A period query whose range cannot be split is proxied,
+// so the replica's own answer (or error) is the response.
+func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
+	q, mode, body, err := wire.DecodeHTTP(w, r)
+	if err != nil {
+		wire.Write(w, mode, http.StatusBadRequest, wire.Error{Error: err.Error()})
+		return
+	}
+	avail := g.m.Available()
+	var bounds []float64
+	if q.Period() {
+		bounds = split(q, len(avail))
+	}
+	switch {
+	case len(avail) == 0:
+		unavailable(w, mode)
+	case q.Scatter() || bounds != nil:
+		g.fanOut(w, r, q, mode, avail, bounds)
+	default:
+		g.proxy(w, r, q, mode, body, avail)
+	}
+}
+
+// split cuts a period query's [from, to) into n contiguous sub-ranges and
+// returns their n+1 boundaries, or nil when there is nothing to split: a
+// single part, a range a replica would refuse, or one so narrow that a part
+// would come out empty. The interpolation weights from and to separately,
+// so a range wider than the largest float still splits.
+func split(q *wire.Request, n int) []float64 {
+	if n < 2 || !q.FiniteRange() {
+		return nil
+	}
+	bounds := make([]float64, n+1)
+	for i := range bounds {
+		f := float64(i) / float64(n)
+		bounds[i] = q.From*(1-f) + q.To*f
+		if i > 0 && !(bounds[i-1] < bounds[i]) {
+			return nil
+		}
+	}
+	return bounds
 }
 
 // roundTrip issues one prepared backend request, maintaining the backend's
@@ -134,28 +172,48 @@ func (g *Gateway) roundTrip(r *http.Request, b *Backend, req *http.Request) (*ht
 	return resp, nil
 }
 
-// fetch GETs uri from backend b on the client request's context.
-func (g *Gateway) fetch(r *http.Request, b *Backend, uri string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.url+uri, nil)
-	if err != nil {
-		return nil, err
-	}
-	return g.roundTrip(r, b, req)
+// hopByHop are the hop-by-hop headers of RFC 9110 §7.6.1: they describe one
+// connection, not the message, and must not cross the gateway in either
+// direction (a relayed Transfer-Encoding or Connection: close would corrupt
+// or kill the next connection).
+var hopByHop = []string{
+	"Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
+	"Te", "Trailer", "Transfer-Encoding", "Upgrade",
 }
 
-// proxy forwards a single-location query to one replica chosen by the
-// routing policy, failing over to the next candidate on transport error or
-// 503 — before any response byte has been written, so the client sees
-// exactly one clean answer. The response body is streamed through with a
-// flush per chunk, which makes NDJSON (stream=1) rows flow incrementally.
-func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
-	cands := g.router.Candidates(CanonicalKey(r.URL), g.m.Available())
-	if len(cands) == 0 {
-		unavailable(w)
-		return
+// copyEndToEnd adds src's headers to dst minus the hop-by-hop ones — the
+// RFC 9110 set plus anything src named in Connection — as
+// httputil.ReverseProxy does.
+func copyEndToEnd(dst, src http.Header) {
+	for k, vs := range src {
+		for _, v := range vs {
+			dst.Add(k, v)
+		}
 	}
-	for i, b := range cands {
-		resp, err := g.fetch(r, b, r.URL.RequestURI())
+	for _, f := range strings.Split(src.Get("Connection"), ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			dst.Del(f)
+		}
+	}
+	for _, h := range hopByHop {
+		dst.Del(h)
+	}
+}
+
+// proxy forwards the client's request verbatim — method, URI, body, headers —
+// to one replica chosen by the routing policy, failing over to the next
+// candidate on transport error or 503, before any response byte has been
+// written, so the client sees exactly one clean answer. Routing keys on the
+// decoded request, so every codec's form of one query (t=0.50 as much as
+// t=0.5) shares a replica and its result cache.
+func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, q *wire.Request, mode wire.Mode, body []byte, avail []*Backend) {
+	for i, b := range g.router.Candidates(CanonicalKey(q), avail) {
+		req, err := http.NewRequestWithContext(r.Context(), r.Method, b.url+r.URL.RequestURI(), bytes.NewReader(body))
+		if err != nil {
+			continue
+		}
+		copyEndToEnd(req.Header, r.Header)
+		resp, err := g.roundTrip(r, b, req)
 		if err != nil {
 			if r.Context().Err() != nil {
 				return
@@ -176,37 +234,15 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 	}
 	// Every candidate was overloaded or unreachable: shed with the same
 	// contract the replicas use.
-	unavailable(w)
-}
-
-// hopByHop are the hop-by-hop headers of RFC 9110 §7.6.1: they describe the
-// backend↔gateway connection, not the response, and must not leak to the
-// client (a relayed Transfer-Encoding or Connection: close would corrupt or
-// kill the client connection).
-var hopByHop = []string{
-	"Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
-	"Te", "Trailer", "Transfer-Encoding", "Upgrade",
+	unavailable(w, mode)
 }
 
 // relay copies a backend response through: status, end-to-end headers, and
-// the body chunk by chunk with a flush after each write. Hop-by-hop headers —
-// the RFC 9110 set plus anything the backend named in Connection — are
-// stripped, as httputil.ReverseProxy does.
+// the body chunk by chunk with a flush after each write, which makes NDJSON
+// (stream=1) rows flow incrementally.
 func relay(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	for _, f := range strings.Split(resp.Header.Get("Connection"), ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			w.Header().Del(f)
-		}
-	}
-	for _, h := range hopByHop {
-		w.Header().Del(h)
-	}
+	copyEndToEnd(w.Header(), resp.Header)
 	w.WriteHeader(resp.StatusCode)
 	flusher, _ := w.(http.Flusher)
 	buf := make([]byte, 32<<10)
@@ -226,101 +262,180 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 	}
 }
 
-// gathered is one replica's outcome during a scatter.
-type gathered struct {
-	result *wire.Result
-	period *wire.PeriodResult
-	// errStatus/errBody hold a non-503 error response to relay verbatim;
-	// overload notes a 503.
-	errStatus int
-	errBody   []byte
-	errCT     string
-	overload  bool
-}
-
-// scatter fans a multi-source query to every available replica and merges
-// the per-replica results through the core dominance re-filter. With
-// replicated backends each replica already answers the full query, so the
-// merge — dedup by id, re-filter — is an idempotent no-op and the merged
-// facility list is byte-identical to any single replica's. (The same merge
-// is exactly what a partitioned tier will need, where it stops being a
-// no-op.)
-func (g *Gateway) scatter(w http.ResponseWriter, r *http.Request, topk bool) {
+// fanOut answers a multi-source or period query from every available
+// replica at once: one leg per replica, gathered concurrently, merged, and
+// rendered in the client's codec.
+//
+// A multi-source query goes to each replica whole, without failover (every
+// replica is already asked). A period query goes out as one sub-range of
+// bounds per replica, and each part fails over to the other replicas: its
+// sub-range has one primary but any replica can answer it.
+//
+// Every leg is an MCNB request frame to the replica's /v1/query — request
+// floats are float64 in the frame, so the sub-range bounds arrive exact —
+// with Accept set to the client's response codec: binary clients get
+// float32-narrowed parts that re-encode byte-identically, JSON clients get
+// float64 parts, so the merged answer is byte-identical to a single
+// replica's in either codec.
+func (g *Gateway) fanOut(w http.ResponseWriter, r *http.Request, q *wire.Request, mode wire.Mode, avail []*Backend, bounds []float64) {
 	start := time.Now()
-	avail := g.m.Available()
-	if len(avail) == 0 {
-		unavailable(w)
-		return
-	}
 	g.scattered.Add(1)
+	accept, decode := wire.ContentTypeJSON, decodeInto
+	if mode == wire.ModeBinary {
+		accept, decode = wire.ContentTypeBinary, decodeWireInto
+	}
 	outs := make([]gathered, len(avail))
 	var wg sync.WaitGroup
 	for i, b := range avail {
+		part, cands := *q, []*Backend{b}
+		if q.Period() {
+			part.From, part.To = bounds[i], bounds[i+1]
+			for _, o := range avail {
+				if o != b {
+					cands = append(cands, o)
+				}
+			}
+		}
 		wg.Add(1)
-		go func(i int, b *Backend) {
+		go func(i int) {
 			defer wg.Done()
-			outs[i] = g.gatherOne(r, b, r.URL.RequestURI(), false)
-		}(i, b)
+			frame, err := wire.EncodeRequest(&part)
+			if err != nil {
+				// Not reachable for a request that decoded; answered as the
+				// leg's 400 all the same.
+				outs[i] = gathered{errStatus: http.StatusBadRequest, errBody: wire.EncodeError(http.StatusBadRequest, err.Error())}
+				return
+			}
+			outs[i] = g.gather(r, cands, gatherSpec{
+				issue: func(cand *Backend) (*http.Response, error) {
+					req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, cand.url+"/v1/query", bytes.NewReader(frame))
+					if err != nil {
+						return nil, err
+					}
+					req.Header.Set("Content-Type", wire.ContentTypeBinary)
+					req.Header.Set("Accept", accept)
+					return g.roundTrip(r, cand, req)
+				},
+				decode: decode,
+			})
+		}(i)
 	}
 	wg.Wait()
 
-	parts := make([]*core.Result, 0, len(outs))
-	query := ""
-	for _, o := range outs {
-		if o.result == nil {
-			continue
-		}
-		if query == "" {
-			query = o.result.Query
-		}
-		parts = append(parts, &core.Result{
-			Facilities: wire.ToFacilities(o.result.Facilities),
-			Stats:      o.result.Stats,
-		})
+	if out := merge(q, outs, start); out != nil {
+		wire.Write(w, mode, http.StatusOK, out)
+	} else {
+		writeGatherError(w, mode, outs)
 	}
-	if len(parts) == 0 {
-		relayGatherError(w, outs)
+}
+
+// writeGatherError answers a fan-out whose parts could not be merged with one
+// part's error, re-rendered in the client's codec: a 4xx first (the replicas
+// are deterministic, so any one's client error is the canonical one), then
+// any 5xx. With no error captured the cluster is overloaded or gone, and the
+// gateway sheds.
+func writeGatherError(w http.ResponseWriter, mode wire.Mode, outs []gathered) {
+	var pick *gathered
+	for i := range outs {
+		if o := &outs[i]; o.errStatus != 0 && (pick == nil ||
+			o.errStatus < http.StatusInternalServerError && pick.errStatus >= http.StatusInternalServerError) {
+			pick = o
+		}
+	}
+	if pick == nil {
+		unavailable(w, mode)
 		return
 	}
+	// The part's body is an error frame or a JSON envelope, whichever codec
+	// the leg asked for.
+	msg := "backend error"
+	if payload, err := wire.ReadFrame(bytes.NewReader(pick.errBody), wire.MaxResponseFrame); err == nil {
+		if resp, err := wire.DecodeResponse(payload); err == nil && resp.Message != "" {
+			msg = resp.Message
+		}
+	} else {
+		var e wire.Error
+		if json.Unmarshal(pick.errBody, &e) == nil && e.Error != "" {
+			msg = e.Error
+		}
+	}
+	wire.Write(w, mode, pick.errStatus, wire.Error{Error: msg})
+}
+
+// merge combines the gathered parts into the response envelope, or returns
+// nil when they cannot answer: a period query needs every part, a
+// multi-source query at least one.
+//
+// Multi-source parts merge through the core dominance re-filter. With
+// replicated backends each replica already answers the full query, so the
+// merge — dedup by id, re-filter — is an idempotent no-op and the merged
+// facility list equals any single replica's. (The same merge is exactly
+// what a partitioned tier will need, where it stops being a no-op.)
+//
+// Period parts are concatenated in range order, fusing the seam intervals
+// when the preferred set does not change across a part boundary — the same
+// criterion the single-node sweep uses to merge adjacent elementary
+// intervals. Within one elementary interval the answer is constant, so a
+// split landing mid-interval always fuses back, and the stitched list equals
+// the single-node sweep's.
+func merge(q *wire.Request, outs []gathered, start time.Time) any {
+	if q.Period() {
+		var intervals []wire.Interval
+		for _, o := range outs {
+			if o.period == nil {
+				return nil
+			}
+			for _, iv := range o.period.Intervals {
+				if n := len(intervals); n > 0 && sameIntervalIDs(intervals[n-1], iv) {
+					// Extend the left interval, keeping its result and stats,
+					// exactly as the single-node sweep would have.
+					intervals[n-1].To = iv.To
+					continue
+				}
+				intervals = append(intervals, iv)
+			}
+		}
+		return &wire.PeriodResult{
+			Query:     q.QueryName(),
+			Count:     len(intervals),
+			Intervals: intervals,
+			LatencyMS: float64(time.Since(start)) / float64(time.Millisecond),
+		}
+	}
+	parts := make([]*core.Result, 0, len(outs))
+	for _, o := range outs {
+		if o.result != nil {
+			parts = append(parts, &core.Result{
+				Facilities: wire.ToFacilities(o.result.Facilities),
+				Stats:      o.result.Stats,
+			})
+		}
+	}
+	if len(parts) == 0 {
+		return nil
+	}
 	var merged *core.Result
-	if topk {
-		k := intQuery(r.URL, "k", 4)
-		merged = core.MergeTopK(k, parts...)
+	if q.Kind == wire.KindMultiSourceTopK {
+		merged = core.MergeTopK(q.K, parts...)
 	} else {
 		merged = core.MergeSkylines(parts...)
 	}
-	wire.WriteJSON(w, http.StatusOK, wire.Result{
-		Query:      query,
+	return &wire.Result{
+		Query:      q.QueryName(),
 		Count:      len(merged.Facilities),
 		Facilities: wire.FromFacilities(merged.Facilities),
 		Stats:      merged.Stats,
 		LatencyMS:  float64(time.Since(start)) / float64(time.Millisecond),
-	})
-}
-
-// gatherOne fetches uri from b and decodes it for merging. When failover is
-// set, a failed attempt is retried against the other available replicas
-// before giving up (used by period parts, where each sub-range has one
-// primary but any replica can answer it).
-func (g *Gateway) gatherOne(r *http.Request, b *Backend, uri string, failover bool) gathered {
-	return g.gather(r, g.failoverCands(b, failover), gatherSpec{
-		issue:  func(cand *Backend) (*http.Response, error) { return g.fetch(r, cand, uri) },
-		decode: decodeInto,
-	})
-}
-
-// failoverCands returns the candidate order for one gather: the primary,
-// then (when failover is on) every other available replica.
-func (g *Gateway) failoverCands(b *Backend, failover bool) []*Backend {
-	cands := []*Backend{b}
-	if failover {
-		for _, o := range g.m.Available() {
-			if o != b {
-				cands = append(cands, o)
-			}
-		}
 	}
-	return cands
+}
+
+// gathered is one leg's outcome.
+type gathered struct {
+	result *wire.Result
+	period *wire.PeriodResult
+	// errStatus/errBody hold a non-503 error response to relay.
+	errStatus int
+	errBody   []byte
 }
 
 // gatherSpec parameterizes gather over the codec: issue sends the query to
@@ -335,7 +450,9 @@ type gatherSpec struct {
 // immediately — the replicas are deterministic, so a client error from one is
 // the canonical answer from all — while a 5xx is one replica's internal
 // failure, kept only as a fallback while the remaining candidates get their
-// chance.
+// chance. No more than wire.MaxResponseFrame bytes of a response are read:
+// a longer body — a replica streaming without end — is that replica's
+// failure, counted and failed over like an undecodable one.
 func (g *Gateway) gather(r *http.Request, cands []*Backend, spec gatherSpec) gathered {
 	var out gathered
 	for i, cand := range cands {
@@ -350,27 +467,26 @@ func (g *Gateway) gather(r *http.Request, cands []*Backend, spec gatherSpec) gat
 		}
 		if resp.StatusCode == http.StatusServiceUnavailable {
 			resp.Body.Close()
-			out.overload = true
 			continue
 		}
-		body, err := io.ReadAll(resp.Body)
+		body, err := io.ReadAll(io.LimitReader(resp.Body, wire.MaxResponseFrame+1))
 		resp.Body.Close()
 		if err != nil {
 			cand.markDown()
 			continue
 		}
+		if len(body) > wire.MaxResponseFrame {
+			cand.failures.Add(1)
+			continue
+		}
 		if resp.StatusCode != http.StatusOK {
 			if resp.StatusCode < http.StatusInternalServerError {
-				out.errStatus = resp.StatusCode
-				out.errBody = body
-				out.errCT = resp.Header.Get("Content-Type")
+				out.errStatus, out.errBody = resp.StatusCode, body
 				return out
 			}
 			cand.failures.Add(1)
 			if out.errStatus == 0 {
-				out.errStatus = resp.StatusCode
-				out.errBody = body
-				out.errCT = resp.Header.Get("Content-Type")
+				out.errStatus, out.errBody = resp.StatusCode, body
 			}
 			continue
 		}
@@ -378,7 +494,7 @@ func (g *Gateway) gather(r *http.Request, cands []*Backend, spec gatherSpec) gat
 			cand.failures.Add(1)
 			continue
 		}
-		out.errStatus, out.errBody, out.errCT = 0, nil, ""
+		out.errStatus, out.errBody = 0, nil
 		if i > 0 {
 			g.failovers.Add(1)
 		}
@@ -388,11 +504,10 @@ func (g *Gateway) gather(r *http.Request, cands []*Backend, spec gatherSpec) gat
 	return out
 }
 
-// decodeInto decodes a 200 body as either envelope, keyed on which fields
-// appear; scatter reads .result, period reads .period.
+// decodeInto decodes a JSON 200 body as both envelopes — the merge reads
+// the one its kind needs, and decoding the other yields zero values it
+// ignores.
 func decodeInto(out *gathered, body []byte) error {
-	// Decode both envelopes — the caller reads the field it needs, and
-	// decoding the other one yields zero values it ignores.
 	var res wire.Result
 	if err := json.Unmarshal(body, &res); err != nil {
 		return err
@@ -401,124 +516,25 @@ func decodeInto(out *gathered, body []byte) error {
 	if err := json.Unmarshal(body, &per); err != nil {
 		return err
 	}
-	out.result = &res
-	out.period = &per
+	out.result, out.period = &res, &per
 	return nil
 }
 
-// pickGatherError selects the error to relay from failed parts: a 4xx first
-// (deterministic rejection every replica agrees on), then any 5xx fallback.
-// nil means no part captured an error — the cluster is overloaded or gone.
-func pickGatherError(outs []gathered) *gathered {
-	var best *gathered
-	for i := range outs {
-		o := &outs[i]
-		if o.errStatus == 0 {
-			continue
-		}
-		if best == nil || (o.errStatus < http.StatusInternalServerError &&
-			best.errStatus >= http.StatusInternalServerError) {
-			best = o
-		}
+// decodeWireInto parses a binary 200 body for merging.
+func decodeWireInto(out *gathered, body []byte) error {
+	payload, err := wire.ReadFrame(bytes.NewReader(body), wire.MaxResponseFrame)
+	if err != nil {
+		return err
 	}
-	return best
-}
-
-// relayGatherError answers a scatter/period request whose every part failed:
-// a captured error response is relayed verbatim — the replicas are
-// deterministic, so any one's client error is the canonical one — otherwise
-// the cluster is overloaded or gone and the gateway sheds.
-func relayGatherError(w http.ResponseWriter, outs []gathered) {
-	if o := pickGatherError(outs); o != nil {
-		if o.errCT != "" {
-			w.Header().Set("Content-Type", o.errCT)
-		}
-		w.WriteHeader(o.errStatus)
-		w.Write(o.errBody) //nolint:errcheck // client gone; nothing to do
-		return
+	resp, err := wire.DecodeResponse(payload)
+	if err != nil {
+		return err
 	}
-	unavailable(w)
-}
-
-// period splits a *OverPeriod query's [from,to) range into one contiguous
-// sub-range per available replica, runs the parts concurrently (each with
-// failover), and concatenates the per-part interval lists, fusing the seam
-// intervals when the preferred set does not change across a boundary — the
-// same criterion the single-node sweep uses to merge adjacent elementary
-// intervals. Within one elementary interval the answer is constant, so a
-// split landing mid-interval always fuses back; the stitched list is
-// byte-identical to the single-node sweep's.
-func (g *Gateway) period(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	avail := g.m.Available()
-	if len(avail) == 0 {
-		unavailable(w)
-		return
+	if resp.Result == nil && resp.Period == nil {
+		return fmt.Errorf("cluster: error frame in 200 response")
 	}
-	from, errF := floatQuery(r.URL, "from")
-	to, errT := floatQuery(r.URL, "to")
-	if errF != nil || errT != nil || from >= to || len(avail) == 1 {
-		// Malformed ranges proxy straight through so the replica's canonical
-		// error (or single-replica answer) is the response, byte for byte.
-		g.proxy(w, r)
-		return
-	}
-	g.scattered.Add(1)
-	bounds := make([]float64, len(avail)+1)
-	for i := range bounds {
-		bounds[i] = from + (to-from)*float64(i)/float64(len(avail))
-	}
-	bounds[len(avail)] = to
-	outs := make([]gathered, len(avail))
-	var wg sync.WaitGroup
-	for i, b := range avail {
-		wg.Add(1)
-		go func(i int, b *Backend) {
-			defer wg.Done()
-			outs[i] = g.gatherOne(r, b, subRangeURI(r.URL, bounds[i], bounds[i+1]), true)
-		}(i, b)
-	}
-	wg.Wait()
-
-	query := ""
-	var intervals []wire.Interval
-	for _, o := range outs {
-		if o.period == nil {
-			relayGatherError(w, outs)
-			return
-		}
-		if query == "" {
-			query = o.period.Query
-		}
-		for _, iv := range o.period.Intervals {
-			if n := len(intervals); n > 0 && sameIntervalIDs(intervals[n-1], iv) {
-				// The preferred set is unchanged across the part boundary:
-				// extend the left interval, keeping its result and stats,
-				// exactly as the single-node sweep would have.
-				intervals[n-1].To = iv.To
-				continue
-			}
-			intervals = append(intervals, iv)
-		}
-	}
-	wire.WriteJSON(w, http.StatusOK, wire.PeriodResult{
-		Query:     query,
-		Count:     len(intervals),
-		Intervals: intervals,
-		LatencyMS: float64(time.Since(start)) / float64(time.Millisecond),
-	})
-}
-
-// subRangeURI rewrites the request's from/to to one part's sub-range; the
-// shortest-roundtrip float format guarantees the replica parses the exact
-// boundary the gateway computed.
-func subRangeURI(u *url.URL, from, to float64) string {
-	q := u.Query()
-	q.Set("from", strconv.FormatFloat(from, 'g', -1, 64))
-	q.Set("to", strconv.FormatFloat(to, 'g', -1, 64))
-	sub := *u
-	sub.RawQuery = q.Encode()
-	return sub.RequestURI()
+	out.result, out.period = resp.Result, resp.Period
+	return nil
 }
 
 // sameIntervalIDs reports whether two intervals answer with the same
@@ -539,20 +555,4 @@ func sameIntervalIDs(a, b wire.Interval) bool {
 		ids[f.ID]--
 	}
 	return true
-}
-
-func intQuery(u *url.URL, key string, def int) int {
-	raw := u.Query().Get(key)
-	if raw == "" {
-		return def
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return def
-	}
-	return v
-}
-
-func floatQuery(u *url.URL, key string) (float64, error) {
-	return strconv.ParseFloat(u.Query().Get(key), 64)
 }

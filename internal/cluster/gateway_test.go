@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,11 +10,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mcn"
 	"mcn/internal/serve"
+	"mcn/internal/wire"
 )
 
 // testGrid is the shared synthetic network every test backend serves: the
@@ -63,60 +67,6 @@ func newTestGateway(t *testing.T, policy Policy, urls ...string) (*Gateway, *htt
 	return gw, ts
 }
 
-// randomURIs generates a seeded mix of every query kind the gateway routes.
-func randomURIs(rng *rand.Rand, edges, n int) []string {
-	uris := make([]string, 0, n)
-	randT := func() string { return fmt.Sprintf("%g", float64(rng.Intn(11))/10) }
-	engine := func() string {
-		if rng.Intn(2) == 0 {
-			return "&engine=lsa"
-		}
-		return "" // cea, the default
-	}
-	distinctEdges := func(k int) string {
-		seen := map[int]bool{}
-		parts := make([]string, 0, k)
-		for len(parts) < k {
-			e := rng.Intn(edges)
-			if seen[e] {
-				continue
-			}
-			seen[e] = true
-			parts = append(parts, fmt.Sprint(e))
-		}
-		return strings.Join(parts, ",")
-	}
-	for len(uris) < n {
-		e := rng.Intn(edges)
-		var u string
-		switch rng.Intn(8) {
-		case 0:
-			u = fmt.Sprintf("/skyline?edge=%d&t=%s%s", e, randT(), engine())
-		case 1:
-			u = fmt.Sprintf("/topk?edge=%d&t=%s&k=%d%s", e, randT(), 1+rng.Intn(6), engine())
-		case 2:
-			u = fmt.Sprintf("/nearest?edge=%d&t=%s&cost=%d&k=%d", e, randT(), rng.Intn(3), 1+rng.Intn(5))
-		case 3:
-			u = fmt.Sprintf("/within?edge=%d&t=%s&budget=%d,%d,%d",
-				e, randT(), 10+rng.Intn(50), 10+rng.Intn(50), 10+rng.Intn(50))
-		case 4:
-			u = fmt.Sprintf("/multisource/skyline?cost=%d&edges=%s&ts=%s,%s,%s%s",
-				rng.Intn(3), distinctEdges(3), randT(), randT(), randT(), engine())
-		case 5:
-			u = fmt.Sprintf("/multisource/topk?cost=%d&edges=%s&k=%d",
-				rng.Intn(3), distinctEdges(2), 1+rng.Intn(5))
-		case 6:
-			from := 5 + rng.Float64()*8
-			u = fmt.Sprintf("/skyline/period?edge=%d&from=%g&to=%g", e, from, from+2+rng.Float64()*8)
-		case 7:
-			from := 5 + rng.Float64()*8
-			u = fmt.Sprintf("/topk/period?edge=%d&from=%g&to=%g&k=%d", e, from, from+2+rng.Float64()*8, 1+rng.Intn(5))
-		}
-		uris = append(uris, u)
-	}
-	return uris
-}
-
 func get(t *testing.T, base, uri string) (int, []byte) {
 	t.Helper()
 	resp, err := http.Get(base + uri)
@@ -129,21 +79,6 @@ func get(t *testing.T, base, uri string) (int, []byte) {
 		t.Fatalf("GET %s: read: %v", uri, err)
 	}
 	return resp.StatusCode, body
-}
-
-// payload extracts the answer-bearing fields of an envelope — everything
-// except the per-run latency — as raw JSON for byte comparison.
-func payload(t *testing.T, uri string, body []byte) string {
-	t.Helper()
-	var env map[string]json.RawMessage
-	if err := json.Unmarshal(body, &env); err != nil {
-		t.Fatalf("%s: bad JSON %q: %v", uri, body, err)
-	}
-	field := "facilities"
-	if strings.Contains(uri, "/period") {
-		field = "intervals"
-	}
-	return fmt.Sprintf("query=%s count=%s %s=%s", env["query"], env["count"], field, env[field])
 }
 
 // checkEquivalent asserts the gateway answers uri with byte-identical query,
@@ -164,33 +99,6 @@ func checkEquivalent(t *testing.T, gwURL, refURL, uri string) {
 	}
 	if gp, rp := payload(t, uri, gb), payload(t, uri, rb); gp != rp {
 		t.Fatalf("%s:\ngateway: %s\nreplica: %s", uri, gp, rp)
-	}
-}
-
-// The headline guarantee: for every query kind — proxied, scattered, or
-// range-split — the gateway's answer is byte-identical to what a single
-// replica returns, under both routing policies.
-func TestGatewayEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("equivalence sweep is slow; run without -short")
-	}
-	tg := newTestGrid(t)
-	b0, b1, b2 := tg.backend(t), tg.backend(t), tg.backend(t)
-	uris := randomURIs(rand.New(rand.NewSource(7)), tg.graph.NumEdges(), 40)
-	// A few malformed queries ride along: their 400s must relay byte-for-byte.
-	uris = append(uris,
-		"/skyline?edge=99999999&t=0.5",
-		"/multisource/skyline?cost=9&edges=1,2",
-		"/skyline/period?edge=3&from=9&to=9",
-		"/topk/period?edge=3&from=twelve&to=20",
-	)
-	for _, policy := range []Policy{PolicyHash, PolicyLeastInflight} {
-		t.Run(policy.String(), func(t *testing.T) {
-			_, gwTS := newTestGateway(t, policy, b0.URL, b1.URL, b2.URL)
-			for _, uri := range uris {
-				checkEquivalent(t, gwTS.URL, b0.URL, uri)
-			}
-		})
 	}
 }
 
@@ -259,10 +167,12 @@ func TestGatewayFailover(t *testing.T) {
 	for _, policy := range []Policy{PolicyHash, PolicyLeastInflight} {
 		t.Run(policy.String(), func(t *testing.T) {
 			gw, gwTS := newTestGateway(t, policy, live.URL, shedding.URL, dead.URL)
-			uris := randomURIs(rand.New(rand.NewSource(13)), tg.graph.NumEdges(), 12)
-			// A range-split query rides along so the per-part failover path
-			// is always exercised, whatever the random mix drew.
-			uris = append(uris, "/skyline/period?edge=5&from=6&to=18")
+			// Every kind at least once, so the proxied, scattered and per-part
+			// failover paths are all exercised.
+			var uris []string
+			for _, q := range randomRequests(rand.New(rand.NewSource(13)), tg.graph.NumEdges(), 12) {
+				uris = append(uris, q.URI())
+			}
 
 			// First requests land while all three look healthy; the dead one
 			// dies mid-batch.
@@ -379,5 +289,249 @@ func TestGatewayStatsEndpoint(t *testing.T) {
 	}
 	if stats.Gateway["proxied"] != 1 {
 		t.Errorf("gateway proxied = %d, want 1", stats.Gateway["proxied"])
+	}
+}
+
+// A replica advertising an absurd Retry-After must not take itself out of
+// rotation for longer than MaxRetryAfter, and the clamp must be counted.
+func TestRetryAfterClamp(t *testing.T) {
+	shedding := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "3600")
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer shedding.Close()
+
+	m, err := NewMembership([]string{shedding.URL}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	m.now = clk.now
+
+	m.ProbeAll(ctx)
+	if len(m.Available()) != 0 {
+		t.Fatal("shedding backend still available right after the 503")
+	}
+	clk.advance(MaxRetryAfter - time.Second)
+	if len(m.Available()) != 0 {
+		t.Fatal("backend available before the clamped cool-off expired")
+	}
+	// One second past the ceiling: the hour-long hint must have been clamped.
+	clk.advance(2 * time.Second)
+	if len(m.Available()) != 1 {
+		t.Fatal("backend still cooling past MaxRetryAfter; Retry-After not clamped")
+	}
+	if got := m.RetryAfterClamped(); got != 1 {
+		t.Fatalf("RetryAfterClamped() = %d, want 1", got)
+	}
+}
+
+// relay must strip the RFC 9110 hop-by-hop set plus anything the backend
+// names in Connection, while passing end-to-end headers through.
+func TestRelayStripsHopByHop(t *testing.T) {
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("X-End-To-End", "keep")
+		h.Set("Keep-Alive", "timeout=5")
+		h.Set("Proxy-Authenticate", "Basic")
+		h.Set("Upgrade", "h2c")
+		h.Set("Connection", "x-hop")
+		h.Set("X-Hop", "leak")
+		w.WriteHeader(http.StatusOK)
+		fmt.Fprint(w, `{"ok":true}`)
+	}))
+	defer backend.Close()
+
+	_, gwTS := newTestGateway(t, PolicyHash, backend.URL)
+	resp, err := http.Get(gwTS.URL + "/skyline?edge=0&t=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	for _, h := range []string{"Keep-Alive", "Proxy-Authenticate", "Upgrade", "X-Hop"} {
+		if v := resp.Header.Get(h); v != "" {
+			t.Errorf("hop-by-hop header %s = %q leaked through the gateway", h, v)
+		}
+	}
+	if got := resp.Header.Get("X-End-To-End"); got != "keep" {
+		t.Errorf("end-to-end header lost: X-End-To-End = %q, want keep", got)
+	}
+	if got := resp.Header.Get("Content-Type"); got != "application/json" {
+		t.Errorf("Content-Type = %q", got)
+	}
+}
+
+// Once the client's context is cancelled, gather must stop trying failover
+// candidates instead of burning through the whole replica list.
+func TestGatherBailsOnClientCancel(t *testing.T) {
+	m, err := NewMembership([]string{"http://h:1", "http://h:2", "http://h:3"}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGateway(m, PolicyHash, time.Minute)
+
+	reqCtx, cancel := context.WithCancel(context.Background())
+	r := httptest.NewRequest(http.MethodGet, "/skyline?edge=0&t=0.5", nil).WithContext(reqCtx)
+
+	var calls atomic.Int64
+	out := g.gather(r, m.Backends(), gatherSpec{
+		issue: func(cand *Backend) (*http.Response, error) {
+			calls.Add(1)
+			cancel() // the client hangs up mid-attempt
+			return nil, fmt.Errorf("transport: connection reset")
+		},
+		decode: decodeInto,
+	})
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("gather tried %d candidates after the client cancelled, want 1", got)
+	}
+	if out.result != nil || out.errStatus != 0 {
+		t.Fatalf("cancelled gather produced %+v, want empty", out)
+	}
+}
+
+// A 5xx from one replica is that replica's problem, not the query's: the
+// failover path must move on and answer from a healthy replica, while a 4xx
+// still short-circuits as the canonical rejection.
+func TestGatherFailsOverOn5xx(t *testing.T) {
+	if testing.Short() {
+		t.Skip("uses a full serve replica; run without -short")
+	}
+	tg := newTestGrid(t)
+	live := tg.backend(t)
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusInternalServerError)
+		fmt.Fprint(w, `{"error":"disk on fire"}`)
+	}))
+	defer broken.Close()
+
+	_, gwTS := newTestGateway(t, PolicyHash, broken.URL, live.URL)
+
+	// A range-split period query: the part whose primary is the broken
+	// replica must fail over and the stitched answer must match single-node.
+	uri := "/skyline/period?edge=5&from=6&to=18"
+	checkEquivalent(t, gwTS.URL, live.URL, uri)
+
+	// A deterministic 400 must still return immediately, not fail over into
+	// a different error.
+	status, body := get(t, gwTS.URL, "/multisource/skyline?cost=9&edges=1,2")
+	if status != http.StatusBadRequest {
+		t.Fatalf("invalid cost via gateway = %d (%s), want 400", status, body)
+	}
+}
+
+// Cross-codec negotiation on the gateway's /v1/query, on the route that
+// renders the response itself and the one that relays a replica's.
+func TestGatewayV1QueryNegotiation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("uses full serve replicas; run without -short")
+	}
+	tg := newTestGrid(t)
+	b0, b1 := tg.backend(t), tg.backend(t)
+	_, gwTS := newTestGateway(t, PolicyHash, b0.URL, b1.URL)
+
+	// Binary in, JSON out, on a scattered kind: the gateway itself renders
+	// the merged parts as JSON.
+	q := &wire.Request{Kind: wire.KindMultiSourceSkyline, Cost: 0, Edges: []int{3, 71}, Ts: []float64{0.5, 0.5}}
+	frame, err := wire.EncodeRequest(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, hdr, body := send(t, gwTS.URL, http.MethodPost, "/v1/query", wire.ContentTypeBinary, wire.ContentTypeJSON, frame)
+	if status != http.StatusOK {
+		t.Fatalf("binary→json scatter status %d (%s)", status, body)
+	}
+	if ct := hdr.Get("Content-Type"); !strings.Contains(ct, "application/json") {
+		t.Fatalf("binary→json scatter Content-Type = %q", ct)
+	}
+	var res wire.Result
+	if err := json.Unmarshal(body, &res); err != nil || res.Query != "multisource_skyline" {
+		t.Fatalf("binary→json scatter body %q (err %v)", body, err)
+	}
+
+	// JSON in, binary out, on a proxied kind: the replica negotiates, the
+	// gateway relays the frame untouched.
+	jsonBody := []byte(`{"kind":"skyline","edge":17}`)
+	status, hdr, body = send(t, gwTS.URL, http.MethodPost, "/v1/query", wire.ContentTypeJSON, wire.ContentTypeBinary, jsonBody)
+	if status != http.StatusOK {
+		t.Fatalf("json→binary proxy status %d", status)
+	}
+	if ct := hdr.Get("Content-Type"); ct != wire.ContentTypeBinary {
+		t.Fatalf("json→binary proxy Content-Type = %q", ct)
+	}
+	if resp := decodeBinaryBody(t, body); resp.Result == nil || resp.Result.Query != "skyline" {
+		t.Fatalf("json→binary proxy decoded %+v", resp)
+	}
+}
+
+// With no backend available the wire path sheds in the negotiated codec with
+// the standard Retry-After contract.
+func TestGatewayV1QueryShed(t *testing.T) {
+	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "3")
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer draining.Close()
+	_, gwTS := newTestGateway(t, PolicyHash, draining.URL)
+
+	for _, kind := range []*wire.Request{
+		{Kind: wire.KindSkyline, Edge: 1, T: 0.5},
+		{Kind: wire.KindMultiSourceSkyline, Cost: 0, Edges: []int{1, 2}, Ts: []float64{0.5, 0.5}},
+		{Kind: wire.KindSkylinePeriod, Edge: 1, T: 0.5, From: 6, To: 18},
+	} {
+		frame, err := wire.EncodeRequest(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, hdr, body := send(t, gwTS.URL, http.MethodPost, "/v1/query", wire.ContentTypeBinary, wire.ContentTypeBinary, frame)
+		if status != http.StatusServiceUnavailable {
+			t.Fatalf("%s shed status = %d, want 503", kind.Kind, status)
+		}
+		if hdr.Get("Retry-After") == "" {
+			t.Fatalf("%s shed missing Retry-After", kind.Kind)
+		}
+		if resp := decodeBinaryBody(t, body); resp.Status != http.StatusServiceUnavailable {
+			t.Fatalf("%s shed frame = %+v", kind.Kind, resp)
+		}
+	}
+}
+
+// A replica that answers 200 and then streams without end must not be read
+// into memory without bound: past wire.MaxResponseFrame the gather gives up
+// on it, counts the failure and fails over.
+func TestGatherBoundsReplicaBody(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reads 64 MiB from an endless backend; run without -short")
+	}
+	tg := newTestGrid(t)
+	live := tg.backend(t)
+	chunk := bytes.Repeat([]byte{' '}, 1<<20)
+	endless := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			return
+		}
+		w.Header().Set("Content-Type", r.Header.Get("Accept"))
+		for {
+			if _, err := w.Write(chunk); err != nil {
+				return // the gateway hung up
+			}
+		}
+	}))
+	defer endless.Close()
+
+	gw, gwTS := newTestGateway(t, PolicyHash, endless.URL, live.URL)
+	// A range-split period query: the part whose primary is the endless
+	// replica fails over, and the stitched answer matches single-node.
+	checkEquivalent(t, gwTS.URL, live.URL, "/skyline/period?edge=5&from=6&to=18")
+	if got := gw.m.Backends()[0].failures.Load(); got != 1 {
+		t.Fatalf("endless replica counted %d failures, want 1 (the over-limit body)", got)
+	}
+	if gw.failovers.Load() == 0 {
+		t.Fatal("no failover recorded for the period part the endless replica could not answer")
 	}
 }

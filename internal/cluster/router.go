@@ -3,8 +3,9 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
-	"net/url"
 	"sort"
+
+	"mcn/internal/wire"
 )
 
 // Policy selects which available backend a single-location query is proxied
@@ -45,17 +46,16 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
-// CanonicalKey reduces a request URL to the routing key: path plus the query
-// parameters that shape the result, in sorted order. timeout_ms and stream
-// are stripped — they change delivery, not the answer — so a streamed and a
-// buffered run of the same query share a replica and its cache entry. The
-// same normalization feeds each replica's own result-cache key, which is
-// what makes hash affinity pay off.
-func CanonicalKey(u *url.URL) string {
-	q := u.Query()
-	q.Del("timeout_ms")
-	q.Del("stream")
-	return u.Path + "?" + q.Encode()
+// CanonicalKey is the routing key of a decoded request: its GET rendering —
+// parameters sorted, floats in shortest form — without timeout_ms, which
+// changes delivery, not the answer (as stream=1 does, which a Request never
+// carries). A streamed and a buffered run of the same query, on any codec,
+// so share a replica and its cache entry. The same normalization feeds each
+// replica's own result-cache key, which is what makes hash affinity pay off.
+func CanonicalKey(q *wire.Request) string {
+	key := *q
+	key.TimeoutMS = 0
+	return key.URI()
 }
 
 const ringVnodes = 64

@@ -96,7 +96,7 @@ func TestStreamTopKNDJSON(t *testing.T) {
 }
 
 // The multi-source endpoints must answer with the same facilities the
-// library returns directly, over both backends, and validate their params.
+// library returns directly, over both backends.
 func TestMultiSourceEndpoints(t *testing.T) {
 	handlers, ref := testServers(t)
 	locs := []mcn.Location{{Edge: 3, T: 0.5}, {Edge: 40, T: 0.1}, {Edge: 77, T: 0.9}}
@@ -134,32 +134,16 @@ func TestMultiSourceEndpoints(t *testing.T) {
 			}
 		})
 	}
-
-	ts := httptest.NewServer(handlers["memory"])
-	defer ts.Close()
-	for _, path := range []string{
-		"/multisource/skyline",                        // missing edges
-		"/multisource/skyline?edges=1,xyz",            // bad edge
-		"/multisource/skyline?edges=1,999999",         // edge out of range
-		"/multisource/skyline?edges=1,2&ts=0.5",       // ts arity mismatch
-		"/multisource/skyline?edges=1,2&ts=0.5,1.5",   // t out of range
-		"/multisource/skyline?edges=1,2&cost=9",       // cost out of range (core error)
-		"/multisource/topk?edges=1,2&k=nope",          // bad k
-		"/multisource/topk?edges=1,2&weights=1",       // weights arity (|locs|=2)
-		"/multisource/skyline?edges=1,2&engine=warp",  // unknown engine
-		"/multisource/skyline?edges=1,2&timeout_ms=0", // bad timeout
-	} {
-		var e wire.Error
-		getJSON(t, ts, path, http.StatusBadRequest, &e)
-		if e.Error == "" {
-			t.Errorf("GET %s: empty error body", path)
-		}
-	}
 }
 
 // timeServer builds a serve handler with the period endpoints enabled over a
 // synthetic time-dependent network, plus the TimeNetwork for references.
-func timeServer(t *testing.T) (http.Handler, *mcn.TimeNetwork) {
+func timeServer(t testing.TB) (http.Handler, *mcn.TimeNetwork) {
+	return timeServerTimeout(t, time.Minute)
+}
+
+// timeServerTimeout is timeServer with the given server-side query timeout.
+func timeServerTimeout(t testing.TB, timeout time.Duration) (http.Handler, *mcn.TimeNetwork) {
 	t.Helper()
 	g, err := mcn.Synthetic(mcn.SyntheticConfig{Nodes: 600, Facilities: 100, D: 3, Seed: 11})
 	if err != nil {
@@ -171,7 +155,7 @@ func timeServer(t *testing.T) (http.Handler, *mcn.TimeNetwork) {
 	if err := mcn.AttachSyntheticProfiles(tnet, 600, 11); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(mcn.FromGraph(g), Config{Workers: 4, Timeout: time.Minute, TimeNet: tnet})
+	srv := New(mcn.FromGraph(g), Config{Workers: 4, Timeout: timeout, TimeNet: tnet})
 	return srv.Handler(), tnet
 }
 
@@ -217,20 +201,6 @@ func TestPeriodEndpoints(t *testing.T) {
 	getJSON(t, ts, "/topk/period?edge=17&t=0.25&from=5&to=21&k=3&weights=1,1,1", http.StatusOK, &top)
 	if top.Query != "topk_over_period" || top.Count != len(wantTop) {
 		t.Fatalf("period topk: query %q count %d, want topk_over_period %d", top.Query, top.Count, len(wantTop))
-	}
-
-	for _, path := range []string{
-		"/skyline/period?edge=17",                 // missing from/to
-		"/skyline/period?edge=17&from=9&to=9",     // empty period
-		"/skyline/period?edge=17&from=x&to=9",     // bad from
-		"/topk/period?edge=17&from=5&to=9&k=nope", // bad k
-		"/skyline/period?from=5&to=9",             // missing edge
-	} {
-		var e wire.Error
-		getJSON(t, ts, path, http.StatusBadRequest, &e)
-		if e.Error == "" {
-			t.Errorf("GET %s: empty error body", path)
-		}
 	}
 
 	// Without a TimeNetwork the period routes don't exist.

@@ -304,16 +304,23 @@ func TestOverloadSoakAcceptedLatency(t *testing.T) {
 	defer load.Wait()
 	defer close(stop)
 
-	// Probes: 200 sequential requests against the saturated server.
+	// Probes: sequential requests against the saturated server — enough of
+	// them that meeting neither a free slot nor a full queue is not a
+	// realistic draw.
+	const probes = 400
 	var accepted []time.Duration
 	var shed int
-	for i := 0; i < 200; i++ {
+	for i := 0; i < probes; i++ {
 		d, code := do()
 		switch code {
 		case http.StatusOK:
 			accepted = append(accepted, d)
 		case http.StatusServiceUnavailable:
 			shed++
+			// Back off like a client honouring the shed: a refusal takes
+			// ~0.1 ms, so without a pause all the probes fit inside two or
+			// three of the load's 5 ms holds and may never meet a free slot.
+			time.Sleep(time.Millisecond)
 		default:
 			t.Fatalf("unexpected status %d under overload", code)
 		}
@@ -339,6 +346,6 @@ func TestOverloadSoakAcceptedLatency(t *testing.T) {
 		t.Fatalf("accepted p99 under overload = %v, want <= %v (uncontended p99 %v; queue not bounded?)",
 			overp99, limit, basep99)
 	}
-	t.Logf("uncontended p99 %v, overloaded accepted p99 %v, accepted %d shed %d of 200",
-		basep99, overp99, len(accepted), shed)
+	t.Logf("uncontended p99 %v, overloaded accepted p99 %v, accepted %d shed %d of %d",
+		basep99, overp99, len(accepted), shed, probes)
 }

@@ -1,8 +1,10 @@
-// Package serve implements the mcnserve HTTP serving layer: JSON query
-// endpoints over one shared bounded executor, NDJSON streaming for the
-// progressive queries, health/readiness/stats introspection, and the
-// scatter-gather-friendly multi-source and period endpoints the cluster
-// gateway (internal/cluster) fans out across replicas. The cmd/mcnserve
+// Package serve implements the mcnserve HTTP serving layer: the query
+// endpoints — GET routes and POST /v1/query, every one decoded into the same
+// wire.Request and answered by one handler (query.go) in JSON, binary frames
+// or, for the progressive queries, streamed NDJSON — over one shared bounded
+// executor, plus health/readiness/stats introspection. The multi-source and
+// period kinds are what the cluster gateway (internal/cluster) fans out
+// across replicas. The cmd/mcnserve
 // binary is a thin flag-parsing shell around this package; keeping the
 // handlers here lets the cluster tests spin up real in-process backends
 // over httptest.
@@ -10,12 +12,9 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -101,23 +100,20 @@ func New(net *mcn.Network, cfg Config) *Server {
 // (StartDrain/DrainWait on shutdown).
 func (s *Server) Executor() *mcn.Executor { return s.exec }
 
-// Handler routes the server's endpoints.
+// Handler routes the server's endpoints. The GET query routes — one per wire
+// kind — and POST /v1/query all land on handleQuery; the period routes exist
+// only with a time-dependent network attached.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /stats", s.handleStats)
-	mux.HandleFunc("GET /skyline", s.skylineHandler())
-	mux.HandleFunc("GET /topk", s.topkHandler())
-	mux.HandleFunc("GET /nearest", s.queryHandler(s.nearestRequest))
-	mux.HandleFunc("GET /within", s.queryHandler(s.withinRequest))
-	mux.HandleFunc("GET /multisource/skyline", s.queryHandler(s.multiSkylineRequest))
-	mux.HandleFunc("GET /multisource/topk", s.queryHandler(s.multiTopKRequest))
-	mux.HandleFunc("POST /v1/query", s.handleV1Query)
-	if s.tnet != nil {
-		mux.HandleFunc("GET /skyline/period", s.periodHandler(false))
-		mux.HandleFunc("GET /topk/period", s.periodHandler(true))
+	for _, kind := range wire.Kinds {
+		if q := (wire.Request{Kind: kind}); s.tnet != nil || !q.Period() {
+			mux.HandleFunc("GET /"+kind, s.handleQuery)
+		}
 	}
+	mux.HandleFunc("POST /v1/query", s.handleQuery)
 	return mux
 }
 
@@ -183,298 +179,6 @@ func (t *shedTracker) rate(now time.Time) float64 {
 	return float64(total) / float64(t.secs)
 }
 
-// queryHandler wraps a request parser with the shared execute/respond flow.
-// The HTTP request context rides into the query, so a client hanging up
-// aborts its query mid-expansion.
-func (s *Server) queryHandler(parse func(r *http.Request) (mcn.BatchRequest, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		req, err := parse(r)
-		if err != nil {
-			wire.WriteJSON(w, http.StatusBadRequest, wire.Error{Error: err.Error()})
-			return
-		}
-		if err := s.applyTimeout(r, &req); err != nil {
-			wire.WriteJSON(w, http.StatusBadRequest, wire.Error{Error: err.Error()})
-			return
-		}
-		resp := s.exec.Do(r.Context(), req)
-		if resp.Err != nil {
-			s.writeError(w, resp.Err)
-			return
-		}
-		s.served.Add(1)
-		out := wire.Result{
-			Query:      req.Kind.String(),
-			Count:      len(resp.Result.Facilities),
-			Facilities: wire.FromFacilities(resp.Result.Facilities),
-			Stats:      resp.Result.Stats,
-			LatencyMS:  float64(resp.Latency.Microseconds()) / 1000,
-		}
-		wire.WriteJSON(w, http.StatusOK, out)
-	}
-}
-
-// parseStream reads the stream=0|1 switch shared by /skyline and /topk.
-func parseStream(r *http.Request) (bool, error) {
-	raw := r.URL.Query().Get("stream")
-	if raw == "" {
-		return false, nil
-	}
-	v, err := strconv.ParseBool(raw)
-	if err != nil {
-		return false, fmt.Errorf("invalid stream %q (want a boolean)", raw)
-	}
-	return v, nil
-}
-
-// skylineHandler answers /skyline. Without stream=1 it is the ordinary
-// buffered JSON endpoint; with stream=1 it streams NDJSON — one facility
-// per line, flushed the moment the progressive search confirms it, so
-// clients see the first skyline members while the query is still running.
-// An optional timeout_ms parameter bounds the query (capped by the server
-// default); the HTTP request context rides along, so a client hanging up
-// aborts the search mid-expansion.
-func (s *Server) skylineHandler() http.HandlerFunc {
-	buffered := s.queryHandler(s.skylineRequest)
-	return func(w http.ResponseWriter, r *http.Request) {
-		stream, err := parseStream(r)
-		if err != nil {
-			wire.WriteJSON(w, http.StatusBadRequest, wire.Error{Error: err.Error()})
-			return
-		}
-		if !stream {
-			buffered(w, r)
-			return
-		}
-		req, err := s.skylineRequest(r)
-		if err != nil {
-			wire.WriteJSON(w, http.StatusBadRequest, wire.Error{Error: err.Error()})
-			return
-		}
-		s.streamQuery(w, r, req, s.exec.StreamSkyline)
-	}
-}
-
-// topkHandler answers /topk; stream=1 streams facilities in ascending score
-// order as the incremental iterator produces them (Executor.StreamTopK over
-// Network.TopKSeq), mirroring /skyline?stream=1.
-func (s *Server) topkHandler() http.HandlerFunc {
-	buffered := s.queryHandler(s.topkRequest)
-	return func(w http.ResponseWriter, r *http.Request) {
-		stream, err := parseStream(r)
-		if err != nil {
-			wire.WriteJSON(w, http.StatusBadRequest, wire.Error{Error: err.Error()})
-			return
-		}
-		if !stream {
-			buffered(w, r)
-			return
-		}
-		req, err := s.topkRequest(r)
-		if err != nil {
-			wire.WriteJSON(w, http.StatusBadRequest, wire.Error{Error: err.Error()})
-			return
-		}
-		s.streamQuery(w, r, req, s.exec.StreamTopK)
-	}
-}
-
-// streamQuery is the shared NDJSON delivery loop behind the stream=1
-// endpoints: one wire.Facility per line, flushed as emitted, a terminal
-// done-line on success and an in-band error line on failure (headers are
-// already out by then).
-func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, req mcn.BatchRequest,
-	run func(context.Context, mcn.BatchRequest, func(mcn.Facility) bool) mcn.BatchResponse) {
-	if err := s.applyTimeout(r, &req); err != nil {
-		wire.WriteJSON(w, http.StatusBadRequest, wire.Error{Error: err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	count := 0
-	resp := run(r.Context(), req, func(f mcn.Facility) bool {
-		if err := enc.Encode(wire.Facility{ID: f.ID, Costs: wire.Costs(f.Costs), Score: f.Score}); err != nil {
-			return false // client went away; abort the query
-		}
-		count++
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	})
-	if resp.Err != nil {
-		// Headers are already out (possibly with results); report the
-		// failure in-band as a terminal NDJSON line.
-		s.noteShed(resp.Err)
-		_, msg := classifyError(resp.Err)
-		enc.Encode(wire.Error{Error: msg})
-		return
-	}
-	s.served.Add(1)
-	// Terminal line: lets clients distinguish a complete result from a
-	// truncated connection.
-	enc.Encode(map[string]any{
-		"done":       true,
-		"count":      count,
-		"latency_ms": float64(resp.Latency.Microseconds()) / 1000,
-	})
-}
-
-// periodHandler answers /skyline/period and /topk/period (topk selects the
-// latter): the time-dependent sweep over [from, to), one interval per
-// maximal constant preferred set. Period sweeps run outside the executor
-// (they are themselves batches of per-interval queries), so only the
-// draining check and the request deadline bound them.
-func (s *Server) periodHandler(topk bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		from, err := floatParam(r, "from")
-		if err != nil {
-			wire.WriteJSON(w, http.StatusBadRequest, wire.Error{Error: err.Error()})
-			return
-		}
-		to, err := floatParam(r, "to")
-		if err != nil {
-			wire.WriteJSON(w, http.StatusBadRequest, wire.Error{Error: err.Error()})
-			return
-		}
-		if from >= to {
-			wire.WriteJSON(w, http.StatusBadRequest, wire.Error{Error: fmt.Sprintf("empty period [%g, %g)", from, to)})
-			return
-		}
-		loc, err := s.parseLoc(r)
-		if err != nil {
-			wire.WriteJSON(w, http.StatusBadRequest, wire.Error{Error: err.Error()})
-			return
-		}
-		engOpts, err := parseEngine(r)
-		if err != nil {
-			wire.WriteJSON(w, http.StatusBadRequest, wire.Error{Error: err.Error()})
-			return
-		}
-		var k int
-		var agg mcn.Aggregate
-		if topk {
-			if k, err = intParam(r, "k", 4); err != nil {
-				wire.WriteJSON(w, http.StatusBadRequest, wire.Error{Error: err.Error()})
-				return
-			}
-			if agg, err = parseWeights(r.URL.Query().Get("weights"), s.net.D()); err != nil {
-				wire.WriteJSON(w, http.StatusBadRequest, wire.Error{Error: err.Error()})
-				return
-			}
-		}
-		if s.exec.Draining() {
-			s.writeError(w, mcn.ErrDraining)
-			return
-		}
-		ctx, cancel, err := s.periodContext(r)
-		if err != nil {
-			wire.WriteJSON(w, http.StatusBadRequest, wire.Error{Error: err.Error()})
-			return
-		}
-		defer cancel()
-
-		out, err := s.runPeriodSweep(ctx, topk, loc, agg, k, from, to, engOpts)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		wire.WriteJSON(w, http.StatusOK, out)
-	}
-}
-
-// runPeriodSweep executes one time-dependent sweep over [from, to) and
-// packages the wire envelope — the execution core shared by the GET period
-// endpoints and POST /v1/query.
-func (s *Server) runPeriodSweep(ctx context.Context, topk bool, loc mcn.Location, agg mcn.Aggregate, k int,
-	from, to float64, engOpts []mcn.Option) (*wire.PeriodResult, error) {
-	start := time.Now()
-	var intervals []mcn.IntervalResult
-	var err error
-	query := "skyline_over_period"
-	if topk {
-		query = "topk_over_period"
-		intervals, err = s.tnet.TopKOverPeriod(ctx, loc, agg, k, from, to, mcn.QueryOptions(engOpts...))
-	} else {
-		intervals, err = s.tnet.SkylineOverPeriod(ctx, loc, from, to, mcn.QueryOptions(engOpts...))
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.served.Add(1)
-	out := &wire.PeriodResult{
-		Query:     query,
-		Count:     len(intervals),
-		Intervals: make([]wire.Interval, len(intervals)),
-		LatencyMS: float64(time.Since(start).Microseconds()) / 1000,
-	}
-	for i, iv := range intervals {
-		out.Intervals[i] = wire.Interval{
-			From:       iv.From,
-			To:         iv.To,
-			Count:      len(iv.Result.Facilities),
-			Facilities: wire.FromFacilities(iv.Result.Facilities),
-			Stats:      iv.Result.Stats,
-		}
-	}
-	return out, nil
-}
-
-// periodContext derives the request context for a period sweep: timeout_ms
-// (capped by the server bound) or the server's default timeout.
-func (s *Server) periodContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	ms := 0
-	if raw := r.URL.Query().Get("timeout_ms"); raw != "" {
-		var err error
-		if ms, err = strconv.Atoi(raw); err != nil || ms <= 0 {
-			return nil, nil, fmt.Errorf("invalid timeout_ms %q", raw)
-		}
-	}
-	return s.periodTimeoutCtx(r.Context(), ms)
-}
-
-// periodTimeoutCtx bounds a period sweep by ms milliseconds (0 = server
-// default), never loosening past the server's own timeout.
-func (s *Server) periodTimeoutCtx(parent context.Context, ms int) (context.Context, context.CancelFunc, error) {
-	if ms < 0 {
-		return nil, nil, fmt.Errorf("invalid timeout_ms %d", ms)
-	}
-	timeout := s.timeout
-	if ms > 0 {
-		t := time.Duration(ms) * time.Millisecond
-		if timeout <= 0 || t < timeout {
-			timeout = t
-		}
-	}
-	if timeout <= 0 {
-		return parent, func() {}, nil
-	}
-	ctx, cancel := context.WithTimeout(parent, timeout)
-	return ctx, cancel, nil
-}
-
-// applyTimeout folds an optional timeout_ms parameter into the request
-// deadline. A client may tighten its deadline but never loosen it past the
-// server's own bound: a huge timeout_ms would pin an executor slot far beyond
-// what the operator configured.
-func (s *Server) applyTimeout(r *http.Request, req *mcn.BatchRequest) error {
-	raw := r.URL.Query().Get("timeout_ms")
-	if raw == "" {
-		return nil
-	}
-	ms, err := strconv.Atoi(raw)
-	if err != nil || ms <= 0 {
-		return fmt.Errorf("invalid timeout_ms %q", raw)
-	}
-	req.Timeout = time.Duration(ms) * time.Millisecond
-	if s.timeout > 0 && req.Timeout > s.timeout {
-		req.Timeout = s.timeout
-	}
-	return nil
-}
-
 // noteShed records an admission rejection for /readyz and reports whether err
 // was one.
 func (s *Server) noteShed(err error) bool {
@@ -483,18 +187,6 @@ func (s *Server) noteShed(err error) bool {
 		return true
 	}
 	return false
-}
-
-// writeError renders a query error. Admission rejections additionally carry a
-// Retry-After hint: the condition is expected to clear as soon as in-flight
-// work finishes (overload) or never on this instance (drain) — either way the
-// client's move is the same, retry elsewhere or later.
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	if s.noteShed(err) {
-		w.Header().Set("Retry-After", "1")
-	}
-	status, msg := classifyError(err)
-	wire.WriteJSON(w, status, wire.Error{Error: msg})
 }
 
 // classifyError maps a query error to an HTTP status and client-safe
@@ -542,8 +234,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.sheds.rate(s.now()) > s.shedRate {
-		w.Header().Set("Retry-After", "1")
-		wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "shedding"})
+		wire.WriteShed(w, wire.ModeJSON, map[string]any{"status": "shedding"})
 		return
 	}
 	wire.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready"})
@@ -612,266 +303,4 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		out["cache_shards"] = shards
 	}
 	wire.WriteJSON(w, http.StatusOK, out)
-}
-
-// skylineRequest parses /skyline?edge=&t=&engine=.
-func (s *Server) skylineRequest(r *http.Request) (mcn.BatchRequest, error) {
-	loc, err := s.parseLoc(r)
-	if err != nil {
-		return mcn.BatchRequest{}, err
-	}
-	opts, err := parseEngine(r)
-	if err != nil {
-		return mcn.BatchRequest{}, err
-	}
-	return mcn.SkylineRequest(loc, opts...), nil
-}
-
-// topkRequest parses /topk?edge=&t=&k=&weights=&engine=.
-func (s *Server) topkRequest(r *http.Request) (mcn.BatchRequest, error) {
-	loc, err := s.parseLoc(r)
-	if err != nil {
-		return mcn.BatchRequest{}, err
-	}
-	opts, err := parseEngine(r)
-	if err != nil {
-		return mcn.BatchRequest{}, err
-	}
-	k, err := intParam(r, "k", 4)
-	if err != nil {
-		return mcn.BatchRequest{}, err
-	}
-	agg, err := parseWeights(r.URL.Query().Get("weights"), s.net.D())
-	if err != nil {
-		return mcn.BatchRequest{}, err
-	}
-	return mcn.TopKRequest(loc, agg, k, opts...), nil
-}
-
-// nearestRequest parses /nearest?edge=&t=&cost=&k=.
-func (s *Server) nearestRequest(r *http.Request) (mcn.BatchRequest, error) {
-	loc, err := s.parseLoc(r)
-	if err != nil {
-		return mcn.BatchRequest{}, err
-	}
-	cost, err := intParam(r, "cost", 0)
-	if err != nil {
-		return mcn.BatchRequest{}, err
-	}
-	k, err := intParam(r, "k", 1)
-	if err != nil {
-		return mcn.BatchRequest{}, err
-	}
-	return mcn.NearestRequest(loc, cost, k), nil
-}
-
-// withinRequest parses /within?edge=&t=&budget=b1,b2,…&engine=.
-func (s *Server) withinRequest(r *http.Request) (mcn.BatchRequest, error) {
-	loc, err := s.parseLoc(r)
-	if err != nil {
-		return mcn.BatchRequest{}, err
-	}
-	opts, err := parseEngine(r)
-	if err != nil {
-		return mcn.BatchRequest{}, err
-	}
-	raw := r.URL.Query().Get("budget")
-	if raw == "" {
-		return mcn.BatchRequest{}, fmt.Errorf("missing budget parameter (comma-separated, %d components)", s.net.D())
-	}
-	vals, err := parseFloats(raw)
-	if err != nil {
-		return mcn.BatchRequest{}, fmt.Errorf("budget: %w", err)
-	}
-	if len(vals) != s.net.D() {
-		return mcn.BatchRequest{}, fmt.Errorf("budget has %d components, network has %d", len(vals), s.net.D())
-	}
-	return mcn.WithinRequest(loc, mcn.Of(vals...), opts...), nil
-}
-
-// multiSkylineRequest parses /multisource/skyline?cost=&edges=&ts=&engine=.
-func (s *Server) multiSkylineRequest(r *http.Request) (mcn.BatchRequest, error) {
-	locs, err := s.parseLocs(r)
-	if err != nil {
-		return mcn.BatchRequest{}, err
-	}
-	cost, err := intParam(r, "cost", 0)
-	if err != nil {
-		return mcn.BatchRequest{}, err
-	}
-	opts, err := parseEngine(r)
-	if err != nil {
-		return mcn.BatchRequest{}, err
-	}
-	return mcn.MultiSourceSkylineRequest(cost, locs, opts...), nil
-}
-
-// multiTopKRequest parses /multisource/topk?cost=&edges=&ts=&k=&weights=&engine=.
-// The weights span the |locs| per-source distances, not the d cost types.
-func (s *Server) multiTopKRequest(r *http.Request) (mcn.BatchRequest, error) {
-	locs, err := s.parseLocs(r)
-	if err != nil {
-		return mcn.BatchRequest{}, err
-	}
-	cost, err := intParam(r, "cost", 0)
-	if err != nil {
-		return mcn.BatchRequest{}, err
-	}
-	opts, err := parseEngine(r)
-	if err != nil {
-		return mcn.BatchRequest{}, err
-	}
-	k, err := intParam(r, "k", 4)
-	if err != nil {
-		return mcn.BatchRequest{}, err
-	}
-	agg, err := parseWeights(r.URL.Query().Get("weights"), len(locs))
-	if err != nil {
-		return mcn.BatchRequest{}, err
-	}
-	return mcn.MultiSourceTopKRequest(cost, locs, agg, k, opts...), nil
-}
-
-// parseLocs reads the multi-source query locations: edges (required CSV)
-// and ts (optional CSV, default 0.5 each, arity must match edges).
-func (s *Server) parseLocs(r *http.Request) ([]mcn.Location, error) {
-	raw := r.URL.Query().Get("edges")
-	if raw == "" {
-		return nil, fmt.Errorf("missing edges parameter (comma-separated edge ids)")
-	}
-	parts := strings.Split(raw, ",")
-	locs := make([]mcn.Location, len(parts))
-	for i, p := range parts {
-		edge, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || edge < 0 {
-			return nil, fmt.Errorf("invalid edge %q", p)
-		}
-		if edge >= s.net.NumEdges() {
-			return nil, fmt.Errorf("edge %d out of range (network has %d edges)", edge, s.net.NumEdges())
-		}
-		locs[i] = mcn.Location{Edge: mcn.EdgeID(edge), T: 0.5}
-	}
-	if rawT := r.URL.Query().Get("ts"); rawT != "" {
-		ts, err := parseFloats(rawT)
-		if err != nil {
-			return nil, fmt.Errorf("ts: %w", err)
-		}
-		if len(ts) != len(locs) {
-			return nil, fmt.Errorf("got %d ts for %d edges", len(ts), len(locs))
-		}
-		for i, t := range ts {
-			if t < 0 || t > 1 {
-				return nil, fmt.Errorf("invalid t %g (want a fraction in [0, 1])", t)
-			}
-			locs[i].T = t
-		}
-	}
-	return locs, nil
-}
-
-// parseLoc reads the query location: edge (required) and t (default 0.5).
-func (s *Server) parseLoc(r *http.Request) (mcn.Location, error) {
-	raw := r.URL.Query().Get("edge")
-	if raw == "" {
-		return mcn.Location{}, fmt.Errorf("missing edge parameter")
-	}
-	edge, err := strconv.Atoi(raw)
-	if err != nil || edge < 0 {
-		return mcn.Location{}, fmt.Errorf("invalid edge %q", raw)
-	}
-	if edge >= s.net.NumEdges() {
-		return mcn.Location{}, fmt.Errorf("edge %d out of range (network has %d edges)", edge, s.net.NumEdges())
-	}
-	t := 0.5
-	if rawT := r.URL.Query().Get("t"); rawT != "" {
-		t, err = strconv.ParseFloat(rawT, 64)
-		if err != nil || t < 0 || t > 1 {
-			return mcn.Location{}, fmt.Errorf("invalid t %q (want a fraction in [0, 1])", rawT)
-		}
-	}
-	return mcn.Location{Edge: mcn.EdgeID(edge), T: t}, nil
-}
-
-// parseEngine reads engine=lsa|cea (default cea).
-func parseEngine(r *http.Request) ([]mcn.Option, error) {
-	return engineOpts(r.URL.Query().Get("engine"))
-}
-
-// engineOpts maps an engine name ("", "cea", "lsa" — case-insensitive) to
-// query options; shared by the GET parameter parser and the wire request
-// path.
-func engineOpts(engine string) ([]mcn.Option, error) {
-	switch strings.ToLower(engine) {
-	case "", "cea":
-		return []mcn.Option{mcn.WithEngine(mcn.CEA)}, nil
-	case "lsa":
-		return []mcn.Option{mcn.WithEngine(mcn.LSA)}, nil
-	default:
-		return nil, fmt.Errorf("unknown engine %q (want lsa or cea)", engine)
-	}
-}
-
-// parseWeights builds the top-k aggregate; empty means uniform weights.
-func parseWeights(raw string, d int) (mcn.Aggregate, error) {
-	if raw == "" {
-		return weightsOf(nil, d)
-	}
-	vals, err := parseFloats(raw)
-	if err != nil {
-		return nil, fmt.Errorf("weights: %w", err)
-	}
-	return weightsOf(vals, d)
-}
-
-// weightsOf builds the top-k aggregate from explicit coefficients; empty
-// means uniform. Shared by the GET parser and the wire request path.
-func weightsOf(vals []float64, d int) (mcn.Aggregate, error) {
-	if len(vals) == 0 {
-		coef := make([]float64, d)
-		for i := range coef {
-			coef[i] = 1
-		}
-		return mcn.WeightedSum(coef...), nil
-	}
-	if len(vals) != d {
-		return nil, fmt.Errorf("got %d weights, network has %d cost types", len(vals), d)
-	}
-	return mcn.WeightedSum(vals...), nil
-}
-
-func parseFloats(raw string) ([]float64, error) {
-	parts := strings.Split(raw, ",")
-	out := make([]float64, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("component %d: %v", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-func intParam(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("invalid %s %q", name, raw)
-	}
-	return v, nil
-}
-
-func floatParam(r *http.Request, name string) (float64, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, fmt.Errorf("missing %s parameter", name)
-	}
-	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return 0, fmt.Errorf("invalid %s %q", name, raw)
-	}
-	return v, nil
 }

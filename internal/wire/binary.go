@@ -46,18 +46,10 @@ const (
 	MaxResponseFrame = 64 << 20
 )
 
-// Frame kind bytes. Requests are 1..8, mirroring the Kind* path constants;
-// responses use the high range so a stream peer can tell the direction of a
-// stray frame.
+// Frame kind bytes. Requests are 1..8, in Kinds order; responses use the high
+// range so a stream peer can tell the direction of a stray frame.
 const (
-	frameSkyline            = 1
-	frameTopK               = 2
-	frameNearest            = 3
-	frameWithin             = 4
-	frameMultiSourceSkyline = 5
-	frameMultiSourceTopK    = 6
-	frameSkylinePeriod      = 7
-	frameTopKPeriod         = 8
+	frameSkyline = 1
 
 	frameResult       = 0x40
 	framePeriodResult = 0x41
@@ -66,26 +58,26 @@ const (
 
 var magic = [4]byte{'M', 'C', 'N', 'B'}
 
-// kindBytes maps request kind paths to their frame kind byte; reqKinds is
-// the inverse.
-var kindBytes = map[string]byte{
-	KindSkyline:            frameSkyline,
-	KindTopK:               frameTopK,
-	KindNearest:            frameNearest,
-	KindWithin:             frameWithin,
-	KindMultiSourceSkyline: frameMultiSourceSkyline,
-	KindMultiSourceTopK:    frameMultiSourceTopK,
-	KindSkylinePeriod:      frameSkylinePeriod,
-	KindTopKPeriod:         frameTopKPeriod,
-}
+// kindBytes maps request kind paths to their frame kind byte (Kinds order,
+// from 1) and reqKinds is the inverse. A response frame carries the kind byte
+// of the request that produced it in place of the envelope's Query label, so
+// the string never travels on the wire: queryKinds and queryNames map the
+// label to the byte and back.
+var (
+	kindBytes  = map[string]byte{}
+	reqKinds   = map[byte]string{}
+	queryKinds = map[string]byte{}
+	queryNames = map[byte]string{}
+)
 
-var reqKinds = func() map[byte]string {
-	m := make(map[byte]string, len(kindBytes))
-	for k, b := range kindBytes {
-		m[b] = k
+func init() {
+	for i, kind := range Kinds {
+		b := byte(frameSkyline + i)
+		name := (&Request{Kind: kind}).QueryName()
+		kindBytes[kind], reqKinds[b] = b, kind
+		queryKinds[name], queryNames[b] = b, name
 	}
-	return m
-}()
+}
 
 // Response is one decoded response frame: exactly one of Result or Period is
 // set on success; Status/Message carry an error frame.
@@ -94,17 +86,6 @@ type Response struct {
 	Period  *PeriodResult
 	Status  int
 	Message string
-}
-
-// WriteFrame writes payload as one length-prefixed frame.
-func WriteFrame(w io.Writer, payload []byte) error {
-	var pfx [lenPrefixLen]byte
-	binary.LittleEndian.PutUint32(pfx[:], uint32(len(payload)))
-	if _, err := w.Write(pfx[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
 }
 
 // ReadFrame reads one length-prefixed frame payload, rejecting frames larger
@@ -286,25 +267,25 @@ func EncodeRequest(q *Request) ([]byte, error) {
 	b := header(make([]byte, 0, 64), kind)
 	b = binary.AppendVarint(b, int64(q.TimeoutMS))
 	b = append(b, eng)
-	if q.singleLocation() {
-		b = binary.AppendVarint(b, int64(q.Edge))
-		b = appendF64(b, q.T)
-	} else {
+	if q.Scatter() {
 		b = binary.AppendUvarint(b, uint64(len(q.Edges)))
 		for _, e := range q.Edges {
 			b = binary.AppendVarint(b, int64(e))
 		}
 		b = appendF64s(b, q.Ts)
 		b = binary.AppendVarint(b, int64(q.Cost))
+	} else {
+		b = binary.AppendVarint(b, int64(q.Edge))
+		b = appendF64(b, q.T)
 	}
-	switch q.Kind {
-	case KindTopK, KindMultiSourceTopK, KindTopKPeriod:
+	switch {
+	case q.ranked():
 		b = binary.AppendVarint(b, int64(q.K))
 		b = appendF64s(b, q.Weights)
-	case KindNearest:
+	case q.Kind == KindNearest:
 		b = binary.AppendVarint(b, int64(q.K))
 		b = binary.AppendVarint(b, int64(q.Cost))
-	case KindWithin:
+	case q.Kind == KindWithin:
 		b = appendF64s(b, q.Budget)
 	}
 	if q.Period() {
@@ -337,10 +318,7 @@ func DecodeRequest(payload []byte) (*Request, error) {
 	default:
 		return nil, fmt.Errorf("wire: unknown engine byte %d", eng[0])
 	}
-	if q.singleLocation() {
-		q.Edge = int(r.varint("edge"))
-		q.T = r.f64("t")
-	} else {
+	if q.Scatter() {
 		if n := r.count("edges", 1); n > 0 {
 			q.Edges = make([]int, n)
 			for i := range q.Edges {
@@ -349,15 +327,18 @@ func DecodeRequest(payload []byte) (*Request, error) {
 		}
 		q.Ts = r.f64s("ts")
 		q.Cost = int(r.varint("cost"))
+	} else {
+		q.Edge = int(r.varint("edge"))
+		q.T = r.f64("t")
 	}
-	switch q.Kind {
-	case KindTopK, KindMultiSourceTopK, KindTopKPeriod:
+	switch {
+	case q.ranked():
 		q.K = int(r.varint("k"))
 		q.Weights = r.f64s("weights")
-	case KindNearest:
+	case q.Kind == KindNearest:
 		q.K = int(r.varint("k"))
 		q.Cost = int(r.varint("cost"))
-	case KindWithin:
+	case q.Kind == KindWithin:
 		q.Budget = r.f64s("budget")
 	}
 	if q.Period() {
@@ -427,38 +408,35 @@ func (r *reader) stats() core.Stats {
 	}
 }
 
-// queryKindByte maps a response envelope's Query label back to the request
-// kind byte that produced it, so the Query string never travels on the wire.
+// queryKindByte maps a response envelope's Query label to its kind byte.
 func queryKindByte(query string) (byte, error) {
-	switch query {
-	case "skyline":
-		return frameSkyline, nil
-	case "topk":
-		return frameTopK, nil
-	case "nearest":
-		return frameNearest, nil
-	case "within":
-		return frameWithin, nil
-	case "multisource_skyline":
-		return frameMultiSourceSkyline, nil
-	case "multisource_topk":
-		return frameMultiSourceTopK, nil
-	case "skyline_over_period":
-		return frameSkylinePeriod, nil
-	case "topk_over_period":
-		return frameTopKPeriod, nil
+	b, ok := queryKinds[query]
+	if !ok {
+		return 0, fmt.Errorf("wire: no kind byte for query %q", query)
 	}
-	return 0, fmt.Errorf("wire: no kind byte for query %q", query)
+	return b, nil
 }
 
-// queryName is the inverse of queryKindByte.
-func queryName(kind byte) (string, error) {
-	path, ok := reqKinds[kind]
-	if !ok {
-		return "", fmt.Errorf("wire: unknown request kind byte 0x%02x", kind)
+// queryName reads a response frame's kind byte back into the Query label.
+func (r *reader) queryName() string {
+	rk := r.bytes("result kind", 1)
+	if r.err != nil {
+		return ""
 	}
-	q := Request{Kind: path}
-	return q.QueryName(), nil
+	name, ok := queryNames[rk[0]]
+	if !ok {
+		r.err = fmt.Errorf("wire: unknown request kind byte 0x%02x", rk[0])
+	}
+	return name
+}
+
+// dims reads the cost-vector width written once per response frame.
+func (r *reader) dims() int {
+	d := int(r.uvarint("dims"))
+	if r.err == nil && d > len(r.buf) {
+		r.fail("dims")
+	}
+	return d
 }
 
 // dims returns the widest cost vector in fs — the d written once per frame.
@@ -534,20 +512,8 @@ func DecodeResponse(payload []byte) (*Response, error) {
 	r := &reader{buf: body}
 	switch kind {
 	case frameResult:
-		rk := r.bytes("result kind", 1)
-		if r.err != nil {
-			return nil, r.err
-		}
-		query, err := queryName(rk[0])
-		if err != nil {
-			return nil, err
-		}
-		d := int(r.uvarint("dims"))
-		if r.err == nil && d > len(r.buf) {
-			r.fail("dims")
-		}
-		res := &Result{Query: query}
-		res.Facilities = r.facilities(d)
+		res := &Result{Query: r.queryName()}
+		res.Facilities = r.facilities(r.dims())
 		res.Count = len(res.Facilities)
 		res.Stats = r.stats()
 		res.LatencyMS = r.f32("latency")
@@ -556,19 +522,8 @@ func DecodeResponse(payload []byte) (*Response, error) {
 		}
 		return &Response{Result: res}, nil
 	case framePeriodResult:
-		rk := r.bytes("period kind", 1)
-		if r.err != nil {
-			return nil, r.err
-		}
-		query, err := queryName(rk[0])
-		if err != nil {
-			return nil, err
-		}
-		d := int(r.uvarint("dims"))
-		if r.err == nil && d > len(r.buf) {
-			r.fail("dims")
-		}
-		pr := &PeriodResult{Query: query}
+		pr := &PeriodResult{Query: r.queryName()}
+		d := r.dims()
 		n := r.count("intervals", 17)
 		for i := 0; i < n && r.err == nil; i++ {
 			iv := Interval{From: r.f64("interval from"), To: r.f64("interval to")}

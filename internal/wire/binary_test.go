@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -11,14 +14,12 @@ import (
 	"mcn/internal/graph"
 )
 
-// randomRequest draws one request of any kind with randomized parameters,
-// including the engine and timeout knobs.
+// randomRequest draws one normalised request of any kind with randomized
+// parameters, including the engine and timeout knobs — and the zeros (edge 0,
+// t = 0, k = 0, from = 0) that an encoding with omitted-when-zero fields
+// cannot carry.
 func randomRequest(rng *rand.Rand) *Request {
-	kinds := []string{
-		KindSkyline, KindTopK, KindNearest, KindWithin,
-		KindMultiSourceSkyline, KindMultiSourceTopK, KindSkylinePeriod, KindTopKPeriod,
-	}
-	q := &Request{Kind: kinds[rng.Intn(len(kinds))]}
+	q := &Request{Kind: Kinds[rng.Intn(len(Kinds))]}
 	if rng.Intn(2) == 0 {
 		q.Engine = "lsa"
 	}
@@ -42,31 +43,39 @@ func randomRequest(rng *rand.Rand) *Request {
 			q.Ts = fs(n)
 		}
 		q.Cost = rng.Intn(3)
-	} else {
+	} else if rng.Intn(4) > 0 { // else edge 0, t = 0
 		q.Edge = rng.Intn(600)
 		q.T = math.Round(rng.Float64()*100) / 100
 	}
-	switch q.Kind {
-	case KindTopK, KindMultiSourceTopK, KindTopKPeriod:
-		q.K = 1 + rng.Intn(8)
+	switch {
+	case q.ranked():
+		q.K = rng.Intn(9)
 		if rng.Intn(2) == 0 {
 			q.Weights = fs(3)
 		}
-	case KindNearest:
-		q.K = 1 + rng.Intn(4)
+	case q.Kind == KindNearest:
+		q.K = rng.Intn(5)
 		q.Cost = rng.Intn(3)
-	case KindWithin:
+	case q.Kind == KindWithin:
 		q.Budget = fs(3)
 	}
 	if q.Period() {
-		q.From = rng.Float64() * 10
+		q.From = float64(rng.Intn(3)) * rng.Float64() * 5 // 0 a third of the time
 		q.To = q.From + rng.Float64()*10
 	}
 	return q
 }
 
-// Every request round-trips bit-exactly through both the binary frame and
-// the GET URI form, and the two forms agree.
+// decodeGET runs uri through the GET front end of DecodeHTTP.
+func decodeGET(uri string) (*Request, Mode, error) {
+	q, mode, _, err := DecodeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, uri, nil))
+	return q, mode, err
+}
+
+// Every request — zeros included — survives each of the three encodings
+// unchanged: EncodeRequest → DecodeRequest, URI → the GET decoder, and
+// json.Marshal → the JSON decoder are all the identity, so the three
+// decoders agree on every request any of them can carry.
 func TestRequestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
@@ -75,55 +84,72 @@ func TestRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("EncodeRequest(%+v): %v", q, err)
 		}
-		payload, err := ReadFrame(bytes.NewReader(frame), MaxRequestFrame)
+		viaFrame, err := DecodeRequestBody(frame, true)
 		if err != nil {
-			t.Fatalf("ReadFrame: %v", err)
+			t.Fatalf("DecodeRequestBody(frame of %+v): %v", q, err)
 		}
-		got, err := DecodeRequest(payload)
+		viaURI, mode, err := decodeGET(q.URI())
+		if err != nil || mode != ModeJSON {
+			t.Fatalf("GET decode of %s: mode %d, err %v", q.URI(), mode, err)
+		}
+		body, err := json.Marshal(q)
 		if err != nil {
-			t.Fatalf("DecodeRequest(%+v): %v", q, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, q) {
-			t.Fatalf("binary round trip changed the request:\n got %+v\nwant %+v", got, q)
-		}
-		viaURI, err := RequestFromURI(q.URI())
+		viaJSON, err := DecodeRequestBody(body, false)
 		if err != nil {
-			t.Fatalf("RequestFromURI(%s): %v", q.URI(), err)
+			t.Fatalf("DecodeRequestBody(%s): %v", body, err)
 		}
-		// The URI form applies the GET defaults where the struct held zero
-		// values; re-rendering must converge.
-		if viaURI.URI() != q.URI() {
-			t.Fatalf("URI round trip diverged: %s vs %s", viaURI.URI(), q.URI())
+		for name, got := range map[string]*Request{"MCNB": viaFrame, "GET": viaURI, "JSON": viaJSON} {
+			if !reflect.DeepEqual(got, q) {
+				t.Fatalf("%s round trip changed the request:\n got %+v\nwant %+v", name, got, q)
+			}
 		}
 	}
 }
 
-// The URI parser applies the GET endpoints' defaults.
-func TestRequestFromURIDefaults(t *testing.T) {
-	q, err := RequestFromURI("/skyline?edge=3")
-	if err != nil {
-		t.Fatal(err)
+// The textual decoders apply one rule per parameter: the same defaults for
+// absent fields, explicit zeros kept, the same normal form.
+func TestDecodeDefaultsAndNormalForm(t *testing.T) {
+	same := func(uri, body string, want Request) {
+		t.Helper()
+		viaURI, _, err := decodeGET(uri)
+		if err != nil {
+			t.Fatalf("GET %s: %v", uri, err)
+		}
+		viaJSON, err := DecodeRequestBody([]byte(body), false)
+		if err != nil {
+			t.Fatalf("JSON %s: %v", body, err)
+		}
+		if !reflect.DeepEqual(viaURI, &want) || !reflect.DeepEqual(viaJSON, &want) {
+			t.Fatalf("%s / %s decoded to\n GET  %+v\n JSON %+v\n want %+v", uri, body, viaURI, viaJSON, want)
+		}
 	}
-	if q.T != 0.5 {
-		t.Fatalf("t default = %g, want 0.5", q.T)
-	}
-	q, err = RequestFromURI("/topk?edge=1&t=0.25")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.K != 4 {
-		t.Fatalf("topk k default = %d, want 4", q.K)
-	}
-	q, err = RequestFromURI("/nearest?edge=1&cost=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.K != 1 {
-		t.Fatalf("nearest k default = %d, want 1", q.K)
-	}
-	for _, bad := range []string{"/bogus?edge=1", "/skyline?edge=x", "/skyline?edge=1&engine=vroom", "/within?edge=1&budget=1,x"} {
-		if _, err := RequestFromURI(bad); err == nil {
-			t.Errorf("RequestFromURI(%q) succeeded, want error", bad)
+	// Absent t is 0.5, absent k the kind's default; explicit zeros stay zero.
+	same("/skyline?edge=3", `{"kind":"skyline","edge":3}`, Request{Kind: KindSkyline, Edge: 3, T: 0.5})
+	same("/skyline?edge=0&t=0", `{"kind":"skyline","edge":0,"t":0}`, Request{Kind: KindSkyline})
+	same("/topk?edge=1&t=0.25", `{"kind":"topk","edge":1,"t":0.25}`, Request{Kind: KindTopK, Edge: 1, T: 0.25, K: 4})
+	same("/topk?edge=1&k=0", `{"kind":"topk","edge":1,"k":0}`, Request{Kind: KindTopK, Edge: 1, T: 0.5})
+	same("/nearest?edge=1&cost=1", `{"kind":"nearest","edge":1,"cost":1}`, Request{Kind: KindNearest, Edge: 1, T: 0.5, K: 1, Cost: 1})
+	same("/skyline/period?edge=1&from=0&to=9", `{"kind":"skyline/period","edge":1,"from":0,"to":9}`,
+		Request{Kind: KindSkylinePeriod, Edge: 1, T: 0.5, To: 9})
+	// Normal form: engine case-folded with cea as "", fields the kind does not
+	// use dropped, empty lists nil, equivalent float spellings equal.
+	same("/skyline?edge=3&t=0.50&engine=CEA&k=9&budget=1,2", `{"kind":"skyline","edge":3,"t":0.5,"engine":"cea","k":9,"weights":[]}`,
+		Request{Kind: KindSkyline, Edge: 3, T: 0.5})
+	same("/multisource/topk?edges=4,5&engine=LSA&timeout_ms=0", `{"kind":"multisource/topk","edges":[4,5],"engine":"Lsa","edge":7,"ts":[]}`,
+		Request{Kind: KindMultiSourceTopK, Edges: []int{4, 5}, K: 4, Engine: "lsa"})
+
+	// stream is a delivery switch of GET /skyline and /topk only.
+	for uri, want := range map[string]Mode{
+		"/skyline?edge=1&stream=1":    ModeNDJSON,
+		"/topk?edge=1&stream=true":    ModeNDJSON,
+		"/skyline?edge=1&stream=0":    ModeJSON,
+		"/nearest?edge=1&stream=1":    ModeJSON,
+		"/nearest?edge=1&stream=junk": ModeJSON,
+	} {
+		if _, mode, err := decodeGET(uri); err != nil || mode != want {
+			t.Errorf("GET %s: mode %d err %v, want mode %d", uri, mode, err, want)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package wire
 
 import (
-	"fmt"
+	"math"
 	"net/url"
 	"strconv"
 	"strings"
@@ -9,8 +9,8 @@ import (
 
 // Query kinds a Request can carry — the path of the equivalent GET endpoint.
 // One set of names serves three jobs: the JSON request form ("kind" field),
-// the binary header's kind byte (see binary.go), and the URI round-trip the
-// gateway uses to derive routing keys for /v1/query traffic.
+// the binary header's kind byte (see binary.go), and the GET route each tier
+// mounts.
 const (
 	KindSkyline            = "skyline"
 	KindTopK               = "topk"
@@ -22,24 +22,35 @@ const (
 	KindTopKPeriod         = "topk/period"
 )
 
-// Request is the codec-independent form of one query request: what the GET
-// endpoints read from URL parameters, as a struct that also round-trips
-// through JSON (POST /v1/query with Content-Type: application/json) and the
-// binary frame codec (application/x-mcn-frame). Zero values follow the GET
-// defaults: T defaults to 0.5 via the constructors/parsers, K to the
-// endpoint default, empty Weights to uniform.
+// Kinds lists the eight query kinds in frame-kind-byte order; both tiers
+// mount one GET route per entry.
+var Kinds = []string{
+	KindSkyline, KindTopK, KindNearest, KindWithin,
+	KindMultiSourceSkyline, KindMultiSourceTopK, KindSkylinePeriod, KindTopKPeriod,
+}
+
+// Request is the one internal form of a query request. The GET URL, the JSON
+// body and the MCNB frame are three decoders into it (decode.go, binary.go),
+// and all three produce the same normalised value for the same query: fields
+// the kind does not use stay zero, Engine is "" (CEA) or "lsa", and empty
+// lists are nil.
 //
 // Request floats (T, Ts, Weights, Budget, From, To) stay float64 on every
 // codec — unlike response cost vectors, which the binary codec narrows to
-// float32 — so both codecs run the exact same query and period sub-range
+// float32 — so every codec runs the exact same query and period sub-range
 // boundaries survive gateway splitting bit-for-bit.
+//
+// The JSON encoding always carries edge, t, k, from and to, so that
+// json.Marshal followed by the JSON decoder is the identity even where those
+// are zero; the decoder tells an absent field (GET default, or a 400 where
+// the kind requires it) from an explicit zero.
 type Request struct {
 	Kind string `json:"kind"`
 	// Edge/T locate single-location queries (all kinds except multisource/*).
-	Edge int     `json:"edge,omitempty"`
-	T    float64 `json:"t,omitempty"`
+	Edge int     `json:"edge"`
+	T    float64 `json:"t"`
 	// K is the result bound of topk, nearest, multisource/topk, topk/period.
-	K int `json:"k,omitempty"`
+	K int `json:"k"`
 	// Cost is the cost-type index of nearest and the multisource kinds.
 	Cost int `json:"cost,omitempty"`
 	// Weights are the aggregate coefficients of the top-k kinds; empty means
@@ -50,33 +61,14 @@ type Request struct {
 	// Edges/Ts are the multisource query locations (Ts empty = 0.5 each).
 	Edges []int     `json:"edges,omitempty"`
 	Ts    []float64 `json:"ts,omitempty"`
-	// Engine is "" or "cea" (default) or "lsa".
+	// Engine is "" (CEA, the default) or "lsa".
 	Engine string `json:"engine,omitempty"`
 	// From/To bound the period kinds' time range.
-	From float64 `json:"from,omitempty"`
-	To   float64 `json:"to,omitempty"`
-	// TimeoutMS tightens the per-request deadline, like the timeout_ms GET
-	// parameter; 0 means the server default.
+	From float64 `json:"from"`
+	To   float64 `json:"to"`
+	// TimeoutMS tightens the per-request deadline; 0 means the server
+	// default, negative is rejected.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-}
-
-// KnownKind reports whether kind names one of the eight query kinds.
-func KnownKind(kind string) bool {
-	switch kind {
-	case KindSkyline, KindTopK, KindNearest, KindWithin,
-		KindMultiSourceSkyline, KindMultiSourceTopK, KindSkylinePeriod, KindTopKPeriod:
-		return true
-	}
-	return false
-}
-
-// singleLocation reports whether the kind queries one Edge/T location.
-func (q *Request) singleLocation() bool {
-	switch q.Kind {
-	case KindMultiSourceSkyline, KindMultiSourceTopK:
-		return false
-	}
-	return true
 }
 
 // Period reports whether the request is a *OverPeriod sweep.
@@ -84,16 +76,28 @@ func (q *Request) Period() bool {
 	return q.Kind == KindSkylinePeriod || q.Kind == KindTopKPeriod
 }
 
+// FiniteRange reports whether a period request's [From, To) is a non-empty
+// range with finite bounds — the only kind a sweep, or a gateway's split of
+// one, can cover.
+func (q *Request) FiniteRange() bool {
+	return q.From < q.To && !math.IsInf(q.From, 0) && !math.IsInf(q.To, 0)
+}
+
 // Scatter reports whether the request is a multisource query the gateway
-// fans out to every replica.
+// fans out to every replica; every other kind queries one Edge/T location.
 func (q *Request) Scatter() bool {
 	return q.Kind == KindMultiSourceSkyline || q.Kind == KindMultiSourceTopK
 }
 
-// URI renders the request as the equivalent GET request URI — the exact form
-// the JSON endpoints parse. The gateway routes /v1/query traffic by this
-// rendering (via CanonicalKey), so the binary and GET forms of one query
-// share a replica and its result-cache entry; RequestFromURI inverts it.
+// ranked reports whether the kind takes K and Weights.
+func (q *Request) ranked() bool {
+	return q.Kind == KindTopK || q.Kind == KindMultiSourceTopK || q.Kind == KindTopKPeriod
+}
+
+// URI renders the request as the equivalent GET request URI, parameters
+// sorted and floats in their shortest form — the inverse of the GET decoder.
+// The gateway keys routing on this rendering, so every codec's form of one
+// query shares a replica and its result-cache entry.
 func (q *Request) URI() string {
 	v := url.Values{}
 	fl := func(key string, f float64) { v.Set(key, strconv.FormatFloat(f, 'g', -1, 64)) }
@@ -104,10 +108,7 @@ func (q *Request) URI() string {
 		}
 		return strings.Join(parts, ",")
 	}
-	if q.singleLocation() {
-		v.Set("edge", strconv.Itoa(q.Edge))
-		fl("t", q.T)
-	} else {
+	if q.Scatter() {
 		parts := make([]string, len(q.Edges))
 		for i, e := range q.Edges {
 			parts[i] = strconv.Itoa(e)
@@ -117,17 +118,20 @@ func (q *Request) URI() string {
 			v.Set("ts", csv(q.Ts))
 		}
 		v.Set("cost", strconv.Itoa(q.Cost))
+	} else {
+		v.Set("edge", strconv.Itoa(q.Edge))
+		fl("t", q.T)
 	}
-	switch q.Kind {
-	case KindTopK, KindMultiSourceTopK, KindTopKPeriod:
+	switch {
+	case q.ranked():
 		v.Set("k", strconv.Itoa(q.K))
 		if len(q.Weights) > 0 {
 			v.Set("weights", csv(q.Weights))
 		}
-	case KindNearest:
+	case q.Kind == KindNearest:
 		v.Set("k", strconv.Itoa(q.K))
 		v.Set("cost", strconv.Itoa(q.Cost))
-	case KindWithin:
+	case q.Kind == KindWithin:
 		v.Set("budget", csv(q.Budget))
 	}
 	if q.Period() {
@@ -137,149 +141,20 @@ func (q *Request) URI() string {
 	if q.Engine != "" {
 		v.Set("engine", q.Engine)
 	}
-	if q.TimeoutMS > 0 {
+	if q.TimeoutMS != 0 {
 		v.Set("timeout_ms", strconv.Itoa(q.TimeoutMS))
 	}
 	return "/" + q.Kind + "?" + v.Encode()
 }
 
-// RequestFromURI parses a GET request URI (path + query) into the
-// codec-independent Request — the inverse of URI, with the same parameter
-// defaults the GET endpoints apply (t=0.5, k per endpoint). It performs only
-// syntactic validation; semantic checks (edge ranges, arity against the
-// network's d) stay server-side so both codecs share one validation path.
-func RequestFromURI(uri string) (*Request, error) {
-	u, err := url.Parse(uri)
-	if err != nil {
-		return nil, fmt.Errorf("wire: parse uri: %w", err)
-	}
-	q := &Request{Kind: strings.TrimPrefix(u.Path, "/")}
-	switch q.Kind {
-	case KindSkyline, KindTopK, KindNearest, KindWithin,
-		KindMultiSourceSkyline, KindMultiSourceTopK, KindSkylinePeriod, KindTopKPeriod:
-	default:
-		return nil, fmt.Errorf("wire: unknown query kind %q", q.Kind)
-	}
-	v := u.Query()
-	geti := func(key string, def int) (int, error) {
-		raw := v.Get(key)
-		if raw == "" {
-			return def, nil
-		}
-		n, err := strconv.Atoi(raw)
-		if err != nil {
-			return 0, fmt.Errorf("wire: invalid %s %q", key, raw)
-		}
-		return n, nil
-	}
-	getf := func(key string, def float64) (float64, error) {
-		raw := v.Get(key)
-		if raw == "" {
-			return def, nil
-		}
-		f, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return 0, fmt.Errorf("wire: invalid %s %q", key, raw)
-		}
-		return f, nil
-	}
-	getfs := func(key string) ([]float64, error) {
-		raw := v.Get(key)
-		if raw == "" {
-			return nil, nil
-		}
-		parts := strings.Split(raw, ",")
-		out := make([]float64, len(parts))
-		for i, p := range parts {
-			f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				return nil, fmt.Errorf("wire: invalid %s component %q", key, p)
-			}
-			out[i] = f
-		}
-		return out, nil
-	}
-	if q.singleLocation() {
-		if q.Edge, err = geti("edge", 0); err != nil {
-			return nil, err
-		}
-		if q.T, err = getf("t", 0.5); err != nil {
-			return nil, err
-		}
-	} else {
-		raw := v.Get("edges")
-		if raw != "" {
-			parts := strings.Split(raw, ",")
-			q.Edges = make([]int, len(parts))
-			for i, p := range parts {
-				if q.Edges[i], err = strconv.Atoi(strings.TrimSpace(p)); err != nil {
-					return nil, fmt.Errorf("wire: invalid edges component %q", p)
-				}
-			}
-		}
-		if q.Ts, err = getfs("ts"); err != nil {
-			return nil, err
-		}
-		if q.Cost, err = geti("cost", 0); err != nil {
-			return nil, err
-		}
-	}
-	switch q.Kind {
-	case KindTopK, KindMultiSourceTopK, KindTopKPeriod:
-		if q.K, err = geti("k", 4); err != nil {
-			return nil, err
-		}
-		if q.Weights, err = getfs("weights"); err != nil {
-			return nil, err
-		}
-	case KindNearest:
-		if q.K, err = geti("k", 1); err != nil {
-			return nil, err
-		}
-		if q.Cost, err = geti("cost", 0); err != nil {
-			return nil, err
-		}
-	case KindWithin:
-		if q.Budget, err = getfs("budget"); err != nil {
-			return nil, err
-		}
-	}
-	if q.Period() {
-		if q.From, err = getf("from", 0); err != nil {
-			return nil, err
-		}
-		if q.To, err = getf("to", 0); err != nil {
-			return nil, err
-		}
-	}
-	switch eng := strings.ToLower(v.Get("engine")); eng {
-	case "", "cea":
-		q.Engine = ""
-	case "lsa":
-		q.Engine = "lsa"
-	default:
-		return nil, fmt.Errorf("wire: unknown engine %q", v.Get("engine"))
-	}
-	if q.TimeoutMS, err = geti("timeout_ms", 0); err != nil {
-		return nil, err
-	}
-	return q, nil
-}
-
-// QueryName returns the response envelope's Query label for the kind — the
-// same strings the JSON endpoints emit (engine.Kind.String() plus the period
-// sweeps' names), so binary responses decode to identical envelopes.
+// QueryName returns the response envelope's Query label for the kind.
 func (q *Request) QueryName() string {
 	switch q.Kind {
-	case KindMultiSourceSkyline:
-		return "multisource_skyline"
-	case KindMultiSourceTopK:
-		return "multisource_topk"
 	case KindSkylinePeriod:
 		return "skyline_over_period"
 	case KindTopKPeriod:
 		return "topk_over_period"
 	default:
-		return q.Kind
+		return strings.ReplaceAll(q.Kind, "/", "_")
 	}
 }

@@ -1,7 +1,9 @@
-// Package wire defines the JSON wire format the serving tier speaks: the
-// response envelopes of the mcnserve query endpoints (internal/serve) and
-// the decode side the cluster gateway (internal/cluster) uses to merge
-// per-replica results. Keeping both ends on one set of types is what makes
+// Package wire defines what the serving tier speaks, for both the replica
+// (internal/serve) and the cluster gateway (internal/cluster): the one
+// request model and its three decoders — GET URL, JSON body, MCNB frame
+// (request.go, decode.go, binary.go) — the one response writer, and the
+// response envelopes, which are also the decode side the gateway uses to
+// merge per-replica results. Keeping both ends on one set of types is what makes
 // the gateway's merged responses byte-identical to single-node execution:
 // a float64 cost decoded from a replica re-encodes to exactly the bytes the
 // replica wrote (encoding/json uses the shortest round-tripping
