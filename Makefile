@@ -5,41 +5,14 @@ GO ?= go
 COVER_MIN ?= 75
 FUZZTIME ?= 30s
 
-# Smoke configuration shared by the committed BENCH_PR10.json baseline and
-# the CI benchmark-regression gate: both sides must measure the same workload.
-# Seven experiments are gated: diskthroughput (QPS paced by the simulated
-# device, stable run to run), timedepthroughput (CPU-bound, so its QPS
-# moves with background load on shared runners — the wider QPS tolerance
-# below absorbs that; a real fast-path regression, the overlay falling back
-# to snapshot-level throughput, is a 5-8x drop and still fails loudly),
-# cachethroughput (the serving-layer result cache on a Zipfian stream; a
-# cache regression collapses the cached rows' QPS by orders of magnitude, so
-# runner noise never masks it), faultthroughput (5% injected transient
-# read faults through the retry layer; the faulty row's io_retries is near-
-# deterministic for the fixed seed, so retry-cost regressions are visible),
-# prunethroughput (lower-bound pruning index on vs off; the expanded-
-# node counts are fully seed-deterministic, so the gate holds the index's
-# work reduction tightly while the QPS rows get the wide tolerance), and
-# clusterthroughput (the gateway fronting 1/2/4 device-paced replicas; each
-# replica's simulated disk caps its read bandwidth, so the QPS-vs-replicas
-# curve is capacity-determined and a routing regression flattens it beyond
-# the tolerance), and soakthroughput (sustained /v1/query load against one
-# cached in-process replica, binary vs JSON codec; the binary rows must not
-# fall below the JSON rows, so a codec or negotiation regression shows up as
-# a QPS drop on the binary rows). memthroughput/throughput stay available
-# for manual benchdiff comparisons.
-BENCH_SMOKE_FLAGS = -exp diskthroughput,timedepthroughput,cachethroughput,faultthroughput,prunethroughput,clusterthroughput,soakthroughput -scale 0.05 -queries 4 -seed 1
-BENCH_BASELINE = BENCH_PR10.json
-BENCH_QPS_TOL = 0.40
-
 # Long-mode chaos run: randomized fault schedules per invariant class (see
 # internal/chaos). CHAOS_SCHEDULES scales every class at once; CI runs the
 # -short smoke inside `make cover` and as a dedicated chaos job.
 CHAOS_SCHEDULES ?= 1000
 
 .PHONY: build examples test race bench benchmem profile fmt vet lint cover ci \
-	serve clean benchgate benchbaseline vulncheck fuzz docscheck chaos chaossmoke \
-	cluster-smoke soak-smoke
+	serve clean vulncheck fuzz docscheck chaos chaossmoke \
+	cluster-smoke soak-smoke benchverify
 
 build:
 	$(GO) build ./...
@@ -113,19 +86,12 @@ cover:
 		if (t + 0 < min + 0) { printf "FAIL: total coverage %.1f%% below the %d%% gate\n", t, min; exit 1 } \
 		printf "coverage gate ok: %.1f%% >= %d%%\n", t, min }'
 
-# Benchmark-regression gate: run the smoke benchmarks and compare against the
-# committed baseline. Fails on a QPS drop beyond BENCH_QPS_TOL or any >25%
-# physical-I/O growth.
-benchgate: build
-	$(GO) run ./cmd/mcnbench $(BENCH_SMOKE_FLAGS) -json bench_current.json
-	$(GO) run ./cmd/benchdiff -base $(BENCH_BASELINE) -new bench_current.json -qps-tol $(BENCH_QPS_TOL) -v
-
-# Regenerate the committed baseline (run on the reference machine only, then
-# commit the result). -runs 5 keeps each row's minimum QPS so a lucky fast
-# draw cannot become a baseline every ordinary CI run fails against; the
-# deterministic metrics are identical across runs.
-benchbaseline: build
-	$(GO) run ./cmd/mcnbench $(BENCH_SMOKE_FLAGS) -runs 5 -json $(BENCH_BASELINE)
+# mcnmark's self-check: every workload for one second with answer checking
+# on; exits 1 on a wrong answer. A product rename that breaks
+# benchmark/surface.go fails here (it no longer compiles), not in the next
+# PR's measurement.
+benchverify:
+	$(GO) run ./benchmark -verify
 
 # Chaos harness. chaossmoke is the CI job: the -short schedule counts under
 # the race detector (~30s). chaos is the long-mode run (CHAOS_SCHEDULES
@@ -195,4 +161,4 @@ serve:
 
 clean:
 	$(GO) clean ./...
-	rm -f coverage.out bench_current.json
+	rm -f coverage.out

@@ -9,7 +9,7 @@
 //	mcnbench -exp fig8a,fig12        # selected figures
 //	mcnbench -full                   # paper scale (175K nodes, 100 queries)
 //	mcnbench -csv results.csv        # also write CSV
-//	mcnbench -json BENCH_PR2.json    # also write a JSON perf baseline
+//	mcnbench -json figures.json      # also write a JSON report
 package main
 
 import (
@@ -26,15 +26,14 @@ import (
 func main() {
 	log.SetFlags(0)
 	var (
-		expFlag  = flag.String("exp", "all", "comma-separated experiment ids (all, or any ids from -list: fig8a…fig12, ablation, baseline, throughput, memthroughput, diskthroughput, timedepthroughput, cachethroughput, faultthroughput, prunethroughput, clusterthroughput, soakthroughput)")
+		expFlag  = flag.String("exp", "all", "comma-separated experiment ids (all, or any ids from -list: fig8a, fig8b, fig9a, fig9b, fig10a, fig10b, fig11a, fig11b, fig12, ablation, baseline)")
 		scale    = flag.Float64("scale", 0.25, "fraction of the paper's dataset scale (1.0 = 175K nodes, 100K facilities)")
 		queries  = flag.Int("queries", 20, "query locations per data point")
 		latency  = flag.Float64("latency", 8, "simulated I/O latency per physical page read (ms)")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		full     = flag.Bool("full", false, "paper scale: -scale 1.0 -queries 100")
 		csvPath  = flag.String("csv", "", "also write results as CSV to this file")
-		jsonPath = flag.String("json", "", "also write results as a JSON report to this file (perf baselines, e.g. BENCH_PR2.json)")
-		runs     = flag.Int("runs", 1, "repetitions per experiment; rows keep the minimum QPS seen (conservative envelope for committed baselines)")
+		jsonPath = flag.String("json", "", "also write results as a JSON report to this file")
 		listOnly = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
@@ -82,25 +81,6 @@ func main() {
 		points, err := exp.Run(cfg)
 		if err != nil {
 			log.Fatalf("%s: %v", exp.ID, err)
-		}
-		// Extra runs tighten the wall-clock rows toward their floor: the
-		// regression gate only fires on QPS drops, so a committed baseline
-		// built from a lucky fast draw would flag every ordinary run after
-		// it. Deterministic metrics (page I/O, retries, expanded nodes) are
-		// identical across runs and keep their first-run values.
-		for r := 1; r < *runs; r++ {
-			again, err := exp.Run(cfg)
-			if err != nil {
-				log.Fatalf("%s (run %d): %v", exp.ID, r+1, err)
-			}
-			for pi := range points {
-				for ri := range points[pi].Rows {
-					if q := again[pi].Rows[ri].QPS; q > 0 && q < points[pi].Rows[ri].QPS {
-						points[pi].Rows[ri].QPS = q
-						points[pi].Rows[ri].SimSeconds = again[pi].Rows[ri].SimSeconds
-					}
-				}
-			}
 		}
 		bench.WriteTable(os.Stdout, exp, points)
 		fmt.Printf("(%s completed in %.1fs)\n\n", exp.ID, time.Since(start).Seconds())

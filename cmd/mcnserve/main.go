@@ -80,7 +80,6 @@ func main() {
 
 		cacheEntries = flag.Int("cache-entries", 4096, "result cache capacity in cached query results (0 = caching off)")
 		cacheShards  = flag.Int("cache-shards", 0, "result cache shard count, rounded to a power of two (0 = auto from GOMAXPROCS)")
-		cacheNoCo    = flag.Bool("cache-no-coalesce", false, "disable singleflight coalescing of concurrent misses on the same key")
 
 		chaos          = flag.Bool("chaos", false, "dev: wrap the storage device in the deterministic fault injector (requires -db)")
 		chaosSeed      = flag.Uint64("chaos-seed", 1, "dev: fault schedule seed")
@@ -158,9 +157,8 @@ func main() {
 	}
 	if *cacheEntries > 0 {
 		cache := net.EnableResultCache(mcn.CacheOptions{
-			Entries:    *cacheEntries,
-			Shards:     *cacheShards,
-			NoCoalesce: *cacheNoCo,
+			Entries: *cacheEntries,
+			Shards:  *cacheShards,
 		})
 		log.Printf("mcnserve: result cache enabled (%d entries, %d shards)",
 			cache.Capacity(), cache.Shards())

@@ -13,7 +13,7 @@
 //	mcnsoak                                  # in-process single node, both codecs
 //	mcnsoak -replicas 3 -codec binary        # in-process gateway over 3 replicas
 //	mcnsoak -target http://host:8080 -clients 64 -rate 2000 -duration 60s
-//	mcnsoak -json soak.json                  # bench-compatible report
+//	mcnsoak -json soak.json                  # also write a JSON report
 //
 // The request mix is generated from the synthetic workload (-scale, -queries,
 // -seed); against an external -target those flags must match the dataset the
@@ -48,7 +48,7 @@ func main() {
 		queries  = flag.Int("queries", 32, "distinct query locations in the mix")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		cache    = flag.Bool("cache", true, "in-process only: enable the serving-layer result cache")
-		jsonPath = flag.String("json", "", "also write a bench-compatible JSON report to this file")
+		jsonPath = flag.String("json", "", "also write the rows as a JSON report (the mcnbench -json shape) to this file")
 	)
 	flag.Parse()
 
@@ -133,7 +133,7 @@ func main() {
 			Config: cfg,
 			Host:   bench.CurrentHost(),
 			Results: []bench.ExperimentResult{{
-				ID:     "soakthroughput",
+				ID:     "mcnsoak",
 				Title:  "mcnsoak: /v1/query sustained load",
 				Points: []bench.Point{pt},
 			}},

@@ -56,25 +56,14 @@ type Row struct {
 	PhysIO     float64 `json:"phys_io"`
 	LogicalIO  float64 `json:"logical_io"`
 	ResultSize float64 `json:"result_size"`
-	// QPS is measured wall-clock queries/sec; only the concurrency
-	// experiments fill it (the paper's figures are simulated-time).
-	QPS float64 `json:"qps,omitempty"`
-	// P50MS/P99MS/P999MS are request-latency quantiles in milliseconds from
-	// the soak engine's histogram; only the soak experiment fills them.
+	// QPS is measured wall-clock queries/sec and P50MS/P99MS/P999MS are
+	// request-latency quantiles in milliseconds from the soak engine's
+	// histogram; only mcnsoak rows (SoakRow) fill them — the paper's figures
+	// are simulated-time.
+	QPS    float64 `json:"qps,omitempty"`
 	P50MS  float64 `json:"p50_ms,omitempty"`
 	P99MS  float64 `json:"p99_ms,omitempty"`
 	P999MS float64 `json:"p999_ms,omitempty"`
-	// IORetries is the buffer pool's transient-read retries per query; only
-	// the fault-injection experiment fills it.
-	IORetries float64 `json:"io_retries,omitempty"`
-	// Expanded is the average number of nodes the expansion settled per
-	// query; only the pruning experiment fills it. For a fixed seed the
-	// count is fully deterministic (no hardware or load dependence), so the
-	// regression gate holds it to the tight physical-I/O tolerance.
-	Expanded float64 `json:"expanded_nodes,omitempty"`
-	// Pruned is the average number of nodes the lower-bound index cut per
-	// query (informational; the gate watches Expanded).
-	Pruned float64 `json:"pruned_nodes,omitempty"`
 }
 
 // Point is one x-axis value of a figure with the rows of all algorithms.

@@ -31,7 +31,7 @@ func TestBuildDataset(t *testing.T) {
 }
 
 func TestAllExperimentsRegistered(t *testing.T) {
-	want := []string{"fig8a", "fig8b", "fig9a", "fig9b", "fig10a", "fig10b", "fig11a", "fig11b", "fig12", "ablation", "baseline", "throughput", "memthroughput", "diskthroughput", "timedepthroughput", "cachethroughput", "faultthroughput", "prunethroughput", "clusterthroughput", "soakthroughput"}
+	want := []string{"fig8a", "fig8b", "fig9a", "fig9b", "fig10a", "fig10b", "fig11a", "fig11b", "fig12", "ablation", "baseline"}
 	got := All()
 	if len(got) != len(want) {
 		t.Fatalf("have %d experiments, want %d", len(got), len(want))
@@ -49,20 +49,10 @@ func TestAllExperimentsRegistered(t *testing.T) {
 	}
 }
 
-// fastDisk shrinks the disk-throughput device simulation so unit tests do
-// not pay real sleeps; the restore runs via t.Cleanup.
-func fastDisk(t *testing.T) {
-	t.Helper()
-	latency, depth, workers := diskReadLatency, diskQueueDepth, diskWorkers
-	diskReadLatency, diskQueueDepth, diskWorkers = 0, 64, []int{1, 2}
-	t.Cleanup(func() { diskReadLatency, diskQueueDepth, diskWorkers = latency, depth, workers })
-}
-
 // Each experiment must run end-to-end on a tiny config and produce rows with
 // positive measurements.
 func TestExperimentsRunTiny(t *testing.T) {
 	cfg := tiny()
-	fastDisk(t)
 	for _, exp := range All() {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
@@ -78,14 +68,7 @@ func TestExperimentsRunTiny(t *testing.T) {
 					t.Fatalf("%s: %d rows", pt.Param, len(pt.Rows))
 				}
 				for _, r := range pt.Rows {
-					// The in-memory experiments perform no page I/O at all,
-					// and the cluster experiment measures HTTP-level QPS
-					// (its replicas' page I/O stays inside their own pools);
-					// everything else must report it.
-					noIO := exp.ID == "memthroughput" || exp.ID == "timedepthroughput" ||
-						exp.ID == "cachethroughput" || exp.ID == "prunethroughput" ||
-						exp.ID == "clusterthroughput" || exp.ID == "soakthroughput"
-					if !noIO && (r.PhysIO <= 0 || r.LogicalIO <= 0) {
+					if r.PhysIO <= 0 || r.LogicalIO <= 0 {
 						t.Errorf("%s/%s: non-positive I/O %+v", pt.Param, r.Algo, r)
 					}
 					if r.SimSeconds <= 0 {

@@ -156,51 +156,6 @@ func All() []Experiment {
 			Title: "Baseline: naive d-expansions method vs LSA/CEA (skyline, defaults)",
 			Run:   runBaseline,
 		},
-		{
-			ID:    "throughput",
-			Title: "Throughput: concurrent queries/sec vs executor worker count (CEA, defaults)",
-			Run:   runThroughput,
-		},
-		{
-			ID:    "memthroughput",
-			Title: "In-memory throughput: flat CSR fast path vs hash-map source (queries/sec)",
-			Run:   runMemThroughput,
-		},
-		{
-			ID:    "diskthroughput",
-			Title: "Disk throughput: sharded clock pool vs single-mutex LRU on a latency-bound device (queries/sec)",
-			Run:   runDiskThroughput,
-		},
-		{
-			ID:    "timedepthroughput",
-			Title: "Time-dependent throughput: flat overlay vs per-query snapshot rebuild (queries/sec, 4 workers)",
-			Run:   runTimedepThroughput,
-		},
-		{
-			ID:    "cachethroughput",
-			Title: "Result-cache throughput: Zipfian (s=1.0) request stream with vs without the serving-layer cache (queries/sec)",
-			Run:   runCacheThroughput,
-		},
-		{
-			ID:    "faultthroughput",
-			Title: "Fault throughput: clean device vs 5% injected transient read faults through the retry layer (queries/sec, retries/query)",
-			Run:   runFaultThroughput,
-		},
-		{
-			ID:    "prunethroughput",
-			Title: "Pruning throughput: lower-bound index on vs off for top-k and budget queries (queries/sec, expanded nodes/query)",
-			Run:   runPruneThroughput,
-		},
-		{
-			ID:    "clusterthroughput",
-			Title: "Cluster throughput: gateway queries/sec vs replica count (1/2/4 device-paced backends, hash and least-inflight routing)",
-			Run:   runClusterThroughput,
-		},
-		{
-			ID:    "soakthroughput",
-			Title: "Soak throughput: /v1/query binary vs JSON codec under sustained load (queries/sec, p50/p99/p999 latency)",
-			Run:   runSoakThroughput,
-		},
 	}
 }
 

@@ -8,16 +8,14 @@ import (
 
 // Report is the JSON-serialisable form of one benchmark session: the
 // configuration, the machine it ran on, and every experiment's points.
-// cmd/mcnbench -json writes one of these; committed baselines (e.g.
-// BENCH_PR2.json) record the perf trajectory PR over PR.
+// cmd/mcnbench -json and cmd/mcnsoak -json write one of these.
 type Report struct {
 	Config  Config             `json:"config"`
 	Host    Host               `json:"host"`
 	Results []ExperimentResult `json:"results"`
 }
 
-// Host describes the machine a report was produced on, for honest
-// comparisons between baselines.
+// Host describes the machine a report was produced on.
 type Host struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mcn/internal/graph"
 	"mcn/internal/wire"
 )
 
@@ -223,4 +224,48 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 			res.Errors, res.Errors+res.Completed, firstErr)
 	}
 	return res, nil
+}
+
+// soakMinRequests pads the distinct request mix so a result cache in front of
+// the target holds a realistic working set rather than three entries.
+const soakMinRequests = 96
+
+// SoakRequests builds the query mix: skyline, top-k and k-nearest over the
+// workload's query locations. Skylines carry the biggest payloads, so codec
+// cost is visible; the mix stays free of period/multisource kinds so the same
+// stream also drives a bare single node without a time-dependent network.
+func SoakRequests(locs []graph.Location, w Workload) []*wire.Request {
+	reqs := make([]*wire.Request, 0, soakMinRequests)
+	for r := 0; len(reqs) < soakMinRequests; r++ {
+		for i, q := range locs {
+			if len(reqs) >= soakMinRequests {
+				break
+			}
+			edge, t := int(q.Edge), q.T
+			switch (i + r) % 3 {
+			case 0:
+				reqs = append(reqs, &wire.Request{Kind: wire.KindSkyline, Edge: edge, T: t})
+			case 1:
+				reqs = append(reqs, &wire.Request{Kind: wire.KindTopK, Edge: edge, T: t, K: 2 + r%4})
+			default:
+				reqs = append(reqs, &wire.Request{Kind: wire.KindNearest, Edge: edge, T: t, Cost: i % w.D, K: 1 + r%4})
+			}
+		}
+	}
+	return reqs
+}
+
+// SoakRow converts one soak run into a bench row.
+func SoakRow(algo string, res *SoakResult) Row {
+	row := Row{
+		Algo:   algo,
+		QPS:    res.QPS,
+		P50MS:  float64(res.P50) / float64(time.Millisecond),
+		P99MS:  float64(res.P99) / float64(time.Millisecond),
+		P999MS: float64(res.P999) / float64(time.Millisecond),
+	}
+	if res.Completed > 0 {
+		row.SimSeconds = res.WallSeconds / float64(res.Completed)
+	}
+	return row
 }

@@ -6,52 +6,16 @@ import (
 	"strings"
 )
 
-// WriteTable renders an experiment's points as an aligned text table. A
-// queries/sec column appears when any row carries a QPS measurement (the
-// concurrency experiment); the simulated-time figures leave it out.
+// WriteTable renders an experiment's points as an aligned text table.
 func WriteTable(w io.Writer, exp Experiment, points []Point) {
-	hasQPS, hasExpanded, hasLatency := false, false, false
-	for _, pt := range points {
-		for _, r := range pt.Rows {
-			if r.QPS != 0 {
-				hasQPS = true
-			}
-			if r.Expanded != 0 {
-				hasExpanded = true
-			}
-			if r.P99MS != 0 {
-				hasLatency = true
-			}
-		}
-	}
 	fmt.Fprintf(w, "%s\n", exp.Title)
 	fmt.Fprintf(w, "%s\n", strings.Repeat("-", len(exp.Title)))
-	fmt.Fprintf(w, "%-18s %-10s %12s %12s %12s %10s %9s",
+	fmt.Fprintf(w, "%-18s %-10s %12s %12s %12s %10s %9s\n",
 		"param", "algo", "sim sec/q", "phys IO/q", "logical/q", "cpu ms/q", "results")
-	if hasQPS {
-		fmt.Fprintf(w, " %10s", "queries/s")
-	}
-	if hasExpanded {
-		fmt.Fprintf(w, " %10s", "expanded/q")
-	}
-	if hasLatency {
-		fmt.Fprintf(w, " %9s %9s %9s", "p50 ms", "p99 ms", "p999 ms")
-	}
-	fmt.Fprintln(w)
 	for _, pt := range points {
 		for _, r := range pt.Rows {
-			fmt.Fprintf(w, "%-18s %-10s %12.4f %12.1f %12.1f %10.3f %9.1f",
+			fmt.Fprintf(w, "%-18s %-10s %12.4f %12.1f %12.1f %10.3f %9.1f\n",
 				pt.Param, r.Algo, r.SimSeconds, r.PhysIO, r.LogicalIO, r.CPUSeconds*1000, r.ResultSize)
-			if hasQPS {
-				fmt.Fprintf(w, " %10.1f", r.QPS)
-			}
-			if hasExpanded {
-				fmt.Fprintf(w, " %10.1f", r.Expanded)
-			}
-			if hasLatency {
-				fmt.Fprintf(w, " %9.3f %9.3f %9.3f", r.P50MS, r.P99MS, r.P999MS)
-			}
-			fmt.Fprintln(w)
 		}
 		if len(pt.Rows) == 2 {
 			fmt.Fprintf(w, "%-18s %-10s %12.2fx\n", pt.Param, "ratio", pt.Ratio())
@@ -63,12 +27,12 @@ func WriteTable(w io.Writer, exp Experiment, points []Point) {
 // WriteCSV renders points as CSV rows with an experiment-id column.
 func WriteCSV(w io.Writer, exp Experiment, points []Point, header bool) {
 	if header {
-		fmt.Fprintln(w, "experiment,param,algo,sim_seconds,phys_io,logical_io,cpu_seconds,results,qps")
+		fmt.Fprintln(w, "experiment,param,algo,sim_seconds,phys_io,logical_io,cpu_seconds,results")
 	}
 	for _, pt := range points {
 		for _, r := range pt.Rows {
-			fmt.Fprintf(w, "%s,%s,%s,%.6f,%.2f,%.2f,%.6f,%.2f,%.2f\n",
-				exp.ID, pt.Param, r.Algo, r.SimSeconds, r.PhysIO, r.LogicalIO, r.CPUSeconds, r.ResultSize, r.QPS)
+			fmt.Fprintf(w, "%s,%s,%s,%.6f,%.2f,%.2f,%.6f,%.2f\n",
+				exp.ID, pt.Param, r.Algo, r.SimSeconds, r.PhysIO, r.LogicalIO, r.CPUSeconds, r.ResultSize)
 		}
 	}
 }

@@ -40,8 +40,8 @@ func fuzzInstance(t *testing.T, seed int64, nodes, extra, facs, d, locBits uint8
 //  1. score monotonicity: results arrive in ascending (score, id) order;
 //  2. exact agreement with NaiveTopK (materialise everything, score, sort)
 //     — ids, cost vectors and scores, byte for byte;
-//  3. pruned-vs-unpruned byte-identity: attaching the lower-bound pruning
-//     index changes no result, only the work statistics, and never upward;
+//  3. bounds are ignored: attaching the lower-bound pruning index changes
+//     neither the result nor the work statistics (top-k has no prune hook);
 //
 // across the map-state and the flat/scratch fast path. Run `make fuzz` for a
 // fuzzing session; CI runs a short smoke.
@@ -99,9 +99,9 @@ func FuzzTopKInvariants(f *testing.F) {
 				t.Fatalf("%s pruned: %v", run.name, err)
 			}
 			samePrunedFacilities(t, run.name+" pruned", pruned.Facilities, res.Facilities)
-			if pruned.Stats.NodeExpansions > res.Stats.NodeExpansions {
-				t.Fatalf("%s: pruned run expanded %d nodes > unpruned %d",
-					run.name, pruned.Stats.NodeExpansions, res.Stats.NodeExpansions)
+			if pruned.Stats != res.Stats {
+				t.Fatalf("%s: stats with bounds %+v, without %+v",
+					run.name, pruned.Stats, res.Stats)
 			}
 		}
 	})

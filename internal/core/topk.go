@@ -7,7 +7,6 @@ import (
 
 	"mcn/internal/expand"
 	"mcn/internal/graph"
-	"mcn/internal/index"
 	"mcn/internal/vec"
 )
 
@@ -17,9 +16,9 @@ import (
 // eliminating them early through aggregate lower bounds derived from the
 // expansion frontiers. Ties at the k-th position are resolved by facility id
 // (the smaller id wins), so the result is a deterministic function of the
-// facility cost vectors — independent of expansion interleaving, which is
-// what lets lower-bound pruning (Options.Bounds) stay byte-identical and
-// makes the output agree exactly with NaiveTopK.
+// facility cost vectors — independent of expansion interleaving, which
+// makes the output agree exactly with NaiveTopK. Options.Bounds is not used:
+// top-k runs without index pruning.
 func TopK(src expand.Source, loc graph.Location, agg vec.Aggregate, k int, opt Options) (*Result, error) {
 	if agg.Dims() != src.D() {
 		return nil, fmt.Errorf("core: aggregate expects %d cost types, network has %d", agg.Dims(), src.D())
@@ -79,40 +78,10 @@ func topkOverExpansions(src expand.Source, exps []*expand.Expansion, agg vec.Agg
 		exps:      exps,
 		exhausted: make([]bool, len(exps)),
 	}
-	s.installPrune()
 	if err := s.run(); err != nil {
 		return nil, err
 	}
 	return s.result(), nil
-}
-
-// installPrune arms the expansions with lower-bound node pruning when the
-// query carries a pruning index and the aggregate can bound its score
-// through a single component. The predicate is admissible only during the
-// shrinking stage: once the top set holds k members, any facility whose
-// i-th cost alone scores above the current k-th score is provably outside
-// the final top set (the k-th score never increases), so node labels that
-// bound every such facility's i-th cost from below can be discarded without
-// affecting the result — only the work counters change.
-func (s *topkRun) installPrune() {
-	lb := s.opt.Bounds
-	if lb == nil || s.opt.NoPrune {
-		return
-	}
-	cs, ok := s.agg.(vec.ComponentScorer)
-	if !ok {
-		return // opaque aggregate: no admissible component bound, run unpruned
-	}
-	for i, x := range s.exps {
-		i := i
-		x.SetPrune(lb, func(costPlusBound float64) bool {
-			// The SlackFactor margin absorbs float summation-order skew
-			// between the backward index pass and the forward expansion, so a
-			// bound a few ulps above the true distance can never discard a
-			// node on a genuine result path (see internal/index).
-			return s.shrinking && cs.ComponentScore(i, costPlusBound)*index.SlackFactor > s.worstScore
-		})
-	}
 }
 
 type topkRun struct {
@@ -133,8 +102,8 @@ type topkRun struct {
 	stats      Stats
 
 	// Cached k-th element of the top set under the (score, id) total order,
-	// maintained from the moment the top set fills (refreshWorst). The prune
-	// predicate reads worstScore on every node pop, so it must not rescan.
+	// maintained from the moment the top set fills (refreshWorst), so the
+	// per-pop and per-candidate comparisons against it do not rescan.
 	worstScore float64
 	worstID    graph.FacilityID
 	worstIdx   int
@@ -294,8 +263,7 @@ func (s *topkRun) shrinkPop(i int, p graph.FacilityID, c float64) error {
 // the (score, id) total order: strictly smaller score, or an equal score
 // with a smaller id. Because the order is total, the top set maintained with
 // this rule is always exactly the k smallest (score, id) pairs seen so far,
-// whatever order the expansions deliver them in — the property the pruned
-// and unpruned executions' byte-identity rests on.
+// whatever order the expansions deliver them in.
 func (s *topkRun) beatsWorst(score float64, id graph.FacilityID) bool {
 	if score != s.worstScore {
 		return score < s.worstScore
@@ -321,8 +289,8 @@ func (s *topkRun) refreshWorst() {
 // candidate whose bound merely ties the k-th score could still enter under
 // the (score, id) total order, and the head keys it is bounded with depend
 // on the expansion interleaving, so eliminating it here would make the
-// result depend on that interleaving (and diverge between pruned and
-// unpruned runs). Such candidates resolve exactly instead.
+// result depend on that interleaving. Such candidates resolve exactly
+// instead.
 func (s *topkRun) pruneByLowerBound() {
 	if len(s.top) < s.k {
 		return
@@ -413,7 +381,6 @@ func (s *topkRun) finalize() error {
 func (s *topkRun) result() *Result {
 	for _, x := range s.exps {
 		s.stats.NodeExpansions += x.NodeCount()
-		s.stats.PrunedNodes += x.PrunedCount()
 	}
 	sort.Slice(s.top, func(i, j int) bool {
 		si, sj := s.scores[s.top[i].id], s.scores[s.top[j].id]

@@ -61,8 +61,8 @@ type Stats struct {
 	NodeExpansions int
 	// PrunedNodes counts node pops discarded by the lower-bound pruning
 	// index (Options.Bounds) before their adjacency was read. Always zero
-	// for skyline, nearest and incremental top-k queries, which run
-	// unpruned (see Options.Bounds).
+	// for skyline, nearest and top-k queries, which run unpruned (see
+	// Options.Bounds).
 	PrunedNodes int
 	// Tracked is the number of distinct facilities ever tracked (candidates
 	// plus directly reported ones).
@@ -112,12 +112,13 @@ type Options struct {
 	Scratch *expand.Scratch
 	// Bounds, when set, is the precomputed pruning index (internal/index):
 	// per-criterion lower bounds from every node to its nearest facility.
-	// Fixed-k top-k queries consult it during the shrinking stage and Within
-	// uses its budget as a static horizon, discarding popped node labels that
-	// provably cannot contribute a result; results stay byte-identical to the
-	// unpruned run (only Stats change). Skyline and nearest queries ignore it:
-	// skyline's progressive emission order observably depends on the live
-	// expansion frontiers that node discards would perturb, and an unbounded
+	// Within uses its budget as a static horizon, discarding popped node
+	// labels that provably cannot contribute a result; results stay
+	// byte-identical to the unpruned run (only Stats change). Skyline, top-k
+	// and nearest queries ignore it: skyline's progressive emission order
+	// observably depends on the live expansion frontiers that node discards
+	// would perturb, a top-k horizon exists only once k facilities are pinned
+	// (by then it cut no node on any measured workload), and an unbounded
 	// nearest/incremental query has no admissible horizon. The bounds must
 	// have been built for this source's current facility set — the facade
 	// detaches them for dynamic.Maintainer, whose inserts would make them

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"mcn/internal/expand"
+	"mcn/internal/flat"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
+	"mcn/internal/index"
 	"mcn/internal/testnet"
 	"mcn/internal/vec"
 )
@@ -116,5 +118,65 @@ func TestWithinZeroBudget(t *testing.T) {
 	}
 	if len(res.Facilities) != 1 || res.Facilities[0].ID != 0 {
 		t.Errorf("zero-budget range = %v, want the co-located facility only", res.IDs())
+	}
+}
+
+// The pruning index's worth for Within, as a deterministic counter rather
+// than a throughput: on a seeded instance of the paper's default shape
+// (clustered facilities, anti-correlated costs, d = 4) with budgets 1.25x the
+// 6th-nearest facility's distance, attaching Bounds cuts the expanded nodes
+// to at most 0.6x of the unpruned run — on both facility densities the
+// index was sized on — and the counts are identical on a second run.
+func TestWithinBoundsCutExpansions(t *testing.T) {
+	for _, density := range []struct {
+		name string
+		facs int
+	}{
+		{"dense", 5000},
+		{"sparse", 5000 / 32},
+	} {
+		t.Run(density.name, func(t *testing.T) {
+			inst, err := gen.MakeInstance(gen.InstanceConfig{
+				Nodes: 8750, Facilities: density.facs, Queries: 8, Seed: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs := flat.Compile(inst.Graph)
+			bounds := index.FromGraph(inst.Graph)
+			run := func(opt Options) (expanded, pruned int) {
+				for _, q := range inst.Queries {
+					probe, err := Nearest(fs, q, 0, 6, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					radius := 1.0
+					if k := len(probe.Facilities); k > 0 {
+						radius = probe.Facilities[k-1].Score * 1.25
+					}
+					res, err := Within(fs, q, vec.Of(radius, radius, radius, radius), opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					expanded += res.Stats.NodeExpansions
+					pruned += res.Stats.PrunedNodes
+				}
+				return expanded, pruned
+			}
+			plain, plainPruned := run(Options{})
+			with, withPruned := run(Options{Bounds: bounds})
+			again, againPruned := run(Options{Bounds: bounds})
+			t.Logf("expanded nodes over %d queries: %d without bounds, %d with (%.2fx), %d pruned",
+				len(inst.Queries), plain, with, float64(with)/float64(plain), withPruned)
+			if plainPruned != 0 {
+				t.Errorf("unpruned run reports %d pruned nodes", plainPruned)
+			}
+			if with >= plain || float64(with) > 0.6*float64(plain) {
+				t.Errorf("bounds cut expansions %d -> %d, want at most 0.6x", plain, with)
+			}
+			if again != with || againPruned != withPruned {
+				t.Errorf("second run expanded %d / pruned %d, first %d / %d", again, againPruned, with, withPruned)
+			}
+		})
 	}
 }

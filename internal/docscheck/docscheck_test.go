@@ -224,3 +224,33 @@ func TestPackageComments(t *testing.T) {
 		}
 	}
 }
+
+var flagDefRe = regexp.MustCompile(`flag\.[A-Z][A-Za-z0-9]*\(\s*"([^"]+)"`)
+
+// TestServerFlagsDocumented fails when a command-line flag of the two
+// serving binaries is missing from README.md: an operator reads the README's
+// flag tables, not the source, so a flag added (or left behind) without a
+// line there saying who needs it does not exist for them.
+func TestServerFlagsDocumented(t *testing.T) {
+	root := repoRoot(t)
+	b, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(b)
+	for _, cmd := range []string{"mcnserve", "mcngateway"} {
+		src, err := os.ReadFile(filepath.Join(root, "cmd", cmd, "main.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defs := flagDefRe.FindAllStringSubmatch(string(src), -1)
+		if len(defs) == 0 {
+			t.Errorf("cmd/%s: no flag definitions found; the check is blind", cmd)
+		}
+		for _, m := range defs {
+			if !strings.Contains(readme, "`-"+m[1]+"`") {
+				t.Errorf("cmd/%s: flag -%s is not documented in README.md", cmd, m[1])
+			}
+		}
+	}
+}

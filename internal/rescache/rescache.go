@@ -91,10 +91,6 @@ type Options struct {
 	// to a power of two and clamped so every shard owns at least one entry.
 	// Zero derives a default from GOMAXPROCS.
 	Shards int
-	// NoCoalesce disables per-key singleflight: concurrent misses on the
-	// same cold key each run their own query, as an uncached server would.
-	// Kept for A/B experiments; leave it false in servers.
-	NoCoalesce bool
 }
 
 // DefaultEntries is the capacity Options{Entries: 0} selects.
@@ -184,10 +180,9 @@ type ShardStats struct {
 // Cache is a sharded, CLOCK-evicted, singleflight-coalesced map from
 // canonical query keys to completed results. It is safe for concurrent use.
 type Cache struct {
-	cap      int
-	coalesce bool
-	shift    uint
-	shards   []shard
+	cap    int
+	shift  uint
+	shards []shard
 
 	// version is the global invalidation clock: bumped on every Invalidate
 	// and Flush, snapshotted by each computation before it starts.
@@ -265,11 +260,10 @@ func New(opts Options) *Cache {
 		n = floorPow2(capacity)
 	}
 	c := &Cache{
-		cap:      capacity,
-		coalesce: !opts.NoCoalesce,
-		shift:    uint(64 - bits.Len(uint(n-1))),
-		shards:   make([]shard, n),
-		stamped:  make(map[Tag]uint64),
+		cap:     capacity,
+		shift:   uint(64 - bits.Len(uint(n-1))),
+		shards:  make([]shard, n),
+		stamped: make(map[Tag]uint64),
 	}
 	if n == 1 {
 		c.shift = 64
@@ -391,10 +385,10 @@ func (c *Cache) stale(ver uint64, tags []Tag) bool {
 
 // Do returns the cached value for key, computing it on a miss. compute
 // returns the value plus the tags it depends on; concurrent Do calls for
-// the same key share one computation (unless NoCoalesce). hit reports
-// whether the value came from a live cached entry; coalesced waiters
-// report hit=false. Errors are never cached: every waiter of a failed
-// computation receives its error and the next Do retries.
+// the same key share one computation. hit reports whether the value came
+// from a live cached entry; coalesced waiters report hit=false. Errors are
+// never cached: every waiter of a failed computation receives its error and
+// the next Do retries.
 //
 // The returned Value is shared with the cache and other callers; treat the
 // Result as read-only.
@@ -413,20 +407,15 @@ func (c *Cache) Do(key string, compute func() (Value, []Tag, error)) (val Value,
 			return val, true, nil
 		}
 	}
-	if c.coalesce {
-		if f, ok := s.inflight[key]; ok {
-			s.coalesced.Add(1)
-			s.mu.Unlock()
-			<-f.done
-			return f.val, false, f.err
-		}
+	if f, ok := s.inflight[key]; ok {
+		s.coalesced.Add(1)
+		s.mu.Unlock()
+		<-f.done
+		return f.val, false, f.err
 	}
 	s.misses.Add(1)
-	var f *flight
-	if c.coalesce {
-		f = &flight{done: make(chan struct{})}
-		s.inflight[key] = f
-	}
+	f := &flight{done: make(chan struct{})}
+	s.inflight[key] = f
 	s.mu.Unlock()
 
 	// ver is snapshotted before the computation starts: an invalidation
@@ -434,37 +423,31 @@ func (c *Cache) Do(key string, compute func() (Value, []Tag, error)) (val Value,
 	// below is recognisably stale and never inserted.
 	ver := c.version.Load()
 	completed := false
-	if f != nil {
-		// A panicking compute must not strand coalesced waiters: release
-		// them with an error, then let the panic continue to the caller's
-		// isolation layer.
-		defer func() {
-			if !completed {
-				s.mu.Lock()
-				delete(s.inflight, key)
-				s.mu.Unlock()
-				f.err = ErrComputePanic
-				close(f.done)
-			}
-		}()
-	}
+	// A panicking compute must not strand coalesced waiters: release them
+	// with an error, then let the panic continue to the caller's isolation
+	// layer.
+	defer func() {
+		if !completed {
+			s.mu.Lock()
+			delete(s.inflight, key)
+			s.mu.Unlock()
+			f.err = ErrComputePanic
+			close(f.done)
+		}
+	}()
 	val, tags, err := compute()
 	completed = true
 
 	s.mu.Lock()
-	if f != nil {
-		delete(s.inflight, key)
-	}
+	delete(s.inflight, key)
 	if err == nil && !c.stale(ver, tags) {
 		if _, ok := s.entries[key]; !ok {
 			s.insert(&entry{key: key, val: val, tags: tags, ver: ver})
 		}
 	}
 	s.mu.Unlock()
-	if f != nil {
-		f.val, f.err = val, err
-		close(f.done)
-	}
+	f.val, f.err = val, err
+	close(f.done)
 	return val, false, err
 }
 

@@ -192,32 +192,6 @@ func TestSingleflightCoalesces(t *testing.T) {
 	}
 }
 
-func TestNoCoalesce(t *testing.T) {
-	c := New(Options{Entries: 8, Shards: 1, NoCoalesce: true})
-	var computes atomic.Int64
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			c.Do("hot", func() (Value, []Tag, error) {
-				computes.Add(1)
-				return mkValue(1), nil, nil
-			})
-		}()
-	}
-	close(start)
-	wg.Wait()
-	if c.Stats().Coalesced != 0 {
-		t.Fatalf("NoCoalesce cache coalesced")
-	}
-	if computes.Load() < 1 {
-		t.Fatalf("nothing computed")
-	}
-}
-
 func TestPanicReleasesWaiters(t *testing.T) {
 	c := New(Options{Entries: 8, Shards: 1})
 	entered := make(chan struct{})

@@ -17,7 +17,6 @@ func TestMissAllocatesNothing(t *testing.T) {
 	}{
 		{"clock", 8, PoolOptions{}},
 		{"lru", 8, PoolOptions{Policy: PolicyLRU}},
-		{"nocoalesce", 8, PoolOptions{NoCoalesce: true}},
 		{"cap0", 0, PoolOptions{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

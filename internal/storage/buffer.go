@@ -17,9 +17,9 @@ import (
 // experiments are driven by the physical count (its processing time is
 // vastly I/O-dominated, Sec. VI footnote 7).
 //
-// With miss coalescing enabled (the default), concurrent readers of the same
-// cold page share one device read, so Physical counts actual device reads —
-// it can be lower than the number of misses observed by callers.
+// Concurrent readers of the same cold page share one device read (miss
+// coalescing), so Physical counts actual device reads — it can be lower than
+// the number of misses observed by callers.
 type Stats struct {
 	Logical  int64
 	Physical int64
@@ -108,10 +108,6 @@ type PoolOptions struct {
 	Shards int
 	// Policy selects the per-shard replacement algorithm (default clock).
 	Policy Policy
-	// NoCoalesce disables miss coalescing: concurrent readers of the same
-	// cold page each issue their own device read, as the pre-sharding pool
-	// did. Kept for A/B experiments; leave it false in servers.
-	NoCoalesce bool
 	// Retry bounds re-reads of transiently failing pages (see RetryPolicy).
 	// The zero value surfaces every device error immediately.
 	Retry RetryPolicy
@@ -136,11 +132,10 @@ type PoolOptions struct {
 // for that read, so a popular page costs one physical read per eviction
 // rather than one per waiting query.
 type BufferPool struct {
-	dev      Device
-	cap      int
-	policy   Policy
-	coalesce bool
-	retry    RetryPolicy
+	dev    Device
+	cap    int
+	policy Policy
+	retry  RetryPolicy
 	// sums, when set (OpenWithPool loads it from the database's checksum
 	// table), holds the CRC-32C of every covered page, indexed by page id; a
 	// freshly read page that disagrees is classified like a transient device
@@ -170,9 +165,9 @@ type poolShard struct {
 	cap    int
 	policy Policy
 	// frames maps the cached pages to their frames; inflight the pages being
-	// read to the frame their leader is filling (coalescing only). Every
-	// frame on the clock ring or LRU list is either cached or pinned by the
-	// leader reading into it.
+	// read to the frame their leader is filling. Every frame on the clock
+	// ring or LRU list is either cached or pinned by the leader reading into
+	// it.
 	frames   map[PageID]*Frame
 	inflight map[PageID]*Frame
 	// free holds frames that carry no page (after Drop or a failed read);
@@ -266,7 +261,7 @@ func floorPow2(n int) int { return 1 << (bits.Len(uint(n)) - 1) }
 
 // NewBufferPool returns a pool holding at most capacity pages. At most one
 // PoolOptions value may be passed; omitting it selects the clock policy with
-// a GOMAXPROCS-derived shard count and miss coalescing on.
+// a GOMAXPROCS-derived shard count.
 func NewBufferPool(dev Device, capacity int, opts ...PoolOptions) *BufferPool {
 	var o PoolOptions
 	if len(opts) > 0 {
@@ -287,13 +282,12 @@ func NewBufferPool(dev Device, capacity int, opts ...PoolOptions) *BufferPool {
 		n = 1
 	}
 	b := &BufferPool{
-		dev:      dev,
-		cap:      capacity,
-		policy:   o.Policy,
-		coalesce: !o.NoCoalesce,
-		retry:    o.Retry.withDefaults(),
-		shift:    uint(32 - bits.Len(uint(n-1))),
-		shards:   make([]poolShard, n),
+		dev:    dev,
+		cap:    capacity,
+		policy: o.Policy,
+		retry:  o.Retry.withDefaults(),
+		shift:  uint(32 - bits.Len(uint(n-1))),
+		shards: make([]poolShard, n),
 	}
 	if n == 1 {
 		b.shift = 32
@@ -482,9 +476,7 @@ func (b *BufferPool) GetCtx(ctx context.Context, id PageID) (*Frame, error) {
 		f = framePool.Get().(*Frame) // every frame of the shard is pinned
 	}
 	f.take(id)
-	if b.coalesce {
-		s.inflight[id] = f
-	}
+	s.inflight[id] = f
 	s.physical.Add(1)
 	s.mu.Unlock()
 
@@ -493,10 +485,7 @@ func (b *BufferPool) GetCtx(ctx context.Context, id PageID) (*Frame, error) {
 	s.mu.Lock()
 	w := f.wait
 	f.wait = nil
-	if b.coalesce {
-		delete(s.inflight, id)
-	}
-	got := f
+	delete(s.inflight, id)
 	switch {
 	case f.transient:
 		// Nothing to install; the last Release returns the buffer.
@@ -506,28 +495,22 @@ func (b *BufferPool) GetCtx(ctx context.Context, id PageID) (*Frame, error) {
 	case err != nil:
 		// The frame carries no page: a failure never poisons the table.
 		s.discard(f)
-	case s.frames[id] != nil:
-		// Only without coalescing: a concurrent reader of the same cold page
-		// installed it first. Share that frame and keep this one spare.
-		s.discard(f)
-		got = s.frames[id]
-		got.pins.Add(1)
 	default:
 		s.frames[id] = f
 		s.cached.Store(int64(len(s.frames)))
 	}
 	if w != nil {
 		if err == nil {
-			got.pins.Add(int32(w.n)) // one pin per waiter, taken on its behalf
+			f.pins.Add(int32(w.n)) // one pin per waiter, taken on its behalf
 		}
-		w.f, w.err = got, err
+		w.f, w.err = f, err
 		close(w.done)
 	}
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	return got, nil
+	return f, nil
 }
 
 // join waits for the in-flight read led by lead and returns its frame with a

@@ -24,11 +24,10 @@ func TestBufferPoolStressMixedHotCold(t *testing.T) {
 		{},                  // default: sharded clock, coalescing
 		{Shards: 1},         // single shard exercises one-lock interleavings
 		{Policy: PolicyLRU}, // sharded LRU
-		{NoCoalesce: true},  // duplicated miss path
-		{Shards: 4, Policy: PolicyLRU, NoCoalesce: true},
+		{Shards: 4, Policy: PolicyLRU},
 	} {
 		opt := opt
-		t.Run(fmt.Sprintf("shards=%d_policy=%v_nocoalesce=%v", opt.Shards, opt.Policy, opt.NoCoalesce), func(t *testing.T) {
+		t.Run(fmt.Sprintf("shards=%d_policy=%v", opt.Shards, opt.Policy), func(t *testing.T) {
 			pool := NewBufferPool(dev, 64, opt)
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
@@ -213,7 +212,7 @@ func BenchmarkBufferPoolParallel(b *testing.B) {
 		name string
 		opts PoolOptions
 	}{
-		{"mutexLRU", PoolOptions{Shards: 1, Policy: PolicyLRU, NoCoalesce: true}},
+		{"mutexLRU", PoolOptions{Shards: 1, Policy: PolicyLRU}},
 		{"shardedClock", PoolOptions{}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {

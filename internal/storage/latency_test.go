@@ -8,13 +8,10 @@ import (
 // LatencyDevice wraps a Device with a fixed service time per read and a
 // bounded number of concurrently serviced reads — the behaviour of a real
 // block device with a command queue (a cloud volume or SATA SSD: every read
-// costs its latency, and at most QueueDepth requests make progress at once;
-// the rest wait in the queue). It turns in-memory experiments I/O-bound, so
-// throughput measurements exercise how the buffer pool schedules device
-// traffic rather than raw CPU.
-//
-// Writes and allocation pass through untouched: the experiments build their
-// database at memory speed and only pay latency at query time.
+// costs its latency, and at most queueDepth requests make progress at once;
+// the rest wait in the queue). The coalescing tests use it to keep a read in
+// flight long enough for concurrent readers of the same page to overlap.
+// Writes and allocation pass through untouched.
 type LatencyDevice struct {
 	dev     Device
 	latency time.Duration

@@ -123,6 +123,47 @@ func decodeHeader(buf []byte) (*header, error) {
 	}, nil
 }
 
+// tablePages is the number of pages a table of n u64 values occupies.
+func tablePages(n uint64) uint64 { return (n*8 + PageSize - 1) / PageSize }
+
+// validate checks every size and page id of the header against the device's
+// page count. The header page is the one page no checksum covers, and
+// OpenWithPool sizes its tables from it, so a damaged or hostile header must
+// be refused here, before anything it names is allocated or read.
+func (h *header) validate(numPages int) error {
+	pages := uint64(numPages)
+	if h.d < 1 {
+		return fmt.Errorf("storage: header: %d cost types", h.d)
+	}
+	for _, p := range []struct {
+		name string
+		id   PageID
+	}{
+		{"adjacency tree root", h.adjTreeRoot},
+		{"facility tree root", h.facTreeRoot},
+		{"edge tree root", h.edgeTreeRoot},
+		{"adjacency file", h.adjFileFirst},
+		{"facility file", h.facFileFirst},
+		{"checksum table", h.checksumFirst},
+		{"bounds table", h.boundsFirst},
+	} {
+		if uint64(p.id) >= pages {
+			return fmt.Errorf("storage: header: %s at page %d, device has %d pages", p.name, p.id, numPages)
+		}
+	}
+	if uint64(h.checksumPages) >= pages {
+		return fmt.Errorf("storage: header: checksums cover %d pages, device has %d", h.checksumPages, numPages)
+	}
+	if end := uint64(h.checksumFirst) + tablePages(uint64(h.checksumPages)); end > pages {
+		return fmt.Errorf("storage: header: checksum table ends at page %d, device has %d pages", end, numPages)
+	}
+	// d < 2^16 and numNodes < 2^32, so the product cannot overflow.
+	if end := uint64(h.boundsFirst) + tablePages(uint64(h.d)*uint64(h.numNodes)); end > pages {
+		return fmt.Errorf("storage: header: bounds table ends at page %d, device has %d pages", end, numPages)
+	}
+	return nil
+}
+
 // Build writes the database for g onto dev, which must be empty. The
 // pruning-bounds table is computed and embedded as part of the build; use
 // BuildIndexed to also receive the computed index (mcngen reports its size

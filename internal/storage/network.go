@@ -51,7 +51,7 @@ func Open(dev Device, bufferFrac float64) (*Network, error) {
 }
 
 // OpenOptions is Open with explicit buffer-pool tuning (shard count,
-// replacement policy, miss coalescing).
+// replacement policy, read retries).
 func OpenOptions(dev Device, bufferFrac float64, opts PoolOptions) (*Network, error) {
 	pool := NewBufferPoolFrac(dev, bufferFrac, opts)
 	return OpenWithPool(dev, pool)
@@ -68,6 +68,9 @@ func OpenWithPool(dev Device, pool *BufferPool) (*Network, error) {
 	}
 	hdr, err := decodeHeader(buf)
 	if err != nil {
+		return nil, err
+	}
+	if err := hdr.validate(dev.NumPages()); err != nil {
 		return nil, err
 	}
 	// Load the checksum table (8 bytes per covered page, ~0.2% of the

@@ -2,9 +2,11 @@ package storage
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -327,5 +329,87 @@ func TestOpenRejectsOtherLayoutVersions(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "mcngen") {
 			t.Errorf("version %d: Open error = %v, want one that says to regenerate with mcngen", v, err)
 		}
+	}
+}
+
+// patchedHeader serves page0 in place of the wrapped device's header page.
+type patchedHeader struct {
+	Device
+	page0 []byte
+}
+
+func (d *patchedHeader) ReadPage(id PageID, buf []byte) error {
+	if id == 0 {
+		copy(buf, d.page0)
+		return nil
+	}
+	return d.Device.ReadPage(id, buf)
+}
+
+// The header page is the one page no checksum covers. Overwriting any of its
+// sizes or page ids with an out-of-range value must make Open fail cleanly —
+// not panic, and not allocate a table sized from the damaged value.
+func TestOpenRejectsDamagedHeader(t *testing.T) {
+	clean, err := BuildMem(sampleGraph(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := make([]byte, PageSize)
+	if err := clean.ReadPage(0, orig); err != nil {
+		t.Fatal(err)
+	}
+	numPages := uint32(clean.NumPages())
+	le := binary.LittleEndian
+
+	type damage struct {
+		name    string
+		apply   func(buf []byte)
+		mustErr bool
+	}
+	var cases []damage
+	for _, f := range []struct {
+		name string
+		off  int
+	}{
+		{"adjTreeRoot", 24}, {"facTreeRoot", 28}, {"edgeTreeRoot", 32},
+		{"adjFileFirst", 36}, {"facFileFirst", 40},
+		{"checksumFirst", 44}, {"checksumPages", 48}, {"boundsFirst", 52},
+	} {
+		for _, v := range []uint32{0xFFFFFFFF, numPages} {
+			f, v := f, v
+			cases = append(cases, damage{
+				fmt.Sprintf("%s=%#x", f.name, v),
+				func(buf []byte) { le.PutUint32(buf[f.off:], v) },
+				true,
+			})
+		}
+	}
+	cases = append(cases,
+		damage{"d=0", func(buf []byte) { le.PutUint16(buf[6:], 0) }, true},
+		damage{"d=0xffff", func(buf []byte) { le.PutUint16(buf[6:], 0xFFFF) }, true},
+		damage{"numNodes=0xffffffff", func(buf []byte) { le.PutUint32(buf[12:], 0xFFFFFFFF) }, true},
+		// In-range sizes that disagree with the tables are caught later, by
+		// the bounds-table arity check or not at all; Open must just not
+		// panic on them.
+		damage{"d=numPages", func(buf []byte) { le.PutUint16(buf[6:], uint16(numPages)) }, false},
+		damage{"numNodes=numPages", func(buf []byte) { le.PutUint32(buf[12:], numPages) }, false},
+	)
+
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			page0 := append([]byte(nil), orig...)
+			c.apply(page0)
+			dev := &patchedHeader{Device: clean, page0: page0}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Open(dev, 0.3)
+			runtime.ReadMemStats(&after)
+			if c.mustErr && err == nil {
+				t.Error("Open accepted the damaged header")
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+				t.Errorf("Open allocated %d MiB on a %d-page database", grew>>20, numPages)
+			}
+		})
 	}
 }

@@ -179,12 +179,12 @@ func TestPinEvictStress(t *testing.T) {
 		{1, PoolOptions{}},
 		{4, PoolOptions{Shards: 4}},
 		{4, PoolOptions{Shards: 1, Policy: PolicyLRU}},
-		{8, PoolOptions{Shards: 2, Policy: PolicyLRU, NoCoalesce: true}},
-		{6, PoolOptions{Shards: 2, NoCoalesce: true}},
+		{8, PoolOptions{Shards: 2, Policy: PolicyLRU}},
+		{6, PoolOptions{Shards: 2}},
 		{0, PoolOptions{}},
 	} {
 		tc.opts.Retry = RetryPolicy{MaxRetries: 1, BaseBackoff: time.Microsecond, MaxBackoff: 5 * time.Microsecond}
-		name := fmt.Sprintf("cap=%d_shards=%d_%v_nocoalesce=%v", tc.capacity, tc.opts.Shards, tc.opts.Policy, tc.opts.NoCoalesce)
+		name := fmt.Sprintf("cap=%d_shards=%d_%v", tc.capacity, tc.opts.Shards, tc.opts.Policy)
 		t.Run(name, func(t *testing.T) {
 			mem, want := randomDevice(t, pages, 11)
 			pool := NewBufferPool(&flakyDevice{Device: mem}, tc.capacity, tc.opts)

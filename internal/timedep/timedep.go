@@ -515,10 +515,8 @@ func (n *Network) WithinAt(ctx context.Context, loc graph.Location, budget vec.C
 
 // SkylineOverPeriod returns the skyline for every instant in [from, to): one
 // entry per maximal sub-interval with a constant skyline. Cancelling ctx
-// aborts the sweep between intervals and, through opt's interrupt hook,
-// inside each per-interval query.
+// aborts the sweep between intervals and inside each per-interval query.
 func (n *Network) SkylineOverPeriod(ctx context.Context, loc graph.Location, from, to float64, opt core.Options) ([]IntervalResult, error) {
-	opt = opt.BindContext(ctx)
 	return n.overPeriod(ctx, loc, from, to, opt, func(v *flat.View, opt core.Options) (*core.Result, error) {
 		return core.Skyline(v, loc, opt)
 	})
@@ -526,7 +524,6 @@ func (n *Network) SkylineOverPeriod(ctx context.Context, loc graph.Location, fro
 
 // TopKOverPeriod returns the top-k set for every instant in [from, to).
 func (n *Network) TopKOverPeriod(ctx context.Context, loc graph.Location, agg vec.Aggregate, k int, from, to float64, opt core.Options) ([]IntervalResult, error) {
-	opt = opt.BindContext(ctx)
 	return n.overPeriod(ctx, loc, from, to, opt, func(v *flat.View, opt core.Options) (*core.Result, error) {
 		return core.TopK(v, loc, agg, k, opt)
 	})
@@ -547,7 +544,9 @@ func (n *Network) overPeriod(ctx context.Context, loc graph.Location, from, to f
 	if err != nil {
 		return nil, err
 	}
-	opt, release := c.queryScratch(opt)
+	// Bound once for the whole sweep, so a deadline that passes inside an
+	// interval stops that interval's query at its next pop.
+	opt, release := c.queryScratch(opt.BindContext(ctx))
 	defer release()
 	breaks := n.Breakpoints(from, to)
 	var out []IntervalResult

@@ -2,6 +2,7 @@ package timedep
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -310,5 +311,59 @@ func TestBreakpoints(t *testing.T) {
 	}
 	if math.IsNaN(got[0]) {
 		t.Error("unexpected NaN")
+	}
+}
+
+// pollCancelCtx reports itself cancelled from its n-th Err call on, so a test
+// can place a cancellation at an exact poll instead of at a wall-clock time.
+type pollCancelCtx struct {
+	context.Context
+	done  chan struct{}
+	after int
+	polls int
+}
+
+func (c *pollCancelCtx) Done() <-chan struct{} { return c.done }
+
+func (c *pollCancelCtx) Err() error {
+	c.polls++
+	if c.polls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A period sweep must observe its context inside an interval, not only
+// between intervals: a deadline that passes while one per-interval query is
+// running aborts that query at its next pop. The context here cancels at its
+// third poll; the sweep polls once on entering the first interval, so the
+// cancellation can only be seen by the per-interval query itself.
+func TestOverPeriodCancelsInsideInterval(t *testing.T) {
+	n, locs := randomProfiled(t, false, 1)
+	if len(n.Breakpoints(0, 100)) < 2 {
+		t.Fatal("instance has a single interval; the test needs a sweep")
+	}
+	agg := vec.NewWeighted(1, 1, 1)
+	for name, sweep := range map[string]func(context.Context) ([]IntervalResult, error){
+		"skyline": func(ctx context.Context) ([]IntervalResult, error) {
+			return n.SkylineOverPeriod(ctx, locs[0], 0, 100, core.Options{})
+		},
+		"topk": func(ctx context.Context) ([]IntervalResult, error) {
+			return n.TopKOverPeriod(ctx, locs[0], agg, 3, 0, 100, core.Options{})
+		},
+	} {
+		full, err := sweep(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &pollCancelCtx{Context: ctx, done: make(chan struct{}), after: 2}
+		got, err := sweep(c)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: sweep returned %d intervals, err %v; want context.Canceled (uncancelled sweep: %d intervals)",
+				name, len(got), err, len(full))
+		}
+		if c.polls != 3 {
+			t.Errorf("%s: context polled %d times, want the sweep to stop at poll 3", name, c.polls)
+		}
 	}
 }

@@ -15,18 +15,6 @@ type Aggregate interface {
 	Dims() int
 }
 
-// ComponentScorer is implemented by aggregates that can bound their score
-// from below through a single component: for every complete cost vector c,
-// Score(c) >= ComponentScore(i, c[i]) must hold for every i. The top-k
-// driver uses it to turn a per-criterion distance lower bound into an
-// aggregate-score lower bound for expansion pruning; aggregates without it
-// (e.g. an arbitrary Func) simply run unpruned.
-type ComponentScorer interface {
-	// ComponentScore returns a lower bound on the score of any vector whose
-	// i-th component is at least x.
-	ComponentScore(i int, x float64) float64
-}
-
 // Weighted is the linear aggregate f(p) = Σ αᵢ·cᵢ(p) used throughout the
 // paper's evaluation (Sec. VI, coefficients αᵢ ∈ [0, 1]).
 type Weighted struct {
@@ -59,15 +47,6 @@ func (w Weighted) Score(c Costs) float64 {
 
 // Dims implements Aggregate.
 func (w Weighted) Dims() int { return len(w.Coef) }
-
-// ComponentScore implements ComponentScorer: the i-th term alone, valid as a
-// lower bound because every other term is non-negative.
-func (w Weighted) ComponentScore(i int, x float64) float64 {
-	if w.Coef[i] == 0 {
-		return 0 // avoid 0·(+Inf) = NaN; a zero-weight component bounds nothing
-	}
-	return w.Coef[i] * x
-}
 
 // MaxAgg is the increasingly monotone aggregate f(p) = max_i αᵢ·cᵢ(p)
 // (weighted Chebyshev). It is useful when the worst criterion should drive
@@ -103,15 +82,6 @@ func (m MaxAgg) Score(c Costs) float64 {
 
 // Dims implements Aggregate.
 func (m MaxAgg) Dims() int { return len(m.Coef) }
-
-// ComponentScore implements ComponentScorer: the maximum is at least its
-// i-th term.
-func (m MaxAgg) ComponentScore(i int, x float64) float64 {
-	if m.Coef[i] == 0 {
-		return 0
-	}
-	return m.Coef[i] * x
-}
 
 // Func adapts a plain function to the Aggregate interface. The caller is
 // responsible for the function being increasingly monotone.

@@ -120,8 +120,7 @@ type (
 	// singleflight miss coalescing and incremental invalidation (see
 	// Network.EnableResultCache and ARCHITECTURE.md "Result cache").
 	ResultCache = rescache.Cache
-	// CacheOptions tunes a ResultCache: entry capacity, shard count, miss
-	// coalescing.
+	// CacheOptions tunes a ResultCache: entry capacity and shard count.
 	CacheOptions = rescache.Options
 	// CacheStats is an aggregate snapshot of a ResultCache's counters.
 	CacheStats = rescache.Stats
@@ -254,14 +253,6 @@ func WithoutEnhancements() Option {
 	return func(o *core.Options) { o.NoEnhancements = true }
 }
 
-// WithoutPruning disables the precomputed lower-bound pruning index for this
-// query, for ablation experiments and pruned-vs-unpruned comparisons.
-// Results are unchanged — pruning only ever reduces the work statistics.
-// Network.DisablePruning detaches the index for every future query instead.
-func WithoutPruning() Option {
-	return func(o *core.Options) { o.NoPrune = true }
-}
-
 func buildOptions(opts []Option) core.Options {
 	var o core.Options
 	for _, fn := range opts {
@@ -291,7 +282,7 @@ type Network struct {
 	// bounds is the precomputed lower-bound pruning index: built at
 	// FromGraph time for in-memory networks, loaded from the bounds table
 	// for disk databases. Attached to every query by default; see
-	// WithoutPruning and DisablePruning.
+	// DisablePruning.
 	bounds *index.Bounds
 }
 
@@ -857,9 +848,8 @@ func (n *Network) FlushResultCache() {
 
 // DisablePruning detaches the lower-bound pruning index from the network:
 // every future query (including executors created afterwards) runs unpruned,
-// as if the index had never been built. For a per-query opt-out use the
-// WithoutPruning option instead. Call it before queries start; it must not
-// race in-flight queries.
+// as if the index had never been built. Call it before queries start; it
+// must not race in-flight queries.
 func (n *Network) DisablePruning() { n.bounds = nil }
 
 // IndexStats describes the pruning index attached to a network.
