@@ -12,7 +12,7 @@ CHAOS_SCHEDULES ?= 1000
 
 .PHONY: build examples test race bench benchmem profile fmt vet lint cover ci \
 	serve clean vulncheck fuzz docscheck chaos chaossmoke \
-	cluster-smoke soak-smoke benchverify
+	cluster-smoke soak-smoke benchverify paperio
 
 build:
 	$(GO) build ./...
@@ -93,6 +93,24 @@ cover:
 benchverify:
 	$(GO) run ./benchmark -verify
 
+# The reproduction's own metric — page accesses per query behind the
+# paper's LRU buffer — must be a function of the query sequence alone: two
+# runs of the same figures have to print byte-identical phys_io, logical_io
+# and results columns (CSV columns 5, 6, 8; the timing columns legitimately
+# differ). An iteration order that reaches the store through a Go map fails
+# here.
+paperio:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	for run in 1 2; do \
+		$(GO) run ./cmd/mcnbench -exp fig8a,fig10a -scale 0.03 -queries 6 -csv "$$dir/$$run.csv" >/dev/null || exit 1; \
+		cut -d, -f1-3,5,6,8 "$$dir/$$run.csv" >"$$dir/$$run.io"; \
+	done && \
+	if diff "$$dir/1.io" "$$dir/2.io"; then \
+		echo "paperio ok: $$(($$(wc -l <"$$dir/1.io") - 1)) rows identical across two runs"; \
+	else \
+		echo "FAIL: fig. 8a/10a page accesses differ between two runs of the same binary"; exit 1; \
+	fi
+
 # Chaos harness. chaossmoke is the CI job: the -short schedule counts under
 # the race detector (~30s). chaos is the long-mode run (CHAOS_SCHEDULES
 # randomized fault schedules, default 1000) for release qualification or
@@ -153,7 +171,8 @@ docscheck:
 
 # cover subsumes race (it runs the suite with -race), so ci does not run
 # both.
-ci: fmt vet build examples cover bench benchmem lint vulncheck docscheck
+ci: fmt vet build examples cover bench benchmem lint vulncheck docscheck \
+	benchverify paperio
 
 # Serve a synthetic network locally (see cmd/mcnserve for flags).
 serve:

@@ -409,11 +409,9 @@ func BenchmarkIncrementalTopK(b *testing.B) {
 }
 
 // BenchmarkTopKIteratorNext measures the closeable incremental iterator:
-// creation plus the first 4 Next calls, over one shared in-memory network.
-// The map sub-benchmark is the pre-v2 configuration (map-based expansion
-// state); flat+scratch is what the facade now does — TopKIterator borrows a
-// pooled dense scratch and returns it on Close. The allocs/op delta is the
-// PR's iterator acceptance metric.
+// creation plus the first 4 Next calls, over one shared in-memory network —
+// the MemorySource reference against the flat CSR source the facade uses.
+// Either way the iterator holds pooled scratch until Close.
 func BenchmarkTopKIteratorNext(b *testing.B) {
 	w := baseWorkload(b)
 	mds, err := bench.BuildMemDataset(w)
@@ -426,7 +424,7 @@ func BenchmarkTopKIteratorNext(b *testing.B) {
 	}
 	agg := vec.NewWeighted(coef...)
 
-	b.Run("map", func(b *testing.B) {
+	b.Run("mem", func(b *testing.B) {
 		src := expand.NewMemorySource(mds.Graph)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -443,18 +441,15 @@ func BenchmarkTopKIteratorNext(b *testing.B) {
 			it.Close()
 		}
 	})
-	b.Run("flat+scratch", func(b *testing.B) {
+	b.Run("flat", func(b *testing.B) {
 		src := flat.Compile(mds.Graph)
-		pool := expand.NewPool(src)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sc := pool.Get()
-			it, err := core.NewTopKIterator(src, mds.Queries[i%len(mds.Queries)], agg, core.Options{Scratch: sc})
+			it, err := core.NewTopKIterator(src, mds.Queries[i%len(mds.Queries)], agg, core.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			it.SetRelease(func() { pool.Put(sc) })
 			for n := 0; n < 4; n++ {
 				if _, ok, err := it.Next(); err != nil || !ok {
 					break

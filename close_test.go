@@ -4,16 +4,34 @@ import (
 	"errors"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"mcn/internal/core"
 	"mcn/internal/dynamic"
+	"mcn/internal/expand"
 	"mcn/internal/flat"
 )
 
-// Close must run the release hook exactly once no matter how many
-// goroutines race on it (run with -race), and Next must fail closed.
+// distinctScratches fails the test if the pool hands the same scratch to two
+// holders at once — what a scratch released twice leads to.
+func distinctScratches(t *testing.T, src expand.Source, trial int) {
+	t.Helper()
+	held := make(map[*expand.Scratch]bool)
+	for i := 0; i < 16; i++ {
+		sc := expand.Acquire(src)
+		if held[sc] {
+			t.Fatalf("trial %d: the pool handed out one scratch twice: it was released more than once", trial)
+		}
+		held[sc] = true
+	}
+	for sc := range held {
+		sc.Release()
+	}
+}
+
+// Close must release the scratch exactly once no matter how many goroutines
+// race on it (run with -race, which sees a second release as a write racing
+// the first), and Next must fail closed.
 func TestIteratorCloseReleasesOnce(t *testing.T) {
 	g := cityGraph(t)
 	src := flat.Compile(g)
@@ -26,8 +44,6 @@ func TestIteratorCloseReleasesOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var released atomic.Int32
-		it.SetRelease(func() { released.Add(1) })
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {
 			wg.Add(1)
@@ -37,9 +53,7 @@ func TestIteratorCloseReleasesOnce(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if n := released.Load(); n != 1 {
-			t.Fatalf("trial %d: release ran %d times, want exactly 1", trial, n)
-		}
+		distinctScratches(t, src, trial)
 		if _, _, err := it.Next(); !errors.Is(err, ErrIteratorClosed) {
 			t.Fatalf("Next after Close: err = %v, want ErrIteratorClosed", err)
 		}
@@ -60,8 +74,6 @@ func TestMaintainerCloseReleasesOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var released atomic.Int32
-		m.SetRelease(func() { released.Add(1) })
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {
 			wg.Add(1)
@@ -71,9 +83,7 @@ func TestMaintainerCloseReleasesOnce(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if n := released.Load(); n != 1 {
-			t.Fatalf("trial %d: release ran %d times, want exactly 1", trial, n)
-		}
+		distinctScratches(t, net.src, trial)
 		if _, err := m.Insert(0, 0.5); !errors.Is(err, ErrMaintainerClosed) {
 			t.Fatalf("Insert after Close: err = %v, want ErrMaintainerClosed", err)
 		}

@@ -271,16 +271,22 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 // bounds per replica, and each part fails over to the other replicas: its
 // sub-range has one primary but any replica can answer it.
 //
+// Leg requests are always MCNB; leg responses are in the client's codec.
 // Every leg is an MCNB request frame to the replica's /v1/query — request
 // floats are float64 in the frame, so the sub-range bounds arrive exact —
 // with Accept set to the client's response codec: binary clients get
 // float32-narrowed parts that re-encode byte-identically, JSON clients get
 // float64 parts, so the merged answer is byte-identical to a single
-// replica's in either codec.
+// replica's in either codec. That is why the gateway has a JSON leg decoder
+// beside the MCNB one: asking for MCNB parts on behalf of a JSON client
+// would narrow its floats to float32.
 func (g *Gateway) fanOut(w http.ResponseWriter, r *http.Request, q *wire.Request, mode wire.Mode, avail []*Backend, bounds []float64) {
 	start := time.Now()
 	g.scattered.Add(1)
-	accept, decode := wire.ContentTypeJSON, decodeInto
+	accept, decode := wire.ContentTypeJSON, decodeResultInto
+	if q.Period() {
+		decode = decodePeriodInto
+	}
 	if mode == wire.ModeBinary {
 		accept, decode = wire.ContentTypeBinary, decodeWireInto
 	}
@@ -504,19 +510,23 @@ func (g *Gateway) gather(r *http.Request, cands []*Backend, spec gatherSpec) gat
 	return out
 }
 
-// decodeInto decodes a JSON 200 body as both envelopes — the merge reads
-// the one its kind needs, and decoding the other yields zero values it
-// ignores.
-func decodeInto(out *gathered, body []byte) error {
+// decodeResultInto parses the JSON 200 body of a multi-source leg for merging.
+func decodeResultInto(out *gathered, body []byte) error {
 	var res wire.Result
 	if err := json.Unmarshal(body, &res); err != nil {
 		return err
 	}
+	out.result = &res
+	return nil
+}
+
+// decodePeriodInto parses the JSON 200 body of a period leg for merging.
+func decodePeriodInto(out *gathered, body []byte) error {
 	var per wire.PeriodResult
 	if err := json.Unmarshal(body, &per); err != nil {
 		return err
 	}
-	out.result, out.period = &res, &per
+	out.period = &per
 	return nil
 }
 

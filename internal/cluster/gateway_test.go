@@ -385,7 +385,7 @@ func TestGatherBailsOnClientCancel(t *testing.T) {
 			cancel() // the client hangs up mid-attempt
 			return nil, fmt.Errorf("transport: connection reset")
 		},
-		decode: decodeInto,
+		decode: decodeResultInto,
 	})
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("gather tried %d candidates after the client cancelled, want 1", got)

@@ -43,7 +43,7 @@ func fuzzInstance(t *testing.T, seed int64, nodes, extra, facs, d, locBits uint8
 //  3. bounds are ignored: attaching the lower-bound pruning index changes
 //     neither the result nor the work statistics (top-k has no prune hook);
 //
-// across the map-state and the flat/scratch fast path. Run `make fuzz` for a
+// across the MemorySource reference and the flat CSR path. Run `make fuzz` for a
 // fuzzing session; CI runs a short smoke.
 func FuzzTopKInvariants(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(4), uint8(4), uint8(2), uint8(0), true, uint8(3), uint8(9))
@@ -68,16 +68,14 @@ func FuzzTopKInvariants(f *testing.F) {
 		bounds := index.FromGraph(g)
 
 		fs := flat.Compile(g)
-		sc := expand.NewScratch(fs.NumNodes(), fs.NumEdges(), fs.NumFacilities())
 		for _, run := range []struct {
 			name string
 			opt  Options
 			src  expand.Source
 		}{
-			{"map/LSA", Options{}, mem},
-			{"flat/CEA/scratch", Options{Engine: CEA, Scratch: sc}, fs},
+			{"mem/LSA", Options{}, mem},
+			{"flat/CEA", Options{Engine: CEA}, fs},
 		} {
-			sc.Reset()
 			res, err := TopK(run.src, loc, agg, k, run.opt)
 			if err != nil {
 				t.Fatalf("%s: %v", run.name, err)
@@ -93,7 +91,6 @@ func FuzzTopKInvariants(f *testing.F) {
 
 			prunedOpt := run.opt
 			prunedOpt.Bounds = bounds
-			sc.Reset()
 			pruned, err := TopK(run.src, loc, agg, k, prunedOpt)
 			if err != nil {
 				t.Fatalf("%s pruned: %v", run.name, err)
@@ -146,16 +143,14 @@ func FuzzWithinInvariants(f *testing.F) {
 		bounds := index.FromGraph(g)
 
 		fs := flat.Compile(g)
-		sc := expand.NewScratch(fs.NumNodes(), fs.NumEdges(), fs.NumFacilities())
 		for _, run := range []struct {
 			name string
 			opt  Options
 			src  expand.Source
 		}{
-			{"map/LSA", Options{}, mem},
-			{"flat/CEA/scratch", Options{Engine: CEA, Scratch: sc}, fs},
+			{"mem/LSA", Options{}, mem},
+			{"flat/CEA", Options{Engine: CEA}, fs},
 		} {
-			sc.Reset()
 			res, err := Within(run.src, loc, budget, run.opt)
 			if err != nil {
 				t.Fatalf("%s: %v", run.name, err)
@@ -182,7 +177,6 @@ func FuzzWithinInvariants(f *testing.F) {
 
 			prunedOpt := run.opt
 			prunedOpt.Bounds = bounds
-			sc.Reset()
 			pruned, err := Within(run.src, loc, budget, prunedOpt)
 			if err != nil {
 				t.Fatalf("%s pruned: %v", run.name, err)

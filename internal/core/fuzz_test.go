@@ -22,8 +22,8 @@ import (
 //     reported one, or ties one exactly (the documented tie semantics).
 //
 // It also cross-checks the reported vectors against the materialised ones
-// and runs both the map-state and the flat/scratch fast path, so a fuzzed
-// counterexample in either backing fails loudly. Run `make fuzz` for a
+// and runs both the MemorySource reference (undeclared id spaces, LSA) and
+// the flat CSR path (CEA), so a fuzzed counterexample on either fails loudly. Run `make fuzz` for a
 // fuzzing session; CI runs a short smoke.
 func FuzzSkylineInvariants(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(4), uint8(4), uint8(2), uint8(0), true)
@@ -52,16 +52,14 @@ func FuzzSkylineInvariants(f *testing.F) {
 		}
 
 		fs := flat.Compile(g)
-		sc := expand.NewScratch(fs.NumNodes(), fs.NumEdges(), fs.NumFacilities())
 		for _, run := range []struct {
 			name string
 			opt  Options
 			src  expand.Source
 		}{
-			{"map/LSA", Options{}, mem},
-			{"flat/CEA/scratch", Options{Engine: CEA, Scratch: sc}, fs},
+			{"mem/LSA", Options{}, mem},
+			{"flat/CEA", Options{Engine: CEA}, fs},
 		} {
-			sc.Reset()
 			res, err := Skyline(run.src, loc, run.opt)
 			if err != nil {
 				t.Fatalf("%s: %v", run.name, err)

@@ -22,15 +22,14 @@ var ErrIteratorClosed = errors.New("core: top-k iterator closed")
 // times the iterator enumerates every facility reachable under at least one
 // cost type in ascending score order.
 //
-// Iterators outlive the call that created them and may hold borrowed pooled
-// state (Options.Scratch); callers must Close them when done pulling
-// results. Next is single-goroutine, but Close is safe to call from any
-// goroutine, any number of times — it waits for an in-flight Next to return
-// (the closed flag makes it return promptly, at its next poll) and runs the
-// release hook exactly once, so the scratch is never handed back to the
-// pool while a Next is still expanding on it.
+// Iterators outlive the call that created them and hold pooled expansion
+// state; callers must Close them when done pulling results. Next is
+// single-goroutine, but Close is safe to call from any goroutine, any number
+// of times — it waits for an in-flight Next to return (the closed flag makes
+// it return promptly, at its next poll) and releases the state exactly once,
+// so the scratch is never handed back to the pool while a Next is still
+// expanding on it.
 type TopKIterator struct {
-	src expand.Source
 	agg vec.Aggregate
 	opt Options
 	d   int
@@ -38,17 +37,16 @@ type TopKIterator struct {
 	exps      []*expand.Expansion
 	exhausted []bool
 
-	tracked map[graph.FacilityID]*tracked
-	scores  map[graph.FacilityID]float64
+	tracked trackedSet
 	ready   []*tracked // pinned, unreported, sorted by (score, id)
 	drained bool
 	stats   Stats
 
+	sc        *expand.Scratch
 	closed    atomic.Bool
 	closeOnce sync.Once
-	release   func()
 	// mu serialises Next against the releasing half of Close: Close may not
-	// return borrowed scratch while a Next is still expanding on it.
+	// return the scratch while a Next is still expanding on it.
 	mu sync.Mutex
 }
 
@@ -57,34 +55,27 @@ func NewTopKIterator(src expand.Source, loc graph.Location, agg vec.Aggregate, o
 	if agg.Dims() != src.D() {
 		return nil, fmt.Errorf("core: aggregate expects %d cost types, network has %d", agg.Dims(), src.D())
 	}
-	it := &TopKIterator{
-		src:     engineSource(src, opt.Engine),
-		agg:     agg,
-		opt:     opt,
-		tracked: make(map[graph.FacilityID]*tracked),
-		scores:  make(map[graph.FacilityID]float64),
+	sc := expand.Acquire(src)
+	shared := engineSource(src, opt.Engine)
+	exps, err := perCost(shared, loc, sc)
+	if err != nil {
+		sc.Release()
+		return nil, err
 	}
-	it.d = it.src.D()
-	it.exps = make([]*expand.Expansion, it.d)
-	it.exhausted = make([]bool, it.d)
-	for i := 0; i < it.d; i++ {
-		x, err := expand.New(it.src, i, loc, expand.WithScratch(opt.Scratch))
-		if err != nil {
-			return nil, err
-		}
-		it.exps[i] = x
-	}
-	return it, nil
+	return &TopKIterator{
+		agg:       agg,
+		opt:       opt,
+		d:         len(exps),
+		exps:      exps,
+		exhausted: make([]bool, len(exps)),
+		tracked:   newTrackedSet(),
+		sc:        sc,
+	}, nil
 }
 
-// SetRelease registers fn to run exactly once when the iterator is closed;
-// the facade uses it to return borrowed pooled scratch. It must be called
-// before the iterator is shared across goroutines.
-func (it *TopKIterator) SetRelease(fn func()) { it.release = fn }
-
-// Close ends the query and releases any borrowed state. It is idempotent
+// Close ends the query and releases its expansion state. It is idempotent
 // and safe for concurrent use: however many goroutines race on it, the
-// release hook runs exactly once, and never before an in-flight Next has
+// scratch is released exactly once, and never before an in-flight Next has
 // returned (the closed flag aborts it at its next poll). After Close, Next
 // returns ErrIteratorClosed.
 func (it *TopKIterator) Close() error {
@@ -92,9 +83,7 @@ func (it *TopKIterator) Close() error {
 	it.closeOnce.Do(func() {
 		it.mu.Lock() // drain an in-flight Next before releasing its scratch
 		defer it.mu.Unlock()
-		if it.release != nil {
-			it.release()
-		}
+		it.sc.Release()
 	})
 	return nil
 }
@@ -149,8 +138,7 @@ func (it *TopKIterator) tryReport() (Facility, bool) {
 	if len(it.ready) == 0 {
 		return Facility{}, false
 	}
-	best := it.ready[0]
-	bestScore := it.scores[best.id]
+	bestScore := it.ready[0].score
 
 	heads := make(vec.Costs, it.d)
 	for i, x := range it.exps {
@@ -159,7 +147,7 @@ func (it *TopKIterator) tryReport() (Facility, bool) {
 	if it.agg.Score(heads) < bestScore {
 		return Facility{}, false // an unseen facility could still score lower
 	}
-	for _, q := range it.tracked {
+	for _, q := range it.tracked.order {
 		if q.pinned {
 			continue
 		}
@@ -173,7 +161,7 @@ func (it *TopKIterator) tryReport() (Facility, bool) {
 func (it *TopKIterator) pop() Facility {
 	tr := it.ready[0]
 	it.ready = it.ready[1:]
-	return Facility{ID: tr.id, Costs: tr.costs.Clone(), Score: it.scores[tr.id]}
+	return Facility{ID: tr.id, Costs: tr.costs.Clone(), Score: tr.score}
 }
 
 // advance performs one round-robin pass: each live expansion reports its
@@ -194,10 +182,9 @@ func (it *TopKIterator) advance() (bool, error) {
 		}
 		progressed = true
 		it.stats.Pops++
-		tr := it.tracked[p]
+		tr := it.tracked.byID[p]
 		if tr == nil {
-			tr = newTracked(p, it.d)
-			it.tracked[p] = tr
+			tr = it.tracked.add(p, it.d)
 			it.stats.Tracked++
 		}
 		pinnedNow, err := tr.setCost(i, c)
@@ -212,15 +199,8 @@ func (it *TopKIterator) advance() (bool, error) {
 }
 
 func (it *TopKIterator) push(tr *tracked) {
-	score := it.agg.Score(tr.costs)
-	it.scores[tr.id] = score
-	at := sort.Search(len(it.ready), func(i int) bool {
-		si := it.scores[it.ready[i].id]
-		if si != score {
-			return si > score
-		}
-		return it.ready[i].id > tr.id
-	})
+	tr.score = it.agg.Score(tr.costs)
+	at := sort.Search(len(it.ready), func(i int) bool { return tr.before(it.ready[i]) })
 	it.ready = append(it.ready, nil)
 	copy(it.ready[at+1:], it.ready[at:])
 	it.ready[at] = tr
@@ -233,7 +213,7 @@ func (it *TopKIterator) drainFill() {
 		return
 	}
 	it.drained = true
-	for _, tr := range it.tracked {
+	for _, tr := range it.tracked.order {
 		if tr.pinned {
 			continue
 		}

@@ -16,14 +16,16 @@ import (
 // d complete network expansions from loc, materialising the full cost vector
 // of every reachable facility (the entire MCN is read d times). Facilities
 // unreachable under a cost type get +Inf there; facilities reachable under
-// no cost type do not appear. Only opt.Interrupt (polled per pop) and
-// opt.Scratch are consulted.
+// no cost type do not appear. Only opt.Interrupt (polled per pop) is
+// consulted.
 func MaterializeAll(src expand.Source, loc graph.Location, opt Options) (map[graph.FacilityID]vec.Costs, Stats, error) {
 	d := src.D()
 	out := make(map[graph.FacilityID]vec.Costs)
 	var stats Stats
+	sc := expand.Acquire(src)
+	defer sc.Release()
 	for i := 0; i < d; i++ {
-		x, err := expand.New(src, i, loc, expand.WithScratch(opt.Scratch))
+		x, err := expand.New(src, i, loc, sc)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -57,8 +59,7 @@ func MaterializeAll(src expand.Source, loc graph.Location, opt Options) (map[gra
 
 // NaiveSkyline is the baseline skyline: materialise every cost vector, then
 // run a conventional skyline operator (BNL). Results are sorted by facility
-// id; the baseline is not progressive. Only opt.Interrupt and opt.Scratch
-// are consulted.
+// id; the baseline is not progressive. Only opt.Interrupt is consulted.
 func NaiveSkyline(src expand.Source, loc graph.Location, opt Options) (*Result, error) {
 	vectors, stats, err := MaterializeAll(src, loc, opt)
 	if err != nil {
@@ -101,6 +102,8 @@ func Within(src expand.Source, loc graph.Location, budget vec.Costs, opt Options
 	if !budget.Complete() {
 		return nil, fmt.Errorf("core: budget must be fully specified")
 	}
+	sc := expand.Acquire(src)
+	defer sc.Release()
 	shared := engineSource(src, opt.Engine)
 	d := shared.D()
 	type partial struct {
@@ -110,7 +113,7 @@ func Within(src expand.Source, loc graph.Location, budget vec.Costs, opt Options
 	found := make(map[graph.FacilityID]*partial)
 	var stats Stats
 	for i := 0; i < d; i++ {
-		x, err := expand.New(shared, i, loc, expand.WithScratch(opt.Scratch))
+		x, err := expand.New(shared, i, loc, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +168,7 @@ func Within(src expand.Source, loc graph.Location, budget vec.Costs, opt Options
 }
 
 // NaiveTopK is the baseline top-k: materialise every cost vector, score all
-// facilities and sort. Only opt.Interrupt and opt.Scratch are consulted.
+// facilities and sort. Only opt.Interrupt is consulted.
 func NaiveTopK(src expand.Source, loc graph.Location, agg vec.Aggregate, k int, opt Options) (*Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: top-k requires k >= 1, got %d", k)

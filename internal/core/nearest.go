@@ -21,7 +21,9 @@ func Nearest(src expand.Source, loc graph.Location, costIdx, k int, opt Options)
 	if k < 1 {
 		return nil, fmt.Errorf("core: nearest requires k >= 1, got %d", k)
 	}
-	x, err := expand.New(src, costIdx, loc, expand.WithScratch(opt.Scratch))
+	sc := expand.Acquire(src)
+	defer sc.Release()
+	x, err := expand.New(src, costIdx, loc, sc)
 	if err != nil {
 		return nil, err
 	}

@@ -31,16 +31,14 @@ import (
 // horizon (fixed-k top-k and Within), where discards are provably
 // invisible; see Options.Bounds.
 func Skyline(src expand.Source, loc graph.Location, opt Options) (*Result, error) {
+	sc := expand.Acquire(src)
+	defer sc.Release()
 	shared := engineSource(src, opt.Engine)
-	exps := make([]*expand.Expansion, shared.D())
-	for i := range exps {
-		x, err := expand.New(shared, i, loc, expand.WithScratch(opt.Scratch))
-		if err != nil {
-			return nil, err
-		}
-		exps[i] = x
+	exps, err := perCost(shared, loc, sc)
+	if err != nil {
+		return nil, err
 	}
-	return skylineOverExpansions(shared, exps, opt, nil)
+	return skylineOverExpansions(shared, sc, exps, opt)
 }
 
 // MultiSourceSkyline computes the multi-source skyline of Deng et al. (ICDE
@@ -59,33 +57,32 @@ func MultiSourceSkyline(src expand.Source, costIdx int, locs []graph.Location, o
 	if costIdx < 0 || costIdx >= src.D() {
 		return nil, fmt.Errorf("core: cost index %d out of range (d=%d)", costIdx, src.D())
 	}
+	sc := expand.Acquire(src)
+	defer sc.Release()
 	shared := engineSource(src, opt.Engine)
-	exps := make([]*expand.Expansion, len(locs))
-	for i, loc := range locs {
-		x, err := expand.New(shared, costIdx, loc, expand.WithScratch(opt.Scratch))
-		if err != nil {
-			return nil, err
-		}
-		exps[i] = x
+	exps, err := perLocation(shared, costIdx, locs, sc)
+	if err != nil {
+		return nil, err
 	}
-	return skylineOverExpansions(shared, exps, opt, nil)
+	return skylineOverExpansions(shared, sc, exps, opt)
 }
 
 // skylineOverExpansions runs the growing/shrinking skyline driver over any
-// family of NN expansions; component i of every tracked cost vector is fed
-// by exps[i]. deliver, when non-nil, receives every confirmed facility in
-// emission order and may stop the query early by returning false (the
-// streaming surface); the driver then returns errStreamStopped. The OnResult
-// option is layered on the same hook by newSkylineRun.
-func skylineOverExpansions(src expand.Source, exps []*expand.Expansion, opt Options, deliver func(Facility) bool) (*Result, error) {
-	s := newSkylineRun(src, exps, opt, deliver)
+// family of NN expansions started on sc; component i of every tracked cost
+// vector is fed by exps[i].
+func skylineOverExpansions(src expand.Source, sc *expand.Scratch, exps []*expand.Expansion, opt Options) (*Result, error) {
+	s := newSkylineRun(src, sc, exps, opt, nil)
 	if err := s.run(); err != nil {
 		return nil, err
 	}
 	return s.result(), nil
 }
 
-func newSkylineRun(src expand.Source, exps []*expand.Expansion, opt Options, deliver func(Facility) bool) *skylineRun {
+// newSkylineRun prepares the driver. deliver, when non-nil, receives every
+// confirmed facility in emission order and may stop the query early by
+// returning false (the streaming surface); run then returns
+// errStreamStopped. The OnResult option is layered on the same hook.
+func newSkylineRun(src expand.Source, sc *expand.Scratch, exps []*expand.Expansion, opt Options, deliver func(Facility) bool) *skylineRun {
 	if deliver == nil {
 		cb := opt.OnResult
 		deliver = func(f Facility) bool {
@@ -103,9 +100,10 @@ func newSkylineRun(src expand.Source, exps []*expand.Expansion, opt Options, del
 	}
 	return &skylineRun{
 		src:       src,
+		sc:        sc,
 		opt:       opt,
 		deliver:   deliver,
-		tracked:   make(map[graph.FacilityID]*tracked),
+		tracked:   newTrackedSet(),
 		d:         len(exps),
 		exps:      exps,
 		exhausted: make([]bool, len(exps)),
@@ -114,6 +112,7 @@ func newSkylineRun(src expand.Source, exps []*expand.Expansion, opt Options, del
 
 type skylineRun struct {
 	src expand.Source
+	sc  *expand.Scratch
 	opt Options
 	d   int
 
@@ -125,7 +124,7 @@ type skylineRun struct {
 	exps      []*expand.Expansion
 	exhausted []bool
 
-	tracked    map[graph.FacilityID]*tracked
+	tracked    trackedSet
 	candidates int // |CS|: tracked with cand && !gone && !pinned
 	pending    []*tracked
 	skyOrder   []*tracked
@@ -199,7 +198,7 @@ func (s *skylineRun) active(i int) bool {
 	if s.opt.NoEnhancements {
 		return s.candidates > 0 || len(s.pending) > 0
 	}
-	for _, tr := range s.tracked {
+	for _, tr := range s.tracked.order {
 		if tr.gone || tr.pinned {
 			continue
 		}
@@ -215,7 +214,7 @@ func (s *skylineRun) active(i int) bool {
 
 func (s *skylineRun) onPop(i int, p graph.FacilityID, c float64) error {
 	s.stats.Pops++
-	tr := s.tracked[p]
+	tr := s.tracked.byID[p]
 	if tr == nil {
 		if s.shrinking {
 			// New facility encountered during shrinking: provably dominated
@@ -223,8 +222,7 @@ func (s *skylineRun) onPop(i int, p graph.FacilityID, c float64) error {
 			// enhancements enabled the expansion filter already drops these.
 			return nil
 		}
-		tr = newTracked(p, s.d)
-		s.tracked[p] = tr
+		tr = s.tracked.add(p, s.d)
 		s.stats.Tracked++
 	}
 	if tr.gone {
@@ -311,7 +309,7 @@ func (s *skylineRun) onPin(tr *tracked) error {
 }
 
 func (s *skylineRun) eliminateDominatedBy(tr *tracked) {
-	for _, q := range s.tracked {
+	for _, q := range s.tracked.order {
 		if q == tr || q.gone || q.inSky || q.pend {
 			continue
 		}
@@ -345,7 +343,7 @@ func (s *skylineRun) eliminateDominatedBy(tr *tracked) {
 // is never true — the first strict difference in a known dim or a frontier
 // already past tr's cost refutes q.
 func (s *skylineRun) blocked(tr *tracked) bool {
-	for _, q := range s.tracked {
+	for _, q := range s.tracked.order {
 		if q == tr || q.gone || q.pinned {
 			continue
 		}
@@ -410,43 +408,12 @@ func (s *skylineRun) emit(tr *tracked) {
 	}
 }
 
-// installFilters is the shrinking-stage optimisation: probe the facility
-// tree for each unresolved facility's edge, then restrict all expansions to
-// those edges and facilities, avoiding facility-file reads everywhere else.
-// The edge set lives in the query scratch when one is attached (a dense
-// epoch-stamped bitmap, cleared in O(1)), falling back to a map otherwise.
+// installFilters restricts the shrinking stage to the unresolved facilities
+// and their edges.
 func (s *skylineRun) installFilters() error {
-	allowEdge, add := edgeFilter(s.opt.Scratch, len(s.tracked))
-	for id, tr := range s.tracked {
-		if tr.gone || tr.pinned {
-			continue
-		}
-		e, err := s.src.FacilityEdge(id)
-		if err != nil {
-			return err
-		}
-		add(e)
-	}
-	allowFac := func(p graph.FacilityID) bool {
-		tr := s.tracked[p]
-		return tr != nil && !tr.gone && !tr.pinned
-	}
-	for _, x := range s.exps {
-		x.SetFilter(allowEdge, allowFac)
-	}
-	return nil
-}
-
-// edgeFilter returns a membership predicate and an insert function for the
-// shrinking-stage edge set: the scratch's dense EdgeSet when available, a
-// freshly allocated map otherwise.
-func edgeFilter(sc *expand.Scratch, sizeHint int) (has func(graph.EdgeID) bool, add func(graph.EdgeID)) {
-	if es := sc.EdgeSet(); es != nil {
-		return es.Has, es.Add
-	}
-	edges := make(map[graph.EdgeID]bool, sizeHint)
-	return func(e graph.EdgeID) bool { return edges[e] },
-		func(e graph.EdgeID) { edges[e] = true }
+	return s.tracked.installFilters(s.src, s.sc, s.exps, func(tr *tracked) bool {
+		return !tr.gone && !tr.pinned
+	})
 }
 
 // finalize handles global exhaustion: every expansion is exhausted or
@@ -456,7 +423,7 @@ func edgeFilter(sc *expand.Scratch, sizeHint int) (has func(graph.EdgeID) bool, 
 // frontier is +Inf.
 func (s *skylineRun) finalize() error {
 	var rest []*tracked
-	for _, tr := range s.tracked {
+	for _, tr := range s.tracked.order {
 		if tr.cand && !tr.gone && !tr.pinned {
 			rest = append(rest, tr)
 		}
@@ -481,7 +448,7 @@ func (s *skylineRun) finalize() error {
 	}
 	// Unpinned first-NN skyline members also get their unknowns closed so
 	// they stop acting as potential dominators.
-	for _, tr := range s.tracked {
+	for _, tr := range s.tracked.order {
 		if tr.gone || tr.pinned || !tr.inSky {
 			continue
 		}

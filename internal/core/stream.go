@@ -32,22 +32,20 @@ var errStreamStopped = errors.New("core: stream consumer stopped")
 func SkylineSeq(ctx context.Context, src expand.Source, loc graph.Location, opt Options) iter.Seq2[Facility, error] {
 	return func(yield func(Facility, error) bool) {
 		opt = opt.BindContext(ctx)
+		sc := expand.Acquire(src)
+		defer sc.Release()
 		shared := engineSource(src, opt.Engine)
-		exps := make([]*expand.Expansion, shared.D())
-		for i := range exps {
-			x, err := expand.New(shared, i, loc, expand.WithScratch(opt.Scratch))
-			if err != nil {
-				yield(Facility{}, err)
-				return
-			}
-			exps[i] = x
+		exps, err := perCost(shared, loc, sc)
+		if err != nil {
+			yield(Facility{}, err)
+			return
 		}
 		// stopped guards against yielding after the consumer broke out of
 		// its loop: the driver may still surface an interrupt or expansion
 		// error while winding down the round, and a range-over-func must
 		// never be re-entered once yield returned false.
 		stopped := false
-		s := newSkylineRun(shared, exps, opt, func(f Facility) bool {
+		s := newSkylineRun(shared, sc, exps, opt, func(f Facility) bool {
 			if !yield(f, nil) {
 				stopped = true
 				return false

@@ -23,16 +23,14 @@ func TopK(src expand.Source, loc graph.Location, agg vec.Aggregate, k int, opt O
 	if agg.Dims() != src.D() {
 		return nil, fmt.Errorf("core: aggregate expects %d cost types, network has %d", agg.Dims(), src.D())
 	}
+	sc := expand.Acquire(src)
+	defer sc.Release()
 	shared := engineSource(src, opt.Engine)
-	exps := make([]*expand.Expansion, shared.D())
-	for i := range exps {
-		x, err := expand.New(shared, i, loc, expand.WithScratch(opt.Scratch))
-		if err != nil {
-			return nil, err
-		}
-		exps[i] = x
+	exps, err := perCost(shared, loc, sc)
+	if err != nil {
+		return nil, err
 	}
-	return topkOverExpansions(shared, exps, agg, k, opt)
+	return topkOverExpansions(shared, sc, exps, agg, k, opt)
 }
 
 // MultiSourceTopK answers aggregate nearest-neighbour queries: a single cost
@@ -50,30 +48,29 @@ func MultiSourceTopK(src expand.Source, costIdx int, locs []graph.Location, agg 
 	if agg.Dims() != len(locs) {
 		return nil, fmt.Errorf("core: aggregate expects %d components, got %d locations", agg.Dims(), len(locs))
 	}
+	sc := expand.Acquire(src)
+	defer sc.Release()
 	shared := engineSource(src, opt.Engine)
-	exps := make([]*expand.Expansion, len(locs))
-	for i, loc := range locs {
-		x, err := expand.New(shared, costIdx, loc, expand.WithScratch(opt.Scratch))
-		if err != nil {
-			return nil, err
-		}
-		exps[i] = x
+	exps, err := perLocation(shared, costIdx, locs, sc)
+	if err != nil {
+		return nil, err
 	}
-	return topkOverExpansions(shared, exps, agg, k, opt)
+	return topkOverExpansions(shared, sc, exps, agg, k, opt)
 }
 
-// topkOverExpansions runs the top-k driver over any family of NN expansions.
-func topkOverExpansions(src expand.Source, exps []*expand.Expansion, agg vec.Aggregate, k int, opt Options) (*Result, error) {
+// topkOverExpansions runs the top-k driver over any family of NN expansions
+// started on sc.
+func topkOverExpansions(src expand.Source, sc *expand.Scratch, exps []*expand.Expansion, agg vec.Aggregate, k int, opt Options) (*Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: top-k requires k >= 1, got %d", k)
 	}
 	s := &topkRun{
 		src:       src,
+		sc:        sc,
 		agg:       agg,
 		k:         k,
 		opt:       opt,
-		tracked:   make(map[graph.FacilityID]*tracked),
-		scores:    make(map[graph.FacilityID]float64),
+		tracked:   newTrackedSet(),
 		d:         len(exps),
 		exps:      exps,
 		exhausted: make([]bool, len(exps)),
@@ -86,6 +83,7 @@ func topkOverExpansions(src expand.Source, exps []*expand.Expansion, agg vec.Agg
 
 type topkRun struct {
 	src expand.Source
+	sc  *expand.Scratch
 	agg vec.Aggregate
 	k   int
 	opt Options
@@ -94,8 +92,7 @@ type topkRun struct {
 	exps      []*expand.Expansion
 	exhausted []bool
 
-	tracked    map[graph.FacilityID]*tracked
-	scores     map[graph.FacilityID]float64
+	tracked    trackedSet
 	candidates int
 	top        []*tracked // current top set, unordered; len ≤ k
 	shrinking  bool
@@ -186,7 +183,7 @@ func (s *topkRun) active(i int) bool {
 	if s.opt.NoEnhancements {
 		return true
 	}
-	for _, tr := range s.tracked {
+	for _, tr := range s.tracked.order {
 		if tr.cand && !tr.gone && !tr.pinned && vec.IsUnknown(tr.costs[i]) {
 			return true
 		}
@@ -196,10 +193,9 @@ func (s *topkRun) active(i int) bool {
 
 func (s *topkRun) growPop(i int, p graph.FacilityID, c float64) error {
 	s.stats.Pops++
-	tr := s.tracked[p]
+	tr := s.tracked.byID[p]
 	if tr == nil {
-		tr = newTracked(p, s.d)
-		s.tracked[p] = tr
+		tr = s.tracked.add(p, s.d)
 		s.stats.Tracked++
 		tr.cand = true
 		s.candidates++
@@ -215,7 +211,7 @@ func (s *topkRun) growPop(i int, p graph.FacilityID, c float64) error {
 		tr.cand = false
 		s.candidates--
 	}
-	s.scores[p] = s.agg.Score(tr.costs)
+	tr.score = s.agg.Score(tr.costs)
 	s.top = append(s.top, tr)
 	if len(s.top) == s.k {
 		s.refreshWorst()
@@ -232,7 +228,7 @@ func (s *topkRun) growPop(i int, p graph.FacilityID, c float64) error {
 
 func (s *topkRun) shrinkPop(i int, p graph.FacilityID, c float64) error {
 	s.stats.Pops++
-	tr := s.tracked[p]
+	tr := s.tracked.byID[p]
 	if tr == nil || tr.gone {
 		return nil // new facility in shrinking: provably outside the top-k
 	}
@@ -247,9 +243,8 @@ func (s *topkRun) shrinkPop(i int, p graph.FacilityID, c float64) error {
 		tr.cand = false
 		s.candidates--
 	}
-	score := s.agg.Score(tr.costs)
-	if s.beatsWorst(score, p) {
-		s.scores[p] = score
+	tr.score = s.agg.Score(tr.costs)
+	if s.beatsWorst(tr.score, p) {
 		s.top[s.worstIdx].gone = true
 		s.top[s.worstIdx] = tr
 		s.refreshWorst()
@@ -276,9 +271,8 @@ func (s *topkRun) beatsWorst(score float64, id graph.FacilityID) bool {
 func (s *topkRun) refreshWorst() {
 	s.worstScore, s.worstID, s.worstIdx = math.Inf(-1), 0, -1
 	for i, tr := range s.top {
-		sc := s.scores[tr.id]
-		if i == 0 || sc > s.worstScore || (sc == s.worstScore && tr.id > s.worstID) {
-			s.worstScore, s.worstID, s.worstIdx = sc, tr.id, i
+		if i == 0 || tr.score > s.worstScore || (tr.score == s.worstScore && tr.id > s.worstID) {
+			s.worstScore, s.worstID, s.worstIdx = tr.score, tr.id, i
 		}
 	}
 }
@@ -299,7 +293,7 @@ func (s *topkRun) pruneByLowerBound() {
 	for i, x := range s.exps {
 		heads[i] = x.HeadKey()
 	}
-	for _, tr := range s.tracked {
+	for _, tr := range s.tracked.order {
 		if !tr.cand || tr.gone || tr.pinned {
 			continue
 		}
@@ -311,25 +305,12 @@ func (s *topkRun) pruneByLowerBound() {
 	}
 }
 
+// installFilters restricts the shrinking stage to the remaining candidates
+// and their edges.
 func (s *topkRun) installFilters() error {
-	allowEdge, add := edgeFilter(s.opt.Scratch, s.candidates)
-	for id, tr := range s.tracked {
-		if tr.cand && !tr.gone && !tr.pinned {
-			e, err := s.src.FacilityEdge(id)
-			if err != nil {
-				return err
-			}
-			add(e)
-		}
-	}
-	allowFac := func(p graph.FacilityID) bool {
-		tr := s.tracked[p]
-		return tr != nil && tr.cand && !tr.gone && !tr.pinned
-	}
-	for _, x := range s.exps {
-		x.SetFilter(allowEdge, allowFac)
-	}
-	return nil
+	return s.tracked.installFilters(s.src, s.sc, s.exps, func(tr *tracked) bool {
+		return tr.cand && !tr.gone && !tr.pinned
+	})
 }
 
 // finalize handles global exhaustion: any unknown cost is +Inf. Remaining
@@ -337,7 +318,7 @@ func (s *topkRun) installFilters() error {
 // deterministic order.
 func (s *topkRun) finalize() error {
 	var rest []*tracked
-	for _, tr := range s.tracked {
+	for _, tr := range s.tracked.order {
 		if tr.cand && !tr.gone && !tr.pinned {
 			rest = append(rest, tr)
 		}
@@ -352,15 +333,9 @@ func (s *topkRun) finalize() error {
 		tr.pinned = true
 		tr.cand = false
 		s.candidates--
-		s.scores[tr.id] = s.agg.Score(tr.costs)
+		tr.score = s.agg.Score(tr.costs)
 	}
-	sort.Slice(rest, func(i, j int) bool {
-		si, sj := s.scores[rest[i].id], s.scores[rest[j].id]
-		if si != sj {
-			return si < sj
-		}
-		return rest[i].id < rest[j].id
-	})
+	sort.Slice(rest, func(i, j int) bool { return rest[i].before(rest[j]) })
 	for _, tr := range rest {
 		if len(s.top) < s.k {
 			s.top = append(s.top, tr)
@@ -369,7 +344,7 @@ func (s *topkRun) finalize() error {
 			}
 			continue
 		}
-		if s.beatsWorst(s.scores[tr.id], tr.id) {
+		if s.beatsWorst(tr.score, tr.id) {
 			s.top[s.worstIdx].gone = true
 			s.top[s.worstIdx] = tr
 			s.refreshWorst()
@@ -382,19 +357,13 @@ func (s *topkRun) result() *Result {
 	for _, x := range s.exps {
 		s.stats.NodeExpansions += x.NodeCount()
 	}
-	sort.Slice(s.top, func(i, j int) bool {
-		si, sj := s.scores[s.top[i].id], s.scores[s.top[j].id]
-		if si != sj {
-			return si < sj
-		}
-		return s.top[i].id < s.top[j].id
-	})
+	sort.Slice(s.top, func(i, j int) bool { return s.top[i].before(s.top[j]) })
 	res := &Result{Stats: s.stats}
 	for _, tr := range s.top {
 		res.Facilities = append(res.Facilities, Facility{
 			ID:    tr.id,
 			Costs: tr.costs.Clone(),
-			Score: s.scores[tr.id],
+			Score: tr.score,
 		})
 	}
 	return res

@@ -86,7 +86,11 @@ func (r *Result) IDs() []graph.FacilityID {
 	return out
 }
 
-// Options configures skyline and top-k processing.
+// Options configures skyline and top-k processing. Expansion state is not
+// among the options: every entry point acquires one expand.Scratch for its
+// source, runs the query on it and releases it (the closeable handles —
+// TopKIterator, dynamic.Maintainer — in their Close), whichever layer
+// called it and whatever the source.
 type Options struct {
 	// Engine selects LSA (default) or CEA.
 	Engine Engine
@@ -103,13 +107,6 @@ type Options struct {
 	// return aborts the query with that error. The engine layer wires
 	// per-query context cancellation and timeouts through it.
 	Interrupt func() error
-	// Scratch, when set, backs this query's expansions with pooled dense
-	// Dijkstra state (array-indexed best-cost and visited markers plus
-	// reusable heap backing) instead of per-query hash maps. The facade and
-	// engine layers supply one automatically for in-memory networks; it must
-	// not be shared between concurrent queries. Results are identical with
-	// or without it.
-	Scratch *expand.Scratch
 	// Bounds, when set, is the precomputed pruning index (internal/index):
 	// per-criterion lower bounds from every node to its nearest facility.
 	// Within uses its budget as a static horizon, discarding popped node
@@ -175,6 +172,33 @@ func engineSource(src expand.Source, e Engine) expand.Source {
 	return src
 }
 
+// perCost starts the d per-cost expansions of a single-location query on sc.
+func perCost(src expand.Source, loc graph.Location, sc *expand.Scratch) ([]*expand.Expansion, error) {
+	exps := make([]*expand.Expansion, src.D())
+	for i := range exps {
+		x, err := expand.New(src, i, loc, sc)
+		if err != nil {
+			return nil, err
+		}
+		exps[i] = x
+	}
+	return exps, nil
+}
+
+// perLocation starts the expansions of a multi-source query on sc: one per
+// query location, all under one cost type.
+func perLocation(src expand.Source, costIdx int, locs []graph.Location, sc *expand.Scratch) ([]*expand.Expansion, error) {
+	exps := make([]*expand.Expansion, len(locs))
+	for i, loc := range locs {
+		x, err := expand.New(src, costIdx, loc, sc)
+		if err != nil {
+			return nil, err
+		}
+		exps[i] = x
+	}
+	return exps, nil
+}
+
 // tracked is the per-facility bookkeeping shared by the drivers: the
 // partially known cost vector plus status flags.
 type tracked struct {
@@ -186,10 +210,68 @@ type tracked struct {
 	pinned bool // popped by all d expansions (vector complete)
 	gone   bool // eliminated
 	pend   bool // pinned but held back pending tie resolution
+	// score is the aggregate of costs, set once pinned (top-k drivers only).
+	score float64
 }
 
-func newTracked(id graph.FacilityID, d int) *tracked {
-	return &tracked{id: id, costs: vec.New(d)}
+// before is the (score, id) total order the top-k drivers rank pinned
+// facilities by.
+func (t *tracked) before(o *tracked) bool {
+	if t.score != o.score {
+		return t.score < o.score
+	}
+	return t.id < o.id
+}
+
+// trackedSet holds the facilities a driver has met. Every walk over it goes
+// through order — arrival order, which is a function of the query alone —
+// because a walk that reads the store (installFilters) passes its order on
+// to the buffer pool, and the paper's metric is that pool's miss count.
+type trackedSet struct {
+	byID  map[graph.FacilityID]*tracked
+	order []*tracked
+}
+
+func newTrackedSet() trackedSet {
+	return trackedSet{byID: make(map[graph.FacilityID]*tracked), order: make([]*tracked, 0, 16)}
+}
+
+// add starts tracking facility id, with all d costs unknown.
+func (s *trackedSet) add(id graph.FacilityID, d int) *tracked {
+	tr := &tracked{id: id, costs: vec.New(d)}
+	s.byID[id] = tr
+	s.order = append(s.order, tr)
+	return tr
+}
+
+// installFilters is the shrinking-stage optimisation: probe the facility
+// tree for the edge of each facility keep still accepts, then restrict all
+// expansions to those edges and facilities, avoiding facility-file reads
+// everywhere else. keep is consulted again on every later filter check, so
+// it must read the live status flags.
+func (s *trackedSet) installFilters(src expand.Source, sc *expand.Scratch, exps []*expand.Expansion, keep func(*tracked) bool) error {
+	edges := sc.EdgeSet()
+	for _, tr := range s.order {
+		if !keep(tr) {
+			continue
+		}
+		e, err := src.FacilityEdge(tr.id)
+		if err != nil {
+			return err
+		}
+		if err := edges.Add(e); err != nil {
+			return err
+		}
+	}
+	allowEdge := edges.Has
+	allowFac := func(p graph.FacilityID) bool {
+		tr := s.byID[p]
+		return tr != nil && keep(tr)
+	}
+	for _, x := range exps {
+		x.SetFilter(allowEdge, allowFac)
+	}
+	return nil
 }
 
 // setCost records cost i and reports whether the facility just became

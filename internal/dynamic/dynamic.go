@@ -41,14 +41,14 @@ type Entry struct {
 }
 
 // Maintainer keeps the preference-query state of one query location while
-// the facility set changes. It may hold borrowed pooled expansion scratch
-// (Options.Scratch) for its insertion probes; callers must Close it when
-// done. Insert/Delete/Skyline/TopK are single-goroutine, but Close is safe
-// from any goroutine, any number of times — it waits for an in-flight
-// Insert probe to finish and runs the release hook exactly once, so the
-// scratch is never handed back to the pool mid-probe. After Close, Insert
-// (which needs the scratch for network probes) fails with ErrClosed; the
-// already-materialised entries remain readable.
+// the facility set changes. It holds pooled expansion scratch for its
+// insertion probes; callers must Close it when done. Insert/Delete/Skyline/
+// TopK are single-goroutine, but Close is safe from any goroutine, any
+// number of times — it waits for an in-flight Insert probe to finish and
+// releases the scratch exactly once, so it is never handed back to the pool
+// mid-probe. After Close, Insert (which needs the scratch for network
+// probes) fails with ErrClosed; the already-materialised entries remain
+// readable.
 type Maintainer struct {
 	src     expand.Source
 	loc     graph.Location
@@ -58,7 +58,6 @@ type Maintainer struct {
 
 	closed    atomic.Bool
 	closeOnce sync.Once
-	release   func()
 	// onUpdate, when set, observes every successful facility mutation with
 	// the edge it touched; the facade points it at the result cache's
 	// edge-tag invalidation so live updates kill exactly the cached entries
@@ -72,19 +71,16 @@ type Maintainer struct {
 // New materialises the initial state for query location loc. The source's
 // existing facilities seed the maintained set; facilities reachable under no
 // cost type are excluded (they can never enter any preference result). Only
-// opt.Interrupt and opt.Scratch are consulted: the scratch backs both the
-// initial materialisation and every later insertion probe, and is retained
-// until Close.
+// opt.Interrupt is consulted.
 func New(src expand.Source, loc graph.Location, opt core.Options) (*Maintainer, error) {
 	vectors, _, err := core.MaterializeAll(src, loc, opt)
 	if err != nil {
 		return nil, err
 	}
 	m := &Maintainer{
-		src:     src,
-		loc:     loc,
-		facs:    make(map[Handle]*Entry, len(vectors)),
-		scratch: opt.Scratch,
+		src:  src,
+		loc:  loc,
+		facs: make(map[Handle]*Entry, len(vectors)),
 	}
 	for id, costs := range vectors {
 		e, err := src.FacilityEdge(id)
@@ -100,6 +96,7 @@ func New(src expand.Source, loc graph.Location, opt core.Options) (*Maintainer, 
 			m.next = Handle(id) + 1
 		}
 	}
+	m.scratch = expand.Acquire(src) // for the insertion probes, until Close
 	return m, nil
 }
 
@@ -122,29 +119,21 @@ func facilityFraction(src expand.Source, e graph.EdgeID, id graph.FacilityID) (f
 	return 0, fmt.Errorf("dynamic: facility %d not found on its edge %d", id, e)
 }
 
-// SetRelease registers fn to run exactly once when the maintainer is
-// closed; the facade uses it to return borrowed pooled scratch. It must be
-// called before the maintainer is shared across goroutines.
-func (m *Maintainer) SetRelease(fn func()) { m.release = fn }
-
 // SetOnUpdate registers fn to observe every successful Insert and Delete
-// with the edge the mutation touched. Like SetRelease it must be called
-// before the maintainer is used; the facade wires it to result-cache
-// invalidation.
+// with the edge the mutation touched. It must be called before the
+// maintainer is used; the facade wires it to result-cache invalidation.
 func (m *Maintainer) SetOnUpdate(fn func(graph.EdgeID)) { m.onUpdate = fn }
 
-// Close releases the maintainer's borrowed scratch. It is idempotent and
-// safe for concurrent use; the release hook runs exactly once, and never
-// while an Insert probe is still running on the scratch.
+// Close releases the maintainer's scratch. It is idempotent and safe for
+// concurrent use; the release happens exactly once, and never while an
+// Insert probe is still running on the scratch.
 func (m *Maintainer) Close() error {
 	m.closed.Store(true)
 	m.closeOnce.Do(func() {
 		m.mu.Lock() // drain an in-flight Insert before releasing its scratch
 		defer m.mu.Unlock()
+		m.scratch.Release()
 		m.scratch = nil
-		if m.release != nil {
-			m.release()
-		}
 	})
 	return nil
 }

@@ -10,14 +10,15 @@
 // pool locks, expand.MemorySource touches only immutable graph data (its
 // access counters are atomic), and flat.Source is immutable CSR arrays. All
 // per-query state (expansions, CEA record memos, trackers) is created per
-// call or drawn from the executor's scratch pool, so concurrent queries
-// share nothing mutable.
+// call or acquired by the core algorithms from expand's scratch pool for the
+// duration of the query, so concurrent queries share nothing mutable.
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -158,11 +159,6 @@ type Executor struct {
 	src expand.Source
 	cfg Config
 	sem chan struct{}
-	// pool hands out dense expansion scratch for in-memory sources (nil for
-	// sources without dense id spaces, e.g. the disk store). Workers draw one
-	// scratch per query, so steady-state queries reuse state arrays and heap
-	// backing instead of reallocating them.
-	pool *expand.Pool
 	// cache, when non-nil, memoizes completed results at the serving layer;
 	// see SetCache and internal/rescache.
 	cache *rescache.Cache
@@ -191,7 +187,7 @@ func New(src expand.Source, cfg Config) *Executor {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	return &Executor{src: src, cfg: cfg, sem: make(chan struct{}, cfg.Workers), pool: expand.NewPool(src)}
+	return &Executor{src: src, cfg: cfg, sem: make(chan struct{}, cfg.Workers)}
 }
 
 // Workers returns the configured parallelism bound.
@@ -366,13 +362,12 @@ func (e *Executor) Execute(ctx context.Context, reqs []Request) []Response {
 	return out
 }
 
-// prepare applies the request's timeout to ctx and attaches pooled scratch
-// to its options. It does NOT bind ctx into the interrupt hook — run does
-// that itself and the streaming path leaves it to core.SkylineSeq, so every
-// interrupt poll carries exactly one ctx check. The returned cleanup
-// cancels the derived context and returns the scratch; callers must run it
-// when the query finishes.
-func (e *Executor) prepare(ctx context.Context, req Request) (context.Context, core.Options, func()) {
+// prepare applies the request's timeout to ctx and the executor's pruning
+// index to its options. It does NOT bind ctx into the interrupt hook — run
+// does that itself and the streaming path leaves it to core.SkylineSeq, so
+// every interrupt poll carries exactly one ctx check. Callers must run the
+// returned cancel when the query finishes.
+func (e *Executor) prepare(ctx context.Context, req Request) (context.Context, core.Options, context.CancelFunc) {
 	timeout := req.Timeout
 	if timeout == 0 {
 		timeout = e.cfg.Timeout
@@ -385,14 +380,7 @@ func (e *Executor) prepare(ctx context.Context, req Request) (context.Context, c
 	if opts.Bounds == nil {
 		opts.Bounds = e.bounds
 	}
-	release := func() {}
-	if opts.Scratch == nil {
-		if sc := e.pool.Get(); sc != nil {
-			opts.Scratch = sc
-			release = func() { e.pool.Put(sc) }
-		}
-	}
-	return ctx, opts, func() { release(); cancel() }
+	return ctx, opts, cancel
 }
 
 // run executes one request on the calling goroutine with panic isolation.
@@ -408,8 +396,8 @@ func (e *Executor) run(ctx context.Context, req Request, idx int) (resp Response
 		e.record(resp)
 	}()
 
-	ctx, opts, cleanup := e.prepare(ctx, req)
-	defer cleanup()
+	ctx, opts, cancel := e.prepare(ctx, req)
+	defer cancel()
 	opts = opts.BindContext(ctx)
 	if err := ctx.Err(); err != nil {
 		resp.Err = err
@@ -466,41 +454,11 @@ func (e *Executor) execute(src expand.Source, req Request, opts core.Options) (*
 // proves it undominated. emit returning false stops the query early — the
 // backing for the server's NDJSON streaming endpoint. The response carries
 // no Result: facilities were already delivered. Per-request timeouts, panic
-// isolation, scratch pooling and statistics match Do.
-func (e *Executor) StreamSkyline(ctx context.Context, req Request, emit func(core.Facility) bool) (resp Response) {
-	if err := e.admit(ctx); err != nil {
-		resp = Response{Err: err}
-		e.record(resp)
-		return resp
-	}
-	defer e.release()
-
-	start := time.Now()
-	defer func() {
-		if r := recover(); r != nil {
-			resp.Result = nil
-			resp.Err = panicError{fmt.Errorf("engine: streaming skyline panicked: %v", r)}
-		}
-		resp.Latency = time.Since(start)
-		e.record(resp)
-	}()
-
-	ctx, opts, cleanup := e.prepare(ctx, req)
-	defer cleanup()
-	if err := ctx.Err(); err != nil {
-		resp.Err = err
-		return
-	}
-	for f, err := range core.SkylineSeq(ctx, e.srcFor(ctx), req.Loc, opts) {
-		if err != nil {
-			resp.Err = err
-			return
-		}
-		if !emit(f) {
-			return
-		}
-	}
-	return
+// isolation and statistics match Do.
+func (e *Executor) StreamSkyline(ctx context.Context, req Request, emit func(core.Facility) bool) Response {
+	return e.stream(ctx, req, "skyline", emit, func(ctx context.Context, opts core.Options) iter.Seq2[core.Facility, error] {
+		return core.SkylineSeq(ctx, e.srcFor(ctx), req.Loc, opts)
+	})
 }
 
 // StreamTopK runs an incremental top-k query on the calling goroutine under
@@ -509,8 +467,22 @@ func (e *Executor) StreamSkyline(ctx context.Context, req Request, emit func(cor
 // req.K deliveries when req.K > 0 (zero streams until the facility set is
 // exhausted), or earlier when emit returns false. The response carries no
 // Result: facilities were already delivered. Per-request timeouts, panic
-// isolation, scratch pooling and statistics match StreamSkyline.
-func (e *Executor) StreamTopK(ctx context.Context, req Request, emit func(core.Facility) bool) (resp Response) {
+// isolation and statistics match StreamSkyline.
+func (e *Executor) StreamTopK(ctx context.Context, req Request, emit func(core.Facility) bool) Response {
+	n := 0
+	upToK := func(f core.Facility) bool {
+		n++
+		return emit(f) && (req.K <= 0 || n < req.K)
+	}
+	return e.stream(ctx, req, "top-k", upToK, func(ctx context.Context, opts core.Options) iter.Seq2[core.Facility, error] {
+		return core.TopKSeq(ctx, e.srcFor(ctx), req.Loc, req.Agg, opts)
+	})
+}
+
+// stream is the shared body of the streaming entry points: admit → recover
+// and record → prepare → ctx check → range over seq, until it ends, fails or
+// emit returns false. name labels the panic message.
+func (e *Executor) stream(ctx context.Context, req Request, name string, emit func(core.Facility) bool, seq func(context.Context, core.Options) iter.Seq2[core.Facility, error]) (resp Response) {
 	if err := e.admit(ctx); err != nil {
 		resp = Response{Err: err}
 		e.record(resp)
@@ -522,29 +494,24 @@ func (e *Executor) StreamTopK(ctx context.Context, req Request, emit func(core.F
 	defer func() {
 		if r := recover(); r != nil {
 			resp.Result = nil
-			resp.Err = panicError{fmt.Errorf("engine: streaming top-k panicked: %v", r)}
+			resp.Err = panicError{fmt.Errorf("engine: streaming %s panicked: %v", name, r)}
 		}
 		resp.Latency = time.Since(start)
 		e.record(resp)
 	}()
 
-	ctx, opts, cleanup := e.prepare(ctx, req)
-	defer cleanup()
+	ctx, opts, cancel := e.prepare(ctx, req)
+	defer cancel()
 	if err := ctx.Err(); err != nil {
 		resp.Err = err
 		return
 	}
-	n := 0
-	for f, err := range core.TopKSeq(ctx, e.srcFor(ctx), req.Loc, req.Agg, opts) {
+	for f, err := range seq(ctx, opts) {
 		if err != nil {
 			resp.Err = err
 			return
 		}
 		if !emit(f) {
-			return
-		}
-		n++
-		if req.K > 0 && n >= req.K {
 			return
 		}
 	}

@@ -282,6 +282,35 @@ func TestExecutorPanicIsolation(t *testing.T) {
 	}
 }
 
+// damagedDisk is a disk network one of whose adjacency records names a
+// neighbour one past the node id space the database header declares.
+type damagedDisk struct{ *storage.Network }
+
+func (d damagedDisk) Adjacency(v graph.NodeID) ([]graph.AdjEntry, error) {
+	entries, err := d.Network.Adjacency(v)
+	if len(entries) > 0 {
+		entries[0].Neighbor = graph.NodeID(d.NumNodes())
+	}
+	return entries, err
+}
+
+// A record naming an id outside the database's id space fails its query
+// with an error — it used to index past the dense state arrays and surface
+// as a recovered panic.
+func TestExecutorOutOfRangeRecordIsAnError(t *testing.T) {
+	inst := testInstance(t)
+	exec := New(damagedDisk{sources(t, inst)["disk"].(*storage.Network)}, Config{})
+	for _, req := range mixedRequests(inst, 4) {
+		resp := exec.Do(context.Background(), req)
+		if resp.Err == nil || IsPanic(resp.Err) || !strings.Contains(resp.Err.Error(), "out of range") {
+			t.Errorf("%v: err = %v, want an out-of-range error that is not a panic", req.Kind, resp.Err)
+		}
+	}
+	if s := exec.Stats(); s.Panics != 0 || s.Failed != 4 {
+		t.Errorf("stats = %+v, want 4 failed, 0 panics", s)
+	}
+}
+
 // An unknown kind is an error, not a panic.
 func TestExecutorUnknownKind(t *testing.T) {
 	inst := testInstance(t)

@@ -44,7 +44,7 @@ func TestExpansionHonoursEdgeCoster(t *testing.T) {
 	scaled := &costerSource{MemorySource: NewMemorySource(g), factor: 3}
 
 	collect := func(src Source) (ids []graph.FacilityID, costs []float64) {
-		x, err := New(src, 0, loc)
+		x, err := newOn(t, src, 0, loc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,17 +87,19 @@ func TestNodeDistancesHonoursEdgeCoster(t *testing.T) {
 	g := lineGraph(t)
 	loc := graph.Location{Edge: 0, T: 0}
 	targets := []graph.NodeID{2, 3}
-	base, err := NodeDistances(NewMemorySource(g), 0, loc, targets, nil)
+	mem := NewMemorySource(g)
+	base, err := NodeDistances(mem, 0, loc, targets, acquire(t, mem))
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, err := NodeDistances(&costerSource{MemorySource: NewMemorySource(g), factor: 3}, 0, loc, targets, nil)
+	tripled := &costerSource{MemorySource: mem, factor: 3}
+	scaled, err := NodeDistances(tripled, 0, loc, targets, acquire(t, tripled))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range targets {
-		if want := base[v] * 3; math.Abs(scaled[v]-want) > 1e-12 {
-			t.Errorf("node %d: distance %g, want %g (3x base)", v, scaled[v], want)
+	for i, v := range targets {
+		if want := base[i] * 3; math.Abs(scaled[i]-want) > 1e-12 {
+			t.Errorf("node %d: distance %g, want %g (3x base)", v, scaled[i], want)
 		}
 	}
 }

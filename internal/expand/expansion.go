@@ -1,6 +1,7 @@
 package expand
 
 import (
+	"fmt"
 	"math"
 
 	"mcn/internal/graph"
@@ -20,12 +21,6 @@ const (
 	EventExhausted
 )
 
-type nodePred struct {
-	from      graph.NodeID
-	edge      graph.EdgeID
-	fromQuery bool
-}
-
 // Expansion is an incremental nearest-facility search from a query location
 // under a single cost type: Dijkstra network expansion that en-heaps
 // facilities along traversed edges and reports them in non-decreasing cost
@@ -35,12 +30,10 @@ type nodePred struct {
 // per-cost expansions of a query — which the skyline algorithms' pinning
 // arguments rely on (see heap.go).
 //
-// Bookkeeping lives in one of two interchangeable backings. The default is
-// hash maps, which work for any Source. When the expansion is given a
-// Scratch (WithScratch), it uses dense generation-stamped arrays indexed by
-// NodeID/FacilityID instead: the steady-state pop loop then performs zero
-// allocations, and repeated queries reuse the same backing arrays. Results
-// are identical either way.
+// Bookkeeping lives in one dense state unit drawn from the query's Scratch:
+// generation-stamped arrays indexed by NodeID/FacilityID and a reusable
+// heap, so the steady-state pop loop performs zero allocations and repeated
+// queries reuse the same backing arrays.
 type Expansion struct {
 	src  Source
 	cost int
@@ -49,25 +42,16 @@ type Expansion struct {
 	// keeps its effective costs in an overlay (see EdgeCoster).
 	coster EdgeCoster
 
-	h minHeap
-
-	// Dense state (ds != nil) or map state, never both.
-	ds       *denseState
-	scratch  *Scratch
-	settled  map[graph.NodeID]struct{}
-	bestNode map[graph.NodeID]float64
-	popped   map[graph.FacilityID]struct{}
-	bestFac  map[graph.FacilityID]float64
+	ds *denseState
+	// edges bounds the edge ids adjacency records may name (the scratch's
+	// source's declared id space).
+	edges int
 
 	// Shrinking-stage filters: when set, adjacency traversal skips facility
 	// records of edges outside allowEdge, and only facilities passing
 	// allowFac are en-heaped or reported (paper Sec. IV-A enhancements).
 	allowEdge func(graph.EdgeID) bool
 	allowFac  func(graph.FacilityID) bool
-
-	trackPaths bool
-	predNode   map[graph.NodeID]nodePred
-	predFac    map[graph.FacilityID]nodePred
 
 	// Lower-bound pruning (SetPrune): when lb is set, a popped node whose
 	// key + lb.LowerBound(cost, node) the driver's prune predicate rejects is
@@ -88,47 +72,17 @@ type LowerBounder interface {
 	LowerBound(costIdx int, v graph.NodeID) float64
 }
 
-// Option configures an Expansion.
-type Option func(*Expansion)
-
-// WithPaths enables predecessor tracking so PathTo can reconstruct the
-// shortest path (edge sequence) to any reported facility.
-func WithPaths() Option {
-	return func(x *Expansion) { x.trackPaths = true }
-}
-
-// WithScratch backs the expansion's Dijkstra state with dense arrays drawn
-// from sc instead of hash maps. The scratch must have been sized for the
-// expansion's source (same node/facility id space) and must not be serving
-// another query concurrently. A nil sc is ignored, so callers can pass an
-// optional scratch through unconditionally.
-func WithScratch(sc *Scratch) Option {
-	return func(x *Expansion) { x.scratch = sc }
-}
-
-// New starts an expansion from loc under cost type costIdx (0-based).
-func New(src Source, costIdx int, loc graph.Location, opts ...Option) (*Expansion, error) {
+// New starts an expansion from loc under cost type costIdx (0-based) on one
+// state unit of sc, which must have been acquired for src (or for the source
+// a SharedSource wraps) and stays owned by the caller.
+func New(src Source, costIdx int, loc graph.Location, sc *Scratch) (*Expansion, error) {
 	x := &Expansion{
 		src:    src,
 		cost:   costIdx,
 		loc:    loc,
 		coster: costerOf(src),
-	}
-	for _, o := range opts {
-		o(x)
-	}
-	if x.scratch != nil {
-		x.ds = x.scratch.state()
-		x.h.a = x.ds.heap[:0]
-	} else {
-		x.settled = make(map[graph.NodeID]struct{})
-		x.bestNode = make(map[graph.NodeID]float64)
-		x.popped = make(map[graph.FacilityID]struct{})
-		x.bestFac = make(map[graph.FacilityID]float64)
-	}
-	if x.trackPaths {
-		x.predNode = make(map[graph.NodeID]nodePred)
-		x.predFac = make(map[graph.FacilityID]nodePred)
+		ds:     sc.state(),
+		edges:  sc.edges,
 	}
 
 	info, err := src.EdgeInfo(loc.Edge)
@@ -139,9 +93,13 @@ func New(src Source, costIdx int, loc graph.Location, opts ...Option) (*Expansio
 
 	// Seed the end-nodes of the query edge with their partial weights. In a
 	// directed network only the forward end is reachable from q.
-	x.pushNode(info.V, (1-loc.T)*w, nodePred{fromQuery: true, edge: loc.Edge})
+	if err := x.pushNode(info.V, (1-loc.T)*w); err != nil {
+		return nil, err
+	}
 	if !src.Directed() {
-		x.pushNode(info.U, loc.T*w, nodePred{fromQuery: true, edge: loc.Edge})
+		if err := x.pushNode(info.U, loc.T*w); err != nil {
+			return nil, err
+		}
 	}
 
 	// Facilities on the query edge are reachable directly along the edge,
@@ -161,20 +119,12 @@ func New(src Source, costIdx int, loc graph.Location, opts ...Option) (*Expansio
 			} else {
 				c = math.Abs(fe.T-loc.T) * w
 			}
-			x.pushFacility(fe.ID, c, nodePred{fromQuery: true, edge: loc.Edge})
+			if err := x.pushFacility(fe.ID, c); err != nil {
+				return nil, err
+			}
 		}
 	}
-	x.syncScratch()
 	return x, nil
-}
-
-// syncScratch hands the (possibly re-grown) heap backing array back to the
-// dense state so the next query reusing the scratch starts from the grown
-// capacity instead of re-growing from empty.
-func (x *Expansion) syncScratch() {
-	if x.ds != nil {
-		x.ds.heap = x.h.a
-	}
 }
 
 // CostIndex returns the expansion's cost type.
@@ -227,135 +177,40 @@ func (x *Expansion) SetFilter(allowEdge func(graph.EdgeID) bool, allowFac func(g
 // paper's top-k lower-bound pruning). It is +Inf once the expansion is
 // exhausted, since anything unseen is unreachable under this cost type.
 func (x *Expansion) HeadKey() float64 {
-	if it, ok := x.h.peek(); ok {
+	if it, ok := x.ds.heap.peek(); ok {
 		return it.key
 	}
 	return math.Inf(1)
 }
 
-func (x *Expansion) pushNode(v graph.NodeID, key float64, pred nodePred) {
-	if ds := x.ds; ds != nil {
-		if ds.nodeDone[v] == ds.gen {
-			return
-		}
-		if ds.nodeSeen[v] == ds.gen && ds.bestNode[v] <= key {
-			return
-		}
-		ds.nodeSeen[v] = ds.gen
-		ds.bestNode[v] = key
-	} else {
-		if _, done := x.settled[v]; done {
-			return
-		}
-		if best, seen := x.bestNode[v]; seen && best <= key {
-			return
-		}
-		x.bestNode[v] = key
-	}
-	if x.trackPaths {
-		x.predNode[v] = pred
-	}
-	x.h.push(item{key: key, kind: kindNode, id: uint32(v)})
+func (x *Expansion) pushNode(v graph.NodeID, key float64) error {
+	return x.ds.push(&x.ds.nodes, uint32(v), key)
 }
 
-func (x *Expansion) pushFacility(p graph.FacilityID, key float64, pred nodePred) {
-	if ds := x.ds; ds != nil {
-		if ds.facDone[p] == ds.gen {
-			return
-		}
-		if ds.facSeen[p] == ds.gen && ds.bestFac[p] <= key {
-			return
-		}
-		ds.facSeen[p] = ds.gen
-		ds.bestFac[p] = key
-	} else {
-		if _, done := x.popped[p]; done {
-			return
-		}
-		if best, seen := x.bestFac[p]; seen && best <= key {
-			return
-		}
-		x.bestFac[p] = key
-	}
-	if x.trackPaths {
-		x.predFac[p] = pred
-	}
-	x.h.push(item{key: key, kind: kindFacility, id: uint32(p)})
-}
-
-// nodeSettled reports whether v has been expanded already.
-func (x *Expansion) nodeSettled(v graph.NodeID) bool {
-	if ds := x.ds; ds != nil {
-		return ds.nodeDone[v] == ds.gen
-	}
-	_, done := x.settled[v]
-	return done
-}
-
-// facPopped reports whether p has been reported (or discarded by a filter).
-func (x *Expansion) facPopped(p graph.FacilityID) bool {
-	if ds := x.ds; ds != nil {
-		return ds.facDone[p] == ds.gen
-	}
-	_, done := x.popped[p]
-	return done
-}
-
-// markFacPopped records p as reported/discarded so stale heap entries skip.
-func (x *Expansion) markFacPopped(p graph.FacilityID) {
-	if ds := x.ds; ds != nil {
-		ds.facDone[p] = ds.gen
-	} else {
-		x.popped[p] = struct{}{}
-	}
-}
-
-// bestNodeKey returns the tentative cost of v; only meaningful for nodes
-// currently or previously in the heap.
-func (x *Expansion) bestNodeKey(v graph.NodeID) float64 {
-	if ds := x.ds; ds != nil {
-		return ds.bestNode[v]
-	}
-	return x.bestNode[v]
-}
-
-// bestFacKey returns the tentative cost of p; only meaningful for
-// facilities currently or previously in the heap.
-func (x *Expansion) bestFacKey(p graph.FacilityID) float64 {
-	if ds := x.ds; ds != nil {
-		return ds.bestFac[p]
-	}
-	return x.bestFac[p]
+func (x *Expansion) pushFacility(p graph.FacilityID, key float64) error {
+	return x.ds.push(&x.ds.facs, uint32(p), key)
 }
 
 // Step advances the expansion by one event: it expands one node (EventNode),
 // reports the next nearest facility (EventFacility, with its id and cost),
 // or reports exhaustion. Stale heap entries are skipped transparently.
 func (x *Expansion) Step() (Event, graph.FacilityID, float64, error) {
-	ev, p, c, err := x.step()
-	x.syncScratch()
-	return ev, p, c, err
-}
-
-func (x *Expansion) step() (Event, graph.FacilityID, float64, error) {
+	ds := x.ds
 	for {
-		it, ok := x.h.pop()
+		it, ok := ds.heap.pop()
 		if !ok {
 			return EventExhausted, 0, 0, nil
 		}
 		if it.kind == kindNode {
+			if ds.stale(&ds.nodes, it) {
+				continue
+			}
 			v := graph.NodeID(it.id)
-			if x.nodeSettled(v) {
-				continue // stale
-			}
-			if x.bestNodeKey(v) < it.key {
-				continue // superseded entry
-			}
+			// Settled from here on: any later path to v is no cheaper.
+			ds.nodes.m[v].done = ds.gen
 			if x.prune != nil && x.prune(it.key+x.lb.LowerBound(x.cost, v)) {
-				// Settle without expanding: any later path to v is no cheaper,
-				// so the discard stays valid even as the driver's horizon
-				// tightens further.
-				x.markNodeSettled(v)
+				// Settle without expanding; the discard stays valid even as
+				// the driver's horizon tightens further.
 				x.prunedCount++
 				continue
 			}
@@ -364,36 +219,22 @@ func (x *Expansion) step() (Event, graph.FacilityID, float64, error) {
 			}
 			return EventNode, 0, it.key, nil
 		}
+		if ds.stale(&ds.facs, it) {
+			continue
+		}
 		p := graph.FacilityID(it.id)
-		if x.facPopped(p) {
-			continue
-		}
-		if x.bestFacKey(p) < it.key {
-			continue
-		}
+		// Reported, or left over from before the filter was installed; either
+		// way it must not surface again.
+		ds.facs.m[p].done = ds.gen
 		if x.allowFac != nil && !x.allowFac(p) {
-			// Left over from before the filter was installed; drop it so it
-			// cannot surface again.
-			x.markFacPopped(p)
 			continue
 		}
-		x.markFacPopped(p)
 		x.popCount++
 		return EventFacility, p, it.key, nil
 	}
 }
 
-// markNodeSettled records v as done so stale heap entries skip it.
-func (x *Expansion) markNodeSettled(v graph.NodeID) {
-	if ds := x.ds; ds != nil {
-		ds.nodeDone[v] = ds.gen
-	} else {
-		x.settled[v] = struct{}{}
-	}
-}
-
 func (x *Expansion) expandNode(v graph.NodeID, key float64) error {
-	x.markNodeSettled(v)
 	x.nodeCount++
 	entries, err := x.src.Adjacency(v)
 	if err != nil {
@@ -401,13 +242,18 @@ func (x *Expansion) expandNode(v graph.NodeID, key float64) error {
 	}
 	for i := range entries {
 		e := &entries[i]
+		if int(e.Edge) >= x.edges {
+			return fmt.Errorf("expand: edge %d out of range", e.Edge)
+		}
 		var w float64
 		if x.coster != nil {
 			w = x.coster.EdgeCost(e.Edge, x.cost)
 		} else {
 			w = e.W[x.cost]
 		}
-		x.pushNode(e.Neighbor, key+w, nodePred{from: v, edge: e.Edge})
+		if err := x.pushNode(e.Neighbor, key+w); err != nil {
+			return err
+		}
 		if e.FacCount == 0 {
 			continue
 		}
@@ -423,7 +269,9 @@ func (x *Expansion) expandNode(v graph.NodeID, key float64) error {
 				continue
 			}
 			partial := graph.PartialFrom(e.Forward, fe.T)
-			x.pushFacility(fe.ID, key+partial*w, nodePred{from: v, edge: e.Edge})
+			if err := x.pushFacility(fe.ID, key+partial*w); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -444,31 +292,4 @@ func (x *Expansion) Next() (p graph.FacilityID, cost float64, ok bool, err error
 			return 0, 0, false, nil
 		}
 	}
-}
-
-// PathTo reconstructs the shortest path (as the traversed edge sequence from
-// the query location to facility p) under this expansion's cost type. It
-// requires WithPaths and that p has already been reported; ok is false
-// otherwise.
-func (x *Expansion) PathTo(p graph.FacilityID) (edges []graph.EdgeID, ok bool) {
-	if !x.trackPaths {
-		return nil, false
-	}
-	if !x.facPopped(p) {
-		return nil, false
-	}
-	pred, ok := x.predFac[p]
-	if !ok {
-		return nil, false
-	}
-	edges = append(edges, pred.edge)
-	for !pred.fromQuery {
-		pred = x.predNode[pred.from]
-		edges = append(edges, pred.edge)
-	}
-	// Reverse into query→facility order.
-	for i, j := 0, len(edges)-1; i < j; i, j = i+1, j-1 {
-		edges[i], edges[j] = edges[j], edges[i]
-	}
-	return edges, true
 }

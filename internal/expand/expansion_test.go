@@ -38,6 +38,19 @@ func randomLocation(rng *rand.Rand, g *graph.Graph) graph.Location {
 
 // drain pops every facility from the expansion, asserting non-decreasing
 // cost order and no duplicates.
+// acquire returns a scratch for src that goes back to the pool when the
+// test ends.
+func acquire(t testing.TB, src Source) *Scratch {
+	sc := Acquire(src)
+	t.Cleanup(sc.Release)
+	return sc
+}
+
+// newOn starts an expansion on a scratch of its own (see acquire).
+func newOn(t testing.TB, src Source, costIdx int, loc graph.Location) (*Expansion, error) {
+	return New(src, costIdx, loc, acquire(t, src))
+}
+
 func drain(t *testing.T, x *Expansion) map[graph.FacilityID]float64 {
 	t.Helper()
 	got := make(map[graph.FacilityID]float64)
@@ -73,7 +86,7 @@ func TestExpansionPathGraph(t *testing.T) {
 	g := b.MustBuild()
 
 	src := NewMemorySource(g)
-	x, err := New(src, 0, graph.Location{Edge: e0, T: 0.25})
+	x, err := newOn(t, src, 0, graph.Location{Edge: e0, T: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +118,7 @@ func TestExpansionSameEdgeDirect(t *testing.T) {
 	e := b.AddEdge(0, 1, vec.Of(10))
 	f := b.AddFacility(e, 0.6)
 	g := b.MustBuild()
-	x, err := New(NewMemorySource(g), 0, graph.Location{Edge: e, T: 0.4})
+	x, err := newOn(t, NewMemorySource(g), 0, graph.Location{Edge: e, T: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +139,7 @@ func TestExpansionDirectedBehindQuery(t *testing.T) {
 	e0 := b.AddEdge(0, 1, vec.Of(1))
 	f := b.AddFacility(e0, 0.1)
 	g := b.MustBuild()
-	x, err := New(NewMemorySource(g), 0, graph.Location{Edge: e0, T: 0.5})
+	x, err := newOn(t, NewMemorySource(g), 0, graph.Location{Edge: e0, T: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +154,7 @@ func TestExpansionDirectedBehindQuery(t *testing.T) {
 	b2.AddEdge(1, 0, vec.Of(1))
 	f = b2.AddFacility(e0, 0.1)
 	g2 := b2.MustBuild()
-	x2, err := New(NewMemorySource(g2), 0, graph.Location{Edge: e0, T: 0.5})
+	x2, err := newOn(t, NewMemorySource(g2), 0, graph.Location{Edge: e0, T: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +182,7 @@ func TestExpansionTieOrderById(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := New(NewMemorySource(g), 0, loc)
+	x, err := newOn(t, NewMemorySource(g), 0, loc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +211,7 @@ func TestExpansionMatchesOracle(t *testing.T) {
 		loc := randomLocation(rng, g)
 		for i := 0; i < d; i++ {
 			oracle := testnet.FacilityCosts(g, loc, i)
-			x, err := New(NewMemorySource(g), i, loc)
+			x, err := newOn(t, NewMemorySource(g), i, loc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,7 +253,7 @@ func TestExpansionMatchesOracleOnDisk(t *testing.T) {
 		loc := randomLocation(rng, g)
 		for i := 0; i < d; i++ {
 			oracle := testnet.FacilityCosts(g, loc, i)
-			x, err := New(net, i, loc)
+			x, err := newOn(t, net, i, loc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,7 +282,7 @@ func TestSharedSourceAccessBound(t *testing.T) {
 		mem := NewMemorySource(g)
 		shared := NewSharedSource(mem)
 		for i := 0; i < d; i++ {
-			x, err := New(shared, i, loc)
+			x, err := newOn(t, shared, i, loc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -285,7 +298,7 @@ func TestSharedSourceAccessBound(t *testing.T) {
 		// An unshared run of the same expansions must fetch at least as much.
 		mem2 := NewMemorySource(g)
 		for i := 0; i < d; i++ {
-			x, err := New(mem2, i, loc)
+			x, err := newOn(t, mem2, i, loc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,11 +317,11 @@ func TestSharedSourceSameResults(t *testing.T) {
 		g := randomGraph(t, rng, d, rng.Intn(2) == 0)
 		loc := randomLocation(rng, g)
 		for i := 0; i < d; i++ {
-			xa, err := New(NewMemorySource(g), i, loc)
+			xa, err := newOn(t, NewMemorySource(g), i, loc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			xb, err := New(NewSharedSource(NewMemorySource(g)), i, loc)
+			xb, err := newOn(t, NewSharedSource(NewMemorySource(g)), i, loc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -348,7 +361,7 @@ func TestFacilityFilterSkipsRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := New(mem, 0, loc)
+	x, err := newOn(t, mem, 0, loc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +393,7 @@ func TestFilterDropsInHeapFacilities(t *testing.T) {
 	e := b.AddEdge(0, 1, vec.Of(1))
 	b.AddFacility(e, 0.9) // en-heaped at init (same edge as query)
 	g := b.MustBuild()
-	x, err := New(NewMemorySource(g), 0, graph.Location{Edge: e, T: 0.1})
+	x, err := newOn(t, NewMemorySource(g), 0, graph.Location{Edge: e, T: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +408,7 @@ func TestHeadKeyLowerBound(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		g := randomGraph(t, rng, 1, false)
 		loc := randomLocation(rng, g)
-		x, err := New(NewMemorySource(g), 0, loc)
+		x, err := newOn(t, NewMemorySource(g), 0, loc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,66 +428,6 @@ func TestHeadKeyLowerBound(t *testing.T) {
 				t.Fatalf("facility %d at %g popped below head key %g", p, c, head)
 			}
 		}
-	}
-}
-
-func TestPathReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 40; trial++ {
-		g := randomGraph(t, rng, 2, false)
-		loc := randomLocation(rng, g)
-		x, err := New(NewMemorySource(g), 0, loc, WithPaths())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for {
-			p, c, ok, err := x.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			edges, ok := x.PathTo(p)
-			if !ok || len(edges) == 0 {
-				t.Fatalf("no path for reported facility %d", p)
-			}
-			if edges[0] != loc.Edge {
-				t.Fatalf("path must start on the query edge: %v", edges)
-			}
-			if edges[len(edges)-1] != g.Facility(p).Edge {
-				t.Fatalf("path must end on the facility edge: %v", edges)
-			}
-			// Adjacent edges in the path must share a node.
-			for i := 1; i < len(edges); i++ {
-				a, bb := g.Edge(edges[i-1]), g.Edge(edges[i])
-				if a.U != bb.U && a.U != bb.V && a.V != bb.U && a.V != bb.V {
-					t.Fatalf("path edges %d and %d not adjacent", edges[i-1], edges[i])
-				}
-			}
-			// Path cost sanity: sum of full edge weights (excluding the two
-			// partial ends) must bound the reported cost from above plus the
-			// partials; a loose but real check is that reported cost does
-			// not exceed the total weight of all path edges.
-			total := 0.0
-			for _, e := range edges {
-				total += g.Edge(e).W[0]
-			}
-			if c > total+1e-9 {
-				t.Fatalf("reported cost %g exceeds path weight %g", c, total)
-			}
-		}
-	}
-}
-
-func TestPathToWithoutTracking(t *testing.T) {
-	g := randomGraph(t, rand.New(rand.NewSource(48)), 1, false)
-	x, err := New(NewMemorySource(g), 0, graph.Location{Edge: 0, T: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := x.PathTo(0); ok {
-		t.Error("PathTo must fail without WithPaths")
 	}
 }
 

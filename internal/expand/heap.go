@@ -14,6 +14,13 @@ const (
 	kindFacility
 )
 
+func (k itemKind) String() string {
+	if k == kindNode {
+		return "node"
+	}
+	return "facility"
+}
+
 // item is one heap entry: a network node or a facility with its tentative
 // cost under the expansion's cost type.
 type item struct {

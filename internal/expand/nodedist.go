@@ -8,24 +8,20 @@ import (
 
 // NodeDistances runs a single-cost Dijkstra from loc until every node in
 // targets is settled (or the network is exhausted) and returns the exact
-// distances of the targets; unreached targets map to +Inf. This is the
+// distance of targets[i] at index i, +Inf where unreached. This is the
 // point-probe primitive used for dynamic facility maintenance: computing the
 // cost vector of one new facility needs only the distances of its edge's
 // end-nodes.
 //
-// When sc is non-nil the probe draws one dense generation-stamped state unit
-// from it instead of building fresh hash maps, so repeated probes (a
-// Maintainer absorbing a stream of insertions) run allocation-light on
-// in-memory sources. The scratch must not be serving another query
-// concurrently. Results are identical either way.
-func NodeDistances(src Source, costIdx int, loc graph.Location, targets []graph.NodeID, sc *Scratch) (map[graph.NodeID]float64, error) {
-	out := make(map[graph.NodeID]float64, len(targets))
-	want := make(map[graph.NodeID]bool, len(targets))
-	for _, v := range targets {
-		out[v] = math.Inf(1)
-		want[v] = true
+// The probe draws one dense generation-stamped state unit from sc, so
+// repeated probes (a Maintainer absorbing a stream of insertions) reuse the
+// same arrays. The scratch must not be serving another query concurrently.
+func NodeDistances(src Source, costIdx int, loc graph.Location, targets []graph.NodeID, sc *Scratch) ([]float64, error) {
+	out := make([]float64, len(targets))
+	for i := range out {
+		out[i] = math.Inf(1)
 	}
-	remaining := len(want)
+	remaining := len(targets)
 
 	info, err := src.EdgeInfo(loc.Edge)
 	if err != nil {
@@ -34,73 +30,34 @@ func NodeDistances(src Source, costIdx int, loc graph.Location, targets []graph.
 	w := info.W[costIdx]
 	coster := costerOf(src)
 
-	var h minHeap
-	var ds *denseState
-	var best map[graph.NodeID]float64
-	var settled map[graph.NodeID]struct{}
-	if sc != nil {
-		ds = sc.state()
-		h.a = ds.heap[:0]
-	} else {
-		best = make(map[graph.NodeID]float64)
-		settled = make(map[graph.NodeID]struct{})
+	ds := sc.state()
+	if err := ds.push(&ds.nodes, uint32(info.V), (1-loc.T)*w); err != nil {
+		return nil, err
 	}
-	push := func(v graph.NodeID, key float64) {
-		if ds != nil {
-			if ds.nodeDone[v] == ds.gen {
-				return
-			}
-			if ds.nodeSeen[v] == ds.gen && ds.bestNode[v] <= key {
-				return
-			}
-			ds.nodeSeen[v] = ds.gen
-			ds.bestNode[v] = key
-		} else {
-			if _, done := settled[v]; done {
-				return
-			}
-			if b, ok := best[v]; ok && b <= key {
-				return
-			}
-			best[v] = key
-		}
-		h.push(item{key: key, kind: kindNode, id: uint32(v)})
-	}
-	push(info.V, (1-loc.T)*w)
 	if !src.Directed() {
-		push(info.U, loc.T*w)
+		if err := ds.push(&ds.nodes, uint32(info.U), loc.T*w); err != nil {
+			return nil, err
+		}
 	}
 
 	for remaining > 0 {
-		it, ok := h.pop()
+		it, ok := ds.heap.pop()
 		if !ok {
 			break
 		}
-		v := graph.NodeID(it.id)
-		if ds != nil {
-			if ds.nodeDone[v] == ds.gen {
-				continue
-			}
-			if ds.bestNode[v] < it.key {
-				continue
-			}
-			ds.nodeDone[v] = ds.gen
-		} else {
-			if _, done := settled[v]; done {
-				continue
-			}
-			if best[v] < it.key {
-				continue
-			}
-			settled[v] = struct{}{}
+		if ds.stale(&ds.nodes, it) {
+			continue
 		}
-		if want[v] {
-			out[v] = it.key
-			want[v] = false
-			remaining--
-			if remaining == 0 {
-				break
+		v := graph.NodeID(it.id)
+		ds.nodes.m[v].done = ds.gen
+		for i, target := range targets { // a handful: the end-nodes of one edge
+			if target == v {
+				out[i] = it.key
+				remaining--
 			}
+		}
+		if remaining == 0 {
+			break
 		}
 		entries, err := src.Adjacency(v)
 		if err != nil {
@@ -111,12 +68,10 @@ func NodeDistances(src Source, costIdx int, loc graph.Location, targets []graph.
 			if coster != nil {
 				we = coster.EdgeCost(entries[i].Edge, costIdx)
 			}
-			push(entries[i].Neighbor, it.key+we)
+			if err := ds.push(&ds.nodes, uint32(entries[i].Neighbor), it.key+we); err != nil {
+				return nil, err
+			}
 		}
-	}
-	if ds != nil {
-		// Hand the (possibly re-grown) heap backing back for the next probe.
-		ds.heap = h.a
 	}
 	return out, nil
 }
@@ -124,9 +79,9 @@ func NodeDistances(src Source, costIdx int, loc graph.Location, targets []graph.
 // LocationCosts computes the full cost vector from loc to a point at
 // fraction t on edge e, using d early-terminating NodeDistances probes plus
 // the partial edge weights (and the direct same-edge walk when applicable).
-// A non-nil sc backs every probe with dense scratch state; LocationCosts
-// resets it between probes, so the caller must own it exclusively and must
-// not have live expansion state drawn from it.
+// LocationCosts resets sc between probes (one state unit serves all d), so
+// the caller must own it exclusively and must not have live expansion state
+// drawn from it.
 func LocationCosts(src Source, loc graph.Location, e graph.EdgeID, t float64, sc *Scratch) (costs []float64, err error) {
 	info, err := src.EdgeInfo(e)
 	if err != nil {
@@ -135,17 +90,15 @@ func LocationCosts(src Source, loc graph.Location, e graph.EdgeID, t float64, sc
 	d := src.D()
 	costs = make([]float64, d)
 	for i := 0; i < d; i++ {
-		if sc != nil {
-			sc.Reset() // reuse one state unit across the d probes
-		}
+		sc.reset() // reuse one state unit across the d probes
 		dist, err := NodeDistances(src, i, loc, []graph.NodeID{info.U, info.V}, sc)
 		if err != nil {
 			return nil, err
 		}
 		w := info.W[i]
-		c := dist[info.U] + t*w
+		c := dist[0] + t*w
 		if !src.Directed() {
-			c = math.Min(c, dist[info.V]+(1-t)*w)
+			c = math.Min(c, dist[1]+(1-t)*w)
 		}
 		if e == loc.Edge {
 			if src.Directed() {

@@ -21,8 +21,11 @@ func pathGraph(t *testing.T, n int) *graph.Graph {
 	return g
 }
 
+// One scratch serves every probe of every trial: repeated probes through it
+// must not contaminate each other, whatever graph they ran on.
 func TestNodeDistancesMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(600))
+	sc := acquire(t, unsized{})
 	for trial := 0; trial < 60; trial++ {
 		d := 1 + rng.Intn(3)
 		g := randomGraph(t, rng, d, rng.Intn(3) == 0)
@@ -33,13 +36,14 @@ func TestNodeDistancesMatchesOracle(t *testing.T) {
 		}
 		for i := 0; i < d; i++ {
 			oracle := testnet.NodeCosts(g, loc, i)
-			got, err := NodeDistances(NewMemorySource(g), i, loc, targets, nil)
+			sc.reset()
+			got, err := NodeDistances(NewMemorySource(g), i, loc, targets, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, v := range targets {
+			for j, v := range targets {
 				want := oracle[v]
-				gv := got[v]
+				gv := got[j]
 				if math.IsInf(want, 1) != math.IsInf(gv, 1) {
 					t.Fatalf("trial %d: node %d reachability mismatch (got %g, want %g)", trial, v, gv, want)
 				}
@@ -58,7 +62,7 @@ func TestNodeDistancesEarlyTermination(t *testing.T) {
 	g := pathGraph(t, 500)
 	mem := NewMemorySource(g)
 	loc := graph.Location{Edge: 0, T: 0}
-	if _, err := NodeDistances(mem, 0, loc, []graph.NodeID{1}, nil); err != nil {
+	if _, err := NodeDistances(mem, 0, loc, []graph.NodeID{1}, acquire(t, mem)); err != nil {
 		t.Fatal(err)
 	}
 	if mem.Count.Snapshot().Adjacency > 10 {
@@ -68,6 +72,7 @@ func TestNodeDistancesEarlyTermination(t *testing.T) {
 
 func TestLocationCostsMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(601))
+	sc := acquire(t, unsized{})
 	for trial := 0; trial < 60; trial++ {
 		d := 1 + rng.Intn(3)
 		g := randomGraph(t, rng, d, rng.Intn(4) == 0)
@@ -75,7 +80,7 @@ func TestLocationCostsMatchesOracle(t *testing.T) {
 		e := graph.EdgeID(rng.Intn(g.NumEdges()))
 		tt := rng.Float64()
 
-		got, err := LocationCosts(NewMemorySource(g), loc, e, tt, nil)
+		got, err := LocationCosts(NewMemorySource(g), loc, e, tt, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,60 +103,6 @@ func TestLocationCostsMatchesOracle(t *testing.T) {
 			}
 			if !math.IsInf(want, 1) && math.Abs(got[i]-want) > 1e-9*(1+want) {
 				t.Fatalf("trial %d: cost %d = %g, oracle %g", trial, i, got[i], want)
-			}
-		}
-	}
-}
-
-// Dense-scratch probes must agree exactly with the map-based reference, and
-// repeated probes through one scratch must not contaminate each other.
-func TestNodeDistancesDenseMatchesMaps(t *testing.T) {
-	rng := rand.New(rand.NewSource(512))
-	for trial := 0; trial < 30; trial++ {
-		d := 1 + rng.Intn(3)
-		topo := gen.RandomConnected(3+rng.Intn(25), rng.Intn(10), rng)
-		costs := gen.AssignCosts(topo, d, gen.Independent, rng)
-		g, err := gen.Assemble(topo, costs, gen.UniformFacilities(topo, 1+rng.Intn(8), rng), rng.Intn(2) == 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := NewMemorySource(g)
-		sc := NewScratch(g.NumNodes(), g.NumEdges(), g.NumFacilities())
-		loc := graph.Location{Edge: graph.EdgeID(rng.Intn(g.NumEdges())), T: rng.Float64()}
-		var targets []graph.NodeID
-		for len(targets) < 1+rng.Intn(4) {
-			targets = append(targets, graph.NodeID(rng.Intn(g.NumNodes())))
-		}
-		for i := 0; i < d; i++ {
-			sc.Reset()
-			want, err := NodeDistances(src, i, loc, targets, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := NodeDistances(src, i, loc, targets, sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range targets {
-				if got[v] != want[v] && !(math.IsInf(got[v], 1) && math.IsInf(want[v], 1)) {
-					t.Fatalf("trial %d cost %d node %d: dense %g != map %g", trial, i, v, got[v], want[v])
-				}
-			}
-		}
-		// LocationCosts through the same scratch, against the map path.
-		e := graph.EdgeID(rng.Intn(g.NumEdges()))
-		tt := rng.Float64()
-		want, err := LocationCosts(src, loc, e, tt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := LocationCosts(src, loc, e, tt, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] && !(math.IsInf(got[i], 1) && math.IsInf(want[i], 1)) {
-				t.Fatalf("trial %d LocationCosts[%d]: dense %g != map %g", trial, i, got[i], want[i])
 			}
 		}
 	}

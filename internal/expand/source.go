@@ -3,6 +3,13 @@
 // LSA probes once per cost type, and the record-sharing source that turns
 // the same machinery into CEA by guaranteeing at most one underlying access
 // per adjacency or facility record per query.
+//
+// It also owns every query's search state. There is one backing — dense,
+// generation-stamped arrays indexed by node, facility and edge id (Scratch)
+// — and one pool of it: a query Acquires a scratch for its source, starts
+// its expansions on it, and Releases it. The arrays are sized up front for
+// sources that declare their id spaces (Sized) and grow on demand for those
+// that do not, so any Source, however it is wrapped, runs the same way.
 package expand
 
 import (

@@ -4,37 +4,31 @@ import (
 	"testing"
 
 	"mcn/internal/core"
-	"mcn/internal/expand"
 	"mcn/internal/vec"
 )
 
-// TestQueryAllocsWithScratch verifies the shrinking-stage satellite of the
-// v2 API work: with a warmed scratch, a whole in-memory skyline or top-k
-// query must not allocate its edge filter — the dense epoch-stamped EdgeSet
-// replaces the per-query map[EdgeID]bool — and total per-query allocations
-// must stay strictly below the map-state baseline. The residual allocations
-// are the per-facility tracked structs and the result (the next ROADMAP
-// item), so the bound asserts "filter-free", not absolute zero.
+// TestQueryAllocsWithScratch gates what a whole in-memory skyline or top-k
+// query allocates once the pooled scratch is warm: not its Dijkstra state,
+// not its heap, not its edge filter (the dense epoch-stamped EdgeSet). The
+// residual allocations are the per-facility tracked structs and the result,
+// so the bound asserts "nothing per node, edge or pop", not absolute zero.
 func TestQueryAllocsWithScratch(t *testing.T) {
 	inst := testInstance(t, false, 17)
 	fs := Compile(inst.Graph)
-	mem := expand.NewMemorySource(inst.Graph)
 	loc := inst.Queries[0]
 	coef := make([]float64, inst.Graph.D())
 	for i := range coef {
 		coef[i] = 1
 	}
 	agg := vec.NewWeighted(coef...)
-	sc := expand.NewScratch(fs.NumNodes(), fs.NumEdges(), fs.NumFacilities())
 
-	runs := func(opt core.Options, topk bool) func() {
+	runs := func(topk bool) func() {
 		return func() {
-			sc.Reset()
 			var err error
 			if topk {
-				_, err = core.TopK(fs, loc, agg, 4, opt)
+				_, err = core.TopK(fs, loc, agg, 4, core.Options{})
 			} else {
-				_, err = core.Skyline(fs, loc, opt)
+				_, err = core.Skyline(fs, loc, core.Options{})
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -48,33 +42,18 @@ func TestQueryAllocsWithScratch(t *testing.T) {
 	}{{"skyline", false}, {"topk", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Warm the scratch (grows states, heap backing, edge set once).
-			runs(core.Options{Scratch: sc}, tc.topk)()
+			runs(tc.topk)()
 
-			withScratch := testing.AllocsPerRun(20, runs(core.Options{Scratch: sc}, tc.topk))
-			base := testing.AllocsPerRun(20, func() {
-				var err error
-				if tc.topk {
-					_, err = core.TopK(mem, loc, agg, 4, core.Options{})
-				} else {
-					_, err = core.Skyline(mem, loc, core.Options{})
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			})
-			t.Logf("%s allocs/query: scratch+flat %.0f, map-state %.0f", tc.name, withScratch, base)
-			if withScratch >= base {
-				t.Errorf("%s with dense scratch allocates %.0f/query, not below map baseline %.0f",
-					tc.name, withScratch, base)
-			}
+			allocs := testing.AllocsPerRun(20, runs(tc.topk))
+			t.Logf("%s allocs/query: %.0f", tc.name, allocs)
 			// The dominant remaining allocations are tracked structs + cost
 			// vectors + result building; the Dijkstra state, the heap and the
 			// edge filter must all come from the scratch. An instance with
 			// hundreds of nodes stays under this bound only if none of those
 			// allocate per node/edge/pop.
-			if lim := 16 + 6*float64(inst.Graph.NumFacilities()); withScratch > lim {
-				t.Errorf("%s with dense scratch allocates %.0f/query (> %.0f): per-step state is leaking allocations",
-					tc.name, withScratch, lim)
+			if lim := 16 + 6*float64(inst.Graph.NumFacilities()); allocs > lim {
+				t.Errorf("%s allocates %.0f/query (> %.0f): per-step state is leaking allocations",
+					tc.name, allocs, lim)
 			}
 		})
 	}

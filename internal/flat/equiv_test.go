@@ -8,14 +8,15 @@ import (
 	"mcn/internal/expand"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
+	"mcn/internal/storage"
 	"mcn/internal/vec"
 )
 
 // The equivalence suite: for seeded random graphs — directed and undirected,
 // with small integer costs so exact cost ties are common — every query type
-// must return byte-identical results over the flat CSR source (with and
-// without pooled dense state, LSA and CEA) as over the reference
-// MemorySource.
+// must return byte-identical results over the flat CSR source and the paged
+// disk store (LSA and CEA, directly and behind a wrapper that hides their
+// declared id spaces) as over the reference MemorySource.
 
 func sameFacilities(t *testing.T, label string, got, want []core.Facility) {
 	t.Helper()
@@ -37,28 +38,18 @@ func sameFacilities(t *testing.T, label string, got, want []core.Facility) {
 	}
 }
 
-// variant is one (source, engine, scratch) combination under test.
+// variant is one (source, engine) combination under test.
 type variant struct {
-	name    string
-	src     expand.Source
-	engine  core.Engine
-	scratch bool
+	name   string
+	src    expand.Source
+	engine core.Engine
 }
 
-func runVariant(t *testing.T, v variant, pool *expand.Pool, run func(core.Options) (*core.Result, error)) *core.Result {
-	t.Helper()
-	opt := core.Options{Engine: v.engine}
-	if v.scratch {
-		sc := pool.Get()
-		defer pool.Put(sc)
-		opt.Scratch = sc
-	}
-	res, err := run(opt)
-	if err != nil {
-		t.Fatalf("%s: %v", v.name, err)
-	}
-	return res
-}
+// sixMethods hides everything but the six expand.Source methods of what it
+// wraps — Sized, ZeroCopy, EdgeCoster — the way a caller's own wrapper does
+// (the benchmark's tracing shim is one). Queries over it run on state that
+// grows on demand and, under CEA, behind the record memo.
+type sixMethods struct{ expand.Source }
 
 func TestFlatEquivalence(t *testing.T) {
 	for _, directed := range []bool{false, true} {
@@ -81,14 +72,26 @@ func TestFlatEquivalence(t *testing.T) {
 				g := inst.Graph
 				mem := expand.NewMemorySource(g)
 				fs := Compile(g)
-				pool := expand.NewPool(fs)
+				dev, err := storage.BuildMem(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				disk, err := storage.Open(dev, 0.1)
+				if err != nil {
+					t.Fatal(err)
+				}
 				variants := []variant{
-					{"mem/CEA", mem, core.CEA, false},
-					{"flat/LSA", fs, core.LSA, false},
-					{"flat/LSA/scratch", fs, core.LSA, true},
-					{"flat/CEA/scratch", fs, core.CEA, true},
+					{"mem/CEA", mem, core.CEA},
+					{"flat/LSA", fs, core.LSA},
+					{"flat/CEA", fs, core.CEA},
+					{"wrapped flat/LSA", sixMethods{fs}, core.LSA},
+					{"wrapped flat/CEA", sixMethods{fs}, core.CEA},
+					{"disk/CEA", disk, core.CEA},
+					{"wrapped disk/LSA", sixMethods{disk}, core.LSA},
+					{"wrapped disk/CEA", sixMethods{disk}, core.CEA},
 				}
 				agg := vec.NewWeighted(1, 0.5, 0.25)
+				others := []graph.Location{inst.Queries[0], inst.Queries[len(inst.Queries)-1]}
 
 				for qi, loc := range inst.Queries {
 					// Budget for Within: wide enough to catch a handful of
@@ -123,6 +126,12 @@ func TestFlatEquivalence(t *testing.T) {
 						{"within", func(s expand.Source, o core.Options) (*core.Result, error) {
 							return core.Within(s, loc, budget, o)
 						}},
+						{"multisource skyline", func(s expand.Source, o core.Options) (*core.Result, error) {
+							return core.MultiSourceSkyline(s, qi%g.D(), append(others, loc), o)
+						}},
+						{"multisource topk", func(s expand.Source, o core.Options) (*core.Result, error) {
+							return core.MultiSourceTopK(s, qi%g.D(), append(others, loc), agg, 4, o)
+						}},
 					}
 					for _, q := range queries {
 						want, err := q.run(mem, core.Options{Engine: core.LSA})
@@ -130,10 +139,11 @@ func TestFlatEquivalence(t *testing.T) {
 							t.Fatalf("q%d %s baseline: %v", qi, q.name, err)
 						}
 						for _, v := range variants {
-							got := runVariant(t, v, pool, func(o core.Options) (*core.Result, error) {
-								return q.run(v.src, o)
-							})
 							label := fmt.Sprintf("q%d %s %s", qi, q.name, v.name)
+							got, err := q.run(v.src, core.Options{Engine: v.engine})
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
 							sameFacilities(t, label, got.Facilities, want.Facilities)
 							if got.Stats.Pops != want.Stats.Pops {
 								t.Errorf("%s: %d pops, want %d", label, got.Stats.Pops, want.Stats.Pops)
@@ -177,7 +187,6 @@ func TestFlatEquivalenceTieEdges(t *testing.T) {
 
 		mem := expand.NewMemorySource(g)
 		fs := Compile(g)
-		pool := expand.NewPool(fs)
 		loc := graph.Location{Edge: e01, T: 0.25}
 		agg := vec.NewWeighted(1, 1)
 
@@ -186,8 +195,7 @@ func TestFlatEquivalenceTieEdges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc := pool.Get()
-			gotSky, err := core.Skyline(fs, loc, core.Options{Engine: engine, Scratch: sc})
+			gotSky, err := core.Skyline(fs, loc, core.Options{Engine: engine})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,14 +206,12 @@ func TestFlatEquivalenceTieEdges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc.Reset()
-			gotTop, err := core.TopK(fs, loc, agg, 3, core.Options{Engine: engine, Scratch: sc})
+			gotTop, err := core.TopK(fs, loc, agg, 3, core.Options{Engine: engine})
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameFacilities(t, fmt.Sprintf("tie topk directed=%v %v", directed, engine),
 				gotTop.Facilities, wantTop.Facilities)
-			pool.Put(sc)
 		}
 	}
 }

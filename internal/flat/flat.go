@@ -14,8 +14,8 @@
 //	edgeInfo[e]              → the resolved EdgeInfo of edge e
 //	facEdge[p]               → the edge facility p lies on
 //
-// flat.Source additionally implements expand.Sized (dense id spaces, so
-// expansions can use array-backed Dijkstra state from an expand.Pool) and
+// flat.Source additionally implements expand.Sized (declared id spaces, so
+// a query's Dijkstra state is allocated at full size up front) and
 // expand.ZeroCopy (records are free to re-fetch, so CEA's per-query record
 // memo is skipped — LSA and CEA are identical over a flat source, as the
 // sharing CEA exists to provide costs nothing here).

@@ -147,38 +147,33 @@ func drain(t testing.TB, x *expand.Expansion) (pops, steps int) {
 	}
 }
 
-// TestFlatPopLoopZeroAlloc proves the acceptance criterion: with a warmed
-// scratch, the steady-state expansion pop loop over a flat source performs
-// zero allocations per step. The only allocations left per whole expansion
-// are the Expansion struct and the variadic option slice — a constant that
-// does not grow with the number of steps.
+// TestFlatPopLoopZeroAlloc proves the acceptance criterion: once the pooled
+// scratch is warm, the steady-state expansion pop loop over a flat source
+// performs zero allocations per step. The only allocation left per whole
+// expansion is the Expansion struct — a constant that does not grow with the
+// number of steps.
 func TestFlatPopLoopZeroAlloc(t *testing.T) {
 	inst := testInstance(t, false, 11)
 	fs := Compile(inst.Graph)
-	pool := expand.NewPool(fs)
-	if pool == nil {
-		t.Fatal("NewPool returned nil for a flat source")
-	}
-	sc := pool.Get()
-	defer pool.Put(sc)
 	loc := inst.Queries[0]
-	withScratch := expand.WithScratch(sc)
 
 	// Warm-up run: grows the heap backing and the dense state arrays once.
-	sc.Reset()
-	x, err := expand.New(fs, 0, loc, withScratch)
+	sc := expand.Acquire(fs)
+	x, err := expand.New(fs, 0, loc, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, steps := drain(t, x)
+	sc.Release()
 	if steps < 100 {
 		t.Fatalf("instance too small for a meaningful measurement: %d steps", steps)
 	}
 
 	var stepErr error
 	allocs := testing.AllocsPerRun(10, func() {
-		sc.Reset()
-		x, err := expand.New(fs, 0, loc, withScratch)
+		sc := expand.Acquire(fs)
+		defer sc.Release()
+		x, err := expand.New(fs, 0, loc, sc)
 		if err != nil {
 			stepErr = err
 			return
@@ -197,10 +192,10 @@ func TestFlatPopLoopZeroAlloc(t *testing.T) {
 	if stepErr != nil {
 		t.Fatal(stepErr)
 	}
-	// The per-expansion constant (Expansion struct + options slice) is ≤ 4
-	// allocations; with hundreds of steps per run, anything above that means
-	// the pop loop itself allocates.
-	if allocs > 4 {
+	// The per-expansion constant (the Expansion struct) is ≤ 2 allocations;
+	// with hundreds of steps per run, anything above that means the pop loop
+	// itself allocates.
+	if allocs > 2 {
 		t.Errorf("full expansion over warmed scratch allocated %.1f times (%d steps); pop loop is not alloc-free", allocs, steps)
 	}
 	if perStep := allocs / float64(steps); perStep > 0.01 {
@@ -208,23 +203,22 @@ func TestFlatPopLoopZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestScratchReuseAcrossQueries runs many queries through one pooled scratch
-// and checks each against a fresh map-state expansion: generation stamping
-// must fully isolate queries from each other's leftovers.
+// TestScratchReuseAcrossQueries runs many expansions through the scratch
+// pool and checks each against the MemorySource reference: generation
+// stamping must fully isolate queries from each other's leftovers.
 func TestScratchReuseAcrossQueries(t *testing.T) {
 	inst := testInstance(t, false, 13)
 	fs := Compile(inst.Graph)
 	mem := expand.NewMemorySource(inst.Graph)
-	pool := expand.NewPool(fs)
 	for round := 0; round < 3; round++ {
 		for _, loc := range inst.Queries {
 			for cost := 0; cost < fs.D(); cost++ {
-				sc := pool.Get()
-				xf, err := expand.New(fs, cost, loc, expand.WithScratch(sc))
+				sc, scm := expand.Acquire(fs), expand.Acquire(mem)
+				xf, err := expand.New(fs, cost, loc, sc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				xm, err := expand.New(mem, cost, loc)
+				xm, err := expand.New(mem, cost, loc, scm)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -238,14 +232,15 @@ func TestScratchReuseAcrossQueries(t *testing.T) {
 						t.Fatal(err)
 					}
 					if okf != okm || pf != pm || cf != cm {
-						t.Fatalf("round %d cost %d: flat (%d, %g, %v) != map (%d, %g, %v)",
+						t.Fatalf("round %d cost %d: flat (%d, %g, %v) != mem (%d, %g, %v)",
 							round, cost, pf, cf, okf, pm, cm, okm)
 					}
 					if !okf {
 						break
 					}
 				}
-				pool.Put(sc)
+				sc.Release()
+				scm.Release()
 			}
 		}
 	}
@@ -253,8 +248,7 @@ func TestScratchReuseAcrossQueries(t *testing.T) {
 
 // BenchmarkExpansion measures the pop loop alone — one full expansion to
 // exhaustion per iteration, no skyline/top-k driver on top — for the
-// hash-map source, the flat source with map state, and the flat source with
-// pooled dense state.
+// MemorySource reference and the flat source.
 func BenchmarkExpansion(b *testing.B) {
 	inst, err := gen.MakeInstance(gen.InstanceConfig{
 		Nodes:      4_000,
@@ -271,17 +265,14 @@ func BenchmarkExpansion(b *testing.B) {
 	loc := inst.Queries[0]
 	mem := expand.NewMemorySource(g)
 	fs := Compile(g)
-	pool := expand.NewPool(fs)
 
-	run := func(b *testing.B, src expand.Source, sc *expand.Scratch) {
+	run := func(b *testing.B, src expand.Source) {
 		b.Helper()
 		b.ReportAllocs()
 		steps := 0
 		for i := 0; i < b.N; i++ {
-			if sc != nil {
-				sc.Reset()
-			}
-			x, err := expand.New(src, i%g.D(), loc, expand.WithScratch(sc))
+			sc := expand.Acquire(src)
+			x, err := expand.New(src, i%g.D(), loc, sc)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -295,15 +286,11 @@ func BenchmarkExpansion(b *testing.B) {
 				}
 				steps++
 			}
+			sc.Release()
 		}
 		b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 	}
 
-	b.Run("map-source", func(b *testing.B) { run(b, mem, nil) })
-	b.Run("flat-mapstate", func(b *testing.B) { run(b, fs, nil) })
-	b.Run("flat-dense", func(b *testing.B) {
-		sc := pool.Get()
-		defer pool.Put(sc)
-		run(b, fs, sc)
-	})
+	b.Run("mem", func(b *testing.B) { run(b, mem) })
+	b.Run("flat", func(b *testing.B) { run(b, fs) })
 }

@@ -140,7 +140,6 @@ func TestOverlayQueryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := expand.NewPool(ov.Interval(0))
 	agg := vec.NewWeighted(1, 0.5, 0.25)
 	for k := 0; k < ov.NumIntervals(); k++ {
 		// Reference: the same scaled costs baked into a fresh graph.
@@ -170,21 +169,18 @@ func TestOverlayQueryEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, eng := range []core.Engine{core.LSA, core.CEA} {
-				sc := pool.Get()
-				gotSky, err := core.Skyline(view, loc, core.Options{Engine: eng, Scratch: sc})
+				gotSky, err := core.Skyline(view, loc, core.Options{Engine: eng})
 				if err != nil {
 					t.Fatal(err)
 				}
 				sameFacilities(t, fmt.Sprintf("interval %d q%d skyline %v", k, qi, eng),
 					gotSky.Facilities, wantSky.Facilities)
-				sc.Reset()
-				gotTop, err := core.TopK(view, loc, agg, 4, core.Options{Engine: eng, Scratch: sc})
+				gotTop, err := core.TopK(view, loc, agg, 4, core.Options{Engine: eng})
 				if err != nil {
 					t.Fatal(err)
 				}
 				sameFacilities(t, fmt.Sprintf("interval %d q%d topk %v", k, qi, eng),
 					gotTop.Facilities, wantTop.Facilities)
-				pool.Put(sc)
 			}
 		}
 	}

@@ -56,7 +56,7 @@ func TestInstantQueryAllocs(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Warm the overlay compilation and the scratch pool.
+			// Warm the overlay compilation and the pooled scratch.
 			tc.run(0)
 			at := 0.0
 			allocs := testing.AllocsPerRun(20, func() {

@@ -113,8 +113,6 @@ func TestOverlayEquivalenceInstant(t *testing.T) {
 				g := n.Base()
 				rng := rand.New(rand.NewSource(seed * 7))
 				agg := vec.NewWeighted(1, 0.5, 0.25)
-				// Caller-owned scratch variant, sized like the pool's.
-				sc := expand.NewScratch(g.NumNodes(), g.NumEdges(), g.NumFacilities())
 				prunedNodes := 0
 
 				for _, at := range probeInstants(n, rng) {
@@ -174,12 +172,6 @@ func TestOverlayEquivalenceInstant(t *testing.T) {
 								}
 								sameResult(t, fmt.Sprintf("t=%g q%d %s overlay/%v", at, qi, q.name, eng), got, want)
 							}
-							sc.Reset()
-							got, err := q.overlay(core.Options{Scratch: sc, NoPrune: true})
-							if err != nil {
-								t.Fatalf("t=%g q%d %s overlay/caller-scratch: %v", at, qi, q.name, err)
-							}
-							sameResult(t, fmt.Sprintf("t=%g q%d %s overlay/caller-scratch", at, qi, q.name), got, want)
 							// Pruned run (the *At default): facilities must
 							// stay byte-identical; only the work may shrink.
 							pruned, err := q.overlay(core.Options{})

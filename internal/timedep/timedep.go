@@ -25,9 +25,8 @@
 // costs a binary search over the breakpoints plus a pointer read for the
 // interval's view; the per-interval graph.Graph rebuild of the Snapshot
 // path (kept as the reference implementation for equivalence tests) never
-// runs. Expansion state is drawn from a pooled expand.Scratch sized for the
-// shared topology, so instant queries run at the in-memory fast path's
-// allocation level.
+// runs. An interval view is an ordinary sized, zero-copy source, so instant
+// queries run at the in-memory fast path's allocation level.
 package timedep
 
 import (
@@ -38,7 +37,6 @@ import (
 	"sync"
 
 	"mcn/internal/core"
-	"mcn/internal/expand"
 	"mcn/internal/flat"
 	"mcn/internal/graph"
 	"mcn/internal/index"
@@ -131,12 +129,11 @@ type Network struct {
 // compiled is the overlay compilation of one profile configuration: the
 // ascending global breakpoints, one flat.View per elementary interval
 // (views[k] is active on [times[k-1], times[k]), views[0] before times[0]),
-// a scratch pool sized for the shared topology, and one pruning index per
-// interval (bounds[k] is admissible exactly for interval k's cost surface).
+// and one pruning index per interval (bounds[k] is admissible exactly for
+// interval k's cost surface).
 type compiled struct {
 	times  []float64
 	ov     *flat.Overlay
-	pool   *expand.Pool
 	bounds []*index.Bounds
 }
 
@@ -334,7 +331,7 @@ func (n *Network) overlay() (*compiled, error) {
 			return w
 		})
 	}
-	n.compiled = &compiled{times: times, ov: ov, pool: expand.NewPool(ov.Interval(0)), bounds: bounds}
+	n.compiled = &compiled{times: times, ov: ov, bounds: bounds}
 	n.axis = times
 	return n.compiled, nil
 }
@@ -414,23 +411,12 @@ type IntervalResult struct {
 	Result   *core.Result
 }
 
-// queryScratch attaches a pooled scratch to opt when the caller supplied
-// none; release returns it to the pool (a no-op for caller-owned scratch).
-func (c *compiled) queryScratch(opt core.Options) (core.Options, func()) {
-	if opt.Scratch != nil {
-		return opt, func() {}
-	}
-	sc := c.pool.Get()
-	opt.Scratch = sc
-	return opt, func() { c.pool.Put(sc) }
-}
-
 // instant runs one static query against the interval view covering t: the
 // shared prologue of every *At entry point — location validation, lazy
-// overlay compile, ctx binding, pooled scratch attach/release. spec carries
-// the kind-specific key fields; with a cache attached, the query is keyed
-// by elementary interval (every instant inside the interval shares one
-// entry) and tagged with its interval plus the time-dependent class.
+// overlay compile, ctx binding. spec carries the kind-specific key fields;
+// with a cache attached, the query is keyed by elementary interval (every
+// instant inside the interval shares one entry) and tagged with its interval
+// plus the time-dependent class.
 func (n *Network) instant(ctx context.Context, loc graph.Location, t float64, opt core.Options, spec rescache.KeySpec, query func(*flat.View, core.Options) (*core.Result, error)) (*core.Result, error) {
 	if err := loc.Validate(n.base); err != nil {
 		return nil, err
@@ -448,9 +434,7 @@ func (n *Network) instant(ctx context.Context, loc graph.Location, t float64, op
 			// results, so the cache key needs no extra field.
 			opt.Bounds = c.bounds[k]
 		}
-		opt, release := c.queryScratch(opt.BindContext(ctx))
-		defer release()
-		return query(c.ov.Interval(k), opt)
+		return query(c.ov.Interval(k), opt.BindContext(ctx))
 	}
 	if n.cache != nil && opt.OnResult == nil {
 		spec.Interval = k
@@ -478,8 +462,8 @@ func (n *Network) instant(ctx context.Context, loc graph.Location, t float64, op
 
 // SkylineAt computes sky(q) under the cost surface in effect at instant t:
 // the skyline query of the paper over the elementary interval covering t,
-// answered from the compiled overlay with pooled expansion state.
-// Cancelling ctx aborts the query at its next interrupt poll.
+// answered from the compiled overlay. Cancelling ctx aborts the query at its
+// next interrupt poll.
 func (n *Network) SkylineAt(ctx context.Context, loc graph.Location, t float64, opt core.Options) (*core.Result, error) {
 	return n.instant(ctx, loc, t, opt, rescache.KeySpec{Kind: rescache.KindSkyline},
 		func(v *flat.View, opt core.Options) (*core.Result, error) {
@@ -531,8 +515,7 @@ func (n *Network) TopKOverPeriod(ctx context.Context, loc graph.Location, agg ve
 
 // overPeriod sweeps the elementary intervals intersecting [from, to),
 // running one static query per interval against its overlay view and
-// merging adjacent intervals with identical preferred sets. One pooled
-// scratch serves the whole sweep, reset between intervals.
+// merging adjacent intervals with identical preferred sets.
 func (n *Network) overPeriod(ctx context.Context, loc graph.Location, from, to float64, opt core.Options, query func(*flat.View, core.Options) (*core.Result, error)) ([]IntervalResult, error) {
 	if !(from < to) {
 		return nil, fmt.Errorf("timedep: empty period [%g, %g)", from, to)
@@ -546,8 +529,7 @@ func (n *Network) overPeriod(ctx context.Context, loc graph.Location, from, to f
 	}
 	// Bound once for the whole sweep, so a deadline that passes inside an
 	// interval stops that interval's query at its next pop.
-	opt, release := c.queryScratch(opt.BindContext(ctx))
-	defer release()
+	opt = opt.BindContext(ctx)
 	breaks := n.Breakpoints(from, to)
 	var out []IntervalResult
 	for i, start := range breaks {
@@ -558,7 +540,6 @@ func (n *Network) overPeriod(ctx context.Context, loc graph.Location, from, to f
 		if i+1 < len(breaks) {
 			end = breaks[i+1]
 		}
-		opt.Scratch.Reset()
 		iopt := opt
 		if iopt.Bounds == nil && !iopt.NoPrune {
 			iopt.Bounds = c.bounds[c.intervalAt(start)]

@@ -262,16 +262,14 @@ func buildOptions(opts []Option) core.Options {
 }
 
 // Network is a queryable multi-cost network: either an in-memory graph or an
-// opened disk database.
+// opened disk database. Both kinds answer queries the same way — the
+// algorithms acquire one pooled, dense expansion state per query (see
+// internal/expand) — so a Network holds no per-query state of its own.
 type Network struct {
 	src   expand.Source
 	g     *graph.Graph
 	store *storage.Network
 	dev   storage.Device
-	// pool recycles dense expansion state across queries on in-memory
-	// networks (nil for disk-backed ones, whose id spaces the state arrays
-	// cannot index).
-	pool *expand.Pool
 	// faultDev is set when the network was opened through OpenDatabaseChaos:
 	// the fault-injecting wrapper between the pool and the real device, kept
 	// so FaultCounters can report what was injected.
@@ -289,10 +287,10 @@ type Network struct {
 // FromGraph wraps an in-memory graph for querying. The graph is compiled
 // once into a flat CSR representation (see internal/flat), so queries read
 // adjacency and facility records as shared slices with zero per-call
-// allocation and run their expansions over pooled dense state.
+// allocation.
 func FromGraph(g *Graph) *Network {
 	src := flat.Compile(g)
-	return &Network{src: src, g: g, pool: expand.NewPool(src), bounds: index.FromGraph(g)}
+	return &Network{src: src, g: g, bounds: index.FromGraph(g)}
 }
 
 // CreateDatabase writes g to a disk database at path using the paper's
@@ -441,29 +439,22 @@ func (n *Network) NumFacilities() int {
 	return n.g.NumFacilities()
 }
 
-// scratchOptions materialises opts and attaches pooled expansion scratch
-// for in-memory networks, without binding a context — the Seq surfaces use
-// it directly because core.SkylineSeq/TopKSeq bind ctx themselves, and a
-// second binding would chain two identical ctx checks into every interrupt
-// poll. Callers must invoke release when the query completes (a no-op for
-// disk-backed networks).
-func (n *Network) scratchOptions(opts []Option) (o core.Options, release func()) {
-	o = buildOptions(opts)
+// defaultOptions materialises opts and attaches the network's pruning
+// index, without binding a context — the Seq surfaces use it directly because
+// core.SkylineSeq/TopKSeq bind ctx themselves, and a second binding would
+// chain two identical ctx checks into every interrupt poll.
+func (n *Network) defaultOptions(opts []Option) core.Options {
+	o := buildOptions(opts)
 	if o.Bounds == nil && n.bounds != nil {
 		o.Bounds = n.bounds
 	}
-	if sc := n.pool.Get(); sc != nil {
-		o.Scratch = sc
-		return o, func() { n.pool.Put(sc) }
-	}
-	return o, func() {}
+	return o
 }
 
-// queryOptions is scratchOptions plus ctx cancellation/deadline binding —
+// queryOptions is defaultOptions plus ctx cancellation/deadline binding —
 // what every non-streaming query method uses.
-func (n *Network) queryOptions(ctx context.Context, opts []Option) (o core.Options, release func()) {
-	o, release = n.scratchOptions(opts)
-	return o.BindContext(ctx), release
+func (n *Network) queryOptions(ctx context.Context, opts []Option) core.Options {
+	return n.defaultOptions(opts).BindContext(ctx)
 }
 
 // srcFor returns the source a query under ctx should read from: disk-backed
@@ -481,9 +472,7 @@ func (n *Network) srcFor(ctx context.Context) expand.Source {
 // Skyline computes sky(q) for the query location loc. Cancelling ctx aborts
 // the query at its next interrupt poll.
 func (n *Network) Skyline(ctx context.Context, loc Location, opts ...Option) (*Result, error) {
-	o, release := n.queryOptions(ctx, opts)
-	defer release()
-	return core.Skyline(n.srcFor(ctx), loc, o)
+	return core.Skyline(n.srcFor(ctx), loc, n.queryOptions(ctx, opts))
 }
 
 // SkylineSeq streams sky(q) as a range-over-func iterator: each confirmed
@@ -500,22 +489,12 @@ func (n *Network) Skyline(ctx context.Context, loc Location, opts ...Option) (*R
 //	    if enough() { break } // aborts the remaining search
 //	}
 func (n *Network) SkylineSeq(ctx context.Context, loc Location, opts ...Option) iter.Seq2[Facility, error] {
-	return func(yield func(Facility, error) bool) {
-		o, release := n.scratchOptions(opts)
-		defer release()
-		for f, err := range core.SkylineSeq(ctx, n.srcFor(ctx), loc, o) {
-			if !yield(f, err) {
-				return
-			}
-		}
-	}
+	return core.SkylineSeq(ctx, n.srcFor(ctx), loc, n.defaultOptions(opts))
 }
 
 // TopK computes the k facilities minimising agg from loc.
 func (n *Network) TopK(ctx context.Context, loc Location, agg Aggregate, k int, opts ...Option) (*Result, error) {
-	o, release := n.queryOptions(ctx, opts)
-	defer release()
-	return core.TopK(n.srcFor(ctx), loc, agg, k, o)
+	return core.TopK(n.srcFor(ctx), loc, agg, k, n.queryOptions(ctx, opts))
 }
 
 // TopKSeq streams facilities in ascending aggregate-score order without
@@ -524,15 +503,7 @@ func (n *Network) TopK(ctx context.Context, loc Location, agg Aggregate, k int, 
 // enumerates every reachable facility. Pooled state is borrowed for the
 // duration of the loop and returned when it exits.
 func (n *Network) TopKSeq(ctx context.Context, loc Location, agg Aggregate, opts ...Option) iter.Seq2[Facility, error] {
-	return func(yield func(Facility, error) bool) {
-		o, release := n.scratchOptions(opts)
-		defer release()
-		for f, err := range core.TopKSeq(ctx, n.srcFor(ctx), loc, agg, o) {
-			if !yield(f, err) {
-				return
-			}
-		}
-	}
+	return core.TopKSeq(ctx, n.srcFor(ctx), loc, agg, n.defaultOptions(opts))
 }
 
 // TopKIterator starts an incremental top-k query from loc; each Next call
@@ -542,14 +513,7 @@ func (n *Network) TopKSeq(ctx context.Context, loc Location, agg Aggregate, opts
 // is idempotent and safe from any goroutine). TopKSeq is the loop-shaped
 // form of the same query and closes itself.
 func (n *Network) TopKIterator(ctx context.Context, loc Location, agg Aggregate, opts ...Option) (*TopKIterator, error) {
-	o, release := n.queryOptions(ctx, opts)
-	it, err := core.NewTopKIterator(n.srcFor(ctx), loc, agg, o)
-	if err != nil {
-		release()
-		return nil, err
-	}
-	it.SetRelease(release)
-	return it, nil
+	return core.NewTopKIterator(n.srcFor(ctx), loc, agg, n.queryOptions(ctx, opts))
 }
 
 // MultiSourceSkyline answers the multi-source skyline query (Deng et al.,
@@ -557,18 +521,14 @@ func (n *Network) TopKIterator(ctx context.Context, loc Location, agg Aggregate,
 // a single cost type, several query locations, and each facility judged by
 // its vector of network distances from all of them.
 func (n *Network) MultiSourceSkyline(ctx context.Context, costIdx int, locs []Location, opts ...Option) (*Result, error) {
-	o, release := n.queryOptions(ctx, opts)
-	defer release()
-	return core.MultiSourceSkyline(n.srcFor(ctx), costIdx, locs, o)
+	return core.MultiSourceSkyline(n.srcFor(ctx), costIdx, locs, n.queryOptions(ctx, opts))
 }
 
 // MultiSourceTopK ranks facilities by an increasingly monotone aggregate
 // over their distances from several query locations (aggregate
 // nearest-neighbour search, e.g. min-sum meeting points).
 func (n *Network) MultiSourceTopK(ctx context.Context, costIdx int, locs []Location, agg Aggregate, k int, opts ...Option) (*Result, error) {
-	o, release := n.queryOptions(ctx, opts)
-	defer release()
-	return core.MultiSourceTopK(n.srcFor(ctx), costIdx, locs, agg, k, o)
+	return core.MultiSourceTopK(n.srcFor(ctx), costIdx, locs, agg, k, n.queryOptions(ctx, opts))
 }
 
 // Nearest returns up to k facilities closest to loc under a single cost
@@ -576,9 +536,7 @@ func (n *Network) MultiSourceTopK(ctx context.Context, costIdx int, locs []Locat
 // primitive (NE) the paper's algorithms are built on, exposed for ordinary
 // kNN workloads.
 func (n *Network) Nearest(ctx context.Context, loc Location, costIdx, k int) ([]Facility, error) {
-	o, release := n.queryOptions(ctx, nil)
-	defer release()
-	res, err := core.Nearest(n.srcFor(ctx), loc, costIdx, k, o)
+	res, err := core.Nearest(n.srcFor(ctx), loc, costIdx, k, n.queryOptions(ctx, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -589,9 +547,7 @@ func (n *Network) Nearest(ctx context.Context, loc Location, costIdx, k int) ([]
 // component-wise — a multi-cost range query. The search explores only the
 // region each budget component allows.
 func (n *Network) Within(ctx context.Context, loc Location, budget Costs, opts ...Option) (*Result, error) {
-	o, release := n.queryOptions(ctx, opts)
-	defer release()
-	return core.Within(n.srcFor(ctx), loc, budget, o)
+	return core.Within(n.srcFor(ctx), loc, budget, n.queryOptions(ctx, opts))
 }
 
 // SkylineRequest builds a batch request for Network.Skyline at loc.
@@ -708,16 +664,12 @@ func (n *Network) BatchWithin(ctx context.Context, locs []Location, budget Costs
 // BaselineSkyline runs the paper's strawman skyline: d complete expansions
 // followed by a conventional skyline operator.
 func (n *Network) BaselineSkyline(ctx context.Context, loc Location) (*Result, error) {
-	o, release := n.queryOptions(ctx, nil)
-	defer release()
-	return core.NaiveSkyline(n.srcFor(ctx), loc, o)
+	return core.NaiveSkyline(n.srcFor(ctx), loc, n.queryOptions(ctx, nil))
 }
 
 // BaselineTopK runs the strawman top-k over fully materialised vectors.
 func (n *Network) BaselineTopK(ctx context.Context, loc Location, agg Aggregate, k int) (*Result, error) {
-	o, release := n.queryOptions(ctx, nil)
-	defer release()
-	return core.NaiveTopK(n.srcFor(ctx), loc, agg, k, o)
+	return core.NaiveTopK(n.srcFor(ctx), loc, agg, k, n.queryOptions(ctx, nil))
 }
 
 // ctxInterrupt adapts ctx to the poll-style interrupt hook non-core
@@ -763,20 +715,18 @@ func (n *Network) ParetoPathsApprox(ctx context.Context, from, to NodeID, maxLab
 // Maintain materialises dynamic skyline/top-k maintenance state for loc:
 // facilities can then be inserted and removed with cheap local probes (the
 // paper's future-work extension). Cancelling ctx aborts the initial
-// materialisation. The maintainer borrows pooled expansion scratch for its
+// materialisation. The maintainer holds pooled expansion scratch for its
 // insertion probes; Close it when done (idempotent, any goroutine).
 func (n *Network) Maintain(ctx context.Context, loc Location) (*Maintainer, error) {
-	o, release := n.queryOptions(ctx, nil)
+	o := n.queryOptions(ctx, nil)
 	// The pruning index is built for the network's static facility set; a
 	// maintainer exists to change that set, and an insert can shrink true
 	// nearest-facility distances below the precomputed bounds. Detach them.
 	o.Bounds = nil
 	m, err := dynamic.New(n.srcFor(ctx), loc, o)
 	if err != nil {
-		release()
 		return nil, err
 	}
-	m.SetRelease(release)
 	if n.cache != nil {
 		// Every facility mutation kills exactly the cached entries that
 		// depend on the touched edge — the incremental half of the cache's
