@@ -29,32 +29,42 @@ func batchNetworks(t *testing.T) (map[string]*Network, []Location) {
 	return map[string]*Network{"memory": FromGraph(g), "disk": db}, RandomQueries(g, 10, 3)
 }
 
-// Batch* facade methods must agree with their sequential counterparts over
-// both network backends (run with -race).
+// batchResults runs reqs through Network.Batch with workers in flight and
+// returns the results in request order, failing on any per-request error.
+func batchResults(t *testing.T, net *Network, reqs []BatchRequest, workers int) []*Result {
+	t.Helper()
+	out := make([]*Result, len(reqs))
+	for _, resp := range net.Batch(context.Background(), reqs, ExecutorConfig{Workers: workers}) {
+		if resp.Err != nil {
+			t.Fatalf("request %d: %v", resp.Index, resp.Err)
+		}
+		out[resp.Index] = resp.Result
+	}
+	return out
+}
+
+// One Batch per query kind, built from the request constructors, must agree
+// with the sequential facade methods over both network backends (run with
+// -race).
 func TestBatchMethodsMatchSequential(t *testing.T) {
 	nets, locs := batchNetworks(t)
 	agg := WeightedSum(0.4, 0.4, 0.2)
 	budget := Of(300, 300, 300)
 	ctx := context.Background()
+	perLoc := func(req func(Location) BatchRequest) []BatchRequest {
+		reqs := make([]BatchRequest, len(locs))
+		for i, loc := range locs {
+			reqs[i] = req(loc)
+		}
+		return reqs
+	}
 
 	for name, net := range nets {
 		t.Run(name, func(t *testing.T) {
-			sky, err := net.BatchSkyline(ctx, locs, 8, WithEngine(CEA))
-			if err != nil {
-				t.Fatal(err)
-			}
-			top, err := net.BatchTopK(ctx, locs, agg, 3, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			near, err := net.BatchNearest(ctx, locs, 1, 4, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			within, err := net.BatchWithin(ctx, locs, budget, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sky := batchResults(t, net, perLoc(func(l Location) BatchRequest { return SkylineRequest(l, WithEngine(CEA)) }), 8)
+			top := batchResults(t, net, perLoc(func(l Location) BatchRequest { return TopKRequest(l, agg, 3) }), 8)
+			near := batchResults(t, net, perLoc(func(l Location) BatchRequest { return NearestRequest(l, 1, 4) }), 8)
+			within := batchResults(t, net, perLoc(func(l Location) BatchRequest { return WithinRequest(l, budget) }), 8)
 			for i, loc := range locs {
 				wantSky, err := net.Skyline(ctx, loc, WithEngine(CEA))
 				if err != nil {
@@ -136,7 +146,13 @@ func TestBatchCancellation(t *testing.T) {
 	net := nets["memory"]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := net.BatchSkyline(ctx, locs, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	reqs := make([]BatchRequest, len(locs))
+	for i, loc := range locs {
+		reqs[i] = SkylineRequest(loc)
+	}
+	for _, resp := range net.Batch(ctx, reqs, ExecutorConfig{Workers: 2}) {
+		if !errors.Is(resp.Err, context.Canceled) {
+			t.Fatalf("request %d: err = %v, want context.Canceled", resp.Index, resp.Err)
+		}
 	}
 }

@@ -75,7 +75,6 @@ func main() {
 		drainTO    = flag.Duration("drain-timeout", 10*time.Second, "how long SIGINT/SIGTERM waits for in-flight queries before forcing exit")
 		ioRetries  = flag.Int("io-retries", 3, "transient page-read failures retried (with backoff) before a query fails")
 		timeout    = flag.Duration("timeout", 10*time.Second, "per-query timeout (0 = none)")
-		prune      = flag.Bool("prune", true, "use the precomputed lower-bound pruning index (false = every query runs unpruned)")
 		pprofFlag  = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/ (profiling; off by default)")
 
 		cacheEntries = flag.Int("cache-entries", 4096, "result cache capacity in cached query results (0 = caching off)")
@@ -149,10 +148,7 @@ func main() {
 		log.Fatal("mcnserve: pass -db <path> or -synthetic")
 	}
 
-	if !*prune {
-		net.DisablePruning()
-		log.Printf("mcnserve: lower-bound pruning disabled")
-	} else if is, ok := net.IndexStats(); ok {
+	if is, ok := net.IndexStats(); ok {
 		log.Printf("mcnserve: pruning index attached (%d bytes)", is.BoundsBytes)
 	}
 	if *cacheEntries > 0 {

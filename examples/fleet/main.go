@@ -3,8 +3,8 @@
 // skyline of depots under (driving minutes, fuel cost, toll dollars); the
 // dispatcher wants them all answered now, not one by one.
 //
-// This example drives the concurrent batch API: Network.BatchSkyline for the
-// homogeneous fan-out, Network.Batch for a mixed workload, and a long-lived
+// This example drives the concurrent batch API: Network.Batch for the
+// homogeneous fan-out and for a mixed workload, and a long-lived
 // Executor with per-query timeouts and latency statistics — the same
 // machinery the mcnserve HTTP server puts behind its endpoints.
 package main
@@ -32,13 +32,13 @@ func main() {
 
 	// 1. Fan out one skyline per courier across all CPUs.
 	start := time.Now()
-	skylines, err := net.BatchSkyline(ctx, couriers, runtime.GOMAXPROCS(0), mcn.WithEngine(mcn.CEA))
-	if err != nil {
-		log.Fatal(err)
-	}
+	skylines := skylineRequests(couriers, len(couriers), mcn.WithEngine(mcn.CEA))
 	total := 0
-	for _, res := range skylines {
-		total += len(res.Facilities)
+	for _, resp := range net.Batch(ctx, skylines, mcn.ExecutorConfig{Workers: runtime.GOMAXPROCS(0)}) {
+		if resp.Err != nil {
+			log.Fatal(resp.Err)
+		}
+		total += len(resp.Result.Facilities)
 	}
 	fmt.Printf("— fleet skyline — %d couriers, %d undominated depots total, %.1fms wall\n",
 		len(couriers), total, time.Since(start).Seconds()*1000)
@@ -77,7 +77,7 @@ func main() {
 	// of its batch; queries abort mid-expansion instead of running on.
 	shortCtx, cancel := context.WithTimeout(ctx, time.Millisecond)
 	defer cancel()
-	responses := net.Batch(shortCtx, repeatSkylines(couriers, 40), mcn.ExecutorConfig{Workers: 2})
+	responses := net.Batch(shortCtx, skylineRequests(couriers, 40), mcn.ExecutorConfig{Workers: 2})
 	done, aborted := 0, 0
 	for _, resp := range responses {
 		if resp.Err != nil {
@@ -89,10 +89,10 @@ func main() {
 	fmt.Printf("— 1ms deadline — %d answered, %d aborted early\n", done, aborted)
 }
 
-func repeatSkylines(locs []mcn.Location, n int) []mcn.BatchRequest {
+func skylineRequests(locs []mcn.Location, n int, opts ...mcn.Option) []mcn.BatchRequest {
 	reqs := make([]mcn.BatchRequest, n)
 	for i := range reqs {
-		reqs[i] = mcn.SkylineRequest(locs[i%len(locs)])
+		reqs[i] = mcn.SkylineRequest(locs[i%len(locs)], opts...)
 	}
 	return reqs
 }

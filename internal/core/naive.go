@@ -117,7 +117,7 @@ func Within(src expand.Source, loc graph.Location, budget vec.Costs, opt Options
 		if err != nil {
 			return nil, err
 		}
-		if lb := opt.Bounds; lb != nil && !opt.NoPrune {
+		if lb := opt.Bounds; lb != nil {
 			h := budget[i]
 			x.SetPrune(lb, func(costPlusBound float64) bool {
 				return costPlusBound*index.SlackFactor > h

@@ -122,17 +122,6 @@ func TestPrunedEquivalenceRandomized(t *testing.T) {
 						}
 						prunedNodes += got.Stats.PrunedNodes
 
-						// Bounds + NoPrune must be indistinguishable from no
-						// bounds at all, stats included.
-						off, err := Within(src, loc, budget, Options{Engine: eng, Bounds: bounds, NoPrune: true})
-						if err != nil {
-							t.Fatal(err)
-						}
-						samePrunedFacilities(t, tag("within/noprune"), off.Facilities, want.Facilities)
-						if off.Stats != want.Stats {
-							t.Errorf("%s: NoPrune stats %+v, want %+v", tag("within"), off.Stats, want.Stats)
-						}
-
 						// Skyline deliberately ignores the index: results AND
 						// work statistics must match an unpruned run exactly.
 						wantSky, err := Skyline(src, loc, base)

@@ -117,13 +117,8 @@ type Options struct {
 	// would perturb, a top-k horizon exists only once k facilities are pinned
 	// (by then it cut no node on any measured workload), and an unbounded
 	// nearest/incremental query has no admissible horizon. The bounds must
-	// have been built for this source's current facility set — the facade
-	// detaches them for dynamic.Maintainer, whose inserts would make them
-	// inadmissible.
+	// be admissible for this source's costs and facility set.
 	Bounds expand.LowerBounder
-	// NoPrune disables lower-bound pruning even when Bounds is set, for
-	// ablation runs and pruned-vs-unpruned equivalence tests.
-	NoPrune bool
 }
 
 // interrupted polls the Interrupt hook, if any.

@@ -225,12 +225,16 @@ func TestPackageComments(t *testing.T) {
 	}
 }
 
-var flagDefRe = regexp.MustCompile(`flag\.[A-Z][A-Za-z0-9]*\(\s*"([^"]+)"`)
+var (
+	flagDefRe = regexp.MustCompile(`flag\.[A-Z][A-Za-z0-9]*\(\s*"([^"]+)"`)
+	flagDocRe = regexp.MustCompile("`-([a-z][a-z0-9-]*)`")
+)
 
-// TestServerFlagsDocumented fails when a command-line flag of the two
-// serving binaries is missing from README.md: an operator reads the README's
-// flag tables, not the source, so a flag added (or left behind) without a
-// line there saying who needs it does not exist for them.
+// TestServerFlagsDocumented holds README.md's flag tables equal to the flags
+// of the two serving binaries, both ways: an operator reads the tables, not
+// the source, so a flag added without a row saying who needs it does not
+// exist for them, and a row left behind by a deleted flag sends them to
+// one that no longer exists.
 func TestServerFlagsDocumented(t *testing.T) {
 	root := repoRoot(t)
 	b, err := os.ReadFile(filepath.Join(root, "README.md"))
@@ -238,6 +242,7 @@ func TestServerFlagsDocumented(t *testing.T) {
 		t.Fatal(err)
 	}
 	readme := string(b)
+	defined := map[string]bool{}
 	for _, cmd := range []string{"mcnserve", "mcngateway"} {
 		src, err := os.ReadFile(filepath.Join(root, "cmd", cmd, "main.go"))
 		if err != nil {
@@ -248,9 +253,31 @@ func TestServerFlagsDocumented(t *testing.T) {
 			t.Errorf("cmd/%s: no flag definitions found; the check is blind", cmd)
 		}
 		for _, m := range defs {
+			defined[m[1]] = true
 			if !strings.Contains(readme, "`-"+m[1]+"`") {
 				t.Errorf("cmd/%s: flag -%s is not documented in README.md", cmd, m[1])
 			}
 		}
+	}
+
+	// Rows of every table headed "| Flag |", up to the first non-table line.
+	documented, inTable := 0, false
+	for _, line := range strings.Split(readme, "\n") {
+		switch {
+		case strings.HasPrefix(line, "| Flag |"):
+			inTable = true
+		case !strings.HasPrefix(line, "|"):
+			inTable = false
+		case inTable:
+			for _, m := range flagDocRe.FindAllStringSubmatch(line, -1) {
+				documented++
+				if !defined[m[1]] {
+					t.Errorf("README.md flag table names -%s, which neither cmd/mcnserve nor cmd/mcngateway defines: %s", m[1], line)
+				}
+			}
+		}
+	}
+	if documented == 0 {
+		t.Error("README.md: no flags found in any \"| Flag |\" table; the reverse check is blind")
 	}
 }

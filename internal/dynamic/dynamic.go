@@ -12,6 +12,8 @@ package dynamic
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,7 +84,10 @@ func New(src expand.Source, loc graph.Location, opt core.Options) (*Maintainer, 
 		loc:  loc,
 		facs: make(map[Handle]*Entry, len(vectors)),
 	}
-	for id, costs := range vectors {
+	// Ascending ids, not map order: the reads below reach the store, and
+	// their order decides which pages a buffer pool keeps.
+	for _, id := range slices.Sorted(maps.Keys(vectors)) {
+		costs := vectors[id]
 		e, err := src.FacilityEdge(id)
 		if err != nil {
 			return nil, err
@@ -92,9 +97,7 @@ func New(src expand.Source, loc graph.Location, opt core.Options) (*Maintainer, 
 			return nil, err
 		}
 		m.facs[Handle(id)] = &Entry{Handle: Handle(id), Edge: e, T: t, Costs: costs}
-		if Handle(id) >= m.next {
-			m.next = Handle(id) + 1
-		}
+		m.next = Handle(id) + 1
 	}
 	m.scratch = expand.Acquire(src) // for the insertion probes, until Close
 	return m, nil

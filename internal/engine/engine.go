@@ -194,10 +194,10 @@ func New(src expand.Source, cfg Config) *Executor {
 func (e *Executor) Workers() int { return e.cfg.Workers }
 
 // SetBounds attaches the lower-bound pruning index: every query whose
-// options carry no Bounds of their own runs with it (requests setting
-// NoPrune still opt out). Attach before queries start, like SetCache; it
-// must not race in-flight queries. The bounds must be admissible for the
-// executor's source — built from the same graph and facility set.
+// options carry no Bounds of their own runs with it. Attach before queries
+// start, like SetCache; it must not race in-flight queries. The bounds must
+// be admissible for the executor's source — built from the same graph and
+// facility set.
 func (e *Executor) SetBounds(lb expand.LowerBounder) { e.bounds = lb }
 
 // admit performs admission control and acquires a worker slot: it rejects

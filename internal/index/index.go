@@ -3,7 +3,7 @@
 // in the spirit of ParetoPrep's backward preparation pass. The bounds are
 // computed once — at graph compile time (mcn.FromGraph), database build time
 // (storage.Build, persisted in the database) or overlay compile time (one set
-// per elementary interval) — and consulted by the expansion layer as an
+// for every elementary interval) — and consulted by the expansion layer as an
 // admissible node-discard prune: a popped node label whose cost plus lower
 // bound provably cannot contribute a result facility is dropped before its
 // adjacency record is read.
@@ -47,8 +47,8 @@ const SlackFactor = 1 - 1e-9
 // Bounds implements expand.LowerBounder. It is immutable after construction
 // and safe for concurrent use. It must not be consulted for graphs whose
 // facility set has changed since the build (dynamic.Maintainer inserts make
-// the distances stale in the unsafe direction), which is why the facade
-// detaches it on Maintain.
+// the distances stale in the unsafe direction); the maintainer's full
+// expansions never read it.
 type Bounds struct {
 	d        int
 	numNodes int
@@ -64,7 +64,7 @@ func FromGraph(g *graph.Graph) *Bounds {
 }
 
 // FromCosts computes the index for g's topology under an alternative cost
-// assignment (the timedep overlay's per-interval effective costs). cost must
+// assignment (the timedep overlay's lowest cost at any instant). cost must
 // return a non-negative weight for every (edge, criterion) pair.
 func FromCosts(g *graph.Graph, cost func(e graph.EdgeID, costIdx int) float64) *Bounds {
 	start := time.Now()

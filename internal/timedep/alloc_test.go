@@ -7,6 +7,7 @@
 package timedep
 
 import (
+	"runtime"
 	"testing"
 
 	"mcn/internal/core"
@@ -69,5 +70,36 @@ func TestInstantQueryAllocs(t *testing.T) {
 					tc.name, allocs, tc.limit)
 			}
 		})
+	}
+}
+
+// TestCompileFootprint gates what one compile allocates on the network
+// behind the benchmark's time-dependent workloads (td2k: 2 000 nodes,
+// mcnserve -timedep's |E|/10 synthetic profiles, 945 elementary
+// intervals). The per-interval cost vectors are the whole budget: 80.5 MiB
+// measured, ceiling 1.15× that. A pruning index per interval added 164 MiB.
+func TestCompileFootprint(t *testing.T) {
+	inst, err := gen.MakeInstance(gen.InstanceConfig{
+		Nodes: 2000, Facilities: 1150, D: 4, Queries: 1, Seed: 1, Dist: gen.AntiCorrelated,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New(inst.Graph)
+	if err := AttachSyntheticProfiles(n, inst.Graph.NumEdges()/10, 1); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := n.overlay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const ceiling = 92 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d intervals compiled with %.1f MiB allocated", c.ov.NumIntervals(), float64(got)/(1<<20))
+	if got > ceiling {
+		t.Errorf("compile allocated %.1f MiB (> %d MiB)", float64(got)/(1<<20), ceiling>>20)
 	}
 }

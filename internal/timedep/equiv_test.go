@@ -9,15 +9,16 @@ import (
 	"mcn/internal/expand"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
+	"mcn/internal/index"
 	"mcn/internal/vec"
 )
 
 // The time-dependent equivalence suite, mirroring internal/flat's: for
-// seeded random networks with small integer costs and integer profile
-// multipliers — so exact cost ties survive scaling — every query family
-// must return byte-identical results over the compiled overlay as over the
-// reference Snapshot + MemorySource path, at random instants, exactly on
-// interval boundaries, and over whole periods.
+// seeded random networks with small integer costs and profile multipliers
+// in {0.5, 1, 2, 3} — so exact cost ties survive scaling — every query
+// family must return byte-identical results over the compiled overlay as
+// over the reference Snapshot + MemorySource path, at random instants,
+// exactly on interval boundaries, and over whole periods.
 
 func sameFacilities(t *testing.T, label string, got, want []core.Facility) {
 	t.Helper()
@@ -42,16 +43,14 @@ func sameFacilities(t *testing.T, label string, got, want []core.Facility) {
 func sameResult(t *testing.T, label string, got, want *core.Result) {
 	t.Helper()
 	sameFacilities(t, label, got.Facilities, want.Facilities)
-	if got.Stats.Pops != want.Stats.Pops {
-		t.Errorf("%s: %d pops, want %d", label, got.Stats.Pops, want.Stats.Pops)
-	}
-	if got.Stats.NodeExpansions != want.Stats.NodeExpansions {
-		t.Errorf("%s: %d node expansions, want %d", label, got.Stats.NodeExpansions, want.Stats.NodeExpansions)
+	if got.Stats != want.Stats {
+		t.Errorf("%s: stats %+v, want %+v", label, got.Stats, want.Stats)
 	}
 }
 
-// randomProfiled builds a random integer-cost network with random integer
-// profiles on a few edges and returns it with its query locations.
+// randomProfiled builds a random integer-cost network with profiles on a
+// few edges, multipliers drawn from {0.5, 1, 2, 3} (below and above 1, all
+// exact in binary), and returns it with its query locations.
 func randomProfiled(t *testing.T, directed bool, seed int64) (*Network, []graph.Location) {
 	t.Helper()
 	inst, err := gen.MakeInstance(gen.InstanceConfig{
@@ -82,7 +81,7 @@ func randomProfiled(t *testing.T, directed bool, seed int64) (*Network, []graph.
 		for j := range mult {
 			m := make(vec.Costs, inst.Graph.D())
 			for c := range m {
-				m[c] = float64(1 + rng.Intn(3)) // integer multipliers keep ties
+				m[c] = []float64{0.5, 1, 2, 3}[rng.Intn(4)] // exact: ties survive
 			}
 			mult[j] = m
 		}
@@ -113,7 +112,7 @@ func TestOverlayEquivalenceInstant(t *testing.T) {
 				g := n.Base()
 				rng := rand.New(rand.NewSource(seed * 7))
 				agg := vec.NewWeighted(1, 0.5, 0.25)
-				prunedNodes := 0
+				prunedNodes, sharedPruned := 0, 0
 
 				for _, at := range probeInstants(n, rng) {
 					snap, err := n.Snapshot(at)
@@ -121,6 +120,7 @@ func TestOverlayEquivalenceInstant(t *testing.T) {
 						t.Fatal(err)
 					}
 					ref := expand.NewMemorySource(snap)
+					shared := index.FromGraph(snap)
 					for qi, loc := range locs {
 						// Budget wide enough to catch a handful of facilities,
 						// derived from the reference path only.
@@ -161,35 +161,48 @@ func TestOverlayEquivalenceInstant(t *testing.T) {
 							if err != nil {
 								t.Fatalf("t=%g q%d %s reference: %v", at, qi, q.name, err)
 							}
-							// Full-stats comparisons against the snapshot
-							// reference run with NoPrune: the reference path
-							// has no pruning index, and pruning legitimately
-							// shrinks the work counters.
 							for _, eng := range []core.Engine{core.LSA, core.CEA} {
-								got, err := q.overlay(core.Options{Engine: eng, NoPrune: true})
+								label := fmt.Sprintf("t=%g q%d %s overlay/%v", at, qi, q.name, eng)
+								got, err := q.overlay(core.Options{Engine: eng})
 								if err != nil {
-									t.Fatalf("t=%g q%d %s overlay/%v: %v", at, qi, q.name, eng, err)
+									t.Fatalf("%s: %v", label, err)
 								}
-								sameResult(t, fmt.Sprintf("t=%g q%d %s overlay/%v", at, qi, q.name, eng), got, want)
+								if q.name != "within" {
+									// Skyline, top-k and nearest ignore the
+									// network's index: full Stats must match.
+									sameResult(t, label, got, want)
+									continue
+								}
+								// The *At default prunes against the network's
+								// one index: facilities stay byte-identical to
+								// the unpruned reference, only the work shrinks.
+								sameFacilities(t, label, got.Facilities, want.Facilities)
+								if got.Stats.NodeExpansions > want.Stats.NodeExpansions {
+									t.Errorf("%s: %d node expansions > unpruned %d",
+										label, got.Stats.NodeExpansions, want.Stats.NodeExpansions)
+								}
+								prunedNodes += got.Stats.PrunedNodes
+								// Under one shared explicit index both paths
+								// must do the same work, full Stats included.
+								sharedWant, err := q.ref(core.Options{Engine: core.LSA, Bounds: shared})
+								if err != nil {
+									t.Fatalf("%s reference/bounds: %v", label, err)
+								}
+								sharedGot, err := q.overlay(core.Options{Engine: eng, Bounds: shared})
+								if err != nil {
+									t.Fatalf("%s/bounds: %v", label, err)
+								}
+								sameResult(t, label+"/bounds", sharedGot, sharedWant)
+								sharedPruned += sharedGot.Stats.PrunedNodes
 							}
-							// Pruned run (the *At default): facilities must
-							// stay byte-identical; only the work may shrink.
-							pruned, err := q.overlay(core.Options{})
-							if err != nil {
-								t.Fatalf("t=%g q%d %s overlay/pruned: %v", at, qi, q.name, err)
-							}
-							label := fmt.Sprintf("t=%g q%d %s overlay/pruned", at, qi, q.name)
-							sameFacilities(t, label, pruned.Facilities, want.Facilities)
-							if pruned.Stats.NodeExpansions > want.Stats.NodeExpansions {
-								t.Errorf("%s: %d node expansions > unpruned %d",
-									label, pruned.Stats.NodeExpansions, want.Stats.NodeExpansions)
-							}
-							prunedNodes += pruned.Stats.PrunedNodes
 						}
 					}
 				}
 				if prunedNodes == 0 {
-					t.Error("pruning never fired across any instant query; the per-interval bounds are not being attached")
+					t.Error("pruning never fired across any instant query; the network's index is not being attached")
+				}
+				if sharedPruned == 0 {
+					t.Error("the shared explicit index never pruned; its Stats comparison is vacuous")
 				}
 			})
 		}
@@ -265,7 +278,6 @@ func compareIntervals(t *testing.T, label string, got, want []IntervalResult) {
 			t.Fatalf("%s interval %d: [%g, %g), want [%g, %g)",
 				label, i, got[i].From, got[i].To, want[i].From, want[i].To)
 		}
-		sameFacilities(t, fmt.Sprintf("%s interval %d", label, i),
-			got[i].Result.Facilities, want[i].Result.Facilities)
+		sameResult(t, fmt.Sprintf("%s interval %d", label, i), got[i].Result, want[i].Result)
 	}
 }

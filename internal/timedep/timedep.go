@@ -26,13 +26,17 @@
 // interval's view; the per-interval graph.Graph rebuild of the Snapshot
 // path (kept as the reference implementation for equivalence tests) never
 // runs. An interval view is an ordinary sized, zero-copy source, so instant
-// queries run at the in-memory fast path's allocation level.
+// queries run at the in-memory fast path's allocation level. One pruning
+// index, built over each edge's lowest cost at any instant, is admissible at
+// every instant and serves WithinAt in every interval.
 package timedep
 
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -101,12 +105,38 @@ func (p Profile) At(t float64) vec.Costs {
 	return p.Mult[i-1]
 }
 
+// floor returns the component-wise smallest multiplier the profile ever
+// applies, counting the unscaled costs before Times[0]: min(1, every Mult).
+func (p Profile) floor() vec.Costs {
+	m := make(vec.Costs, len(p.Mult[0]))
+	for i := range m {
+		m[i] = 1
+		for _, mult := range p.Mult {
+			m[i] = math.Min(m[i], mult[i])
+		}
+	}
+	return m
+}
+
+// scaled returns base costs w under multiplier m — the one place a profile
+// scales a cost. A nil m means unscaled and returns w itself.
+func scaled(w, m vec.Costs) vec.Costs {
+	if m == nil {
+		return w
+	}
+	out := make(vec.Costs, len(w))
+	for i := range w {
+		out[i] = w[i] * m[i]
+	}
+	return out
+}
+
 // Network is a multi-cost network with time-dependent edge costs. Attach
 // profiles with SetProfile, then query; the first query compiles the
 // network into a flat overlay (topology once, one cost vector per
-// elementary interval), and subsequent queries reuse it. Queries from any
-// number of goroutines are safe once profiles stop changing; SetProfile
-// must not race in-flight queries.
+// elementary interval, one pruning index), and subsequent queries reuse it.
+// Queries from any number of goroutines are safe once profiles stop
+// changing; SetProfile must not race in-flight queries.
 type Network struct {
 	base     *graph.Graph
 	profiles map[graph.EdgeID]Profile
@@ -129,23 +159,17 @@ type Network struct {
 // compiled is the overlay compilation of one profile configuration: the
 // ascending global breakpoints, one flat.View per elementary interval
 // (views[k] is active on [times[k-1], times[k]), views[0] before times[0]),
-// and one pruning index per interval (bounds[k] is admissible exactly for
-// interval k's cost surface).
+// and one pruning index admissible under every interval's cost surface.
 type compiled struct {
 	times  []float64
 	ov     *flat.Overlay
-	bounds []*index.Bounds
+	bounds *index.Bounds
 }
 
 // intervalAt resolves instant t to its elementary-interval index: a binary
 // search over the breakpoints, nothing else.
 func (c *compiled) intervalAt(t float64) int {
 	return sort.Search(len(c.times), func(i int) bool { return c.times[i] > t })
-}
-
-// viewAt resolves instant t to its interval's prebuilt view.
-func (c *compiled) viewAt(t float64) *flat.View {
-	return c.ov.Interval(c.intervalAt(t))
 }
 
 // New wraps a static network; edges without profiles keep their base costs
@@ -193,7 +217,7 @@ func (n *Network) SetProfile(e graph.EdgeID, p Profile) error {
 		return nil
 	}
 	axis := n.axis
-	if !sameAxis(axis, n.breakpointUnion()) {
+	if !slices.Equal(axis, n.breakpointUnion()) {
 		n.axis = nil
 		n.mu.Unlock()
 		n.cache.Invalidate(rescache.ClassTimeDep)
@@ -210,12 +234,11 @@ func (n *Network) SetProfile(e graph.EdgeID, p Profile) error {
 		if k > 0 {
 			at = axis[k-1]
 		}
-		var oldMult, newMult vec.Costs
+		var oldMult vec.Costs
 		if hadOld {
 			oldMult = old.At(at)
 		}
-		newMult = p.At(at)
-		if !scaledEqual(w, oldMult, newMult) {
+		if !scaled(w, oldMult).Equal(scaled(w, p.At(at))) {
 			tags = append(tags, rescache.IntervalTag(k))
 		}
 	}
@@ -235,48 +258,14 @@ func (n *Network) breakpointUnion() []float64 {
 			set[t] = true
 		}
 	}
-	times := make([]float64, 0, len(set))
-	for t := range set {
-		times = append(times, t)
-	}
-	sort.Float64s(times)
-	return times
-}
-
-func sameAxis(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// scaledEqual reports whether base costs w scaled by the two multiplier
-// vectors (nil = unscaled) come out identical.
-func scaledEqual(w, ma, mb vec.Costs) bool {
-	for i, v := range w {
-		a, b := v, v
-		if ma != nil {
-			a = v * ma[i]
-		}
-		if mb != nil {
-			b = v * mb[i]
-		}
-		if a != b {
-			return false
-		}
-	}
-	return true
+	return slices.Sorted(maps.Keys(set))
 }
 
 // overlay returns the compiled overlay, building it on first use: the
-// global breakpoint set is the sorted union of every profile's instants,
-// and each elementary interval's cost vectors are the base costs scaled by
-// the multipliers in effect at the interval's start.
+// global breakpoint axis is the sorted union of every profile's instants,
+// each elementary interval's cost vectors are the base costs scaled by the
+// multipliers in effect at the interval's start, and one pruning index
+// serves every interval.
 //
 // Compilation is eager: memory is |E|·d·(breakpoints+1) float64s, which is
 // the right trade when profiles share a small set of instants (rush hours,
@@ -289,17 +278,7 @@ func (n *Network) overlay() (*compiled, error) {
 	if n.compiled != nil {
 		return n.compiled, nil
 	}
-	set := make(map[float64]bool)
-	for _, p := range n.profiles {
-		for _, t := range p.Times {
-			set[t] = true
-		}
-	}
-	times := make([]float64, 0, len(set))
-	for t := range set {
-		times = append(times, t)
-	}
-	sort.Float64s(times)
+	times := n.breakpointUnion()
 	ov, err := flat.NewOverlay(n.base, len(times)+1, func(k int, e graph.EdgeID) vec.Costs {
 		at := math.Inf(-1) // before the first breakpoint: base costs
 		if k > 0 {
@@ -310,27 +289,18 @@ func (n *Network) overlay() (*compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One pruning index per elementary interval, over the interval's cost
-	// surface. Eager like the overlay itself and sized the same way
-	// (|V|·d·(breakpoints+1) float64s vs the overlay's |E|·d·(breakpoints+1)),
-	// so it adds no new asymptotic term; the same delta-compilation follow-up
-	// applies (see ROADMAP).
-	bounds := make([]*index.Bounds, len(times)+1)
-	for k := range bounds {
-		at := math.Inf(-1)
-		if k > 0 {
-			at = times[k-1]
-		}
-		bounds[k] = index.FromCosts(n.base, func(e graph.EdgeID, i int) float64 {
-			w := n.base.Edge(e).W[i]
-			if p, ok := n.profiles[e]; ok {
-				if m := p.At(at); m != nil {
-					return w * m[i]
-				}
-			}
-			return w
-		})
+	// The pruning index is built over each edge's lowest cost at any
+	// instant. Every interval's costs are at least that, so the bounds
+	// are admissible under every interval's cost surface; index.SlackFactor
+	// absorbs summation order as for any index.
+	lowest := make([]vec.Costs, n.base.NumEdges())
+	for e := range lowest {
+		lowest[e] = n.base.Edge(graph.EdgeID(e)).W
 	}
+	for e, p := range n.profiles {
+		lowest[e] = scaled(lowest[e], p.floor())
+	}
+	bounds := index.FromCosts(n.base, func(e graph.EdgeID, i int) float64 { return lowest[e][i] })
 	n.compiled = &compiled{times: times, ov: ov, bounds: bounds}
 	n.axis = times
 	return n.compiled, nil
@@ -340,37 +310,27 @@ func (n *Network) overlay() (*compiled, error) {
 // scaled component-wise when a profile interval covers t.
 func (n *Network) effectiveCost(e graph.EdgeID, t float64) vec.Costs {
 	w := n.base.Edge(e).W
-	p, ok := n.profiles[e]
-	if !ok {
-		return w
+	if p, ok := n.profiles[e]; ok {
+		return scaled(w, p.At(t))
 	}
-	m := p.At(t)
-	if m == nil {
-		return w
-	}
-	scaled := make(vec.Costs, len(w))
-	for i := range w {
-		scaled[i] = w[i] * m[i]
-	}
-	return scaled
+	return w
 }
 
 // Breakpoints returns the ascending instants in [from, to) where some edge
 // cost changes, always starting with from itself.
 func (n *Network) Breakpoints(from, to float64) []float64 {
-	set := map[float64]bool{from: true}
-	for _, p := range n.profiles {
-		for _, t := range p.Times {
-			if t > from && t < to {
-				set[t] = true
-			}
+	return breaksIn(n.breakpointUnion(), from, to)
+}
+
+// breaksIn returns from followed by the instants of the ascending axis that
+// lie strictly inside (from, to).
+func breaksIn(axis []float64, from, to float64) []float64 {
+	out := []float64{from}
+	for _, t := range axis {
+		if t > from && t < to {
+			out = append(out, t)
 		}
 	}
-	out := make([]float64, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Float64s(out)
 	return out
 }
 
@@ -386,17 +346,7 @@ func (n *Network) Snapshot(t float64) (*graph.Graph, error) {
 	}
 	for e := 0; e < n.base.NumEdges(); e++ {
 		edge := n.base.Edge(graph.EdgeID(e))
-		w := edge.W
-		if p, ok := n.profiles[graph.EdgeID(e)]; ok {
-			if m := p.At(t); m != nil {
-				scaled := make(vec.Costs, len(w))
-				for i := range w {
-					scaled[i] = w[i] * m[i]
-				}
-				w = scaled
-			}
-		}
-		b.AddEdge(edge.U, edge.V, w)
+		b.AddEdge(edge.U, edge.V, n.effectiveCost(graph.EdgeID(e), t))
 	}
 	for f := 0; f < n.base.NumFacilities(); f++ {
 		fac := n.base.Facility(graph.FacilityID(f))
@@ -413,10 +363,10 @@ type IntervalResult struct {
 
 // instant runs one static query against the interval view covering t: the
 // shared prologue of every *At entry point — location validation, lazy
-// overlay compile, ctx binding. spec carries the kind-specific key fields;
-// with a cache attached, the query is keyed by elementary interval (every
-// instant inside the interval shares one entry) and tagged with its interval
-// plus the time-dependent class.
+// overlay compile, pruning index, ctx binding. spec carries the
+// kind-specific key fields; with a cache attached, the query is keyed by
+// elementary interval (every instant inside the interval shares one entry)
+// and tagged with its interval plus the time-dependent class.
 func (n *Network) instant(ctx context.Context, loc graph.Location, t float64, opt core.Options, spec rescache.KeySpec, query func(*flat.View, core.Options) (*core.Result, error)) (*core.Result, error) {
 	if err := loc.Validate(n.base); err != nil {
 		return nil, err
@@ -426,16 +376,14 @@ func (n *Network) instant(ctx context.Context, loc graph.Location, t float64, op
 		return nil, err
 	}
 	k := c.intervalAt(t)
-	run := func(opt core.Options) (*core.Result, error) {
-		if opt.Bounds == nil && !opt.NoPrune {
-			// Attach the interval's own pruning index: bounds built for one
-			// cost surface are inadmissible under another, so the static
-			// network's index is never reused here. Pruning does not change
-			// results, so the cache key needs no extra field.
-			opt.Bounds = c.bounds[k]
-		}
-		return query(c.ov.Interval(k), opt.BindContext(ctx))
+	if opt.Bounds == nil {
+		// The network's own index, never the static network's: bounds built
+		// for the base costs are inadmissible once a multiplier drops below
+		// 1. Pruning does not change results, so the cache key needs no
+		// extra field.
+		opt.Bounds = c.bounds
 	}
+	run := func() (*core.Result, error) { return query(c.ov.Interval(k), opt.BindContext(ctx)) }
 	if n.cache != nil && opt.OnResult == nil {
 		spec.Interval = k
 		spec.Engine = byte(opt.Engine)
@@ -444,7 +392,7 @@ func (n *Network) instant(ctx context.Context, loc graph.Location, t float64, op
 		spec.T = loc.T
 		if key, scale, ok := spec.Key(); ok {
 			val, _, err := n.cache.Do(key, func() (rescache.Value, []rescache.Tag, error) {
-				res, err := run(opt)
+				res, err := run()
 				if err != nil {
 					return rescache.Value{}, nil, err
 				}
@@ -457,7 +405,7 @@ func (n *Network) instant(ctx context.Context, loc graph.Location, t float64, op
 			return val.ResultAt(scale), nil
 		}
 	}
-	return run(opt)
+	return run()
 }
 
 // SkylineAt computes sky(q) under the cost surface in effect at instant t:
@@ -530,7 +478,7 @@ func (n *Network) overPeriod(ctx context.Context, loc graph.Location, from, to f
 	// Bound once for the whole sweep, so a deadline that passes inside an
 	// interval stops that interval's query at its next pop.
 	opt = opt.BindContext(ctx)
-	breaks := n.Breakpoints(from, to)
+	breaks := breaksIn(c.times, from, to)
 	var out []IntervalResult
 	for i, start := range breaks {
 		if err := ctx.Err(); err != nil {
@@ -540,11 +488,7 @@ func (n *Network) overPeriod(ctx context.Context, loc graph.Location, from, to f
 		if i+1 < len(breaks) {
 			end = breaks[i+1]
 		}
-		iopt := opt
-		if iopt.Bounds == nil && !iopt.NoPrune {
-			iopt.Bounds = c.bounds[c.intervalAt(start)]
-		}
-		res, err := query(c.viewAt(start), iopt)
+		res, err := query(c.ov.Interval(c.intervalAt(start)), opt)
 		if err != nil {
 			return nil, err
 		}
@@ -580,14 +524,7 @@ func (n *Network) CostAt(e graph.EdgeID, t float64) (vec.Costs, error) {
 	if int(e) >= n.base.NumEdges() {
 		return nil, fmt.Errorf("timedep: edge %d out of range", e)
 	}
-	w := n.base.Edge(e).W.Clone()
-	if p, ok := n.profiles[e]; ok {
-		if m := p.At(t); m != nil {
-			for i := range w {
-				w[i] *= m[i]
-			}
-		}
-	}
+	w := n.effectiveCost(e, t).Clone()
 	// Guard against NaN creep from pathological inputs.
 	for _, v := range w {
 		if math.IsNaN(v) {

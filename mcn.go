@@ -279,8 +279,8 @@ type Network struct {
 	cache *rescache.Cache
 	// bounds is the precomputed lower-bound pruning index: built at
 	// FromGraph time for in-memory networks, loaded from the bounds table
-	// for disk databases. Attached to every query by default; see
-	// DisablePruning.
+	// for disk databases. Attached to every query that brings none of its
+	// own; only `within` reads it.
 	bounds *index.Bounds
 }
 
@@ -611,56 +611,6 @@ func (n *Network) Batch(ctx context.Context, reqs []BatchRequest, cfg ExecutorCo
 	return n.NewExecutor(cfg).Execute(ctx, reqs)
 }
 
-// batchResults runs same-kind requests and unwraps the responses into
-// results aligned with the requests, failing on the first per-query error.
-func (n *Network) batchResults(ctx context.Context, reqs []BatchRequest, workers int) ([]*Result, error) {
-	out := make([]*Result, len(reqs))
-	for _, resp := range n.Batch(ctx, reqs, ExecutorConfig{Workers: workers}) {
-		if resp.Err != nil {
-			return nil, fmt.Errorf("mcn: batch query %d: %w", resp.Index, resp.Err)
-		}
-		out[resp.Index] = resp.Result
-	}
-	return out, nil
-}
-
-// BatchSkyline answers a skyline query at every location concurrently, with
-// at most workers (GOMAXPROCS if zero) queries in flight.
-func (n *Network) BatchSkyline(ctx context.Context, locs []Location, workers int, opts ...Option) ([]*Result, error) {
-	reqs := make([]BatchRequest, len(locs))
-	for i, loc := range locs {
-		reqs[i] = SkylineRequest(loc, opts...)
-	}
-	return n.batchResults(ctx, reqs, workers)
-}
-
-// BatchTopK answers a top-k query at every location concurrently.
-func (n *Network) BatchTopK(ctx context.Context, locs []Location, agg Aggregate, k, workers int, opts ...Option) ([]*Result, error) {
-	reqs := make([]BatchRequest, len(locs))
-	for i, loc := range locs {
-		reqs[i] = TopKRequest(loc, agg, k, opts...)
-	}
-	return n.batchResults(ctx, reqs, workers)
-}
-
-// BatchNearest answers a k-nearest query at every location concurrently.
-func (n *Network) BatchNearest(ctx context.Context, locs []Location, costIdx, k, workers int) ([]*Result, error) {
-	reqs := make([]BatchRequest, len(locs))
-	for i, loc := range locs {
-		reqs[i] = NearestRequest(loc, costIdx, k)
-	}
-	return n.batchResults(ctx, reqs, workers)
-}
-
-// BatchWithin answers a budget range query at every location concurrently.
-func (n *Network) BatchWithin(ctx context.Context, locs []Location, budget Costs, workers int, opts ...Option) ([]*Result, error) {
-	reqs := make([]BatchRequest, len(locs))
-	for i, loc := range locs {
-		reqs[i] = WithinRequest(loc, budget, opts...)
-	}
-	return n.batchResults(ctx, reqs, workers)
-}
-
 // BaselineSkyline runs the paper's strawman skyline: d complete expansions
 // followed by a conventional skyline operator.
 func (n *Network) BaselineSkyline(ctx context.Context, loc Location) (*Result, error) {
@@ -718,12 +668,7 @@ func (n *Network) ParetoPathsApprox(ctx context.Context, from, to NodeID, maxLab
 // materialisation. The maintainer holds pooled expansion scratch for its
 // insertion probes; Close it when done (idempotent, any goroutine).
 func (n *Network) Maintain(ctx context.Context, loc Location) (*Maintainer, error) {
-	o := n.queryOptions(ctx, nil)
-	// The pruning index is built for the network's static facility set; a
-	// maintainer exists to change that set, and an insert can shrink true
-	// nearest-facility distances below the precomputed bounds. Detach them.
-	o.Bounds = nil
-	m, err := dynamic.New(n.srcFor(ctx), loc, o)
+	m, err := dynamic.New(n.srcFor(ctx), loc, n.queryOptions(ctx, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -744,7 +689,7 @@ func NewResultCache(opts CacheOptions) *ResultCache { return rescache.New(opts) 
 
 // EnableResultCache attaches a serving-layer result cache to the network
 // and returns it. Every executor the network creates afterwards — via
-// NewExecutor, Batch and the Batch* helpers — memoizes completed results
+// NewExecutor and Batch — memoizes completed results
 // under canonical query keys with singleflight miss coalescing, and
 // Maintain wires facility updates to incremental invalidation. Enable the
 // cache before creating executors or maintainers; calling it again
@@ -796,12 +741,6 @@ func (n *Network) FlushResultCache() {
 	}
 }
 
-// DisablePruning detaches the lower-bound pruning index from the network:
-// every future query (including executors created afterwards) runs unpruned,
-// as if the index had never been built. Call it before queries start; it
-// must not race in-flight queries.
-func (n *Network) DisablePruning() { n.bounds = nil }
-
 // IndexStats describes the pruning index attached to a network.
 type IndexStats struct {
 	// BoundsBytes is the in-memory (and on-disk) size of the lower-bound
@@ -813,8 +752,8 @@ type IndexStats struct {
 }
 
 // IndexStats returns the pruning index's size and build time; ok is false
-// when the network has none (DisablePruning was called, or Maintain
-// detached a stale one).
+// when the network carries no index (FromGraph builds one, and every
+// database carries one).
 func (n *Network) IndexStats() (IndexStats, bool) {
 	if n.bounds == nil {
 		return IndexStats{}, false
