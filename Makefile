@@ -98,7 +98,8 @@ benchverify:
 # runs of the same figures have to print byte-identical phys_io, logical_io
 # and results columns (CSV columns 5, 6, 8; the timing columns legitimately
 # differ). An iteration order that reaches the store through a Go map fails
-# here.
+# here. The same runs assert the paper's first claim: in every fig. 8a / 10a
+# row, CEA accesses no more pages than LSA (phys_io, column 5).
 paperio:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	for run in 1 2; do \
@@ -109,7 +110,19 @@ paperio:
 		echo "paperio ok: $$(($$(wc -l <"$$dir/1.io") - 1)) rows identical across two runs"; \
 	else \
 		echo "FAIL: fig. 8a/10a page accesses differ between two runs of the same binary"; exit 1; \
-	fi
+	fi && \
+	awk -F, 'NR > 1 && $$3 == "LSA" { lsa[$$1 FS $$2] = $$5 } \
+		NR > 1 && $$3 == "CEA" { cea[$$1 FS $$2] = $$5 } \
+		END { \
+			for (k in cea) { \
+				n++; \
+				if (!(k in lsa)) { print "FAIL: no LSA row for " k; bad = 1 } \
+				else if (cea[k] + 0 > lsa[k] + 0) { print "FAIL: " k ": CEA phys_io " cea[k] " > LSA " lsa[k]; bad = 1 } \
+			} \
+			if (n == 0) { print "FAIL: no CEA rows"; bad = 1 } \
+			if (!bad) print "paperio ok: CEA phys_io <= LSA phys_io in all " n " rows"; \
+			exit bad \
+		}' "$$dir/1.csv"
 
 # Chaos harness. chaossmoke is the CI job: the -short schedule counts under
 # the race detector (~30s). chaos is the long-mode run (CHAOS_SCHEDULES

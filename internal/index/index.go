@@ -26,6 +26,8 @@ package index
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"time"
 
 	"mcn/internal/graph"
@@ -65,20 +67,53 @@ func FromGraph(g *graph.Graph) *Bounds {
 
 // FromCosts computes the index for g's topology under an alternative cost
 // assignment (the timedep overlay's lowest cost at any instant). cost must
-// return a non-negative weight for every (edge, criterion) pair.
+// return a non-negative weight for every (edge, criterion) pair, and must be
+// safe for concurrent calls: the d backward passes run on up to GOMAXPROCS
+// goroutines. Each pass owns its heap and writes only its criterion's slice
+// of the table, so the result is the same as one goroutine's.
 func FromCosts(g *graph.Graph, cost func(e graph.EdgeID, costIdx int) float64) *Bounds {
 	start := time.Now()
 	d, n := g.D(), g.NumNodes()
 	b := &Bounds{d: d, numNodes: n, data: make([]float64, d*n)}
-
-	// Reverse adjacency, shared across criteria: one reverse arc per
-	// traversable direction. Undirected edges are traversable both ways, so
-	// the reversed arc set equals the forward one; either way a single O(E)
-	// sweep over the edge list builds it without consulting g.Arcs.
-	type rarc struct {
-		to   graph.NodeID
-		edge graph.EdgeID
+	r := reverseArcs(g)
+	workers := min(d, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var h boundHeap
+			for i := w; i < d; i += workers {
+				r.backward(g, i, b.data[i*n:(i+1)*n], &h, cost)
+			}
+		}()
 	}
+	wg.Wait()
+	b.buildDur = time.Since(start)
+	return b
+}
+
+// rarc is one reversed arc: the backward pass reaches to over edge.
+type rarc struct {
+	to   graph.NodeID
+	edge graph.EdgeID
+}
+
+// reversed is a graph's reversed arc set in CSR form: the arcs into node v
+// are arcs[off[v]:off[v+1]].
+type reversed struct {
+	off  []int32
+	arcs []rarc
+}
+
+// reverseArcs builds the reversed arc set shared by every criterion's pass.
+func reverseArcs(g *graph.Graph) reversed {
+	n := g.NumNodes()
+
+	// One reverse arc per traversable direction. Undirected edges are
+	// traversable both ways, so the reversed arc set equals the forward one;
+	// either way a single O(E) sweep over the edge list builds it without
+	// consulting g.Arcs.
 	deg := make([]int32, n+1)
 	for e := 0; e < g.NumEdges(); e++ {
 		ed := g.Edge(graph.EdgeID(e))
@@ -102,49 +137,49 @@ func FromCosts(g *graph.Graph, cost func(e graph.EdgeID, costIdx int) float64) *
 			fill[ed.U]++
 		}
 	}
+	return reversed{off: off, arcs: arcs}
+}
 
-	h := boundHeap{}
-	for i := 0; i < d; i++ {
-		dist := b.data[i*n : (i+1)*n]
-		for v := range dist {
-			dist[v] = math.Inf(1)
-		}
-		h.a = h.a[:0]
+// backward fills dist with every node's distance to its nearest facility
+// under criterion i: a multi-source Dijkstra over the reversed arcs, on heap
+// h.
+func (r reversed) backward(g *graph.Graph, i int, dist []float64, h *boundHeap, cost func(e graph.EdgeID, costIdx int) float64) {
+	for v := range dist {
+		dist[v] = math.Inf(1)
+	}
+	h.a = h.a[:0]
 
-		// Seed with the facility entry points: a facility at fraction T of
-		// edge (U,V) is reached from U by traversing T·w forward; in an
-		// undirected network also from V by traversing (1−T)·w backward.
-		relax := func(v graph.NodeID, key float64) {
-			if key < dist[v] {
-				dist[v] = key
-				h.push(boundItem{key: key, node: v})
-			}
-		}
-		for p := 0; p < g.NumFacilities(); p++ {
-			fac := g.Facility(graph.FacilityID(p))
-			ed := g.Edge(fac.Edge)
-			w := cost(fac.Edge, i)
-			relax(ed.U, fac.T*w)
-			if !g.Directed() {
-				relax(ed.V, (1-fac.T)*w)
-			}
-		}
-
-		// Backward multi-source Dijkstra: settle nodes in increasing distance
-		// to their nearest facility, relaxing along reversed arcs.
-		for len(h.a) > 0 {
-			it := h.pop()
-			if it.key > dist[it.node] {
-				continue // superseded entry
-			}
-			a := arcs[off[it.node]:off[it.node+1]]
-			for j := range a {
-				relax(a[j].to, it.key+cost(a[j].edge, i))
-			}
+	// Seed with the facility entry points: a facility at fraction T of edge
+	// (U,V) is reached from U by traversing T·w forward; in an undirected
+	// network also from V by traversing (1−T)·w backward.
+	relax := func(v graph.NodeID, key float64) {
+		if key < dist[v] {
+			dist[v] = key
+			h.push(boundItem{key: key, node: v})
 		}
 	}
-	b.buildDur = time.Since(start)
-	return b
+	for p := 0; p < g.NumFacilities(); p++ {
+		fac := g.Facility(graph.FacilityID(p))
+		ed := g.Edge(fac.Edge)
+		w := cost(fac.Edge, i)
+		relax(ed.U, fac.T*w)
+		if !g.Directed() {
+			relax(ed.V, (1-fac.T)*w)
+		}
+	}
+
+	// Settle nodes in increasing distance to their nearest facility, relaxing
+	// along reversed arcs.
+	for len(h.a) > 0 {
+		it := h.pop()
+		if it.key > dist[it.node] {
+			continue // superseded entry
+		}
+		a := r.arcs[r.off[it.node]:r.off[it.node+1]]
+		for j := range a {
+			relax(a[j].to, it.key+cost(a[j].edge, i))
+		}
+	}
 }
 
 // FromData rehydrates a persisted bounds table (see storage.Build). data is

@@ -3,6 +3,7 @@ package index
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mcn/internal/gen"
@@ -115,6 +116,27 @@ func TestBoundsEqualNearestFacilityDistance(t *testing.T) {
 				t.Errorf("%d unreachable (criterion, node) pairs, want nodes 2..5 × 2", inf)
 			}
 		})
+	}
+}
+
+// The criteria's passes run concurrently, but each on its own heap and its
+// own slice of the table: the index is bit-identical to a one-goroutine
+// build whatever GOMAXPROCS is.
+func TestParallelBuildBitIdentical(t *testing.T) {
+	inst, err := gen.MakeInstance(gen.InstanceConfig{Nodes: 2000, Facilities: 300, D: 5, Queries: 1, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := FromGraph(inst.Graph).Data()
+	for _, procs := range []int{2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		got := FromGraph(inst.Graph).Data()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("GOMAXPROCS=%d: entry %d is %v, one goroutine built %v", procs, i, got[i], want[i])
+			}
+		}
 	}
 }
 

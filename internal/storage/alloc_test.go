@@ -42,3 +42,21 @@ func TestMissAllocatesNothing(t *testing.T) {
 		})
 	}
 }
+
+// A record that spans a page boundary is assembled in a buffer the cursor
+// borrows and close returns, so re-reading one allocates nothing.
+func TestSpanningRecordAllocatesNothing(t *testing.T) {
+	dev, refs, recs := spanningRecords(t)
+	pool := NewBufferPool(dev, 8)
+	read := func() {
+		c := newCursor(nil, pool, refs[0])
+		if _, err := c.next(len(recs[0])); err != nil {
+			t.Fatal(err)
+		}
+		c.close()
+	}
+	read()
+	if got := testing.AllocsPerRun(100, read); got != 0 {
+		t.Errorf("%v allocs per spanning-record read, want 0", got)
+	}
+}

@@ -1,10 +1,16 @@
 // Package storage implements the disk-resident MCN storage scheme of the
-// paper (Fig. 2): an adjacency tree mapping nodes to adjacency-list records,
-// a flat adjacency file, a facility file holding the facilities of each
-// edge, and a facility tree mapping facilities to their edges — all laid out
-// on fixed-size pages behind a sharded clock-sweep buffer pool that counts
-// logical and physical reads. An additional edge tree (edge → first
-// end-node) supports query initialisation at arbitrary network locations.
+// paper (Fig. 2): adjacency-list records, the facility records of each edge,
+// an adjacency tree locating a node's record, and a facility tree mapping
+// facilities to their edges — all laid out on fixed-size pages behind a
+// sharded clock-sweep buffer pool that counts logical and physical reads. An
+// additional edge tree (edge → first end-node) supports query
+// initialisation at arbitrary network locations.
+//
+// The paper leaves record order open. Here one data file holds both record
+// kinds in the Hilbert-curve order of the node coordinates, each facility
+// record beside the first adjacency record that points at it, and the
+// adjacency tree is keyed by a node's rank in that order, so one expansion's
+// reads cluster on few pages (layout.go has the byte-level layout).
 package storage
 
 import (

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"slices"
 
 	"mcn/internal/graph"
 	"mcn/internal/index"
@@ -12,12 +14,14 @@ import (
 // Database file layout (all offsets in pages):
 //
 //	page 0            header
-//	facility file     one record per edge that carries facilities
-//	adjacency file    one record per node
-//	adjacency tree    B+-tree: node id → packed Ref of its adjacency record
+//	data file         one adjacency record per node, in locality order; each
+//	                  edge's facility record immediately precedes the first
+//	                  adjacency record that points at it
+//	adjacency tree    B+-tree: node rank → packed Ref of its adjacency record
 //	facility tree     B+-tree: facility id → edge id
 //	edge tree         B+-tree: edge id → U end-node id
 //	bounds table      pruning index, d × numNodes f64
+//	rank table        numNodes u32: node id → rank in the locality order
 //	checksum table    one 8-byte slot per page above (header excluded)
 //
 // Adjacency record:  count u16, then per arc:
@@ -27,28 +31,44 @@ import (
 //
 // Facility record (per edge): facCount × { facility u32, T f64 }.
 //
+// The locality order is the Hilbert-curve order of the node coordinates (see
+// localityOrder): a Dijkstra wavefront grows through neighbouring space, so
+// the records one expansion reads, and the adjacency-tree leaves that locate
+// them, lie on few pages. Node, edge and facility ids are not renumbered;
+// the rank table translates a node id into the adjacency tree's key, and
+// every record still names ids. A facility record sits next to the record
+// that first reaches its edge, so the facility read that follows an
+// adjacency read usually hits the same page.
+//
 // The pruning-index bounds table follows the trees: d × numNodes f64 values,
 // criterion-major (the internal/index layout), the exact distance from each
-// node to its nearest facility per cost type. It is loaded once at Open.
+// node to its nearest facility per cost type. It and the rank table are
+// loaded once at Open, directly from the device and verified against the
+// checksum table; Open refuses a rank table that is not a permutation.
 //
 // The checksum table comes last: one 8-byte slot per data/index page (pages
-// 1..checksumPages, i.e. everything written before the table, the bounds
-// table included; the header page is excluded because it is read before the
-// table is known, and the table's own pages are excluded because they are
+// 1..checksumPages, i.e. everything written before the table, the bounds and
+// rank tables included; the table's own pages are excluded because they are
 // read once at Open, directly from the device). A slot holds the page's
 // CRC-32C (Castagnoli) in its low 32 bits, the rest zero. CRC-32C because
 // hash/crc32 computes it with the SSE4.2 / ARMv8 CRC instructions, so
 // verifying a page costs a fraction of reading it; the slot stays 8 bytes
 // wide so the table — and with it the page count every buffer-size
-// percentage and page-access figure is measured against — is the size it has
-// always been. OpenWithPool loads the table into memory and hands it to the
-// buffer pool, which verifies every page it reads.
+// percentage and page-access figure is measured against — keeps the size it
+// had under earlier layouts. OpenWithPool loads the table into memory and
+// hands it to the buffer pool, which verifies every page it reads.
 //
-// This is layout version 4, the only one Open accepts: a database written by
+// The header page is read before the table is known, so it carries its own
+// CRC-32C: the last field holds the checksum of every header byte before it,
+// and Open verifies it before trusting any size or page id the header names.
+//
+// This is layout version 5, the only one Open accepts: a database written by
 // an earlier version is regenerated with mcngen, not migrated.
 const (
 	magic   = 0x4D434E31 // "MCN1"
-	version = 4
+	version = 5
+
+	headerCRCOff = 56 // the header's CRC-32C covers bytes [0, headerCRCOff)
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -68,11 +88,11 @@ type header struct {
 	adjTreeRoot   PageID
 	facTreeRoot   PageID
 	edgeTreeRoot  PageID
-	adjFileFirst  PageID
-	facFileFirst  PageID
+	dataFirst     PageID // first page of the data file
 	checksumFirst PageID // first page of the checksum table
 	checksumPages int    // pages covered by the table: ids 1..checksumPages
 	boundsFirst   PageID // first page of the pruning-bounds table
+	rankFirst     PageID // first page of the rank table
 }
 
 func (h *header) encode() []byte {
@@ -90,11 +110,12 @@ func (h *header) encode() []byte {
 	le.PutUint32(buf[24:], uint32(h.adjTreeRoot))
 	le.PutUint32(buf[28:], uint32(h.facTreeRoot))
 	le.PutUint32(buf[32:], uint32(h.edgeTreeRoot))
-	le.PutUint32(buf[36:], uint32(h.adjFileFirst))
-	le.PutUint32(buf[40:], uint32(h.facFileFirst))
-	le.PutUint32(buf[44:], uint32(h.checksumFirst))
-	le.PutUint32(buf[48:], uint32(h.checksumPages))
-	le.PutUint32(buf[52:], uint32(h.boundsFirst))
+	le.PutUint32(buf[36:], uint32(h.dataFirst))
+	le.PutUint32(buf[40:], uint32(h.checksumFirst))
+	le.PutUint32(buf[44:], uint32(h.checksumPages))
+	le.PutUint32(buf[48:], uint32(h.boundsFirst))
+	le.PutUint32(buf[52:], uint32(h.rankFirst))
+	le.PutUint32(buf[headerCRCOff:], PageChecksum(buf[:headerCRCOff]))
 	return buf
 }
 
@@ -106,6 +127,9 @@ func decodeHeader(buf []byte) (*header, error) {
 	if v := le.Uint16(buf[4:]); v != version {
 		return nil, fmt.Errorf("storage: database layout version %d, this build reads version %d: regenerate the database with mcngen", v, version)
 	}
+	if le.Uint32(buf[headerCRCOff:]) != PageChecksum(buf[:headerCRCOff]) {
+		return nil, fmt.Errorf("storage: header page: %w", ErrChecksum)
+	}
 	return &header{
 		d:             int(le.Uint16(buf[6:])),
 		directed:      buf[8] == 1,
@@ -115,21 +139,23 @@ func decodeHeader(buf []byte) (*header, error) {
 		adjTreeRoot:   PageID(le.Uint32(buf[24:])),
 		facTreeRoot:   PageID(le.Uint32(buf[28:])),
 		edgeTreeRoot:  PageID(le.Uint32(buf[32:])),
-		adjFileFirst:  PageID(le.Uint32(buf[36:])),
-		facFileFirst:  PageID(le.Uint32(buf[40:])),
-		checksumFirst: PageID(le.Uint32(buf[44:])),
-		checksumPages: int(le.Uint32(buf[48:])),
-		boundsFirst:   PageID(le.Uint32(buf[52:])),
+		dataFirst:     PageID(le.Uint32(buf[36:])),
+		checksumFirst: PageID(le.Uint32(buf[40:])),
+		checksumPages: int(le.Uint32(buf[44:])),
+		boundsFirst:   PageID(le.Uint32(buf[48:])),
+		rankFirst:     PageID(le.Uint32(buf[52:])),
 	}, nil
 }
 
-// tablePages is the number of pages a table of n u64 values occupies.
-func tablePages(n uint64) uint64 { return (n*8 + PageSize - 1) / PageSize }
+// tablePages is the number of pages a table of n values of size bytes
+// occupies.
+func tablePages(n, size uint64) uint64 { return (n*size + PageSize - 1) / PageSize }
 
 // validate checks every size and page id of the header against the device's
-// page count. The header page is the one page no checksum covers, and
-// OpenWithPool sizes its tables from it, so a damaged or hostile header must
-// be refused here, before anything it names is allocated or read.
+// page count. OpenWithPool sizes its tables from the header, so a header
+// that passes its checksum but names impossible sizes — a hostile one, or
+// one written by a broken build — must be refused here, before anything it
+// names is allocated or read.
 func (h *header) validate(numPages int) error {
 	pages := uint64(numPages)
 	if h.d < 1 {
@@ -142,24 +168,37 @@ func (h *header) validate(numPages int) error {
 		{"adjacency tree root", h.adjTreeRoot},
 		{"facility tree root", h.facTreeRoot},
 		{"edge tree root", h.edgeTreeRoot},
-		{"adjacency file", h.adjFileFirst},
-		{"facility file", h.facFileFirst},
+		{"data file", h.dataFirst},
 		{"checksum table", h.checksumFirst},
 		{"bounds table", h.boundsFirst},
+		{"rank table", h.rankFirst},
 	} {
-		if uint64(p.id) >= pages {
+		if p.id == 0 || uint64(p.id) >= pages {
 			return fmt.Errorf("storage: header: %s at page %d, device has %d pages", p.name, p.id, numPages)
 		}
 	}
 	if uint64(h.checksumPages) >= pages {
 		return fmt.Errorf("storage: header: checksums cover %d pages, device has %d", h.checksumPages, numPages)
 	}
-	if end := uint64(h.checksumFirst) + tablePages(uint64(h.checksumPages)); end > pages {
+	if end := uint64(h.checksumFirst) + tablePages(uint64(h.checksumPages), 8); end > pages {
 		return fmt.Errorf("storage: header: checksum table ends at page %d, device has %d pages", end, numPages)
 	}
-	// d < 2^16 and numNodes < 2^32, so the product cannot overflow.
-	if end := uint64(h.boundsFirst) + tablePages(uint64(h.d)*uint64(h.numNodes)); end > pages {
-		return fmt.Errorf("storage: header: bounds table ends at page %d, device has %d pages", end, numPages)
+	// The bounds and rank tables are verified against the checksum table as
+	// they load, so they must lie inside the pages it covers. d < 2^16 and
+	// numNodes < 2^32, so no size below can overflow.
+	covered := uint64(h.checksumPages) + 1
+	for _, t := range []struct {
+		name  string
+		first PageID
+		n     uint64
+		size  uint64
+	}{
+		{"bounds table", h.boundsFirst, uint64(h.d) * uint64(h.numNodes), 8},
+		{"rank table", h.rankFirst, uint64(h.numNodes), 4},
+	} {
+		if end := uint64(t.first) + tablePages(t.n, t.size); end > covered {
+			return fmt.Errorf("storage: header: %s ends at page %d, checksums cover pages 1..%d", t.name, end, h.checksumPages)
+		}
 	}
 	return nil
 }
@@ -194,92 +233,19 @@ func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 		numFacs:  g.NumFacilities(),
 	}
 
-	// Facility file: one record per edge with facilities.
-	facRefs := make([]uint64, g.NumEdges())
-	fw := newPageWriter(dev)
-	first := true
-	for e := 0; e < g.NumEdges(); e++ {
-		facs := g.EdgeFacilities(graph.EdgeID(e))
-		if len(facs) == 0 {
-			facRefs[e] = graph.NoFacRef
-			continue
-		}
-		ref, err := fw.pos()
-		if err != nil {
-			return nil, err
-		}
-		if first {
-			h.facFileFirst = ref.Page
-			first = false
-		}
-		facRefs[e] = ref.Pack()
-		for _, p := range facs {
-			if err := fw.writeU32(uint32(p)); err != nil {
-				return nil, err
-			}
-			if err := fw.writeF64(g.Facility(p).T); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := fw.close(); err != nil {
-		return nil, err
+	order := localityOrder(g)
+	var adjRefs []uint64
+	if h.dataFirst, adjRefs, err = writeData(g, dev, order); err != nil {
+		return nil, fmt.Errorf("storage: data file: %w", err)
 	}
 
-	// Adjacency file: one record per node.
-	adjRefs := make([]uint64, g.NumNodes())
-	aw := newPageWriter(dev)
-	for v := 0; v < g.NumNodes(); v++ {
-		ref, err := aw.pos()
-		if err != nil {
-			return nil, err
-		}
-		if v == 0 {
-			h.adjFileFirst = ref.Page
-		}
-		adjRefs[v] = ref.Pack()
-		arcs := g.Arcs(graph.NodeID(v))
-		if err := aw.writeU16(uint16(len(arcs))); err != nil {
-			return nil, err
-		}
-		for _, a := range arcs {
-			edge := g.Edge(a.Edge)
-			if err := aw.writeU32(uint32(a.Neighbor)); err != nil {
-				return nil, err
-			}
-			if err := aw.writeU32(uint32(a.Edge)); err != nil {
-				return nil, err
-			}
-			var flags byte
-			if a.Forward {
-				flags |= 1
-			}
-			if err := aw.write([]byte{flags}); err != nil {
-				return nil, err
-			}
-			if err := aw.writeU16(uint16(len(g.EdgeFacilities(a.Edge)))); err != nil {
-				return nil, err
-			}
-			if err := aw.writeU64(facRefs[a.Edge]); err != nil {
-				return nil, err
-			}
-			for _, w := range edge.W {
-				if err := aw.writeF64(w); err != nil {
-					return nil, err
-				}
-			}
-		}
+	// Indexes. The adjacency tree is keyed by rank, so its leaves follow the
+	// data file's order.
+	ranks := make([]uint64, len(order))
+	for r := range ranks {
+		ranks[r] = uint64(r)
 	}
-	if err := aw.close(); err != nil {
-		return nil, err
-	}
-
-	// Indexes.
-	nodeKeys := make([]uint64, g.NumNodes())
-	for v := range nodeKeys {
-		nodeKeys[v] = uint64(v)
-	}
-	if h.adjTreeRoot, err = BuildBTree(dev, nodeKeys, adjRefs); err != nil {
+	if h.adjTreeRoot, err = BuildBTree(dev, ranks, adjRefs); err != nil {
 		return nil, fmt.Errorf("storage: adjacency tree: %w", err)
 	}
 
@@ -303,50 +269,199 @@ func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 		return nil, fmt.Errorf("storage: edge tree: %w", err)
 	}
 
-	// Pruning-bounds table: the per-criterion nearest-facility distances,
-	// written before the checksum table so its pages are covered by the
-	// checksums.
+	// Pruning-bounds and rank tables, written before the checksum table so
+	// their pages are covered by the checksums.
 	bounds := index.FromGraph(g)
-	bw := newPageWriter(dev)
-	bref, err := bw.pos()
-	if err != nil {
+	if h.boundsFirst, err = writeTable(dev, len(bounds.Data()), func(w *pageWriter, i int) error {
+		return w.writeF64(bounds.Data()[i])
+	}); err != nil {
 		return nil, fmt.Errorf("storage: bounds table: %w", err)
 	}
-	h.boundsFirst = bref.Page
-	for _, v := range bounds.Data() {
-		if err := bw.writeF64(v); err != nil {
-			return nil, fmt.Errorf("storage: bounds table: %w", err)
-		}
+	rank := make([]uint32, len(order))
+	for r, v := range order {
+		rank[v] = uint32(r)
 	}
-	if err := bw.close(); err != nil {
-		return nil, fmt.Errorf("storage: bounds table: %w", err)
+	if h.rankFirst, err = writeTable(dev, len(rank), func(w *pageWriter, v int) error {
+		return w.writeU32(rank[v])
+	}); err != nil {
+		return nil, fmt.Errorf("storage: rank table: %w", err)
 	}
 
 	// Checksum table: one slot per page written so far (1..n-1; the header
-	// page is written last, after the table's location is known, and is
-	// excluded — see the layout comment).
+	// page is written last, after the table's location is known, and carries
+	// its own checksum — see the layout comment).
 	n := dev.NumPages()
 	h.checksumPages = n - 1
-	cw := newPageWriter(dev)
-	ref, err := cw.pos()
-	if err != nil {
-		return nil, fmt.Errorf("storage: checksum table: %w", err)
-	}
-	h.checksumFirst = ref.Page
 	page := make([]byte, PageSize)
-	for p := 1; p < n; p++ {
-		if err := dev.ReadPage(PageID(p), page); err != nil {
-			return nil, fmt.Errorf("storage: checksum table: %w", err)
+	if h.checksumFirst, err = writeTable(dev, n-1, func(w *pageWriter, i int) error {
+		if err := dev.ReadPage(PageID(i+1), page); err != nil {
+			return err
 		}
-		if err := cw.writeU64(uint64(PageChecksum(page))); err != nil {
-			return nil, fmt.Errorf("storage: checksum table: %w", err)
-		}
-	}
-	if err := cw.close(); err != nil {
+		return w.writeU64(uint64(PageChecksum(page)))
+	}); err != nil {
 		return nil, fmt.Errorf("storage: checksum table: %w", err)
 	}
 
 	return bounds, dev.WritePage(0, h.encode())
+}
+
+// writeData writes the data file: the adjacency record of every node in
+// order, each preceded by the facility records of the edges it is the first
+// to reference. It returns the file's first page and the packed Ref of each
+// adjacency record, indexed by rank.
+func writeData(g *graph.Graph, dev Device, order []graph.NodeID) (PageID, []uint64, error) {
+	le := binary.LittleEndian
+	w := newPageWriter(dev)
+	first, err := w.pos()
+	if err != nil {
+		return 0, nil, err
+	}
+	facRefs := make([]uint64, g.NumEdges())
+	for e := range facRefs {
+		facRefs[e] = graph.NoFacRef // also marks a facility record not yet written
+	}
+	adjRefs := make([]uint64, len(order))
+	var rec []byte
+	for r, v := range order {
+		arcs := g.Arcs(v)
+		for _, a := range arcs {
+			facs := g.EdgeFacilities(a.Edge)
+			if len(facs) == 0 || facRefs[a.Edge] != graph.NoFacRef {
+				continue
+			}
+			ref, err := w.pos()
+			if err != nil {
+				return 0, nil, err
+			}
+			facRefs[a.Edge] = ref.Pack()
+			rec = rec[:0]
+			for _, p := range facs {
+				rec = le.AppendUint32(rec, uint32(p))
+				rec = le.AppendUint64(rec, math.Float64bits(g.Facility(p).T))
+			}
+			if err := w.write(rec); err != nil {
+				return 0, nil, err
+			}
+		}
+		ref, err := w.pos()
+		if err != nil {
+			return 0, nil, err
+		}
+		adjRefs[r] = ref.Pack()
+		rec = le.AppendUint16(rec[:0], uint16(len(arcs)))
+		for _, a := range arcs {
+			var flags byte
+			if a.Forward {
+				flags |= 1
+			}
+			rec = le.AppendUint32(rec, uint32(a.Neighbor))
+			rec = le.AppendUint32(rec, uint32(a.Edge))
+			rec = append(rec, flags)
+			rec = le.AppendUint16(rec, uint16(len(g.EdgeFacilities(a.Edge))))
+			rec = le.AppendUint64(rec, facRefs[a.Edge])
+			for _, c := range g.Edge(a.Edge).W {
+				rec = le.AppendUint64(rec, math.Float64bits(c))
+			}
+		}
+		if err := w.write(rec); err != nil {
+			return 0, nil, err
+		}
+	}
+	return first.Page, adjRefs, w.close()
+}
+
+// writeTable writes a table of n fixed-size values, value i by put(w, i),
+// starting on a fresh page, and returns that page.
+func writeTable(dev Device, n int, put func(w *pageWriter, i int) error) (PageID, error) {
+	w := newPageWriter(dev)
+	ref, err := w.pos()
+	if err != nil {
+		return 0, err
+	}
+	for i := 0; i < n; i++ {
+		if err := put(w, i); err != nil {
+			return 0, err
+		}
+	}
+	return ref.Page, w.close()
+}
+
+// hilbertBits is the resolution of the locality order: coordinates are
+// scaled onto a 2^hilbertBits × 2^hilbertBits grid, so a curve index fits in
+// 32 bits.
+const hilbertBits = 16
+
+// localityOrder returns g's nodes in the order the data file lays out their
+// records: ascending Hilbert-curve index of the node coordinates, scaled
+// onto a grid over the graph's bounding box, ties in id order. A graph
+// without coordinates (every node on one cell) keeps id order. One sort of
+// packed index<<32 | id keys; no comparison closure.
+func localityOrder(g *graph.Graph) []graph.NodeID {
+	n := g.NumNodes()
+	minX, minY := math.Inf(1), math.Inf(1)
+	maxX, maxY := math.Inf(-1), math.Inf(-1)
+	for v := 0; v < n; v++ {
+		p := g.Node(graph.NodeID(v))
+		if p.X < minX {
+			minX = p.X
+		}
+		if p.X > maxX {
+			maxX = p.X
+		}
+		if p.Y < minY {
+			minY = p.Y
+		}
+		if p.Y > maxY {
+			maxY = p.Y
+		}
+	}
+	keys := make([]uint64, n)
+	for v := range keys {
+		p := g.Node(graph.NodeID(v))
+		d := hilbert(gridCell(p.X, minX, maxX), gridCell(p.Y, minY, maxY))
+		keys[v] = uint64(d)<<32 | uint64(v)
+	}
+	slices.Sort(keys)
+	order := make([]graph.NodeID, n)
+	for r, k := range keys {
+		order[r] = graph.NodeID(uint32(k))
+	}
+	return order
+}
+
+// gridCell maps x in [lo, hi] onto a grid cell 0..2^hilbertBits-1. A
+// degenerate box or a non-finite coordinate maps to cell 0.
+func gridCell(x, lo, hi float64) uint32 {
+	const top = 1<<hilbertBits - 1
+	f := float64((x-lo)/(hi-lo)) * top
+	switch {
+	case !(f > 0): // NaN, or the box's low edge
+		return 0
+	case f >= top:
+		return top
+	}
+	return uint32(f)
+}
+
+// hilbert returns the index of cell (x, y) along the Hilbert curve over the
+// 2^hilbertBits × 2^hilbertBits grid: the classic quadrant walk, written
+// with masks instead of branches because the quadrant bits of a road
+// network's nodes are as good as random to a branch predictor.
+func hilbert(x, y uint32) uint32 {
+	const all = 1<<hilbertBits - 1
+	var d uint32
+	for k := hilbertBits - 1; k >= 0; k-- {
+		rx, ry := x>>k&1, y>>k&1
+		d |= ((3 * rx) ^ ry) << (2 * k)
+		// Rotate the quadrant into standard orientation: when ry is 0,
+		// reflect if rx is 1, then swap x and y.
+		swap := ry - 1 // all ones when ry == 0
+		flip := swap & -rx & all
+		x, y = x^flip, y^flip
+		t := (x ^ y) & swap
+		x, y = x^t, y^t
+	}
+	return d
 }
 
 // BuildMem builds the database for g on a fresh in-memory device.

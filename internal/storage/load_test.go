@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mcn/internal/graph"
@@ -45,27 +46,36 @@ func TestLoadGraphRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g2, err := LoadGraph(net)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sameAsLoaded(t, trial, g, net)
+	}
+}
 
-		if g2.D() != g.D() || g2.Directed() != g.Directed() ||
-			g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() ||
-			g2.NumFacilities() != g.NumFacilities() {
-			t.Fatalf("trial %d: shape mismatch", trial)
+// sameAsLoaded checks that LoadGraph(n) reproduces g: shape, every node's
+// arcs in order, every edge and every facility.
+func sameAsLoaded(t *testing.T, trial int, g *graph.Graph, n *Network) {
+	t.Helper()
+	g2, err := LoadGraph(n)
+	if err != nil {
+		t.Fatalf("trial %d: LoadGraph: %v", trial, err)
+	}
+	if g2.D() != g.D() || g2.Directed() != g.Directed() || g2.NumNodes() != g.NumNodes() ||
+		g2.NumEdges() != g.NumEdges() || g2.NumFacilities() != g.NumFacilities() {
+		t.Fatalf("trial %d: shape mismatch", trial)
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		if a, b := g.Arcs(graph.NodeID(v)), g2.Arcs(graph.NodeID(v)); !slices.Equal(a, b) {
+			t.Fatalf("trial %d: node %d: arcs %v, want %v", trial, v, b, a)
 		}
-		for e := 0; e < g.NumEdges(); e++ {
-			a, b := g.Edge(graph.EdgeID(e)), g2.Edge(graph.EdgeID(e))
-			if a.U != b.U || a.V != b.V || !a.W.Equal(b.W) {
-				t.Fatalf("trial %d: edge %d differs: %+v vs %+v", trial, e, a, b)
-			}
+	}
+	for e := 0; e < g.NumEdges(); e++ {
+		a, b := g.Edge(graph.EdgeID(e)), g2.Edge(graph.EdgeID(e))
+		if a.U != b.U || a.V != b.V || !a.W.Equal(b.W) {
+			t.Fatalf("trial %d: edge %d differs: %+v vs %+v", trial, e, a, b)
 		}
-		for p := 0; p < g.NumFacilities(); p++ {
-			a, b := g.Facility(graph.FacilityID(p)), g2.Facility(graph.FacilityID(p))
-			if a.Edge != b.Edge || a.T != b.T {
-				t.Fatalf("trial %d: facility %d differs: %+v vs %+v", trial, p, a, b)
-			}
+	}
+	for p := 0; p < g.NumFacilities(); p++ {
+		if a, b := g.Facility(graph.FacilityID(p)), g2.Facility(graph.FacilityID(p)); a != b {
+			t.Fatalf("trial %d: facility %d differs: %+v vs %+v", trial, p, a, b)
 		}
 	}
 }

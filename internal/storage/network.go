@@ -13,8 +13,8 @@ import (
 
 // Network is a read handle to a disk-resident MCN database. It satisfies the
 // network-source interface consumed by the expansion engine, so LSA and CEA
-// run against it directly; every adjacency-tree, adjacency-file, facility-
-// tree and facility-file access goes through the sharded buffer pool.
+// run against it directly; every adjacency-tree, facility-tree and data-file
+// access goes through the sharded buffer pool.
 type Network struct {
 	pool     *BufferPool
 	hdr      *header
@@ -23,6 +23,8 @@ type Network struct {
 	edgeTree *BTree
 	// bounds is the pruning index loaded from the bounds table.
 	bounds *index.Bounds
+	// rank is the rank table: node id → adjacency-tree key.
+	rank []uint32
 	// ctx, when non-nil, bounds every page read issued through this handle
 	// (see WithReadContext). Shared by all views of one database.
 	ctx context.Context
@@ -73,26 +75,36 @@ func OpenWithPool(dev Device, pool *BufferPool) (*Network, error) {
 	if err := hdr.validate(dev.NumPages()); err != nil {
 		return nil, err
 	}
+	le := binary.LittleEndian
 	// Load the checksum table (8 bytes per covered page, ~0.2% of the
 	// database) directly from the device — its own pages are not covered —
 	// and have the pool verify every page it reads against it.
 	sums := make([]uint32, hdr.checksumPages+1) // indexed by page id; 0 unused
-	err = loadTable(dev, hdr.checksumFirst, hdr.checksumPages, func(i int, v uint64) { sums[i+1] = uint32(v) })
+	err = loadTable(dev, nil, hdr.checksumFirst, hdr.checksumPages, 8, func(i int, v []byte) { sums[i+1] = le.Uint32(v) })
 	if err != nil {
 		return nil, fmt.Errorf("storage: checksum table: %w", err)
 	}
 	pool.sums = sums
-	// Load the pruning-bounds table (d × numNodes f64, criterion-major)
-	// directly from the device too: it is read once here and never again, so
-	// routing it through the pool would only perturb the cache statistics.
+	// Load the pruning-bounds table (d × numNodes f64, criterion-major) and
+	// the rank table directly from the device too: they are read once here
+	// and never again, so routing them through the pool would only perturb
+	// the cache statistics.
 	data := make([]float64, hdr.d*hdr.numNodes)
-	err = loadTable(dev, hdr.boundsFirst, len(data), func(i int, v uint64) { data[i] = math.Float64frombits(v) })
+	err = loadTable(dev, sums, hdr.boundsFirst, len(data), 8, func(i int, v []byte) { data[i] = math.Float64frombits(le.Uint64(v)) })
 	if err != nil {
 		return nil, fmt.Errorf("storage: bounds table: %w", err)
 	}
 	bounds, err := index.FromData(hdr.d, hdr.numNodes, data)
 	if err != nil {
 		return nil, fmt.Errorf("storage: bounds table: %w", err)
+	}
+	rank := make([]uint32, hdr.numNodes)
+	err = loadTable(dev, sums, hdr.rankFirst, len(rank), 4, func(i int, v []byte) { rank[i] = le.Uint32(v) })
+	if err == nil {
+		err = checkPermutation(rank)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("storage: rank table: %w", err)
 	}
 	return &Network{
 		pool:     pool,
@@ -101,21 +113,42 @@ func OpenWithPool(dev Device, pool *BufferPool) (*Network, error) {
 		facTree:  OpenBTree(pool, hdr.facTreeRoot),
 		edgeTree: OpenBTree(pool, hdr.edgeTreeRoot),
 		bounds:   bounds,
+		rank:     rank,
 	}, nil
 }
 
-// loadTable reads the n u64 values stored from page first on, straight from
-// the device.
-func loadTable(dev Device, first PageID, n int, put func(i int, v uint64)) error {
+// loadTable reads the n values of size bytes stored from page first on,
+// straight from the device, verifying each page against sums unless sums is
+// nil.
+func loadTable(dev Device, sums []uint32, first PageID, n, size int, put func(i int, v []byte)) error {
 	buf := make([]byte, PageSize)
 	for i := 0; i < n; first++ {
 		if err := dev.ReadPage(first, buf); err != nil {
 			return err
 		}
-		for off := 0; off+8 <= PageSize && i < n; off += 8 {
-			put(i, binary.LittleEndian.Uint64(buf[off:]))
+		if sums != nil && PageChecksum(buf) != sums[first] {
+			return fmt.Errorf("storage: page %d: %w", first, ErrChecksum)
+		}
+		for off := 0; off+size <= PageSize && i < n; off += size {
+			put(i, buf[off:off+size])
 			i++
 		}
+	}
+	return nil
+}
+
+// checkPermutation reports an error unless rank holds every value 0..len-1
+// exactly once.
+func checkPermutation(rank []uint32) error {
+	seen := make([]bool, len(rank))
+	for v, r := range rank {
+		if int(r) >= len(rank) {
+			return fmt.Errorf("node %d has rank %d, %d nodes", v, r, len(rank))
+		}
+		if seen[r] {
+			return fmt.Errorf("rank %d given twice (again to node %d)", r, v)
+		}
+		seen[r] = true
 	}
 	return nil
 }
@@ -147,20 +180,20 @@ func (n *Network) Stats() Stats { return n.pool.Stats() }
 // FailureStats returns the buffer pool's I/O failure counters.
 func (n *Network) FailureStats() FailureStats { return n.pool.FailureStats() }
 
-// Record sizes of the adjacency and facility files (see the layout comment).
+// Record sizes of the data file (see the layout comment).
 const (
 	arcFixed = 4 + 4 + 1 + 2 + 8 // neighbor, edge, flags, facCount, facRef
 	facSize  = 4 + 8             // facility, T
 )
 
 // arcs positions c on the adjacency record of v — an adjacency-tree lookup
-// followed by an adjacency-file record read — and returns the record's arcs
-// as raw bytes, arcFixed+8d each, valid until c is closed.
+// of v's rank followed by a data-file record read — and returns the record's
+// arcs as raw bytes, arcFixed+8d each, valid until c is closed.
 func (n *Network) arcs(c *cursor, v graph.NodeID) ([]byte, error) {
 	if int(v) >= n.hdr.numNodes {
 		return nil, fmt.Errorf("storage: node %d out of range (%d nodes)", v, n.hdr.numNodes)
 	}
-	packed, ok, err := n.adjTree.LookupCtx(n.ctx, uint64(v))
+	packed, ok, err := n.adjTree.LookupCtx(n.ctx, uint64(n.rank[v]))
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +244,7 @@ func (n *Network) Adjacency(v graph.NodeID) ([]graph.AdjEntry, error) {
 	return entries, nil
 }
 
-// Facilities reads the facility-file record at facRef holding count entries
+// Facilities reads the facility record at facRef holding count entries
 // (facility id and position on the edge).
 func (n *Network) Facilities(facRef uint64, count int) ([]graph.FacEntry, error) {
 	if facRef == graph.NoFacRef || count == 0 {
@@ -236,7 +269,7 @@ func (n *Network) Facilities(facRef uint64, count int) ([]graph.FacEntry, error)
 
 // FacilityEdge returns the edge that facility p lies on, via the facility
 // tree (used by the shrinking-stage optimisation that restricts facility-
-// file reads to candidate edges).
+// record reads to candidate edges).
 func (n *Network) FacilityEdge(p graph.FacilityID) (graph.EdgeID, error) {
 	v, ok, err := n.facTree.LookupCtx(n.ctx, uint64(p))
 	if err != nil {

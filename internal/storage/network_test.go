@@ -2,11 +2,13 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -145,35 +147,58 @@ func TestNetworkDirected(t *testing.T) {
 	verifyAgainstGraph(t, g, openNetwork(t, g, 0.5))
 }
 
+// randomGraph builds a random network, directed or not, with a few isolated
+// nodes and at least one facility. coords picks where the nodes lie: 0 at
+// random points, 1 all on one point (the layout keeps id order), 2 on a 3×3
+// grid of points (many ties in the locality order).
+func randomGraph(t *testing.T, rng *rand.Rand, coords int) *graph.Graph {
+	t.Helper()
+	d := 1 + rng.Intn(5)
+	nn := 2 + rng.Intn(120)
+	b := graph.NewBuilder(d, rng.Intn(2) == 0)
+	for v := 0; v < nn+1+rng.Intn(4); v++ { // the ids past nn stay isolated
+		switch coords {
+		case 0:
+			b.AddNode(rng.Float64()*1000-500, rng.Float64()*1000-500)
+		case 1:
+			b.AddNode(7, -3)
+		default:
+			b.AddNode(float64(rng.Intn(3)), float64(rng.Intn(3)))
+		}
+	}
+	ne := 1 + rng.Intn(3*nn)
+	for i := 0; i < ne; i++ {
+		u := graph.NodeID(rng.Intn(nn))
+		v := graph.NodeID(rng.Intn(nn))
+		if u == v {
+			v = (v + 1) % graph.NodeID(nn)
+		}
+		w := make(vec.Costs, d)
+		for j := range w {
+			w[j] = rng.Float64() * 100
+		}
+		b.AddEdge(u, v, w)
+	}
+	for i := 0; i < 1+rng.Intn(200); i++ {
+		b.AddFacility(graph.EdgeID(rng.Intn(ne)), rng.Float64())
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// Every read agrees with the graph, and LoadGraph(Open(Build(g))) is g, on
+// graphs with and without coordinates, directed or not, with isolated nodes
+// and facility-carrying edges.
 func TestNetworkRandomizedRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 8; trial++ {
-		d := 1 + rng.Intn(5)
-		nn := 2 + rng.Intn(120)
-		b := graph.NewBuilder(d, rng.Intn(2) == 0)
-		b.AddNodes(nn)
-		ne := 1 + rng.Intn(3*nn)
-		for i := 0; i < ne; i++ {
-			u := graph.NodeID(rng.Intn(nn))
-			v := graph.NodeID(rng.Intn(nn))
-			if u == v {
-				v = (v + 1) % graph.NodeID(nn)
-			}
-			w := make(vec.Costs, d)
-			for j := range w {
-				w[j] = rng.Float64() * 100
-			}
-			b.AddEdge(u, v, w)
-		}
-		nf := rng.Intn(200)
-		for i := 0; i < nf; i++ {
-			b.AddFacility(graph.EdgeID(rng.Intn(ne)), rng.Float64())
-		}
-		g, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		verifyAgainstGraph(t, g, openNetwork(t, g, 0.3))
+	for trial := 0; trial < 12; trial++ {
+		g := randomGraph(t, rng, trial%3)
+		n := openNetwork(t, g, 0.3)
+		verifyAgainstGraph(t, g, n)
+		sameAsLoaded(t, trial, g, n)
 	}
 }
 
@@ -320,7 +345,7 @@ func TestOpenRejectsOtherLayoutVersions(t *testing.T) {
 	if err := dev.ReadPage(0, buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []uint16{1, 2, 3, version + 1} {
+	for _, v := range []uint16{1, 2, 3, 4, version + 1} {
 		binary.LittleEndian.PutUint16(buf[4:], v)
 		if err := dev.WritePage(0, buf); err != nil {
 			t.Fatal(err)
@@ -346,9 +371,27 @@ func (d *patchedHeader) ReadPage(id PageID, buf []byte) error {
 	return d.Device.ReadPage(id, buf)
 }
 
-// The header page is the one page no checksum covers. Overwriting any of its
-// sizes or page ids with an out-of-range value must make Open fail cleanly —
-// not panic, and not allocate a table sized from the damaged value.
+// reseal recomputes a header page's own checksum, so a test can hand Open a
+// header that is consistent with itself but names impossible values.
+func reseal(page0 []byte) {
+	binary.LittleEndian.PutUint32(page0[headerCRCOff:], PageChecksum(page0[:headerCRCOff]))
+}
+
+// openAllocs opens dev and reports the bytes Open allocated and its error.
+func openAllocs(dev Device) (uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Open(dev, 0.3)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, err
+}
+
+// The header page carries its own checksum, so overwriting any of its sizes
+// or page ids — even with an in-range value — must make Open fail cleanly:
+// not panic, and not allocate a table sized from the damaged value. With the
+// checksum resealed over the damage, the header's validation is what must
+// refuse every out-of-range value; an in-range d may go undetected there,
+// and Open must just not panic on it.
 func TestOpenRejectsDamagedHeader(t *testing.T) {
 	clean, err := BuildMem(sampleGraph(t))
 	if err != nil {
@@ -362,9 +405,10 @@ func TestOpenRejectsDamagedHeader(t *testing.T) {
 	le := binary.LittleEndian
 
 	type damage struct {
-		name    string
-		apply   func(buf []byte)
-		mustErr bool
+		name  string
+		apply func(buf []byte)
+		// validated: validation refuses the damage even when resealed.
+		validated bool
 	}
 	var cases []damage
 	for _, f := range []struct {
@@ -372,8 +416,8 @@ func TestOpenRejectsDamagedHeader(t *testing.T) {
 		off  int
 	}{
 		{"adjTreeRoot", 24}, {"facTreeRoot", 28}, {"edgeTreeRoot", 32},
-		{"adjFileFirst", 36}, {"facFileFirst", 40},
-		{"checksumFirst", 44}, {"checksumPages", 48}, {"boundsFirst", 52},
+		{"dataFirst", 36}, {"checksumFirst", 40}, {"checksumPages", 44},
+		{"boundsFirst", 48}, {"rankFirst", 52},
 	} {
 		for _, v := range []uint32{0xFFFFFFFF, numPages} {
 			f, v := f, v
@@ -388,28 +432,169 @@ func TestOpenRejectsDamagedHeader(t *testing.T) {
 		damage{"d=0", func(buf []byte) { le.PutUint16(buf[6:], 0) }, true},
 		damage{"d=0xffff", func(buf []byte) { le.PutUint16(buf[6:], 0xFFFF) }, true},
 		damage{"numNodes=0xffffffff", func(buf []byte) { le.PutUint32(buf[12:], 0xFFFFFFFF) }, true},
-		// In-range sizes that disagree with the tables are caught later, by
-		// the bounds-table arity check or not at all; Open must just not
-		// panic on them.
+		// The bounds table of a wrong but in-range d still fits its page.
 		damage{"d=numPages", func(buf []byte) { le.PutUint16(buf[6:], uint16(numPages)) }, false},
-		damage{"numNodes=numPages", func(buf []byte) { le.PutUint32(buf[12:], numPages) }, false},
+		// A wrong numNodes reads a rank table that is no permutation.
+		damage{"numNodes=numPages", func(buf []byte) { le.PutUint32(buf[12:], numPages) }, true},
 	)
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			page0 := append([]byte(nil), orig...)
 			c.apply(page0)
-			dev := &patchedHeader{Device: clean, page0: page0}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, err := Open(dev, 0.3)
-			runtime.ReadMemStats(&after)
-			if c.mustErr && err == nil {
-				t.Error("Open accepted the damaged header")
+			grew, err := openAllocs(&patchedHeader{Device: clean, page0: page0})
+			if !errors.Is(err, ErrChecksum) {
+				t.Errorf("Open error = %v, want a header checksum mismatch", err)
 			}
-			if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
-				t.Errorf("Open allocated %d MiB on a %d-page database", grew>>20, numPages)
+			reseal(page0)
+			grewSealed, errSealed := openAllocs(&patchedHeader{Device: clean, page0: page0})
+			if c.validated && errSealed == nil {
+				t.Error("Open accepted the damaged header with its checksum resealed")
+			}
+			if g := max(grew, grewSealed); g > 8<<20 {
+				t.Errorf("Open allocated %d MiB on a %d-page database", g>>20, numPages)
 			}
 		})
+	}
+}
+
+// Every single-bit flip in the header bytes the layout uses must fail Open:
+// the magic and version checks catch their own fields, the header checksum
+// everything else, itself included.
+func TestOpenRejectsHeaderBitFlips(t *testing.T) {
+	clean, err := BuildMem(sampleGraph(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := make([]byte, PageSize)
+	if err := clean.ReadPage(0, orig); err != nil {
+		t.Fatal(err)
+	}
+	for bit := 0; bit < (headerCRCOff+4)*8; bit++ {
+		page0 := append([]byte(nil), orig...)
+		page0[bit/8] ^= 1 << (bit % 8)
+		if _, err := Open(&patchedHeader{Device: clean, page0: page0}, 0.3); err == nil {
+			t.Errorf("header byte %d bit %d flipped: Open accepted it", bit/8, bit%8)
+		}
+	}
+}
+
+// rewritePage applies mutate to page id of a built database and updates the
+// page's checksum-table slot to match, so that the damage reaches whatever
+// validates the page's content rather than the checksum.
+func rewritePage(t *testing.T, dev *MemDevice, id PageID, mutate func(page []byte)) {
+	t.Helper()
+	hdrPage := make([]byte, PageSize)
+	if err := dev.ReadPage(0, hdrPage); err != nil {
+		t.Fatal(err)
+	}
+	h, err := decodeHeader(hdrPage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, PageSize)
+	if err := dev.ReadPage(id, page); err != nil {
+		t.Fatal(err)
+	}
+	mutate(page)
+	if err := dev.WritePage(id, page); err != nil {
+		t.Fatal(err)
+	}
+	slot := (int(id) - 1) * 8
+	sumID := h.checksumFirst + PageID(slot/PageSize)
+	sums := make([]byte, PageSize)
+	if err := dev.ReadPage(sumID, sums); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(sums[slot%PageSize:], uint64(PageChecksum(page)))
+	if err := dev.WritePage(sumID, sums); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A rank table that is not a permutation of 0..numNodes-1 — one that would
+// send two nodes to one adjacency record, or a node past the last one — is
+// refused at Open, even when its page checksum matches, without allocating
+// beyond the database's own tables.
+func TestOpenRejectsHostileRankTable(t *testing.T) {
+	le := binary.LittleEndian
+	for _, c := range []struct {
+		name   string
+		mutate func(ranks []byte)
+		want   string
+	}{
+		{"duplicate", func(r []byte) { copy(r[4:8], r[0:4]) }, "given twice"},
+		{"rank=numNodes", func(r []byte) { le.PutUint32(r[8:], 4) }, "has rank 4"},
+		{"rank=0xffffffff", func(r []byte) { le.PutUint32(r[0:], 0xFFFFFFFF) }, "has rank"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dev, err := BuildMem(sampleGraph(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			clean, err := Open(dev, 0.3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rewritePage(t, dev, clean.hdr.rankFirst, c.mutate)
+			grew, err := openAllocs(dev)
+			if err == nil || !strings.Contains(err.Error(), "rank table") || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Open error = %v, want a rank-table error saying %q", err, c.want)
+			}
+			if errors.Is(err, ErrChecksum) {
+				t.Errorf("Open error = %v: the checksum slot was resealed, validation must catch it", err)
+			}
+			if grew > 8<<20 {
+				t.Errorf("Open allocated %d MiB", grew>>20)
+			}
+		})
+	}
+}
+
+// The data file keeps each facility record between the previous adjacency
+// record and the first adjacency record that references it, and the
+// adjacency records in rank order, back to back.
+func TestFacilityRecordsPrecedeFirstReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 6; trial++ {
+		g := randomGraph(t, rng, trial%3)
+		n := openNetwork(t, g, 0.3)
+		pos := func(packed uint64) int64 {
+			r := UnpackRef(packed)
+			return int64(r.Page)*PageSize + int64(r.Off)
+		}
+		prevEnd := int64(n.hdr.dataFirst) * PageSize
+		written := make(map[uint64]bool) // facility records already met
+		for r := 0; r < g.NumNodes(); r++ {
+			packed, ok, err := n.adjTree.Lookup(uint64(r))
+			if err != nil || !ok {
+				t.Fatalf("trial %d: rank %d: lookup ok=%v err=%v", trial, r, ok, err)
+			}
+			start := pos(packed)
+			v := graph.NodeID(slices.Index(n.rank, uint32(r)))
+			entries, err := n.Adjacency(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gap := start - prevEnd // bytes of facility records before this one
+			for _, e := range entries {
+				if e.FacRef == graph.NoFacRef || written[e.FacRef] {
+					continue
+				}
+				written[e.FacRef] = true
+				if fp := pos(e.FacRef); fp < prevEnd || fp+int64(e.FacCount*facSize) > start {
+					t.Fatalf("trial %d: edge %d's facility record at %d, outside [%d, %d) before its first reference (rank %d)",
+						trial, e.Edge, fp, prevEnd, start, r)
+				}
+				gap -= int64(e.FacCount * facSize)
+			}
+			if gap != 0 {
+				t.Fatalf("trial %d: rank %d: %d unexplained bytes before its adjacency record", trial, r, gap)
+			}
+			prevEnd = start + 2 + int64(len(entries)*(arcFixed+8*g.D()))
+		}
+		if len(written) == 0 {
+			t.Fatalf("trial %d: no facility record met", trial)
+		}
 	}
 }

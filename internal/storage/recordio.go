@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Ref locates a byte position inside a page file: a page and an offset
@@ -131,17 +132,28 @@ type cursor struct {
 	page PageID
 	off  int
 	fr   *Frame
+	// spill holds a record that spans a page boundary, assembled by next;
+	// borrowed from spillPool and returned by close.
+	spill *[]byte
 }
+
+// spillPool lends cursors the buffers they assemble page-spanning records
+// in, so such a record costs no allocation once the buffers exist.
+var spillPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func newCursor(ctx context.Context, pool *BufferPool, ref Ref) cursor {
 	return cursor{pool: pool, ctx: ctx, page: ref.Page, off: int(ref.Off)}
 }
 
-// close unpins the page the cursor is on.
+// close unpins the page the cursor is on and returns its spill buffer.
 func (c *cursor) close() {
 	if c.fr != nil {
 		c.fr.Release()
 		c.fr = nil
+	}
+	if c.spill != nil {
+		spillPool.Put(c.spill)
+		c.spill = nil
 	}
 }
 
@@ -151,7 +163,8 @@ func (c *cursor) ensure() error {
 		return nil
 	}
 	if c.fr != nil {
-		c.close()
+		c.fr.Release()
+		c.fr = nil
 		c.page++
 		c.off = 0
 	}
@@ -177,8 +190,8 @@ func (c *cursor) read(p []byte) error {
 
 // next returns the next n bytes: a view into the pinned page when they lie
 // within it — the common case, decoded in place — and a copy assembled
-// across pages when the record spans a boundary. The view is valid until the
-// cursor's next call.
+// across pages in the spill buffer when the record spans a boundary. Either
+// is valid until the cursor's next call or its close.
 func (c *cursor) next(n int) ([]byte, error) {
 	if n == 0 {
 		return nil, nil
@@ -191,6 +204,12 @@ func (c *cursor) next(n int) ([]byte, error) {
 		c.off += n
 		return b, nil
 	}
-	b := make([]byte, n)
+	if c.spill == nil {
+		c.spill = spillPool.Get().(*[]byte)
+	}
+	if cap(*c.spill) < n {
+		*c.spill = make([]byte, n)
+	}
+	b := (*c.spill)[:n]
 	return b, c.read(b)
 }

@@ -100,6 +100,59 @@ func TestRecordSpansPages(t *testing.T) {
 	}
 }
 
+// spanningRecords writes two random records of two pages each, both starting
+// 100 bytes before a page boundary, so each spans three pages.
+func spanningRecords(t *testing.T) (*MemDevice, []Ref, [][]byte) {
+	t.Helper()
+	dev := NewMemDevice()
+	w := newPageWriter(dev)
+	rng := rand.New(rand.NewSource(2))
+	var refs []Ref
+	var recs [][]byte
+	for i := 0; i < 2; i++ {
+		if err := w.write(make([]byte, PageSize-100)); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := w.pos()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := make([]byte, 2*PageSize)
+		rng.Read(rec)
+		if err := w.write(rec); err != nil {
+			t.Fatal(err)
+		}
+		refs, recs = append(refs, ref), append(recs, rec)
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	return dev, refs, recs
+}
+
+// A page-spanning record is assembled in a buffer the cursor borrows until
+// close: another cursor assembling its own record meanwhile must not get the
+// same buffer.
+func TestSpillBufferHeldUntilClose(t *testing.T) {
+	dev, refs, recs := spanningRecords(t)
+	pool := NewBufferPool(dev, 8)
+	a := newCursor(nil, pool, refs[0])
+	gotA, err := a.next(len(recs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newCursor(nil, pool, refs[1])
+	gotB, err := b.next(len(recs[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotA, recs[0]) || !bytes.Equal(gotB, recs[1]) {
+		t.Error("a spanning record changed while another cursor assembled its own")
+	}
+	a.close()
+	b.close()
+}
+
 // Property: any sequence of variable-size writes reads back identically from
 // recorded positions.
 func TestPageWriterRandomizedRoundtrip(t *testing.T) {
