@@ -45,10 +45,11 @@ bench:
 
 # Allocation-sensitive benchmarks with -benchmem: the flat-path pop loop and
 # the in-memory batch executor must stay allocation-free in steady state,
-# and the disk row (CEA skylines behind a 1 % buffer pool) prints the miss
-# path's allocs/op next to them.
+# the disk row (CEA skylines behind a 1 % buffer pool) prints the miss
+# path's allocs/op next to them, and the maintainer row prints what one
+# facility insert costs (an edge lookup and O(d) arithmetic, no traversal).
 benchmem:
-	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline' -benchtime 1x -benchmem ./...
+	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline|BenchmarkMaintainerInsert' -benchtime 1x -benchmem ./...
 
 # CPU+heap profiles of the expansion pop loop; inspect with
 # `go tool pprof cpu.prof` / `go tool pprof mem.prof`.

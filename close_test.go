@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mcn/internal/core"
-	"mcn/internal/dynamic"
 	"mcn/internal/expand"
 	"mcn/internal/flat"
 )
@@ -60,8 +59,12 @@ func TestIteratorCloseReleasesOnce(t *testing.T) {
 	}
 }
 
-// Same contract for the Maintainer; Insert must fail closed while the
-// materialised entries stay readable.
+// The Maintainer's side of the contract. It holds nothing pooled — its
+// build releases its scratch before Maintain returns — so Close only flags
+// it: eight goroutines racing Close against one that keeps inserting must
+// be clean under -race, the inserter must stop on ErrMaintainerClosed, every
+// Insert after Close must fail the same way, and the maintained entries
+// must stay readable.
 func TestMaintainerCloseReleasesOnce(t *testing.T) {
 	g := cityGraph(t)
 	net := FromGraph(g)
@@ -70,10 +73,25 @@ func TestMaintainerCloseReleasesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 20; trial++ {
-		m, err := dynamic.New(net.src, loc, core.Options{})
+		m, err := net.Maintain(ctx, loc)
 		if err != nil {
 			t.Fatal(err)
 		}
+		initial := m.Len()
+		inserted := make(chan int)
+		go func() {
+			n := 0
+			for {
+				if _, err := m.Insert(0, 0.5); err != nil {
+					if !errors.Is(err, ErrMaintainerClosed) {
+						t.Errorf("trial %d: Insert racing Close: err = %v, want ErrMaintainerClosed", trial, err)
+					}
+					inserted <- n
+					return
+				}
+				n++
+			}
+		}()
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {
 			wg.Add(1)
@@ -83,12 +101,17 @@ func TestMaintainerCloseReleasesOnce(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		distinctScratches(t, net.src, trial)
-		if _, err := m.Insert(0, 0.5); !errors.Is(err, ErrMaintainerClosed) {
-			t.Fatalf("Insert after Close: err = %v, want ErrMaintainerClosed", err)
+		n := <-inserted
+		for i := 0; i < 3; i++ {
+			if _, err := m.Insert(0, 0.5); !errors.Is(err, ErrMaintainerClosed) {
+				t.Fatalf("trial %d: Insert after Close: err = %v, want ErrMaintainerClosed", trial, err)
+			}
 		}
 		if len(m.Skyline()) == 0 {
-			t.Fatal("materialised skyline unreadable after Close")
+			t.Fatalf("trial %d: maintained skyline unreadable after Close", trial)
+		}
+		if m.Len() != initial+n {
+			t.Fatalf("trial %d: %d entries after %d inserts on %d, want %d", trial, m.Len(), n, initial, initial+n)
 		}
 	}
 }

@@ -72,7 +72,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer m.Close() // returns the maintainer's pooled probe scratch
+	defer m.Close() // no further inserts; the results stay readable
 	sold := top.Facilities[0].ID
 	if err := m.Delete(mcn.Handle(sold)); err != nil {
 		log.Fatal(err)

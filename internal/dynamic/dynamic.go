@@ -2,20 +2,23 @@
 // incrementally maintaining the skyline and top-k sets of a fixed query
 // location while facilities are inserted and deleted.
 //
-// A Maintainer materialises the cost vectors of the initial facilities once
-// (d complete expansions), then serves updates cheaply: an insertion costs d
-// early-terminating point probes (the new facility's edge end-nodes) plus an
-// O(|P|) dominance pass, and a deletion costs a recomputation over the
-// already-materialised vectors only — no network traversal at all.
+// A Maintainer materialises its state once: d complete expansions from the
+// query location, which yield the cost vector of every initial facility and,
+// because they settle every reachable node, the location's distance to every
+// node under every cost type. Facility updates never change the network, so
+// those distances stay exact for the Maintainer's whole life. An insertion
+// costs one edge lookup and O(d) arithmetic on them; a deletion drops one
+// entry. Neither traverses the network; reads run a dominance pass (or a
+// scoring sort) over the maintained vectors.
 package dynamic
 
 import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"mcn/internal/core"
@@ -25,8 +28,7 @@ import (
 	"mcn/internal/vec"
 )
 
-// ErrClosed is returned by operations that need the network after the
-// Maintainer was closed.
+// ErrClosed is returned by Insert after the Maintainer was closed.
 var ErrClosed = errors.New("dynamic: maintainer closed")
 
 // Handle identifies a facility managed by a Maintainer. Handles of the
@@ -43,31 +45,26 @@ type Entry struct {
 }
 
 // Maintainer keeps the preference-query state of one query location while
-// the facility set changes. It holds pooled expansion scratch for its
-// insertion probes; callers must Close it when done. Insert/Delete/Skyline/
-// TopK are single-goroutine, but Close is safe from any goroutine, any
-// number of times — it waits for an in-flight Insert probe to finish and
-// releases the scratch exactly once, so it is never handed back to the pool
-// mid-probe. After Close, Insert (which needs the scratch for network
-// probes) fails with ErrClosed; the already-materialised entries remain
-// readable.
+// the facility set changes. It holds the location's node distances (d·|V|
+// float64) and nothing pooled. Insert/Delete/Skyline/TopK are
+// single-goroutine, but Close is safe from any goroutine, any number of
+// times. After Close, Insert fails with ErrClosed; the maintained entries
+// remain readable.
 type Maintainer struct {
-	src     expand.Source
-	loc     graph.Location
-	next    Handle
-	facs    map[Handle]*Entry
-	scratch *expand.Scratch
+	src expand.Source
+	loc graph.Location
+	// dist[i][v] is the cost-i distance from loc to node v, +Inf where
+	// unreachable; an id past the end of a row is unreachable too.
+	dist [][]float64
+	next Handle
+	facs map[Handle]*Entry
 
-	closed    atomic.Bool
-	closeOnce sync.Once
+	closed atomic.Bool
 	// onUpdate, when set, observes every successful facility mutation with
 	// the edge it touched; the facade points it at the result cache's
 	// edge-tag invalidation so live updates kill exactly the cached entries
 	// that depend on the touched edge.
 	onUpdate func(graph.EdgeID)
-	// mu serialises Insert's scratch-backed probes against the releasing
-	// half of Close.
-	mu sync.Mutex
 }
 
 // New materialises the initial state for query location loc. The source's
@@ -75,19 +72,15 @@ type Maintainer struct {
 // cost type are excluded (they can never enter any preference result). Only
 // opt.Interrupt is consulted.
 func New(src expand.Source, loc graph.Location, opt core.Options) (*Maintainer, error) {
-	vectors, _, err := core.MaterializeAll(src, loc, opt)
+	m := &Maintainer{src: src, loc: loc, dist: make([][]float64, src.D())}
+	vectors, err := m.materialize(opt)
 	if err != nil {
 		return nil, err
 	}
-	m := &Maintainer{
-		src:  src,
-		loc:  loc,
-		facs: make(map[Handle]*Entry, len(vectors)),
-	}
+	m.facs = make(map[Handle]*Entry, len(vectors))
 	// Ascending ids, not map order: the reads below reach the store, and
 	// their order decides which pages a buffer pool keeps.
 	for _, id := range slices.Sorted(maps.Keys(vectors)) {
-		costs := vectors[id]
 		e, err := src.FacilityEdge(id)
 		if err != nil {
 			return nil, err
@@ -96,11 +89,51 @@ func New(src expand.Source, loc graph.Location, opt core.Options) (*Maintainer, 
 		if err != nil {
 			return nil, err
 		}
-		m.facs[Handle(id)] = &Entry{Handle: Handle(id), Edge: e, T: t, Costs: costs}
+		m.facs[Handle(id)] = &Entry{Handle: Handle(id), Edge: e, T: t, Costs: vectors[id]}
 		m.next = Handle(id) + 1
 	}
-	m.scratch = expand.Acquire(src) // for the insertion probes, until Close
 	return m, nil
+}
+
+// materialize runs core.MaterializeAll's d complete expansions from m.loc,
+// polling opt.Interrupt per pop, and keeps each one's node distances in
+// m.dist. It returns the cost vector of every facility reachable under some
+// cost type, +Inf in the components it is unreachable under.
+func (m *Maintainer) materialize(opt core.Options) (map[graph.FacilityID]vec.Costs, error) {
+	vectors := make(map[graph.FacilityID]vec.Costs)
+	sc := expand.Acquire(m.src)
+	defer sc.Release()
+	for i := range m.dist {
+		x, err := expand.New(m.src, i, m.loc, sc)
+		if err != nil {
+			return nil, err
+		}
+		for {
+			if opt.Interrupt != nil {
+				if err := opt.Interrupt(); err != nil {
+					return nil, err
+				}
+			}
+			p, c, ok, err := x.Next()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			v := vectors[p]
+			if v == nil {
+				v = make(vec.Costs, len(m.dist))
+				for j := range v {
+					v[j] = math.Inf(1)
+				}
+				vectors[p] = v
+			}
+			v[i] = c
+		}
+		m.dist[i] = x.Distances(nil)
+	}
+	return vectors, nil
 }
 
 // facilityFraction recovers a facility's position on its edge from the
@@ -127,37 +160,48 @@ func facilityFraction(src expand.Source, e graph.EdgeID, id graph.FacilityID) (f
 // maintainer is used; the facade wires it to result-cache invalidation.
 func (m *Maintainer) SetOnUpdate(fn func(graph.EdgeID)) { m.onUpdate = fn }
 
-// Close releases the maintainer's scratch. It is idempotent and safe for
-// concurrent use; the release happens exactly once, and never while an
-// Insert probe is still running on the scratch.
+// Close marks the maintainer closed, so that later Inserts fail with
+// ErrClosed. It is idempotent and safe for concurrent use.
 func (m *Maintainer) Close() error {
 	m.closed.Store(true)
-	m.closeOnce.Do(func() {
-		m.mu.Lock() // drain an in-flight Insert before releasing its scratch
-		defer m.mu.Unlock()
-		m.scratch.Release()
-		m.scratch = nil
-	})
 	return nil
 }
 
 // Len returns the number of maintained facilities.
 func (m *Maintainer) Len() int { return len(m.facs) }
 
-// Insert adds a facility at fraction t on edge e, computing its cost vector
-// with d early-terminating point probes, and returns its handle.
+// Insert adds a facility at fraction t on edge e and returns its handle. Its
+// cost vector is what an expansion would report for a facility there — the
+// cheaper of entering e from either end-node, or walking along the query
+// edge when e is that edge — evaluated on the maintained node distances, so
+// an insert reads one edge record and traverses nothing.
 func (m *Maintainer) Insert(e graph.EdgeID, t float64) (Handle, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.closed.Load() {
 		return 0, ErrClosed
 	}
-	if t < 0 || t > 1 {
+	if !(t >= 0 && t <= 1) { // false for NaN as well
 		return 0, fmt.Errorf("dynamic: fraction %g outside [0,1]", t)
 	}
-	costs, err := expand.LocationCosts(m.src, m.loc, e, t, m.scratch)
+	info, err := m.src.EdgeInfo(e)
 	if err != nil {
 		return 0, err
+	}
+	directed := m.src.Directed()
+	costs := make(vec.Costs, len(m.dist))
+	for i, dist := range m.dist {
+		w := info.W[i]
+		c := at(dist, info.U) + t*w
+		if !directed {
+			c = math.Min(c, at(dist, info.V)+(1-t)*w)
+		}
+		if e == m.loc.Edge {
+			if !directed {
+				c = math.Min(c, math.Abs(t-m.loc.T)*w)
+			} else if t >= m.loc.T { // behind q on a one-way edge otherwise
+				c = math.Min(c, (t-m.loc.T)*w)
+			}
+		}
+		costs[i] = c
 	}
 	h := m.next
 	m.next++
@@ -166,6 +210,14 @@ func (m *Maintainer) Insert(e graph.EdgeID, t float64) (Handle, error) {
 		m.onUpdate(e)
 	}
 	return h, nil
+}
+
+// at reads node v's distance from one row of Maintainer.dist.
+func at(dist []float64, v graph.NodeID) float64 {
+	if int(v) < len(dist) {
+		return dist[v]
+	}
+	return math.Inf(1)
 }
 
 // Delete removes a maintained facility.

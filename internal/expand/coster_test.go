@@ -81,25 +81,23 @@ func TestExpansionHonoursEdgeCoster(t *testing.T) {
 	}
 }
 
-// NodeDistances must honour the coster too: probe distances triple with the
-// 3x overlay.
-func TestNodeDistancesHonoursEdgeCoster(t *testing.T) {
+// The node distance table must honour the coster too: every distance
+// triples with the 3x overlay, directly and through a SharedSource.
+func TestDistancesHonoursEdgeCoster(t *testing.T) {
 	g := lineGraph(t)
 	loc := graph.Location{Edge: 0, T: 0}
-	targets := []graph.NodeID{2, 3}
 	mem := NewMemorySource(g)
-	base, err := NodeDistances(mem, 0, loc, targets, acquire(t, mem))
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := distancesAfterDrain(t, mem, 0, loc, acquire(t, mem), nil)
 	tripled := &costerSource{MemorySource: mem, factor: 3}
-	scaled, err := NodeDistances(tripled, 0, loc, targets, acquire(t, tripled))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range targets {
-		if want := base[i] * 3; math.Abs(scaled[i]-want) > 1e-12 {
-			t.Errorf("node %d: distance %g, want %g (3x base)", v, scaled[i], want)
+	for _, src := range []Source{tripled, NewSharedSource(tripled)} {
+		scaled := distancesAfterDrain(t, src, 0, loc, acquire(t, src), nil)
+		if len(scaled) < g.NumNodes() {
+			t.Fatalf("table covers %d of %d nodes", len(scaled), g.NumNodes())
+		}
+		for v := 0; v < g.NumNodes(); v++ {
+			if want := base[v] * 3; math.Abs(scaled[v]-want) > 1e-12 {
+				t.Errorf("node %d: distance %g, want %g (3x base)", v, scaled[v], want)
+			}
 		}
 	}
 }

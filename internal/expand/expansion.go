@@ -3,6 +3,7 @@ package expand
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mcn/internal/graph"
 )
@@ -181,6 +182,25 @@ func (x *Expansion) HeadKey() float64 {
 		return it.key
 	}
 	return math.Inf(1)
+}
+
+// Distances writes the cost from the query location to every node into dst
+// (reusing its backing array when large enough), indexed by NodeID: a settled
+// node's final Dijkstra key, +Inf for every other node. Once the expansion is
+// exhausted that is the complete single-cost distance table. It spans the
+// state's node id space — the declared one of a Sized source, the ids met so
+// far otherwise — so an id past its end is one the search never reached.
+func (x *Expansion) Distances(dst []float64) []float64 {
+	ds := x.ds
+	dst = slices.Grow(dst[:0], len(ds.nodes.m))[:len(ds.nodes.m)]
+	for v, m := range ds.nodes.m {
+		if m.done == ds.gen {
+			dst[v] = m.best
+		} else {
+			dst[v] = math.Inf(1)
+		}
+	}
+	return dst
 }
 
 func (x *Expansion) pushNode(v graph.NodeID, key float64) error {

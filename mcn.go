@@ -23,7 +23,7 @@
 // streams skyline members the moment they are confirmed, TopKSeq yields
 // next-best facilities on demand, and breaking out of either loop stops the
 // underlying search. Handles that outlive a call (TopKIterator, Maintainer)
-// borrow pooled expansion state and must be Closed.
+// must be Closed; an iterator borrows pooled expansion state until then.
 //
 // Queries run over in-memory graphs or over the paper's disk-resident
 // storage scheme (adjacency/facility files indexed by paged B+-trees behind
@@ -662,11 +662,13 @@ func (n *Network) ParetoPathsApprox(ctx context.Context, from, to NodeID, maxLab
 	return paretopath.Paths(n.g, from, to, paretopath.Options{MaxLabels: maxLabels, Epsilon: epsilon, Interrupt: ctxInterrupt(ctx)})
 }
 
-// Maintain materialises dynamic skyline/top-k maintenance state for loc:
-// facilities can then be inserted and removed with cheap local probes (the
-// paper's future-work extension). Cancelling ctx aborts the initial
-// materialisation. The maintainer holds pooled expansion scratch for its
-// insertion probes; Close it when done (idempotent, any goroutine).
+// Maintain materialises dynamic skyline/top-k maintenance state for loc
+// (the paper's future-work extension): d complete expansions, whose node
+// distances the maintainer keeps, so that facilities can then be inserted
+// and removed without traversing the network. Cancelling ctx aborts the
+// initial materialisation. The maintainer holds no pooled state; Close it
+// when done with updates (idempotent, any goroutine): Insert then fails
+// with ErrMaintainerClosed, and the maintained results stay readable.
 func (n *Network) Maintain(ctx context.Context, loc Location) (*Maintainer, error) {
 	m, err := dynamic.New(n.srcFor(ctx), loc, n.queryOptions(ctx, nil))
 	if err != nil {
