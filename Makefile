@@ -46,10 +46,13 @@ bench:
 # Allocation-sensitive benchmarks with -benchmem: the flat-path pop loop and
 # the in-memory batch executor must stay allocation-free in steady state,
 # the disk row (CEA skylines behind a 1 % buffer pool) prints the miss
-# path's allocs/op next to them, and the maintainer row prints what one
-# facility insert costs (an edge lookup and O(d) arithmetic, no traversal).
+# path's allocs/op next to them, the maintainer row prints what one
+# facility insert costs (an edge lookup and O(d) arithmetic, no traversal),
+# and the time-dependent row prints one axis-preserving SetProfile plus the
+# skyline read after it (the edit copies the intervals it changes; the read
+# compiles nothing).
 benchmem:
-	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline|BenchmarkMaintainerInsert' -benchtime 1x -benchmem ./...
+	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline|BenchmarkMaintainerInsert|BenchmarkSetProfileThenRead' -benchtime 1x -benchmem ./...
 
 # CPU+heap profiles of the expansion pop loop; inspect with
 # `go tool pprof cpu.prof` / `go tool pprof mem.prof`.

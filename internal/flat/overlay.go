@@ -12,14 +12,16 @@ package flat
 
 import (
 	"fmt"
+	"slices"
 
 	"mcn/internal/graph"
 	"mcn/internal/vec"
 )
 
 // Overlay is one compiled CSR topology shared by K per-interval cost
-// vectors. It is immutable after NewOverlay and safe for any number of
-// concurrent readers; distinct intervals may be queried concurrently.
+// vectors. It is immutable once built and safe for any number of concurrent
+// readers; distinct intervals may be queried concurrently. WithEdge derives
+// a successor without touching it.
 type Overlay struct {
 	base  *Source
 	views []View
@@ -39,17 +41,17 @@ type View struct {
 	costs []float64
 }
 
-// NewOverlay compiles g's topology once and attaches intervals cost
-// vectors: costsAt(k, e) must return edge e's effective cost vector during
-// interval k (it may return shared slices; NewOverlay copies). Every vector
-// must have g.D() components, all finite and non-negative.
-func NewOverlay(g *graph.Graph, intervals int, costsAt func(interval int, e graph.EdgeID) vec.Costs) (*Overlay, error) {
+// NewOverlay attaches intervals cost vectors to the compiled topology src:
+// costsAt(k, e) must return edge e's effective cost vector during interval k
+// (it may return shared slices; NewOverlay copies). Every vector must have
+// src.D() components, all known and non-negative. src is shared, not
+// copied, so any number of overlays can be built over one compilation.
+func NewOverlay(src *Source, intervals int, costsAt func(interval int, e graph.EdgeID) vec.Costs) (*Overlay, error) {
 	if intervals < 1 {
 		return nil, fmt.Errorf("flat: overlay needs at least one interval, got %d", intervals)
 	}
-	o := &Overlay{base: Compile(g)}
-	d, e := g.D(), g.NumEdges()
-	o.views = make([]View, intervals)
+	o := &Overlay{base: src, views: make([]View, intervals)}
+	d, e := src.D(), src.NumEdges()
 	for k := range o.views {
 		m := make([]float64, e*d)
 		for i := 0; i < e; i++ {
@@ -65,9 +67,31 @@ func NewOverlay(g *graph.Graph, intervals int, costsAt func(interval int, e grap
 			}
 			copy(m[i*d:(i+1)*d], w)
 		}
-		o.views[k] = View{base: o.base, d: d, costs: m}
+		o.views[k] = View{base: src, d: d, costs: m}
 	}
 	return o, nil
+}
+
+// WithEdge derives the overlay in which edge e costs costsAt(k) during
+// interval k and every other edge keeps its cost; e must be in range and
+// every vector one NewOverlay would accept. Only the intervals where e's
+// vector actually changes get a copy of their matrix, patched at e's d
+// slots; every other interval shares o's matrix. o itself is untouched, so
+// readers of o never observe the edit. changed lists the patched intervals
+// in ascending order.
+func (o *Overlay) WithEdge(e graph.EdgeID, costsAt func(interval int) vec.Costs) (next *Overlay, changed []int) {
+	next = &Overlay{base: o.base, views: slices.Clone(o.views)}
+	for k := range next.views {
+		v := &next.views[k]
+		w, i := costsAt(k), int(e)*v.d
+		if vec.Costs(v.costs[i : i+v.d]).Equal(w) {
+			continue
+		}
+		v.costs = slices.Clone(v.costs)
+		copy(v.costs[i:i+v.d], w)
+		changed = append(changed, k)
+	}
+	return next, changed
 }
 
 // Base returns the shared CSR compilation (base-interval costs).

@@ -35,7 +35,7 @@ func overlayGraph(t *testing.T) *graph.Graph {
 func TestOverlayIntervalCosts(t *testing.T) {
 	g := overlayGraph(t)
 	// Interval k scales every cost by k+1.
-	ov, err := NewOverlay(g, 3, func(k int, e graph.EdgeID) vec.Costs {
+	ov, err := NewOverlay(Compile(g), 3, func(k int, e graph.EdgeID) vec.Costs {
 		w := g.Edge(e).W
 		out := make(vec.Costs, len(w))
 		for i := range w {
@@ -106,11 +106,11 @@ func TestOverlayRejectsBadCosts(t *testing.T) {
 		"negative":  func(int, graph.EdgeID) vec.Costs { return vec.Of(-1, 1) },
 		"unknown":   func(int, graph.EdgeID) vec.Costs { return vec.New(2) },
 	} {
-		if _, err := NewOverlay(g, 1, costsAt); err == nil {
+		if _, err := NewOverlay(Compile(g), 1, costsAt); err == nil {
 			t.Errorf("%s cost vector accepted", name)
 		}
 	}
-	if _, err := NewOverlay(g, 0, nil); err == nil {
+	if _, err := NewOverlay(Compile(g), 0, nil); err == nil {
 		t.Error("zero intervals accepted")
 	}
 }
@@ -136,7 +136,7 @@ func TestOverlayQueryEquivalence(t *testing.T) {
 		}
 		return out
 	}
-	ov, err := NewOverlay(g, 3, scale)
+	ov, err := NewOverlay(Compile(g), 3, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestOverlayQueryEquivalence(t *testing.T) {
 // point of the overlay is that switching intervals is a pointer read.
 func TestOverlayAccessAllocFree(t *testing.T) {
 	g := overlayGraph(t)
-	ov, err := NewOverlay(g, 4, func(k int, e graph.EdgeID) vec.Costs { return g.Edge(e).W })
+	ov, err := NewOverlay(Compile(g), 4, func(k int, e graph.EdgeID) vec.Costs { return g.Edge(e).W })
 	if err != nil {
 		t.Fatal(err)
 	}

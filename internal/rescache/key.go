@@ -27,6 +27,11 @@ type KeySpec struct {
 	// Interval is the elementary time-interval index for time-dependent
 	// queries, or -1 for static ones.
 	Interval int
+	// Axis numbers the time axis Interval indexes into (time-dependent
+	// queries only; static ones leave it 0). A network advances it whenever
+	// its breakpoints change, so an entry computed under one interval
+	// numbering can never answer a query under another.
+	Axis uint64
 	// Engine and NoEnhancements select the algorithm variant. They are part
 	// of the key because hits must be byte-identical to what the same
 	// request would compute, and the engines report different work stats.
@@ -51,7 +56,7 @@ type KeySpec struct {
 // this package does not know) are not canonicalizable, so ok is false and
 // the query bypasses the cache.
 func (s KeySpec) Key() (key string, scale float64, ok bool) {
-	b := make([]byte, 0, 64)
+	b := make([]byte, 0, 96) // on the stack; every kind's key fits up to d = 5
 	b = append(b, s.Kind, s.Engine)
 	if s.NoEnhancements {
 		b = append(b, 1)
@@ -59,6 +64,7 @@ func (s KeySpec) Key() (key string, scale float64, ok bool) {
 		b = append(b, 0)
 	}
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.Interval)+1) // -1 → 0
+	b = binary.LittleEndian.AppendUint64(b, s.Axis)
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.Edge))
 	b = appendFloat(b, s.T)
 

@@ -31,9 +31,11 @@
 // # Relaxed consistency
 //
 // A computation that raced an invalidation (the tag was stamped after the
-// computation began) is returned to its immediate callers but never
-// cached, so no entry outlives an update that affects it. What a *hit* may
-// observe is deliberately relaxed — see the contract in ARCHITECTURE.md
+// computation began) is returned to its own caller but never cached, so no
+// entry outlives an update that affects it; callers coalesced onto it look
+// the key up again rather than share an answer the update may have made
+// stale before they arrived. What a *hit* may observe is deliberately
+// relaxed — see the contract in ARCHITECTURE.md
 // ("Result cache"): hits return the shared cached result (callers must
 // treat it as read-only), carry the work statistics of the query that
 // filled the entry, and — for facility updates — entries whose tags the
@@ -45,6 +47,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -81,6 +84,12 @@ func IntervalTag(k int) Tag { return Tag(tagKindInterval | uint64(k)) }
 // (a recompiled time axis renumbers the intervals) invalidate the whole
 // class through it without touching static entries.
 const ClassTimeDep = Tag(tagKindClass | 1)
+
+// Superseded marks a value computed from state that was replaced while the
+// computation ran in a way no stamp records — a time-dependent version
+// published, and its edit invalidated, before Do took its version snapshot.
+// Do returns such a value to its computing caller and never stores it.
+const Superseded = Tag(tagKindClass | 2)
 
 // Options tunes a Cache. The zero value selects the defaults.
 type Options struct {
@@ -234,12 +243,13 @@ type entry struct {
 	ref  bool // CLOCK reference bit
 }
 
-// flight is one coalesced computation: the leader fills val/err and closes
-// done; waiters block on done and share the outcome.
+// flight is one coalesced computation: the leader fills val/err/stored and
+// closes done; waiters block on done and share the outcome.
 type flight struct {
-	done chan struct{}
-	val  Value
-	err  error
+	done   chan struct{}
+	val    Value
+	err    error
+	stored bool
 }
 
 // New returns a cache with the given options.
@@ -388,30 +398,38 @@ func (c *Cache) stale(ver uint64, tags []Tag) bool {
 // the same key share one computation. hit reports whether the value came
 // from a live cached entry; coalesced waiters report hit=false. Errors are
 // never cached: every waiter of a failed computation receives its error and
-// the next Do retries.
+// the next Do retries. A value that is not stored — it raced an
+// invalidation or is Superseded — is valid for its computing caller only,
+// so its waiters look the key up again instead of sharing it.
 //
 // The returned Value is shared with the cache and other callers; treat the
 // Result as read-only.
 func (c *Cache) Do(key string, compute func() (Value, []Tag, error)) (val Value, hit bool, err error) {
 	s := c.shard(key)
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		if c.stale(e.ver, e.tags) {
-			s.kill(e)
-			s.invalidated.Add(1)
-		} else {
-			e.ref = true
-			val = e.val
-			s.hits.Add(1)
-			s.mu.Unlock()
-			return val, true, nil
+	for {
+		s.mu.Lock()
+		if e, ok := s.entries[key]; ok {
+			if c.stale(e.ver, e.tags) {
+				s.kill(e)
+				s.invalidated.Add(1)
+			} else {
+				e.ref = true
+				val = e.val
+				s.hits.Add(1)
+				s.mu.Unlock()
+				return val, true, nil
+			}
 		}
-	}
-	if f, ok := s.inflight[key]; ok {
+		f, ok := s.inflight[key]
+		if !ok {
+			break
+		}
 		s.coalesced.Add(1)
 		s.mu.Unlock()
 		<-f.done
-		return f.val, false, f.err
+		if f.err != nil || f.stored {
+			return f.val, false, f.err
+		}
 	}
 	s.misses.Add(1)
 	f := &flight{done: make(chan struct{})}
@@ -440,10 +458,11 @@ func (c *Cache) Do(key string, compute func() (Value, []Tag, error)) (val Value,
 
 	s.mu.Lock()
 	delete(s.inflight, key)
-	if err == nil && !c.stale(ver, tags) {
+	if err == nil && !slices.Contains(tags, Superseded) && !c.stale(ver, tags) {
 		if _, ok := s.entries[key]; !ok {
 			s.insert(&entry{key: key, val: val, tags: tags, ver: ver})
 		}
+		f.stored = true
 	}
 	s.mu.Unlock()
 	f.val, f.err = val, err

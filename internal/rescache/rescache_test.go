@@ -115,6 +115,46 @@ func TestInvalidateDuringCompute(t *testing.T) {
 	}
 }
 
+// A Superseded value reaches its computing caller and is never stored, and
+// a waiter coalesced onto it looks the key up again instead of sharing it:
+// the value may predate an update that landed before the waiter arrived.
+func TestSupersededNotSharedOrStored(t *testing.T) {
+	c := New(Options{Entries: 8, Shards: 1})
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var leader Value
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		leader, _, _ = c.Do("hot", func() (Value, []Tag, error) {
+			close(entered)
+			<-gate
+			return mkValue(1), []Tag{Superseded}, nil
+		})
+	}()
+	<-entered
+	var waiter Value
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		waiter, _, _ = c.Do("hot", fill(2))
+	}()
+	for c.Stats().Coalesced == 0 {
+		runtime.Gosched()
+	}
+	close(gate)
+	wg.Wait()
+	if leader.Result.Facilities[0].ID != 1 {
+		t.Fatalf("leader got %+v, want its own value", leader)
+	}
+	if waiter.Result.Facilities[0].ID != 2 {
+		t.Fatalf("waiter shared the superseded value %+v instead of computing its own", waiter)
+	}
+	if v, ok := c.Lookup("hot"); !ok || v.Result.Facilities[0].ID != 2 {
+		t.Fatalf("cached %+v (ok=%v), want only the waiter's value", v, ok)
+	}
+}
+
 func TestClockEviction(t *testing.T) {
 	c := New(Options{Entries: 4, Shards: 1})
 	for i := 0; i < 4; i++ {
@@ -321,6 +361,7 @@ func TestKeyDiscriminatesFields(t *testing.T) {
 	k0, _, _ := base.Key()
 	variants := []KeySpec{
 		{Kind: KindNearest, Interval: 0, Edge: 7, T: 0.25, K: 3, CostIdx: 1},
+		{Kind: KindNearest, Interval: -1, Axis: 1, Edge: 7, T: 0.25, K: 3, CostIdx: 1},
 		{Kind: KindNearest, Interval: -1, Edge: 8, T: 0.25, K: 3, CostIdx: 1},
 		{Kind: KindNearest, Interval: -1, Edge: 7, T: 0.5, K: 3, CostIdx: 1},
 		{Kind: KindNearest, Interval: -1, Edge: 7, T: 0.25, K: 4, CostIdx: 1},

@@ -22,7 +22,8 @@ import (
 // internal/flat's TestQueryAllocsWithScratch), not at the snapshot path's
 // level, which allocates a whole graph per query. Interval resolution,
 // scratch pooling and the ctx-first entry points must all stay off the
-// allocation profile.
+// allocation profile, and so must the first read after a SetProfile: the
+// edit compiled the version it reads.
 func TestInstantQueryAllocs(t *testing.T) {
 	inst, err := gen.MakeInstance(gen.InstanceConfig{
 		Nodes: 400, Facilities: 60, Clusters: 3, D: 3, Queries: 1, Seed: 11,
@@ -31,25 +32,27 @@ func TestInstantQueryAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := New(inst.Graph)
-	if err := n.SetProfile(0, Profile{
-		Times: []float64{10, 20, 30},
-		Mult:  []vec.Costs{vec.Of(2, 1, 1), vec.Of(1, 3, 1), vec.Of(1, 1, 1)},
-	}); err != nil {
+	profiles := []Profile{
+		{Times: []float64{10, 20, 30}, Mult: []vec.Costs{vec.Of(2, 1, 1), vec.Of(1, 3, 1), vec.Of(1, 1, 1)}},
+		{Times: []float64{10, 20, 30}, Mult: []vec.Costs{vec.Of(1, 2, 1), vec.Of(3, 1, 1), vec.Of(1, 1, 2)}},
+	}
+	if err := n.SetProfile(0, profiles[0]); err != nil {
 		t.Fatal(err)
 	}
 	loc := inst.Queries[0]
 	agg := vec.NewWeighted(1, 1, 1)
+	skyline := func(at float64) {
+		if _, err := n.SkylineAt(ctx, loc, at, core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	for _, tc := range []struct {
 		name  string
 		limit float64
 		run   func(at float64)
 	}{
-		{"skyline", 25, func(at float64) {
-			if _, err := n.SkylineAt(ctx, loc, at, core.Options{}); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		{"skyline", 25, skyline},
 		{"topk", 70, func(at float64) {
 			if _, err := n.TopKAt(ctx, loc, agg, 4, at, core.Options{}); err != nil {
 				t.Fatal(err)
@@ -57,7 +60,7 @@ func TestInstantQueryAllocs(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Warm the overlay compilation and the pooled scratch.
+			// Warm the pooled scratch.
 			tc.run(0)
 			at := 0.0
 			allocs := testing.AllocsPerRun(20, func() {
@@ -71,13 +74,37 @@ func TestInstantQueryAllocs(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("skyline after SetProfile", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		const runs = 20
+		var before, after runtime.MemStats
+		var mallocs uint64
+		for i := 0; i < runs; i++ {
+			// Axis-preserving edits that change the interval the read lands in.
+			if err := n.SetProfile(0, profiles[(i+1)%2]); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&before)
+			skyline(15)
+			runtime.ReadMemStats(&after)
+			mallocs += after.Mallocs - before.Mallocs
+		}
+		allocs := float64(mallocs) / runs
+		t.Logf("allocs/query after an edit: %.0f", allocs)
+		if allocs > 25 {
+			t.Errorf("the first skyline after SetProfile allocates %.0f/query (> 25): reads must not compile", allocs)
+		}
+	})
 }
 
-// TestCompileFootprint gates what one compile allocates on the network
-// behind the benchmark's time-dependent workloads (td2k: 2 000 nodes,
+// TestCompileFootprint gates what building the network behind the
+// benchmark's time-dependent workloads allocates (td2k: 2 000 nodes,
 // mcnserve -timedep's |E|/10 synthetic profiles, 945 elementary
-// intervals). The per-interval cost vectors are the whole budget: 80.5 MiB
-// measured, ceiling 1.15× that. A pruning index per interval added 164 MiB.
+// intervals): New plus AttachSyntheticProfiles, where the compile runs. The
+// per-interval cost vectors are the whole budget: 80.5 MiB measured,
+// ceiling 1.15× that. A pruning index per interval added 164 MiB; a compile
+// per attached edit would refill the growing axis once per edit.
 func TestCompileFootprint(t *testing.T) {
 	inst, err := gen.MakeInstance(gen.InstanceConfig{
 		Nodes: 2000, Facilities: 1150, D: 4, Queries: 1, Seed: 1, Dist: gen.AntiCorrelated,
@@ -85,20 +112,16 @@ func TestCompileFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := New(inst.Graph)
-	if err := AttachSyntheticProfiles(n, inst.Graph.NumEdges()/10, 1); err != nil {
-		t.Fatal(err)
-	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	c, err := n.overlay()
-	if err != nil {
+	n := New(inst.Graph)
+	if err := AttachSyntheticProfiles(n, inst.Graph.NumEdges()/10, 1); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
 	const ceiling = 92 << 20
 	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("%d intervals compiled with %.1f MiB allocated", c.ov.NumIntervals(), float64(got)/(1<<20))
+	t.Logf("%d intervals compiled with %.1f MiB allocated", n.cur.Load().ov.NumIntervals(), float64(got)/(1<<20))
 	if got > ceiling {
 		t.Errorf("compile allocated %.1f MiB (> %d MiB)", float64(got)/(1<<20), ceiling>>20)
 	}

@@ -10,8 +10,8 @@ import (
 	"mcn/internal/index"
 )
 
-// TestIndexAdmissibleAtEveryInstant pins the one pruning index a compiled
-// network carries: for every elementary interval, criterion and node it
+// TestIndexAdmissibleAtEveryInstant pins the one pruning index a version
+// builds on its first WithinAt: for every elementary interval, criterion and node it
 // must not exceed, through index.SlackFactor, the exact nearest-facility
 // distance under that interval's costs — the per-interval index, which
 // survives here only as the reference. Two profile families, directed and
@@ -42,21 +42,16 @@ func TestIndexAdmissibleAtEveryInstant(t *testing.T) {
 
 func checkAdmissible(t *testing.T, label string, n *Network) {
 	t.Helper()
-	c, err := n.overlay()
-	if err != nil {
-		t.Fatal(err)
-	}
 	g := n.Base()
+	ver := n.cur.Load()
+	bounds := ver.floorIndex(g)
 	positive := false
-	for k := 0; k <= len(c.times); k++ {
-		at := math.Inf(-1)
-		if k > 0 {
-			at = c.times[k-1]
-		}
-		exact := index.FromCosts(g, func(e graph.EdgeID, i int) float64 { return n.effectiveCost(e, at)[i] })
+	for k := 0; k <= len(ver.times); k++ {
+		at := ver.start(k)
+		exact := index.FromCosts(g, func(e graph.EdgeID, i int) float64 { return ver.costAt(g, e, at)[i] })
 		for i := 0; i < g.D(); i++ {
 			for v := 0; v < g.NumNodes(); v++ {
-				lb, want := c.bounds.LowerBound(i, graph.NodeID(v)), exact.LowerBound(i, graph.NodeID(v))
+				lb, want := bounds.LowerBound(i, graph.NodeID(v)), exact.LowerBound(i, graph.NodeID(v))
 				if lb*index.SlackFactor > want {
 					t.Fatalf("%s: interval %d criterion %d node %d: bound %g exceeds the interval's exact %g",
 						label, k, i, v, lb, want)

@@ -16,7 +16,8 @@ import (
 // interval structure is not degenerate) with per-cost multipliers in
 // [0.5, 3]. The schedule is a pure function of seed: the same (graph, count,
 // seed) always produces the same profiles, so two replicas calling this see
-// identical time-dependent networks.
+// identical time-dependent networks. The profiles land as one version: one
+// refill of the interval matrices, however many edges they cover.
 func AttachSyntheticProfiles(n *Network, count int, seed int64) error {
 	edges := n.base.NumEdges()
 	if edges == 0 {
@@ -27,13 +28,12 @@ func AttachSyntheticProfiles(n *Network, count int, seed int64) error {
 	}
 	d := n.base.D()
 	rng := rand.New(rand.NewSource(seed))
-	seen := make(map[graph.EdgeID]bool, count)
-	for len(seen) < count {
+	edits := make(map[graph.EdgeID]Profile, count)
+	for len(edits) < count {
 		e := graph.EdgeID(rng.Intn(edges))
-		if seen[e] {
+		if _, ok := edits[e]; ok {
 			continue
 		}
-		seen[e] = true
 		times := []float64{
 			6 + rng.Float64(),  // morning rush begins
 			9 + rng.Float64(),  // relief
@@ -48,9 +48,7 @@ func AttachSyntheticProfiles(n *Network, count int, seed int64) error {
 			}
 			mult[i] = m
 		}
-		if err := n.SetProfile(e, Profile{Times: times, Mult: mult}); err != nil {
-			return err
-		}
+		edits[e] = Profile{Times: times, Mult: mult}
 	}
-	return nil
+	return n.setProfiles(edits)
 }

@@ -28,7 +28,15 @@
 // runs. An interval view is an ordinary sized, zero-copy source, so instant
 // queries run at the in-memory fast path's allocation level. One pruning
 // index, built over each edge's lowest cost at any instant, is admissible at
-// every instant and serves WithinAt in every interval.
+// every instant and serves WithinAt in every interval; it is built on the
+// first WithinAt, since no other query reads it.
+//
+// A network is a sequence of immutable versions, one per profile
+// configuration. SetProfile compiles the next version from the current one
+// and publishes it with one atomic store — an edit that keeps the
+// breakpoint axis copies only the interval matrices whose costs it changes
+// and shares the rest — so queries load a version once and never compile or
+// lock, and edits may race them.
 package timedep
 
 import (
@@ -39,6 +47,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mcn/internal/core"
 	"mcn/internal/flat"
@@ -105,6 +114,16 @@ func (p Profile) At(t float64) vec.Costs {
 	return p.Mult[i-1]
 }
 
+// clone returns a deep copy of p, so a stored profile never aliases the
+// caller's slices.
+func (p Profile) clone() Profile {
+	c := Profile{Times: slices.Clone(p.Times), Mult: make([]vec.Costs, len(p.Mult))}
+	for i, m := range p.Mult {
+		c.Mult[i] = m.Clone()
+	}
+	return c
+}
+
 // floor returns the component-wise smallest multiplier the profile ever
 // applies, counting the unscaled costs before Times[0]: min(1, every Mult).
 func (p Profile) floor() vec.Costs {
@@ -132,128 +151,191 @@ func scaled(w, m vec.Costs) vec.Costs {
 }
 
 // Network is a multi-cost network with time-dependent edge costs. Attach
-// profiles with SetProfile, then query; the first query compiles the
-// network into a flat overlay (topology once, one cost vector per
-// elementary interval, one pruning index), and subsequent queries reuse it.
-// Queries from any number of goroutines are safe once profiles stop
-// changing; SetProfile must not race in-flight queries.
+// profiles with SetProfile, then query. Every query answers from the version
+// it loads when it starts: the network's topology compiled once into a flat
+// overlay, one cost vector per elementary interval, and a pruning index
+// built on the version's first WithinAt. Queries and SetProfile calls are
+// safe from any number of goroutines; a query that overlaps an edit answers
+// for the version before or after it.
 type Network struct {
-	base     *graph.Graph
-	profiles map[graph.EdgeID]Profile
+	base *graph.Graph
+	// topo is base's CSR compilation, built once by New and shared by the
+	// interval views of every version.
+	topo *flat.Source
 
 	// cache, when non-nil, memoizes instant-query results keyed by
 	// elementary interval; see EnableResultCache.
 	cache *rescache.Cache
 
-	// mu guards the lazily compiled overlay; SetProfile invalidates it.
-	mu       sync.Mutex
-	compiled *compiled
-	// axis is the global breakpoint union the cache's interval tags are
-	// numbered against. It outlives compiled (which SetProfile nils) so
-	// consecutive profile edits can keep invalidating precisely; nil means
-	// no instant query has run since the numbering last changed, i.e. the
-	// cache holds no live entries from this network.
-	axis []float64
+	// cur is the published version. writeMu serialises the edits that
+	// derive and replace it; queries never take it.
+	cur     atomic.Pointer[version]
+	writeMu sync.Mutex
 }
 
-// compiled is the overlay compilation of one profile configuration: the
+// version is one immutable profile configuration: the profiles, the
 // ascending global breakpoints, one flat.View per elementary interval
-// (views[k] is active on [times[k-1], times[k]), views[0] before times[0]),
-// and one pruning index admissible under every interval's cost surface.
-type compiled struct {
-	times  []float64
-	ov     *flat.Overlay
-	bounds *index.Bounds
+// (interval k is active on [times[k-1], times[k]), interval 0 before
+// times[0]), and a pruning index admissible under every interval's cost
+// surface, built on first use.
+//
+// Each interval matrix is |E|·d float64s: an edit that moves the axis
+// allocates |E|·d·(breakpoints+1) of them, one that keeps it |E|·d per
+// interval it changes. That is the right trade when profiles share a small
+// set of instants (rush hours, tariff windows — the modelled workloads);
+// networks where every edge contributes distinct breakpoints would want
+// sparse per-interval patches over the base costs instead (see ROADMAP).
+type version struct {
+	profiles map[graph.EdgeID]Profile
+	times    []float64
+	ov       *flat.Overlay
+	// axis numbers times for the result cache's keys: it advances whenever
+	// times differs from the predecessor's, which renumbers the intervals.
+	axis uint64
+
+	boundsOnce sync.Once
+	bounds     *index.Bounds
 }
 
 // intervalAt resolves instant t to its elementary-interval index: a binary
 // search over the breakpoints, nothing else.
-func (c *compiled) intervalAt(t float64) int {
-	return sort.Search(len(c.times), func(i int) bool { return c.times[i] > t })
+func (v *version) intervalAt(t float64) int {
+	return sort.Search(len(v.times), func(i int) bool { return v.times[i] > t })
+}
+
+// start returns the first instant of elementary interval k; the interval
+// before the first breakpoint starts at -Inf and carries the base costs.
+func (v *version) start(k int) float64 {
+	if k == 0 {
+		return math.Inf(-1)
+	}
+	return v.times[k-1]
+}
+
+// costAt returns edge e of g's cost vector at instant t: the base vector,
+// scaled component-wise when a profile interval covers t.
+func (v *version) costAt(g *graph.Graph, e graph.EdgeID, t float64) vec.Costs {
+	w := g.Edge(e).W
+	if p, ok := v.profiles[e]; ok {
+		return scaled(w, p.At(t))
+	}
+	return w
+}
+
+// floorIndex returns the version's pruning index, building it on the first
+// call: one index over each edge's lowest cost at any instant. Every
+// interval's costs are at least that, so the bounds are admissible under
+// every interval's cost surface; index.SlackFactor absorbs summation order
+// as for any index.
+func (v *version) floorIndex(g *graph.Graph) *index.Bounds {
+	v.boundsOnce.Do(func() {
+		lowest := make([]vec.Costs, g.NumEdges())
+		for e := range lowest {
+			lowest[e] = g.Edge(graph.EdgeID(e)).W
+		}
+		for e, p := range v.profiles {
+			lowest[e] = scaled(lowest[e], p.floor())
+		}
+		v.bounds = index.FromCosts(g, func(e graph.EdgeID, i int) float64 { return lowest[e][i] })
+	})
+	return v.bounds
 }
 
 // New wraps a static network; edges without profiles keep their base costs
-// at all times.
+// at all times. It compiles the topology, which every version shares.
 func New(g *graph.Graph) *Network {
-	return &Network{base: g, profiles: make(map[graph.EdgeID]Profile)}
+	n := &Network{base: g, topo: flat.Compile(g)}
+	ov, err := flat.NewOverlay(n.topo, 1, func(_ int, e graph.EdgeID) vec.Costs { return g.Edge(e).W })
+	if err != nil {
+		panic(err) // unreachable: graph.Build validated every cost vector
+	}
+	n.cur.Store(&version{profiles: map[graph.EdgeID]Profile{}, ov: ov})
+	return n
 }
 
 // Base returns the underlying static graph.
 func (n *Network) Base() *graph.Graph { return n.base }
 
 // EnableResultCache attaches a serving-layer result cache to the network's
-// instant queries (*At); period sweeps always execute. Like SetProfile,
-// attach it before queries start. Several networks and executors may share
-// one cache: time-dependent entries carry interval and class tags that
-// static entries never match, so SetProfile invalidation cannot touch them.
+// instant queries (*At); period sweeps always execute. Attach it before
+// queries and edits start. Several networks and executors may share one
+// cache: time-dependent entries carry interval and class tags that static
+// entries never match, so SetProfile invalidation cannot touch them.
 func (n *Network) EnableResultCache(c *rescache.Cache) { n.cache = c }
 
-// SetProfile attaches a profile to edge e, replacing any previous one. The
-// compiled overlay is invalidated; the next query recompiles.
+// SetProfile attaches a copy of p to edge e, replacing any previous profile.
+// It compiles the next version and publishes it; queries already running
+// finish on the version they loaded.
 //
-// With a result cache attached, the edit invalidates incrementally: when
-// the global breakpoint axis is unchanged (the new profile introduces no
-// new instants and retires none), only the elementary intervals where edge
-// e's effective cost actually changed are invalidated — cached results for
-// untouched intervals stay live across the edit. An edit that changes the
-// axis renumbers the intervals, so the whole time-dependent class is
-// invalidated (the generation-stamped fallback); static entries in a
-// shared cache are never touched either way.
+// When the global breakpoint axis is unchanged (the new profile introduces
+// no new instants and retires none), the new version copies only the
+// interval matrices where edge e's effective cost changed and shares every
+// other one, and with a result cache attached only those intervals are
+// invalidated — cached results for untouched intervals stay live across the
+// edit. An edit that changes the axis renumbers the intervals: every matrix
+// is refilled over the shared topology and the whole time-dependent class
+// is invalidated. Static entries in a shared cache are never touched.
 func (n *Network) SetProfile(e graph.EdgeID, p Profile) error {
-	if int(e) >= n.base.NumEdges() {
-		return fmt.Errorf("timedep: edge %d out of range (%d edges)", e, n.base.NumEdges())
-	}
-	if err := p.Validate(n.base.D()); err != nil {
-		return err
-	}
-	old, hadOld := n.profiles[e]
-	n.profiles[e] = p
-	n.mu.Lock()
-	n.compiled = nil
-	if n.cache == nil || n.axis == nil {
-		// No cache, or no instant query ran since the numbering last
-		// changed — the cache holds no entries this edit could affect.
-		n.mu.Unlock()
-		return nil
-	}
-	axis := n.axis
-	if !slices.Equal(axis, n.breakpointUnion()) {
-		n.axis = nil
-		n.mu.Unlock()
-		n.cache.Invalidate(rescache.ClassTimeDep)
-		return nil
-	}
-	n.mu.Unlock()
+	return n.setProfiles(map[graph.EdgeID]Profile{e: p})
+}
 
-	// Axis unchanged: interval numbering is stable, so diff edge e's
-	// effective cost per interval and stamp exactly the changed ones.
-	w := n.base.Edge(e).W
-	var tags []rescache.Tag
-	for k := 0; k <= len(axis); k++ {
-		at := math.Inf(-1)
-		if k > 0 {
-			at = axis[k-1]
+// setProfiles validates every edit, then compiles and publishes one version
+// carrying all of them, so a bulk attach refills the interval matrices once
+// rather than once per edit. It replaces edits' profiles by copies.
+func (n *Network) setProfiles(edits map[graph.EdgeID]Profile) error {
+	for e, p := range edits {
+		if int(e) >= n.base.NumEdges() {
+			return fmt.Errorf("timedep: edge %d out of range (%d edges)", e, n.base.NumEdges())
 		}
-		var oldMult vec.Costs
-		if hadOld {
-			oldMult = old.At(at)
+		p = p.clone()
+		if err := p.Validate(n.base.D()); err != nil {
+			return err
 		}
-		if !scaled(w, oldMult).Equal(scaled(w, p.At(at))) {
-			tags = append(tags, rescache.IntervalTag(k))
-		}
+		edits[e] = p
 	}
-	if len(tags) > 0 {
+	n.writeMu.Lock()
+	defer n.writeMu.Unlock()
+	cur := n.cur.Load()
+	next := &version{profiles: maps.Clone(cur.profiles), axis: cur.axis}
+	maps.Copy(next.profiles, edits)
+	next.times = breakpointUnion(next.profiles)
+	var tags []rescache.Tag
+	if slices.Equal(next.times, cur.times) {
+		// Interval numbering is stable: each edited edge patches exactly the
+		// intervals where its cost changed, and only those are invalidated.
+		next.ov = cur.ov
+		for e := range edits {
+			var changed []int
+			next.ov, changed = next.ov.WithEdge(e, func(k int) vec.Costs { return next.costAt(n.base, e, next.start(k)) })
+			for _, k := range changed {
+				tags = append(tags, rescache.IntervalTag(k))
+			}
+		}
+	} else {
+		ov, err := flat.NewOverlay(n.topo, len(next.times)+1, func(k int, e graph.EdgeID) vec.Costs {
+			return next.costAt(n.base, e, next.start(k))
+		})
+		if err != nil {
+			return err
+		}
+		next.ov = ov
+		next.axis++
+		tags = []rescache.Tag{rescache.ClassTimeDep}
+	}
+	n.cur.Store(next)
+	if n.cache != nil && len(tags) > 0 {
+		// After the store: a query still computing from cur is stale under
+		// these stamps, or instant sees the store and marks it Superseded.
 		n.cache.Invalidate(tags...)
 	}
 	return nil
 }
 
 // breakpointUnion returns the sorted union of every profile's instants —
-// the global time axis a compile would produce right now. Caller holds mu
-// or otherwise excludes profile edits.
-func (n *Network) breakpointUnion() []float64 {
+// the global time axis of a version with these profiles.
+func breakpointUnion(profiles map[graph.EdgeID]Profile) []float64 {
 	set := make(map[float64]bool)
-	for _, p := range n.profiles {
+	for _, p := range profiles {
 		for _, t := range p.Times {
 			set[t] = true
 		}
@@ -261,65 +343,10 @@ func (n *Network) breakpointUnion() []float64 {
 	return slices.Sorted(maps.Keys(set))
 }
 
-// overlay returns the compiled overlay, building it on first use: the
-// global breakpoint axis is the sorted union of every profile's instants,
-// each elementary interval's cost vectors are the base costs scaled by the
-// multipliers in effect at the interval's start, and one pruning index
-// serves every interval.
-//
-// Compilation is eager: memory is |E|·d·(breakpoints+1) float64s, which is
-// the right trade when profiles share a small set of instants (rush hours,
-// tariff windows — the modelled workloads). Networks where every edge
-// contributes distinct breakpoints would want delta compilation instead
-// (base costs once plus per-interval patches; see ROADMAP).
-func (n *Network) overlay() (*compiled, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.compiled != nil {
-		return n.compiled, nil
-	}
-	times := n.breakpointUnion()
-	ov, err := flat.NewOverlay(n.base, len(times)+1, func(k int, e graph.EdgeID) vec.Costs {
-		at := math.Inf(-1) // before the first breakpoint: base costs
-		if k > 0 {
-			at = times[k-1]
-		}
-		return n.effectiveCost(e, at)
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The pruning index is built over each edge's lowest cost at any
-	// instant. Every interval's costs are at least that, so the bounds
-	// are admissible under every interval's cost surface; index.SlackFactor
-	// absorbs summation order as for any index.
-	lowest := make([]vec.Costs, n.base.NumEdges())
-	for e := range lowest {
-		lowest[e] = n.base.Edge(graph.EdgeID(e)).W
-	}
-	for e, p := range n.profiles {
-		lowest[e] = scaled(lowest[e], p.floor())
-	}
-	bounds := index.FromCosts(n.base, func(e graph.EdgeID, i int) float64 { return lowest[e][i] })
-	n.compiled = &compiled{times: times, ov: ov, bounds: bounds}
-	n.axis = times
-	return n.compiled, nil
-}
-
-// effectiveCost returns edge e's cost vector at instant t: the base vector,
-// scaled component-wise when a profile interval covers t.
-func (n *Network) effectiveCost(e graph.EdgeID, t float64) vec.Costs {
-	w := n.base.Edge(e).W
-	if p, ok := n.profiles[e]; ok {
-		return scaled(w, p.At(t))
-	}
-	return w
-}
-
 // Breakpoints returns the ascending instants in [from, to) where some edge
 // cost changes, always starting with from itself.
 func (n *Network) Breakpoints(from, to float64) []float64 {
-	return breaksIn(n.breakpointUnion(), from, to)
+	return breaksIn(n.cur.Load().times, from, to)
 }
 
 // breaksIn returns from followed by the instants of the ascending axis that
@@ -339,6 +366,7 @@ func breaksIn(axis []float64, from, to float64) []float64 {
 // against — every query entry point answers from the compiled overlay
 // instead, and per-query callers should never need a snapshot.
 func (n *Network) Snapshot(t float64) (*graph.Graph, error) {
+	ver := n.cur.Load()
 	b := graph.NewBuilder(n.base.D(), n.base.Directed())
 	for v := 0; v < n.base.NumNodes(); v++ {
 		node := n.base.Node(graph.NodeID(v))
@@ -346,7 +374,7 @@ func (n *Network) Snapshot(t float64) (*graph.Graph, error) {
 	}
 	for e := 0; e < n.base.NumEdges(); e++ {
 		edge := n.base.Edge(graph.EdgeID(e))
-		b.AddEdge(edge.U, edge.V, n.effectiveCost(graph.EdgeID(e), t))
+		b.AddEdge(edge.U, edge.V, ver.costAt(n.base, graph.EdgeID(e), t))
 	}
 	for f := 0; f < n.base.NumFacilities(); f++ {
 		fac := n.base.Facility(graph.FacilityID(f))
@@ -362,8 +390,8 @@ type IntervalResult struct {
 }
 
 // instant runs one static query against the interval view covering t: the
-// shared prologue of every *At entry point — location validation, lazy
-// overlay compile, pruning index, ctx binding. spec carries the
+// shared prologue of every *At entry point — location validation, version
+// load, pruning index for within, ctx binding. spec carries the
 // kind-specific key fields; with a cache attached, the query is keyed by
 // elementary interval (every instant inside the interval shares one entry)
 // and tagged with its interval plus the time-dependent class.
@@ -371,21 +399,22 @@ func (n *Network) instant(ctx context.Context, loc graph.Location, t float64, op
 	if err := loc.Validate(n.base); err != nil {
 		return nil, err
 	}
-	c, err := n.overlay()
-	if err != nil {
-		return nil, err
+	v := n.cur.Load()
+	k := v.intervalAt(t)
+	run := func() (*core.Result, error) {
+		if opt.Bounds == nil && spec.Kind == rescache.KindWithin {
+			// Only within reads an index, so only a within that runs builds
+			// it. The version's own, never the static network's: bounds built
+			// for the base costs are inadmissible once a multiplier drops
+			// below 1. Pruning does not change results, so the cache key
+			// needs no extra field.
+			opt.Bounds = v.floorIndex(n.base)
+		}
+		return query(v.ov.Interval(k), opt.BindContext(ctx))
 	}
-	k := c.intervalAt(t)
-	if opt.Bounds == nil {
-		// The network's own index, never the static network's: bounds built
-		// for the base costs are inadmissible once a multiplier drops below
-		// 1. Pruning does not change results, so the cache key needs no
-		// extra field.
-		opt.Bounds = c.bounds
-	}
-	run := func() (*core.Result, error) { return query(c.ov.Interval(k), opt.BindContext(ctx)) }
 	if n.cache != nil && opt.OnResult == nil {
 		spec.Interval = k
+		spec.Axis = v.axis
 		spec.Engine = byte(opt.Engine)
 		spec.NoEnhancements = opt.NoEnhancements
 		spec.Edge = loc.Edge
@@ -396,8 +425,15 @@ func (n *Network) instant(ctx context.Context, loc graph.Location, t float64, op
 				if err != nil {
 					return rescache.Value{}, nil, err
 				}
-				return rescache.Value{Result: res, Scale: scale},
-					[]rescache.Tag{rescache.IntervalTag(k), rescache.ClassTimeDep}, nil
+				tags := []rescache.Tag{rescache.IntervalTag(k), rescache.ClassTimeDep}
+				if n.cur.Load() != v {
+					// An edit published since v was loaded may have stamped
+					// its tags before Do's version snapshot, where they
+					// cannot mark this entry stale: answer from v, store
+					// nothing.
+					tags = append(tags, rescache.Superseded)
+				}
+				return rescache.Value{Result: res, Scale: scale}, tags, nil
 			})
 			if err != nil {
 				return nil, err
@@ -471,14 +507,11 @@ func (n *Network) overPeriod(ctx context.Context, loc graph.Location, from, to f
 	if err := loc.Validate(n.base); err != nil {
 		return nil, err
 	}
-	c, err := n.overlay()
-	if err != nil {
-		return nil, err
-	}
+	v := n.cur.Load()
 	// Bound once for the whole sweep, so a deadline that passes inside an
 	// interval stops that interval's query at its next pop.
 	opt = opt.BindContext(ctx)
-	breaks := breaksIn(c.times, from, to)
+	breaks := breaksIn(v.times, from, to)
 	var out []IntervalResult
 	for i, start := range breaks {
 		if err := ctx.Err(); err != nil {
@@ -488,7 +521,7 @@ func (n *Network) overPeriod(ctx context.Context, loc graph.Location, from, to f
 		if i+1 < len(breaks) {
 			end = breaks[i+1]
 		}
-		res, err := query(c.ov.Interval(c.intervalAt(start)), opt)
+		res, err := query(v.ov.Interval(v.intervalAt(start)), opt)
 		if err != nil {
 			return nil, err
 		}
@@ -524,7 +557,7 @@ func (n *Network) CostAt(e graph.EdgeID, t float64) (vec.Costs, error) {
 	if int(e) >= n.base.NumEdges() {
 		return nil, fmt.Errorf("timedep: edge %d out of range", e)
 	}
-	w := n.effectiveCost(e, t).Clone()
+	w := n.cur.Load().costAt(n.base, e, t).Clone()
 	// Guard against NaN creep from pathological inputs.
 	for _, v := range w {
 		if math.IsNaN(v) {
