@@ -45,8 +45,9 @@ bench:
 
 # Allocation-sensitive benchmarks with -benchmem: the flat-path pop loop and
 # the in-memory batch executor must stay allocation-free in steady state,
-# the disk row (CEA skylines behind a 1 % buffer pool) prints the miss
-# path's allocs/op next to them, the maintainer row prints what one
+# the disk rows (CEA and LSA skylines behind a 1 % buffer pool: the record
+# memo and the direct decode path) print the miss path's allocs/op next to
+# them, the maintainer row prints what one
 # facility insert costs (an edge lookup and O(d) arithmetic, no traversal),
 # and the time-dependent row prints one axis-preserving SetProfile plus the
 # skyline read after it (the edit copies the intervals it changes; the read

@@ -279,50 +279,60 @@ func BenchmarkBaselineSkyline(b *testing.B) {
 	b.ReportMetric(float64(net.Stats().Physical)/float64(b.N), "pages/query")
 }
 
-// BenchmarkDiskSkyline: the disk row of `make benchmem` — CEA skylines over
-// the default dataset behind a 1 % buffer pool, where nearly every page
-// access is a miss.
+// BenchmarkDiskSkyline: the disk rows of `make benchmem` — skylines over the
+// default dataset behind a 1 % buffer pool, where nearly every page access is
+// a miss: CEA through its record memo, LSA decoding each record straight into
+// its expansions' buffers.
 func BenchmarkDiskSkyline(b *testing.B) {
-	runSkylineBench(b, dataset(b, "fig9b", baseWorkload(b)), 0.01, core.CEA)
+	ds := dataset(b, "fig9b", baseWorkload(b))
+	for _, tc := range []struct {
+		name   string
+		engine core.Engine
+	}{{"cea", core.CEA}, {"lsa", core.LSA}} {
+		b.Run(tc.name, func(b *testing.B) { runSkylineBench(b, ds, 0.01, tc.engine) })
+	}
 }
 
 // BenchmarkBatchSkyline: concurrent skyline throughput through the batch
-// executor at several worker counts, over one shared disk-resident network.
-// Reports queries/sec next to the usual ns/op (which here is wall time for
-// the whole 32-query batch).
+// executor at several worker counts and buffer sizes, over one shared
+// disk-resident network. Reports queries/sec and device reads per query next
+// to the usual ns/op (which here is wall time for the whole 32-query batch).
 func BenchmarkBatchSkyline(b *testing.B) {
 	w := baseWorkload(b)
 	ds := dataset(b, "fig9b", w)
 	const batch = 32
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			net, err := storage.Open(ds.Dev, w.Buffer)
-			if err != nil {
-				b.Fatal(err)
-			}
-			exec := engine.New(net, engine.Config{Workers: workers})
-			reqs := make([]mcn.BatchRequest, batch)
-			for i := range reqs {
-				reqs[i] = mcn.BatchRequest{Kind: mcn.SkylineQuery, Loc: ds.Queries[i%len(ds.Queries)],
-					Opts: core.Options{Engine: core.CEA}}
-			}
-			var queries int
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				for _, resp := range exec.Execute(context.Background(), reqs) {
-					if resp.Err != nil {
-						b.Fatal(resp.Err)
-					}
+	for _, buffer := range []float64{0.01, 0.05, 0.20} {
+		for _, workers := range []int{1, 4, 8} {
+			b.Run(fmt.Sprintf("pool=%g%%/workers=%d", 100*buffer, workers), func(b *testing.B) {
+				net, err := storage.Open(ds.Dev, buffer)
+				if err != nil {
+					b.Fatal(err)
 				}
-				queries += batch
-			}
-			b.StopTimer()
-			if wall := time.Since(start).Seconds(); wall > 0 {
-				b.ReportMetric(float64(queries)/wall, "queries/sec")
-			}
-		})
+				exec := engine.New(net, engine.Config{Workers: workers})
+				reqs := make([]mcn.BatchRequest, batch)
+				for i := range reqs {
+					reqs[i] = mcn.BatchRequest{Kind: mcn.SkylineQuery, Loc: ds.Queries[i%len(ds.Queries)],
+						Opts: core.Options{Engine: core.CEA}}
+				}
+				var queries int
+				b.ReportAllocs()
+				b.ResetTimer()
+				start := time.Now()
+				for i := 0; i < b.N; i++ {
+					for _, resp := range exec.Execute(context.Background(), reqs) {
+						if resp.Err != nil {
+							b.Fatal(resp.Err)
+						}
+					}
+					queries += batch
+				}
+				b.StopTimer()
+				if wall := time.Since(start).Seconds(); wall > 0 {
+					b.ReportMetric(float64(queries)/wall, "queries/sec")
+				}
+				b.ReportMetric(float64(net.Stats().Physical)/float64(queries), "phys/query")
+			})
+		}
 	}
 }
 

@@ -60,8 +60,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		db         = flag.String("db", "", "disk database path (written by mcngen)")
 		buffer     = flag.Float64("buffer", 0.01, "buffer pool fraction of database pages")
-		poolShards = flag.Int("pool-shards", 0, "buffer pool shard count, rounded to a power of two (0 = auto from GOMAXPROCS)")
-		poolPolicy = flag.String("pool-policy", "clock", "buffer pool replacement policy: clock or lru")
+		poolPolicy = flag.String("pool-policy", "clock", "buffer pool replacement policy: clock (hits take no lock) or lru (the paper's buffer)")
 		synthetic  = flag.Bool("synthetic", false, "serve a synthetic in-memory network instead of a database")
 		nodes      = flag.Int("nodes", 10_000, "synthetic: approximate node count")
 		facilities = flag.Int("facilities", 2_000, "synthetic: facility count")
@@ -99,7 +98,6 @@ func main() {
 			log.Fatal(err)
 		}
 		pool := mcn.PoolOptions{
-			Shards: *poolShards,
 			Policy: policy,
 			Retry:  mcn.RetryPolicy{MaxRetries: *ioRetries},
 		}

@@ -191,11 +191,11 @@ const (
 )
 
 // paperPool is the buffer configuration of the paper-reproduction
-// experiments: one shard of exact LRU, matching the single LRU buffer the
-// paper's evaluation models. The sharded clock default would shift the
-// physical-read counts the figures are built on (clock approximates LRU,
-// and shard capacities split differently), so reproductions pin it.
-var paperPool = storage.PoolOptions{Shards: 1, Policy: storage.PolicyLRU}
+// experiments: exact LRU, matching the single LRU buffer the paper's
+// evaluation models. The clock default would shift the physical-read counts
+// the figures are built on (clock approximates LRU), so reproductions pin
+// it.
+var paperPool = storage.PoolOptions{Policy: storage.PolicyLRU}
 
 // measure runs all queries of ds with one engine over a fresh buffer pool
 // and returns the averaged row. The pool persists across the queries (warm

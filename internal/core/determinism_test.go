@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mcn/internal/gen"
@@ -18,13 +19,10 @@ const (
 	pinnedLogical  = 47048
 )
 
-// TestPhysicalIODeterministic pins the paper's metric: the same query
-// sequence against the same database behind a fresh single-shard LRU pool
-// (the paper's buffer, at 1 %) must miss the same number of pages every
-// time, and do the same work. It only holds while no iteration order that
-// reaches the store depends on a Go map — the shrinking-stage filter install
-// walks the tracked facilities in arrival order for exactly this reason.
-func TestPhysicalIODeterministic(t *testing.T) {
+// determinismInstance is the database and query sequence both I/O
+// determinism tests replay: per location, a skyline and a top-k with each
+// engine.
+func determinismInstance(t *testing.T) (storage.Device, func(*testing.T, *storage.Network) []Stats) {
 	inst, err := gen.MakeInstance(gen.InstanceConfig{Nodes: 4000, Facilities: 2000, D: 4, Queries: 8, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -38,13 +36,7 @@ func TestPhysicalIODeterministic(t *testing.T) {
 		coef[i] = 1 + float64(i)/2
 	}
 	agg := vec.NewWeighted(coef...)
-
-	var firstStats []Stats
-	for run := 0; run < 5; run++ {
-		net, err := storage.OpenOptions(dev, 0.01, storage.PoolOptions{Shards: 1, Policy: storage.PolicyLRU})
-		if err != nil {
-			t.Fatal(err)
-		}
+	replay := func(t *testing.T, net *storage.Network) []Stats {
 		var stats []Stats
 		for _, loc := range inst.Queries {
 			for _, eng := range []Engine{CEA, LSA} {
@@ -59,6 +51,26 @@ func TestPhysicalIODeterministic(t *testing.T) {
 				stats = append(stats, sky.Stats, top.Stats)
 			}
 		}
+		return stats
+	}
+	return dev, replay
+}
+
+// TestPhysicalIODeterministic pins the paper's metric: the same query
+// sequence against the same database behind a fresh LRU pool (the paper's
+// buffer, at 1 %) must miss the same number of pages every time, and do the
+// same work. It only holds while no iteration order that reaches the store
+// depends on a Go map — the shrinking-stage filter install walks the tracked
+// facilities in arrival order for exactly this reason.
+func TestPhysicalIODeterministic(t *testing.T) {
+	dev, replay := determinismInstance(t)
+	var firstStats []Stats
+	for run := 0; run < 5; run++ {
+		net, err := storage.OpenOptions(dev, 0.01, storage.PoolOptions{Policy: storage.PolicyLRU})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := replay(t, net)
 		if io := net.Stats(); io.Physical != pinnedPhysical || io.Logical != pinnedLogical {
 			t.Errorf("run %d: %d physical / %d logical page reads, pinned %d / %d", run, io.Physical, io.Logical, pinnedPhysical, pinnedLogical)
 		}
@@ -66,6 +78,35 @@ func TestPhysicalIODeterministic(t *testing.T) {
 			firstStats = stats
 		} else if !reflect.DeepEqual(stats, firstStats) {
 			t.Errorf("run %d: query stats differ from run 0", run)
+		}
+	}
+}
+
+// TestPhysicalIOIndependentOfCores: behind the default pool — no options,
+// as servers and the benchmark open it — the same query sequence must miss
+// the same pages whatever GOMAXPROCS is. The paper's metric may depend on
+// the accesses alone; a pool partitioned by core count splits its frames
+// differently on every setting. The pool here has at least 16 frames, so
+// such a split would show.
+func TestPhysicalIOIndependentOfCores(t *testing.T) {
+	dev, replay := determinismInstance(t)
+	frac := 20 / float64(dev.NumPages())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want storage.Stats
+	for i, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		net, err := storage.Open(dev, frac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := net.Pool().Capacity(); c < 16 {
+			t.Fatalf("pool of %d frames, want at least 16", c)
+		}
+		replay(t, net)
+		if io := net.Stats(); i == 0 {
+			want = io
+		} else if io != want {
+			t.Errorf("GOMAXPROCS %d: %v, at GOMAXPROCS 1: %v", procs, io, want)
 		}
 	}
 }

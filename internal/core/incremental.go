@@ -56,7 +56,7 @@ func NewTopKIterator(src expand.Source, loc graph.Location, agg vec.Aggregate, o
 		return nil, fmt.Errorf("core: aggregate expects %d cost types, network has %d", agg.Dims(), src.D())
 	}
 	sc := expand.Acquire(src)
-	shared := engineSource(src, opt.Engine)
+	shared := engineSource(src, opt.Engine, sc)
 	exps, err := perCost(shared, loc, sc)
 	if err != nil {
 		sc.Release()

@@ -104,7 +104,7 @@ func Within(src expand.Source, loc graph.Location, budget vec.Costs, opt Options
 	}
 	sc := expand.Acquire(src)
 	defer sc.Release()
-	shared := engineSource(src, opt.Engine)
+	shared := engineSource(src, opt.Engine, sc)
 	d := shared.D()
 	type partial struct {
 		costs vec.Costs

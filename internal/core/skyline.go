@@ -33,7 +33,7 @@ import (
 func Skyline(src expand.Source, loc graph.Location, opt Options) (*Result, error) {
 	sc := expand.Acquire(src)
 	defer sc.Release()
-	shared := engineSource(src, opt.Engine)
+	shared := engineSource(src, opt.Engine, sc)
 	exps, err := perCost(shared, loc, sc)
 	if err != nil {
 		return nil, err
@@ -59,7 +59,7 @@ func MultiSourceSkyline(src expand.Source, costIdx int, locs []graph.Location, o
 	}
 	sc := expand.Acquire(src)
 	defer sc.Release()
-	shared := engineSource(src, opt.Engine)
+	shared := engineSource(src, opt.Engine, sc)
 	exps, err := perLocation(shared, costIdx, locs, sc)
 	if err != nil {
 		return nil, err

@@ -34,7 +34,7 @@ func SkylineSeq(ctx context.Context, src expand.Source, loc graph.Location, opt 
 		opt = opt.BindContext(ctx)
 		sc := expand.Acquire(src)
 		defer sc.Release()
-		shared := engineSource(src, opt.Engine)
+		shared := engineSource(src, opt.Engine, sc)
 		exps, err := perCost(shared, loc, sc)
 		if err != nil {
 			yield(Facility{}, err)

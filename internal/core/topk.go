@@ -25,7 +25,7 @@ func TopK(src expand.Source, loc graph.Location, agg vec.Aggregate, k int, opt O
 	}
 	sc := expand.Acquire(src)
 	defer sc.Release()
-	shared := engineSource(src, opt.Engine)
+	shared := engineSource(src, opt.Engine, sc)
 	exps, err := perCost(shared, loc, sc)
 	if err != nil {
 		return nil, err
@@ -50,7 +50,7 @@ func MultiSourceTopK(src expand.Source, costIdx int, locs []graph.Location, agg 
 	}
 	sc := expand.Acquire(src)
 	defer sc.Release()
-	shared := engineSource(src, opt.Engine)
+	shared := engineSource(src, opt.Engine, sc)
 	exps, err := perLocation(shared, costIdx, locs, sc)
 	if err != nil {
 		return nil, err

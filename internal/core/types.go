@@ -153,16 +153,17 @@ func (o Options) BindContext(ctx context.Context) Options {
 	return o
 }
 
-// engineSource wraps src per the selected engine: CEA layers a per-query
-// record memo over it. Zero-copy sources (the flat CSR path) are exempt:
-// their records are shared slices with no per-fetch cost, so the memo would
-// be pure overhead and CEA degenerates to LSA with identical results.
-func engineSource(src expand.Source, e Engine) expand.Source {
+// engineSource wraps src per the selected engine: CEA runs on the record
+// memo of the query's scratch sc. Zero-copy sources (the flat CSR path) are
+// exempt: their records are shared slices with no per-fetch cost, so the
+// memo would be pure overhead and CEA degenerates to LSA with identical
+// results.
+func engineSource(src expand.Source, e Engine, sc *expand.Scratch) expand.Source {
 	if e == CEA {
 		if zc, ok := src.(expand.ZeroCopy); ok && zc.ZeroCopyRecords() {
 			return src
 		}
-		return expand.NewSharedSource(src)
+		return sc.Shared(src)
 	}
 	return src
 }

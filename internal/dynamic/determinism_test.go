@@ -32,7 +32,7 @@ func TestMaintainerPhysicalIODeterministic(t *testing.T) {
 	}
 	var firstEntries map[Handle]Entry
 	for run := 0; run < 5; run++ {
-		net, err := storage.OpenOptions(dev, 0.01, storage.PoolOptions{Shards: 1, Policy: storage.PolicyLRU})
+		net, err := storage.OpenOptions(dev, 0.01, storage.PoolOptions{Policy: storage.PolicyLRU})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,8 +6,8 @@
 // block behind the facade's Batch* methods and the mcnserve HTTP server.
 //
 // Safety: all network sources are safe for concurrent readers — the
-// disk-resident storage.Network guards page access with per-shard buffer
-// pool locks, expand.MemorySource touches only immutable graph data (its
+// disk-resident storage.Network pins pages through a buffer pool that
+// serves hits lock-free and misses under one mutex, expand.MemorySource touches only immutable graph data (its
 // access counters are atomic), and flat.Source is immutable CSR arrays. All
 // per-query state (expansions, CEA record memos, trackers) is created per
 // call or acquired by the core algorithms from expand's scratch pool for the

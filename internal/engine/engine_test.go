@@ -283,15 +283,24 @@ func TestExecutorPanicIsolation(t *testing.T) {
 }
 
 // damagedDisk is a disk network one of whose adjacency records names a
-// neighbour one past the node id space the database header declares.
+// neighbour one past the node id space the database header declares. It
+// damages both ways of reading a record: Adjacency, and the AppendAdjacency
+// the embedded store would otherwise promote — the method expansions and
+// the CEA memo call in Adjacency's place when a source has it.
 type damagedDisk struct{ *storage.Network }
 
 func (d damagedDisk) Adjacency(v graph.NodeID) ([]graph.AdjEntry, error) {
-	entries, err := d.Network.Adjacency(v)
-	if len(entries) > 0 {
-		entries[0].Neighbor = graph.NodeID(d.NumNodes())
-	}
+	entries, _, err := d.AppendAdjacency(nil, nil, v)
 	return entries, err
+}
+
+func (d damagedDisk) AppendAdjacency(dst []graph.AdjEntry, costs []float64, v graph.NodeID) ([]graph.AdjEntry, []float64, error) {
+	n := len(dst)
+	dst, costs, err := d.Network.AppendAdjacency(dst, costs, v)
+	if len(dst) > n {
+		dst[n].Neighbor = graph.NodeID(d.NumNodes())
+	}
+	return dst, costs, err
 }
 
 // A record naming an id outside the database's id space fails its query

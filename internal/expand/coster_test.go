@@ -65,7 +65,7 @@ func TestExpansionHonoursEdgeCoster(t *testing.T) {
 	if len(baseIDs) == 0 {
 		t.Fatal("no facilities popped")
 	}
-	for _, src := range []Source{scaled, NewSharedSource(scaled)} {
+	for _, src := range []Source{scaled, acquire(t, scaled).Shared(scaled)} {
 		ids, costs := collect(src)
 		if len(ids) != len(baseIDs) {
 			t.Fatalf("popped %d facilities, want %d", len(ids), len(baseIDs))
@@ -89,7 +89,7 @@ func TestDistancesHonoursEdgeCoster(t *testing.T) {
 	mem := NewMemorySource(g)
 	base := distancesAfterDrain(t, mem, 0, loc, acquire(t, mem), nil)
 	tripled := &costerSource{MemorySource: mem, factor: 3}
-	for _, src := range []Source{tripled, NewSharedSource(tripled)} {
+	for _, src := range []Source{tripled, acquire(t, tripled).Shared(tripled)} {
 		scaled := distancesAfterDrain(t, src, 0, loc, acquire(t, src), nil)
 		if len(scaled) < g.NumNodes() {
 			t.Fatalf("table covers %d of %d nodes", len(scaled), g.NumNodes())

@@ -42,6 +42,9 @@ type Expansion struct {
 	// coster overrides the adjacency entries' embedded costs when the source
 	// keeps its effective costs in an overlay (see EdgeCoster).
 	coster EdgeCoster
+	// dec is src when it decodes records into caller memory; they are then
+	// decoded into ds's buffers.
+	dec decoder
 
 	ds *denseState
 	// edges bounds the edge ids adjacency records may name (the scratch's
@@ -75,7 +78,7 @@ type LowerBounder interface {
 
 // New starts an expansion from loc under cost type costIdx (0-based) on one
 // state unit of sc, which must have been acquired for src (or for the source
-// a SharedSource wraps) and stays owned by the caller.
+// sc.Shared wraps) and stays owned by the caller.
 func New(src Source, costIdx int, loc graph.Location, sc *Scratch) (*Expansion, error) {
 	x := &Expansion{
 		src:    src,
@@ -85,6 +88,7 @@ func New(src Source, costIdx int, loc graph.Location, sc *Scratch) (*Expansion, 
 		ds:     sc.state(),
 		edges:  sc.edges,
 	}
+	x.dec, _ = src.(decoder)
 
 	info, err := src.EdgeInfo(loc.Edge)
 	if err != nil {
@@ -106,7 +110,7 @@ func New(src Source, costIdx int, loc graph.Location, sc *Scratch) (*Expansion, 
 	// Facilities on the query edge are reachable directly along the edge,
 	// possibly cheaper than via either end-node.
 	if info.FacCount > 0 {
-		facs, err := src.Facilities(info.FacRef, info.FacCount)
+		facs, err := x.facilities(info.FacRef, info.FacCount)
 		if err != nil {
 			return nil, err
 		}
@@ -256,7 +260,7 @@ func (x *Expansion) Step() (Event, graph.FacilityID, float64, error) {
 
 func (x *Expansion) expandNode(v graph.NodeID, key float64) error {
 	x.nodeCount++
-	entries, err := x.src.Adjacency(v)
+	entries, err := x.adjacency(v)
 	if err != nil {
 		return err
 	}
@@ -280,7 +284,7 @@ func (x *Expansion) expandNode(v graph.NodeID, key float64) error {
 		if x.allowEdge != nil && !x.allowEdge(e.Edge) {
 			continue // shrinking stage: skip non-candidate facility records
 		}
-		facs, err := x.src.Facilities(e.FacRef, e.FacCount)
+		facs, err := x.facilities(e.FacRef, e.FacCount)
 		if err != nil {
 			return err
 		}
@@ -295,6 +299,27 @@ func (x *Expansion) expandNode(v graph.NodeID, key float64) error {
 		}
 	}
 	return nil
+}
+
+// adjacency returns the arcs of v; from a decoder, decoded into the state
+// unit's buffers and valid until the next call.
+func (x *Expansion) adjacency(v graph.NodeID) ([]graph.AdjEntry, error) {
+	if x.dec == nil {
+		return x.src.Adjacency(v)
+	}
+	var err error
+	x.ds.adj, x.ds.costs, err = x.dec.AppendAdjacency(x.ds.adj[:0], x.ds.costs[:0], v)
+	return x.ds.adj, err
+}
+
+// facilities is adjacency's counterpart for facility records.
+func (x *Expansion) facilities(facRef uint64, count int) ([]graph.FacEntry, error) {
+	if x.dec == nil {
+		return x.src.Facilities(facRef, count)
+	}
+	var err error
+	x.ds.recs, err = x.dec.AppendFacilities(x.ds.recs[:0], facRef, count)
+	return x.ds.recs, err
 }
 
 // Next advances until the next nearest facility is found. ok is false when

@@ -280,9 +280,10 @@ func TestSharedSourceAccessBound(t *testing.T) {
 		loc := randomLocation(rng, g)
 
 		mem := NewMemorySource(g)
-		shared := NewSharedSource(mem)
+		sc := acquire(t, mem)
+		shared := sc.Shared(mem)
 		for i := 0; i < d; i++ {
-			x, err := newOn(t, shared, i, loc)
+			x, err := New(shared, i, loc, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -321,7 +322,8 @@ func TestSharedSourceSameResults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			xb, err := newOn(t, NewSharedSource(NewMemorySource(g)), i, loc)
+			mem := NewMemorySource(g)
+			xb, err := newOn(t, acquire(t, mem).Shared(mem), i, loc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,7 +24,7 @@ type Sized interface {
 // ZeroCopy is implemented by sources whose Adjacency and Facilities calls
 // return shared read-only slices at no per-call cost. For such sources CEA's
 // per-query record memo saves nothing — there is no underlying fetch to
-// amortise — so the engine layer skips the SharedSource wrapper entirely.
+// amortise — so the engine layer skips the SharedSource memo entirely.
 type ZeroCopy interface {
 	ZeroCopyRecords() bool
 }
@@ -82,6 +82,11 @@ type denseState struct {
 	nodes marks
 	facs  marks
 	heap  minHeap // backing array grown once and reused across queries
+	// Record buffers an expansion over a decoder decodes into, one record
+	// at a time.
+	adj   []graph.AdjEntry
+	costs []float64
+	recs  []graph.FacEntry
 }
 
 // push en-heaps id with tentative cost key unless this generation already
@@ -163,16 +168,18 @@ func (s *EdgeSet) reset() {
 
 // Scratch is the reusable expansion state of one query at a time: each
 // expansion the query starts (d per-cost expansions, or one per source
-// location for multi-source queries) draws one dense state unit from it, and
-// the query's shrinking stage draws its edge filter set. Every query runs on
-// one: Acquire it for the query's source, Release it when the query is over.
-// A Scratch must not be shared by concurrent queries.
+// location for multi-source queries) draws one dense state unit from it, the
+// query's shrinking stage draws its edge filter set, and a CEA query its
+// record memo. Every query runs on one: Acquire it for the query's source,
+// Release it when the query is over. A Scratch must not be shared by
+// concurrent queries.
 type Scratch struct {
 	// Id-space bounds of the source the scratch is currently acquired for.
 	nodes, edges, facs int
 	states             []*denseState
 	next               int
 	edgeSet            EdgeSet
+	shared             SharedSource
 }
 
 // scratchPool recycles scratches across queries, sources and owners: the
@@ -231,6 +238,18 @@ func (s *Scratch) EdgeSet() *EdgeSet {
 	return es
 }
 
-// reset makes every state unit available again. The backing arrays are kept;
-// generation stamps invalidate the old contents.
-func (s *Scratch) reset() { s.next = 0 }
+// Shared returns the scratch's record memo over src, emptied: the source a
+// CEA query runs its expansions on. src must be the source the scratch was
+// acquired for.
+func (s *Scratch) Shared(src Source) *SharedSource {
+	s.shared.bind(src, s)
+	return &s.shared
+}
+
+// reset makes every state unit available again and lets go of the memo's
+// source. The backing arrays are kept; generation stamps invalidate the old
+// contents.
+func (s *Scratch) reset() {
+	s.next = 0
+	s.shared.src, s.shared.dec = nil, nil
+}

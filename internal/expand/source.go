@@ -184,28 +184,78 @@ func (m *MemorySource) EdgeInfo(e graph.EdgeID) (graph.EdgeInfo, error) {
 	return graph.EdgeInfo{U: edge.U, V: edge.V, W: edge.W, FacRef: ref, FacCount: len(facs)}, nil
 }
 
+// decoder is implemented by stores that decode records into memory the
+// caller owns (storage.Network). An expansion over one decodes into buffers
+// of its state unit and the record memo into its arenas, so once those have
+// grown a record fetch allocates nothing.
+type decoder interface {
+	AppendAdjacency(dst []graph.AdjEntry, costs []float64, v graph.NodeID) ([]graph.AdjEntry, []float64, error)
+	AppendFacilities(dst []graph.FacEntry, facRef uint64, count int) ([]graph.FacEntry, error)
+}
+
 // SharedSource memoises every record fetched from an underlying source for
 // the lifetime of one query. Running the d per-cost expansions of a query
 // over one SharedSource yields CEA's defining guarantee: each node's
 // adjacency information and each edge's facility record is fetched from the
 // underlying store at most once per query, no matter how many expansions
 // traverse it (paper Sec. IV-B).
+//
+// It lives in the query's Scratch (see Scratch.Shared). Dense indexes by
+// node, edge and facility id, generation-stamped like the Dijkstra marks,
+// locate memoised records in append-only arenas that keep their capacity
+// from query to query; facility records, keyed by an opaque reference, are
+// indexed by a map that is cleared, not re-made.
 type SharedSource struct {
-	src      Source
-	adj      map[graph.NodeID][]graph.AdjEntry
-	facs     map[uint64][]graph.FacEntry
-	edges    map[graph.EdgeID]graph.EdgeInfo
-	facEdges map[graph.FacilityID]graph.EdgeID
+	src Source
+	dec decoder
+	gen uint32
+	// Id-space bounds of src (the scratch's).
+	nodes, edges, facs int
+
+	adjAt     []span // by node id, into adj
+	edgeAt    []span // by edge id, into infos
+	facEdgeAt []span // by facility id; off is the edge id
+	facAt     map[uint64]span
+
+	adj        []graph.AdjEntry
+	costs      []float64 // the cost vectors of decoded adj entries
+	infos      []graph.EdgeInfo
+	facEntries []graph.FacEntry
 }
 
-// NewSharedSource returns a fresh per-query sharing layer over src.
-func NewSharedSource(src Source) *SharedSource {
-	return &SharedSource{
-		src:      src,
-		adj:      make(map[graph.NodeID][]graph.AdjEntry),
-		facs:     make(map[uint64][]graph.FacEntry),
-		edges:    make(map[graph.EdgeID]graph.EdgeInfo),
-		facEdges: make(map[graph.FacilityID]graph.EdgeID),
+// span locates one memoised record in an arena; it is current where stamp
+// is the memo's generation.
+type span struct{ stamp, off, n uint32 }
+
+// slot returns id's entry of idx, growing an undeclared id space; nil for an
+// id outside a declared one, which only the source itself can report on.
+func slot(idx *[]span, id, limit int) *span {
+	if id >= len(*idx) {
+		if id >= limit {
+			return nil
+		}
+		*idx = grown(*idx, id, limit)
+	}
+	return &(*idx)[id]
+}
+
+// bind empties the memo and puts it over src for one query.
+func (s *SharedSource) bind(src Source, sc *Scratch) {
+	s.src = src
+	s.dec, _ = src.(decoder)
+	s.nodes, s.edges, s.facs = sc.nodes, sc.edges, sc.facs
+	s.adjAt, s.edgeAt, s.facEdgeAt = fit(s.adjAt, s.nodes), fit(s.edgeAt, s.edges), fit(s.facEdgeAt, s.facs)
+	s.adj, s.costs, s.infos, s.facEntries = s.adj[:0], s.costs[:0], s.infos[:0], s.facEntries[:0]
+	if s.facAt == nil {
+		s.facAt = make(map[uint64]span)
+	}
+	clear(s.facAt)
+	s.gen++
+	if s.gen == 0 { // wrap-around: clear the stamps for real, as denseState.bump does
+		clear(s.adjAt[:cap(s.adjAt)])
+		clear(s.edgeAt[:cap(s.edgeAt)])
+		clear(s.facEdgeAt[:cap(s.facEdgeAt)])
+		s.gen = 1
 	}
 }
 
@@ -217,15 +267,26 @@ func (s *SharedSource) Directed() bool { return s.src.Directed() }
 
 // Adjacency implements Source.
 func (s *SharedSource) Adjacency(v graph.NodeID) ([]graph.AdjEntry, error) {
-	if entries, ok := s.adj[v]; ok {
-		return entries, nil
+	at := slot(&s.adjAt, int(v), s.nodes)
+	if at == nil {
+		return s.src.Adjacency(v)
 	}
-	entries, err := s.src.Adjacency(v)
-	if err != nil {
-		return nil, err
+	if at.stamp != s.gen {
+		off := len(s.adj)
+		var entries []graph.AdjEntry
+		var err error
+		if s.dec != nil {
+			s.adj, s.costs, err = s.dec.AppendAdjacency(s.adj, s.costs, v)
+		} else if entries, err = s.src.Adjacency(v); err == nil {
+			s.adj = append(s.adj, entries...)
+		}
+		if err != nil {
+			return nil, err
+		}
+		*at = span{stamp: s.gen, off: uint32(off), n: uint32(len(s.adj) - off)}
 	}
-	s.adj[v] = entries
-	return entries, nil
+	end := at.off + at.n
+	return s.adj[at.off:end:end], nil
 }
 
 // Facilities implements Source.
@@ -233,39 +294,55 @@ func (s *SharedSource) Facilities(facRef uint64, count int) ([]graph.FacEntry, e
 	if facRef == graph.NoFacRef || count == 0 {
 		return nil, nil
 	}
-	if facs, ok := s.facs[facRef]; ok {
-		return facs, nil
+	at, ok := s.facAt[facRef]
+	if !ok {
+		off := len(s.facEntries)
+		var facs []graph.FacEntry
+		var err error
+		if s.dec != nil {
+			s.facEntries, err = s.dec.AppendFacilities(s.facEntries, facRef, count)
+		} else if facs, err = s.src.Facilities(facRef, count); err == nil {
+			s.facEntries = append(s.facEntries, facs...)
+		}
+		if err != nil {
+			return nil, err
+		}
+		at = span{off: uint32(off), n: uint32(len(s.facEntries) - off)}
+		s.facAt[facRef] = at
 	}
-	facs, err := s.src.Facilities(facRef, count)
-	if err != nil {
-		return nil, err
-	}
-	s.facs[facRef] = facs
-	return facs, nil
+	end := at.off + at.n
+	return s.facEntries[at.off:end:end], nil
 }
 
 // FacilityEdge implements Source.
 func (s *SharedSource) FacilityEdge(p graph.FacilityID) (graph.EdgeID, error) {
-	if e, ok := s.facEdges[p]; ok {
-		return e, nil
+	at := slot(&s.facEdgeAt, int(p), s.facs)
+	if at == nil {
+		return s.src.FacilityEdge(p)
 	}
-	e, err := s.src.FacilityEdge(p)
-	if err != nil {
-		return 0, err
+	if at.stamp != s.gen {
+		e, err := s.src.FacilityEdge(p)
+		if err != nil {
+			return 0, err
+		}
+		*at = span{stamp: s.gen, off: uint32(e)}
 	}
-	s.facEdges[p] = e
-	return e, nil
+	return graph.EdgeID(at.off), nil
 }
 
 // EdgeInfo implements Source.
 func (s *SharedSource) EdgeInfo(e graph.EdgeID) (graph.EdgeInfo, error) {
-	if info, ok := s.edges[e]; ok {
-		return info, nil
+	at := slot(&s.edgeAt, int(e), s.edges)
+	if at == nil {
+		return s.src.EdgeInfo(e)
 	}
-	info, err := s.src.EdgeInfo(e)
-	if err != nil {
-		return graph.EdgeInfo{}, err
+	if at.stamp != s.gen {
+		info, err := s.src.EdgeInfo(e)
+		if err != nil {
+			return graph.EdgeInfo{}, err
+		}
+		*at = span{stamp: s.gen, off: uint32(len(s.infos))}
+		s.infos = append(s.infos, info)
 	}
-	s.edges[e] = info
-	return info, nil
+	return s.infos[at.off], nil
 }

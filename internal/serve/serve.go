@@ -283,8 +283,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if shards, ok := s.net.PoolShardStats(); ok {
-		// Per-shard counters expose skew the aggregate hides: a hot page
-		// shows up as one shard carrying most of the logical reads.
+		// One entry: the pool is one replacement domain.
 		out["pool_shards"] = shards
 	}
 	if cs, ok := s.net.ResultCacheStats(); ok {
@@ -298,7 +297,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if shards, ok := s.net.ResultCacheShardStats(); ok {
-		// Same skew diagnosis as pool_shards, one level up: a single hot
+		// Per-shard counters expose skew the aggregate hides: a single hot
 		// query shows as one shard absorbing most hits.
 		out["cache_shards"] = shards
 	}

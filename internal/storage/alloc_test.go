@@ -43,6 +43,26 @@ func TestMissAllocatesNothing(t *testing.T) {
 	}
 }
 
+// A hit allocates nothing either, under the lock (LRU) or without it (CLOCK).
+func TestHitAllocatesNothing(t *testing.T) {
+	dev := stampDevice(t, 8)
+	for _, policy := range []Policy{PolicyClock, PolicyLRU} {
+		pool := NewBufferPool(dev, 4, PoolOptions{Policy: policy})
+		hit := func() {
+			if _, err := readStamp(pool, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hit()
+		if got := testing.AllocsPerRun(1000, hit); got != 0 {
+			t.Errorf("%v: %v allocs per pool hit, want 0", policy, got)
+		}
+		if s := pool.Stats(); s.Physical != 1 {
+			t.Errorf("%v: %v: the gets were not hits", policy, s)
+		}
+	}
+}
+
 // A record that spans a page boundary is assembled in a buffer the cursor
 // borrows and close returns, so re-reading one allocates nothing.
 func TestSpanningRecordAllocatesNothing(t *testing.T) {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -43,16 +41,15 @@ func (s Stats) String() string {
 	return fmt.Sprintf("logical=%d physical=%d hit=%.1f%%", s.Logical, s.Physical, 100*s.HitRate())
 }
 
-// ShardStats is one buffer-pool shard's lifetime counters, for diagnosing
-// shard skew (a hot page concentrating traffic on one lock) in production
-// workloads. Like Stats it is read lock-free from per-shard atomics, so a
+// ShardStats is a buffer pool's lifetime counters in the per-partition form
+// /stats reports them. The pool is one replacement domain, so ShardStats
+// returns one entry. Like Stats it is read lock-free from atomics, so a
 // snapshot taken under traffic is approximate but monotone.
 type ShardStats struct {
-	// Logical counts page requests routed to this shard; Physical the device
-	// reads it issued.
+	// Logical counts page requests; Physical the device reads issued.
 	Logical  int64 `json:"logical"`
 	Physical int64 `json:"physical"`
-	// Hits counts requests served from the shard's frames without waiting on
+	// Hits counts requests served from the pool's frames without waiting on
 	// the device: Logical − Physical − Coalesced.
 	Hits int64 `json:"hits"`
 	// Evictions counts frames displaced by the replacement policy.
@@ -62,16 +59,17 @@ type ShardStats struct {
 	Coalesced int64 `json:"coalesced"`
 }
 
-// Policy selects a shard's replacement algorithm.
+// Policy selects the pool's replacement algorithm.
 type Policy int
 
 const (
 	// PolicyClock is the default: a CLOCK (second-chance) sweep that
-	// approximates LRU while touching only a reference bit on hits.
+	// approximates LRU while touching only a reference bit on hits, so a hit
+	// takes no lock.
 	PolicyClock Policy = iota
-	// PolicyLRU is an exact least-recently-used list per shard — the pre-
-	// sharding pool's behaviour when combined with Shards: 1. It moves list
-	// nodes on every hit, so it is the more contention-prone choice.
+	// PolicyLRU is an exact least-recently-used list — the paper's buffer
+	// (Sec. VI), which mcnbench and the determinism tests run. It moves list
+	// nodes on every hit, so its hits take the pool's lock.
 	PolicyLRU
 )
 
@@ -101,24 +99,22 @@ func ParsePolicy(s string) (Policy, error) {
 
 // PoolOptions tunes a BufferPool beyond its capacity.
 type PoolOptions struct {
-	// Shards is the number of independently locked cache partitions, rounded
-	// down to a power of two and clamped so every shard owns at least one
-	// frame. Zero selects a default based on GOMAXPROCS. One shard with
-	// PolicyLRU reproduces the classic single-mutex LRU pool.
-	Shards int
-	// Policy selects the per-shard replacement algorithm (default clock).
+	// Policy selects the replacement algorithm (default clock).
 	Policy Policy
 	// Retry bounds re-reads of transiently failing pages (see RetryPolicy).
 	// The zero value surfaces every device error immediately.
 	Retry RetryPolicy
 }
 
-// BufferPool is a sharded page cache over a Device. Pages are distributed
-// across power-of-two shards by a hash of their id; each shard has its own
-// lock, frame table and replacement state, so concurrent queries contend
-// only when they touch the same shard. A capacity of zero disables caching
-// entirely (the paper's 0% buffer configuration): every logical read becomes
-// a physical read.
+// BufferPool is a page cache over a Device: one replacement domain of at
+// most capacity frames, so which pages it holds — and the paper's metric,
+// Stats().Physical — depends on the access sequence alone, not on the host's
+// core count. A capacity of zero disables caching entirely (the paper's 0%
+// buffer configuration): every logical read becomes a physical read.
+//
+// One mutex guards the replacement state and the miss path. A CLOCK hit does
+// not take it: a page-indexed table maps every cached page to its frame, and
+// a hit pins the frame it finds there with a compare-and-swap (see GetCtx).
 //
 // The pool is read-only — query processing never mutates the database — and
 // safe for concurrent readers under a pin/unpin contract: Get returns the
@@ -140,51 +136,39 @@ type BufferPool struct {
 	// table), holds the CRC-32C of every covered page, indexed by page id; a
 	// freshly read page that disagrees is classified like a transient device
 	// error and retried.
-	sums   []uint32
-	shift  uint // shard index = hash(id) >> shift
-	shards []poolShard
+	sums []uint32
+	// table maps each cached page id to its frame. Entries change only under
+	// mu; CLOCK hits read them without it. It covers the pages the device
+	// held when the pool was made (the database is read-only); a page beyond
+	// them is read like an uncached one.
+	table []atomic.Pointer[Frame]
 
-	// I/O failure counters (see FailureStats); pool-global because failures
-	// are rare enough that shard-striping them would buy nothing.
-	retries       atomic.Int64
-	failTransient atomic.Int64
-	failPermanent atomic.Int64
-	checksumErrs  atomic.Int64
-}
-
-// poolShard is one cache partition. Its counters are updated with atomics
-// and read lock-free; everything below mu is guarded by mu.
-type poolShard struct {
 	logical   atomic.Int64
 	physical  atomic.Int64
 	evictions atomic.Int64
 	coalesced atomic.Int64
-	cached    atomic.Int64 // len(frames), mirrored for lock-free Len
+	cached    atomic.Int64 // pages in the table, for lock-free Len
 
-	mu     sync.Mutex
-	cap    int
-	policy Policy
-	// frames maps the cached pages to their frames; inflight the pages being
-	// read to the frame their leader is filling. Every frame on the clock
-	// ring or LRU list is either cached or pinned by the leader reading into
-	// it.
-	frames   map[PageID]*Frame
+	// I/O failure counters (see FailureStats).
+	retries       atomic.Int64
+	failTransient atomic.Int64
+	failPermanent atomic.Int64
+	checksumErrs  atomic.Int64
+
+	mu sync.Mutex
+	// inflight maps the pages being read to the frame their leader is
+	// filling. Every frame on the ring is either cached or claimed by the
+	// leader reading into it.
 	inflight map[PageID]*Frame
-	// free holds frames that carry no page (after Drop or a failed read);
-	// nframes counts the frames allocated so far, at most cap.
+	// free holds claimed frames that carry no page (after Drop or a failed
+	// read); nframes counts the frames allocated so far, at most cap.
 	free    []*Frame
 	nframes int
 
-	// Clock state: a ring of frames and the sweep hand.
+	// The ring of frames, the CLOCK sweep hand, and the LRU use counter.
 	slots []*Frame
 	hand  int
-
-	// LRU state: head is most recently used.
-	head, tail *Frame
-
-	// pad keeps neighbouring shards off one cache line, so shard counters
-	// updated by different cores do not false-share.
-	_ [64]byte
+	tick  uint64
 }
 
 // Frame is one page buffer of a pool, handed to readers pinned: Data stays
@@ -194,17 +178,18 @@ type poolShard struct {
 type Frame struct {
 	id   PageID
 	data []byte
-	// pins counts the readers using data. It is raised only under the owning
-	// shard's lock (a hit, a leader taking the frame, a leader pinning for
-	// its waiters) and dropped lock-free by Release, so a frame the victim
-	// search sees unpinned under that lock has no reader left.
+	// pins counts the readers using data, or is −1 while the pool has the
+	// frame claimed: a victim being refilled, or a spare. Readers pin with
+	// tryPin, which refuses a claimed frame, and Release lock-free; the pool
+	// claims only unpinned frames (0 → −1) and only under its lock, and a
+	// frame stays claimed while it is filled, so no reader can pin a
+	// half-read page through a stale table entry.
 	pins atomic.Int32
 	// transient marks a buffer borrowed from framePool because the pool has
-	// no capacity or every frame of the shard was pinned; the last Release
-	// returns it.
-	transient  bool
-	ref        bool // clock reference bit
-	prev, next *Frame
+	// no capacity or every frame is pinned; the last Release returns it.
+	transient bool
+	ref       atomic.Bool // clock reference bit, set by lock-free hits
+	used      uint64      // LRU: the pool's tick at the last use
 	// wait is non-nil while readers are blocked on the read into this frame.
 	wait *coalesced
 }
@@ -223,86 +208,61 @@ func (f *Frame) Release() {
 	}
 }
 
-// take hands an unpinned frame to the reader about to fill it with page id.
+// tryPin pins f unless the pool has claimed it.
+func (f *Frame) tryPin() bool {
+	for {
+		n := f.pins.Load()
+		if n < 0 {
+			return false
+		}
+		if f.pins.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// claim takes an unpinned frame away from readers. Caller holds mu.
+func (f *Frame) claim() bool { return f.pins.CompareAndSwap(0, -1) }
+
+// take hands a borrowed buffer to the reader about to fill it with page id.
 func (f *Frame) take(id PageID) {
-	f.id, f.ref = id, false
+	f.id = id
 	f.pins.Store(1)
 }
 
-// framePool lends page buffers to reads that no shard frame can hold.
+// framePool lends page buffers to reads that no pool frame can hold.
 var framePool = sync.Pool{New: func() any {
 	return &Frame{data: make([]byte, PageSize), transient: true}
 }}
 
 // coalesced is the rendezvous of one in-flight read that other readers wait
-// for: the leader fills f/err and closes done while holding the shard lock.
+// for: the leader fills f/err and closes done while holding the pool lock.
 // It is allocated by the first waiter, so an uncontended miss allocates
 // nothing.
 type coalesced struct {
 	done chan struct{}
-	n    int // waiters still interested (guarded by the shard lock)
+	n    int // waiters still interested (guarded by the pool lock)
 	f    *Frame
 	err  error
 }
 
-// defaultShards picks the shard count for PoolOptions{Shards: 0}: enough
-// partitions that GOMAXPROCS concurrent queries rarely collide, capped to
-// keep per-shard capacities meaningful.
-func defaultShards() int {
-	n := 4 * runtime.GOMAXPROCS(0)
-	if n > 64 {
-		n = 64
-	}
-	return n
-}
-
-// floorPow2 returns the largest power of two <= n (n >= 1).
-func floorPow2(n int) int { return 1 << (bits.Len(uint(n)) - 1) }
-
 // NewBufferPool returns a pool holding at most capacity pages. At most one
-// PoolOptions value may be passed; omitting it selects the clock policy with
-// a GOMAXPROCS-derived shard count.
+// PoolOptions value may be passed; omitting it selects the clock policy.
 func NewBufferPool(dev Device, capacity int, opts ...PoolOptions) *BufferPool {
 	var o PoolOptions
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	if capacity < 0 {
-		capacity = 0
-	}
-	n := o.Shards
-	if n <= 0 {
-		n = defaultShards()
-	}
-	n = floorPow2(n)
-	if capacity > 0 && n > capacity {
-		n = floorPow2(capacity)
-	}
-	if capacity == 0 {
-		n = 1
-	}
+	capacity = max(capacity, 0)
 	b := &BufferPool{
-		dev:    dev,
-		cap:    capacity,
-		policy: o.Policy,
-		retry:  o.Retry.withDefaults(),
-		shift:  uint(32 - bits.Len(uint(n-1))),
-		shards: make([]poolShard, n),
+		dev:      dev,
+		cap:      capacity,
+		policy:   o.Policy,
+		retry:    o.Retry.withDefaults(),
+		inflight: make(map[PageID]*Frame),
 	}
-	if n == 1 {
-		b.shift = 32
-	}
-	for i := range b.shards {
-		s := &b.shards[i]
-		// Distribute capacity as evenly as possible; the first capacity%n
-		// shards take the remainder.
-		s.cap = capacity / n
-		if i < capacity%n {
-			s.cap++
-		}
-		s.policy = o.Policy
-		s.frames = make(map[PageID]*Frame, s.cap)
-		s.inflight = make(map[PageID]*Frame)
+	if capacity > 0 {
+		b.table = make([]atomic.Pointer[Frame], dev.NumPages())
 	}
 	return b
 }
@@ -314,116 +274,65 @@ func NewBufferPoolFrac(dev Device, frac float64, opts ...PoolOptions) *BufferPoo
 	return NewBufferPool(dev, int(frac*float64(dev.NumPages())), opts...)
 }
 
-// shard maps a page id to its partition with a Fibonacci hash, so the
-// sequential page numbers of one file extent spread across shards.
-func (b *BufferPool) shard(id PageID) *poolShard {
-	if b.shift >= 32 {
-		return &b.shards[0]
-	}
-	return &b.shards[(uint32(id)*2654435761)>>b.shift]
-}
-
 // Capacity returns the pool's total page capacity.
 func (b *BufferPool) Capacity() int { return b.cap }
 
-// Shards returns the number of cache partitions.
-func (b *BufferPool) Shards() int { return len(b.shards) }
-
-// Policy returns the replacement policy.
-func (b *BufferPool) Policy() Policy { return b.policy }
-
 // Stats returns the access counters accumulated since the last ResetStats.
-// The counters are read lock-free (per-shard atomics summed one shard at a
-// time), so a snapshot taken during concurrent traffic is approximate: it
-// may interleave with in-flight reads, though each counter — and any
-// sequence of snapshots — remains monotonically non-decreasing. Stats never
-// blocks or delays Get callers.
+// The counters are read lock-free, so a snapshot taken during concurrent
+// traffic is approximate: it may interleave with in-flight reads, though
+// each counter — and any sequence of snapshots — remains monotonically
+// non-decreasing. Stats never blocks or delays Get callers.
 func (b *BufferPool) Stats() Stats {
-	var s Stats
-	for i := range b.shards {
-		// Physical is loaded before logical: every physical increment is
-		// preceded by its logical increment in Get, so this order guarantees
-		// a snapshot never shows Physical > Logical.
-		s.Physical += b.shards[i].physical.Load()
-		s.Logical += b.shards[i].logical.Load()
-	}
-	return s
+	// Physical is loaded before logical: every physical increment is
+	// preceded by its logical increment in Get, so this order guarantees a
+	// snapshot never shows Physical > Logical.
+	ph := b.physical.Load()
+	return Stats{Logical: b.logical.Load(), Physical: ph}
 }
 
-// ShardStats returns one entry per cache partition, in shard order. The
-// per-shard counters expose skew that the aggregate Stats hides: a popular
-// page shows up as one shard carrying a disproportionate share of Logical
-// (and, under churn, Evictions). Lock-free, like Stats.
+// ShardStats returns the pool's counters as the one entry of a per-partition
+// report. Lock-free, like Stats.
 func (b *BufferPool) ShardStats() []ShardStats {
-	out := make([]ShardStats, len(b.shards))
-	for i := range b.shards {
-		s := &b.shards[i]
-		// Load order mirrors Stats: increments happen logical-first, so a
-		// snapshot never shows more work than was requested.
-		ev := s.evictions.Load()
-		co := s.coalesced.Load()
-		ph := s.physical.Load()
-		lo := s.logical.Load()
-		hits := lo - ph - co
-		if hits < 0 {
-			hits = 0 // racing snapshot: reads landed between counter updates
-		}
-		out[i] = ShardStats{Logical: lo, Physical: ph, Hits: hits, Evictions: ev, Coalesced: co}
-	}
-	return out
+	// Load order mirrors Stats: increments happen logical-first, so a
+	// snapshot never shows more work than was requested.
+	ev := b.evictions.Load()
+	co := b.coalesced.Load()
+	ph := b.physical.Load()
+	lo := b.logical.Load()
+	hits := max(lo-ph-co, 0) // a racing snapshot may see reads between counter updates
+	return []ShardStats{{Logical: lo, Physical: ph, Hits: hits, Evictions: ev, Coalesced: co}}
 }
 
 // ResetStats zeroes the access counters without evicting cached pages. Like
 // Stats it is lock-free; resets concurrent with traffic land between
 // individual counter updates.
 func (b *BufferPool) ResetStats() {
-	for i := range b.shards {
-		b.shards[i].logical.Store(0)
-		b.shards[i].physical.Store(0)
-		b.shards[i].evictions.Store(0)
-		b.shards[i].coalesced.Store(0)
-	}
+	b.logical.Store(0)
+	b.physical.Store(0)
+	b.evictions.Store(0)
+	b.coalesced.Store(0)
 }
 
 // Len returns the number of cached pages (lock-free, approximate during
 // concurrent inserts).
-func (b *BufferPool) Len() int {
-	var n int64
-	for i := range b.shards {
-		n += b.shards[i].cached.Load()
-	}
-	return int(n)
-}
+func (b *BufferPool) Len() int { return int(b.cached.Load()) }
 
 // Drop evicts every cached page no reader has pinned (a cold restart)
 // without touching counters. A pinned frame keeps its page and its buffer —
 // its reader is still decoding it — and becomes evictable on Release.
 func (b *BufferPool) Drop() {
-	for i := range b.shards {
-		s := &b.shards[i]
-		s.mu.Lock()
-		spare := func(f *Frame) bool {
-			if f.pins.Load() > 0 {
-				return false
-			}
-			delete(s.frames, f.id)
-			s.free = append(s.free, f)
-			return true
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	spare := func(f *Frame) bool {
+		if !f.claim() {
+			return false // pinned, or being read into
 		}
-		if s.policy == PolicyClock {
-			s.slots, s.hand = slices.DeleteFunc(s.slots, spare), 0
-		} else {
-			for f := s.head; f != nil; {
-				next := f.next
-				if spare(f) {
-					s.unlink(f)
-				}
-				f = next
-			}
-		}
-		s.cached.Store(int64(len(s.frames)))
-		s.mu.Unlock()
+		b.table[f.id].Store(nil)
+		b.cached.Add(-1)
+		b.free = append(b.free, f)
+		return true
 	}
+	b.slots, b.hand = slices.DeleteFunc(b.slots, spare), 0
 }
 
 // Get returns page id pinned in a frame; see GetCtx.
@@ -440,13 +349,13 @@ func (b *BufferPool) Get(id PageID) (*Frame, error) {
 // retry schedule to completion under its own ctx, so one waiter's
 // cancellation never fails the read for the others.
 func (b *BufferPool) GetCtx(ctx context.Context, id PageID) (*Frame, error) {
-	s := b.shard(id)
-	s.logical.Add(1)
-	if b.cap == 0 {
-		// Caching disabled: every logical read is a physical read, by
-		// definition of the paper's 0% buffer configuration (no coalescing
-		// either — the counters must stay equal).
-		s.physical.Add(1)
+	b.logical.Add(1)
+	if int(id) >= len(b.table) {
+		// Caching disabled (the table is empty): every logical read is a
+		// physical read, by definition of the paper's 0% buffer
+		// configuration (no coalescing either — the counters must stay
+		// equal). Also a page the device did not hold at construction.
+		b.physical.Add(1)
 		f := framePool.Get().(*Frame)
 		f.take(id)
 		if err := b.readPage(ctx, id, f.data); err != nil {
@@ -456,57 +365,78 @@ func (b *BufferPool) GetCtx(ctx context.Context, id PageID) (*Frame, error) {
 		return f, nil
 	}
 
-	s.mu.Lock()
-	if f, ok := s.frames[id]; ok {
-		s.touch(f)
+	if b.policy == PolicyClock {
+		// A hit without the lock: pin the frame the table maps id to, and
+		// keep it only if it still holds id — between the load and the pin
+		// it may have been claimed, refilled with another page and released.
+		if f := b.table[id].Load(); f != nil && f.tryPin() {
+			if f.id == id {
+				if !f.ref.Load() {
+					f.ref.Store(true)
+				}
+				return f, nil
+			}
+			f.Release()
+		}
+	}
+
+	b.mu.Lock()
+	if f := b.table[id].Load(); f != nil {
+		// Under the lock a mapped frame is never claimed.
+		b.touch(f)
 		f.pins.Add(1)
-		s.mu.Unlock()
+		b.mu.Unlock()
 		return f, nil
 	}
-	if lead, ok := s.inflight[id]; ok {
+	if lead, ok := b.inflight[id]; ok {
 		// Another query is already reading this page; share its read —
 		// including the outcome of any retries the leader performs.
-		return b.join(ctx, s, lead, id)
+		return b.join(ctx, lead, id)
 	}
-	// Miss: take the victim's frame out of the frame table now and read
-	// into its buffer outside the lock. The leader's pin keeps the frame
-	// from being chosen again while the read is in flight.
-	f := s.acquire()
+	// Miss: claim the victim's frame now and read into its buffer outside
+	// the lock. The claim keeps the frame from being chosen again, or pinned
+	// through a stale table entry, while the read is in flight.
+	f := b.acquire()
 	if f == nil {
-		f = framePool.Get().(*Frame) // every frame of the shard is pinned
+		f = framePool.Get().(*Frame) // every frame is pinned
+		f.take(id)
+	} else {
+		f.id = id
+		b.touch(f)
+		f.ref.Store(false) // a newcomer's bit starts clear
 	}
-	f.take(id)
-	s.inflight[id] = f
-	s.physical.Add(1)
-	s.mu.Unlock()
+	b.inflight[id] = f
+	b.physical.Add(1)
+	b.mu.Unlock()
 
 	err := b.readPage(ctx, id, f.data)
 
-	s.mu.Lock()
+	b.mu.Lock()
 	w := f.wait
 	f.wait = nil
-	delete(s.inflight, id)
+	delete(b.inflight, id)
+	var waiters int32
+	if w != nil && err == nil {
+		waiters = int32(w.n) // one pin per waiter, taken on its behalf
+	}
 	switch {
+	case f.transient && err != nil:
+		f.Release() // nothing to install; the last Release returns the buffer
 	case f.transient:
-		// Nothing to install; the last Release returns the buffer.
-		if err != nil {
-			f.Release()
-		}
+		f.pins.Add(waiters)
 	case err != nil:
 		// The frame carries no page: a failure never poisons the table.
-		s.discard(f)
+		b.discard(f)
 	default:
-		s.frames[id] = f
-		s.cached.Store(int64(len(s.frames)))
+		f.pins.Store(1 + waiters)
+		b.table[id].Store(f)
+		b.cached.Add(1)
 	}
 	if w != nil {
-		if err == nil {
-			f.pins.Add(int32(w.n)) // one pin per waiter, taken on its behalf
-		}
 		w.f, w.err = f, err
 		close(w.done)
 	}
-	s.mu.Unlock()
+	b.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -514,34 +444,34 @@ func (b *BufferPool) GetCtx(ctx context.Context, id PageID) (*Frame, error) {
 }
 
 // join waits for the in-flight read led by lead and returns its frame with a
-// pin the leader took for this waiter. The caller holds s.mu; join unlocks.
+// pin the leader took for this waiter. The caller holds b.mu; join unlocks.
 // A cancelled waiter leaves early; the leader's read still completes and
 // populates the frame.
-func (b *BufferPool) join(ctx context.Context, s *poolShard, lead *Frame, id PageID) (*Frame, error) {
+func (b *BufferPool) join(ctx context.Context, lead *Frame, id PageID) (*Frame, error) {
 	w := lead.wait
 	if w == nil {
 		w = &coalesced{done: make(chan struct{})}
 		lead.wait = w
 	}
 	w.n++
-	s.coalesced.Add(1)
-	s.mu.Unlock()
+	b.coalesced.Add(1)
+	b.mu.Unlock()
 	if ctx != nil {
 		select {
 		case <-w.done:
 		case <-ctx.Done():
 			// Withdraw; if the leader finished first it already pinned the
 			// frame for this waiter, and that pin goes back.
-			s.mu.Lock()
+			b.mu.Lock()
 			select {
 			case <-w.done:
-				s.mu.Unlock()
+				b.mu.Unlock()
 				if w.err == nil {
 					w.f.Release()
 				}
 			default:
 				w.n--
-				s.mu.Unlock()
+				b.mu.Unlock()
 			}
 			return nil, fmt.Errorf("storage: page %d: coalesced read abandoned: %w", id, ctx.Err())
 		}
@@ -626,132 +556,93 @@ func (b *BufferPool) readPage(ctx context.Context, id PageID, data []byte) error
 	}
 }
 
-// touch records a hit under the shard lock.
-func (s *poolShard) touch(f *Frame) {
-	if s.policy == PolicyClock {
-		f.ref = true
-		return
-	}
-	s.moveToFront(f)
+// touch records a use under the lock.
+func (b *BufferPool) touch(f *Frame) {
+	b.tick++
+	f.used = b.tick
+	f.ref.Store(true)
 }
 
-// acquire returns an unpinned frame for a new page, placed where the policy
-// puts a newcomer: a spare frame, a fresh one while the shard is below
-// capacity, otherwise the policy's victim, taken out of the frame table. It
-// returns nil when every frame is pinned. Caller holds mu.
-func (s *poolShard) acquire() *Frame {
+// acquire returns a claimed frame for a new page: a spare frame or a fresh
+// one while the pool is below capacity, entering the ring just behind the
+// hand, otherwise the policy's victim, taken out of the table. It returns
+// nil when every frame is pinned. Caller holds mu.
+func (b *BufferPool) acquire() *Frame {
 	var f *Frame
-	switch n := len(s.free); {
+	switch n := len(b.free); {
 	case n > 0:
-		f, s.free = s.free[n-1], s.free[:n-1]
-	case s.nframes < s.cap:
+		f, b.free = b.free[n-1], b.free[:n-1]
+	case b.nframes < b.cap:
 		f = &Frame{data: make([]byte, PageSize)}
-		s.nframes++
-	case s.policy == PolicyClock:
-		return s.evictClock()
+		f.pins.Store(-1)
+		b.nframes++
+	case b.policy == PolicyClock:
+		return b.evictClock()
 	default:
-		return s.evictLRU()
+		return b.evictLRU()
 	}
-	if s.policy == PolicyClock {
-		s.slots = append(s.slots, f)
-	} else {
-		s.pushFront(f)
-	}
+	b.slots = append(b.slots, f)
 	return f
 }
 
-// discard takes a frame that carries no page off the ring or list and keeps
+// discard takes a claimed frame that carries no page off the ring and keeps
 // it spare. Caller holds mu.
-func (s *poolShard) discard(f *Frame) {
-	if s.policy == PolicyClock {
-		i := slices.Index(s.slots, f)
-		s.slots = slices.Delete(s.slots, i, i+1)
-		if i < s.hand {
-			s.hand--
-		}
-		if s.hand >= len(s.slots) {
-			s.hand = 0
-		}
-	} else {
-		s.unlink(f)
+func (b *BufferPool) discard(f *Frame) {
+	i := slices.Index(b.slots, f)
+	b.slots = slices.Delete(b.slots, i, i+1)
+	if i < b.hand {
+		b.hand--
 	}
-	f.pins.Store(0)
-	s.free = append(s.free, f)
+	if b.hand >= len(b.slots) {
+		b.hand = 0
+	}
+	b.free = append(b.free, f)
 }
 
-// evict removes the victim's page from the frame table.
-func (s *poolShard) evict(f *Frame) {
-	s.evictions.Add(1)
-	delete(s.frames, f.id)
-	s.cached.Store(int64(len(s.frames)))
+// evict removes a claimed victim's page from the table.
+func (b *BufferPool) evict(f *Frame) {
+	b.evictions.Add(1)
+	b.table[f.id].Store(nil)
+	b.cached.Add(-1)
 }
 
-// evictClock sweeps the hand past pinned frames and referenced ones
-// (clearing their bit — the second chance) until it finds a victim, which
-// keeps its slot for the new page: newcomers enter with the bit clear just
-// behind the hand, so they survive a full rotation before becoming eviction
-// candidates. Two rotations without a victim mean every frame is pinned.
-func (s *poolShard) evictClock() *Frame {
-	for n := 2 * len(s.slots); n > 0; n-- {
-		f := s.slots[s.hand]
-		s.hand++
-		if s.hand == len(s.slots) {
-			s.hand = 0
+// evictClock sweeps the hand past pinned and claimed frames and referenced
+// ones (clearing their bit — the second chance) until it claims a victim,
+// which keeps its slot for the new page: newcomers enter with the bit clear
+// just behind the hand, so they survive a full rotation before becoming
+// eviction candidates. Two rotations without a victim mean every frame is
+// pinned.
+func (b *BufferPool) evictClock() *Frame {
+	for n := 2 * len(b.slots); n > 0; n-- {
+		f := b.slots[b.hand]
+		b.hand++
+		if b.hand == len(b.slots) {
+			b.hand = 0
 		}
 		switch {
-		case f.pins.Load() > 0:
-		case f.ref:
-			f.ref = false
-		default:
-			s.evict(f)
+		case f.pins.Load() != 0:
+		case f.ref.Load():
+			f.ref.Store(false)
+		case f.claim(): // fails if a lock-free hit pinned it just now
+			b.evict(f)
 			return f
 		}
 	}
 	return nil
 }
 
-// evictLRU takes the least recently used unpinned frame and moves it to the
-// front for the new page.
-func (s *poolShard) evictLRU() *Frame {
-	for f := s.tail; f != nil; f = f.prev {
-		if f.pins.Load() == 0 {
-			s.evict(f)
-			s.moveToFront(f)
-			return f
+// evictLRU claims the unpinned frame whose last use is oldest. LRU hits
+// take the lock, so no frame it sees unpinned can be pinned before the claim.
+func (b *BufferPool) evictLRU() *Frame {
+	var victim *Frame
+	for _, f := range b.slots {
+		if f.pins.Load() == 0 && (victim == nil || f.used < victim.used) {
+			victim = f
 		}
 	}
-	return nil
-}
-
-func (s *poolShard) pushFront(f *Frame) {
-	f.prev = nil
-	f.next = s.head
-	if s.head != nil {
-		s.head.prev = f
+	if victim == nil || !victim.claim() {
+		return nil
 	}
-	s.head = f
-	if s.tail == nil {
-		s.tail = f
-	}
-}
-
-func (s *poolShard) unlink(f *Frame) {
-	if f.prev != nil {
-		f.prev.next = f.next
-	} else {
-		s.head = f.next
-	}
-	if f.next != nil {
-		f.next.prev = f.prev
-	} else {
-		s.tail = f.prev
-	}
-	f.prev, f.next = nil, nil
-}
-
-func (s *poolShard) moveToFront(f *Frame) {
-	if s.head != f {
-		s.unlink(f)
-		s.pushFront(f)
-	}
+	b.evict(victim)
+	return victim
 }

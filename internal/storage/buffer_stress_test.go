@@ -1,17 +1,17 @@
 package storage
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 )
 
-// Stress test for the sharded pool under -race: workers hammer a mix of hot
-// pages (always resident after warmup) and a cold tail (constant eviction
-// churn). A pinned frame must keep its page — a reader holding one while
-// the other workers evict around it must still see the right contents.
+// Stress test for the pool under -race: workers hammer a mix of hot pages
+// (always resident after warmup, so CLOCK serves them without the lock) and
+// a cold tail (constant eviction churn). A pinned frame must keep its page —
+// a reader holding one while the other workers evict around it must still
+// see the right contents.
 func TestBufferPoolStressMixedHotCold(t *testing.T) {
 	const (
 		pages   = 512
@@ -20,15 +20,9 @@ func TestBufferPoolStressMixedHotCold(t *testing.T) {
 		steps   = 4000
 	)
 	dev := stampDevice(t, pages)
-	for _, opt := range []PoolOptions{
-		{},                  // default: sharded clock, coalescing
-		{Shards: 1},         // single shard exercises one-lock interleavings
-		{Policy: PolicyLRU}, // sharded LRU
-		{Shards: 4, Policy: PolicyLRU},
-	} {
-		opt := opt
-		t.Run(fmt.Sprintf("shards=%d_policy=%v", opt.Shards, opt.Policy), func(t *testing.T) {
-			pool := NewBufferPool(dev, 64, opt)
+	for _, policy := range []Policy{PolicyClock, PolicyLRU} {
+		t.Run(policy.String(), func(t *testing.T) {
+			pool := NewBufferPool(dev, 64, PoolOptions{Policy: policy})
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
@@ -192,9 +186,9 @@ func TestBufferPoolCoalescedReadError(t *testing.T) {
 	}
 }
 
-// BenchmarkBufferPoolParallel compares page-get throughput of the classic
-// single-mutex LRU pool against the sharded clock pool under parallel load
-// (go test -bench BufferPoolParallel -cpu 1,2,4,8).
+// BenchmarkBufferPoolParallel compares page-get throughput of the two
+// policies under parallel load: LRU takes the lock on every hit, CLOCK hits
+// take none (go test -bench BufferPoolParallel -cpu 1,2,4,8).
 func BenchmarkBufferPoolParallel(b *testing.B) {
 	const pages = 4096
 	dev := NewMemDevice()
@@ -208,15 +202,9 @@ func BenchmarkBufferPoolParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	for _, cfg := range []struct {
-		name string
-		opts PoolOptions
-	}{
-		{"mutexLRU", PoolOptions{Shards: 1, Policy: PolicyLRU}},
-		{"shardedClock", PoolOptions{}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			pool := NewBufferPool(dev, pages/4, cfg.opts)
+	for _, policy := range []Policy{PolicyLRU, PolicyClock} {
+		b.Run(policy.String(), func(b *testing.B) {
+			pool := NewBufferPool(dev, pages/4, PoolOptions{Policy: policy})
 			b.ReportAllocs()
 			b.RunParallel(func(pb *testing.PB) {
 				rng := rand.New(rand.NewSource(42))

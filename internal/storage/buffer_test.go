@@ -67,7 +67,7 @@ func TestBufferPoolHitAndMiss(t *testing.T) {
 
 func TestBufferPoolLRUEviction(t *testing.T) {
 	dev := stampDevice(t, 5)
-	pool := NewBufferPool(dev, 2, PoolOptions{Shards: 1, Policy: PolicyLRU})
+	pool := NewBufferPool(dev, 2, PoolOptions{Policy: PolicyLRU})
 	mustGet := func(id PageID) {
 		t.Helper()
 		if _, err := readStamp(pool, id); err != nil {
@@ -142,13 +142,12 @@ func TestBufferPoolResetAndDrop(t *testing.T) {
 	}
 }
 
-// Model-based test: a single-shard LRU pool must behave exactly like a
-// reference LRU (the pre-sharding pool's semantics).
+// Model-based test: an LRU pool must behave exactly like a reference LRU.
 func TestBufferPoolMatchesReferenceLRU(t *testing.T) {
 	const pages = 30
 	dev := stampDevice(t, pages)
 	for _, capacity := range []int{1, 2, 7, 30} {
-		pool := NewBufferPool(dev, capacity, PoolOptions{Shards: 1, Policy: PolicyLRU})
+		pool := NewBufferPool(dev, capacity, PoolOptions{Policy: PolicyLRU})
 		var ref []PageID // ref[0] is MRU
 		rng := rand.New(rand.NewSource(int64(capacity)))
 		for step := 0; step < 3000; step++ {
@@ -184,13 +183,13 @@ func TestBufferPoolMatchesReferenceLRU(t *testing.T) {
 	}
 }
 
-// Model-based test: a single-shard clock pool must behave exactly like a
-// reference CLOCK (second-chance) cache.
+// Model-based test: a clock pool must behave exactly like a reference CLOCK
+// (second-chance) cache.
 func TestBufferPoolMatchesReferenceClock(t *testing.T) {
 	const pages = 30
 	dev := stampDevice(t, pages)
 	for _, capacity := range []int{1, 2, 7, 30} {
-		pool := NewBufferPool(dev, capacity, PoolOptions{Shards: 1, Policy: PolicyClock})
+		pool := NewBufferPool(dev, capacity, PoolOptions{Policy: PolicyClock})
 
 		// Reference clock: fixed slots, a hand, and per-slot ref bits.
 		type slot struct {
@@ -244,64 +243,6 @@ func TestBufferPoolMatchesReferenceClock(t *testing.T) {
 	}
 }
 
-// Sharded pools must respect their total capacity, hash every page to a
-// stable shard, and keep serving correct contents through eviction churn.
-func TestBufferPoolSharded(t *testing.T) {
-	const pages = 256
-	dev := stampDevice(t, pages)
-	for _, shards := range []int{2, 4, 8} {
-		pool := NewBufferPool(dev, 32, PoolOptions{Shards: shards})
-		if got := pool.Shards(); got != shards {
-			t.Fatalf("Shards() = %d, want %d", got, shards)
-		}
-		rng := rand.New(rand.NewSource(int64(shards)))
-		for step := 0; step < 5000; step++ {
-			id := PageID(rng.Intn(pages))
-			stamp, err := readStamp(pool, id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stamp != uint32(id) {
-				t.Fatalf("shards=%d: page %d returned stamp %d", shards, id, stamp)
-			}
-			if n := pool.Len(); n > 32 {
-				t.Fatalf("shards=%d: pool holds %d pages, capacity 32", shards, n)
-			}
-		}
-		s := pool.Stats()
-		if s.Logical != 5000 {
-			t.Errorf("shards=%d: logical = %d, want 5000", shards, s.Logical)
-		}
-		if s.Physical < int64(pages-32) || s.Physical > s.Logical {
-			t.Errorf("shards=%d: implausible physical count %d", shards, s.Physical)
-		}
-	}
-}
-
-// Shard counts are clamped so every shard owns at least one frame: a tiny
-// pool must not silently disable caching for pages hashed to empty shards.
-func TestBufferPoolShardClamp(t *testing.T) {
-	dev := stampDevice(t, 64)
-	pool := NewBufferPool(dev, 3, PoolOptions{Shards: 64})
-	if got := pool.Shards(); got != 2 {
-		t.Fatalf("Shards() = %d, want 2 (clamped by capacity 3)", got)
-	}
-	for i := 0; i < 64; i++ {
-		if _, err := readStamp(pool, PageID(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := pool.Len(); n != 3 {
-		t.Errorf("Len = %d, want full capacity 3", n)
-	}
-
-	// A zero-capacity pool collapses to one shard and caches nothing.
-	empty := NewBufferPool(dev, 0, PoolOptions{Shards: 16})
-	if got := empty.Shards(); got != 1 {
-		t.Errorf("zero-capacity Shards() = %d, want 1", got)
-	}
-}
-
 func TestParsePolicy(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -320,12 +261,12 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-// TestShardStats: the per-shard counters must sum to the aggregate Stats,
-// count hits/evictions/coalesced correctly on a single-shard pool where the
-// access pattern is fully predictable, and zero out with ResetStats.
+// TestShardStats: the one per-partition entry must agree with the aggregate
+// Stats, count hits/evictions/coalesced correctly where the access pattern is
+// fully predictable, and zero out with ResetStats.
 func TestShardStats(t *testing.T) {
 	dev := stampDevice(t, 6)
-	pool := NewBufferPool(dev, 2, PoolOptions{Shards: 1, Policy: PolicyLRU})
+	pool := NewBufferPool(dev, 2, PoolOptions{Policy: PolicyLRU})
 
 	mustGet := func(id PageID) {
 		t.Helper()
@@ -362,12 +303,12 @@ func TestShardStats(t *testing.T) {
 }
 
 // TestShardStatsCoalesced: concurrent readers of one cold page on a slow
-// device must record coalesced waits, and the multi-shard sum must match
-// the aggregate counters.
+// device must record coalesced waits, and the entry must match the
+// aggregate counters.
 func TestShardStatsCoalesced(t *testing.T) {
 	dev := stampDevice(t, 64)
 	slow := NewLatencyDevice(dev, 2*time.Millisecond, 2)
-	pool := NewBufferPool(slow, 32, PoolOptions{Shards: 4})
+	pool := NewBufferPool(slow, 32)
 
 	const readers = 8
 	start := make(chan struct{}) // gate: maximise overlap on the cold page

@@ -2,7 +2,7 @@
 // paper (Fig. 2): adjacency-list records, the facility records of each edge,
 // an adjacency tree locating a node's record, and a facility tree mapping
 // facilities to their edges — all laid out on fixed-size pages behind a
-// sharded clock-sweep buffer pool that counts logical and physical reads. An
+// clock-sweep buffer pool that counts logical and physical reads. An
 // additional edge tree (edge → first end-node) supports query
 // initialisation at arbitrary network locations.
 //

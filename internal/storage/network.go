@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"mcn/internal/graph"
 	"mcn/internal/index"
@@ -14,7 +15,7 @@ import (
 // Network is a read handle to a disk-resident MCN database. It satisfies the
 // network-source interface consumed by the expansion engine, so LSA and CEA
 // run against it directly; every adjacency-tree, facility-tree and data-file
-// access goes through the sharded buffer pool.
+// access goes through the buffer pool.
 type Network struct {
 	pool     *BufferPool
 	hdr      *header
@@ -46,14 +47,14 @@ func (n *Network) WithReadContext(ctx context.Context) *Network {
 
 // Open prepares a network handle over dev with a buffer pool holding
 // bufferFrac of the database pages (the paper's cache-size parameter; 0
-// disables caching) under the default pool options (sharded clock cache
-// with miss coalescing).
+// disables caching) under the default pool options (clock cache with
+// lock-free hits and miss coalescing).
 func Open(dev Device, bufferFrac float64) (*Network, error) {
 	return OpenOptions(dev, bufferFrac, PoolOptions{})
 }
 
-// OpenOptions is Open with explicit buffer-pool tuning (shard count,
-// replacement policy, read retries).
+// OpenOptions is Open with explicit buffer-pool tuning (replacement policy,
+// read retries).
 func OpenOptions(dev Device, bufferFrac float64, opts PoolOptions) (*Network, error) {
 	pool := NewBufferPoolFrac(dev, bufferFrac, opts)
 	return OpenWithPool(dev, pool)
@@ -224,47 +225,64 @@ func decodeArc(arc []byte, e *graph.AdjEntry, w vec.Costs) {
 }
 
 // Adjacency returns the adjacency list of v: one entry per outgoing arc with
-// the edge's full cost vector and its facility-record pointer. The entries
-// are decoded in place from the pinned page into one slice whose cost
-// vectors share one slab; both are the caller's to keep.
+// the edge's full cost vector and its facility-record pointer, in one slice
+// whose cost vectors share one slab; both are the caller's to keep.
 func (n *Network) Adjacency(v graph.NodeID) ([]graph.AdjEntry, error) {
+	entries, _, err := n.AppendAdjacency(nil, nil, v)
+	return entries, err
+}
+
+// AppendAdjacency decodes the adjacency record of v in place from the pinned
+// page, appending its entries to dst and their cost vectors to costs, and
+// returns both extended. Each entry's W is a full slice of the appended part
+// of costs, so a caller that reuses its buffers decodes without allocating.
+// On error dst is returned unextended.
+func (n *Network) AppendAdjacency(dst []graph.AdjEntry, costs []float64, v graph.NodeID) ([]graph.AdjEntry, []float64, error) {
 	var c cursor
 	defer c.close()
 	arcs, err := n.arcs(&c, v)
 	if err != nil {
-		return nil, err
+		return dst, costs, err
 	}
 	d := n.hdr.d
 	size := arcFixed + 8*d
-	entries := make([]graph.AdjEntry, len(arcs)/size)
-	slab := make(vec.Costs, len(entries)*d)
-	for i := range entries {
-		decodeArc(arcs[i*size:(i+1)*size], &entries[i], slab[i*d:(i+1)*d:(i+1)*d])
+	k := len(arcs) / size
+	dst, costs = slices.Grow(dst, k), slices.Grow(costs, k*d)
+	for arc := range slices.Chunk(arcs, size) {
+		j := len(costs)
+		costs = costs[:j+d]
+		dst = append(dst, graph.AdjEntry{})
+		decodeArc(arc, &dst[len(dst)-1], costs[j:j+d:j+d])
 	}
-	return entries, nil
+	return dst, costs, nil
 }
 
 // Facilities reads the facility record at facRef holding count entries
 // (facility id and position on the edge).
 func (n *Network) Facilities(facRef uint64, count int) ([]graph.FacEntry, error) {
+	return n.AppendFacilities(nil, facRef, count)
+}
+
+// AppendFacilities decodes the facility record at facRef holding count
+// entries, appending them to dst.
+func (n *Network) AppendFacilities(dst []graph.FacEntry, facRef uint64, count int) ([]graph.FacEntry, error) {
 	if facRef == graph.NoFacRef || count == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	c := newCursor(n.ctx, n.pool, UnpackRef(facRef))
 	defer c.close()
 	rec, err := c.next(count * facSize)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	out := make([]graph.FacEntry, count)
-	for i := range out {
-		fac := rec[i*facSize:]
-		out[i] = graph.FacEntry{
+	dst = slices.Grow(dst, count)
+	for fac := range slices.Chunk(rec, facSize) {
+		dst = append(dst, graph.FacEntry{
 			ID: graph.FacilityID(binary.LittleEndian.Uint32(fac)),
 			T:  math.Float64frombits(binary.LittleEndian.Uint64(fac[4:])),
-		}
+		})
 	}
-	return out, nil
+	return dst, nil
 }
 
 // FacilityEdge returns the edge that facility p lies on, via the facility

@@ -40,7 +40,7 @@ func TestDropKeepsPinnedFrame(t *testing.T) {
 	for _, policy := range []Policy{PolicyClock, PolicyLRU} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dev, want := randomDevice(t, 12, 5)
-			pool := NewBufferPool(dev, 2, PoolOptions{Shards: 1, Policy: policy})
+			pool := NewBufferPool(dev, 2, PoolOptions{Policy: policy})
 			record := append(append([]byte{}, want[3][100:]...), want[4][:200]...)
 
 			c := newCursor(nil, pool, Ref{Page: 3, Off: 100})
@@ -83,14 +83,14 @@ func TestDropKeepsPinnedFrame(t *testing.T) {
 	}
 }
 
-// When every frame of a shard is pinned a miss is served from a borrowed
+// When every frame of the pool is pinned a miss is served from a borrowed
 // buffer: nothing is evicted, nothing is cached, and the pinned frames keep
 // their pages.
 func TestAllFramesPinnedFallback(t *testing.T) {
 	for _, policy := range []Policy{PolicyClock, PolicyLRU} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dev, want := randomDevice(t, 6, 9)
-			pool := NewBufferPool(dev, 2, PoolOptions{Shards: 1, Policy: policy})
+			pool := NewBufferPool(dev, 2, PoolOptions{Policy: policy})
 			a, err := pool.Get(0)
 			if err != nil {
 				t.Fatal(err)
@@ -157,12 +157,13 @@ func (d *flakyDevice) ReadPage(id PageID, buf []byte) error {
 	return d.Device.ReadPage(id, buf)
 }
 
-// Pin/evict stress (run with -race): many goroutines over shards of one to
-// four frames compare every page they pin with the device's copy while they
-// hold the pin. Hot pages make readers coalesce, the tiny shards make
-// all-frames-pinned the normal case, some readers give up through their
-// context (as leaders and as waiters), reads fail mid-transfer with and
-// without retries left, and the pool is dropped now and then.
+// Pin/evict stress (run with -race): many goroutines over pools of one to
+// eight frames compare every page they pin with the device's copy while they
+// hold the pin. Hot pages make readers coalesce and CLOCK hits race the
+// evictor's claim, the tiny pools make all-frames-pinned the normal case,
+// some readers give up through their context (as leaders and as waiters),
+// reads fail mid-transfer with and without retries left, and the pool is
+// dropped now and then.
 func TestPinEvictStress(t *testing.T) {
 	const (
 		pages   = 48
@@ -177,14 +178,14 @@ func TestPinEvictStress(t *testing.T) {
 		opts     PoolOptions
 	}{
 		{1, PoolOptions{}},
-		{4, PoolOptions{Shards: 4}},
-		{4, PoolOptions{Shards: 1, Policy: PolicyLRU}},
-		{8, PoolOptions{Shards: 2, Policy: PolicyLRU}},
-		{6, PoolOptions{Shards: 2}},
+		{4, PoolOptions{}},
+		{4, PoolOptions{Policy: PolicyLRU}},
+		{8, PoolOptions{Policy: PolicyLRU}},
+		{6, PoolOptions{}},
 		{0, PoolOptions{}},
 	} {
 		tc.opts.Retry = RetryPolicy{MaxRetries: 1, BaseBackoff: time.Microsecond, MaxBackoff: 5 * time.Microsecond}
-		name := fmt.Sprintf("cap=%d_shards=%d_%v", tc.capacity, tc.opts.Shards, tc.opts.Policy)
+		name := fmt.Sprintf("cap=%d_%v", tc.capacity, tc.opts.Policy)
 		t.Run(name, func(t *testing.T) {
 			mem, want := randomDevice(t, pages, 11)
 			pool := NewBufferPool(&flakyDevice{Device: mem}, tc.capacity, tc.opts)
@@ -240,17 +241,14 @@ func TestPinEvictStress(t *testing.T) {
 				t.Errorf("stress did not cover both outcomes: ok=%d transient=%d", ok.Load(), failed.Load())
 			}
 
-			// Every pin went back: the whole pool can be dropped, and each
-			// shard holds no more frames than its capacity.
+			// Every pin went back: the whole pool can be dropped, and it holds
+			// no more frames than its capacity.
 			pool.Drop()
 			if n := pool.Len(); n != 0 {
 				t.Errorf("%d pages still pinned after every reader released", n)
 			}
-			for i := range pool.shards {
-				s := &pool.shards[i]
-				if s.nframes > s.cap || len(s.free) != s.nframes || len(s.inflight) != 0 {
-					t.Errorf("shard %d: %d frames (%d spare, %d in flight) for capacity %d", i, s.nframes, len(s.free), len(s.inflight), s.cap)
-				}
+			if pool.nframes > pool.cap || len(pool.free) != pool.nframes || len(pool.inflight) != 0 {
+				t.Errorf("%d frames (%d spare, %d in flight) for capacity %d", pool.nframes, len(pool.free), len(pool.inflight), pool.cap)
 			}
 			for id := range want {
 				fr, err := pool.Get(PageID(id))

@@ -75,8 +75,7 @@ func TestCoalescedWaitersObserveLeaderRetryError(t *testing.T) {
 	dev.gate = make(chan struct{})
 	dev.setFails(3, 1_000) // beyond any retry budget
 	pool := NewBufferPool(dev, 4, PoolOptions{
-		Shards: 1,
-		Retry:  RetryPolicy{MaxRetries: 2, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond},
+		Retry: RetryPolicy{MaxRetries: 2, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond},
 	})
 
 	const waiters = 8
@@ -125,8 +124,7 @@ func TestCoalescedWaiterReissuesAfterLeaderCancel(t *testing.T) {
 	dev := newScriptDevice(t, 8)
 	dev.setFails(5, 1_000)
 	pool := NewBufferPool(dev, 4, PoolOptions{
-		Shards: 1,
-		Retry:  RetryPolicy{MaxRetries: 50, BaseBackoff: 20 * time.Millisecond, MaxBackoff: 20 * time.Millisecond},
+		Retry: RetryPolicy{MaxRetries: 50, BaseBackoff: 20 * time.Millisecond, MaxBackoff: 20 * time.Millisecond},
 	})
 
 	leaderCtx, cancel := context.WithCancel(context.Background())

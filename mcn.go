@@ -27,9 +27,9 @@
 //
 // Queries run over in-memory graphs or over the paper's disk-resident
 // storage scheme (adjacency/facility files indexed by paged B+-trees behind
-// a sharded clock-sweep buffer pool), with a choice of two engines: LSA
-// (independent per-cost expansions) and CEA (shared record fetches; at most
-// one storage access per record per query).
+// a clock-sweep buffer pool whose hits take no lock), with a choice of two
+// engines: LSA (independent per-cost expansions) and CEA (shared record
+// fetches; at most one storage access per record per query).
 //
 // For serving repeat traffic, EnableResultCache attaches a sharded result
 // cache with singleflight coalescing and incremental invalidation to the
@@ -90,8 +90,8 @@ type (
 	Stats = core.Stats
 	// TopKIterator yields top-k results incrementally; Close it when done.
 	TopKIterator = core.TopKIterator
-	// PoolShardStats is one buffer-pool shard's counters (see
-	// Network.PoolShardStats).
+	// PoolShardStats is the buffer pool's counters in per-partition form
+	// (see Network.PoolShardStats).
 	PoolShardStats = storage.ShardStats
 	// Path is a Pareto-optimal route with its cost vector.
 	Path = paretopath.Path
@@ -111,8 +111,8 @@ type (
 	// RetryPolicy bounds the buffer pool's retries of transient read
 	// failures (see PoolOptions.Retry).
 	RetryPolicy = storage.RetryPolicy
-	// PoolOptions tunes the disk buffer pool: shard count, replacement
-	// policy and miss coalescing (see OpenDatabaseOptions).
+	// PoolOptions tunes the disk buffer pool: replacement policy and read
+	// retries (see OpenDatabaseOptions).
 	PoolOptions = storage.PoolOptions
 	// PoolPolicy selects the buffer pool's replacement algorithm.
 	PoolPolicy = storage.Policy
@@ -319,13 +319,13 @@ func CreateDatabaseIndexed(g *Graph, path string) (IndexStats, error) {
 
 // OpenDatabase opens a disk database with a buffer pool sized to bufferFrac
 // of its pages (0 disables caching), under the default pool options: a
-// sharded clock cache with miss coalescing.
+// clock cache with lock-free hits and miss coalescing.
 func OpenDatabase(path string, bufferFrac float64) (*Network, error) {
 	return OpenDatabaseOptions(path, bufferFrac, PoolOptions{})
 }
 
 // OpenDatabaseOptions is OpenDatabase with explicit buffer-pool tuning:
-// shard count, replacement policy (clock or exact LRU) and miss coalescing.
+// replacement policy (clock or exact LRU) and read retries.
 // The zero PoolOptions selects the defaults.
 func OpenDatabaseOptions(path string, bufferFrac float64, opts PoolOptions) (*Network, error) {
 	dev, err := storage.OpenFileDevice(path)
@@ -726,8 +726,7 @@ func (n *Network) ResultCacheStats() (CacheStats, bool) {
 }
 
 // ResultCacheShardStats returns per-shard result-cache counters for
-// diagnosing shard skew, mirroring PoolShardStats; ok is false when no
-// cache is enabled.
+// diagnosing shard skew; ok is false when no cache is enabled.
 func (n *Network) ResultCacheShardStats() ([]CacheShardStats, bool) {
 	if n.cache == nil {
 		return nil, false
@@ -783,9 +782,10 @@ func (n *Network) IOFailureStats() (IOFailureStats, bool) {
 	return n.store.FailureStats(), true
 }
 
-// PoolShardStats returns per-shard buffer-pool counters (hits, evictions,
-// coalesced reads) of a disk-backed network, for diagnosing shard skew; ok
-// is false for in-memory networks. Lock-free, like IOStats.
+// PoolShardStats returns the buffer-pool counters (hits, evictions,
+// coalesced reads) of a disk-backed network as one entry — the pool is one
+// replacement domain; ok is false for in-memory networks. Lock-free, like
+// IOStats.
 func (n *Network) PoolShardStats() ([]PoolShardStats, bool) {
 	if n.store == nil {
 		return nil, false
