@@ -49,11 +49,13 @@ bench:
 # memo and the direct decode path) print the miss path's allocs/op next to
 # them, the maintainer row prints what one
 # facility insert costs (an edge lookup and O(d) arithmetic, no traversal),
-# and the time-dependent row prints one axis-preserving SetProfile plus the
-# skyline read after it (the edit copies the intervals it changes; the read
-# compiles nothing).
+# the time-dependent rows print one SetProfile plus the skyline read after
+# it, axis kept and axis moved (either way the edit builds one edge's cost
+# rows and shares the rest; the read compiles nothing), and the start-up
+# row prints what mcnserve -timedep's compile allocates (New plus
+# AttachSyntheticProfiles on the td2k shape).
 benchmem:
-	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline|BenchmarkMaintainerInsert|BenchmarkSetProfileThenRead' -benchtime 1x -benchmem ./...
+	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline|BenchmarkMaintainerInsert|BenchmarkSetProfileThenRead|BenchmarkAttachSyntheticProfiles' -benchtime 1x -benchmem ./...
 
 # CPU+heap profiles of the expansion pop loop; inspect with
 # `go tool pprof cpu.prof` / `go tool pprof mem.prof`.

@@ -1,109 +1,111 @@
 // Overlay separates immutable topology from mutable metric, the way
 // customizable route planning (CRP) separates its preprocessing phases: one
-// CSR compilation of the network's adjacency, facility and edge-record
-// arrays is shared by any number of cost intervals, each holding only a
-// dense cost matrix of |E|·d float64s. This is the fast path for
-// time-dependent preference queries: where the snapshot path rebuilds a
-// graph.Graph (nodes, edges, facility indexes) for every interval it
-// touches, an overlay resolves an interval to a prebuilt View with one
-// pointer read — no rebuild, no allocation — and every View serves the same
-// zero-copy CSR rows through the expand.Source seam.
+// CSR compilation plus one base cost matrix of |E|·d float64s, shared by
+// every cost configuration. A configuration stores only its profiled edges:
+// each carries its breakpoints and one precomputed cost row per segment
+// (Rows), so memory is O(|E|·d + Σ segments·d) however many distinct
+// instants the profiles use. This is the fast path for time-dependent
+// queries: a View binds the shared arrays to one configuration at one
+// instant — no graph rebuild, no allocation — and serves the same zero-copy
+// CSR rows through the expand.Source seam.
 package flat
 
 import (
 	"fmt"
-	"slices"
+	"sort"
 
 	"mcn/internal/graph"
 	"mcn/internal/vec"
 )
 
-// Overlay is one compiled CSR topology shared by K per-interval cost
-// vectors. It is immutable once built and safe for any number of concurrent
-// readers; distinct intervals may be queried concurrently. WithEdge derives
-// a successor without touching it.
+// Overlay is one compiled CSR topology and its base cost matrix. It is
+// immutable once built and safe for any number of concurrent readers.
 type Overlay struct {
-	base  *Source
-	views []View
-}
-
-// View binds the shared topology to one interval's cost vector: an
-// expand.Source whose adjacency rows are the overlay's shared zero-copy
-// slices and whose cost lookups index the interval's matrix (it implements
-// expand.EdgeCoster). The AdjEntry rows returned by Adjacency carry the
-// base compilation's W slices, which expansions ignore in favour of
-// EdgeCost; EdgeInfo, by contrast, is patched to the interval's costs, so
-// query seeding and point probes see the effective metric.
-type View struct {
 	base *Source
 	d    int
-	// costs holds edge e's effective vector at costs[e*d : (e+1)*d].
+	// costs holds edge e's base vector at costs[e*d : (e+1)*d].
 	costs []float64
 }
 
-// NewOverlay attaches intervals cost vectors to the compiled topology src:
-// costsAt(k, e) must return edge e's effective cost vector during interval k
-// (it may return shared slices; NewOverlay copies). Every vector must have
-// src.D() components, all known and non-negative. src is shared, not
-// copied, so any number of overlays can be built over one compilation.
-func NewOverlay(src *Source, intervals int, costsAt func(interval int, e graph.EdgeID) vec.Costs) (*Overlay, error) {
-	if intervals < 1 {
-		return nil, fmt.Errorf("flat: overlay needs at least one interval, got %d", intervals)
-	}
-	o := &Overlay{base: src, views: make([]View, intervals)}
-	d, e := src.D(), src.NumEdges()
-	for k := range o.views {
-		m := make([]float64, e*d)
-		for i := 0; i < e; i++ {
-			w := costsAt(k, graph.EdgeID(i))
-			if len(w) != d {
-				return nil, fmt.Errorf("flat: interval %d edge %d: %d cost components, want %d", k, i, len(w), d)
-			}
-			if err := w.Validate(); err != nil {
-				return nil, fmt.Errorf("flat: interval %d edge %d: %w", k, i, err)
-			}
-			if !w.Complete() {
-				return nil, fmt.Errorf("flat: interval %d edge %d: unknown cost component", k, i)
-			}
-			copy(m[i*d:(i+1)*d], w)
-		}
-		o.views[k] = View{base: src, d: d, costs: m}
-	}
-	return o, nil
+// Rows is one profiled edge's piecewise-constant cost: from times[j] until
+// times[j+1] (the last until +Inf) the edge costs costs[j*d : (j+1)*d];
+// before times[0] its base row applies. Rows are immutable, so any number
+// of configurations share them.
+type Rows struct {
+	times []float64
+	costs []float64
 }
 
-// WithEdge derives the overlay in which edge e costs costsAt(k) during
-// interval k and every other edge keeps its cost; e must be in range and
-// every vector one NewOverlay would accept. Only the intervals where e's
-// vector actually changes get a copy of their matrix, patched at e's d
-// slots; every other interval shares o's matrix. o itself is untouched, so
-// readers of o never observe the edit. changed lists the patched intervals
-// in ascending order.
-func (o *Overlay) WithEdge(e graph.EdgeID, costsAt func(interval int) vec.Costs) (next *Overlay, changed []int) {
-	next = &Overlay{base: o.base, views: slices.Clone(o.views)}
-	for k := range next.views {
-		v := &next.views[k]
-		w, i := costsAt(k), int(e)*v.d
-		if vec.Costs(v.costs[i : i+v.d]).Equal(w) {
-			continue
-		}
-		v.costs = slices.Clone(v.costs)
-		copy(v.costs[i:i+v.d], w)
-		changed = append(changed, k)
-	}
-	return next, changed
+// View binds the shared topology and base matrix to one configuration's
+// rows at one instant: an expand.Source whose cost lookups read a profiled
+// edge's segment in effect at the instant, else the base row (it implements
+// expand.EdgeCoster). The AdjEntry rows returned by Adjacency carry the base
+// W slices, which expansions ignore in favour of EdgeCost; EdgeInfo is
+// patched to the effective costs, so query seeding sees the effective metric.
+type View struct {
+	base  *Source
+	d     int
+	costs []float64
+	// rows is indexed by edge id; nil means the edge is unprofiled.
+	rows []*Rows
+	at   float64
 }
 
-// Base returns the shared CSR compilation (base-interval costs).
+// NewOverlay copies src's edge costs into the base matrix. src is shared,
+// not copied, so any number of overlays can be built over one compilation.
+func NewOverlay(src *Source) *Overlay {
+	o := &Overlay{base: src, d: src.D(), costs: make([]float64, 0, src.NumEdges()*src.D())}
+	for _, info := range src.edges {
+		o.costs = append(o.costs, info.W...)
+	}
+	return o
+}
+
+// NewRows builds an edge's rows from its ascending breakpoints and one cost
+// vector per segment, laid out back to back in costs; both are shared, not
+// copied. Every vector must have Base().D() components, all known and
+// non-negative.
+func (o *Overlay) NewRows(times, costs []float64) (*Rows, error) {
+	if len(times) == 0 || len(costs) != len(times)*o.d {
+		return nil, fmt.Errorf("flat: %d breakpoints but %d cost components, want %d per breakpoint", len(times), len(costs), o.d)
+	}
+	for j := range times {
+		w := vec.Costs(costs[j*o.d : (j+1)*o.d])
+		if err := w.Validate(); err != nil {
+			return nil, fmt.Errorf("flat: row %d: %w", j, err)
+		}
+		if !w.Complete() {
+			return nil, fmt.Errorf("flat: row %d: unknown cost component", j)
+		}
+	}
+	return &Rows{times: times, costs: costs}, nil
+}
+
+// Base returns the shared CSR compilation (base costs).
 func (o *Overlay) Base() *Source { return o.base }
 
-// NumIntervals returns the number of compiled cost intervals.
-func (o *Overlay) NumIntervals() int { return len(o.views) }
+// View returns the source in effect at instant at under the configuration
+// rows, indexed by edge id with nil for unprofiled edges; rows must have
+// NumEdges entries and is shared, not copied.
+func (o *Overlay) View(rows []*Rows, at float64) View {
+	return View{base: o.base, d: o.d, costs: o.costs, rows: rows, at: at}
+}
 
-// Interval returns the prebuilt View of interval k. Switching intervals is
-// this pointer read; the View is shared and must be treated as read-only.
-func (o *Overlay) Interval(k int) *View {
-	return &o.views[k]
+// row returns edge e's effective cost vector at the view's instant: the
+// profiled edge's segment from the last breakpoint at or before it, else the
+// base row.
+func (v *View) row(e graph.EdgeID) []float64 {
+	if r := v.rows[e]; r != nil {
+		j := sort.SearchFloat64s(r.times, v.at)
+		if j == len(r.times) || r.times[j] != v.at {
+			j--
+		}
+		if j >= 0 {
+			return r.costs[j*v.d : (j+1)*v.d : (j+1)*v.d]
+		}
+	}
+	i := int(e) * v.d
+	return v.costs[i : i+v.d : i+v.d]
 }
 
 // D implements expand.Source.
@@ -126,25 +128,18 @@ func (v *View) NumFacilities() int { return v.base.NumFacilities() }
 func (v *View) ZeroCopyRecords() bool { return true }
 
 // EdgeCost implements expand.EdgeCoster: edge e's effective cost under cost
-// type costIdx during this view's interval. One multiply-add index into the
-// interval matrix — the pointer-swap half of the overlay contract.
+// type costIdx at this view's instant. An unprofiled edge costs one
+// multiply-add index into the base matrix.
 func (v *View) EdgeCost(e graph.EdgeID, costIdx int) float64 {
-	return v.costs[int(e)*v.d+costIdx]
-}
-
-// EdgeCosts returns edge e's effective cost vector as a read-only view into
-// the interval matrix.
-func (v *View) EdgeCosts(e graph.EdgeID) (vec.Costs, error) {
-	if int(e) >= v.base.NumEdges() {
-		return nil, fmt.Errorf("flat: edge %d out of range", e)
+	if v.rows[e] == nil {
+		return v.costs[int(e)*v.d+costIdx]
 	}
-	i := int(e) * v.d
-	return vec.Costs(v.costs[i : i+v.d : i+v.d]), nil
+	return v.row(e)[costIdx]
 }
 
 // Adjacency implements expand.Source. The returned rows are the topology
-// compilation's shared slices; their W fields hold base-interval costs and
-// are superseded by EdgeCost (expansions consult it whenever the source
+// compilation's shared slices; their W fields hold base costs and are
+// superseded by EdgeCost (expansions consult it whenever the source
 // implements expand.EdgeCoster).
 func (v *View) Adjacency(n graph.NodeID) ([]graph.AdjEntry, error) {
 	return v.base.Adjacency(n)
@@ -160,15 +155,15 @@ func (v *View) FacilityEdge(p graph.FacilityID) (graph.EdgeID, error) {
 	return v.base.FacilityEdge(p)
 }
 
-// EdgeInfo implements expand.Source, with W patched to this interval's
-// effective costs (the record is returned by value, so the shared edge
-// table is untouched and the call stays allocation-free).
+// EdgeInfo implements expand.Source, with W patched to the effective costs:
+// a read-only view into the base matrix or the edge's rows (the record is
+// returned by value, so the shared edge table is untouched and the call
+// stays allocation-free).
 func (v *View) EdgeInfo(e graph.EdgeID) (graph.EdgeInfo, error) {
 	info, err := v.base.EdgeInfo(e)
 	if err != nil {
 		return graph.EdgeInfo{}, err
 	}
-	i := int(e) * v.d
-	info.W = vec.Costs(v.costs[i : i+v.d : i+v.d])
+	info.W = v.row(e)
 	return info, nil
 }

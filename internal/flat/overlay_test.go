@@ -2,6 +2,7 @@ package flat
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"mcn/internal/core"
@@ -32,86 +33,97 @@ func overlayGraph(t *testing.T) *graph.Graph {
 	return b.MustBuild()
 }
 
-func TestOverlayIntervalCosts(t *testing.T) {
-	g := overlayGraph(t)
-	// Interval k scales every cost by k+1.
-	ov, err := NewOverlay(Compile(g), 3, func(k int, e graph.EdgeID) vec.Costs {
-		w := g.Edge(e).W
-		out := make(vec.Costs, len(w))
-		for i := range w {
-			out[i] = w[i] * float64(k+1)
-		}
-		return out
-	})
+// scaledRows profiles edge e of g on breakpoints {10, 20}: k+2 times its
+// base costs during segment k. costAt gives the same costs at any instant.
+func scaledRows(t *testing.T, ov *Overlay, g *graph.Graph, e graph.EdgeID) *Rows {
+	t.Helper()
+	w := g.Edge(e).W
+	r, err := ov.NewRows([]float64{10, 20}, append(w.Scale(2), w.Scale(3)...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ov.NumIntervals() != 3 {
-		t.Fatalf("NumIntervals = %d, want 3", ov.NumIntervals())
+	return r
+}
+
+// costAt is the rule scaledRows encodes, for profiled edges.
+func costAt(g *graph.Graph, e graph.EdgeID, profiled bool, at float64) vec.Costs {
+	w := g.Edge(e).W
+	switch {
+	case !profiled || at < 10:
+		return w
+	case at < 20:
+		return w.Scale(2)
+	default:
+		return w.Scale(3)
 	}
-	for k := 0; k < 3; k++ {
-		v := ov.Interval(k)
+}
+
+func TestOverlayIntervalCosts(t *testing.T) {
+	g := overlayGraph(t)
+	ov := NewOverlay(Compile(g))
+	rows := make([]*Rows, g.NumEdges())
+	rows[0] = scaledRows(t, ov, g, 0)
+	// Before, on and between the breakpoints, and after the last.
+	for _, at := range []float64{math.Inf(-1), 0, 10, 15, 20, 25} {
+		v := ov.View(rows, at)
 		for e := 0; e < g.NumEdges(); e++ {
 			id := graph.EdgeID(e)
+			want := costAt(g, id, rows[e] != nil, at)
 			for i := 0; i < g.D(); i++ {
-				want := g.Edge(id).W[i] * float64(k+1)
-				if got := v.EdgeCost(id, i); got != want {
-					t.Errorf("interval %d EdgeCost(%d, %d) = %g, want %g", k, e, i, got, want)
+				if got := v.EdgeCost(id, i); got != want[i] {
+					t.Errorf("t=%g EdgeCost(%d, %d) = %g, want %g", at, e, i, got, want[i])
 				}
 			}
 			info, err := v.EdgeInfo(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wc, err := v.EdgeCosts(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !info.W.Equal(wc) {
-				t.Errorf("interval %d edge %d: EdgeInfo.W %v != EdgeCosts %v", k, e, info.W, wc)
+			if !info.W.Equal(want) {
+				t.Errorf("t=%g edge %d: EdgeInfo.W %v, want %v", at, e, info.W, want)
 			}
 			base, err := ov.Base().EdgeInfo(id)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if info.U != base.U || info.V != base.V || info.FacRef != base.FacRef || info.FacCount != base.FacCount {
-				t.Errorf("interval %d edge %d: topology fields diverge from base", k, e)
+				t.Errorf("t=%g edge %d: topology fields diverge from base", at, e)
 			}
 		}
 	}
 	// Shared topology: every view's adjacency rows are the same backing
 	// slices as the base compilation's.
-	for v := 0; v < g.NumNodes(); v++ {
-		baseRows, err := ov.Base().Adjacency(graph.NodeID(v))
+	v := ov.View(rows, 15)
+	for n := 0; n < g.NumNodes(); n++ {
+		baseRows, err := ov.Base().Adjacency(graph.NodeID(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		viewRows, err := ov.Interval(2).Adjacency(graph.NodeID(v))
+		viewRows, err := v.Adjacency(graph.NodeID(n))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(baseRows) != len(viewRows) {
-			t.Fatalf("node %d: row lengths differ", v)
+			t.Fatalf("node %d: row lengths differ", n)
 		}
 		if len(baseRows) > 0 && &baseRows[0] != &viewRows[0] {
-			t.Fatalf("node %d: view adjacency is not the shared base slice", v)
+			t.Fatalf("node %d: view adjacency is not the shared base slice", n)
 		}
 	}
 }
 
 func TestOverlayRejectsBadCosts(t *testing.T) {
-	g := overlayGraph(t)
-	for name, costsAt := range map[string]func(int, graph.EdgeID) vec.Costs{
-		"wrong-dim": func(int, graph.EdgeID) vec.Costs { return vec.Of(1) },
-		"negative":  func(int, graph.EdgeID) vec.Costs { return vec.Of(-1, 1) },
-		"unknown":   func(int, graph.EdgeID) vec.Costs { return vec.New(2) },
+	ov := NewOverlay(Compile(overlayGraph(t)))
+	for name, row := range map[string]vec.Costs{
+		"wrong-dim": vec.Of(1),
+		"negative":  vec.Of(-1, 1),
+		"unknown":   vec.New(2),
 	} {
-		if _, err := NewOverlay(Compile(g), 1, costsAt); err == nil {
-			t.Errorf("%s cost vector accepted", name)
+		if _, err := ov.NewRows([]float64{1, 2}, append(vec.Of(1, 1), row...)); err == nil {
+			t.Errorf("%s cost row accepted", name)
 		}
 	}
-	if _, err := NewOverlay(Compile(g), 0, nil); err == nil {
-		t.Error("zero intervals accepted")
+	if _, err := ov.NewRows(nil, nil); err == nil {
+		t.Error("rows without breakpoints accepted")
 	}
 }
 
@@ -128,20 +140,13 @@ func TestOverlayQueryEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := inst.Graph
-	scale := func(k int, e graph.EdgeID) vec.Costs {
-		w := g.Edge(e).W
-		out := make(vec.Costs, len(w))
-		for i := range w {
-			out[i] = w[i] * float64(k+1)
-		}
-		return out
-	}
-	ov, err := NewOverlay(Compile(g), 3, scale)
-	if err != nil {
-		t.Fatal(err)
+	ov := NewOverlay(Compile(g))
+	rows := make([]*Rows, g.NumEdges())
+	for e := 0; e < g.NumEdges(); e += 3 {
+		rows[e] = scaledRows(t, ov, g, graph.EdgeID(e))
 	}
 	agg := vec.NewWeighted(1, 0.5, 0.25)
-	for k := 0; k < ov.NumIntervals(); k++ {
+	for _, at := range []float64{0, 10, 15, 20, 30} {
 		// Reference: the same scaled costs baked into a fresh graph.
 		b := graph.NewBuilder(g.D(), g.Directed())
 		for v := 0; v < g.NumNodes(); v++ {
@@ -150,7 +155,7 @@ func TestOverlayQueryEquivalence(t *testing.T) {
 		}
 		for e := 0; e < g.NumEdges(); e++ {
 			edge := g.Edge(graph.EdgeID(e))
-			b.AddEdge(edge.U, edge.V, scale(k, graph.EdgeID(e)))
+			b.AddEdge(edge.U, edge.V, costAt(g, graph.EdgeID(e), rows[e] != nil, at))
 		}
 		for f := 0; f < g.NumFacilities(); f++ {
 			fac := g.Facility(graph.FacilityID(f))
@@ -158,7 +163,7 @@ func TestOverlayQueryEquivalence(t *testing.T) {
 		}
 		ref := expand.NewMemorySource(b.MustBuild())
 
-		view := ov.Interval(k)
+		view := ov.View(rows, at)
 		for qi, loc := range inst.Queries {
 			wantSky, err := core.Skyline(ref, loc, core.Options{})
 			if err != nil {
@@ -169,44 +174,45 @@ func TestOverlayQueryEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, eng := range []core.Engine{core.LSA, core.CEA} {
-				gotSky, err := core.Skyline(view, loc, core.Options{Engine: eng})
+				gotSky, err := core.Skyline(&view, loc, core.Options{Engine: eng})
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameFacilities(t, fmt.Sprintf("interval %d q%d skyline %v", k, qi, eng),
+				sameFacilities(t, fmt.Sprintf("t=%g q%d skyline %v", at, qi, eng),
 					gotSky.Facilities, wantSky.Facilities)
-				gotTop, err := core.TopK(view, loc, agg, 4, core.Options{Engine: eng})
+				gotTop, err := core.TopK(&view, loc, agg, 4, core.Options{Engine: eng})
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameFacilities(t, fmt.Sprintf("interval %d q%d topk %v", k, qi, eng),
+				sameFacilities(t, fmt.Sprintf("t=%g q%d topk %v", at, qi, eng),
 					gotTop.Facilities, wantTop.Facilities)
 			}
 		}
 	}
 }
 
-// Interval resolution plus record access must be allocation-free: the whole
-// point of the overlay is that switching intervals is a pointer read.
+// Binding a view plus record access must be allocation-free: a view is a
+// value over the shared arrays, whatever the instant.
 func TestOverlayAccessAllocFree(t *testing.T) {
 	g := overlayGraph(t)
-	ov, err := NewOverlay(Compile(g), 4, func(k int, e graph.EdgeID) vec.Costs { return g.Edge(e).W })
-	if err != nil {
-		t.Fatal(err)
-	}
+	ov := NewOverlay(Compile(g))
+	rows := make([]*Rows, g.NumEdges())
+	rows[0] = scaledRows(t, ov, g, 0)
 	allocs := testing.AllocsPerRun(100, func() {
-		for k := 0; k < ov.NumIntervals(); k++ {
-			v := ov.Interval(k)
+		for _, at := range []float64{0, 10, 15, 20} {
+			v := ov.View(rows, at)
 			if _, err := v.Adjacency(0); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := v.EdgeInfo(0); err != nil {
-				t.Fatal(err)
+			for e := 0; e < g.NumEdges(); e++ {
+				if _, err := v.EdgeInfo(graph.EdgeID(e)); err != nil {
+					t.Fatal(err)
+				}
+				_ = v.EdgeCost(graph.EdgeID(e), 1)
 			}
-			_ = v.EdgeCost(0, 1)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("interval switch + record access allocates %.0f/run, want 0", allocs)
+		t.Fatalf("view binding + record access allocates %.0f/run, want 0", allocs)
 	}
 }

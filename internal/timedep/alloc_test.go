@@ -9,9 +9,12 @@ package timedep
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"mcn/internal/core"
+	"mcn/internal/flat"
 	"mcn/internal/gen"
+	"mcn/internal/graph"
 	"mcn/internal/vec"
 )
 
@@ -102,9 +105,9 @@ func TestInstantQueryAllocs(t *testing.T) {
 // benchmark's time-dependent workloads allocates (td2k: 2 000 nodes,
 // mcnserve -timedep's |E|/10 synthetic profiles, 945 elementary
 // intervals): New plus AttachSyntheticProfiles, where the compile runs. The
-// per-interval cost vectors are the whole budget: 80.5 MiB measured,
-// ceiling 1.15× that. A pruning index per interval added 164 MiB; a compile
-// per attached edit would refill the growing axis once per edit.
+// CSR topology is most of the budget; the base matrix and the profiled
+// edges' rows add O(|E|·d + Σ segments·d). One |E|·d matrix per interval
+// allocated 80.5 MiB here; a pruning index per interval added 164 MiB.
 func TestCompileFootprint(t *testing.T) {
 	inst, err := gen.MakeInstance(gen.InstanceConfig{
 		Nodes: 2000, Facilities: 1150, D: 4, Queries: 1, Seed: 1, Dist: gen.AntiCorrelated,
@@ -112,17 +115,57 @@ func TestCompileFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	n := New(inst.Graph)
-	if err := AttachSyntheticProfiles(n, inst.Graph.NumEdges()/10, 1); err != nil {
+	n, got, _ := compileAlloc(t, inst.Graph)
+	const ceiling = 4 << 20
+	t.Logf("%d intervals compiled with %.2f MiB allocated", len(n.cur.Load().times)+1, float64(got)/(1<<20))
+	if got > ceiling {
+		t.Errorf("compile allocated %.2f MiB (> %d MiB)", float64(got)/(1<<20), ceiling>>20)
+	}
+}
+
+// TestCompileFootprintSF25 is the scale gate: the same profile shape on the
+// sf25 network (43 750 nodes, 25 000 facilities, d = 4) compiles in under
+// 2 s and allocates less than twice what the static flat compilation of the
+// same graph does. One matrix per elementary interval needed about 39 GB.
+func TestCompileFootprintSF25(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sf25-sized instance")
+	}
+	inst, err := gen.MakeInstance(gen.InstanceConfig{
+		Nodes: 43750, Facilities: 25000, D: 4, Queries: 1, Seed: 1, Dist: gen.AntiCorrelated,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	flat.Compile(inst.Graph)
 	runtime.ReadMemStats(&after)
-	const ceiling = 92 << 20
-	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("%d intervals compiled with %.1f MiB allocated", n.cur.Load().ov.NumIntervals(), float64(got)/(1<<20))
-	if got > ceiling {
-		t.Errorf("compile allocated %.1f MiB (> %d MiB)", float64(got)/(1<<20), ceiling>>20)
+	static := after.TotalAlloc - before.TotalAlloc
+	_, got, took := compileAlloc(t, inst.Graph)
+	t.Logf("%d edges: compiled in %v with %.1f MiB allocated; flat.Compile allocates %.1f MiB",
+		inst.Graph.NumEdges(), took, float64(got)/(1<<20), float64(static)/(1<<20))
+	if took >= 2*time.Second {
+		t.Errorf("compile took %v (>= 2s)", took)
 	}
+	if got >= 2*static {
+		t.Errorf("compile allocated %.1f MiB (>= 2x flat.Compile's %.1f MiB)", float64(got)/(1<<20), float64(static)/(1<<20))
+	}
+}
+
+// compileAlloc runs New plus AttachSyntheticProfiles on a tenth of g's
+// edges and returns the network, what the two allocate and how long they
+// take.
+func compileAlloc(t *testing.T, g *graph.Graph) (*Network, uint64, time.Duration) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	n := New(g)
+	if err := AttachSyntheticProfiles(n, g.NumEdges()/10, 1); err != nil {
+		t.Fatal(err)
+	}
+	took := time.Since(start)
+	runtime.ReadMemStats(&after)
+	return n, after.TotalAlloc - before.TotalAlloc, took
 }

@@ -2,7 +2,9 @@ package timedep
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mcn/internal/core"
@@ -114,86 +116,93 @@ func TestOverlayEquivalenceInstant(t *testing.T) {
 				agg := vec.NewWeighted(1, 0.5, 0.25)
 				prunedNodes, sharedPruned := 0, 0
 
-				for _, at := range probeInstants(n, rng) {
-					snap, err := n.Snapshot(at)
-					if err != nil {
-						t.Fatal(err)
+				// The second pass reads after an axis-moving edit, at every
+				// interval start of the new axis.
+				for pass := 0; pass < 2; pass++ {
+					if pass == 1 {
+						moveAxis(t, n)
 					}
-					ref := expand.NewMemorySource(snap)
-					shared := index.FromGraph(snap)
-					for qi, loc := range locs {
-						// Budget wide enough to catch a handful of facilities,
-						// derived from the reference path only.
-						budget := make(vec.Costs, g.D())
-						probe, err := core.Nearest(ref, loc, 0, 6, core.Options{})
+					for _, at := range probeInstants(n, rng) {
+						snap, err := n.Snapshot(at)
 						if err != nil {
 							t.Fatal(err)
 						}
-						radius := 1.0
-						if k := len(probe.Facilities); k > 0 {
-							radius = probe.Facilities[k-1].Score * 1.5
-						}
-						for i := range budget {
-							budget[i] = radius
-						}
-
-						type query struct {
-							name    string
-							ref     func(core.Options) (*core.Result, error)
-							overlay func(core.Options) (*core.Result, error)
-						}
-						queries := []query{
-							{"skyline",
-								func(o core.Options) (*core.Result, error) { return core.Skyline(ref, loc, o) },
-								func(o core.Options) (*core.Result, error) { return n.SkylineAt(ctx, loc, at, o) }},
-							{"topk",
-								func(o core.Options) (*core.Result, error) { return core.TopK(ref, loc, agg, 4, o) },
-								func(o core.Options) (*core.Result, error) { return n.TopKAt(ctx, loc, agg, 4, at, o) }},
-							{"nearest",
-								func(o core.Options) (*core.Result, error) { return core.Nearest(ref, loc, qi%g.D(), 5, o) },
-								func(o core.Options) (*core.Result, error) { return n.NearestAt(ctx, loc, qi%g.D(), 5, at, o) }},
-							{"within",
-								func(o core.Options) (*core.Result, error) { return core.Within(ref, loc, budget, o) },
-								func(o core.Options) (*core.Result, error) { return n.WithinAt(ctx, loc, budget, at, o) }},
-						}
-						for _, q := range queries {
-							want, err := q.ref(core.Options{Engine: core.LSA})
+						ref := expand.NewMemorySource(snap)
+						shared := index.FromGraph(snap)
+						for qi, loc := range locs {
+							// Budget wide enough to catch a handful of facilities,
+							// derived from the reference path only.
+							budget := make(vec.Costs, g.D())
+							probe, err := core.Nearest(ref, loc, 0, 6, core.Options{})
 							if err != nil {
-								t.Fatalf("t=%g q%d %s reference: %v", at, qi, q.name, err)
+								t.Fatal(err)
 							}
-							for _, eng := range []core.Engine{core.LSA, core.CEA} {
-								label := fmt.Sprintf("t=%g q%d %s overlay/%v", at, qi, q.name, eng)
-								got, err := q.overlay(core.Options{Engine: eng})
+							radius := 1.0
+							if k := len(probe.Facilities); k > 0 {
+								radius = probe.Facilities[k-1].Score * 1.5
+							}
+							for i := range budget {
+								budget[i] = radius
+							}
+
+							type query struct {
+								name    string
+								ref     func(core.Options) (*core.Result, error)
+								overlay func(core.Options) (*core.Result, error)
+							}
+							queries := []query{
+								{"skyline",
+									func(o core.Options) (*core.Result, error) { return core.Skyline(ref, loc, o) },
+									func(o core.Options) (*core.Result, error) { return n.SkylineAt(ctx, loc, at, o) }},
+								{"topk",
+									func(o core.Options) (*core.Result, error) { return core.TopK(ref, loc, agg, 4, o) },
+									func(o core.Options) (*core.Result, error) { return n.TopKAt(ctx, loc, agg, 4, at, o) }},
+								{"nearest",
+									func(o core.Options) (*core.Result, error) { return core.Nearest(ref, loc, qi%g.D(), 5, o) },
+									func(o core.Options) (*core.Result, error) { return n.NearestAt(ctx, loc, qi%g.D(), 5, at, o) }},
+								{"within",
+									func(o core.Options) (*core.Result, error) { return core.Within(ref, loc, budget, o) },
+									func(o core.Options) (*core.Result, error) { return n.WithinAt(ctx, loc, budget, at, o) }},
+							}
+							for _, q := range queries {
+								want, err := q.ref(core.Options{Engine: core.LSA})
 								if err != nil {
-									t.Fatalf("%s: %v", label, err)
+									t.Fatalf("t=%g q%d %s reference: %v", at, qi, q.name, err)
 								}
-								if q.name != "within" {
-									// Skyline, top-k and nearest ignore the
-									// network's index: full Stats must match.
-									sameResult(t, label, got, want)
-									continue
+								for _, eng := range []core.Engine{core.LSA, core.CEA} {
+									label := fmt.Sprintf("t=%g q%d %s overlay/%v", at, qi, q.name, eng)
+									got, err := q.overlay(core.Options{Engine: eng})
+									if err != nil {
+										t.Fatalf("%s: %v", label, err)
+									}
+									if q.name != "within" {
+										// Skyline, top-k and nearest ignore the
+										// network's index: full Stats must match.
+										sameResult(t, label, got, want)
+										continue
+									}
+									// The *At default prunes against the network's
+									// one index: facilities stay byte-identical to
+									// the unpruned reference, only the work shrinks.
+									sameFacilities(t, label, got.Facilities, want.Facilities)
+									if got.Stats.NodeExpansions > want.Stats.NodeExpansions {
+										t.Errorf("%s: %d node expansions > unpruned %d",
+											label, got.Stats.NodeExpansions, want.Stats.NodeExpansions)
+									}
+									prunedNodes += got.Stats.PrunedNodes
+									// Under one shared explicit index both paths
+									// must do the same work, full Stats included.
+									sharedWant, err := q.ref(core.Options{Engine: core.LSA, Bounds: shared})
+									if err != nil {
+										t.Fatalf("%s reference/bounds: %v", label, err)
+									}
+									sharedGot, err := q.overlay(core.Options{Engine: eng, Bounds: shared})
+									if err != nil {
+										t.Fatalf("%s/bounds: %v", label, err)
+									}
+									sameResult(t, label+"/bounds", sharedGot, sharedWant)
+									sharedPruned += sharedGot.Stats.PrunedNodes
 								}
-								// The *At default prunes against the network's
-								// one index: facilities stay byte-identical to
-								// the unpruned reference, only the work shrinks.
-								sameFacilities(t, label, got.Facilities, want.Facilities)
-								if got.Stats.NodeExpansions > want.Stats.NodeExpansions {
-									t.Errorf("%s: %d node expansions > unpruned %d",
-										label, got.Stats.NodeExpansions, want.Stats.NodeExpansions)
-								}
-								prunedNodes += got.Stats.PrunedNodes
-								// Under one shared explicit index both paths
-								// must do the same work, full Stats included.
-								sharedWant, err := q.ref(core.Options{Engine: core.LSA, Bounds: shared})
-								if err != nil {
-									t.Fatalf("%s reference/bounds: %v", label, err)
-								}
-								sharedGot, err := q.overlay(core.Options{Engine: eng, Bounds: shared})
-								if err != nil {
-									t.Fatalf("%s/bounds: %v", label, err)
-								}
-								sameResult(t, label+"/bounds", sharedGot, sharedWant)
-								sharedPruned += sharedGot.Stats.PrunedNodes
 							}
 						}
 					}
@@ -206,6 +215,30 @@ func TestOverlayEquivalenceInstant(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// moveAxis is an axis-moving edit between reads: the lowest profiled edge's
+// profile shifts by half a unit and its first multiplier drops to 0.5, so
+// the edit retires instants, adds others and lowers a floor. Every interval
+// start of the new axis is among probeInstants' breakpoints.
+func moveAxis(t *testing.T, n *Network) {
+	t.Helper()
+	before := n.cur.Load()
+	e := slices.Min(slices.Collect(maps.Keys(before.profiles)))
+	p := before.profiles[e]
+	moved := Profile{Mult: append([]vec.Costs{vec.New(n.Base().D())}, p.Mult[1:]...)}
+	for i := range moved.Mult[0] {
+		moved.Mult[0][i] = 0.5
+	}
+	for _, at := range p.Times {
+		moved.Times = append(moved.Times, at+0.5)
+	}
+	if err := n.SetProfile(e, moved); err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(n.cur.Load().times, before.times) {
+		t.Fatal("the edit kept the axis; the pass needs one that moves it")
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // [0.5, 3]. The schedule is a pure function of seed: the same (graph, count,
 // seed) always produces the same profiles, so two replicas calling this see
 // identical time-dependent networks. The profiles land as one version: one
-// refill of the interval matrices, however many edges they cover.
+// merge of the time axis, however many edges they cover.
 func AttachSyntheticProfiles(n *Network, count int, seed int64) error {
 	edges := n.base.NumEdges()
 	if edges == 0 {

@@ -18,25 +18,21 @@
 // FIFO travel-time model of Kanoulas et al. [30] is orthogonal machinery the
 // paper treats as related work, not as part of the proposed queries.
 //
-// Queries run on the flat overlay fast path: the network's topology is
-// compiled once into shared CSR arrays (see flat.Overlay) with one dense
-// cost vector per elementary interval — the global partition of the time
-// axis at every profile breakpoint. Answering a query at instant t then
-// costs a binary search over the breakpoints plus a pointer read for the
-// interval's view; the per-interval graph.Graph rebuild of the Snapshot
-// path (kept as the reference implementation for equivalence tests) never
-// runs. An interval view is an ordinary sized, zero-copy source, so instant
-// queries run at the in-memory fast path's allocation level. One pruning
-// index, built over each edge's lowest cost at any instant, is admissible at
-// every instant and serves WithinAt in every interval; it is built on the
-// first WithinAt, since no other query reads it.
+// Queries run on the flat overlay fast path (see flat.Overlay): topology and
+// base costs compiled once, plus one precomputed cost row per profile
+// segment of each profiled edge. An edge's cost changes only at its own
+// breakpoints, so memory grows with the profiles' segments, not with the
+// number of elementary intervals. A query at instant t binds a flat.View to
+// the start of its interval — a binary search, no rebuild — and runs at the
+// in-memory fast path's allocation level; the Snapshot path is kept as the
+// reference for equivalence tests. One pruning index over each edge's
+// lowest cost at any instant is admissible at every instant; it is built on
+// the first WithinAt, the only query that reads it.
 //
 // A network is a sequence of immutable versions, one per profile
-// configuration. SetProfile compiles the next version from the current one
-// and publishes it with one atomic store — an edit that keeps the
-// breakpoint axis copies only the interval matrices whose costs it changes
-// and shares the rest — so queries load a version once and never compile or
-// lock, and edits may race them.
+// configuration. SetProfile compiles the next version — new rows for the
+// edited edges, every other row shared — and publishes it with one atomic
+// store, so queries never compile or lock, and edits may race them.
 package timedep
 
 import (
@@ -92,8 +88,9 @@ func (p Profile) Validate(d int) error {
 			return fmt.Errorf("timedep: multiplier %d has %d components, want %d", i, len(m), d)
 		}
 		for j, v := range m {
-			if !(v > 0) {
-				return fmt.Errorf("timedep: multiplier %d component %d is %g; must be positive", i, j, v)
+			// An infinite multiplier turns a zero cost into NaN.
+			if !(v > 0) || math.IsInf(v, 1) {
+				return fmt.Errorf("timedep: multiplier %d component %d is %g; must be positive and finite", i, j, v)
 			}
 		}
 	}
@@ -126,8 +123,9 @@ func (p Profile) clone() Profile {
 
 // floor returns the component-wise smallest multiplier the profile ever
 // applies, counting the unscaled costs before Times[0]: min(1, every Mult).
-func (p Profile) floor() vec.Costs {
-	m := make(vec.Costs, len(p.Mult[0]))
+// An unprofiled edge's zero Profile floors at 1.
+func (p Profile) floor(d int) vec.Costs {
+	m := make(vec.Costs, d)
 	for i := range m {
 		m[i] = 1
 		for _, mult := range p.Mult {
@@ -137,31 +135,30 @@ func (p Profile) floor() vec.Costs {
 	return m
 }
 
-// scaled returns base costs w under multiplier m — the one place a profile
-// scales a cost. A nil m means unscaled and returns w itself.
-func scaled(w, m vec.Costs) vec.Costs {
+// scaled appends base costs w under multiplier m to dst — the one place a
+// profile scales a cost. A nil m appends w unscaled.
+func scaled(dst, w, m vec.Costs) vec.Costs {
 	if m == nil {
-		return w
+		return append(dst, w...)
 	}
-	out := make(vec.Costs, len(w))
 	for i := range w {
-		out[i] = w[i] * m[i]
+		dst = append(dst, w[i]*m[i])
 	}
-	return out
+	return dst
 }
 
 // Network is a multi-cost network with time-dependent edge costs. Attach
 // profiles with SetProfile, then query. Every query answers from the version
-// it loads when it starts: the network's topology compiled once into a flat
-// overlay, one cost vector per elementary interval, and a pruning index
-// built on the version's first WithinAt. Queries and SetProfile calls are
-// safe from any number of goroutines; a query that overlaps an edit answers
-// for the version before or after it.
+// it loads when it starts: the network's topology and base costs compiled
+// once into a flat overlay, the version's cost rows for its profiled edges,
+// and a pruning index built on the first WithinAt. Queries and SetProfile
+// calls are safe from any number of goroutines; a query that overlaps an
+// edit answers for the version before or after it.
 type Network struct {
 	base *graph.Graph
-	// topo is base's CSR compilation, built once by New and shared by the
-	// interval views of every version.
-	topo *flat.Source
+	// ov is base's CSR compilation and base cost matrix, built once by New
+	// and shared by every version.
+	ov *flat.Overlay
 
 	// cache, when non-nil, memoizes instant-query results keyed by
 	// elementary interval; see EnableResultCache.
@@ -173,28 +170,27 @@ type Network struct {
 	writeMu sync.Mutex
 }
 
-// version is one immutable profile configuration: the profiles, the
-// ascending global breakpoints, one flat.View per elementary interval
+// version is one immutable profile configuration: the profiles, their cost
+// rows by edge id (nil when unprofiled), the ascending global breakpoints
 // (interval k is active on [times[k-1], times[k]), interval 0 before
-// times[0]), and a pruning index admissible under every interval's cost
-// surface, built on first use.
-//
-// Each interval matrix is |E|·d float64s: an edit that moves the axis
-// allocates |E|·d·(breakpoints+1) of them, one that keeps it |E|·d per
-// interval it changes. That is the right trade when profiles share a small
-// set of instants (rush hours, tariff windows — the modelled workloads);
-// networks where every edge contributes distinct breakpoints would want
-// sparse per-interval patches over the base costs instead (see ROADMAP).
+// times[0]), and a pruning index admissible in every interval.
 type version struct {
 	profiles map[graph.EdgeID]Profile
+	rows     []*flat.Rows
 	times    []float64
-	ov       *flat.Overlay
 	// axis numbers times for the result cache's keys: it advances whenever
 	// times differs from the predecessor's, which renumbers the intervals.
-	axis uint64
+	axis  uint64
+	floor *lazyIndex
+}
 
-	boundsOnce sync.Once
-	bounds     *index.Bounds
+// lazyIndex is a pruning index over each edge's lowest cost at any instant,
+// built on first use and shared by successive versions with equal floors.
+// Every interval's costs are at least the floors, so its bounds are
+// admissible in every interval (index.SlackFactor absorbs summation order).
+type lazyIndex struct {
+	once   sync.Once
+	bounds *index.Bounds
 }
 
 // intervalAt resolves instant t to its elementary-interval index: a binary
@@ -217,39 +213,33 @@ func (v *version) start(k int) float64 {
 func (v *version) costAt(g *graph.Graph, e graph.EdgeID, t float64) vec.Costs {
 	w := g.Edge(e).W
 	if p, ok := v.profiles[e]; ok {
-		return scaled(w, p.At(t))
+		return scaled(make(vec.Costs, 0, len(w)), w, p.At(t))
 	}
 	return w
 }
 
 // floorIndex returns the version's pruning index, building it on the first
-// call: one index over each edge's lowest cost at any instant. Every
-// interval's costs are at least that, so the bounds are admissible under
-// every interval's cost surface; index.SlackFactor absorbs summation order
-// as for any index.
+// call by this version or any that shares it.
 func (v *version) floorIndex(g *graph.Graph) *index.Bounds {
-	v.boundsOnce.Do(func() {
+	v.floor.once.Do(func() {
 		lowest := make([]vec.Costs, g.NumEdges())
 		for e := range lowest {
 			lowest[e] = g.Edge(graph.EdgeID(e)).W
 		}
 		for e, p := range v.profiles {
-			lowest[e] = scaled(lowest[e], p.floor())
+			lowest[e] = scaled(make(vec.Costs, 0, g.D()), lowest[e], p.floor(g.D()))
 		}
-		v.bounds = index.FromCosts(g, func(e graph.EdgeID, i int) float64 { return lowest[e][i] })
+		v.floor.bounds = index.FromCosts(g, func(e graph.EdgeID, i int) float64 { return lowest[e][i] })
 	})
-	return v.bounds
+	return v.floor.bounds
 }
 
 // New wraps a static network; edges without profiles keep their base costs
-// at all times. It compiles the topology, which every version shares.
+// at all times. It compiles the topology and base costs, which every version
+// shares.
 func New(g *graph.Graph) *Network {
-	n := &Network{base: g, topo: flat.Compile(g)}
-	ov, err := flat.NewOverlay(n.topo, 1, func(_ int, e graph.EdgeID) vec.Costs { return g.Edge(e).W })
-	if err != nil {
-		panic(err) // unreachable: graph.Build validated every cost vector
-	}
-	n.cur.Store(&version{profiles: map[graph.EdgeID]Profile{}, ov: ov})
+	n := &Network{base: g, ov: flat.NewOverlay(flat.Compile(g))}
+	n.cur.Store(&version{profiles: map[graph.EdgeID]Profile{}, rows: make([]*flat.Rows, g.NumEdges()), floor: &lazyIndex{}})
 	return n
 }
 
@@ -264,63 +254,73 @@ func (n *Network) Base() *graph.Graph { return n.base }
 func (n *Network) EnableResultCache(c *rescache.Cache) { n.cache = c }
 
 // SetProfile attaches a copy of p to edge e, replacing any previous profile.
-// It compiles the next version and publishes it; queries already running
-// finish on the version they loaded.
-//
-// When the global breakpoint axis is unchanged (the new profile introduces
-// no new instants and retires none), the new version copies only the
-// interval matrices where edge e's effective cost changed and shares every
-// other one, and with a result cache attached only those intervals are
-// invalidated — cached results for untouched intervals stay live across the
-// edit. An edit that changes the axis renumbers the intervals: every matrix
-// is refilled over the shared topology and the whole time-dependent class
-// is invalidated. Static entries in a shared cache are never touched.
+// It compiles the next version — edge e's cost rows, every other edge's
+// shared — and publishes it; queries already running finish on the version
+// they loaded. When the global breakpoint axis is unchanged (the profile
+// adds no instant and retires none), an attached result cache invalidates
+// only the intervals where edge e's effective cost changed; an edit that
+// moves the axis renumbers the intervals and invalidates the whole
+// time-dependent class. Static entries in a shared cache are never touched.
 func (n *Network) SetProfile(e graph.EdgeID, p Profile) error {
-	return n.setProfiles(map[graph.EdgeID]Profile{e: p})
+	return n.setProfiles(map[graph.EdgeID]Profile{e: p.clone()})
 }
 
 // setProfiles validates every edit, then compiles and publishes one version
-// carrying all of them, so a bulk attach refills the interval matrices once
-// rather than once per edit. It replaces edits' profiles by copies.
+// carrying all of them, so a bulk attach merges the time axis once rather
+// than once per edit. The version keeps the edits' profiles: the caller must
+// not retain them.
 func (n *Network) setProfiles(edits map[graph.EdgeID]Profile) error {
+	d := n.base.D()
 	for e, p := range edits {
 		if int(e) >= n.base.NumEdges() {
 			return fmt.Errorf("timedep: edge %d out of range (%d edges)", e, n.base.NumEdges())
 		}
-		p = p.clone()
-		if err := p.Validate(n.base.D()); err != nil {
+		if err := p.Validate(d); err != nil {
 			return err
 		}
-		edits[e] = p
 	}
 	n.writeMu.Lock()
 	defer n.writeMu.Unlock()
 	cur := n.cur.Load()
-	next := &version{profiles: maps.Clone(cur.profiles), axis: cur.axis}
-	maps.Copy(next.profiles, edits)
+	next := &version{
+		profiles: make(map[graph.EdgeID]Profile, len(cur.profiles)+len(edits)),
+		rows:     slices.Clone(cur.rows),
+		axis:     cur.axis,
+		floor:    cur.floor,
+	}
+	maps.Copy(next.profiles, cur.profiles)
+	for e, p := range edits {
+		costs := make(vec.Costs, 0, len(p.Mult)*d)
+		for _, m := range p.Mult {
+			costs = scaled(costs, n.base.Edge(e).W, m)
+		}
+		rows, err := n.ov.NewRows(p.Times, costs)
+		if err != nil {
+			return fmt.Errorf("timedep: edge %d: %w", e, err)
+		}
+		if !p.floor(d).Equal(cur.profiles[e].floor(d)) {
+			next.floor = &lazyIndex{}
+		}
+		next.profiles[e], next.rows[e] = p, rows
+	}
 	next.times = breakpointUnion(next.profiles)
-	var tags []rescache.Tag
+	tags := []rescache.Tag{rescache.ClassTimeDep}
 	if slices.Equal(next.times, cur.times) {
-		// Interval numbering is stable: each edited edge patches exactly the
-		// intervals where its cost changed, and only those are invalidated.
-		next.ov = cur.ov
+		// Interval numbering is stable: only the intervals where an edited
+		// edge's cost changed are invalidated.
+		tags = nil
 		for e := range edits {
-			var changed []int
-			next.ov, changed = next.ov.WithEdge(e, func(k int) vec.Costs { return next.costAt(n.base, e, next.start(k)) })
-			for _, k := range changed {
-				tags = append(tags, rescache.IntervalTag(k))
+			for k := 0; k <= len(next.times); k++ {
+				was, is := n.ov.View(cur.rows, next.start(k)), n.ov.View(next.rows, next.start(k))
+				a, _ := was.EdgeInfo(e)
+				b, _ := is.EdgeInfo(e)
+				if !a.W.Equal(b.W) {
+					tags = append(tags, rescache.IntervalTag(k))
+				}
 			}
 		}
 	} else {
-		ov, err := flat.NewOverlay(n.topo, len(next.times)+1, func(k int, e graph.EdgeID) vec.Costs {
-			return next.costAt(n.base, e, next.start(k))
-		})
-		if err != nil {
-			return err
-		}
-		next.ov = ov
 		next.axis++
-		tags = []rescache.Tag{rescache.ClassTimeDep}
 	}
 	n.cur.Store(next)
 	if n.cache != nil && len(tags) > 0 {
@@ -334,13 +334,12 @@ func (n *Network) setProfiles(edits map[graph.EdgeID]Profile) error {
 // breakpointUnion returns the sorted union of every profile's instants —
 // the global time axis of a version with these profiles.
 func breakpointUnion(profiles map[graph.EdgeID]Profile) []float64 {
-	set := make(map[float64]bool)
+	var all []float64
 	for _, p := range profiles {
-		for _, t := range p.Times {
-			set[t] = true
-		}
+		all = append(all, p.Times...)
 	}
-	return slices.Sorted(maps.Keys(set))
+	slices.Sort(all)
+	return slices.Compact(all)
 }
 
 // Breakpoints returns the ascending instants in [from, to) where some edge
@@ -389,12 +388,13 @@ type IntervalResult struct {
 	Result   *core.Result
 }
 
-// instant runs one static query against the interval view covering t: the
-// shared prologue of every *At entry point — location validation, version
-// load, pruning index for within, ctx binding. spec carries the
-// kind-specific key fields; with a cache attached, the query is keyed by
-// elementary interval (every instant inside the interval shares one entry)
-// and tagged with its interval plus the time-dependent class.
+// instant runs one static query against the view at the start of the
+// elementary interval covering t: the shared prologue of every *At entry
+// point — location validation, version load, pruning index for within, ctx
+// binding. spec carries the kind-specific key fields; with a cache attached,
+// the query is keyed by elementary interval (every instant inside the
+// interval shares one entry) and tagged with its interval plus the
+// time-dependent class.
 func (n *Network) instant(ctx context.Context, loc graph.Location, t float64, opt core.Options, spec rescache.KeySpec, query func(*flat.View, core.Options) (*core.Result, error)) (*core.Result, error) {
 	if err := loc.Validate(n.base); err != nil {
 		return nil, err
@@ -410,7 +410,8 @@ func (n *Network) instant(ctx context.Context, loc graph.Location, t float64, op
 			// needs no extra field.
 			opt.Bounds = v.floorIndex(n.base)
 		}
-		return query(v.ov.Interval(k), opt.BindContext(ctx))
+		view := n.ov.View(v.rows, v.start(k))
+		return query(&view, opt.BindContext(ctx))
 	}
 	if n.cache != nil && opt.OnResult == nil {
 		spec.Interval = k
@@ -498,7 +499,7 @@ func (n *Network) TopKOverPeriod(ctx context.Context, loc graph.Location, agg ve
 }
 
 // overPeriod sweeps the elementary intervals intersecting [from, to),
-// running one static query per interval against its overlay view and
+// running one static query per interval against the view at its start and
 // merging adjacent intervals with identical preferred sets.
 func (n *Network) overPeriod(ctx context.Context, loc graph.Location, from, to float64, opt core.Options, query func(*flat.View, core.Options) (*core.Result, error)) ([]IntervalResult, error) {
 	if !(from < to) {
@@ -513,6 +514,7 @@ func (n *Network) overPeriod(ctx context.Context, loc graph.Location, from, to f
 	opt = opt.BindContext(ctx)
 	breaks := breaksIn(v.times, from, to)
 	var out []IntervalResult
+	var view flat.View // one per sweep, rebound per interval
 	for i, start := range breaks {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -521,7 +523,8 @@ func (n *Network) overPeriod(ctx context.Context, loc graph.Location, from, to f
 		if i+1 < len(breaks) {
 			end = breaks[i+1]
 		}
-		res, err := query(v.ov.Interval(v.intervalAt(start)), opt)
+		view = n.ov.View(v.rows, v.start(v.intervalAt(start)))
+		res, err := query(&view, opt)
 		if err != nil {
 			return nil, err
 		}

@@ -82,6 +82,9 @@ func TestProfileValidate(t *testing.T) {
 		{Times: []float64{math.NaN()}, Mult: []vec.Costs{vec.Of(1, 1)}},
 		{Times: []float64{1, math.NaN()}, Mult: []vec.Costs{vec.Of(1, 1), vec.Of(2, 2)}},
 		{Times: []float64{math.Inf(1)}, Mult: []vec.Costs{vec.Of(1, 1)}},
+		// An infinite multiplier scales a zero cost to NaN.
+		{Times: []float64{1}, Mult: []vec.Costs{vec.Of(1, math.Inf(1))}},
+		{Times: []float64{1}, Mult: []vec.Costs{vec.Of(math.NaN(), 1)}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(d); err == nil {
@@ -91,9 +94,40 @@ func TestProfileValidate(t *testing.T) {
 }
 
 func TestSetProfileErrors(t *testing.T) {
-	n, _, _, _ := rushHourNet(t)
+	n, loc, _, _ := rushHourNet(t)
+	fresh, _, _, _ := rushHourNet(t)
 	if err := n.SetProfile(99, Profile{Times: []float64{1}, Mult: []vec.Costs{vec.Of(1, 1)}}); err == nil {
 		t.Error("out-of-range edge accepted")
+	}
+	// The side road's second cost is 0: an infinite multiplier would install
+	// NaN, whether or not the edit keeps the axis {8, 10}.
+	inf := math.Inf(1)
+	for name, p := range map[string]Profile{
+		"axis kept":  {Times: []float64{8, 10}, Mult: []vec.Costs{vec.Of(1, inf), vec.Of(1, 1)}},
+		"axis moved": {Times: []float64{7}, Mult: []vec.Costs{vec.Of(1, inf)}},
+	} {
+		if err := n.SetProfile(1, p); err == nil {
+			t.Errorf("%s: infinite multiplier on a zero cost accepted", name)
+		}
+		if got := n.Breakpoints(0, 24); !reflect.DeepEqual(got, []float64{0, 8, 10}) {
+			t.Errorf("%s: a rejected edit moved the axis to %v", name, got)
+		}
+		for _, at := range []float64{7.5, 9} {
+			if _, err := n.CostAt(1, at); err != nil {
+				t.Errorf("%s: CostAt(side, %g): %v", name, at, err)
+			}
+			got, err := n.SkylineAt(ctx, loc, at, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.SkylineAt(ctx, loc, at, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameFacilityList(got.Facilities, want.Facilities) {
+				t.Errorf("%s: t=%g skyline %v after a rejected edit, want %v", name, at, got.Facilities, want.Facilities)
+			}
+		}
 	}
 }
 

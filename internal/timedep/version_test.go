@@ -9,6 +9,7 @@ import (
 	"mcn/internal/core"
 	"mcn/internal/flat"
 	"mcn/internal/graph"
+	"mcn/internal/index"
 	"mcn/internal/rescache"
 	"mcn/internal/vec"
 )
@@ -49,72 +50,100 @@ func TestSetProfileCopiesProfile(t *testing.T) {
 	}
 }
 
-// An axis-preserving edit shares every interval matrix whose costs it does
-// not change with the previous version, pointer for pointer, and copies the
-// others with only the edited edge's d slots different.
-func TestSetProfileSharesUnchangedIntervals(t *testing.T) {
+// An edit copies only the edited edge's rows: every other edge's rows and
+// the base matrix are shared with the previous version pointer for pointer,
+// and the previous version still answers with its own costs. Both compile
+// cases run the same path: an edit that keeps the axis and one that moves it.
+func TestSetProfileCopiesOnlyEditedRows(t *testing.T) {
 	n, _ := randomProfiled(t, false, 2)
 	g := n.Base()
-	prev := n.cur.Load()
-	e := slices.Min(slices.Collect(maps.Keys(prev.profiles)))
-	p := prev.profiles[e]
-	edited := Profile{Times: p.Times, Mult: append([]vec.Costs{p.Mult[0].Scale(2)}, p.Mult[1:]...)}
-	if err := n.SetProfile(e, edited); err != nil {
-		t.Fatal(err)
-	}
-	next := n.cur.Load()
-	if !reflect.DeepEqual(next.times, prev.times) {
-		t.Fatal("the edit moved the axis; the test needs an axis-preserving one")
-	}
-	changed, want := 0, 0
-	for k := 0; k < next.ov.NumIntervals(); k++ {
-		if at := next.start(k); at >= p.Times[0] && (len(p.Times) == 1 || at < p.Times[1]) {
-			want++ // the edited multiplier's span
+	e := slices.Min(slices.Collect(maps.Keys(n.cur.Load().profiles)))
+	for _, name := range []string{"axis kept", "axis moved"} {
+		prev := n.cur.Load()
+		p := prev.profiles[e]
+		edited := Profile{Times: p.Times, Mult: append([]vec.Costs{p.Mult[0].Scale(2)}, p.Mult[1:]...)}
+		if name == "axis moved" {
+			edited = Profile{Times: []float64{p.Times[0] - 0.5}, Mult: []vec.Costs{p.Mult[0].Scale(3)}}
 		}
-		pv, nv := prev.ov.Interval(k), next.ov.Interval(k)
-		if !matrixChanged(t, g, pv, nv, e) {
-			if first(t, pv) != first(t, nv) {
-				t.Errorf("interval %d: edge %d's cost is unchanged but the matrix was copied", k, e)
+		before := costsAtStarts(n, prev, e)
+		if err := n.SetProfile(e, edited); err != nil {
+			t.Fatal(err)
+		}
+		next := n.cur.Load()
+		if moved := !slices.Equal(next.times, prev.times); moved != (name == "axis moved") {
+			t.Fatalf("%s: axis moved = %v", name, moved)
+		}
+		for i := range next.rows {
+			if shared := next.rows[i] == prev.rows[i]; shared == (graph.EdgeID(i) == e) {
+				t.Errorf("%s: edge %d's rows shared = %v; only edge %d was edited", name, i, shared, e)
 			}
-			continue
 		}
-		changed++
-		if first(t, pv) == first(t, nv) {
-			t.Fatalf("interval %d: edited in place; the previous version changed under its readers", k)
+		for i := 0; i < g.NumEdges(); i++ {
+			if prev.rows[i] != nil {
+				continue
+			}
+			was, is := n.ov.View(prev.rows, 0), n.ov.View(next.rows, 0)
+			a, _ := was.EdgeInfo(graph.EdgeID(i))
+			b, _ := is.EdgeInfo(graph.EdgeID(i))
+			if &a.W[0] != &b.W[0] {
+				t.Fatalf("%s: unprofiled edge %d reads a copied base row", name, i)
+			}
 		}
-	}
-	if changed != want || want == 0 {
-		t.Errorf("%d intervals copied, want the %d the edited multiplier covers", changed, want)
+		if after := costsAtStarts(n, prev, e); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: the previous version's costs for edge %d changed under its readers", name, e)
+		}
 	}
 }
 
-// matrixChanged reports whether edge e's costs differ between two views of
-// one interval, and fails the test if any other edge's do.
-func matrixChanged(t *testing.T, g *graph.Graph, a, b *flat.View, e graph.EdgeID) bool {
-	t.Helper()
-	changed := false
-	for i := 0; i < g.NumEdges(); i++ {
-		wa, _ := a.EdgeCosts(graph.EdgeID(i))
-		wb, _ := b.EdgeCosts(graph.EdgeID(i))
-		if wa.Equal(wb) {
-			continue
-		}
-		if graph.EdgeID(i) != e {
-			t.Fatalf("edge %d's costs changed; only edge %d was edited", i, e)
-		}
-		changed = true
+// costsAtStarts returns edge e's cost under version v at every interval
+// start, copied.
+func costsAtStarts(n *Network, v *version, e graph.EdgeID) []vec.Costs {
+	var out []vec.Costs
+	for k := 0; k <= len(v.times); k++ {
+		view := n.ov.View(v.rows, v.start(k))
+		info, _ := view.EdgeInfo(e)
+		out = append(out, info.W.Clone())
 	}
-	return changed
+	return out
 }
 
-// first returns the address of an interval matrix's first cost.
-func first(t *testing.T, v *flat.View) *float64 {
-	t.Helper()
-	w, err := v.EdgeCosts(0)
-	if err != nil {
+// A version whose per-edge floors equal its predecessor's shares the
+// predecessor's pruning index, built or not; an edit that lowers a floor
+// gets an index of its own, built on its first WithinAt.
+func TestFloorIndexSharedWhileFloorsHold(t *testing.T) {
+	n, locs := randomProfiled(t, false, 3)
+	within := func() *index.Bounds {
+		t.Helper()
+		if _, err := n.WithinAt(ctx, locs[0], vec.Of(5, 5, 5), 12, core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		return n.cur.Load().floor.bounds
+	}
+	built := within()
+	var e graph.EdgeID
+	for n.cur.Load().profiles[e].Times != nil {
+		e++
+	}
+	// Multipliers of at least 1 floor at 1, as the unprofiled edge did.
+	if err := n.SetProfile(e, Profile{Times: []float64{12, 40}, Mult: []vec.Costs{vec.Of(2, 3, 1), vec.Of(1, 1, 4)}}); err != nil {
 		t.Fatal(err)
 	}
-	return &w[0]
+	if got := n.cur.Load().floor.bounds; got != built {
+		t.Fatalf("an edit keeping every floor left the index %p, want the predecessor's %p", got, built)
+	}
+	if got := within(); got != built {
+		t.Fatal("WithinAt rebuilt an index whose floors had not changed")
+	}
+	if err := n.SetProfile(e, Profile{Times: []float64{12, 40}, Mult: []vec.Costs{vec.Of(2, 0.5, 1), vec.Of(1, 1, 4)}}); err != nil {
+		t.Fatal(err)
+	}
+	if n.cur.Load().floor.bounds != nil {
+		t.Fatal("an edit lowering a floor inherited the predecessor's index")
+	}
+	if got := within(); got == nil || got == built {
+		t.Fatalf("index after lowering a floor = %p, want a new one (predecessor's %p)", got, built)
+	}
+	checkAdmissible(t, "lowered", n)
 }
 
 // Only WithinAt reads the pruning index, so only WithinAt builds it.
@@ -137,14 +166,14 @@ func TestFloorIndexBuiltOnlyForWithin(t *testing.T) {
 		if err := run(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if n.cur.Load().bounds != nil {
+		if n.cur.Load().floor.bounds != nil {
 			t.Fatalf("%s built the pruning index", name)
 		}
 	}
 	if _, err := n.WithinAt(ctx, loc, vec.Of(5, 5, 5), 12, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if n.cur.Load().bounds == nil {
+	if n.cur.Load().floor.bounds == nil {
 		t.Fatal("WithinAt ran without the pruning index")
 	}
 }
@@ -162,8 +191,8 @@ func TestSupersededAnswerNotCached(t *testing.T) {
 		_, err := n.instant(ctx, loc, 5, core.Options{}, rescache.KeySpec{Kind: rescache.KindSkyline},
 			func(view *flat.View, opt core.Options) (*core.Result, error) {
 				if publish {
-					v := n.cur.Load()
-					n.cur.Store(&version{profiles: v.profiles, times: v.times, ov: v.ov, axis: v.axis})
+					successor := *n.cur.Load()
+					n.cur.Store(&successor)
 				}
 				return core.Skyline(view, loc, opt)
 			})

@@ -129,9 +129,10 @@ type (
 	CacheShardStats = rescache.ShardStats
 	// TimeNetwork is a network with time-dependent edge costs (piecewise-
 	// constant profiles), answering preference queries at single instants
-	// and over time periods from a compiled flat overlay (topology once,
-	// per-interval cost vectors). Each SetProfile publishes a new immutable
-	// version; queries may run concurrently with it.
+	// and over time periods from a compiled flat overlay (topology and base
+	// costs once, one cost row per profile segment of each profiled edge).
+	// Each SetProfile publishes a new immutable version; queries may run
+	// concurrently with it.
 	TimeNetwork = timedep.Network
 	// TimeProfile is a piecewise-constant cost modifier for one edge.
 	TimeProfile = timedep.Profile
@@ -807,15 +808,15 @@ func (n *Network) ResetIOStats() {
 // are ctx-first, like every other query in the v2 API, and take core
 // options built from the same Option helpers via QueryOptions.
 //
-// TimeDependent compiles the topology once into shared CSR arrays, and
-// every SetProfile compiles the next immutable version onto them: one
-// dense cost vector per elementary interval of the time axis, shared with
-// the previous version wherever the edit left it unchanged (see README
+// TimeDependent compiles the topology and base costs once into shared CSR
+// arrays, and every SetProfile compiles the next immutable version onto
+// them: the edited edge gets one cost row per profile segment, and every
+// other edge's rows are shared with the previous version (see ARCHITECTURE
 // "Time-dependent architecture"). Queries never compile: resolving an
-// instant is a binary search plus a pointer read, and queries run on
-// pooled dense expansion state at the in-memory fast path's allocation
-// level — no per-interval graph rebuild. Edits may race queries; a query
-// that overlaps an edit answers for the version before or after it.
+// instant is a binary search, and queries run on pooled dense expansion
+// state at the in-memory fast path's allocation level — no per-interval
+// graph rebuild. Edits may race queries; a query that overlaps an edit
+// answers for the version before or after it.
 //
 //	tn := mcn.TimeDependent(g)
 //	tn.SetProfile(highway, mcn.TimeProfile{Times: []float64{8, 10},
