@@ -51,11 +51,13 @@ bench:
 # facility insert costs (an edge lookup and O(d) arithmetic, no traversal),
 # the time-dependent rows print one SetProfile plus the skyline read after
 # it, axis kept and axis moved (either way the edit builds one edge's cost
-# rows and shares the rest; the read compiles nothing), and the start-up
+# rows and shares the rest; the read compiles nothing), the start-up
 # row prints what mcnserve -timedep's compile allocates (New plus
-# AttachSyntheticProfiles on the td2k shape).
+# AttachSyntheticProfiles on the td2k shape), and the result-cache row
+# times the parallel hit path (one mutex, one map probe; at 1x its allocs
+# are RunParallel's own — TestHitAllocatesNothing pins the hit at zero).
 benchmem:
-	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline|BenchmarkMaintainerInsert|BenchmarkSetProfileThenRead|BenchmarkAttachSyntheticProfiles' -benchtime 1x -benchmem ./...
+	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline|BenchmarkMaintainerInsert|BenchmarkSetProfileThenRead|BenchmarkAttachSyntheticProfiles|BenchmarkCacheHitParallel' -benchtime 1x -benchmem ./...
 
 # CPU+heap profiles of the expansion pop loop; inspect with
 # `go tool pprof cpu.prof` / `go tool pprof mem.prof`.

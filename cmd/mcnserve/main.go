@@ -77,7 +77,6 @@ func main() {
 		pprofFlag  = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/ (profiling; off by default)")
 
 		cacheEntries = flag.Int("cache-entries", 4096, "result cache capacity in cached query results (0 = caching off)")
-		cacheShards  = flag.Int("cache-shards", 0, "result cache shard count, rounded to a power of two (0 = auto from GOMAXPROCS)")
 
 		chaos          = flag.Bool("chaos", false, "dev: wrap the storage device in the deterministic fault injector (requires -db)")
 		chaosSeed      = flag.Uint64("chaos-seed", 1, "dev: fault schedule seed")
@@ -150,12 +149,8 @@ func main() {
 		log.Printf("mcnserve: pruning index attached (%d bytes)", is.BoundsBytes)
 	}
 	if *cacheEntries > 0 {
-		cache := net.EnableResultCache(mcn.CacheOptions{
-			Entries: *cacheEntries,
-			Shards:  *cacheShards,
-		})
-		log.Printf("mcnserve: result cache enabled (%d entries, %d shards)",
-			cache.Capacity(), cache.Shards())
+		cache := net.EnableResultCache(mcn.CacheOptions{Entries: *cacheEntries})
+		log.Printf("mcnserve: result cache enabled (%d entries)", cache.Capacity())
 	}
 	srv := serve.New(net, serve.Config{
 		Workers:    *workers,

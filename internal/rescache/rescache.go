@@ -6,11 +6,12 @@
 // distinct query instead of once per request.
 //
 // The cache reuses the buffer pool's proven machinery one level up (see
-// internal/storage): power-of-two shards with per-shard locks and CLOCK
-// (second-chance) eviction, per-key miss coalescing (singleflight — a
-// thundering herd on a cold popular query performs the expansion once, the
-// rest wait and share the result), and lock-free counters on per-shard
-// atomics so a /stats poll never stalls query traffic.
+// internal/storage): one replacement domain — one CLOCK (second-chance)
+// ring over the whole capacity under one mutex, so which entries survive
+// depends on the key sequence alone, never on the host's core count —
+// per-key miss coalescing (singleflight — a thundering herd on a cold
+// popular query performs the expansion once, the rest wait and share the
+// result), and counters on atomics so a /stats poll never takes the lock.
 //
 // # Invalidation
 //
@@ -45,8 +46,6 @@ package rescache
 import (
 	"errors"
 	"fmt"
-	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -96,10 +95,6 @@ type Options struct {
 	// Entries is the cache capacity in cached results; <= 0 selects the
 	// default (4096).
 	Entries int
-	// Shards is the number of independently locked partitions, rounded down
-	// to a power of two and clamped so every shard owns at least one entry.
-	// Zero derives a default from GOMAXPROCS.
-	Shards int
 }
 
 // DefaultEntries is the capacity Options{Entries: 0} selects.
@@ -137,9 +132,9 @@ func (v Value) ResultAt(scale float64) *core.Result {
 	return out
 }
 
-// Stats is an aggregate snapshot of a cache's lifetime counters, summed
-// lock-free across shards (approximate under concurrent traffic, monotone
-// per counter — the same contract as the buffer pool's Stats).
+// Stats is a snapshot of a cache's lifetime counters, read lock-free one
+// counter at a time (approximate under concurrent traffic, monotone per
+// counter — the same contract as the buffer pool's Stats).
 type Stats struct {
 	// Hits counts lookups served from a live entry; Misses counts lookups
 	// that ran the query (coalescing leaders included); Coalesced counts
@@ -172,26 +167,19 @@ func (s Stats) String() string {
 		s.Hits, s.Misses, s.Coalesced, s.Invalidated, s.Evicted, 100*s.HitRate())
 }
 
-// ShardStats is one cache shard's lifetime counters — the result-cache
-// analogue of storage.ShardStats, surfaced the same way (lock-free
-// snapshots through the facade into /stats) so shard skew is diagnosable
-// with the same tooling as the buffer pool's.
-type ShardStats struct {
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Coalesced   int64 `json:"coalesced"`
-	Invalidated int64 `json:"invalidated"`
-	Evicted     int64 `json:"evicted"`
-	// Entries is the shard's current live-entry count.
-	Entries int64 `json:"entries"`
-}
-
-// Cache is a sharded, CLOCK-evicted, singleflight-coalesced map from
-// canonical query keys to completed results. It is safe for concurrent use.
+// Cache is a CLOCK-evicted, singleflight-coalesced map from canonical query
+// keys to completed results: one replacement domain under one mutex. It is
+// safe for concurrent use.
 type Cache struct {
-	cap    int
-	shift  uint
-	shards []shard
+	cap int
+
+	// Counters are atomics so Stats and Len never take mu.
+	hits        atomic.Int64
+	misses      atomic.Int64
+	coalesced   atomic.Int64
+	invalidated atomic.Int64
+	evicted     atomic.Int64
+	live        atomic.Int64 // len(entries), mirrored for lock-free reads
 
 	// version is the global invalidation clock: bumped on every Invalidate
 	// and Flush, snapshotted by each computation before it starts.
@@ -200,35 +188,18 @@ type Cache struct {
 	// predates it are stale regardless of tags.
 	flushed atomic.Uint64
 
-	// tagMu guards stamped, the last-invalidated version per tag. Lookups
-	// take the read side per tag check; Invalidate the write side briefly.
-	tagMu   sync.RWMutex
-	stamped map[Tag]uint64
-}
-
-// shard is one cache partition; counters above mu are atomics read
-// lock-free, everything below mu is guarded by it.
-type shard struct {
-	hits        atomic.Int64
-	misses      atomic.Int64
-	coalesced   atomic.Int64
-	invalidated atomic.Int64
-	evicted     atomic.Int64
-	live        atomic.Int64 // len(entries), mirrored for lock-free stats
-
+	// mu guards everything below it.
 	mu       sync.Mutex
-	cap      int
 	entries  map[string]*entry
 	inflight map[string]*flight
+	// stamped is the last-invalidated version per tag.
+	stamped map[Tag]uint64
 
 	// CLOCK ring and sweep hand; free holds ring indices of invalidated
 	// entries, reused before any live entry is evicted.
 	slots []*entry
 	hand  int
 	free  []int
-
-	// pad keeps neighbouring shards' counters off one cache line.
-	_ [64]byte
 }
 
 // entry is one cached result with its dependency stamps.
@@ -239,7 +210,7 @@ type entry struct {
 	// ver is the cache version observed before the entry's computation
 	// began; any tag stamped after it marks the entry stale.
 	ver  uint64
-	slot int  // position in the shard's CLOCK ring
+	slot int  // position in the CLOCK ring
 	ref  bool // CLOCK reference bit
 }
 
@@ -258,101 +229,32 @@ func New(opts Options) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultEntries
 	}
-	n := opts.Shards
-	if n <= 0 {
-		n = 4 * runtime.GOMAXPROCS(0)
-		if n > 64 {
-			n = 64
-		}
-	}
-	n = floorPow2(n)
-	if n > capacity {
-		n = floorPow2(capacity)
-	}
 	c := &Cache{
-		cap:     capacity,
-		shift:   uint(64 - bits.Len(uint(n-1))),
-		shards:  make([]shard, n),
-		stamped: make(map[Tag]uint64),
-	}
-	if n == 1 {
-		c.shift = 64
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.cap = capacity / n
-		if i < capacity%n {
-			s.cap++
-		}
-		s.entries = make(map[string]*entry, s.cap)
-		s.inflight = make(map[string]*flight)
+		cap:      capacity,
+		entries:  make(map[string]*entry, capacity),
+		inflight: make(map[string]*flight),
+		stamped:  make(map[Tag]uint64),
 	}
 	c.version.Store(1)
 	return c
 }
 
-func floorPow2(n int) int { return 1 << (bits.Len(uint(n)) - 1) }
-
-// shard maps a key to its partition by FNV-1a with a Fibonacci finalizer,
-// so near-identical keys (adjacent edges, k±1) still spread.
-func (c *Cache) shard(key string) *shard {
-	if c.shift >= 64 {
-		return &c.shards[0]
-	}
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return &c.shards[(h*0x9E3779B97F4A7C15)>>c.shift]
-}
-
 // Capacity returns the total entry capacity.
 func (c *Cache) Capacity() int { return c.cap }
 
-// Shards returns the number of partitions.
-func (c *Cache) Shards() int { return len(c.shards) }
-
 // Len returns the number of live cached entries (lock-free, approximate
 // during concurrent inserts).
-func (c *Cache) Len() int {
-	var n int64
-	for i := range c.shards {
-		n += c.shards[i].live.Load()
-	}
-	return int(n)
-}
+func (c *Cache) Len() int { return int(c.live.Load()) }
 
-// Stats returns the aggregate counters (lock-free; see Stats).
+// Stats returns the lifetime counters (lock-free; see Stats).
 func (c *Cache) Stats() Stats {
-	var out Stats
-	for i := range c.shards {
-		s := &c.shards[i]
-		out.Hits += s.hits.Load()
-		out.Misses += s.misses.Load()
-		out.Coalesced += s.coalesced.Load()
-		out.Invalidated += s.invalidated.Load()
-		out.Evicted += s.evicted.Load()
+	return Stats{
+		Hits:        c.hits.Load(),
+		Misses:      c.misses.Load(),
+		Coalesced:   c.coalesced.Load(),
+		Invalidated: c.invalidated.Load(),
+		Evicted:     c.evicted.Load(),
 	}
-	return out
-}
-
-// ShardStats returns one entry per partition, in shard order — the same
-// per-shard skew view the buffer pool exposes, read lock-free.
-func (c *Cache) ShardStats() []ShardStats {
-	out := make([]ShardStats, len(c.shards))
-	for i := range c.shards {
-		s := &c.shards[i]
-		out[i] = ShardStats{
-			Hits:        s.hits.Load(),
-			Misses:      s.misses.Load(),
-			Coalesced:   s.coalesced.Load(),
-			Invalidated: s.invalidated.Load(),
-			Evicted:     s.evicted.Load(),
-			Entries:     s.live.Load(),
-		}
-	}
-	return out
 }
 
 // Invalidate stamps the given tags: every entry depending on any of them —
@@ -363,11 +265,11 @@ func (c *Cache) Invalidate(tags ...Tag) {
 		return
 	}
 	v := c.version.Add(1)
-	c.tagMu.Lock()
+	c.mu.Lock()
 	for _, t := range tags {
 		c.stamped[t] = v
 	}
-	c.tagMu.Unlock()
+	c.mu.Unlock()
 }
 
 // Flush invalidates every entry at once — the epoch fallback for updates
@@ -378,13 +280,11 @@ func (c *Cache) Flush() {
 }
 
 // stale reports whether an entry computed at version ver with the given
-// tags has been invalidated since.
+// tags has been invalidated since. Caller holds mu.
 func (c *Cache) stale(ver uint64, tags []Tag) bool {
 	if c.flushed.Load() > ver {
 		return true
 	}
-	c.tagMu.RLock()
-	defer c.tagMu.RUnlock()
 	for _, t := range tags {
 		if c.stamped[t] > ver {
 			return true
@@ -405,36 +305,35 @@ func (c *Cache) stale(ver uint64, tags []Tag) bool {
 // The returned Value is shared with the cache and other callers; treat the
 // Result as read-only.
 func (c *Cache) Do(key string, compute func() (Value, []Tag, error)) (val Value, hit bool, err error) {
-	s := c.shard(key)
 	for {
-		s.mu.Lock()
-		if e, ok := s.entries[key]; ok {
+		c.mu.Lock()
+		if e, ok := c.entries[key]; ok {
 			if c.stale(e.ver, e.tags) {
-				s.kill(e)
-				s.invalidated.Add(1)
+				c.kill(e)
+				c.invalidated.Add(1)
 			} else {
 				e.ref = true
 				val = e.val
-				s.hits.Add(1)
-				s.mu.Unlock()
+				c.mu.Unlock()
+				c.hits.Add(1)
 				return val, true, nil
 			}
 		}
-		f, ok := s.inflight[key]
+		f, ok := c.inflight[key]
 		if !ok {
 			break
 		}
-		s.coalesced.Add(1)
-		s.mu.Unlock()
+		c.coalesced.Add(1)
+		c.mu.Unlock()
 		<-f.done
 		if f.err != nil || f.stored {
 			return f.val, false, f.err
 		}
 	}
-	s.misses.Add(1)
+	c.misses.Add(1)
 	f := &flight{done: make(chan struct{})}
-	s.inflight[key] = f
-	s.mu.Unlock()
+	c.inflight[key] = f
+	c.mu.Unlock()
 
 	// ver is snapshotted before the computation starts: an invalidation
 	// landing while the query runs stamps a higher version, so the entry
@@ -446,9 +345,9 @@ func (c *Cache) Do(key string, compute func() (Value, []Tag, error)) (val Value,
 	// layer.
 	defer func() {
 		if !completed {
-			s.mu.Lock()
-			delete(s.inflight, key)
-			s.mu.Unlock()
+			c.mu.Lock()
+			delete(c.inflight, key)
+			c.mu.Unlock()
 			f.err = ErrComputePanic
 			close(f.done)
 		}
@@ -456,15 +355,15 @@ func (c *Cache) Do(key string, compute func() (Value, []Tag, error)) (val Value,
 	val, tags, err := compute()
 	completed = true
 
-	s.mu.Lock()
-	delete(s.inflight, key)
+	c.mu.Lock()
+	delete(c.inflight, key)
 	if err == nil && !slices.Contains(tags, Superseded) && !c.stale(ver, tags) {
-		if _, ok := s.entries[key]; !ok {
-			s.insert(&entry{key: key, val: val, tags: tags, ver: ver})
+		if _, ok := c.entries[key]; !ok {
+			c.insert(&entry{key: key, val: val, tags: tags, ver: ver})
 		}
 		f.stored = true
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	f.val, f.err = val, err
 	close(f.done)
 	return val, false, err
@@ -475,16 +374,15 @@ func (c *Cache) Do(key string, compute func() (Value, []Tag, error)) (val Value,
 // reported as a miss) but does not touch the hit/miss counters, so probes
 // from tests and diagnostics do not skew serving statistics.
 func (c *Cache) Lookup(key string) (Value, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
 	if !ok {
 		return Value{}, false
 	}
 	if c.stale(e.ver, e.tags) {
-		s.kill(e)
-		s.invalidated.Add(1)
+		c.kill(e)
+		c.invalidated.Add(1)
 		return Value{}, false
 	}
 	e.ref = true
@@ -493,48 +391,48 @@ func (c *Cache) Lookup(key string) (Value, bool) {
 
 // kill removes an invalidated entry from the map and puts its ring slot on
 // the free list for reuse. Caller holds mu.
-func (s *shard) kill(e *entry) {
-	delete(s.entries, e.key)
-	s.slots[e.slot] = nil
-	s.free = append(s.free, e.slot)
-	s.live.Store(int64(len(s.entries)))
+func (c *Cache) kill(e *entry) {
+	delete(c.entries, e.key)
+	c.slots[e.slot] = nil
+	c.free = append(c.free, e.slot)
+	c.live.Store(int64(len(c.entries)))
 }
 
 // insert places a new entry, reusing freed (invalidated) slots first and
-// otherwise evicting with a CLOCK second-chance sweep once the shard is
+// otherwise evicting with a CLOCK second-chance sweep once the cache is
 // full. Only displacing a live entry counts as an eviction. Caller holds
 // mu; the free-list-first order keeps the invariant that the sweep never
 // encounters an empty slot.
-func (s *shard) insert(e *entry) {
+func (c *Cache) insert(e *entry) {
 	switch {
-	case len(s.free) > 0:
-		e.slot = s.free[len(s.free)-1]
-		s.free = s.free[:len(s.free)-1]
-		s.slots[e.slot] = e
-	case len(s.slots) < s.cap:
-		e.slot = len(s.slots)
-		s.slots = append(s.slots, e)
+	case len(c.free) > 0:
+		e.slot = c.free[len(c.free)-1]
+		c.free = c.free[:len(c.free)-1]
+		c.slots[e.slot] = e
+	case len(c.slots) < c.cap:
+		e.slot = len(c.slots)
+		c.slots = append(c.slots, e)
 	default:
 		for {
-			victim := s.slots[s.hand]
+			victim := c.slots[c.hand]
 			if !victim.ref {
-				s.evicted.Add(1)
-				delete(s.entries, victim.key)
+				c.evicted.Add(1)
+				delete(c.entries, victim.key)
 				break
 			}
 			victim.ref = false
-			s.hand++
-			if s.hand == len(s.slots) {
-				s.hand = 0
+			c.hand++
+			if c.hand == len(c.slots) {
+				c.hand = 0
 			}
 		}
-		e.slot = s.hand
-		s.slots[s.hand] = e
-		s.hand++
-		if s.hand == len(s.slots) {
-			s.hand = 0
+		e.slot = c.hand
+		c.slots[c.hand] = e
+		c.hand++
+		if c.hand == len(c.slots) {
+			c.hand = 0
 		}
 	}
-	s.entries[e.key] = e
-	s.live.Store(int64(len(s.entries)))
+	c.entries[e.key] = e
+	c.live.Store(int64(len(c.entries)))
 }

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,7 +25,7 @@ func fill(id int, tags ...Tag) func() (Value, []Tag, error) {
 }
 
 func TestHitMissBasics(t *testing.T) {
-	c := New(Options{Entries: 8, Shards: 1})
+	c := New(Options{Entries: 8})
 	v, hit, err := c.Do("a", fill(1))
 	if err != nil || hit {
 		t.Fatalf("first Do: hit=%v err=%v", hit, err)
@@ -42,13 +44,13 @@ func TestHitMissBasics(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d", c.Len())
+	if c.Len() != 1 || c.Capacity() != 8 {
+		t.Fatalf("Len = %d, Capacity = %d", c.Len(), c.Capacity())
 	}
 }
 
 func TestErrorsNotCached(t *testing.T) {
-	c := New(Options{Entries: 8, Shards: 1})
+	c := New(Options{Entries: 8})
 	boom := errors.New("boom")
 	_, _, err := c.Do("a", func() (Value, []Tag, error) { return Value{}, nil, boom })
 	if !errors.Is(err, boom) {
@@ -64,7 +66,7 @@ func TestErrorsNotCached(t *testing.T) {
 }
 
 func TestTagInvalidation(t *testing.T) {
-	c := New(Options{Entries: 8, Shards: 1})
+	c := New(Options{Entries: 8})
 	c.Do("a", fill(1, EdgeTag(10)))
 	c.Do("b", fill(2, EdgeTag(20)))
 
@@ -82,7 +84,7 @@ func TestTagInvalidation(t *testing.T) {
 }
 
 func TestFlushKillsEverything(t *testing.T) {
-	c := New(Options{Entries: 8, Shards: 2})
+	c := New(Options{Entries: 8})
 	for i := 0; i < 6; i++ {
 		c.Do(fmt.Sprintf("k%d", i), fill(i))
 	}
@@ -100,7 +102,7 @@ func TestFlushKillsEverything(t *testing.T) {
 }
 
 func TestInvalidateDuringCompute(t *testing.T) {
-	c := New(Options{Entries: 8, Shards: 1})
+	c := New(Options{Entries: 8})
 	// The invalidation lands while the computation is running: the result
 	// must be returned to the caller but never cached.
 	v, hit, err := c.Do("a", func() (Value, []Tag, error) {
@@ -119,7 +121,7 @@ func TestInvalidateDuringCompute(t *testing.T) {
 // a waiter coalesced onto it looks the key up again instead of sharing it:
 // the value may predate an update that landed before the waiter arrived.
 func TestSupersededNotSharedOrStored(t *testing.T) {
-	c := New(Options{Entries: 8, Shards: 1})
+	c := New(Options{Entries: 8})
 	entered, gate := make(chan struct{}), make(chan struct{})
 	var leader Value
 	var wg sync.WaitGroup
@@ -156,7 +158,7 @@ func TestSupersededNotSharedOrStored(t *testing.T) {
 }
 
 func TestClockEviction(t *testing.T) {
-	c := New(Options{Entries: 4, Shards: 1})
+	c := New(Options{Entries: 4})
 	for i := 0; i < 4; i++ {
 		c.Do(fmt.Sprintf("k%d", i), fill(i))
 	}
@@ -180,7 +182,7 @@ func TestClockEviction(t *testing.T) {
 }
 
 func TestDeadSlotsReusedWithoutEvicting(t *testing.T) {
-	c := New(Options{Entries: 4, Shards: 1})
+	c := New(Options{Entries: 4})
 	for i := 0; i < 4; i++ {
 		c.Do(fmt.Sprintf("k%d", i), fill(i, EdgeTag(graph.EdgeID(i))))
 	}
@@ -198,7 +200,7 @@ func TestDeadSlotsReusedWithoutEvicting(t *testing.T) {
 }
 
 func TestSingleflightCoalesces(t *testing.T) {
-	c := New(Options{Entries: 8, Shards: 1})
+	c := New(Options{Entries: 8})
 	const herd = 32
 	var computes atomic.Int64
 	gate := make(chan struct{})
@@ -233,7 +235,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 }
 
 func TestPanicReleasesWaiters(t *testing.T) {
-	c := New(Options{Entries: 8, Shards: 1})
+	c := New(Options{Entries: 8})
 	entered := make(chan struct{})
 	finish := make(chan struct{})
 	var waitErr error
@@ -266,44 +268,89 @@ func TestPanicReleasesWaiters(t *testing.T) {
 	}
 }
 
-func TestShardStatsSumToStats(t *testing.T) {
-	c := New(Options{Entries: 64, Shards: 4})
-	if c.Shards() != 4 {
-		t.Fatalf("Shards = %d", c.Shards())
+// The cache is one replacement domain: which entries survive, and with them
+// the hit and eviction counts, are a function of the key sequence alone. A
+// fixed Zipf sequence through a cache smaller than its key space must leave
+// identical Stats and identical survivors whatever GOMAXPROCS is.
+func TestReplacementIndependentOfCores(t *testing.T) {
+	const entries, keys, requests = 64, 256, 20_000
+	names := make([]string, keys)
+	for i := range names {
+		names[i] = fmt.Sprintf("k%d", i)
 	}
-	for i := 0; i < 40; i++ {
-		k := fmt.Sprintf("k%d", i%10)
-		c.Do(k, fill(i))
+	run := func(procs int) (Stats, []string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		c := New(Options{Entries: entries})
+		zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, keys-1)
+		for i := 0; i < requests; i++ {
+			id := int(zipf.Uint64())
+			c.Do(names[id], fill(id))
+		}
+		st := c.Stats()
+		var live []string
+		for _, k := range names {
+			if _, ok := c.Lookup(k); ok {
+				live = append(live, k)
+			}
+		}
+		return st, live
 	}
-	var sum Stats
-	var entries int64
-	for _, s := range c.ShardStats() {
-		sum.Hits += s.Hits
-		sum.Misses += s.Misses
-		sum.Coalesced += s.Coalesced
-		sum.Invalidated += s.Invalidated
-		sum.Evicted += s.Evicted
-		entries += s.Entries
+	wantStats, wantLive := run(1)
+	if wantStats.Evicted == 0 {
+		t.Fatalf("sequence never evicted (%v); the test needs capacity pressure", wantStats)
 	}
-	if sum != c.Stats() {
-		t.Fatalf("shard sum %+v != aggregate %+v", sum, c.Stats())
-	}
-	if int(entries) != c.Len() {
-		t.Fatalf("shard entries %d != Len %d", entries, c.Len())
-	}
-	if c.Stats().Hits != 30 || c.Stats().Misses != 10 {
-		t.Fatalf("stats = %+v", c.Stats())
+	for _, procs := range []int{2, 8} {
+		st, live := run(procs)
+		if st != wantStats {
+			t.Errorf("GOMAXPROCS=%d: %v, want %v (GOMAXPROCS=1)", procs, st, wantStats)
+		}
+		if !slices.Equal(live, wantLive) {
+			t.Errorf("GOMAXPROCS=%d: %d survivors differ from GOMAXPROCS=1's %d", procs, len(live), len(wantLive))
+		}
 	}
 }
 
-func TestCapacityClampsShards(t *testing.T) {
-	c := New(Options{Entries: 2, Shards: 16})
-	if c.Shards() > 2 {
-		t.Fatalf("Shards = %d for capacity 2", c.Shards())
+// A warm hit takes the lock, probes the maps and returns the shared value:
+// it allocates nothing.
+func TestHitAllocatesNothing(t *testing.T) {
+	c := New(Options{Entries: 8})
+	compute := fill(1, EdgeTag(3), IntervalTag(2))
+	c.Do("warm", compute)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, hit, _ := c.Do("warm", compute); !hit {
+			t.Fatal("warm key missed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Do allocates %.1f objects; want 0", allocs)
 	}
-	if c.Capacity() != 2 {
-		t.Fatalf("Capacity = %d", c.Capacity())
+}
+
+// BenchmarkCacheHitParallel measures the hit path under parallel load:
+// every goroutine cycles over warm keys, so each op is one lock, one map
+// probe and one tag check.
+func BenchmarkCacheHitParallel(b *testing.B) {
+	const keys = 512
+	c := New(Options{})
+	names := make([]string, keys)
+	for i := range names {
+		names[i] = fmt.Sprintf("k%d", i)
+		c.Do(names[i], fill(i, EdgeTag(graph.EdgeID(i))))
 	}
+	compute := fill(0)
+	var seed atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(seed.Add(97))
+		for pb.Next() {
+			if _, hit, _ := c.Do(names[i%keys], compute); !hit {
+				b.Error("warm key missed")
+				return
+			}
+			i++
+		}
+	})
 }
 
 func TestHitRate(t *testing.T) {
@@ -399,7 +446,7 @@ func TestKeyDiscriminatesFields(t *testing.T) {
 }
 
 func TestConcurrentChurn(t *testing.T) {
-	c := New(Options{Entries: 32, Shards: 4})
+	c := New(Options{Entries: 32})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -416,7 +463,7 @@ func TestConcurrentChurn(t *testing.T) {
 				}
 				c.Lookup(k)
 				c.Stats()
-				c.ShardStats()
+				c.Len()
 			}
 		}(w)
 	}
@@ -430,7 +477,7 @@ func TestConcurrentChurn(t *testing.T) {
 // error to every coalesced waiter without caching it: the key stays
 // retryable, and the next compute repopulates it normally.
 func TestSingleflightLeaderErrorLeavesKeyRetryable(t *testing.T) {
-	c := New(Options{Entries: 8, Shards: 1})
+	c := New(Options{Entries: 8})
 	const herd = 16
 	boom := errors.New("storage: page 7: retries exhausted")
 	gate := make(chan struct{})

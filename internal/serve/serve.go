@@ -286,7 +286,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		// One entry: the pool is one replacement domain.
 		out["pool_shards"] = shards
 	}
-	if cs, ok := s.net.ResultCacheStats(); ok {
+	if c := s.net.ResultCache(); c != nil {
+		cs := c.Stats()
 		out["cache"] = map[string]any{
 			"hits":        cs.Hits,
 			"misses":      cs.Misses,
@@ -294,12 +295,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"invalidated": cs.Invalidated,
 			"evicted":     cs.Evicted,
 			"hit_rate":    cs.HitRate(),
+			"entries":     c.Len(),
 		}
-	}
-	if shards, ok := s.net.ResultCacheShardStats(); ok {
-		// Per-shard counters expose skew the aggregate hides: a single hot
-		// query shows as one shard absorbing most hits.
-		out["cache_shards"] = shards
 	}
 	wire.WriteJSON(w, http.StatusOK, out)
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -153,6 +154,41 @@ func TestHealthAndStats(t *testing.T) {
 	getJSON(t, ts, "/stats", http.StatusOK, &stats)
 	if _, ok := stats["completed"]; !ok {
 		t.Errorf("stats missing counters: %v", stats)
+	}
+}
+
+// A cache-on server reports the result cache as one block: counters, hit
+// rate and live entries, with no per-partition array beside it.
+func TestStatsResultCache(t *testing.T) {
+	g, err := mcn.Synthetic(mcn.SyntheticConfig{Nodes: 600, Facilities: 50, D: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := mcn.FromGraph(g)
+	net.EnableResultCache(mcn.CacheOptions{})
+	ts := httptest.NewServer(New(net, Config{Workers: 2, Timeout: time.Minute}).Handler())
+	defer ts.Close()
+
+	for i := 0; i < 2; i++ {
+		var res wire.Result
+		getJSON(t, ts, "/topk?edge=5&t=0.5&k=2", http.StatusOK, &res)
+	}
+	var stats map[string]any
+	getJSON(t, ts, "/stats", http.StatusOK, &stats)
+	for key := range stats {
+		if strings.HasPrefix(key, "cache") && key != "cache" {
+			t.Errorf("/stats reports %q beside the cache block", key)
+		}
+	}
+	cache, ok := stats["cache"].(map[string]any)
+	if !ok {
+		t.Fatalf("/stats cache = %v, want an object", stats["cache"])
+	}
+	want := map[string]float64{"hits": 1, "misses": 1, "entries": 1, "hit_rate": 0.5}
+	for key, v := range want {
+		if got, ok := cache[key].(float64); !ok || got != v {
+			t.Errorf("cache.%s = %v, want %v", key, cache[key], v)
+		}
 	}
 }
 

@@ -31,8 +31,8 @@
 // engines: LSA (independent per-cost expansions) and CEA (shared record
 // fetches; at most one storage access per record per query).
 //
-// For serving repeat traffic, EnableResultCache attaches a sharded result
-// cache with singleflight coalescing and incremental invalidation to the
+// For serving repeat traffic, EnableResultCache attaches a CLOCK-evicted
+// result cache with singleflight coalescing and incremental invalidation to the
 // executor-based query paths (Batch, NewExecutor); see the method's
 // documentation for the cacheability rules and the relaxed-consistency
 // contract.
@@ -120,13 +120,10 @@ type (
 	// singleflight miss coalescing and incremental invalidation (see
 	// Network.EnableResultCache and ARCHITECTURE.md "Result cache").
 	ResultCache = rescache.Cache
-	// CacheOptions tunes a ResultCache: entry capacity and shard count.
+	// CacheOptions tunes a ResultCache: its entry capacity.
 	CacheOptions = rescache.Options
-	// CacheStats is an aggregate snapshot of a ResultCache's counters.
+	// CacheStats is a snapshot of a ResultCache's counters.
 	CacheStats = rescache.Stats
-	// CacheShardStats is one ResultCache shard's counters (see
-	// Network.ResultCacheShardStats).
-	CacheShardStats = rescache.ShardStats
 	// TimeNetwork is a network with time-dependent edge costs (piecewise-
 	// constant profiles), answering preference queries at single instants
 	// and over time periods from a compiled flat overlay (topology and base
@@ -717,22 +714,13 @@ func (n *Network) EnableResultCache(opts CacheOptions) *ResultCache {
 // disabled.
 func (n *Network) ResultCache() *ResultCache { return n.cache }
 
-// ResultCacheStats returns the result cache's aggregate counters; ok is
+// ResultCacheStats returns the result cache's counters; ok is
 // false when no cache is enabled. Lock-free, like IOStats.
 func (n *Network) ResultCacheStats() (CacheStats, bool) {
 	if n.cache == nil {
 		return CacheStats{}, false
 	}
 	return n.cache.Stats(), true
-}
-
-// ResultCacheShardStats returns per-shard result-cache counters for
-// diagnosing shard skew; ok is false when no cache is enabled.
-func (n *Network) ResultCacheShardStats() ([]CacheShardStats, bool) {
-	if n.cache == nil {
-		return nil, false
-	}
-	return n.cache.ShardStats(), true
 }
 
 // FlushResultCache invalidates every cached result at once — the strict
