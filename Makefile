@@ -53,11 +53,14 @@ bench:
 # it, axis kept and axis moved (either way the edit builds one edge's cost
 # rows and shares the rest; the read compiles nothing), the start-up
 # row prints what mcnserve -timedep's compile allocates (New plus
-# AttachSyntheticProfiles on the td2k shape), and the result-cache row
+# AttachSyntheticProfiles on the td2k shape), the period-sweep rows print
+# one 6-interval skyline or top-k sweep on td2k with its queries/sweep (the
+# intervals that ran a static query rather than being skipped because no
+# cost the last run read had changed), and the result-cache row
 # times the parallel hit path (one mutex, one map probe; at 1x its allocs
 # are RunParallel's own — TestHitAllocatesNothing pins the hit at zero).
 benchmem:
-	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline|BenchmarkMaintainerInsert|BenchmarkSetProfileThenRead|BenchmarkAttachSyntheticProfiles|BenchmarkCacheHitParallel' -benchtime 1x -benchmem ./...
+	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline|BenchmarkMaintainerInsert|BenchmarkSetProfileThenRead|BenchmarkAttachSyntheticProfiles|BenchmarkOverPeriod|BenchmarkCacheHitParallel' -benchtime 1x -benchmem ./...
 
 # CPU+heap profiles of the expansion pop loop; inspect with
 # `go tool pprof cpu.prof` / `go tool pprof mem.prof`.

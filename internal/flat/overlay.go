@@ -12,6 +12,7 @@ package flat
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mcn/internal/graph"
@@ -42,13 +43,25 @@ type Rows struct {
 // expand.EdgeCoster). The AdjEntry rows returned by Adjacency carry the base
 // W slices, which expansions ignore in favour of EdgeCost; EdgeInfo is
 // patched to the effective costs, so query seeding sees the effective metric.
+// A view given a read set (Track) records the profiled edges it serves.
 type View struct {
 	base  *Source
 	d     int
 	costs []float64
 	// rows is indexed by edge id; nil means the edge is unprofiled.
-	rows []*Rows
-	at   float64
+	rows  []*Rows
+	at    float64
+	reads *Reads // nil unless Track was called
+}
+
+// Reads is the set of profiled edges a tracked view's queries read, in
+// first-read order, deduplicated by generation-stamped marks per edge id
+// (emptied in O(1), like expand.EdgeSet), so a warm one allocates nothing.
+// Unprofiled edges cost the same at every instant and are never recorded.
+type Reads struct {
+	stamp []uint32
+	gen   uint32
+	edges []graph.EdgeID
 }
 
 // NewOverlay copies src's edge costs into the base matrix. src is shared,
@@ -91,11 +104,40 @@ func (o *Overlay) View(rows []*Rows, at float64) View {
 	return View{base: o.base, d: o.d, costs: o.costs, rows: rows, at: at}
 }
 
+// Track empties r and makes it record every profiled edge the view's cost
+// lookups read from now on.
+func (v *View) Track(r *Reads) {
+	if r.gen++; r.gen == 0 || len(r.stamp) < v.NumEdges() { // wrap-around or first use
+		r.stamp, r.gen = make([]uint32, v.NumEdges()), 1
+	}
+	r.edges = r.edges[:0]
+	v.reads = r
+}
+
+// Unchanged reports whether every profiled edge the tracked view read costs
+// the same at instant at as at the view's own. A query is a deterministic
+// function of the costs it reads (topology and facilities are time-invariant),
+// so re-run at at it would make the same reads and return the same result.
+func (v *View) Unchanged(at float64) bool {
+	was, now := *v, *v
+	was.reads, now.reads, now.at = nil, nil, at
+	for _, e := range v.reads.edges {
+		if !slices.Equal(was.row(e), now.row(e)) {
+			return false
+		}
+	}
+	return true
+}
+
 // row returns edge e's effective cost vector at the view's instant: the
 // profiled edge's segment from the last breakpoint at or before it, else the
-// base row.
+// base row. A tracked view records a profiled edge's read.
 func (v *View) row(e graph.EdgeID) []float64 {
 	if r := v.rows[e]; r != nil {
+		if v.reads != nil && v.reads.stamp[e] != v.reads.gen {
+			v.reads.stamp[e] = v.reads.gen
+			v.reads.edges = append(v.reads.edges, e)
+		}
 		j := sort.SearchFloat64s(r.times, v.at)
 		if j == len(r.times) || r.times[j] != v.at {
 			j--

@@ -191,16 +191,70 @@ func TestOverlayQueryEquivalence(t *testing.T) {
 	}
 }
 
+// A tracked view records each profiled edge its cost lookups read, once and
+// in first-read order, and never an unprofiled one; Unchanged compares the
+// recorded edges' effective rows, not their segment numbers.
+func TestViewTracksProfiledReads(t *testing.T) {
+	g := overlayGraph(t)
+	ov := NewOverlay(Compile(g))
+	rows := make([]*Rows, g.NumEdges())
+	rows[0] = scaledRows(t, ov, g, 0)
+	var r Reads
+	v := ov.View(rows, 12)
+	v.Track(&r)
+	v.EdgeCost(1, 0)
+	if _, err := v.EdgeInfo(1); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.edges) != 0 || !v.Unchanged(25) {
+		t.Fatalf("unprofiled reads recorded %v", r.edges)
+	}
+	v.EdgeCost(0, 1)
+	v.EdgeCost(0, 0)
+	if _, err := v.EdgeInfo(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.edges) != 1 || r.edges[0] != 0 {
+		t.Fatalf("recorded %v, want [0]", r.edges)
+	}
+	for at, want := range map[float64]bool{10: true, 19.5: true, 20: false, 5: false} {
+		if got := v.Unchanged(at); got != want {
+			t.Errorf("Unchanged(%g) from 12 = %v, want %v", at, got, want)
+		}
+	}
+	// Re-tracking empties the set; a repeated segment compares equal.
+	w := g.Edge(0).W
+	repeat, err := ov.NewRows([]float64{10, 20}, append(w.Scale(2), w.Scale(2)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows[0] = repeat
+	v = ov.View(rows, 12)
+	v.Track(&r)
+	if len(r.edges) != 0 {
+		t.Fatalf("Track kept %v", r.edges)
+	}
+	v.EdgeCost(0, 0)
+	if !v.Unchanged(25) || v.Unchanged(5) {
+		t.Error("a repeated segment must compare unchanged and the base row changed")
+	}
+}
+
 // Binding a view plus record access must be allocation-free: a view is a
-// value over the shared arrays, whatever the instant.
+// value over the shared arrays, whatever the instant, and a warm read set
+// records without allocating.
 func TestOverlayAccessAllocFree(t *testing.T) {
 	g := overlayGraph(t)
 	ov := NewOverlay(Compile(g))
 	rows := make([]*Rows, g.NumEdges())
 	rows[0] = scaledRows(t, ov, g, 0)
+	var r Reads
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, at := range []float64{0, 10, 15, 20} {
 			v := ov.View(rows, at)
+			if at == 15 {
+				v.Track(&r)
+			}
 			if _, err := v.Adjacency(0); err != nil {
 				t.Fatal(err)
 			}

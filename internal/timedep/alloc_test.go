@@ -7,6 +7,7 @@
 package timedep
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -99,6 +100,44 @@ func TestInstantQueryAllocs(t *testing.T) {
 			t.Errorf("the first skyline after SetProfile allocates %.0f/query (> 25): reads must not compile", allocs)
 		}
 	})
+}
+
+// TestSweepReusesReadSet gates what a warm period sweep allocates: below
+// 4 bytes per edge, the size of the read set's stamp array, so a sweep that
+// built its read set rather than reusing a pooled one fails. The network
+// has many edges and few facilities (10 000 nodes, 100 facilities, d = 4,
+// synthetic profiles on a tenth of the edges), so the per-facility result
+// allocations stay well inside the bound; the sweeps are cut as
+// BenchmarkOverPeriod's are, and most run one interval's query.
+func TestSweepReusesReadSet(t *testing.T) {
+	inst, err := gen.MakeInstance(gen.InstanceConfig{Nodes: 10000, Facilities: 100, D: 4, Queries: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := inst.Graph
+	n := New(g)
+	if err := AttachSyntheticProfiles(n, g.NumEdges()/10, 1); err != nil {
+		t.Fatal(err)
+	}
+	cases := sweepCases(n, 10, rand.New(rand.NewSource(1)))
+	// One P before warming: resizing GOMAXPROCS drops every sync.Pool.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	queries := 0
+	for _, c := range cases { // warm the pooled scratch and read set
+		c.run(t, n, &queries)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, c := range cases {
+		c.run(t, n, &queries)
+	}
+	runtime.ReadMemStats(&after)
+	perSweep := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(cases))
+	limit := 4 * float64(g.NumEdges())
+	t.Logf("%.0f B per warm sweep; %d edges", perSweep, g.NumEdges())
+	if perSweep >= limit {
+		t.Errorf("a warm sweep allocates %.0f B (>= %.0f B, 4 per edge): the read set is not reused", perSweep, limit)
+	}
 }
 
 // TestCompileFootprint gates what building the network behind the

@@ -12,13 +12,13 @@ import (
 
 // td2k is the network behind the benchmark's time-dependent workloads:
 // 2 000 nodes, 1 150 facilities, d = 4.
-func td2k(b *testing.B) *gen.Instance {
-	b.Helper()
+func td2k(tb testing.TB) *gen.Instance {
+	tb.Helper()
 	inst, err := gen.MakeInstance(gen.InstanceConfig{
 		Nodes: 2000, Facilities: 1150, D: 4, Queries: 1, Seed: 1, Dist: gen.AntiCorrelated,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return inst
 }
@@ -77,6 +77,38 @@ func BenchmarkSetProfileThenRead(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkOverPeriod is serve_mixed's period kinds in isolation: seeded
+// 6-interval skyline and top-k sweeps (LSA and CEA) on td2k under mcnserve
+// -timedep's synthetic profiles, cut from the time axis as the benchmark
+// cuts them. queries/sweep counts the intervals that ran a static query;
+// the rest extended the previous interval because no cost the last run read
+// had changed (a sweep that ran every interval scored 6).
+func BenchmarkOverPeriod(b *testing.B) {
+	g := td2k(b).Graph
+	n := New(g)
+	if err := AttachSyntheticProfiles(n, g.NumEdges()/10, 1); err != nil {
+		b.Fatal(err)
+	}
+	cases := sweepCases(n, 50, rand.New(rand.NewSource(1)))
+	for _, kind := range []string{"skyline", "topk"} {
+		b.Run(kind, func(b *testing.B) {
+			var mine []sweepCase
+			for _, c := range cases {
+				if c.topk == (kind == "topk") {
+					mine = append(mine, c)
+				}
+			}
+			queries := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mine[i%len(mine)].run(b, n, &queries)
+			}
+			b.ReportMetric(float64(queries)/float64(b.N), "queries/sweep")
 		})
 	}
 }

@@ -17,14 +17,15 @@ import (
 )
 
 // TestSetProfileRacesQueries runs one writer against concurrent readers of
-// every instant kind, with the result cache off and on. The writer flips
-// one edge through two profiles on the same breakpoints and one that adds a
-// breakpoint, so it exercises both the shared-interval delta and the axis
-// refill, and under the cache both interval-precise and class-wide
-// invalidation. Every answer must equal the Snapshot oracle of some version
-// published inside the read's window: at least the last version whose
-// SetProfile returned before the read began, at most the last whose
-// SetProfile began before the read ended.
+// every instant kind and both period sweeps, with the result cache off and
+// on. The writer flips one edge through two profiles on the same
+// breakpoints and one that adds a breakpoint, so it exercises both the
+// shared-interval delta and the axis refill, and under the cache both
+// interval-precise and class-wide invalidation. Every answer must equal the
+// Snapshot oracle of some version published inside the read's window: at
+// least the last version whose SetProfile returned before the read began, at
+// most the last whose SetProfile began before the read ended. A sweep's
+// oracle is refOverPeriod's on that version.
 func TestSetProfileRacesQueries(t *testing.T) {
 	inst, err := gen.MakeInstance(gen.InstanceConfig{
 		Nodes: 120, Facilities: 25, Clusters: 2, D: 3, Queries: 3, Seed: 5, IntegerCosts: 3,
@@ -50,69 +51,85 @@ func TestSetProfileRacesQueries(t *testing.T) {
 		}
 	}
 
+	// An instant kind answers at t as one interval [t, t); a period kind
+	// sweeps [t, t+span).
+	const span = 10
 	type query struct {
-		name string
-		at   func(*Network, graph.Location, float64) (*core.Result, error)
-		ref  func(expand.Source, graph.Location) (*core.Result, error)
+		name   string
+		period bool
+		run    func(*Network, graph.Location, float64) ([]IntervalResult, error)
+		ref    func(expand.Source, graph.Location) (*core.Result, error)
+	}
+	instant := func(name string, at func(*Network, graph.Location, float64) (*core.Result, error), ref func(expand.Source, graph.Location) (*core.Result, error)) query {
+		return query{name, false, func(n *Network, l graph.Location, t float64) ([]IntervalResult, error) {
+			res, err := at(n, l, t)
+			return []IntervalResult{{From: t, To: t, Result: res}}, err
+		}, ref}
 	}
 	agg, budget := vec.NewWeighted(1, 0.5, 2), vec.Of(6, 6, 6)
+	skyline := func(s expand.Source, l graph.Location) (*core.Result, error) {
+		return core.Skyline(s, l, core.Options{})
+	}
+	topk := func(s expand.Source, l graph.Location) (*core.Result, error) {
+		return core.TopK(s, l, agg, 3, core.Options{})
+	}
 	queries := []query{
-		{"skyline",
-			func(n *Network, l graph.Location, t float64) (*core.Result, error) {
-				return n.SkylineAt(ctx, l, t, core.Options{Engine: core.CEA})
-			},
-			func(s expand.Source, l graph.Location) (*core.Result, error) {
-				return core.Skyline(s, l, core.Options{})
-			}},
-		{"topk",
-			func(n *Network, l graph.Location, t float64) (*core.Result, error) {
-				return n.TopKAt(ctx, l, agg, 3, t, core.Options{})
-			},
-			func(s expand.Source, l graph.Location) (*core.Result, error) {
-				return core.TopK(s, l, agg, 3, core.Options{})
-			}},
-		{"nearest",
-			func(n *Network, l graph.Location, t float64) (*core.Result, error) {
-				return n.NearestAt(ctx, l, 2, 3, t, core.Options{})
-			},
-			func(s expand.Source, l graph.Location) (*core.Result, error) {
-				return core.Nearest(s, l, 2, 3, core.Options{})
-			}},
-		{"within",
-			func(n *Network, l graph.Location, t float64) (*core.Result, error) {
-				return n.WithinAt(ctx, l, budget, t, core.Options{})
-			},
-			func(s expand.Source, l graph.Location) (*core.Result, error) {
-				return core.Within(s, l, budget, core.Options{})
-			}},
+		instant("skyline", func(n *Network, l graph.Location, t float64) (*core.Result, error) {
+			return n.SkylineAt(ctx, l, t, core.Options{Engine: core.CEA})
+		}, skyline),
+		instant("topk", func(n *Network, l graph.Location, t float64) (*core.Result, error) {
+			return n.TopKAt(ctx, l, agg, 3, t, core.Options{})
+		}, topk),
+		instant("nearest", func(n *Network, l graph.Location, t float64) (*core.Result, error) {
+			return n.NearestAt(ctx, l, 2, 3, t, core.Options{})
+		}, func(s expand.Source, l graph.Location) (*core.Result, error) {
+			return core.Nearest(s, l, 2, 3, core.Options{})
+		}),
+		instant("within", func(n *Network, l graph.Location, t float64) (*core.Result, error) {
+			return n.WithinAt(ctx, l, budget, t, core.Options{})
+		}, func(s expand.Source, l graph.Location) (*core.Result, error) {
+			return core.Within(s, l, budget, core.Options{})
+		}),
+		{"skyline/period", true, func(n *Network, l graph.Location, t float64) ([]IntervalResult, error) {
+			return n.SkylineOverPeriod(ctx, l, t, t+span, core.Options{Engine: core.CEA})
+		}, skyline},
+		{"topk/period", true, func(n *Network, l graph.Location, t float64) ([]IntervalResult, error) {
+			return n.TopKOverPeriod(ctx, l, agg, 3, t, t+span, core.Options{})
+		}, topk},
 	}
 	instants := []float64{3, 12, 17, 22}
 
 	// oracle[state][query][location][instant], from Snapshot + MemorySource.
-	oracle := make([][][][]*core.Result, len(states))
+	oracle := make([][][][][]IntervalResult, len(states))
 	for s := range states {
 		ref := New(g)
 		setup(ref, s)
-		oracle[s] = make([][][]*core.Result, len(queries))
+		oracle[s] = make([][][][]IntervalResult, len(queries))
 		for qi, q := range queries {
-			oracle[s][qi] = make([][]*core.Result, len(inst.Queries))
+			oracle[s][qi] = make([][][]IntervalResult, len(inst.Queries))
 			for li, loc := range inst.Queries {
 				for _, at := range instants {
-					snap, err := ref.Snapshot(at)
-					if err != nil {
-						t.Fatal(err)
+					var want []IntervalResult
+					if q.period {
+						want = refOverPeriod(t, ref, at, at+span, func(src expand.Source) (*core.Result, error) { return q.ref(src, loc) })
+					} else {
+						snap, err := ref.Snapshot(at)
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := q.ref(expand.NewMemorySource(snap), loc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want = []IntervalResult{{From: at, To: at, Result: res}}
 					}
-					res, err := q.ref(expand.NewMemorySource(snap), loc)
-					if err != nil {
-						t.Fatal(err)
-					}
-					oracle[s][qi][li] = append(oracle[s][qi][li], res)
+					oracle[s][qi][li] = append(oracle[s][qi][li], want)
 				}
 			}
 		}
 	}
-	if sameFacilityList(oracle[0][0][0][1].Facilities, oracle[1][0][0][1].Facilities) &&
-		sameFacilityList(oracle[0][0][0][1].Facilities, oracle[2][0][0][1].Facilities) {
+	if sameFacilityList(oracle[0][0][0][1][0].Result.Facilities, oracle[1][0][0][1][0].Result.Facilities) &&
+		sameFacilityList(oracle[0][0][0][1][0].Result.Facilities, oracle[2][0][0][1][0].Result.Facilities) {
 		t.Fatal("the flipped states give one skyline at t=12; the oracle cannot tell versions apart")
 	}
 
@@ -158,7 +175,7 @@ func TestSetProfileRacesQueries(t *testing.T) {
 					for i := 0; i < perReader; i++ {
 						qi, li, ti := rng.Intn(len(queries)), rng.Intn(len(inst.Queries)), rng.Intn(len(instants))
 						lo := done.Load()
-						res, err := queries[qi].at(n, inst.Queries[li], instants[ti])
+						res, err := queries[qi].run(n, inst.Queries[li], instants[ti])
 						hi := started.Load()
 						reads.Add(1)
 						runtime.Gosched() // give the writer its turn
@@ -171,11 +188,11 @@ func TestSetProfileRacesQueries(t *testing.T) {
 						}
 						ok := false
 						for w := lo; w <= hi && !ok; w++ {
-							ok = sameFacilityList(res.Facilities, oracle[w%3][qi][li][ti].Facilities)
+							ok = sameIntervals(res, oracle[w%3][qi][li][ti])
 						}
 						if !ok {
 							t.Errorf("%s at t=%g from location %d: answer %v matches no version in [%d, %d]",
-								queries[qi].name, instants[ti], li, res.IDs(), lo, hi)
+								queries[qi].name, instants[ti], li, res, lo, hi)
 							return
 						}
 					}
@@ -194,6 +211,20 @@ func TestSetProfileRacesQueries(t *testing.T) {
 				done.Load(), strict.Load(), readers*perReader, len(states))
 		})
 	}
+}
+
+// sameIntervals reports whether two sweeps cut the same intervals with the
+// same facility lists.
+func sameIntervals(a, b []IntervalResult) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].From != b[i].From || a[i].To != b[i].To || !sameFacilityList(a[i].Result.Facilities, b[i].Result.Facilities) {
+			return false
+		}
+	}
+	return true
 }
 
 // sameFacilityList reports whether two results list the same facilities,

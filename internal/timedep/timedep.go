@@ -8,9 +8,10 @@
 // — between two consecutive breakpoints of any edge profile — every cost in
 // the network is constant, so the preferred set is constant too and one
 // static MCN query answers the whole interval. A period query therefore
-// partitions [from, to) at the profile breakpoints, runs the corresponding
-// static query per elementary interval, and merges adjacent intervals with
-// identical results.
+// partitions [from, to) at the profile breakpoints, runs the static query of
+// an interval only when an edge the last run read changed cost there (else
+// the result cannot change), and merges adjacent intervals with identical
+// results.
 //
 // Costs are frozen at the query instant ("frozen-at-departure"): a route
 // evaluated for instant t uses the cost surface at t throughout. This is the
@@ -485,6 +486,7 @@ func (n *Network) WithinAt(ctx context.Context, loc graph.Location, budget vec.C
 // SkylineOverPeriod returns the skyline for every instant in [from, to): one
 // entry per maximal sub-interval with a constant skyline. Cancelling ctx
 // aborts the sweep between intervals and inside each per-interval query.
+// With opt.OnResult set, every interval's query runs (see overPeriod).
 func (n *Network) SkylineOverPeriod(ctx context.Context, loc graph.Location, from, to float64, opt core.Options) ([]IntervalResult, error) {
 	return n.overPeriod(ctx, loc, from, to, opt, func(v *flat.View, opt core.Options) (*core.Result, error) {
 		return core.Skyline(v, loc, opt)
@@ -498,9 +500,14 @@ func (n *Network) TopKOverPeriod(ctx context.Context, loc graph.Location, agg ve
 	})
 }
 
+// readsPool recycles the sweeps' read sets, |E| stamps each.
+var readsPool = sync.Pool{New: func() any { return new(flat.Reads) }}
+
 // overPeriod sweeps the elementary intervals intersecting [from, to),
-// running one static query per interval against the view at its start and
-// merging adjacent intervals with identical preferred sets.
+// merging adjacent intervals with identical preferred sets. An interval
+// runs the static query against the view at its start only if an edge the
+// last run read costs differently there, or if opt.OnResult must observe
+// every run; otherwise it would repeat that run, so it extends the last entry.
 func (n *Network) overPeriod(ctx context.Context, loc graph.Location, from, to float64, opt core.Options, query func(*flat.View, core.Options) (*core.Result, error)) ([]IntervalResult, error) {
 	if !(from < to) {
 		return nil, fmt.Errorf("timedep: empty period [%g, %g)", from, to)
@@ -513,8 +520,10 @@ func (n *Network) overPeriod(ctx context.Context, loc graph.Location, from, to f
 	// interval stops that interval's query at its next pop.
 	opt = opt.BindContext(ctx)
 	breaks := breaksIn(v.times, from, to)
+	reads := readsPool.Get().(*flat.Reads)
+	defer readsPool.Put(reads)
 	var out []IntervalResult
-	var view flat.View // one per sweep, rebound per interval
+	var view flat.View // the last interval run's, rebound per run
 	for i, start := range breaks {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -523,7 +532,13 @@ func (n *Network) overPeriod(ctx context.Context, loc graph.Location, from, to f
 		if i+1 < len(breaks) {
 			end = breaks[i+1]
 		}
-		view = n.ov.View(v.rows, v.start(v.intervalAt(start)))
+		at := v.start(v.intervalAt(start))
+		if i > 0 && opt.OnResult == nil && view.Unchanged(at) {
+			out[len(out)-1].To = end // the same reads: the same result
+			continue
+		}
+		view = n.ov.View(v.rows, at)
+		view.Track(reads)
 		res, err := query(&view, opt)
 		if err != nil {
 			return nil, err

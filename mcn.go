@@ -803,8 +803,10 @@ func (n *Network) ResetIOStats() {
 // "Time-dependent architecture"). Queries never compile: resolving an
 // instant is a binary search, and queries run on pooled dense expansion
 // state at the in-memory fast path's allocation level — no per-interval
-// graph rebuild. Edits may race queries; a query that overlaps an edit
-// answers for the version before or after it.
+// graph rebuild. A period sweep runs an interval's query only when an edge
+// its last run read changed cost (a sweep whose options carry an OnResult
+// callback runs every interval). Edits may race queries; a query that
+// overlaps an edit answers for the version before or after it.
 //
 //	tn := mcn.TimeDependent(g)
 //	tn.SetProfile(highway, mcn.TimeProfile{Times: []float64{8, 10},
