@@ -58,9 +58,12 @@ bench:
 # intervals that ran a static query rather than being skipped because no
 # cost the last run read had changed), and the result-cache row
 # times the parallel hit path (one mutex, one map probe; at 1x its allocs
-# are RunParallel's own — TestHitAllocatesNothing pins the hit at zero).
+# are RunParallel's own — TestHitAllocatesNothing pins the hit at zero), and
+# the served-hit row prints what one cached GET costs through
+# Server.Handler(): URL decode, cache probe and the JSON envelope rendered
+# by the append encoder (TestCachedHitAllocs bounds its allocs).
 benchmem:
-	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline|BenchmarkMaintainerInsert|BenchmarkSetProfileThenRead|BenchmarkAttachSyntheticProfiles|BenchmarkOverPeriod|BenchmarkCacheHitParallel' -benchtime 1x -benchmem ./...
+	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline|BenchmarkMaintainerInsert|BenchmarkSetProfileThenRead|BenchmarkAttachSyntheticProfiles|BenchmarkOverPeriod|BenchmarkCacheHitParallel|BenchmarkServeCachedHit' -benchtime 1x -benchmem ./...
 
 # CPU+heap profiles of the expansion pop loop; inspect with
 # `go tool pprof cpu.prof` / `go tool pprof mem.prof`.
@@ -168,7 +171,9 @@ chaos:
 # Native Go fuzzing sessions. Over the query invariants: skyline (mutual
 # non-dominance + maximality vs the materialised baseline), top-k (score
 # monotonicity + NaiveTopK agreement + pruned-vs-unpruned byte-identity) and
-# within (budget soundness/completeness + pruned-vs-unpruned). Over hostile
+# within (budget soundness/completeness + pruned-vs-unpruned). Over the
+# JSON response encoder: any Result or PeriodResult renders byte-identically
+# to encoding/json's reflection (FuzzJSONEnvelope). Over hostile
 # input: the MCNB request and response decoders (no panic, accepted frames
 # are a fixed point of the codec) and the serving handler itself
 # (FuzzV1Query: arbitrary body x Content-Type x Accept on /v1/query plus
@@ -182,6 +187,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWithinInvariants -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzJSONEnvelope -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzV1Query -fuzztime $(FUZZTIME) ./internal/serve
 
 # Docs freshness: the markdown dead-link/anchor and package-comment checks

@@ -216,10 +216,16 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, q *wire.Req
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	var line []byte
 	count := 0
 	resp := run(r.Context(), req, func(f mcn.Facility) bool {
-		if err := enc.Encode(wire.Facility{ID: f.ID, Costs: wire.Costs(f.Costs), Score: f.Score}); err != nil {
+		var err error
+		line, err = wire.AppendFacility(line[:0], &wire.Facility{ID: f.ID, Costs: wire.Costs(f.Costs), Score: f.Score})
+		if err != nil {
+			return false // unencodable (a non-finite score); abort the query
+		}
+		line = append(line, '\n')
+		if _, err = w.Write(line); err != nil {
 			return false // client went away; abort the query
 		}
 		count++
@@ -231,17 +237,16 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, q *wire.Req
 	if resp.Err != nil {
 		s.noteShed(resp.Err)
 		_, msg := classifyError(resp.Err)
-		enc.Encode(wire.Error{Error: msg}) //nolint:errcheck // client gone; nothing to do
+		json.NewEncoder(w).Encode(wire.Error{Error: msg}) //nolint:errcheck // client gone; nothing to do
 		return
 	}
 	s.served.Add(1)
 	// Terminal line: lets clients distinguish a complete result from a
 	// truncated connection.
-	enc.Encode(map[string]any{ //nolint:errcheck // client gone; nothing to do
-		"done":       true,
-		"count":      count,
-		"latency_ms": float64(resp.Latency.Microseconds()) / 1000,
-	})
+	line, err := wire.AppendStreamDone(line[:0], count, float64(resp.Latency.Microseconds())/1000)
+	if err == nil {
+		w.Write(append(line, '\n')) //nolint:errcheck // client gone; nothing to do
+	}
 }
 
 // respond renders the outcome of a query in the negotiated mode: out on

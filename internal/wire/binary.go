@@ -106,17 +106,25 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 	return payload, nil
 }
 
-// Frame wraps payload with its length prefix in one buffer.
-func Frame(payload []byte) []byte {
-	out := make([]byte, lenPrefixLen, lenPrefixLen+len(payload))
-	binary.LittleEndian.PutUint32(out, uint32(len(payload)))
-	return append(out, payload...)
+// beginFrame appends a length prefix to be patched by endFrame, then the
+// fixed frame header for kind.
+func beginFrame(dst []byte, kind byte) []byte {
+	dst = append(dst, 0, 0, 0, 0, magic[0], magic[1], magic[2], magic[3], BinaryVersion, kind)
+	return binary.LittleEndian.AppendUint16(dst, 0) // flags, reserved
 }
 
-// header appends the fixed frame header for kind.
-func header(dst []byte, kind byte) []byte {
-	dst = append(dst, magic[0], magic[1], magic[2], magic[3], BinaryVersion, kind)
-	return binary.LittleEndian.AppendUint16(dst, 0) // flags, reserved
+// endFrame patches the length prefix of the frame starting at dst[start].
+func endFrame(dst []byte, start int) []byte {
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-lenPrefixLen))
+	return dst
+}
+
+// grow returns dst with room for n more bytes, in at most one allocation.
+func grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]byte, 0, len(dst)+n), dst...)
 }
 
 // checkHeader validates the fixed header and returns the kind byte and body.
@@ -136,8 +144,9 @@ func checkHeader(payload []byte) (byte, []byte, error) {
 // reader consumes varints and fixed-width values from a frame body, latching
 // the first error so call sites read straight-line.
 type reader struct {
-	buf []byte
-	err error
+	buf   []byte
+	err   error
+	costs []float64 // backs the decoded facilities' cost vectors
 }
 
 func (r *reader) fail(what string) {
@@ -264,7 +273,8 @@ func EncodeRequest(q *Request) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("wire: unknown engine %q", q.Engine)
 	}
-	b := header(make([]byte, 0, 64), kind)
+	// One allocation, sized by a bound on the frame (a varint is at most 10 bytes).
+	b := beginFrame(make([]byte, 0, 96+10*len(q.Edges)+8*(len(q.Ts)+len(q.Weights)+len(q.Budget))), kind)
 	b = binary.AppendVarint(b, int64(q.TimeoutMS))
 	b = append(b, eng)
 	if q.Scatter() {
@@ -292,7 +302,7 @@ func EncodeRequest(q *Request) ([]byte, error) {
 		b = appendF64(b, q.From)
 		b = appendF64(b, q.To)
 	}
-	return Frame(b), nil
+	return endFrame(b, 0), nil
 }
 
 // DecodeRequest parses one request frame payload (header included, length
@@ -377,14 +387,19 @@ func (r *reader) facilities(d int) []Facility {
 	if r.err != nil || n == 0 {
 		return nil
 	}
+	if cap(r.costs)-len(r.costs) < n*d {
+		// One cost array per frame, sized for every facility the rest of the
+		// frame can hold; each facility's Costs is a full slice of it.
+		r.costs = make([]float64, 0, len(r.buf)/(1+4*d+4)*d)
+	}
 	out := make([]Facility, n)
 	for i := range out {
 		out[i].ID = graph.FacilityID(r.uvarint("facility id"))
-		costs := make(Costs, d)
-		for j := range costs {
-			costs[j] = r.f32("facility costs")
+		start := len(r.costs)
+		for j := 0; j < d; j++ {
+			r.costs = append(r.costs, r.f32("facility costs"))
 		}
-		out[i].Costs = costs
+		out[i].Costs = r.costs[start:len(r.costs):len(r.costs)]
 		out[i].Score = r.f32("facility score")
 	}
 	return out
@@ -451,36 +466,40 @@ func dims(fs []Facility) int {
 }
 
 // EncodeResult renders res as a complete binary response frame.
-func EncodeResult(res *Result) ([]byte, error) {
+func EncodeResult(res *Result) ([]byte, error) { return appendResultFrame(nil, res) }
+
+// The frame appenders grow dst once, to a bound on the frame: a varint takes
+// at most 10 bytes, so a facility at most 9+4d, a stats block 50.
+func appendResultFrame(dst []byte, res *Result) ([]byte, error) {
 	kind, err := queryKindByte(res.Query)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	d := dims(res.Facilities)
-	b := header(make([]byte, 0, 64+len(res.Facilities)*(8+4*d)), frameResult)
-	b = append(b, kind)
+	d, start := dims(res.Facilities), len(dst)
+	dst = grow(dst, 114+len(res.Facilities)*(9+4*d))
+	b := append(beginFrame(dst, frameResult), kind)
 	b = binary.AppendUvarint(b, uint64(d))
 	b = appendFacilities(b, d, res.Facilities)
 	b = appendStats(b, res.Stats)
 	b = appendF32(b, res.LatencyMS)
-	return Frame(b), nil
+	return endFrame(b, start), nil
 }
 
 // EncodePeriodResult renders pr as a complete binary response frame.
 // Interval bounds stay float64 so gateway seam fusion compares them exactly.
-func EncodePeriodResult(pr *PeriodResult) ([]byte, error) {
+func EncodePeriodResult(pr *PeriodResult) ([]byte, error) { return appendPeriodFrame(nil, pr) }
+
+func appendPeriodFrame(dst []byte, pr *PeriodResult) ([]byte, error) {
 	kind, err := queryKindByte(pr.Query)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	d := 0
+	d, n, start := 0, 0, len(dst)
 	for _, iv := range pr.Intervals {
-		if dd := dims(iv.Facilities); dd > d {
-			d = dd
-		}
+		d, n = max(d, dims(iv.Facilities)), n+len(iv.Facilities)
 	}
-	b := header(make([]byte, 0, 256), framePeriodResult)
-	b = append(b, kind)
+	dst = grow(dst, 38+76*len(pr.Intervals)+n*(9+4*d))
+	b := append(beginFrame(dst, framePeriodResult), kind)
 	b = binary.AppendUvarint(b, uint64(d))
 	b = binary.AppendUvarint(b, uint64(len(pr.Intervals)))
 	for _, iv := range pr.Intervals {
@@ -490,16 +509,19 @@ func EncodePeriodResult(pr *PeriodResult) ([]byte, error) {
 		b = appendStats(b, iv.Stats)
 	}
 	b = appendF32(b, pr.LatencyMS)
-	return Frame(b), nil
+	return endFrame(b, start), nil
 }
 
 // EncodeError renders an HTTP-status-plus-message error as a binary frame.
-func EncodeError(status int, msg string) []byte {
-	b := header(make([]byte, 0, 16+len(msg)), frameError)
+func EncodeError(status int, msg string) []byte { return appendErrorFrame(nil, status, msg) }
+
+func appendErrorFrame(dst []byte, status int, msg string) []byte {
+	start := len(dst)
+	b := beginFrame(grow(dst, 32+len(msg)), frameError)
 	b = binary.AppendUvarint(b, uint64(status))
 	b = binary.AppendUvarint(b, uint64(len(msg)))
 	b = append(b, msg...)
-	return Frame(b)
+	return endFrame(b, start)
 }
 
 // DecodeResponse parses one response frame payload (header included, length

@@ -327,6 +327,27 @@ func TestErrorFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// Each frame encoder allocates exactly its frame: the length prefix is
+// patched in place rather than the payload copied behind it.
+func TestEncodeFrameAllocsOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	res := randomResult(rng, "skyline", 4)
+	pr := &PeriodResult{Query: "topk_over_period", Intervals: []Interval{
+		{From: 0, To: 1, Facilities: res.Facilities}, {From: 1, To: 2, Facilities: randomResult(rng, "skyline", 3).Facilities},
+	}}
+	q := &Request{Kind: KindMultiSourceTopK, Edges: []int{1, 1 << 30, 3}, Ts: []float64{0.1, 0.2, 0.3}, Weights: []float64{1, 2, 3}, TimeoutMS: 1 << 40}
+	for name, encode := range map[string]func(){
+		"result":  func() { EncodeResult(res) },      //nolint:errcheck // allocations only
+		"period":  func() { EncodePeriodResult(pr) }, //nolint:errcheck // allocations only
+		"error":   func() { EncodeError(503, "overloaded") },
+		"request": func() { EncodeRequest(q) }, //nolint:errcheck // allocations only
+	} {
+		if n := testing.AllocsPerRun(100, encode); n != 1 {
+			t.Errorf("encoding a %s frame allocates %.1f times, want 1", name, n)
+		}
+	}
+}
+
 // Oversized, truncated and corrupt frames fail cleanly instead of panicking
 // or over-allocating.
 func TestFrameBounds(t *testing.T) {

@@ -17,6 +17,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Mode is the codec a response is rendered in.
@@ -293,32 +294,60 @@ func decodeURL(u *url.URL) (*Request, Mode, error) {
 // Write writes v — a *Result, a *PeriodResult or an Error — as the complete
 // response in mode. It is the one response writer of both tiers; only
 // ModeBinary differs from JSON (an NDJSON request that fails before its
-// stream starts is answered in JSON).
+// stream starts is answered in JSON). The body is rendered before the status
+// goes out: a value it cannot encode is a 500 "internal encoding failure".
 func Write(w http.ResponseWriter, mode Mode, status int, v any) {
-	if mode != ModeBinary {
-		WriteJSON(w, status, v)
-		return
+	buf := bufs.Get().(*[]byte)
+	b, err := appendResponse((*buf)[:0], mode, status, v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		b, _ = appendResponse((*buf)[:0], mode, status, Error{Error: "internal encoding failure"})
 	}
-	var frame []byte
+	w.Header().Set("Content-Type", contentTypes[mode])
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(status)
+	w.Write(b) //nolint:errcheck // client gone; nothing to do
+	// A buffer grown past 64 KiB is left to the collector, not pinned.
+	if cap(b) <= 64<<10 {
+		*buf = b
+		bufs.Put(buf)
+	}
+}
+
+// WriteJSON writes v as the complete JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) { Write(w, ModeJSON, status, v) }
+
+var (
+	contentTypes = [...]string{ModeJSON: ContentTypeJSON, ModeBinary: ContentTypeBinary, ModeNDJSON: ContentTypeJSON}
+	bufs         = sync.Pool{New: func() any { return new([]byte) }}
+)
+
+// appendResponse renders v in mode: a query envelope by the append encoders,
+// anything else (an Error, the introspection maps) by encoding/json.
+func appendResponse(dst []byte, mode Mode, status int, v any) ([]byte, error) {
+	if mode == ModeBinary {
+		switch v := v.(type) {
+		case *Result:
+			return appendResultFrame(dst, v)
+		case *PeriodResult:
+			return appendPeriodFrame(dst, v)
+		case Error:
+			return appendErrorFrame(dst, status, v.Error), nil
+		}
+		return dst, fmt.Errorf("wire: no frame for %T", v)
+	}
 	var err error
 	switch v := v.(type) {
 	case *Result:
-		frame, err = EncodeResult(v)
+		dst, err = AppendResult(dst, v)
 	case *PeriodResult:
-		frame, err = EncodePeriodResult(v)
-	case Error:
-		frame = EncodeError(status, v.Error)
+		dst, err = AppendPeriodResult(dst, v)
 	default:
-		err = fmt.Errorf("wire: no frame for %T", v)
+		var out []byte
+		out, err = json.Marshal(v)
+		dst = append(dst, out...)
 	}
-	if err != nil {
-		status = http.StatusInternalServerError
-		frame = EncodeError(status, "internal encoding failure")
-	}
-	w.Header().Set("Content-Type", ContentTypeBinary)
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-	w.WriteHeader(status)
-	w.Write(frame) //nolint:errcheck // client gone; nothing to do
+	return append(dst, '\n'), err
 }
 
 // WriteShed writes v as a 503 carrying the Retry-After hint of every shed —

@@ -1,22 +1,19 @@
 // Package wire defines what the serving tier speaks, for both the replica
 // (internal/serve) and the cluster gateway (internal/cluster): the one
 // request model and its three decoders — GET URL, JSON body, MCNB frame
-// (request.go, decode.go, binary.go) — the one response writer, and the
-// response envelopes, which are also the decode side the gateway uses to
-// merge per-replica results. Keeping both ends on one set of types is what makes
-// the gateway's merged responses byte-identical to single-node execution:
-// a float64 cost decoded from a replica re-encodes to exactly the bytes the
-// replica wrote (encoding/json uses the shortest round-tripping
-// representation), and the non-finite sentinels map through null in both
-// directions.
+// (request.go, decode.go, binary.go) — the one response writer and JSON
+// encoder (json.go), and the response envelopes, which are also the decode
+// side the gateway uses to merge per-replica results. Keeping both ends on
+// one set of types is what makes the gateway's merged responses
+// byte-identical to single-node execution: a float64 cost decoded from a
+// replica re-encodes to exactly the bytes the replica wrote (every float is
+// written in a shortest round-tripping form), and the non-finite sentinels
+// map through null in both directions.
 package wire
 
 import (
 	"encoding/json"
 	"math"
-	"net/http"
-	"strconv"
-	"strings"
 
 	"mcn/internal/core"
 	"mcn/internal/graph"
@@ -32,22 +29,7 @@ import (
 type Costs []float64
 
 // MarshalJSON implements json.Marshaler.
-func (c Costs) MarshalJSON() ([]byte, error) {
-	var b strings.Builder
-	b.WriteByte('[')
-	for i, v := range c {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			b.WriteString("null")
-		} else {
-			b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		}
-	}
-	b.WriteByte(']')
-	return []byte(b.String()), nil
-}
+func (c Costs) MarshalJSON() ([]byte, error) { return appendCosts(nil, c), nil }
 
 // UnmarshalJSON implements json.Unmarshaler; null components decode to NaN.
 func (c *Costs) UnmarshalJSON(data []byte) error {
@@ -102,6 +84,18 @@ type PeriodResult struct {
 	LatencyMS float64    `json:"latency_ms"`
 }
 
+// MarshalJSON implements json.Marshaler through AppendFacility.
+func (f Facility) MarshalJSON() ([]byte, error) { return AppendFacility(nil, &f) }
+
+// MarshalJSON implements json.Marshaler through AppendResult, into a buffer
+// sized for facilities of a few cost components.
+func (r Result) MarshalJSON() ([]byte, error) {
+	return AppendResult(make([]byte, 0, 256+128*len(r.Facilities)), &r)
+}
+
+// MarshalJSON implements json.Marshaler through AppendPeriodResult.
+func (pr PeriodResult) MarshalJSON() ([]byte, error) { return AppendPeriodResult(nil, &pr) }
+
 // Error is the body of every non-200 response.
 type Error struct {
 	Error string `json:"error"`
@@ -124,11 +118,4 @@ func ToFacilities(fs []Facility) []core.Facility {
 		out[i] = core.Facility{ID: f.ID, Costs: vec.Costs(f.Costs), Score: f.Score}
 	}
 	return out
-}
-
-// WriteJSON writes v as the complete JSON response with the given status.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone; nothing to do
 }
