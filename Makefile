@@ -44,7 +44,9 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Allocation-sensitive benchmarks with -benchmem: the flat-path pop loop and
-# the in-memory batch executor must stay allocation-free in steady state,
+# the in-memory batch executor must stay allocation-free in steady state, the
+# sf25 flat-query rows print a CEA skyline's and a top-4's cost on a network
+# that outgrows the cache,
 # the disk rows (CEA and LSA skylines behind a 1 % buffer pool: the record
 # memo and the direct decode path) print the miss path's allocs/op next to
 # them, the maintainer row prints what one
@@ -63,12 +65,13 @@ bench:
 # Server.Handler(): URL decode, cache probe and the JSON envelope rendered
 # by the append encoder (TestCachedHitAllocs bounds its allocs).
 benchmem:
-	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline|BenchmarkMaintainerInsert|BenchmarkSetProfileThenRead|BenchmarkAttachSyntheticProfiles|BenchmarkOverPeriod|BenchmarkCacheHitParallel|BenchmarkServeCachedHit' -benchtime 1x -benchmem ./...
+	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkFlatQuery|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline|BenchmarkMaintainerInsert|BenchmarkSetProfileThenRead|BenchmarkAttachSyntheticProfiles|BenchmarkOverPeriod|BenchmarkCacheHitParallel|BenchmarkServeCachedHit' -benchtime 1x -benchmem ./...
 
-# CPU+heap profiles of the expansion pop loop; inspect with
+# CPU+heap profiles of whole flat-path queries on the sf25 shape (a network
+# that outgrows L2, so memory layout shows); inspect with
 # `go tool pprof cpu.prof` / `go tool pprof mem.prof`.
 profile:
-	$(GO) test -run '^$$' -bench BenchmarkExpansion -benchtime 200x \
+	$(GO) test -run '^$$' -bench BenchmarkFlatQuery -benchtime 1024x \
 		-cpuprofile cpu.prof -memprofile mem.prof ./internal/flat
 
 fmt:

@@ -69,12 +69,13 @@ func FuzzTopKInvariants(f *testing.F) {
 
 		fs := flat.Compile(g)
 		for _, run := range []struct {
-			name string
-			opt  Options
-			src  expand.Source
+			name   string
+			opt    Options
+			src    expand.Source
+			bounds *index.Bounds
 		}{
-			{"mem/LSA", Options{}, mem},
-			{"flat/CEA", Options{Engine: CEA}, fs},
+			{"mem/LSA", Options{}, mem, bounds},
+			{"flat/CEA", Options{Engine: CEA}, fs, fs.Bounds(bounds)},
 		} {
 			res, err := TopK(run.src, loc, agg, k, run.opt)
 			if err != nil {
@@ -90,7 +91,7 @@ func FuzzTopKInvariants(f *testing.F) {
 			samePrunedFacilities(t, run.name+" vs naive", res.Facilities, naive.Facilities)
 
 			prunedOpt := run.opt
-			prunedOpt.Bounds = bounds
+			prunedOpt.Bounds = run.bounds
 			pruned, err := TopK(run.src, loc, agg, k, prunedOpt)
 			if err != nil {
 				t.Fatalf("%s pruned: %v", run.name, err)
@@ -144,12 +145,13 @@ func FuzzWithinInvariants(f *testing.F) {
 
 		fs := flat.Compile(g)
 		for _, run := range []struct {
-			name string
-			opt  Options
-			src  expand.Source
+			name   string
+			opt    Options
+			src    expand.Source
+			bounds *index.Bounds
 		}{
-			{"mem/LSA", Options{}, mem},
-			{"flat/CEA", Options{Engine: CEA}, fs},
+			{"mem/LSA", Options{}, mem, bounds},
+			{"flat/CEA", Options{Engine: CEA}, fs, fs.Bounds(bounds)},
 		} {
 			res, err := Within(run.src, loc, budget, run.opt)
 			if err != nil {
@@ -176,7 +178,7 @@ func FuzzWithinInvariants(f *testing.F) {
 			}
 
 			prunedOpt := run.opt
-			prunedOpt.Bounds = bounds
+			prunedOpt.Bounds = run.bounds
 			pruned, err := Within(run.src, loc, budget, prunedOpt)
 			if err != nil {
 				t.Fatalf("%s pruned: %v", run.name, err)

@@ -143,7 +143,7 @@ func TestWithinBoundsCutExpansions(t *testing.T) {
 				t.Fatal(err)
 			}
 			fs := flat.Compile(inst.Graph)
-			bounds := index.FromGraph(inst.Graph)
+			bounds := fs.Bounds(index.FromGraph(inst.Graph))
 			run := func(opt Options) (expanded, pruned int) {
 				for _, q := range inst.Queries {
 					probe, err := Nearest(fs, q, 0, 6, Options{})

@@ -225,7 +225,7 @@ func (x *Expansion) Step() (Event, graph.FacilityID, float64, error) {
 		if !ok {
 			return EventExhausted, 0, 0, nil
 		}
-		if it.kind == kindNode {
+		if it.kind() == kindNode {
 			if ds.stale(&ds.nodes, it) {
 				continue
 			}

@@ -433,19 +433,19 @@ func TestHeadKeyLowerBound(t *testing.T) {
 	}
 }
 
+// Equal keys pop nodes first, in push order whatever their ids, then
+// facilities in id order.
 func TestHeapOrdering(t *testing.T) {
+	node := func(key float64, seq, id uint32) item { return item{key: key, tie: seq, id: id} }
+	fac := func(key float64, id uint32) item { return item{key: key, tie: facilityTie | id, id: id} }
 	var h minHeap
-	h.push(item{key: 2, kind: kindFacility, id: 9})
-	h.push(item{key: 2, kind: kindNode, id: 5})
-	h.push(item{key: 1, kind: kindFacility, id: 1})
-	h.push(item{key: 2, kind: kindFacility, id: 3})
+	h.push(fac(2, 9))
+	h.push(node(2, 1, 5))
+	h.push(fac(1, 1))
+	h.push(fac(2, 3))
+	h.push(node(2, 0, 7))
 
-	want := []item{
-		{key: 1, kind: kindFacility, id: 1},
-		{key: 2, kind: kindNode, id: 5},
-		{key: 2, kind: kindFacility, id: 3},
-		{key: 2, kind: kindFacility, id: 9},
-	}
+	want := []item{fac(1, 1), node(2, 0, 7), node(2, 1, 5), fac(2, 3), fac(2, 9)}
 	for i, w := range want {
 		got, ok := h.pop()
 		if !ok || got != w {
@@ -466,7 +466,8 @@ func TestHeapRandomizedSort(t *testing.T) {
 		var h minHeap
 		n := 1 + rng.Intn(500)
 		for i := 0; i < n; i++ {
-			h.push(item{key: float64(rng.Intn(20)), kind: itemKind(rng.Intn(2)), id: uint32(rng.Intn(50))})
+			id := uint32(rng.Intn(50))
+			h.push(item{key: float64(rng.Intn(20)), tie: uint32(rng.Intn(2))<<31 | id, id: id})
 		}
 		prev, _ := h.pop()
 		for {

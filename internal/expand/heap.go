@@ -1,12 +1,6 @@
 package expand
 
-// itemKind distinguishes heap entries. Nodes order before facilities at
-// equal key so that, by the time any facility at cost x pops, every node
-// within cost x has been expanded — which means every facility with cost
-// ≤ x has been discovered and equal-cost facilities pop in a deterministic
-// id order that is identical across the d expansions. LSA's and CEA's
-// correctness arguments (and our tie-robust extension) rely on this
-// deterministic order.
+// itemKind names the two id spaces an expansion's heap holds.
 type itemKind uint8
 
 const (
@@ -21,23 +15,45 @@ func (k itemKind) String() string {
 	return "facility"
 }
 
+// facilityTie is set in the tie of every facility item and of no node item.
+const facilityTie = 1 << 31
+
 // item is one heap entry: a network node or a facility with its tentative
-// cost under the expansion's cost type.
+// cost under the expansion's cost type, and the tie that orders it among
+// entries of equal cost. A node's tie is its push sequence number within the
+// expansion (below facilityTie), a facility's is facilityTie | id. So, at
+// equal cost:
+//
+//   - nodes pop before facilities, so by the time any facility at cost x
+//     pops, every node within cost x has been expanded — every facility with
+//     cost ≤ x has been discovered — and equal-cost facilities pop in id
+//     order, identical across the d expansions. LSA's and CEA's correctness
+//     arguments (and our tie-robust extension) rely on this order;
+//   - nodes pop first-in-first-out. Push order follows the adjacency rows'
+//     arc order, which every source serves in the graph's order, so which
+//     node settles first — and with it every answer and every work counter —
+//     does not depend on how a source numbers its nodes (flat.Source numbers
+//     them in locality order, the graph and the disk store by id).
 type item struct {
-	key  float64
-	kind itemKind
-	id   uint32
+	key float64
+	tie uint32
+	id  uint32
 }
 
-// less orders by (key, kind, id); see itemKind for why.
+// kind reports which id space the item's id belongs to.
+func (a item) kind() itemKind {
+	if a.tie < facilityTie {
+		return kindNode
+	}
+	return kindFacility
+}
+
+// less orders by (key, tie); see item for why.
 func (a item) less(b item) bool {
 	if a.key != b.key {
 		return a.key < b.key
 	}
-	if a.kind != b.kind {
-		return a.kind < b.kind
-	}
-	return a.id < b.id
+	return a.tie < b.tie
 }
 
 // minHeap is a binary min-heap of items. The zero value is an empty heap.

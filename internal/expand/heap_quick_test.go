@@ -7,7 +7,8 @@ import (
 )
 
 // quick.Check: pushing arbitrary items and draining the heap yields exactly
-// the input multiset in the canonical (key, kind, id) order.
+// the input multiset in the canonical (key, tie) order: nodes tied by push
+// sequence, facilities by id.
 func TestHeapQuickSortedDrain(t *testing.T) {
 	type rawItem struct {
 		Key  float64
@@ -22,11 +23,11 @@ func TestHeapQuickSortedDrain(t *testing.T) {
 			if k != k { // NaN keys never occur in expansions; normalise
 				k = 0
 			}
-			kind := kindNode
+			items[i] = item{key: k, tie: uint32(i), id: r.ID}
 			if r.Kind {
-				kind = kindFacility
+				id := r.ID &^ facilityTie
+				items[i] = item{key: k, tie: facilityTie | id, id: id}
 			}
-			items[i] = item{key: k, kind: kind, id: r.ID}
 			h.push(items[i])
 		}
 		sorted := append([]item(nil), items...)
@@ -53,7 +54,7 @@ func TestHeapQuickPeekConsistent(t *testing.T) {
 			if k != k {
 				k = 0
 			}
-			h.push(item{key: k, kind: kindNode, id: uint32(i)})
+			h.push(item{key: k, tie: uint32(i), id: uint32(i)})
 		}
 		for h.len() > 0 {
 			p, _ := h.peek()

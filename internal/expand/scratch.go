@@ -78,7 +78,9 @@ type marks struct {
 // makes reuse O(1): bumping gen logically clears every mark without touching
 // the arrays, so repeated queries never re-make or zero their state.
 type denseState struct {
-	gen   uint32
+	gen uint32
+	// seq numbers this expansion's node pushes: the ties of its node items.
+	seq   uint32
 	nodes marks
 	facs  marks
 	heap  minHeap // backing array grown once and reused across queries
@@ -103,8 +105,16 @@ func (s *denseState) push(a *marks, id uint32, key float64) error {
 	if m.done == s.gen || (m.seen == s.gen && m.best <= key) {
 		return nil
 	}
+	tie := facilityTie | id
+	if a.kind == kindNode {
+		if s.seq == facilityTie {
+			return fmt.Errorf("expand: more than %d node entries in one expansion", s.seq)
+		}
+		tie = s.seq
+		s.seq++
+	}
 	m.seen, m.best = s.gen, key
-	s.heap.push(item{key: key, kind: a.kind, id: id})
+	s.heap.push(item{key: key, tie: tie, id: id})
 	return nil
 }
 
@@ -222,8 +232,10 @@ func (s *Scratch) state() *denseState {
 	ds := s.states[s.next]
 	s.next++
 	ds.nodes.m, ds.nodes.limit = fit(ds.nodes.m, s.nodes), s.nodes
-	ds.facs.m, ds.facs.limit = fit(ds.facs.m, s.facs), s.facs
-	ds.heap.a = ds.heap.a[:0]
+	// A facility's id is its heap tie below facilityTie, so ids from there
+	// on are out of range even where the source declares no id space.
+	ds.facs.m, ds.facs.limit = fit(ds.facs.m, s.facs), min(s.facs, facilityTie)
+	ds.heap.a, ds.seq = ds.heap.a[:0], 0
 	ds.bump()
 	return ds
 }

@@ -14,6 +14,18 @@
 //	edgeInfo[e]              → the resolved EdgeInfo of edge e
 //	facEdge[p]               → the edge facility p lies on
 //
+// Node ids are the source's own: Compile numbers the nodes in
+// graph.LocalityOrder, the Hilbert order of their coordinates that the disk
+// store lays its records out in, and the adjacency rows, the EdgeInfo
+// end-nodes and the dense expansion marks (indexed by node id) all follow
+// it. A Dijkstra wavefront grows through neighbouring space, so what it
+// reads next lies in cache lines it has just read. The cost vectors the
+// rows carry are copied into one slab, d float64 per arc in row order, so a
+// row's costs sit next to it rather than behind pointers into the graph's
+// edges. Edge and facility ids are the graph's. The numbering shows in no
+// answer and no work counter (expand's heap ties nodes by push order, not
+// by id), but a pruning index must be in it: build one with Source.Bounds.
+//
 // flat.Source additionally implements expand.Sized (declared id spaces, so
 // a query's Dijkstra state is allocated at full size up front) and
 // expand.ZeroCopy (records are free to re-fetch, so CEA's per-query record
@@ -29,6 +41,7 @@ import (
 	"fmt"
 
 	"mcn/internal/graph"
+	"mcn/internal/index"
 )
 
 // Source is a CSR compilation of an in-memory multi-cost network. It is
@@ -44,21 +57,29 @@ type Source struct {
 	facRows []graph.FacEntry // facility entries grouped by edge, sorted by T
 	edges   []graph.EdgeInfo // resolved edge records
 	facEdge []graph.EdgeID   // edge of each facility
+	// rank maps a graph node id to the source's node id.
+	rank []graph.NodeID
 }
 
-// Compile builds the CSR representation of g. The cost-vector slices inside
-// the returned entries are shared with g; both must be treated as read-only
-// (graph.Graph is immutable by construction).
+// Compile builds the CSR representation of g, its nodes numbered in
+// graph.LocalityOrder. The cost vectors of the returned EdgeInfo records are
+// shared with g; both must be treated as read-only (graph.Graph is immutable
+// by construction).
 func Compile(g *graph.Graph) *Source {
-	n, e, p := g.NumNodes(), g.NumEdges(), g.NumFacilities()
+	n, e, p, d := g.NumNodes(), g.NumEdges(), g.NumFacilities(), g.D()
+	order := graph.LocalityOrder(g)
 	s := &Source{
-		d:        g.D(),
+		d:        d,
 		directed: g.Directed(),
 		numFacs:  p,
 		adjOff:   make([]int32, n+1),
 		facOff:   make([]int32, e+1),
 		edges:    make([]graph.EdgeInfo, e),
 		facEdge:  make([]graph.EdgeID, p),
+		rank:     make([]graph.NodeID, n),
+	}
+	for r, v := range order {
+		s.rank[v] = graph.NodeID(r)
 	}
 
 	totalFacs := 0
@@ -74,7 +95,7 @@ func Compile(g *graph.Graph) *Source {
 		}
 		edge := g.Edge(id)
 		ref, count := facRef(g, id)
-		s.edges[i] = graph.EdgeInfo{U: edge.U, V: edge.V, W: edge.W, FacRef: ref, FacCount: count}
+		s.edges[i] = graph.EdgeInfo{U: s.rank[edge.U], V: s.rank[edge.V], W: edge.W, FacRef: ref, FacCount: count}
 	}
 	s.facOff[e] = int32(len(s.facRows))
 
@@ -83,15 +104,18 @@ func Compile(g *graph.Graph) *Source {
 		totalArcs += g.Degree(graph.NodeID(v))
 	}
 	s.adjRows = make([]graph.AdjEntry, 0, totalArcs)
-	for v := 0; v < n; v++ {
-		s.adjOff[v] = int32(len(s.adjRows))
-		for _, a := range g.Arcs(graph.NodeID(v)) {
+	costs := make([]float64, 0, totalArcs*d)
+	for r, v := range order {
+		s.adjOff[r] = int32(len(s.adjRows))
+		for _, a := range g.Arcs(v) {
 			ref, count := facRef(g, a.Edge)
+			at := len(costs)
+			costs = append(costs, g.Edge(a.Edge).W...)
 			s.adjRows = append(s.adjRows, graph.AdjEntry{
-				Neighbor: a.Neighbor,
+				Neighbor: s.rank[a.Neighbor],
 				Edge:     a.Edge,
 				Forward:  a.Forward,
-				W:        g.Edge(a.Edge).W,
+				W:        costs[at : at+d : at+d],
 				FacRef:   ref,
 				FacCount: count,
 			})
@@ -104,6 +128,11 @@ func Compile(g *graph.Graph) *Source {
 	}
 	return s
 }
+
+// Bounds returns b, a pruning index built over the compiled graph's node ids
+// (index.FromGraph, index.FromCosts), renumbered into s's: the only form an
+// expansion over s, or over a View of it, may consult.
+func (s *Source) Bounds(b *index.Bounds) *index.Bounds { return b.Renumbered(s.rank) }
 
 // facRef matches MemorySource's record-reference convention: the edge id
 // itself, or NoFacRef for facility-free edges.

@@ -3,9 +3,11 @@ package flat
 import (
 	"testing"
 
+	"mcn/internal/core"
 	"mcn/internal/expand"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
+	"mcn/internal/vec"
 )
 
 func testInstance(t testing.TB, directed bool, seed int64) *gen.Instance {
@@ -26,7 +28,8 @@ func testInstance(t testing.TB, directed bool, seed int64) *gen.Instance {
 }
 
 // TestCompileMatchesMemorySource asserts the CSR arrays reproduce, record by
-// record, exactly what MemorySource serves.
+// record, exactly what MemorySource serves, with every node id mapped
+// through the compilation's locality numbering.
 func TestCompileMatchesMemorySource(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		inst := testInstance(t, directed, 7)
@@ -41,12 +44,23 @@ func TestCompileMatchesMemorySource(t *testing.T) {
 			t.Fatalf("directed=%v: size mismatch", directed)
 		}
 
+		identity := true
+		for r, v := range graph.LocalityOrder(g) {
+			if fs.rank[v] != graph.NodeID(r) {
+				t.Fatalf("directed=%v: node %d numbered %d, its locality rank is %d", directed, v, fs.rank[v], r)
+			}
+			identity = identity && v == graph.NodeID(r)
+		}
+		if identity {
+			t.Fatalf("directed=%v: the locality order is the identity; the test maps no id", directed)
+		}
+
 		for v := 0; v < g.NumNodes(); v++ {
 			want, err := mem.Adjacency(graph.NodeID(v))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := fs.Adjacency(graph.NodeID(v))
+			got, err := fs.Adjacency(fs.rank[v])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +68,7 @@ func TestCompileMatchesMemorySource(t *testing.T) {
 				t.Fatalf("node %d: %d arcs, want %d", v, len(got), len(want))
 			}
 			for i := range want {
-				if got[i].Neighbor != want[i].Neighbor || got[i].Edge != want[i].Edge ||
+				if got[i].Neighbor != fs.rank[want[i].Neighbor] || got[i].Edge != want[i].Edge ||
 					got[i].Forward != want[i].Forward || got[i].FacRef != want[i].FacRef ||
 					got[i].FacCount != want[i].FacCount || !got[i].W.Equal(want[i].W) {
 					t.Fatalf("node %d arc %d: %+v, want %+v", v, i, got[i], want[i])
@@ -72,7 +86,7 @@ func TestCompileMatchesMemorySource(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gotInfo.U != wantInfo.U || gotInfo.V != wantInfo.V || gotInfo.FacRef != wantInfo.FacRef ||
+			if gotInfo.U != fs.rank[wantInfo.U] || gotInfo.V != fs.rank[wantInfo.V] || gotInfo.FacRef != wantInfo.FacRef ||
 				gotInfo.FacCount != wantInfo.FacCount || !gotInfo.W.Equal(wantInfo.W) {
 				t.Fatalf("edge %d: %+v, want %+v", e, gotInfo, wantInfo)
 			}
@@ -237,4 +251,38 @@ func BenchmarkExpansion(b *testing.B) {
 
 	b.Run("mem", func(b *testing.B) { run(b, mem) })
 	b.Run("flat", func(b *testing.B) { run(b, fs) })
+}
+
+// BenchmarkFlatQuery measures whole queries on an sf25-shaped network
+// (43 750 nodes, 25 000 facilities, d = 4): CEA skylines and top-4, each
+// iteration at the next of 256 places. Unlike BenchmarkExpansion's 4 000
+// nodes, this network outgrows the L2 cache, so the layout of the compiled
+// rows — their locality order — shows in ns/op.
+func BenchmarkFlatQuery(b *testing.B) {
+	inst, err := gen.MakeInstance(gen.InstanceConfig{Nodes: 43_750, Facilities: 25_000, D: 4, Queries: 256, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fs := Compile(inst.Graph)
+	agg := vec.NewWeighted(1, 1, 1, 1)
+	for _, q := range []struct {
+		name string
+		run  func(graph.Location) (*core.Result, error)
+	}{
+		{"skyline", func(loc graph.Location) (*core.Result, error) {
+			return core.Skyline(fs, loc, core.Options{Engine: core.CEA})
+		}},
+		{"top4", func(loc graph.Location) (*core.Result, error) {
+			return core.TopK(fs, loc, agg, 4, core.Options{Engine: core.CEA})
+		}},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := q.run(inst.Queries[i%len(inst.Queries)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -1,16 +1,15 @@
-package storage
+package graph
 
 import (
 	"math"
 	"slices"
 	"testing"
 
-	"mcn/internal/graph"
 	"mcn/internal/vec"
 )
 
 // The curve visits the 16×16 corner of the grid in its first 256 steps, each
-// step to a neighbouring cell — the locality the layout relies on.
+// step to a neighbouring cell — the locality LocalityOrder relies on.
 func TestHilbertCurve(t *testing.T) {
 	const side = 16
 	var cell [side * side][2]int
@@ -37,15 +36,15 @@ func TestHilbertCurve(t *testing.T) {
 }
 
 func TestLocalityOrder(t *testing.T) {
-	build := func(pts ...[2]float64) *graph.Graph {
-		b := graph.NewBuilder(1, false)
+	build := func(pts ...[2]float64) *Graph {
+		b := NewBuilder(1, false)
 		for _, p := range pts {
 			b.AddNode(p[0], p[1])
 		}
 		b.AddEdge(0, 1, vec.Of(1))
 		return b.MustBuild()
 	}
-	ids := func(order []graph.NodeID) []int {
+	ids := func(order []NodeID) []int {
 		out := make([]int, len(order))
 		for i, v := range order {
 			out[i] = int(v)
@@ -55,7 +54,7 @@ func TestLocalityOrder(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, c := range []struct {
 		name string
-		g    *graph.Graph
+		g    *Graph
 		want []int
 	}{
 		{"no coordinates", build([2]float64{}, [2]float64{}, [2]float64{}), []int{0, 1, 2}},
@@ -64,7 +63,7 @@ func TestLocalityOrder(t *testing.T) {
 		{"corners", build([2]float64{1, 0}, [2]float64{1, 1}, [2]float64{0, 1}, [2]float64{0, 0}, [2]float64{0, 0}), []int{3, 4, 2, 1, 0}},
 		{"non-finite", build([2]float64{nan, 0}, [2]float64{inf, inf}, [2]float64{0, nan}), []int{0, 1, 2}},
 	} {
-		if got := ids(localityOrder(c.g)); !slices.Equal(got, c.want) {
+		if got := ids(LocalityOrder(c.g)); !slices.Equal(got, c.want) {
 			t.Errorf("%s: order %v, want %v", c.name, got, c.want)
 		}
 	}

@@ -191,6 +191,19 @@ func FromData(d, numNodes int, data []float64) (*Bounds, error) {
 	return &Bounds{d: d, numNodes: numNodes, data: data}, nil
 }
 
+// Renumbered returns b under another numbering of the same nodes: node v's
+// bounds move to node rank[v].
+func (b *Bounds) Renumbered(rank []graph.NodeID) *Bounds {
+	out := &Bounds{d: b.d, numNodes: b.numNodes, data: make([]float64, len(b.data)), buildDur: b.buildDur}
+	for i := 0; i < b.d; i++ {
+		from, to := b.data[i*b.numNodes:(i+1)*b.numNodes], out.data[i*b.numNodes:(i+1)*b.numNodes]
+		for v, r := range rank {
+			to[r] = from[v]
+		}
+	}
+	return out
+}
+
 // LowerBound implements expand.LowerBounder: the exact distance from v to
 // its nearest facility under cost type costIdx (+Inf if none is reachable).
 func (b *Bounds) LowerBound(costIdx int, v graph.NodeID) float64 {

@@ -1,8 +1,8 @@
 // Package skyline implements conventional skyline computation over
-// materialised cost vectors: block-nested-loops (BNL) and sort-filter
-// skyline (SFS), per Börzsönyi et al. and Chomicki et al. The paper's
-// baseline MCN method materialises all facility cost vectors with d complete
-// network expansions and then runs one of these operators.
+// materialised cost vectors: block-nested-loops (BNL), per Börzsönyi et al.
+// The paper's baseline MCN method materialises all facility cost vectors
+// with d complete network expansions and then runs this operator; the
+// maintainer of internal/dynamic runs it over its maintained vectors.
 package skyline
 
 import (
@@ -37,42 +37,4 @@ func BNL(items []vec.Costs) []int {
 	}
 	sort.Ints(window)
 	return window
-}
-
-// SFS returns the skyline indices using sort-filter skyline: tuples are
-// processed in ascending order of a monotone topological score (the
-// component sum), after which a tuple can only be dominated by tuples
-// already in the window.
-func SFS(items []vec.Costs) []int {
-	order := make([]int, len(items))
-	for i := range order {
-		order[i] = i
-	}
-	sum := make([]float64, len(items))
-	for i, c := range items {
-		for _, v := range c {
-			sum[i] += v
-		}
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if sum[order[a]] != sum[order[b]] {
-			return sum[order[a]] < sum[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	var out []int
-	for _, i := range order {
-		dominated := false
-		for _, j := range out {
-			if items[j].Dominates(items[i]) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -40,17 +40,11 @@ func TestSkylineFixed(t *testing.T) {
 	if got := BNL(items); !reflect.DeepEqual(got, want) {
 		t.Errorf("BNL = %v, want %v", got, want)
 	}
-	if got := SFS(items); !reflect.DeepEqual(got, want) {
-		t.Errorf("SFS = %v, want %v", got, want)
-	}
 }
 
 func TestSkylineEmptyAndSingle(t *testing.T) {
 	if got := BNL(nil); len(got) != 0 {
 		t.Errorf("BNL(nil) = %v", got)
-	}
-	if got := SFS(nil); len(got) != 0 {
-		t.Errorf("SFS(nil) = %v", got)
 	}
 	one := []vec.Costs{vec.Of(3, 3)}
 	if got := BNL(one); !reflect.DeepEqual(got, []int{0}) {
@@ -63,9 +57,6 @@ func TestSkylineAllEqual(t *testing.T) {
 	want := []int{0, 1, 2}
 	if got := BNL(items); !reflect.DeepEqual(got, want) {
 		t.Errorf("BNL = %v, want %v", got, want)
-	}
-	if got := SFS(items); !reflect.DeepEqual(got, want) {
-		t.Errorf("SFS = %v, want %v", got, want)
 	}
 }
 
@@ -83,13 +74,10 @@ func TestSkylineWithInfinities(t *testing.T) {
 	if got := BNL(items); !reflect.DeepEqual(got, want) {
 		t.Errorf("BNL = %v, want %v", got, want)
 	}
-	if got := SFS(items); !reflect.DeepEqual(got, want) {
-		t.Errorf("SFS = %v, want %v", got, want)
-	}
 }
 
-// Both operators must agree with the naive reference on random inputs,
-// including tie-heavy integer inputs.
+// BNL must agree with the naive reference on random inputs, including
+// tie-heavy integer inputs.
 func TestSkylineMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 300; trial++ {
@@ -117,13 +105,6 @@ func TestSkylineMatchesNaive(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: BNL = %v, want %v (items %v)", trial, got, want, items)
-		}
-		got = SFS(items)
-		if got == nil {
-			got = []int{}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: SFS = %v, want %v (items %v)", trial, got, want, items)
 		}
 	}
 }

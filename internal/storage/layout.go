@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"slices"
 
 	"mcn/internal/graph"
 	"mcn/internal/index"
@@ -31,10 +30,11 @@ import (
 //
 // Facility record (per edge): facCount × { facility u32, T f64 }.
 //
-// The locality order is the Hilbert-curve order of the node coordinates (see
-// localityOrder): a Dijkstra wavefront grows through neighbouring space, so
-// the records one expansion reads, and the adjacency-tree leaves that locate
-// them, lie on few pages. Node, edge and facility ids are not renumbered;
+// The locality order is graph.LocalityOrder, the Hilbert-curve order of the
+// node coordinates that also numbers flat.Source's nodes: a Dijkstra
+// wavefront grows through neighbouring space, so the records one expansion
+// reads, and the adjacency-tree leaves that locate them, lie on few pages.
+// In the database, node, edge and facility ids are not renumbered;
 // the rank table translates a node id into the adjacency tree's key, and
 // every record still names ids. A facility record sits next to the record
 // that first reaches its edge, so the facility read that follows an
@@ -233,7 +233,7 @@ func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 		numFacs:  g.NumFacilities(),
 	}
 
-	order := localityOrder(g)
+	order := graph.LocalityOrder(g)
 	var adjRefs []uint64
 	if h.dataFirst, adjRefs, err = writeData(g, dev, order); err != nil {
 		return nil, fmt.Errorf("storage: data file: %w", err)
@@ -384,84 +384,6 @@ func writeTable(dev Device, n int, put func(w *pageWriter, i int) error) (PageID
 		}
 	}
 	return ref.Page, w.close()
-}
-
-// hilbertBits is the resolution of the locality order: coordinates are
-// scaled onto a 2^hilbertBits × 2^hilbertBits grid, so a curve index fits in
-// 32 bits.
-const hilbertBits = 16
-
-// localityOrder returns g's nodes in the order the data file lays out their
-// records: ascending Hilbert-curve index of the node coordinates, scaled
-// onto a grid over the graph's bounding box, ties in id order. A graph
-// without coordinates (every node on one cell) keeps id order. One sort of
-// packed index<<32 | id keys; no comparison closure.
-func localityOrder(g *graph.Graph) []graph.NodeID {
-	n := g.NumNodes()
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for v := 0; v < n; v++ {
-		p := g.Node(graph.NodeID(v))
-		if p.X < minX {
-			minX = p.X
-		}
-		if p.X > maxX {
-			maxX = p.X
-		}
-		if p.Y < minY {
-			minY = p.Y
-		}
-		if p.Y > maxY {
-			maxY = p.Y
-		}
-	}
-	keys := make([]uint64, n)
-	for v := range keys {
-		p := g.Node(graph.NodeID(v))
-		d := hilbert(gridCell(p.X, minX, maxX), gridCell(p.Y, minY, maxY))
-		keys[v] = uint64(d)<<32 | uint64(v)
-	}
-	slices.Sort(keys)
-	order := make([]graph.NodeID, n)
-	for r, k := range keys {
-		order[r] = graph.NodeID(uint32(k))
-	}
-	return order
-}
-
-// gridCell maps x in [lo, hi] onto a grid cell 0..2^hilbertBits-1. A
-// degenerate box or a non-finite coordinate maps to cell 0.
-func gridCell(x, lo, hi float64) uint32 {
-	const top = 1<<hilbertBits - 1
-	f := float64((x-lo)/(hi-lo)) * top
-	switch {
-	case !(f > 0): // NaN, or the box's low edge
-		return 0
-	case f >= top:
-		return top
-	}
-	return uint32(f)
-}
-
-// hilbert returns the index of cell (x, y) along the Hilbert curve over the
-// 2^hilbertBits × 2^hilbertBits grid: the classic quadrant walk, written
-// with masks instead of branches because the quadrant bits of a road
-// network's nodes are as good as random to a branch predictor.
-func hilbert(x, y uint32) uint32 {
-	const all = 1<<hilbertBits - 1
-	var d uint32
-	for k := hilbertBits - 1; k >= 0; k-- {
-		rx, ry := x>>k&1, y>>k&1
-		d |= ((3 * rx) ^ ry) << (2 * k)
-		// Rotate the quadrant into standard orientation: when ry is 0,
-		// reflect if rx is 1, then swap x and y.
-		swap := ry - 1 // all ones when ry == 0
-		flip := swap & -rx & all
-		x, y = x^flip, y^flip
-		t := (x ^ y) & swap
-		x, y = x^t, y^t
-	}
-	return d
 }
 
 // BuildMem builds the database for g on a fresh in-memory device.

@@ -128,7 +128,9 @@ func TestOverlayEquivalenceInstant(t *testing.T) {
 							t.Fatal(err)
 						}
 						ref := expand.NewMemorySource(snap)
+						// One index, numbered once for each path's source.
 						shared := index.FromGraph(snap)
+						sharedFlat := n.ov.Base().Bounds(shared)
 						for qi, loc := range locs {
 							// Budget wide enough to catch a handful of facilities,
 							// derived from the reference path only.
@@ -196,7 +198,7 @@ func TestOverlayEquivalenceInstant(t *testing.T) {
 									if err != nil {
 										t.Fatalf("%s reference/bounds: %v", label, err)
 									}
-									sharedGot, err := q.overlay(core.Options{Engine: eng, Bounds: shared})
+									sharedGot, err := q.overlay(core.Options{Engine: eng, Bounds: sharedFlat})
 									if err != nil {
 										t.Fatalf("%s/bounds: %v", label, err)
 									}

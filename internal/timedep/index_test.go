@@ -44,11 +44,11 @@ func checkAdmissible(t *testing.T, label string, n *Network) {
 	t.Helper()
 	g := n.Base()
 	ver := n.cur.Load()
-	bounds := ver.floorIndex(g)
+	bounds := ver.floorIndex(n)
 	positive := false
 	for k := 0; k <= len(ver.times); k++ {
 		at := ver.start(k)
-		exact := index.FromCosts(g, func(e graph.EdgeID, i int) float64 { return ver.costAt(g, e, at)[i] })
+		exact := n.ov.Base().Bounds(index.FromCosts(g, func(e graph.EdgeID, i int) float64 { return ver.costAt(g, e, at)[i] }))
 		for i := 0; i < g.D(); i++ {
 			for v := 0; v < g.NumNodes(); v++ {
 				lb, want := bounds.LowerBound(i, graph.NodeID(v)), exact.LowerBound(i, graph.NodeID(v))

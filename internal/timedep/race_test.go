@@ -166,6 +166,14 @@ func TestSetProfileRacesQueries(t *testing.T) {
 				}
 			}()
 
+			// Under the cache each read is asked twice in a row, counting as
+			// one read for the writer's pacing, so the second usually meets
+			// the entry the first stored: asked once, a run of 600 reads met
+			// no stored entry in about one run of 40.
+			asks := 1
+			if cached {
+				asks = 2
+			}
 			var wg sync.WaitGroup
 			for r := 0; r < readers; r++ {
 				wg.Add(1)
@@ -175,25 +183,31 @@ func TestSetProfileRacesQueries(t *testing.T) {
 					for i := 0; i < perReader; i++ {
 						qi, li, ti := rng.Intn(len(queries)), rng.Intn(len(inst.Queries)), rng.Intn(len(instants))
 						lo := done.Load()
-						res, err := queries[qi].run(n, inst.Queries[li], instants[ti])
+						var answers [][]IntervalResult
+						for range asks {
+							res, err := queries[qi].run(n, inst.Queries[li], instants[ti])
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							answers = append(answers, res)
+						}
 						hi := started.Load()
 						reads.Add(1)
 						runtime.Gosched() // give the writer its turn
-						if err != nil {
-							t.Error(err)
-							return
-						}
 						if hi-lo < int64(len(states))-1 {
 							strict.Add(1)
 						}
-						ok := false
-						for w := lo; w <= hi && !ok; w++ {
-							ok = sameIntervals(res, oracle[w%3][qi][li][ti])
-						}
-						if !ok {
-							t.Errorf("%s at t=%g from location %d: answer %v matches no version in [%d, %d]",
-								queries[qi].name, instants[ti], li, res, lo, hi)
-							return
+						for _, res := range answers {
+							ok := false
+							for w := lo; w <= hi && !ok; w++ {
+								ok = sameIntervals(res, oracle[w%3][qi][li][ti])
+							}
+							if !ok {
+								t.Errorf("%s at t=%g from location %d: answer %v matches no version in [%d, %d]",
+									queries[qi].name, instants[ti], li, res, lo, hi)
+								return
+							}
 						}
 					}
 				}(int64(r + 1))

@@ -219,10 +219,12 @@ func (v *version) costAt(g *graph.Graph, e graph.EdgeID, t float64) vec.Costs {
 	return w
 }
 
-// floorIndex returns the version's pruning index, building it on the first
-// call by this version or any that shares it.
-func (v *version) floorIndex(g *graph.Graph) *index.Bounds {
+// floorIndex returns the version's pruning index over n, numbered like n's
+// compiled topology, building it on the first call by this version or any
+// that shares it.
+func (v *version) floorIndex(n *Network) *index.Bounds {
 	v.floor.once.Do(func() {
+		g := n.base
 		lowest := make([]vec.Costs, g.NumEdges())
 		for e := range lowest {
 			lowest[e] = g.Edge(graph.EdgeID(e)).W
@@ -230,7 +232,7 @@ func (v *version) floorIndex(g *graph.Graph) *index.Bounds {
 		for e, p := range v.profiles {
 			lowest[e] = scaled(make(vec.Costs, 0, g.D()), lowest[e], p.floor(g.D()))
 		}
-		v.floor.bounds = index.FromCosts(g, func(e graph.EdgeID, i int) float64 { return lowest[e][i] })
+		v.floor.bounds = n.ov.Base().Bounds(index.FromCosts(g, func(e graph.EdgeID, i int) float64 { return lowest[e][i] }))
 	})
 	return v.floor.bounds
 }
@@ -409,7 +411,7 @@ func (n *Network) instant(ctx context.Context, loc graph.Location, t float64, op
 			// for the base costs are inadmissible once a multiplier drops
 			// below 1. Pruning does not change results, so the cache key
 			// needs no extra field.
-			opt.Bounds = v.floorIndex(n.base)
+			opt.Bounds = v.floorIndex(n)
 		}
 		view := n.ov.View(v.rows, v.start(k))
 		return query(&view, opt.BindContext(ctx))

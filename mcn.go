@@ -289,7 +289,7 @@ type Network struct {
 // allocation.
 func FromGraph(g *Graph) *Network {
 	src := flat.Compile(g)
-	return &Network{src: src, g: g, bounds: index.FromGraph(g)}
+	return &Network{src: src, g: g, bounds: src.Bounds(index.FromGraph(g))}
 }
 
 // CreateDatabase writes g to a disk database at path using the paper's
