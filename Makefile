@@ -17,11 +17,15 @@ CHAOS_SCHEDULES ?= 1000
 build:
 	$(GO) build ./...
 
-# Explicit examples build: ./... already covers them, but CI runs this as a
-# separate step so a doc-snippet regression is named in the failing step
-# rather than buried in the main build.
+# Build and run every example (all seven take well under a second): ./...
+# already compiles them, but CI runs this as a separate step so a facade
+# change that breaks a walkthrough at build or at run time is named in the
+# failing step rather than buried in the main build.
 examples:
 	$(GO) build ./examples/...
+	@for ex in examples/*/; do \
+		$(GO) run ./$${ex%/} >/dev/null || { echo "FAIL: $${ex%/}"; exit 1; }; \
+	done; echo "examples ok: $$(ls -d examples/*/ | wc -l) ran"
 
 # Known-vulnerability scan (govulncheck: symbol-level reachability against
 # the Go vulnerability database). Skips with a notice when the tool is not

@@ -21,7 +21,7 @@ func batchNetworks(t *testing.T) (map[string]*Network, []Location) {
 	if err := CreateDatabase(g, path); err != nil {
 		t.Fatal(err)
 	}
-	db, err := OpenDatabase(path, 0.05)
+	db, err := OpenDatabaseOptions(path, 0.05, PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func baseWorkload(b *testing.B) bench.Workload {
 // runSkyline benchmarks one engine over a dataset.
 func runSkylineBench(b *testing.B, ds *bench.Dataset, buffer float64, engine core.Engine) {
 	b.Helper()
-	net, err := storage.Open(ds.Dev, buffer)
+	net, err := storage.OpenOptions(ds.Dev, buffer, storage.PoolOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func runSkylineBench(b *testing.B, ds *bench.Dataset, buffer float64, engine cor
 
 func runTopKBench(b *testing.B, ds *bench.Dataset, buffer float64, k int, engine core.Engine) {
 	b.Helper()
-	net, err := storage.Open(ds.Dev, buffer)
+	net, err := storage.OpenOptions(ds.Dev, buffer, storage.PoolOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func BenchmarkAblation(b *testing.B) {
 		{"CEA-plain", core.Options{Engine: core.CEA, NoEnhancements: true}},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
-			net, err := storage.Open(ds.Dev, w.Buffer)
+			net, err := storage.OpenOptions(ds.Dev, w.Buffer, storage.PoolOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -264,7 +264,7 @@ func BenchmarkAblation(b *testing.B) {
 func BenchmarkBaselineSkyline(b *testing.B) {
 	w := baseWorkload(b)
 	ds := dataset(b, "fig9b", w)
-	net, err := storage.Open(ds.Dev, w.Buffer)
+	net, err := storage.OpenOptions(ds.Dev, w.Buffer, storage.PoolOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func BenchmarkBatchSkyline(b *testing.B) {
 	for _, buffer := range []float64{0.01, 0.05, 0.20} {
 		for _, workers := range []int{1, 4, 8} {
 			b.Run(fmt.Sprintf("pool=%g%%/workers=%d", 100*buffer, workers), func(b *testing.B) {
-				net, err := storage.Open(ds.Dev, buffer)
+				net, err := storage.OpenOptions(ds.Dev, buffer, storage.PoolOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -396,7 +396,7 @@ func BenchmarkIncrementalTopK(b *testing.B) {
 	ds := dataset(b, "fig9b", w)
 	for _, e := range engines() {
 		b.Run(e.String(), func(b *testing.B) {
-			net, err := storage.Open(ds.Dev, w.Buffer)
+			net, err := storage.OpenOptions(ds.Dev, w.Buffer, storage.PoolOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -6,7 +6,6 @@
 //	mcnquery -db city.mcn -query skyline -edge 123 -t 0.5
 //	mcnquery -db city.mcn -query topk -k 4 -weights 0.7,0.1,0.1,0.1
 //	mcnquery -db city.mcn -query incremental -n 10 -weights 1,1,1,1
-//	mcnquery -db city.mcn -query pareto -from 17 -to 99
 package main
 
 import (
@@ -14,27 +13,22 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"strconv"
 	"strings"
 
 	"mcn"
-	"mcn/internal/paretopath"
-	"mcn/internal/storage"
 )
 
 func main() {
 	log.SetFlags(0)
 	var (
 		db      = flag.String("db", "network.mcn", "database path")
-		query   = flag.String("query", "skyline", "query type: skyline|topk|incremental|baseline|pareto")
+		query   = flag.String("query", "skyline", "query type: skyline|topk|incremental|baseline")
 		edge    = flag.Int("edge", 0, "query location: edge id")
 		tFrac   = flag.Float64("t", 0.5, "query location: fraction along the edge")
 		k       = flag.Int("k", 4, "k for top-k")
 		n       = flag.Int("n", 10, "results to pull for incremental queries")
-		fromN   = flag.Int("from", 0, "pareto: source node id")
-		toN     = flag.Int("to", 1, "pareto: destination node id")
-		maxLbl  = flag.Int("maxlabels", 1_000_000, "pareto: label budget (0 = unlimited)")
-		epsilon = flag.Float64("epsilon", 0, "pareto: ε-dominance pruning factor (0 = exact)")
 		weights = flag.String("weights", "", "aggregate coefficients, comma-separated (default: uniform)")
 		engine  = flag.String("engine", "cea", "engine: lsa|cea")
 		buffer  = flag.Float64("buffer", 0.01, "buffer pool fraction of database pages")
@@ -49,7 +43,7 @@ func main() {
 		defer cancel()
 	}
 
-	net, err := mcn.OpenDatabase(*db, *buffer)
+	net, err := mcn.OpenDatabaseOptions(*db, *buffer, mcn.PoolOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -117,36 +111,6 @@ func main() {
 		}
 		fmt.Printf("baseline skyline: %d facilities\n", len(res.Facilities))
 		printStats(net, res.Stats)
-	case "pareto":
-		// Pareto path search needs the whole graph in memory; reconstruct
-		// it from the database.
-		dev, err := storage.OpenFileDevice(*db)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer dev.Close()
-		store, err := storage.Open(dev, 0.1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		g, err := storage.LoadGraph(store)
-		if err != nil {
-			log.Fatal(err)
-		}
-		paths, err := paretopath.Paths(g, mcn.NodeID(*fromN), mcn.NodeID(*toN),
-			paretopath.Options{MaxLabels: *maxLbl, Epsilon: *epsilon, Interrupt: ctx.Err})
-		if err != nil {
-			log.Fatalf("%v\n(Pareto path sets grow exponentially with distance on anti-correlated networks — "+
-				"pick closer nodes, raise -maxlabels, or prune with -epsilon 0.05)", err)
-		}
-		fmt.Printf("pareto paths %d → %d: %d routes\n", *fromN, *toN, len(paths))
-		for i, p := range paths {
-			if i == 20 {
-				fmt.Printf("  … and %d more\n", len(paths)-20)
-				break
-			}
-			fmt.Printf("  costs %v via %d edges\n", p.Costs, len(p.Edges))
-		}
 	default:
 		log.Fatalf("unknown query type %q", *query)
 	}
@@ -169,6 +133,9 @@ func parseWeights(s string, d int) (mcn.Aggregate, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
 			return nil, fmt.Errorf("weight %d: %v", i, err)
+		}
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("weight %d: %q is not a finite non-negative number", i, p)
 		}
 		coef[i] = v
 	}

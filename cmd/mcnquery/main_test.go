@@ -35,4 +35,11 @@ func TestParseWeightsErrors(t *testing.T) {
 	if _, err := parseWeights("1,x,3", 3); err == nil {
 		t.Error("non-numeric weight accepted")
 	}
+	// vec.NewWeighted panics on a negative or NaN coefficient; parseWeights
+	// must turn them, and +Inf, into errors first.
+	for _, s := range []string{"1,-0.5,3", "1,NaN,3", "1,+Inf,3", "1,inf,3"} {
+		if _, err := parseWeights(s, 3); err == nil {
+			t.Errorf("parseWeights(%q) accepted", s)
+		}
+	}
 }

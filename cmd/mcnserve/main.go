@@ -33,11 +33,9 @@
 // SIGINT or SIGTERM the server stops admitting queries, finishes the
 // in-flight ones within -drain-timeout, and exits cleanly.
 //
-// The -chaos flag (disk databases only) wraps the storage device in the
-// deterministic fault injector for game-day drills: seeded transient read
-// errors and bit-flip corruption exercise the retry/checksum path on live
-// traffic, with injected-fault counters reported under fault_injection in
-// /stats.
+// A disk database is served through a CLOCK buffer pool (hits take no lock)
+// that retries transient page-read failures -io-retries times; /stats
+// reports the retries and failures under io_failures.
 package main
 
 import (
@@ -60,7 +58,6 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		db         = flag.String("db", "", "disk database path (written by mcngen)")
 		buffer     = flag.Float64("buffer", 0.01, "buffer pool fraction of database pages")
-		poolPolicy = flag.String("pool-policy", "clock", "buffer pool replacement policy: clock (hits take no lock) or lru (the paper's buffer)")
 		synthetic  = flag.Bool("synthetic", false, "serve a synthetic in-memory network instead of a database")
 		nodes      = flag.Int("nodes", 10_000, "synthetic: approximate node count")
 		facilities = flag.Int("facilities", 2_000, "synthetic: facility count")
@@ -77,11 +74,6 @@ func main() {
 		pprofFlag  = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/ (profiling; off by default)")
 
 		cacheEntries = flag.Int("cache-entries", 4096, "result cache capacity in cached query results (0 = caching off)")
-
-		chaos          = flag.Bool("chaos", false, "dev: wrap the storage device in the deterministic fault injector (requires -db)")
-		chaosSeed      = flag.Uint64("chaos-seed", 1, "dev: fault schedule seed")
-		chaosTransient = flag.Float64("chaos-read-transient", 0.05, "dev: probability a page read fails transiently")
-		chaosCorrupt   = flag.Float64("chaos-read-corrupt", 0.01, "dev: probability a page read is bit-flipped (caught by checksums)")
 	)
 	flag.Parse()
 
@@ -92,38 +84,16 @@ func main() {
 		if *timedep {
 			log.Fatal("mcnserve: -timedep requires -synthetic (time profiles attach to the in-memory graph)")
 		}
-		policy, err := mcn.ParsePoolPolicy(*poolPolicy)
-		if err != nil {
-			log.Fatal(err)
-		}
-		pool := mcn.PoolOptions{
-			Policy: policy,
-			Retry:  mcn.RetryPolicy{MaxRetries: *ioRetries},
-		}
-		var n *mcn.Network
-		if *chaos {
-			n, err = mcn.OpenDatabaseChaos(*db, *buffer, pool, mcn.FaultInjection{
-				Seed:          *chaosSeed,
-				ReadTransient: *chaosTransient,
-				ReadCorrupt:   *chaosCorrupt,
-			})
-			if err == nil {
-				log.Printf("mcnserve: CHAOS MODE — injecting faults (seed=%d, transient=%.3f, corrupt=%.3f)",
-					*chaosSeed, *chaosTransient, *chaosCorrupt)
-			}
-		} else {
-			n, err = mcn.OpenDatabaseOptions(*db, *buffer, pool)
-		}
+		n, err := mcn.OpenDatabaseOptions(*db, *buffer, mcn.PoolOptions{
+			Retry: mcn.RetryPolicy{MaxRetries: *ioRetries},
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer n.Close()
-		log.Printf("mcnserve: opened %s (d=%d, buffer=%.1f%%, %s pool)", *db, n.D(), *buffer*100, policy)
+		log.Printf("mcnserve: opened %s (d=%d, buffer=%.1f%%)", *db, n.D(), *buffer*100)
 		net = n
 	case *synthetic:
-		if *chaos {
-			log.Fatal("mcnserve: -chaos requires -db (faults are injected into the storage device)")
-		}
 		g, err := mcn.Synthetic(mcn.SyntheticConfig{
 			Nodes: *nodes, Facilities: *facilities, D: *d, Seed: *seed,
 		})

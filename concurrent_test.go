@@ -19,7 +19,7 @@ func TestConcurrentQueriesOnSharedDatabase(t *testing.T) {
 	if err := CreateDatabase(g, path); err != nil {
 		t.Fatal(err)
 	}
-	db, err := OpenDatabase(path, 0.02)
+	db, err := OpenDatabaseOptions(path, 0.02, PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,18 +73,6 @@ func TestContextCancellationPerQueryKind(t *testing.T) {
 		_, err := net.Maintain(cancelled, loc)
 		wantCanceled(t, err)
 	})
-	t.Run("ParetoPaths", func(t *testing.T) {
-		_, err := net.ParetoPaths(cancelled, 0, NodeID(g.NumNodes()-1), 0)
-		wantCanceled(t, err)
-	})
-	t.Run("ParetoPathsTo", func(t *testing.T) {
-		_, err := net.ParetoPathsTo(cancelled, 0, loc, 0)
-		wantCanceled(t, err)
-	})
-	t.Run("ParetoPathsApprox", func(t *testing.T) {
-		_, err := net.ParetoPathsApprox(cancelled, 0, NodeID(g.NumNodes()-1), 0, 0.1)
-		wantCanceled(t, err)
-	})
 	t.Run("SkylineSeq", func(t *testing.T) {
 		var last error
 		for _, err := range net.SkylineSeq(cancelled, loc) {

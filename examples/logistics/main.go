@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"mcn"
+	"mcn/examples/logistics/paretopath"
 )
 
 func main() {
@@ -76,10 +77,12 @@ func main() {
 	}
 
 	// Route options to the winner: the Pareto set over (time, toll) —
-	// typically the tolled fast route and the free slow one.
+	// typically the tolled fast route and the free slow one. Path skylines
+	// are not an MCN query, so the search runs on the graph itself.
 	winner := top.Facilities[0].ID
 	wf := g.Facility(winner)
-	routes, err := net.ParetoPathsTo(ctx, port, mcn.Location{Edge: wf.Edge, T: wf.T}, 0)
+	routes, err := paretopath.PathsToLocation(g, port, mcn.Location{Edge: wf.Edge, T: wf.T},
+		paretopath.Options{Interrupt: ctx.Err})
 	if err != nil {
 		log.Fatal(err)
 	}

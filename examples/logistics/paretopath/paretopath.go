@@ -2,9 +2,9 @@
 // (MCPP, paper Sec. II-D): given a source and a destination in a multi-cost
 // network, it returns the skyline over all paths between them — one path per
 // non-dominated cost vector. The paper contrasts MCPP with its MCN skyline
-// (path skyline vs facility skyline); this package provides the former both
-// as a faithful related-work baseline and to materialise the Pareto routes
-// to a facility chosen from an MCN skyline.
+// (path skyline vs facility skyline). It is not one of the preference
+// queries the library answers: the logistics example uses it to materialise
+// the Pareto routes to a facility chosen from an MCN skyline.
 //
 // The implementation is a Martins-style label-correcting search: per-node
 // Pareto frontiers of labels, a global queue ordered by cost sum, dominance
@@ -44,9 +44,8 @@ type Options struct {
 	// manageable sizes.
 	Epsilon float64
 	// Interrupt, when set, is polled once per label pop; a non-nil return
-	// aborts the search with that error. The facade wires per-query context
-	// cancellation and deadlines through it, the same way core.Options does
-	// for preference queries.
+	// aborts the search with that error; pass ctx.Err to bind a context's
+	// cancellation and deadline.
 	Interrupt func() error
 }
 

@@ -91,7 +91,7 @@ func equalCostSets(a, b []vec.Costs) bool {
 	return true
 }
 
-func TestParetoPathsDiamond(t *testing.T) {
+func TestPathsDiamond(t *testing.T) {
 	// Two routes 0→3: top is fast/expensive, bottom slow/cheap; both Pareto.
 	b := graph.NewBuilder(2, false)
 	b.AddNodes(4)
@@ -118,7 +118,7 @@ func TestParetoPathsDiamond(t *testing.T) {
 	}
 }
 
-func TestParetoPathsDominatedRouteExcluded(t *testing.T) {
+func TestPathsDominatedRouteExcluded(t *testing.T) {
 	b := graph.NewBuilder(2, false)
 	b.AddNodes(3)
 	b.AddEdge(0, 2, vec.Of(1, 1))
@@ -134,7 +134,7 @@ func TestParetoPathsDominatedRouteExcluded(t *testing.T) {
 	}
 }
 
-func TestParetoPathsSameNode(t *testing.T) {
+func TestPathsSameNode(t *testing.T) {
 	b := graph.NewBuilder(2, false)
 	b.AddNodes(2)
 	b.AddEdge(0, 1, vec.Of(1, 1))
@@ -148,7 +148,7 @@ func TestParetoPathsSameNode(t *testing.T) {
 	}
 }
 
-func TestParetoPathsUnreachable(t *testing.T) {
+func TestPathsUnreachable(t *testing.T) {
 	b := graph.NewBuilder(1, true)
 	b.AddNodes(2)
 	b.AddEdge(1, 0, vec.Of(1)) // only 1→0; 0→1 unreachable
@@ -162,7 +162,7 @@ func TestParetoPathsUnreachable(t *testing.T) {
 	}
 }
 
-func TestParetoPathsMatchBruteForce(t *testing.T) {
+func TestPathsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(500))
 	for trial := 0; trial < 120; trial++ {
 		d := 2 + rng.Intn(2)
@@ -205,7 +205,7 @@ func TestParetoPathsMatchBruteForce(t *testing.T) {
 	}
 }
 
-func TestParetoPathsLabelLimit(t *testing.T) {
+func TestPathsLabelLimit(t *testing.T) {
 	// A ladder of parallel 2-cost choices yields exponentially many Pareto
 	// paths; the label cap must trip cleanly.
 	b := graph.NewBuilder(2, false)
@@ -267,4 +267,88 @@ func TestPathsToLocationInvalid(t *testing.T) {
 	if _, err := PathsToLocation(g, 0, graph.Location{Edge: 9, T: 0.5}, Options{}); err == nil {
 		t.Error("invalid location accepted")
 	}
+}
+
+// cityGraph is a 3x2 grid of intersections with two trade-off routes from
+// corner 0 to corner 5.
+func cityGraph() *graph.Graph {
+	b := graph.NewBuilder(2, false)
+	var n [6]graph.NodeID
+	for i := range n {
+		n[i] = b.AddNode(float64(i%3), float64(i/3))
+	}
+	b.AddEdge(n[0], n[1], vec.Of(2, 5))
+	b.AddEdge(n[1], n[2], vec.Of(3, 3))
+	b.AddEdge(n[3], n[4], vec.Of(4, 2))
+	b.AddEdge(n[4], n[5], vec.Of(2, 2))
+	b.AddEdge(n[0], n[3], vec.Of(1, 6))
+	b.AddEdge(n[1], n[4], vec.Of(2, 2))
+	b.AddEdge(n[2], n[5], vec.Of(5, 1))
+	return b.MustBuild()
+}
+
+func TestPathsCityGridNonDominated(t *testing.T) {
+	paths, err := Paths(cityGraph(), 0, 5, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no Pareto paths found")
+	}
+	for i, p := range paths {
+		for j, q := range paths {
+			if i != j && q.Costs.Dominates(p.Costs) {
+				t.Errorf("returned path %d dominated by %d", i, j)
+			}
+		}
+	}
+}
+
+func TestPathsToLocationAndApprox(t *testing.T) {
+	g := cityGraph()
+	exact, err := PathsToLocation(g, 0, graph.Location{Edge: 3, T: 0.5}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exact) == 0 {
+		t.Fatal("no Pareto routes to location")
+	}
+	approx, err := Paths(g, 0, 5, Options{Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exactN, err := Paths(g, 0, 5, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(approx) > len(exactN) {
+		t.Errorf("epsilon pruning grew the frontier: %d > %d", len(approx), len(exactN))
+	}
+}
+
+func TestInterruptAbortsSearch(t *testing.T) {
+	b := graph.NewBuilder(2, false)
+	b.AddNodes(3)
+	b.AddEdge(0, 1, vec.Of(1, 2))
+	b.AddEdge(1, 2, vec.Of(2, 1))
+	g := b.MustBuild()
+	stop := errors.New("stop")
+	opt := Options{Interrupt: func() error { return stop }}
+	t.Run("Paths", func(t *testing.T) {
+		if _, err := Paths(g, 0, 1, opt); !errors.Is(err, stop) {
+			t.Errorf("err = %v, want the interrupt's error", err)
+		}
+	})
+	t.Run("PathsToLocation", func(t *testing.T) {
+		if _, err := PathsToLocation(g, 0, graph.Location{Edge: 0, T: 0.5}, opt); !errors.Is(err, stop) {
+			t.Errorf("err = %v, want the interrupt's error", err)
+		}
+	})
+	t.Run("PathsApprox", func(t *testing.T) {
+		opt := opt
+		opt.Epsilon = 0.1
+		if _, err := Paths(g, 0, 1, opt); !errors.Is(err, stop) {
+			t.Errorf("err = %v, want the interrupt's error", err)
+		}
+	})
 }

@@ -91,7 +91,7 @@ func main() {
 	if err := mcn.CreateDatabase(g, path); err != nil {
 		log.Fatal(err)
 	}
-	db, err := mcn.OpenDatabase(path, 0.01)
+	db, err := mcn.OpenDatabaseOptions(path, 0.01, mcn.PoolOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

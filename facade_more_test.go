@@ -92,31 +92,6 @@ func TestFacadeBreadth(t *testing.T) {
 		}
 	})
 
-	t.Run("ParetoPathsTo and Approx", func(t *testing.T) {
-		to, err := LocationOnEdge(g, 3, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact, err := net.ParetoPathsTo(ctx, 0, to, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(exact) == 0 {
-			t.Fatal("no Pareto routes to location")
-		}
-		approx, err := net.ParetoPathsApprox(ctx, 0, 5, 0, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exactN, err := net.ParetoPaths(ctx, 0, 5, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(approx) > len(exactN) {
-			t.Errorf("epsilon pruning grew the frontier: %d > %d", len(approx), len(exactN))
-		}
-	})
-
 	t.Run("TextRoundtrip", func(t *testing.T) {
 		var buf bytes.Buffer
 		if err := WriteText(&buf, g); err != nil {
@@ -195,7 +170,7 @@ func TestFacadeBreadth(t *testing.T) {
 }
 
 func TestFacadeDatabaseErrors(t *testing.T) {
-	if _, err := OpenDatabase("/nonexistent/path.mcn", 0.1); err == nil {
+	if _, err := OpenDatabaseOptions("/nonexistent/path.mcn", 0.1, PoolOptions{}); err == nil {
 		t.Error("opening a missing database succeeded")
 	}
 	g := cityGraph(t)

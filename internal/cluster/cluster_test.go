@@ -202,6 +202,51 @@ func TestPolicyString(t *testing.T) {
 
 // Start must probe immediately, keep probing on the interval, and stop when
 // its context ends.
+// Stopping the probe loop while a probe is in flight must not mark the
+// backend down: the cancelled request is the loop's doing, not the backend's.
+// A probe that hits its own timeout still does.
+func TestMembershipStopMidProbeKeepsBackend(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-r.Context().Done() // answers only once the prober gives up
+	}))
+	defer backend.Close()
+
+	m, err := NewMembership([]string{backend.URL}, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loopCtx, cancel := context.WithCancel(ctx)
+	done := make(chan struct{})
+	go func() {
+		m.Start(loopCtx, time.Hour)
+		close(done)
+	}()
+	<-entered
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Start did not return after ctx cancel")
+	}
+	if n := len(m.Available()); n != 1 {
+		t.Fatalf("after stopping the loop mid-probe: available = %d, want 1", n)
+	}
+
+	timedOut, err := NewMembership([]string{backend.URL}, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	timedOut.ProbeAll(ctx)
+	if n := len(timedOut.Available()); n != 0 {
+		t.Fatalf("after a probe timeout: available = %d, want 0", n)
+	}
+}
+
 func TestMembershipStartLoop(t *testing.T) {
 	var probes atomic.Int64
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

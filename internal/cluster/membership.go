@@ -174,16 +174,20 @@ func (m *Membership) ProbeAll(ctx context.Context) {
 }
 
 func (m *Membership) probe(ctx context.Context, b *Backend) {
-	ctx, cancel := context.WithTimeout(ctx, m.timeout)
+	pctx, cancel := context.WithTimeout(ctx, m.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/readyz", nil)
+	req, err := http.NewRequestWithContext(pctx, http.MethodGet, b.url+"/readyz", nil)
 	if err != nil {
 		b.markDown()
 		return
 	}
 	resp, err := m.client.Do(req)
 	if err != nil {
-		b.markDown()
+		// A probe cut short because the caller stopped probing says nothing
+		// about the backend; one that hit its own timeout does.
+		if ctx.Err() == nil {
+			b.markDown()
+		}
 		return
 	}
 	defer resp.Body.Close()

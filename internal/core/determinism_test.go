@@ -95,7 +95,7 @@ func TestPhysicalIOIndependentOfCores(t *testing.T) {
 	var want storage.Stats
 	for i, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		net, err := storage.Open(dev, frac)
+		net, err := storage.OpenOptions(dev, frac, storage.PoolOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

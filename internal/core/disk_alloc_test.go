@@ -35,7 +35,7 @@ func TestDiskSkylineAllocs(t *testing.T) {
 	const ceiling = 100
 	for _, engine := range []Engine{CEA, LSA} {
 		t.Run(engine.String(), func(t *testing.T) {
-			net, err := storage.Open(dev, 0.01)
+			net, err := storage.OpenOptions(dev, 0.01, storage.PoolOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

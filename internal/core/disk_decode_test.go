@@ -31,7 +31,7 @@ func TestDiskWrapperMatchesDirectDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	open := func() *storage.Network {
-		net, err := storage.Open(dev, 0.05)
+		net, err := storage.OpenOptions(dev, 0.05, storage.PoolOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ func diskNetwork(t *testing.T, g *graph.Graph, frac float64) *storage.Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := storage.Open(dev, frac)
+	net, err := storage.OpenOptions(dev, frac, storage.PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

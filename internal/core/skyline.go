@@ -463,11 +463,6 @@ func (s *skylineRun) finalize() error {
 		}
 	}
 	s.resolvePending()
-	if !s.done() && !(s.candidates == 0 && len(s.pending) == 0) {
-		// No facilities at all: done() requires shrinking, which never
-		// started. Nothing further to do either way.
-		return nil
-	}
 	return nil
 }
 

@@ -38,7 +38,7 @@ func sources(t testing.TB, inst *gen.Instance) map[string]expand.Source {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, err := storage.Open(dev, 0.05)
+	disk, err := storage.OpenOptions(dev, 0.05, storage.PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

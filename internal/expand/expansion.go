@@ -132,9 +132,6 @@ func New(src Source, costIdx int, loc graph.Location, sc *Scratch) (*Expansion, 
 	return x, nil
 }
 
-// CostIndex returns the expansion's cost type.
-func (x *Expansion) CostIndex() int { return x.cost }
-
 // Location returns the query location the expansion started from.
 func (x *Expansion) Location() graph.Location { return x.loc }
 
@@ -149,13 +146,13 @@ func (x *Expansion) NodeCount() int { return x.nodeCount }
 func (x *Expansion) PrunedCount() int { return x.prunedCount }
 
 // SetPrune installs lower-bound node pruning: when a node v pops with key c
-// and should(c + lb.LowerBound(CostIndex(), v)) returns true, the node is
-// settled without expanding its adjacency — admissible because no facility
-// reachable through v can pop below that sum. Drivers install it after
-// construction (like SetFilter) with a predicate that consults their current
-// result horizon; pass nils to clear. Pruned pops are transparent to
-// Step/Next (they do not produce an event) and are counted by PrunedCount,
-// not NodeCount.
+// and should(c + lb.LowerBound(i, v)) returns true, where i is the
+// expansion's cost type, the node is settled without expanding its adjacency
+// — admissible because no facility reachable through v can pop below that
+// sum. Drivers install it after construction (like SetFilter) with a
+// predicate that consults their current result horizon; pass nils to clear.
+// Pruned pops are transparent to Step/Next (they do not produce an event)
+// and are counted by PrunedCount, not NodeCount.
 //
 // Soundness is the driver's contract: the predicate must only reject sums
 // that provably cannot lead to a result facility under the driver's own

@@ -246,7 +246,7 @@ func TestExpansionMatchesOracleOnDisk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net, err := storage.Open(dev, 0.1)
+		net, err := storage.OpenOptions(dev, 0.1, storage.PoolOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,16 +1,17 @@
-// Package fault injects storage failures deterministically. Its Device wraps
-// any storage.Device and, while armed, makes a seeded pseudo-random subset of
-// operations fail: transient read/write errors (classified retryable via
+// Package fault injects storage read failures deterministically. Its Device
+// wraps any storage.Device and, while armed, makes a seeded pseudo-random
+// subset of page reads fail: transient errors (classified retryable via
 // storage.MarkTransient), latency spikes, bit-flipped page contents, and —
 // targeted explicitly rather than randomly — permanently failing or corrupt
-// pages. Every fault decision is a pure function of the seed and a per-device
-// operation counter, so a schedule replays identically for a given seed and
-// operation order; per-fault counters report what was actually injected.
+// pages. Writes pass through untouched: nothing retries a write, so there is
+// no classification to exercise on that side. Every fault decision is a pure
+// function of the seed and a per-device read counter, so a schedule replays
+// identically for a given seed and read order; per-fault counters report what
+// was actually injected.
 //
-// The wrapper exists for the chaos harness (internal/chaos), for tests of
-// the buffer pool's retry path, and — through the facade's OpenDatabaseChaos
-// behind mcnserve's -chaos dev flag — for game-day drills that inject faults
-// into a live replica and observe the counters via /stats.
+// The wrapper is the test device of the chaos harness (internal/chaos) and
+// of the buffer pool's retry tests: they wrap a device, open the database or
+// the pool on it, then Arm it.
 package fault
 
 import (
@@ -26,23 +27,20 @@ import (
 const DefaultMaxConsecutive = 2
 
 // Options configures a Device. Probabilities are in [0, 1] and evaluated
-// independently per operation, in the order latency → permanent → transient
-// → corrupt.
+// independently per read, in the order latency → permanent → transient →
+// corrupt.
 type Options struct {
-	// Seed selects the fault schedule; the same seed over the same operation
+	// Seed selects the fault schedule; the same seed over the same read
 	// sequence injects the same faults.
 	Seed uint64
 	// ReadTransient is the probability a ReadPage fails with a transient
 	// (retryable) error.
 	ReadTransient float64
-	// WriteTransient is the probability a WritePage fails with a transient
-	// error.
-	WriteTransient float64
 	// ReadCorrupt is the probability a ReadPage returns the page with one
 	// deterministically chosen bit flipped (no error — detecting this is the
 	// checksum layer's job).
 	ReadCorrupt float64
-	// LatencyProb is the probability an operation sleeps for Latency before
+	// LatencyProb is the probability a read sleeps for Latency before
 	// proceeding; both must be set for spikes to occur.
 	LatencyProb float64
 	// Latency is the spike duration.
@@ -59,19 +57,18 @@ type Options struct {
 // Counters reports the faults a Device has injected since creation (atomic,
 // read lock-free).
 type Counters struct {
-	ReadTransient  int64 `json:"read_transient"`
-	WriteTransient int64 `json:"write_transient"`
-	ReadCorrupt    int64 `json:"read_corrupt"`
-	LatencySpikes  int64 `json:"latency_spikes"`
+	ReadTransient int64
+	ReadCorrupt   int64
+	LatencySpikes int64
 	// PermanentReads counts reads of pages marked with FailPage.
-	PermanentReads int64 `json:"permanent_reads"`
+	PermanentReads int64
 }
 
 // Device wraps a storage.Device with deterministic fault injection. It is
-// safe for concurrent use (fault decisions are serialised per operation by an
+// safe for concurrent use (fault decisions are serialised per read by an
 // atomic counter; the consecutive-fault ledger is mutex-guarded). A new
-// Device starts disarmed: until Arm is called every operation passes through
-// untouched, so databases can be built through the wrapper fault-free.
+// Device starts disarmed: until Arm is called every read passes through
+// untouched, so databases can be opened through the wrapper fault-free.
 type Device struct {
 	dev  storage.Device
 	opts Options
@@ -79,7 +76,6 @@ type Device struct {
 	arm  atomic.Bool
 
 	readTransient  atomic.Int64
-	writeTransient atomic.Int64
 	readCorrupt    atomic.Int64
 	latencySpikes  atomic.Int64
 	permanentReads atomic.Int64
@@ -144,7 +140,6 @@ func (d *Device) ClearPage(id storage.PageID) {
 func (d *Device) Counters() Counters {
 	return Counters{
 		ReadTransient:  d.readTransient.Load(),
-		WriteTransient: d.writeTransient.Load(),
 		ReadCorrupt:    d.readCorrupt.Load(),
 		LatencySpikes:  d.latencySpikes.Load(),
 		PermanentReads: d.permanentReads.Load(),
@@ -152,7 +147,7 @@ func (d *Device) Counters() Counters {
 }
 
 // splitmix64 is the SplitMix64 finalizer: a bijective scrambler giving every
-// operation an independent-looking 64-bit draw from seed ^ counter.
+// read an independent-looking 64-bit draw from seed ^ counter.
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
@@ -160,7 +155,7 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// draw returns this operation's pseudo-random word.
+// draw returns this read's pseudo-random word.
 func (d *Device) draw() uint64 {
 	return splitmix64(d.opts.Seed ^ d.ops.Add(1))
 }
@@ -245,22 +240,8 @@ func (d *Device) flipBit(id storage.PageID, buf []byte) {
 	buf[i/8] ^= 1 << (i % 8)
 }
 
-// WritePage implements storage.Device.
-func (d *Device) WritePage(id storage.PageID, buf []byte) error {
-	if d.arm.Load() {
-		w := d.draw()
-		if d.opts.Latency > 0 && hit(d.opts.LatencyProb, splitmix64(w^1)) {
-			d.latencySpikes.Add(1)
-			time.Sleep(d.opts.Latency)
-		}
-		if hit(d.opts.WriteTransient, splitmix64(w^2)) && d.allowInjected(id) {
-			d.writeTransient.Add(1)
-			return storage.MarkTransient(fmt.Errorf("fault: injected transient write error on page %d", id))
-		}
-		d.clearStreak(id)
-	}
-	return d.dev.WritePage(id, buf)
-}
+// WritePage implements storage.Device; writes are never faulted.
+func (d *Device) WritePage(id storage.PageID, buf []byte) error { return d.dev.WritePage(id, buf) }
 
 // Alloc implements storage.Device.
 func (d *Device) Alloc() (storage.PageID, error) { return d.dev.Alloc() }

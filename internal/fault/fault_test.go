@@ -207,23 +207,6 @@ func TestLatencySpike(t *testing.T) {
 	}
 }
 
-func TestWriteTransient(t *testing.T) {
-	d := Wrap(memDev(t, 1), Options{Seed: 17, WriteTransient: 1, MaxConsecutive: 1})
-	d.Arm()
-	buf := make([]byte, storage.PageSize)
-	err := d.WritePage(0, buf)
-	if err == nil {
-		t.Fatal("p=1 write injection did not fire")
-	}
-	if !storage.IsTransient(err) {
-		t.Fatalf("injected write error not transient: %v", err)
-	}
-	// The streak cap forces the retry through.
-	if err := d.WritePage(0, buf); err != nil {
-		t.Fatalf("write after streak cap failed: %v", err)
-	}
-}
-
 func TestRetryingPoolSurvivesTransientOnlyFaults(t *testing.T) {
 	// End-to-end over the buffer pool: with MaxRetries >= MaxConsecutive,
 	// every read eventually succeeds despite heavy transient injection.

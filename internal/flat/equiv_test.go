@@ -76,7 +76,7 @@ func TestFlatEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				disk, err := storage.Open(dev, 0.1)
+				disk, err := storage.OpenOptions(dev, 0.1, storage.PoolOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -217,64 +216,5 @@ func TestPeriodEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("period endpoint without -timedep: status %d, want 404", resp.StatusCode)
-	}
-}
-
-// A chaos-opened database surfaces its injected-fault counters in /stats
-// under fault_injection; a plain network reports no such section.
-func TestStatsFaultInjection(t *testing.T) {
-	g, err := mcn.Synthetic(mcn.SyntheticConfig{Nodes: 600, Facilities: 100, D: 3, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "chaos.mcn")
-	if err := mcn.CreateDatabase(g, path); err != nil {
-		t.Fatal(err)
-	}
-	db, err := mcn.OpenDatabaseChaos(path, 0.05, mcn.PoolOptions{Retry: mcn.RetryPolicy{MaxRetries: 3}},
-		mcn.FaultInjection{Seed: 42, ReadTransient: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	ts := httptest.NewServer(New(db, Config{Workers: 2, Timeout: time.Minute}).Handler())
-	defer ts.Close()
-
-	// Drive traffic through the faulty device until injection shows up.
-	for i := 0; i < 50; i++ {
-		resp, err := ts.Client().Get(ts.URL + "/skyline?edge=17&t=0.25")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if fc, ok := db.FaultCounters(); ok && fc.ReadTransient > 0 {
-			break
-		}
-	}
-	fc, ok := db.FaultCounters()
-	if !ok {
-		t.Fatal("chaos-opened network reports no fault counters")
-	}
-	if fc.ReadTransient == 0 {
-		t.Fatal("no transient faults injected over 50 queries at p=0.2")
-	}
-
-	var stats struct {
-		Fault *mcn.FaultCounters `json:"fault_injection"`
-	}
-	getJSON(t, ts, "/stats", http.StatusOK, &stats)
-	if stats.Fault == nil || stats.Fault.ReadTransient == 0 {
-		t.Fatalf("/stats fault_injection = %+v, want non-zero read_transient", stats.Fault)
-	}
-
-	// A plain network has no fault_injection section.
-	handlers, _ := testServers(t)
-	plain := httptest.NewServer(handlers["memory"])
-	defer plain.Close()
-	var raw map[string]any
-	getJSON(t, plain, "/stats", http.StatusOK, &raw)
-	if _, present := raw["fault_injection"]; present {
-		t.Error("plain /stats reported fault_injection")
 	}
 }

@@ -269,12 +269,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		// the disk failure-handling ledger (zero on a healthy device).
 		out["io_failures"] = fs
 	}
-	if fc, ok := s.net.FaultCounters(); ok {
-		// The -chaos fault-injection ledger: what the injected-fault device
-		// actually did to this replica, so game-day drills can correlate
-		// io_failures with the faults that caused them.
-		out["fault_injection"] = fc
-	}
 	if io, ok := s.net.IOStats(); ok {
 		out["io"] = map[string]any{
 			"logical":  io.Logical,

@@ -31,7 +31,7 @@ func testServers(t *testing.T) (map[string]http.Handler, *mcn.Network) {
 	if err := mcn.CreateDatabase(g, path); err != nil {
 		t.Fatal(err)
 	}
-	db, err := mcn.OpenDatabase(path, 0.05)
+	db, err := mcn.OpenDatabaseOptions(path, 0.05, mcn.PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

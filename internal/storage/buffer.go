@@ -85,18 +85,6 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy converts "clock" or "lru" to a Policy (command-line flags).
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "clock", "":
-		return PolicyClock, nil
-	case "lru":
-		return PolicyLRU, nil
-	default:
-		return 0, fmt.Errorf("storage: unknown buffer policy %q (want clock or lru)", s)
-	}
-}
-
 // PoolOptions tunes a BufferPool beyond its capacity.
 type PoolOptions struct {
 	// Policy selects the replacement algorithm (default clock).

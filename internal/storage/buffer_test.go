@@ -243,21 +243,12 @@ func TestBufferPoolMatchesReferenceClock(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Policy
-	}{{"clock", PolicyClock}, {"", PolicyClock}, {"lru", PolicyLRU}} {
-		got, err := ParsePolicy(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParsePolicy(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if _, err := ParsePolicy("mru"); err == nil {
-		t.Error("ParsePolicy(mru) succeeded, want error")
-	}
+func TestPolicyString(t *testing.T) {
 	if PolicyClock.String() != "clock" || PolicyLRU.String() != "lru" {
 		t.Error("Policy.String mismatch")
+	}
+	if (PoolOptions{}).Policy != PolicyClock {
+		t.Error("zero PoolOptions is not the clock pool")
 	}
 }
 

@@ -51,7 +51,7 @@ func TestSingleBitFlipFailsChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := Open(mem, 0)
+	clean, err := OpenOptions(mem, 0, PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSingleBitFlipFailsChecksum(t *testing.T) {
 	}
 	for _, f := range flips {
 		dev := &bitFlipDevice{Device: mem, page: PageID(f[0]), bit: f[1]}
-		n, err := Open(dev, 0)
+		n, err := OpenOptions(dev, 0, PoolOptions{})
 		if dev.page >= clean.hdr.boundsFirst {
 			if !errors.Is(err, ErrChecksum) {
 				t.Fatalf("table page %d bit %d flipped: Open error = %v, want ErrChecksum", f[0], f[1], err)

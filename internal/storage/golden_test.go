@@ -90,7 +90,7 @@ func TestDatabaseGolden(t *testing.T) {
 	}
 	// The database must also answer: a golden table of a broken build is
 	// worth nothing.
-	n, err := Open(dev, 0.5)
+	n, err := OpenOptions(dev, 0.5, PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

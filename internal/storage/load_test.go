@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -42,7 +43,7 @@ func TestLoadGraphRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net, err := Open(dev, 0.2)
+		net, err := OpenOptions(dev, 0.2, PoolOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,4 +79,72 @@ func sameAsLoaded(t *testing.T, trial int, g *graph.Graph, n *Network) {
 			t.Fatalf("trial %d: facility %d differs: %+v vs %+v", trial, p, a, b)
 		}
 	}
+}
+
+// LoadGraph reconstructs the in-memory graph from a database, inverting
+// Build, so the round-trip tests can compare it with the graph they stored.
+func LoadGraph(n *Network) (*graph.Graph, error) {
+	b := graph.NewBuilder(n.D(), n.Directed())
+	b.AddNodes(n.NumNodes())
+
+	type edgeRec struct {
+		u, v     graph.NodeID
+		w        []float64
+		facRef   uint64
+		facCount int
+		seen     bool
+	}
+	edges := make([]edgeRec, n.NumEdges())
+	for v := 0; v < n.NumNodes(); v++ {
+		entries, err := n.Adjacency(graph.NodeID(v))
+		if err != nil {
+			return nil, err
+		}
+		for i := range entries {
+			e := &entries[i]
+			if !e.Forward {
+				continue // undirected back-arc; the forward arc defines the edge
+			}
+			if int(e.Edge) >= len(edges) {
+				return nil, fmt.Errorf("storage: edge %d out of range while loading", e.Edge)
+			}
+			edges[e.Edge] = edgeRec{
+				u: graph.NodeID(v), v: e.Neighbor,
+				w: e.W, facRef: e.FacRef, facCount: e.FacCount,
+				seen: true,
+			}
+		}
+	}
+	type facRec struct {
+		edge graph.EdgeID
+		t    float64
+		seen bool
+	}
+	facs := make([]facRec, n.NumFacilities())
+	for id, rec := range edges {
+		if !rec.seen {
+			return nil, fmt.Errorf("storage: edge %d missing from all adjacency records", id)
+		}
+		b.AddEdge(rec.u, rec.v, rec.w)
+		if rec.facCount == 0 {
+			continue
+		}
+		fes, err := n.Facilities(rec.facRef, rec.facCount)
+		if err != nil {
+			return nil, err
+		}
+		for _, fe := range fes {
+			if int(fe.ID) >= len(facs) {
+				return nil, fmt.Errorf("storage: facility %d out of range while loading", fe.ID)
+			}
+			facs[fe.ID] = facRec{edge: graph.EdgeID(id), t: fe.T, seen: true}
+		}
+	}
+	for id, rec := range facs {
+		if !rec.seen {
+			return nil, fmt.Errorf("storage: facility %d missing from all facility records", id)
+		}
+		b.AddFacility(rec.edge, rec.t)
+	}
+	return b.Build()
 }

@@ -45,22 +45,16 @@ func (n *Network) WithReadContext(ctx context.Context) *Network {
 	return &m
 }
 
-// Open prepares a network handle over dev with a buffer pool holding
+// OpenOptions prepares a network handle over dev with a buffer pool holding
 // bufferFrac of the database pages (the paper's cache-size parameter; 0
-// disables caching) under the default pool options (clock cache with
-// lock-free hits and miss coalescing).
-func Open(dev Device, bufferFrac float64) (*Network, error) {
-	return OpenOptions(dev, bufferFrac, PoolOptions{})
-}
-
-// OpenOptions is Open with explicit buffer-pool tuning (replacement policy,
-// read retries).
+// disables caching), tuned by opts (replacement policy, read retries). The
+// zero PoolOptions is a clock cache with lock-free hits and miss coalescing.
 func OpenOptions(dev Device, bufferFrac float64, opts PoolOptions) (*Network, error) {
 	pool := NewBufferPoolFrac(dev, bufferFrac, opts)
 	return OpenWithPool(dev, pool)
 }
 
-// OpenWithPool is Open with a caller-constructed buffer pool.
+// OpenWithPool is OpenOptions with a caller-constructed buffer pool.
 func OpenWithPool(dev Device, pool *BufferPool) (*Network, error) {
 	buf := make([]byte, PageSize)
 	if dev.NumPages() == 0 {

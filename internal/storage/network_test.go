@@ -46,7 +46,7 @@ func openNetwork(t *testing.T, g *graph.Graph, frac float64) *Network {
 	if err != nil {
 		t.Fatalf("BuildMem: %v", err)
 	}
-	n, err := Open(dev, frac)
+	n, err := OpenOptions(dev, frac, PoolOptions{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -189,7 +189,7 @@ func randomGraph(t *testing.T, rng *rand.Rand, coords int) *graph.Graph {
 	return g
 }
 
-// Every read agrees with the graph, and LoadGraph(Open(Build(g))) is g, on
+// Every read agrees with the graph, and LoadGraph(OpenOptions(Build(g))) is g, on
 // graphs with and without coordinates, directed or not, with isolated nodes
 // and facility-carrying edges.
 func TestNetworkRandomizedRoundtrip(t *testing.T) {
@@ -250,7 +250,7 @@ func TestNetworkFilePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	n, err := Open(ro, 0.2)
+	n, err := OpenOptions(ro, 0.2, PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,13 +259,13 @@ func TestNetworkFilePersistence(t *testing.T) {
 
 func TestOpenRejectsGarbage(t *testing.T) {
 	dev := NewMemDevice()
-	if _, err := Open(dev, 0.1); err == nil {
+	if _, err := OpenOptions(dev, 0.1, PoolOptions{}); err == nil {
 		t.Error("empty device opened")
 	}
 	if _, err := dev.Alloc(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dev, 0.1); err == nil {
+	if _, err := OpenOptions(dev, 0.1, PoolOptions{}); err == nil {
 		t.Error("zero page accepted as header")
 	}
 }
@@ -350,7 +350,7 @@ func TestOpenRejectsOtherLayoutVersions(t *testing.T) {
 		if err := dev.WritePage(0, buf); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Open(dev, 0.3)
+		_, err := OpenOptions(dev, 0.3, PoolOptions{})
 		if err == nil || !strings.Contains(err.Error(), "mcngen") {
 			t.Errorf("version %d: Open error = %v, want one that says to regenerate with mcngen", v, err)
 		}
@@ -381,7 +381,7 @@ func reseal(page0 []byte) {
 func openAllocs(dev Device) (uint64, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := Open(dev, 0.3)
+	_, err := OpenOptions(dev, 0.3, PoolOptions{})
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc, err
 }
@@ -473,7 +473,7 @@ func TestOpenRejectsHeaderBitFlips(t *testing.T) {
 	for bit := 0; bit < (headerCRCOff+4)*8; bit++ {
 		page0 := append([]byte(nil), orig...)
 		page0[bit/8] ^= 1 << (bit % 8)
-		if _, err := Open(&patchedHeader{Device: clean, page0: page0}, 0.3); err == nil {
+		if _, err := OpenOptions(&patchedHeader{Device: clean, page0: page0}, 0.3, PoolOptions{}); err == nil {
 			t.Errorf("header byte %d bit %d flipped: Open accepted it", bit/8, bit%8)
 		}
 	}
@@ -532,7 +532,7 @@ func TestOpenRejectsHostileRankTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			clean, err := Open(dev, 0.3)
+			clean, err := OpenOptions(dev, 0.3, PoolOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

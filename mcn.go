@@ -40,7 +40,6 @@ package mcn
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"iter"
 	"time"
@@ -49,12 +48,10 @@ import (
 	"mcn/internal/dynamic"
 	"mcn/internal/engine"
 	"mcn/internal/expand"
-	"mcn/internal/fault"
 	"mcn/internal/flat"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
 	"mcn/internal/index"
-	"mcn/internal/paretopath"
 	"mcn/internal/rescache"
 	"mcn/internal/storage"
 	"mcn/internal/timedep"
@@ -93,8 +90,6 @@ type (
 	// PoolShardStats is the buffer pool's counters in per-partition form
 	// (see Network.PoolShardStats).
 	PoolShardStats = storage.ShardStats
-	// Path is a Pareto-optimal route with its cost vector.
-	Path = paretopath.Path
 	// Maintainer keeps skyline/top-k state under facility updates.
 	Maintainer = dynamic.Maintainer
 	// Handle identifies a facility managed by a Maintainer; handles of the
@@ -111,11 +106,9 @@ type (
 	// RetryPolicy bounds the buffer pool's retries of transient read
 	// failures (see PoolOptions.Retry).
 	RetryPolicy = storage.RetryPolicy
-	// PoolOptions tunes the disk buffer pool: replacement policy and read
-	// retries (see OpenDatabaseOptions).
+	// PoolOptions tunes the disk buffer pool: read retries (see
+	// OpenDatabaseOptions). Its zero Policy is the clock pool.
 	PoolOptions = storage.PoolOptions
-	// PoolPolicy selects the buffer pool's replacement algorithm.
-	PoolPolicy = storage.Policy
 	// ResultCache is a serving-layer cache of completed query results with
 	// singleflight miss coalescing and incremental invalidation (see
 	// Network.EnableResultCache and ARCHITECTURE.md "Result cache").
@@ -179,17 +172,6 @@ const (
 	// CEA is the Combined Expansion Algorithm: shared record fetches.
 	CEA = core.CEA
 )
-
-// Buffer pool replacement policies.
-const (
-	// ClockPolicy approximates LRU with a second-chance sweep (default).
-	ClockPolicy = storage.PolicyClock
-	// LRUPolicy is exact least-recently-used.
-	LRUPolicy = storage.PolicyLRU
-)
-
-// ParsePoolPolicy converts "clock" or "lru" to a PoolPolicy.
-func ParsePoolPolicy(s string) (PoolPolicy, error) { return storage.ParsePolicy(s) }
 
 // Lifecycle errors of closeable query handles.
 var (
@@ -269,10 +251,6 @@ type Network struct {
 	g     *graph.Graph
 	store *storage.Network
 	dev   storage.Device
-	// faultDev is set when the network was opened through OpenDatabaseChaos:
-	// the fault-injecting wrapper between the pool and the real device, kept
-	// so FaultCounters can report what was injected.
-	faultDev *fault.Device
 	// cache, when enabled, memoizes completed results for every executor
 	// this network creates; see EnableResultCache.
 	cache *rescache.Cache
@@ -294,7 +272,7 @@ func FromGraph(g *Graph) *Network {
 
 // CreateDatabase writes g to a disk database at path using the paper's
 // storage scheme (Fig. 2). The lower-bound pruning index is computed and
-// embedded in the database; OpenDatabase picks it up automatically.
+// embedded in the database; OpenDatabaseOptions picks it up automatically.
 func CreateDatabase(g *Graph, path string) error {
 	_, err := CreateDatabaseIndexed(g, path)
 	return err
@@ -315,16 +293,10 @@ func CreateDatabaseIndexed(g *Graph, path string) (IndexStats, error) {
 	return IndexStats{BoundsBytes: bounds.Bytes(), BuildTime: bounds.BuildTime()}, dev.Close()
 }
 
-// OpenDatabase opens a disk database with a buffer pool sized to bufferFrac
-// of its pages (0 disables caching), under the default pool options: a
-// clock cache with lock-free hits and miss coalescing.
-func OpenDatabase(path string, bufferFrac float64) (*Network, error) {
-	return OpenDatabaseOptions(path, bufferFrac, PoolOptions{})
-}
-
-// OpenDatabaseOptions is OpenDatabase with explicit buffer-pool tuning:
-// replacement policy (clock or exact LRU) and read retries.
-// The zero PoolOptions selects the defaults.
+// OpenDatabaseOptions opens a disk database with a buffer pool sized to
+// bufferFrac of its pages (0 disables caching), tuned by opts. The zero
+// PoolOptions selects the defaults: a clock cache with lock-free hits and
+// miss coalescing, and no read retries.
 func OpenDatabaseOptions(path string, bufferFrac float64, opts PoolOptions) (*Network, error) {
 	dev, err := storage.OpenFileDevice(path)
 	if err != nil {
@@ -344,55 +316,15 @@ func OpenDatabaseOptions(path string, bufferFrac float64, opts PoolOptions) (*Ne
 type Device = storage.Device
 
 // OpenDeviceOptions opens a database resident on an already-open device —
-// the seam for wrapping the storage layer (latency simulation in benchmarks,
-// fault injection in chaos drills) before the buffer pool sees it. The
-// returned network owns dev and closes it on Close.
+// the seam for wrapping the storage layer (latency simulation in benchmarks)
+// before the buffer pool sees it. The returned network owns dev and closes
+// it on Close.
 func OpenDeviceOptions(dev Device, bufferFrac float64, opts PoolOptions) (*Network, error) {
 	store, err := storage.OpenOptions(dev, bufferFrac, opts)
 	if err != nil {
 		return nil, err
 	}
 	return &Network{src: store, store: store, dev: dev, bounds: store.Bounds()}, nil
-}
-
-// FaultInjection configures the deterministic fault schedule of
-// OpenDatabaseChaos: seeded probabilities for transient read errors,
-// bit-flip corruption and latency spikes. See internal/fault.
-type FaultInjection = fault.Options
-
-// FaultCounters reports the faults a chaos-opened network's device has
-// actually injected.
-type FaultCounters = fault.Counters
-
-// OpenDatabaseChaos is OpenDatabaseOptions with a deterministic
-// fault-injecting device wrapped between the buffer pool and the file — the
-// backing for mcnserve's -chaos flag, so game-day drills can exercise the
-// retry/checksum path on a live replica and watch injected-fault counters
-// in /stats. Injection arms only after the database opens: the header,
-// catalog and bounds-table reads are never faulted, queries are.
-func OpenDatabaseChaos(path string, bufferFrac float64, opts PoolOptions, inject FaultInjection) (*Network, error) {
-	dev, err := storage.OpenFileDevice(path)
-	if err != nil {
-		return nil, err
-	}
-	fdev := fault.Wrap(dev, inject)
-	n, err := OpenDeviceOptions(fdev, bufferFrac, opts)
-	if err != nil {
-		dev.Close()
-		return nil, err
-	}
-	fdev.Arm()
-	n.faultDev = fdev
-	return n, nil
-}
-
-// FaultCounters reports the injected-fault counters of a network opened
-// with OpenDatabaseChaos; ok is false for networks without fault injection.
-func (n *Network) FaultCounters() (c FaultCounters, ok bool) {
-	if n.faultDev == nil {
-		return FaultCounters{}, false
-	}
-	return n.faultDev.Counters(), true
 }
 
 // Close releases the underlying device of a disk-backed network; it is a
@@ -619,46 +551,6 @@ func (n *Network) BaselineSkyline(ctx context.Context, loc Location) (*Result, e
 // BaselineTopK runs the strawman top-k over fully materialised vectors.
 func (n *Network) BaselineTopK(ctx context.Context, loc Location, agg Aggregate, k int) (*Result, error) {
 	return core.NaiveTopK(n.srcFor(ctx), loc, agg, k, n.queryOptions(ctx, nil))
-}
-
-// ctxInterrupt adapts ctx to the poll-style interrupt hook non-core
-// searches (Pareto paths) take; nil when ctx can never be cancelled.
-func ctxInterrupt(ctx context.Context) func() error {
-	if ctx == nil || ctx.Done() == nil {
-		return nil
-	}
-	return ctx.Err
-}
-
-// ParetoPaths returns the multi-criteria Pareto path set between two nodes
-// (the MCPP problem of the paper's Sec. II-D). maxLabels caps the search (0
-// = unlimited); cancelling ctx aborts it at the next label pop. Requires an
-// in-memory network.
-func (n *Network) ParetoPaths(ctx context.Context, from, to NodeID, maxLabels int) ([]Path, error) {
-	if n.g == nil {
-		return nil, fmt.Errorf("mcn: Pareto paths require an in-memory network (FromGraph)")
-	}
-	return paretopath.Paths(n.g, from, to, paretopath.Options{MaxLabels: maxLabels, Interrupt: ctxInterrupt(ctx)})
-}
-
-// ParetoPathsTo returns the Pareto path set from a node to an arbitrary
-// on-edge location. Requires an in-memory network.
-func (n *Network) ParetoPathsTo(ctx context.Context, from NodeID, to Location, maxLabels int) ([]Path, error) {
-	if n.g == nil {
-		return nil, fmt.Errorf("mcn: Pareto paths require an in-memory network (FromGraph)")
-	}
-	return paretopath.PathsToLocation(n.g, from, to, paretopath.Options{MaxLabels: maxLabels, Interrupt: ctxInterrupt(ctx)})
-}
-
-// ParetoPathsApprox is ParetoPaths with ε-dominance pruning: alternatives
-// within a (1+epsilon) factor on every cost are collapsed, taming the
-// exponential frontiers exact multi-criteria search can produce on large
-// anti-correlated networks.
-func (n *Network) ParetoPathsApprox(ctx context.Context, from, to NodeID, maxLabels int, epsilon float64) ([]Path, error) {
-	if n.g == nil {
-		return nil, fmt.Errorf("mcn: Pareto paths require an in-memory network (FromGraph)")
-	}
-	return paretopath.Paths(n.g, from, to, paretopath.Options{MaxLabels: maxLabels, Epsilon: epsilon, Interrupt: ctxInterrupt(ctx)})
 }
 
 // Maintain materialises dynamic skyline/top-k maintenance state for loc

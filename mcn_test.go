@@ -89,7 +89,7 @@ func TestFacadeDiskRoundtrip(t *testing.T) {
 	if err := CreateDatabase(g, path); err != nil {
 		t.Fatal(err)
 	}
-	db, err := OpenDatabase(path, 0.5)
+	db, err := OpenDatabaseOptions(path, 0.5, PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,41 +182,6 @@ func TestFacadeWithoutEnhancements(t *testing.T) {
 	}
 	if !reflect.DeepEqual(idsSorted(a), idsSorted(b)) {
 		t.Error("enhancements changed the result")
-	}
-}
-
-func TestFacadeParetoPaths(t *testing.T) {
-	g := cityGraph(t)
-	net := FromGraph(g)
-	paths, err := net.ParetoPaths(ctx, 0, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) == 0 {
-		t.Fatal("no Pareto paths found")
-	}
-	for i, p := range paths {
-		for j, q := range paths {
-			if i != j && q.Costs.Dominates(p.Costs) {
-				t.Errorf("returned path %d dominated by %d", i, j)
-			}
-		}
-	}
-}
-
-func TestFacadeParetoRequiresGraph(t *testing.T) {
-	g := cityGraph(t)
-	path := filepath.Join(t.TempDir(), "c.mcn")
-	if err := CreateDatabase(g, path); err != nil {
-		t.Fatal(err)
-	}
-	db, err := OpenDatabase(path, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if _, err := db.ParetoPaths(ctx, 0, 1, 0); err == nil {
-		t.Error("Pareto paths on disk network should fail with a clear error")
 	}
 }
 

@@ -437,3 +437,44 @@ func TestThunderingHerdSingleExpansion(t *testing.T) {
 		}
 	}
 }
+
+// TestFlushResultCache checks the strict fallback of the relaxed invalidation
+// contract: after FlushResultCache a repeated query misses and recomputes an
+// identical answer, and on a network without a cache the call does nothing.
+func TestFlushResultCache(t *testing.T) {
+	g := equivGraph(t, 7)
+	net := FromGraph(g)
+	net.EnableResultCache(CacheOptions{Entries: 64})
+	ex := net.NewExecutor(ExecutorConfig{Workers: 1})
+	req := SkylineRequest(RandomQueries(g, 1, 5)[0], WithEngine(CEA))
+
+	first := ex.Do(ctx, req)
+	repeat := ex.Do(ctx, req)
+	if first.Err != nil || repeat.Err != nil {
+		t.Fatalf("errs %v / %v", first.Err, repeat.Err)
+	}
+	if first.Cached || !repeat.Cached {
+		t.Fatalf("cached = %v, %v; want a miss then a hit", first.Cached, repeat.Cached)
+	}
+
+	net.FlushResultCache()
+	after := ex.Do(ctx, req)
+	if after.Err != nil {
+		t.Fatal(after.Err)
+	}
+	if after.Cached {
+		t.Fatal("query after FlushResultCache was served from the cache")
+	}
+	if !bitEqualResults(first.Result, after.Result) {
+		t.Fatal("recomputed result differs from the first computation")
+	}
+	if cs, _ := net.ResultCacheStats(); cs.Hits != 1 || cs.Misses != 2 {
+		t.Fatalf("hits, misses = %d, %d; want 1, 2", cs.Hits, cs.Misses)
+	}
+
+	plain := FromGraph(g)
+	plain.FlushResultCache()
+	if _, ok := plain.ResultCacheStats(); ok || plain.ResultCache() != nil {
+		t.Fatal("FlushResultCache attached a cache to a network without one")
+	}
+}
