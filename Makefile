@@ -10,12 +10,22 @@ FUZZTIME ?= 30s
 # -short smoke inside `make cover` and as a dedicated chaos job.
 CHAOS_SCHEDULES ?= 1000
 
-.PHONY: build examples test race bench benchmem profile fmt vet lint cover ci \
+.PHONY: build crossbuild examples test race bench benchmem profile fmt vet lint cover ci \
 	serve clean vulncheck fuzz docscheck chaos chaossmoke \
 	cluster-smoke soak-smoke benchverify paperio
 
 build:
 	$(GO) build ./...
+
+# Cross-build for windows and darwin, so platform-specific code (the storage
+# layer maps database files on unix and reads them with ReadAt elsewhere)
+# keeps building everywhere. benchmark/ is left out: it is Linux-only by
+# design (its child processes die with it through Pdeathsig).
+CROSS_PKGS = . ./cmd/... ./internal/... ./examples/...
+crossbuild:
+	GOOS=windows $(GO) build $(CROSS_PKGS)
+	GOOS=darwin $(GO) build $(CROSS_PKGS)
+	@echo "crossbuild ok: windows, darwin"
 
 # Build and run every example (all seven take well under a second): ./...
 # already compiles them, but CI runs this as a separate step so a facade
@@ -209,7 +219,7 @@ docscheck:
 
 # cover subsumes race (it runs the suite with -race), so ci does not run
 # both.
-ci: fmt vet build examples cover bench benchmem lint vulncheck docscheck \
+ci: fmt vet build crossbuild examples cover bench benchmem lint vulncheck docscheck \
 	benchverify paperio
 
 # Serve a synthetic network locally (see cmd/mcnserve for flags).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -62,10 +63,19 @@ func determinismInstance(t *testing.T) (storage.Device, func(*testing.T, *storag
 // same work. It only holds while no iteration order that reaches the store
 // depends on a Go map — the shrinking-stage filter install walks the tracked
 // facilities in arrival order for exactly this reason.
+//
+// The last run reads the same database through a file device, as a server
+// opens it: the medium may change how a page arrives, not which pages miss.
 func TestPhysicalIODeterministic(t *testing.T) {
-	dev, replay := determinismInstance(t)
+	mem, replay := determinismInstance(t)
+	file := fileCopy(t, mem)
+	defer file.Close()
 	var firstStats []Stats
-	for run := 0; run < 5; run++ {
+	for run := 0; run < 6; run++ {
+		var dev storage.Device = mem
+		if run == 5 {
+			dev = file
+		}
 		net, err := storage.OpenOptions(dev, 0.01, storage.PoolOptions{Policy: storage.PolicyLRU})
 		if err != nil {
 			t.Fatal(err)
@@ -80,6 +90,36 @@ func TestPhysicalIODeterministic(t *testing.T) {
 			t.Errorf("run %d: query stats differ from run 0", run)
 		}
 	}
+}
+
+// fileCopy writes dev's pages to a file and opens it read-only.
+func fileCopy(t *testing.T, dev storage.Device) *storage.FileDevice {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "determinism.mcn")
+	out, err := storage.CreateFileDevice(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, storage.PageSize)
+	for id := 0; id < dev.NumPages(); id++ {
+		if err := dev.ReadPage(storage.PageID(id), page); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := out.Alloc(); err != nil {
+			t.Fatal(err)
+		}
+		if err := out.WritePage(storage.PageID(id), page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	in, err := storage.OpenFileDevice(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
 }
 
 // TestPhysicalIOIndependentOfCores: behind the default pool — no options,

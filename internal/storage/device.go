@@ -11,12 +11,19 @@
 // record beside the first adjacency record that points at it, and the
 // adjacency tree is keyed by a node's rank in that order, so one expansion's
 // reads cluster on few pages (layout.go has the byte-level layout).
+//
+// An opened database file is served from a read-only memory map (on unix):
+// a page miss copies 4 KiB out of the page cache into the pool's frame
+// instead of making a read system call, and a fault in that copy is
+// returned as an error, not a crash (see FileDevice).
 package storage
 
 import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/debug"
+	"sync"
 )
 
 // PageSize is the fixed page size in bytes.
@@ -80,10 +87,24 @@ func (m *MemDevice) NumPages() int { return len(m.pages) }
 // Close implements Device.
 func (m *MemDevice) Close() error { return nil }
 
-// FileDevice stores pages in an operating-system file.
+// FileDevice stores pages in an operating-system file. A device created
+// with CreateFileDevice reads and writes the file with pread and pwrite. On
+// unix a device opened with OpenFileDevice maps the file read-only instead,
+// and a page read is one 4 KiB copy out of the mapping (page cache shared
+// with every other process that maps or reads the file) into the caller's
+// buffer: no system call per read. The device still copies rather than
+// lending out slices of the mapping, so a buffer-pool frame owns its bytes
+// and the pool's pins, Drop and Close keep their meaning.
 type FileDevice struct {
 	f *os.File
 	n int
+
+	// mapped is set when OpenFileDevice mapped the file; data is the
+	// mapping until Close unmaps it. mu orders Close's unmap after every
+	// copy in flight.
+	mapped bool
+	mu     sync.RWMutex
+	data   []byte
 }
 
 // CreateFileDevice creates (or truncates) a file-backed device at path.
@@ -95,7 +116,9 @@ func CreateFileDevice(path string) (*FileDevice, error) {
 	return &FileDevice{f: f}, nil
 }
 
-// OpenFileDevice opens an existing file-backed device read-only.
+// OpenFileDevice opens an existing file-backed device read-only, mapping it
+// into memory where the platform supports it. A failed mapping fails the
+// open.
 func OpenFileDevice(path string) (*FileDevice, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -110,19 +133,31 @@ func OpenFileDevice(path string) (*FileDevice, error) {
 		f.Close()
 		return nil, fmt.Errorf("storage: device size %d is not a multiple of the page size", st.Size())
 	}
-	return &FileDevice{f: f, n: int(st.Size() / PageSize)}, nil
+	d := &FileDevice{f: f, n: int(st.Size() / PageSize)}
+	if d.n > 0 {
+		if d.data, err = mapFile(f, st.Size()); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("storage: map device: %w", err)
+		}
+		d.mapped = d.data != nil
+	}
+	return d, nil
 }
 
-// ReadPage implements Device. A read that returns fewer than PageSize bytes
-// is an error, not a silently zero-padded page: an allocated page that the
-// file cannot fully deliver means the file was truncated behind the handle,
-// and callers need io.ErrUnexpectedEOF (with the page id) rather than a
-// page of garbage. ReadAt may legitimately pair a full read of the final
-// page with io.EOF; only short reads fail.
+// ReadPage implements Device. A read that cannot deliver all PageSize bytes
+// is an error wrapping io.ErrUnexpectedEOF, not a silently zero-padded page:
+// an allocated page that the file cannot fully deliver means the file was
+// truncated behind the handle (or the medium failed), and callers need the
+// page id rather than a page of garbage.
 func (d *FileDevice) ReadPage(id PageID, buf []byte) error {
 	if int(id) >= d.n {
 		return fmt.Errorf("storage: read of unallocated page %d (have %d)", id, d.n)
 	}
+	if d.mapped {
+		return d.copyPage(id, buf)
+	}
+	// ReadAt may legitimately pair a full read of the final page with
+	// io.EOF; only short reads fail.
 	n, err := d.f.ReadAt(buf[:PageSize], int64(id)*PageSize)
 	if n == PageSize {
 		return nil
@@ -131,6 +166,30 @@ func (d *FileDevice) ReadPage(id PageID, buf []byte) error {
 		err = io.ErrUnexpectedEOF
 	}
 	return fmt.Errorf("storage: read page %d: short read (%d of %d bytes): %w", id, n, PageSize, err)
+}
+
+// copyPage copies page id out of the mapping. Touching a mapped page the
+// file no longer backs (truncated behind the handle) or the medium cannot
+// deliver raises a fault; it is recovered here and returned as the error a
+// short read gives.
+func (d *FileDevice) copyPage(id PageID, buf []byte) (err error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if d.data == nil {
+		return fmt.Errorf("storage: read page %d: %w", id, os.ErrClosed)
+	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			if _, fault := r.(interface{ Addr() uintptr }); !fault {
+				panic(r)
+			}
+			err = fmt.Errorf("storage: read page %d: fault in mapped file: %w", id, io.ErrUnexpectedEOF)
+		}
+	}()
+	off := int(id) * PageSize
+	copy(buf[:PageSize], d.data[off:off+PageSize])
+	return nil
 }
 
 // WritePage implements Device.
@@ -157,5 +216,18 @@ func (d *FileDevice) Alloc() (PageID, error) {
 // NumPages implements Device.
 func (d *FileDevice) NumPages() int { return d.n }
 
-// Close implements Device.
-func (d *FileDevice) Close() error { return d.f.Close() }
+// Close implements Device: it unmaps the file, once every read in flight
+// has finished, and closes it. A read after Close fails with an error.
+func (d *FileDevice) Close() error {
+	d.mu.Lock()
+	var err error
+	if d.data != nil {
+		err = unmapFile(d.data)
+		d.data = nil
+	}
+	d.mu.Unlock()
+	if cerr := d.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

@@ -2,7 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -102,4 +106,114 @@ func TestOpenFileDeviceBadSize(t *testing.T) {
 	if _, err := OpenFileDevice(path); err == nil {
 		t.Error("device with torn page opened successfully")
 	}
+}
+
+// fileDevice creates a file device of n pages, page i filled with byte i+1,
+// and returns its path with the device reopened read-only.
+func fileDevice(t *testing.T, n int) (string, *FileDevice) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "dev.mcn")
+	dev, err := CreateFileDevice(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, PageSize)
+	for i := 0; i < n; i++ {
+		id, err := dev.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range page {
+			page[j] = byte(i + 1)
+		}
+		if err := dev.WritePage(id, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dev.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := OpenFileDevice(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, ro
+}
+
+// A file truncated behind an open device: reading a page the file no longer
+// holds is an error wrapping io.ErrUnexpectedEOF, not a crash and not a page
+// of zeros, and the pool counts it as a permanent failure without retrying.
+func TestFileDeviceTruncatedBehindHandle(t *testing.T) {
+	path, dev := fileDevice(t, 4)
+	defer dev.Close()
+	if err := os.Truncate(path, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, PageSize)
+	if err := dev.ReadPage(0, buf); err != nil || buf[0] != 1 {
+		t.Fatalf("page 0, still in the file: %v, first byte %d", err, buf[0])
+	}
+	err := dev.ReadPage(2, buf)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("read of a truncated page: %v, want io.ErrUnexpectedEOF", err)
+	}
+
+	pool := NewBufferPool(dev, 2, PoolOptions{Retry: RetryPolicy{MaxRetries: 3}})
+	if _, err := pool.Get(3); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("pool read of a truncated page: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if fs := pool.FailureStats(); fs != (FailureStats{Permanent: 1}) {
+		t.Errorf("failure stats %+v, want one permanent failure and no retries", fs)
+	}
+}
+
+// Close releases the device: a read after it is an error, not a fault, and
+// closing again is harmless.
+func TestFileDeviceReadAfterClose(t *testing.T) {
+	_, dev := fileDevice(t, 2)
+	buf := make([]byte, PageSize)
+	if err := dev.ReadPage(1, buf); err != nil || buf[0] != 2 {
+		t.Fatalf("page 1: %v, first byte %d", err, buf[0])
+	}
+	if err := dev.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := dev.ReadPage(1, buf); err == nil {
+		t.Error("read after Close succeeded")
+	}
+	if err := dev.Close(); err != nil && !errors.Is(err, os.ErrClosed) {
+		t.Errorf("second Close: %v", err)
+	}
+	if err := dev.ReadPage(0, buf); err == nil {
+		t.Error("read after a second Close succeeded")
+	}
+}
+
+// Close racing readers: every read either delivers the page's bytes or
+// fails with an error; none faults or sees a half-unmapped page.
+func TestFileDeviceCloseRacesReads(t *testing.T) {
+	const pages = 8
+	_, dev := fileDevice(t, pages)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			buf := make([]byte, PageSize)
+			for i := 0; i < 2000; i++ {
+				id := PageID((w + i) % pages)
+				if err := dev.ReadPage(id, buf); err != nil {
+					continue
+				}
+				if buf[0] != byte(id+1) || buf[PageSize-1] != byte(id+1) {
+					t.Errorf("page %d read back bytes %d…%d", id, buf[0], buf[PageSize-1])
+					return
+				}
+			}
+		}(w)
+	}
+	if err := dev.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	wg.Wait()
 }

@@ -225,6 +225,9 @@ func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 	if hdrPage != 0 {
 		return nil, fmt.Errorf("storage: header page allocated at %d", hdrPage)
 	}
+	if g.D() > math.MaxUint16 {
+		return nil, fmt.Errorf("storage: %d cost types, the header holds at most %d", g.D(), math.MaxUint16)
+	}
 	h := &header{
 		d:        g.D(),
 		directed: g.Directed(),
@@ -329,6 +332,9 @@ func writeData(g *graph.Graph, dev Device, order []graph.NodeID) (PageID, []uint
 			if len(facs) == 0 || facRefs[a.Edge] != graph.NoFacRef {
 				continue
 			}
+			if len(facs) > math.MaxUint16 {
+				return 0, nil, fmt.Errorf("edge %d has %d facilities, a record holds at most %d", a.Edge, len(facs), math.MaxUint16)
+			}
 			ref, err := w.pos()
 			if err != nil {
 				return 0, nil, err
@@ -348,6 +354,9 @@ func writeData(g *graph.Graph, dev Device, order []graph.NodeID) (PageID, []uint
 			return 0, nil, err
 		}
 		adjRefs[r] = ref.Pack()
+		if len(arcs) > math.MaxUint16 {
+			return 0, nil, fmt.Errorf("node %d has %d arcs, a record holds at most %d", v, len(arcs), math.MaxUint16)
+		}
 		rec = le.AppendUint16(rec[:0], uint16(len(arcs)))
 		for _, a := range arcs {
 			var flags byte

@@ -281,6 +281,77 @@ func TestBuildRejectsDirtyDevice(t *testing.T) {
 	}
 }
 
+// A count the layout stores in 16 bits — a node's arcs, an edge's
+// facilities, the cost types — must fail the build when it does not fit,
+// naming what overflowed, not wrap around and read back as a smaller count.
+func TestBuildRejectsOverflowingCounts(t *testing.T) {
+	const over = math.MaxUint16 + 1
+	t.Run("arcs", func(t *testing.T) {
+		b := graph.NewBuilder(1, false)
+		hub := b.AddNodes(over + 1)
+		for leaf := hub + 1; leaf <= hub+over; leaf++ {
+			b.AddEdge(hub, leaf, vec.Of(1))
+		}
+		g := b.MustBuild()
+		dev := NewMemDevice()
+		err := Build(g, dev)
+		if err == nil {
+			n, err := OpenOptions(dev, 0, PoolOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			arcs, err := n.Adjacency(hub)
+			t.Fatalf("Build accepted a node of %d arcs; it reads back %d arcs (err %v)", over, len(arcs), err)
+		}
+		if want := fmt.Sprintf("node %d has %d arcs", hub, over); !strings.Contains(err.Error(), want) {
+			t.Errorf("Build: %v, want an error containing %q", err, want)
+		}
+	})
+	t.Run("facilities", func(t *testing.T) {
+		b := graph.NewBuilder(1, false)
+		b.AddNodes(2)
+		e := b.AddEdge(0, 1, vec.Of(1))
+		for i := 0; i < over; i++ {
+			b.AddFacility(e, float64(i)/over)
+		}
+		g := b.MustBuild()
+		dev := NewMemDevice()
+		err := Build(g, dev)
+		if err == nil {
+			n, err := OpenOptions(dev, 0, PoolOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			arcs, err := n.Adjacency(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Fatalf("Build accepted an edge of %d facilities; it reads back %d", over, arcs[0].FacCount)
+		}
+		if want := fmt.Sprintf("edge %d has %d facilities", e, over); !strings.Contains(err.Error(), want) {
+			t.Errorf("Build: %v, want an error containing %q", err, want)
+		}
+	})
+	t.Run("costTypes", func(t *testing.T) {
+		b := graph.NewBuilder(over, false)
+		b.AddNodes(2)
+		b.AddEdge(0, 1, make(vec.Costs, over))
+		g := b.MustBuild()
+		dev := NewMemDevice()
+		err := Build(g, dev)
+		if err == nil {
+			n, err := OpenOptions(dev, 0, PoolOptions{})
+			if err != nil {
+				t.Fatalf("Build accepted %d cost types; the database does not open: %v", over, err)
+			}
+			t.Fatalf("Build accepted %d cost types; it reads back d = %d", over, n.D())
+		}
+		if want := fmt.Sprintf("%d cost types", over); !strings.Contains(err.Error(), want) {
+			t.Errorf("Build: %v, want an error containing %q", err, want)
+		}
+	})
+}
+
 func TestAdjacencyOutOfRange(t *testing.T) {
 	n := openNetwork(t, sampleGraph(t), 0.1)
 	if _, err := n.Adjacency(graph.NodeID(999)); err == nil {

@@ -40,8 +40,11 @@ package mcn
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"iter"
+	"os"
+	"path/filepath"
 	"time"
 
 	"mcn/internal/core"
@@ -280,7 +283,39 @@ func CreateDatabase(g *Graph, path string) error {
 
 // CreateDatabaseIndexed is CreateDatabase, additionally reporting the size
 // and build time of the pruning index it embedded (mcngen prints these).
+//
+// The database is written to a temporary file beside path and renamed over
+// path once complete, so a database already at path is replaced whole: a
+// network that has it open keeps reading the old file, and a build that
+// fails leaves it untouched.
 func CreateDatabaseIndexed(g *Graph, path string) (IndexStats, error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return IndexStats{}, fmt.Errorf("mcn: create database: %w", err)
+	}
+	name := tmp.Name()
+	// CreateTemp makes the file private to its owner; a database is read by
+	// whoever serves it, as one os.Create made would be.
+	err = tmp.Chmod(0o644)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	var is IndexStats
+	if err == nil {
+		is, err = buildDatabase(g, name)
+	}
+	if err == nil {
+		err = os.Rename(name, path)
+	}
+	if err != nil {
+		os.Remove(name)
+		return IndexStats{}, err
+	}
+	return is, nil
+}
+
+// buildDatabase writes g's database to the file at path.
+func buildDatabase(g *Graph, path string) (IndexStats, error) {
 	dev, err := storage.CreateFileDevice(path)
 	if err != nil {
 		return IndexStats{}, err
