@@ -10,7 +10,7 @@ FUZZTIME ?= 30s
 # -short smoke inside `make cover` and as a dedicated chaos job.
 CHAOS_SCHEDULES ?= 1000
 
-.PHONY: build crossbuild examples test race bench benchmem profile fmt vet lint cover ci \
+.PHONY: build crossbuild examples test race bench benchmem profile profile-disk fmt vet lint cover ci \
 	serve clean vulncheck fuzz docscheck chaos chaossmoke \
 	cluster-smoke soak-smoke benchverify paperio
 
@@ -87,6 +87,14 @@ benchmem:
 profile:
 	$(GO) test -run '^$$' -bench BenchmarkFlatQuery -benchtime 1024x \
 		-cpuprofile cpu.prof -memprofile mem.prof ./internal/flat
+
+# CPU+heap profiles of disk-resident skylines: BenchmarkDiskSkyline, the disk
+# rows of `make benchmem` (CEA and LSA behind a 1 % buffer pool), where
+# B+-tree descents, page misses and record decoding show beside expansion;
+# inspect with `go tool pprof cpu-disk.prof` / `go tool pprof mem-disk.prof`.
+profile-disk:
+	$(GO) test -run '^$$' -bench BenchmarkDiskSkyline -benchtime 2048x \
+		-cpuprofile cpu-disk.prof -memprofile mem-disk.prof .
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -9,6 +9,7 @@ import (
 	"mcn/internal/expand"
 	"mcn/internal/graph"
 	"mcn/internal/index"
+	"mcn/internal/storage"
 	"mcn/internal/vec"
 )
 
@@ -78,9 +79,10 @@ func permuted(g *graph.Graph, rng *rand.Rand) *graph.Graph {
 // TestNumberingDoesNotChangeResults: how a source numbers its nodes must not
 // show in any answer or any work counter. Every query kind, over LSA and
 // CEA, gives identical facilities and identical Stats on MemorySource(g), on
-// MemorySource of g with its nodes permuted at random, and on Compile(g),
-// which numbers them in locality order. Within runs with and without the
-// pruning index, each source's in its own numbering.
+// MemorySource of g with its nodes permuted at random, on Compile(g), which
+// numbers them in locality order, and on g's disk database, which numbers
+// them the same way, behind a 1 % and a 100 % buffer pool. Within runs with
+// and without the pruning index, each source's in its own numbering.
 func TestNumberingDoesNotChangeResults(t *testing.T) {
 	type source struct {
 		name   string
@@ -98,6 +100,17 @@ func TestNumberingDoesNotChangeResults(t *testing.T) {
 					{"mem", expand.NewMemorySource(g), index.FromGraph(g)},
 					{"permuted mem", expand.NewMemorySource(pg), index.FromGraph(pg)},
 					{"flat", fs, fs.Bounds(index.FromGraph(g))},
+				}
+				dev, err := storage.BuildMem(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, frac := range []float64{0.01, 1} {
+					disk, err := storage.OpenOptions(dev, frac, storage.PoolOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sources = append(sources, source{fmt.Sprintf("disk %g%%", frac*100), disk, disk.Bounds()})
 				}
 				weights := make([]float64, d)
 				budget := make(vec.Costs, d)

@@ -21,6 +21,15 @@ import (
 //
 // Inner entries store the smallest key reachable through the child, enabling
 // upper-bound binary search during descent.
+//
+// Every tree of a database is keyed by dense ids (record numbers, facility
+// ids, edge ids), so a leaf's keys are consecutive and an inner node's first
+// keys step by a fixed stride. A lookup therefore computes where the key
+// would sit under that assumption — slot key − firstKey in a leaf, child
+// (key − k₀) / (k₁ − k₀) in an inner node — and accepts the guess only when
+// the entry there matches (leaf) or brackets the key (inner); otherwise it
+// binary-searches. The guess is exact for a database's trees and correct for
+// any key set, and it reads no page the binary search would not.
 const (
 	leafKind  = 1
 	innerKind = 2
@@ -37,8 +46,6 @@ const (
 type BTree struct {
 	pool *BufferPool
 	root PageID
-	// empty marks a tree built from zero entries; lookups always miss.
-	empty bool
 }
 
 // BuildBTree bulk-loads the given key-sorted entries onto dev and returns
@@ -127,14 +134,10 @@ func OpenBTree(pool *BufferPool, root PageID) *BTree {
 	return &BTree{pool: pool, root: root}
 }
 
-// Lookup returns the value stored under key, with ok=false when absent.
-func (t *BTree) Lookup(key uint64) (value uint64, ok bool, err error) {
-	return t.LookupCtx(nil, key)
-}
-
-// LookupCtx is Lookup with the page reads bound to ctx (see
-// BufferPool.GetCtx); a nil ctx behaves like Lookup. Each node is pinned
-// only while it is searched.
+// LookupCtx returns the value stored under key, with ok=false when absent,
+// reading one node per level with the page reads bound to ctx (see
+// BufferPool.GetCtx; a nil ctx binds nothing). Each node is pinned only
+// while it is searched.
 func (t *BTree) LookupCtx(ctx context.Context, key uint64) (value uint64, ok bool, err error) {
 	page := t.root
 	for {
@@ -160,15 +163,25 @@ func (t *BTree) LookupCtx(ctx context.Context, key uint64) (value uint64, ok boo
 	}
 }
 
-// searchLeaf binary-searches the n entries of a leaf node for key.
+// searchLeaf finds key among the n entries of a leaf node: at slot
+// key − firstKey when the leaf's keys run consecutively there, else by
+// binary search.
 func searchLeaf(data []byte, n int, key uint64) (value uint64, ok bool) {
+	le := binary.LittleEndian
+	// A key below firstKey wraps to a slot past n and skips the guess.
+	if i := key - le.Uint64(data[btreeHeader:]); i < uint64(n) {
+		at := btreeHeader + int(i)*leafEntry
+		if le.Uint64(data[at:]) == key {
+			return le.Uint64(data[at+8:]), true
+		}
+	}
 	lo, hi := 0, n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		k := binary.LittleEndian.Uint64(data[btreeHeader+mid*leafEntry:])
+		k := le.Uint64(data[btreeHeader+mid*leafEntry:])
 		switch {
 		case k == key:
-			return binary.LittleEndian.Uint64(data[btreeHeader+mid*leafEntry+8:]), true
+			return le.Uint64(data[btreeHeader+mid*leafEntry+8:]), true
 		case k < key:
 			lo = mid + 1
 		default:
@@ -179,22 +192,40 @@ func searchLeaf(data []byte, n int, key uint64) (value uint64, ok bool) {
 }
 
 // searchInner returns the child of an inner node with n > 0 entries that
-// covers key: the largest i with firstKey[i] <= key. Keys below firstKey[0]
-// cannot exist but descend leftmost for a definitive miss.
+// covers key: the largest i with firstKey[i] <= key. It tries
+// i = (key − k₀) / (k₁ − k₀) first, the answer when the first keys step by
+// a fixed stride, and binary-searches when that child does not bracket key.
+// Keys below firstKey[0] cannot exist but descend leftmost for a definitive
+// miss.
 func searchInner(data []byte, n int, key uint64) PageID {
+	if n > 1 {
+		if k0, k1 := innerKey(data, 0), innerKey(data, 1); k0 <= key && k0 < k1 {
+			if i := (key - k0) / (k1 - k0); i < uint64(n) {
+				j := int(i)
+				if innerKey(data, j) <= key && (j+1 == n || key < innerKey(data, j+1)) {
+					return innerChild(data, j)
+				}
+			}
+		}
+	}
 	lo, hi := 0, n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		k := binary.LittleEndian.Uint64(data[btreeHeader+mid*innerEntry:])
-		if k <= key {
+		if innerKey(data, mid) <= key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	idx := lo - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return PageID(binary.LittleEndian.Uint32(data[btreeHeader+idx*innerEntry+8:]))
+	return innerChild(data, max(lo-1, 0))
+}
+
+// innerKey returns the first key of an inner node's entry i.
+func innerKey(data []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(data[btreeHeader+i*innerEntry:])
+}
+
+// innerChild returns the child page of an inner node's entry i.
+func innerChild(data []byte, i int) PageID {
+	return PageID(binary.LittleEndian.Uint32(data[btreeHeader+i*innerEntry+8:]))
 }

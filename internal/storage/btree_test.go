@@ -1,10 +1,17 @@
 package storage
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 )
+
+// Lookup is LookupCtx without a context.
+func (t *BTree) Lookup(key uint64) (value uint64, ok bool, err error) {
+	return t.LookupCtx(nil, key)
+}
 
 func buildTree(t *testing.T, keys, vals []uint64) (*BTree, *BufferPool) {
 	t.Helper()
@@ -113,5 +120,83 @@ func TestBTreeMatchesMap(t *testing.T) {
 				t.Fatalf("trial %d: Lookup(%d) = (%d, %v), want (%d, %v)", trial, probe, got, ok, want, wantOK)
 			}
 		}
+	}
+}
+
+// denseKeys returns n strictly increasing keys from base, consecutive except
+// that skip extra ids are left out after every every-th key (every 0: none).
+func denseKeys(base uint64, n, every, skip int) []uint64 {
+	keys := make([]uint64, n)
+	k := base
+	for i := range keys {
+		keys[i] = k
+		k++
+		if every > 0 && (i+1)%every == 0 {
+			k += uint64(skip)
+		}
+	}
+	return keys
+}
+
+// Dense key sets — the keys of every tree a database holds — at heights 1, 2
+// and 3: from 0, from a nonzero base, with gaps, and with a one-entry last
+// leaf. Every key, every gap, and keys below the first and above the last
+// are looked up against a map, and each lookup reads exactly one node per
+// level.
+func TestBTreeDenseKeys(t *testing.T) {
+	const two = leafFanout * innerFanout // most keys a two-level tree holds
+	for _, c := range []struct {
+		height int
+		base   uint64
+		n      int
+		every  int // a gap after every every-th key (0: none)
+		skip   int
+	}{
+		{1, 0, leafFanout, 0, 0},
+		{1, 1000, 100, 0, 0},
+		{1, 7, 200, 7, 3},
+		{2, 0, leafFanout + 1, 0, 0}, // one-entry last leaf
+		{2, 5_000_000_000, 10 * leafFanout, 0, 0},
+		{2, 0, two, 0, 0},
+		{2, 3, 20 * leafFanout, 11, 1},
+		{3, 0, two + 1, 0, 0}, // a one-entry last leaf under a one-entry inner node
+		{3, 1 << 40, two + 3*leafFanout, 0, 0},
+		{3, 1, two + 500, 1000, 2},
+	} {
+		t.Run(fmt.Sprintf("h%d/base=%d/n=%d/gaps=%d", c.height, c.base, c.n, c.every), func(t *testing.T) {
+			keys := denseKeys(c.base, c.n, c.every, c.skip)
+			vals := make([]uint64, len(keys))
+			oracle := make(map[uint64]uint64, len(keys))
+			for i, k := range keys {
+				vals[i] = k*7 + 1
+				oracle[k] = vals[i]
+			}
+			tree, pool := buildTree(t, keys, vals)
+			probes := []uint64{keys[len(keys)-1] + 1, keys[len(keys)-1] + 1000, math.MaxUint64}
+			if c.base > 0 {
+				probes = append(probes, 0, c.base-1)
+			}
+			for i, k := range keys {
+				probes = append(probes, k)
+				if i > 0 {
+					for gap := keys[i-1] + 1; gap < k; gap++ {
+						probes = append(probes, gap)
+					}
+				}
+			}
+			for _, k := range probes {
+				before := pool.Stats().Logical
+				got, ok, err := tree.Lookup(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want, wantOK := oracle[k]; ok != wantOK || got != want {
+					t.Fatalf("Lookup(%d) = (%d, %v), want (%d, %v)", k, got, ok, want, wantOK)
+				}
+				if reads := pool.Stats().Logical - before; reads != int64(c.height) {
+					t.Fatalf("Lookup(%d) read %d nodes, want %d (the tree's height)", k, reads, c.height)
+				}
+			}
+		})
 	}
 }

@@ -257,9 +257,10 @@ func NewBufferPool(dev Device, capacity int, opts ...PoolOptions) *BufferPool {
 
 // NewBufferPoolFrac returns a pool sized as a fraction of the device's
 // current page count, mirroring the paper's "buffer size as a percentage of
-// the MCN pages" parameter.
+// the MCN pages" parameter. A fraction above 1 holds every page; frac must
+// not be NaN or negative (OpenOptions refuses both).
 func NewBufferPoolFrac(dev Device, frac float64, opts ...PoolOptions) *BufferPool {
-	return NewBufferPool(dev, int(frac*float64(dev.NumPages())), opts...)
+	return NewBufferPool(dev, int(min(frac, 1)*float64(dev.NumPages())), opts...)
 }
 
 // Capacity returns the pool's total page capacity.

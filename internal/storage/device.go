@@ -9,8 +9,9 @@
 // The paper leaves record order open. Here one data file holds both record
 // kinds in the Hilbert-curve order of the node coordinates, each facility
 // record beside the first adjacency record that points at it, and the
-// adjacency tree is keyed by a node's rank in that order, so one expansion's
-// reads cluster on few pages (layout.go has the byte-level layout).
+// database numbers its nodes in that order — a node's id is its record
+// number, which also keys the adjacency tree — so one expansion's reads
+// cluster on few pages (layout.go has the byte-level layout).
 //
 // An opened database file is served from a read-only memory map (on unix):
 // a page miss copies 4 KiB out of the page cache into the pool's frame

@@ -13,14 +13,14 @@ import (
 // Database file layout (all offsets in pages):
 //
 //	page 0            header
-//	data file         one adjacency record per node, in locality order; each
-//	                  edge's facility record immediately precedes the first
-//	                  adjacency record that points at it
-//	adjacency tree    B+-tree: node rank → packed Ref of its adjacency record
+//	data file         one adjacency record per node, in record-number order;
+//	                  each edge's facility record immediately precedes the
+//	                  first adjacency record that points at it
+//	adjacency tree    B+-tree: node id → packed Ref of its adjacency record
 //	facility tree     B+-tree: facility id → edge id
 //	edge tree         B+-tree: edge id → U end-node id
 //	bounds table      pruning index, d × numNodes f64
-//	rank table        numNodes u32: node id → rank in the locality order
+//	rank table        numNodes u32: rank (node id) → the graph's node id
 //	checksum table    one 8-byte slot per page above (header excluded)
 //
 // Adjacency record:  count u16, then per arc:
@@ -30,15 +30,19 @@ import (
 //
 // Facility record (per edge): facCount × { facility u32, T f64 }.
 //
-// The locality order is graph.LocalityOrder, the Hilbert-curve order of the
-// node coordinates that also numbers flat.Source's nodes: a Dijkstra
-// wavefront grows through neighbouring space, so the records one expansion
-// reads, and the adjacency-tree leaves that locate them, lie on few pages.
-// In the database, node, edge and facility ids are not renumbered;
-// the rank table translates a node id into the adjacency tree's key, and
-// every record still names ids. A facility record sits next to the record
-// that first reaches its edge, so the facility read that follows an
-// adjacency read usually hits the same page.
+// The database numbers nodes in its own order: a node's id is the number of
+// its adjacency record, its rank in graph.LocalityOrder, the Hilbert-curve
+// order of the node coordinates that also numbers flat.Source's nodes. A
+// Dijkstra wavefront grows through neighbouring space, so the records one
+// expansion reads, the adjacency-tree leaves that locate them and the
+// expansion's per-node state indexed by node id all cluster. Adjacency
+// records name neighbours, and the edge tree end-nodes, by that id; the
+// adjacency tree is keyed by it; the bounds table is in it. Edge and
+// facility ids are the graph's, and since answers name facilities, no node
+// id leaves the database. The rank table maps each node id back to the
+// graph's (graph.LocalityOrder itself); a query never reads it. A facility
+// record sits next to the record that first reaches its edge, so the
+// facility read that follows an adjacency read usually hits the same page.
 //
 // The pruning-index bounds table follows the trees: d × numNodes f64 values,
 // criterion-major (the internal/index layout), the exact distance from each
@@ -62,11 +66,11 @@ import (
 // CRC-32C: the last field holds the checksum of every header byte before it,
 // and Open verifies it before trusting any size or page id the header names.
 //
-// This is layout version 5, the only one Open accepts: a database written by
+// This is layout version 6, the only one Open accepts: a database written by
 // an earlier version is regenerated with mcngen, not migrated.
 const (
 	magic   = 0x4D434E31 // "MCN1"
-	version = 5
+	version = 6
 
 	headerCRCOff = 56 // the header's CRC-32C covers bytes [0, headerCRCOff)
 )
@@ -213,7 +217,7 @@ func Build(g *graph.Graph, dev Device) error {
 }
 
 // BuildIndexed is Build, returning the pruning index it computed and
-// persisted.
+// persisted, in the database's node numbering.
 func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 	if dev.NumPages() != 0 {
 		return nil, fmt.Errorf("storage: device not empty (%d pages)", dev.NumPages())
@@ -236,19 +240,23 @@ func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 		numFacs:  g.NumFacilities(),
 	}
 
+	// order[id] is the graph node the database numbers id; rank inverts it.
 	order := graph.LocalityOrder(g)
+	rank := make([]graph.NodeID, len(order))
+	for id, v := range order {
+		rank[v] = graph.NodeID(id)
+	}
 	var adjRefs []uint64
-	if h.dataFirst, adjRefs, err = writeData(g, dev, order); err != nil {
+	if h.dataFirst, adjRefs, err = writeData(g, dev, order, rank); err != nil {
 		return nil, fmt.Errorf("storage: data file: %w", err)
 	}
 
-	// Indexes. The adjacency tree is keyed by rank, so its leaves follow the
-	// data file's order.
-	ranks := make([]uint64, len(order))
-	for r := range ranks {
-		ranks[r] = uint64(r)
+	// Indexes, all keyed by dense ids.
+	ids := make([]uint64, len(order))
+	for id := range ids {
+		ids[id] = uint64(id)
 	}
-	if h.adjTreeRoot, err = BuildBTree(dev, ranks, adjRefs); err != nil {
+	if h.adjTreeRoot, err = BuildBTree(dev, ids, adjRefs); err != nil {
 		return nil, fmt.Errorf("storage: adjacency tree: %w", err)
 	}
 
@@ -266,7 +274,7 @@ func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 	edgeVals := make([]uint64, g.NumEdges())
 	for e := range edgeKeys {
 		edgeKeys[e] = uint64(e)
-		edgeVals[e] = uint64(g.Edge(graph.EdgeID(e)).U)
+		edgeVals[e] = uint64(rank[g.Edge(graph.EdgeID(e)).U])
 	}
 	if h.edgeTreeRoot, err = BuildBTree(dev, edgeKeys, edgeVals); err != nil {
 		return nil, fmt.Errorf("storage: edge tree: %w", err)
@@ -274,18 +282,14 @@ func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 
 	// Pruning-bounds and rank tables, written before the checksum table so
 	// their pages are covered by the checksums.
-	bounds := index.FromGraph(g)
+	bounds := index.FromGraph(g).Renumbered(rank)
 	if h.boundsFirst, err = writeTable(dev, len(bounds.Data()), func(w *pageWriter, i int) error {
 		return w.writeF64(bounds.Data()[i])
 	}); err != nil {
 		return nil, fmt.Errorf("storage: bounds table: %w", err)
 	}
-	rank := make([]uint32, len(order))
-	for r, v := range order {
-		rank[v] = uint32(r)
-	}
-	if h.rankFirst, err = writeTable(dev, len(rank), func(w *pageWriter, v int) error {
-		return w.writeU32(rank[v])
+	if h.rankFirst, err = writeTable(dev, len(order), func(w *pageWriter, id int) error {
+		return w.writeU32(uint32(order[id]))
 	}); err != nil {
 		return nil, fmt.Errorf("storage: rank table: %w", err)
 	}
@@ -308,11 +312,12 @@ func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 	return bounds, dev.WritePage(0, h.encode())
 }
 
-// writeData writes the data file: the adjacency record of every node in
-// order, each preceded by the facility records of the edges it is the first
-// to reference. It returns the file's first page and the packed Ref of each
-// adjacency record, indexed by rank.
-func writeData(g *graph.Graph, dev Device, order []graph.NodeID) (PageID, []uint64, error) {
+// writeData writes the data file: the adjacency record of every graph node
+// in order, each preceded by the facility records of the edges it is the
+// first to reference, its neighbours renamed by rank. It returns the file's
+// first page and the packed Ref of each adjacency record, indexed by node id
+// (position in order).
+func writeData(g *graph.Graph, dev Device, order, rank []graph.NodeID) (PageID, []uint64, error) {
 	le := binary.LittleEndian
 	w := newPageWriter(dev)
 	first, err := w.pos()
@@ -325,7 +330,7 @@ func writeData(g *graph.Graph, dev Device, order []graph.NodeID) (PageID, []uint
 	}
 	adjRefs := make([]uint64, len(order))
 	var rec []byte
-	for r, v := range order {
+	for id, v := range order {
 		arcs := g.Arcs(v)
 		for _, a := range arcs {
 			facs := g.EdgeFacilities(a.Edge)
@@ -353,7 +358,7 @@ func writeData(g *graph.Graph, dev Device, order []graph.NodeID) (PageID, []uint
 		if err != nil {
 			return 0, nil, err
 		}
-		adjRefs[r] = ref.Pack()
+		adjRefs[id] = ref.Pack()
 		if len(arcs) > math.MaxUint16 {
 			return 0, nil, fmt.Errorf("node %d has %d arcs, a record holds at most %d", v, len(arcs), math.MaxUint16)
 		}
@@ -363,7 +368,7 @@ func writeData(g *graph.Graph, dev Device, order []graph.NodeID) (PageID, []uint
 			if a.Forward {
 				flags |= 1
 			}
-			rec = le.AppendUint32(rec, uint32(a.Neighbor))
+			rec = le.AppendUint32(rec, uint32(rank[a.Neighbor]))
 			rec = le.AppendUint32(rec, uint32(a.Edge))
 			rec = append(rec, flags)
 			rec = le.AppendUint16(rec, uint16(len(g.EdgeFacilities(a.Edge))))

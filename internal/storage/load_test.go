@@ -83,6 +83,7 @@ func sameAsLoaded(t *testing.T, trial int, g *graph.Graph, n *Network) {
 
 // LoadGraph reconstructs the in-memory graph from a database, inverting
 // Build, so the round-trip tests can compare it with the graph they stored.
+// The rank table names the graph node behind each of the database's ids.
 func LoadGraph(n *Network) (*graph.Graph, error) {
 	b := graph.NewBuilder(n.D(), n.Directed())
 	b.AddNodes(n.NumNodes())
@@ -95,8 +96,8 @@ func LoadGraph(n *Network) (*graph.Graph, error) {
 		seen     bool
 	}
 	edges := make([]edgeRec, n.NumEdges())
-	for v := 0; v < n.NumNodes(); v++ {
-		entries, err := n.Adjacency(graph.NodeID(v))
+	for r, v := range n.order {
+		entries, err := n.Adjacency(graph.NodeID(r))
 		if err != nil {
 			return nil, err
 		}
@@ -109,7 +110,7 @@ func LoadGraph(n *Network) (*graph.Graph, error) {
 				return nil, fmt.Errorf("storage: edge %d out of range while loading", e.Edge)
 			}
 			edges[e.Edge] = edgeRec{
-				u: graph.NodeID(v), v: e.Neighbor,
+				u: v, v: n.order[e.Neighbor],
 				w: e.W, facRef: e.FacRef, facCount: e.FacCount,
 				seen: true,
 			}

@@ -16,6 +16,12 @@ import (
 // network-source interface consumed by the expansion engine, so LSA and CEA
 // run against it directly; every adjacency-tree, facility-tree and data-file
 // access goes through the buffer pool.
+//
+// Node ids are the database's own: a node's id is the number of its
+// adjacency record, its rank in graph.LocalityOrder (see the layout
+// comment). Adjacency entries and EdgeInfo end-nodes name nodes by it, and
+// the pruning index Bounds returns is in it. Edge and facility ids are the
+// graph's.
 type Network struct {
 	pool     *BufferPool
 	hdr      *header
@@ -24,8 +30,9 @@ type Network struct {
 	edgeTree *BTree
 	// bounds is the pruning index loaded from the bounds table.
 	bounds *index.Bounds
-	// rank is the rank table: node id → adjacency-tree key.
-	rank []uint32
+	// order is the rank table: the graph's id of each node. No query reads
+	// it; it relates the database to the graph it was built from.
+	order []graph.NodeID
 	// ctx, when non-nil, bounds every page read issued through this handle
 	// (see WithReadContext). Shared by all views of one database.
 	ctx context.Context
@@ -47,9 +54,14 @@ func (n *Network) WithReadContext(ctx context.Context) *Network {
 
 // OpenOptions prepares a network handle over dev with a buffer pool holding
 // bufferFrac of the database pages (the paper's cache-size parameter; 0
-// disables caching), tuned by opts (replacement policy, read retries). The
-// zero PoolOptions is a clock cache with lock-free hits and miss coalescing.
+// disables caching, 1 or more holds every page), tuned by opts (replacement
+// policy, read retries). A bufferFrac that is negative, infinite or NaN is
+// refused. The zero PoolOptions is a clock cache with lock-free hits and
+// miss coalescing.
 func OpenOptions(dev Device, bufferFrac float64, opts PoolOptions) (*Network, error) {
+	if !(bufferFrac >= 0) || math.IsInf(bufferFrac, 1) {
+		return nil, fmt.Errorf("storage: buffer fraction %v: want a finite fraction of at least 0", bufferFrac)
+	}
 	pool := NewBufferPoolFrac(dev, bufferFrac, opts)
 	return OpenWithPool(dev, pool)
 }
@@ -93,10 +105,10 @@ func OpenWithPool(dev Device, pool *BufferPool) (*Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: bounds table: %w", err)
 	}
-	rank := make([]uint32, hdr.numNodes)
-	err = loadTable(dev, sums, hdr.rankFirst, len(rank), 4, func(i int, v []byte) { rank[i] = le.Uint32(v) })
+	order := make([]graph.NodeID, hdr.numNodes)
+	err = loadTable(dev, sums, hdr.rankFirst, len(order), 4, func(i int, v []byte) { order[i] = graph.NodeID(le.Uint32(v)) })
 	if err == nil {
-		err = checkPermutation(rank)
+		err = checkPermutation(order)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("storage: rank table: %w", err)
@@ -108,7 +120,7 @@ func OpenWithPool(dev Device, pool *BufferPool) (*Network, error) {
 		facTree:  OpenBTree(pool, hdr.facTreeRoot),
 		edgeTree: OpenBTree(pool, hdr.edgeTreeRoot),
 		bounds:   bounds,
-		rank:     rank,
+		order:    order,
 	}, nil
 }
 
@@ -132,18 +144,18 @@ func loadTable(dev Device, sums []uint32, first PageID, n, size int, put func(i 
 	return nil
 }
 
-// checkPermutation reports an error unless rank holds every value 0..len-1
-// exactly once.
-func checkPermutation(rank []uint32) error {
-	seen := make([]bool, len(rank))
-	for v, r := range rank {
-		if int(r) >= len(rank) {
-			return fmt.Errorf("node %d has rank %d, %d nodes", v, r, len(rank))
+// checkPermutation reports an error unless order holds every node id
+// 0..len-1 exactly once.
+func checkPermutation(order []graph.NodeID) error {
+	seen := make([]bool, len(order))
+	for r, v := range order {
+		if int(v) >= len(order) {
+			return fmt.Errorf("rank %d names node %d, %d nodes", r, v, len(order))
 		}
-		if seen[r] {
-			return fmt.Errorf("rank %d given twice (again to node %d)", r, v)
+		if seen[v] {
+			return fmt.Errorf("node %d given twice (again at rank %d)", v, r)
 		}
-		seen[r] = true
+		seen[v] = true
 	}
 	return nil
 }
@@ -182,13 +194,13 @@ const (
 )
 
 // arcs positions c on the adjacency record of v — an adjacency-tree lookup
-// of v's rank followed by a data-file record read — and returns the record's
-// arcs as raw bytes, arcFixed+8d each, valid until c is closed.
+// of v followed by a data-file record read — and returns the record's arcs
+// as raw bytes, arcFixed+8d each, valid until c is closed.
 func (n *Network) arcs(c *cursor, v graph.NodeID) ([]byte, error) {
 	if int(v) >= n.hdr.numNodes {
 		return nil, fmt.Errorf("storage: node %d out of range (%d nodes)", v, n.hdr.numNodes)
 	}
-	packed, ok, err := n.adjTree.LookupCtx(n.ctx, uint64(n.rank[v]))
+	packed, ok, err := n.adjTree.LookupCtx(n.ctx, uint64(v))
 	if err != nil {
 		return nil, err
 	}

@@ -53,8 +53,19 @@ func openNetwork(t *testing.T, g *graph.Graph, frac float64) *Network {
 	return n
 }
 
+// ranks returns the database's id of each node of g: its rank in
+// graph.LocalityOrder.
+func ranks(g *graph.Graph) []graph.NodeID {
+	rank := make([]graph.NodeID, g.NumNodes())
+	for r, v := range graph.LocalityOrder(g) {
+		rank[v] = graph.NodeID(r)
+	}
+	return rank
+}
+
 // verifyAgainstGraph checks that every network read agrees with the
-// in-memory graph.
+// in-memory graph, the network naming each node by its rank in the locality
+// order, and that the rank table maps those ids back to the graph's.
 func verifyAgainstGraph(t *testing.T, g *graph.Graph, n *Network) {
 	t.Helper()
 	if n.D() != g.D() || n.Directed() != g.Directed() {
@@ -63,9 +74,13 @@ func verifyAgainstGraph(t *testing.T, g *graph.Graph, n *Network) {
 	if n.NumNodes() != g.NumNodes() || n.NumEdges() != g.NumEdges() || n.NumFacilities() != g.NumFacilities() {
 		t.Fatalf("counts mismatch")
 	}
+	if order := graph.LocalityOrder(g); !slices.Equal(n.order, order) {
+		t.Fatalf("rank table %v, want the locality order %v", n.order, order)
+	}
+	rank := ranks(g)
 	for v := 0; v < g.NumNodes(); v++ {
 		arcs := g.Arcs(graph.NodeID(v))
-		entries, err := n.Adjacency(graph.NodeID(v))
+		entries, err := n.Adjacency(rank[v])
 		if err != nil {
 			t.Fatalf("Adjacency(%d): %v", v, err)
 		}
@@ -74,7 +89,7 @@ func verifyAgainstGraph(t *testing.T, g *graph.Graph, n *Network) {
 		}
 		for i, a := range arcs {
 			e := entries[i]
-			if e.Neighbor != a.Neighbor || e.Edge != a.Edge || e.Forward != a.Forward {
+			if e.Neighbor != rank[a.Neighbor] || e.Edge != a.Edge || e.Forward != a.Forward {
 				t.Fatalf("node %d arc %d: got %+v, want %+v", v, i, e, a)
 			}
 			if !e.W.Equal(g.Edge(a.Edge).W) {
@@ -113,7 +128,7 @@ func verifyAgainstGraph(t *testing.T, g *graph.Graph, n *Network) {
 			t.Fatalf("EdgeInfo(%d): %v", e, err)
 		}
 		want := g.Edge(graph.EdgeID(e))
-		if info.U != want.U || info.V != want.V || !info.W.Equal(want.W) {
+		if info.U != rank[want.U] || info.V != rank[want.V] || !info.W.Equal(want.W) {
 			t.Fatalf("EdgeInfo(%d) = %+v, want %+v", e, info, want)
 		}
 		if info.FacCount != len(g.EdgeFacilities(graph.EdgeID(e))) {
@@ -214,7 +229,7 @@ func TestNetworkHugeFacilityRecord(t *testing.T) {
 	}
 	g := b.MustBuild()
 	n := openNetwork(t, g, 0.5)
-	entries, err := n.Adjacency(0)
+	entries, err := n.Adjacency(ranks(g)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,14 +375,18 @@ func TestAdjacencyOutOfRange(t *testing.T) {
 }
 
 // The persisted bounds table must round-trip exactly: the loaded index is
-// byte-identical to one rebuilt from the in-memory graph.
+// byte-identical to one rebuilt from the in-memory graph and renumbered into
+// the database's node ids. Nodes lie at random points, so the locality order
+// is not the identity.
 func TestNetworkBoundsRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 6; trial++ {
 		d := 1 + rng.Intn(4)
 		nn := 2 + rng.Intn(80)
 		b := graph.NewBuilder(d, rng.Intn(2) == 0)
-		b.AddNodes(nn)
+		for v := 0; v < nn; v++ {
+			b.AddNode(rng.Float64(), rng.Float64())
+		}
 		ne := nn + rng.Intn(2*nn)
 		for i := 0; i < ne; i++ {
 			u := graph.NodeID(rng.Intn(nn))
@@ -393,7 +412,7 @@ func TestNetworkBoundsRoundtrip(t *testing.T) {
 		if got == nil {
 			t.Fatal("database opened with nil bounds")
 		}
-		want := index.FromGraph(g)
+		want := index.FromGraph(g).Renumbered(ranks(g))
 		if got.D() != want.D() || got.NumNodes() != want.NumNodes() {
 			t.Fatalf("bounds shape %d×%d, want %d×%d", got.D(), got.NumNodes(), want.D(), want.NumNodes())
 		}
@@ -584,7 +603,7 @@ func rewritePage(t *testing.T, dev *MemDevice, id PageID, mutate func(page []byt
 }
 
 // A rank table that is not a permutation of 0..numNodes-1 — one that would
-// send two nodes to one adjacency record, or a node past the last one — is
+// give two records one graph node, or name a node past the last one — is
 // refused at Open, even when its page checksum matches, without allocating
 // beyond the database's own tables.
 func TestOpenRejectsHostileRankTable(t *testing.T) {
@@ -595,8 +614,8 @@ func TestOpenRejectsHostileRankTable(t *testing.T) {
 		want   string
 	}{
 		{"duplicate", func(r []byte) { copy(r[4:8], r[0:4]) }, "given twice"},
-		{"rank=numNodes", func(r []byte) { le.PutUint32(r[8:], 4) }, "has rank 4"},
-		{"rank=0xffffffff", func(r []byte) { le.PutUint32(r[0:], 0xFFFFFFFF) }, "has rank"},
+		{"rank=numNodes", func(r []byte) { le.PutUint32(r[8:], 4) }, "names node 4"},
+		{"rank=0xffffffff", func(r []byte) { le.PutUint32(r[0:], 0xFFFFFFFF) }, "names node"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dev, err := BuildMem(sampleGraph(t))
@@ -624,7 +643,7 @@ func TestOpenRejectsHostileRankTable(t *testing.T) {
 
 // The data file keeps each facility record between the previous adjacency
 // record and the first adjacency record that references it, and the
-// adjacency records in rank order, back to back.
+// adjacency records in node-id (rank) order, back to back.
 func TestFacilityRecordsPrecedeFirstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 6; trial++ {
@@ -642,8 +661,7 @@ func TestFacilityRecordsPrecedeFirstReference(t *testing.T) {
 				t.Fatalf("trial %d: rank %d: lookup ok=%v err=%v", trial, r, ok, err)
 			}
 			start := pos(packed)
-			v := graph.NodeID(slices.Index(n.rank, uint32(r)))
-			entries, err := n.Adjacency(v)
+			entries, err := n.Adjacency(graph.NodeID(r))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -667,5 +685,33 @@ func TestFacilityRecordsPrecedeFirstReference(t *testing.T) {
 		if len(written) == 0 {
 			t.Fatalf("trial %d: no facility record met", trial)
 		}
+	}
+}
+
+// A buffer fraction that is NaN, infinite or negative is refused at Open: it
+// used to convert to a capacity of 0 and serve with caching silently off.
+// 0 (the paper's 0 % buffer) and fractions above 1 (every page) still open.
+func TestOpenRejectsBadBufferFraction(t *testing.T) {
+	dev, err := BuildMem(sampleGraph(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frac := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5, -1e-300} {
+		if _, err := OpenOptions(dev, frac, PoolOptions{}); err == nil || !strings.Contains(err.Error(), "buffer fraction") {
+			t.Errorf("OpenOptions(buffer %v): error %v, want one naming the buffer fraction", frac, err)
+		}
+	}
+	for _, c := range []struct {
+		frac float64
+		cap  int
+	}{{0, 0}, {1.5, dev.NumPages()}, {1e300, dev.NumPages()}} {
+		n, err := OpenOptions(dev, c.frac, PoolOptions{})
+		if err != nil {
+			t.Fatalf("OpenOptions(buffer %v): %v", c.frac, err)
+		}
+		if got := n.Pool().Capacity(); got != c.cap {
+			t.Errorf("OpenOptions(buffer %v): pool capacity %d, want %d", c.frac, got, c.cap)
+		}
+		verifyAgainstGraph(t, sampleGraph(t), n)
 	}
 }
