@@ -10,7 +10,7 @@ FUZZTIME ?= 30s
 # -short smoke inside `make cover` and as a dedicated chaos job.
 CHAOS_SCHEDULES ?= 1000
 
-.PHONY: build crossbuild examples test race bench benchmem profile profile-disk fmt vet lint cover ci \
+.PHONY: build crossbuild examples test race bench benchmem profile profile-disk profile-build fmt vet lint cover ci \
 	serve clean vulncheck fuzz docscheck chaos chaossmoke \
 	cluster-smoke soak-smoke benchverify paperio
 
@@ -77,9 +77,12 @@ bench:
 # are RunParallel's own — TestHitAllocatesNothing pins the hit at zero), and
 # the served-hit row prints what one cached GET costs through
 # Server.Handler(): URL decode, cache probe and the JSON envelope rendered
-# by the append encoder (TestCachedHitAllocs bounds its allocs).
+# by the append encoder (TestCachedHitAllocs bounds its allocs). The two
+# build rows print what bringing the sf25 network online costs: a database
+# written to disk (CreateDatabase) and a network compiled in memory
+# (FromGraph), each with its pruning index.
 benchmem:
-	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkFlatQuery|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline|BenchmarkMaintainerInsert|BenchmarkSetProfileThenRead|BenchmarkAttachSyntheticProfiles|BenchmarkOverPeriod|BenchmarkCacheHitParallel|BenchmarkServeCachedHit' -benchtime 1x -benchmem ./...
+	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkFlatQuery|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline|BenchmarkMaintainerInsert|BenchmarkSetProfileThenRead|BenchmarkAttachSyntheticProfiles|BenchmarkOverPeriod|BenchmarkCacheHitParallel|BenchmarkServeCachedHit|BenchmarkCreateDatabase|BenchmarkFromGraph' -benchtime 1x -benchmem ./...
 
 # CPU+heap profiles of whole flat-path queries on the sf25 shape (a network
 # that outgrows L2, so memory layout shows); inspect with
@@ -95,6 +98,14 @@ profile:
 profile-disk:
 	$(GO) test -run '^$$' -bench BenchmarkDiskSkyline -benchtime 2048x \
 		-cpuprofile cpu-disk.prof -memprofile mem-disk.prof .
+
+# CPU+heap profiles of database builds: BenchmarkCreateDatabase, the sf25
+# network's record layout, B+-trees, pruning index (built alongside) and
+# checksums, written to disk; inspect with `go tool pprof cpu-build.prof` /
+# `go tool pprof mem-build.prof`.
+profile-build:
+	$(GO) test -run '^$$' -bench BenchmarkCreateDatabase -benchtime 32x \
+		-cpuprofile cpu-build.prof -memprofile mem-build.prof .
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"testing"
@@ -469,3 +470,42 @@ func BenchmarkTopKIteratorNext(b *testing.B) {
 		}
 	})
 }
+
+// sf25Graph is the sf25 shape of the system benchmark's disk and serving
+// workloads (43 750 nodes, 25 000 facilities, d = 4, anti-correlated costs).
+func sf25Graph(b *testing.B) *mcn.Graph {
+	b.Helper()
+	g, err := mcn.Synthetic(mcn.SyntheticConfig{Nodes: 43_750, Facilities: 25_000, D: 4, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
+// BenchmarkCreateDatabase: bringing the sf25 network online on disk — the
+// record layout, the B+-trees, the pruning index, the checksums and the
+// file written and renamed into place — one database per iteration.
+func BenchmarkCreateDatabase(b *testing.B) {
+	g := sf25Graph(b)
+	path := filepath.Join(b.TempDir(), "sf25.mcn")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := mcn.CreateDatabase(g, path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFromGraph: bringing the sf25 network online in memory — the flat
+// compile and the pruning index — one network per iteration.
+func BenchmarkFromGraph(b *testing.B) {
+	g := sf25Graph(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchNet = mcn.FromGraph(g)
+	}
+}
+
+var benchNet *mcn.Network

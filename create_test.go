@@ -1,11 +1,16 @@
 package mcn
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"mcn/internal/storage"
 )
 
 // Rebuilding the database at a path that an open network reads must not
@@ -106,5 +111,78 @@ func TestCreateDatabaseReplacesOpenDatabase(t *testing.T) {
 			names = append(names, e.Name())
 		}
 		t.Errorf("directory holds %v, want only the database", names)
+	}
+}
+
+// The pruning index is built on its own goroutines alongside the record
+// layout; the file it ends up in is the same bytes whatever GOMAXPROCS is,
+// and the same bytes as the image storage.BuildMem builds.
+func TestCreateDatabaseSameBytesAtAnyGOMAXPROCS(t *testing.T) {
+	g, err := Synthetic(SyntheticConfig{Nodes: 3000, Facilities: 800, D: 4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := storage.BuildMem(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 0, mem.NumPages()*storage.PageSize)
+	page := make([]byte, storage.PageSize)
+	for id := 0; id < mem.NumPages(); id++ {
+		if err := mem.ReadPage(storage.PageID(id), page); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, page...)
+	}
+	dir := t.TempDir()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		path := filepath.Join(dir, fmt.Sprintf("procs%d.mcn", procs))
+		if err := CreateDatabase(g, path); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("GOMAXPROCS=%d: the file (%d bytes) differs from the in-memory image (%d bytes)", procs, len(got), len(want))
+		}
+	}
+}
+
+// A build that fails after its image is written — the rename onto path
+// fails, because path is a directory that holds a file — leaves no
+// temporary file behind and the directory at path as it was.
+func TestCreateDatabaseFailedRenameLeavesNoTemporary(t *testing.T) {
+	g, err := Synthetic(SyntheticConfig{Nodes: 300, Facilities: 40, D: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "city.mcn")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(path, "keep"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := CreateDatabase(g, path); err == nil {
+		t.Fatal("CreateDatabase renamed a database over a directory")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "city.mcn" || !entries[0].IsDir() {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("directory holds %v, want only the directory city.mcn", names)
+	}
+	if kept, err := os.ReadFile(filepath.Join(path, "keep")); err != nil || string(kept) != "x" {
+		t.Errorf("the directory at path lost its file: %q, %v", kept, err)
 	}
 }

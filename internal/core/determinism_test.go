@@ -1,6 +1,7 @@
 package core
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -92,27 +93,20 @@ func TestPhysicalIODeterministic(t *testing.T) {
 	}
 }
 
-// fileCopy writes dev's pages to a file and opens it read-only.
+// fileCopy writes dev's pages to a file, as mcn.CreateDatabase writes a
+// database built in memory, and opens it read-only.
 func fileCopy(t *testing.T, dev storage.Device) *storage.FileDevice {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "determinism.mcn")
-	out, err := storage.CreateFileDevice(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img := make([]byte, 0, dev.NumPages()*storage.PageSize)
 	page := make([]byte, storage.PageSize)
 	for id := 0; id < dev.NumPages(); id++ {
 		if err := dev.ReadPage(storage.PageID(id), page); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := out.Alloc(); err != nil {
-			t.Fatal(err)
-		}
-		if err := out.WritePage(storage.PageID(id), page); err != nil {
-			t.Fatal(err)
-		}
+		img = append(img, page...)
 	}
-	if err := out.Close(); err != nil {
+	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	in, err := storage.OpenFileDevice(path)

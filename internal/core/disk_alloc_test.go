@@ -3,7 +3,6 @@
 package core
 
 import (
-	"path/filepath"
 	"testing"
 
 	"mcn/internal/gen"
@@ -24,14 +23,12 @@ func TestDiskSkylineAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := storage.CreateFileDevice(filepath.Join(t.TempDir(), "alloc.mcn"))
+	mem, err := storage.BuildMem(inst.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dev := fileCopy(t, mem)
 	defer dev.Close()
-	if err := storage.Build(inst.Graph, dev); err != nil {
-		t.Fatal(err)
-	}
 	const ceiling = 100
 	for _, engine := range []Engine{CEA, LSA} {
 		t.Run(engine.String(), func(t *testing.T) {

@@ -24,9 +24,11 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -69,8 +71,8 @@ func FromGraph(g *graph.Graph) *Bounds {
 // assignment (the timedep overlay's lowest cost at any instant). cost must
 // return a non-negative weight for every (edge, criterion) pair, and must be
 // safe for concurrent calls: the d backward passes run on up to GOMAXPROCS
-// goroutines. Each pass owns its heap and writes only its criterion's slice
-// of the table, so the result is the same as one goroutine's.
+// goroutines. Each pass owns its scratch and writes only its criterion's
+// slice of the table, so the result is the same as one goroutine's.
 func FromCosts(g *graph.Graph, cost func(e graph.EdgeID, costIdx int) float64) *Bounds {
 	start := time.Now()
 	d, n := g.D(), g.NumNodes()
@@ -82,9 +84,9 @@ func FromCosts(g *graph.Graph, cost func(e graph.EdgeID, costIdx int) float64) *
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var h boundHeap
+			s := passScratch{w: make([]float64, g.NumEdges())}
 			for i := w; i < d; i += workers {
-				r.backward(g, i, b.data[i*n:(i+1)*n], &h, cost)
+				r.backward(g, i, b.data[i*n:(i+1)*n], &s, cost)
 			}
 		}()
 	}
@@ -140,44 +142,86 @@ func reverseArcs(g *graph.Graph) reversed {
 	return reversed{off: off, arcs: arcs}
 }
 
+// passScratch is what one goroutine's backward passes reuse: the pass's
+// per-edge costs, its sorted seeds and its heap.
+type passScratch struct {
+	w     []float64
+	seeds []boundItem
+	h     boundHeap
+}
+
 // backward fills dist with every node's distance to its nearest facility
-// under criterion i: a multi-source Dijkstra over the reversed arcs, on heap
-// h.
-func (r reversed) backward(g *graph.Graph, i int, dist []float64, h *boundHeap, cost func(e graph.EdgeID, costIdx int) float64) {
+// under criterion i: a multi-source Dijkstra over the reversed arcs.
+//
+// The pass calls cost once per edge, into s.w, and relaxes from that array.
+// The facility entry points seed dist directly, and the seeded nodes are
+// sorted by key once and merged with the heap, so the heap holds only the
+// relaxation frontier. A node still settles at the least sum over its paths
+// to a facility, each sum added in path order, so the table is bit-identical
+// to one built by pushing every seed and calling cost per relaxation.
+func (r reversed) backward(g *graph.Graph, i int, dist []float64, s *passScratch, cost func(e graph.EdgeID, costIdx int) float64) {
+	w := s.w
+	for e := range w {
+		w[e] = cost(graph.EdgeID(e), i)
+	}
 	for v := range dist {
 		dist[v] = math.Inf(1)
 	}
-	h.a = h.a[:0]
 
 	// Seed with the facility entry points: a facility at fraction T of edge
 	// (U,V) is reached from U by traversing T·w forward; in an undirected
-	// network also from V by traversing (1−T)·w backward.
-	relax := func(v graph.NodeID, key float64) {
+	// network also from V by traversing (1−T)·w backward. A node enters the
+	// seed list once, when first seeded; its key is read back after all
+	// seeds are in.
+	seeds := s.seeds[:0]
+	seed := func(v graph.NodeID, key float64) {
 		if key < dist[v] {
+			if math.IsInf(dist[v], 1) {
+				seeds = append(seeds, boundItem{node: v})
+			}
 			dist[v] = key
-			h.push(boundItem{key: key, node: v})
 		}
 	}
 	for p := 0; p < g.NumFacilities(); p++ {
 		fac := g.Facility(graph.FacilityID(p))
 		ed := g.Edge(fac.Edge)
-		w := cost(fac.Edge, i)
-		relax(ed.U, fac.T*w)
+		c := w[fac.Edge]
+		seed(ed.U, fac.T*c)
 		if !g.Directed() {
-			relax(ed.V, (1-fac.T)*w)
+			seed(ed.V, (1-fac.T)*c)
 		}
 	}
+	for j := range seeds {
+		seeds[j].key = dist[seeds[j].node]
+	}
+	slices.SortFunc(seeds, func(a, b boundItem) int { return cmp.Compare(a.key, b.key) })
+	s.seeds = seeds
 
-	// Settle nodes in increasing distance to their nearest facility, relaxing
-	// along reversed arcs.
-	for len(h.a) > 0 {
-		it := h.pop()
+	// Settle nodes in increasing distance to their nearest facility, taking
+	// the lesser of the next seed and the heap's top, relaxing along
+	// reversed arcs.
+	h := &s.h
+	h.a = h.a[:0]
+	for k := 0; ; {
+		var it boundItem
+		switch {
+		case k < len(seeds) && (len(h.a) == 0 || seeds[k].key <= h.a[0].key):
+			it = seeds[k]
+			k++
+		case len(h.a) > 0:
+			it = h.pop()
+		default:
+			return
+		}
 		if it.key > dist[it.node] {
 			continue // superseded entry
 		}
 		a := r.arcs[r.off[it.node]:r.off[it.node+1]]
 		for j := range a {
-			relax(a[j].to, it.key+cost(a[j].edge, i))
+			if key := it.key + w[a[j].edge]; key < dist[a[j].to] {
+				dist[a[j].to] = key
+				h.push(boundItem{key: key, node: a[j].to})
+			}
 		}
 	}
 }

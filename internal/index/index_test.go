@@ -140,6 +140,164 @@ func TestParallelBuildBitIdentical(t *testing.T) {
 	}
 }
 
+// referenceBackward is the backward pass as first written, kept as the
+// reference the index must reproduce bit for bit: every facility entry point
+// pushed on the heap, and cost called once per relaxation.
+func (r reversed) referenceBackward(g *graph.Graph, i int, dist []float64, h *boundHeap, cost func(e graph.EdgeID, costIdx int) float64) {
+	for v := range dist {
+		dist[v] = math.Inf(1)
+	}
+	h.a = h.a[:0]
+
+	// Seed with the facility entry points: a facility at fraction T of edge
+	// (U,V) is reached from U by traversing T·w forward; in an undirected
+	// network also from V by traversing (1−T)·w backward.
+	relax := func(v graph.NodeID, key float64) {
+		if key < dist[v] {
+			dist[v] = key
+			h.push(boundItem{key: key, node: v})
+		}
+	}
+	for p := 0; p < g.NumFacilities(); p++ {
+		fac := g.Facility(graph.FacilityID(p))
+		ed := g.Edge(fac.Edge)
+		w := cost(fac.Edge, i)
+		relax(ed.U, fac.T*w)
+		if !g.Directed() {
+			relax(ed.V, (1-fac.T)*w)
+		}
+	}
+
+	// Settle nodes in increasing distance to their nearest facility, relaxing
+	// along reversed arcs.
+	for len(h.a) > 0 {
+		it := h.pop()
+		if it.key > dist[it.node] {
+			continue // superseded entry
+		}
+		a := r.arcs[r.off[it.node]:r.off[it.node+1]]
+		for j := range a {
+			relax(a[j].to, it.key+cost(a[j].edge, i))
+		}
+	}
+}
+
+// referenceBounds is the criterion-major table the reference pass builds,
+// one criterion after another on one goroutine.
+func referenceBounds(g *graph.Graph, cost func(e graph.EdgeID, costIdx int) float64) []float64 {
+	n := g.NumNodes()
+	data := make([]float64, g.D()*n)
+	r := reverseArcs(g)
+	var h boundHeap
+	for i := 0; i < g.D(); i++ {
+		r.referenceBackward(g, i, data[i*n:(i+1)*n], &h, cost)
+	}
+	return data
+}
+
+// hardInstance is a random network biased towards the cases where the order
+// of float additions and the handling of seeds matter: real-valued costs
+// with a share of zero-length edges, parallel edges, a facility-free
+// component, facilities at T=0 and T=1 and several on one edge.
+func hardInstance(seed int64, d int, directed bool) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(d, directed)
+	const n, isolated = 300, 40 // nodes n-isolated.. form a facility-free component
+	b.AddNodes(n)
+	costs := func() vec.Costs {
+		c := make(vec.Costs, d)
+		for i := range c {
+			if rng.Intn(8) > 0 {
+				c[i] = rng.Float64() * 10 / 3
+			}
+		}
+		return c
+	}
+	// edge adds a random edge among nodes lo..hi-1, and now and then a
+	// parallel one with its own costs.
+	var main []graph.EdgeID
+	edge := func(lo, hi int) {
+		u := lo + rng.Intn(hi-lo)
+		v := lo + (u-lo+1+rng.Intn(hi-lo-1))%(hi-lo)
+		for k := 1 + rng.Intn(10)/9; k > 0; k-- {
+			main = append(main, b.AddEdge(graph.NodeID(u), graph.NodeID(v), costs()))
+		}
+	}
+	for e := 0; e < 3*(n-isolated); e++ {
+		edge(0, n-isolated)
+	}
+	facEdges := len(main)
+	for e := 0; e < 2*isolated; e++ {
+		edge(n-isolated, n)
+	}
+	for p := 0; p < 60; p++ {
+		e := main[rng.Intn(facEdges)]
+		switch rng.Intn(4) {
+		case 0:
+			b.AddFacility(e, 0)
+		case 1:
+			b.AddFacility(e, 1)
+		case 2:
+			b.AddFacility(e, rng.Float64())
+			b.AddFacility(e, rng.Float64())
+		default:
+			b.AddFacility(e, rng.Float64())
+		}
+	}
+	return b.MustBuild()
+}
+
+// The index reproduces the reference pass bit for bit — the same float64
+// bits in every entry, +Inf rows included — from FromGraph and from FromCosts
+// under a non-base cost assignment, at one and at four goroutines.
+func TestBoundsMatchReferenceBitForBit(t *testing.T) {
+	noFacilities := graph.NewBuilder(2, false)
+	noFacilities.AddNodes(3)
+	noFacilities.AddEdge(0, 1, vec.Of(1, 2))
+	noFacilities.AddEdge(1, 2, vec.Of(0, 1))
+	instances := map[string]*graph.Graph{
+		"hard/undirected":       hardInstance(1, 3, false),
+		"hard/directed":         hardInstance(2, 3, true),
+		"hard/undirected/d=1":   hardInstance(3, 1, false),
+		"hard/directed/d=1":     hardInstance(4, 1, true),
+		"disconnected":          twoComponents(false),
+		"disconnected/directed": twoComponents(true),
+		"no facilities":         noFacilities.MustBuild(),
+		"empty":                 graph.NewBuilder(2, false).MustBuild(),
+	}
+	inst, err := gen.MakeInstance(gen.InstanceConfig{Nodes: 2000, Facilities: 300, D: 4, Queries: 1, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	instances["generated"] = inst.Graph
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for name, g := range instances {
+		base := func(e graph.EdgeID, i int) float64 { return g.Edge(e).W[i] }
+		scaled := func(e graph.EdgeID, i int) float64 { return g.Edge(e).W[i]*0.37 + float64(int(e)%7)/10 }
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			for _, tc := range []struct {
+				kind string
+				got  *Bounds
+				want []float64
+			}{
+				{"FromGraph", FromGraph(g), referenceBounds(g, base)},
+				{"FromCosts", FromCosts(g, scaled), referenceBounds(g, scaled)},
+			} {
+				got := tc.got.Data()
+				if len(got) != len(tc.want) {
+					t.Fatalf("%s %s GOMAXPROCS=%d: %d entries, reference %d", name, tc.kind, procs, len(got), len(tc.want))
+				}
+				for j := range got {
+					if math.Float64bits(got[j]) != math.Float64bits(tc.want[j]) {
+						t.Fatalf("%s %s GOMAXPROCS=%d: entry %d is %v, reference %v", name, tc.kind, procs, j, got[j], tc.want[j])
+					}
+				}
+			}
+		}
+	}
+}
+
 // FromData accepts exactly a d × numNodes table and round-trips Data.
 func TestFromDataArity(t *testing.T) {
 	g := randomInstance(t, 3, false)

@@ -13,13 +13,15 @@
 // number, which also keys the adjacency tree — so one expansion's reads
 // cluster on few pages (layout.go has the byte-level layout).
 //
-// An opened database file is served from a read-only memory map (on unix):
-// a page miss copies 4 KiB out of the page cache into the pool's frame
-// instead of making a read system call, and a fault in that copy is
-// returned as an error, not a crash (see FileDevice).
+// A database is built on a MemDevice and written to its file whole. The
+// file is opened read-only and served from a memory map (on unix): a page
+// miss copies 4 KiB out of the page cache into the pool's frame instead of
+// making a read system call, and a fault in that copy is returned as an
+// error, not a crash (see FileDevice).
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -88,14 +90,13 @@ func (m *MemDevice) NumPages() int { return len(m.pages) }
 // Close implements Device.
 func (m *MemDevice) Close() error { return nil }
 
-// FileDevice stores pages in an operating-system file. A device created
-// with CreateFileDevice reads and writes the file with pread and pwrite. On
-// unix a device opened with OpenFileDevice maps the file read-only instead,
-// and a page read is one 4 KiB copy out of the mapping (page cache shared
-// with every other process that maps or reads the file) into the caller's
-// buffer: no system call per read. The device still copies rather than
-// lending out slices of the mapping, so a buffer-pool frame owns its bytes
-// and the pool's pins, Drop and Close keep their meaning.
+// FileDevice is a database file opened read-only: WritePage and Alloc fail.
+// On unix the file is mapped, and a page read is one 4 KiB copy out of the
+// mapping (page cache shared with every other process that maps or reads
+// the file) into the caller's buffer: no system call per read; elsewhere it
+// is a ReadAt. The device copies rather than lending out slices of the
+// mapping, so a buffer-pool frame owns its bytes and the pool's pins, Drop
+// and Close keep their meaning.
 type FileDevice struct {
 	f *os.File
 	n int
@@ -106,15 +107,6 @@ type FileDevice struct {
 	mapped bool
 	mu     sync.RWMutex
 	data   []byte
-}
-
-// CreateFileDevice creates (or truncates) a file-backed device at path.
-func CreateFileDevice(path string) (*FileDevice, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("storage: create device: %w", err)
-	}
-	return &FileDevice{f: f}, nil
 }
 
 // OpenFileDevice opens an existing file-backed device read-only, mapping it
@@ -193,25 +185,14 @@ func (d *FileDevice) copyPage(id PageID, buf []byte) (err error) {
 	return nil
 }
 
-// WritePage implements Device.
-func (d *FileDevice) WritePage(id PageID, buf []byte) error {
-	if int(id) >= d.n {
-		return fmt.Errorf("storage: write of unallocated page %d (have %d)", id, d.n)
-	}
-	if _, err := d.f.WriteAt(buf[:PageSize], int64(id)*PageSize); err != nil {
-		return fmt.Errorf("storage: write page %d: %w", id, err)
-	}
-	return nil
+// WritePage implements Device: it fails, the device is read-only.
+func (d *FileDevice) WritePage(id PageID, _ []byte) error {
+	return fmt.Errorf("storage: write page %d: read-only device: %w", id, errors.ErrUnsupported)
 }
 
-// Alloc implements Device.
+// Alloc implements Device: it fails, the device is read-only.
 func (d *FileDevice) Alloc() (PageID, error) {
-	id := PageID(d.n)
-	if err := d.f.Truncate(int64(d.n+1) * PageSize); err != nil {
-		return 0, fmt.Errorf("storage: grow device: %w", err)
-	}
-	d.n++
-	return id, nil
+	return 0, fmt.Errorf("storage: grow device: read-only device: %w", errors.ErrUnsupported)
 }
 
 // NumPages implements Device.

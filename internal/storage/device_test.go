@@ -62,18 +62,31 @@ func TestMemDevice(t *testing.T) {
 	testDeviceBasics(t, NewMemDevice())
 }
 
-func TestFileDevice(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "dev.mcn")
-	dev, err := CreateFileDevice(path)
-	if err != nil {
-		t.Fatalf("CreateFileDevice: %v", err)
+// writeImage writes the pages of dev to a new file at path, as
+// mcn.CreateDatabase writes a database built in memory.
+func writeImage(t *testing.T, dev *MemDevice, path string) {
+	t.Helper()
+	img := make([]byte, 0, dev.NumPages()*PageSize)
+	page := make([]byte, PageSize)
+	for id := 0; id < dev.NumPages(); id++ {
+		if err := dev.ReadPage(PageID(id), page); err != nil {
+			t.Fatal(err)
+		}
+		img = append(img, page...)
 	}
-	testDeviceBasics(t, dev)
-	if err := dev.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
 	}
+}
 
-	// Reopen read-only and verify persistence.
+// A memory image written to a file reads back through OpenFileDevice page
+// for page, and the opened device refuses every write.
+func TestFileDevice(t *testing.T) {
+	mem := NewMemDevice()
+	testDeviceBasics(t, mem)
+	path := filepath.Join(t.TempDir(), "dev.mcn")
+	writeImage(t, mem, path)
+
 	ro, err := OpenFileDevice(path)
 	if err != nil {
 		t.Fatalf("OpenFileDevice: %v", err)
@@ -91,48 +104,58 @@ func TestFileDevice(t *testing.T) {
 			t.Fatal("persisted page corrupted")
 		}
 	}
+	if err := ro.ReadPage(0, got); err != nil {
+		t.Fatalf("ReadPage(0): %v", err)
+	}
+	for _, b := range got {
+		if b != 0 {
+			t.Fatal("persisted fresh page not zeroed")
+		}
+	}
+	if err := ro.ReadPage(99, got); err == nil {
+		t.Error("read of unallocated page succeeded")
+	}
+	if err := ro.WritePage(1, got); !errors.Is(err, errors.ErrUnsupported) {
+		t.Errorf("write to a read-only device: %v, want errors.ErrUnsupported", err)
+	}
+	if _, err := ro.Alloc(); !errors.Is(err, errors.ErrUnsupported) {
+		t.Errorf("alloc on a read-only device: %v, want errors.ErrUnsupported", err)
+	}
+	if ro.NumPages() != 2 {
+		t.Errorf("pages after refused writes = %d, want 2", ro.NumPages())
+	}
 }
 
 func TestOpenFileDeviceBadSize(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.mcn")
-	dev, err := CreateFileDevice(path)
-	if err != nil {
+	if err := os.WriteFile(path, []byte("partial page"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.f.Write([]byte("partial page")); err != nil {
-		t.Fatal(err)
-	}
-	dev.Close()
 	if _, err := OpenFileDevice(path); err == nil {
 		t.Error("device with torn page opened successfully")
 	}
 }
 
-// fileDevice creates a file device of n pages, page i filled with byte i+1,
-// and returns its path with the device reopened read-only.
+// fileDevice writes a file of n pages, page i filled with byte i+1, and
+// returns its path with the file opened as a device.
 func fileDevice(t *testing.T, n int) (string, *FileDevice) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "dev.mcn")
-	dev, err := CreateFileDevice(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mem := NewMemDevice()
 	page := make([]byte, PageSize)
 	for i := 0; i < n; i++ {
-		id, err := dev.Alloc()
+		id, err := mem.Alloc()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j := range page {
 			page[j] = byte(i + 1)
 		}
-		if err := dev.WritePage(id, page); err != nil {
+		if err := mem.WritePage(id, page); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := dev.Close(); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "dev.mcn")
+	writeImage(t, mem, path)
 	ro, err := OpenFileDevice(path)
 	if err != nil {
 		t.Fatal(err)

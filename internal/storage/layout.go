@@ -218,19 +218,29 @@ func Build(g *graph.Graph, dev Device) error {
 
 // BuildIndexed is Build, returning the pruning index it computed and
 // persisted, in the database's node numbering.
+// The index, a function of g alone, is computed on its own goroutine while
+// the records and trees are laid out; every return waits for it.
 func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 	if dev.NumPages() != 0 {
 		return nil, fmt.Errorf("storage: device not empty (%d pages)", dev.NumPages())
 	}
+	if g.D() > math.MaxUint16 {
+		return nil, fmt.Errorf("storage: %d cost types, the header holds at most %d", g.D(), math.MaxUint16)
+	}
+	var graphBounds *index.Bounds
+	indexed := make(chan struct{})
+	go func() {
+		defer close(indexed)
+		graphBounds = index.FromGraph(g)
+	}()
+	defer func() { <-indexed }()
+
 	hdrPage, err := dev.Alloc()
 	if err != nil {
 		return nil, err
 	}
 	if hdrPage != 0 {
 		return nil, fmt.Errorf("storage: header page allocated at %d", hdrPage)
-	}
-	if g.D() > math.MaxUint16 {
-		return nil, fmt.Errorf("storage: %d cost types, the header holds at most %d", g.D(), math.MaxUint16)
 	}
 	h := &header{
 		d:        g.D(),
@@ -282,7 +292,8 @@ func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 
 	// Pruning-bounds and rank tables, written before the checksum table so
 	// their pages are covered by the checksums.
-	bounds := index.FromGraph(g).Renumbered(rank)
+	<-indexed
+	bounds := graphBounds.Renumbered(rank)
 	if h.boundsFirst, err = writeTable(dev, len(bounds.Data()), func(w *pageWriter, i int) error {
 		return w.writeF64(bounds.Data()[i])
 	}); err != nil {

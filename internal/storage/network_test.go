@@ -250,16 +250,11 @@ func TestNetworkHugeFacilityRecord(t *testing.T) {
 func TestNetworkFilePersistence(t *testing.T) {
 	g := sampleGraph(t)
 	path := filepath.Join(t.TempDir(), "net.mcn")
-	dev, err := CreateFileDevice(path)
+	dev, err := BuildMem(g)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Build(g, dev); err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if err := dev.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeImage(t, dev, path)
 	ro, err := OpenFileDevice(path)
 	if err != nil {
 		t.Fatal(err)

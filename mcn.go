@@ -39,12 +39,15 @@
 package mcn
 
 import (
+	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"iter"
+	"math/rand/v2"
 	"os"
-	"path/filepath"
 	"time"
 
 	"mcn/internal/core"
@@ -267,10 +270,13 @@ type Network struct {
 // FromGraph wraps an in-memory graph for querying. The graph is compiled
 // once into a flat CSR representation (see internal/flat), so queries read
 // adjacency and facility records as shared slices with zero per-call
-// allocation.
+// allocation. The pruning index depends on g alone and is computed while
+// the graph compiles.
 func FromGraph(g *Graph) *Network {
+	indexed := make(chan *index.Bounds, 1)
+	go func() { indexed <- index.FromGraph(g) }()
 	src := flat.Compile(g)
-	return &Network{src: src, g: g, bounds: src.Bounds(index.FromGraph(g))}
+	return &Network{src: src, g: g, bounds: src.Bounds(<-indexed)}
 }
 
 // CreateDatabase writes g to a disk database at path using the paper's
@@ -284,48 +290,64 @@ func CreateDatabase(g *Graph, path string) error {
 // CreateDatabaseIndexed is CreateDatabase, additionally reporting the size
 // and build time of the pruning index it embedded (mcngen prints these).
 //
-// The database is written to a temporary file beside path and renamed over
-// path once complete, so a database already at path is replaced whole: a
-// network that has it open keeps reading the old file, and a build that
-// fails leaves it untouched.
+// The database is built in memory and written in one sequential pass to a
+// temporary file beside path, which is renamed over path once complete, so
+// a database already at path is replaced whole: a network that has it open
+// keeps reading the old file, and a build that fails leaves it untouched.
+// The file is created as os.Create would create it, with the permissions
+// the umask leaves of 0666.
 func CreateDatabaseIndexed(g *Graph, path string) (IndexStats, error) {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	tmp, err := createTemp(path)
 	if err != nil {
 		return IndexStats{}, fmt.Errorf("mcn: create database: %w", err)
 	}
-	name := tmp.Name()
-	// CreateTemp makes the file private to its owner; a database is read by
-	// whoever serves it, as one os.Create made would be.
-	err = tmp.Chmod(0o644)
+	dev := storage.NewMemDevice()
+	bounds, err := storage.BuildIndexed(g, dev)
+	if err == nil {
+		err = writeImage(tmp, dev)
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
-	var is IndexStats
 	if err == nil {
-		is, err = buildDatabase(g, name)
-	}
-	if err == nil {
-		err = os.Rename(name, path)
+		err = os.Rename(tmp.Name(), path)
 	}
 	if err != nil {
-		os.Remove(name)
+		os.Remove(tmp.Name())
 		return IndexStats{}, err
 	}
-	return is, nil
+	return IndexStats{BoundsBytes: bounds.Bytes(), BuildTime: bounds.BuildTime()}, nil
 }
 
-// buildDatabase writes g's database to the file at path.
-func buildDatabase(g *Graph, path string) (IndexStats, error) {
-	dev, err := storage.CreateFileDevice(path)
-	if err != nil {
-		return IndexStats{}, err
+// createTemp creates a new, empty file beside path to write its database
+// to. Unlike os.CreateTemp, which makes the file private to its owner, it
+// asks for mode 0666 and lets the umask take its bits away.
+func createTemp(path string) (*os.File, error) {
+	for try := 0; ; try++ {
+		f, err := os.OpenFile(fmt.Sprintf("%s.%d.tmp", path, rand.Uint32()), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) || try == 10000 {
+			return f, err
+		}
 	}
-	bounds, err := storage.BuildIndexed(g, dev)
-	if err != nil {
-		dev.Close()
-		return IndexStats{}, err
+}
+
+// writeImage writes the pages of dev to f in page order, in one buffered
+// sequential pass.
+func writeImage(f *os.File, dev *storage.MemDevice) error {
+	w := bufio.NewWriterSize(f, 1<<20)
+	page := make([]byte, storage.PageSize)
+	for id := 0; id < dev.NumPages(); id++ {
+		if err := dev.ReadPage(storage.PageID(id), page); err != nil {
+			return err
+		}
+		if _, err := w.Write(page); err != nil {
+			return fmt.Errorf("mcn: write database: %w", err)
+		}
 	}
-	return IndexStats{BoundsBytes: bounds.Bytes(), BuildTime: bounds.BuildTime()}, dev.Close()
+	if err := w.Flush(); err != nil {
+		return fmt.Errorf("mcn: write database: %w", err)
+	}
+	return nil
 }
 
 // OpenDatabaseOptions opens a disk database with a buffer pool sized to
