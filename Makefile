@@ -6,8 +6,8 @@ COVER_MIN ?= 75
 FUZZTIME ?= 30s
 
 # Long-mode chaos run: randomized fault schedules per invariant class (see
-# internal/chaos). CHAOS_SCHEDULES scales every class at once; CI runs the
-# -short smoke inside `make cover` and as a dedicated chaos job.
+# internal/testsupport/chaos). CHAOS_SCHEDULES scales every class at once; CI
+# runs the -short smoke inside `make cover` and as a dedicated chaos job.
 CHAOS_SCHEDULES ?= 1000
 
 .PHONY: build crossbuild examples test race bench benchmem profile profile-disk profile-build fmt vet lint cover ci \
@@ -180,7 +180,7 @@ paperio:
 # randomized fault schedules, default 1000) for release qualification or
 # fault-layer changes.
 chaossmoke:
-	$(GO) test -race -short -count=1 ./internal/chaos
+	$(GO) test -race -short -count=1 ./internal/testsupport/chaos
 
 # Cluster tier smoke: the gateway suite (in-process replicas behind httptest)
 # under the race detector — the decoder-equivalence table (GET, JSON and MCNB
@@ -202,7 +202,7 @@ soak-smoke: build
 	$(GO) run ./cmd/mcnsoak -duration 1s -clients 4 -replicas 2 -scale 0.02 -queries 8
 
 chaos:
-	CHAOS_SCHEDULES=$(CHAOS_SCHEDULES) $(GO) test -race -count=1 -timeout 60m ./internal/chaos
+	CHAOS_SCHEDULES=$(CHAOS_SCHEDULES) $(GO) test -race -count=1 -timeout 60m ./internal/testsupport/chaos
 
 # Native Go fuzzing sessions. Over the query invariants: skyline (mutual
 # non-dominance + maximality vs the materialised baseline), top-k (score

@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
+
+	"mcn/internal/storage"
+	"mcn/internal/testsupport/fault"
 )
 
 // Every facade query entry point must honour a cancelled context: the query
@@ -143,5 +147,57 @@ func TestSeqMidStreamCancellation(t *testing.T) {
 	}
 	if !errors.Is(last, context.Canceled) {
 		t.Fatalf("stream ended with %v, want context.Canceled", last)
+	}
+}
+
+// A query the executor runs on a disk network reads its pages under the
+// query's context: cancelling it aborts a retry backoff mid-sleep. Every read
+// of the device fails transiently and every backoff sleeps at least half a
+// second, so a query whose reads ignored its context would return only after
+// its retries, seconds later.
+func TestExecutorCancelAbortsRetryBackoff(t *testing.T) {
+	g, err := Synthetic(SyntheticConfig{Nodes: 400, Facilities: 100, D: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := storage.BuildMem(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := fault.Wrap(img, fault.Options{Seed: 1, ReadTransient: 1})
+	net, err := OpenDeviceOptions(dev, 0.05, PoolOptions{
+		Retry: RetryPolicy{MaxRetries: 3, BaseBackoff: time.Second, MaxBackoff: time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	dev.Arm()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan BatchResponse, 1)
+	go func() {
+		done <- net.NewExecutor(ExecutorConfig{Workers: 1}).Do(ctx, SkylineRequest(RandomQueries(g, 1, 3)[0]))
+	}()
+	for dev.Counters().ReadTransient == 0 {
+		select {
+		case resp := <-done:
+			t.Fatalf("query ended before any device read failed: %v", resp.Err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	cancelled := time.Now()
+	cancel()
+	select {
+	case resp := <-done:
+		if !errors.Is(resp.Err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", resp.Err)
+		}
+		if waited := time.Since(cancelled); waited > 250*time.Millisecond {
+			t.Fatalf("query returned %v after cancellation; the retry backoff ignored its context", waited)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("query still running 10 s after cancellation")
 	}
 }

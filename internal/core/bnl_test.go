@@ -1,4 +1,4 @@
-package skyline
+package core
 
 import (
 	"math"
@@ -9,8 +9,8 @@ import (
 	"mcn/internal/vec"
 )
 
-// naive is the O(n²) reference skyline.
-func naive(items []vec.Costs) []int {
+// naiveBNL is the O(n²) reference skyline.
+func naiveBNL(items []vec.Costs) []int {
 	var out []int
 	for i := range items {
 		dominated := false
@@ -95,7 +95,7 @@ func TestSkylineMatchesNaive(t *testing.T) {
 			}
 			items[i] = c
 		}
-		want := naive(items)
+		want := naiveBNL(items)
 		if want == nil {
 			want = []int{}
 		}

@@ -10,7 +10,7 @@ import (
 	"mcn/internal/expand"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
-	"mcn/internal/testnet"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 

@@ -8,7 +8,6 @@ import (
 	"mcn/internal/expand"
 	"mcn/internal/graph"
 	"mcn/internal/index"
-	"mcn/internal/skyline"
 	"mcn/internal/vec"
 )
 
@@ -75,10 +74,40 @@ func NaiveSkyline(src expand.Source, loc graph.Location, opt Options) (*Result, 
 		items[i] = vectors[id]
 	}
 	res := &Result{Stats: stats}
-	for _, idx := range skyline.BNL(items) {
+	for _, idx := range BNL(items) {
 		res.Facilities = append(res.Facilities, Facility{ID: ids[idx], Costs: items[idx].Clone()})
 	}
 	return res, nil
+}
+
+// BNL returns the indices, ascending, of the skyline tuples of items — the
+// conventional block-nested-loops skyline operator (Börzsönyi et al.) with an
+// in-memory window. All vectors must be complete and share one
+// dimensionality. NaiveSkyline runs it over the materialised cost vectors;
+// the maintainer of internal/dynamic runs it over its maintained vectors.
+func BNL(items []vec.Costs) []int {
+	var window []int
+	for i, c := range items {
+		dominated := false
+		for _, j := range window {
+			if items[j].Dominates(c) {
+				dominated = true
+				break
+			}
+		}
+		if dominated {
+			continue
+		}
+		keep := window[:0]
+		for _, j := range window {
+			if !c.Dominates(items[j]) {
+				keep = append(keep, j)
+			}
+		}
+		window = append(keep, i)
+	}
+	sort.Ints(window)
+	return window
 }
 
 // Within returns the facilities whose entire cost vector fits the budget

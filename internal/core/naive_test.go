@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"mcn/internal/expand"
-	"mcn/internal/testnet"
+	"mcn/internal/testsupport/testnet"
 )
 
 func TestNaiveSkylineMatchesOracle(t *testing.T) {

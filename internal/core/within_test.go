@@ -11,7 +11,7 @@ import (
 	"mcn/internal/gen"
 	"mcn/internal/graph"
 	"mcn/internal/index"
-	"mcn/internal/testnet"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 

@@ -24,7 +24,6 @@ import (
 	"mcn/internal/core"
 	"mcn/internal/expand"
 	"mcn/internal/graph"
-	"mcn/internal/skyline"
 	"mcn/internal/vec"
 )
 
@@ -263,7 +262,7 @@ func (m *Maintainer) Skyline() []Entry {
 		items[i] = e.Costs
 	}
 	var out []Entry
-	for _, idx := range skyline.BNL(items) {
+	for _, idx := range core.BNL(items) {
 		e := *entries[idx]
 		e.Costs = entries[idx].Costs.Clone()
 		out = append(out, e)

@@ -12,7 +12,7 @@ import (
 	"mcn/internal/expand"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
-	"mcn/internal/testnet"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 

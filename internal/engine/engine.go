@@ -5,13 +5,14 @@
 // query that raised them, and accumulates latency statistics — the building
 // block behind the facade's Batch* methods and the mcnserve HTTP server.
 //
-// Safety: all network sources are safe for concurrent readers — the
-// disk-resident storage.Network pins pages through a buffer pool that
-// serves hits lock-free and misses under one mutex, expand.MemorySource touches only immutable graph data (its
-// access counters are atomic), and flat.Source is immutable CSR arrays. All
-// per-query state (expansions, CEA record memos, trackers) is created per
-// call or acquired by the core algorithms from expand's scratch pool for the
-// duration of the query, so concurrent queries share nothing mutable.
+// The executor imports no source package. Its caller hands New a function
+// that returns the expand.Source a query reads from, given the query's
+// context; the facade hands its own, which binds a disk store's page reads
+// to that context and returns an in-memory source unchanged. Sources must be
+// safe for concurrent readers, as the product's are. All per-query state
+// (expansions, CEA record memos, trackers) is created per call or acquired
+// by the core algorithms from expand's scratch pool for the duration of the
+// query, so concurrent queries share nothing mutable.
 package engine
 
 import (
@@ -28,7 +29,6 @@ import (
 	"mcn/internal/expand"
 	"mcn/internal/graph"
 	"mcn/internal/rescache"
-	"mcn/internal/storage"
 	"mcn/internal/vec"
 )
 
@@ -156,9 +156,10 @@ func (s Stats) MeanLatency() time.Duration {
 // concurrent use; a single Executor is meant to live as long as its network
 // (the HTTP server funnels every request through one).
 type Executor struct {
-	src expand.Source
-	cfg Config
-	sem chan struct{}
+	// srcFor returns the source a query reads from, given its context.
+	srcFor func(context.Context) expand.Source
+	cfg    Config
+	sem    chan struct{}
 	// cache, when non-nil, memoizes completed results at the serving layer;
 	// see SetCache and internal/rescache.
 	cache *rescache.Cache
@@ -182,12 +183,14 @@ type Executor struct {
 	stats Stats
 }
 
-// New returns an executor over src.
-func New(src expand.Source, cfg Config) *Executor {
+// New returns an executor whose queries read from srcFor(ctx), called with
+// each query's context; how a source binds a context is the caller's
+// decision (see the package comment).
+func New(srcFor func(context.Context) expand.Source, cfg Config) *Executor {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	return &Executor{src: src, cfg: cfg, sem: make(chan struct{}, cfg.Workers)}
+	return &Executor{srcFor: srcFor, cfg: cfg, sem: make(chan struct{}, cfg.Workers)}
 }
 
 // Workers returns the configured parallelism bound.
@@ -292,17 +295,6 @@ func (e *Executor) DrainWait(ctx context.Context) error {
 	}
 }
 
-// srcFor returns the source to run a query against under ctx: disk-backed
-// sources get a view whose page reads are bound to ctx (retry backoff and
-// coalesced waits abort when the query is cancelled); other sources are
-// returned unchanged, since their reads never block on a device.
-func (e *Executor) srcFor(ctx context.Context) expand.Source {
-	if n, ok := e.src.(*storage.Network); ok {
-		return n.WithReadContext(ctx)
-	}
-	return e.src
-}
-
 // Stats returns a snapshot of the lifetime counters.
 func (e *Executor) Stats() Stats {
 	e.mu.Lock()
@@ -403,16 +395,18 @@ func (e *Executor) run(ctx context.Context, req Request, idx int) (resp Response
 		resp.Err = err
 		return
 	}
-	src := e.srcFor(ctx)
 
 	if e.cache != nil && cacheable(req, opts) {
 		if key, scale, ok := cacheKey(req, opts); ok {
 			val, hit, err := e.cache.Do(key, func() (rescache.Value, []rescache.Tag, error) {
-				res, err := e.execute(src, req, opts)
+				res, err := e.execute(ctx, req, opts)
 				if err != nil {
 					return rescache.Value{}, nil, err
 				}
-				return rescache.Value{Result: res, Scale: scale}, resultTags(e.src, req.Loc, res), nil
+				// Tags are read without the query's cancellation: a tag
+				// lost to it would leave the entry uninvalidatable.
+				tagSrc := e.srcFor(context.WithoutCancel(ctx))
+				return rescache.Value{Result: res, Scale: scale}, resultTags(tagSrc, req.Loc, res), nil
 			})
 			if err != nil {
 				resp.Err = err
@@ -423,13 +417,15 @@ func (e *Executor) run(ctx context.Context, req Request, idx int) (resp Response
 			return
 		}
 	}
-	resp.Result, resp.Err = e.execute(src, req, opts)
+	resp.Result, resp.Err = e.execute(ctx, req, opts)
 	return
 }
 
-// execute dispatches one prepared request to the core algorithms against src
-// (the executor's source, possibly wrapped per query by srcFor).
-func (e *Executor) execute(src expand.Source, req Request, opts core.Options) (*core.Result, error) {
+// execute dispatches one prepared request to the core algorithms against the
+// source srcFor returns for ctx. A cache hit never gets here, so it binds no
+// source it would not read.
+func (e *Executor) execute(ctx context.Context, req Request, opts core.Options) (*core.Result, error) {
+	src := e.srcFor(ctx)
 	switch req.Kind {
 	case Skyline:
 		return core.Skyline(src, req.Loc, opts)

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"mcn/internal/graph"
-	"mcn/internal/testnet"
+	"mcn/internal/testsupport/testnet"
 )
 
 // distancesAfterDrain runs one expansion to exhaustion and returns its

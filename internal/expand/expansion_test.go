@@ -8,7 +8,7 @@ import (
 	"mcn/internal/gen"
 	"mcn/internal/graph"
 	"mcn/internal/storage"
-	"mcn/internal/testnet"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 

@@ -9,7 +9,7 @@ import (
 
 	"mcn/internal/gen"
 	"mcn/internal/graph"
-	"mcn/internal/testnet"
+	"mcn/internal/testsupport/testnet"
 )
 
 // unsized hides everything but the six Source methods of what it wraps, as a

@@ -19,8 +19,11 @@ import (
 	"mcn/internal/graph"
 )
 
-// Source provides the network data an expansion consumes. Both the
-// disk-resident storage.Network and the in-memory MemorySource satisfy it.
+// Source provides the network data an expansion consumes. The product's two
+// sources satisfy it without importing this package: the disk-resident
+// storage.Network and the in-memory flat.Source (and its time-dependent
+// views). MemorySource, the reference adapter over a graph.Graph, is the
+// oracle the flat path is pinned to.
 type Source interface {
 	// D returns the number of cost types.
 	D() int

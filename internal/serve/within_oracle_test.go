@@ -11,7 +11,7 @@ import (
 
 	"mcn"
 	"mcn/internal/graph"
-	"mcn/internal/testnet"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/wire"
 )
 

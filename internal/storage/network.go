@@ -42,9 +42,10 @@ type Network struct {
 // retry backoff sleeps abort when ctx is done, and coalesced waiters stop
 // waiting on another query's read. The view shares the pool, indexes and
 // cache with n — it is a cheap per-query wrapper, not a reopened database.
-// A nil ctx returns n itself.
+// A ctx that can never be done (nil, or one whose Done is nil) binds nothing
+// and returns n itself.
 func (n *Network) WithReadContext(ctx context.Context) *Network {
-	if ctx == nil {
+	if ctx == nil || ctx.Done() == nil {
 		return n
 	}
 	m := *n

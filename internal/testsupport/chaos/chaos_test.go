@@ -13,11 +13,12 @@ import (
 
 	"mcn/internal/core"
 	"mcn/internal/engine"
-	"mcn/internal/fault"
+	"mcn/internal/expand"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
 	"mcn/internal/rescache"
 	"mcn/internal/storage"
+	"mcn/internal/testsupport/fault"
 	"mcn/internal/vec"
 )
 
@@ -103,8 +104,14 @@ func open(t *testing.T, dev storage.Device) *storage.Network {
 	return net
 }
 
+// executor returns an executor over net whose queries read pages under
+// their own context, as the facade's executors do.
+func executor(net *storage.Network, cfg engine.Config) *engine.Executor {
+	return engine.New(func(ctx context.Context) expand.Source { return net.WithReadContext(ctx) }, cfg)
+}
+
 func run(net *storage.Network, reqs []engine.Request) []engine.Response {
-	ex := engine.New(net, engine.Config{Workers: 4})
+	ex := executor(net, engine.Config{Workers: 4})
 	return ex.Execute(context.Background(), reqs)
 }
 
@@ -327,7 +334,7 @@ func TestResultCacheStaysRetryableUnderFaults(t *testing.T) {
 
 	fd := fault.Wrap(dev, fault.Options{Seed: 41})
 	net := open(t, fd)
-	ex := engine.New(net, engine.Config{Workers: 2})
+	ex := executor(net, engine.Config{Workers: 2})
 	ex.SetCache(rescache.New(rescache.Options{Entries: 32}))
 
 	want := ex.Do(context.Background(), req)

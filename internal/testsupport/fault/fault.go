@@ -9,9 +9,11 @@
 // identically for a given seed and read order; per-fault counters report what
 // was actually injected.
 //
-// The wrapper is the test device of the chaos harness (internal/chaos) and
-// of the buffer pool's retry tests: they wrap a device, open the database or
-// the pool on it, then Arm it.
+// The wrapper is the test device of the chaos harness
+// (internal/testsupport/chaos), of the buffer pool's retry tests and of the
+// executor's cancellation test: they wrap a device, open the database or the
+// pool on it, then Arm it. Like everything under internal/testsupport, it is
+// imported by _test.go files only.
 package fault
 
 import (

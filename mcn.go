@@ -445,13 +445,14 @@ func (n *Network) queryOptions(ctx context.Context, opts []Option) core.Options 
 	return n.defaultOptions(opts).BindContext(ctx)
 }
 
-// srcFor returns the source a query under ctx should read from: disk-backed
-// networks get a view whose page reads are bound to ctx, so cancellation
-// aborts retry backoff sleeps and coalesced waits, not just the next
-// interrupt poll. In-memory sources never block on a device and are returned
-// unchanged, as is everything when ctx can never be cancelled.
+// srcFor returns the source a query under ctx should read from — for the
+// facade's own queries and, handed to engine.New, for every query an
+// executor runs. Disk-backed networks get a view whose page reads are bound
+// to ctx (storage.Network.WithReadContext), so cancellation aborts retry
+// backoff sleeps and coalesced waits, not just the next interrupt poll.
+// In-memory sources never block on a device and are returned unchanged.
 func (n *Network) srcFor(ctx context.Context) expand.Source {
-	if n.store != nil && ctx != nil && ctx.Done() != nil {
+	if n.store != nil {
 		return n.store.WithReadContext(ctx)
 	}
 	return n.src
@@ -580,7 +581,7 @@ func IsQueryPanic(err error) bool { return engine.IsPanic(err) }
 // panic isolation and latency statistics. One executor may serve any number
 // of goroutines; the mcnserve HTTP server funnels all traffic through one.
 func (n *Network) NewExecutor(cfg ExecutorConfig) *Executor {
-	ex := engine.New(n.src, cfg)
+	ex := engine.New(n.srcFor, cfg)
 	if n.cache != nil {
 		ex.SetCache(n.cache)
 	}

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"mcn/internal/gen"
-	"mcn/internal/testnet"
+	"mcn/internal/testsupport/testnet"
 )
 
 func TestNearestMatchesOracle(t *testing.T) {
