@@ -63,8 +63,10 @@ bench:
 # that outgrows the cache,
 # the disk rows (CEA and LSA skylines behind a 1 % buffer pool: the record
 # memo and the direct decode path) print the miss path's allocs/op next to
-# them, the maintainer row prints what one
-# facility insert costs (an edge lookup and O(d) arithmetic, no traversal),
+# them, the maintainer rows print what one facility insert costs (an edge
+# lookup and O(d) arithmetic, no traversal) and what building a maintainer
+# costs (d node-only expansions, concurrent on the flat source, then one
+# sweep of the facility records),
 # the time-dependent rows print one SetProfile plus the skyline read after
 # it, axis kept and axis moved (either way the edit builds one edge's cost
 # rows and shares the rest; the read compiles nothing), the start-up
@@ -82,7 +84,7 @@ bench:
 # written to disk (CreateDatabase) and a network compiled in memory
 # (FromGraph), each with its pruning index.
 benchmem:
-	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkFlatQuery|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline|BenchmarkMaintainerInsert|BenchmarkSetProfileThenRead|BenchmarkAttachSyntheticProfiles|BenchmarkOverPeriod|BenchmarkCacheHitParallel|BenchmarkServeCachedHit|BenchmarkCreateDatabase|BenchmarkFromGraph' -benchtime 1x -benchmem ./...
+	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkFlatQuery|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline|BenchmarkMaintainerInsert|BenchmarkMaintainerBuild|BenchmarkSetProfileThenRead|BenchmarkAttachSyntheticProfiles|BenchmarkOverPeriod|BenchmarkCacheHitParallel|BenchmarkServeCachedHit|BenchmarkCreateDatabase|BenchmarkFromGraph' -benchtime 1x -benchmem ./...
 
 # CPU+heap profiles of whole flat-path queries on the sf25 shape (a network
 # that outgrows L2, so memory layout shows); inspect with

@@ -82,7 +82,8 @@ func TestSkylineFacilityAtQuery(t *testing.T) {
 // facilities here both sit at node 1 with exact-tie vectors (1, 1): under
 // the library's distinct-value guarantee the skyline reports at least one of
 // them (an unseen exact duplicate of the first pinned facility may be
-// omitted — see DESIGN.md §5), and never anything dominated.
+// omitted — see the tie semantics in Skyline's doc comment), and never
+// anything dominated.
 func TestSkylineParallelEdges(t *testing.T) {
 	b := graph.NewBuilder(2, false)
 	b.AddNodes(2)

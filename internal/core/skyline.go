@@ -281,8 +281,9 @@ func (s *skylineRun) onPin(tr *tracked) error {
 	// dominated: its dominator dominates the same facilities transitively.
 	s.eliminateDominatedBy(tr)
 
-	// tr itself may be dominated by an exact-tie facility that pinned
-	// earlier (impossible without ties; see DESIGN.md).
+	// tr itself may be dominated by a facility that pinned earlier, but only
+	// through an exact tie: without one it beats tr strictly on every cost,
+	// and the elimination passes above have already removed tr.
 	for _, other := range s.skyOrder {
 		if other != tr && !other.gone && other.pinned && other.costs.Dominates(tr.costs) {
 			tr.gone = true

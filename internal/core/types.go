@@ -105,7 +105,10 @@ type Options struct {
 	OnResult func(Facility)
 	// Interrupt, when set, is polled between expansion rounds; a non-nil
 	// return aborts the query with that error. The engine layer wires
-	// per-query context cancellation and timeouts through it.
+	// per-query context cancellation and timeouts through it. It may be
+	// polled from several goroutines at once (a maintainer build runs its
+	// expansions concurrently on an in-memory source), so it must be safe
+	// for concurrent use.
 	Interrupt func() error
 	// Bounds, when set, is the precomputed pruning index (internal/index):
 	// per-criterion lower bounds from every node to its nearest facility.

@@ -281,3 +281,50 @@ func TestServerFlagsDocumented(t *testing.T) {
 		t.Error("README.md: no flags found in any \"| Flag |\" table; the reverse check is blind")
 	}
 }
+
+// mdNameRe matches a markdown file name, bare or with a relative path.
+var mdNameRe = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// TestGoCommentsNameExistingMarkdown fails when a Go comment names a
+// markdown file that is not in the repository: a pointer to rationale that
+// was never written, or was renamed, strands the reader as surely as a
+// broken markdown link. A name resolves against the commenting file's
+// directory or the repository root.
+func TestGoCommentsNameExistingMarkdown(t *testing.T) {
+	root := repoRoot(t)
+	exists := func(path string) bool {
+		_, err := os.Stat(path)
+		return err == nil
+	}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", "testdata", ".claude", ".bench_build":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(d.Name(), ".go") {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		for _, group := range file.Comments {
+			for _, name := range mdNameRe.FindAllString(group.Text(), -1) {
+				if !exists(filepath.Join(filepath.Dir(path), name)) && !exists(filepath.Join(root, name)) {
+					t.Errorf("%s: comment names %s, which does not exist", rel, name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -12,16 +12,18 @@ import (
 // TestMaintainerPhysicalIODeterministic is core.TestPhysicalIODeterministic
 // for a maintainer build: materialising one location over the same disk
 // database behind a fresh single-shard LRU pool at 1 % must miss the same
-// pages every time and yield the same entries. New reads each facility's
-// records after the expansions, so the order it walks them in reaches the
-// pool. 20 000 nodes, because at 4 000 the 1 % pool holds two frames and
-// every record lookup misses whatever the order.
+// pages every time and yield the same entries. A disk source runs the d
+// node-only expansions one after another, then New sweeps the facility
+// records in node id order, so the order of every read reaches the pool.
+// 20 000 nodes, because at 4 000 the 1 % pool holds two frames and every
+// record lookup misses whatever the order.
 //
-// The count itself is pinned too: the build reads exactly what d complete
-// expansions and the per-facility lookups read, so a change to how many
-// records it touches, or in what order, is a reviewed diff here.
+// The count itself is pinned too: the build reads exactly what d node-only
+// expansions (adjacency records, plus the query edge's record each) and one
+// sweep of the facility records read, so a change to how many records it
+// touches, or in what order, is a reviewed diff here.
 func TestMaintainerPhysicalIODeterministic(t *testing.T) {
-	const wantPhysical = 125_717
+	const wantPhysical = 118_810
 	inst, err := gen.MakeInstance(gen.InstanceConfig{Nodes: 20000, Facilities: 2000, D: 4, Queries: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -2,23 +2,25 @@
 // incrementally maintaining the skyline and top-k sets of a fixed query
 // location while facilities are inserted and deleted.
 //
-// A Maintainer materialises its state once: d complete expansions from the
-// query location, which yield the cost vector of every initial facility and,
-// because they settle every reachable node, the location's distance to every
-// node under every cost type. Facility updates never change the network, so
-// those distances stay exact for the Maintainer's whole life. An insertion
-// costs one edge lookup and O(d) arithmetic on them; a deletion drops one
-// entry. Neither traverses the network; reads run a dominance pass (or a
-// scoring sort) over the maintained vectors.
+// A Maintainer materialises its state once. d expansions from the query
+// location, one per cost type, settle every reachable node without reading
+// a facility record; they yield the location's distance to every node under
+// every cost type, and run concurrently on an in-memory source. One sweep of
+// the facility records then prices every initial facility on those
+// distances, with the arithmetic an expansion would use. Facility updates
+// never change the network, so the distances stay exact for the
+// Maintainer's whole life. An insertion costs one edge lookup and O(d)
+// arithmetic on them; a deletion drops one entry. Neither traverses the
+// network; reads run a dominance pass (or a scoring sort) over the
+// maintained vectors.
 package dynamic
 
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
-	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"mcn/internal/core"
@@ -71,87 +73,205 @@ type Maintainer struct {
 // cost type are excluded (they can never enter any preference result). Only
 // opt.Interrupt is consulted.
 func New(src expand.Source, loc graph.Location, opt core.Options) (*Maintainer, error) {
-	m := &Maintainer{src: src, loc: loc, dist: make([][]float64, src.D())}
-	vectors, err := m.materialize(opt)
+	dist, err := nodeDistances(src, loc, opt)
 	if err != nil {
 		return nil, err
 	}
-	m.facs = make(map[Handle]*Entry, len(vectors))
-	// Ascending ids, not map order: the reads below reach the store, and
-	// their order decides which pages a buffer pool keeps.
-	for _, id := range slices.Sorted(maps.Keys(vectors)) {
-		e, err := src.FacilityEdge(id)
-		if err != nil {
-			return nil, err
-		}
-		t, err := facilityFraction(src, e, id)
-		if err != nil {
-			return nil, err
-		}
-		m.facs[Handle(id)] = &Entry{Handle: Handle(id), Edge: e, T: t, Costs: vectors[id]}
-		m.next = Handle(id) + 1
+	m := &Maintainer{src: src, loc: loc, dist: dist}
+	if err := m.sweep(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// materialize runs core.MaterializeAll's d complete expansions from m.loc,
-// polling opt.Interrupt per pop, and keeps each one's node distances in
-// m.dist. It returns the cost vector of every facility reachable under some
-// cost type, +Inf in the components it is unreachable under.
-func (m *Maintainer) materialize(opt core.Options) (map[graph.FacilityID]vec.Costs, error) {
-	vectors := make(map[graph.FacilityID]vec.Costs)
-	sc := expand.Acquire(m.src)
-	defer sc.Release()
-	for i := range m.dist {
-		x, err := expand.New(m.src, i, m.loc, sc)
+// pollEvery is how many expansion steps a build takes between two polls of
+// its Interrupt hook: a context-bound hook takes the context's lock, which
+// the concurrent expansions would otherwise contend for at every node.
+const pollEvery = 64
+
+// nodeDistances runs one node-only expansion from loc per cost type — every
+// facility record refused, so none is read — polling opt.Interrupt every
+// pollEvery steps, and returns each one's node distances. On a zero-copy
+// source the d expansions run concurrently, each on its own scratch; any
+// other source runs them in turn, so that the order of its record reads,
+// and with it what a buffer pool keeps, does not depend on scheduling.
+// Either way every expansion has ended when nodeDistances returns.
+func nodeDistances(src expand.Source, loc graph.Location, opt core.Options) ([][]float64, error) {
+	dist := make([][]float64, src.D())
+	run := func(i int) error {
+		sc := expand.Acquire(src)
+		defer sc.Release()
+		x, err := expand.New(src, i, loc, sc)
+		if err != nil {
+			return err
+		}
+		x.SetFilter(func(graph.EdgeID) bool { return false }, func(graph.FacilityID) bool { return false })
+		for step := 0; ; step++ {
+			if opt.Interrupt != nil && step%pollEvery == 0 {
+				if err := opt.Interrupt(); err != nil {
+					return err
+				}
+			}
+			ev, _, _, err := x.Step()
+			if err != nil {
+				return err
+			}
+			if ev == expand.EventExhausted {
+				dist[i] = x.Distances(nil)
+				return nil
+			}
+		}
+	}
+	if zc, ok := src.(expand.ZeroCopy); !ok || !zc.ZeroCopyRecords() {
+		for i := range dist {
+			if err := run(i); err != nil {
+				return nil, err
+			}
+		}
+		return dist, nil
+	}
+	errs := make([]error, len(dist))
+	var wg sync.WaitGroup
+	for i := range dist {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = run(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		for {
-			if opt.Interrupt != nil {
-				if err := opt.Interrupt(); err != nil {
-					return nil, err
-				}
-			}
-			p, c, ok, err := x.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			v := vectors[p]
-			if v == nil {
-				v = make(vec.Costs, len(m.dist))
-				for j := range v {
-					v[j] = math.Inf(1)
-				}
-				vectors[p] = v
-			}
-			v[i] = c
-		}
-		m.dist[i] = x.Distances(nil)
 	}
-	return vectors, nil
+	return dist, nil
 }
 
-// facilityFraction recovers a facility's position on its edge from the
-// edge's facility record.
-func facilityFraction(src expand.Source, e graph.EdgeID, id graph.FacilityID) (float64, error) {
-	info, err := src.EdgeInfo(e)
-	if err != nil {
-		return 0, err
+// sweep builds the maintained entries from m.dist in one pass over the
+// facility records: the query edge's, then those on the arcs of every
+// reachable node in id order. A facility's cost i is the least of what the
+// expansion under cost i would have en-heaped it at — along the query edge
+// from q, or at a node's distance plus the partial arc weight — computed
+// with the same arithmetic, so it carries the same bits. A node is
+// reachable when some cost type puts it at a finite distance; with finite
+// edge costs that is exactly the set every expansion settles.
+func (m *Maintainer) sweep() error {
+	src, d := m.src, len(m.dist)
+	coster, _ := src.(expand.EdgeCoster)
+	// slot[p] is 1 + the index of facility p's entry, 0 while unseen; a
+	// source that declares its facility id space fixes its length.
+	var slot []int32
+	var entries []Entry
+	var costs []float64 // entry k's costs are costs[k*d : (k+1)*d]
+	limit := math.MaxInt32
+	if sz, ok := src.(expand.Sized); ok {
+		limit = sz.NumFacilities()
+		slot = make([]int32, limit)
+		entries = make([]Entry, 0, limit)
+		costs = make([]float64, 0, limit*d)
 	}
-	facs, err := src.Facilities(info.FacRef, info.FacCount)
-	if err != nil {
-		return 0, err
+	visit := func(e graph.EdgeID, fe graph.FacEntry) (int, error) {
+		if int(fe.ID) >= len(slot) {
+			if int(fe.ID) >= limit {
+				return 0, fmt.Errorf("dynamic: facility %d out of range", fe.ID)
+			}
+			slot = append(slot, make([]int32, int(fe.ID)+1-len(slot))...)
+		}
+		if k := slot[fe.ID]; k > 0 {
+			return int(k-1) * d, nil
+		}
+		entries = append(entries, Entry{Handle: Handle(fe.ID), Edge: e, T: fe.T})
+		slot[fe.ID] = int32(len(entries))
+		for range d {
+			costs = append(costs, math.Inf(1))
+		}
+		return len(costs) - d, nil
 	}
-	for _, fe := range facs {
-		if fe.ID == id {
-			return fe.T, nil
+
+	// Facilities on the query edge, seeded as expand.New seeds them.
+	info, err := src.EdgeInfo(m.loc.Edge)
+	if err != nil {
+		return err
+	}
+	if info.FacCount > 0 {
+		facs, err := src.Facilities(info.FacRef, info.FacCount)
+		if err != nil {
+			return err
+		}
+		for _, fe := range facs {
+			if src.Directed() && fe.T < m.loc.T {
+				continue // behind q on a one-way segment
+			}
+			off, err := visit(m.loc.Edge, fe)
+			if err != nil {
+				return err
+			}
+			for i := range d {
+				// Abs changes no bit where the segment is one-way: there
+				// fe.T >= q's fraction, and the difference is +0 or more.
+				if c := math.Abs(fe.T-m.loc.T) * info.W[i]; c < costs[off+i] {
+					costs[off+i] = c
+				}
+			}
 		}
 	}
-	return 0, fmt.Errorf("dynamic: facility %d not found on its edge %d", id, e)
+
+	nodes := 0
+	for _, row := range m.dist {
+		nodes = max(nodes, len(row))
+	}
+	key := make([]float64, d)
+	for v := range nodes {
+		reachable := false
+		for i, row := range m.dist {
+			key[i] = at(row, graph.NodeID(v))
+			reachable = reachable || !math.IsInf(key[i], 1)
+		}
+		if !reachable {
+			continue
+		}
+		arcs, err := src.Adjacency(graph.NodeID(v))
+		if err != nil {
+			return err
+		}
+		for _, a := range arcs {
+			if a.FacCount == 0 {
+				continue
+			}
+			facs, err := src.Facilities(a.FacRef, a.FacCount)
+			if err != nil {
+				return err
+			}
+			for _, fe := range facs {
+				off, err := visit(a.Edge, fe)
+				if err != nil {
+					return err
+				}
+				partial := graph.PartialFrom(a.Forward, fe.T)
+				for i := range d {
+					var w float64
+					if coster != nil {
+						w = coster.EdgeCost(a.Edge, i)
+					} else {
+						w = a.W[i]
+					}
+					if c := key[i] + partial*w; c < costs[off+i] {
+						costs[off+i] = c
+					}
+				}
+			}
+		}
+	}
+
+	m.facs = make(map[Handle]*Entry, len(entries))
+	for k := range entries {
+		e := &entries[k]
+		e.Costs = costs[k*d : (k+1)*d : (k+1)*d]
+		m.facs[e.Handle] = e
+		m.next = max(m.next, e.Handle+1)
+	}
+	return nil
 }
 
 // SetOnUpdate registers fn to observe every successful Insert and Delete

@@ -612,12 +612,14 @@ func (n *Network) BaselineTopK(ctx context.Context, loc Location, agg Aggregate,
 }
 
 // Maintain materialises dynamic skyline/top-k maintenance state for loc
-// (the paper's future-work extension): d complete expansions, whose node
-// distances the maintainer keeps, so that facilities can then be inserted
-// and removed without traversing the network. Cancelling ctx aborts the
-// initial materialisation. The maintainer holds no pooled state; Close it
-// when done with updates (idempotent, any goroutine): Insert then fails
-// with ErrMaintainerClosed, and the maintained results stay readable.
+// (the paper's future-work extension): d expansions that settle every node
+// and read no facility record, whose node distances the maintainer keeps,
+// then one sweep of the facility records that prices every facility on
+// them. Facilities can then be inserted and removed without traversing the
+// network. Cancelling ctx aborts the initial materialisation. The
+// maintainer holds no pooled state; Close it when done with updates
+// (idempotent, any goroutine): Insert then fails with ErrMaintainerClosed,
+// and the maintained results stay readable.
 func (n *Network) Maintain(ctx context.Context, loc Location) (*Maintainer, error) {
 	m, err := dynamic.New(n.srcFor(ctx), loc, n.queryOptions(ctx, nil))
 	if err != nil {
@@ -793,8 +795,9 @@ type SyntheticConfig struct {
 }
 
 // Synthetic generates a road-like multi-cost network matching the structural
-// profile of the paper's San Francisco dataset (see DESIGN.md for the
-// substitution rationale).
+// profile of the paper's San Francisco dataset, which is not redistributable
+// (the internal/gen package doc gives the profile and why matching it
+// preserves the algorithms' behaviour).
 func Synthetic(cfg SyntheticConfig) (*Graph, error) {
 	dist := gen.AntiCorrelated
 	if cfg.Dist != "" {
