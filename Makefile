@@ -206,10 +206,10 @@ soak-smoke: build
 chaos:
 	CHAOS_SCHEDULES=$(CHAOS_SCHEDULES) $(GO) test -race -count=1 -timeout 60m ./internal/testsupport/chaos
 
-# Native Go fuzzing sessions. Over the query invariants: skyline (mutual
-# non-dominance + maximality vs the materialised baseline), top-k (score
-# monotonicity + NaiveTopK agreement + pruned-vs-unpruned byte-identity) and
-# within (budget soundness/completeness + pruned-vs-unpruned). Over the
+# Native Go fuzzing sessions. Over the query answers: FuzzLattice draws a
+# (seed, mode mask) pair and checks the differential lattice's rows of the
+# mask on the hard-case generator's instance for the seed — every query
+# kind against the brute-force oracle and the reference row. Over the
 # JSON response encoder: any Result or PeriodResult renders byte-identically
 # to encoding/json's reflection (FuzzJSONEnvelope). Over hostile
 # input: the MCNB request and response decoders (no panic, accepted frames
@@ -220,9 +220,7 @@ chaos:
 # invocation, so the targets run sequentially, each for FUZZTIME. CI runs a
 # short smoke (FUZZTIME=10s); locally run with a longer budget to hunt.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzSkylineInvariants -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzTopKInvariants -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzWithinInvariants -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzLattice -fuzztime $(FUZZTIME) ./internal/testsupport/lattice
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzJSONEnvelope -fuzztime $(FUZZTIME) ./internal/wire

@@ -448,7 +448,9 @@ func (s *skylineRun) finalize() error {
 		}
 	}
 	// Unpinned first-NN skyline members also get their unknowns closed so
-	// they stop acting as potential dominators.
+	// they stop acting as potential dominators. Closing them can make a
+	// member dominate a facility still pending on it, which it eliminates,
+	// as any pin does.
 	for _, tr := range s.tracked.order {
 		if tr.gone || tr.pinned || !tr.inSky {
 			continue
@@ -461,6 +463,7 @@ func (s *skylineRun) finalize() error {
 		}
 		if tr.known == s.d {
 			tr.pinned = true
+			s.eliminateDominatedBy(tr)
 		}
 	}
 	s.resolvePending()

@@ -2,8 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 
 	"mcn/internal/expand"
@@ -11,53 +9,8 @@ import (
 	"mcn/internal/gen"
 	"mcn/internal/graph"
 	"mcn/internal/index"
-	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
-
-func TestWithinMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(1400))
-	for trial := 0; trial < 80; trial++ {
-		inst := randomInstance(t, rng, trial%3 == 0)
-		d := inst.g.D()
-		budget := make(vec.Costs, d)
-		for i := range budget {
-			budget[i] = rng.Float64() * 20
-		}
-		for _, engine := range []Engine{LSA, CEA} {
-			res, err := Within(expand.NewMemorySource(inst.g), inst.loc, budget, Options{Engine: engine})
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			oracle := testnet.AllCosts(inst.g, inst.loc)
-			var want []graph.FacilityID
-			for p := range oracle {
-				fits := true
-				for i := range budget {
-					if oracle[p][i] > budget[i] {
-						fits = false
-						break
-					}
-				}
-				if fits {
-					want = append(want, graph.FacilityID(p))
-				}
-			}
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			got := res.IDs()
-			if len(want) == 0 {
-				want = []graph.FacilityID{}
-			}
-			if len(got) == 0 {
-				got = []graph.FacilityID{}
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d %v: within %v, oracle %v (budget %v)", trial, engine, got, want, budget)
-			}
-			checkReportedCosts(t, inst, res, "within")
-		}
-	}
-}
 
 func TestWithinLocality(t *testing.T) {
 	// A tight budget must not traverse the whole network.

@@ -72,8 +72,10 @@ var imports = map[string][]string{
 	"internal/vec":   {},
 
 	// Test support: imported by _test.go files only.
-	"internal/testsupport/chaos":   {},
-	"internal/testsupport/fault":   {"internal/storage"},
+	"internal/testsupport/chaos": {},
+	"internal/testsupport/fault": {"internal/storage"},
+	"internal/testsupport/lattice": {"internal/core", "internal/dynamic", "internal/expand", "internal/flat", "internal/gen",
+		"internal/graph", "internal/index", "internal/storage", "internal/testsupport/testnet", "internal/timedep", "internal/vec"},
 	"internal/testsupport/testnet": {"internal/graph", "internal/vec"},
 
 	// The documentation checks: no runtime code.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -17,43 +16,8 @@ import (
 	"mcn/internal/gen"
 	"mcn/internal/graph"
 	"mcn/internal/storage"
-	"mcn/internal/vec"
+	"mcn/internal/testsupport/testnet"
 )
-
-// buildCase extends a random network with what the build must get right
-// beyond the plain case: facilities on the query edge ahead of q, behind it
-// (unreachable along the edge on a one-way network) and exactly at it, and
-// a component of its own that q cannot reach, with facilities on it.
-func buildCase(t *testing.T, rng *rand.Rand, directed, integer bool) (*graph.Graph, graph.Location) {
-	t.Helper()
-	g, loc := buildNetwork(t, rng, directed, integer)
-	b := graph.NewBuilder(g.D(), directed)
-	for v := 0; v < g.NumNodes(); v++ {
-		n := g.Node(graph.NodeID(v))
-		b.AddNode(n.X, n.Y)
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		edge := g.Edge(graph.EdgeID(e))
-		b.AddEdge(edge.U, edge.V, edge.W)
-	}
-	for p := 0; p < g.NumFacilities(); p++ {
-		f := g.Facility(graph.FacilityID(p))
-		b.AddFacility(f.Edge, f.T)
-	}
-	b.AddFacility(loc.Edge, loc.T+rng.Float64()*(1-loc.T))
-	b.AddFacility(loc.Edge, rng.Float64()*loc.T)
-	b.AddFacility(loc.Edge, loc.T)
-	island := b.AddNode(-1, -1)
-	for i := 1; i <= 2; i++ {
-		w := make(vec.Costs, g.D())
-		for c := range w {
-			w[c] = float64(1 + rng.Intn(4))
-		}
-		e := b.AddEdge(island+graph.NodeID(i-1), b.AddNode(-1, float64(-1-i)), w)
-		b.AddFacility(e, fraction(rng))
-	}
-	return b.MustBuild(), loc
-}
 
 // buildSources is every kind of source a maintainer is built over: the
 // reference adapter, the flat CSR path (whose expansions run concurrently)
@@ -98,17 +62,22 @@ func recordFraction(t *testing.T, src expand.Source, e graph.EdgeID, p graph.Fac
 
 // The build derives every facility's cost vector from node distances in a
 // sweep of the facility records, not from facility pops; the two must agree
-// bit for bit. On every source, directed and undirected, with integer-cost
-// ties, facilities on the query edge and a component q cannot reach, each
-// entry must equal core.MaterializeAll's vector for its facility, sit on
-// the edge the source names and at the fraction its record holds, and the
-// entries must cover exactly the facilities MaterializeAll reaches.
+// bit for bit. On every source, over testnet's hard-case instances —
+// directed and undirected, facilities on the query edge ahead of q, behind
+// it and at it, and components q cannot reach — with integer-cost ties and,
+// in the continuous shape, costs and fractions whose sums round differently
+// in another order, each entry must equal core.MaterializeAll's vector for
+// its facility, sit on the edge the source names and at the fraction its
+// record holds, and the entries must cover exactly the facilities
+// MaterializeAll reaches.
 func TestBuildMatchesExpansions(t *testing.T) {
-	rng := rand.New(rand.NewSource(705))
-	for trial := 0; trial < 40; trial++ {
-		g, loc := buildCase(t, rng, trial%2 == 1, trial%4 >= 2)
+	for i := int64(0); i < 80; i++ {
+		seed, shape := i/2, testnet.ShapeOf(i/2)
+		shape.Continuous = i%2 == 1
+		inst := testnet.Generate(seed, shape)
+		g, loc := inst.G, inst.Loc
 		for name, src := range buildSources(t, g) {
-			where := fmt.Sprintf("trial %d %s", trial, name)
+			where := fmt.Sprintf("seed %d %+v: %v %s", seed, shape, inst, name)
 			want, _, err := core.MaterializeAll(src, loc, core.Options{})
 			if err != nil {
 				t.Fatal(err)

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -293,7 +294,9 @@ func (m *Maintainer) Len() int { return len(m.facs) }
 // cost vector is what an expansion would report for a facility there — the
 // cheaper of entering e from either end-node, or walking along the query
 // edge when e is that edge — evaluated on the maintained node distances, so
-// an insert reads one edge record and traverses nothing.
+// an insert reads one edge record and traverses nothing. A facility the
+// query location cannot reach under any cost type is still maintained, with
+// a cost vector of +Inf throughout; Skyline and TopK leave it out.
 func (m *Maintainer) Insert(e graph.EdgeID, t float64) (Handle, error) {
 	if m.closed.Load() {
 		return 0, ErrClosed
@@ -339,7 +342,7 @@ func at(dist []float64, v graph.NodeID) float64 {
 	return math.Inf(1)
 }
 
-// Delete removes a maintained facility.
+// Delete removes a maintained facility, reachable or not.
 func (m *Maintainer) Delete(h Handle) error {
 	e, ok := m.facs[h]
 	if !ok {
@@ -352,7 +355,8 @@ func (m *Maintainer) Delete(h Handle) error {
 	return nil
 }
 
-// Entry returns the maintained record for h.
+// Entry returns the maintained record for h, also for a facility the query
+// location cannot reach (its cost vector is +Inf throughout).
 func (m *Maintainer) Entry(h Handle) (Entry, bool) {
 	e, ok := m.facs[h]
 	if !ok {
@@ -363,20 +367,24 @@ func (m *Maintainer) Entry(h Handle) (Entry, bool) {
 	return out, true
 }
 
-// ordered returns maintained entries sorted by handle.
-func (m *Maintainer) ordered() []*Entry {
+// reachable returns the entries reachable under at least one cost type,
+// sorted by handle: the facilities a query over the network could report
+// (core leaves the others out, and so does New for an initial facility).
+func (m *Maintainer) reachable() []*Entry {
 	out := make([]*Entry, 0, len(m.facs))
 	for _, e := range m.facs {
-		out = append(out, e)
+		if slices.ContainsFunc(e.Costs, func(c float64) bool { return !math.IsInf(c, 1) }) {
+			out = append(out, e)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Handle < out[j].Handle })
 	return out
 }
 
-// Skyline returns the current skyline over the maintained facilities,
-// sorted by handle.
+// Skyline returns the current skyline over the maintained facilities the
+// query location can reach, sorted by handle.
 func (m *Maintainer) Skyline() []Entry {
-	entries := m.ordered()
+	entries := m.reachable()
 	items := make([]vec.Costs, len(entries))
 	for i, e := range entries {
 		items[i] = e.Costs
@@ -390,12 +398,13 @@ func (m *Maintainer) Skyline() []Entry {
 	return out
 }
 
-// TopK returns the k best maintained facilities under agg, ascending score.
+// TopK returns the k best maintained facilities the query location can
+// reach under agg, ascending score.
 func (m *Maintainer) TopK(agg vec.Aggregate, k int) ([]Entry, []float64, error) {
 	if k < 1 {
 		return nil, nil, fmt.Errorf("dynamic: top-k requires k >= 1, got %d", k)
 	}
-	entries := m.ordered()
+	entries := m.reachable()
 	scores := make([]float64, len(entries))
 	order := make([]int, len(entries))
 	for i, e := range entries {

@@ -2,7 +2,6 @@ package expand
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"mcn/internal/graph"
@@ -28,13 +27,11 @@ func distancesAfterDrain(t *testing.T, src Source, costIdx int, loc graph.Locati
 // table; an undeclared id space may carry a longer tail from an earlier,
 // larger graph, which must read +Inf.
 func TestDistancesMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(600))
 	sc := acquire(t, unsized{})
 	var buf []float64
 	for trial := 0; trial < 80; trial++ {
-		d := 1 + rng.Intn(3)
-		g := randomGraph(t, rng, d, rng.Intn(3) == 0)
-		loc := randomLocation(rng, g)
+		inst := testnet.Generate(int64(trial), testnet.ShapeOf(int64(trial)))
+		g, loc, d := inst.G, inst.Loc, inst.G.D()
 		var src Source = unsized{NewMemorySource(g)}
 		if trial%2 == 1 {
 			src = sized{NewMemorySource(g)}

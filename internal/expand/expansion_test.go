@@ -203,12 +203,9 @@ func TestExpansionTieOrderById(t *testing.T) {
 // Expansion must agree with the Bellman-Ford oracle on random graphs, for
 // every cost type, over memory sources.
 func TestExpansionMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 120; trial++ {
-		d := 1 + rng.Intn(3)
-		directed := rng.Intn(3) == 0
-		g := randomGraph(t, rng, d, directed)
-		loc := randomLocation(rng, g)
+		inst := testnet.Generate(int64(trial), testnet.ShapeOf(int64(trial)))
+		g, loc, d := inst.G, inst.Loc, inst.G.D()
 		for i := 0; i < d; i++ {
 			oracle := testnet.FacilityCosts(g, loc, i)
 			x, err := newOn(t, NewMemorySource(g), i, loc)
@@ -238,10 +235,9 @@ func TestExpansionMatchesOracle(t *testing.T) {
 
 // The same agreement must hold end-to-end through the disk layer.
 func TestExpansionMatchesOracleOnDisk(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 25; trial++ {
-		d := 1 + rng.Intn(3)
-		g := randomGraph(t, rng, d, false)
+		inst := testnet.Generate(int64(trial), testnet.ShapeOf(int64(trial)))
+		g, loc, d := inst.G, inst.Loc, inst.G.D()
 		dev, err := storage.BuildMem(g)
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +246,6 @@ func TestExpansionMatchesOracleOnDisk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loc := randomLocation(rng, g)
 		for i := 0; i < d; i++ {
 			oracle := testnet.FacilityCosts(g, loc, i)
 			x, err := newOn(t, net, i, loc)

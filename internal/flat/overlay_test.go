@@ -191,6 +191,26 @@ func TestOverlayQueryEquivalence(t *testing.T) {
 	}
 }
 
+func sameFacilities(t *testing.T, label string, got, want []core.Facility) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d facilities, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID {
+			t.Fatalf("%s: result %d id %d, want %d", label, i, got[i].ID, want[i].ID)
+		}
+		if !got[i].Costs.Equal(want[i].Costs) {
+			t.Fatalf("%s: result %d (facility %d) costs %v, want %v",
+				label, i, got[i].ID, got[i].Costs, want[i].Costs)
+		}
+		if got[i].Score != want[i].Score {
+			t.Fatalf("%s: result %d (facility %d) score %g, want %g",
+				label, i, got[i].ID, got[i].Score, want[i].Score)
+		}
+	}
+}
+
 // A tracked view records each profiled edge its cost lookups read, once and
 // in first-read order, and never an unprofiled one; Unchanged compares the
 // recorded edges' effective rows, not their segment numbers.

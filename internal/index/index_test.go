@@ -8,6 +8,7 @@ import (
 
 	"mcn/internal/gen"
 	"mcn/internal/graph"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 
@@ -49,17 +50,11 @@ func nearestFacility(g *graph.Graph, v graph.NodeID, costIdx int) float64 {
 	return best
 }
 
-// randomInstance assembles a connected random network with small integer
-// costs (exact ties everywhere) and uniformly placed facilities.
-func randomInstance(t *testing.T, seed int64, directed bool) *graph.Graph {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	topo := gen.RandomConnected(40, 25, rng)
-	g, err := gen.Assemble(topo, gen.RandomIntegerCosts(topo, 3, 3, rng), gen.UniformFacilities(topo, 6, rng), directed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
+// randomInstance is testnet's hard-case network for seed, d = 3: integer
+// costs with zero-length edges, parallel edges, and components that reach
+// no facility.
+func randomInstance(seed int64, directed bool) *graph.Graph {
+	return testnet.Generate(seed, testnet.Shape{D: 3, Directed: directed}).G
 }
 
 // twoComponents is 0-1-2 carrying the only facilities and 3-4-5 carrying
@@ -83,10 +78,10 @@ func twoComponents(directed bool) *graph.Graph {
 // instances leaves at most an ulp or two.
 func TestBoundsEqualNearestFacilityDistance(t *testing.T) {
 	instances := map[string]*graph.Graph{
-		"undirected/seed=1":     randomInstance(t, 1, false),
-		"undirected/seed=2":     randomInstance(t, 2, false),
-		"directed/seed=1":       randomInstance(t, 1, true),
-		"directed/seed=2":       randomInstance(t, 2, true),
+		"undirected/seed=1":     randomInstance(1, false),
+		"undirected/seed=2":     randomInstance(2, false),
+		"directed/seed=1":       randomInstance(1, true),
+		"directed/seed=2":       randomInstance(2, true),
 		"disconnected":          twoComponents(false),
 		"disconnected/directed": twoComponents(true),
 	}
@@ -300,7 +295,7 @@ func TestBoundsMatchReferenceBitForBit(t *testing.T) {
 
 // FromData accepts exactly a d × numNodes table and round-trips Data.
 func TestFromDataArity(t *testing.T) {
-	g := randomInstance(t, 3, false)
+	g := randomInstance(3, false)
 	b := FromGraph(g)
 	back, err := FromData(b.D(), b.NumNodes(), b.Data())
 	if err != nil {

@@ -1,0 +1,1067 @@
+package lattice
+
+import (
+	"context"
+	"fmt"
+	"maps"
+	"math"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"mcn/internal/core"
+	"mcn/internal/dynamic"
+	"mcn/internal/expand"
+	"mcn/internal/flat"
+	"mcn/internal/gen"
+	"mcn/internal/graph"
+	"mcn/internal/index"
+	"mcn/internal/storage"
+	"mcn/internal/testsupport/testnet"
+	"mcn/internal/timedep"
+	"mcn/internal/vec"
+)
+
+// Kind is one query every row answers.
+type Kind int
+
+// The query kinds. Drain pulls a TopKIterator to the end; the two baseline
+// kinds are core's materialise-everything operators.
+const (
+	Skyline Kind = iota
+	SkylineSeq
+	TopK
+	Drain
+	Nearest
+	Within
+	MultiSkyline
+	MultiTopK
+	NaiveSkyline
+	NaiveTopK
+	numKinds
+)
+
+var kindNames = [numKinds]string{"skyline", "skyline seq", "topk", "topk drain", "nearest", "within",
+	"multisource skyline", "multisource topk", "baseline skyline", "baseline topk"}
+
+func (k Kind) String() string { return kindNames[k] }
+
+// Kinds is a set of query kinds; the zero set means every kind.
+type Kinds uint16
+
+// KindSet returns the set holding ks.
+func KindSet(ks ...Kind) Kinds {
+	var s Kinds
+	for _, k := range ks {
+		s |= 1 << k
+	}
+	return s
+}
+
+func (s Kinds) has(k Kind) bool { return s == 0 || s&(1<<k) != 0 }
+
+// sourceNames is the source axis, the reference first. "flat/permuted"
+// compiles the graph with its nodes renumbered and moved at random, so that
+// its locality numbering is unrelated to the reference's; the "/wrapped"
+// sources hide everything but the six expand.Source methods, the way a
+// caller's own wrapper does, so queries run on state that grows on demand
+// and, under CEA, behind the record memo.
+var sourceNames = []string{"mem", "flat", "flat/permuted", "flat/wrapped", "disk 1%", "disk 100%", "disk/wrapped"}
+
+// row is one execution mode of the lattice. A source row runs core's
+// queries over one source with one engine, enhancement and bounds setting,
+// the bounds being the source's own pruning index; a time row runs a
+// time-dependent network's queries at an instant with one engine and
+// enhancement setting; a maintainer row queries a dynamic.Maintainer built
+// over one source.
+type row struct {
+	name             string
+	source           int // into sourceNames, for source and maintainer rows
+	engine           core.Engine
+	noEnh, bounds    bool
+	time, maintainer bool
+}
+
+// reference reports whether r is the row every source row with its
+// enhancement and bounds settings is compared with: MemorySource under LSA.
+func (r row) reference() bool {
+	return !r.time && !r.maintainer && r.source == 0 && r.engine == core.LSA
+}
+
+// rows is the table of modes; row i is bit i of a Rows set.
+var rows = func() []row {
+	var out []row
+	engines, bools := []core.Engine{core.LSA, core.CEA}, []bool{false, true}
+	for s, name := range sourceNames {
+		for _, eng := range engines {
+			for _, noEnh := range bools {
+				for _, bounds := range bools {
+					out = append(out, row{name: fmt.Sprintf("%s/%v enh=%v bounds=%v", name, eng, !noEnh, bounds),
+						source: s, engine: eng, noEnh: noEnh, bounds: bounds})
+				}
+			}
+		}
+	}
+	for _, eng := range engines {
+		for _, noEnh := range bools {
+			out = append(out, row{name: fmt.Sprintf("time/%v enh=%v", eng, !noEnh), engine: eng, noEnh: noEnh, time: true})
+		}
+	}
+	for _, s := range []int{0, 1, 4} {
+		out = append(out, row{name: "maintainer over " + sourceNames[s], source: s, maintainer: true})
+	}
+	return out
+}()
+
+// Rows is a set of rows, bit i for row i; the zero set means every row.
+type Rows uint64
+
+func (r Rows) has(i int) bool { return r == 0 || r&(1<<i) != 0 }
+
+func rowsWhere(keep func(row) bool) Rows {
+	var out Rows
+	for i, r := range rows {
+		if keep(r) {
+			out |= 1 << i
+		}
+	}
+	return out
+}
+
+// The row sets a caller selects by. SourceRows, BoundsRows, CEARows and
+// NoEnhancementRows hold source rows only.
+var (
+	EverySource       = rowsWhere(func(r row) bool { return !r.time && !r.maintainer })
+	BoundsRows        = rowsWhere(func(r row) bool { return r.bounds })
+	CEARows           = rowsWhere(func(r row) bool { return !r.time && !r.maintainer && r.engine == core.CEA })
+	NoEnhancementRows = rowsWhere(func(r row) bool { return !r.time && !r.maintainer && r.noEnh })
+	TimeRows          = rowsWhere(func(r row) bool { return r.time })
+	MaintainerRows    = rowsWhere(func(r row) bool { return r.maintainer })
+)
+
+// SourceRows returns the source rows of the named sources, with every
+// engine, enhancement and bounds setting.
+func SourceRows(names ...string) Rows {
+	return rowsWhere(func(r row) bool { return !r.time && !r.maintainer && slices.Contains(names, sourceNames[r.source]) })
+}
+
+// Select picks the part of the lattice a check runs: rows × kinds. The
+// reference rows run whenever a source row is selected, since every source
+// row is compared with one.
+type Select struct {
+	Rows  Rows
+	Kinds Kinds
+}
+
+// any reports whether the selection holds a row of set.
+func (s Select) any(set Rows) bool { return s.Rows == 0 || s.Rows&set != 0 }
+
+// Generated is instance seed of the hard-case generator, its shape
+// cycling with the seed.
+func Generated(seed int64) *testnet.Instance {
+	in := testnet.Generate(seed, testnet.ShapeOf(seed))
+	in.Name = fmt.Sprintf("generated seed %d", seed)
+	return in
+}
+
+// Continuous is instance seed of the generator's continuous shape: costs
+// and fractions whose sums round differently in another order, so that a
+// mode that adds in another order than the reference shows.
+func Continuous(seed int64) *testnet.Instance {
+	shape := testnet.ShapeOf(seed)
+	shape.Continuous = true
+	in := testnet.Generate(seed, shape)
+	in.Name = fmt.Sprintf("continuous seed %d", seed)
+	return in
+}
+
+// Beyond is the first seed past those TestLattice checks. Sweep starts
+// there, so that the slices other packages' tests run add instances to the
+// lattice's rather than repeat them.
+const Beyond = 1000
+
+// Sweep checks against the selection the first n instances build makes
+// from seed Beyond on that keep accepts (nil accepts every instance).
+func Sweep(t testing.TB, n int, build func(seed int64) *testnet.Instance, keep func(*testnet.Instance) bool, sel Select) {
+	t.Helper()
+	for seed := int64(Beyond); n > 0; seed++ {
+		if in := build(seed); keep == nil || keep(in) {
+			Check(t, in, sel)
+			n--
+		}
+	}
+}
+
+// Large is the lattice's one large shape: a 250-node road network with 50
+// clustered facilities and continuous anti-correlated costs, d = 3, its
+// query parameters those the equivalence suites it replaces used.
+func Large(directed bool, seed int64) *testnet.Instance {
+	inst, err := gen.MakeInstance(gen.InstanceConfig{
+		Nodes: 250, Facilities: 50, Clusters: 3, D: 3, Queries: 4, Directed: directed, Seed: seed,
+	})
+	if err != nil {
+		panic(err)
+	}
+	g, loc := inst.Graph, inst.Queries[0]
+	// A budget wide enough to catch a handful of facilities.
+	radius := 1.0
+	if near := testnet.Nearest(g, loc, 0, 6); len(near) > 0 {
+		radius = near[len(near)-1].Score * 1.5
+	}
+	return &testnet.Instance{
+		Name:     fmt.Sprintf("large directed=%v seed=%d", directed, seed),
+		G:        g,
+		Loc:      loc,
+		Locs:     []graph.Location{inst.Queries[1], inst.Queries[3], loc},
+		CostIdx:  int(seed) % 3,
+		K:        4,
+		Agg:      vec.NewWeighted(1, 0.5, 0.25),
+		MultiAgg: vec.NewMax(1, 1, 2),
+		Budget:   vec.Of(radius, radius, radius),
+	}
+}
+
+// Named returns the hand-built instances: cases a mode once answered
+// wrongly, and the fixed networks of the suites the lattice replaced.
+func Named() []*testnet.Instance {
+	// Two components, a location in each: every facility is unreachable
+	// from one of them. Facility 1 = (2, +Inf) is dominated by facility
+	// 0 = (1, +Inf), whose second cost is closed to +Inf only when the
+	// search ends; a multi-source skyline must not report it.
+	b := graph.NewBuilder(1, false)
+	b.AddNodes(4)
+	a, c := b.AddEdge(0, 1, vec.Of(4)), b.AddEdge(2, 3, vec.Of(4))
+	b.AddFacility(a, 0.25)
+	b.AddFacility(a, 0.5)
+	b.AddFacility(c, 0.5)
+	split := &testnet.Instance{
+		Name: "multi-source across components", G: b.MustBuild(),
+		Loc: graph.Location{Edge: a}, Locs: []graph.Location{{Edge: a}, {Edge: c}},
+		K: 3, Agg: vec.NewWeighted(1), MultiAgg: vec.NewWeighted(1, 1), Budget: vec.Of(2),
+	}
+
+	// A component the query location cannot reach, without facilities:
+	// the maintainer script's first insert goes there, and no query may
+	// report the facility.
+	b = graph.NewBuilder(2, false)
+	b.AddNodes(5)
+	q := b.AddEdge(0, 1, vec.Of(1, 2))
+	b.AddFacility(b.AddEdge(1, 2, vec.Of(2, 1)), 0.5)
+	b.AddEdge(3, 4, vec.Of(1, 1))
+	island := &testnet.Instance{
+		Name: "insert into an unreachable component", G: b.MustBuild(),
+		Loc: graph.Location{Edge: q}, Locs: []graph.Location{{Edge: q}},
+		K: 3, Agg: vec.NewWeighted(1, 1), MultiAgg: vec.NewWeighted(1), Budget: vec.Of(3, 3),
+	}
+
+	out := []*testnet.Instance{split, island, DirectedFork()}
+	for _, directed := range []bool{false, true} {
+		// A diamond of equal-cost parallel paths plus a tail; two
+		// facilities at one fraction of one edge, one at each end of
+		// another, equal-cost facilities on distinct edges.
+		b := graph.NewBuilder(2, directed)
+		for i := 0; i < 6; i++ {
+			b.AddNode(float64(i), 0)
+		}
+		e01 := b.AddEdge(0, 1, vec.Of(1, 2))
+		b.AddEdge(0, 2, vec.Of(1, 2))
+		b.AddEdge(1, 3, vec.Of(1, 1))
+		b.AddEdge(2, 3, vec.Of(1, 1))
+		e34 := b.AddEdge(3, 4, vec.Of(2, 1))
+		e45 := b.AddEdge(4, 5, vec.Of(1, 1))
+		b.AddFacility(e01, 0.5)
+		b.AddFacility(e01, 0.5)
+		b.AddFacility(e34, 0)
+		b.AddFacility(e34, 1)
+		b.AddFacility(e45, 0.25)
+		loc := graph.Location{Edge: e01, T: 0.25}
+		out = append(out, &testnet.Instance{
+			Name: fmt.Sprintf("tie diamond directed=%v", directed), G: b.MustBuild(),
+			Loc: loc, Locs: []graph.Location{loc, {Edge: e45, T: 1}}, CostIdx: 1,
+			K: 3, Agg: vec.NewWeighted(1, 1), MultiAgg: vec.NewWeighted(1, 1), Budget: vec.Of(3, 4),
+		})
+	}
+	return out
+}
+
+// DirectedFork is a one-way path on which facility 0 is unreachable from
+// the second multi-source location, so its expansion ends without popping
+// it and the query must finalize: unknown costs become +Inf, and the
+// remaining candidates pin in a deterministic order.
+//
+//	0 →(1)→ 1[facility 0 at the end] →(2)→ 2 →(1)→ 3[facility 1 at the end]
+func DirectedFork() *testnet.Instance {
+	b := graph.NewBuilder(1, true)
+	for i := 0; i < 4; i++ {
+		b.AddNode(float64(i), 0)
+	}
+	e0 := b.AddEdge(0, 1, vec.Of(1))
+	b.AddEdge(1, 2, vec.Of(2))
+	e1 := b.AddEdge(2, 3, vec.Of(1))
+	b.AddFacility(e0, 1)
+	b.AddFacility(e1, 1)
+	return &testnet.Instance{
+		Name: "directed fork", G: b.MustBuild(),
+		Loc: graph.Location{Edge: e0}, Locs: []graph.Location{{Edge: e0}, {Edge: e1}},
+		K: 5, Agg: vec.NewWeighted(1), MultiAgg: vec.NewWeighted(1, 1), Budget: vec.Of(4),
+	}
+}
+
+// Legacy decodes the input encoding of core's three query fuzz targets —
+// topology size, extra edges, facility count, dimensionality, query
+// position and directedness — into the network and query location it has
+// always meant, so that their committed corpora replay on the lattice.
+// Their k, aggregate and budget arguments go through WithTopK and
+// WithBudget.
+func Legacy(seed int64, nodes, extra, facs, d, locBits uint8, directed bool) *testnet.Instance {
+	rng := rand.New(rand.NewSource(seed))
+	topo := gen.RandomConnected(2+int(nodes)%24, int(extra)%12, rng)
+	costs := gen.RandomIntegerCosts(topo, 1+int(d)%4, 3, rng)
+	pls := gen.UniformFacilities(topo, 1+int(facs)%12, rng)
+	g, err := gen.Assemble(topo, costs, pls, directed)
+	if err != nil {
+		panic(err)
+	}
+	loc := graph.Location{Edge: graph.EdgeID(int(locBits) % g.NumEdges()), T: float64(int(locBits)%8) / 8}
+	coef, budget := make([]float64, g.D()), make(vec.Costs, g.D())
+	for i := range coef {
+		coef[i], budget[i] = 1, 3
+	}
+	other := graph.Location{Edge: graph.EdgeID((int(locBits) * 7) % g.NumEdges()), T: 0.5}
+	return &testnet.Instance{
+		Name:     fmt.Sprintf("legacy fuzz (%d, %d, %d, %d, %d, %d, %v)", seed, nodes, extra, facs, d, locBits, directed),
+		G:        g,
+		Loc:      loc,
+		Locs:     []graph.Location{loc, other},
+		CostIdx:  int(locBits) % g.D(),
+		K:        1 + int(facs)%6,
+		Agg:      vec.NewWeighted(coef...),
+		MultiAgg: vec.NewWeighted(1, 2),
+		Budget:   budget,
+	}
+}
+
+// WithTopK sets the k and the integer-weight aggregate the legacy top-k
+// fuzz target drew from its kBits and aggBits arguments.
+func WithTopK(in *testnet.Instance, kBits, aggBits uint8) *testnet.Instance {
+	coef := make([]float64, in.G.D())
+	for i := range coef {
+		coef[i] = float64(1 + (int(aggBits)>>i)%3)
+	}
+	in.K, in.Agg = 1+int(kBits)%6, vec.NewWeighted(coef...)
+	return in
+}
+
+// WithBudget sets the integer budget the legacy within fuzz target drew
+// from its budBits argument.
+func WithBudget(in *testnet.Instance, budBits uint8) *testnet.Instance {
+	for i := range in.Budget {
+		in.Budget[i] = float64(1 + (int(budBits)+3*i)%12)
+	}
+	return in
+}
+
+// answer is one row's answer to one kind: the facilities in the order the
+// query returned them, and its work counters.
+type answer struct {
+	facs  []core.Facility
+	stats core.Stats
+}
+
+// sixMethods hides everything but the six expand.Source methods of what it
+// wraps — Sized, ZeroCopy, EdgeCoster.
+type sixMethods struct{ expand.Source }
+
+type source struct {
+	src    expand.Source
+	bounds *index.Bounds // in the source's own numbering
+}
+
+// openSources builds the sources of g that the selected rows run on, and
+// the reference MemorySource.
+func openSources(t testing.TB, g *graph.Graph, seed int64, sel Select) []source {
+	t.Helper()
+	idx := index.FromGraph(g)
+	var fs *flat.Source
+	var dev *storage.MemDevice
+	want := make([]bool, len(sourceNames))
+	want[0] = true
+	for i, r := range rows {
+		want[r.source] = want[r.source] || !r.time && sel.Rows.has(i)
+	}
+	out := make([]source, len(sourceNames))
+	for s, name := range sourceNames {
+		if !want[s] {
+			continue
+		}
+		switch {
+		case name == "mem":
+			out[s] = source{expand.NewMemorySource(g), idx}
+		case name == "flat/permuted":
+			pg := permuted(g, seed)
+			pfs := flat.Compile(pg)
+			out[s] = source{pfs, pfs.Bounds(index.FromGraph(pg))}
+		case strings.HasPrefix(name, "flat"):
+			if fs == nil {
+				fs = flat.Compile(g)
+			}
+			out[s] = source{fs, fs.Bounds(idx)}
+		default:
+			if dev == nil {
+				var err error
+				if dev, err = storage.BuildMem(g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			frac := 0.01
+			if name == "disk 100%" {
+				frac = 1
+			}
+			disk, err := storage.OpenOptions(dev, frac, storage.PoolOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[s] = source{disk, disk.Bounds()}
+		}
+		if strings.HasSuffix(name, "/wrapped") {
+			out[s].src = sixMethods{out[s].src}
+		}
+	}
+	return out
+}
+
+// permuted returns g with its nodes renumbered and placed at random; edge
+// and facility ids, and so every arc row's order, stay as they are.
+func permuted(g *graph.Graph, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	perm := rng.Perm(g.NumNodes()) // old id → new id
+	b := graph.NewBuilder(g.D(), g.Directed())
+	for range perm {
+		b.AddNode(rng.Float64(), rng.Float64())
+	}
+	for e := 0; e < g.NumEdges(); e++ {
+		ed := g.Edge(graph.EdgeID(e))
+		b.AddEdge(graph.NodeID(perm[ed.U]), graph.NodeID(perm[ed.V]), ed.W)
+	}
+	for f := 0; f < g.NumFacilities(); f++ {
+		fac := g.Facility(graph.FacilityID(f))
+		b.AddFacility(fac.Edge, fac.T)
+	}
+	return b.MustBuild()
+}
+
+// run answers kind k over src.
+func run(k Kind, src expand.Source, in *testnet.Instance, opt core.Options) (answer, error) {
+	var res *core.Result
+	var err error
+	switch k {
+	case Skyline:
+		// The progressive emissions must be the final facilities, in order.
+		var emitted []graph.FacilityID
+		opt.OnResult = func(f core.Facility) { emitted = append(emitted, f.ID) }
+		res, err = core.Skyline(src, in.Loc, opt)
+		if err == nil && !slices.Equal(emitted, res.IDs()) {
+			err = fmt.Errorf("emitted %v, returned %v", emitted, res.IDs())
+		}
+	case SkylineSeq:
+		var a answer
+		for f, err := range core.SkylineSeq(context.Background(), src, in.Loc, opt) {
+			if err != nil {
+				return answer{}, err
+			}
+			a.facs = append(a.facs, f)
+		}
+		return a, nil
+	case TopK:
+		res, err = core.TopK(src, in.Loc, in.Agg, in.K, opt)
+	case Drain:
+		it, err := core.NewTopKIterator(src, in.Loc, in.Agg, opt)
+		if err != nil {
+			return answer{}, err
+		}
+		defer it.Close()
+		var a answer
+		for {
+			f, ok, err := it.Next()
+			if err != nil {
+				return answer{}, err
+			}
+			if !ok {
+				break
+			}
+			a.facs = append(a.facs, f)
+		}
+		a.stats = it.Stats()
+		return a, nil
+	case Nearest:
+		res, err = core.Nearest(src, in.Loc, in.CostIdx, in.K, opt)
+	case Within:
+		res, err = core.Within(src, in.Loc, in.Budget, opt)
+	case MultiSkyline:
+		res, err = core.MultiSourceSkyline(src, in.CostIdx, in.Locs, opt)
+	case MultiTopK:
+		res, err = core.MultiSourceTopK(src, in.CostIdx, in.Locs, in.MultiAgg, in.K, opt)
+	case NaiveSkyline:
+		res, err = core.NaiveSkyline(src, in.Loc, opt)
+	case NaiveTopK:
+		res, err = core.NaiveTopK(src, in.Loc, in.Agg, in.K, opt)
+	}
+	if err != nil {
+		return answer{}, err
+	}
+	return answer{res.Facilities, res.Stats}, nil
+}
+
+// oracle holds the definitional answers of one instance, from the
+// brute-force reference computations of testnet.
+type oracle struct {
+	costs, msCosts []vec.Costs
+	sky, msSky     []graph.FacilityID
+	rank, msRank   []testnet.Ranked
+	near           []testnet.Ranked
+	within         []graph.FacilityID
+}
+
+func newOracle(g *graph.Graph, in *testnet.Instance) *oracle {
+	o := &oracle{costs: testnet.AllCosts(g, in.Loc), msCosts: testnet.MultiSourceCosts(g, in.CostIdx, in.Locs)}
+	o.sky, o.msSky = testnet.SkylineOf(o.costs), testnet.SkylineOf(o.msCosts)
+	o.rank, o.msRank = testnet.RankOf(o.costs, in.Agg), testnet.RankOf(o.msCosts, in.MultiAgg)
+	o.near = testnet.Nearest(g, in.Loc, in.CostIdx, g.NumFacilities())
+	o.within = testnet.Within(g, in.Loc, in.Budget)
+	return o
+}
+
+// check reports how a's answer to kind k departs from the definition, or
+// "".
+func (o *oracle) check(k Kind, in *testnet.Instance, a answer) string {
+	switch k {
+	case Skyline, SkylineSeq:
+		return checkSkyline(a.facs, o.costs, o.sky)
+	case MultiSkyline:
+		return checkSkyline(a.facs, o.msCosts, o.msSky)
+	case TopK, NaiveTopK:
+		return checkRanked(a.facs, o.rank, in.K, true, o.costs, -1)
+	case MultiTopK:
+		return checkRanked(a.facs, o.msRank, in.K, true, o.msCosts, -1)
+	case Drain:
+		return checkRanked(a.facs, o.rank, len(o.rank), false, o.costs, -1)
+	case Nearest:
+		return checkRanked(a.facs, o.near, in.K, false, o.costs, in.CostIdx)
+	case Within:
+		return checkSet(a.facs, o.within, o.costs)
+	case NaiveSkyline:
+		return checkSet(a.facs, o.sky, o.costs)
+	}
+	return ""
+}
+
+// near reports whether a computed cost or score equals the oracle's: the
+// same value, or within a relative 1e-9 of it where summation order may
+// round differently (only the continuous-cost shape has such costs).
+func near(got, want float64) bool {
+	return got == want || math.Abs(got-want) <= 1e-9*(1+math.Abs(want))
+}
+
+// checkCosts compares a reported cost vector with the oracle's: every
+// component known, except that only component only is when only ≥ 0 (a
+// nearest answer), or, when partial, any unknown component is allowed (a
+// skyline member reported before every expansion reached it).
+func checkCosts(f core.Facility, want vec.Costs, only int, partial bool) string {
+	if len(f.Costs) != len(want) {
+		return fmt.Sprintf("facility %d: %d costs, want %d", f.ID, len(f.Costs), len(want))
+	}
+	for i, c := range f.Costs {
+		switch {
+		case vec.IsUnknown(c) && (partial || (only >= 0 && i != only)):
+		case only >= 0 && i != only:
+			return fmt.Sprintf("facility %d: cost %d = %g, want it unknown", f.ID, i, c)
+		case !near(c, want[i]):
+			return fmt.Sprintf("facility %d: costs %v, oracle %v", f.ID, f.Costs, want)
+		}
+	}
+	return ""
+}
+
+// checkSkyline holds a progressive skyline to the documented tie rule:
+// every reported facility is in the exact skyline, none twice, and every
+// exact-skyline facility is reported or has a vector exactly equal to a
+// reported one's.
+func checkSkyline(got []core.Facility, costs []vec.Costs, sky []graph.FacilityID) string {
+	reported := map[graph.FacilityID]bool{}
+	for _, f := range got {
+		if reported[f.ID] {
+			return fmt.Sprintf("facility %d reported twice", f.ID)
+		}
+		reported[f.ID] = true
+		if !slices.Contains(sky, f.ID) {
+			return fmt.Sprintf("reported facility %d %v is not in the skyline %v", f.ID, costs[f.ID], sky)
+		}
+		if msg := checkCosts(f, costs[f.ID], -1, true); msg != "" {
+			return msg
+		}
+	}
+	for _, id := range sky {
+		if !reported[id] && !slices.ContainsFunc(got, func(f core.Facility) bool { return costs[f.ID].Equal(costs[id]) }) {
+			return fmt.Sprintf("skyline facility %d %v neither reported nor tied with a reported one (reported %v)",
+				id, costs[id], ids(got))
+		}
+	}
+	return ""
+}
+
+// checkRanked compares a ranking with the oracle's first k entries of
+// want: scores position by position, and ids position by position when
+// exact, or else only as far as a tie group may be reported in any order —
+// each id once, with the oracle's score for it.
+func checkRanked(got []core.Facility, want []testnet.Ranked, k int, exact bool, costs []vec.Costs, only int) string {
+	n := min(k, len(want))
+	if len(got) != n {
+		return fmt.Sprintf("%d results %v, want %d %v", len(got), ids(got), n, want[:n])
+	}
+	score := map[graph.FacilityID]float64{}
+	for _, r := range want {
+		score[r.ID] = r.Score
+	}
+	seen := map[graph.FacilityID]bool{}
+	for i, f := range got {
+		s, ok := score[f.ID]
+		switch {
+		case seen[f.ID]:
+			return fmt.Sprintf("facility %d reported twice", f.ID)
+		case !ok:
+			return fmt.Sprintf("facility %d is not reachable", f.ID)
+		case exact && f.ID != want[i].ID:
+			return fmt.Sprintf("result %d is facility %d, want %d (got %v, want %v)", i, f.ID, want[i].ID, ids(got), want[:n])
+		case !near(f.Score, want[i].Score) || !near(f.Score, s):
+			return fmt.Sprintf("result %d (facility %d) score %g, want %g", i, f.ID, f.Score, want[i].Score)
+		}
+		seen[f.ID] = true
+		if msg := checkCosts(f, costs[f.ID], only, false); msg != "" {
+			return msg
+		}
+	}
+	return ""
+}
+
+// checkSet compares an id-ordered answer with the oracle's set.
+func checkSet(got []core.Facility, want []graph.FacilityID, costs []vec.Costs) string {
+	if !slices.Equal(ids(got), want) {
+		return fmt.Sprintf("facilities %v, want %v", ids(got), want)
+	}
+	for _, f := range got {
+		if msg := checkCosts(f, costs[f.ID], -1, false); msg != "" {
+			return msg
+		}
+	}
+	return ""
+}
+
+func ids(fs []core.Facility) []graph.FacilityID {
+	out := make([]graph.FacilityID, len(fs))
+	for i, f := range fs {
+		out[i] = f.ID
+	}
+	return out
+}
+
+// same reports how got departs from want bit for bit — ids, order, cost
+// vectors and scores — or "".
+func same(got, want []core.Facility) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d facilities %v, want %d %v", len(got), ids(got), len(want), ids(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.ID != w.ID || !g.Costs.Equal(w.Costs) || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+			return fmt.Sprintf("result %d: facility %d %v score %g, want facility %d %v score %g",
+				i, g.ID, g.Costs, g.Score, w.ID, w.Costs, w.Score)
+		}
+	}
+	return ""
+}
+
+// Pruned counts the nodes the selected rows pruned, so that a caller can
+// tell a pruning comparison that compared nothing from one that did. A
+// reference row the selection does not hold counts nowhere.
+type Pruned struct {
+	Bounds int // source rows with bounds, under their source's own index
+	Own    int // time rows' within, under the network's own index
+	Shared int // time rows' within, under one index shared with the reference
+}
+
+// Check runs the selected part of the lattice on in and fails t on the
+// first answer that departs from the oracle, or from its reference row.
+// Every source row must answer as the MemorySource row under LSA with the
+// same enhancement and bounds settings does, bit for bit, work counters
+// included; the reference row with bounds must answer as the one without,
+// with the same work, except that within, the one kind that consults
+// bounds, may only expand fewer nodes.
+func Check(t testing.TB, in *testnet.Instance, sel Select) Pruned {
+	t.Helper()
+	// The instance's own seed, for the permuted numbering, the time
+	// profiles and the maintainer's update script.
+	seed := int64(in.G.NumEdges())*7919 + int64(in.G.NumFacilities())
+	o := newOracle(in.G, in)
+	srcs := openSources(t, in.G, seed, sel)
+	var pruned Pruned
+	for k := Kind(0); k < numKinds; k++ {
+		if !sel.Kinds.has(k) || !sel.any(EverySource) {
+			continue
+		}
+		var ref [2][2]answer // by noEnh, bounds
+		for i, r := range rows {
+			if r.time || r.maintainer || !r.reference() && !sel.Rows.has(i) {
+				continue
+			}
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("%v: %s: %v: %s", in, r.name, k, fmt.Sprintf(format, args...))
+			}
+			opt := core.Options{Engine: r.engine, NoEnhancements: r.noEnh}
+			if r.bounds {
+				opt.Bounds = srcs[r.source].bounds
+			}
+			a, err := run(k, srcs[r.source].src, in, opt)
+			if err != nil {
+				fail("%v", err)
+			}
+			if r.bounds && sel.Rows.has(i) {
+				pruned.Bounds += a.stats.PrunedNodes
+			}
+			if msg := o.check(k, in, a); msg != "" {
+				fail("oracle: %s", msg)
+			}
+			want := &ref[b2i(r.noEnh)][b2i(r.bounds)]
+			if r.reference() {
+				*want = a
+				if !r.bounds {
+					continue
+				}
+				// Compare with the reference row without bounds.
+				want = &ref[b2i(r.noEnh)][0]
+				if k == Within {
+					if a.stats.NodeExpansions > want.stats.NodeExpansions {
+						fail("%d node expansions with bounds > %d without", a.stats.NodeExpansions, want.stats.NodeExpansions)
+					}
+					a.stats = want.stats
+				}
+			}
+			if msg := same(a.facs, want.facs); msg != "" {
+				fail("differs from %s: %s", refName(r), msg)
+			}
+			if a.stats != want.stats {
+				fail("stats %+v, %s %+v", a.stats, refName(r), want.stats)
+			}
+		}
+	}
+	if sel.any(TimeRows) && slices.ContainsFunc(timeKinds, sel.Kinds.has) {
+		pruned.Own, pruned.Shared = checkTime(t, in, sel, seed)
+	}
+	if sel.any(MaintainerRows) && (sel.Kinds.has(Skyline) || sel.Kinds.has(TopK)) {
+		checkMaintainer(t, in, sel, srcs, seed)
+	}
+	return pruned
+}
+
+func refName(r row) string {
+	if r.reference() {
+		return "the reference row without bounds"
+	}
+	return "the reference row"
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// timeKinds are the kinds a time-dependent network answers at an instant.
+var timeKinds = []Kind{Skyline, TopK, Nearest, Within}
+
+// checkTime runs the time rows: a time-dependent network over in.G with a
+// few seeded profiles, queried before its first breakpoint, exactly on
+// every breakpoint and at a random instant, then again after an edit that
+// moves its time axis. At every instant each answer must equal the oracle
+// on the network's snapshot, and the answer of core over a MemorySource of
+// that snapshot, under LSA with the row's enhancement setting, bit for bit
+// with its work counters. Within, which prunes against the network's own
+// index by default, may only expand fewer nodes than that unpruned
+// reference; given one shared index, numbered for each path, it must do
+// the same work. checkTime returns the nodes within pruned under the
+// network's own index and under the shared one.
+func checkTime(t testing.TB, in *testnet.Instance, sel Select, seed int64) (own, shared int) {
+	t.Helper()
+	ctx := context.Background()
+	g := in.G
+	rng := rand.New(rand.NewSource(seed))
+	tn := timedep.New(g)
+	profiled := map[graph.EdgeID]timedep.Profile{}
+	edges := []graph.EdgeID{in.Loc.Edge, graph.EdgeID(rng.Intn(g.NumEdges())), graph.EdgeID(rng.Intn(g.NumEdges()))}
+	for _, e := range edges[rng.Intn(2):] {
+		var p timedep.Profile
+		for at := float64(rng.Intn(20)); len(p.Times) < 1+rng.Intn(3); at += float64(1 + rng.Intn(30)) {
+			m := make(vec.Costs, g.D())
+			for c := range m {
+				m[c] = []float64{0.5, 1, 2, 3}[rng.Intn(4)] // exact: ties survive
+			}
+			p.Times, p.Mult = append(p.Times, at), append(p.Mult, m)
+		}
+		if err := tn.SetProfile(e, p); err != nil {
+			t.Fatal(err)
+		}
+		profiled[e] = p
+	}
+	base := flat.Compile(g)
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			// Move the axis: shift one profile by half a unit.
+			e := slices.Min(slices.Collect(maps.Keys(profiled)))
+			moved := timedep.Profile{Mult: profiled[e].Mult}
+			for _, at := range profiled[e].Times {
+				moved.Times = append(moved.Times, at+0.5)
+			}
+			if err := tn.SetProfile(e, moved); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, at := range append([]float64{-5, rng.Float64() * 110}, tn.Breakpoints(0, 100)...) {
+			snap, err := tn.Snapshot(at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := newOracle(snap, in)
+			mem := expand.NewMemorySource(snap)
+			idx := index.FromGraph(snap)
+			for _, k := range timeKinds {
+				if !sel.Kinds.has(k) {
+					continue
+				}
+				var ref [2]*answer // by noEnh
+				for i, r := range rows {
+					if !r.time || !sel.Rows.has(i) {
+						continue
+					}
+					fail := func(format string, args ...any) {
+						t.Helper()
+						t.Fatalf("%v: %s t=%g: %v: %s", in, r.name, at, k, fmt.Sprintf(format, args...))
+					}
+					want := ref[b2i(r.noEnh)]
+					if want == nil {
+						a, err := run(k, mem, in, core.Options{NoEnhancements: r.noEnh})
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, ref[b2i(r.noEnh)] = &a, &a
+					}
+					opt := core.Options{Engine: r.engine, NoEnhancements: r.noEnh}
+					got, err := runAt(ctx, tn, k, in, at, opt)
+					if err != nil {
+						fail("%v", err)
+					}
+					if msg := o.check(k, in, got); msg != "" {
+						fail("oracle on the snapshot: %s", msg)
+					}
+					if msg := same(got.facs, want.facs); msg != "" {
+						fail("differs from the snapshot reference: %s", msg)
+					}
+					if k != Within {
+						if got.stats != want.stats {
+							fail("stats %+v, snapshot reference %+v", got.stats, want.stats)
+						}
+						continue
+					}
+					if got.stats.NodeExpansions > want.stats.NodeExpansions {
+						fail("%d node expansions > unpruned %d", got.stats.NodeExpansions, want.stats.NodeExpansions)
+					}
+					own += got.stats.PrunedNodes
+					sharedWant, err := run(k, mem, in, core.Options{NoEnhancements: r.noEnh, Bounds: idx})
+					if err != nil {
+						t.Fatal(err)
+					}
+					opt.Bounds = base.Bounds(idx)
+					sharedGot, err := runAt(ctx, tn, k, in, at, opt)
+					if err != nil {
+						fail("%v", err)
+					}
+					if msg := same(sharedGot.facs, sharedWant.facs); msg != "" || sharedGot.stats != sharedWant.stats {
+						fail("under one shared index: %s; stats %+v, want %+v", msg, sharedGot.stats, sharedWant.stats)
+					}
+					shared += sharedGot.stats.PrunedNodes
+				}
+			}
+		}
+	}
+	return own, shared
+}
+
+// runAt answers kind k on the time-dependent network at instant at.
+func runAt(ctx context.Context, tn *timedep.Network, k Kind, in *testnet.Instance, at float64, opt core.Options) (answer, error) {
+	var res *core.Result
+	var err error
+	switch k {
+	case Skyline:
+		res, err = tn.SkylineAt(ctx, in.Loc, at, opt)
+	case TopK:
+		res, err = tn.TopKAt(ctx, in.Loc, in.Agg, in.K, at, opt)
+	case Nearest:
+		res, err = tn.NearestAt(ctx, in.Loc, in.CostIdx, in.K, at, opt)
+	case Within:
+		res, err = tn.WithinAt(ctx, in.Loc, in.Budget, at, opt)
+	default:
+		return answer{}, fmt.Errorf("no time-dependent %v query", k)
+	}
+	if err != nil {
+		return answer{}, err
+	}
+	return answer{res.Facilities, res.Stats}, nil
+}
+
+// site is where a maintained facility lies.
+type site struct {
+	edge graph.EdgeID
+	t    float64
+}
+
+// checkMaintainer runs the maintainer rows: a dynamic.Maintainer built over
+// each source, then driven through one seeded insert/delete script — its
+// first insert on an edge the query location cannot reach, if there is
+// one, and a third of the others on the query edge. After every step each
+// entry must equal the oracle's vector on the graph rebuilt with the live
+// facilities, Skyline and TopK must equal the oracle's answers there (the
+// +Inf-throughout entry of an unreachable insert is in neither), and every
+// source must answer as the MemorySource one does, bit for bit.
+func checkMaintainer(t testing.TB, in *testnet.Instance, sel Select, srcs []source, seed int64) {
+	t.Helper()
+	g, loc := in.G, in.Loc
+	reach := testnet.NodeCosts(g, loc, 0)
+	var unreachable []graph.EdgeID
+	for e := 0; e < g.NumEdges(); e++ {
+		ed := g.Edge(graph.EdgeID(e))
+		if graph.EdgeID(e) != loc.Edge && math.IsInf(reach[ed.U], 1) && (g.Directed() || math.IsInf(reach[ed.V], 1)) {
+			unreachable = append(unreachable, graph.EdgeID(e))
+		}
+	}
+	costs := testnet.AllCosts(g, loc)
+	var refTrace []string
+	for i, r := range rows {
+		if !r.maintainer || r.source > 0 && !sel.Rows.has(i) {
+			continue
+		}
+		label := fmt.Sprintf("%v: %s", in, r.name)
+		m, err := dynamic.New(srcs[r.source].src, loc, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		live := map[dynamic.Handle]site{}
+		for p := 0; p < g.NumFacilities(); p++ {
+			e, ok := m.Entry(dynamic.Handle(p))
+			if want := !allInf(costs[p]); ok != want {
+				t.Fatalf("%s: facility %d maintained=%v, reachable=%v", label, p, ok, want)
+			}
+			if ok {
+				live[e.Handle] = site{e.Edge, e.T}
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var trace []string
+		for step := 0; step < 8; step++ {
+			if (step > 0 || len(unreachable) == 0) && len(live) > 0 && rng.Intn(3) == 0 {
+				hs := slices.Sorted(maps.Keys(live))
+				h := hs[rng.Intn(len(hs))]
+				if err := m.Delete(h); err != nil {
+					t.Fatal(err)
+				}
+				delete(live, h)
+			} else {
+				at := site{graph.EdgeID(rng.Intn(g.NumEdges())), []float64{0, 0.5, 1}[rng.Intn(3)]}
+				switch {
+				case step == 0 && len(unreachable) > 0:
+					at.edge = unreachable[rng.Intn(len(unreachable))]
+				case rng.Intn(3) == 0:
+					at.edge = loc.Edge
+				}
+				h, err := m.Insert(at.edge, at.t)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live[h] = at
+			}
+			trace = append(trace, verifyMaintainer(t, fmt.Sprintf("%s step %d", label, step), in, m, live))
+		}
+		if r.source == 0 {
+			refTrace = trace
+		} else if !slices.Equal(trace, refTrace) {
+			t.Fatalf("%s: answers differ from the MemorySource maintainer's:\n%v\nwant\n%v", label, trace, refTrace)
+		}
+	}
+}
+
+func allInf(c vec.Costs) bool {
+	return !slices.ContainsFunc(c, func(v float64) bool { return !math.IsInf(v, 1) })
+}
+
+// verifyMaintainer checks m against the oracle on the graph rebuilt with
+// the live facilities and returns its answers, with every cost's bits, for
+// the comparison across sources.
+func verifyMaintainer(t testing.TB, label string, in *testnet.Instance, m *dynamic.Maintainer, live map[dynamic.Handle]site) string {
+	t.Helper()
+	hs := slices.Sorted(maps.Keys(live))
+	edges := make([]graph.EdgeID, len(hs))
+	ts := make([]float64, len(hs))
+	for i, h := range hs {
+		edges[i], ts[i] = live[h].edge, live[h].t
+	}
+	costs := testnet.AllCosts(testnet.WithFacilities(in.G, edges, ts), in.Loc)
+	out := "entries:"
+	for i, h := range hs {
+		e, ok := m.Entry(h)
+		if !ok || e.Edge != edges[i] || e.T != ts[i] {
+			t.Fatalf("%s: entry %d = %+v, %v; want edge %d t %g", label, h, e, ok, edges[i], ts[i])
+		}
+		if msg := checkCosts(core.Facility{ID: graph.FacilityID(h), Costs: e.Costs}, costs[i], -1, false); msg != "" {
+			t.Fatalf("%s: entry against the rebuild: %s", label, msg)
+		}
+		out += fmt.Sprintf(" %d%x", h, bits(e.Costs))
+	}
+	pos := func(h dynamic.Handle) graph.FacilityID {
+		i, _ := slices.BinarySearch(hs, h)
+		return graph.FacilityID(i)
+	}
+	var sky []graph.FacilityID
+	for _, e := range m.Skyline() {
+		sky = append(sky, pos(e.Handle))
+	}
+	if want := testnet.SkylineOf(costs); !slices.Equal(sky, want) {
+		t.Fatalf("%s: skyline %v, oracle on the rebuild %v (live %v)", label, sky, want, hs)
+	}
+	out += fmt.Sprintf(" skyline %v", sky)
+	rank := testnet.RankOf(costs, in.Agg)
+	for _, k := range []int{in.K, len(hs) + 2} {
+		es, scores, err := m.TopK(in.Agg, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rank[:min(k, len(rank))]
+		if len(es) != len(want) || len(scores) != len(want) {
+			t.Fatalf("%s: top-%d has %d entries, oracle on the rebuild %v", label, k, len(es), want)
+		}
+		for i, e := range es {
+			if pos(e.Handle) != want[i].ID || !near(scores[i], want[i].Score) {
+				t.Fatalf("%s: top-%d result %d is %d (score %g), oracle on the rebuild %v", label, k, i, e.Handle, scores[i], want)
+			}
+			out += fmt.Sprintf(" %d:%x", e.Handle, math.Float64bits(scores[i]))
+		}
+	}
+	return out
+}
+
+func bits(c vec.Costs) []uint64 {
+	out := make([]uint64, len(c))
+	for i, v := range c {
+		out[i] = math.Float64bits(v)
+	}
+	return out
+}

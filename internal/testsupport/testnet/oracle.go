@@ -1,8 +1,9 @@
 // Package testnet provides slow, obviously-correct reference computations
-// used as oracles by tests of the expansion engine and the query algorithms.
-// Everything here is deliberately implemented with different techniques than
+// used as oracles by tests of the expansion engine and the query algorithms,
+// and the generator of the hard-case instances they run on (Generate).
+// Every oracle is deliberately implemented with different techniques than
 // the production code (Bellman-Ford relaxation instead of Dijkstra, O(n²)
-// skyline scans) so that agreement is meaningful.
+// skyline scans, sorted rankings) so that agreement is meaningful.
 package testnet
 
 import (
@@ -90,13 +91,19 @@ func AllCosts(g *graph.Graph, loc graph.Location) []vec.Costs {
 }
 
 // Skyline returns the exact MCN skyline facility ids (sorted) by an O(n²)
-// scan over the oracle cost vectors. Facilities unreachable under every cost
-// type are excluded (their vectors are all +Inf and dominate nothing, but
-// reporting them as "preferred" would be meaningless); facilities
-// unreachable under some cost types participate normally, matching the
-// production semantics.
+// scan over the oracle cost vectors (see SkylineOf).
 func Skyline(g *graph.Graph, loc graph.Location) []graph.FacilityID {
-	costs := AllCosts(g, loc)
+	return SkylineOf(AllCosts(g, loc))
+}
+
+// SkylineOf returns, sorted, the indices of costs that no other vector
+// dominates. Vectors that are +Inf throughout are excluded (they dominate
+// nothing, but reporting them as "preferred" would be meaningless, and no
+// network expansion can discover them); vectors +Inf in some components
+// participate normally, matching the production semantics. Exact
+// duplicates are all kept: which of them a progressive skyline reports is
+// its documented tie rule, not the definition's.
+func SkylineOf(costs []vec.Costs) []graph.FacilityID {
 	var out []graph.FacilityID
 	for p := range costs {
 		if allInf(costs[p]) {
@@ -113,7 +120,6 @@ func Skyline(g *graph.Graph, loc graph.Location) []graph.FacilityID {
 			out = append(out, graph.FacilityID(p))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -126,25 +132,78 @@ func allInf(c vec.Costs) bool {
 	return true
 }
 
-// TopKScores returns the k smallest aggregate scores (sorted ascending,
-// including ties resolved by score only) over all facilities reachable under
-// at least one cost type; facilities reachable under none cannot be
-// discovered by network expansion and are excluded, matching the production
-// semantics. Comparing score multisets rather than facility ids makes the
-// oracle insensitive to arbitrary tie resolution, which the paper explicitly
-// allows.
-func TopKScores(g *graph.Graph, loc graph.Location, f vec.Aggregate, k int) []float64 {
-	costs := AllCosts(g, loc)
-	scores := make([]float64, 0, len(costs))
-	for p := range costs {
-		if allInf(costs[p]) {
-			continue
+// Ranked is one entry of a ranking oracle: a facility and its score.
+type Ranked struct {
+	ID    graph.FacilityID
+	Score float64
+}
+
+// RankOf returns every facility whose vector is finite in at least one
+// component, in ascending (score, id) order. Facilities reachable under no
+// cost type cannot be discovered by network expansion and are excluded,
+// matching the production semantics. Its first k entries are the top-k
+// answer, whose tie rule is the id; the whole of it is what a drained
+// incremental top-k query enumerates (which may report a tie group in any
+// order).
+func RankOf(costs []vec.Costs, agg vec.Aggregate) []Ranked {
+	var out []Ranked
+	for p, c := range costs {
+		if !allInf(c) {
+			out = append(out, Ranked{ID: graph.FacilityID(p), Score: agg.Score(c)})
 		}
-		scores = append(scores, f.Score(costs[p]))
 	}
-	sort.Float64s(scores)
-	if k > len(scores) {
-		k = len(scores)
+	sortRanked(out)
+	return out
+}
+
+func sortRanked(r []Ranked) {
+	sort.Slice(r, func(i, j int) bool {
+		if r[i].Score != r[j].Score {
+			return r[i].Score < r[j].Score
+		}
+		return r[i].ID < r[j].ID
+	})
+}
+
+// Nearest returns the k facilities closest to loc under cost type costIdx,
+// by ascending (cost, id), over those reachable under it. The score is the
+// cost (ids break ties here; a nearest-neighbour query may report a tie
+// group in any order).
+func Nearest(g *graph.Graph, loc graph.Location, costIdx, k int) []Ranked {
+	var out []Ranked
+	for p, c := range FacilityCosts(g, loc, costIdx) {
+		if !math.IsInf(c, 1) {
+			out = append(out, Ranked{ID: graph.FacilityID(p), Score: c})
+		}
 	}
-	return scores[:k]
+	sortRanked(out)
+	return out[:min(k, len(out))]
+}
+
+// Within returns, sorted, the facilities whose whole cost vector fits the
+// budget component-wise.
+func Within(g *graph.Graph, loc graph.Location, budget vec.Costs) []graph.FacilityID {
+	var out []graph.FacilityID
+	for p, c := range AllCosts(g, loc) {
+		if c.WeaklyDominates(budget) {
+			out = append(out, graph.FacilityID(p))
+		}
+	}
+	return out
+}
+
+// MultiSourceCosts returns, for every facility, the vector of its cost
+// under costIdx from each of locs: the vectors a multi-source skyline or
+// top-k query judges facilities by.
+func MultiSourceCosts(g *graph.Graph, costIdx int, locs []graph.Location) []vec.Costs {
+	out := make([]vec.Costs, g.NumFacilities())
+	for p := range out {
+		out[p] = make(vec.Costs, len(locs))
+	}
+	for i, loc := range locs {
+		for p, c := range FacilityCosts(g, loc, costIdx) {
+			out[p][i] = c
+		}
+	}
+	return out
 }

@@ -2,25 +2,22 @@ package timedep
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"mcn/internal/core"
 	"mcn/internal/expand"
-	"mcn/internal/gen"
 	"mcn/internal/graph"
-	"mcn/internal/index"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 
-// The time-dependent equivalence suite, mirroring internal/flat's: for
-// seeded random networks with small integer costs and profile multipliers
-// in {0.5, 1, 2, 3} — so exact cost ties survive scaling — every query
-// family must return byte-identical results over the compiled overlay as
-// over the reference Snapshot + MemorySource path, at random instants,
-// exactly on interval boundaries, and over whole periods.
+// The time-dependent period suite: for seeded random networks with small
+// integer costs and profile multipliers in {0.5, 1, 2, 3} — so exact cost
+// ties survive scaling — sweeps over whole periods must return
+// byte-identical results over the compiled overlay as over the reference
+// Snapshot + MemorySource path. Queries at an instant are the time rows of
+// the differential lattice (internal/testsupport/lattice).
 
 func sameFacilities(t *testing.T, label string, got, want []core.Facility) {
 	t.Helper()
@@ -50,28 +47,17 @@ func sameResult(t *testing.T, label string, got, want *core.Result) {
 	}
 }
 
-// randomProfiled builds a random integer-cost network with profiles on a
-// few edges, multipliers drawn from {0.5, 1, 2, 3} (below and above 1, all
-// exact in binary), and returns it with its query locations.
+// randomProfiled takes a 200-node network from testnet's hard-case
+// generator (d = 3, integer costs), profiles a few of its edges with
+// multipliers drawn from {0.5, 1, 2, 3} (below and above 1, all exact in
+// binary), and returns it with the generator's query locations.
 func randomProfiled(t *testing.T, directed bool, seed int64) (*Network, []graph.Location) {
 	t.Helper()
-	inst, err := gen.MakeInstance(gen.InstanceConfig{
-		Nodes:        200,
-		Facilities:   40,
-		Clusters:     3,
-		D:            3,
-		Queries:      3,
-		Directed:     directed,
-		Seed:         seed,
-		IntegerCosts: 3, // [1,3] integer costs: exact ties everywhere
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := New(inst.Graph)
+	inst := testnet.Generate(seed, testnet.Shape{D: 3, Directed: directed, Nodes: 200})
+	n := New(inst.G)
 	rng := rand.New(rand.NewSource(seed * 31))
 	for i := 0; i < 4; i++ {
-		e := graph.EdgeID(rng.Intn(inst.Graph.NumEdges()))
+		e := graph.EdgeID(rng.Intn(inst.G.NumEdges()))
 		nb := 1 + rng.Intn(3)
 		times := make([]float64, 0, nb)
 		at := rng.Float64() * 30
@@ -81,7 +67,7 @@ func randomProfiled(t *testing.T, directed bool, seed int64) (*Network, []graph.
 		}
 		mult := make([]vec.Costs, nb)
 		for j := range mult {
-			m := make(vec.Costs, inst.Graph.D())
+			m := make(vec.Costs, inst.G.D())
 			for c := range m {
 				m[c] = []float64{0.5, 1, 2, 3}[rng.Intn(4)] // exact: ties survive
 			}
@@ -91,157 +77,7 @@ func randomProfiled(t *testing.T, directed bool, seed int64) (*Network, []graph.
 			t.Fatal(err)
 		}
 	}
-	return n, inst.Queries
-}
-
-// probeInstants covers the time axis: before the first breakpoint, exactly
-// on every breakpoint, and random interior instants.
-func probeInstants(n *Network, rng *rand.Rand) []float64 {
-	out := []float64{-5}
-	breaks := n.Breakpoints(0, 100)
-	out = append(out, breaks...)
-	for i := 0; i < 5; i++ {
-		out = append(out, rng.Float64()*110)
-	}
-	return out
-}
-
-func TestOverlayEquivalenceInstant(t *testing.T) {
-	for _, directed := range []bool{false, true} {
-		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("directed=%v/seed=%d", directed, seed), func(t *testing.T) {
-				n, locs := randomProfiled(t, directed, seed)
-				g := n.Base()
-				rng := rand.New(rand.NewSource(seed * 7))
-				agg := vec.NewWeighted(1, 0.5, 0.25)
-				prunedNodes, sharedPruned := 0, 0
-
-				// The second pass reads after an axis-moving edit, at every
-				// interval start of the new axis.
-				for pass := 0; pass < 2; pass++ {
-					if pass == 1 {
-						moveAxis(t, n)
-					}
-					for _, at := range probeInstants(n, rng) {
-						snap, err := n.Snapshot(at)
-						if err != nil {
-							t.Fatal(err)
-						}
-						ref := expand.NewMemorySource(snap)
-						// One index, numbered once for each path's source.
-						shared := index.FromGraph(snap)
-						sharedFlat := n.ov.Base().Bounds(shared)
-						for qi, loc := range locs {
-							// Budget wide enough to catch a handful of facilities,
-							// derived from the reference path only.
-							budget := make(vec.Costs, g.D())
-							probe, err := core.Nearest(ref, loc, 0, 6, core.Options{})
-							if err != nil {
-								t.Fatal(err)
-							}
-							radius := 1.0
-							if k := len(probe.Facilities); k > 0 {
-								radius = probe.Facilities[k-1].Score * 1.5
-							}
-							for i := range budget {
-								budget[i] = radius
-							}
-
-							type query struct {
-								name    string
-								ref     func(core.Options) (*core.Result, error)
-								overlay func(core.Options) (*core.Result, error)
-							}
-							queries := []query{
-								{"skyline",
-									func(o core.Options) (*core.Result, error) { return core.Skyline(ref, loc, o) },
-									func(o core.Options) (*core.Result, error) { return n.SkylineAt(ctx, loc, at, o) }},
-								{"topk",
-									func(o core.Options) (*core.Result, error) { return core.TopK(ref, loc, agg, 4, o) },
-									func(o core.Options) (*core.Result, error) { return n.TopKAt(ctx, loc, agg, 4, at, o) }},
-								{"nearest",
-									func(o core.Options) (*core.Result, error) { return core.Nearest(ref, loc, qi%g.D(), 5, o) },
-									func(o core.Options) (*core.Result, error) { return n.NearestAt(ctx, loc, qi%g.D(), 5, at, o) }},
-								{"within",
-									func(o core.Options) (*core.Result, error) { return core.Within(ref, loc, budget, o) },
-									func(o core.Options) (*core.Result, error) { return n.WithinAt(ctx, loc, budget, at, o) }},
-							}
-							for _, q := range queries {
-								want, err := q.ref(core.Options{Engine: core.LSA})
-								if err != nil {
-									t.Fatalf("t=%g q%d %s reference: %v", at, qi, q.name, err)
-								}
-								for _, eng := range []core.Engine{core.LSA, core.CEA} {
-									label := fmt.Sprintf("t=%g q%d %s overlay/%v", at, qi, q.name, eng)
-									got, err := q.overlay(core.Options{Engine: eng})
-									if err != nil {
-										t.Fatalf("%s: %v", label, err)
-									}
-									if q.name != "within" {
-										// Skyline, top-k and nearest ignore the
-										// network's index: full Stats must match.
-										sameResult(t, label, got, want)
-										continue
-									}
-									// The *At default prunes against the network's
-									// one index: facilities stay byte-identical to
-									// the unpruned reference, only the work shrinks.
-									sameFacilities(t, label, got.Facilities, want.Facilities)
-									if got.Stats.NodeExpansions > want.Stats.NodeExpansions {
-										t.Errorf("%s: %d node expansions > unpruned %d",
-											label, got.Stats.NodeExpansions, want.Stats.NodeExpansions)
-									}
-									prunedNodes += got.Stats.PrunedNodes
-									// Under one shared explicit index both paths
-									// must do the same work, full Stats included.
-									sharedWant, err := q.ref(core.Options{Engine: core.LSA, Bounds: shared})
-									if err != nil {
-										t.Fatalf("%s reference/bounds: %v", label, err)
-									}
-									sharedGot, err := q.overlay(core.Options{Engine: eng, Bounds: sharedFlat})
-									if err != nil {
-										t.Fatalf("%s/bounds: %v", label, err)
-									}
-									sameResult(t, label+"/bounds", sharedGot, sharedWant)
-									sharedPruned += sharedGot.Stats.PrunedNodes
-								}
-							}
-						}
-					}
-				}
-				if prunedNodes == 0 {
-					t.Error("pruning never fired across any instant query; the network's index is not being attached")
-				}
-				if sharedPruned == 0 {
-					t.Error("the shared explicit index never pruned; its Stats comparison is vacuous")
-				}
-			})
-		}
-	}
-}
-
-// moveAxis is an axis-moving edit between reads: the lowest profiled edge's
-// profile shifts by half a unit and its first multiplier drops to 0.5, so
-// the edit retires instants, adds others and lowers a floor. Every interval
-// start of the new axis is among probeInstants' breakpoints.
-func moveAxis(t *testing.T, n *Network) {
-	t.Helper()
-	before := n.cur.Load()
-	e := slices.Min(slices.Collect(maps.Keys(before.profiles)))
-	p := before.profiles[e]
-	moved := Profile{Mult: append([]vec.Costs{vec.New(n.Base().D())}, p.Mult[1:]...)}
-	for i := range moved.Mult[0] {
-		moved.Mult[0][i] = 0.5
-	}
-	for _, at := range p.Times {
-		moved.Times = append(moved.Times, at+0.5)
-	}
-	if err := n.SetProfile(e, moved); err != nil {
-		t.Fatal(err)
-	}
-	if slices.Equal(n.cur.Load().times, before.times) {
-		t.Fatal("the edit kept the axis; the pass needs one that moves it")
-	}
+	return n, append([]graph.Location{inst.Loc}, inst.Locs...)
 }
 
 // refOverPeriod is the pre-overlay implementation, kept as the oracle: one
