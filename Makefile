@@ -93,12 +93,13 @@ profile:
 	$(GO) test -run '^$$' -bench BenchmarkFlatQuery -benchtime 1024x \
 		-cpuprofile cpu.prof -memprofile mem.prof ./internal/flat
 
-# CPU+heap profiles of disk-resident skylines: BenchmarkDiskSkyline, the disk
-# rows of `make benchmem` (CEA and LSA behind a 1 % buffer pool), where
-# B+-tree descents, page misses and record decoding show beside expansion;
-# inspect with `go tool pprof cpu-disk.prof` / `go tool pprof mem-disk.prof`.
+# CPU+heap profiles of disk-resident skylines: BenchmarkDiskSkyline's file
+# rows (CEA and LSA over a database file opened as mcn.OpenDatabase opens it,
+# behind a 1 % buffer pool), where B+-tree descents, page misses and record
+# decoding show beside expansion; inspect with `go tool pprof cpu-disk.prof`
+# / `go tool pprof mem-disk.prof`.
 profile-disk:
-	$(GO) test -run '^$$' -bench BenchmarkDiskSkyline -benchtime 2048x \
+	$(GO) test -run '^$$' -bench 'BenchmarkDiskSkyline/file/' -benchtime 2048x \
 		-cpuprofile cpu-disk.prof -memprofile mem-disk.prof .
 
 # CPU+heap profiles of database builds: BenchmarkCreateDatabase, the sf25

@@ -68,10 +68,10 @@ func baseWorkload(b *testing.B) bench.Workload {
 	return cfg.DefaultWorkload()
 }
 
-// runSkyline benchmarks one engine over a dataset.
-func runSkylineBench(b *testing.B, ds *bench.Dataset, buffer float64, engine core.Engine) {
+// runSkylineBench benchmarks one engine over a dataset's database on dev.
+func runSkylineBench(b *testing.B, dev storage.Device, ds *bench.Dataset, buffer float64, engine core.Engine) {
 	b.Helper()
-	net, err := storage.OpenOptions(ds.Dev, buffer, storage.PoolOptions{})
+	net, err := storage.OpenOptions(dev, buffer, storage.PoolOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func BenchmarkFig08a(b *testing.B) {
 		ds := dataset(b, fmt.Sprintf("fig8a-%d", p), w)
 		for _, e := range engines() {
 			b.Run(fmt.Sprintf("P=%dK/%v", p/1000, e), func(b *testing.B) {
-				runSkylineBench(b, ds, w.Buffer, e)
+				runSkylineBench(b, ds.Dev, ds, w.Buffer, e)
 			})
 		}
 	}
@@ -129,7 +129,7 @@ func BenchmarkFig08b(b *testing.B) {
 		ds := dataset(b, fmt.Sprintf("fig8b-%d", d), w)
 		for _, e := range engines() {
 			b.Run(fmt.Sprintf("d=%d/%v", d, e), func(b *testing.B) {
-				runSkylineBench(b, ds, w.Buffer, e)
+				runSkylineBench(b, ds.Dev, ds, w.Buffer, e)
 			})
 		}
 	}
@@ -143,7 +143,7 @@ func BenchmarkFig09a(b *testing.B) {
 		ds := dataset(b, "fig9a-"+dist.String(), w)
 		for _, e := range engines() {
 			b.Run(fmt.Sprintf("%v/%v", dist, e), func(b *testing.B) {
-				runSkylineBench(b, ds, w.Buffer, e)
+				runSkylineBench(b, ds.Dev, ds, w.Buffer, e)
 			})
 		}
 	}
@@ -156,7 +156,7 @@ func BenchmarkFig09b(b *testing.B) {
 	for _, buf := range []float64{0, 0.01, 0.02} {
 		for _, e := range engines() {
 			b.Run(fmt.Sprintf("buffer=%.1f%%/%v", buf*100, e), func(b *testing.B) {
-				runSkylineBench(b, ds, buf, e)
+				runSkylineBench(b, ds.Dev, ds, buf, e)
 			})
 		}
 	}
@@ -283,15 +283,40 @@ func BenchmarkBaselineSkyline(b *testing.B) {
 // BenchmarkDiskSkyline: the disk rows of `make benchmem` — skylines over the
 // default dataset behind a 1 % buffer pool, where nearly every page access is
 // a miss: CEA through its record memo, LSA decoding each record straight into
-// its expansions' buffers.
+// its expansions' buffers. The cea and lsa rows read the database from a
+// MemDevice, whose pages the pool verifies on every miss; the file rows read
+// the same database as a file opened with OpenFileDevice, as mcn.OpenDatabase
+// does, whose pages it verifies once per open.
 func BenchmarkDiskSkyline(b *testing.B) {
 	ds := dataset(b, "fig9b", baseWorkload(b))
+	file := fileDevice(b, ds.Dev)
 	for _, tc := range []struct {
 		name   string
+		dev    storage.Device
 		engine core.Engine
-	}{{"cea", core.CEA}, {"lsa", core.LSA}} {
-		b.Run(tc.name, func(b *testing.B) { runSkylineBench(b, ds, 0.01, tc.engine) })
+	}{{"cea", ds.Dev, core.CEA}, {"lsa", ds.Dev, core.LSA}, {"file/cea", file, core.CEA}, {"file/lsa", file, core.LSA}} {
+		b.Run(tc.name, func(b *testing.B) { runSkylineBench(b, tc.dev, ds, 0.01, tc.engine) })
 	}
+}
+
+// fileDevice writes the pages of dev to a file and opens it read-only.
+func fileDevice(b *testing.B, dev *storage.MemDevice) *storage.FileDevice {
+	img := make([]byte, dev.NumPages()*storage.PageSize)
+	for id := 0; id < dev.NumPages(); id++ {
+		if err := dev.ReadPage(storage.PageID(id), img[id*storage.PageSize:]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	path := filepath.Join(b.TempDir(), "db.mcn")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	f, err := storage.OpenFileDevice(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { f.Close() })
+	return f
 }
 
 // BenchmarkBatchSkyline: concurrent skyline throughput through the batch

@@ -114,7 +114,9 @@ type PoolOptions struct {
 // Misses are coalesced per page (singleflight): when several queries want
 // the same cold page at once, one of them reads the device and the rest wait
 // for that read, so a popular page costs one physical read per eviction
-// rather than one per waiting query.
+// rather than one per waiting query. The page being read is mapped in the
+// table to the claimed frame it is read into, and that is where the others
+// find the read to wait for.
 type BufferPool struct {
 	dev    Device
 	cap    int
@@ -123,12 +125,17 @@ type BufferPool struct {
 	// sums, when set (OpenWithPool loads it from the database's checksum
 	// table), holds the CRC-32C of every covered page, indexed by page id; a
 	// freshly read page that disagrees is classified like a transient device
-	// error and retried.
-	sums []uint32
-	// table maps each cached page id to its frame. Entries change only under
-	// mu; CLOCK hits read them without it. It covers the pages the device
-	// held when the pool was made (the database is read-only); a page beyond
-	// them is read like an uncached one.
+	// error and retried. A page is verified on every read, except on a
+	// FileDevice, whose bytes are not rewritten while it is open: there the
+	// verified bitset, indexed like sums, marks each page that has passed in
+	// this open, and a marked page is not verified again.
+	sums     []uint32
+	verified []atomic.Uint64
+	// table maps each cached page id to its frame, and each page being read
+	// to the claimed frame it is read into. Entries change only under mu;
+	// CLOCK hits read them without it. It covers the pages the device held
+	// when the pool was made (the database is read-only); a page beyond them
+	// is read like an uncached one.
 	table []atomic.Pointer[Frame]
 
 	logical   atomic.Int64
@@ -144,10 +151,6 @@ type BufferPool struct {
 	checksumErrs  atomic.Int64
 
 	mu sync.Mutex
-	// inflight maps the pages being read to the frame their leader is
-	// filling. Every frame on the ring is either cached or claimed by the
-	// leader reading into it.
-	inflight map[PageID]*Frame
 	// free holds claimed frames that carry no page (after Drop or a failed
 	// read); nframes counts the frames allocated so far, at most cap.
 	free    []*Frame
@@ -171,10 +174,11 @@ type Frame struct {
 	// tryPin, which refuses a claimed frame, and Release lock-free; the pool
 	// claims only unpinned frames (0 → −1) and only under its lock, and a
 	// frame stays claimed while it is filled, so no reader can pin a
-	// half-read page through a stale table entry.
+	// half-read page through the table or a stale pointer.
 	pins atomic.Int32
 	// transient marks a buffer borrowed from framePool because the pool has
-	// no capacity or every frame is pinned; the last Release returns it.
+	// no capacity or every frame is pinned; it is never in the table, and
+	// the last Release returns it.
 	transient bool
 	ref       atomic.Bool // clock reference bit, set by lock-free hits
 	used      uint64      // LRU: the pool's tick at the last use
@@ -243,11 +247,10 @@ func NewBufferPool(dev Device, capacity int, opts ...PoolOptions) *BufferPool {
 	}
 	capacity = max(capacity, 0)
 	b := &BufferPool{
-		dev:      dev,
-		cap:      capacity,
-		policy:   o.Policy,
-		retry:    o.Retry.withDefaults(),
-		inflight: make(map[PageID]*Frame),
+		dev:    dev,
+		cap:    capacity,
+		policy: o.Policy,
+		retry:  o.Retry.withDefaults(),
 	}
 	if capacity > 0 {
 		b.table = make([]atomic.Pointer[Frame], dev.NumPages())
@@ -371,54 +374,57 @@ func (b *BufferPool) GetCtx(ctx context.Context, id PageID) (*Frame, error) {
 
 	b.mu.Lock()
 	if f := b.table[id].Load(); f != nil {
-		// Under the lock a mapped frame is never claimed.
-		b.touch(f)
+		if f.pins.Load() < 0 {
+			// Under the lock a mapped frame is claimed only while another
+			// query reads the page into it: share that read — including the
+			// outcome of any retries the leader performs.
+			return b.join(ctx, f, id)
+		}
+		b.touch(f, true)
 		f.pins.Add(1)
 		b.mu.Unlock()
 		return f, nil
 	}
-	if lead, ok := b.inflight[id]; ok {
-		// Another query is already reading this page; share its read —
-		// including the outcome of any retries the leader performs.
-		return b.join(ctx, lead, id)
-	}
-	// Miss: claim the victim's frame now and read into its buffer outside
-	// the lock. The claim keeps the frame from being chosen again, or pinned
-	// through a stale table entry, while the read is in flight.
+	// Miss: claim the victim's frame, map the page to it, and read into its
+	// buffer outside the lock. The claim keeps the frame from being chosen
+	// again, or pinned through the table or a stale pointer, while the read
+	// is in flight.
 	f := b.acquire()
 	if f == nil {
-		f = framePool.Get().(*Frame) // every frame is pinned
+		// Every frame is pinned. The borrowed buffer is pinned for this
+		// reader alone and stays out of the table: nobody joins its read.
+		f = framePool.Get().(*Frame)
 		f.take(id)
 	} else {
 		f.id = id
-		b.touch(f)
-		f.ref.Store(false) // a newcomer's bit starts clear
+		b.touch(f, false) // a newcomer's bit starts clear
+		b.table[id].Store(f)
 	}
-	b.inflight[id] = f
 	b.physical.Add(1)
 	b.mu.Unlock()
 
 	err := b.readPage(ctx, id, f.data)
+	if f.transient {
+		if err != nil {
+			f.Release() // the last Release returns the buffer
+			return nil, err
+		}
+		return f, nil
+	}
 
 	b.mu.Lock()
 	w := f.wait
 	f.wait = nil
-	delete(b.inflight, id)
 	var waiters int32
 	if w != nil && err == nil {
 		waiters = int32(w.n) // one pin per waiter, taken on its behalf
 	}
-	switch {
-	case f.transient && err != nil:
-		f.Release() // nothing to install; the last Release returns the buffer
-	case f.transient:
-		f.pins.Add(waiters)
-	case err != nil:
+	if err != nil {
 		// The frame carries no page: a failure never poisons the table.
+		b.table[id].Store(nil)
 		b.discard(f)
-	default:
+	} else {
 		f.pins.Store(1 + waiters)
-		b.table[id].Store(f)
 		b.cached.Add(1)
 	}
 	if w != nil {
@@ -497,19 +503,18 @@ func isCtxErr(err error) bool {
 }
 
 // readPage performs one logical device read of page id into data: the raw
-// read, checksum verification, and bounded retry with exponential
-// backoff and jitter on transient failures. Classification (see errors.go):
-// transient errors and checksum mismatches are retried up to the policy's
-// budget; anything else — and a cancelled ctx — surfaces immediately. A frame
-// enters the frame table only after a fully successful attempt, so a failure
-// can never poison the cache.
+// read, checksum verification (see verify), and bounded retry with
+// exponential backoff and jitter on transient failures. Classification (see
+// errors.go): transient errors and checksum mismatches are retried up to the
+// policy's budget; anything else — and a cancelled ctx — surfaces
+// immediately. Readers are handed a frame only after a fully successful
+// attempt, so a failure can never poison the cache.
 func (b *BufferPool) readPage(ctx context.Context, id PageID, data []byte) error {
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = b.dev.ReadPage(id, data)
-		if err == nil && id != 0 && int(id) < len(b.sums) && PageChecksum(data) != b.sums[id] {
-			b.checksumErrs.Add(1)
-			err = fmt.Errorf("storage: page %d: %w", id, ErrChecksum)
+		if err == nil && id != 0 && int(id) < len(b.sums) {
+			err = b.verify(id, data)
 		}
 		if err == nil {
 			return nil
@@ -545,11 +550,33 @@ func (b *BufferPool) readPage(ctx context.Context, id PageID, data []byte) error
 	}
 }
 
-// touch records a use under the lock.
-func (b *BufferPool) touch(f *Frame) {
+// verify checks a freshly read covered page against its checksum. With a
+// verified bitset (a FileDevice), a page that has passed once in this open is
+// not checked again, and a page is marked only once it passes, so a corrupt
+// page fails on every read.
+func (b *BufferPool) verify(id PageID, data []byte) error {
+	word, bit := id/64, uint64(1)<<(id%64)
+	if b.verified != nil && b.verified[word].Load()&bit != 0 {
+		return nil
+	}
+	if PageChecksum(data) != b.sums[id] {
+		b.checksumErrs.Add(1)
+		return fmt.Errorf("storage: page %d: %w", id, ErrChecksum)
+	}
+	if b.verified != nil {
+		b.verified[word].Or(bit)
+	}
+	return nil
+}
+
+// touch records a use under the lock and sets the reference bit to ref,
+// storing it only if it changes.
+func (b *BufferPool) touch(f *Frame, ref bool) {
 	b.tick++
 	f.used = b.tick
-	f.ref.Store(true)
+	if f.ref.Load() != ref {
+		f.ref.Store(ref)
+	}
 }
 
 // acquire returns a claimed frame for a new page: a spare frame or a fresh

@@ -90,7 +90,9 @@ func TestSingleBitFlipFailsChecksum(t *testing.T) {
 }
 
 // BenchmarkPageChecksum: the cost of verifying one page, in bytes per second
-// (the miss path pays it once per physical read).
+// (the miss path pays it on every physical read from a MemDevice or a
+// wrapped device, and on the first read of each page per open from a
+// FileDevice).
 func BenchmarkPageChecksum(b *testing.B) {
 	page := make([]byte, PageSize)
 	rand.New(rand.NewSource(1)).Read(page)

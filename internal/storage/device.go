@@ -97,6 +97,12 @@ func (m *MemDevice) Close() error { return nil }
 // is a ReadAt. The device copies rather than lending out slices of the
 // mapping, so a buffer-pool frame owns its bytes and the pool's pins, Drop
 // and Close keep their meaning.
+//
+// Its bytes are not rewritten while it is open (mcn.CreateDatabase replaces
+// a file by rename, never in place), so a pool reading a database from a
+// FileDevice verifies each page's checksum on its first read in an open and
+// not on later misses. A device that wraps one is not a FileDevice and is
+// verified on every read.
 type FileDevice struct {
 	f *os.File
 	n int

@@ -60,7 +60,8 @@ import (
 // wide so the table — and with it the page count every buffer-size
 // percentage and page-access figure is measured against — keeps the size it
 // had under earlier layouts. OpenWithPool loads the table into memory and
-// hands it to the buffer pool, which verifies every page it reads.
+// hands it to the buffer pool, which verifies every page it reads — on a
+// FileDevice only the first read of each page in an open.
 //
 // The header page is read before the table is known, so it carries its own
 // CRC-32C: the last field holds the checksum of every header byte before it,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"mcn/internal/graph"
 	"mcn/internal/index"
@@ -86,13 +87,18 @@ func OpenWithPool(dev Device, pool *BufferPool) (*Network, error) {
 	le := binary.LittleEndian
 	// Load the checksum table (8 bytes per covered page, ~0.2% of the
 	// database) directly from the device — its own pages are not covered —
-	// and have the pool verify every page it reads against it.
+	// and have the pool verify the pages it reads against it: every read,
+	// or on a FileDevice (whose bytes are not rewritten while it is open) the
+	// first read of each page in this open.
 	sums := make([]uint32, hdr.checksumPages+1) // indexed by page id; 0 unused
 	err = loadTable(dev, nil, hdr.checksumFirst, hdr.checksumPages, 8, func(i int, v []byte) { sums[i+1] = le.Uint32(v) })
 	if err != nil {
 		return nil, fmt.Errorf("storage: checksum table: %w", err)
 	}
 	pool.sums = sums
+	if _, ok := pool.dev.(*FileDevice); ok {
+		pool.verified = make([]atomic.Uint64, (len(sums)+63)/64)
+	}
 	// Load the pruning-bounds table (d × numNodes f64, criterion-major) and
 	// the rank table directly from the device too: they are read once here
 	// and never again, so routing them through the pool would only perturb

@@ -135,6 +135,18 @@ func TestAllFramesPinnedFallback(t *testing.T) {
 	}
 }
 
+// reading counts the pages the table maps to a claimed frame: the reads in
+// flight.
+func reading(pool *BufferPool) int {
+	n := 0
+	for i := range pool.table {
+		if f := pool.table[i].Load(); f != nil && f.pins.Load() < 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // flakyDevice fails a fraction of reads with a transient error after
 // scribbling over the caller's buffer, as a transfer that died half way
 // would, and delays every read a little so that misses overlap.
@@ -247,8 +259,8 @@ func TestPinEvictStress(t *testing.T) {
 			if n := pool.Len(); n != 0 {
 				t.Errorf("%d pages still pinned after every reader released", n)
 			}
-			if pool.nframes > pool.cap || len(pool.free) != pool.nframes || len(pool.inflight) != 0 {
-				t.Errorf("%d frames (%d spare, %d in flight) for capacity %d", pool.nframes, len(pool.free), len(pool.inflight), pool.cap)
+			if pool.nframes > pool.cap || len(pool.free) != pool.nframes || reading(pool) != 0 {
+				t.Errorf("%d frames (%d spare, %d in flight) for capacity %d", pool.nframes, len(pool.free), reading(pool), pool.cap)
 			}
 			for id := range want {
 				fr, err := pool.Get(PageID(id))
@@ -263,6 +275,154 @@ func TestPinEvictStress(t *testing.T) {
 				}
 				fr.Release()
 			}
+		})
+	}
+}
+
+// A leader whose read fails takes the page out of the table before its
+// waiters wake, so none of them finds the claimed frame mapped; the next Get
+// leads a read of its own. Each round races the waiters' wake-up against the
+// leader, so several rounds are run.
+func TestFailedReadUnmapsBeforeWaitersWake(t *testing.T) {
+	const waiters = 4
+	for round := 0; round < 20; round++ {
+		dev := newScriptDevice(t, 4)
+		dev.gate = make(chan struct{})
+		dev.setFails(2, 1_000)
+		pool := NewBufferPool(dev, 4)
+
+		type outcome struct {
+			err    error
+			mapped bool
+		}
+		out := make(chan outcome, waiters+1)
+		for i := 0; i <= waiters; i++ {
+			go func() {
+				_, err := pool.Get(2)
+				out <- outcome{err, pool.table[2].Load() != nil}
+			}()
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for coalescedCount(pool) < waiters {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d of %d readers coalesced", coalescedCount(pool), waiters)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		if n := reading(pool); n != 1 {
+			t.Fatalf("%d pages mapped to a claimed frame while one is read, want 1", n)
+		}
+		close(dev.gate)
+		for i := 0; i <= waiters; i++ {
+			o := <-out
+			if !IsTransient(o.err) {
+				t.Fatalf("reader of the failing page: %v, want the leader's transient error", o.err)
+			}
+			if o.mapped {
+				t.Fatalf("round %d: the failed page was still mapped when a reader woke", round)
+			}
+		}
+		if pool.table[2].Load() != nil {
+			t.Fatal("the failed page is still mapped")
+		}
+
+		dev.setFails(2, 0)
+		before := pool.Stats().Physical
+		if stamp, err := readStamp(pool, 2); err != nil || stamp != 2 {
+			t.Fatalf("Get after the failure: stamp %d, %v", stamp, err)
+		}
+		if got := pool.Stats().Physical - before; got != 1 {
+			t.Errorf("Get after the failure issued %d reads, want 1", got)
+		}
+		if coalescedCount(pool) != waiters {
+			t.Errorf("Get after the failure joined a read: coalesced %d, want %d", coalescedCount(pool), waiters)
+		}
+	}
+}
+
+// halvesDevice fills one page in two halves and holds each read of it
+// between them until gate closes, counting the reads it holds.
+type halvesDevice struct {
+	Device
+	page   PageID
+	gate   chan struct{}
+	parked atomic.Int32
+}
+
+func (d *halvesDevice) ReadPage(id PageID, buf []byte) error {
+	if id != d.page {
+		return d.Device.ReadPage(id, buf)
+	}
+	full := make([]byte, PageSize)
+	if err := d.Device.ReadPage(id, full); err != nil {
+		return err
+	}
+	copy(buf[:PageSize/2], full)
+	d.parked.Add(1)
+	<-d.gate
+	copy(buf[PageSize/2:], full[PageSize/2:])
+	return nil
+}
+
+// With every frame pinned, concurrent readers of one cold page read it into
+// borrowed buffers; none of them is handed a buffer that is still being
+// filled, whether its own or another reader's.
+func TestAllFramesPinnedNoHalfPage(t *testing.T) {
+	for _, policy := range []Policy{PolicyClock, PolicyLRU} {
+		t.Run(policy.String(), func(t *testing.T) {
+			mem, want := randomDevice(t, 6, 9)
+			dev := &halvesDevice{Device: mem, page: 2, gate: make(chan struct{})}
+			pool := NewBufferPool(dev, 2, PoolOptions{Policy: policy})
+			a, err := pool.Get(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := pool.Get(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			const readers = 4
+			var done atomic.Int32
+			bad := make(chan error, readers)
+			for i := 0; i < readers; i++ {
+				go func() {
+					fr, err := pool.Get(2)
+					switch {
+					case err != nil:
+					case !bytes.Equal(fr.Data(), want[2]):
+						err = errors.New("handed a half-filled page")
+						fr.Release()
+					default:
+						fr.Release()
+					}
+					done.Add(1)
+					bad <- err
+				}()
+			}
+			// Hold the gate until every reader is parked in a read, waiting
+			// on one, or already served.
+			deadline := time.Now().Add(5 * time.Second)
+			for int(dev.parked.Load())+int(coalescedCount(pool))+int(done.Load()) < readers && time.Now().Before(deadline) {
+				time.Sleep(100 * time.Microsecond)
+			}
+			if dev.parked.Load() == 0 {
+				t.Fatal("no read was held half way")
+			}
+			close(dev.gate)
+			for i := 0; i < readers; i++ {
+				if err := <-bad; err != nil {
+					t.Error(err)
+				}
+			}
+			if n := pool.Len(); n != 2 {
+				t.Errorf("%d pages cached with every frame pinned, want the 2 pinned", n)
+			}
+			if !bytes.Equal(a.Data(), want[0]) || !bytes.Equal(b.Data(), want[1]) {
+				t.Fatal("a pinned frame lost its page")
+			}
+			a.Release()
+			b.Release()
 		})
 	}
 }
