@@ -185,15 +185,18 @@ paperio:
 chaossmoke:
 	$(GO) test -race -short -count=1 ./internal/testsupport/chaos
 
-# Cluster tier smoke: the gateway suite (in-process replicas behind httptest)
-# under the race detector — the decoder-equivalence table (GET, JSON and MCNB
-# forms of one request, replica vs gateway under both policies), the
-# malformed-input table, one replica request per query, failover, the
-# streamed relay and the FuzzV1Query corpus replayed through a gateway. Also
-# part of the plain test suite; this target is the dedicated CI step so a
-# decode, routing or failover regression is named in the failing step.
+# Cluster tier smoke: the gateway suite (real gateway and replica handlers
+# on memnet, the in-memory HTTP network, and memnet's own contract) under
+# the race detector — the decoder-equivalence table (GET, JSON and MCNB
+# forms of one request, replica vs gateway), the malformed-input table, one
+# replica request per query, failover, the streamed relay and the
+# FuzzV1Query corpus replayed through a gateway. One test,
+# TestGatewayStreamPassthrough, serves the gateway on a real socket so
+# net/http's own flush path is covered. Also part of the plain test suite;
+# this target is the dedicated CI step so a decode, routing or failover
+# regression is named in the failing step.
 cluster-smoke:
-	$(GO) test -race -count=1 ./internal/cluster
+	$(GO) test -race -count=1 ./internal/cluster ./internal/testsupport/memnet
 
 # Soak smoke: mcnsoak drives one second of sustained /v1/query load through
 # each codec against an in-process replica, then one second through the

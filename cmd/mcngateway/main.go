@@ -1,14 +1,14 @@
 // Command mcngateway fronts a set of replicated mcnserve backends as one
 // HTTP endpoint. Every replica holds the whole network, so every query —
 // single-location, /multisource/* and */period alike, stream=1 included —
-// is proxied to one replica chosen by the routing policy, failing over on
-// transport errors and 5xx, and the replica's response is relayed
-// verbatim.
+// is proxied to one replica chosen by consistent hashing on the query,
+// failing over on transport errors and 5xx, and the replica's response is
+// relayed verbatim.
 //
 // Usage:
 //
 //	mcngateway -backends http://10.0.0.1:8080,http://10.0.0.2:8080
-//	mcngateway -backends ... -policy least-inflight -probe-interval 1s
+//	mcngateway -backends ... -probe-interval 1s
 //
 // Endpoints mirror mcnserve's query surface, plus the gateway's own
 // /healthz, /readyz (ready while at least one backend is available) and
@@ -34,7 +34,7 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8090", "listen address")
 		backends      = flag.String("backends", "", "comma-separated mcnserve base URLs (required)")
-		policyFlag    = flag.String("policy", "hash", "routing policy: hash (cache affinity) or least-inflight")
+		policyFlag    = flag.String("policy", "hash", "routing policy: hash (cache affinity), the only one")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "how often backends' /readyz is probed")
 		probeTimeout  = flag.Duration("probe-timeout", cluster.DefaultProbeTimeout, "per-probe timeout")
 		timeout       = flag.Duration("timeout", 15*time.Second, "per-backend-request timeout (0 = none; replicas still enforce their own)")

@@ -3,13 +3,34 @@ package cluster
 import (
 	"context"
 	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mcn/internal/testsupport/memnet"
 )
 
 var ctx = context.Background()
+
+// newNet returns an in-memory network closed when the test ends. Closing
+// waits for every handler the network started, so a leaked one hangs the
+// test instead of outliving it.
+func newNet(t *testing.T) *memnet.Network {
+	n := memnet.New()
+	t.Cleanup(n.Close)
+	return n
+}
+
+// newTestMembership builds a membership over urls that probes through n.
+func newTestMembership(t *testing.T, n *memnet.Network, probeTimeout time.Duration, urls ...string) *Membership {
+	t.Helper()
+	m, err := NewMembership(urls, probeTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.client.Transport = n
+	return m
+}
 
 // fakeClock drives Membership.now without sleeping.
 type fakeClock struct{ t time.Time }
@@ -47,9 +68,10 @@ func TestNewMembershipValidation(t *testing.T) {
 }
 
 func TestProbeAllHealthCycle(t *testing.T) {
+	n := newNet(t)
 	var ready atomic.Bool
 	ready.Store(true)
-	flappy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	flappy := n.Serve(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if ready.Load() {
 			w.WriteHeader(http.StatusOK)
 			return
@@ -57,19 +79,15 @@ func TestProbeAllHealthCycle(t *testing.T) {
 		w.Header().Set("Retry-After", "60")
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}))
-	defer flappy.Close()
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	dead.Close()
+	dead := n.Serve(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	n.SetDown(dead, true)
 
-	m, err := NewMembership([]string{flappy.URL, dead.URL}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newTestMembership(t, n, time.Second, flappy, dead)
 	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
 	m.now = clk.now
 
 	m.ProbeAll(ctx)
-	if av := m.Available(); len(av) != 1 || av[0].URL() != flappy.URL {
+	if av := m.Available(); len(av) != 1 || av[0].URL() != flappy {
 		t.Fatalf("after probe: available = %v, want just the live backend", urls(av))
 	}
 
@@ -93,7 +111,7 @@ func TestProbeAllHealthCycle(t *testing.T) {
 	// A dead backend stays down across probes until one succeeds.
 	m.ProbeAll(ctx)
 	for _, b := range m.Backends() {
-		if b.URL() == dead.URL && b.available(clk.now()) {
+		if b.URL() == dead && b.available(clk.now()) {
 			t.Fatal("dead backend reported available after failed probe")
 		}
 	}
@@ -110,9 +128,6 @@ func urls(bs []*Backend) []string {
 func TestParsePolicy(t *testing.T) {
 	if p, err := ParsePolicy("hash"); err != nil || p != PolicyHash {
 		t.Fatalf("ParsePolicy(hash) = %v, %v", p, err)
-	}
-	if p, err := ParsePolicy("least-inflight"); err != nil || p != PolicyLeastInflight {
-		t.Fatalf("ParsePolicy(least-inflight) = %v, %v", p, err)
 	}
 	if _, err := ParsePolicy("random"); err == nil {
 		t.Fatal("ParsePolicy(random) succeeded, want error")
@@ -164,28 +179,9 @@ func TestRouterHashAffinity(t *testing.T) {
 	}
 }
 
-func TestRouterLeastInflight(t *testing.T) {
-	m, err := NewMembership([]string{"http://h:1", "http://h:2", "http://h:3"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := m.Backends()
-	bs[0].inflight.Store(5)
-	bs[1].inflight.Store(0)
-	bs[2].inflight.Store(2)
-	r := NewRouter(m, PolicyLeastInflight)
-	got := r.Candidates("any", m.Available())
-	if got[0] != bs[1] || got[1] != bs[2] || got[2] != bs[0] {
-		t.Fatalf("least-inflight order = %v, want h:2, h:3, h:1", urls(got))
-	}
-}
-
 func TestPolicyString(t *testing.T) {
 	if got := PolicyHash.String(); got != "hash" {
 		t.Errorf("PolicyHash = %q", got)
-	}
-	if got := PolicyLeastInflight.String(); got != "least-inflight" {
-		t.Errorf("PolicyLeastInflight = %q", got)
 	}
 	if got := Policy(42).String(); got != "policy(42)" {
 		t.Errorf("unknown policy = %q", got)
@@ -194,32 +190,27 @@ func TestPolicyString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(m, PolicyLeastInflight)
-	if r.Policy() != PolicyLeastInflight {
+	r := NewRouter(m, PolicyHash)
+	if r.Policy() != PolicyHash {
 		t.Errorf("Router.Policy = %v", r.Policy())
 	}
 }
 
-// Start must probe immediately, keep probing on the interval, and stop when
-// its context ends.
 // Stopping the probe loop while a probe is in flight must not mark the
 // backend down: the cancelled request is the loop's doing, not the backend's.
 // A probe that hits its own timeout still does.
 func TestMembershipStopMidProbeKeepsBackend(t *testing.T) {
+	n := newNet(t)
 	entered := make(chan struct{}, 1)
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	backend := n.Serve(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case entered <- struct{}{}:
 		default:
 		}
 		<-r.Context().Done() // answers only once the prober gives up
 	}))
-	defer backend.Close()
 
-	m, err := NewMembership([]string{backend.URL}, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newTestMembership(t, n, time.Minute, backend)
 	loopCtx, cancel := context.WithCancel(ctx)
 	done := make(chan struct{})
 	go func() {
@@ -228,57 +219,43 @@ func TestMembershipStopMidProbeKeepsBackend(t *testing.T) {
 	}()
 	<-entered
 	cancel()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Start did not return after ctx cancel")
-	}
-	if n := len(m.Available()); n != 1 {
-		t.Fatalf("after stopping the loop mid-probe: available = %d, want 1", n)
+	<-done
+	if got := len(m.Available()); got != 1 {
+		t.Fatalf("after stopping the loop mid-probe: available = %d, want 1", got)
 	}
 
-	timedOut, err := NewMembership([]string{backend.URL}, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	timedOut := newTestMembership(t, n, 10*time.Millisecond, backend)
 	timedOut.ProbeAll(ctx)
-	if n := len(timedOut.Available()); n != 0 {
-		t.Fatalf("after a probe timeout: available = %d, want 0", n)
+	if got := len(timedOut.Available()); got != 0 {
+		t.Fatalf("after a probe timeout: available = %d, want 0", got)
 	}
 }
 
+// Start must probe immediately, keep probing on the interval, and stop when
+// its context ends.
 func TestMembershipStartLoop(t *testing.T) {
-	var probes atomic.Int64
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		probes.Add(1)
-		w.WriteHeader(http.StatusOK)
+	n := newNet(t)
+	arrived := make(chan struct{})
+	backend := n.Serve(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case arrived <- struct{}{}:
+			w.WriteHeader(http.StatusOK)
+		case <-r.Context().Done(): // a probe the stopped loop cut short
+		}
 	}))
-	defer backend.Close()
 
-	m, err := NewMembership([]string{backend.URL}, 100*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newTestMembership(t, n, time.Minute, backend)
 	loopCtx, cancel := context.WithCancel(ctx)
 	done := make(chan struct{})
 	go func() {
 		m.Start(loopCtx, 5*time.Millisecond)
 		close(done)
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for probes.Load() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("saw %d probes, want the loop to re-fire", probes.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-arrived // the immediate probe
+	<-arrived // the loop re-fired
 	cancel()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Start did not return after ctx cancel")
-	}
-	if n := len(m.Available()); n != 1 {
-		t.Fatalf("available = %d, want 1", n)
+	<-done
+	if got := len(m.Available()); got != 1 {
+		t.Fatalf("available = %d, want 1", got)
 	}
 }

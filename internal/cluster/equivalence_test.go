@@ -106,8 +106,8 @@ var encodings = []encoding{
 	}},
 }
 
-// send issues one request and returns status, headers and body.
-func send(t *testing.T, base, method, target, contentType, accept string, body []byte) (int, http.Header, []byte) {
+// send issues one request through c and returns status, headers and body.
+func send(t *testing.T, c *http.Client, base, method, target, contentType, accept string, body []byte) (int, http.Header, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(method, base+target, bytes.NewReader(body))
 	if err != nil {
@@ -119,7 +119,7 @@ func send(t *testing.T, base, method, target, contentType, accept string, body [
 	if accept != "" {
 		req.Header.Set("Accept", accept)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := c.Do(req)
 	if err != nil {
 		t.Fatalf("%s %s: %v", method, target, err)
 	}
@@ -255,23 +255,21 @@ func payload(t *testing.T, label string, body []byte) string {
 //
 //   - the GET URL, the JSON body and the MCNB frame decode to the same
 //     wire.Request;
-//   - on one target — a replica, or a gateway over three replicas under
-//     either routing policy — the three forms' JSON responses are
-//     byte-identical apart from latency_ms, and the binary response is their
-//     float32 rendering;
-//   - the gateways' answers are byte-identical to the replica's, stats
+//   - on one target — a replica, or a gateway over three replicas — the
+//     three forms' JSON responses are byte-identical apart from latency_ms,
+//     and the binary response is their float32 rendering;
+//   - the gateway's answers are byte-identical to the replica's, stats
 //     included, apart from latency_ms.
 func TestDecoderEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence sweep is slow; run without -short")
 	}
 	tg := newTestGrid(t)
-	b0, b1, b2 := tg.backend(t), tg.backend(t), tg.backend(t)
-	_, gwHash := newTestGateway(t, PolicyHash, b0.URL, b1.URL, b2.URL)
-	_, gwLeast := newTestGateway(t, PolicyLeastInflight, b0.URL, b1.URL, b2.URL)
-	targets := []struct{ name, url string }{
-		{"replica", b0.URL}, {"gateway/hash", gwHash.URL}, {"gateway/least-inflight", gwLeast.URL},
-	}
+	n := newNet(t)
+	c := n.Client()
+	b0, b1, b2 := tg.backend(n), tg.backend(n), tg.backend(n)
+	_, gw := serveTestGateway(t, n, b0, b1, b2)
+	targets := []struct{ name, url string }{{"replica", b0}, {"gateway", gw}}
 
 	for _, q := range randomRequests(rand.New(rand.NewSource(7)), tg.graph.NumEdges(), 40) {
 		for _, enc := range encodings {
@@ -291,7 +289,7 @@ func TestDecoderEquivalence(t *testing.T) {
 			var ref []byte
 			for _, enc := range encodings {
 				target, body := enc.render(q)
-				status, _, out := send(t, tgt.url, enc.method, target, enc.contentType, wire.ContentTypeJSON, body)
+				status, _, out := send(t, c, tgt.url, enc.method, target, enc.contentType, wire.ContentTypeJSON, body)
 				if ref == nil {
 					refStatus, ref = status, out
 					continue
@@ -301,7 +299,7 @@ func TestDecoderEquivalence(t *testing.T) {
 				}
 			}
 			_, frame := encodings[2].render(q)
-			binStatus, hdr, bin := send(t, tgt.url, http.MethodPost, "/v1/query", wire.ContentTypeBinary, "", frame)
+			binStatus, hdr, bin := send(t, c, tgt.url, http.MethodPost, "/v1/query", wire.ContentTypeBinary, "", frame)
 			checkBinaryMatchesJSON(t, label, refStatus, ref, binStatus, hdr, bin)
 
 			if p := fmt.Sprint(refStatus, " ", payload(t, label, ref)); replica == "" {
@@ -322,8 +320,10 @@ func TestMalformedRequests(t *testing.T) {
 		t.Skip("uses full serve replicas; run without -short")
 	}
 	tg := newTestGrid(t)
-	b0, b1 := tg.backend(t), tg.backend(t)
-	_, gw := newTestGateway(t, PolicyHash, b0.URL, b1.URL)
+	n := newNet(t)
+	c := n.Client()
+	b0, b1 := tg.backend(n), tg.backend(n)
+	_, gw := serveTestGateway(t, n, b0, b1)
 	edges := tg.graph.NumEdges()
 
 	cases := []struct {
@@ -402,7 +402,7 @@ func TestMalformedRequests(t *testing.T) {
 			&wire.Request{Kind: wire.KindTopK, Edge: 1, T: 0.5}, "core: top-k requires k >= 1, got 0"},
 	}
 	for _, tc := range cases {
-		for _, tgt := range []struct{ name, url string }{{"replica", b0.URL}, {"gateway", gw.URL}} {
+		for _, tgt := range []struct{ name, url string }{{"replica", b0}, {"gateway", gw}} {
 			label := tc.name + " via " + tgt.name
 			check := func(form string, status int, msg string) {
 				t.Helper()
@@ -418,15 +418,15 @@ func TestMalformedRequests(t *testing.T) {
 				return e.Error
 			}
 			if tc.get != "" {
-				status, _, body := send(t, tgt.url, http.MethodGet, tc.get, "", "", nil)
+				status, _, body := send(t, c, tgt.url, http.MethodGet, tc.get, "", "", nil)
 				check("GET", status, jsonMsg(body))
 			}
 			if tc.json != "" {
-				status, _, body := send(t, tgt.url, http.MethodPost, "/v1/query", wire.ContentTypeJSON, "", []byte(tc.json))
+				status, _, body := send(t, c, tgt.url, http.MethodPost, "/v1/query", wire.ContentTypeJSON, "", []byte(tc.json))
 				check("JSON", status, jsonMsg(body))
 				// The same body answered in the other codec: an error frame
 				// carrying the status in-band too.
-				status, _, body = send(t, tgt.url, http.MethodPost, "/v1/query", wire.ContentTypeJSON, wire.ContentTypeBinary, []byte(tc.json))
+				status, _, body = send(t, c, tgt.url, http.MethodPost, "/v1/query", wire.ContentTypeJSON, wire.ContentTypeBinary, []byte(tc.json))
 				resp := decodeBinaryBody(t, body)
 				check("JSON→MCNB", status, resp.Message)
 				if resp.Status != status {
@@ -438,9 +438,9 @@ func TestMalformedRequests(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				status, _, body := send(t, tgt.url, http.MethodPost, "/v1/query", wire.ContentTypeBinary, "", frame)
+				status, _, body := send(t, c, tgt.url, http.MethodPost, "/v1/query", wire.ContentTypeBinary, "", frame)
 				check("MCNB", status, decodeBinaryBody(t, body).Message)
-				status, _, body = send(t, tgt.url, http.MethodPost, "/v1/query", wire.ContentTypeBinary, wire.ContentTypeJSON, frame)
+				status, _, body = send(t, c, tgt.url, http.MethodPost, "/v1/query", wire.ContentTypeBinary, wire.ContentTypeJSON, frame)
 				check("MCNB→JSON", status, jsonMsg(body))
 			}
 		}
@@ -459,8 +459,8 @@ func TestMalformedRequests(t *testing.T) {
 		"trailing bytes":  append(append([]byte{good[0] + 1}, good[1:]...), 0),
 		"empty body":      nil,
 	} {
-		rs, _, rb := send(t, b0.URL, http.MethodPost, "/v1/query", wire.ContentTypeBinary, "", frame)
-		gs, _, gb := send(t, gw.URL, http.MethodPost, "/v1/query", wire.ContentTypeBinary, "", frame)
+		rs, _, rb := send(t, c, b0, http.MethodPost, "/v1/query", wire.ContentTypeBinary, "", frame)
+		gs, _, gb := send(t, c, gw, http.MethodPost, "/v1/query", wire.ContentTypeBinary, "", frame)
 		if rs != http.StatusBadRequest || gs != rs || !bytes.Equal(rb, gb) {
 			t.Errorf("%s frame: replica %d, gateway %d (bodies equal: %v), want both 400 and identical", name, rs, gs, bytes.Equal(rb, gb))
 		} else if resp := decodeBinaryBody(t, rb); resp.Status != http.StatusBadRequest || resp.Message == "" {
@@ -475,46 +475,50 @@ func TestMalformedRequests(t *testing.T) {
 // an equivalent float spelling, does not change the routing key.
 func TestTimeoutZeroAndRoutingKey(t *testing.T) {
 	tg := newTestGrid(t)
-	b0 := tg.backend(t)
-	_, gw := newTestGateway(t, PolicyHash, b0.URL)
-	for _, base := range []string{b0.URL, gw.URL} {
+	n := newNet(t)
+	c := n.Client()
+	b0 := tg.backend(n)
+	_, gw := serveTestGateway(t, n, b0)
+	for _, base := range []string{b0, gw} {
 		for _, target := range []string{"/skyline?edge=1&timeout_ms=0", "/multisource/skyline?edges=1,2&timeout_ms=0"} {
-			if status, _, body := send(t, base, http.MethodGet, target, "", "", nil); status != http.StatusOK {
+			if status, _, body := send(t, c, base, http.MethodGet, target, "", "", nil); status != http.StatusOK {
 				t.Errorf("GET %s = %d (%s), want 200: timeout_ms=0 means the server default", target, status, body)
 			}
 		}
 		body := []byte(`{"kind":"skyline","edge":1,"timeout_ms":0}`)
-		if status, _, out := send(t, base, http.MethodPost, "/v1/query", wire.ContentTypeJSON, "", body); status != http.StatusOK {
+		if status, _, out := send(t, c, base, http.MethodPost, "/v1/query", wire.ContentTypeJSON, "", body); status != http.StatusOK {
 			t.Errorf("POST %s = %d (%s), want 200", body, status, out)
 		}
 	}
 
-	key := func(method, target, contentType string, body []byte) string {
-		t.Helper()
-		hr := httptest.NewRequest(method, target, bytes.NewReader(body))
-		hr.Header.Set("Content-Type", contentType)
-		q, _, _, err := wire.DecodeHTTP(httptest.NewRecorder(), hr)
-		if err != nil {
-			t.Fatalf("%s %s: %v", method, target, err)
-		}
-		return CanonicalKey(q)
-	}
 	want := "/skyline?edge=3&t=0.5"
 	frame, err := wire.EncodeRequest(&wire.Request{Kind: wire.KindSkyline, Edge: 3, T: 0.5, TimeoutMS: 250})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, got := range map[string]string{
-		"GET, sorted and delivery params stripped": key(http.MethodGet, "/skyline?t=0.5&timeout_ms=250&edge=3&stream=1", "", nil),
-		"GET, t=0.50 and engine=cea":               key(http.MethodGet, "/skyline?edge=3&t=0.50&engine=cea", "", nil),
-		"GET, default t":                           key(http.MethodGet, "/skyline?edge=3", "", nil),
-		"JSON":                                     key(http.MethodPost, "/v1/query", wire.ContentTypeJSON, []byte(`{"kind":"skyline","edge":3,"timeout_ms":9}`)),
-		"MCNB":                                     key(http.MethodPost, "/v1/query", wire.ContentTypeBinary, frame),
+		"GET, sorted and delivery params stripped": routingKey(t, http.MethodGet, "/skyline?t=0.5&timeout_ms=250&edge=3&stream=1", "", nil),
+		"GET, t=0.50 and engine=cea":               routingKey(t, http.MethodGet, "/skyline?edge=3&t=0.50&engine=cea", "", nil),
+		"GET, default t":                           routingKey(t, http.MethodGet, "/skyline?edge=3", "", nil),
+		"JSON":                                     routingKey(t, http.MethodPost, "/v1/query", wire.ContentTypeJSON, []byte(`{"kind":"skyline","edge":3,"timeout_ms":9}`)),
+		"MCNB":                                     routingKey(t, http.MethodPost, "/v1/query", wire.ContentTypeBinary, frame),
 	} {
 		if got != want {
 			t.Errorf("CanonicalKey(%s) = %q, want %q", name, got, want)
 		}
 	}
+}
+
+// routingKey is the CanonicalKey the gateway routes a request on.
+func routingKey(t *testing.T, method, target, contentType string, body []byte) string {
+	t.Helper()
+	hr := httptest.NewRequest(method, target, bytes.NewReader(body))
+	hr.Header.Set("Content-Type", contentType)
+	q, _, _, err := wire.DecodeHTTP(httptest.NewRecorder(), hr)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, target, err)
+	}
+	return CanonicalKey(q)
 }
 
 // fuzzCase is one entry of internal/serve's FuzzV1Query seed corpus.
@@ -573,8 +577,10 @@ func TestFuzzCorpusThroughGateway(t *testing.T) {
 		t.Skip("uses full serve replicas; run without -short")
 	}
 	tg := newTestGrid(t)
-	b0, b1 := tg.backend(t), tg.backend(t)
-	g, gw := newTestGateway(t, PolicyHash, b0.URL, b1.URL)
+	n := newNet(t)
+	c := n.Client()
+	b0, b1 := tg.backend(n), tg.backend(n)
+	g, gw := serveTestGateway(t, n, b0, b1)
 	for _, fc := range readFuzzCorpus(t, filepath.Join("..", "serve", "testdata", "fuzz", "FuzzV1Query")) {
 		kind := fc.kind
 		if kind < 0 {
@@ -588,8 +594,8 @@ func TestFuzzCorpusThroughGateway(t *testing.T) {
 			{http.MethodGet, "/" + wire.Kinds[kind%len(wire.Kinds)] + "?" + fc.query, nil},
 		} {
 			label := fc.name + " " + req.method + " " + req.target
-			rs, rh, rb := send(t, b0.URL, req.method, req.target, fc.contentType, fc.accept, req.body)
-			gs, gh, gb := send(t, gw.URL, req.method, req.target, fc.contentType, fc.accept, req.body)
+			rs, rh, rb := send(t, c, b0, req.method, req.target, fc.contentType, fc.accept, req.body)
+			gs, gh, gb := send(t, c, gw, req.method, req.target, fc.contentType, fc.accept, req.body)
 			if rs != http.StatusOK && rs != http.StatusBadRequest && rs != http.StatusServiceUnavailable {
 				t.Errorf("%s: replica status %d", label, rs)
 			}

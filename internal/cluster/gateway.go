@@ -12,10 +12,10 @@ import (
 
 // Gateway is the cluster front. Every query — a GET route or POST /v1/query,
 // on whichever codec, of any of the eight kinds — is decoded once into a
-// wire.Request and proxied verbatim to one replica chosen by the routing
-// policy, with failover down the candidate list. Every replica holds the
-// whole network, so one replica answers a multi-source or period query in
-// full, and the response is that replica's, byte for byte.
+// wire.Request and proxied verbatim to one replica chosen on the hash ring,
+// with failover down the candidate list. Every replica holds the whole
+// network, so one replica answers a multi-source or period query in full,
+// and the response is that replica's, byte for byte.
 type Gateway struct {
 	m      *Membership
 	router *Router
@@ -26,18 +26,14 @@ type Gateway struct {
 }
 
 // NewGateway builds a gateway over the membership with the given routing
-// policy. timeout bounds each backend request (0 = no client-side bound; the
-// replicas enforce their own -timeout).
+// policy, proxying through the membership's transport. timeout bounds each
+// backend request (0 = no client-side bound; the replicas enforce their own
+// -timeout).
 func NewGateway(m *Membership, policy Policy, timeout time.Duration) *Gateway {
-	// The default transport keeps only 2 idle connections per host; a
-	// gateway funnels every client through a handful of backends, so raise
-	// the pool or concurrent traffic churns through fresh connections.
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConnsPerHost = 64
 	return &Gateway{
 		m:      m,
 		router: NewRouter(m, policy),
-		client: &http.Client{Transport: tr, Timeout: timeout},
+		client: &http.Client{Transport: m.client.Transport, Timeout: timeout},
 	}
 }
 
@@ -68,7 +64,7 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
-	now := time.Now()
+	now := g.m.now()
 	backends := make([]map[string]any, 0, len(g.m.Backends()))
 	for _, b := range g.m.Backends() {
 		backends = append(backends, map[string]any{
@@ -110,10 +106,10 @@ func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 }
 
 // roundTrip issues one prepared backend request, maintaining the backend's
-// inflight and health state. A transport error marks the backend down (unless
-// the client's own context ended first — that is not the backend's fault); a
-// 503 cools it for the advertised Retry-After, clamped to MaxRetryAfter. The
-// caller owns resp.Body.
+// inflight count (for /stats) and health state. A transport error marks the
+// backend down (unless the client's own context ended first — that is not
+// the backend's fault); a 503 cools it for the advertised Retry-After,
+// clamped to MaxRetryAfter. The caller owns resp.Body.
 func (g *Gateway) roundTrip(r *http.Request, b *Backend, req *http.Request) (*http.Response, error) {
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
@@ -159,7 +155,7 @@ func copyEndToEnd(dst, src http.Header) {
 }
 
 // proxy forwards the client's request verbatim — method, URI, body, headers —
-// to one replica chosen by the routing policy, before any response byte has
+// to one replica chosen on the hash ring, before any response byte has
 // been written, so the client sees exactly one clean answer. Routing keys on
 // the decoded request, so every codec's form of one query (t=0.50 as much as
 // t=0.5) shares a replica and its result cache.

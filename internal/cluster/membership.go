@@ -1,8 +1,7 @@
 // Package cluster implements the multi-node serving tier in front of
 // replicated mcnserve backends: static membership with /readyz health
-// probing, pluggable routing policies (consistent hashing on the
-// canonicalized query key for result-cache affinity, least-inflight for
-// load spreading), and overload-aware failover that honours 503 +
+// probing, routing by consistent hashing on the canonicalized query key for
+// result-cache affinity, and overload-aware failover that honours 503 +
 // Retry-After.
 //
 // The tier assumes replicated backends: every replica serves the full
@@ -46,9 +45,6 @@ type Backend struct {
 // URL returns the backend's base URL.
 func (b *Backend) URL() string { return b.url }
 
-// Inflight returns the number of gateway requests currently against b.
-func (b *Backend) Inflight() int64 { return b.inflight.Load() }
-
 // markDown records a transport-level failure: the backend is unreachable
 // until a probe succeeds.
 func (b *Backend) markDown() {
@@ -78,8 +74,11 @@ func (b *Backend) available(now time.Time) bool {
 // available and unavailable.
 type Membership struct {
 	backends []*Backend
-	client   *http.Client
-	timeout  time.Duration
+	// client sends the probes. Its transport is the one the gateway proxies
+	// through too: one connection pool per gateway, and one RoundTripper
+	// for a test to swap.
+	client  *http.Client
+	timeout time.Duration
 	// retryAfterClamped counts Retry-After hints capped at MaxRetryAfter —
 	// a non-zero value fingers a replica advertising absurd cool-offs.
 	retryAfterClamped atomic.Int64
@@ -106,9 +105,14 @@ func NewMembership(urls []string, probeTimeout time.Duration) (*Membership, erro
 	if probeTimeout <= 0 {
 		probeTimeout = DefaultProbeTimeout
 	}
+	// The default transport keeps only 2 idle connections per host; a
+	// gateway funnels every client through a handful of backends, so raise
+	// the pool or concurrent traffic churns through fresh connections.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = 64
 	m := &Membership{
 		backends: make([]*Backend, 0, len(urls)),
-		client:   &http.Client{},
+		client:   &http.Client{Transport: tr},
 		timeout:  probeTimeout,
 		now:      time.Now,
 	}

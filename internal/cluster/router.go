@@ -9,41 +9,27 @@ import (
 )
 
 // Policy selects which available backend a query is proxied to first, and
-// the failover order behind it.
+// the failover order behind it. There is one.
 type Policy int
 
-const (
-	// PolicyHash routes by consistent hashing on the canonicalized query key,
-	// so repeats of the same query land on the same replica and hit its
-	// result cache. Failover walks the ring to the next distinct replica.
-	PolicyHash Policy = iota
-	// PolicyLeastInflight routes to the replica with the fewest gateway
-	// requests currently in flight, spreading load at the cost of cache
-	// affinity.
-	PolicyLeastInflight
-)
+// PolicyHash routes by consistent hashing on the canonicalized query key, so
+// repeats of the same query land on the same replica and hit its result
+// cache. Failover walks the ring to the next distinct replica.
+const PolicyHash Policy = 0
 
 func (p Policy) String() string {
-	switch p {
-	case PolicyHash:
+	if p == PolicyHash {
 		return "hash"
-	case PolicyLeastInflight:
-		return "least-inflight"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
 	}
+	return fmt.Sprintf("policy(%d)", int(p))
 }
 
 // ParsePolicy parses a -policy flag value.
 func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "hash":
+	if s == "hash" {
 		return PolicyHash, nil
-	case "least-inflight":
-		return PolicyLeastInflight, nil
-	default:
-		return 0, fmt.Errorf("cluster: unknown routing policy %q (want hash or least-inflight)", s)
 	}
+	return 0, fmt.Errorf("cluster: unknown routing policy %q (want hash)", s)
 }
 
 // CanonicalKey is the routing key of a decoded request: its GET rendering —
@@ -65,9 +51,9 @@ type ringEntry struct {
 	b    *Backend
 }
 
-// Router orders the available backends for a given query key under the
-// configured policy. It is immutable after construction; health is read from
-// the membership at lookup time.
+// Router orders the available backends for a given query key on the hash
+// ring. It is immutable after construction; health is read from the
+// membership at lookup time.
 type Router struct {
 	policy Policy
 	ring   []ringEntry
@@ -93,25 +79,13 @@ func NewRouter(m *Membership, policy Policy) *Router {
 func (r *Router) Policy() Policy { return r.policy }
 
 // Candidates returns the available backends in preference order for key:
+// the distinct available backends in ring order from the key's position,
 // primary first, then the failover sequence. Empty when no backend is
 // available.
 func (r *Router) Candidates(key string, available []*Backend) []*Backend {
 	if len(available) == 0 {
 		return nil
 	}
-	switch r.policy {
-	case PolicyLeastInflight:
-		out := append([]*Backend(nil), available...)
-		sort.SliceStable(out, func(i, j int) bool { return out[i].Inflight() < out[j].Inflight() })
-		return out
-	default:
-		return r.walkRing(key, available)
-	}
-}
-
-// walkRing returns the distinct available backends in ring order starting at
-// the key's position.
-func (r *Router) walkRing(key string, available []*Backend) []*Backend {
 	avail := make(map[*Backend]bool, len(available))
 	for _, b := range available {
 		avail[b] = true

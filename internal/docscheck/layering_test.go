@@ -76,6 +76,7 @@ var imports = map[string][]string{
 	"internal/testsupport/fault": {"internal/storage"},
 	"internal/testsupport/lattice": {"internal/core", "internal/dynamic", "internal/expand", "internal/flat", "internal/gen",
 		"internal/graph", "internal/index", "internal/storage", "internal/testsupport/testnet", "internal/timedep", "internal/vec"},
+	"internal/testsupport/memnet":  {},
 	"internal/testsupport/testnet": {"internal/graph", "internal/vec"},
 
 	// The documentation checks: no runtime code.
