@@ -178,12 +178,16 @@ paperio:
 			exit bad \
 		}' "$$dir/1.csv"
 
-# Chaos harness. chaossmoke is the CI job: the -short schedule counts under
-# the race detector (~30s). chaos is the long-mode run (CHAOS_SCHEDULES
-# randomized fault schedules, default 1000) for release qualification or
-# fault-layer changes.
+# Chaos harness. chaossmoke is the CI job, under the race detector: the
+# -short schedule counts, the fault-injecting device's own tests, and the
+# buffer pool's concurrency tests (pin/evict stress with failing reads,
+# waiters of a failed read, a device closed under readers), so a regression
+# in the fault layer is named in this one step. chaos is the long-mode run
+# (CHAOS_SCHEDULES randomized fault schedules, default 1000) for release
+# qualification or fault-layer changes.
 chaossmoke:
-	$(GO) test -race -short -count=1 ./internal/testsupport/chaos
+	$(GO) test -race -short -count=1 ./internal/testsupport/chaos ./internal/testsupport/fault
+	$(GO) test -race -count=1 -run '^(TestPinEvictStress|TestFailedReadUnmapsBeforeWaitersWake|TestFileDeviceCloseRacesReads)$$' ./internal/storage
 
 # Cluster tier smoke: the gateway suite (real gateway and replica handlers
 # on memnet, the in-memory HTTP network, and memnet's own contract) under

@@ -334,8 +334,7 @@ func BenchmarkBatchSkyline(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				exec := engine.New(func(ctx context.Context) expand.Source { return net.WithReadContext(ctx) },
-					engine.Config{Workers: workers})
+				exec := engine.New(net, engine.Config{Workers: workers})
 				reqs := make([]mcn.BatchRequest, batch)
 				for i := range reqs {
 					reqs[i] = mcn.BatchRequest{Kind: mcn.SkylineQuery, Loc: ds.Queries[i%len(ds.Queries)],
@@ -384,7 +383,7 @@ func BenchmarkBatchSkylineMem(b *testing.B) {
 	for _, s := range sources {
 		for _, workers := range []int{1, 8} {
 			b.Run(fmt.Sprintf("%s/workers=%d", s.name, workers), func(b *testing.B) {
-				exec := engine.New(func(context.Context) expand.Source { return s.src }, engine.Config{Workers: workers})
+				exec := engine.New(s.src, engine.Config{Workers: workers})
 				reqs := make([]engine.Request, batch)
 				for i := range reqs {
 					reqs[i] = engine.Request{Kind: engine.Skyline, Loc: mds.Queries[i%len(mds.Queries)],

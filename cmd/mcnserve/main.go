@@ -33,9 +33,10 @@
 // SIGINT or SIGTERM the server stops admitting queries, finishes the
 // in-flight ones within -drain-timeout, and exits cleanly.
 //
-// A disk database is served through a CLOCK buffer pool (hits take no lock)
-// that retries transient page-read failures -io-retries times; /stats
-// reports the retries and failures under io_failures.
+// A disk database is served through a CLOCK buffer pool (hits take no lock).
+// A page read is one device read: a read that fails, or whose page fails its
+// checksum, fails its query with 500 "storage failure", and /stats counts it
+// under io_failures.
 package main
 
 import (
@@ -69,7 +70,6 @@ func main() {
 		shedRate   = flag.Float64("shed-rate", serve.DefaultShedRate, "sustained sheds/s over -shed-window above which /readyz reports unready (negative = any shed)")
 		shedWindow = flag.Duration("shed-window", serve.DefaultShedWindow, "sliding window the shed rate is averaged over")
 		drainTO    = flag.Duration("drain-timeout", 10*time.Second, "how long SIGINT/SIGTERM waits for in-flight queries before forcing exit")
-		ioRetries  = flag.Int("io-retries", 3, "transient page-read failures retried (with backoff) before a query fails")
 		timeout    = flag.Duration("timeout", 10*time.Second, "per-query timeout (0 = none)")
 		pprofFlag  = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/ (profiling; off by default)")
 
@@ -84,9 +84,7 @@ func main() {
 		if *timedep {
 			log.Fatal("mcnserve: -timedep requires -synthetic (time profiles attach to the in-memory graph)")
 		}
-		n, err := mcn.OpenDatabaseOptions(*db, *buffer, mcn.PoolOptions{
-			Retry: mcn.RetryPolicy{MaxRetries: *ioRetries},
-		})
+		n, err := mcn.OpenDatabaseOptions(*db, *buffer, mcn.PoolOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

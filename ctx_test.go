@@ -150,11 +150,12 @@ func TestSeqMidStreamCancellation(t *testing.T) {
 	}
 }
 
-// A query the executor runs on a disk network reads its pages under the
-// query's context: cancelling it aborts a retry backoff mid-sleep. Every read
-// of the device fails transiently and every backoff sleeps at least half a
-// second, so a query whose reads ignored its context would return only after
-// its retries, seconds later.
+// A query cancelled while its page read waits out a latency spike returns
+// context.Canceled once that one read is done: a page read is one attempt,
+// with no retry sleep after it, and the query's next interrupt poll sees the
+// cancellation. Every armed read spikes for half a second. The device is
+// disarmed at the cancellation, so the reads left before that poll are fast
+// and the wait is bounded by the one spiked read in flight.
 func TestExecutorCancelAbortsRetryBackoff(t *testing.T) {
 	g, err := Synthetic(SyntheticConfig{Nodes: 400, Facilities: 100, D: 3, Seed: 5})
 	if err != nil {
@@ -164,10 +165,9 @@ func TestExecutorCancelAbortsRetryBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := fault.Wrap(img, fault.Options{Seed: 1, ReadTransient: 1})
-	net, err := OpenDeviceOptions(dev, 0.05, PoolOptions{
-		Retry: RetryPolicy{MaxRetries: 3, BaseBackoff: time.Second, MaxBackoff: time.Second},
-	})
+	const spike = 500 * time.Millisecond
+	dev := fault.Wrap(img, fault.Options{Seed: 1, LatencyProb: 1, Latency: spike})
+	net, err := OpenDeviceOptions(dev, 0.05, PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,22 +180,26 @@ func TestExecutorCancelAbortsRetryBackoff(t *testing.T) {
 	go func() {
 		done <- net.NewExecutor(ExecutorConfig{Workers: 1}).Do(ctx, SkylineRequest(RandomQueries(g, 1, 3)[0]))
 	}()
-	for dev.Counters().ReadTransient == 0 {
+	for dev.Counters().LatencySpikes == 0 {
 		select {
 		case resp := <-done:
-			t.Fatalf("query ended before any device read failed: %v", resp.Err)
+			t.Fatalf("query ended before any device read: %v", resp.Err)
 		case <-time.After(time.Millisecond):
 		}
 	}
 	cancelled := time.Now()
 	cancel()
+	dev.Disarm()
 	select {
 	case resp := <-done:
 		if !errors.Is(resp.Err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", resp.Err)
 		}
-		if waited := time.Since(cancelled); waited > 250*time.Millisecond {
-			t.Fatalf("query returned %v after cancellation; the retry backoff ignored its context", waited)
+		if waited := time.Since(cancelled); waited > spike+spike/2 {
+			t.Fatalf("query returned %v after cancellation, more than the one read in flight", waited)
+		}
+		if n := dev.Counters().LatencySpikes; n != 1 {
+			t.Fatalf("%d spiked reads, want the one in flight at the cancellation", n)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("query still running 10 s after cancellation")

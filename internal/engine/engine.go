@@ -5,14 +5,14 @@
 // query that raised them, and accumulates latency statistics — the building
 // block behind the facade's Batch* methods and the mcnserve HTTP server.
 //
-// The executor imports no source package. Its caller hands New a function
-// that returns the expand.Source a query reads from, given the query's
-// context; the facade hands its own, which binds a disk store's page reads
-// to that context and returns an in-memory source unchanged. Sources must be
-// safe for concurrent readers, as the product's are. All per-query state
-// (expansions, CEA record memos, trackers) is created per call or acquired
-// by the core algorithms from expand's scratch pool for the duration of the
-// query, so concurrent queries share nothing mutable.
+// The executor imports no source package. Its caller hands New the
+// expand.Source every query reads from, fixed for the executor's life. A
+// query's cancellation is seen at its next interrupt poll; a disk store's
+// page read in flight is not interrupted, but it is one device read. Sources
+// must be safe for concurrent readers, as the product's are. All per-query
+// state (expansions, CEA record memos, trackers) is created per call or
+// acquired by the core algorithms from expand's scratch pool for the
+// duration of the query, so concurrent queries share nothing mutable.
 package engine
 
 import (
@@ -156,10 +156,9 @@ func (s Stats) MeanLatency() time.Duration {
 // concurrent use; a single Executor is meant to live as long as its network
 // (the HTTP server funnels every request through one).
 type Executor struct {
-	// srcFor returns the source a query reads from, given its context.
-	srcFor func(context.Context) expand.Source
-	cfg    Config
-	sem    chan struct{}
+	src expand.Source
+	cfg Config
+	sem chan struct{}
 	// cache, when non-nil, memoizes completed results at the serving layer;
 	// see SetCache and internal/rescache.
 	cache *rescache.Cache
@@ -183,14 +182,12 @@ type Executor struct {
 	stats Stats
 }
 
-// New returns an executor whose queries read from srcFor(ctx), called with
-// each query's context; how a source binds a context is the caller's
-// decision (see the package comment).
-func New(srcFor func(context.Context) expand.Source, cfg Config) *Executor {
+// New returns an executor whose queries read from src.
+func New(src expand.Source, cfg Config) *Executor {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	return &Executor{srcFor: srcFor, cfg: cfg, sem: make(chan struct{}, cfg.Workers)}
+	return &Executor{src: src, cfg: cfg, sem: make(chan struct{}, cfg.Workers)}
 }
 
 // Workers returns the configured parallelism bound.
@@ -399,14 +396,11 @@ func (e *Executor) run(ctx context.Context, req Request, idx int) (resp Response
 	if e.cache != nil && cacheable(req, opts) {
 		if key, scale, ok := cacheKey(req, opts); ok {
 			val, hit, err := e.cache.Do(key, func() (rescache.Value, []rescache.Tag, error) {
-				res, err := e.execute(ctx, req, opts)
+				res, err := e.execute(req, opts)
 				if err != nil {
 					return rescache.Value{}, nil, err
 				}
-				// Tags are read without the query's cancellation: a tag
-				// lost to it would leave the entry uninvalidatable.
-				tagSrc := e.srcFor(context.WithoutCancel(ctx))
-				return rescache.Value{Result: res, Scale: scale}, resultTags(tagSrc, req.Loc, res), nil
+				return rescache.Value{Result: res, Scale: scale}, resultTags(e.src, req.Loc, res), nil
 			})
 			if err != nil {
 				resp.Err = err
@@ -417,16 +411,14 @@ func (e *Executor) run(ctx context.Context, req Request, idx int) (resp Response
 			return
 		}
 	}
-	resp.Result, resp.Err = e.execute(ctx, req, opts)
+	resp.Result, resp.Err = e.execute(req, opts)
 	return
 }
 
 // execute dispatches one prepared request to the core algorithms against the
-// source srcFor returns for ctx. A cache hit never gets here, so it binds no
-// source it would not read.
-func (e *Executor) execute(ctx context.Context, req Request, opts core.Options) (*core.Result, error) {
-	src := e.srcFor(ctx)
-	switch req.Kind {
+// executor's source.
+func (e *Executor) execute(req Request, opts core.Options) (*core.Result, error) {
+	switch src := e.src; req.Kind {
 	case Skyline:
 		return core.Skyline(src, req.Loc, opts)
 	case TopK:
@@ -453,7 +445,7 @@ func (e *Executor) execute(ctx context.Context, req Request, opts core.Options) 
 // isolation and statistics match Do.
 func (e *Executor) StreamSkyline(ctx context.Context, req Request, emit func(core.Facility) bool) Response {
 	return e.stream(ctx, req, "skyline", emit, func(ctx context.Context, opts core.Options) iter.Seq2[core.Facility, error] {
-		return core.SkylineSeq(ctx, e.srcFor(ctx), req.Loc, opts)
+		return core.SkylineSeq(ctx, e.src, req.Loc, opts)
 	})
 }
 
@@ -471,7 +463,7 @@ func (e *Executor) StreamTopK(ctx context.Context, req Request, emit func(core.F
 		return emit(f) && (req.K <= 0 || n < req.K)
 	}
 	return e.stream(ctx, req, "top-k", upToK, func(ctx context.Context, opts core.Options) iter.Seq2[core.Facility, error] {
-		return core.TopKSeq(ctx, e.srcFor(ctx), req.Loc, req.Agg, opts)
+		return core.TopKSeq(ctx, e.src, req.Loc, req.Agg, opts)
 	})
 }
 

@@ -48,15 +48,6 @@ func sources(t testing.TB, inst *gen.Instance) map[string]expand.Source {
 	}
 }
 
-// bind returns what the facade hands New for src: a disk store's page reads
-// bound to each query's context, any other source unchanged.
-func bind(src expand.Source) func(context.Context) expand.Source {
-	if n, ok := src.(*storage.Network); ok {
-		return func(ctx context.Context) expand.Source { return n.WithReadContext(ctx) }
-	}
-	return func(context.Context) expand.Source { return src }
-}
-
 // mixedRequests builds a batch cycling through all four query kinds.
 func mixedRequests(inst *gen.Instance, n int) []Request {
 	agg := vec.NewWeighted(0.5, 0.3, 0.2)
@@ -95,10 +86,10 @@ func TestExecutorMatchesSequential(t *testing.T) {
 			reqs := mixedRequests(inst, 64)
 
 			// Sequential reference: a single-worker executor.
-			seq := New(bind(src), Config{Workers: 1})
+			seq := New(src, Config{Workers: 1})
 			want := seq.Execute(context.Background(), reqs)
 
-			exec := New(bind(src), Config{Workers: 8})
+			exec := New(src, Config{Workers: 8})
 			got := exec.Execute(context.Background(), reqs)
 			if len(got) != len(reqs) {
 				t.Fatalf("got %d responses for %d requests", len(got), len(reqs))
@@ -131,7 +122,7 @@ func TestExecutorMatchesSequential(t *testing.T) {
 func TestExecutorConcurrentDo(t *testing.T) {
 	inst := testInstance(t)
 	src := expand.NewMemorySource(inst.Graph)
-	exec := New(bind(src), Config{Workers: 4})
+	exec := New(src, Config{Workers: 4})
 	reqs := mixedRequests(inst, 32)
 
 	var wg sync.WaitGroup
@@ -186,7 +177,7 @@ func (s *gaugeSource) Adjacency(v graph.NodeID) ([]graph.AdjEntry, error) {
 func TestExecutorBoundSharedAcrossCallers(t *testing.T) {
 	inst := testInstance(t)
 	src := &gaugeSource{Source: expand.NewMemorySource(inst.Graph)}
-	exec := New(bind(src), Config{Workers: 2})
+	exec := New(src, Config{Workers: 2})
 
 	// Top-k only: enough source traffic to expose overlap without the full
 	// mixed workload's runtime.
@@ -227,7 +218,7 @@ func TestExecutorBoundSharedAcrossCallers(t *testing.T) {
 func TestExecutorCancellation(t *testing.T) {
 	inst := testInstance(t)
 	src := expand.NewMemorySource(inst.Graph)
-	exec := New(bind(src), Config{Workers: 2})
+	exec := New(src, Config{Workers: 2})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -250,7 +241,7 @@ func TestExecutorCancellation(t *testing.T) {
 func TestExecutorTimeout(t *testing.T) {
 	inst := testInstance(t)
 	src := expand.NewMemorySource(inst.Graph)
-	exec := New(bind(src), Config{Workers: 1, Timeout: time.Nanosecond})
+	exec := New(src, Config{Workers: 1, Timeout: time.Nanosecond})
 
 	resp := exec.Do(context.Background(), Request{Kind: Skyline, Loc: inst.Queries[0]})
 	if !errors.Is(resp.Err, context.DeadlineExceeded) {
@@ -269,7 +260,7 @@ func TestExecutorTimeout(t *testing.T) {
 func TestExecutorPanicIsolation(t *testing.T) {
 	inst := testInstance(t)
 	src := expand.NewMemorySource(inst.Graph)
-	exec := New(bind(src), Config{Workers: 4})
+	exec := New(src, Config{Workers: 4})
 
 	reqs := mixedRequests(inst, 12)
 	reqs[5] = Request{Kind: TopK, Loc: inst.Queries[0], Agg: nil, K: 2} // nil aggregate panics in core
@@ -317,7 +308,7 @@ func (d damagedDisk) AppendAdjacency(dst []graph.AdjEntry, costs []float64, v gr
 // as a recovered panic.
 func TestExecutorOutOfRangeRecordIsAnError(t *testing.T) {
 	inst := testInstance(t)
-	exec := New(bind(damagedDisk{sources(t, inst)["disk"].(*storage.Network)}), Config{})
+	exec := New(damagedDisk{sources(t, inst)["disk"].(*storage.Network)}, Config{})
 	for _, req := range mixedRequests(inst, 4) {
 		resp := exec.Do(context.Background(), req)
 		if resp.Err == nil || IsPanic(resp.Err) || !strings.Contains(resp.Err.Error(), "out of range") {
@@ -332,7 +323,7 @@ func TestExecutorOutOfRangeRecordIsAnError(t *testing.T) {
 // An unknown kind is an error, not a panic.
 func TestExecutorUnknownKind(t *testing.T) {
 	inst := testInstance(t)
-	exec := New(bind(expand.NewMemorySource(inst.Graph)), Config{})
+	exec := New(expand.NewMemorySource(inst.Graph), Config{})
 	resp := exec.Do(context.Background(), Request{Kind: Kind(42), Loc: inst.Queries[0]})
 	if resp.Err == nil || !strings.Contains(resp.Err.Error(), "unknown query kind") {
 		t.Fatalf("err = %v, want unknown-kind error", resp.Err)

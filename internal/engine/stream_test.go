@@ -15,7 +15,7 @@ import (
 func TestStreamSkyline(t *testing.T) {
 	inst := testInstance(t)
 	src := expand.NewMemorySource(inst.Graph)
-	exec := New(bind(src), Config{Workers: 2})
+	exec := New(src, Config{Workers: 2})
 	q := inst.Queries[0]
 
 	want := exec.Do(context.Background(), Request{Kind: Skyline, Loc: q})
@@ -57,7 +57,7 @@ func TestStreamSkyline(t *testing.T) {
 func TestStreamTopK(t *testing.T) {
 	inst := testInstance(t)
 	src := expand.NewMemorySource(inst.Graph)
-	exec := New(bind(src), Config{Workers: 2})
+	exec := New(src, Config{Workers: 2})
 	q := inst.Queries[1]
 	agg := vec.NewWeighted(1, 1, 1)
 	const k = 3
@@ -91,7 +91,7 @@ func TestStreamTopK(t *testing.T) {
 // does not take the worker down.
 func TestStreamTopKPanicIsolation(t *testing.T) {
 	inst := testInstance(t)
-	exec := New(bind(expand.NewMemorySource(inst.Graph)), Config{Workers: 1})
+	exec := New(expand.NewMemorySource(inst.Graph), Config{Workers: 1})
 
 	resp := exec.StreamTopK(context.Background(),
 		Request{Kind: TopK, Loc: inst.Queries[0], Agg: nil, K: 2}, // nil aggregate panics in core
@@ -113,7 +113,7 @@ func TestStreamTopKPanicIsolation(t *testing.T) {
 // too), Draining and AdmissionStats report it, DrainWait returns once idle.
 func TestDrainLifecycle(t *testing.T) {
 	inst := testInstance(t)
-	exec := New(bind(expand.NewMemorySource(inst.Graph)), Config{Workers: 3, QueueDepth: 4})
+	exec := New(expand.NewMemorySource(inst.Graph), Config{Workers: 3, QueueDepth: 4})
 
 	if exec.Workers() != 3 {
 		t.Errorf("Workers = %d, want 3", exec.Workers())

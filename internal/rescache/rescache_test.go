@@ -479,7 +479,7 @@ func TestConcurrentChurn(t *testing.T) {
 func TestSingleflightLeaderErrorLeavesKeyRetryable(t *testing.T) {
 	c := New(Options{Entries: 8})
 	const herd = 16
-	boom := errors.New("storage: page 7: retries exhausted")
+	boom := errors.New("storage: page 7: device read failed")
 	gate := make(chan struct{})
 	var computes atomic.Int64
 	var wg sync.WaitGroup

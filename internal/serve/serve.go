@@ -265,8 +265,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if fs, ok := s.net.IOFailureStats(); ok {
-		// io_retries, io_fail_transient, io_fail_permanent, checksum_errors —
-		// the disk failure-handling ledger (zero on a healthy device).
+		// io_fail_permanent, checksum_errors — the disk's failed page reads
+		// (zero on a healthy device).
 		out["io_failures"] = fs
 	}
 	if io, ok := s.net.IOStats(); ok {

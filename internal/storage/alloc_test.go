@@ -69,7 +69,7 @@ func TestSpanningRecordAllocatesNothing(t *testing.T) {
 	dev, refs, recs := spanningRecords(t)
 	pool := NewBufferPool(dev, 8)
 	read := func() {
-		c := newCursor(nil, pool, refs[0])
+		c := newCursor(pool, refs[0])
 		if _, err := c.next(len(recs[0])); err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 )
@@ -134,15 +133,13 @@ func OpenBTree(pool *BufferPool, root PageID) *BTree {
 	return &BTree{pool: pool, root: root}
 }
 
-// LookupCtx returns the value stored under key, with ok=false when absent,
-// reading one node per level with the page reads bound to ctx (see
-// BufferPool.GetCtx; a nil ctx binds nothing). Each node is pinned only
-// while it is searched.
-func (t *BTree) LookupCtx(ctx context.Context, key uint64) (value uint64, ok bool, err error) {
+// Lookup returns the value stored under key, with ok=false when absent,
+// reading one node per level. Each node is pinned only while it is searched.
+func (t *BTree) Lookup(key uint64) (value uint64, ok bool, err error) {
 	page := t.root
 	for {
 		var fr *Frame
-		if fr, err = t.pool.GetCtx(ctx, page); err != nil {
+		if fr, err = t.pool.Get(page); err != nil {
 			return 0, false, err
 		}
 		data := fr.Data()

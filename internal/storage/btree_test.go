@@ -8,11 +8,6 @@ import (
 	"testing"
 )
 
-// Lookup is LookupCtx without a context.
-func (t *BTree) Lookup(key uint64) (value uint64, ok bool, err error) {
-	return t.LookupCtx(nil, key)
-}
-
 func buildTree(t *testing.T, keys, vals []uint64) (*BTree, *BufferPool) {
 	t.Helper()
 	dev := NewMemDevice()

@@ -1,13 +1,11 @@
 package storage
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Stats counts page accesses through a buffer pool. Logical counts every
@@ -89,9 +87,6 @@ func (p Policy) String() string {
 type PoolOptions struct {
 	// Policy selects the replacement algorithm (default clock).
 	Policy Policy
-	// Retry bounds re-reads of transiently failing pages (see RetryPolicy).
-	// The zero value surfaces every device error immediately.
-	Retry RetryPolicy
 }
 
 // BufferPool is a page cache over a Device: one replacement domain of at
@@ -102,7 +97,7 @@ type PoolOptions struct {
 //
 // One mutex guards the replacement state and the miss path. A CLOCK hit does
 // not take it: a page-indexed table maps every cached page to its frame, and
-// a hit pins the frame it finds there with a compare-and-swap (see GetCtx).
+// a hit pins the frame it finds there with a compare-and-swap (see Get).
 //
 // The pool is read-only — query processing never mutates the database — and
 // safe for concurrent readers under a pin/unpin contract: Get returns the
@@ -121,14 +116,13 @@ type BufferPool struct {
 	dev    Device
 	cap    int
 	policy Policy
-	retry  RetryPolicy
 	// sums, when set (OpenWithPool loads it from the database's checksum
 	// table), holds the CRC-32C of every covered page, indexed by page id; a
-	// freshly read page that disagrees is classified like a transient device
-	// error and retried. A page is verified on every read, except on a
-	// FileDevice, whose bytes are not rewritten while it is open: there the
-	// verified bitset, indexed like sums, marks each page that has passed in
-	// this open, and a marked page is not verified again.
+	// freshly read page that disagrees fails the read with ErrChecksum. A
+	// page is verified on every read, except on a FileDevice, whose bytes
+	// are not rewritten while it is open: there the verified bitset, indexed
+	// like sums, marks each page that has passed in this open, and a marked
+	// page is not verified again.
 	sums     []uint32
 	verified []atomic.Uint64
 	// table maps each cached page id to its frame, and each page being read
@@ -145,8 +139,6 @@ type BufferPool struct {
 	cached    atomic.Int64 // pages in the table, for lock-free Len
 
 	// I/O failure counters (see FailureStats).
-	retries       atomic.Int64
-	failTransient atomic.Int64
 	failPermanent atomic.Int64
 	checksumErrs  atomic.Int64
 
@@ -233,7 +225,7 @@ var framePool = sync.Pool{New: func() any {
 // nothing.
 type coalesced struct {
 	done chan struct{}
-	n    int // waiters still interested (guarded by the pool lock)
+	n    int // waiters (guarded by the pool lock)
 	f    *Frame
 	err  error
 }
@@ -250,7 +242,6 @@ func NewBufferPool(dev Device, capacity int, opts ...PoolOptions) *BufferPool {
 		dev:    dev,
 		cap:    capacity,
 		policy: o.Policy,
-		retry:  o.Retry.withDefaults(),
 	}
 	if capacity > 0 {
 		b.table = make([]atomic.Pointer[Frame], dev.NumPages())
@@ -327,20 +318,11 @@ func (b *BufferPool) Drop() {
 	b.slots, b.hand = slices.DeleteFunc(b.slots, spare), 0
 }
 
-// Get returns page id pinned in a frame; see GetCtx.
+// Get returns the frame holding page id, pinned: the caller reads
+// Frame.Data and then calls Frame.Release, before its next Get. A miss is
+// one device read, so a caller waits at most one read: its own, or the one
+// another query is making of the same page.
 func (b *BufferPool) Get(id PageID) (*Frame, error) {
-	return b.GetCtx(nil, id)
-}
-
-// GetCtx returns the frame holding page id, pinned: the caller reads
-// Frame.Data and then calls Frame.Release, before its next Get. It is bound
-// to a query context: a ctx that is cancelled (or whose deadline passes)
-// aborts retry backoff sleeps immediately and releases coalesced waiters
-// without waiting for the leader's read, returning the context's error. A
-// nil ctx never cancels. The leader of a coalesced read always runs its
-// retry schedule to completion under its own ctx, so one waiter's
-// cancellation never fails the read for the others.
-func (b *BufferPool) GetCtx(ctx context.Context, id PageID) (*Frame, error) {
 	b.logical.Add(1)
 	if int(id) >= len(b.table) {
 		// Caching disabled (the table is empty): every logical read is a
@@ -350,7 +332,7 @@ func (b *BufferPool) GetCtx(ctx context.Context, id PageID) (*Frame, error) {
 		b.physical.Add(1)
 		f := framePool.Get().(*Frame)
 		f.take(id)
-		if err := b.readPage(ctx, id, f.data); err != nil {
+		if err := b.readPage(id, f.data); err != nil {
 			f.Release()
 			return nil, err
 		}
@@ -376,9 +358,8 @@ func (b *BufferPool) GetCtx(ctx context.Context, id PageID) (*Frame, error) {
 	if f := b.table[id].Load(); f != nil {
 		if f.pins.Load() < 0 {
 			// Under the lock a mapped frame is claimed only while another
-			// query reads the page into it: share that read — including the
-			// outcome of any retries the leader performs.
-			return b.join(ctx, f, id)
+			// query reads the page into it: share that read.
+			return b.join(f)
 		}
 		b.touch(f, true)
 		f.pins.Add(1)
@@ -403,7 +384,7 @@ func (b *BufferPool) GetCtx(ctx context.Context, id PageID) (*Frame, error) {
 	b.physical.Add(1)
 	b.mu.Unlock()
 
-	err := b.readPage(ctx, id, f.data)
+	err := b.readPage(id, f.data)
 	if f.transient {
 		if err != nil {
 			f.Release() // the last Release returns the buffer
@@ -439,10 +420,9 @@ func (b *BufferPool) GetCtx(ctx context.Context, id PageID) (*Frame, error) {
 }
 
 // join waits for the in-flight read led by lead and returns its frame with a
-// pin the leader took for this waiter. The caller holds b.mu; join unlocks.
-// A cancelled waiter leaves early; the leader's read still completes and
-// populates the frame.
-func (b *BufferPool) join(ctx context.Context, lead *Frame, id PageID) (*Frame, error) {
+// pin the leader took for this waiter, or the read's error. The caller holds
+// b.mu; join unlocks.
+func (b *BufferPool) join(lead *Frame) (*Frame, error) {
 	w := lead.wait
 	if w == nil {
 		w = &coalesced{done: make(chan struct{})}
@@ -451,37 +431,9 @@ func (b *BufferPool) join(ctx context.Context, lead *Frame, id PageID) (*Frame, 
 	w.n++
 	b.coalesced.Add(1)
 	b.mu.Unlock()
-	if ctx != nil {
-		select {
-		case <-w.done:
-		case <-ctx.Done():
-			// Withdraw; if the leader finished first it already pinned the
-			// frame for this waiter, and that pin goes back.
-			b.mu.Lock()
-			select {
-			case <-w.done:
-				b.mu.Unlock()
-				if w.err == nil {
-					w.f.Release()
-				}
-			default:
-				w.n--
-				b.mu.Unlock()
-			}
-			return nil, fmt.Errorf("storage: page %d: coalesced read abandoned: %w", id, ctx.Err())
-		}
-	} else {
-		<-w.done
-	}
+	<-w.done
 	if w.err == nil {
 		return w.f, nil
-	}
-	if isCtxErr(w.err) && (ctx == nil || ctx.Err() == nil) {
-		// The leader abandoned the read because *its* context died; this
-		// waiter's is still live, so re-issue the read (becoming the new
-		// leader) instead of inheriting a failure that says nothing about
-		// the device.
-		return b.GetCtx(ctx, id)
 	}
 	return nil, w.err
 }
@@ -489,65 +441,28 @@ func (b *BufferPool) join(ctx context.Context, lead *Frame, id PageID) (*Frame, 
 // FailureStats returns the pool's lifetime I/O failure counters (lock-free).
 func (b *BufferPool) FailureStats() FailureStats {
 	return FailureStats{
-		Retries:   b.retries.Load(),
-		Transient: b.failTransient.Load(),
 		Permanent: b.failPermanent.Load(),
 		Checksum:  b.checksumErrs.Load(),
 	}
 }
 
-// isCtxErr reports whether err stems from context cancellation or deadline
-// expiry rather than the device.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// readPage performs one logical device read of page id into data: the raw
-// read, checksum verification (see verify), and bounded retry with
-// exponential backoff and jitter on transient failures. Classification (see
-// errors.go): transient errors and checksum mismatches are retried up to the
-// policy's budget; anything else — and a cancelled ctx — surfaces
-// immediately. Readers are handed a frame only after a fully successful
-// attempt, so a failure can never poison the cache.
-func (b *BufferPool) readPage(ctx context.Context, id PageID, data []byte) error {
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = b.dev.ReadPage(id, data)
-		if err == nil && id != 0 && int(id) < len(b.sums) {
-			err = b.verify(id, data)
-		}
-		if err == nil {
-			return nil
-		}
-		if !IsTransient(err) {
-			b.failPermanent.Add(1)
+// readPage reads page id into data with one device read and verifies it
+// against its checksum (see verify). A failure is counted and surfaced once:
+// ErrChecksum, or the device's own error prefixed with the page id. Readers
+// are handed a frame only after a read that passed, so a failure can never
+// poison the cache.
+func (b *BufferPool) readPage(id PageID, data []byte) error {
+	if err := b.dev.ReadPage(id, data); err != nil {
+		b.failPermanent.Add(1)
+		if strings.HasPrefix(err.Error(), "storage:") {
 			return err
 		}
-		if attempt >= b.retry.MaxRetries {
-			b.failTransient.Add(1)
-			if b.retry.MaxRetries > 0 {
-				return fmt.Errorf("storage: page %d: %d retries exhausted: %w", id, b.retry.MaxRetries, err)
-			}
-			return err
-		}
-		b.retries.Add(1)
-		if d := b.retry.backoff(attempt + 1); d > 0 {
-			if ctx != nil {
-				t := time.NewTimer(d)
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-					return fmt.Errorf("storage: page %d: retry abandoned after %v: %w", id, err, ctx.Err())
-				}
-			} else {
-				time.Sleep(d)
-			}
-		}
-		if ctx != nil && ctx.Err() != nil {
-			return fmt.Errorf("storage: page %d: retry abandoned after %v: %w", id, err, ctx.Err())
-		}
+		return fmt.Errorf("storage: page %d: %w", id, err)
 	}
+	if id != 0 && int(id) < len(b.sums) {
+		return b.verify(id, data)
+	}
+	return nil
 }
 
 // verify checks a freshly read covered page against its checksum. With a

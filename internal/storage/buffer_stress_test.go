@@ -163,7 +163,7 @@ func TestBufferPoolCoalescesPopularPage(t *testing.T) {
 }
 
 // A failed device read must propagate to every coalesced waiter and must not
-// poison the pool: the next read of that page retries the device.
+// poison the pool: the next read of that page asks the device again.
 func TestBufferPoolCoalescedReadError(t *testing.T) {
 	dev := stampDevice(t, 4)
 	pool := NewBufferPool(dev, 4)

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"context"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -31,11 +30,7 @@ func pageStamp(data []byte) uint32 { return binary.LittleEndian.Uint32(data) }
 // readStamp reads page id through the pool and returns its stamp, unpinning
 // the frame before it returns.
 func readStamp(pool *BufferPool, id PageID) (uint32, error) {
-	return readStampCtx(nil, pool, id)
-}
-
-func readStampCtx(ctx context.Context, pool *BufferPool, id PageID) (uint32, error) {
-	fr, err := pool.GetCtx(ctx, id)
+	fr, err := pool.Get(id)
 	if err != nil {
 		return 0, err
 	}

@@ -165,7 +165,7 @@ func fileDevice(t *testing.T, n int) (string, *FileDevice) {
 
 // A file truncated behind an open device: reading a page the file no longer
 // holds is an error wrapping io.ErrUnexpectedEOF, not a crash and not a page
-// of zeros, and the pool counts it as a permanent failure without retrying.
+// of zeros, and the pool counts it as one permanent failure.
 func TestFileDeviceTruncatedBehindHandle(t *testing.T) {
 	path, dev := fileDevice(t, 4)
 	defer dev.Close()
@@ -181,12 +181,12 @@ func TestFileDeviceTruncatedBehindHandle(t *testing.T) {
 		t.Fatalf("read of a truncated page: %v, want io.ErrUnexpectedEOF", err)
 	}
 
-	pool := NewBufferPool(dev, 2, PoolOptions{Retry: RetryPolicy{MaxRetries: 3}})
+	pool := NewBufferPool(dev, 2)
 	if _, err := pool.Get(3); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("pool read of a truncated page: %v, want io.ErrUnexpectedEOF", err)
 	}
 	if fs := pool.FailureStats(); fs != (FailureStats{Permanent: 1}) {
-		t.Errorf("failure stats %+v, want one permanent failure and no retries", fs)
+		t.Errorf("failure stats %+v, want one permanent failure", fs)
 	}
 }
 

@@ -3,122 +3,41 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"math/rand/v2"
-	"time"
 )
 
-// Error taxonomy of the storage layer. Every I/O failure a query can observe
-// falls into one of three classes, and the buffer pool's retry logic keys off
-// the classification:
+// Error taxonomy of the storage layer. A page read is one device read, and
+// every failure a query can observe falls into one of two classes:
 //
-//   - transient: the device reported a failure that may not repeat (a timed-
-//     out command, a dropped interconnect frame, an injected fault). Marked
-//     with MarkTransient; the pool retries these with exponential backoff.
 //   - corrupt: the page was read "successfully" but its content fails the
-//     database's checksum (ErrChecksum). Treated as retryable — a re-read
-//     distinguishes a transfer corruption from damaged media — and counted
-//     separately so silent corruption is always visible in /stats.
-//   - permanent: everything else. Surfaced immediately, never retried.
-
-// transientError marks an error as retryable. It wraps, so errors.Is/As see
-// through it, and IsTransient recognises it across wrapping layers.
-type transientError struct{ err error }
-
-func (t *transientError) Error() string { return t.err.Error() }
-func (t *transientError) Unwrap() error { return t.err }
-
-// TransientIO marks the classification; any error type with this method
-// reporting true is treated as retryable by the pool.
-func (t *transientError) TransientIO() bool { return true }
-
-// MarkTransient wraps err so IsTransient reports true for it (and for any
-// error wrapping it). A nil err stays nil.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err is classified as a transient I/O failure —
-// one the buffer pool may retry. Checksum mismatches count as transient (a
-// re-read distinguishes transfer corruption from damaged media).
-func IsTransient(err error) bool {
-	var t interface{ TransientIO() bool }
-	if errors.As(err, &t) {
-		return t.TransientIO()
-	}
-	return errors.Is(err, ErrChecksum)
-}
+//     database's checksum (ErrChecksum). Counted separately, so silent
+//     corruption is always visible in /stats.
+//   - permanent: the device's own error, surfaced as it is (wrapped with the
+//     page id).
+//
+// Neither is retried: the pool's devices do not fail transiently (a mapped
+// file re-reads the same bytes), so a second attempt would return the same
+// error later.
 
 // ErrChecksum reports a page whose content does not match the database's
 // checksum table: silent corruption turned into an explicit, classified
-// error. The pool retries checksum failures like transient errors (counting
-// them separately); persistent corruption exhausts the retry budget and
-// surfaces wrapped in this sentinel.
+// error.
 var ErrChecksum = errors.New("storage: page checksum mismatch")
 
-// RetryPolicy bounds the buffer pool's retries of transient read failures.
-// The zero value disables retrying (every error surfaces immediately), which
-// is the pre-fault-model behaviour.
-type RetryPolicy struct {
-	// MaxRetries is the number of re-reads after the first failed attempt.
-	MaxRetries int
-	// BaseBackoff is the sleep before the first retry; each subsequent
-	// retry doubles it up to MaxBackoff. Zero selects 500µs when MaxRetries
-	// is positive.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential backoff. Zero selects 50ms.
-	MaxBackoff time.Duration
-}
-
-// withDefaults fills the zero backoff fields.
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxRetries > 0 {
-		if p.BaseBackoff <= 0 {
-			p.BaseBackoff = 500 * time.Microsecond
-		}
-		if p.MaxBackoff <= 0 {
-			p.MaxBackoff = 50 * time.Millisecond
-		}
-	}
-	return p
-}
-
-// backoff returns the sleep before retry attempt (1-based), jittered
-// uniformly over [d/2, d) so coalescing leaders retrying the same failing
-// device do not synchronise.
-func (p RetryPolicy) backoff(attempt int) time.Duration {
-	d := p.BaseBackoff << uint(attempt-1)
-	if d > p.MaxBackoff || d <= 0 {
-		d = p.MaxBackoff
-	}
-	if d <= 0 {
-		return 0
-	}
-	half := d / 2
-	return half + rand.N(d-half)
-}
-
-// FailureStats counts the buffer pool's I/O failure handling since the pool
-// was created. Counters are updated atomically and read lock-free, like
-// Stats; they are not reset by ResetStats (failures are rare and lifetime
-// totals are what operators alert on).
+// FailureStats counts the buffer pool's failed page reads since the pool was
+// created. Counters are updated atomically and read lock-free, like Stats;
+// they are not reset by ResetStats (failures are rare and lifetime totals
+// are what operators alert on).
 type FailureStats struct {
-	// Retries counts individual re-read attempts after transient failures.
-	Retries int64 `json:"io_retries"`
-	// Transient counts reads that still failed after exhausting the retry
-	// budget on transient errors.
-	Transient int64 `json:"io_fail_transient"`
-	// Permanent counts reads that failed with a non-retryable error.
+	// Retries is always zero: a page read is one attempt. It is kept for
+	// readers of the field and left out of JSON.
+	Retries int64 `json:"-"`
+	// Permanent counts reads that failed with the device's own error.
 	Permanent int64 `json:"io_fail_permanent"`
-	// Checksum counts checksum mismatches observed (each failed verify,
-	// including ones a retry subsequently repaired).
+	// Checksum counts reads whose page failed its checksum.
 	Checksum int64 `json:"checksum_errors"`
 }
 
 // String implements fmt.Stringer.
 func (f FailureStats) String() string {
-	return fmt.Sprintf("retries=%d transient=%d permanent=%d checksum=%d",
-		f.Retries, f.Transient, f.Permanent, f.Checksum)
+	return fmt.Sprintf("permanent=%d checksum=%d", f.Permanent, f.Checksum)
 }

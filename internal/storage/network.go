@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -34,30 +33,12 @@ type Network struct {
 	// order is the rank table: the graph's id of each node. No query reads
 	// it; it relates the database to the graph it was built from.
 	order []graph.NodeID
-	// ctx, when non-nil, bounds every page read issued through this handle
-	// (see WithReadContext). Shared by all views of one database.
-	ctx context.Context
-}
-
-// WithReadContext returns a view of n whose page reads are bound to ctx:
-// retry backoff sleeps abort when ctx is done, and coalesced waiters stop
-// waiting on another query's read. The view shares the pool, indexes and
-// cache with n — it is a cheap per-query wrapper, not a reopened database.
-// A ctx that can never be done (nil, or one whose Done is nil) binds nothing
-// and returns n itself.
-func (n *Network) WithReadContext(ctx context.Context) *Network {
-	if ctx == nil || ctx.Done() == nil {
-		return n
-	}
-	m := *n
-	m.ctx = ctx
-	return &m
 }
 
 // OpenOptions prepares a network handle over dev with a buffer pool holding
 // bufferFrac of the database pages (the paper's cache-size parameter; 0
-// disables caching, 1 or more holds every page), tuned by opts (replacement
-// policy, read retries). A bufferFrac that is negative, infinite or NaN is
+// disables caching, 1 or more holds every page), tuned by opts (the
+// replacement policy). A bufferFrac that is negative, infinite or NaN is
 // refused. The zero PoolOptions is a clock cache with lock-free hits and
 // miss coalescing.
 func OpenOptions(dev Device, bufferFrac float64, opts PoolOptions) (*Network, error) {
@@ -207,14 +188,14 @@ func (n *Network) arcs(c *cursor, v graph.NodeID) ([]byte, error) {
 	if int(v) >= n.hdr.numNodes {
 		return nil, fmt.Errorf("storage: node %d out of range (%d nodes)", v, n.hdr.numNodes)
 	}
-	packed, ok, err := n.adjTree.LookupCtx(n.ctx, uint64(v))
+	packed, ok, err := n.adjTree.Lookup(uint64(v))
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, fmt.Errorf("storage: node %d missing from adjacency tree", v)
 	}
-	*c = newCursor(n.ctx, n.pool, UnpackRef(packed))
+	*c = newCursor(n.pool, UnpackRef(packed))
 	head, err := c.next(2)
 	if err != nil {
 		return nil, err
@@ -282,7 +263,7 @@ func (n *Network) AppendFacilities(dst []graph.FacEntry, facRef uint64, count in
 	if facRef == graph.NoFacRef || count == 0 {
 		return dst, nil
 	}
-	c := newCursor(n.ctx, n.pool, UnpackRef(facRef))
+	c := newCursor(n.pool, UnpackRef(facRef))
 	defer c.close()
 	rec, err := c.next(count * facSize)
 	if err != nil {
@@ -302,7 +283,7 @@ func (n *Network) AppendFacilities(dst []graph.FacEntry, facRef uint64, count in
 // tree (used by the shrinking-stage optimisation that restricts facility-
 // record reads to candidate edges).
 func (n *Network) FacilityEdge(p graph.FacilityID) (graph.EdgeID, error) {
-	v, ok, err := n.facTree.LookupCtx(n.ctx, uint64(p))
+	v, ok, err := n.facTree.Lookup(uint64(p))
 	if err != nil {
 		return 0, err
 	}
@@ -316,7 +297,7 @@ func (n *Network) FacilityEdge(p graph.FacilityID) (graph.EdgeID, error) {
 // record, used to initialise expansions at an on-edge query location. It
 // costs one edge-tree lookup plus one adjacency access.
 func (n *Network) EdgeInfo(e graph.EdgeID) (graph.EdgeInfo, error) {
-	uVal, ok, err := n.edgeTree.LookupCtx(n.ctx, uint64(e))
+	uVal, ok, err := n.edgeTree.Lookup(uint64(e))
 	if err != nil {
 		return graph.EdgeInfo{}, err
 	}

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -43,7 +42,7 @@ func TestDropKeepsPinnedFrame(t *testing.T) {
 			pool := NewBufferPool(dev, 2, PoolOptions{Policy: policy})
 			record := append(append([]byte{}, want[3][100:]...), want[4][:200]...)
 
-			c := newCursor(nil, pool, Ref{Page: 3, Off: 100})
+			c := newCursor(pool, Ref{Page: 3, Off: 100})
 			defer c.close()
 			head, err := c.next(1000)
 			if err != nil {
@@ -147,7 +146,10 @@ func reading(pool *BufferPool) int {
 	return n
 }
 
-// flakyDevice fails a fraction of reads with a transient error after
+// errFlaky is the device error flakyDevice fails its reads with.
+var errFlaky = errors.New("flaky read")
+
+// flakyDevice fails a fraction of reads with errFlaky after
 // scribbling over the caller's buffer, as a transfer that died half way
 // would, and delays every read a little so that misses overlap.
 type flakyDevice struct {
@@ -164,7 +166,7 @@ func (d *flakyDevice) ReadPage(id PageID, buf []byte) error {
 		for i := range buf {
 			buf[i] = 0xEE
 		}
-		return MarkTransient(fmt.Errorf("flaky read of page %d", id))
+		return errFlaky
 	}
 	return d.Device.ReadPage(id, buf)
 }
@@ -173,8 +175,7 @@ func (d *flakyDevice) ReadPage(id PageID, buf []byte) error {
 // eight frames compare every page they pin with the device's copy while they
 // hold the pin. Hot pages make readers coalesce and CLOCK hits race the
 // evictor's claim, the tiny pools make all-frames-pinned the normal case,
-// some readers give up through their context (as leaders and as waiters),
-// reads fail mid-transfer with and without retries left, and the pool is
+// reads fail mid-transfer (as leaders and under waiters), and the pool is
 // dropped now and then.
 func TestPinEvictStress(t *testing.T) {
 	const (
@@ -196,13 +197,12 @@ func TestPinEvictStress(t *testing.T) {
 		{6, PoolOptions{}},
 		{0, PoolOptions{}},
 	} {
-		tc.opts.Retry = RetryPolicy{MaxRetries: 1, BaseBackoff: time.Microsecond, MaxBackoff: 5 * time.Microsecond}
 		name := fmt.Sprintf("cap=%d_%v", tc.capacity, tc.opts.Policy)
 		t.Run(name, func(t *testing.T) {
 			mem, want := randomDevice(t, pages, 11)
 			pool := NewBufferPool(&flakyDevice{Device: mem}, tc.capacity, tc.opts)
 			var wg sync.WaitGroup
-			var ok, failed, cancelled atomic.Int64
+			var ok, failed atomic.Int64
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(seed int64) {
@@ -213,18 +213,10 @@ func TestPinEvictStress(t *testing.T) {
 						if rng.Intn(3) == 0 {
 							id = PageID(rng.Intn(pages))
 						}
-						ctx, cancel := context.Background(), context.CancelFunc(func() {})
-						if rng.Intn(8) == 0 {
-							ctx, cancel = context.WithTimeout(ctx, time.Duration(rng.Intn(30))*time.Microsecond)
-						}
-						fr, err := pool.GetCtx(ctx, id)
-						cancel()
+						fr, err := pool.Get(id)
 						switch {
 						case err == nil:
-						case errors.Is(err, context.DeadlineExceeded):
-							cancelled.Add(1)
-							continue
-						case IsTransient(err):
+						case errors.Is(err, errFlaky):
 							failed.Add(1)
 							continue
 						default:
@@ -248,9 +240,9 @@ func TestPinEvictStress(t *testing.T) {
 				}(int64(w + 1))
 			}
 			wg.Wait()
-			t.Logf("ok=%d transient=%d cancelled=%d %v %v", ok.Load(), failed.Load(), cancelled.Load(), pool.Stats(), pool.FailureStats())
+			t.Logf("ok=%d failed=%d %v %v", ok.Load(), failed.Load(), pool.Stats(), pool.FailureStats())
 			if ok.Load() == 0 || failed.Load() == 0 {
-				t.Errorf("stress did not cover both outcomes: ok=%d transient=%d", ok.Load(), failed.Load())
+				t.Errorf("stress did not cover both outcomes: ok=%d failed=%d", ok.Load(), failed.Load())
 			}
 
 			// Every pin went back: the whole pool can be dropped, and it holds
@@ -265,7 +257,7 @@ func TestPinEvictStress(t *testing.T) {
 			for id := range want {
 				fr, err := pool.Get(PageID(id))
 				if err != nil {
-					if IsTransient(err) {
+					if errors.Is(err, errFlaky) {
 						continue
 					}
 					t.Fatal(err)
@@ -315,8 +307,8 @@ func TestFailedReadUnmapsBeforeWaitersWake(t *testing.T) {
 		close(dev.gate)
 		for i := 0; i <= waiters; i++ {
 			o := <-out
-			if !IsTransient(o.err) {
-				t.Fatalf("reader of the failing page: %v, want the leader's transient error", o.err)
+			if !errors.Is(o.err, errScripted) {
+				t.Fatalf("reader of the failing page: %v, want the leader's device error", o.err)
 			}
 			if o.mapped {
 				t.Fatalf("round %d: the failed page was still mapped when a reader woke", round)

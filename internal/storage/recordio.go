@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -124,11 +123,9 @@ func (w *pageWriter) close() error {
 // cursor reads bytes sequentially from a ref through a buffer pool,
 // following records across contiguous pages. It keeps the page it is on
 // pinned and unpins it before asking for the next, so it holds at most one
-// pin; close drops the last one. A non-nil ctx binds every page read to it
-// (see BufferPool.GetCtx).
+// pin; close drops the last one.
 type cursor struct {
 	pool *BufferPool
-	ctx  context.Context
 	page PageID
 	off  int
 	fr   *Frame
@@ -141,8 +138,8 @@ type cursor struct {
 // in, so such a record costs no allocation once the buffers exist.
 var spillPool = sync.Pool{New: func() any { return new([]byte) }}
 
-func newCursor(ctx context.Context, pool *BufferPool, ref Ref) cursor {
-	return cursor{pool: pool, ctx: ctx, page: ref.Page, off: int(ref.Off)}
+func newCursor(pool *BufferPool, ref Ref) cursor {
+	return cursor{pool: pool, page: ref.Page, off: int(ref.Off)}
 }
 
 // close unpins the page the cursor is on and returns its spill buffer.
@@ -168,7 +165,7 @@ func (c *cursor) ensure() error {
 		c.page++
 		c.off = 0
 	}
-	fr, err := c.pool.GetCtx(c.ctx, c.page)
+	fr, err := c.pool.Get(c.page)
 	if err != nil {
 		return err
 	}

@@ -46,7 +46,7 @@ func TestPageWriterCursorRoundtrip(t *testing.T) {
 
 	pool := NewBufferPool(dev, 4)
 	le := binary.LittleEndian
-	c := newCursor(nil, pool, ref1)
+	c := newCursor(pool, ref1)
 	defer c.close()
 	if b, err := c.next(2); err != nil || le.Uint16(b) != 7 {
 		t.Fatalf("u16 = %v, %v", b, err)
@@ -54,7 +54,7 @@ func TestPageWriterCursorRoundtrip(t *testing.T) {
 	if b, err := c.next(4); err != nil || le.Uint32(b) != 0xCAFEBABE {
 		t.Fatalf("u32 = %x, %v", b, err)
 	}
-	c2 := newCursor(nil, pool, ref2)
+	c2 := newCursor(pool, ref2)
 	defer c2.close()
 	if b, err := c2.next(8); err != nil || le.Uint64(b) != 1<<40 {
 		t.Fatalf("u64 = %v, %v", b, err)
@@ -89,7 +89,7 @@ func TestRecordSpansPages(t *testing.T) {
 	}
 
 	pool := NewBufferPool(dev, 8)
-	c := newCursor(nil, pool, ref)
+	c := newCursor(pool, ref)
 	defer c.close()
 	got, err := c.next(len(record))
 	if err != nil {
@@ -136,12 +136,12 @@ func spanningRecords(t *testing.T) (*MemDevice, []Ref, [][]byte) {
 func TestSpillBufferHeldUntilClose(t *testing.T) {
 	dev, refs, recs := spanningRecords(t)
 	pool := NewBufferPool(dev, 8)
-	a := newCursor(nil, pool, refs[0])
+	a := newCursor(pool, refs[0])
 	gotA, err := a.next(len(recs[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newCursor(nil, pool, refs[1])
+	b := newCursor(pool, refs[1])
 	gotB, err := b.next(len(recs[1]))
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestPageWriterRandomizedRoundtrip(t *testing.T) {
 		pool := NewBufferPool(dev, 2) // tiny pool to stress page re-reads
 		order := rng.Perm(len(recs))
 		for _, i := range order {
-			c := newCursor(nil, pool, recs[i].ref)
+			c := newCursor(pool, recs[i].ref)
 			got, err := c.next(len(recs[i].data))
 			if err != nil {
 				t.Fatal(err)

@@ -8,12 +8,12 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"mcn/internal/core"
 	"mcn/internal/engine"
-	"mcn/internal/expand"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
 	"mcn/internal/rescache"
@@ -90,28 +90,18 @@ func workload(g *graph.Graph, seed int64, n int) []engine.Request {
 	return reqs
 }
 
-// open builds a network + retrying pool over dev. Backoffs are microseconds
-// so a thousand schedules stay fast.
+// open builds a network over dev behind a 64-page pool.
 func open(t *testing.T, dev storage.Device) *storage.Network {
 	t.Helper()
-	pool := storage.NewBufferPool(dev, 64, storage.PoolOptions{
-		Retry: storage.RetryPolicy{MaxRetries: 3, BaseBackoff: time.Microsecond, MaxBackoff: 20 * time.Microsecond},
-	})
-	net, err := storage.OpenWithPool(dev, pool)
+	net, err := storage.OpenWithPool(dev, storage.NewBufferPool(dev, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return net
 }
 
-// executor returns an executor over net whose queries read pages under
-// their own context, as the facade's executors do.
-func executor(net *storage.Network, cfg engine.Config) *engine.Executor {
-	return engine.New(func(ctx context.Context) expand.Source { return net.WithReadContext(ctx) }, cfg)
-}
-
 func run(net *storage.Network, reqs []engine.Request) []engine.Response {
-	ex := executor(net, engine.Config{Workers: 4})
+	ex := engine.New(net, engine.Config{Workers: 4})
 	return ex.Execute(context.Background(), reqs)
 }
 
@@ -157,6 +147,26 @@ func mustMatch(t *testing.T, tag string, want, got []engine.Response) {
 	}
 }
 
+// mustMatchOrChecksum asserts every faulted response is the fault-free
+// answer or an error wrapping ErrChecksum, and returns how many failed.
+func mustMatchOrChecksum(t *testing.T, tag string, want, got []engine.Response) int {
+	t.Helper()
+	failed := 0
+	for i := range want {
+		if got[i].Err != nil {
+			if !errors.Is(got[i].Err, storage.ErrChecksum) {
+				t.Fatalf("%s: query %d failed with %v, want ErrChecksum in the chain", tag, i, got[i].Err)
+			}
+			failed++
+			continue
+		}
+		if !resultEqual(want[i].Result, got[i].Result) {
+			t.Fatalf("%s: query %d result diverged from fault-free run", tag, i)
+		}
+	}
+	return failed
+}
+
 // checkGoroutines fails the test if goroutines leaked relative to start,
 // allowing the runtime a moment to retire finished ones.
 func checkGoroutines(t *testing.T, start int) {
@@ -173,11 +183,12 @@ func checkGoroutines(t *testing.T, start int) {
 	}
 }
 
-// TestTransientOnlySchedules is the headline chaos invariant: with transient
-// faults injected on a significant fraction of reads, and a retry budget at
-// least the device's consecutive-fault cap, every query of every schedule
-// succeeds with results byte-identical to the fault-free run, and no failure
-// ever reaches a caller or poisons a frame.
+// TestTransientOnlySchedules is the headline chaos invariant: with random
+// bit flips and latency spikes injected on a significant fraction of reads,
+// every query of every schedule ends in the fault-free answer or an error
+// wrapping ErrChecksum — corruption is never handed out — each corrupt read
+// is counted once, and no failure poisons a frame: the disarmed rerun over
+// the warm pool is byte-identical to the fault-free run.
 func TestTransientOnlySchedules(t *testing.T) {
 	g, dev := testDB(t)
 	reqs := workload(g, 1, 16)
@@ -189,34 +200,37 @@ func TestTransientOnlySchedules(t *testing.T) {
 	}
 	start := runtime.NumGoroutine()
 	n := schedules(t, 40, 1000)
+	failed := 0
 	for s := 0; s < n; s++ {
 		fd := fault.Wrap(dev, fault.Options{
-			Seed:           uint64(s + 1),
-			ReadTransient:  0.10, // >= the 5% acceptance floor
-			MaxConsecutive: 2,    // <= pool MaxRetries, so reads always land
+			Seed:        uint64(s + 1),
+			ReadCorrupt: 0.05,
+			LatencyProb: 0.05,
+			Latency:     20 * time.Microsecond,
 		})
 		net := open(t, fd)
 		fd.Arm()
-		got := run(net, reqs)
-		mustMatch(t, fmt.Sprintf("schedule %d (armed)", s), want, got)
-		fs := net.FailureStats()
-		if fs.Permanent != 0 || fs.Transient != 0 {
-			t.Fatalf("schedule %d: surfaced failures under transient-only faults: %+v", s, fs)
-		}
-		if c := fd.Counters().ReadTransient; c > 0 && fs.Retries == 0 {
-			t.Fatalf("schedule %d: device injected %d faults but pool retried none", s, c)
+		failed += mustMatchOrChecksum(t, fmt.Sprintf("schedule %d (armed)", s), want, run(net, reqs))
+		fs, fc := net.FailureStats(), fd.Counters()
+		if fs != (storage.FailureStats{Checksum: fc.ReadCorrupt}) {
+			t.Fatalf("schedule %d: %d corrupt reads injected, failure stats %+v", s, fc.ReadCorrupt, fs)
 		}
 		// Frame-table consistency: with injection off, the warm pool must
 		// serve the same answers — a poisoned frame would diverge here.
 		fd.Disarm()
 		mustMatch(t, fmt.Sprintf("schedule %d (disarmed rerun)", s), want, run(net, reqs))
 	}
+	if failed == 0 || failed == n*len(reqs) {
+		t.Fatalf("%d of %d queries failed: the schedules did not cover both outcomes", failed, n*len(reqs))
+	}
 	checkGoroutines(t, start)
 }
 
-// TestCorruptionSchedules injects silent single-bit corruption; the checksum
-// table must convert every hit into a counted, retried error and the re-read
-// must repair it, keeping all results byte-identical.
+// TestCorruptionSchedules injects silent single-bit corruption: the checksum
+// table must turn every hit into one counted ErrChecksum, so each query ends
+// in the fault-free answer or that classified error, and a query fails only
+// in a schedule that corrupted a read (queries coalesced on one corrupt read
+// share its error).
 func TestCorruptionSchedules(t *testing.T) {
 	g, dev := testDB(t)
 	reqs := workload(g, 2, 16)
@@ -224,24 +238,26 @@ func TestCorruptionSchedules(t *testing.T) {
 	n := schedules(t, 20, 200)
 	for s := 0; s < n; s++ {
 		fd := fault.Wrap(dev, fault.Options{
-			Seed:           uint64(1000 + s),
-			ReadCorrupt:    0.08,
-			MaxConsecutive: 2,
+			Seed:        uint64(1000 + s),
+			ReadCorrupt: 0.08,
 		})
 		net := open(t, fd)
 		fd.Arm()
-		got := run(net, reqs)
-		mustMatch(t, fmt.Sprintf("schedule %d", s), want, got)
+		failed := mustMatchOrChecksum(t, fmt.Sprintf("schedule %d", s), want, run(net, reqs))
 		fs, fc := net.FailureStats(), fd.Counters()
 		if fs.Checksum != fc.ReadCorrupt {
 			t.Fatalf("schedule %d: %d corrupt reads injected but %d checksum errors counted",
 				s, fc.ReadCorrupt, fs.Checksum)
 		}
+		if failed > 0 && fs.Checksum == 0 {
+			t.Fatalf("schedule %d: %d queries failed without a corrupt read", s, failed)
+		}
 	}
 }
 
 // TestPermanentFaults marks pages permanently unreadable mid-workload: every
-// affected query must return a promptly classified, non-transient error;
+// affected query must return a promptly classified storage error naming the
+// page;
 // unaffected queries must still match the baseline; and clearing the fault
 // must restore full correctness (no poisoned frames, no stale cache).
 func TestPermanentFaults(t *testing.T) {
@@ -271,8 +287,8 @@ func TestPermanentFaults(t *testing.T) {
 				continue
 			}
 			failed++
-			if storage.IsTransient(r.Err) {
-				t.Fatalf("schedule %d: permanent fault classified transient: %v", s, r.Err)
+			if page := fmt.Sprintf("storage: page %d: ", victim); !strings.Contains(r.Err.Error(), page) {
+				t.Fatalf("schedule %d: permanent fault surfaced as %v, want %q in it", s, r.Err, page)
 			}
 			if errors.Is(r.Err, context.DeadlineExceeded) || errors.Is(r.Err, context.Canceled) {
 				t.Fatalf("schedule %d: permanent fault surfaced as %v instead of an I/O error", s, r.Err)
@@ -291,8 +307,7 @@ func TestPermanentFaults(t *testing.T) {
 }
 
 // TestPermanentCorruptionClassified marks a page as stably bit-flipped: the
-// checksum layer must exhaust the retry budget and surface ErrChecksum, never
-// silently wrong results.
+// checksum layer must surface ErrChecksum, never silently wrong results.
 func TestPermanentCorruptionClassified(t *testing.T) {
 	g, dev := testDB(t)
 	reqs := workload(g, 4, 16)
@@ -318,8 +333,8 @@ func TestPermanentCorruptionClassified(t *testing.T) {
 	if failed == 0 {
 		t.Skipf("no query touched corrupted page %d; widen the workload", victim)
 	}
-	if fs := net.FailureStats(); fs.Checksum == 0 || fs.Transient == 0 {
-		t.Fatalf("permanent corruption should count checksum errors and an exhausted retry: %+v", fs)
+	if fs := net.FailureStats(); fs.Checksum == 0 || fs.Permanent != 0 {
+		t.Fatalf("permanent corruption should count checksum errors only: %+v", fs)
 	}
 }
 
@@ -334,7 +349,7 @@ func TestResultCacheStaysRetryableUnderFaults(t *testing.T) {
 
 	fd := fault.Wrap(dev, fault.Options{Seed: 41})
 	net := open(t, fd)
-	ex := executor(net, engine.Config{Workers: 2})
+	ex := engine.New(net, engine.Config{Workers: 2})
 	ex.SetCache(rescache.New(rescache.Options{Entries: 32}))
 
 	want := ex.Do(context.Background(), req)

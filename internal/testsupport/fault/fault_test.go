@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mcn/internal/gen"
 	"mcn/internal/storage"
 )
 
@@ -41,7 +42,7 @@ func readAll(d *Device, n int) []error {
 }
 
 func TestDisarmedPassesThrough(t *testing.T) {
-	d := Wrap(memDev(t, 8), Options{Seed: 1, ReadTransient: 1, ReadCorrupt: 1})
+	d := Wrap(memDev(t, 8), Options{Seed: 1, ReadCorrupt: 1, LatencyProb: 1, Latency: time.Second})
 	for i, err := range readAll(d, 8) {
 		if err != nil {
 			t.Fatalf("disarmed read of page %d failed: %v", i, err)
@@ -53,13 +54,21 @@ func TestDisarmedPassesThrough(t *testing.T) {
 }
 
 func TestDeterministicSchedule(t *testing.T) {
+	dev := memDev(t, 32)
 	outcomes := func(seed uint64) []bool {
-		d := Wrap(memDev(t, 32), Options{Seed: seed, ReadTransient: 0.5})
+		d := Wrap(dev, Options{Seed: seed, ReadCorrupt: 0.5})
 		d.Arm()
+		got, want := make([]byte, storage.PageSize), make([]byte, storage.PageSize)
 		var out []bool
 		for i := 0; i < 200; i++ {
-			err := d.ReadPage(storage.PageID(i%32), make([]byte, storage.PageSize))
-			out = append(out, err != nil)
+			id := storage.PageID(i % 32)
+			if err := d.ReadPage(id, got); err != nil {
+				t.Fatal(err)
+			}
+			if err := dev.ReadPage(id, want); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, !bytes.Equal(got, want))
 		}
 		return out
 	}
@@ -79,40 +88,6 @@ func TestDeterministicSchedule(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical 200-op schedules")
-	}
-}
-
-func TestTransientErrorsAreClassified(t *testing.T) {
-	d := Wrap(memDev(t, 1), Options{Seed: 7, ReadTransient: 1})
-	d.Arm()
-	err := d.ReadPage(0, make([]byte, storage.PageSize))
-	if err == nil {
-		t.Fatal("p=1 transient injection did not fire")
-	}
-	if !storage.IsTransient(err) {
-		t.Fatalf("injected transient error not classified transient: %v", err)
-	}
-	if c := d.Counters().ReadTransient; c != 1 {
-		t.Fatalf("ReadTransient counter = %d, want 1", c)
-	}
-}
-
-func TestMaxConsecutiveBoundsFaultRun(t *testing.T) {
-	d := Wrap(memDev(t, 1), Options{Seed: 3, ReadTransient: 1, MaxConsecutive: 3})
-	d.Arm()
-	buf := make([]byte, storage.PageSize)
-	fails := 0
-	for i := 0; i < 8; i++ {
-		if err := d.ReadPage(0, buf); err != nil {
-			fails++
-			continue
-		}
-		// Clean read must arrive after exactly MaxConsecutive failures, and
-		// the streak resets — the next run fails again.
-		if fails != 3 {
-			t.Fatalf("clean read after %d consecutive faults, want 3", fails)
-		}
-		fails = 0
 	}
 }
 
@@ -155,8 +130,8 @@ func TestFailPageIsPermanentAndUnclassified(t *testing.T) {
 		if err == nil {
 			t.Fatal("failed page read succeeded")
 		}
-		if storage.IsTransient(err) {
-			t.Fatalf("permanent failure classified transient: %v", err)
+		if errors.Is(err, storage.ErrChecksum) {
+			t.Fatalf("unreadable page classified as corrupt: %v", err)
 		}
 	}
 	if c := d.Counters().PermanentReads; c != 3 {
@@ -207,51 +182,86 @@ func TestLatencySpike(t *testing.T) {
 	}
 }
 
-func TestRetryingPoolSurvivesTransientOnlyFaults(t *testing.T) {
-	// End-to-end over the buffer pool: with MaxRetries >= MaxConsecutive,
-	// every read eventually succeeds despite heavy transient injection.
-	dev := memDev(t, 16)
-	fd := Wrap(dev, Options{Seed: 21, ReadTransient: 0.5, MaxConsecutive: 2})
-	pool := storage.NewBufferPool(fd, 4, storage.PoolOptions{
-		Retry: storage.RetryPolicy{MaxRetries: 2, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond},
+// testDB builds a small database image: a pool opened over it verifies
+// every page it reads against the image's checksum table.
+func testDB(t *testing.T) *storage.MemDevice {
+	t.Helper()
+	inst, err := gen.MakeInstance(gen.InstanceConfig{
+		Nodes: 300, Facilities: 150, Clusters: 4, D: 3, Seed: 7, Queries: 1,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := storage.BuildMem(inst.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dev
+}
+
+// End-to-end over the buffer pool of an opened database: under heavy
+// bit-flip and latency injection, every read through the pool either hands
+// out the page's true content or fails once with ErrChecksum, one counted
+// checksum error per corrupt read, and a failure never poisons a frame.
+func TestRetryingPoolSurvivesTransientOnlyFaults(t *testing.T) {
+	dev := testDB(t)
+	fd := Wrap(dev, Options{Seed: 21, ReadCorrupt: 0.5, LatencyProb: 0.1, Latency: time.Microsecond})
+	net, err := storage.OpenOptions(fd, 0.5, storage.PoolOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := net.Pool()
+	// The checksum table is the image's last page, and it covers every page
+	// before it but the header.
+	pages := dev.NumPages() - 1
+	if pages >= storage.PageSize/8 {
+		t.Fatalf("%d pages outgrow a one-page checksum table", pages)
+	}
 	fd.Arm()
 	want := make([]byte, storage.PageSize)
-	for i := 0; i < 200; i++ {
-		id := storage.PageID(i % 16)
-		fr, err := pool.Get(id)
-		if err != nil {
-			t.Fatalf("read %d of page %d failed despite retry budget: %v", i, id, err)
-		}
+	var ok, failed int64
+	for i := 0; i < 400; i++ {
+		id := storage.PageID(1 + i%(pages-1))
 		if err := dev.ReadPage(id, want); err != nil {
 			t.Fatal(err)
 		}
+		fr, err := pool.Get(id)
+		if err != nil {
+			if !errors.Is(err, storage.ErrChecksum) {
+				t.Fatalf("read %d of page %d: %v, want ErrChecksum", i, id, err)
+			}
+			failed++
+			continue
+		}
 		if !bytes.Equal(fr.Data(), want) {
-			t.Fatalf("page %d content mismatch", id)
+			t.Fatalf("page %d: the pool handed out corrupt content", id)
 		}
 		fr.Release()
-		pool.Drop() // force a real read next round
+		ok++
+		if i%7 == 0 {
+			pool.Drop() // force real reads of cached pages too
+		}
 	}
-	fs := pool.FailureStats()
-	if fs.Retries == 0 {
-		t.Fatal("no retries recorded under p=0.5 injection")
+	if ok == 0 || failed == 0 {
+		t.Fatalf("schedule did not cover both outcomes: %d ok, %d failed", ok, failed)
 	}
-	if fs.Transient != 0 || fs.Permanent != 0 {
-		t.Fatalf("unexpected failures: %+v", fs)
+	fs, fc := pool.FailureStats(), fd.Counters()
+	if fs != (storage.FailureStats{Checksum: failed}) || fc.ReadCorrupt != failed {
+		t.Fatalf("%d failed reads, %d corrupt reads injected, failure stats %+v", failed, fc.ReadCorrupt, fs)
 	}
 }
 
 func TestPermanentFaultSurfacesThroughPool(t *testing.T) {
 	fd := Wrap(memDev(t, 4), Options{Seed: 23})
-	pool := storage.NewBufferPool(fd, 4, storage.PoolOptions{Retry: storage.RetryPolicy{MaxRetries: 3}})
+	pool := storage.NewBufferPool(fd, 4)
 	fd.FailPage(2)
 	if _, err := pool.Get(2); err == nil { // a failed Get pins nothing
 		t.Fatal("read of failed page succeeded")
-	} else if storage.IsTransient(err) {
-		t.Fatalf("permanent fault surfaced as transient: %v", err)
+	} else if want := "storage: page 2: fault: page 2 permanently unreadable"; err.Error() != want {
+		t.Fatalf("permanent fault surfaced as %q, want %q", err, want)
 	}
-	if fs := pool.FailureStats(); fs.Permanent != 1 || fs.Retries != 0 {
-		t.Fatalf("want 1 permanent failure, 0 retries; got %+v", fs)
+	if fs := pool.FailureStats(); fs != (storage.FailureStats{Permanent: 1}) {
+		t.Fatalf("want 1 permanent failure; got %+v", fs)
 	}
 	// The failure must not poison the frame table: clearing the fault makes
 	// the page readable again.

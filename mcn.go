@@ -105,14 +105,10 @@ type (
 	MaintainedEntry = dynamic.Entry
 	// IOStats counts logical and physical page reads of a database.
 	IOStats = storage.Stats
-	// IOFailureStats counts a database's I/O failure handling: retries,
-	// exhausted transient failures, permanent failures, checksum mismatches
-	// (see Network.IOFailureStats).
+	// IOFailureStats counts a database's failed page reads: device errors
+	// and checksum mismatches (see Network.IOFailureStats).
 	IOFailureStats = storage.FailureStats
-	// RetryPolicy bounds the buffer pool's retries of transient read
-	// failures (see PoolOptions.Retry).
-	RetryPolicy = storage.RetryPolicy
-	// PoolOptions tunes the disk buffer pool: read retries (see
+	// PoolOptions tunes the disk buffer pool: its replacement policy (see
 	// OpenDatabaseOptions). Its zero Policy is the clock pool.
 	PoolOptions = storage.PoolOptions
 	// ResultCache is a serving-layer cache of completed query results with
@@ -353,7 +349,7 @@ func writeImage(f *os.File, dev *storage.MemDevice) error {
 // OpenDatabaseOptions opens a disk database with a buffer pool sized to
 // bufferFrac of its pages (0 disables caching), tuned by opts. The zero
 // PoolOptions selects the defaults: a clock cache with lock-free hits and
-// miss coalescing, and no read retries.
+// miss coalescing.
 func OpenDatabaseOptions(path string, bufferFrac float64, opts PoolOptions) (*Network, error) {
 	dev, err := storage.OpenFileDevice(path)
 	if err != nil {
@@ -445,23 +441,10 @@ func (n *Network) queryOptions(ctx context.Context, opts []Option) core.Options 
 	return n.defaultOptions(opts).BindContext(ctx)
 }
 
-// srcFor returns the source a query under ctx should read from — for the
-// facade's own queries and, handed to engine.New, for every query an
-// executor runs. Disk-backed networks get a view whose page reads are bound
-// to ctx (storage.Network.WithReadContext), so cancellation aborts retry
-// backoff sleeps and coalesced waits, not just the next interrupt poll.
-// In-memory sources never block on a device and are returned unchanged.
-func (n *Network) srcFor(ctx context.Context) expand.Source {
-	if n.store != nil {
-		return n.store.WithReadContext(ctx)
-	}
-	return n.src
-}
-
 // Skyline computes sky(q) for the query location loc. Cancelling ctx aborts
 // the query at its next interrupt poll.
 func (n *Network) Skyline(ctx context.Context, loc Location, opts ...Option) (*Result, error) {
-	return core.Skyline(n.srcFor(ctx), loc, n.queryOptions(ctx, opts))
+	return core.Skyline(n.src, loc, n.queryOptions(ctx, opts))
 }
 
 // SkylineSeq streams sky(q) as a range-over-func iterator: each confirmed
@@ -478,12 +461,12 @@ func (n *Network) Skyline(ctx context.Context, loc Location, opts ...Option) (*R
 //	    if enough() { break } // aborts the remaining search
 //	}
 func (n *Network) SkylineSeq(ctx context.Context, loc Location, opts ...Option) iter.Seq2[Facility, error] {
-	return core.SkylineSeq(ctx, n.srcFor(ctx), loc, n.defaultOptions(opts))
+	return core.SkylineSeq(ctx, n.src, loc, n.defaultOptions(opts))
 }
 
 // TopK computes the k facilities minimising agg from loc.
 func (n *Network) TopK(ctx context.Context, loc Location, agg Aggregate, k int, opts ...Option) (*Result, error) {
-	return core.TopK(n.srcFor(ctx), loc, agg, k, n.queryOptions(ctx, opts))
+	return core.TopK(n.src, loc, agg, k, n.queryOptions(ctx, opts))
 }
 
 // TopKSeq streams facilities in ascending aggregate-score order without
@@ -492,7 +475,7 @@ func (n *Network) TopK(ctx context.Context, loc Location, agg Aggregate, k int, 
 // enumerates every reachable facility. Pooled state is borrowed for the
 // duration of the loop and returned when it exits.
 func (n *Network) TopKSeq(ctx context.Context, loc Location, agg Aggregate, opts ...Option) iter.Seq2[Facility, error] {
-	return core.TopKSeq(ctx, n.srcFor(ctx), loc, agg, n.defaultOptions(opts))
+	return core.TopKSeq(ctx, n.src, loc, agg, n.defaultOptions(opts))
 }
 
 // TopKIterator starts an incremental top-k query from loc; each Next call
@@ -502,7 +485,7 @@ func (n *Network) TopKSeq(ctx context.Context, loc Location, agg Aggregate, opts
 // is idempotent and safe from any goroutine). TopKSeq is the loop-shaped
 // form of the same query and closes itself.
 func (n *Network) TopKIterator(ctx context.Context, loc Location, agg Aggregate, opts ...Option) (*TopKIterator, error) {
-	return core.NewTopKIterator(n.srcFor(ctx), loc, agg, n.queryOptions(ctx, opts))
+	return core.NewTopKIterator(n.src, loc, agg, n.queryOptions(ctx, opts))
 }
 
 // MultiSourceSkyline answers the multi-source skyline query (Deng et al.,
@@ -510,14 +493,14 @@ func (n *Network) TopKIterator(ctx context.Context, loc Location, agg Aggregate,
 // a single cost type, several query locations, and each facility judged by
 // its vector of network distances from all of them.
 func (n *Network) MultiSourceSkyline(ctx context.Context, costIdx int, locs []Location, opts ...Option) (*Result, error) {
-	return core.MultiSourceSkyline(n.srcFor(ctx), costIdx, locs, n.queryOptions(ctx, opts))
+	return core.MultiSourceSkyline(n.src, costIdx, locs, n.queryOptions(ctx, opts))
 }
 
 // MultiSourceTopK ranks facilities by an increasingly monotone aggregate
 // over their distances from several query locations (aggregate
 // nearest-neighbour search, e.g. min-sum meeting points).
 func (n *Network) MultiSourceTopK(ctx context.Context, costIdx int, locs []Location, agg Aggregate, k int, opts ...Option) (*Result, error) {
-	return core.MultiSourceTopK(n.srcFor(ctx), costIdx, locs, agg, k, n.queryOptions(ctx, opts))
+	return core.MultiSourceTopK(n.src, costIdx, locs, agg, k, n.queryOptions(ctx, opts))
 }
 
 // Nearest returns up to k facilities closest to loc under a single cost
@@ -525,7 +508,7 @@ func (n *Network) MultiSourceTopK(ctx context.Context, costIdx int, locs []Locat
 // primitive (NE) the paper's algorithms are built on, exposed for ordinary
 // kNN workloads.
 func (n *Network) Nearest(ctx context.Context, loc Location, costIdx, k int) ([]Facility, error) {
-	res, err := core.Nearest(n.srcFor(ctx), loc, costIdx, k, n.queryOptions(ctx, nil))
+	res, err := core.Nearest(n.src, loc, costIdx, k, n.queryOptions(ctx, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -536,7 +519,7 @@ func (n *Network) Nearest(ctx context.Context, loc Location, costIdx, k int) ([]
 // component-wise — a multi-cost range query. The search explores only the
 // region each budget component allows.
 func (n *Network) Within(ctx context.Context, loc Location, budget Costs, opts ...Option) (*Result, error) {
-	return core.Within(n.srcFor(ctx), loc, budget, n.queryOptions(ctx, opts))
+	return core.Within(n.src, loc, budget, n.queryOptions(ctx, opts))
 }
 
 // SkylineRequest builds a batch request for Network.Skyline at loc.
@@ -581,7 +564,7 @@ func IsQueryPanic(err error) bool { return engine.IsPanic(err) }
 // panic isolation and latency statistics. One executor may serve any number
 // of goroutines; the mcnserve HTTP server funnels all traffic through one.
 func (n *Network) NewExecutor(cfg ExecutorConfig) *Executor {
-	ex := engine.New(n.srcFor, cfg)
+	ex := engine.New(n.src, cfg)
 	if n.cache != nil {
 		ex.SetCache(n.cache)
 	}
@@ -603,12 +586,12 @@ func (n *Network) Batch(ctx context.Context, reqs []BatchRequest, cfg ExecutorCo
 // BaselineSkyline runs the paper's strawman skyline: d complete expansions
 // followed by a conventional skyline operator.
 func (n *Network) BaselineSkyline(ctx context.Context, loc Location) (*Result, error) {
-	return core.NaiveSkyline(n.srcFor(ctx), loc, n.queryOptions(ctx, nil))
+	return core.NaiveSkyline(n.src, loc, n.queryOptions(ctx, nil))
 }
 
 // BaselineTopK runs the strawman top-k over fully materialised vectors.
 func (n *Network) BaselineTopK(ctx context.Context, loc Location, agg Aggregate, k int) (*Result, error) {
-	return core.NaiveTopK(n.srcFor(ctx), loc, agg, k, n.queryOptions(ctx, nil))
+	return core.NaiveTopK(n.src, loc, agg, k, n.queryOptions(ctx, nil))
 }
 
 // Maintain materialises dynamic skyline/top-k maintenance state for loc
@@ -621,7 +604,7 @@ func (n *Network) BaselineTopK(ctx context.Context, loc Location, agg Aggregate,
 // (idempotent, any goroutine): Insert then fails with ErrMaintainerClosed,
 // and the maintained results stay readable.
 func (n *Network) Maintain(ctx context.Context, loc Location) (*Maintainer, error) {
-	m, err := dynamic.New(n.srcFor(ctx), loc, n.queryOptions(ctx, nil))
+	m, err := dynamic.New(n.src, loc, n.queryOptions(ctx, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -713,9 +696,9 @@ func (n *Network) IOStats() (IOStats, bool) {
 	return n.store.Stats(), true
 }
 
-// IOFailureStats returns the I/O failure counters of a disk-backed network
-// — retries, exhausted transient failures, permanent failures, checksum
-// mismatches; ok is false for in-memory networks. Lock-free, like IOStats.
+// IOFailureStats returns the failed-read counters of a disk-backed network
+// — device errors and checksum mismatches; ok is false for in-memory
+// networks. Lock-free, like IOStats.
 func (n *Network) IOFailureStats() (IOFailureStats, bool) {
 	if n.store == nil {
 		return IOFailureStats{}, false
