@@ -235,9 +235,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzV1Query -fuzztime $(FUZZTIME) ./internal/serve
 
 # Docs freshness: the markdown dead-link/anchor and package-comment checks
-# (internal/docscheck, also part of the ordinary test suite) plus a `go doc`
-# smoke over every package, so a doc comment that no longer renders fails
-# loudly here instead of rotting on pkg.go.dev.
+# and the test-only-export gate, TestNoTestOnlyExports (an exported name the
+# product does not use fails; internal/docscheck, also part of the ordinary
+# test suite), plus a `go doc` smoke over every package, so a doc comment
+# that no longer renders fails loudly here instead of rotting on
+# pkg.go.dev.
 docscheck:
 	$(GO) test ./internal/docscheck
 	@for pkg in $$($(GO) list ./...); do \

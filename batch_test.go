@@ -77,8 +77,8 @@ func TestBatchMethodsMatchSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(top[i].IDs(), wantTop.IDs()) {
-					t.Errorf("query %d: batch top-k %v != %v", i, top[i].IDs(), wantTop.IDs())
+				if !reflect.DeepEqual(ids(top[i]), ids(wantTop)) {
+					t.Errorf("query %d: batch top-k %v != %v", i, ids(top[i]), ids(wantTop))
 				}
 				wantNear, err := net.Nearest(ctx, loc, 1, 4)
 				if err != nil {
@@ -91,8 +91,8 @@ func TestBatchMethodsMatchSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(within[i].IDs(), wantWithin.IDs()) {
-					t.Errorf("query %d: batch within %v != %v", i, within[i].IDs(), wantWithin.IDs())
+				if !reflect.DeepEqual(ids(within[i]), ids(wantWithin)) {
+					t.Errorf("query %d: batch within %v != %v", i, ids(within[i]), ids(wantWithin))
 				}
 			}
 		})

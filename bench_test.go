@@ -337,7 +337,7 @@ func BenchmarkBatchSkyline(b *testing.B) {
 				exec := engine.New(net, engine.Config{Workers: workers})
 				reqs := make([]mcn.BatchRequest, batch)
 				for i := range reqs {
-					reqs[i] = mcn.BatchRequest{Kind: mcn.SkylineQuery, Loc: ds.Queries[i%len(ds.Queries)],
+					reqs[i] = mcn.BatchRequest{Kind: engine.Skyline, Loc: ds.Queries[i%len(ds.Queries)],
 						Opts: core.Options{Engine: core.CEA}}
 				}
 				var queries int

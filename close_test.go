@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mcn/internal/core"
+	"mcn/internal/dynamic"
 	"mcn/internal/expand"
 	"mcn/internal/flat"
 )
@@ -53,8 +54,8 @@ func TestIteratorCloseReleasesOnce(t *testing.T) {
 		}
 		wg.Wait()
 		distinctScratches(t, src, trial)
-		if _, _, err := it.Next(); !errors.Is(err, ErrIteratorClosed) {
-			t.Fatalf("Next after Close: err = %v, want ErrIteratorClosed", err)
+		if _, _, err := it.Next(); !errors.Is(err, core.ErrIteratorClosed) {
+			t.Fatalf("Next after Close: err = %v, want core.ErrIteratorClosed", err)
 		}
 	}
 }
@@ -62,7 +63,7 @@ func TestIteratorCloseReleasesOnce(t *testing.T) {
 // The Maintainer's side of the contract. It holds nothing pooled — its
 // build releases its scratch before Maintain returns — so Close only flags
 // it: eight goroutines racing Close against one that keeps inserting must
-// be clean under -race, the inserter must stop on ErrMaintainerClosed, every
+// be clean under -race, the inserter must stop on dynamic.ErrClosed, every
 // Insert after Close must fail the same way, and the maintained entries
 // must stay readable.
 func TestMaintainerCloseReleasesOnce(t *testing.T) {
@@ -77,14 +78,14 @@ func TestMaintainerCloseReleasesOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		initial := m.Len()
+		initial := maintained(t, m)
 		inserted := make(chan int)
 		go func() {
 			n := 0
 			for {
 				if _, err := m.Insert(0, 0.5); err != nil {
-					if !errors.Is(err, ErrMaintainerClosed) {
-						t.Errorf("trial %d: Insert racing Close: err = %v, want ErrMaintainerClosed", trial, err)
+					if !errors.Is(err, dynamic.ErrClosed) {
+						t.Errorf("trial %d: Insert racing Close: err = %v, want dynamic.ErrClosed", trial, err)
 					}
 					inserted <- n
 					return
@@ -103,15 +104,15 @@ func TestMaintainerCloseReleasesOnce(t *testing.T) {
 		wg.Wait()
 		n := <-inserted
 		for i := 0; i < 3; i++ {
-			if _, err := m.Insert(0, 0.5); !errors.Is(err, ErrMaintainerClosed) {
-				t.Fatalf("trial %d: Insert after Close: err = %v, want ErrMaintainerClosed", trial, err)
+			if _, err := m.Insert(0, 0.5); !errors.Is(err, dynamic.ErrClosed) {
+				t.Fatalf("trial %d: Insert after Close: err = %v, want dynamic.ErrClosed", trial, err)
 			}
 		}
 		if len(m.Skyline()) == 0 {
 			t.Fatalf("trial %d: maintained skyline unreadable after Close", trial)
 		}
-		if m.Len() != initial+n {
-			t.Fatalf("trial %d: %d entries after %d inserts on %d, want %d", trial, m.Len(), n, initial, initial+n)
+		if got := maintained(t, m); got != initial+n {
+			t.Fatalf("trial %d: %d entries after %d inserts on %d, want %d", trial, got, n, initial, initial+n)
 		}
 	}
 }
@@ -141,7 +142,7 @@ func TestCloseConcurrentWithNext(t *testing.T) {
 			defer wg.Done()
 			for {
 				if _, ok, err := it.Next(); err != nil || !ok {
-					return // ErrIteratorClosed or exhaustion
+					return // core.ErrIteratorClosed or exhaustion
 				}
 			}
 		}()
@@ -209,4 +210,15 @@ func TestCloseReturnsScratchWithoutPoisoning(t *testing.T) {
 			t.Fatalf("round %d: skyline %v != %v after handle churn", round, got, want[round%len(locs)])
 		}
 	}
+}
+
+// maintained returns the number of facilities m maintains that its
+// location reaches, read through a top-k longer than any network here.
+func maintained(t *testing.T, m *Maintainer) int {
+	t.Helper()
+	es, _, err := m.TopK(WeightedSum(1, 1), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(es)
 }

@@ -42,7 +42,7 @@ func TestConcurrentQueriesOnSharedDatabase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantTop[i] = top.IDs()
+		wantTop[i] = ids(top)
 	}
 
 	var wg sync.WaitGroup
@@ -66,7 +66,7 @@ func TestConcurrentQueriesOnSharedDatabase(t *testing.T) {
 					t.Errorf("concurrent topk: %v", err)
 					return
 				}
-				if got := top.IDs(); !reflect.DeepEqual(got, wantTop[i]) {
+				if got := ids(top); !reflect.DeepEqual(got, wantTop[i]) {
 					t.Errorf("query %d: concurrent top-k %v != sequential %v", i, got, wantTop[i])
 					return
 				}

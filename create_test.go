@@ -54,7 +54,7 @@ func TestCreateDatabaseReplacesOpenDatabase(t *testing.T) {
 			if err != nil {
 				t.Fatalf("top-k: %v", err)
 			}
-			out = append(out, idsSorted(sky), top.IDs())
+			out = append(out, idsSorted(sky), ids(top))
 		}
 		return out
 	}

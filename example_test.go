@@ -22,7 +22,10 @@ func buildDowntown() (*mcn.Graph, mcn.Location) {
 	b.AddFacility(cd, 0.5) // shop 0: via the toll road
 	b.AddFacility(ed, 0.5) // shop 1: via the free road
 	b.AddFacility(ac, 0.9) // shop 2: close, small toll
-	g := b.MustBuild()
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
 	loc, _ := mcn.LocationAtNode(g, a)
 	return g, loc
 }

@@ -6,6 +6,7 @@ import (
 
 	"mcn/internal/gen"
 	"mcn/internal/graph"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 
@@ -15,13 +16,13 @@ import (
 func TestEpsilonCollapsesLadder(t *testing.T) {
 	b := graph.NewBuilder(2, false)
 	const rungs = 14
-	b.AddNodes(rungs + 1)
+	testnet.AddNodes(b, rungs+1)
 	for i := 0; i < rungs; i++ {
 		u, v := graph.NodeID(i), graph.NodeID(i+1)
 		b.AddEdge(u, v, vec.Of(1, float64(2+i)))
 		b.AddEdge(u, v, vec.Of(float64(2+i), 1))
 	}
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 
 	exact, err := Paths(g, 0, rungs, Options{})
 	if err != nil {
@@ -63,7 +64,7 @@ func TestEpsilonCoverage(t *testing.T) {
 	const eps = 0.05
 	for trial := 0; trial < 60; trial++ {
 		n := 3 + rng.Intn(7)
-		topo := gen.RandomConnected(n, rng.Intn(6), rng)
+		topo := testnet.RandomConnected(n, rng.Intn(6), rng)
 		costs := gen.RandomIntegerCosts(topo, 2, 5, rng)
 		g, err := gen.Assemble(topo, costs, nil, false)
 		if err != nil {
@@ -126,7 +127,7 @@ func TestEpsilonZeroIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(901))
 	for trial := 0; trial < 30; trial++ {
 		n := 3 + rng.Intn(6)
-		topo := gen.RandomConnected(n, rng.Intn(5), rng)
+		topo := testnet.RandomConnected(n, rng.Intn(5), rng)
 		costs := gen.RandomIntegerCosts(topo, 2, 4, rng)
 		g, err := gen.Assemble(topo, costs, nil, false)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"mcn/internal/gen"
 	"mcn/internal/graph"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 
@@ -94,12 +95,12 @@ func equalCostSets(a, b []vec.Costs) bool {
 func TestPathsDiamond(t *testing.T) {
 	// Two routes 0→3: top is fast/expensive, bottom slow/cheap; both Pareto.
 	b := graph.NewBuilder(2, false)
-	b.AddNodes(4)
+	testnet.AddNodes(b, 4)
 	b.AddEdge(0, 1, vec.Of(1, 5))
 	b.AddEdge(1, 3, vec.Of(1, 5))
 	b.AddEdge(0, 2, vec.Of(4, 1))
 	b.AddEdge(2, 3, vec.Of(4, 1))
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	paths, err := Paths(g, 0, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -120,11 +121,11 @@ func TestPathsDiamond(t *testing.T) {
 
 func TestPathsDominatedRouteExcluded(t *testing.T) {
 	b := graph.NewBuilder(2, false)
-	b.AddNodes(3)
+	testnet.AddNodes(b, 3)
 	b.AddEdge(0, 2, vec.Of(1, 1))
 	b.AddEdge(0, 1, vec.Of(1, 1))
 	b.AddEdge(1, 2, vec.Of(1, 1))
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	paths, err := Paths(g, 0, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -136,9 +137,9 @@ func TestPathsDominatedRouteExcluded(t *testing.T) {
 
 func TestPathsSameNode(t *testing.T) {
 	b := graph.NewBuilder(2, false)
-	b.AddNodes(2)
+	testnet.AddNodes(b, 2)
 	b.AddEdge(0, 1, vec.Of(1, 1))
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	paths, err := Paths(g, 0, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -150,9 +151,9 @@ func TestPathsSameNode(t *testing.T) {
 
 func TestPathsUnreachable(t *testing.T) {
 	b := graph.NewBuilder(1, true)
-	b.AddNodes(2)
+	testnet.AddNodes(b, 2)
 	b.AddEdge(1, 0, vec.Of(1)) // only 1→0; 0→1 unreachable
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	paths, err := Paths(g, 0, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +168,7 @@ func TestPathsMatchBruteForce(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		d := 2 + rng.Intn(2)
 		n := 2 + rng.Intn(8)
-		topo := gen.RandomConnected(n, rng.Intn(6), rng)
+		topo := testnet.RandomConnected(n, rng.Intn(6), rng)
 		var costs []vec.Costs
 		if trial%2 == 0 {
 			costs = gen.RandomIntegerCosts(topo, d, 3, rng)
@@ -210,13 +211,13 @@ func TestPathsLabelLimit(t *testing.T) {
 	// paths; the label cap must trip cleanly.
 	b := graph.NewBuilder(2, false)
 	const rungs = 12
-	b.AddNodes(rungs + 1)
+	testnet.AddNodes(b, rungs+1)
 	for i := 0; i < rungs; i++ {
 		u, v := graph.NodeID(i), graph.NodeID(i+1)
 		b.AddEdge(u, v, vec.Of(1, float64(2+i)))
 		b.AddEdge(u, v, vec.Of(float64(2+i), 1))
 	}
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	_, err := Paths(g, 0, rungs, Options{MaxLabels: 100})
 	if !errors.Is(err, ErrLabelLimit) {
 		t.Errorf("err = %v, want ErrLabelLimit", err)
@@ -235,11 +236,11 @@ func TestPathsToLocation(t *testing.T) {
 	// Query location mid-edge: approaching from either side must be
 	// considered.
 	b := graph.NewBuilder(2, false)
-	b.AddNodes(3)
+	testnet.AddNodes(b, 3)
 	b.AddEdge(0, 1, vec.Of(10, 1))
 	e1 := b.AddEdge(1, 2, vec.Of(4, 4))
 	b.AddEdge(0, 2, vec.Of(1, 10))
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	paths, err := PathsToLocation(g, 0, graph.Location{Edge: e1, T: 0.5}, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -261,9 +262,9 @@ func TestPathsToLocation(t *testing.T) {
 
 func TestPathsToLocationInvalid(t *testing.T) {
 	b := graph.NewBuilder(1, false)
-	b.AddNodes(2)
+	testnet.AddNodes(b, 2)
 	b.AddEdge(0, 1, vec.Of(1))
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	if _, err := PathsToLocation(g, 0, graph.Location{Edge: 9, T: 0.5}, Options{}); err == nil {
 		t.Error("invalid location accepted")
 	}
@@ -284,7 +285,7 @@ func cityGraph() *graph.Graph {
 	b.AddEdge(n[0], n[3], vec.Of(1, 6))
 	b.AddEdge(n[1], n[4], vec.Of(2, 2))
 	b.AddEdge(n[2], n[5], vec.Of(5, 1))
-	return b.MustBuild()
+	return testnet.MustBuild(b)
 }
 
 func TestPathsCityGridNonDominated(t *testing.T) {
@@ -328,10 +329,10 @@ func TestPathsToLocationAndApprox(t *testing.T) {
 
 func TestInterruptAbortsSearch(t *testing.T) {
 	b := graph.NewBuilder(2, false)
-	b.AddNodes(3)
+	testnet.AddNodes(b, 3)
 	b.AddEdge(0, 1, vec.Of(1, 2))
 	b.AddEdge(1, 2, vec.Of(2, 1))
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	stop := errors.New("stop")
 	opt := Options{Interrupt: func() error { return stop }}
 	t.Run("Paths", func(t *testing.T) {

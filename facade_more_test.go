@@ -23,9 +23,8 @@ func TestFacadeBreadth(t *testing.T) {
 		if net.Directed() {
 			t.Error("city graph should be undirected")
 		}
-		got, ok := net.Graph()
-		if !ok || got != g {
-			t.Error("Graph() should return the wrapped graph")
+		if net.g != g {
+			t.Error("the network should wrap the graph it was built from")
 		}
 	})
 

@@ -59,9 +59,6 @@ func (h *Hist) Record(d time.Duration) {
 	h.n.Add(1)
 }
 
-// Count returns the number of recorded samples.
-func (h *Hist) Count() int64 { return h.n.Load() }
-
 // Quantile returns the latency at quantile q in (0, 1] — the lower bound of
 // the bucket where the cumulative count reaches ceil(q·n).
 func (h *Hist) Quantile(q float64) time.Duration {

@@ -14,6 +14,9 @@ import (
 	"mcn/internal/wire"
 )
 
+// Count returns the number of recorded samples.
+func (h *Hist) Count() int64 { return h.n.Load() }
+
 // Exact values in the linear region must round-trip through their bucket.
 func TestHistLinearExact(t *testing.T) {
 	var h Hist

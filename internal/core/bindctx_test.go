@@ -24,11 +24,11 @@ func TestBindContext(t *testing.T) {
 	if bound.Interrupt == nil {
 		t.Fatal("cancellable ctx installed no hook")
 	}
-	if err := bound.interrupted(); err != nil {
+	if err := bound.Interrupt(); err != nil {
 		t.Errorf("live ctx: interrupt = %v, want nil", err)
 	}
 	cancel()
-	if err := bound.interrupted(); !errors.Is(err, context.Canceled) {
+	if err := bound.Interrupt(); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled ctx: interrupt = %v, want context.Canceled", err)
 	}
 
@@ -38,11 +38,11 @@ func TestBindContext(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	chained := prev.BindContext(ctx2)
-	if err := chained.interrupted(); !errors.Is(err, sentinel) {
+	if err := chained.Interrupt(); !errors.Is(err, sentinel) {
 		t.Errorf("chained interrupt = %v, want sentinel", err)
 	}
 	cancel2()
-	if err := chained.interrupted(); !errors.Is(err, context.Canceled) {
+	if err := chained.Interrupt(); !errors.Is(err, context.Canceled) {
 		t.Errorf("chained cancelled = %v, want context.Canceled (ctx checked first)", err)
 	}
 }

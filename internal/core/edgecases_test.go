@@ -13,9 +13,9 @@ import (
 // A facility at the exact query location has an all-zero cost vector and
 // dominates everything else (unless tied).
 func TestSkylineFacilityAtQuery(t *testing.T) {
-	topo := gen.Path(4)
+	topo := testnet.Path(4)
 	pls := []gen.Placement{{Edge: 1, T: 0.5}, {Edge: 2, T: 0.25}}
-	g, err := gen.Assemble(topo, gen.UnitCosts(topo, 3), pls, false)
+	g, err := gen.Assemble(topo, testnet.UnitCosts(topo, 3), pls, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestSkylineFacilityAtQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(res.Facilities) != 1 || res.Facilities[0].ID != 0 {
-			t.Errorf("%v: skyline = %v, want only the co-located facility", engine, res.IDs())
+			t.Errorf("%v: skyline = %v, want only the co-located facility", engine, ids(res))
 		}
 		for _, c := range res.Facilities[0].Costs {
 			if !vec.IsUnknown(c) && c != 0 {
@@ -45,12 +45,12 @@ func TestSkylineFacilityAtQuery(t *testing.T) {
 // dominated.
 func TestSkylineParallelEdges(t *testing.T) {
 	b := graph.NewBuilder(2, false)
-	b.AddNodes(2)
+	testnet.AddNodes(b, 2)
 	fast := b.AddEdge(0, 1, vec.Of(1, 10))
 	slow := b.AddEdge(0, 1, vec.Of(10, 1))
 	f1 := b.AddFacility(fast, 1.0)
 	f2 := b.AddFacility(slow, 1.0)
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	loc := graph.Location{Edge: fast, T: 0}
 	res, err := Skyline(expand.NewMemorySource(g), loc, Options{})
 	if err != nil {

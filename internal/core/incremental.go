@@ -57,7 +57,7 @@ func NewTopKIterator(src expand.Source, loc graph.Location, agg vec.Aggregate, o
 	}
 	sc := expand.Acquire(src)
 	shared := engineSource(src, opt.Engine, sc)
-	exps, err := perCost(shared, loc, sc)
+	exps, err := perCost(shared, loc, sc, opt.Interrupt)
 	if err != nil {
 		sc.Release()
 		return nil, err
@@ -105,9 +105,6 @@ func (it *TopKIterator) Next() (Facility, bool, error) {
 	for {
 		if it.closed.Load() {
 			return Facility{}, false, ErrIteratorClosed
-		}
-		if err := it.opt.interrupted(); err != nil {
-			return Facility{}, false, err
 		}
 		if f, ok := it.tryReport(); ok {
 			return f, true, nil

@@ -32,8 +32,8 @@ func TestIncrementalCEA(t *testing.T) {
 }
 
 func TestIncrementalEmpty(t *testing.T) {
-	topo := gen.Path(4)
-	g, err := gen.Assemble(topo, gen.UnitCosts(topo, 2), nil, false)
+	topo := testnet.Path(4)
+	g, err := gen.Assemble(topo, testnet.UnitCosts(topo, 2), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,8 @@ func TestIncrementalEmpty(t *testing.T) {
 }
 
 func TestIncrementalDimMismatch(t *testing.T) {
-	topo := gen.Path(3)
-	g, err := gen.Assemble(topo, gen.UnitCosts(topo, 2), nil, false)
+	topo := testnet.Path(3)
+	g, err := gen.Assemble(topo, testnet.UnitCosts(topo, 2), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,6 @@ func fac(id int, score float64, costs ...float64) Facility {
 	return Facility{ID: graph.FacilityID(id), Costs: vec.Costs(costs), Score: score}
 }
 
-func ids(r *Result) []graph.FacilityID { return r.IDs() }
-
 func TestMergeSkylinesIdenticalReplicasNoOp(t *testing.T) {
 	mk := func() *Result {
 		return &Result{

@@ -13,13 +13,13 @@ import (
 func TestMultiSourceMeetingPoint(t *testing.T) {
 	// Three friends on a path graph; the min-sum meeting facility must be
 	// the middle one.
-	topo := gen.Path(7)
+	topo := testnet.Path(7)
 	pls := []gen.Placement{
 		{Edge: 0, T: 0.5}, // near friend 1
 		{Edge: 3, T: 0.0}, // in the middle
 		{Edge: 5, T: 0.5}, // near friend 3
 	}
-	g, err := gen.Assemble(topo, gen.UnitCosts(topo, 1), pls, false)
+	g, err := gen.Assemble(topo, testnet.UnitCosts(topo, 1), pls, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,13 +34,13 @@ func TestMultiSourceMeetingPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Facilities) != 1 || res.Facilities[0].ID != 1 {
-		t.Errorf("meeting point = %v, want facility 1", res.IDs())
+		t.Errorf("meeting point = %v, want facility 1", ids(res))
 	}
 }
 
 func TestMultiSourceValidation(t *testing.T) {
-	topo := gen.Path(3)
-	g, err := gen.Assemble(topo, gen.UnitCosts(topo, 2), nil, false)
+	topo := testnet.Path(3)
+	g, err := gen.Assemble(topo, testnet.UnitCosts(topo, 2), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // d complete network expansions from loc, materialising the full cost vector
 // of every reachable facility (the entire MCN is read d times). Facilities
 // unreachable under a cost type get +Inf there; facilities reachable under
-// no cost type do not appear. Only opt.Interrupt (polled per pop) is
+// no cost type do not appear. Only opt.Interrupt (polled per expanded node) is
 // consulted.
 func MaterializeAll(src expand.Source, loc graph.Location, opt Options) (map[graph.FacilityID]vec.Costs, Stats, error) {
 	d := src.D()
@@ -24,14 +24,11 @@ func MaterializeAll(src expand.Source, loc graph.Location, opt Options) (map[gra
 	sc := expand.Acquire(src)
 	defer sc.Release()
 	for i := 0; i < d; i++ {
-		x, err := expand.New(src, i, loc, sc)
+		x, err := expand.New(src, i, loc, sc, opt.Interrupt)
 		if err != nil {
 			return nil, stats, err
 		}
 		for {
-			if err := opt.interrupted(); err != nil {
-				return nil, stats, err
-			}
 			p, c, ok, err := x.Next()
 			if err != nil {
 				return nil, stats, err
@@ -142,7 +139,7 @@ func Within(src expand.Source, loc graph.Location, budget vec.Costs, opt Options
 	found := make(map[graph.FacilityID]*partial)
 	var stats Stats
 	for i := 0; i < d; i++ {
-		x, err := expand.New(shared, i, loc, sc)
+		x, err := expand.New(shared, i, loc, sc, opt.Interrupt)
 		if err != nil {
 			return nil, err
 		}
@@ -153,9 +150,6 @@ func Within(src expand.Source, loc graph.Location, budget vec.Costs, opt Options
 			})
 		}
 		for {
-			if err := opt.interrupted(); err != nil {
-				return nil, err
-			}
 			if x.HeadKey() > budget[i] {
 				break // nothing else can fit this component
 			}

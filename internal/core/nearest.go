@@ -23,15 +23,12 @@ func Nearest(src expand.Source, loc graph.Location, costIdx, k int, opt Options)
 	}
 	sc := expand.Acquire(src)
 	defer sc.Release()
-	x, err := expand.New(src, costIdx, loc, sc)
+	x, err := expand.New(src, costIdx, loc, sc, opt.Interrupt)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{}
 	for len(res.Facilities) < k {
-		if err := opt.interrupted(); err != nil {
-			return nil, err
-		}
 		p, c, ok, err := x.Next()
 		if err != nil {
 			return nil, err

@@ -7,6 +7,7 @@ import (
 	"mcn/internal/expand"
 	"mcn/internal/graph"
 	"mcn/internal/index"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 
@@ -15,14 +16,14 @@ import (
 // not panic or mis-prune).
 func TestPrunedDisconnectedComponents(t *testing.T) {
 	b := graph.NewBuilder(2, false)
-	b.AddNodes(6)
+	testnet.AddNodes(b, 6)
 	// Two components: 0-1-2 (facility on 1-2) and 3-4-5 (no facilities).
 	e01 := b.AddEdge(0, 1, vec.Of(1, 2))
 	e12 := b.AddEdge(1, 2, vec.Of(2, 1))
 	b.AddEdge(3, 4, vec.Of(1, 1))
 	b.AddEdge(4, 5, vec.Of(1, 1))
 	b.AddFacility(e12, 0.5)
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	src := expand.NewMemorySource(g)
 	bounds := index.FromGraph(g)
 

@@ -34,7 +34,7 @@ func Skyline(src expand.Source, loc graph.Location, opt Options) (*Result, error
 	sc := expand.Acquire(src)
 	defer sc.Release()
 	shared := engineSource(src, opt.Engine, sc)
-	exps, err := perCost(shared, loc, sc)
+	exps, err := perCost(shared, loc, sc, opt.Interrupt)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +60,7 @@ func MultiSourceSkyline(src expand.Source, costIdx int, locs []graph.Location, o
 	sc := expand.Acquire(src)
 	defer sc.Release()
 	shared := engineSource(src, opt.Engine, sc)
-	exps, err := perLocation(shared, costIdx, locs, sc)
+	exps, err := perLocation(shared, costIdx, locs, sc, opt.Interrupt)
 	if err != nil {
 		return nil, err
 	}
@@ -136,9 +136,6 @@ func (s *skylineRun) run() error {
 	for !s.done() {
 		if s.stopped {
 			return errStreamStopped
-		}
-		if err := s.opt.interrupted(); err != nil {
-			return err
 		}
 		progressed := false
 		for i := 0; i < s.d && !s.done(); i++ {

@@ -13,6 +13,15 @@ import (
 	"mcn/internal/vec"
 )
 
+// ids returns the facility ids of r in order.
+func ids(r *Result) []graph.FacilityID {
+	out := make([]graph.FacilityID, len(r.Facilities))
+	for i, f := range r.Facilities {
+		out[i] = f.ID
+	}
+	return out
+}
+
 func sortedIDs(fs []Facility) []graph.FacilityID {
 	ids := make([]graph.FacilityID, len(fs))
 	for i, f := range fs {
@@ -34,7 +43,7 @@ func TestSkylineFixedExample(t *testing.T) {
 	b.AddEdge(n1, n2, vec.Of(5, 5))
 	p1 := b.AddFacility(e2, 1.0)
 	p2 := b.AddFacility(e1, 1.0)
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	loc, err := graph.LocationAtNode(g, q0)
 	if err != nil {
 		t.Fatal(err)
@@ -92,8 +101,8 @@ func TestLSAAccessesAtLeastCEA(t *testing.T) {
 }
 
 func TestSkylineNoFacilities(t *testing.T) {
-	topo := gen.Path(5)
-	g, err := gen.Assemble(topo, gen.UnitCosts(topo, 2), nil, false)
+	topo := testnet.Path(5)
+	g, err := gen.Assemble(topo, testnet.UnitCosts(topo, 2), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,15 +112,15 @@ func TestSkylineNoFacilities(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(res.Facilities) != 0 {
-			t.Errorf("%v: skyline of empty facility set = %v", engine, res.IDs())
+			t.Errorf("%v: skyline of empty facility set = %v", engine, ids(res))
 		}
 	}
 }
 
 func TestSkylineSingleFacility(t *testing.T) {
-	topo := gen.Path(5)
+	topo := testnet.Path(5)
 	pls := []gen.Placement{{Edge: 3, T: 0.5}}
-	g, err := gen.Assemble(topo, gen.UnitCosts(topo, 3), pls, false)
+	g, err := gen.Assemble(topo, testnet.UnitCosts(topo, 3), pls, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +129,7 @@ func TestSkylineSingleFacility(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Facilities) != 1 || res.Facilities[0].ID != 0 {
-		t.Errorf("skyline = %v, want [0]", res.IDs())
+		t.Errorf("skyline = %v, want [0]", ids(res))
 	}
 }
 
@@ -128,18 +137,18 @@ func TestSkylineSingleFacility(t *testing.T) {
 // not be reported; partially unreachable ones participate.
 func TestSkylineDisconnected(t *testing.T) {
 	b := graph.NewBuilder(2, false)
-	b.AddNodes(4)
+	testnet.AddNodes(b, 4)
 	e0 := b.AddEdge(0, 1, vec.Of(1, 1))
 	e1 := b.AddEdge(2, 3, vec.Of(1, 1)) // separate island
 	fNear := b.AddFacility(e0, 0.75)
 	b.AddFacility(e1, 0.5) // unreachable
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	res, err := Skyline(expand.NewMemorySource(g), graph.Location{Edge: e0, T: 0.25}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Facilities) != 1 || res.Facilities[0].ID != fNear {
-		t.Errorf("skyline = %v, want [%d]", res.IDs(), fNear)
+		t.Errorf("skyline = %v, want [%d]", ids(res), fNear)
 	}
 }
 

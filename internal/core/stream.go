@@ -35,7 +35,7 @@ func SkylineSeq(ctx context.Context, src expand.Source, loc graph.Location, opt 
 		sc := expand.Acquire(src)
 		defer sc.Release()
 		shared := engineSource(src, opt.Engine, sc)
-		exps, err := perCost(shared, loc, sc)
+		exps, err := perCost(shared, loc, sc, opt.Interrupt)
 		if err != nil {
 			yield(Facility{}, err)
 			return

@@ -8,6 +8,7 @@ import (
 	"mcn/internal/expand"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
+	"mcn/internal/testsupport/testnet"
 )
 
 // TestSeqBreakStopsPerPop pins the early-break granularity of the skyline
@@ -19,7 +20,7 @@ import (
 // hundreds of adjacency reads per abandoned stream.
 func TestSeqBreakStopsPerPop(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	topo := gen.RandomConnected(400, 250, rng)
+	topo := testnet.RandomConnected(400, 250, rng)
 	costs := gen.AssignCosts(topo, 3, gen.AntiCorrelated, rng)
 	pls := gen.UniformFacilities(topo, 25, rng)
 	g, err := gen.Assemble(topo, costs, pls, false)

@@ -26,7 +26,7 @@ func TopK(src expand.Source, loc graph.Location, agg vec.Aggregate, k int, opt O
 	sc := expand.Acquire(src)
 	defer sc.Release()
 	shared := engineSource(src, opt.Engine, sc)
-	exps, err := perCost(shared, loc, sc)
+	exps, err := perCost(shared, loc, sc, opt.Interrupt)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +51,7 @@ func MultiSourceTopK(src expand.Source, costIdx int, locs []graph.Location, agg 
 	sc := expand.Acquire(src)
 	defer sc.Release()
 	shared := engineSource(src, opt.Engine, sc)
-	exps, err := perLocation(shared, costIdx, locs, sc)
+	exps, err := perLocation(shared, costIdx, locs, sc, opt.Interrupt)
 	if err != nil {
 		return nil, err
 	}
@@ -109,9 +109,6 @@ type topkRun struct {
 func (s *topkRun) run() error {
 	// Growing stage: round-robin NN retrieval until k facilities are pinned.
 	for !s.shrinking {
-		if err := s.opt.interrupted(); err != nil {
-			return err
-		}
 		progressed := false
 		for i := 0; i < s.d && !s.shrinking; i++ {
 			if s.exhausted[i] {
@@ -139,9 +136,6 @@ func (s *topkRun) run() error {
 	// finer probing granularity), with lower-bound elimination after every
 	// full pass.
 	for s.candidates > 0 {
-		if err := s.opt.interrupted(); err != nil {
-			return err
-		}
 		progressed := false
 		for i := 0; i < s.d && s.candidates > 0; i++ {
 			if !s.active(i) {

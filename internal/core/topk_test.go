@@ -22,7 +22,7 @@ func TestTopKFixedExample(t *testing.T) {
 	p1 := b.AddFacility(e2, 1.0) // (20 min, 0 $)
 	p2 := b.AddFacility(e1, 1.0) // (10 min, 1 $)
 	_ = p1
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	loc, err := graph.LocationAtNode(g, q0)
 	if err != nil {
 		t.Fatal(err)
@@ -33,14 +33,14 @@ func TestTopKFixedExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Facilities) != 1 || res.Facilities[0].ID != p2 {
-		t.Errorf("top-1 = %v, want [%d]", res.IDs(), p2)
+		t.Errorf("top-1 = %v, want [%d]", ids(res), p2)
 	}
 }
 
 func TestTopKLargerThanP(t *testing.T) {
-	topo := gen.Path(6)
+	topo := testnet.Path(6)
 	pls := []gen.Placement{{Edge: 0, T: 0.5}, {Edge: 4, T: 0.5}}
-	g, err := gen.Assemble(topo, gen.UnitCosts(topo, 2), pls, false)
+	g, err := gen.Assemble(topo, testnet.UnitCosts(topo, 2), pls, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +55,8 @@ func TestTopKLargerThanP(t *testing.T) {
 }
 
 func TestTopKInvalidArgs(t *testing.T) {
-	topo := gen.Path(3)
-	g, err := gen.Assemble(topo, gen.UnitCosts(topo, 2), nil, false)
+	topo := testnet.Path(3)
+	g, err := gen.Assemble(topo, testnet.UnitCosts(topo, 2), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

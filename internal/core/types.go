@@ -77,15 +77,6 @@ type Result struct {
 	Stats      Stats
 }
 
-// IDs returns the facility ids of the result in order.
-func (r *Result) IDs() []graph.FacilityID {
-	out := make([]graph.FacilityID, len(r.Facilities))
-	for i, f := range r.Facilities {
-		out[i] = f.ID
-	}
-	return out
-}
-
 // Options configures skyline and top-k processing. Expansion state is not
 // among the options: every entry point acquires one expand.Scratch for its
 // source, runs the query on it and releases it (the closeable handles —
@@ -103,12 +94,12 @@ type Options struct {
 	// facility the moment it is confirmed (the algorithms are progressive).
 	// The cost vector passed may still contain unknown components.
 	OnResult func(Facility)
-	// Interrupt, when set, is polled between expansion rounds; a non-nil
-	// return aborts the query with that error. The engine layer wires
-	// per-query context cancellation and timeouts through it. It may be
-	// polled from several goroutines at once (a maintainer build runs its
-	// expansions concurrently on an in-memory source), so it must be safe
-	// for concurrent use.
+	// Interrupt, when set, is polled by the query's expansions before every
+	// node they expand; a non-nil return aborts the query with that error.
+	// The engine layer wires per-query context cancellation and timeouts
+	// through it. It may be polled from several goroutines at once (a
+	// maintainer build runs its expansions concurrently on an in-memory
+	// source), so it must be cheap and safe for concurrent use.
 	Interrupt func() error
 	// Bounds, when set, is the precomputed pruning index (internal/index):
 	// per-criterion lower bounds from every node to its nearest facility.
@@ -124,29 +115,29 @@ type Options struct {
 	Bounds expand.LowerBounder
 }
 
-// interrupted polls the Interrupt hook, if any.
-func (o *Options) interrupted() error {
-	if o.Interrupt == nil {
-		return nil
-	}
-	return o.Interrupt()
-}
-
 // BindContext returns a copy of o whose Interrupt hook also observes ctx:
 // once ctx is cancelled or past its deadline, the next interrupt poll aborts
 // the query with ctx's error. Any previously installed hook keeps running
 // after the ctx check. Contexts that can never be cancelled (Background,
 // TODO) are not wired in, so the zero-cost path stays zero-cost. This is the
 // single adapter every context-first entry point — the facade, the engine's
-// executor, the streaming iterators — funnels through.
+// executor, the streaming iterators — funnels through. The hook polls with
+// a non-blocking receive on ctx.Done(), which takes no lock (ctx.Err
+// does), so one poll per expanded node stays off the profile.
 func (o Options) BindContext(ctx context.Context) Options {
-	if ctx == nil || ctx.Done() == nil {
+	if ctx == nil {
+		return o
+	}
+	done := ctx.Done()
+	if done == nil {
 		return o
 	}
 	prev := o.Interrupt
 	o.Interrupt = func() error {
-		if err := ctx.Err(); err != nil {
-			return err
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
 		}
 		if prev != nil {
 			return prev()
@@ -171,11 +162,12 @@ func engineSource(src expand.Source, e Engine, sc *expand.Scratch) expand.Source
 	return src
 }
 
-// perCost starts the d per-cost expansions of a single-location query on sc.
-func perCost(src expand.Source, loc graph.Location, sc *expand.Scratch) ([]*expand.Expansion, error) {
+// perCost starts the d per-cost expansions of a single-location query on
+// sc, each polling interrupt.
+func perCost(src expand.Source, loc graph.Location, sc *expand.Scratch, interrupt func() error) ([]*expand.Expansion, error) {
 	exps := make([]*expand.Expansion, src.D())
 	for i := range exps {
-		x, err := expand.New(src, i, loc, sc)
+		x, err := expand.New(src, i, loc, sc, interrupt)
 		if err != nil {
 			return nil, err
 		}
@@ -185,11 +177,11 @@ func perCost(src expand.Source, loc graph.Location, sc *expand.Scratch) ([]*expa
 }
 
 // perLocation starts the expansions of a multi-source query on sc: one per
-// query location, all under one cost type.
-func perLocation(src expand.Source, costIdx int, locs []graph.Location, sc *expand.Scratch) ([]*expand.Expansion, error) {
+// query location, all under one cost type, each polling interrupt.
+func perLocation(src expand.Source, costIdx int, locs []graph.Location, sc *expand.Scratch, interrupt func() error) ([]*expand.Expansion, error) {
 	exps := make([]*expand.Expansion, len(locs))
 	for i, loc := range locs {
-		x, err := expand.New(src, costIdx, loc, sc)
+		x, err := expand.New(src, costIdx, loc, sc, interrupt)
 		if err != nil {
 			return nil, err
 		}

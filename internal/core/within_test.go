@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,13 +10,14 @@ import (
 	"mcn/internal/gen"
 	"mcn/internal/graph"
 	"mcn/internal/index"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 
 func TestWithinLocality(t *testing.T) {
 	// A tight budget must not traverse the whole network.
 	topo := gen.Grid(60, 60, 0.1, rand.New(rand.NewSource(1401)))
-	costs := gen.UnitCosts(topo, 2)
+	costs := testnet.UnitCosts(topo, 2)
 	pls := gen.UniformFacilities(topo, 2000, rand.New(rand.NewSource(1402)))
 	g, err := gen.Assemble(topo, costs, pls, false)
 	if err != nil {
@@ -39,8 +41,8 @@ func TestWithinLocality(t *testing.T) {
 }
 
 func TestWithinValidation(t *testing.T) {
-	topo := gen.Path(3)
-	g, err := gen.Assemble(topo, gen.UnitCosts(topo, 2), nil, false)
+	topo := testnet.Path(3)
+	g, err := gen.Assemble(topo, testnet.UnitCosts(topo, 2), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,16 +54,16 @@ func TestWithinValidation(t *testing.T) {
 	if _, err := Within(src, loc, vec.Of(1, -2), Options{}); err == nil {
 		t.Error("negative budget accepted")
 	}
-	if _, err := Within(src, loc, vec.Of(1, vec.Unknown()), Options{}); err == nil {
+	if _, err := Within(src, loc, vec.Of(1, math.NaN()), Options{}); err == nil {
 		t.Error("incomplete budget accepted")
 	}
 }
 
 func TestWithinZeroBudget(t *testing.T) {
 	// Budget zero admits only facilities exactly at the query location.
-	topo := gen.Path(3)
+	topo := testnet.Path(3)
 	pls := []gen.Placement{{Edge: 1, T: 0.5}, {Edge: 0, T: 0.25}}
-	g, err := gen.Assemble(topo, gen.UnitCosts(topo, 2), pls, false)
+	g, err := gen.Assemble(topo, testnet.UnitCosts(topo, 2), pls, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestWithinZeroBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Facilities) != 1 || res.Facilities[0].ID != 0 {
-		t.Errorf("zero-budget range = %v, want the co-located facility only", res.IDs())
+		t.Errorf("zero-budget range = %v, want the co-located facility only", ids(res))
 	}
 }
 

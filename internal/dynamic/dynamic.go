@@ -85,34 +85,25 @@ func New(src expand.Source, loc graph.Location, opt core.Options) (*Maintainer, 
 	return m, nil
 }
 
-// pollEvery is how many expansion steps a build takes between two polls of
-// its Interrupt hook: a context-bound hook takes the context's lock, which
-// the concurrent expansions would otherwise contend for at every node.
-const pollEvery = 64
-
 // nodeDistances runs one node-only expansion from loc per cost type — every
-// facility record refused, so none is read — polling opt.Interrupt every
-// pollEvery steps, and returns each one's node distances. On a zero-copy
-// source the d expansions run concurrently, each on its own scratch; any
-// other source runs them in turn, so that the order of its record reads,
-// and with it what a buffer pool keeps, does not depend on scheduling.
+// facility record refused, so none is read — each polling opt.Interrupt
+// before every node it expands, and returns each one's node distances. On
+// a zero-copy source the d expansions run concurrently, each on its own
+// scratch; any other source runs them in turn, so that the order of its
+// record reads, and with it what a buffer pool keeps, does not depend on
+// scheduling.
 // Either way every expansion has ended when nodeDistances returns.
 func nodeDistances(src expand.Source, loc graph.Location, opt core.Options) ([][]float64, error) {
 	dist := make([][]float64, src.D())
 	run := func(i int) error {
 		sc := expand.Acquire(src)
 		defer sc.Release()
-		x, err := expand.New(src, i, loc, sc)
+		x, err := expand.New(src, i, loc, sc, opt.Interrupt)
 		if err != nil {
 			return err
 		}
 		x.SetFilter(func(graph.EdgeID) bool { return false }, func(graph.FacilityID) bool { return false })
-		for step := 0; ; step++ {
-			if opt.Interrupt != nil && step%pollEvery == 0 {
-				if err := opt.Interrupt(); err != nil {
-					return err
-				}
-			}
+		for {
 			ev, _, _, err := x.Step()
 			if err != nil {
 				return err
@@ -287,9 +278,6 @@ func (m *Maintainer) Close() error {
 	return nil
 }
 
-// Len returns the number of maintained facilities.
-func (m *Maintainer) Len() int { return len(m.facs) }
-
 // Insert adds a facility at fraction t on edge e and returns its handle. Its
 // cost vector is what an expansion would report for a facility there — the
 // cheaper of entering e from either end-node, or walking along the query
@@ -353,18 +341,6 @@ func (m *Maintainer) Delete(h Handle) error {
 		m.onUpdate(e.Edge)
 	}
 	return nil
-}
-
-// Entry returns the maintained record for h, also for a facility the query
-// location cannot reach (its cost vector is +Inf throughout).
-func (m *Maintainer) Entry(h Handle) (Entry, bool) {
-	e, ok := m.facs[h]
-	if !ok {
-		return Entry{}, false
-	}
-	out := *e
-	out.Costs = e.Costs.Clone()
-	return out, true
 }
 
 // reachable returns the entries reachable under at least one cost type,

@@ -13,6 +13,21 @@ import (
 	"mcn/internal/vec"
 )
 
+// Len returns the number of maintained facilities, unreachable ones included.
+func (m *Maintainer) Len() int { return len(m.facs) }
+
+// Entry returns the maintained record for h, also for a facility the query
+// location cannot reach (its cost vector is +Inf throughout).
+func (m *Maintainer) Entry(h Handle) (Entry, bool) {
+	e, ok := m.facs[h]
+	if !ok {
+		return Entry{}, false
+	}
+	out := *e
+	out.Costs = e.Costs.Clone()
+	return out, true
+}
+
 // Insert's deterministic work: exactly one EdgeInfo read and nothing else —
 // no adjacency record, no facility record, no traversal.
 func TestInsertReadsOneEdgeRecord(t *testing.T) {

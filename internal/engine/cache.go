@@ -13,9 +13,6 @@ import (
 // server's long-lived executor hit the same entries.
 func (e *Executor) SetCache(c *rescache.Cache) { e.cache = c }
 
-// Cache returns the attached result cache, or nil.
-func (e *Executor) Cache() *rescache.Cache { return e.cache }
-
 // cacheable reports whether a request may go through the result cache:
 // progressive delivery (OnResult) must observe the query run, so it always
 // executes.

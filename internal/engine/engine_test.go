@@ -73,7 +73,11 @@ func ids(res *core.Result) []graph.FacilityID {
 	if res == nil {
 		return nil
 	}
-	return res.IDs()
+	out := make([]graph.FacilityID, len(res.Facilities))
+	for i, f := range res.Facilities {
+		out[i] = f.ID
+	}
+	return out
 }
 
 // The batch executor must produce, under 8-way concurrency over one shared

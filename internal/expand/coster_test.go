@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mcn/internal/graph"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 
@@ -115,5 +116,5 @@ func lineGraph(t *testing.T) *graph.Graph {
 	e23 := b.AddEdge(n[2], n[3], vec.Of(4))
 	b.AddFacility(e01, 0.5)
 	b.AddFacility(e23, 0.25)
-	return b.MustBuild()
+	return testnet.MustBuild(b)
 }

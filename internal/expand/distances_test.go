@@ -12,7 +12,7 @@ import (
 // node distance table, written into buf.
 func distancesAfterDrain(t *testing.T, src Source, costIdx int, loc graph.Location, sc *Scratch, buf []float64) []float64 {
 	t.Helper()
-	x, err := New(src, costIdx, loc, sc)
+	x, err := New(src, costIdx, loc, sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,6 @@ const (
 type Expansion struct {
 	src  Source
 	cost int
-	loc  graph.Location
 	// coster overrides the adjacency entries' embedded costs when the source
 	// keeps its effective costs in an overlay (see EdgeCoster).
 	coster EdgeCoster
@@ -62,6 +61,9 @@ type Expansion struct {
 	// settled without expansion — its adjacency record is never read.
 	lb    LowerBounder
 	prune func(costPlusBound float64) bool
+	// interrupt, when set, is polled before every node expansion; its
+	// error ends the expansion.
+	interrupt func() error
 
 	popCount    int
 	nodeCount   int
@@ -78,15 +80,18 @@ type LowerBounder interface {
 
 // New starts an expansion from loc under cost type costIdx (0-based) on one
 // state unit of sc, which must have been acquired for src (or for the source
-// sc.Shared wraps) and stays owned by the caller.
-func New(src Source, costIdx int, loc graph.Location, sc *Scratch) (*Expansion, error) {
+// sc.Shared wraps) and stays owned by the caller. interrupt, when not nil, is
+// polled before every node the expansion expands — each a record read on a
+// disk source — and a non-nil error from it is returned by that Step or
+// Next; it must be cheap and safe for concurrent use.
+func New(src Source, costIdx int, loc graph.Location, sc *Scratch, interrupt func() error) (*Expansion, error) {
 	x := &Expansion{
-		src:    src,
-		cost:   costIdx,
-		loc:    loc,
-		coster: costerOf(src),
-		ds:     sc.state(),
-		edges:  sc.edges,
+		src:       src,
+		cost:      costIdx,
+		coster:    costerOf(src),
+		ds:        sc.state(),
+		edges:     sc.edges,
+		interrupt: interrupt,
 	}
 	x.dec, _ = src.(decoder)
 
@@ -131,9 +136,6 @@ func New(src Source, costIdx int, loc graph.Location, sc *Scratch) (*Expansion, 
 	}
 	return x, nil
 }
-
-// Location returns the query location the expansion started from.
-func (x *Expansion) Location() graph.Location { return x.loc }
 
 // PopCount returns the number of facilities reported so far.
 func (x *Expansion) PopCount() int { return x.popCount }
@@ -234,6 +236,11 @@ func (x *Expansion) Step() (Event, graph.FacilityID, float64, error) {
 				// the driver's horizon tightens further.
 				x.prunedCount++
 				continue
+			}
+			if x.interrupt != nil {
+				if err := x.interrupt(); err != nil {
+					return 0, 0, 0, err
+				}
 			}
 			if err := x.expandNode(v, it.key); err != nil {
 				return 0, 0, 0, err

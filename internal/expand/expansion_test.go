@@ -16,7 +16,7 @@ import (
 func randomGraph(t *testing.T, rng *rand.Rand, d int, directed bool) *graph.Graph {
 	t.Helper()
 	n := 2 + rng.Intn(40)
-	topo := gen.RandomConnected(n, rng.Intn(2*n), rng)
+	topo := testnet.RandomConnected(n, rng.Intn(2*n), rng)
 	var costs []vec.Costs
 	if rng.Intn(2) == 0 {
 		costs = gen.RandomIntegerCosts(topo, d, 4, rng) // tie stress
@@ -48,7 +48,7 @@ func acquire(t testing.TB, src Source) *Scratch {
 
 // newOn starts an expansion on a scratch of its own (see acquire).
 func newOn(t testing.TB, src Source, costIdx int, loc graph.Location) (*Expansion, error) {
-	return New(src, costIdx, loc, acquire(t, src))
+	return New(src, costIdx, loc, acquire(t, src), nil)
 }
 
 func drain(t *testing.T, x *Expansion) map[graph.FacilityID]float64 {
@@ -78,12 +78,12 @@ func TestExpansionPathGraph(t *testing.T) {
 	// 0 --(e0,w=2)-- 1 --(e1,w=4)-- 2, facilities at e0:0.5 and e1:0.25,
 	// query at e0:0.25.
 	b := graph.NewBuilder(1, false)
-	b.AddNodes(3)
+	testnet.AddNodes(b, 3)
 	e0 := b.AddEdge(0, 1, vec.Of(2))
 	e1 := b.AddEdge(1, 2, vec.Of(4))
 	f0 := b.AddFacility(e0, 0.5)
 	f1 := b.AddFacility(e1, 0.25)
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 
 	src := NewMemorySource(g)
 	x, err := newOn(t, src, 0, graph.Location{Edge: e0, T: 0.25})
@@ -114,10 +114,10 @@ func TestExpansionSameEdgeDirect(t *testing.T) {
 	// Query and facility on the same edge; the direct walk must beat the
 	// route via the end-nodes.
 	b := graph.NewBuilder(1, false)
-	b.AddNodes(2)
+	testnet.AddNodes(b, 2)
 	e := b.AddEdge(0, 1, vec.Of(10))
 	f := b.AddFacility(e, 0.6)
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	x, err := newOn(t, NewMemorySource(g), 0, graph.Location{Edge: e, T: 0.4})
 	if err != nil {
 		t.Fatal(err)
@@ -135,10 +135,10 @@ func TestExpansionDirectedBehindQuery(t *testing.T) {
 	// One-way edge: facility behind the query is unreachable without a
 	// cycle; with a cycle it is reachable the long way round.
 	b := graph.NewBuilder(1, true)
-	b.AddNodes(2)
+	testnet.AddNodes(b, 2)
 	e0 := b.AddEdge(0, 1, vec.Of(1))
 	f := b.AddFacility(e0, 0.1)
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	x, err := newOn(t, NewMemorySource(g), 0, graph.Location{Edge: e0, T: 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -149,11 +149,11 @@ func TestExpansionDirectedBehindQuery(t *testing.T) {
 
 	// Add the return edge 1→0: now reachable via the cycle.
 	b2 := graph.NewBuilder(1, true)
-	b2.AddNodes(2)
+	testnet.AddNodes(b2, 2)
 	e0 = b2.AddEdge(0, 1, vec.Of(1))
 	b2.AddEdge(1, 0, vec.Of(1))
 	f = b2.AddFacility(e0, 0.1)
-	g2 := b2.MustBuild()
+	g2 := testnet.MustBuild(b2)
 	x2, err := newOn(t, NewMemorySource(g2), 0, graph.Location{Edge: e0, T: 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestExpansionTieOrderById(t *testing.T) {
 		e := b.AddEdge(center, v, vec.Of(2))
 		b.AddFacility(e, 0.5)
 	}
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	loc, err := graph.LocationAtNode(g, center)
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +278,7 @@ func TestSharedSourceAccessBound(t *testing.T) {
 		sc := acquire(t, mem)
 		shared := sc.Shared(mem)
 		for i := 0; i < d; i++ {
-			x, err := New(shared, i, loc, sc)
+			x, err := New(shared, i, loc, sc, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -346,12 +346,12 @@ func TestFacilityFilterSkipsRecords(t *testing.T) {
 	// Two facilities on separate edges; allow only edge 1's facility. The
 	// facility record of edge 0 must not be read after the filter is set.
 	b := graph.NewBuilder(1, false)
-	b.AddNodes(3)
+	testnet.AddNodes(b, 3)
 	e0 := b.AddEdge(0, 1, vec.Of(1))
 	e1 := b.AddEdge(1, 2, vec.Of(1))
 	b.AddFacility(e0, 0.5)
 	f1 := b.AddFacility(e1, 0.5)
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 
 	mem := NewMemorySource(g)
 	loc, err := graph.LocationAtNode(g, 0)
@@ -386,10 +386,10 @@ func TestFilterDropsInHeapFacilities(t *testing.T) {
 	// A facility already en-heaped before the filter is installed must not
 	// surface afterwards.
 	b := graph.NewBuilder(1, false)
-	b.AddNodes(2)
+	testnet.AddNodes(b, 2)
 	e := b.AddEdge(0, 1, vec.Of(1))
 	b.AddFacility(e, 0.9) // en-heaped at init (same edge as query)
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	x, err := newOn(t, NewMemorySource(g), 0, graph.Location{Edge: e, T: 0.1})
 	if err != nil {
 		t.Fatal(err)

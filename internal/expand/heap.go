@@ -61,8 +61,6 @@ type minHeap struct {
 	a []item
 }
 
-func (h *minHeap) len() int { return len(h.a) }
-
 func (h *minHeap) push(it item) {
 	h.a = append(h.a, it)
 	i := len(h.a) - 1

@@ -6,6 +6,8 @@ import (
 	"testing/quick"
 )
 
+func (h *minHeap) len() int { return len(h.a) }
+
 // quick.Check: pushing arbitrary items and draining the heap yields exactly
 // the input multiset in the canonical (key, tie) order: nodes tied by push
 // sequence, facilities by id.

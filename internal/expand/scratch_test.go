@@ -29,7 +29,7 @@ func (s sized) NumFacilities() int { return s.Graph().NumFacilities() }
 // facilities.
 func connectedGraph(t *testing.T, rng *rand.Rand, n, facilities int) *graph.Graph {
 	t.Helper()
-	topo := gen.RandomConnected(n, n/2, rng)
+	topo := testnet.RandomConnected(n, n/2, rng)
 	g, err := gen.Assemble(topo, gen.AssignCosts(topo, 1, gen.Independent, rng), gen.UniformFacilities(topo, facilities, rng), false)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func connectedGraph(t *testing.T, rng *rand.Rand, n, facilities int) *graph.Grap
 func checkAgainstOracle(t *testing.T, src Source, g *graph.Graph, sc *Scratch) {
 	t.Helper()
 	loc := graph.Location{Edge: 0, T: 0.5}
-	x, err := New(src, 0, loc, sc)
+	x, err := New(src, 0, loc, sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestOutOfRangeRecordFailsQuery(t *testing.T) {
 			sc := acquire(t, src)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			x, err := New(src, 0, graph.Location{Edge: 0, T: 0.5}, sc)
+			x, err := New(src, 0, graph.Location{Edge: 0, T: 0.5}, sc, nil)
 			for err == nil {
 				var ok bool
 				if _, _, ok, err = x.Next(); !ok {

@@ -78,7 +78,7 @@ func TestFlatPopLoopZeroAlloc(t *testing.T) {
 
 	// Warm-up run: grows the heap backing and the dense state arrays once.
 	sc := expand.Acquire(fs)
-	x, err := expand.New(fs, 0, loc, sc)
+	x, err := expand.New(fs, 0, loc, sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestFlatPopLoopZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		sc := expand.Acquire(fs)
 		defer sc.Release()
-		x, err := expand.New(fs, 0, loc, sc)
+		x, err := expand.New(fs, 0, loc, sc, nil)
 		if err != nil {
 			stepErr = err
 			return

@@ -172,11 +172,11 @@ func TestScratchReuseAcrossQueries(t *testing.T) {
 		for _, loc := range inst.Queries {
 			for cost := 0; cost < fs.D(); cost++ {
 				sc, scm := expand.Acquire(fs), expand.Acquire(mem)
-				xf, err := expand.New(fs, cost, loc, sc)
+				xf, err := expand.New(fs, cost, loc, sc, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				xm, err := expand.New(mem, cost, loc, scm)
+				xm, err := expand.New(mem, cost, loc, scm, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -230,7 +230,7 @@ func BenchmarkExpansion(b *testing.B) {
 		steps := 0
 		for i := 0; i < b.N; i++ {
 			sc := expand.Acquire(src)
-			x, err := expand.New(src, i%g.D(), loc, sc)
+			x, err := expand.New(src, i%g.D(), loc, sc, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -9,6 +9,7 @@ import (
 	"mcn/internal/expand"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 
@@ -30,7 +31,7 @@ func overlayGraph(t *testing.T) *graph.Graph {
 	e0 := b.AddEdge(n0, n1, vec.Of(2, 1))
 	b.AddEdge(n1, n2, vec.Of(5, 3))
 	b.AddFacility(e0, 0.5)
-	return b.MustBuild()
+	return testnet.MustBuild(b)
 }
 
 // scaledRows profiles edge e of g on breakpoints {10, 20}: k+2 times its
@@ -161,7 +162,7 @@ func TestOverlayQueryEquivalence(t *testing.T) {
 			fac := g.Facility(graph.FacilityID(f))
 			b.AddFacility(fac.Edge, fac.T)
 		}
-		ref := expand.NewMemorySource(b.MustBuild())
+		ref := expand.NewMemorySource(testnet.MustBuild(b))
 
 		view := ov.View(rows, at)
 		for qi, loc := range inst.Queries {

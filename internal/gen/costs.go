@@ -106,20 +106,6 @@ func multipliers(d int, dist Distribution, rng *rand.Rand) vec.Costs {
 	return m
 }
 
-// UnitCosts assigns every edge its Euclidean length in all d dimensions.
-// Useful for tests that need predictable distances.
-func UnitCosts(t *Topology, d int) []vec.Costs {
-	out := make([]vec.Costs, t.NumEdges())
-	for e := range out {
-		c := make(vec.Costs, d)
-		for i := range c {
-			c[i] = t.Len[e]
-		}
-		out[e] = c
-	}
-	return out
-}
-
 // RandomIntegerCosts draws small integer costs in [1, maxCost] independently
 // per dimension. Integer costs deliberately produce ties, exercising the
 // tie-robust paths of the query algorithms in property tests.

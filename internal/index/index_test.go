@@ -12,6 +12,12 @@ import (
 	"mcn/internal/vec"
 )
 
+// D returns the number of criteria the index covers.
+func (b *Bounds) D() int { return b.d }
+
+// NumNodes returns the node count the index was built for.
+func (b *Bounds) NumNodes() int { return b.numNodes }
+
 // nearestFacility is the definition the index must reproduce, computed the
 // slow way and in the opposite direction: a forward Bellman-Ford from v to a
 // fixpoint, then the cheapest way onto any facility from either end of its
@@ -61,14 +67,14 @@ func randomInstance(seed int64, directed bool) *graph.Graph {
 // none; in the directed reading node 2 is a sink past the facilities.
 func twoComponents(directed bool) *graph.Graph {
 	b := graph.NewBuilder(2, directed)
-	b.AddNodes(6)
+	testnet.AddNodes(b, 6)
 	b.AddEdge(0, 1, vec.Of(1, 2))
 	e12 := b.AddEdge(1, 2, vec.Of(2, 1))
 	b.AddEdge(3, 4, vec.Of(1, 1))
 	b.AddEdge(4, 5, vec.Of(1, 1))
 	b.AddFacility(e12, 0.5)
 	b.AddFacility(e12, 1)
-	return b.MustBuild()
+	return testnet.MustBuild(b)
 }
 
 // Every bound equals the brute-force nearest-facility distance, per
@@ -198,7 +204,7 @@ func hardInstance(seed int64, d int, directed bool) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder(d, directed)
 	const n, isolated = 300, 40 // nodes n-isolated.. form a facility-free component
-	b.AddNodes(n)
+	testnet.AddNodes(b, n)
 	costs := func() vec.Costs {
 		c := make(vec.Costs, d)
 		for i := range c {
@@ -239,7 +245,7 @@ func hardInstance(seed int64, d int, directed bool) *graph.Graph {
 			b.AddFacility(e, rng.Float64())
 		}
 	}
-	return b.MustBuild()
+	return testnet.MustBuild(b)
 }
 
 // The index reproduces the reference pass bit for bit — the same float64
@@ -247,7 +253,7 @@ func hardInstance(seed int64, d int, directed bool) *graph.Graph {
 // under a non-base cost assignment, at one and at four goroutines.
 func TestBoundsMatchReferenceBitForBit(t *testing.T) {
 	noFacilities := graph.NewBuilder(2, false)
-	noFacilities.AddNodes(3)
+	testnet.AddNodes(noFacilities, 3)
 	noFacilities.AddEdge(0, 1, vec.Of(1, 2))
 	noFacilities.AddEdge(1, 2, vec.Of(0, 1))
 	instances := map[string]*graph.Graph{
@@ -257,8 +263,8 @@ func TestBoundsMatchReferenceBitForBit(t *testing.T) {
 		"hard/directed/d=1":     hardInstance(4, 1, true),
 		"disconnected":          twoComponents(false),
 		"disconnected/directed": twoComponents(true),
-		"no facilities":         noFacilities.MustBuild(),
-		"empty":                 graph.NewBuilder(2, false).MustBuild(),
+		"no facilities":         testnet.MustBuild(noFacilities),
+		"empty":                 testnet.MustBuild(graph.NewBuilder(2, false)),
 	}
 	inst, err := gen.MakeInstance(gen.InstanceConfig{Nodes: 2000, Facilities: 300, D: 4, Queries: 1, Seed: 9})
 	if err != nil {

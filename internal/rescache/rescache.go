@@ -369,26 +369,6 @@ func (c *Cache) Do(key string, compute func() (Value, []Tag, error)) (val Value,
 	return val, false, err
 }
 
-// Lookup probes the cache without computing; ok reports a live hit. It
-// obeys the same staleness rules as Do (a stale entry is discarded and
-// reported as a miss) but does not touch the hit/miss counters, so probes
-// from tests and diagnostics do not skew serving statistics.
-func (c *Cache) Lookup(key string) (Value, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		return Value{}, false
-	}
-	if c.stale(e.ver, e.tags) {
-		c.kill(e)
-		c.invalidated.Add(1)
-		return Value{}, false
-	}
-	e.ref = true
-	return e.val, true
-}
-
 // kill removes an invalidated entry from the map and puts its ring slot on
 // the free list for reuse. Caller holds mu.
 func (c *Cache) kill(e *entry) {

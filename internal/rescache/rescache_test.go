@@ -16,6 +16,26 @@ import (
 	"mcn/internal/vec"
 )
 
+// Lookup probes the cache without computing; ok reports a live hit. It
+// obeys the same staleness rules as Do (a stale entry is discarded and
+// reported as a miss) but does not touch the hit/miss counters, so probes
+// from tests and diagnostics do not skew serving statistics.
+func (c *Cache) Lookup(key string) (Value, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok {
+		return Value{}, false
+	}
+	if c.stale(e.ver, e.tags) {
+		c.kill(e)
+		c.invalidated.Add(1)
+		return Value{}, false
+	}
+	e.ref = true
+	return e.val, true
+}
+
 func mkValue(id int) Value {
 	return Value{Result: &core.Result{Facilities: []core.Facility{{ID: graph.FacilityID(id)}}}}
 }

@@ -119,8 +119,8 @@ func TestMultiSourceEndpoints(t *testing.T) {
 			if sky.Query != "multisource_skyline" {
 				t.Errorf("query = %q", sky.Query)
 			}
-			if !reflect.DeepEqual(resultIDs(sky), wantSky.IDs()) {
-				t.Errorf("multisource skyline ids %v, want %v", resultIDs(sky), wantSky.IDs())
+			if !reflect.DeepEqual(resultIDs(sky), libIDs(wantSky)) {
+				t.Errorf("multisource skyline ids %v, want %v", resultIDs(sky), libIDs(wantSky))
 			}
 
 			var top wire.Result
@@ -128,8 +128,8 @@ func TestMultiSourceEndpoints(t *testing.T) {
 			if top.Query != "multisource_topk" {
 				t.Errorf("query = %q", top.Query)
 			}
-			if !reflect.DeepEqual(resultIDs(top), wantTop.IDs()) {
-				t.Errorf("multisource topk ids %v, want %v", resultIDs(top), wantTop.IDs())
+			if !reflect.DeepEqual(resultIDs(top), libIDs(wantTop)) {
+				t.Errorf("multisource topk ids %v, want %v", resultIDs(top), libIDs(wantTop))
 			}
 		})
 	}
@@ -187,8 +187,8 @@ func TestPeriodEndpoints(t *testing.T) {
 		for j, f := range iv.Facilities {
 			gotIDs[j] = f.ID
 		}
-		if !reflect.DeepEqual(gotIDs, wantSky[i].Result.IDs()) {
-			t.Errorf("interval %d ids %v, want %v", i, gotIDs, wantSky[i].Result.IDs())
+		if !reflect.DeepEqual(gotIDs, libIDs(wantSky[i].Result)) {
+			t.Errorf("interval %d ids %v, want %v", i, gotIDs, libIDs(wantSky[i].Result))
 		}
 	}
 

@@ -61,6 +61,15 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, status int, out any
 	}
 }
 
+// libIDs returns the facility ids of a library result in order.
+func libIDs(res *mcn.Result) []mcn.FacilityID {
+	out := make([]mcn.FacilityID, len(res.Facilities))
+	for i, f := range res.Facilities {
+		out[i] = f.ID
+	}
+	return out
+}
+
 func resultIDs(res wire.Result) []mcn.FacilityID {
 	out := make([]mcn.FacilityID, len(res.Facilities))
 	for i, f := range res.Facilities {
@@ -109,8 +118,8 @@ func TestEndpointsMatchLibrary(t *testing.T) {
 
 			var top wire.Result
 			getJSON(t, ts, "/topk?edge=17&t=0.25&k=3&weights=1,1,1", http.StatusOK, &top)
-			if !reflect.DeepEqual(resultIDs(top), wantTop.IDs()) {
-				t.Errorf("topk ids %v, want %v", resultIDs(top), wantTop.IDs())
+			if !reflect.DeepEqual(resultIDs(top), libIDs(wantTop)) {
+				t.Errorf("topk ids %v, want %v", resultIDs(top), libIDs(wantTop))
 			}
 			if len(top.Facilities) > 0 && top.Facilities[0].Score <= 0 {
 				t.Errorf("topk first score %f, want > 0", top.Facilities[0].Score)
@@ -129,8 +138,8 @@ func TestEndpointsMatchLibrary(t *testing.T) {
 
 			var within wire.Result
 			getJSON(t, ts, "/within?edge=17&t=0.25&budget=200,200,200", http.StatusOK, &within)
-			if !reflect.DeepEqual(resultIDs(within), wantWithin.IDs()) {
-				t.Errorf("within ids %v, want %v", resultIDs(within), wantWithin.IDs())
+			if !reflect.DeepEqual(resultIDs(within), libIDs(wantWithin)) {
+				t.Errorf("within ids %v, want %v", resultIDs(within), libIDs(wantWithin))
 			}
 		})
 	}
@@ -246,7 +255,7 @@ func TestServerConcurrentRequests(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want[i] = res.IDs()
+				want[i] = libIDs(res)
 			}
 
 			var wg sync.WaitGroup

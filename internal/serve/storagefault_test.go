@@ -135,7 +135,7 @@ func TestStorageFaultThroughServer(t *testing.T) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
 				t.Fatal(err)
 			}
-			got, w := resultIDs(res), want.IDs()
+			got, w := resultIDs(res), libIDs(want)
 			slices.Sort(got)
 			slices.Sort(w)
 			if !slices.Equal(got, w) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -55,15 +56,21 @@ func TestWithinMatchesOracleInLocalityOrder(t *testing.T) {
 		t.Fatal("the locality order is the identity; the check is vacuous")
 	}
 	net := mcn.FromGraph(g)
+	// 300 edges slow down or speed up from t=10 on, each cost type by its
+	// own factor; the oracle runs on the network as it is at t=12.
 	tnet := mcn.TimeDependent(g)
-	if err := mcn.AttachSyntheticProfiles(tnet, 300, 11); err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(11))
+	mult := map[mcn.EdgeID]mcn.Costs{}
+	for len(mult) < 300 {
+		e := mcn.EdgeID(rng.Intn(g.NumEdges()))
+		m := mcn.Of(0.5+2.5*rng.Float64(), 0.5+2.5*rng.Float64(), 0.5+2.5*rng.Float64())
+		if err := tnet.SetProfile(e, mcn.TimeProfile{Times: []float64{10}, Mult: []mcn.Costs{m}}); err != nil {
+			t.Fatal(err)
+		}
+		mult[e] = m
 	}
 	const at = 12
-	snap, err := tnet.Snapshot(at)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := testnet.Scaled(g, func(e mcn.EdgeID) mcn.Costs { return mult[e] })
 	ts := httptest.NewServer(New(net, Config{Workers: 2, Timeout: time.Minute}).Handler())
 	defer ts.Close()
 
@@ -86,7 +93,7 @@ func TestWithinMatchesOracleInLocalityOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sortedIDs(res.IDs()); !slices.Equal(got, want) {
+		if got := sortedIDs(libIDs(res)); !slices.Equal(got, want) {
 			t.Errorf("edge %d: Within %v, oracle %v", edge, got, want)
 		}
 		pruned += res.Stats.PrunedNodes
@@ -102,7 +109,7 @@ func TestWithinMatchesOracleInLocalityOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := sortedIDs(res.IDs()), withinOracle(snap, loc, budget); !slices.Equal(got, want) {
+		if got, want := sortedIDs(libIDs(res)), withinOracle(snap, loc, budget); !slices.Equal(got, want) {
 			t.Errorf("edge %d: WithinAt %v, oracle at t=%d %v", edge, got, at, want)
 		}
 		pruned += res.Stats.PrunedNodes

@@ -29,11 +29,6 @@ func (s Stats) HitRate() float64 {
 	return 1 - float64(s.Physical)/float64(s.Logical)
 }
 
-// Sub returns s - o component-wise; useful for per-query deltas.
-func (s Stats) Sub(o Stats) Stats {
-	return Stats{Logical: s.Logical - o.Logical, Physical: s.Physical - o.Physical}
-}
-
 // String implements fmt.Stringer.
 func (s Stats) String() string {
 	return fmt.Sprintf("logical=%d physical=%d hit=%.1f%%", s.Logical, s.Physical, 100*s.HitRate())
@@ -136,7 +131,6 @@ type BufferPool struct {
 	physical  atomic.Int64
 	evictions atomic.Int64
 	coalesced atomic.Int64
-	cached    atomic.Int64 // pages in the table, for lock-free Len
 
 	// I/O failure counters (see FailureStats).
 	failPermanent atomic.Int64
@@ -257,9 +251,6 @@ func NewBufferPoolFrac(dev Device, frac float64, opts ...PoolOptions) *BufferPoo
 	return NewBufferPool(dev, int(min(frac, 1)*float64(dev.NumPages())), opts...)
 }
 
-// Capacity returns the pool's total page capacity.
-func (b *BufferPool) Capacity() int { return b.cap }
-
 // Stats returns the access counters accumulated since the last ResetStats.
 // The counters are read lock-free, so a snapshot taken during concurrent
 // traffic is approximate: it may interleave with in-flight reads, though
@@ -294,28 +285,6 @@ func (b *BufferPool) ResetStats() {
 	b.physical.Store(0)
 	b.evictions.Store(0)
 	b.coalesced.Store(0)
-}
-
-// Len returns the number of cached pages (lock-free, approximate during
-// concurrent inserts).
-func (b *BufferPool) Len() int { return int(b.cached.Load()) }
-
-// Drop evicts every cached page no reader has pinned (a cold restart)
-// without touching counters. A pinned frame keeps its page and its buffer —
-// its reader is still decoding it — and becomes evictable on Release.
-func (b *BufferPool) Drop() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	spare := func(f *Frame) bool {
-		if !f.claim() {
-			return false // pinned, or being read into
-		}
-		b.table[f.id].Store(nil)
-		b.cached.Add(-1)
-		b.free = append(b.free, f)
-		return true
-	}
-	b.slots, b.hand = slices.DeleteFunc(b.slots, spare), 0
 }
 
 // Get returns the frame holding page id, pinned: the caller reads
@@ -406,7 +375,6 @@ func (b *BufferPool) Get(id PageID) (*Frame, error) {
 		b.discard(f)
 	} else {
 		f.pins.Store(1 + waiters)
-		b.cached.Add(1)
 	}
 	if w != nil {
 		w.f, w.err = f, err
@@ -534,7 +502,6 @@ func (b *BufferPool) discard(f *Frame) {
 func (b *BufferPool) evict(f *Frame) {
 	b.evictions.Add(1)
 	b.table[f.id].Store(nil)
-	b.cached.Add(-1)
 }
 
 // evictClock sweeps the hand past pinned and claimed frames and referenced

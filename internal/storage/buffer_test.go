@@ -3,9 +3,42 @@ package storage
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
+
+// Capacity returns the pool's total page capacity.
+func (b *BufferPool) Capacity() int { return b.cap }
+
+// Len returns the number of pages the table maps, pages being read
+// included (approximate while reads are in flight).
+func (b *BufferPool) Len() int {
+	n := 0
+	for i := range b.table {
+		if b.table[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// Drop evicts every cached page no reader has pinned (a cold restart)
+// without touching counters. A pinned frame keeps its page and its buffer —
+// its reader is still decoding it — and becomes evictable on Release.
+func (b *BufferPool) Drop() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	spare := func(f *Frame) bool {
+		if !f.claim() {
+			return false // pinned, or being read into
+		}
+		b.table[f.id].Store(nil)
+		b.free = append(b.free, f)
+		return true
+	}
+	b.slots, b.hand = slices.DeleteFunc(b.slots, spare), 0
+}
 
 // stampDevice allocates n pages, each stamped with its id.
 func stampDevice(t *testing.T, n int) *MemDevice {

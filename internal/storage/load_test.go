@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mcn/internal/graph"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 
@@ -17,7 +18,7 @@ func TestLoadGraphRoundtrip(t *testing.T) {
 		nn := 2 + rng.Intn(60)
 		directed := rng.Intn(2) == 0
 		b := graph.NewBuilder(d, directed)
-		b.AddNodes(nn)
+		testnet.AddNodes(b, nn)
 		ne := 1 + rng.Intn(2*nn)
 		for i := 0; i < ne; i++ {
 			u := graph.NodeID(rng.Intn(nn))
@@ -86,7 +87,7 @@ func sameAsLoaded(t *testing.T, trial int, g *graph.Graph, n *Network) {
 // The rank table names the graph node behind each of the database's ids.
 func LoadGraph(n *Network) (*graph.Graph, error) {
 	b := graph.NewBuilder(n.D(), n.Directed())
-	b.AddNodes(n.NumNodes())
+	testnet.AddNodes(b, n.NumNodes())
 
 	type edgeRec struct {
 		u, v     graph.NodeID

@@ -14,6 +14,7 @@ import (
 
 	"mcn/internal/graph"
 	"mcn/internal/index"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 
@@ -154,11 +155,11 @@ func TestNetworkRoundtripZeroBuffer(t *testing.T) {
 
 func TestNetworkDirected(t *testing.T) {
 	b := graph.NewBuilder(3, true)
-	b.AddNodes(3)
+	testnet.AddNodes(b, 3)
 	e0 := b.AddEdge(0, 1, vec.Of(1, 2, 3))
 	b.AddEdge(1, 2, vec.Of(4, 5, 6))
 	b.AddFacility(e0, 0.4)
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	verifyAgainstGraph(t, g, openNetwork(t, g, 0.5))
 }
 
@@ -221,13 +222,13 @@ func TestNetworkRandomizedRoundtrip(t *testing.T) {
 // span multiple pages.
 func TestNetworkHugeFacilityRecord(t *testing.T) {
 	b := graph.NewBuilder(2, false)
-	b.AddNodes(2)
+	testnet.AddNodes(b, 2)
 	e := b.AddEdge(0, 1, vec.Of(1, 1))
 	const nf = 2000 // 2000 × 12 bytes ≈ 6 pages
 	for i := 0; i < nf; i++ {
 		b.AddFacility(e, float64(i)/float64(nf))
 	}
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	n := openNetwork(t, g, 0.5)
 	entries, err := n.Adjacency(ranks(g)[0])
 	if err != nil {
@@ -298,11 +299,11 @@ func TestBuildRejectsOverflowingCounts(t *testing.T) {
 	const over = math.MaxUint16 + 1
 	t.Run("arcs", func(t *testing.T) {
 		b := graph.NewBuilder(1, false)
-		hub := b.AddNodes(over + 1)
+		hub := testnet.AddNodes(b, over+1)
 		for leaf := hub + 1; leaf <= hub+over; leaf++ {
 			b.AddEdge(hub, leaf, vec.Of(1))
 		}
-		g := b.MustBuild()
+		g := testnet.MustBuild(b)
 		dev := NewMemDevice()
 		err := Build(g, dev)
 		if err == nil {
@@ -319,12 +320,12 @@ func TestBuildRejectsOverflowingCounts(t *testing.T) {
 	})
 	t.Run("facilities", func(t *testing.T) {
 		b := graph.NewBuilder(1, false)
-		b.AddNodes(2)
+		testnet.AddNodes(b, 2)
 		e := b.AddEdge(0, 1, vec.Of(1))
 		for i := 0; i < over; i++ {
 			b.AddFacility(e, float64(i)/over)
 		}
-		g := b.MustBuild()
+		g := testnet.MustBuild(b)
 		dev := NewMemDevice()
 		err := Build(g, dev)
 		if err == nil {
@@ -344,9 +345,9 @@ func TestBuildRejectsOverflowingCounts(t *testing.T) {
 	})
 	t.Run("costTypes", func(t *testing.T) {
 		b := graph.NewBuilder(over, false)
-		b.AddNodes(2)
+		testnet.AddNodes(b, 2)
 		b.AddEdge(0, 1, make(vec.Costs, over))
-		g := b.MustBuild()
+		g := testnet.MustBuild(b)
 		dev := NewMemDevice()
 		err := Build(g, dev)
 		if err == nil {
@@ -408,10 +409,10 @@ func TestNetworkBoundsRoundtrip(t *testing.T) {
 			t.Fatal("database opened with nil bounds")
 		}
 		want := index.FromGraph(g).Renumbered(ranks(g))
-		if got.D() != want.D() || got.NumNodes() != want.NumNodes() {
-			t.Fatalf("bounds shape %d×%d, want %d×%d", got.D(), got.NumNodes(), want.D(), want.NumNodes())
-		}
 		gd, wd := got.Data(), want.Data()
+		if len(gd) != len(wd) {
+			t.Fatalf("bounds table of %d values, want %d", len(gd), len(wd))
+		}
 		for i := range wd {
 			if gd[i] != wd[i] && !(math.IsInf(gd[i], 1) && math.IsInf(wd[i], 1)) {
 				t.Fatalf("bounds[%d] = %v, want %v", i, gd[i], wd[i])

@@ -90,12 +90,6 @@ func (w *pageWriter) write(p []byte) error {
 	return nil
 }
 
-func (w *pageWriter) writeU16(v uint16) error {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	return w.write(b[:])
-}
-
 func (w *pageWriter) writeU32(v uint32) error {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)

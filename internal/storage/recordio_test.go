@@ -8,6 +8,12 @@ import (
 	"testing"
 )
 
+func (w *pageWriter) writeU16(v uint16) error {
+	var b [2]byte
+	binary.LittleEndian.PutUint16(b[:], v)
+	return w.write(b[:])
+}
+
 func TestRefPacking(t *testing.T) {
 	r := Ref{Page: 0xDEADBE, Off: 0x1234}
 	got := UnpackRef(r.Pack())

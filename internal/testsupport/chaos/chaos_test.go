@@ -297,10 +297,9 @@ func TestPermanentFaults(t *testing.T) {
 		if fs := net.FailureStats(); failed > 0 && fs.Permanent == 0 {
 			t.Fatalf("schedule %d: %d queries failed but Permanent counter is 0", s, failed)
 		}
-		// Clearing the fault and dropping frames must restore the baseline:
-		// failures never populate frames, so nothing poisonous survives.
+		// Clearing the fault must restore the baseline: failures never
+		// populate frames, so nothing poisonous is cached.
 		fd.ClearPage(victim)
-		net.Pool().Drop()
 		mustMatch(t, fmt.Sprintf("schedule %d (cleared)", s), want, run(net, reqs))
 	}
 	checkGoroutines(t, start)
@@ -348,9 +347,14 @@ func TestResultCacheStaysRetryableUnderFaults(t *testing.T) {
 	req := engine.Request{Kind: engine.Skyline, Loc: locs[0], Timeout: 30 * time.Second}
 
 	fd := fault.Wrap(dev, fault.Options{Seed: 41})
-	net := open(t, fd)
+	// No page cache: every query reads the device, so a failed page is seen.
+	net, err := storage.OpenWithPool(fd, storage.NewBufferPool(fd, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ex := engine.New(net, engine.Config{Workers: 2})
-	ex.SetCache(rescache.New(rescache.Options{Entries: 32}))
+	cache := rescache.New(rescache.Options{Entries: 32})
+	ex.SetCache(cache)
 
 	want := ex.Do(context.Background(), req)
 	if want.Err != nil {
@@ -363,13 +367,12 @@ func TestResultCacheStaysRetryableUnderFaults(t *testing.T) {
 		}
 	}
 
-	// Fail every page, flush frames and cache, and observe a classified
-	// error — then clear and require a correct, cacheable recompute.
+	// Fail every page, flush the cache, and observe a classified error —
+	// then clear and require a correct, cacheable recompute.
 	for p := 1; p < dev.NumPages(); p++ {
 		fd.FailPage(storage.PageID(p))
 	}
-	net.Pool().Drop()
-	ex.Cache().Flush()
+	cache.Flush()
 	r := ex.Do(context.Background(), req)
 	if r.Err == nil {
 		t.Fatal("query succeeded with every page failed")

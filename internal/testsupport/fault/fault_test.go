@@ -238,9 +238,6 @@ func TestRetryingPoolSurvivesTransientOnlyFaults(t *testing.T) {
 		}
 		fr.Release()
 		ok++
-		if i%7 == 0 {
-			pool.Drop() // force real reads of cached pages too
-		}
 	}
 	if ok == 0 || failed == 0 {
 		t.Fatalf("schedule did not cover both outcomes: %d ok, %d failed", ok, failed)

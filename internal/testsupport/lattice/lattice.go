@@ -230,13 +230,13 @@ func Named() []*testnet.Instance {
 	// 0 = (1, +Inf), whose second cost is closed to +Inf only when the
 	// search ends; a multi-source skyline must not report it.
 	b := graph.NewBuilder(1, false)
-	b.AddNodes(4)
+	testnet.AddNodes(b, 4)
 	a, c := b.AddEdge(0, 1, vec.Of(4)), b.AddEdge(2, 3, vec.Of(4))
 	b.AddFacility(a, 0.25)
 	b.AddFacility(a, 0.5)
 	b.AddFacility(c, 0.5)
 	split := &testnet.Instance{
-		Name: "multi-source across components", G: b.MustBuild(),
+		Name: "multi-source across components", G: testnet.MustBuild(b),
 		Loc: graph.Location{Edge: a}, Locs: []graph.Location{{Edge: a}, {Edge: c}},
 		K: 3, Agg: vec.NewWeighted(1), MultiAgg: vec.NewWeighted(1, 1), Budget: vec.Of(2),
 	}
@@ -245,12 +245,12 @@ func Named() []*testnet.Instance {
 	// the maintainer script's first insert goes there, and no query may
 	// report the facility.
 	b = graph.NewBuilder(2, false)
-	b.AddNodes(5)
+	testnet.AddNodes(b, 5)
 	q := b.AddEdge(0, 1, vec.Of(1, 2))
 	b.AddFacility(b.AddEdge(1, 2, vec.Of(2, 1)), 0.5)
 	b.AddEdge(3, 4, vec.Of(1, 1))
 	island := &testnet.Instance{
-		Name: "insert into an unreachable component", G: b.MustBuild(),
+		Name: "insert into an unreachable component", G: testnet.MustBuild(b),
 		Loc: graph.Location{Edge: q}, Locs: []graph.Location{{Edge: q}},
 		K: 3, Agg: vec.NewWeighted(1, 1), MultiAgg: vec.NewWeighted(1), Budget: vec.Of(3, 3),
 	}
@@ -277,7 +277,7 @@ func Named() []*testnet.Instance {
 		b.AddFacility(e45, 0.25)
 		loc := graph.Location{Edge: e01, T: 0.25}
 		out = append(out, &testnet.Instance{
-			Name: fmt.Sprintf("tie diamond directed=%v", directed), G: b.MustBuild(),
+			Name: fmt.Sprintf("tie diamond directed=%v", directed), G: testnet.MustBuild(b),
 			Loc: loc, Locs: []graph.Location{loc, {Edge: e45, T: 1}}, CostIdx: 1,
 			K: 3, Agg: vec.NewWeighted(1, 1), MultiAgg: vec.NewWeighted(1, 1), Budget: vec.Of(3, 4),
 		})
@@ -302,7 +302,7 @@ func DirectedFork() *testnet.Instance {
 	b.AddFacility(e0, 1)
 	b.AddFacility(e1, 1)
 	return &testnet.Instance{
-		Name: "directed fork", G: b.MustBuild(),
+		Name: "directed fork", G: testnet.MustBuild(b),
 		Loc: graph.Location{Edge: e0}, Locs: []graph.Location{{Edge: e0}, {Edge: e1}},
 		K: 5, Agg: vec.NewWeighted(1), MultiAgg: vec.NewWeighted(1, 1), Budget: vec.Of(4),
 	}
@@ -316,7 +316,7 @@ func DirectedFork() *testnet.Instance {
 // WithBudget.
 func Legacy(seed int64, nodes, extra, facs, d, locBits uint8, directed bool) *testnet.Instance {
 	rng := rand.New(rand.NewSource(seed))
-	topo := gen.RandomConnected(2+int(nodes)%24, int(extra)%12, rng)
+	topo := testnet.RandomConnected(2+int(nodes)%24, int(extra)%12, rng)
 	costs := gen.RandomIntegerCosts(topo, 1+int(d)%4, 3, rng)
 	pls := gen.UniformFacilities(topo, 1+int(facs)%12, rng)
 	g, err := gen.Assemble(topo, costs, pls, directed)
@@ -448,7 +448,7 @@ func permuted(g *graph.Graph, seed int64) *graph.Graph {
 		fac := g.Facility(graph.FacilityID(f))
 		b.AddFacility(fac.Edge, fac.T)
 	}
-	return b.MustBuild()
+	return testnet.MustBuild(b)
 }
 
 // run answers kind k over src.
@@ -461,8 +461,8 @@ func run(k Kind, src expand.Source, in *testnet.Instance, opt core.Options) (ans
 		var emitted []graph.FacilityID
 		opt.OnResult = func(f core.Facility) { emitted = append(emitted, f.ID) }
 		res, err = core.Skyline(src, in.Loc, opt)
-		if err == nil && !slices.Equal(emitted, res.IDs()) {
-			err = fmt.Errorf("emitted %v, returned %v", emitted, res.IDs())
+		if err == nil && !slices.Equal(emitted, ids(res.Facilities)) {
+			err = fmt.Errorf("emitted %v, returned %v", emitted, ids(res.Facilities))
 		}
 	case SkylineSeq:
 		var a answer
@@ -826,12 +826,10 @@ func checkTime(t testing.TB, in *testnet.Instance, sel Select, seed int64) (own,
 			if err := tn.SetProfile(e, moved); err != nil {
 				t.Fatal(err)
 			}
+			profiled[e] = moved
 		}
 		for _, at := range append([]float64{-5, rng.Float64() * 110}, tn.Breakpoints(0, 100)...) {
-			snap, err := tn.Snapshot(at)
-			if err != nil {
-				t.Fatal(err)
-			}
+			snap := testnet.Scaled(g, func(e graph.EdgeID) vec.Costs { return multAt(profiled[e], at) })
 			o := newOracle(snap, in)
 			mem := expand.NewMemorySource(snap)
 			idx := index.FromGraph(snap)
@@ -897,6 +895,18 @@ func checkTime(t testing.TB, in *testnet.Instance, sel Select, seed int64) (own,
 	return own, shared
 }
 
+// multAt is the multiplier p applies at instant at: that of its last
+// breakpoint at or before at, none before the first.
+func multAt(p timedep.Profile, at float64) vec.Costs {
+	var m vec.Costs
+	for i, bt := range p.Times {
+		if bt <= at {
+			m = p.Mult[i]
+		}
+	}
+	return m
+}
+
 // runAt answers kind k on the time-dependent network at instant at.
 func runAt(ctx context.Context, tn *timedep.Network, k Kind, in *testnet.Instance, at float64, opt core.Options) (answer, error) {
 	var res *core.Result
@@ -955,14 +965,17 @@ func checkMaintainer(t testing.TB, in *testnet.Instance, sel Select, srcs []sour
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
+		initial, _, err := m.TopK(in.Agg, g.NumFacilities()+1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		live := map[dynamic.Handle]site{}
+		for _, e := range initial {
+			live[e.Handle] = site{e.Edge, e.T}
+		}
 		for p := 0; p < g.NumFacilities(); p++ {
-			e, ok := m.Entry(dynamic.Handle(p))
-			if want := !allInf(costs[p]); ok != want {
-				t.Fatalf("%s: facility %d maintained=%v, reachable=%v", label, p, ok, want)
-			}
-			if ok {
-				live[e.Handle] = site{e.Edge, e.T}
+			if _, ok := live[dynamic.Handle(p)]; ok == allInf(costs[p]) {
+				t.Fatalf("%s: facility %d maintained=%v, reachable=%v", label, p, ok, !ok)
 			}
 		}
 		rng := rand.New(rand.NewSource(seed))
@@ -1015,16 +1028,38 @@ func verifyMaintainer(t testing.TB, label string, in *testnet.Instance, m *dynam
 		edges[i], ts[i] = live[h].edge, live[h].t
 	}
 	costs := testnet.AllCosts(testnet.WithFacilities(in.G, edges, ts), in.Loc)
+	// A top-k longer than the live set lists every entry the location
+	// reaches: exactly the live facilities the rebuild reaches, each with
+	// its edge, fraction and costs.
+	all, _, err := m.TopK(in.Agg, len(hs)+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[dynamic.Handle]dynamic.Entry{}
+	for _, e := range all {
+		listed[e.Handle] = e
+	}
 	out := "entries:"
+	reached := 0
 	for i, h := range hs {
-		e, ok := m.Entry(h)
-		if !ok || e.Edge != edges[i] || e.T != ts[i] {
-			t.Fatalf("%s: entry %d = %+v, %v; want edge %d t %g", label, h, e, ok, edges[i], ts[i])
+		e, ok := listed[h]
+		if ok == allInf(costs[i]) {
+			t.Fatalf("%s: entry %d listed %v, but the rebuild reaches it %v", label, h, ok, !ok)
+		}
+		if !ok {
+			continue
+		}
+		reached++
+		if e.Edge != edges[i] || e.T != ts[i] {
+			t.Fatalf("%s: entry %d = %+v; want edge %d t %g", label, h, e, edges[i], ts[i])
 		}
 		if msg := checkCosts(core.Facility{ID: graph.FacilityID(h), Costs: e.Costs}, costs[i], -1, false); msg != "" {
 			t.Fatalf("%s: entry against the rebuild: %s", label, msg)
 		}
 		out += fmt.Sprintf(" %d%x", h, bits(e.Costs))
+	}
+	if reached != len(listed) {
+		t.Fatalf("%s: top-k lists %d entries, %d of them live and reachable", label, len(listed), reached)
 	}
 	pos := func(h dynamic.Handle) graph.FacilityID {
 		i, _ := slices.BinarySearch(hs, h)

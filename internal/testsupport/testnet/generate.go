@@ -155,7 +155,7 @@ func Generate(seed int64, shape Shape) *Instance {
 		}
 		b.AddFacility(e, t)
 	}
-	g := b.MustBuild()
+	g := MustBuild(b)
 
 	locs := []graph.Location{loc}
 	for i := rng.Intn(3); i > 0; i-- {
@@ -212,5 +212,5 @@ func WithFacilities(g *graph.Graph, edges []graph.EdgeID, ts []float64) *graph.G
 	for i, e := range edges {
 		b.AddFacility(e, ts[i])
 	}
-	return b.MustBuild()
+	return MustBuild(b)
 }

@@ -172,11 +172,11 @@ func TestOverlayEquivalenceOverPeriod(t *testing.T) {
 		// every facility equally. Under the max aggregate the offset still
 		// reorders them: top-1 is C = (2, 2) before t = 10, B = (5, 3) after.
 		b := graph.NewBuilder(2, true)
-		b.AddNodes(4)
+		testnet.AddNodes(b, 4)
 		q := b.AddEdge(0, 1, vec.Of(1, 1))
 		b.AddFacility(b.AddEdge(1, 2, vec.Of(0, 2)), 1)
 		b.AddFacility(b.AddEdge(1, 3, vec.Of(1, 1)), 1)
-		n := New(b.MustBuild())
+		n := New(testnet.MustBuild(b))
 		if err := n.SetProfile(q, Profile{Times: []float64{10}, Mult: []vec.Costs{vec.Of(5, 1)}}); err != nil {
 			t.Fatal(err)
 		}

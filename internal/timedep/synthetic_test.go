@@ -6,6 +6,7 @@ import (
 
 	"mcn/internal/gen"
 	"mcn/internal/graph"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 
@@ -55,18 +56,18 @@ func TestAttachSyntheticProfiles(t *testing.T) {
 
 	// Asking for more profiles than edges clamps instead of spinning.
 	small := graph.NewBuilder(3, false)
-	small.AddNodes(2)
+	testnet.AddNodes(small, 2)
 	se := small.AddEdge(0, 1, vec.Of(1, 1, 1))
 	small.AddFacility(se, 0.5)
-	sn := New(small.MustBuild())
+	sn := New(testnet.MustBuild(small))
 	if err := AttachSyntheticProfiles(sn, 99, 1); err != nil {
 		t.Fatal(err)
 	}
 
 	// A network with no edges cannot carry profiles.
 	empty := graph.NewBuilder(3, false)
-	empty.AddNodes(1)
-	if err := AttachSyntheticProfiles(New(empty.MustBuild()), 1, 1); err == nil {
+	testnet.AddNodes(empty, 1)
+	if err := AttachSyntheticProfiles(New(testnet.MustBuild(empty)), 1, 1); err == nil {
 		t.Error("want error for an edgeless network")
 	}
 }

@@ -25,8 +25,8 @@
 // breakpoints, so memory grows with the profiles' segments, not with the
 // number of elementary intervals. A query at instant t binds a flat.View to
 // the start of its interval — a binary search, no rebuild — and runs at the
-// in-memory fast path's allocation level; the Snapshot path is kept as the
-// reference for equivalence tests. One pruning index over each edge's
+// in-memory fast path's allocation level; the equivalence tests check it
+// against a static snapshot rebuilt per instant. One pruning index over each edge's
 // lowest cost at any instant is admissible at every instant; it is built on
 // the first WithinAt, the only query that reads it.
 //
@@ -96,20 +96,6 @@ func (p Profile) Validate(d int) error {
 		}
 	}
 	return nil
-}
-
-// At returns the multiplier vector in effect at instant t (nil means "base
-// costs unchanged").
-func (p Profile) At(t float64) vec.Costs {
-	// Largest i with Times[i] <= t.
-	i := sort.SearchFloat64s(p.Times, t)
-	if i < len(p.Times) && p.Times[i] == t {
-		return p.Mult[i]
-	}
-	if i == 0 {
-		return nil
-	}
-	return p.Mult[i-1]
 }
 
 // clone returns a deep copy of p, so a stored profile never aliases the
@@ -209,16 +195,6 @@ func (v *version) start(k int) float64 {
 	return v.times[k-1]
 }
 
-// costAt returns edge e of g's cost vector at instant t: the base vector,
-// scaled component-wise when a profile interval covers t.
-func (v *version) costAt(g *graph.Graph, e graph.EdgeID, t float64) vec.Costs {
-	w := g.Edge(e).W
-	if p, ok := v.profiles[e]; ok {
-		return scaled(make(vec.Costs, 0, len(w)), w, p.At(t))
-	}
-	return w
-}
-
 // floorIndex returns the version's pruning index over n, numbered like n's
 // compiled topology, building it on the first call by this version or any
 // that shares it.
@@ -245,9 +221,6 @@ func New(g *graph.Graph) *Network {
 	n.cur.Store(&version{profiles: map[graph.EdgeID]Profile{}, rows: make([]*flat.Rows, g.NumEdges()), floor: &lazyIndex{}})
 	return n
 }
-
-// Base returns the underlying static graph.
-func (n *Network) Base() *graph.Graph { return n.base }
 
 // EnableResultCache attaches a serving-layer result cache to the network's
 // instant queries (*At); period sweeps always execute. Attach it before
@@ -361,28 +334,6 @@ func breaksIn(axis []float64, from, to float64) []float64 {
 		}
 	}
 	return out
-}
-
-// Snapshot materialises the static multi-cost network in effect at instant
-// t. It is the reference implementation the overlay fast path is tested
-// against — every query entry point answers from the compiled overlay
-// instead, and per-query callers should never need a snapshot.
-func (n *Network) Snapshot(t float64) (*graph.Graph, error) {
-	ver := n.cur.Load()
-	b := graph.NewBuilder(n.base.D(), n.base.Directed())
-	for v := 0; v < n.base.NumNodes(); v++ {
-		node := n.base.Node(graph.NodeID(v))
-		b.AddNode(node.X, node.Y)
-	}
-	for e := 0; e < n.base.NumEdges(); e++ {
-		edge := n.base.Edge(graph.EdgeID(e))
-		b.AddEdge(edge.U, edge.V, ver.costAt(n.base, graph.EdgeID(e), t))
-	}
-	for f := 0; f < n.base.NumFacilities(); f++ {
-		fac := n.base.Facility(graph.FacilityID(f))
-		b.AddFacility(fac.Edge, fac.T)
-	}
-	return b.Build()
 }
 
 // IntervalResult is one maximal time interval with a constant preferred set.
@@ -570,19 +521,4 @@ func sameIDs(a, b *core.Result) bool {
 		ids[f.ID]--
 	}
 	return true
-}
-
-// CostAt returns edge e's effective cost vector at instant t.
-func (n *Network) CostAt(e graph.EdgeID, t float64) (vec.Costs, error) {
-	if int(e) >= n.base.NumEdges() {
-		return nil, fmt.Errorf("timedep: edge %d out of range", e)
-	}
-	w := n.cur.Load().costAt(n.base, e, t).Clone()
-	// Guard against NaN creep from pathological inputs.
-	for _, v := range w {
-		if math.IsNaN(v) {
-			return nil, fmt.Errorf("timedep: NaN cost on edge %d at t=%g", e, t)
-		}
-	}
-	return w, nil
 }

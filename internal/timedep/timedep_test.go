@@ -3,6 +3,7 @@ package timedep
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -17,6 +18,70 @@ import (
 	"mcn/internal/vec"
 )
 
+// At returns the multiplier vector in effect at instant t (nil means "base
+// costs unchanged").
+func (p Profile) At(t float64) vec.Costs {
+	// Largest i with Times[i] <= t.
+	i := sort.SearchFloat64s(p.Times, t)
+	if i < len(p.Times) && p.Times[i] == t {
+		return p.Mult[i]
+	}
+	if i == 0 {
+		return nil
+	}
+	return p.Mult[i-1]
+}
+
+// Base returns the underlying static graph.
+func (n *Network) Base() *graph.Graph { return n.base }
+
+// Snapshot materialises the static multi-cost network in effect at instant
+// t. It is the reference implementation the overlay fast path is tested
+// against — every query entry point answers from the compiled overlay
+// instead, and per-query callers should never need a snapshot.
+func (n *Network) Snapshot(t float64) (*graph.Graph, error) {
+	ver := n.cur.Load()
+	b := graph.NewBuilder(n.base.D(), n.base.Directed())
+	for v := 0; v < n.base.NumNodes(); v++ {
+		node := n.base.Node(graph.NodeID(v))
+		b.AddNode(node.X, node.Y)
+	}
+	for e := 0; e < n.base.NumEdges(); e++ {
+		edge := n.base.Edge(graph.EdgeID(e))
+		b.AddEdge(edge.U, edge.V, ver.costAt(n.base, graph.EdgeID(e), t))
+	}
+	for f := 0; f < n.base.NumFacilities(); f++ {
+		fac := n.base.Facility(graph.FacilityID(f))
+		b.AddFacility(fac.Edge, fac.T)
+	}
+	return b.Build()
+}
+
+// CostAt returns edge e's effective cost vector at instant t.
+func (n *Network) CostAt(e graph.EdgeID, t float64) (vec.Costs, error) {
+	if int(e) >= n.base.NumEdges() {
+		return nil, fmt.Errorf("timedep: edge %d out of range", e)
+	}
+	w := n.cur.Load().costAt(n.base, e, t).Clone()
+	// Guard against NaN creep from pathological inputs.
+	for _, v := range w {
+		if math.IsNaN(v) {
+			return nil, fmt.Errorf("timedep: NaN cost on edge %d at t=%g", e, t)
+		}
+	}
+	return w, nil
+}
+
+// costAt returns edge e of g's cost vector at instant t: the base vector,
+// scaled component-wise when a profile interval covers t.
+func (v *version) costAt(g *graph.Graph, e graph.EdgeID, t float64) vec.Costs {
+	w := g.Edge(e).W
+	if p, ok := v.profiles[e]; ok {
+		return scaled(make(vec.Costs, 0, len(w)), w, p.At(t))
+	}
+	return w
+}
+
 var ctx = context.Background()
 
 // rushHourNet builds a fork: q at node 0, facility A via a highway whose
@@ -26,12 +91,12 @@ var ctx = context.Background()
 func rushHourNet(t *testing.T) (*Network, graph.Location, graph.FacilityID, graph.FacilityID) {
 	t.Helper()
 	b := graph.NewBuilder(2, false)
-	b.AddNodes(3)
+	testnet.AddNodes(b, 3)
 	hw := b.AddEdge(0, 1, vec.Of(2, 1))
 	side := b.AddEdge(0, 2, vec.Of(5, 0))
 	fa := b.AddFacility(hw, 1.0)
 	fb := b.AddFacility(side, 1.0)
-	g := b.MustBuild()
+	g := testnet.MustBuild(b)
 	n := New(g)
 	if err := n.SetProfile(hw, Profile{
 		Times: []float64{8, 10},
@@ -180,7 +245,7 @@ func TestSkylineOverPeriodRushHour(t *testing.T) {
 		if iv.From != from || iv.To != to {
 			t.Errorf("interval %d = [%g, %g), want [%g, %g)", i, iv.From, iv.To, from, to)
 		}
-		got := iv.Result.IDs()
+		got := ids(iv.Result)
 		sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("interval %d skyline = %v, want %v", i, got, want)
@@ -246,7 +311,7 @@ func TestOverPeriodMergesStaticNetwork(t *testing.T) {
 func TestOverPeriodMatchesSnapshots(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 15; trial++ {
-		topo := gen.RandomConnected(6+rng.Intn(20), rng.Intn(10), rng)
+		topo := testnet.RandomConnected(6+rng.Intn(20), rng.Intn(10), rng)
 		costs := gen.AssignCosts(topo, 2, gen.Independent, rng)
 		pls := gen.UniformFacilities(topo, 1+rng.Intn(10), rng)
 		g, err := gen.Assemble(topo, costs, pls, false)
@@ -301,7 +366,7 @@ func TestOverPeriodMatchesSnapshots(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := testnet.Skyline(snap, loc)
-			got := covering.Result.IDs()
+			got := ids(covering.Result)
 			sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
 			if len(want) == 0 && len(got) == 0 {
 				continue

@@ -14,6 +14,15 @@ import (
 	"mcn/internal/vec"
 )
 
+// ids returns the facility ids of r in order.
+func ids(r *core.Result) []graph.FacilityID {
+	out := make([]graph.FacilityID, len(r.Facilities))
+	for i, f := range r.Facilities {
+		out[i] = f.ID
+	}
+	return out
+}
+
 // SetProfile stores a copy: a caller that reuses or mutates its Profile
 // afterwards must not move a breakpoint past Validate or change a cost.
 func TestSetProfileCopiesProfile(t *testing.T) {
@@ -24,7 +33,7 @@ func TestSetProfileCopiesProfile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.IDs()
+		return ids(res)
 	}
 	p := Profile{Times: []float64{8, 10}, Mult: []vec.Costs{vec.Of(3, 1), vec.Of(1, 1)}}
 	if err := n.SetProfile(0, p); err != nil {
@@ -225,7 +234,7 @@ func TestAxisChangeRenumbersCacheKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rush.IDs(); !reflect.DeepEqual(got, []graph.FacilityID{fb}) {
+	if got := ids(rush); !reflect.DeepEqual(got, []graph.FacilityID{fb}) {
 		t.Fatalf("rush-hour skyline %v, want [%d]", got, fb)
 	}
 	n.cur.Store(old)
@@ -233,7 +242,7 @@ func TestAxisChangeRenumbersCacheKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := evening.IDs()
+	got := ids(evening)
 	slices.Sort(got)
 	if want := []graph.FacilityID{fa, fb}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("evening skyline under the previous axis = %v, want %v", got, want)

@@ -14,10 +14,6 @@ import (
 // smaller values as preferable.
 type Costs []float64
 
-// Unknown is the sentinel used for cost components that have not been
-// computed yet (e.g. a candidate facility not yet popped by an expansion).
-func Unknown() float64 { return math.NaN() }
-
 // IsUnknown reports whether v is the unknown sentinel.
 func IsUnknown(v float64) bool { return math.IsNaN(v) }
 
@@ -48,17 +44,6 @@ func (c Costs) Complete() bool {
 		}
 	}
 	return true
-}
-
-// KnownCount returns the number of known components.
-func (c Costs) KnownCount() int {
-	n := 0
-	for _, v := range c {
-		if !math.IsNaN(v) {
-			n++
-		}
-	}
-	return n
 }
 
 // Dominates reports whether c dominates o: every component of c is no larger
@@ -156,15 +141,6 @@ func (c Costs) Scale(s float64) Costs {
 	out := make(Costs, len(c))
 	for i := range c {
 		out[i] = c[i] * s
-	}
-	return out
-}
-
-// Min returns the component-wise minimum of c and o.
-func Min(c, o Costs) Costs {
-	out := make(Costs, len(c))
-	for i := range c {
-		out[i] = math.Min(c[i], o[i])
 	}
 	return out
 }

@@ -93,22 +93,22 @@ func TestDominanceTransitive(t *testing.T) {
 func TestDominatesKnown(t *testing.T) {
 	full := Of(2, 3, 4)
 
-	partial := Of(5, Unknown(), Unknown())
+	partial := Of(5, math.NaN(), math.NaN())
 	if !full.DominatesKnown(partial) {
 		t.Error("full vector should dominate partial with larger known cost")
 	}
 
-	tied := Of(2, Unknown(), Unknown())
+	tied := Of(2, math.NaN(), math.NaN())
 	if full.DominatesKnown(tied) {
 		t.Error("all-known-equal must NOT be eliminated (tie-robustness)")
 	}
 
-	better := Of(1, Unknown(), Unknown())
+	better := Of(1, math.NaN(), math.NaN())
 	if full.DominatesKnown(better) {
 		t.Error("partial with smaller known cost cannot be dominated on knowns")
 	}
 
-	mixed := Of(2, 9, Unknown())
+	mixed := Of(2, 9, math.NaN())
 	if !full.DominatesKnown(mixed) {
 		t.Error("equal first + worse second known should be dominated")
 	}
@@ -119,13 +119,7 @@ func TestUnknownHandling(t *testing.T) {
 	if c.Complete() {
 		t.Error("fresh vector must not be complete")
 	}
-	if got := c.KnownCount(); got != 0 {
-		t.Errorf("KnownCount = %d, want 0", got)
-	}
 	c[1] = 7
-	if got := c.KnownCount(); got != 1 {
-		t.Errorf("KnownCount = %d, want 1", got)
-	}
 	if c.Complete() {
 		t.Error("vector with unknowns must not be complete")
 	}
@@ -136,7 +130,7 @@ func TestUnknownHandling(t *testing.T) {
 }
 
 func TestFillUnknown(t *testing.T) {
-	c := Of(1, Unknown(), 3)
+	c := Of(1, math.NaN(), 3)
 	floor := Of(10, 20, 30)
 	got := c.FillUnknown(floor)
 	want := Of(1, 20, 3)
@@ -150,7 +144,7 @@ func TestFillUnknown(t *testing.T) {
 }
 
 func TestEqual(t *testing.T) {
-	if !Of(1, Unknown()).Equal(Of(1, Unknown())) {
+	if !Of(1, math.NaN()).Equal(Of(1, math.NaN())) {
 		t.Error("unknown components should compare equal")
 	}
 	if Of(1, 2).Equal(Of(1, 2, 3)) {
@@ -171,7 +165,7 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	got := Of(1, Unknown(), 2.5).String()
+	got := Of(1, math.NaN(), 2.5).String()
 	want := "(1, ?, 2.5)"
 	if got != want {
 		t.Errorf("String() = %q, want %q", got, want)
@@ -185,16 +179,13 @@ func TestValidate(t *testing.T) {
 	if err := Of(0, -1).Validate(); err == nil {
 		t.Error("negative cost must fail validation")
 	}
-	if err := Of(Unknown(), 1).Validate(); err != nil {
+	if err := Of(math.NaN(), 1).Validate(); err != nil {
 		t.Errorf("unknown components are allowed, got %v", err)
 	}
 }
 
-func TestMinAddScale(t *testing.T) {
+func TestAddScale(t *testing.T) {
 	a, b := Of(1, 5), Of(2, 3)
-	if got := Min(a, b); !got.Equal(Of(1, 3)) {
-		t.Errorf("Min = %v", got)
-	}
 	if got := a.Add(b); !got.Equal(Of(3, 8)) {
 		t.Errorf("Add = %v", got)
 	}

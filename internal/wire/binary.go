@@ -512,9 +512,6 @@ func appendPeriodFrame(dst []byte, pr *PeriodResult) ([]byte, error) {
 	return endFrame(b, start), nil
 }
 
-// EncodeError renders an HTTP-status-plus-message error as a binary frame.
-func EncodeError(status int, msg string) []byte { return appendErrorFrame(nil, status, msg) }
-
 func appendErrorFrame(dst []byte, status int, msg string) []byte {
 	start := len(dst)
 	b := beginFrame(grow(dst, 32+len(msg)), frameError)

@@ -312,7 +312,7 @@ func TestPeriodResultRoundTrip(t *testing.T) {
 }
 
 func TestErrorFrameRoundTrip(t *testing.T) {
-	frame := EncodeError(404, "no such facility")
+	frame := appendErrorFrame(nil, 404, "no such facility")
 	payload, err := ReadFrame(bytes.NewReader(frame), MaxResponseFrame)
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +338,7 @@ func TestEncodeFrameAllocsOnce(t *testing.T) {
 	for name, encode := range map[string]func(){
 		"result":  func() { EncodeResult(res) },      //nolint:errcheck // allocations only
 		"period":  func() { EncodePeriodResult(pr) }, //nolint:errcheck // allocations only
-		"error":   func() { EncodeError(503, "overloaded") },
+		"error":   func() { appendErrorFrame(nil, 503, "overloaded") },
 		"request": func() { EncodeRequest(q) }, //nolint:errcheck // allocations only
 	} {
 		if n := testing.AllocsPerRun(100, encode); n != 1 {
@@ -423,7 +423,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		}
 		f.Add(frame[4:])
 	}
-	f.Add(EncodeError(500, "boom")[4:])
+	f.Add(appendErrorFrame(nil, 500, "boom")[4:])
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		resp, err := DecodeResponse(payload)
 		if err != nil {

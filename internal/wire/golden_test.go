@@ -56,7 +56,7 @@ func TestFrameGolden(t *testing.T) {
 		case *PeriodResult:
 			frame, err = EncodePeriodResult(v)
 		case *Response:
-			frame = EncodeError(v.Status, v.Message)
+			frame = appendErrorFrame(nil, v.Status, v.Message)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

@@ -151,22 +151,6 @@ type (
 	QueryKind = engine.Kind
 )
 
-// Batch query kinds.
-const (
-	// SkylineQuery runs Network.Skyline.
-	SkylineQuery = engine.Skyline
-	// TopKQuery runs Network.TopK.
-	TopKQuery = engine.TopK
-	// NearestQuery runs Network.Nearest.
-	NearestQuery = engine.Nearest
-	// WithinQuery runs Network.Within.
-	WithinQuery = engine.Within
-	// MultiSourceSkylineQuery runs Network.MultiSourceSkyline.
-	MultiSourceSkylineQuery = engine.MultiSourceSkyline
-	// MultiSourceTopKQuery runs Network.MultiSourceTopK.
-	MultiSourceTopKQuery = engine.MultiSourceTopK
-)
-
 // Engines.
 const (
 	// LSA is the Local Search Algorithm: d independent expansions.
@@ -175,12 +159,8 @@ const (
 	CEA = core.CEA
 )
 
-// Lifecycle errors of closeable query handles.
+// Admission errors of an Executor.
 var (
-	// ErrIteratorClosed is returned by TopKIterator.Next after Close.
-	ErrIteratorClosed = core.ErrIteratorClosed
-	// ErrMaintainerClosed is returned by Maintainer.Insert after Close.
-	ErrMaintainerClosed = dynamic.ErrClosed
 	// ErrOverloaded rejects a query at executor admission when the pending
 	// queue is full (ExecutorConfig.QueueDepth); back off and retry.
 	ErrOverloaded = engine.ErrOverloaded
@@ -203,11 +183,6 @@ func WeightedSum(coef ...float64) Aggregate { return vec.NewWeighted(coef...) }
 // WeightedMax returns the weighted-Chebyshev aggregate f(p) = maxᵢ coefᵢ·cᵢ(p).
 func WeightedMax(coef ...float64) Aggregate { return vec.NewMax(coef...) }
 
-// LocationOnEdge places a query at fraction t along edge e of g.
-func LocationOnEdge(g *Graph, e EdgeID, t float64) (Location, error) {
-	return graph.LocationAt(g, e, t)
-}
-
 // LocationAtNode places a query at node v of g.
 func LocationAtNode(g *Graph, v NodeID) (Location, error) {
 	return graph.LocationAtNode(g, v)
@@ -228,12 +203,6 @@ func WithEngine(e Engine) Option {
 // New code should prefer SkylineSeq — it can also stop the query early.
 func Progressive(cb func(Facility)) Option {
 	return func(o *core.Options) { o.OnResult = cb }
-}
-
-// WithoutEnhancements disables the paper's Sec. IV-A optimisations, for
-// ablation experiments. Results are unchanged.
-func WithoutEnhancements() Option {
-	return func(o *core.Options) { o.NoEnhancements = true }
 }
 
 func buildOptions(opts []Option) core.Options {
@@ -395,10 +364,6 @@ func (n *Network) D() int { return n.src.D() }
 // Directed reports whether the network is directed.
 func (n *Network) Directed() bool { return n.src.Directed() }
 
-// Graph returns the underlying in-memory graph, if this network was built
-// with FromGraph.
-func (n *Network) Graph() (*Graph, bool) { return n.g, n.g != nil }
-
 // NumNodes returns the node count.
 func (n *Network) NumNodes() int {
 	if n.store != nil {
@@ -524,34 +489,34 @@ func (n *Network) Within(ctx context.Context, loc Location, budget Costs, opts .
 
 // SkylineRequest builds a batch request for Network.Skyline at loc.
 func SkylineRequest(loc Location, opts ...Option) BatchRequest {
-	return BatchRequest{Kind: SkylineQuery, Loc: loc, Opts: buildOptions(opts)}
+	return BatchRequest{Kind: engine.Skyline, Loc: loc, Opts: buildOptions(opts)}
 }
 
 // TopKRequest builds a batch request for Network.TopK at loc.
 func TopKRequest(loc Location, agg Aggregate, k int, opts ...Option) BatchRequest {
-	return BatchRequest{Kind: TopKQuery, Loc: loc, Agg: agg, K: k, Opts: buildOptions(opts)}
+	return BatchRequest{Kind: engine.TopK, Loc: loc, Agg: agg, K: k, Opts: buildOptions(opts)}
 }
 
 // NearestRequest builds a batch request for Network.Nearest at loc.
 func NearestRequest(loc Location, costIdx, k int) BatchRequest {
-	return BatchRequest{Kind: NearestQuery, Loc: loc, CostIdx: costIdx, K: k}
+	return BatchRequest{Kind: engine.Nearest, Loc: loc, CostIdx: costIdx, K: k}
 }
 
 // WithinRequest builds a batch request for Network.Within at loc.
 func WithinRequest(loc Location, budget Costs, opts ...Option) BatchRequest {
-	return BatchRequest{Kind: WithinQuery, Loc: loc, Budget: budget, Opts: buildOptions(opts)}
+	return BatchRequest{Kind: engine.Within, Loc: loc, Budget: budget, Opts: buildOptions(opts)}
 }
 
 // MultiSourceSkylineRequest builds a batch request for
 // Network.MultiSourceSkyline over locs on cost type costIdx.
 func MultiSourceSkylineRequest(costIdx int, locs []Location, opts ...Option) BatchRequest {
-	return BatchRequest{Kind: MultiSourceSkylineQuery, CostIdx: costIdx, Locs: locs, Opts: buildOptions(opts)}
+	return BatchRequest{Kind: engine.MultiSourceSkyline, CostIdx: costIdx, Locs: locs, Opts: buildOptions(opts)}
 }
 
 // MultiSourceTopKRequest builds a batch request for Network.MultiSourceTopK
 // over locs on cost type costIdx.
 func MultiSourceTopKRequest(costIdx int, locs []Location, agg Aggregate, k int, opts ...Option) BatchRequest {
-	return BatchRequest{Kind: MultiSourceTopKQuery, CostIdx: costIdx, Locs: locs, Agg: agg, K: k, Opts: buildOptions(opts)}
+	return BatchRequest{Kind: engine.MultiSourceTopK, CostIdx: costIdx, Locs: locs, Agg: agg, K: k, Opts: buildOptions(opts)}
 }
 
 // IsQueryPanic reports whether a batch-response error came from the
@@ -601,7 +566,7 @@ func (n *Network) BaselineTopK(ctx context.Context, loc Location, agg Aggregate,
 // them. Facilities can then be inserted and removed without traversing the
 // network. Cancelling ctx aborts the initial materialisation. The
 // maintainer holds no pooled state; Close it when done with updates
-// (idempotent, any goroutine): Insert then fails with ErrMaintainerClosed,
+// (idempotent, any goroutine): Insert then fails with an error,
 // and the maintained results stay readable.
 func (n *Network) Maintain(ctx context.Context, loc Location) (*Maintainer, error) {
 	m, err := dynamic.New(n.src, loc, n.queryOptions(ctx, nil))
@@ -617,11 +582,6 @@ func (n *Network) Maintain(ctx context.Context, loc Location) (*Maintainer, erro
 	}
 	return m, nil
 }
-
-// NewResultCache builds a standalone result cache for callers that wire it
-// themselves — e.g. a TimeNetwork with no associated Network. Most code
-// wants Network.EnableResultCache instead.
-func NewResultCache(opts CacheOptions) *ResultCache { return rescache.New(opts) }
 
 // EnableResultCache attaches a serving-layer result cache to the network
 // and returns it. Every executor the network creates afterwards — via

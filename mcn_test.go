@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"mcn/internal/core"
+	"mcn/internal/graph"
 )
 
 // ctx is the do-nothing context the facade tests thread through the
@@ -77,10 +80,19 @@ func TestFacadeSkylineEnginesAgree(t *testing.T) {
 	}
 }
 
+// ids returns the facility ids of r in order.
+func ids(r *Result) []FacilityID {
+	out := make([]FacilityID, len(r.Facilities))
+	for i, f := range r.Facilities {
+		out[i] = f.ID
+	}
+	return out
+}
+
 func idsSorted(r *Result) []FacilityID {
-	ids := r.IDs()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	out := ids(r)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 func TestFacadeDiskRoundtrip(t *testing.T) {
@@ -98,7 +110,7 @@ func TestFacadeDiskRoundtrip(t *testing.T) {
 		t.Errorf("D = %d", db.D())
 	}
 
-	loc, err := LocationOnEdge(g, 0, 0.5)
+	loc, err := graph.LocationAt(g, 0, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +188,7 @@ func TestFacadeWithoutEnhancements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := net.Skyline(ctx, loc, WithoutEnhancements())
+	b, err := net.Skyline(ctx, loc, func(o *core.Options) { o.NoEnhancements = true })
 	if err != nil {
 		t.Fatal(err)
 	}

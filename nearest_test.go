@@ -14,7 +14,7 @@ func TestNearestMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1100))
 	for trial := 0; trial < 40; trial++ {
 		d := 1 + rng.Intn(3)
-		topo := gen.RandomConnected(3+rng.Intn(25), rng.Intn(10), rng)
+		topo := testnet.RandomConnected(3+rng.Intn(25), rng.Intn(10), rng)
 		costs := gen.AssignCosts(topo, d, gen.Independent, rng)
 		pls := gen.UniformFacilities(topo, 1+rng.Intn(15), rng)
 		g, err := gen.Assemble(topo, costs, pls, false)
@@ -56,8 +56,8 @@ func TestNearestMatchesOracle(t *testing.T) {
 }
 
 func TestNearestErrors(t *testing.T) {
-	topo := gen.Path(3)
-	g, err := gen.Assemble(topo, gen.UnitCosts(topo, 2), nil, false)
+	topo := testnet.Path(3)
+	g, err := gen.Assemble(topo, testnet.UnitCosts(topo, 2), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"mcn/internal/core"
+	"mcn/internal/rescache"
 )
 
 // bitEqualResults reports bit-for-bit equality of two results: same
@@ -53,7 +56,7 @@ func randomRequest(rng *rand.Rand, g *Graph, locs []Location) BatchRequest {
 		opts = append(opts, WithEngine(CEA))
 	}
 	if rng.Intn(8) == 0 {
-		opts = append(opts, WithoutEnhancements())
+		opts = append(opts, func(o *core.Options) { o.NoEnhancements = true })
 	}
 	switch rng.Intn(4) {
 	case 0:
@@ -168,7 +171,7 @@ func timedepPair(t *testing.T, g *Graph) (cached, plain *TimeNetwork, cache *Res
 			t.Fatalf("SetProfile: %v", err)
 		}
 	}
-	c := NewResultCache(CacheOptions{Entries: 256})
+	c := rescache.New(CacheOptions{Entries: 256})
 	cached.EnableResultCache(c)
 	return cached, plain, c
 }

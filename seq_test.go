@@ -190,9 +190,8 @@ func TestSeqBreakWithConcurrentCancel(t *testing.T) {
 
 func mustGraph(t *testing.T, net *Network) *Graph {
 	t.Helper()
-	g, ok := net.Graph()
-	if !ok {
+	if net.g == nil {
 		t.Fatal("network has no in-memory graph")
 	}
-	return g
+	return net.g
 }
