@@ -191,9 +191,11 @@ chaossmoke:
 
 # Cluster tier smoke: the gateway suite (real gateway and replica handlers
 # on memnet, the in-memory HTTP network, and memnet's own contract) under
-# the race detector — the decoder-equivalence table (GET, JSON and MCNB
-# forms of one request, replica vs gateway), the malformed-input table, one
-# replica request per query, failover, the streamed relay and the
+# the race detector — its slices of the differential lattice (GET, JSON and
+# MCNB forms of every query kind through a gateway over three replicas, all
+# up, one down and one shedding, each answer held to the oracle and byte
+# for byte to a replica; one replica request per query), the
+# malformed-input table, 5xx failover, the streamed relay and the
 # FuzzV1Query corpus replayed through a gateway. One test,
 # TestGatewayStreamPassthrough, serves the gateway on a real socket so
 # net/http's own flush path is covered. Also part of the plain test suite;
@@ -215,9 +217,9 @@ chaos:
 	CHAOS_SCHEDULES=$(CHAOS_SCHEDULES) $(GO) test -race -count=1 -timeout 60m ./internal/testsupport/chaos
 
 # Native Go fuzzing sessions. Over the query answers: FuzzLattice draws a
-# (seed, mode mask) pair and checks the differential lattice's rows of the
-# mask on the hard-case generator's instance for the seed — every query
-# kind against the brute-force oracle and the reference row. Over the
+# seed and a two-word mode mask and checks the differential lattice's rows
+# of the mask (the wire rows included) on the instance for the seed — every
+# query kind against the brute-force oracle and the reference row. Over the
 # JSON response encoder: any Result or PeriodResult renders byte-identically
 # to encoding/json's reflection (FuzzJSONEnvelope). Over hostile
 # input: the MCNB request and response decoders (no panic, accepted frames

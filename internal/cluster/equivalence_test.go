@@ -6,105 +6,16 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
-	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
 	"mcn/internal/wire"
 )
-
-// randomRequests draws n well-formed requests for the test grid (d = 3),
-// cycling through the eight kinds, zeros included: edge 0, t = 0, and now
-// and then k = 0, which every path must reject alike.
-func randomRequests(rng *rand.Rand, edges, n int) []*wire.Request {
-	randT := func() float64 { return float64(rng.Intn(11)) / 10 }
-	fs := func(n int, lo, span float64) []float64 {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = lo + math.Round(rng.Float64()*span*10)/10
-		}
-		return out
-	}
-	reqs := make([]*wire.Request, n)
-	for i := range reqs {
-		q := &wire.Request{Kind: wire.Kinds[i%len(wire.Kinds)]}
-		if rng.Intn(2) == 0 {
-			q.Engine = "lsa"
-		}
-		if q.Scatter() {
-			// Distinct edges, two or three of them.
-			seen := map[int]bool{}
-			for len(q.Edges) < 2+rng.Intn(2) {
-				if e := rng.Intn(edges); !seen[e] {
-					seen[e] = true
-					q.Edges = append(q.Edges, e)
-				}
-			}
-			if rng.Intn(2) == 0 {
-				q.Ts = fs(len(q.Edges), 0, 1)
-			}
-			q.Cost = rng.Intn(3)
-		} else if rng.Intn(5) > 0 { // else edge 0 at t = 0
-			q.Edge, q.T = rng.Intn(edges), randT()
-		}
-		switch q.Kind {
-		case wire.KindTopK, wire.KindTopKPeriod:
-			q.K = rng.Intn(6)
-			if rng.Intn(2) == 0 {
-				q.Weights = fs(3, 0.5, 2)
-			}
-		case wire.KindMultiSourceTopK:
-			q.K = 1 + rng.Intn(5)
-			if rng.Intn(2) == 0 {
-				q.Weights = fs(len(q.Edges), 0.5, 2)
-			}
-		case wire.KindNearest:
-			q.K, q.Cost = rng.Intn(5), rng.Intn(3)
-		case wire.KindWithin:
-			q.Budget = fs(3, 10, 50)
-		}
-		if q.Period() {
-			q.From = 5 + rng.Float64()*8
-			q.To = q.From + 2 + rng.Float64()*8
-		}
-		reqs[i] = q
-	}
-	return reqs
-}
-
-// encoding is one way a client can put a request on the wire.
-type encoding struct {
-	name        string
-	method      string
-	contentType string
-	// render gives the request target and body that carry q.
-	render func(q *wire.Request) (target string, body []byte)
-}
-
-var encodings = []encoding{
-	{"GET", http.MethodGet, "", func(q *wire.Request) (string, []byte) { return q.URI(), nil }},
-	{"JSON", http.MethodPost, wire.ContentTypeJSON, func(q *wire.Request) (string, []byte) {
-		body, err := json.Marshal(q)
-		if err != nil {
-			panic(err)
-		}
-		return "/v1/query", body
-	}},
-	{"MCNB", http.MethodPost, wire.ContentTypeBinary, func(q *wire.Request) (string, []byte) {
-		frame, err := wire.EncodeRequest(q)
-		if err != nil {
-			panic(err)
-		}
-		return "/v1/query", frame
-	}},
-}
 
 // send issues one request through c and returns status, headers and body.
 func send(t *testing.T, c *http.Client, base, method, target, contentType, accept string, body []byte) (int, http.Header, []byte) {
@@ -113,12 +24,8 @@ func send(t *testing.T, c *http.Client, base, method, target, contentType, accep
 	if err != nil {
 		t.Fatal(err)
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
+	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Accept", accept)
 	resp, err := c.Do(req)
 	if err != nil {
 		t.Fatalf("%s %s: %v", method, target, err)
@@ -131,102 +38,8 @@ func send(t *testing.T, c *http.Client, base, method, target, contentType, accep
 	return resp.StatusCode, resp.Header, out
 }
 
-var latencyField = regexp.MustCompile(`"latency_ms":[^,}]*`)
-
-// zeroLatency blanks the one field of a JSON envelope that varies per run.
-func zeroLatency(body []byte) string {
-	return string(latencyField.ReplaceAll(body, []byte(`"latency_ms":0`)))
-}
-
-// costsEqualF32 reports whether a binary cost vector matches a JSON one after
-// the codec's float32 narrowing; JSON null decodes to NaN and stands for any
-// non-finite component.
-func costsEqualF32(jsonCosts, binCosts []float64) bool {
-	if len(jsonCosts) != len(binCosts) {
-		return false
-	}
-	for i, jc := range jsonCosts {
-		bc := binCosts[i]
-		if math.IsNaN(jc) {
-			if !math.IsNaN(bc) && !math.IsInf(bc, 0) {
-				return false
-			}
-		} else if float64(float32(jc)) != bc {
-			return false
-		}
-	}
-	return true
-}
-
-func checkFacilitiesF32(t *testing.T, label string, ref, bin []wire.Facility) {
-	t.Helper()
-	if len(ref) != len(bin) {
-		t.Fatalf("%s: %d facilities, reference has %d", label, len(bin), len(ref))
-	}
-	for i := range ref {
-		if ref[i].ID != bin[i].ID {
-			t.Fatalf("%s facility %d: id %d != reference %d", label, i, bin[i].ID, ref[i].ID)
-		}
-		if !costsEqualF32(ref[i].Costs, bin[i].Costs) {
-			t.Fatalf("%s facility %d: costs %v != reference %v (mod float32)", label, i, bin[i].Costs, ref[i].Costs)
-		}
-		if float64(float32(ref[i].Score)) != bin[i].Score {
-			t.Fatalf("%s facility %d: score %v != reference %v", label, i, bin[i].Score, ref[i].Score)
-		}
-	}
-}
-
-// checkBinaryMatchesJSON asserts a binary response is the float32 rendering
-// of the JSON response to the same request: same status, and on success the
-// same query, count, stats and exact interval bounds, with costs and scores
-// equal after the narrowing; on failure the same message.
-func checkBinaryMatchesJSON(t *testing.T, label string, status int, jsonBody []byte, binStatus int, hdr http.Header, binBody []byte) {
-	t.Helper()
-	if binStatus != status {
-		t.Fatalf("%s: binary status %d, JSON status %d (%s)", label, binStatus, status, jsonBody)
-	}
-	if ct := hdr.Get("Content-Type"); ct != wire.ContentTypeBinary {
-		t.Fatalf("%s: binary response Content-Type = %q", label, ct)
-	}
-	resp := decodeBinaryBody(t, binBody)
-	switch {
-	case status != http.StatusOK:
-		var e wire.Error
-		if err := json.Unmarshal(jsonBody, &e); err != nil {
-			t.Fatalf("%s: JSON error body %q: %v", label, jsonBody, err)
-		}
-		if resp.Status != status || resp.Message != e.Error {
-			t.Fatalf("%s: error frame %d %q, JSON says %d %q", label, resp.Status, resp.Message, status, e.Error)
-		}
-	case resp.Period != nil:
-		var ref wire.PeriodResult
-		if err := json.Unmarshal(jsonBody, &ref); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Period.Query != ref.Query || resp.Period.Count != ref.Count || len(resp.Period.Intervals) != len(ref.Intervals) {
-			t.Fatalf("%s: binary period %s/%d, JSON %s/%d", label, resp.Period.Query, resp.Period.Count, ref.Query, ref.Count)
-		}
-		for i, iv := range ref.Intervals {
-			biv := resp.Period.Intervals[i]
-			if biv.From != iv.From || biv.To != iv.To || biv.Stats != iv.Stats || biv.Count != iv.Count {
-				t.Fatalf("%s interval %d: bounds/stats %+v != JSON %+v", label, i, biv, iv)
-			}
-			checkFacilitiesF32(t, fmt.Sprintf("%s interval %d", label, i), iv.Facilities, biv.Facilities)
-		}
-	case resp.Result != nil:
-		var ref wire.Result
-		if err := json.Unmarshal(jsonBody, &ref); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Result.Query != ref.Query || resp.Result.Count != ref.Count || resp.Result.Stats != ref.Stats {
-			t.Fatalf("%s: binary envelope %+v != JSON %+v", label, resp.Result, ref)
-		}
-		checkFacilitiesF32(t, label, ref.Facilities, resp.Result.Facilities)
-	default:
-		t.Fatalf("%s: 200 binary response carries no result: %+v", label, resp)
-	}
-}
-
+// decodeBinaryBody reads an MCNB response body: an error frame of the
+// malformed-input table, or a negotiated answer.
 func decodeBinaryBody(t *testing.T, body []byte) *wire.Response {
 	t.Helper()
 	payload, err := wire.ReadFrame(bytes.NewReader(body), wire.MaxResponseFrame)
@@ -238,77 +51,6 @@ func decodeBinaryBody(t *testing.T, body []byte) *wire.Response {
 		t.Fatalf("decode response frame: %v", err)
 	}
 	return resp
-}
-
-// payload is a JSON envelope for byte comparison: all of it, stats included,
-// with latency_ms — the one field that varies per run — blanked.
-func payload(t *testing.T, label string, body []byte) string {
-	t.Helper()
-	if !json.Valid(body) {
-		t.Fatalf("%s: bad JSON %q", label, body)
-	}
-	return zeroLatency(body)
-}
-
-// The headline guarantee, as one table: how a request arrives cannot change
-// its answer. For seeded random requests over all eight kinds,
-//
-//   - the GET URL, the JSON body and the MCNB frame decode to the same
-//     wire.Request;
-//   - on one target — a replica, or a gateway over three replicas — the
-//     three forms' JSON responses are byte-identical apart from latency_ms,
-//     and the binary response is their float32 rendering;
-//   - the gateway's answers are byte-identical to the replica's, stats
-//     included, apart from latency_ms.
-func TestDecoderEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("equivalence sweep is slow; run without -short")
-	}
-	tg := newTestGrid(t)
-	n := newNet(t)
-	c := n.Client()
-	b0, b1, b2 := tg.backend(n), tg.backend(n), tg.backend(n)
-	_, gw := serveTestGateway(t, n, b0, b1, b2)
-	targets := []struct{ name, url string }{{"replica", b0}, {"gateway", gw}}
-
-	for _, q := range randomRequests(rand.New(rand.NewSource(7)), tg.graph.NumEdges(), 40) {
-		for _, enc := range encodings {
-			target, body := enc.render(q)
-			hr := httptest.NewRequest(enc.method, target, bytes.NewReader(body))
-			hr.Header.Set("Content-Type", enc.contentType)
-			got, _, _, err := wire.DecodeHTTP(httptest.NewRecorder(), hr)
-			if err != nil || !reflect.DeepEqual(got, q) {
-				t.Fatalf("%s decoder: %s decoded to %+v (err %v), want %+v", enc.name, q.URI(), got, err, q)
-			}
-		}
-
-		var replica string
-		for _, tgt := range targets {
-			label := tgt.name + " " + q.URI()
-			var refStatus int
-			var ref []byte
-			for _, enc := range encodings {
-				target, body := enc.render(q)
-				status, _, out := send(t, c, tgt.url, enc.method, target, enc.contentType, wire.ContentTypeJSON, body)
-				if ref == nil {
-					refStatus, ref = status, out
-					continue
-				}
-				if status != refStatus || zeroLatency(out) != zeroLatency(ref) {
-					t.Fatalf("%s: %s answered %d %s\nGET answered %d %s", label, enc.name, status, out, refStatus, ref)
-				}
-			}
-			_, frame := encodings[2].render(q)
-			binStatus, hdr, bin := send(t, c, tgt.url, http.MethodPost, "/v1/query", wire.ContentTypeBinary, "", frame)
-			checkBinaryMatchesJSON(t, label, refStatus, ref, binStatus, hdr, bin)
-
-			if p := fmt.Sprint(refStatus, " ", payload(t, label, ref)); replica == "" {
-				replica = p
-			} else if p != replica {
-				t.Fatalf("%s:\ngateway: %s\nreplica: %s", label, p, replica)
-			}
-		}
-	}
 }
 
 // One rule per parameter on every decoder: each class of malformed input is

@@ -35,7 +35,7 @@ type slice struct {
 
 func (s slice) check(t *testing.T) {
 	t.Helper()
-	if s.rows == 0 {
+	if s.rows == (lattice.Rows{}) {
 		s.rows = lattice.EverySource
 	}
 	build := lattice.Generated
@@ -97,7 +97,7 @@ func TestSkylineZeroCostEdges(t *testing.T) { slice{kinds: skyline, keep: zeroEd
 func TestFacilitiesAtNodes(t *testing.T)    { slice{kinds: skyline, keep: atNode}.check(t) }
 func TestSkylineQuickProperty(t *testing.T) { slice{kinds: skyline, continuous: true}.check(t) }
 func TestSkylineProgressive(t *testing.T) {
-	slice{rows: lattice.EverySource &^ lattice.CEARows, kinds: progressive}.check(t)
+	slice{rows: lattice.EverySource.Without(lattice.CEARows), kinds: progressive}.check(t)
 }
 func TestCEASameOrderAsLSA(t *testing.T) { slice{rows: lattice.CEARows, kinds: progressive}.check(t) }
 func TestSkylineOnDisk(t *testing.T)     { slice{rows: disk, kinds: skyline}.check(t) }

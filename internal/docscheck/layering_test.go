@@ -74,8 +74,9 @@ var imports = map[string][]string{
 	// Test support: imported by _test.go files only.
 	"internal/testsupport/chaos": {},
 	"internal/testsupport/fault": {"internal/storage"},
-	"internal/testsupport/lattice": {"internal/core", "internal/dynamic", "internal/expand", "internal/flat", "internal/gen",
-		"internal/graph", "internal/index", "internal/storage", "internal/testsupport/testnet", "internal/timedep", "internal/vec"},
+	"internal/testsupport/lattice": {".", "internal/cluster", "internal/core", "internal/dynamic", "internal/expand", "internal/flat",
+		"internal/gen", "internal/graph", "internal/index", "internal/serve", "internal/storage", "internal/testsupport/memnet",
+		"internal/testsupport/testnet", "internal/timedep", "internal/vec", "internal/wire"},
 	"internal/testsupport/memnet":  {},
 	"internal/testsupport/testnet": {"internal/gen", "internal/graph", "internal/vec"},
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -21,7 +20,7 @@ import (
 // hold() runs a streaming skyline whose callback blocks until release().
 type overloadHarness struct {
 	srv     *Server
-	ts      *httptest.Server
+	ts      *testServer
 	gate    chan struct{}
 	wg      sync.WaitGroup
 	results chan error
@@ -42,8 +41,7 @@ func newOverloadHarness(t *testing.T, workers, queueDepth int) *overloadHarness 
 		gate:    make(chan struct{}),
 		results: make(chan error, 16),
 	}
-	h.ts = httptest.NewServer(h.srv.Handler())
-	t.Cleanup(h.ts.Close)
+	h.ts = newTestServer(t, h.srv.Handler())
 	t.Cleanup(h.wg.Wait)
 	return h
 }
@@ -81,7 +79,7 @@ func (h *overloadHarness) waitAdmission(t *testing.T, inflight, queued int64) {
 
 func (h *overloadHarness) release() { close(h.gate) }
 
-func get(t *testing.T, ts *httptest.Server, path string) *http.Response {
+func get(t *testing.T, ts *testServer, path string) *http.Response {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + path)
 	if err != nil {
@@ -222,16 +220,12 @@ func TestTimeoutParamAllEndpoints(t *testing.T) {
 		"/within?edge=3&budget=50,50,50",
 	}
 	for _, p := range paths {
-		bad := get(t, h.ts, p+"&timeout_ms=nope")
-		if bad.StatusCode != http.StatusBadRequest {
-			t.Fatalf("GET %s&timeout_ms=nope: status %d, want 400", p, bad.StatusCode)
+		if got := h.ts.status(t, p+"&timeout_ms=nope"); got != http.StatusBadRequest {
+			t.Fatalf("GET %s&timeout_ms=nope: status %d, want 400", p, got)
 		}
-		bad.Body.Close()
-		ok := get(t, h.ts, p+"&timeout_ms=30000")
-		if ok.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s&timeout_ms=30000: status %d, want 200", p, ok.StatusCode)
+		if got := h.ts.status(t, p+"&timeout_ms=30000"); got != http.StatusOK {
+			t.Fatalf("GET %s&timeout_ms=30000: status %d, want 200", p, got)
 		}
-		ok.Body.Close()
 	}
 }
 

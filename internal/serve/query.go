@@ -219,13 +219,9 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, q *wire.Req
 	var line []byte
 	count := 0
 	resp := run(r.Context(), req, func(f mcn.Facility) bool {
-		var err error
-		line, err = wire.AppendFacility(line[:0], &wire.Facility{ID: f.ID, Costs: wire.Costs(f.Costs), Score: f.Score})
-		if err != nil {
-			return false // unencodable (a non-finite score); abort the query
-		}
+		line = wire.AppendFacility(line[:0], &wire.Facility{ID: f.ID, Costs: wire.Costs(f.Costs), Score: f.Score})
 		line = append(line, '\n')
-		if _, err = w.Write(line); err != nil {
+		if _, err := w.Write(line); err != nil {
 			return false // client went away; abort the query
 		}
 		count++

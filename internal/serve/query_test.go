@@ -16,16 +16,14 @@ import (
 
 // postQuery sends one /v1/query request with the given body and headers and
 // returns the raw response.
-func postQuery(t *testing.T, ts *httptest.Server, body []byte, contentType, accept string) (*http.Response, []byte) {
+func postQuery(t *testing.T, ts *testServer, body []byte, contentType, accept string) (*http.Response, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/query", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", contentType)
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
+	req.Header.Set("Accept", accept)
 	resp, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -53,11 +51,11 @@ func decodeBinaryResponse(t *testing.T, raw []byte) *wire.Response {
 }
 
 // Content negotiation: the response codec follows Accept when present and
-// mirrors the request codec when absent.
+// mirrors the request codec when absent. (The answers in each codec, mirrored
+// and negotiated, are held to the oracle by the lattice's served rows.)
 func TestV1QueryNegotiation(t *testing.T) {
-	h, _ := timeServer(t)
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	h := timeServer(t, time.Minute)
+	ts := newTestServer(t, h)
 
 	q := &wire.Request{Kind: wire.KindSkyline, Edge: 17, T: 0.25}
 	frame, err := wire.EncodeRequest(q)
@@ -83,28 +81,15 @@ func TestV1QueryNegotiation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, raw := postQuery(t, ts, tc.body, tc.contentType, tc.accept)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("status %d: %s", resp.StatusCode, raw)
-			}
-			if ct := resp.Header.Get("Content-Type"); ct != tc.wantCT {
-				t.Fatalf("content type %q, want %q", ct, tc.wantCT)
-			}
-			if tc.wantCT == wire.ContentTypeBinary {
-				if got := decodeBinaryResponse(t, raw); got.Result == nil || got.Result.Query != "skyline" {
-					t.Fatalf("binary response = %+v", got)
-				}
-			} else {
-				var res wire.Result
-				if err := json.Unmarshal(raw, &res); err != nil || res.Query != "skyline" {
-					t.Fatalf("json response %s: %v", raw, err)
-				}
+			if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != tc.wantCT {
+				t.Fatalf("status %d, content type %q, want 200 %q: %s", resp.StatusCode, ct, tc.wantCT, raw)
 			}
 		})
 	}
 }
 
 // Period kinds without a time-dependent network are a 400 on /v1/query (the
-// route is always mounted — unlike the GET period routes, which exist only
+// route is always mounted) and a 404 on GET (the period routes exist only
 // with one attached). The malformed-input classes shared with the gateway
 // are pinned, per decoder, by internal/cluster's TestMalformedRequests.
 func TestV1QueryPeriodWithoutTimeNetwork(t *testing.T) {
@@ -112,8 +97,7 @@ func TestV1QueryPeriodWithoutTimeNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := httptest.NewServer(New(mcn.FromGraph(g), Config{Workers: 1, Timeout: 0}).Handler())
-	defer plain.Close()
+	plain := newTestServer(t, New(mcn.FromGraph(g), Config{Workers: 1, Timeout: 0}).Handler())
 	frame, err := wire.EncodeRequest(&wire.Request{Kind: wire.KindSkylinePeriod, Edge: 1, T: 0.5, From: 5, To: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -124,6 +108,9 @@ func TestV1QueryPeriodWithoutTimeNetwork(t *testing.T) {
 	}
 	if got := decodeBinaryResponse(t, raw); got.Status != http.StatusBadRequest || got.Message == "" {
 		t.Fatalf("period without tnet: error frame %+v", got)
+	}
+	if got := plain.status(t, "/skyline/period?edge=1&from=5&to=9"); got != http.StatusNotFound {
+		t.Errorf("GET period route without a TimeNetwork: status %d, want 404", got)
 	}
 }
 
@@ -142,7 +129,7 @@ func FuzzV1Query(f *testing.F) {
 	// A short server timeout: a hostile request may ask for unbounded work
 	// (k in the millions, a period of centuries), and what bounds it is the
 	// deadline — a 503, which is within the contract.
-	h, _ := timeServerTimeout(f, 100*time.Millisecond)
+	h := timeServer(f, 100*time.Millisecond)
 	f.Fuzz(func(t *testing.T, body []byte, contentType, accept string, kind int, query string) {
 		post := httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body))
 		post.Header.Set("Content-Type", contentType)
@@ -211,4 +198,21 @@ func checkAnswer(t *testing.T, h http.Handler, r *http.Request) {
 	default:
 		t.Fatalf("%s: response Content-Type %q", label, ct)
 	}
+}
+
+// timeServer builds a serve handler with the period endpoints enabled over a
+// synthetic time-dependent network, with the given server-side query
+// timeout.
+func timeServer(t testing.TB, timeout time.Duration) http.Handler {
+	t.Helper()
+	g, err := mcn.Synthetic(mcn.SyntheticConfig{Nodes: 600, Facilities: 100, D: 3, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tnet := mcn.TimeDependent(g)
+	// Dense profiles, so that period queries answer with several intervals.
+	if err := mcn.AttachSyntheticProfiles(tnet, 600, 11); err != nil {
+		t.Fatal(err)
+	}
+	return New(mcn.FromGraph(g), Config{Workers: 4, Timeout: timeout, TimeNet: tnet}).Handler()
 }

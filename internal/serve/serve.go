@@ -2,12 +2,13 @@
 // endpoints — GET routes and POST /v1/query, every one decoded into the same
 // wire.Request and answered by one handler (query.go) in JSON, binary frames
 // or, for the progressive queries, streamed NDJSON — over one shared bounded
-// executor, plus health/readiness/stats introspection. The multi-source and
-// period kinds are what the cluster gateway (internal/cluster) fans out
-// across replicas. The cmd/mcnserve
-// binary is a thin flag-parsing shell around this package; keeping the
-// handlers here lets the cluster tests spin up real in-process backends
-// over httptest.
+// executor, plus health/readiness/stats introspection. Every replica serves
+// the whole network, so the cluster gateway (internal/cluster) sends each
+// query, of any kind, to one replica. The cmd/mcnserve binary is a thin
+// flag-parsing shell around this package; keeping the handlers here lets
+// the cluster tests and the differential lattice's wire rows
+// (internal/testsupport/lattice) serve real replicas on an in-memory
+// network (internal/testsupport/memnet).
 package serve
 
 import (

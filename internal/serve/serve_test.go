@@ -4,8 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mcn"
+	"mcn/internal/testsupport/memnet"
 	"mcn/internal/wire"
 )
 
@@ -43,7 +44,37 @@ func testServers(t *testing.T) (map[string]http.Handler, *mcn.Network) {
 	}, mem
 }
 
-func getJSON(t *testing.T, ts *httptest.Server, path string, status int, out any) {
+// testServer is a handler served on an in-memory network (memnet) that
+// closes when the test ends: URL is its base URL, Client a client for it.
+type testServer struct {
+	URL    string
+	client *http.Client
+}
+
+func newTestServer(t testing.TB, h http.Handler) *testServer {
+	t.Helper()
+	n := memnet.New()
+	t.Cleanup(n.Close)
+	return &testServer{URL: n.Serve(h), client: n.Client()}
+}
+
+func (s *testServer) Client() *http.Client { return s.client }
+
+// status GETs path and returns the response's status, its body read.
+func (s *testServer) status(t *testing.T, path string) int {
+	t.Helper()
+	resp, err := s.client.Get(s.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode
+}
+
+func getJSON(t *testing.T, ts *testServer, path string, status int, out any) {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + path)
 	if err != nil {
@@ -78,80 +109,12 @@ func resultIDs(res wire.Result) []mcn.FacilityID {
 	return out
 }
 
-// Every query endpoint must answer with the same facilities the library
-// returns directly, over both backends.
-func TestEndpointsMatchLibrary(t *testing.T) {
-	handlers, ref := testServers(t)
-	loc := mcn.Location{Edge: 17, T: 0.25}
-	agg := mcn.WeightedSum(1, 1, 1)
-
-	wantSky, err := ref.Skyline(ctx, loc, mcn.WithEngine(mcn.CEA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTop, err := ref.TopK(ctx, loc, agg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantNear, err := ref.Nearest(ctx, loc, 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantWithin, err := ref.Within(ctx, loc, mcn.Of(200, 200, 200))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for name, h := range handlers {
-		t.Run(name, func(t *testing.T) {
-			ts := httptest.NewServer(h)
-			defer ts.Close()
-
-			var sky wire.Result
-			getJSON(t, ts, "/skyline?edge=17&t=0.25", http.StatusOK, &sky)
-			if sky.Query != "skyline" || sky.Count != len(wantSky.Facilities) {
-				t.Errorf("skyline count %d, want %d", sky.Count, len(wantSky.Facilities))
-			}
-			if sky.LatencyMS < 0 {
-				t.Errorf("negative latency %f", sky.LatencyMS)
-			}
-
-			var top wire.Result
-			getJSON(t, ts, "/topk?edge=17&t=0.25&k=3&weights=1,1,1", http.StatusOK, &top)
-			if !reflect.DeepEqual(resultIDs(top), libIDs(wantTop)) {
-				t.Errorf("topk ids %v, want %v", resultIDs(top), libIDs(wantTop))
-			}
-			if len(top.Facilities) > 0 && top.Facilities[0].Score <= 0 {
-				t.Errorf("topk first score %f, want > 0", top.Facilities[0].Score)
-			}
-
-			var near wire.Result
-			getJSON(t, ts, "/nearest?edge=17&t=0.25&cost=1&k=5", http.StatusOK, &near)
-			if len(near.Facilities) != len(wantNear) {
-				t.Errorf("nearest %d results, want %d", len(near.Facilities), len(wantNear))
-			}
-			for i := range near.Facilities {
-				if near.Facilities[i].ID != wantNear[i].ID {
-					t.Errorf("nearest[%d] = %d, want %d", i, near.Facilities[i].ID, wantNear[i].ID)
-				}
-			}
-
-			var within wire.Result
-			getJSON(t, ts, "/within?edge=17&t=0.25&budget=200,200,200", http.StatusOK, &within)
-			if !reflect.DeepEqual(resultIDs(within), libIDs(wantWithin)) {
-				t.Errorf("within ids %v, want %v", resultIDs(within), libIDs(wantWithin))
-			}
-		})
-	}
-}
-
 // Health and stats endpoints report server state. (Malformed query parameters
 // are pinned, per decoder and through the gateway, by internal/cluster's
 // TestMalformedRequests.)
 func TestHealthAndStats(t *testing.T) {
 	handlers, _ := testServers(t)
-	ts := httptest.NewServer(handlers["memory"])
-	defer ts.Close()
+	ts := newTestServer(t, handlers["memory"])
 
 	var health map[string]any
 	getJSON(t, ts, "/healthz", http.StatusOK, &health)
@@ -175,8 +138,7 @@ func TestStatsResultCache(t *testing.T) {
 	}
 	net := mcn.FromGraph(g)
 	net.EnableResultCache(mcn.CacheOptions{})
-	ts := httptest.NewServer(New(net, Config{Workers: 2, Timeout: time.Minute}).Handler())
-	defer ts.Close()
+	ts := newTestServer(t, New(net, Config{Workers: 2, Timeout: time.Minute}).Handler())
 
 	for i := 0; i < 2; i++ {
 		var res wire.Result
@@ -245,8 +207,7 @@ func TestServerConcurrentRequests(t *testing.T) {
 	handlers, ref := testServers(t)
 	for name, h := range handlers {
 		t.Run(name, func(t *testing.T) {
-			ts := httptest.NewServer(h)
-			defer ts.Close()
+			ts := newTestServer(t, h)
 
 			locs := []mcn.Location{{Edge: 3, T: 0.5}, {Edge: 40, T: 0.1}, {Edge: 77, T: 0.9}}
 			want := make([][]mcn.FacilityID, len(locs))
@@ -298,36 +259,14 @@ func TestPprofEndpoints(t *testing.T) {
 	}
 	srv := New(mcn.FromGraph(g), Config{Workers: 2, Timeout: time.Minute})
 
-	plain := httptest.NewServer(srv.Handler())
-	defer plain.Close()
-	resp, err := plain.Client().Get(plain.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("default handler serves /debug/pprof/ with %d, want 404", resp.StatusCode)
-	}
-
-	profiled := httptest.NewServer(srv.ProfiledHandler())
-	defer profiled.Close()
-	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/symbol"} {
-		resp, err := profiled.Client().Get(profiled.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("profiled handler %s = %d, want 200", path, resp.StatusCode)
-		}
+	if got := newTestServer(t, srv.Handler()).status(t, "/debug/pprof/"); got != http.StatusNotFound {
+		t.Errorf("default handler serves /debug/pprof/ with %d, want 404", got)
 	}
 	// The query endpoints must still work with profiling enabled.
-	resp, err = profiled.Client().Get(profiled.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("profiled handler /healthz = %d, want 200", resp.StatusCode)
+	profiled := newTestServer(t, srv.ProfiledHandler())
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/symbol", "/healthz"} {
+		if got := profiled.status(t, path); got != http.StatusOK {
+			t.Errorf("profiled handler %s = %d, want 200", path, got)
+		}
 	}
 }

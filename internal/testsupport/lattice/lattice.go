@@ -27,7 +27,8 @@ import (
 type Kind int
 
 // The query kinds. Drain pulls a TopKIterator to the end; the two baseline
-// kinds are core's materialise-everything operators.
+// kinds are core's materialise-everything operators; the period kinds sweep
+// a time-dependent network, which the time rows and the served rows have.
 const (
 	Skyline Kind = iota
 	SkylineSeq
@@ -39,11 +40,23 @@ const (
 	MultiTopK
 	NaiveSkyline
 	NaiveTopK
+	SkylinePeriod
+	TopKPeriod
 	numKinds
 )
 
 var kindNames = [numKinds]string{"skyline", "skyline seq", "topk", "topk drain", "nearest", "within",
-	"multisource skyline", "multisource topk", "baseline skyline", "baseline topk"}
+	"multisource skyline", "multisource topk", "baseline skyline", "baseline topk",
+	"skyline over a period", "topk over a period"}
+
+// The period the period kinds sweep: from before an instance's first
+// breakpoint past its last.
+const PeriodFrom, PeriodTo = -5.0, 100.0
+
+var wholeSpan = [2]float64{PeriodFrom, PeriodTo}
+
+// instantOf maps each period kind to the kind its intervals answer.
+var instantOf = map[Kind]Kind{SkylinePeriod: Skyline, TopKPeriod: TopK}
 
 func (k Kind) String() string { return kindNames[k] }
 
@@ -72,21 +85,25 @@ var sourceNames = []string{"mem", "flat", "flat/permuted", "flat/wrapped", "disk
 // row is one execution mode of the lattice. A source row runs core's
 // queries over one source with one engine, enhancement and bounds setting,
 // the bounds being the source's own pruning index; a time row runs a
-// time-dependent network's queries at an instant with one engine and
+// time-dependent network's instant queries and sweeps with one engine and
 // enhancement setting; a maintainer row queries a dynamic.Maintainer built
-// over one source.
+// over one source; a wire row asks over HTTP (wire.go).
 type row struct {
 	name             string
 	source           int // into sourceNames, for source and maintainer rows
 	engine           core.Engine
 	noEnh, bounds    bool
 	time, maintainer bool
+	wire             target
 }
+
+// sourceRow reports whether r is a source row.
+func (r row) sourceRow() bool { return !r.time && !r.maintainer && r.wire == 0 }
 
 // reference reports whether r is the row every source row with its
 // enhancement and bounds settings is compared with: MemorySource under LSA.
 func (r row) reference() bool {
-	return !r.time && !r.maintainer && r.source == 0 && r.engine == core.LSA
+	return r.sourceRow() && r.source == 0 && r.engine == core.LSA
 }
 
 // rows is the table of modes; row i is bit i of a Rows set.
@@ -111,51 +128,95 @@ var rows = func() []row {
 	for _, s := range []int{0, 1, 4} {
 		out = append(out, row{name: "maintainer over " + sourceNames[s], source: s, maintainer: true})
 	}
+	for w := served; w <= gatewayShed; w++ {
+		out = append(out, row{name: "wire/" + targetNames[w], wire: w})
+	}
 	return out
 }()
 
-// Rows is a set of rows, bit i for row i; the zero set means every row.
-type Rows uint64
+// Rows is a set of rows, bit i%64 of word i/64 for row i; the zero set means
+// every in-process row, the wire rows being the costly ones.
+type Rows [2]uint64
 
-func (r Rows) has(i int) bool { return r == 0 || r&(1<<i) != 0 }
+func (r Rows) has(i int) bool { return r.orInProcess()[i/64]&(1<<(i%64)) != 0 }
+
+func (r Rows) orInProcess() Rows {
+	if r == (Rows{}) {
+		return InProcessRows
+	}
+	return r
+}
+
+// Without returns the rows of r that are not in o.
+func (r Rows) Without(o Rows) Rows { return Rows{r[0] &^ o[0], r[1] &^ o[1]} }
 
 func rowsWhere(keep func(row) bool) Rows {
 	var out Rows
 	for i, r := range rows {
 		if keep(r) {
-			out |= 1 << i
+			out[i/64] |= 1 << (i % 64)
 		}
 	}
 	return out
 }
 
 // The row sets a caller selects by. SourceRows, BoundsRows, CEARows and
-// NoEnhancementRows hold source rows only.
+// NoEnhancementRows hold source rows only; ServedRows serve one network
+// each.
 var (
-	EverySource       = rowsWhere(func(r row) bool { return !r.time && !r.maintainer })
+	EverySource       = rowsWhere(row.sourceRow)
 	BoundsRows        = rowsWhere(func(r row) bool { return r.bounds })
-	CEARows           = rowsWhere(func(r row) bool { return !r.time && !r.maintainer && r.engine == core.CEA })
-	NoEnhancementRows = rowsWhere(func(r row) bool { return !r.time && !r.maintainer && r.noEnh })
+	CEARows           = rowsWhere(func(r row) bool { return r.sourceRow() && r.engine == core.CEA })
+	NoEnhancementRows = rowsWhere(func(r row) bool { return r.sourceRow() && r.noEnh })
 	TimeRows          = rowsWhere(func(r row) bool { return r.time })
 	MaintainerRows    = rowsWhere(func(r row) bool { return r.maintainer })
+	AllRows           = rowsWhere(func(row) bool { return true })
+	InProcessRows     = rowsWhere(func(r row) bool { return r.wire == 0 })
+	WireRows          = rowsWhere(func(r row) bool { return r.wire != 0 })
+	ServedRows        = rowsWhere(func(r row) bool { return r.wire != 0 && r.wire < gateway })
 )
 
 // SourceRows returns the source rows of the named sources, with every
 // engine, enhancement and bounds setting.
 func SourceRows(names ...string) Rows {
-	return rowsWhere(func(r row) bool { return !r.time && !r.maintainer && slices.Contains(names, sourceNames[r.source]) })
+	return rowsWhere(func(r row) bool { return r.sourceRow() && slices.Contains(names, sourceNames[r.source]) })
 }
 
-// Select picks the part of the lattice a check runs: rows × kinds. The
-// reference rows run whenever a source row is selected, since every source
-// row is compared with one.
-type Select struct {
-	Rows  Rows
-	Kinds Kinds
+// WireRowsOf returns the wire rows of the named targets ("served", "served
+// disk 1%", "served cached", "gateway", …).
+func WireRowsOf(names ...string) Rows {
+	return rowsWhere(func(r row) bool { return r.wire != 0 && slices.Contains(names, targetNames[r.wire]) })
 }
+
+// Select picks the part of the lattice a check runs: rows × kinds, and the
+// shape of the time-dependent networks' profiles. The reference rows run
+// whenever a source row is selected, since every source row is compared
+// with one.
+type Select struct {
+	Rows     Rows
+	Kinds    Kinds
+	Profiles Profiles
+}
+
+// Profiles is a shape of the time-dependent profiles put on an instance,
+// every multiplier from {0.5, 1, 2, 3} so that ties survive: two or three
+// edges, the query edge half the time, with breakpoints of their own; every
+// query edge and two facility-carrying edges, whose segments repeat the
+// last one's multipliers, so that a sweep may skip intervals; or the query
+// edges and a dozen others on one breakpoint set, so that none may skip.
+type Profiles int
+
+const (
+	RandomProfiles Profiles = iota
+	RepeatingProfiles
+	SharedAxisProfiles
+)
 
 // any reports whether the selection holds a row of set.
-func (s Select) any(set Rows) bool { return s.Rows == 0 || s.Rows&set != 0 }
+func (s Select) any(set Rows) bool {
+	sel := s.Rows.orInProcess()
+	return sel[0]&set[0] != 0 || sel[1]&set[1] != 0
+}
 
 // Generated is instance seed of the hard-case generator, its shape
 // cycling with the seed.
@@ -390,6 +451,9 @@ func openSources(t testing.TB, g *graph.Graph, seed int64, sel Select) []source 
 	for i, r := range rows {
 		want[r.source] = want[r.source] || !r.time && sel.Rows.has(i)
 	}
+	// The wire rows serve the flat and the 1 % disk source.
+	want[1] = want[1] || sel.any(WireRows)
+	want[4] = want[4] || sel.any(ServedRows)
 	out := make([]source, len(sourceNames))
 	for s, name := range sourceNames {
 		if !want[s] {
@@ -533,41 +597,56 @@ func newOracle(g *graph.Graph, in *testnet.Instance) *oracle {
 }
 
 // check reports how a's answer to kind k departs from the definition, or
-// "".
-func (o *oracle) check(k Kind, in *testnet.Instance, a answer) string {
+// "". Costs and scores are compared as tl allows.
+func (o *oracle) check(k Kind, in *testnet.Instance, a answer, tl tolerance) string {
 	switch k {
 	case Skyline, SkylineSeq:
-		return checkSkyline(a.facs, o.costs, o.sky)
+		return checkSkyline(a.facs, o.costs, o.sky, tl)
 	case MultiSkyline:
-		return checkSkyline(a.facs, o.msCosts, o.msSky)
+		return checkSkyline(a.facs, o.msCosts, o.msSky, tl)
 	case TopK, NaiveTopK:
-		return checkRanked(a.facs, o.rank, in.K, true, o.costs, -1)
+		return checkRanked(a.facs, o.rank, in.K, true, o.costs, -1, tl)
 	case MultiTopK:
-		return checkRanked(a.facs, o.msRank, in.K, true, o.msCosts, -1)
+		return checkRanked(a.facs, o.msRank, in.K, true, o.msCosts, -1, tl)
 	case Drain:
-		return checkRanked(a.facs, o.rank, len(o.rank), false, o.costs, -1)
+		return checkRanked(a.facs, o.rank, len(o.rank), false, o.costs, -1, tl)
 	case Nearest:
-		return checkRanked(a.facs, o.near, in.K, false, o.costs, in.CostIdx)
+		return checkRanked(a.facs, o.near, in.K, false, o.costs, in.CostIdx, tl)
 	case Within:
-		return checkSet(a.facs, o.within, o.costs)
+		return checkSet(a.facs, o.within, o.costs, tl)
 	case NaiveSkyline:
-		return checkSet(a.facs, o.sky, o.costs)
+		return checkSet(a.facs, o.sky, o.costs, tl)
 	}
 	return ""
 }
 
-// near reports whether a computed cost or score equals the oracle's: the
-// same value, or within a relative 1e-9 of it where summation order may
-// round differently (only the continuous-cost shape has such costs).
-func near(got, want float64) bool {
-	return got == want || math.Abs(got-want) <= 1e-9*(1+math.Abs(want))
+// tolerance is how closely a reported cost or score must equal the
+// oracle's: narrow is the rendering the answer went through (nil in
+// process), and rel the relative difference allowed beyond it.
+type tolerance struct {
+	narrow func(float64) float64
+	rel    float64
+}
+
+// inProcess is the tolerance of an answer that crossed no wire: the same
+// value, or within a relative 1e-9 where summation order may round
+// differently (only the continuous-cost shape has such costs).
+var inProcess = tolerance{rel: 1e-9}
+
+// near reports whether got, a reported cost or score, is want as tl allows;
+// a value that narrowing made NaN matches NaN.
+func (tl tolerance) near(got, want float64) bool {
+	if tl.narrow != nil {
+		want = tl.narrow(want)
+	}
+	return got == want || math.IsNaN(got) && math.IsNaN(want) || math.Abs(got-want) <= tl.rel*(1+math.Abs(want))
 }
 
 // checkCosts compares a reported cost vector with the oracle's: every
 // component known, except that only component only is when only ≥ 0 (a
 // nearest answer), or, when partial, any unknown component is allowed (a
 // skyline member reported before every expansion reached it).
-func checkCosts(f core.Facility, want vec.Costs, only int, partial bool) string {
+func checkCosts(f core.Facility, want vec.Costs, only int, partial bool, tl tolerance) string {
 	if len(f.Costs) != len(want) {
 		return fmt.Sprintf("facility %d: %d costs, want %d", f.ID, len(f.Costs), len(want))
 	}
@@ -576,7 +655,7 @@ func checkCosts(f core.Facility, want vec.Costs, only int, partial bool) string 
 		case vec.IsUnknown(c) && (partial || (only >= 0 && i != only)):
 		case only >= 0 && i != only:
 			return fmt.Sprintf("facility %d: cost %d = %g, want it unknown", f.ID, i, c)
-		case !near(c, want[i]):
+		case !tl.near(c, want[i]):
 			return fmt.Sprintf("facility %d: costs %v, oracle %v", f.ID, f.Costs, want)
 		}
 	}
@@ -587,7 +666,7 @@ func checkCosts(f core.Facility, want vec.Costs, only int, partial bool) string 
 // every reported facility is in the exact skyline, none twice, and every
 // exact-skyline facility is reported or has a vector exactly equal to a
 // reported one's.
-func checkSkyline(got []core.Facility, costs []vec.Costs, sky []graph.FacilityID) string {
+func checkSkyline(got []core.Facility, costs []vec.Costs, sky []graph.FacilityID, tl tolerance) string {
 	reported := map[graph.FacilityID]bool{}
 	for _, f := range got {
 		if reported[f.ID] {
@@ -597,7 +676,7 @@ func checkSkyline(got []core.Facility, costs []vec.Costs, sky []graph.FacilityID
 		if !slices.Contains(sky, f.ID) {
 			return fmt.Sprintf("reported facility %d %v is not in the skyline %v", f.ID, costs[f.ID], sky)
 		}
-		if msg := checkCosts(f, costs[f.ID], -1, true); msg != "" {
+		if msg := checkCosts(f, costs[f.ID], -1, true, tl); msg != "" {
 			return msg
 		}
 	}
@@ -614,7 +693,7 @@ func checkSkyline(got []core.Facility, costs []vec.Costs, sky []graph.FacilityID
 // want: scores position by position, and ids position by position when
 // exact, or else only as far as a tie group may be reported in any order —
 // each id once, with the oracle's score for it.
-func checkRanked(got []core.Facility, want []testnet.Ranked, k int, exact bool, costs []vec.Costs, only int) string {
+func checkRanked(got []core.Facility, want []testnet.Ranked, k int, exact bool, costs []vec.Costs, only int, tl tolerance) string {
 	n := min(k, len(want))
 	if len(got) != n {
 		return fmt.Sprintf("%d results %v, want %d %v", len(got), ids(got), n, want[:n])
@@ -633,11 +712,11 @@ func checkRanked(got []core.Facility, want []testnet.Ranked, k int, exact bool, 
 			return fmt.Sprintf("facility %d is not reachable", f.ID)
 		case exact && f.ID != want[i].ID:
 			return fmt.Sprintf("result %d is facility %d, want %d (got %v, want %v)", i, f.ID, want[i].ID, ids(got), want[:n])
-		case !near(f.Score, want[i].Score) || !near(f.Score, s):
+		case !tl.near(f.Score, want[i].Score) || !tl.near(f.Score, s):
 			return fmt.Sprintf("result %d (facility %d) score %g, want %g", i, f.ID, f.Score, want[i].Score)
 		}
 		seen[f.ID] = true
-		if msg := checkCosts(f, costs[f.ID], only, false); msg != "" {
+		if msg := checkCosts(f, costs[f.ID], only, false, tl); msg != "" {
 			return msg
 		}
 	}
@@ -645,12 +724,12 @@ func checkRanked(got []core.Facility, want []testnet.Ranked, k int, exact bool, 
 }
 
 // checkSet compares an id-ordered answer with the oracle's set.
-func checkSet(got []core.Facility, want []graph.FacilityID, costs []vec.Costs) string {
+func checkSet(got []core.Facility, want []graph.FacilityID, costs []vec.Costs, tl tolerance) string {
 	if !slices.Equal(ids(got), want) {
 		return fmt.Sprintf("facilities %v, want %v", ids(got), want)
 	}
 	for _, f := range got {
-		if msg := checkCosts(f, costs[f.ID], -1, false); msg != "" {
+		if msg := checkCosts(f, costs[f.ID], -1, false, tl); msg != "" {
 			return msg
 		}
 	}
@@ -665,15 +744,26 @@ func ids(fs []core.Facility) []graph.FacilityID {
 	return out
 }
 
-// same reports how got departs from want bit for bit — ids, order, cost
-// vectors and scores — or "".
-func same(got, want []core.Facility) string {
+// same reports how got departs from want, each of want's costs and scores
+// rendered by narrow (nil: as it is), bit for bit — ids, order, cost vectors
+// and scores, any NaN matching any NaN — or "".
+func same(got, want []core.Facility, narrow func(float64) float64) string {
 	if len(got) != len(want) {
 		return fmt.Sprintf("%d facilities %v, want %d %v", len(got), ids(got), len(want), ids(want))
 	}
+	bitsEq := func(g, w float64) bool {
+		if narrow != nil {
+			w = narrow(w)
+		}
+		return math.Float64bits(g) == math.Float64bits(w) || math.IsNaN(g) && math.IsNaN(w)
+	}
 	for i := range want {
 		g, w := got[i], want[i]
-		if g.ID != w.ID || !g.Costs.Equal(w.Costs) || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+		eq := g.ID == w.ID && len(g.Costs) == len(w.Costs) && bitsEq(g.Score, w.Score)
+		for c := 0; eq && c < len(w.Costs); c++ {
+			eq = bitsEq(g.Costs[c], w.Costs[c])
+		}
+		if !eq {
 			return fmt.Sprintf("result %d: facility %d %v score %g, want facility %d %v score %g",
 				i, g.ID, g.Costs, g.Score, w.ID, w.Costs, w.Score)
 		}
@@ -681,13 +771,33 @@ func same(got, want []core.Facility) string {
 	return ""
 }
 
-// Pruned counts the nodes the selected rows pruned, so that a caller can
-// tell a pruning comparison that compared nothing from one that did. A
-// reference row the selection does not hold counts nowhere.
-type Pruned struct {
+// Report is what a run of the lattice did: the nodes its rows pruned, so a
+// caller can tell a pruning comparison that compared nothing (a reference
+// row the selection does not hold counts nowhere), and its wire requests.
+type Report struct {
 	Bounds int // source rows with bounds, under their source's own index
 	Own    int // time rows' within, under the network's own index
 	Shared int // time rows' within, under one index shared with the reference
+	Served int // wire rows' within, under the served network's own index
+	// Asked counts the wire requests by "row <name>", "kind <name>" and
+	// "codec <name>", and by "skipped <kind>" the kinds an instance's query
+	// could not be put on the wire for (a maximum aggregate, an infinite
+	// budget).
+	Asked map[string]int
+}
+
+// add adds o's counts to r's.
+func (r *Report) add(o Report) {
+	r.Bounds += o.Bounds
+	r.Own += o.Own
+	r.Shared += o.Shared
+	r.Served += o.Served
+	if r.Asked == nil {
+		r.Asked = map[string]int{}
+	}
+	for k, n := range o.Asked {
+		r.Asked[k] += n
+	}
 }
 
 // Check runs the selected part of the lattice on in and fails t on the
@@ -697,21 +807,21 @@ type Pruned struct {
 // included; the reference row with bounds must answer as the one without,
 // with the same work, except that within, the one kind that consults
 // bounds, may only expand fewer nodes.
-func Check(t testing.TB, in *testnet.Instance, sel Select) Pruned {
+func Check(t testing.TB, in *testnet.Instance, sel Select) Report {
 	t.Helper()
 	// The instance's own seed, for the permuted numbering, the time
 	// profiles and the maintainer's update script.
 	seed := int64(in.G.NumEdges())*7919 + int64(in.G.NumFacilities())
 	o := newOracle(in.G, in)
 	srcs := openSources(t, in.G, seed, sel)
-	var pruned Pruned
+	var rep Report
 	for k := Kind(0); k < numKinds; k++ {
-		if !sel.Kinds.has(k) || !sel.any(EverySource) {
+		if _, period := instantOf[k]; period || !sel.Kinds.has(k) || !sel.any(EverySource) {
 			continue
 		}
 		var ref [2][2]answer // by noEnh, bounds
 		for i, r := range rows {
-			if r.time || r.maintainer || !r.reference() && !sel.Rows.has(i) {
+			if !r.sourceRow() || !r.reference() && !sel.Rows.has(i) {
 				continue
 			}
 			fail := func(format string, args ...any) {
@@ -727,9 +837,9 @@ func Check(t testing.TB, in *testnet.Instance, sel Select) Pruned {
 				fail("%v", err)
 			}
 			if r.bounds && sel.Rows.has(i) {
-				pruned.Bounds += a.stats.PrunedNodes
+				rep.Bounds += a.stats.PrunedNodes
 			}
-			if msg := o.check(k, in, a); msg != "" {
+			if msg := o.check(k, in, a, inProcess); msg != "" {
 				fail("oracle: %s", msg)
 			}
 			want := &ref[b2i(r.noEnh)][b2i(r.bounds)]
@@ -747,7 +857,7 @@ func Check(t testing.TB, in *testnet.Instance, sel Select) Pruned {
 					a.stats = want.stats
 				}
 			}
-			if msg := same(a.facs, want.facs); msg != "" {
+			if msg := same(a.facs, want.facs, nil); msg != "" {
 				fail("differs from %s: %s", refName(r), msg)
 			}
 			if a.stats != want.stats {
@@ -756,12 +866,15 @@ func Check(t testing.TB, in *testnet.Instance, sel Select) Pruned {
 		}
 	}
 	if sel.any(TimeRows) && slices.ContainsFunc(timeKinds, sel.Kinds.has) {
-		pruned.Own, pruned.Shared = checkTime(t, in, sel, seed)
+		rep.Own, rep.Shared = checkTime(t, in, sel, seed)
 	}
 	if sel.any(MaintainerRows) && (sel.Kinds.has(Skyline) || sel.Kinds.has(TopK)) {
 		checkMaintainer(t, in, sel, srcs, seed)
 	}
-	return pruned
+	if sel.any(WireRows) {
+		checkWire(t, in, sel, o, srcs, seed, &rep)
+	}
+	return rep
 }
 
 func refName(r row) string {
@@ -778,66 +891,170 @@ func b2i(b bool) int {
 	return 0
 }
 
-// timeKinds are the kinds a time-dependent network answers at an instant.
-var timeKinds = []Kind{Skyline, TopK, Nearest, Within}
+// timeKinds are the kinds a time-dependent network answers: at an instant,
+// and over a period.
+var timeKinds = []Kind{Skyline, TopK, Nearest, Within, SkylinePeriod, TopKPeriod}
+
+// timeNet is a time-dependent network over an instance's graph with a few
+// seeded profiles, and the snapshots of it at the instants asked about.
+type timeNet struct {
+	in       *testnet.Instance
+	tn       *timedep.Network
+	rng      *rand.Rand
+	profiled map[graph.EdgeID]timedep.Profile
+	snaps    map[float64]*snapshot
+}
+
+// snapshot is the static network a time-dependent one is at an instant: its
+// oracle, a MemorySource of it, and its pruning index.
+type snapshot struct {
+	o   *oracle
+	mem expand.Source
+	idx *index.Bounds
+	ref map[[2]int]answer // by kind, noEnh: the MemorySource's answer under LSA
+}
+
+func newTimeNet(t testing.TB, in *testnet.Instance, seed int64, shape Profiles) *timeNet {
+	t.Helper()
+	g := in.G
+	tv := &timeNet{in: in, tn: timedep.New(g), rng: rand.New(rand.NewSource(seed)), profiled: map[graph.EdgeID]timedep.Profile{}}
+	rng := tv.rng
+	mult := func() vec.Costs {
+		m := make(vec.Costs, g.D())
+		for c := range m {
+			m[c] = []float64{0.5, 1, 2, 3}[rng.Intn(4)]
+		}
+		return m
+	}
+	edges := []graph.EdgeID{in.Loc.Edge}
+	for _, l := range in.Locs {
+		edges = append(edges, l.Edge)
+	}
+	switch shape {
+	case RandomProfiles:
+		edges = []graph.EdgeID{in.Loc.Edge, graph.EdgeID(rng.Intn(g.NumEdges())), graph.EdgeID(rng.Intn(g.NumEdges()))}
+		for _, e := range edges[rng.Intn(2):] {
+			var p timedep.Profile
+			for at := float64(rng.Intn(20)); len(p.Times) < 1+rng.Intn(3); at += float64(1 + rng.Intn(30)) {
+				p.Times, p.Mult = append(p.Times, at), append(p.Mult, mult())
+			}
+			tv.set(t, e, p)
+		}
+	case RepeatingProfiles:
+		for f := 0; f < g.NumFacilities(); f += max(1, g.NumFacilities()/2) {
+			edges = append(edges, g.Facility(graph.FacilityID(f)).Edge)
+		}
+		a, b := mult(), mult()
+		for i, e := range edges {
+			tv.set(t, e, timedep.Profile{Times: []float64{11.5 + float64(i), 40.25, 55 + float64(i), 70.5}, Mult: []vec.Costs{a, a, b, b}})
+		}
+	case SharedAxisProfiles:
+		for n := len(edges) + 12; len(edges) < n; {
+			edges = append(edges, graph.EdgeID(rng.Intn(g.NumEdges())))
+		}
+		for _, e := range edges {
+			p := timedep.Profile{Times: []float64{10, 20, 35, 50, 65, 80}}
+			for range p.Times {
+				p.Mult = append(p.Mult, mult())
+			}
+			tv.set(t, e, p)
+		}
+	}
+	return tv
+}
+
+// set gives edge e profile p.
+func (tv *timeNet) set(t testing.TB, e graph.EdgeID, p timedep.Profile) {
+	t.Helper()
+	if err := tv.tn.SetProfile(e, p); err != nil {
+		t.Fatal(err)
+	}
+	tv.profiled[e] = p
+	tv.snaps = map[float64]*snapshot{}
+}
+
+// at returns the snapshot at instant at.
+func (tv *timeNet) at(at float64) *snapshot {
+	if s := tv.snaps[at]; s != nil {
+		return s
+	}
+	g := testnet.Scaled(tv.in.G, func(e graph.EdgeID) vec.Costs { return multAt(tv.profiled[e], at) })
+	s := &snapshot{o: newOracle(g, tv.in), mem: expand.NewMemorySource(g), idx: index.FromGraph(g), ref: map[[2]int]answer{}}
+	tv.snaps[at] = s
+	return s
+}
+
+// reference returns the snapshot's MemorySource answer to kind k under LSA
+// with the enhancement setting noEnh.
+func (s *snapshot) reference(t testing.TB, in *testnet.Instance, k Kind, noEnh bool) answer {
+	t.Helper()
+	key := [2]int{int(k), b2i(noEnh)}
+	a, ok := s.ref[key]
+	if !ok {
+		var err error
+		if a, err = run(k, s.mem, in, core.Options{NoEnhancements: noEnh}); err != nil {
+			t.Fatal(err)
+		}
+		s.ref[key] = a
+	}
+	return a
+}
 
 // checkTime runs the time rows: a time-dependent network over in.G with a
 // few seeded profiles, queried before its first breakpoint, exactly on
-// every breakpoint and at a random instant, then again after an edit that
-// moves its time axis. At every instant each answer must equal the oracle
-// on the network's snapshot, and the answer of core over a MemorySource of
-// that snapshot, under LSA with the row's enhancement setting, bit for bit
-// with its work counters. Within, which prunes against the network's own
-// index by default, may only expand fewer nodes than that unpruned
-// reference; given one shared index, numbered for each path, it must do
-// the same work. checkTime returns the nodes within pruned under the
-// network's own index and under the shared one.
+// every breakpoint and at a random instant, and swept over the period, then
+// again after an edit that moves its time axis. At every instant each
+// answer must equal the oracle on the network's snapshot, and the answer of
+// core over a MemorySource of that snapshot, under LSA with the row's
+// enhancement setting, bit for bit with its work counters; a sweep is held
+// to the same answers by checkPeriod. Within, which prunes against the
+// network's own index by default, may only expand fewer nodes than that
+// unpruned reference; given one shared index, numbered for each path, it
+// must do the same work. checkTime returns the nodes within pruned under
+// the network's own index and under the shared one.
 func checkTime(t testing.TB, in *testnet.Instance, sel Select, seed int64) (own, shared int) {
 	t.Helper()
 	ctx := context.Background()
-	g := in.G
-	rng := rand.New(rand.NewSource(seed))
-	tn := timedep.New(g)
-	profiled := map[graph.EdgeID]timedep.Profile{}
-	edges := []graph.EdgeID{in.Loc.Edge, graph.EdgeID(rng.Intn(g.NumEdges())), graph.EdgeID(rng.Intn(g.NumEdges()))}
-	for _, e := range edges[rng.Intn(2):] {
-		var p timedep.Profile
-		for at := float64(rng.Intn(20)); len(p.Times) < 1+rng.Intn(3); at += float64(1 + rng.Intn(30)) {
-			m := make(vec.Costs, g.D())
-			for c := range m {
-				m[c] = []float64{0.5, 1, 2, 3}[rng.Intn(4)] // exact: ties survive
-			}
-			p.Times, p.Mult = append(p.Times, at), append(p.Mult, m)
-		}
-		if err := tn.SetProfile(e, p); err != nil {
-			t.Fatal(err)
-		}
-		profiled[e] = p
-	}
-	base := flat.Compile(g)
+	tv := newTimeNet(t, in, seed, sel.Profiles)
+	base := flat.Compile(in.G)
 	for pass := 0; pass < 2; pass++ {
 		if pass == 1 {
 			// Move the axis: shift one profile by half a unit.
-			e := slices.Min(slices.Collect(maps.Keys(profiled)))
-			moved := timedep.Profile{Mult: profiled[e].Mult}
-			for _, at := range profiled[e].Times {
+			e := slices.Min(slices.Collect(maps.Keys(tv.profiled)))
+			moved := timedep.Profile{Mult: tv.profiled[e].Mult}
+			for _, at := range tv.profiled[e].Times {
 				moved.Times = append(moved.Times, at+0.5)
 			}
-			if err := tn.SetProfile(e, moved); err != nil {
-				t.Fatal(err)
-			}
-			profiled[e] = moved
+			tv.set(t, e, moved)
 		}
-		for _, at := range append([]float64{-5, rng.Float64() * 110}, tn.Breakpoints(0, 100)...) {
-			snap := testnet.Scaled(g, func(e graph.EdgeID) vec.Costs { return multAt(profiled[e], at) })
-			o := newOracle(snap, in)
-			mem := expand.NewMemorySource(snap)
-			idx := index.FromGraph(snap)
-			for _, k := range timeKinds {
+		// The whole period, and a part that starts and ends inside
+		// elementary intervals.
+		b := append(tv.tn.Breakpoints(PeriodFrom, PeriodTo), PeriodTo)
+		inside := func(i int, lo, hi float64) float64 { return b[i] + (lo+(hi-lo)*tv.rng.Float64())*(b[i+1]-b[i]) }
+		first := tv.rng.Intn(len(b) - 1)
+		last := first + tv.rng.Intn(len(b)-1-first)
+		for _, span := range [][2]float64{wholeSpan, {inside(first, 0.1, 0.4), inside(last, 0.6, 0.9)}} {
+			for i, r := range rows {
+				for _, k := range []Kind{SkylinePeriod, TopKPeriod} {
+					if !r.time || !sel.Rows.has(i) || !sel.Kinds.has(k) {
+						continue
+					}
+					ivs, err := tv.sweep(k, span, core.Options{Engine: r.engine, NoEnhancements: r.noEnh})
+					if err == nil {
+						err = tv.checkPeriod(t, k, span, ivs, r.noEnh, inProcess)
+					}
+					if err != nil {
+						t.Fatalf("%v: %s, pass %d: %v over %v: %v", in, r.name, pass, k, span, err)
+					}
+				}
+			}
+		}
+		for _, at := range append([]float64{-5, tv.rng.Float64() * 110}, tv.tn.Breakpoints(0, 100)...) {
+			snap := tv.at(at)
+			for _, k := range timeKinds[:4] {
 				if !sel.Kinds.has(k) {
 					continue
 				}
-				var ref [2]*answer // by noEnh
 				for i, r := range rows {
 					if !r.time || !sel.Rows.has(i) {
 						continue
@@ -846,23 +1063,16 @@ func checkTime(t testing.TB, in *testnet.Instance, sel Select, seed int64) (own,
 						t.Helper()
 						t.Fatalf("%v: %s t=%g: %v: %s", in, r.name, at, k, fmt.Sprintf(format, args...))
 					}
-					want := ref[b2i(r.noEnh)]
-					if want == nil {
-						a, err := run(k, mem, in, core.Options{NoEnhancements: r.noEnh})
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, ref[b2i(r.noEnh)] = &a, &a
-					}
+					want := snap.reference(t, in, k, r.noEnh)
 					opt := core.Options{Engine: r.engine, NoEnhancements: r.noEnh}
-					got, err := runAt(ctx, tn, k, in, at, opt)
+					got, err := runAt(ctx, tv.tn, k, in, at, opt)
 					if err != nil {
 						fail("%v", err)
 					}
-					if msg := o.check(k, in, got); msg != "" {
+					if msg := snap.o.check(k, in, got, inProcess); msg != "" {
 						fail("oracle on the snapshot: %s", msg)
 					}
-					if msg := same(got.facs, want.facs); msg != "" {
+					if msg := same(got.facs, want.facs, nil); msg != "" {
 						fail("differs from the snapshot reference: %s", msg)
 					}
 					if k != Within {
@@ -875,16 +1085,16 @@ func checkTime(t testing.TB, in *testnet.Instance, sel Select, seed int64) (own,
 						fail("%d node expansions > unpruned %d", got.stats.NodeExpansions, want.stats.NodeExpansions)
 					}
 					own += got.stats.PrunedNodes
-					sharedWant, err := run(k, mem, in, core.Options{NoEnhancements: r.noEnh, Bounds: idx})
+					sharedWant, err := run(k, snap.mem, in, core.Options{NoEnhancements: r.noEnh, Bounds: snap.idx})
 					if err != nil {
 						t.Fatal(err)
 					}
-					opt.Bounds = base.Bounds(idx)
-					sharedGot, err := runAt(ctx, tn, k, in, at, opt)
+					opt.Bounds = base.Bounds(snap.idx)
+					sharedGot, err := runAt(ctx, tv.tn, k, in, at, opt)
 					if err != nil {
 						fail("%v", err)
 					}
-					if msg := same(sharedGot.facs, sharedWant.facs); msg != "" || sharedGot.stats != sharedWant.stats {
+					if msg := same(sharedGot.facs, sharedWant.facs, nil); msg != "" || sharedGot.stats != sharedWant.stats {
 						fail("under one shared index: %s; stats %+v, want %+v", msg, sharedGot.stats, sharedWant.stats)
 					}
 					shared += sharedGot.stats.PrunedNodes
@@ -894,6 +1104,74 @@ func checkTime(t testing.TB, in *testnet.Instance, sel Select, seed int64) (own,
 	}
 	return own, shared
 }
+
+// interval is one interval of a period sweep's answer.
+type interval struct {
+	from, to float64
+	answer
+}
+
+// sweep runs period kind k over span in process.
+func (tv *timeNet) sweep(k Kind, span [2]float64, opt core.Options) ([]interval, error) {
+	ctx := context.Background()
+	ivs, err := tv.tn.SkylineOverPeriod(ctx, tv.in.Loc, span[0], span[1], opt)
+	if k == TopKPeriod {
+		ivs, err = tv.tn.TopKOverPeriod(ctx, tv.in.Loc, tv.in.Agg, tv.in.K, span[0], span[1], opt)
+	}
+	out := make([]interval, len(ivs))
+	for i, iv := range ivs {
+		out[i] = interval{iv.From, iv.To, answer{iv.Result.Facilities, iv.Result.Stats}}
+	}
+	return out, err
+}
+
+// checkPeriod holds a sweep of period kind k over span to its definition:
+// intervals that tile the span at instants of the time axis, each a
+// maximal stretch of one preferred set. At every instant of the axis the
+// sweep covers, the snapshot reference (the MemorySource's answer under LSA
+// with enhancement setting noEnh) must report the preferred set of the
+// interval holding it; where the interval starts, the interval must be that
+// answer, bit for bit as tl narrows it, with its work counters, and it must
+// equal the oracle on the snapshot as tl allows.
+func (tv *timeNet) checkPeriod(t testing.TB, k Kind, span [2]float64, ivs []interval, noEnh bool, tl tolerance) error {
+	t.Helper()
+	instant, starts := instantOf[k], tv.tn.Breakpoints(span[0], span[1])
+	if len(ivs) == 0 || ivs[0].from != span[0] || ivs[len(ivs)-1].to != span[1] {
+		return fmt.Errorf("%d intervals do not span %v", len(ivs), span)
+	}
+	for i, iv := range ivs {
+		if !(iv.from < iv.to) || !slices.Contains(starts, iv.from) || i > 0 && iv.from != ivs[i-1].to {
+			return fmt.Errorf("interval %d [%g, %g) does not continue the tiling at an instant of the axis %v", i, iv.from, iv.to, starts)
+		}
+		if i > 0 && slices.Equal(sortedIDs(iv.facs), sortedIDs(ivs[i-1].facs)) {
+			return fmt.Errorf("intervals %d and %d hold one preferred set %v", i-1, i, sortedIDs(iv.facs))
+		}
+	}
+	for _, at := range starts {
+		i := slices.IndexFunc(ivs, func(iv interval) bool { return iv.from <= at && at < iv.to })
+		iv, snap := ivs[i], tv.at(at)
+		want := snap.reference(t, tv.in, instant, noEnh)
+		if at != iv.from {
+			if !slices.Equal(sortedIDs(want.facs), sortedIDs(iv.facs)) {
+				return fmt.Errorf("t=%g: the snapshot's preferred set is %v, interval %d [%g, %g) holds %v",
+					at, sortedIDs(want.facs), i, iv.from, iv.to, sortedIDs(iv.facs))
+			}
+			continue
+		}
+		if msg := snap.o.check(instant, tv.in, iv.answer, tl); msg != "" {
+			return fmt.Errorf("interval %d at t=%g: oracle on the snapshot: %s", i, at, msg)
+		}
+		if msg := same(iv.facs, want.facs, tl.narrow); msg != "" {
+			return fmt.Errorf("interval %d at t=%g: differs from the snapshot reference: %s", i, at, msg)
+		}
+		if iv.stats != want.stats {
+			return fmt.Errorf("interval %d at t=%g: stats %+v, snapshot reference %+v", i, at, iv.stats, want.stats)
+		}
+	}
+	return nil
+}
+
+func sortedIDs(fs []core.Facility) []graph.FacilityID { return slices.Sorted(slices.Values(ids(fs))) }
 
 // multAt is the multiplier p applies at instant at: that of its last
 // breakpoint at or before at, none before the first.
@@ -1053,7 +1331,7 @@ func verifyMaintainer(t testing.TB, label string, in *testnet.Instance, m *dynam
 		if e.Edge != edges[i] || e.T != ts[i] {
 			t.Fatalf("%s: entry %d = %+v; want edge %d t %g", label, h, e, edges[i], ts[i])
 		}
-		if msg := checkCosts(core.Facility{ID: graph.FacilityID(h), Costs: e.Costs}, costs[i], -1, false); msg != "" {
+		if msg := checkCosts(core.Facility{ID: graph.FacilityID(h), Costs: e.Costs}, costs[i], -1, false, inProcess); msg != "" {
 			t.Fatalf("%s: entry against the rebuild: %s", label, msg)
 		}
 		out += fmt.Sprintf(" %d%x", h, bits(e.Costs))
@@ -1084,7 +1362,7 @@ func verifyMaintainer(t testing.TB, label string, in *testnet.Instance, m *dynam
 			t.Fatalf("%s: top-%d has %d entries, oracle on the rebuild %v", label, k, len(es), want)
 		}
 		for i, e := range es {
-			if pos(e.Handle) != want[i].ID || !near(scores[i], want[i].Score) {
+			if pos(e.Handle) != want[i].ID || !inProcess.near(scores[i], want[i].Score) {
 				t.Fatalf("%s: top-%d result %d is %d (score %g), oracle on the rebuild %v", label, k, i, e.Handle, scores[i], want)
 			}
 			out += fmt.Sprintf(" %d:%x", e.Handle, math.Float64bits(scores[i]))

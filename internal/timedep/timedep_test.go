@@ -306,78 +306,6 @@ func TestOverPeriodMergesStaticNetwork(t *testing.T) {
 	}
 }
 
-// Property: at random instants, the snapshot query must equal the interval
-// that covers the instant.
-func TestOverPeriodMatchesSnapshots(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 15; trial++ {
-		topo := testnet.RandomConnected(6+rng.Intn(20), rng.Intn(10), rng)
-		costs := gen.AssignCosts(topo, 2, gen.Independent, rng)
-		pls := gen.UniformFacilities(topo, 1+rng.Intn(10), rng)
-		g, err := gen.Assemble(topo, costs, pls, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := New(g)
-		// Random profiles on a few edges.
-		for i := 0; i < 1+rng.Intn(4); i++ {
-			e := graph.EdgeID(rng.Intn(g.NumEdges()))
-			t1 := rng.Float64() * 50
-			t2 := t1 + 1 + rng.Float64()*20
-			err := n.SetProfile(e, Profile{
-				Times: []float64{t1, t2},
-				Mult: []vec.Costs{
-					vec.Of(0.5+rng.Float64()*3, 0.5+rng.Float64()*3),
-					vec.Of(1, 1),
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		loc := graph.Location{Edge: graph.EdgeID(rng.Intn(g.NumEdges())), T: rng.Float64()}
-		intervals, err := n.SkylineOverPeriod(ctx, loc, 0, 100, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Intervals must tile [0, 100).
-		if intervals[0].From != 0 || intervals[len(intervals)-1].To != 100 {
-			t.Fatalf("trial %d: bad tiling %+v", trial, intervals)
-		}
-		for i := 1; i < len(intervals); i++ {
-			if intervals[i].From != intervals[i-1].To {
-				t.Fatalf("trial %d: gap between intervals %d and %d", trial, i-1, i)
-			}
-		}
-		for probe := 0; probe < 10; probe++ {
-			at := rng.Float64() * 100
-			var covering *IntervalResult
-			for i := range intervals {
-				if at >= intervals[i].From && at < intervals[i].To {
-					covering = &intervals[i]
-					break
-				}
-			}
-			if covering == nil {
-				t.Fatalf("trial %d: instant %g not covered", trial, at)
-			}
-			snap, err := n.Snapshot(at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := testnet.Skyline(snap, loc)
-			got := ids(covering.Result)
-			sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
-			if len(want) == 0 && len(got) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d t=%g: period skyline %v, snapshot oracle %v", trial, at, got, want)
-			}
-		}
-	}
-}
-
 func TestOverPeriodErrors(t *testing.T) {
 	n, loc, _, _ := rushHourNet(t)
 	if _, err := n.SkylineOverPeriod(ctx, loc, 5, 5, core.Options{}); err == nil {

@@ -10,8 +10,9 @@ import (
 
 // jsonBuf appends the JSON of the query envelopes to b, without reflection,
 // as exactly the bytes encoding/json gives the same struct (pinned by
-// TestJSONEnvelopeMatchesEncodingJSON and FuzzJSONEnvelope). err latches the
-// first value encoding/json would refuse: a non-finite score, latency or bound.
+// TestJSONEnvelopeMatchesEncodingJSON and FuzzJSONEnvelope), except that a
+// non-finite score renders as null, as a non-finite cost does. err latches
+// the first value encoding/json would refuse: a non-finite latency or bound.
 type jsonBuf struct {
 	b   []byte
 	err error
@@ -46,10 +47,10 @@ func AppendPeriodResult(dst []byte, pr *PeriodResult) ([]byte, error) {
 }
 
 // AppendFacility appends f's JSON encoding (an NDJSON line) to dst.
-func AppendFacility(dst []byte, f *Facility) ([]byte, error) {
+func AppendFacility(dst []byte, f *Facility) []byte {
 	e := jsonBuf{b: dst}
 	e.facility(f)
-	return e.b, e.err
+	return e.b
 }
 
 // AppendStreamDone appends an NDJSON stream's terminal line (keys sorted, as a map) to dst.
@@ -67,14 +68,16 @@ func appendCosts(dst []byte, c Costs) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			dst = append(dst, "null"...)
-		} else {
+		if finite(v) {
 			dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
+		} else {
+			dst = append(dst, "null"...)
 		}
 	}
 	return append(dst, ']')
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // array appends key and xs, each element by elem; nil is null.
 func array[T any](e *jsonBuf, key string, xs []T, elem func(*T)) {
@@ -110,7 +113,7 @@ func (e *jsonBuf) int(key string, n int) {
 // float is encoding/json's float64 rule: 'f' format, or 'e' below 1e-6 and
 // from 1e21 up with a two-digit negative exponent shortened (e-07 → e-7).
 func (e *jsonBuf) float(key string, f float64) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
+	if !finite(f) {
 		if e.err == nil {
 			e.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
 		}
@@ -130,8 +133,12 @@ func (e *jsonBuf) float(key string, f float64) {
 func (e *jsonBuf) facility(f *Facility) {
 	e.b = strconv.AppendUint(append(e.b, `{"id":`...), uint64(f.ID), 10)
 	e.b = appendCosts(append(e.b, `,"costs":`...), f.Costs)
-	if f.Score != 0 {
+	switch {
+	case f.Score == 0:
+	case finite(f.Score):
 		e.float(`,"score":`, f.Score)
+	default: // an unreachable facility's +Inf: null, as in Costs
+		e.b = append(e.b, `,"score":null`...)
 	}
 	e.b = append(e.b, '}')
 }

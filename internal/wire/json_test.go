@@ -19,13 +19,15 @@ import (
 
 // The reflection reference: mirrors of the envelopes without their Marshaler
 // methods, rendered by json.NewEncoder. refCosts keeps the Costs rule as it
-// was written for encoding/json, in a strings.Builder.
+// was written for encoding/json, in a strings.Builder, and refScore renders a
+// non-finite score as null by the same rule.
 type (
 	refCosts    []float64
+	refScore    float64
 	refFacility struct {
 		ID    graph.FacilityID `json:"id"`
 		Costs refCosts         `json:"costs"`
-		Score float64          `json:"score,omitempty"`
+		Score refScore         `json:"score,omitempty"`
 	}
 	refResult struct {
 		Query      string        `json:"query"`
@@ -66,13 +68,20 @@ func (c refCosts) MarshalJSON() ([]byte, error) {
 	return []byte(b.String()), nil
 }
 
+func (s refScore) MarshalJSON() ([]byte, error) {
+	if f := float64(s); math.IsNaN(f) || math.IsInf(f, 0) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(s))
+}
+
 func refFacilities(fs []Facility) []refFacility {
 	if fs == nil {
 		return nil
 	}
 	out := make([]refFacility, len(fs))
 	for i, f := range fs {
-		out[i] = refFacility{ID: f.ID, Costs: refCosts(f.Costs), Score: f.Score}
+		out[i] = refFacility{ID: f.ID, Costs: refCosts(f.Costs), Score: refScore(f.Score)}
 	}
 	return out
 }
@@ -112,7 +121,7 @@ func appendEnvelope(dst []byte, v any) ([]byte, error) {
 	case *PeriodResult:
 		return AppendPeriodResult(dst, v)
 	default:
-		return AppendFacility(dst, v.(*Facility))
+		return AppendFacility(dst, v.(*Facility)), nil
 	}
 }
 
@@ -169,9 +178,10 @@ var edgeFloats = []float64{
 }
 
 // Every envelope renders byte for byte as encoding/json renders the same
-// struct: the float rules, score omitted at ±0, nil lists as null, empty as
-// [], ragged cost widths, the largest facility id, every label — and where
-// encoding/json refuses a non-finite score, latency or bound, the same error.
+// struct: the float rules, score omitted at ±0 and null when not finite, nil
+// lists as null, empty as [], ragged cost widths, the largest facility id,
+// every label — and where encoding/json refuses a non-finite latency or
+// bound, the same error.
 func TestJSONEnvelopeMatchesEncodingJSON(t *testing.T) {
 	stats := core.Stats{Pops: 1, GrowingPops: 2, NodeExpansions: 3, PrunedNodes: 4, Tracked: 5}
 	for i, label := range labels() {
@@ -302,7 +312,8 @@ func TestAppendResultAllocs(t *testing.T) {
 
 // Write renders the body before the status goes out: a value the mode cannot
 // encode is a 500 "internal encoding failure" in that mode, never a 200 with
-// an empty body. A NaN score has no JSON number; MCNB carries it as float32.
+// an empty body. A query envelope always encodes: a NaN score is null in
+// JSON and NDJSON, and MCNB carries it as float32.
 func TestWriteEncodingFailure(t *testing.T) {
 	nanScore := &Result{Query: "topk", Count: 1, Facilities: []Facility{{ID: 1, Costs: Costs{1}, Score: math.NaN()}}}
 	for _, tc := range []struct {
@@ -311,8 +322,8 @@ func TestWriteEncodingFailure(t *testing.T) {
 		status int
 	}{
 		{ModeJSON, map[string]any{"ch": make(chan int)}, http.StatusInternalServerError},
-		{ModeJSON, nanScore, http.StatusInternalServerError},
-		{ModeNDJSON, nanScore, http.StatusInternalServerError},
+		{ModeJSON, nanScore, http.StatusOK},
+		{ModeNDJSON, nanScore, http.StatusOK},
 		{ModeBinary, map[string]any{"status": "ok"}, http.StatusInternalServerError},
 		{ModeBinary, nanScore, http.StatusOK},
 	} {

@@ -5,7 +5,8 @@
 // encoder (json.go), and the response envelopes, which clients decode with
 // the same types. Every float is written in a shortest round-tripping form,
 // so a decoded float64 cost re-encodes to exactly the bytes the replica
-// wrote, and the non-finite sentinels map through null in both directions.
+// wrote. A non-finite cost or score is written as null; a null cost decodes
+// to NaN, but a null score to zero (see Facility).
 package wire
 
 import (
@@ -46,7 +47,12 @@ func (c *Costs) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Facility is one query answer on the wire.
+// Facility is one query answer on the wire. A non-finite score (the +Inf of
+// a facility no location reaches) renders as JSON null, as a non-finite cost
+// does; encoding/json decodes that null to a zero score. Facility has no
+// UnmarshalJSON to map it back: the method would be promoted into every
+// struct that embeds a Facility, such as an NDJSON line with its done and
+// error fields, and decode those fields away.
 type Facility struct {
 	ID    graph.FacilityID `json:"id"`
 	Costs Costs            `json:"costs"`
@@ -82,7 +88,7 @@ type PeriodResult struct {
 }
 
 // MarshalJSON implements json.Marshaler through AppendFacility.
-func (f Facility) MarshalJSON() ([]byte, error) { return AppendFacility(nil, &f) }
+func (f Facility) MarshalJSON() ([]byte, error) { return AppendFacility(nil, &f), nil }
 
 // MarshalJSON implements json.Marshaler through AppendResult, into a buffer
 // sized for facilities of a few cost components.

@@ -120,40 +120,6 @@ func TestCachedEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// TestCachedEquivalenceScaledWeights checks the weight-normalization alias:
-// a top-k query whose weight vector is a positive multiple of a cached one
-// shares the entry and must return the same ranking with proportionally
-// scaled scores.
-func TestCachedEquivalenceScaledWeights(t *testing.T) {
-	g := equivGraph(t, 7)
-	net := FromGraph(g)
-	net.EnableResultCache(CacheOptions{Entries: 64})
-	ex := net.NewExecutor(ExecutorConfig{Workers: 1})
-	loc := RandomQueries(g, 1, 5)[0]
-
-	// The scaled vector must be an exact binary multiple (here 4x) for the
-	// normalized keys to collide bit-for-bit; decimal multiples like 3x
-	// produce different float bits and legitimately miss.
-	base := ex.Do(ctx, TopKRequest(loc, WeightedSum(0.2, 0.3, 0.5), 5))
-	scaled := ex.Do(ctx, TopKRequest(loc, WeightedSum(0.8, 1.2, 2.0), 5))
-	if base.Err != nil || scaled.Err != nil {
-		t.Fatalf("errs: %v / %v", base.Err, scaled.Err)
-	}
-	cs, _ := net.ResultCacheStats()
-	if cs.Hits != 1 {
-		t.Fatalf("scaled weight vector did not share the entry: %+v", cs)
-	}
-	for i, f := range base.Result.Facilities {
-		sf := scaled.Result.Facilities[i]
-		if f.ID != sf.ID {
-			t.Fatalf("rank %d: id %d vs %d under scaled weights", i, f.ID, sf.ID)
-		}
-		if want := f.Score * 4; math.Abs(sf.Score-want) > 1e-9*math.Max(1, math.Abs(want)) {
-			t.Fatalf("rank %d: score %g, want %g", i, sf.Score, want)
-		}
-	}
-}
-
 // timedepPair builds two identical time-dependent networks over g — one
 // cached, one not — with the same rush-hour profiles attached.
 func timedepPair(t *testing.T, g *Graph) (cached, plain *TimeNetwork, cache *ResultCache) {
