@@ -12,7 +12,7 @@ CHAOS_SCHEDULES ?= 1000
 
 .PHONY: build crossbuild examples test race bench benchmem profile profile-disk profile-build fmt vet lint cover ci \
 	serve clean vulncheck fuzz docscheck chaos chaossmoke \
-	cluster-smoke soak-smoke benchverify paperio
+	cluster-smoke serve-smoke soak-smoke benchverify paperio
 
 build:
 	$(GO) build ./...
@@ -203,6 +203,15 @@ chaossmoke:
 # regression is named in the failing step.
 cluster-smoke:
 	$(GO) test -race -count=1 ./internal/cluster ./internal/testsupport/memnet
+
+# Serving tier smoke: the executor suite and the serve suite under the race
+# detector, three passes — every way a query enters the executor (Do,
+# Execute, and Run for streams and period sweeps) through admission, shed,
+# drain, panic isolation and cancellation, and the HTTP overload, drain and
+# stream tests above it. Also part of `make cover`; this target is the
+# dedicated CI step so a race in admission is named in the failing step.
+serve-smoke:
+	$(GO) test -race -count=3 ./internal/engine ./internal/serve
 
 # Soak smoke: mcnsoak drives one second of sustained /v1/query load through
 # each codec against an in-process replica, then one second through the

@@ -34,11 +34,11 @@ func batchNetworks(t *testing.T) (map[string]*Network, []Location) {
 func batchResults(t *testing.T, net *Network, reqs []BatchRequest, workers int) []*Result {
 	t.Helper()
 	out := make([]*Result, len(reqs))
-	for _, resp := range net.Batch(context.Background(), reqs, ExecutorConfig{Workers: workers}) {
+	for i, resp := range net.Batch(context.Background(), reqs, ExecutorConfig{Workers: workers}) {
 		if resp.Err != nil {
-			t.Fatalf("request %d: %v", resp.Index, resp.Err)
+			t.Fatalf("request %d: %v", i, resp.Err)
 		}
-		out[resp.Index] = resp.Result
+		out[i] = resp.Result
 	}
 	return out
 }
@@ -150,9 +150,9 @@ func TestBatchCancellation(t *testing.T) {
 	for i, loc := range locs {
 		reqs[i] = SkylineRequest(loc)
 	}
-	for _, resp := range net.Batch(ctx, reqs, ExecutorConfig{Workers: 2}) {
+	for i, resp := range net.Batch(ctx, reqs, ExecutorConfig{Workers: 2}) {
 		if !errors.Is(resp.Err, context.Canceled) {
-			t.Fatalf("request %d: err = %v, want context.Canceled", resp.Index, resp.Err)
+			t.Fatalf("request %d: err = %v, want context.Canceled", i, resp.Err)
 		}
 	}
 }

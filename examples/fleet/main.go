@@ -53,12 +53,12 @@ func main() {
 		mcn.WithinRequest(couriers[3], mcn.Of(40, 40, 40)),
 	}
 	fmt.Println("— mixed batch —")
-	for _, resp := range net.Batch(ctx, reqs, mcn.ExecutorConfig{Workers: 4}) {
+	for i, resp := range net.Batch(ctx, reqs, mcn.ExecutorConfig{Workers: 4}) {
 		if resp.Err != nil {
 			log.Fatal(resp.Err)
 		}
 		fmt.Printf("  %-8s %2d facilities in %v\n",
-			reqs[resp.Index].Kind, len(resp.Result.Facilities), resp.Latency.Round(time.Microsecond))
+			reqs[i].Kind, len(resp.Result.Facilities), resp.Latency.Round(time.Microsecond))
 	}
 
 	// 3. A long-lived executor, as a server would hold: bounded parallelism,

@@ -28,17 +28,17 @@ func (d *cancelAt) ReadPage(id storage.PageID, buf []byte) error {
 }
 
 // A cancelled query stops reading pages. Every expansion polls the
-// interrupt hook before each node it expands, so a disk skyline whose
-// context is cancelled during its Nth device read returns context.Canceled
-// after at most maxAfterCancel further reads, whatever N is. The bound is
-// what a query reads before its first poll — its d = 4 expansions each read
-// the query edge's records, 5 to 6 pages apiece behind this two-frame pool
-// when they share nothing (LSA) — and it covers one node's expansion, which
-// reads its adjacency record (3 pages) and the facility records of its
-// arcs. Every read of a cancelled run sleeps, as a slow disk's would, so
-// each read a cancelled query still makes is paid for.
+// interrupt hook before it reads the query edge and before each node it
+// expands, so a disk skyline whose context is cancelled during its Nth
+// device read returns context.Canceled after at most maxAfterCancel further
+// reads, whatever N is. The bound is the rest of the step in flight at the
+// cancellation — one expansion's set-up on the query edge, or one node's
+// expansion: its adjacency record and the facility records of its arcs, a
+// few pages behind this two-frame pool. Every read of a cancelled run
+// sleeps, as a slow disk's would, so each read a cancelled query still makes
+// is paid for.
 func TestCancelledQueryStopsReading(t *testing.T) {
-	const maxAfterCancel = 24
+	const maxAfterCancel = 4
 	inst, err := gen.MakeInstance(gen.InstanceConfig{Nodes: 4000, Facilities: 800, Queries: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,11 @@ type TopKIterator struct {
 	opt Options
 	d   int
 
-	exps      []*expand.Expansion
+	// src and loc start the expansions on the first Next, so that an
+	// interrupt during their set-up is reported by Next like any other.
+	src       expand.Source
+	loc       graph.Location
+	exps      []*expand.Expansion // nil until the first Next starts them
 	exhausted []bool
 
 	tracked trackedSet
@@ -50,24 +54,21 @@ type TopKIterator struct {
 	mu sync.Mutex
 }
 
-// NewTopKIterator starts an incremental top-k query at loc.
+// NewTopKIterator starts an incremental top-k query at loc. The per-cost
+// expansions start on the first Next, which reports an error of their
+// set-up (an invalid location, a failed read, an interrupt).
 func NewTopKIterator(src expand.Source, loc graph.Location, agg vec.Aggregate, opt Options) (*TopKIterator, error) {
 	if agg.Dims() != src.D() {
 		return nil, fmt.Errorf("core: aggregate expects %d cost types, network has %d", agg.Dims(), src.D())
 	}
 	sc := expand.Acquire(src)
-	shared := engineSource(src, opt.Engine, sc)
-	exps, err := perCost(shared, loc, sc, opt.Interrupt)
-	if err != nil {
-		sc.Release()
-		return nil, err
-	}
 	return &TopKIterator{
 		agg:       agg,
 		opt:       opt,
-		d:         len(exps),
-		exps:      exps,
-		exhausted: make([]bool, len(exps)),
+		d:         src.D(),
+		src:       engineSource(src, opt.Engine, sc),
+		loc:       loc,
+		exhausted: make([]bool, src.D()),
 		tracked:   newTrackedSet(),
 		sc:        sc,
 	}, nil
@@ -105,6 +106,13 @@ func (it *TopKIterator) Next() (Facility, bool, error) {
 	for {
 		if it.closed.Load() {
 			return Facility{}, false, ErrIteratorClosed
+		}
+		if it.exps == nil {
+			exps, err := perCost(it.src, it.loc, it.sc, it.opt.Interrupt)
+			if err != nil {
+				return Facility{}, false, err
+			}
+			it.exps = exps
 		}
 		if f, ok := it.tryReport(); ok {
 			return f, true, nil

@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -94,10 +93,9 @@ type Request struct {
 }
 
 // Response is the outcome of one Request. Exactly one of Result and Err is
-// meaningful; Latency covers query execution, not time spent queued.
+// meaningful, except after Run, whose body delivered its own output and
+// leaves Result nil; Latency covers query execution, not time spent queued.
 type Response struct {
-	// Index is the request's position in the Execute batch (0 for Do).
-	Index   int
 	Result  *core.Result
 	Err     error
 	Latency time.Duration
@@ -300,26 +298,20 @@ func (e *Executor) Stats() Stats {
 }
 
 // Do runs one request, waiting for a worker slot first (the executor's
-// parallelism bound applies across Do and Execute callers combined). A
+// parallelism bound applies across Do, Execute and Run callers combined). A
 // context cancelled while queued returns immediately without running the
 // query; an executor that is draining or over its queue bound rejects with
 // ErrDraining/ErrOverloaded without running it.
 func (e *Executor) Do(ctx context.Context, req Request) Response {
-	if err := e.admit(ctx); err != nil {
-		resp := Response{Err: err}
-		e.record(resp)
-		return resp
-	}
-	defer e.release()
-	return e.run(ctx, req, 0)
+	return e.envelope(ctx, req, e.query)
 }
 
 // Execute runs a batch through the worker pool and returns responses
-// positionally aligned with reqs. Each job acquires a slot from the same
-// semaphore Do uses, so the executor's parallelism bound holds across
-// overlapping Execute and Do callers combined. Cancelling ctx aborts
-// in-flight queries at their next interrupt poll and fails the rest without
-// running them; Execute always returns len(reqs) responses.
+// positionally aligned with reqs. Each job goes through the same admission
+// Do uses, so the executor's parallelism bound holds across overlapping
+// Execute and Do callers combined. Cancelling ctx aborts in-flight queries
+// at their next interrupt poll and fails the rest without running them;
+// Execute always returns len(reqs) responses.
 func (e *Executor) Execute(ctx context.Context, reqs []Request) []Response {
 	out := make([]Response, len(reqs))
 	workers := e.cfg.Workers
@@ -333,13 +325,7 @@ func (e *Executor) Execute(ctx context.Context, reqs []Request) []Response {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				if err := e.admit(ctx); err != nil {
-					out[i] = Response{Index: i, Err: err}
-					e.record(out[i])
-					continue
-				}
-				out[i] = e.run(ctx, reqs[i], i)
-				e.release()
+				out[i] = e.envelope(ctx, reqs[i], e.query)
 			}
 		}()
 	}
@@ -351,30 +337,33 @@ func (e *Executor) Execute(ctx context.Context, reqs []Request) []Response {
 	return out
 }
 
-// prepare applies the request's timeout to ctx and the executor's pruning
-// index to its options. It does NOT bind ctx into the interrupt hook — run
-// does that itself and the streaming path leaves it to core.SkylineSeq, so
-// every interrupt poll carries exactly one ctx check. Callers must run the
-// returned cancel when the query finishes.
-func (e *Executor) prepare(ctx context.Context, req Request) (context.Context, core.Options, context.CancelFunc) {
-	timeout := req.Timeout
-	if timeout == 0 {
-		timeout = e.cfg.Timeout
-	}
-	cancel := context.CancelFunc(func() {})
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-	}
-	opts := req.Opts
-	if opts.Bounds == nil {
-		opts.Bounds = e.bounds
-	}
-	return ctx, opts, cancel
+// Run runs one query that delivers its own output — a stream that hands
+// each facility to its client as the search produces it, or a sweep over a
+// network the executor does not hold — under the same admission, timeout,
+// panic isolation and statistics as Do. body runs on the calling goroutine
+// once a worker slot is held, with ctx bounded by the request's timeout; it
+// must poll ctx, and returns the query's error. Of req only Timeout and Kind
+// are read; Kind labels a panic, so a body with no Kind of its own (a period
+// sweep carries the static kind it sweeps) is reported as a panic of that
+// kind. The response carries no Result.
+func (e *Executor) Run(ctx context.Context, req Request, body func(context.Context) error) Response {
+	return e.envelope(ctx, req, func(ctx context.Context, _ Request) (*core.Result, bool, error) {
+		return nil, false, body(ctx)
+	})
 }
 
-// run executes one request on the calling goroutine with panic isolation.
-func (e *Executor) run(ctx context.Context, req Request, idx int) (resp Response) {
-	resp.Index = idx
+// envelope is the one path every query takes through the executor: admission
+// (drain, queue bound, worker slot), the request's timeout, panic isolation,
+// then latency and the lifetime counters. body runs only for a live context
+// and returns the query's result, whether the cache served it, and its error.
+func (e *Executor) envelope(ctx context.Context, req Request, body func(context.Context, Request) (*core.Result, bool, error)) (resp Response) {
+	if err := e.admit(ctx); err != nil {
+		resp.Err = err
+		e.record(resp)
+		return resp
+	}
+	defer e.release()
+
 	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
@@ -385,14 +374,30 @@ func (e *Executor) run(ctx context.Context, req Request, idx int) (resp Response
 		e.record(resp)
 	}()
 
-	ctx, opts, cancel := e.prepare(ctx, req)
-	defer cancel()
-	opts = opts.BindContext(ctx)
-	if err := ctx.Err(); err != nil {
-		resp.Err = err
-		return
+	timeout := req.Timeout
+	if timeout == 0 {
+		timeout = e.cfg.Timeout
 	}
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	if resp.Err = ctx.Err(); resp.Err == nil {
+		resp.Result, resp.Cached, resp.Err = body(ctx, req)
+	}
+	return resp
+}
 
+// query is Do's body: it attaches the executor's pruning index and ctx to the
+// request's options and runs it against the executor's source, through the
+// result cache when the request can be keyed.
+func (e *Executor) query(ctx context.Context, req Request) (*core.Result, bool, error) {
+	opts := req.Opts
+	if opts.Bounds == nil {
+		opts.Bounds = e.bounds
+	}
+	opts = opts.BindContext(ctx)
 	if e.cache != nil && cacheable(req, opts) {
 		if key, scale, ok := cacheKey(req, opts); ok {
 			val, hit, err := e.cache.Do(key, func() (rescache.Value, []rescache.Tag, error) {
@@ -403,16 +408,13 @@ func (e *Executor) run(ctx context.Context, req Request, idx int) (resp Response
 				return rescache.Value{Result: res, Scale: scale}, resultTags(e.src, req.Loc, res), nil
 			})
 			if err != nil {
-				resp.Err = err
-				return
+				return nil, false, err
 			}
-			resp.Result = val.ResultAt(scale)
-			resp.Cached = hit
-			return
+			return val.ResultAt(scale), hit, nil
 		}
 	}
-	resp.Result, resp.Err = e.execute(req, opts)
-	return
+	res, err := e.execute(req, opts)
+	return res, false, err
 }
 
 // execute dispatches one prepared request to the core algorithms against the
@@ -434,76 +436,6 @@ func (e *Executor) execute(req Request, opts core.Options) (*core.Result, error)
 	default:
 		return nil, fmt.Errorf("engine: unknown query kind %d", int(req.Kind))
 	}
-}
-
-// StreamSkyline runs a progressive skyline query on the calling goroutine
-// under the executor's parallelism bound (the same semaphore Do and Execute
-// use), delivering each confirmed facility to emit as soon as the driver
-// proves it undominated. emit returning false stops the query early — the
-// backing for the server's NDJSON streaming endpoint. The response carries
-// no Result: facilities were already delivered. Per-request timeouts, panic
-// isolation and statistics match Do.
-func (e *Executor) StreamSkyline(ctx context.Context, req Request, emit func(core.Facility) bool) Response {
-	return e.stream(ctx, req, "skyline", emit, func(ctx context.Context, opts core.Options) iter.Seq2[core.Facility, error] {
-		return core.SkylineSeq(ctx, e.src, req.Loc, opts)
-	})
-}
-
-// StreamTopK runs an incremental top-k query on the calling goroutine under
-// the executor's parallelism bound, delivering facilities to emit in
-// ascending score order as the iterator produces them. The query stops after
-// req.K deliveries when req.K > 0 (zero streams until the facility set is
-// exhausted), or earlier when emit returns false. The response carries no
-// Result: facilities were already delivered. Per-request timeouts, panic
-// isolation and statistics match StreamSkyline.
-func (e *Executor) StreamTopK(ctx context.Context, req Request, emit func(core.Facility) bool) Response {
-	n := 0
-	upToK := func(f core.Facility) bool {
-		n++
-		return emit(f) && (req.K <= 0 || n < req.K)
-	}
-	return e.stream(ctx, req, "top-k", upToK, func(ctx context.Context, opts core.Options) iter.Seq2[core.Facility, error] {
-		return core.TopKSeq(ctx, e.src, req.Loc, req.Agg, opts)
-	})
-}
-
-// stream is the shared body of the streaming entry points: admit → recover
-// and record → prepare → ctx check → range over seq, until it ends, fails or
-// emit returns false. name labels the panic message.
-func (e *Executor) stream(ctx context.Context, req Request, name string, emit func(core.Facility) bool, seq func(context.Context, core.Options) iter.Seq2[core.Facility, error]) (resp Response) {
-	if err := e.admit(ctx); err != nil {
-		resp = Response{Err: err}
-		e.record(resp)
-		return resp
-	}
-	defer e.release()
-
-	start := time.Now()
-	defer func() {
-		if r := recover(); r != nil {
-			resp.Result = nil
-			resp.Err = panicError{fmt.Errorf("engine: streaming %s panicked: %v", name, r)}
-		}
-		resp.Latency = time.Since(start)
-		e.record(resp)
-	}()
-
-	ctx, opts, cancel := e.prepare(ctx, req)
-	defer cancel()
-	if err := ctx.Err(); err != nil {
-		resp.Err = err
-		return
-	}
-	for f, err := range seq(ctx, opts) {
-		if err != nil {
-			resp.Err = err
-			return
-		}
-		if !emit(f) {
-			return
-		}
-	}
-	return
 }
 
 // panicError marks errors produced by the recover path so record can count

@@ -81,10 +81,16 @@ type LowerBounder interface {
 // New starts an expansion from loc under cost type costIdx (0-based) on one
 // state unit of sc, which must have been acquired for src (or for the source
 // sc.Shared wraps) and stays owned by the caller. interrupt, when not nil, is
-// polled before every node the expansion expands — each a record read on a
-// disk source — and a non-nil error from it is returned by that Step or
-// Next; it must be cheap and safe for concurrent use.
+// polled before New reads the query edge and before every node the
+// expansion expands — each a record read on a disk source — and a non-nil
+// error from it is returned by New, or by that Step or Next; it must be
+// cheap and safe for concurrent use.
 func New(src Source, costIdx int, loc graph.Location, sc *Scratch, interrupt func() error) (*Expansion, error) {
+	if interrupt != nil {
+		if err := interrupt(); err != nil {
+			return nil, err
+		}
+	}
 	x := &Expansion{
 		src:       src,
 		cost:      costIdx,

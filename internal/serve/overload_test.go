@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,13 +16,15 @@ import (
 	"mcn/internal/wire"
 )
 
-// overloadServer builds a server over a small synthetic network with the
-// given admission bounds, plus a gate for holding worker slots: each call to
-// hold() runs a streaming skyline whose callback blocks until release().
+// overloadHarness is a server over a small synthetic network, with its
+// period routes, and the given admission bounds, plus a gate for holding
+// worker slots: each call to hold() runs a query whose body blocks until
+// release().
 type overloadHarness struct {
 	srv     *Server
 	ts      *testServer
 	gate    chan struct{}
+	once    sync.Once
 	wg      sync.WaitGroup
 	results chan error
 }
@@ -32,17 +35,24 @@ func newOverloadHarness(t *testing.T, workers, queueDepth int) *overloadHarness 
 	if err != nil {
 		t.Fatal(err)
 	}
+	tnet := mcn.TimeDependent(g)
+	if err := mcn.AttachSyntheticProfiles(tnet, 300, 5); err != nil {
+		t.Fatal(err)
+	}
 	h := &overloadHarness{
 		// ShedRate -1 restores the any-shed-flips-readiness behaviour: these
 		// tests assert the overload machinery itself, and a single deliberate
 		// shed must be visible on /readyz without manufacturing a storm (the
 		// rate-threshold default has its own tests in readyz_test.go).
-		srv:     New(mcn.FromGraph(g), Config{Workers: workers, Timeout: time.Minute, QueueDepth: queueDepth, ShedRate: -1}),
+		srv:     New(mcn.FromGraph(g), Config{Workers: workers, Timeout: time.Minute, QueueDepth: queueDepth, ShedRate: -1, TimeNet: tnet}),
 		gate:    make(chan struct{}),
 		results: make(chan error, 16),
 	}
 	h.ts = newTestServer(t, h.srv.Handler())
-	t.Cleanup(h.wg.Wait)
+	t.Cleanup(func() {
+		h.release() // a failed test must not strand its holders
+		h.wg.Wait()
+	})
 	return h
 }
 
@@ -52,12 +62,10 @@ func (h *overloadHarness) hold() {
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()
-		req := mcn.SkylineRequest(mcn.Location{Edge: 3, T: 0.5})
-		resp := h.srv.exec.StreamSkyline(ctx, req, func(mcn.Facility) bool {
+		h.results <- h.srv.exec.Run(ctx, mcn.BatchRequest{}, func(context.Context) error {
 			<-h.gate
-			return true
-		})
-		h.results <- resp.Err
+			return nil
+		}).Err
 	}()
 }
 
@@ -77,7 +85,7 @@ func (h *overloadHarness) waitAdmission(t *testing.T, inflight, queued int64) {
 	}
 }
 
-func (h *overloadHarness) release() { close(h.gate) }
+func (h *overloadHarness) release() { h.once.Do(func() { close(h.gate) }) }
 
 func get(t *testing.T, ts *testServer, path string) *http.Response {
 	t.Helper()
@@ -88,29 +96,90 @@ func get(t *testing.T, ts *testServer, path string) *http.Response {
 	return resp
 }
 
-// With the single worker held and the one queue slot occupied, further
-// queries must be shed with 503 + Retry-After instead of queuing without
-// bound — and every accepted query must still complete.
+// overloadProbe is one query, sent the way a client sends it; send returns
+// the response, its body read, and the body with its latency zeroed.
+type overloadProbe struct {
+	name string
+	send func(t *testing.T, ts *testServer) (resp *http.Response, body []byte)
+}
+
+// overloadProbes reach the executor every way a query can: buffered, as an
+// NDJSON stream, and as a period sweep over GET and over an MCNB POST.
+var overloadProbes = []overloadProbe{
+	{"GET skyline", getProbe("/skyline?edge=3")},
+	{"GET skyline stream", getProbe("/skyline?edge=3&stream=1")},
+	{"GET skyline/period", getProbe("/skyline/period?edge=3&from=5&to=11")},
+	{"POST MCNB topk/period", func(t *testing.T, ts *testServer) (*http.Response, []byte) {
+		frame, err := wire.EncodeRequest(&wire.Request{Kind: wire.KindTopKPeriod, Edge: 3, T: 0.5, K: 2, From: 5, To: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, raw := postQuery(t, ts, frame, wire.ContentTypeBinary, "")
+		if resp.StatusCode == http.StatusOK {
+			period := decodeBinaryResponse(t, raw).Period
+			period.LatencyMS = 0
+			if raw, err = wire.EncodePeriodResult(period); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp, raw
+	}},
+}
+
+func getProbe(path string) func(*testing.T, *testServer) (*http.Response, []byte) {
+	return func(t *testing.T, ts *testServer) (*http.Response, []byte) {
+		resp := get(t, ts, path)
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, latencyField.ReplaceAllLiteral(raw, []byte(`"latency_ms":0`))
+	}
+}
+
+// With the single worker held and the one queue slot occupied, every query
+// — buffered, streamed or a period sweep — must be shed with 503 +
+// Retry-After instead of queuing without bound, and every accepted query
+// must still complete. Once the worker is free each answers as an idle
+// server does, and the executor counts every query it answered, which
+// /healthz reports as queries_total.
 func TestOverloadSheds503(t *testing.T) {
 	h := newOverloadHarness(t, 1, 1)
+	idle := make([][]byte, len(overloadProbes))
+	for i, p := range overloadProbes {
+		resp, body := p.send(t, h.ts)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s on an idle server: status %d: %s", p.name, resp.StatusCode, body)
+		}
+		idle[i] = body
+	}
+
 	h.hold() // occupies the worker
 	h.hold() // occupies the queue slot
 	h.waitAdmission(t, 1, 1)
 
-	resp := get(t, h.ts, "/skyline?edge=3")
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("overloaded query: status %d, want 503", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "1" {
-		t.Fatalf("overloaded query: Retry-After %q, want \"1\"", ra)
-	}
-	var e wire.Error
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
-		t.Fatal(err)
-	}
-	if e.Error != mcn.ErrOverloaded.Error() {
-		t.Fatalf("overloaded query: error %q", e.Error)
+	for _, p := range overloadProbes {
+		resp, body := p.send(t, h.ts)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s overloaded: status %d, want 503", p.name, resp.StatusCode)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "1" {
+			t.Fatalf("%s overloaded: Retry-After %q, want \"1\"", p.name, ra)
+		}
+		msg := ""
+		if resp.Header.Get("Content-Type") == wire.ContentTypeBinary {
+			msg = decodeBinaryResponse(t, body).Message
+		} else {
+			var e wire.Error
+			if err := json.Unmarshal(body, &e); err != nil {
+				t.Fatalf("%s overloaded: %v in %q", p.name, err, body)
+			}
+			msg = e.Error
+		}
+		if msg != mcn.ErrOverloaded.Error() {
+			t.Fatalf("%s overloaded: error %q", p.name, msg)
+		}
 	}
 
 	// Readiness dips while shedding; liveness does not.
@@ -125,17 +194,14 @@ func TestOverloadSheds503(t *testing.T) {
 		hz.Body.Close()
 	}
 
-	// The shed shows up in /stats.
+	// The sheds show up in /stats.
 	var stats struct {
+		Completed int64              `json:"completed"`
 		Admission mcn.AdmissionStats `json:"admission"`
 	}
-	sr := get(t, h.ts, "/stats")
-	if err := json.NewDecoder(sr.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	sr.Body.Close()
-	if stats.Admission.Shed == 0 {
-		t.Fatal("/stats admission.shed_requests is 0 after a shed")
+	getJSON(t, h.ts, "/stats", http.StatusOK, &stats)
+	if stats.Admission.Shed != int64(len(overloadProbes)) {
+		t.Fatalf("/stats admission.shed_requests = %d after %d sheds", stats.Admission.Shed, len(overloadProbes))
 	}
 
 	// Both accepted queries — running and queued — complete once unblocked.
@@ -144,6 +210,19 @@ func TestOverloadSheds503(t *testing.T) {
 		if err := <-h.results; err != nil {
 			t.Fatalf("accepted query %d failed: %v", i, err)
 		}
+	}
+	for i, p := range overloadProbes {
+		if resp, body := p.send(t, h.ts); resp.StatusCode != http.StatusOK || !bytes.Equal(body, idle[i]) {
+			t.Fatalf("%s after the overload: status %d\n%s\nidle server:\n%s", p.name, resp.StatusCode, body, idle[i])
+		}
+	}
+	var health struct {
+		Queries int64 `json:"queries_total"`
+	}
+	getJSON(t, h.ts, "/stats", http.StatusOK, &stats)
+	getJSON(t, h.ts, "/healthz", http.StatusOK, &health)
+	if want := int64(2*len(overloadProbes) + 2); stats.Completed != want || health.Queries != want {
+		t.Fatalf("/stats completed = %d, /healthz queries_total = %d, want %d", stats.Completed, health.Queries, want)
 	}
 }
 
@@ -272,10 +351,10 @@ func TestOverloadSoakAcceptedLatency(t *testing.T) {
 			h.wg.Add(1)
 			go func() {
 				defer h.wg.Done()
-				outcome <- h.srv.exec.StreamSkyline(ctx, req, func(mcn.Facility) bool {
+				outcome <- h.srv.exec.Run(ctx, req, func(context.Context) error {
 					entered <- c
 					<-gates[c]
-					return false // hold for one callback
+					return nil
 				}).Err
 			}()
 		}
@@ -283,7 +362,7 @@ func TestOverloadSoakAcceptedLatency(t *testing.T) {
 		h.waitAdmission(t, 1, 1)
 
 		for c := 0; c < 2; c++ {
-			if err := h.srv.exec.StreamSkyline(impatient, req, func(mcn.Facility) bool { return false }).Err; !errors.Is(err, mcn.ErrOverloaded) {
+			if err := h.srv.exec.Run(impatient, req, func(context.Context) error { return nil }).Err; !errors.Is(err, mcn.ErrOverloaded) {
 				t.Fatalf("round %d: a load client past capacity got %v, want ErrOverloaded", round, err)
 			}
 		}

@@ -2,8 +2,8 @@ package serve
 
 // The query path: every query endpoint — the GET routes and POST /v1/query,
 // on whichever codec — is one pass through decode (wire.DecodeHTTP) →
-// validate → execute → respond. How a request arrived selects only the
-// response mode; it cannot change the answer.
+// validate → execute on the executor → respond. How a request arrived
+// selects only the response mode; it cannot change the answer.
 
 import (
 	"context"
@@ -39,7 +39,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.respond(w, mode, nil, resp.Err)
 			return
 		}
-		s.served.Add(1)
 		s.respond(w, mode, &wire.Result{
 			Query:      q.QueryName(),
 			Count:      len(resp.Result.Facilities),
@@ -51,9 +50,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // validate holds every semantic check of a decoded request, once for all
-// decoders, and builds the executor's form of it. For the period kinds the
-// returned request carries the sweep's location, aggregate, k, options and
-// timeout (its Kind is unused); runPeriodSweep reads the range off q.
+// decoders, and builds the executor's form of it. For the period kinds it is
+// the static skyline or top-k request at the sweep's location, which the
+// executor admits and times like any other; runPeriodSweep reads the range
+// off q.
 //
 // A client may tighten its deadline with timeout_ms but never loosen it past
 // the server's own bound: a huge value would pin an executor slot far beyond
@@ -156,40 +156,28 @@ func (s *Server) validate(q *wire.Request) (mcn.BatchRequest, error) {
 	return req, nil
 }
 
-// runPeriodSweep executes one time-dependent sweep over [q.From, q.To), one
-// interval per maximal constant preferred set. Period sweeps run outside the
-// executor (they are themselves batches of per-interval queries), so only
-// the draining check and the request deadline bound them.
+// runPeriodSweep runs one time-dependent sweep over [q.From, q.To) on the
+// executor, like any other query, and renders its intervals: one per
+// maximal constant preferred set. req carries the static kind of the sweep,
+// so a panic in it is reported as a skyline or top-k query's.
 func (s *Server) runPeriodSweep(ctx context.Context, q *wire.Request, req mcn.BatchRequest) (*wire.PeriodResult, error) {
-	if s.exec.Draining() {
-		return nil, mcn.ErrDraining
-	}
-	timeout := s.timeout
-	if req.Timeout > 0 {
-		timeout = req.Timeout
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	start := time.Now()
 	var intervals []mcn.IntervalResult
-	var err error
-	if q.Kind == wire.KindTopKPeriod {
-		intervals, err = s.tnet.TopKOverPeriod(ctx, req.Loc, req.Agg, req.K, q.From, q.To, req.Opts)
-	} else {
-		intervals, err = s.tnet.SkylineOverPeriod(ctx, req.Loc, q.From, q.To, req.Opts)
+	resp := s.exec.Run(ctx, req, func(ctx context.Context) (err error) {
+		if q.Kind == wire.KindTopKPeriod {
+			intervals, err = s.tnet.TopKOverPeriod(ctx, req.Loc, req.Agg, req.K, q.From, q.To, req.Opts)
+		} else {
+			intervals, err = s.tnet.SkylineOverPeriod(ctx, req.Loc, q.From, q.To, req.Opts)
+		}
+		return err
+	})
+	if resp.Err != nil {
+		return nil, resp.Err
 	}
-	if err != nil {
-		return nil, err
-	}
-	s.served.Add(1)
 	out := &wire.PeriodResult{
 		Query:     q.QueryName(),
 		Count:     len(intervals),
 		Intervals: make([]wire.Interval, len(intervals)),
-		LatencyMS: float64(time.Since(start).Microseconds()) / 1000,
+		LatencyMS: float64(resp.Latency.Microseconds()) / 1000,
 	}
 	for i, iv := range intervals {
 		out.Intervals[i] = wire.Interval{
@@ -206,42 +194,59 @@ func (s *Server) runPeriodSweep(ctx context.Context, q *wire.Request, req mcn.Ba
 // streamQuery is the NDJSON response mode of /skyline and /topk (stream=1):
 // one wire.Facility per line, flushed the moment the progressive search
 // confirms it (skyline) or the incremental iterator produces it in ascending
-// score order (top-k), then a terminal done-line on success or an in-band
-// error line on failure — headers are already out by then.
+// score order (top-k, up to k when k > 0), then a terminal done-line on
+// success or an in-band error line on failure. The NDJSON headers go out
+// with the first line, so a query that fails before it — shed, drained,
+// timed out, a storage fault — is answered by respond like a buffered one.
 func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, q *wire.Request, req mcn.BatchRequest) {
-	run := s.exec.StreamSkyline
-	if q.Kind == wire.KindTopK {
-		run = s.exec.StreamTopK
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
 	flusher, _ := w.(http.Flusher)
 	var line []byte
 	count := 0
-	resp := run(r.Context(), req, func(f mcn.Facility) bool {
-		line = wire.AppendFacility(line[:0], &wire.Facility{ID: f.ID, Costs: wire.Costs(f.Costs), Score: f.Score})
-		line = append(line, '\n')
-		if _, err := w.Write(line); err != nil {
-			return false // client went away; abort the query
+	write := func() error {
+		if count == 0 {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
 		}
-		count++
-		if flusher != nil {
-			flusher.Flush()
+		_, err := w.Write(append(line, '\n'))
+		return err
+	}
+	resp := s.exec.Run(r.Context(), req, func(ctx context.Context) error {
+		engine := mcn.WithEngine(req.Opts.Engine)
+		seq := s.net.SkylineSeq(ctx, req.Loc, engine)
+		if q.Kind == wire.KindTopK {
+			seq = s.net.TopKSeq(ctx, req.Loc, req.Agg, engine)
 		}
-		return true
+		for f, err := range seq {
+			if err != nil {
+				return err
+			}
+			line = wire.AppendFacility(line[:0], &wire.Facility{ID: f.ID, Costs: wire.Costs(f.Costs), Score: f.Score})
+			if write() != nil {
+				return nil // client went away; abort the query
+			}
+			if count++; flusher != nil {
+				flusher.Flush()
+			}
+			if count == req.K {
+				return nil
+			}
+		}
+		return nil
 	})
 	if resp.Err != nil {
-		s.noteShed(resp.Err)
+		if count == 0 {
+			s.respond(w, wire.ModeNDJSON, nil, resp.Err)
+			return
+		}
 		_, msg := classifyError(resp.Err)
 		json.NewEncoder(w).Encode(wire.Error{Error: msg}) //nolint:errcheck // client gone; nothing to do
 		return
 	}
-	s.served.Add(1)
 	// Terminal line: lets clients distinguish a complete result from a
 	// truncated connection.
 	line, err := wire.AppendStreamDone(line[:0], count, float64(resp.Latency.Microseconds())/1000)
 	if err == nil {
-		w.Write(append(line, '\n')) //nolint:errcheck // client gone; nothing to do
+		write() //nolint:errcheck // client gone; nothing to do
 	}
 }
 

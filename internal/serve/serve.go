@@ -1,8 +1,10 @@
 // Package serve implements the mcnserve HTTP serving layer: the query
 // endpoints — GET routes and POST /v1/query, every one decoded into the same
 // wire.Request and answered by one handler (query.go) in JSON, binary frames
-// or, for the progressive queries, streamed NDJSON — over one shared bounded
-// executor, plus health/readiness/stats introspection. Every replica serves
+// or, for the progressive queries, streamed NDJSON — plus
+// health/readiness/stats introspection. Every query, buffered, streamed or
+// a period sweep, runs through one shared bounded executor, which admits,
+// sheds, times and counts them all alike. Every replica serves
 // the whole network, so the cluster gateway (internal/cluster) sends each
 // query, of any kind, to one replica. The cmd/mcnserve binary is a thin
 // flag-parsing shell around this package; keeping the handlers here lets
@@ -18,7 +20,6 @@ import (
 	"net/http/pprof"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mcn"
@@ -57,17 +58,18 @@ const (
 	DefaultShedWindow = 5 * time.Second
 )
 
-// Server exposes preference queries over one shared network as JSON
-// endpoints. Every query funnels through a single bounded executor, so the
-// worker count caps concurrent query work no matter how many HTTP
-// connections are open.
+// Server exposes preference queries over one shared network as HTTP
+// endpoints. Every query — buffered, an NDJSON stream or a period sweep —
+// funnels through a single bounded executor, so the worker count caps
+// concurrent query work no matter how many HTTP connections are open, and
+// the executor's counters are the server's: /healthz queries_total is its
+// Completed.
 type Server struct {
 	net     *mcn.Network
 	tnet    *mcn.TimeNetwork
 	exec    *mcn.Executor
 	timeout time.Duration
 	started time.Time
-	served  atomic.Int64
 
 	shedRate float64
 	sheds    *shedTracker
@@ -219,7 +221,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"facilities":    s.net.NumFacilities(),
 		"workers":       s.exec.Workers(),
 		"uptime_sec":    time.Since(s.started).Seconds(),
-		"queries_total": s.served.Load(),
+		"queries_total": s.exec.Stats().Completed,
 	})
 }
 

@@ -3,12 +3,17 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"mcn"
+	"mcn/internal/wire"
 )
 
 // streamLine is one NDJSON line of /skyline?stream=1: a facility, the
@@ -49,6 +54,51 @@ func TestStreamSkylineNDJSON(t *testing.T) {
 				t.Fatalf("streamed over a socket:\n%s\nover memnet:\n%s", got, want)
 			}
 		})
+	}
+}
+
+// A top-k stream stops after k facility lines: /topk?stream=1 with k
+// smaller than the answer delivers the buffered top k, in order, then a
+// done-line that counts k.
+func TestStreamTopKStopsAtK(t *testing.T) {
+	handlers, _ := testServers(t)
+	for name, h := range handlers {
+		ts := newTestServer(t, h)
+		for _, k := range []int{1, 2, 5} {
+			path := fmt.Sprintf("/topk?edge=3&k=%d&weights=1,2,1", k)
+			var want wire.Result
+			getJSON(t, ts, path, http.StatusOK, &want)
+			if len(want.Facilities) != k {
+				t.Fatalf("%s: GET %s: %d facilities, want %d", name, path, len(want.Facilities), k)
+			}
+			resp, err := ts.Client().Get(ts.URL + path + "&stream=1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []mcn.FacilityID
+			done := -1
+			for dec := json.NewDecoder(resp.Body); ; {
+				var line struct {
+					wire.Facility
+					Done  bool
+					Count int
+				}
+				if err := dec.Decode(&line); err == io.EOF {
+					break
+				} else if err != nil || done >= 0 {
+					t.Fatalf("%s: GET %s&stream=1: line after the done-line or undecodable (%v)", name, path, err)
+				}
+				if line.Done {
+					done = line.Count
+				} else {
+					got = append(got, line.ID)
+				}
+			}
+			resp.Body.Close()
+			if !reflect.DeepEqual(got, resultIDs(want)) || done != k {
+				t.Errorf("%s: GET %s&stream=1: facilities %v, done count %d; buffered %v", name, path, got, done, resultIDs(want))
+			}
+		}
 	}
 }
 
