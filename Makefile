@@ -12,7 +12,7 @@ CHAOS_SCHEDULES ?= 1000
 
 .PHONY: build crossbuild examples test race bench benchmem profile profile-disk profile-build fmt vet lint cover ci \
 	serve clean vulncheck fuzz docscheck chaos chaossmoke \
-	cluster-smoke serve-smoke soak-smoke benchverify paperio
+	cluster-smoke serve-smoke update-smoke soak-smoke benchverify paperio
 
 build:
 	$(GO) build ./...
@@ -212,6 +212,17 @@ cluster-smoke:
 # dedicated CI step so a race in admission is named in the failing step.
 serve-smoke:
 	$(GO) test -race -count=3 ./internal/engine ./internal/serve
+
+# Update smoke: queries racing updates under the race detector, three
+# passes — the update-mix rows of the differential lattice (a static
+# executor and a time-dependent network, with and without one shared result
+# cache, read while SetProfile and a maintainer's inserts and deletes race
+# them) and their slices in the root package and internal/timedep. Also
+# part of `make cover`; this target is the dedicated CI step, so a race on
+# the update path is named in the failing step.
+update-smoke:
+	$(GO) test -race -count=3 -run '^(TestSetProfileRacesQueries|TestCachedEquivalenceRandomized|TestCachedEquivalenceTimeDependent|TestUpdateMix)$$' \
+		. ./internal/timedep ./internal/testsupport/lattice
 
 # Soak smoke: mcnsoak drives one second of sustained /v1/query load through
 # each codec against an in-process replica, then one second through the

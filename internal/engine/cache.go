@@ -13,42 +13,21 @@ import (
 // server's long-lived executor hit the same entries.
 func (e *Executor) SetCache(c *rescache.Cache) { e.cache = c }
 
-// cacheable reports whether a request may go through the result cache:
-// progressive delivery (OnResult) must observe the query run, so it always
-// executes.
-func cacheable(req Request, opts core.Options) bool {
-	return opts.OnResult == nil
-}
-
-// cacheKey canonicalizes req into a cache key; ok is false for requests the
-// cache cannot key (opaque aggregates, unknown kinds).
-func cacheKey(req Request, opts core.Options) (key string, scale float64, ok bool) {
-	var kind byte
-	switch req.Kind {
+// cacheKind is k as a cache key byte, or 0 for the kinds the cache
+// does not key (the multi-source kinds), which Cache.Query then runs
+// uncached.
+func cacheKind(k Kind) byte {
+	switch k {
 	case Skyline:
-		kind = rescache.KindSkyline
+		return rescache.KindSkyline
 	case TopK:
-		kind = rescache.KindTopK
+		return rescache.KindTopK
 	case Nearest:
-		kind = rescache.KindNearest
+		return rescache.KindNearest
 	case Within:
-		kind = rescache.KindWithin
-	default:
-		return "", 0, false
+		return rescache.KindWithin
 	}
-	spec := rescache.KeySpec{
-		Kind:           kind,
-		Interval:       -1,
-		Engine:         byte(opts.Engine),
-		NoEnhancements: opts.NoEnhancements,
-		Edge:           req.Loc.Edge,
-		T:              req.Loc.T,
-		Agg:            req.Agg,
-		K:              req.K,
-		CostIdx:        req.CostIdx,
-		Budget:         req.Budget,
-	}
-	return spec.Key()
+	return 0
 }
 
 // resultTags returns the invalidation tags a completed result depends on:

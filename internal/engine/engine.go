@@ -201,8 +201,8 @@ func (e *Executor) SetBounds(lb expand.LowerBounder) { e.bounds = lb }
 // admit performs admission control and acquires a worker slot: it rejects
 // with ErrDraining once StartDrain has been called, with ErrOverloaded when
 // the pending queue is full (Config.QueueDepth > 0), and with a wrapped ctx
-// error if ctx dies while queued. On nil return the caller holds a slot and
-// must call release.
+// error if ctx is done on arrival or dies while queued. On nil return the
+// caller holds a slot and must call release.
 func (e *Executor) admit(ctx context.Context) error {
 	a := e.admitted.Add(1)
 	if e.draining.Load() {
@@ -215,14 +215,18 @@ func (e *Executor) admit(ctx context.Context) error {
 		e.shed.Add(1)
 		return ErrOverloaded
 	}
-	select {
-	case e.sem <- struct{}{}:
-		e.inflight.Add(1)
-		return nil
-	case <-ctx.Done():
-		e.admitted.Add(-1)
-		return fmt.Errorf("engine: queued query aborted: %w", ctx.Err())
+	// A select picks at random between a free slot and a done ctx, so a
+	// ctx done on arrival never reaches it.
+	if ctx.Err() == nil {
+		select {
+		case e.sem <- struct{}{}:
+			e.inflight.Add(1)
+			return nil
+		case <-ctx.Done():
+		}
 	}
+	e.admitted.Add(-1)
+	return fmt.Errorf("engine: queued query aborted: %w", ctx.Err())
 }
 
 // release returns the worker slot taken by a successful admit.
@@ -391,30 +395,17 @@ func (e *Executor) envelope(ctx context.Context, req Request, body func(context.
 
 // query is Do's body: it attaches the executor's pruning index and ctx to the
 // request's options and runs it against the executor's source, through the
-// result cache when the request can be keyed.
+// result cache (a nil one runs it directly).
 func (e *Executor) query(ctx context.Context, req Request) (*core.Result, bool, error) {
 	opts := req.Opts
 	if opts.Bounds == nil {
 		opts.Bounds = e.bounds
 	}
 	opts = opts.BindContext(ctx)
-	if e.cache != nil && cacheable(req, opts) {
-		if key, scale, ok := cacheKey(req, opts); ok {
-			val, hit, err := e.cache.Do(key, func() (rescache.Value, []rescache.Tag, error) {
-				res, err := e.execute(req, opts)
-				if err != nil {
-					return rescache.Value{}, nil, err
-				}
-				return rescache.Value{Result: res, Scale: scale}, resultTags(e.src, req.Loc, res), nil
-			})
-			if err != nil {
-				return nil, false, err
-			}
-			return val.ResultAt(scale), hit, nil
-		}
-	}
-	res, err := e.execute(req, opts)
-	return res, false, err
+	spec := rescache.KeySpec{Kind: cacheKind(req.Kind), Interval: -1, Agg: req.Agg, K: req.K, CostIdx: req.CostIdx, Budget: req.Budget}
+	return e.cache.Query(spec, req.Loc, opts,
+		func() (*core.Result, error) { return e.execute(req, opts) },
+		func(res *core.Result) []rescache.Tag { return resultTags(e.src, req.Loc, res) })
 }
 
 // execute dispatches one prepared request to the core algorithms against the

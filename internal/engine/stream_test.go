@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"iter"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -191,8 +192,8 @@ func waitAdmission(t *testing.T, exec *Executor, inflight, queued int64) {
 // Every entry point runs its body inside the executor's isolation: a body
 // that panics fails with an IsPanic error, is counted in Stats.Panics and
 // gives its worker slot back (the next Do on the one-worker executor is
-// admitted and answers); a context already done fails with its error and
-// the body never runs.
+// admitted and answers); a context already done fails at admission, with
+// its error wrapped, every time, and the body never runs.
 func TestStreamTopKPanicIsolation(t *testing.T) {
 	inst := testInstance(t)
 	loc := inst.Queries[0]
@@ -220,8 +221,8 @@ func TestStreamTopKPanicIsolation(t *testing.T) {
 			done, cancel := context.WithCancel(context.Background())
 			cancel()
 			before := src.calls.Load()
-			if r := ep.run(done, exec, src, loc); !errors.Is(r.Err, context.Canceled) {
-				t.Errorf("done context: err = %v, want context.Canceled", r.Err)
+			if r := ep.run(done, exec, src, loc); !errors.Is(r.Err, context.Canceled) || !strings.HasPrefix(r.Err.Error(), "engine: queued query aborted: ") {
+				t.Errorf("done context: err = %v, want admission's wrapped context.Canceled", r.Err)
 			}
 			if src.calls.Load() != before {
 				t.Error("done context: the body ran")

@@ -35,9 +35,10 @@ type KeySpec struct {
 	// Engine and NoEnhancements select the algorithm variant. They are part
 	// of the key because hits must be byte-identical to what the same
 	// request would compute, and the engines report different work stats.
+	// Cache.Query fills them in from the query's options.
 	Engine         byte
 	NoEnhancements bool
-	// Edge and T are the query location.
+	// Edge and T are the query location; Cache.Query fills them in.
 	Edge graph.EdgeID
 	T    float64
 	// Agg is the top-k aggregate (Kind == KindTopK only).

@@ -369,6 +369,38 @@ func (c *Cache) Do(key string, compute func() (Value, []Tag, error)) (val Value,
 	return val, false, err
 }
 
+// Query answers one query through c: the one way a query enters the cache.
+// spec carries the kind's key fields and, for a time-dependent query, its
+// interval and axis; Query adds the location and the variant opt selects
+// (Engine, NoEnhancements), so that a hit is what the same request would
+// compute. run computes the result; tags, run on a miss only, returns the
+// tags a computed result depends on. A nil cache, a query whose
+// opt.OnResult must observe the search run, and a query Key cannot key all
+// run without the cache. hit reports a live entry's result: shared with the
+// cache (read-only) and rescaled to the caller's weights by
+// Value.ResultAt.
+func (c *Cache) Query(spec KeySpec, loc graph.Location, opt core.Options, run func() (*core.Result, error), tags func(*core.Result) []Tag) (res *core.Result, hit bool, err error) {
+	if c != nil && opt.OnResult == nil {
+		spec.Engine, spec.NoEnhancements = byte(opt.Engine), opt.NoEnhancements
+		spec.Edge, spec.T = loc.Edge, loc.T
+		if key, scale, ok := spec.Key(); ok {
+			val, hit, err := c.Do(key, func() (Value, []Tag, error) {
+				res, err := run()
+				if err != nil {
+					return Value{}, nil, err
+				}
+				return Value{Result: res, Scale: scale}, tags(res), nil
+			})
+			if err != nil {
+				return nil, false, err
+			}
+			return val.ResultAt(scale), hit, nil
+		}
+	}
+	res, err = run()
+	return res, false, err
+}
+
 // kill removes an invalidated entry from the map and puts its ring slot on
 // the free list for reuse. Caller holds mu.
 func (c *Cache) kill(e *entry) {

@@ -137,43 +137,51 @@ func TestInvalidateDuringCompute(t *testing.T) {
 	}
 }
 
-// A Superseded value reaches its computing caller and is never stored, and
-// a waiter coalesced onto it looks the key up again instead of sharing it:
-// the value may predate an update that landed before the waiter arrived.
+// A Superseded value, or one an invalidation raced, reaches its computing
+// caller and is never stored, and a waiter coalesced onto it looks the key
+// up again instead of sharing it: the value may predate an update that
+// landed before the waiter arrived.
 func TestSupersededNotSharedOrStored(t *testing.T) {
-	c := New(Options{Entries: 8})
-	entered, gate := make(chan struct{}), make(chan struct{})
-	var leader Value
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		leader, _, _ = c.Do("hot", func() (Value, []Tag, error) {
-			close(entered)
-			<-gate
-			return mkValue(1), []Tag{Superseded}, nil
+	for name, tags := range map[string]func(*Cache) []Tag{
+		"superseded":                  func(*Cache) []Tag { return []Tag{Superseded} },
+		"invalidated while computing": func(c *Cache) []Tag { c.Invalidate(EdgeTag(5)); return []Tag{EdgeTag(5)} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := New(Options{Entries: 8})
+			entered, gate := make(chan struct{}), make(chan struct{})
+			var leader Value
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				leader, _, _ = c.Do("hot", func() (Value, []Tag, error) {
+					close(entered)
+					<-gate
+					return mkValue(1), tags(c), nil
+				})
+			}()
+			<-entered
+			var waiter Value
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				waiter, _, _ = c.Do("hot", fill(2))
+			}()
+			for c.Stats().Coalesced == 0 {
+				runtime.Gosched()
+			}
+			close(gate)
+			wg.Wait()
+			if leader.Result.Facilities[0].ID != 1 {
+				t.Fatalf("leader got %+v, want its own value", leader)
+			}
+			if waiter.Result.Facilities[0].ID != 2 {
+				t.Fatalf("waiter shared the leader's unstored value %+v instead of computing its own", waiter)
+			}
+			if v, ok := c.Lookup("hot"); !ok || v.Result.Facilities[0].ID != 2 {
+				t.Fatalf("cached %+v (ok=%v), want only the waiter's value", v, ok)
+			}
 		})
-	}()
-	<-entered
-	var waiter Value
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		waiter, _, _ = c.Do("hot", fill(2))
-	}()
-	for c.Stats().Coalesced == 0 {
-		runtime.Gosched()
-	}
-	close(gate)
-	wg.Wait()
-	if leader.Result.Facilities[0].ID != 1 {
-		t.Fatalf("leader got %+v, want its own value", leader)
-	}
-	if waiter.Result.Facilities[0].ID != 2 {
-		t.Fatalf("waiter shared the superseded value %+v instead of computing its own", waiter)
-	}
-	if v, ok := c.Lookup("hot"); !ok || v.Result.Facilities[0].ID != 2 {
-		t.Fatalf("cached %+v (ok=%v), want only the waiter's value", v, ok)
 	}
 }
 

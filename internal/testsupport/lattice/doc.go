@@ -4,7 +4,11 @@
 // 100 % buffer pool, disk behind the wrapper) × engine (LSA, CEA) ×
 // enhancements (on, off) × bounds (none, the source's own pruning index),
 // plus a time-dependent network at an instant and over a period, a
-// dynamic.Maintainer after an insert/delete script, and the wire rows: the
+// dynamic.Maintainer after an insert/delete script, the update-mix rows
+// ("update mix" and "update mix, cached": a static executor and a
+// time-dependent network, without and with one shared result cache, read
+// while profile edits and a maintainer's inserts and deletes race them,
+// each answer held to a version inside its window), and the wire rows: the
 // serve handler over the network in memory, over a disk database and with
 // its result cache, and a cluster gateway over three replicas with all up,
 // one down and one shedding, asked over an in-memory HTTP network in every

@@ -87,18 +87,20 @@ var sourceNames = []string{"mem", "flat", "flat/permuted", "flat/wrapped", "disk
 // the bounds being the source's own pruning index; a time row runs a
 // time-dependent network's instant queries and sweeps with one engine and
 // enhancement setting; a maintainer row queries a dynamic.Maintainer built
-// over one source; a wire row asks over HTTP (wire.go).
+// over one source; an update-mix row races queries against updates
+// (update.go); a wire row asks over HTTP (wire.go).
 type row struct {
 	name             string
 	source           int // into sourceNames, for source and maintainer rows
 	engine           core.Engine
 	noEnh, bounds    bool
 	time, maintainer bool
+	update, cached   bool
 	wire             target
 }
 
 // sourceRow reports whether r is a source row.
-func (r row) sourceRow() bool { return !r.time && !r.maintainer && r.wire == 0 }
+func (r row) sourceRow() bool { return !r.time && !r.maintainer && !r.update && r.wire == 0 }
 
 // reference reports whether r is the row every source row with its
 // enhancement and bounds settings is compared with: MemorySource under LSA.
@@ -128,6 +130,7 @@ var rows = func() []row {
 	for _, s := range []int{0, 1, 4} {
 		out = append(out, row{name: "maintainer over " + sourceNames[s], source: s, maintainer: true})
 	}
+	out = append(out, row{name: "update mix", update: true}, row{name: "update mix, cached", update: true, cached: true})
 	for w := served; w <= gatewayShed; w++ {
 		out = append(out, row{name: "wire/" + targetNames[w], wire: w})
 	}
@@ -135,14 +138,15 @@ var rows = func() []row {
 }()
 
 // Rows is a set of rows, bit i%64 of word i/64 for row i; the zero set means
-// every in-process row, the wire rows being the costly ones.
+// every in-process row but the update-mix ones, those and the wire rows
+// being the costly ones.
 type Rows [2]uint64
 
 func (r Rows) has(i int) bool { return r.orInProcess()[i/64]&(1<<(i%64)) != 0 }
 
 func (r Rows) orInProcess() Rows {
 	if r == (Rows{}) {
-		return InProcessRows
+		return InProcessRows.Without(UpdateRows)
 	}
 	return r
 }
@@ -170,6 +174,8 @@ var (
 	NoEnhancementRows = rowsWhere(func(r row) bool { return r.sourceRow() && r.noEnh })
 	TimeRows          = rowsWhere(func(r row) bool { return r.time })
 	MaintainerRows    = rowsWhere(func(r row) bool { return r.maintainer })
+	UpdateRows        = rowsWhere(func(r row) bool { return r.update })
+	UpdateCachedRows  = rowsWhere(func(r row) bool { return r.cached })
 	AllRows           = rowsWhere(func(row) bool { return true })
 	InProcessRows     = rowsWhere(func(r row) bool { return r.wire == 0 })
 	WireRows          = rowsWhere(func(r row) bool { return r.wire != 0 })
@@ -243,15 +249,18 @@ func Continuous(seed int64) *testnet.Instance {
 const Beyond = 1000
 
 // Sweep checks against the selection the first n instances build makes
-// from seed Beyond on that keep accepts (nil accepts every instance).
-func Sweep(t testing.TB, n int, build func(seed int64) *testnet.Instance, keep func(*testnet.Instance) bool, sel Select) {
+// from seed Beyond on that keep accepts (nil accepts every instance), and
+// returns the sum of their reports.
+func Sweep(t testing.TB, n int, build func(seed int64) *testnet.Instance, keep func(*testnet.Instance) bool, sel Select) Report {
 	t.Helper()
+	var rep Report
 	for seed := int64(Beyond); n > 0; seed++ {
 		if in := build(seed); keep == nil || keep(in) {
-			Check(t, in, sel)
+			rep.add(Check(t, in, sel))
 			n--
 		}
 	}
+	return rep
 }
 
 // Large is the lattice's one large shape: a 250-node road network with 50
@@ -773,7 +782,8 @@ func same(got, want []core.Facility, narrow func(float64) float64) string {
 
 // Report is what a run of the lattice did: the nodes its rows pruned, so a
 // caller can tell a pruning comparison that compared nothing (a reference
-// row the selection does not hold counts nowhere), and its wire requests.
+// row the selection does not hold counts nowhere), its wire requests, and
+// what its update-mix rows saw.
 type Report struct {
 	Bounds int // source rows with bounds, under their source's own index
 	Own    int // time rows' within, under the network's own index
@@ -784,6 +794,11 @@ type Report struct {
 	// could not be put on the wire for (a maximum aggregate, an infinite
 	// budget).
 	Asked map[string]int
+	// The update-mix rows' reads whose window holds fewer than three
+	// versions, and so fewer than all states, and the cached row's cache
+	// hits and entries found invalidated while the writer ran.
+	Narrow            int
+	Hits, Invalidated int64
 }
 
 // add adds o's counts to r's.
@@ -792,6 +807,9 @@ func (r *Report) add(o Report) {
 	r.Own += o.Own
 	r.Shared += o.Shared
 	r.Served += o.Served
+	r.Narrow += o.Narrow
+	r.Hits += o.Hits
+	r.Invalidated += o.Invalidated
 	if r.Asked == nil {
 		r.Asked = map[string]int{}
 	}
@@ -871,6 +889,9 @@ func Check(t testing.TB, in *testnet.Instance, sel Select) Report {
 	if sel.any(MaintainerRows) && (sel.Kinds.has(Skyline) || sel.Kinds.has(TopK)) {
 		checkMaintainer(t, in, sel, srcs, seed)
 	}
+	if sel.any(UpdateRows) {
+		checkUpdateMix(t, in, sel, o, srcs, seed, &rep)
+	}
 	if sel.any(WireRows) {
 		checkWire(t, in, sel, o, srcs, seed, &rep)
 	}
@@ -918,14 +939,7 @@ func newTimeNet(t testing.TB, in *testnet.Instance, seed int64, shape Profiles) 
 	t.Helper()
 	g := in.G
 	tv := &timeNet{in: in, tn: timedep.New(g), rng: rand.New(rand.NewSource(seed)), profiled: map[graph.EdgeID]timedep.Profile{}}
-	rng := tv.rng
-	mult := func() vec.Costs {
-		m := make(vec.Costs, g.D())
-		for c := range m {
-			m[c] = []float64{0.5, 1, 2, 3}[rng.Intn(4)]
-		}
-		return m
-	}
+	rng, mult := tv.rng, tv.mult
 	edges := []graph.EdgeID{in.Loc.Edge}
 	for _, l := range in.Locs {
 		edges = append(edges, l.Edge)
@@ -961,6 +975,15 @@ func newTimeNet(t testing.TB, in *testnet.Instance, seed int64, shape Profiles) 
 		}
 	}
 	return tv
+}
+
+// mult draws a multiplier vector from {0.5, 1, 2, 3}.
+func (tv *timeNet) mult() vec.Costs {
+	m := make(vec.Costs, tv.in.G.D())
+	for c := range m {
+		m[c] = []float64{0.5, 1, 2, 3}[tv.rng.Intn(4)]
+	}
+	return m
 }
 
 // set gives edge e profile p.
@@ -1063,26 +1086,16 @@ func checkTime(t testing.TB, in *testnet.Instance, sel Select, seed int64) (own,
 						t.Helper()
 						t.Fatalf("%v: %s t=%g: %v: %s", in, r.name, at, k, fmt.Sprintf(format, args...))
 					}
-					want := snap.reference(t, in, k, r.noEnh)
 					opt := core.Options{Engine: r.engine, NoEnhancements: r.noEnh}
 					got, err := runAt(ctx, tv.tn, k, in, at, opt)
 					if err != nil {
 						fail("%v", err)
 					}
-					if msg := snap.o.check(k, in, got, inProcess); msg != "" {
-						fail("oracle on the snapshot: %s", msg)
-					}
-					if msg := same(got.facs, want.facs, nil); msg != "" {
-						fail("differs from the snapshot reference: %s", msg)
+					if msg := tv.verifyAt(t, k, at, r.noEnh, got); msg != "" {
+						fail("%s", msg)
 					}
 					if k != Within {
-						if got.stats != want.stats {
-							fail("stats %+v, snapshot reference %+v", got.stats, want.stats)
-						}
 						continue
-					}
-					if got.stats.NodeExpansions > want.stats.NodeExpansions {
-						fail("%d node expansions > unpruned %d", got.stats.NodeExpansions, want.stats.NodeExpansions)
 					}
 					own += got.stats.PrunedNodes
 					sharedWant, err := run(k, snap.mem, in, core.Options{NoEnhancements: r.noEnh, Bounds: snap.idx})
@@ -1103,6 +1116,27 @@ func checkTime(t testing.TB, in *testnet.Instance, sel Select, seed int64) (own,
 		}
 	}
 	return own, shared
+}
+
+// verifyAt reports how got, an answer to kind k at instant at with the
+// enhancement setting noEnh, departs from the oracle on the snapshot and
+// from its reference, bit for bit with its work counters — except that
+// within, which prunes against the network's own index, may only expand
+// fewer nodes — or "".
+func (tv *timeNet) verifyAt(t testing.TB, k Kind, at float64, noEnh bool, got answer) string {
+	t.Helper()
+	snap := tv.at(at)
+	want := snap.reference(t, tv.in, k, noEnh)
+	if msg := snap.o.check(k, tv.in, got, inProcess); msg != "" {
+		return "oracle on the snapshot: " + msg
+	}
+	if msg := same(got.facs, want.facs, nil); msg != "" {
+		return "differs from the snapshot reference: " + msg
+	}
+	if got.stats != want.stats && (k != Within || got.stats.NodeExpansions > want.stats.NodeExpansions) {
+		return fmt.Sprintf("stats %+v, snapshot reference %+v", got.stats, want.stats)
+	}
+	return ""
 }
 
 // interval is one interval of a period sweep's answer.
@@ -1214,14 +1248,38 @@ type site struct {
 }
 
 // checkMaintainer runs the maintainer rows: a dynamic.Maintainer built over
-// each source, then driven through one seeded insert/delete script — its
-// first insert on an edge the query location cannot reach, if there is
-// one, and a third of the others on the query edge. After every step each
-// entry must equal the oracle's vector on the graph rebuilt with the live
-// facilities, Skyline and TopK must equal the oracle's answers there (the
-// +Inf-throughout entry of an unreachable insert is in neither), and every
-// source must answer as the MemorySource one does, bit for bit.
+// each source, then driven through the seeded script, after every step of
+// which every source must answer as the MemorySource one does, bit for bit.
 func checkMaintainer(t testing.TB, in *testnet.Instance, sel Select, srcs []source, seed int64) {
+	t.Helper()
+	var refTrace []string
+	for i, r := range rows {
+		if !r.maintainer || r.source > 0 && !sel.Rows.has(i) {
+			continue
+		}
+		label := fmt.Sprintf("%v: %s", in, r.name)
+		m, err := dynamic.New(srcs[r.source].src, in.Loc, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		trace := script(t, label, in, m, seed, nil)
+		if r.source == 0 {
+			refTrace = trace
+		} else if !slices.Equal(trace, refTrace) {
+			t.Fatalf("%s: answers differ from the MemorySource maintainer's:\n%v\nwant\n%v", label, trace, refTrace)
+		}
+	}
+}
+
+// script drives m, maintained at in.Loc, through one seeded insert/delete
+// script — its first insert on an edge the location cannot reach, if there
+// is one, a third of the others on the query edge — running before (if not
+// nil) ahead of every step, and returns its answers. m must hold exactly the
+// facilities the location reaches, and after every step each entry must
+// equal the oracle's vector on the graph rebuilt with the live facilities,
+// Skyline and TopK the oracle's answers there (the +Inf-throughout entry of
+// an unreachable insert is in neither).
+func script(t testing.TB, label string, in *testnet.Instance, m *dynamic.Maintainer, seed int64, before func()) []string {
 	t.Helper()
 	g, loc := in.G, in.Loc
 	reach := testnet.NodeCosts(g, loc, 0)
@@ -1233,61 +1291,49 @@ func checkMaintainer(t testing.TB, in *testnet.Instance, sel Select, srcs []sour
 		}
 	}
 	costs := testnet.AllCosts(g, loc)
-	var refTrace []string
-	for i, r := range rows {
-		if !r.maintainer || r.source > 0 && !sel.Rows.has(i) {
-			continue
-		}
-		label := fmt.Sprintf("%v: %s", in, r.name)
-		m, err := dynamic.New(srcs[r.source].src, loc, core.Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		initial, _, err := m.TopK(in.Agg, g.NumFacilities()+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		live := map[dynamic.Handle]site{}
-		for _, e := range initial {
-			live[e.Handle] = site{e.Edge, e.T}
-		}
-		for p := 0; p < g.NumFacilities(); p++ {
-			if _, ok := live[dynamic.Handle(p)]; ok == allInf(costs[p]) {
-				t.Fatalf("%s: facility %d maintained=%v, reachable=%v", label, p, ok, !ok)
-			}
-		}
-		rng := rand.New(rand.NewSource(seed))
-		var trace []string
-		for step := 0; step < 8; step++ {
-			if (step > 0 || len(unreachable) == 0) && len(live) > 0 && rng.Intn(3) == 0 {
-				hs := slices.Sorted(maps.Keys(live))
-				h := hs[rng.Intn(len(hs))]
-				if err := m.Delete(h); err != nil {
-					t.Fatal(err)
-				}
-				delete(live, h)
-			} else {
-				at := site{graph.EdgeID(rng.Intn(g.NumEdges())), []float64{0, 0.5, 1}[rng.Intn(3)]}
-				switch {
-				case step == 0 && len(unreachable) > 0:
-					at.edge = unreachable[rng.Intn(len(unreachable))]
-				case rng.Intn(3) == 0:
-					at.edge = loc.Edge
-				}
-				h, err := m.Insert(at.edge, at.t)
-				if err != nil {
-					t.Fatal(err)
-				}
-				live[h] = at
-			}
-			trace = append(trace, verifyMaintainer(t, fmt.Sprintf("%s step %d", label, step), in, m, live))
-		}
-		if r.source == 0 {
-			refTrace = trace
-		} else if !slices.Equal(trace, refTrace) {
-			t.Fatalf("%s: answers differ from the MemorySource maintainer's:\n%v\nwant\n%v", label, trace, refTrace)
+	initial, _, err := m.TopK(in.Agg, g.NumFacilities()+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := map[dynamic.Handle]site{}
+	for _, e := range initial {
+		live[e.Handle] = site{e.Edge, e.T}
+	}
+	for p := 0; p < g.NumFacilities(); p++ {
+		if _, ok := live[dynamic.Handle(p)]; ok == allInf(costs[p]) {
+			t.Fatalf("%s: facility %d maintained=%v, reachable=%v", label, p, ok, !ok)
 		}
 	}
+	rng := rand.New(rand.NewSource(seed))
+	var trace []string
+	for step := 0; step < 8; step++ {
+		if before != nil {
+			before()
+		}
+		if (step > 0 || len(unreachable) == 0) && len(live) > 0 && rng.Intn(3) == 0 {
+			hs := slices.Sorted(maps.Keys(live))
+			h := hs[rng.Intn(len(hs))]
+			if err := m.Delete(h); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, h)
+		} else {
+			at := site{graph.EdgeID(rng.Intn(g.NumEdges())), []float64{0, 0.5, 1}[rng.Intn(3)]}
+			switch {
+			case step == 0 && len(unreachable) > 0:
+				at.edge = unreachable[rng.Intn(len(unreachable))]
+			case rng.Intn(3) == 0:
+				at.edge = loc.Edge
+			}
+			h, err := m.Insert(at.edge, at.t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live[h] = at
+		}
+		trace = append(trace, verifyMaintainer(t, fmt.Sprintf("%s step %d", label, step), in, m, live))
+	}
+	return trace
 }
 
 func allInf(c vec.Costs) bool {

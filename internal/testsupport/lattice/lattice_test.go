@@ -6,11 +6,13 @@ import "testing"
 // named instances, the generator's first instances, integer and continuous,
 // and the large shape in both directions. The wire rows run on the named
 // and large instances and on the first 60 integer and 20 continuous ones,
-// the in-process rows on all. A pruning comparison that never pruned would
-// compare nothing, so the run must prune on a bounds row, on a time row
-// under the network's own index and under the shared one, and on a wire
-// row; and it must put every wire kind on the wire, through every row and
-// in every codec.
+// and so do the update-mix rows; the other in-process rows on all. A
+// pruning comparison that never pruned would compare nothing, so the run
+// must prune on a bounds row, on a time row under the network's own index
+// and under the shared one, and on a wire row; the update-mix rows must
+// read inside windows narrower than every version, hit the cache and find
+// entries invalidated; and the run must put every wire kind on the wire,
+// through every row and in every codec.
 func TestLattice(t *testing.T) {
 	n := 300
 	if testing.Short() {
@@ -47,8 +49,9 @@ func TestLattice(t *testing.T) {
 	for _, r := range reps {
 		rep.add(r)
 	}
-	if rep.Bounds == 0 || rep.Own == 0 || rep.Shared == 0 || rep.Served == 0 {
-		t.Errorf("pruned %d, %d, %d, %d; a comparison whose count is 0 compared nothing", rep.Bounds, rep.Own, rep.Shared, rep.Served)
+	if rep.Bounds == 0 || rep.Own == 0 || rep.Shared == 0 || rep.Served == 0 || rep.Narrow == 0 || rep.Hits == 0 || rep.Invalidated == 0 {
+		t.Errorf("pruned %d, %d, %d, %d; %d narrow windows, %d cache hits, %d entries invalidated; a comparison whose count is 0 compared nothing",
+			rep.Bounds, rep.Own, rep.Shared, rep.Served, rep.Narrow, rep.Hits, rep.Invalidated)
 	}
 	var never []string
 	asked := func(key string) {
@@ -71,13 +74,22 @@ func TestLattice(t *testing.T) {
 	t.Logf("wire requests by row, kind and codec, and kinds the wire could not carry: %v", rep.Asked)
 }
 
+// The update-mix rows alone, on the named instances: what `make
+// update-smoke` runs of this package under the race detector.
+func TestUpdateMix(t *testing.T) {
+	for _, in := range Named() {
+		Check(t, in, Select{Rows: UpdateRows})
+	}
+}
+
 // FuzzLattice checks the rows of a mask (bit i%64 of word i/64 is row i;
-// none, every in-process row) on the instance for a seed: -1 … -len(Named())
-// the named ones, any other the generator's. The seeds are the first
-// generated instances that caught the in-process rows' two wrong answers, a
-// dominated facility in a multi-source skyline and an unreachable insert in
-// a maintainer's top-k, and the named instance on which the wire rows found
-// JSON refusing the +Inf score of a facility no location reaches.
+// none, every in-process row but the update-mix ones) on the instance for a
+// seed: -1 … -len(Named()) the named ones, any other the generator's. The
+// seeds are the first generated instances that caught the in-process rows'
+// two wrong answers, a dominated facility in a multi-source skyline and an
+// unreachable insert in a maintainer's top-k, the named instance on which
+// the wire rows found JSON refusing the +Inf score of a facility no location
+// reaches, and one for the update-mix rows.
 func FuzzLattice(f *testing.F) {
 	f.Add(int64(23), uint64(0), uint64(0))
 	f.Add(int64(3), MaintainerRows[0], MaintainerRows[1])
@@ -85,6 +97,7 @@ func FuzzLattice(f *testing.F) {
 	f.Add(int64(7), disk[0], disk[1])
 	f.Add(int64(-8), TimeRows[0], TimeRows[1])
 	f.Add(int64(-1), WireRows[0], WireRows[1])
+	f.Add(int64(-2), UpdateRows[0], UpdateRows[1])
 	named := Named()
 	f.Fuzz(func(t *testing.T, seed int64, lo, hi uint64) {
 		in := Generated(seed)

@@ -4,15 +4,13 @@ import (
 	"math/rand"
 	"testing"
 
-	"mcn/internal/core"
-	"mcn/internal/expand"
 	"mcn/internal/graph"
 	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 
-// Reference networks and sweeps for the version, index and race tests; the
-// sweeps' own check is the lattice's period kinds (lattice_test.go).
+// Reference networks for the version and index tests; the sweeps' own check
+// is the lattice's period kinds (lattice_test.go).
 
 // randomProfiled takes a 200-node network from testnet's hard-case
 // generator (d = 3, integer costs), profiles a few of its edges with
@@ -45,33 +43,4 @@ func randomProfiled(t *testing.T, directed bool, seed int64) (*Network, []graph.
 		}
 	}
 	return n, append([]graph.Location{inst.Loc}, inst.Locs...)
-}
-
-// refOverPeriod is the pre-overlay implementation, kept as the oracle: one
-// Snapshot + MemorySource query per elementary interval, merging adjacent
-// intervals with identical facility sets.
-func refOverPeriod(t *testing.T, n *Network, from, to float64, query func(expand.Source) (*core.Result, error)) []IntervalResult {
-	t.Helper()
-	breaks := n.Breakpoints(from, to)
-	var out []IntervalResult
-	for i, start := range breaks {
-		end := to
-		if i+1 < len(breaks) {
-			end = breaks[i+1]
-		}
-		snap, err := n.Snapshot(start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := query(expand.NewMemorySource(snap))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out) > 0 && sameIDs(out[len(out)-1].Result, res) {
-			out[len(out)-1].To = end
-			continue
-		}
-		out = append(out, IntervalResult{From: start, To: end, Result: res})
-	}
-	return out
 }

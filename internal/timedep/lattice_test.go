@@ -101,3 +101,22 @@ func TestOverlayEquivalenceOverPeriod(t *testing.T) {
 		}
 	})
 }
+
+// Profile edits race queries in the lattice's update-mix rows, with the
+// result cache off and on; every answer must be the oracle's for a version
+// inside the read's window. Windows narrower than every version, cache hits
+// and invalidated entries must occur, or the checks compared nothing.
+func TestSetProfileRacesQueries(t *testing.T) {
+	for _, cached := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cache=%v", cached), func(t *testing.T) {
+			rows := lattice.UpdateRows.Without(lattice.UpdateCachedRows)
+			if cached {
+				rows = lattice.UpdateCachedRows
+			}
+			rep := lattice.Sweep(t, 20, lattice.Generated, nil, lattice.Select{Rows: rows})
+			if rep.Narrow == 0 || cached && (rep.Hits == 0 || rep.Invalidated == 0) {
+				t.Errorf("%d narrow windows, %d cache hits, %d entries invalidated; a count of 0 checked nothing", rep.Narrow, rep.Hits, rep.Invalidated)
+			}
+		})
+	}
+}

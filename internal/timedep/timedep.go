@@ -345,8 +345,8 @@ type IntervalResult struct {
 // instant runs one static query against the view at the start of the
 // elementary interval covering t: the shared prologue of every *At entry
 // point — location validation, version load, pruning index for within, ctx
-// binding. spec carries the kind-specific key fields; with a cache attached,
-// the query is keyed by elementary interval (every instant inside the
+// binding. spec carries the kind-specific key fields; through an attached
+// cache, the query is keyed by elementary interval (every instant inside the
 // interval shares one entry) and tagged with its interval plus the
 // time-dependent class.
 func (n *Network) instant(ctx context.Context, loc graph.Location, t float64, opt core.Options, spec rescache.KeySpec, query func(*flat.View, core.Options) (*core.Result, error)) (*core.Result, error) {
@@ -355,7 +355,8 @@ func (n *Network) instant(ctx context.Context, loc graph.Location, t float64, op
 	}
 	v := n.cur.Load()
 	k := v.intervalAt(t)
-	run := func() (*core.Result, error) {
+	spec.Interval, spec.Axis = k, v.axis
+	res, _, err := n.cache.Query(spec, loc, opt, func() (*core.Result, error) {
 		if opt.Bounds == nil && spec.Kind == rescache.KindWithin {
 			// Only within reads an index, so only a within that runs builds
 			// it. The version's own, never the static network's: bounds built
@@ -366,37 +367,17 @@ func (n *Network) instant(ctx context.Context, loc graph.Location, t float64, op
 		}
 		view := n.ov.View(v.rows, v.start(k))
 		return query(&view, opt.BindContext(ctx))
-	}
-	if n.cache != nil && opt.OnResult == nil {
-		spec.Interval = k
-		spec.Axis = v.axis
-		spec.Engine = byte(opt.Engine)
-		spec.NoEnhancements = opt.NoEnhancements
-		spec.Edge = loc.Edge
-		spec.T = loc.T
-		if key, scale, ok := spec.Key(); ok {
-			val, _, err := n.cache.Do(key, func() (rescache.Value, []rescache.Tag, error) {
-				res, err := run()
-				if err != nil {
-					return rescache.Value{}, nil, err
-				}
-				tags := []rescache.Tag{rescache.IntervalTag(k), rescache.ClassTimeDep}
-				if n.cur.Load() != v {
-					// An edit published since v was loaded may have stamped
-					// its tags before Do's version snapshot, where they
-					// cannot mark this entry stale: answer from v, store
-					// nothing.
-					tags = append(tags, rescache.Superseded)
-				}
-				return rescache.Value{Result: res, Scale: scale}, tags, nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			return val.ResultAt(scale), nil
+	}, func(*core.Result) []rescache.Tag {
+		tags := []rescache.Tag{rescache.IntervalTag(k), rescache.ClassTimeDep}
+		if n.cur.Load() != v {
+			// An edit published since v was loaded may have stamped its
+			// tags before Do's version snapshot, where they cannot mark
+			// this entry stale: answer from v, store nothing.
+			tags = append(tags, rescache.Superseded)
 		}
-	}
-	return run()
+		return tags
+	})
+	return res, err
 }
 
 // SkylineAt computes sky(q) under the cost surface in effect at instant t:

@@ -394,3 +394,17 @@ func TestOverPeriodCancelsInsideInterval(t *testing.T) {
 		}
 	}
 }
+
+// sameFacilityList reports whether two results list the same facilities,
+// costs and scores in the same order.
+func sameFacilityList(a, b []core.Facility) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || !a[i].Costs.Equal(b[i].Costs) || a[i].Score != b[i].Score {
+			return false
+		}
+	}
+	return true
+}

@@ -2,12 +2,8 @@ package mcn
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
-
-	"mcn/internal/core"
-	"mcn/internal/rescache"
 )
 
 // bitEqualResults reports bit-for-bit equality of two results: same
@@ -44,146 +40,6 @@ func equivGraph(t *testing.T, seed int64) *Graph {
 		t.Fatalf("Synthetic: %v", err)
 	}
 	return g
-}
-
-// randomRequest draws one request of a random kind with random parameters,
-// mixing engines and the enhancement ablation so the cache key's variant
-// bytes are exercised too.
-func randomRequest(rng *rand.Rand, g *Graph, locs []Location) BatchRequest {
-	loc := locs[rng.Intn(len(locs))]
-	var opts []Option
-	if rng.Intn(2) == 0 {
-		opts = append(opts, WithEngine(CEA))
-	}
-	if rng.Intn(8) == 0 {
-		opts = append(opts, func(o *core.Options) { o.NoEnhancements = true })
-	}
-	switch rng.Intn(4) {
-	case 0:
-		return SkylineRequest(loc, opts...)
-	case 1:
-		coef := make([]float64, g.D())
-		for i := range coef {
-			coef[i] = rng.Float64()
-		}
-		coef[rng.Intn(len(coef))] += 0.1 // keep at least one weight positive
-		return TopKRequest(loc, WeightedSum(coef...), 1+rng.Intn(5), opts...)
-	case 2:
-		return NearestRequest(loc, rng.Intn(g.D()), 1+rng.Intn(4))
-	default:
-		budget := make([]float64, g.D())
-		for i := range budget {
-			budget[i] = 5 + 60*rng.Float64()
-		}
-		return WithinRequest(loc, Of(budget...), opts...)
-	}
-}
-
-// TestCachedEquivalenceRandomized runs a Zipf-ish randomized workload (few
-// distinct queries, many repetitions) through a cached and an uncached
-// executor over the same graph and requires every response to be
-// bit-identical — the cache must be observationally invisible.
-func TestCachedEquivalenceRandomized(t *testing.T) {
-	g := equivGraph(t, 7)
-	plain := FromGraph(g)
-	cached := FromGraph(g)
-	cached.EnableResultCache(CacheOptions{Entries: 256})
-
-	plainEx := plain.NewExecutor(ExecutorConfig{Workers: 1})
-	cachedEx := cached.NewExecutor(ExecutorConfig{Workers: 1})
-
-	rng := rand.New(rand.NewSource(11))
-	locs := RandomQueries(g, 6, 3)
-
-	// A small distinct-request pool replayed many times guarantees hits.
-	reqs := make([]BatchRequest, 12)
-	for i := range reqs {
-		reqs[i] = randomRequest(rng, g, locs)
-	}
-	for i := 0; i < 120; i++ {
-		req := reqs[rng.Intn(len(reqs))]
-		want := plainEx.Do(ctx, req)
-		got := cachedEx.Do(ctx, req)
-		if want.Err != nil || got.Err != nil {
-			t.Fatalf("query %d (%v): errs %v / %v", i, req.Kind, want.Err, got.Err)
-		}
-		if !bitEqualResults(want.Result, got.Result) {
-			t.Fatalf("query %d (%v): cached result diverged from uncached", i, req.Kind)
-		}
-	}
-	cs, ok := cached.ResultCacheStats()
-	if !ok || cs.Hits == 0 {
-		t.Fatalf("harness never hit the cache: %+v", cs)
-	}
-	if cs.Misses > int64(len(reqs)) {
-		t.Fatalf("more misses (%d) than distinct requests (%d)", cs.Misses, len(reqs))
-	}
-}
-
-// timedepPair builds two identical time-dependent networks over g — one
-// cached, one not — with the same rush-hour profiles attached.
-func timedepPair(t *testing.T, g *Graph) (cached, plain *TimeNetwork, cache *ResultCache) {
-	t.Helper()
-	cached, plain = TimeDependent(g), TimeDependent(g)
-	for e := 0; e < g.NumEdges(); e += 7 {
-		p := TimeProfile{
-			Times: []float64{8, 10},
-			Mult:  []Costs{Of(3, 1, 2), Of(1, 1, 1)},
-		}
-		if err := cached.SetProfile(EdgeID(e), p); err != nil {
-			t.Fatalf("SetProfile: %v", err)
-		}
-		if err := plain.SetProfile(EdgeID(e), p); err != nil {
-			t.Fatalf("SetProfile: %v", err)
-		}
-	}
-	c := rescache.New(CacheOptions{Entries: 256})
-	cached.EnableResultCache(c)
-	return cached, plain, c
-}
-
-// TestCachedEquivalenceTimeDependent replays random instant queries of all
-// four kinds against cached and uncached time-dependent networks and
-// requires bit-identical results. Instants are drawn from a small pool so
-// interval-keyed entries are hit both at the exact same instant and at
-// different instants inside the same elementary interval.
-func TestCachedEquivalenceTimeDependent(t *testing.T) {
-	g := equivGraph(t, 9)
-	cached, plain, cache := timedepPair(t, g)
-	rng := rand.New(rand.NewSource(13))
-	locs := RandomQueries(g, 4, 17)
-	agg := WeightedSum(0.5, 0.2, 0.3)
-	times := []float64{2, 8.5, 9.9, 25}
-
-	for i := 0; i < 80; i++ {
-		loc := locs[rng.Intn(len(locs))]
-		at := times[rng.Intn(len(times))] + rng.Float64()*0.05 // same interval, jittered instant
-		var want, got *Result
-		var errW, errG error
-		switch i % 4 {
-		case 0:
-			want, errW = plain.SkylineAt(ctx, loc, at, QueryOptions())
-			got, errG = cached.SkylineAt(ctx, loc, at, QueryOptions())
-		case 1:
-			want, errW = plain.TopKAt(ctx, loc, agg, 4, at, QueryOptions())
-			got, errG = cached.TopKAt(ctx, loc, agg, 4, at, QueryOptions())
-		case 2:
-			want, errW = plain.NearestAt(ctx, loc, i%3, 3, at, QueryOptions())
-			got, errG = cached.NearestAt(ctx, loc, i%3, 3, at, QueryOptions())
-		default:
-			want, errW = plain.WithinAt(ctx, loc, Of(40, 40, 40), at, QueryOptions())
-			got, errG = cached.WithinAt(ctx, loc, Of(40, 40, 40), at, QueryOptions())
-		}
-		if errW != nil || errG != nil {
-			t.Fatalf("query %d: errs %v / %v", i, errW, errG)
-		}
-		if !bitEqualResults(want, got) {
-			t.Fatalf("query %d at t=%g: cached timedep result diverged", i, at)
-		}
-	}
-	if cs := cache.Stats(); cs.Hits == 0 {
-		t.Fatalf("timedep harness never hit the cache: %+v", cs)
-	}
 }
 
 // precisionGraph is a hand-built chain whose facility placement the
