@@ -246,15 +246,19 @@ chaos:
 # are a fixed point of the codec) and the serving handler itself
 # (FuzzV1Query: arbitrary body x Content-Type x Accept on /v1/query plus
 # arbitrary query strings on the GET routes — only 200/400/503, errors
-# decodable in the negotiated codec). `go test` accepts one -fuzz target per
-# invocation, so the targets run sequentially, each for FUZZTIME. CI runs a
-# short smoke (FUZZTIME=10s); locally run with a longer budget to hunt.
+# decodable in the negotiated codec). Over the expansions' priority queue:
+# random push/peek/pop interleavings that keep the monotone contract pop
+# exactly what a (key, tie)-sorted reference pops (FuzzMonotoneHeap).
+# `go test` accepts one -fuzz target per invocation, so the targets run
+# sequentially, each for FUZZTIME. CI runs a short smoke (FUZZTIME=10s);
+# locally run with a longer budget to hunt.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLattice -fuzztime $(FUZZTIME) ./internal/testsupport/lattice
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzJSONEnvelope -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzV1Query -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzMonotoneHeap -fuzztime $(FUZZTIME) ./internal/expand
 
 # Docs freshness: the markdown dead-link/anchor and package-comment checks
 # and the test-only-export gate, TestNoTestOnlyExports (an exported name the

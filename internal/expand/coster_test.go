@@ -2,6 +2,7 @@ package expand
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mcn/internal/graph"
@@ -117,4 +118,52 @@ func lineGraph(t *testing.T) *graph.Graph {
 	b.AddFacility(e01, 0.5)
 	b.AddFacility(e23, 0.25)
 	return testnet.MustBuild(b)
+}
+
+// badCoster serves one edge at a cost no expansion may meet: a negative
+// cost would push a node below the key the queue last popped, and a NaN one
+// is no key at all. Every other edge keeps its graph cost.
+type badCoster struct {
+	*MemorySource
+	bad  graph.EdgeID
+	cost float64
+}
+
+func (c *badCoster) EdgeCost(e graph.EdgeID, costIdx int) float64 {
+	if e == c.bad {
+		return c.cost
+	}
+	return c.MemorySource.Graph().Edge(e).W[costIdx]
+}
+
+// A push below the queue's floor fails the step with an error instead of
+// popping out of order: on the path 0–1–2–3 from node 0, expanding node 1
+// (key 2) over the bad edge 1–2 must fail, so the facility on edge 2–3 is
+// never reported.
+func TestBadEdgeCostFailsStep(t *testing.T) {
+	g := lineGraph(t)
+	for _, cost := range []float64{-3, math.Inf(-1), math.NaN()} {
+		src := &badCoster{MemorySource: NewMemorySource(g), bad: 1, cost: cost}
+		x, err := newOn(t, src, 0, graph.Location{Edge: 0, T: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reported []graph.FacilityID
+		for {
+			p, _, ok, err := x.Next()
+			if err != nil {
+				if !strings.Contains(err.Error(), "below the queue's floor") {
+					t.Errorf("cost %g: error %q does not name the floor", cost, err)
+				}
+				break
+			}
+			if !ok {
+				t.Fatalf("cost %g: expansion exhausted without an error, reported %v", cost, reported)
+			}
+			reported = append(reported, p)
+		}
+		if len(reported) != 1 || reported[0] != 0 {
+			t.Errorf("cost %g: reported %v before the error, want only facility 0", cost, reported)
+		}
+	}
 }

@@ -33,8 +33,8 @@ const (
 //
 // Bookkeeping lives in one dense state unit drawn from the query's Scratch:
 // generation-stamped arrays indexed by NodeID/FacilityID and a reusable
-// heap, so the steady-state pop loop performs zero allocations and repeated
-// queries reuse the same backing arrays.
+// monotone priority queue, so the steady-state pop loop performs zero
+// allocations and repeated queries reuse the same backing arrays.
 type Expansion struct {
 	src  Source
 	cost int
@@ -182,12 +182,18 @@ func (x *Expansion) SetFilter(allowEdge func(graph.EdgeID) bool, allowFac func(g
 	x.allowFac = allowFac
 }
 
-// HeadKey returns the key at the head of the expansion heap: a lower bound
-// on the cost of every facility not yet reported (the tᵢ threshold of the
-// paper's top-k lower-bound pruning). It is +Inf once the expansion is
+// HeadKey returns the key at the head of the expansion's queue: a lower
+// bound on the cost of every facility not yet reported (the tᵢ threshold of
+// the paper's top-k lower-bound pruning). It is +Inf once the expansion is
 // exhausted, since anything unseen is unreachable under this cost type.
+//
+// The peek may raise the queue's floor, the key below which it refuses
+// pushes (see monotoneQueue), from the last popped key to the head key. That
+// is safe because the expansion owns its queue and pushes only from
+// expanding the node it pops next, or a later one, whose key is at least the
+// head key; the seeds New pushes come before any peek.
 func (x *Expansion) HeadKey() float64 {
-	if it, ok := x.ds.heap.peek(); ok {
+	if it, ok := x.ds.queue.peek(); ok {
 		return it.key
 	}
 	return math.Inf(1)
@@ -222,11 +228,14 @@ func (x *Expansion) pushFacility(p graph.FacilityID, key float64) error {
 
 // Step advances the expansion by one event: it expands one node (EventNode),
 // reports the next nearest facility (EventFacility, with its id and cost),
-// or reports exhaustion. Stale heap entries are skipped transparently.
+// or reports exhaustion. Stale queue entries are skipped transparently. A
+// cost that would put a node or facility below the last popped key — a
+// negative or NaN edge cost — fails the step instead of misordering the
+// search.
 func (x *Expansion) Step() (Event, graph.FacilityID, float64, error) {
 	ds := x.ds
 	for {
-		it, ok := ds.heap.pop()
+		it, ok := ds.queue.pop()
 		if !ok {
 			return EventExhausted, 0, 0, nil
 		}

@@ -74,16 +74,17 @@ type marks struct {
 }
 
 // denseState is the array-backed Dijkstra state of one Expansion, indexed
-// directly by NodeID / FacilityID, plus a reusable heap. A generation stamp
-// makes reuse O(1): bumping gen logically clears every mark without touching
-// the arrays, so repeated queries never re-make or zero their state.
+// directly by NodeID / FacilityID, plus a reusable priority queue. A
+// generation stamp makes reuse O(1): bumping gen logically clears every mark
+// without touching the arrays, so repeated queries never re-make or zero
+// their state.
 type denseState struct {
 	gen uint32
 	// seq numbers this expansion's node pushes: the ties of its node items.
 	seq   uint32
 	nodes marks
 	facs  marks
-	heap  minHeap // backing array grown once and reused across queries
+	queue monotoneQueue // backing arrays grown once and reused across queries
 	// Record buffers an expansion over a decoder decodes into, one record
 	// at a time.
 	adj   []graph.AdjEntry
@@ -91,9 +92,11 @@ type denseState struct {
 	recs  []graph.FacEntry
 }
 
-// push en-heaps id with tentative cost key unless this generation already
+// push en-queues id with tentative cost key unless this generation already
 // finished it or knows a cost at least as good. An id beyond the array grows
-// it, or fails the search when the source declared an id space without it.
+// it, or fails the search when the source declared an id space without it. A
+// key the queue refuses — below the last popped key, or NaN — fails the
+// search too, before the mark records it.
 func (s *denseState) push(a *marks, id uint32, key float64) error {
 	if int(id) >= len(a.m) {
 		if int(id) >= a.limit {
@@ -113,12 +116,14 @@ func (s *denseState) push(a *marks, id uint32, key float64) error {
 		tie = s.seq
 		s.seq++
 	}
+	if err := s.queue.push(item{key: key, tie: tie, id: id}); err != nil {
+		return err
+	}
 	m.seen, m.best = s.gen, key
-	s.heap.push(item{key: key, tie: tie, id: id})
 	return nil
 }
 
-// stale reports whether a popped heap entry is obsolete: its id is finished,
+// stale reports whether a popped queue entry is obsolete: its id is finished,
 // or a cheaper entry for it was pushed later.
 func (s *denseState) stale(a *marks, it item) bool {
 	m := &a.m[it.id]
@@ -235,7 +240,8 @@ func (s *Scratch) state() *denseState {
 	// A facility's id is its heap tie below facilityTie, so ids from there
 	// on are out of range even where the source declares no id space.
 	ds.facs.m, ds.facs.limit = fit(ds.facs.m, s.facs), min(s.facs, facilityTie)
-	ds.heap.a, ds.seq = ds.heap.a[:0], 0
+	ds.queue.reset()
+	ds.seq = 0
 	ds.bump()
 	return ds
 }
