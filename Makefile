@@ -217,11 +217,13 @@ serve-smoke:
 # passes — the update-mix rows of the differential lattice (a static
 # executor and a time-dependent network, with and without one shared result
 # cache, read while SetProfile and a maintainer's inserts and deletes race
-# them) and their slices in the root package and internal/timedep. Also
-# part of `make cover`; this target is the dedicated CI step, so a race on
-# the update path is named in the failing step.
+# them) and their slices in the root package and internal/timedep, plus the
+# root package's check that a maintainer's inserts and deletes leave every
+# cached static entry a hit with the uncached answer. Also part of
+# `make cover`; this target is the dedicated CI step, so a race on the
+# update path is named in the failing step.
 update-smoke:
-	$(GO) test -race -count=3 -run '^(TestSetProfileRacesQueries|TestCachedEquivalenceRandomized|TestCachedEquivalenceTimeDependent|TestUpdateMix)$$' \
+	$(GO) test -race -count=3 -run '^(TestSetProfileRacesQueries|TestCachedEquivalenceRandomized|TestCachedEquivalenceTimeDependent|TestUpdateMix|TestMaintainerUpdatesInvalidateNothing)$$' \
 		. ./internal/timedep ./internal/testsupport/lattice
 
 # Soak smoke: mcnsoak drives one second of sustained /v1/query load through

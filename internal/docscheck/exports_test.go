@@ -486,6 +486,7 @@ var allowed = map[string]int{
 
 	"mcn.Network.BaselineTopK":          14,
 	"mcn.Network.ResetIOStats":          14,
+	"rescache.EdgeTag":                  14,
 	"timedep.Network.Breakpoints":       14,
 	"timedep.Network.EnableResultCache": 14,
 }

@@ -62,11 +62,6 @@ type Maintainer struct {
 	facs map[Handle]*Entry
 
 	closed atomic.Bool
-	// onUpdate, when set, observes every successful facility mutation with
-	// the edge it touched; the facade points it at the result cache's
-	// edge-tag invalidation so live updates kill exactly the cached entries
-	// that depend on the touched edge.
-	onUpdate func(graph.EdgeID)
 }
 
 // New materialises the initial state for query location loc. The source's
@@ -266,11 +261,6 @@ func (m *Maintainer) sweep() error {
 	return nil
 }
 
-// SetOnUpdate registers fn to observe every successful Insert and Delete
-// with the edge the mutation touched. It must be called before the
-// maintainer is used; the facade wires it to result-cache invalidation.
-func (m *Maintainer) SetOnUpdate(fn func(graph.EdgeID)) { m.onUpdate = fn }
-
 // Close marks the maintainer closed, so that later Inserts fail with
 // ErrClosed. It is idempotent and safe for concurrent use.
 func (m *Maintainer) Close() error {
@@ -316,9 +306,6 @@ func (m *Maintainer) Insert(e graph.EdgeID, t float64) (Handle, error) {
 	h := m.next
 	m.next++
 	m.facs[h] = &Entry{Handle: h, Edge: e, T: t, Costs: costs}
-	if m.onUpdate != nil {
-		m.onUpdate(e)
-	}
 	return h, nil
 }
 
@@ -332,14 +319,10 @@ func at(dist []float64, v graph.NodeID) float64 {
 
 // Delete removes a maintained facility, reachable or not.
 func (m *Maintainer) Delete(h Handle) error {
-	e, ok := m.facs[h]
-	if !ok {
+	if _, ok := m.facs[h]; !ok {
 		return fmt.Errorf("dynamic: unknown facility handle %d", h)
 	}
 	delete(m.facs, h)
-	if m.onUpdate != nil {
-		m.onUpdate(e.Edge)
-	}
 	return nil
 }
 

@@ -166,15 +166,19 @@ type Executor struct {
 
 	// Admission state. admitted counts queries past the shed check that have
 	// not yet released their worker slot (queued + running); inflight counts
-	// those actually holding a slot. The admit/StartDrain handshake relies on
+	// those actually holding a slot. The admit/drain handshake relies on
 	// ordering: admit increments admitted *before* loading draining, and
-	// StartDrain stores draining *before* DrainWait loads admitted, so either
-	// the admitter observes the drain or the drainer observes the admission.
-	admitted atomic.Int64
-	inflight atomic.Int64
-	shed     atomic.Int64
-	drainRej atomic.Int64
-	draining atomic.Bool
+	// StartDrain, or a decrement that observes draining, loads admitted only
+	// *after* draining is stored, so either the admitter observes the drain
+	// or the drainer observes the admission. drained is closed, once, by
+	// whichever of them then reads admitted as 0.
+	admitted  atomic.Int64
+	inflight  atomic.Int64
+	shed      atomic.Int64
+	drainRej  atomic.Int64
+	draining  atomic.Bool
+	drained   chan struct{}
+	drainOnce sync.Once
 
 	mu    sync.Mutex
 	stats Stats
@@ -185,7 +189,7 @@ func New(src expand.Source, cfg Config) *Executor {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	return &Executor{src: src, cfg: cfg, sem: make(chan struct{}, cfg.Workers)}
+	return &Executor{src: src, cfg: cfg, sem: make(chan struct{}, cfg.Workers), drained: make(chan struct{})}
 }
 
 // Workers returns the configured parallelism bound.
@@ -206,12 +210,12 @@ func (e *Executor) SetBounds(lb expand.LowerBounder) { e.bounds = lb }
 func (e *Executor) admit(ctx context.Context) error {
 	a := e.admitted.Add(1)
 	if e.draining.Load() {
-		e.admitted.Add(-1)
+		e.leave()
 		e.drainRej.Add(1)
 		return ErrDraining
 	}
 	if e.cfg.QueueDepth > 0 && a > int64(e.cfg.Workers+e.cfg.QueueDepth) {
-		e.admitted.Add(-1)
+		e.leave()
 		e.shed.Add(1)
 		return ErrOverloaded
 	}
@@ -225,7 +229,7 @@ func (e *Executor) admit(ctx context.Context) error {
 		case <-ctx.Done():
 		}
 	}
-	e.admitted.Add(-1)
+	e.leave()
 	return fmt.Errorf("engine: queued query aborted: %w", ctx.Err())
 }
 
@@ -233,7 +237,25 @@ func (e *Executor) admit(ctx context.Context) error {
 func (e *Executor) release() {
 	e.inflight.Add(-1)
 	<-e.sem
-	e.admitted.Add(-1)
+	e.leave()
+}
+
+// leave undoes admit's increment of admitted. The decrement that empties a
+// draining executor ends the drain, once admitted still reads 0 after
+// draining is seen: a query admitted just before StartDrain may have raised
+// it again in between, and its own leave ends the drain instead.
+func (e *Executor) leave() {
+	if e.admitted.Add(-1) == 0 && e.draining.Load() {
+		e.endDrainIfIdle()
+	}
+}
+
+// endDrainIfIdle closes drained if no query is admitted. Call it only after
+// draining is stored or observed.
+func (e *Executor) endDrainIfIdle() {
+	if e.admitted.Load() == 0 {
+		e.drainOnce.Do(func() { close(e.drained) })
+	}
 }
 
 // AdmissionStats is a lock-free snapshot of the executor's admission state.
@@ -270,27 +292,24 @@ func (e *Executor) AdmissionStats() AdmissionStats {
 // StartDrain flips the executor into drain mode: every subsequent admission
 // is rejected with ErrDraining, while queries already admitted (queued or
 // running) proceed normally. Idempotent; there is no way back.
-func (e *Executor) StartDrain() { e.draining.Store(true) }
+func (e *Executor) StartDrain() {
+	e.draining.Store(true)
+	e.endDrainIfIdle()
+}
 
 // Draining reports whether StartDrain has been called.
 func (e *Executor) Draining() bool { return e.draining.Load() }
 
-// DrainWait blocks until every admitted query has released its slot or ctx
-// is done, whichever comes first; it returns ctx's error in the latter case
-// (queries still running keep running — the caller decides how hard to
-// stop). Call StartDrain first, or new admissions can starve the wait.
+// DrainWait blocks until StartDrain has been called and every admitted
+// query has released its slot, or until ctx is done, whichever comes first;
+// it returns ctx's error in the latter case (queries still running keep
+// running — the caller decides how hard to stop).
 func (e *Executor) DrainWait(ctx context.Context) error {
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
-	for {
-		if e.admitted.Load() == 0 {
-			return nil
-		}
-		select {
-		case <-tick.C:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	select {
+	case <-e.drained:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -395,7 +414,8 @@ func (e *Executor) envelope(ctx context.Context, req Request, body func(context.
 
 // query is Do's body: it attaches the executor's pruning index and ctx to the
 // request's options and runs it against the executor's source, through the
-// result cache (a nil one runs it directly).
+// result cache (a nil one runs it directly). Its entries carry no tags: the
+// source never changes, so no Invalidate can make one stale.
 func (e *Executor) query(ctx context.Context, req Request) (*core.Result, bool, error) {
 	opts := req.Opts
 	if opts.Bounds == nil {
@@ -404,8 +424,7 @@ func (e *Executor) query(ctx context.Context, req Request) (*core.Result, bool, 
 	opts = opts.BindContext(ctx)
 	spec := rescache.KeySpec{Kind: cacheKind(req.Kind), Interval: -1, Agg: req.Agg, K: req.K, CostIdx: req.CostIdx, Budget: req.Budget}
 	return e.cache.Query(spec, req.Loc, opts,
-		func() (*core.Result, error) { return e.execute(req, opts) },
-		func(res *core.Result) []rescache.Tag { return resultTags(e.src, req.Loc, res) })
+		func() (*core.Result, error) { return e.execute(req, opts) }, nil)
 }
 
 // execute dispatches one prepared request to the core algorithms against the

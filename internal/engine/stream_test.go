@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"iter"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -307,16 +308,69 @@ func TestDrainLifecycle(t *testing.T) {
 	if st := exec.Stats(); st.Completed != 3 || st.Failed != 2*n {
 		t.Errorf("stats = %+v, want 3 completed, %d failed", st, 2*n)
 	}
-	if err := exec.DrainWait(context.Background()); err != nil {
+	idle, cancelIdle := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelIdle()
+	if err := exec.DrainWait(idle); err != nil {
 		t.Errorf("DrainWait on idle executor: %v", err)
 	}
 
-	// DrainWait honors its context when queries are (apparently) stuck.
-	exec.admitted.Add(1)
-	defer exec.admitted.Add(-1)
+	// DrainWait honors its context while an admitted query holds its slot,
+	// and returns once that query releases it.
+	stuck := New(src, Config{Workers: 1})
+	if err := stuck.admit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	stuck.StartDrain()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := exec.DrainWait(ctx); !errors.Is(err, context.Canceled) {
+	if err := stuck.DrainWait(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("DrainWait with dead ctx: %v", err)
+	}
+	stuck.release()
+	ctx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := stuck.DrainWait(ctx); err != nil {
+		t.Errorf("DrainWait after the last release: %v", err)
+	}
+}
+
+// A drain racing a stream of admissions ends exactly once every admitted
+// query has finished: when DrainWait returns, no query body is running and
+// none starts afterwards.
+func TestDrainWaitRacesAdmissions(t *testing.T) {
+	exec := New(nil, Config{Workers: 2})
+	var running, late atomic.Int64
+	var drained atomic.Bool
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for exec.Run(context.Background(), Request{}, func(context.Context) error {
+				running.Add(1)
+				if drained.Load() {
+					late.Add(1)
+				}
+				runtime.Gosched()
+				running.Add(-1)
+				return nil
+			}).Err == nil {
+			}
+		}()
+	}
+	time.Sleep(5 * time.Millisecond)
+	exec.StartDrain()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := exec.DrainWait(ctx); err != nil {
+		t.Fatalf("DrainWait: %v", err)
+	}
+	drained.Store(true)
+	if n := running.Load(); n != 0 {
+		t.Errorf("%d query bodies still running when DrainWait returned", n)
+	}
+	wg.Wait()
+	if n := late.Load(); n != 0 {
+		t.Errorf("%d query bodies started after DrainWait returned", n)
 	}
 }

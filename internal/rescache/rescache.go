@@ -16,31 +16,30 @@
 // # Invalidation
 //
 // Entries are stamped, not chased: each entry records the tags it depends
-// on (the query location's edge, the edges carrying its result facilities,
-// its elementary interval) plus the cache's global version at the moment
-// its computation began. Invalidate bumps the version and stamps the
-// affected tags; an entry is stale when any of its tags was stamped after
-// the entry's computation started, and stale entries die lazily — at the
-// next lookup that touches them, or when the CLOCK hand sweeps them out.
-// Invalidation is therefore O(tags) no matter how many entries are cached,
-// and a live update (a facility insert, a profile edit) kills exactly the
-// entries whose tags it touched. Flush is the generation-stamped epoch
-// fallback: it invalidates every entry at once, for structural changes
-// whose precise tag set is unknown (e.g. a time-axis recompile that
-// renumbers intervals — though those use the narrower class tag).
+// on plus the cache's global version at the moment its computation began.
+// Invalidate bumps the version and stamps the affected tags; an entry is
+// stale when any of its tags was stamped after the entry's computation
+// started, and stale entries die lazily — at the next lookup that touches
+// them, or when the CLOCK hand sweeps them out. Invalidation is therefore
+// O(tags) no matter how many entries are cached. Only time-dependent
+// entries carry tags (their elementary interval and ClassTimeDep), so a
+// profile edit kills exactly the entries of the intervals it changed. A
+// static entry carries none: the network it was computed on never changes,
+// so no Invalidate can name it. Flush is the generation-stamped epoch that
+// drops every entry at once, static ones included.
 //
-// # Relaxed consistency
+// # Consistency
 //
-// A computation that raced an invalidation (the tag was stamped after the
-// computation began) is returned to its own caller but never cached, so no
-// entry outlives an update that affects it; callers coalesced onto it look
-// the key up again rather than share an answer the update may have made
-// stale before they arrived. What a *hit* may observe is deliberately
-// relaxed — see the contract in ARCHITECTURE.md
-// ("Result cache"): hits return the shared cached result (callers must
-// treat it as read-only), carry the work statistics of the query that
-// filled the entry, and — for facility updates — entries whose tags the
-// update did not touch survive by design.
+// A computation that raced an invalidation (one of its tags was stamped
+// after the computation began) is returned to its own caller but never
+// cached, so no entry outlives an update that affects it; callers coalesced
+// onto it look the key up again rather than share an answer the update may
+// have made stale before they arrived. So a static entry is exact for the
+// network's life and a time-dependent one exact for its interval until an
+// edit changes it. A hit returns the shared cached result (callers must
+// treat it as read-only) and carries the work statistics of the query that
+// filled the entry — see the contract in ARCHITECTURE.md ("Serving-layer
+// result cache").
 package rescache
 
 import (
@@ -70,8 +69,9 @@ const (
 	tagKindClass    uint64 = 3 << 56
 )
 
-// EdgeTag tags entries that depend on edge e: the query location lies on it
-// or a result facility does. Facility updates invalidate through it.
+// EdgeTag names edge e. No entry the product stores carries one (a
+// network's edges and facilities never change once built); it is kept for
+// the benchmark harness, which times Invalidate with it.
 func EdgeTag(e graph.EdgeID) Tag { return Tag(tagKindEdge | uint64(e)) }
 
 // IntervalTag tags entries answered from elementary time interval k of a
@@ -374,11 +374,11 @@ func (c *Cache) Do(key string, compute func() (Value, []Tag, error)) (val Value,
 // interval and axis; Query adds the location and the variant opt selects
 // (Engine, NoEnhancements), so that a hit is what the same request would
 // compute. run computes the result; tags, run on a miss only, returns the
-// tags a computed result depends on. A nil cache, a query whose
-// opt.OnResult must observe the search run, and a query Key cannot key all
-// run without the cache. hit reports a live entry's result: shared with the
-// cache (read-only) and rescaled to the caller's weights by
-// Value.ResultAt.
+// tags a computed result depends on, and a nil tags means it depends on
+// nothing an Invalidate can name. A nil cache, a query whose opt.OnResult
+// must observe the search run, and a query Key cannot key all run without
+// the cache. hit reports a live entry's result: shared with the cache
+// (read-only) and rescaled to the caller's weights by Value.ResultAt.
 func (c *Cache) Query(spec KeySpec, loc graph.Location, opt core.Options, run func() (*core.Result, error), tags func(*core.Result) []Tag) (res *core.Result, hit bool, err error) {
 	if c != nil && opt.OnResult == nil {
 		spec.Engine, spec.NoEnhancements = byte(opt.Engine), opt.NoEnhancements
@@ -389,7 +389,11 @@ func (c *Cache) Query(spec KeySpec, loc graph.Location, opt core.Options, run fu
 				if err != nil {
 					return Value{}, nil, err
 				}
-				return Value{Result: res, Scale: scale}, tags(res), nil
+				var deps []Tag
+				if tags != nil {
+					deps = tags(res)
+				}
+				return Value{Result: res, Scale: scale}, deps, nil
 			})
 			if err != nil {
 				return nil, false, err

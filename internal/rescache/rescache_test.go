@@ -121,6 +121,52 @@ func TestFlushKillsEverything(t *testing.T) {
 	}
 }
 
+// An entry stored with no tags depends on nothing an Invalidate can name:
+// it survives every interval and class tag and dies only on Flush.
+func TestUntaggedEntrySurvivesInvalidate(t *testing.T) {
+	c := New(Options{Entries: 8})
+	c.Do("static", fill(1))
+	c.Do("timed", fill(2, IntervalTag(3), ClassTimeDep))
+	for k := range 64 {
+		c.Invalidate(IntervalTag(k))
+	}
+	c.Invalidate(ClassTimeDep, Superseded)
+	if _, ok := c.Lookup("timed"); ok {
+		t.Fatalf("tagged entry survived the invalidation of its tags")
+	}
+	if _, ok := c.Lookup("static"); !ok {
+		t.Fatalf("untagged entry was killed by Invalidate")
+	}
+	c.Flush()
+	if _, ok := c.Lookup("static"); ok {
+		t.Fatalf("untagged entry survived Flush")
+	}
+}
+
+// Query with a nil tags function stores the computed result untagged and
+// serves the next identical query from it.
+func TestQueryNilTagsStores(t *testing.T) {
+	c := New(Options{Entries: 8})
+	spec := KeySpec{Kind: KindSkyline, Interval: -1}
+	loc := graph.Location{Edge: 3, T: 0.5}
+	runs := 0
+	run := func() (*core.Result, error) {
+		runs++
+		return mkValue(7).Result, nil
+	}
+	first, hit, err := c.Query(spec, loc, core.Options{}, run, nil)
+	if err != nil || hit {
+		t.Fatalf("first Query: hit=%v err=%v", hit, err)
+	}
+	second, hit, err := c.Query(spec, loc, core.Options{}, run, nil)
+	if err != nil || !hit {
+		t.Fatalf("second Query: hit=%v err=%v", hit, err)
+	}
+	if second != first || runs != 1 || c.Len() != 1 {
+		t.Fatalf("second Query: same result %v, %d runs, %d entries; want true, 1, 1", second == first, runs, c.Len())
+	}
+}
+
 func TestInvalidateDuringCompute(t *testing.T) {
 	c := New(Options{Entries: 8})
 	// The invalidation lands while the computation is running: the result

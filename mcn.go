@@ -32,10 +32,9 @@
 // fetches; at most one storage access per record per query).
 //
 // For serving repeat traffic, EnableResultCache attaches a CLOCK-evicted
-// result cache with singleflight coalescing and incremental invalidation to the
-// executor-based query paths (Batch, NewExecutor); see the method's
-// documentation for the cacheability rules and the relaxed-consistency
-// contract.
+// result cache with singleflight coalescing to the executor-based query
+// paths (Batch, NewExecutor); see the method's documentation for the
+// cacheability rules and why a cached answer is always exact.
 package mcn
 
 import (
@@ -112,8 +111,9 @@ type (
 	// OpenDatabaseOptions). Its zero Policy is the clock pool.
 	PoolOptions = storage.PoolOptions
 	// ResultCache is a serving-layer cache of completed query results with
-	// singleflight miss coalescing and incremental invalidation (see
-	// Network.EnableResultCache and ARCHITECTURE.md "Result cache").
+	// singleflight miss coalescing and exact hits (see
+	// Network.EnableResultCache and ARCHITECTURE.md "Serving-layer result
+	// cache").
 	ResultCache = rescache.Cache
 	// CacheOptions tunes a ResultCache: its entry capacity.
 	CacheOptions = rescache.Options
@@ -567,39 +567,29 @@ func (n *Network) BaselineTopK(ctx context.Context, loc Location, agg Aggregate,
 // network. Cancelling ctx aborts the initial materialisation. The
 // maintainer holds no pooled state; Close it when done with updates
 // (idempotent, any goroutine): Insert then fails with an error,
-// and the maintained results stay readable.
+// and the maintained results stay readable. Inserts and deletes change the
+// maintainer's own facility set only: the network, its executors and its
+// result cache never see them, so they invalidate no cached answer.
 func (n *Network) Maintain(ctx context.Context, loc Location) (*Maintainer, error) {
-	m, err := dynamic.New(n.src, loc, n.queryOptions(ctx, nil))
-	if err != nil {
-		return nil, err
-	}
-	if n.cache != nil {
-		// Every facility mutation kills exactly the cached entries that
-		// depend on the touched edge — the incremental half of the cache's
-		// relaxed-consistency contract (see EnableResultCache).
-		cache := n.cache
-		m.SetOnUpdate(func(e EdgeID) { cache.Invalidate(rescache.EdgeTag(e)) })
-	}
-	return m, nil
+	return dynamic.New(n.src, loc, n.queryOptions(ctx, nil))
 }
 
 // EnableResultCache attaches a serving-layer result cache to the network
 // and returns it. Every executor the network creates afterwards — via
 // NewExecutor and Batch — memoizes completed results
-// under canonical query keys with singleflight miss coalescing, and
-// Maintain wires facility updates to incremental invalidation. Enable the
-// cache before creating executors or maintainers; calling it again
-// replaces the cache for future executors only. The returned cache can be
-// shared with a TimeNetwork via TimeNetwork.EnableResultCache so instant
-// time-dependent queries use the same capacity and counters.
+// under canonical query keys with singleflight miss coalescing. Enable the
+// cache before creating executors; calling it again replaces the cache for
+// future executors only. The returned cache can be shared with a
+// TimeNetwork via TimeNetwork.EnableResultCache so instant time-dependent
+// queries use the same capacity and counters.
 //
-// Consistency is deliberately relaxed in one direction: a facility update
-// invalidates exactly the entries whose query location or result
-// facilities lie on the touched edge, so an entry whose result *should*
-// gain a newly inserted facility on some unrelated edge may be served
-// unchanged until it is evicted or flushed. FlushResultCache is the strict
-// fallback. The direct query methods (Skyline, TopK, ...) never consult
-// the cache. See ARCHITECTURE.md "Result cache" for the full contract.
+// Every cached answer is exact. A Network does not change once built (a
+// Maintainer's inserts and deletes stay in the maintainer), so a static
+// entry is its query's answer for the network's whole life; a
+// time-dependent entry is its elementary interval's answer, and a profile
+// edit that changes the interval invalidates it. The direct query methods
+// (Skyline, TopK, ...) never consult the cache. See ARCHITECTURE.md
+// "Serving-layer result cache" for the full contract.
 func (n *Network) EnableResultCache(opts CacheOptions) *ResultCache {
 	n.cache = rescache.New(opts)
 	return n.cache
@@ -618,9 +608,9 @@ func (n *Network) ResultCacheStats() (CacheStats, bool) {
 	return n.cache.Stats(), true
 }
 
-// FlushResultCache invalidates every cached result at once — the strict
-// fallback when the relaxed invalidation contract is not enough. A no-op
-// when no cache is enabled.
+// FlushResultCache drops every cached result at once, for a caller that
+// wants the cache cold again; no cached answer needs it to stay exact. A
+// no-op when no cache is enabled.
 func (n *Network) FlushResultCache() {
 	if n.cache != nil {
 		n.cache.Flush()

@@ -43,7 +43,7 @@ func equivGraph(t *testing.T, seed int64) *Graph {
 }
 
 // precisionGraph is a hand-built chain whose facility placement the
-// invalidation tests control exactly: facilities f0 on edge 0 and f1 on
+// cache contract tests control exactly: facilities f0 on edge 0 and f1 on
 // edge 2, with edge 3 kept empty.
 //
 //	n0 --e0[f0]-- n1 --e1-- n2 --e2[f1]-- n3 --e3-- n4
@@ -67,21 +67,26 @@ func precisionGraph(t *testing.T) *Graph {
 	return g
 }
 
-// TestMaintainInvalidationPrecision pins the incremental half of the
-// contract: a Maintainer insert kills exactly the cached entries whose
-// query location or result facilities lie on the touched edge. The entry
-// for an untouched facility survives; inserting on an edge no entry
-// depends on evicts nothing.
-func TestMaintainInvalidationPrecision(t *testing.T) {
+// TestMaintainerUpdatesInvalidateNothing pins the static half of the
+// contract: a Maintainer's inserts and deletes stay in its own facility
+// set, so they touch no cached entry. Inserts on the edges the entries'
+// locations and results lie on and on an unrelated edge, then deletes of
+// every maintained facility, leave every entry a hit, move Invalidated not
+// at all, and each hit is the network's uncached answer bit for bit.
+func TestMaintainerUpdatesInvalidateNothing(t *testing.T) {
 	g := precisionGraph(t)
 	net := FromGraph(g)
 	net.EnableResultCache(CacheOptions{Entries: 64})
 	ex := net.NewExecutor(ExecutorConfig{Workers: 1})
 
-	// Nearest k=1 keeps each entry's tag set to {loc edge, result edge}.
-	reqA := NearestRequest(Location{Edge: 0, T: 0.25}, 0, 1) // f0; tags {e0}
-	reqB := NearestRequest(Location{Edge: 2, T: 0.75}, 0, 1) // f1; tags {e2}
-	for _, r := range []BatchRequest{reqA, reqB} {
+	reqs := []BatchRequest{
+		NearestRequest(Location{Edge: 0, T: 0.25}, 0, 1), // f0, on edge 0
+		NearestRequest(Location{Edge: 2, T: 0.75}, 0, 1), // f1, on edge 2
+		SkylineRequest(Location{Edge: 0, T: 0.25}),
+		TopKRequest(Location{Edge: 2, T: 0.75}, WeightedSum(1, 1), 2),
+		WithinRequest(Location{Edge: 1, T: 0.5}, Of(10, 10)),
+	}
+	for _, r := range reqs {
 		if resp := ex.Do(ctx, r); resp.Err != nil {
 			t.Fatalf("fill: %v", resp.Err)
 		}
@@ -92,39 +97,47 @@ func TestMaintainInvalidationPrecision(t *testing.T) {
 		t.Fatalf("Maintain: %v", err)
 	}
 	defer m.Close()
-
-	// Insert on the empty edge 3: neither entry depends on it.
-	if _, err := m.Insert(3, 0.5); err != nil {
-		t.Fatalf("Insert: %v", err)
-	}
-	hitsBefore, _ := net.ResultCacheStats()
-	ex.Do(ctx, reqA)
-	ex.Do(ctx, reqB)
-	cs, _ := net.ResultCacheStats()
-	if got := cs.Hits - hitsBefore.Hits; got != 2 {
-		t.Fatalf("insert on unrelated edge evicted entries: %d hits of 2", got)
-	}
-
-	// Insert on edge 0: entry A (loc and result on e0) must die, entry B
-	// must survive.
-	if _, err := m.Insert(0, 0.1); err != nil {
-		t.Fatalf("Insert: %v", err)
-	}
 	before, _ := net.ResultCacheStats()
-	respA := ex.Do(ctx, reqA)
-	respB := ex.Do(ctx, reqB)
-	if respA.Err != nil || respB.Err != nil {
-		t.Fatalf("requery: %v / %v", respA.Err, respB.Err)
+	for _, e := range []EdgeID{0, 2, 3} { // edge 3 carries no entry
+		if _, err := m.Insert(e, 0.1); err != nil {
+			t.Fatalf("Insert on edge %d: %v", e, err)
+		}
+	}
+	all, _, err := m.TopK(WeightedSum(1, 1), 10)
+	if err != nil {
+		t.Fatalf("maintained TopK: %v", err)
+	}
+	if len(all) != 5 {
+		t.Fatalf("maintainer holds %d facilities, want 2 initial and 3 inserted", len(all))
+	}
+	for _, f := range all {
+		if err := m.Delete(f.Handle); err != nil {
+			t.Fatalf("Delete %d: %v", f.Handle, err)
+		}
+	}
+
+	for i, r := range reqs {
+		resp := ex.Do(ctx, r)
+		if resp.Err != nil {
+			t.Fatalf("request %d: %v", i, resp.Err)
+		}
+		if !resp.Cached {
+			t.Fatalf("request %d: entry did not survive the maintainer's updates", i)
+		}
+		// A progressive callback makes the request uncacheable: the same
+		// executor runs it against the network.
+		r.Opts.OnResult = func(Facility) {}
+		fresh := ex.Do(ctx, r)
+		if fresh.Err != nil || fresh.Cached {
+			t.Fatalf("request %d uncached: err %v, cached %v", i, fresh.Err, fresh.Cached)
+		}
+		if !bitEqualResults(resp.Result, fresh.Result) {
+			t.Fatalf("request %d: hit differs from the uncached answer", i)
+		}
 	}
 	after, _ := net.ResultCacheStats()
-	if respA.Cached {
-		t.Fatalf("entry for touched edge 0 survived the insert")
-	}
-	if !respB.Cached {
-		t.Fatalf("entry for untouched edge 2 was evicted")
-	}
-	if after.Invalidated-before.Invalidated != 1 {
-		t.Fatalf("Invalidated delta = %d, want 1", after.Invalidated-before.Invalidated)
+	if after.Invalidated != before.Invalidated {
+		t.Fatalf("Invalidated moved by %d under maintainer updates", after.Invalidated-before.Invalidated)
 	}
 }
 
@@ -263,9 +276,9 @@ func TestThunderingHerdSingleExpansion(t *testing.T) {
 	}
 }
 
-// TestFlushResultCache checks the strict fallback of the relaxed invalidation
-// contract: after FlushResultCache a repeated query misses and recomputes an
-// identical answer, and on a network without a cache the call does nothing.
+// TestFlushResultCache checks that FlushResultCache drops every entry: a
+// repeated query misses and recomputes an identical answer, and on a
+// network without a cache the call does nothing.
 func TestFlushResultCache(t *testing.T) {
 	g := equivGraph(t, 7)
 	net := FromGraph(g)
