@@ -195,8 +195,13 @@ chaossmoke:
 # MCNB forms of every query kind through a gateway over three replicas, all
 # up, one down and one shedding, each answer held to the oracle and byte
 # for byte to a replica; one replica request per query), the
-# malformed-input table, 5xx failover, the streamed relay and the
-# FuzzV1Query corpus replayed through a gateway. One test,
+# malformed-input table, 5xx failover, the streamed relay, the
+# FuzzV1Query corpus replayed through a gateway, and TestFailureTable: every
+# class of the failure table, in every form and codec, of a replica and of a
+# gateway over three replicas failing alike — the status, Retry-After and
+# message each class renders, and exactly which replicas the gateway asks
+# and cools (one deadline leaves all three available) — with
+# TestGatewayTimeoutIsADeadline for the gateway's own -timeout. One test,
 # TestGatewayStreamPassthrough, serves the gateway on a real socket so
 # net/http's own flush path is covered. Also part of the plain test suite;
 # this target is the dedicated CI step so a decode, routing or failover
@@ -247,7 +252,7 @@ chaos:
 # input: the MCNB request and response decoders (no panic, accepted frames
 # are a fixed point of the codec) and the serving handler itself
 # (FuzzV1Query: arbitrary body x Content-Type x Accept on /v1/query plus
-# arbitrary query strings on the GET routes — only 200/400/503, errors
+# arbitrary query strings on the GET routes — only 200/400/503/504, errors
 # decodable in the negotiated codec). Over the expansions' priority queue:
 # random push/peek/pop interleavings that keep the monotone contract pop
 # exactly what a (key, tie)-sorted reference pops (FuzzMonotoneHeap).

@@ -2,8 +2,9 @@
 // HTTP endpoint. Every replica holds the whole network, so every query —
 // single-location, /multisource/* and */period alike, stream=1 included —
 // is proxied to one replica chosen by consistent hashing on the query,
-// failing over on transport errors and 5xx, and the replica's response is
-// relayed verbatim.
+// failing over on transport errors and on the failure classes README's
+// failure table marks retryable, and the replica's response is relayed
+// verbatim.
 //
 // Usage:
 //
@@ -37,7 +38,7 @@ func main() {
 		policyFlag    = flag.String("policy", "hash", "routing policy: hash (cache affinity), the only one")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "how often backends' /readyz is probed")
 		probeTimeout  = flag.Duration("probe-timeout", cluster.DefaultProbeTimeout, "per-probe timeout")
-		timeout       = flag.Duration("timeout", 15*time.Second, "per-backend-request timeout (0 = none; replicas still enforce their own)")
+		timeout       = flag.Duration("timeout", 15*time.Second, "per-backend-request timeout (0 = none; replicas still enforce their own); one that fires answers 504")
 	)
 	flag.Parse()
 	if *backends == "" {

@@ -26,7 +26,7 @@
 //	GET /debug/pprof/   (only with -pprof)
 //
 // Every query endpoint accepts timeout_ms to tighten the per-request deadline
-// below the server's -timeout. When more than -workers queries are
+// below the server's -timeout; a query that outlives it answers 504. When more than -workers queries are
 // running and -queue-depth more are waiting, further queries are shed with
 // 503 and a Retry-After hint rather than queued without bound; /readyz turns
 // unready only while the shed rate exceeds -shed-rate over -shed-window. On

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -28,7 +30,7 @@ type Gateway struct {
 // NewGateway builds a gateway over the membership with the given routing
 // policy, proxying through the membership's transport. timeout bounds each
 // backend request (0 = no client-side bound; the replicas enforce their own
-// -timeout).
+// -timeout); one that fires answers the deadline class.
 func NewGateway(m *Membership, policy Policy, timeout time.Duration) *Gateway {
 	return &Gateway{
 		m:      m,
@@ -87,10 +89,13 @@ func (g *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// unavailable is the gateway's own shed response, mirroring the replicas'
-// overload contract so clients need only one retry discipline.
+// errNoBackend is the gateway's own shed: no candidate was left to ask.
+var errNoBackend = errors.New("cluster: no backend available")
+
+// unavailable is the gateway's own shed response, the replicas' shed class
+// so clients need only one retry discipline.
 func unavailable(w http.ResponseWriter, mode wire.Mode) {
-	wire.WriteShed(w, mode, wire.Error{Error: "cluster: no backend available"})
+	wire.ClassShed.Write(w, mode, wire.ClassShed.Error(errNoBackend))
 }
 
 // handle answers every query endpoint: decode, then proxy. A request the
@@ -99,31 +104,39 @@ func unavailable(w http.ResponseWriter, mode wire.Mode) {
 func (g *Gateway) handle(w http.ResponseWriter, r *http.Request) {
 	q, mode, body, err := wire.DecodeHTTP(w, r)
 	if err != nil {
-		wire.Write(w, mode, http.StatusBadRequest, wire.Error{Error: err.Error()})
+		wire.ClassInvalid.Write(w, mode, wire.ClassInvalid.Error(err))
 		return
 	}
 	g.proxy(w, r, q, mode, body)
 }
 
 // roundTrip issues one prepared backend request, maintaining the backend's
-// inflight count (for /stats) and health state. A transport error marks the
-// backend down (unless the client's own context ended first — that is not
-// the backend's fault); a 503 cools it for the advertised Retry-After,
-// clamped to MaxRetryAfter. The caller owns resp.Body.
-func (g *Gateway) roundTrip(r *http.Request, b *Backend, req *http.Request) (*http.Response, error) {
+// inflight count (for /stats) and health state, and returns the answer's
+// row of the failure table. A transport error marks the backend down,
+// unless the client's own context ended first or the gateway's own timeout
+// fired: neither is the backend's fault, and the probes find a backend that
+// is really hung. The gateway's timeout is the deadline class, as a
+// replica's own deadline is. An answer whose class cools cools the backend
+// for the advertised Retry-After, clamped to MaxRetryAfter; any other
+// retryable failure counts against it. The caller owns resp.Body.
+func (g *Gateway) roundTrip(r *http.Request, b *Backend, req *http.Request) (*http.Response, wire.Failure, error) {
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	resp, err := g.client.Do(req)
 	if err != nil {
-		if r.Context().Err() == nil {
+		if r.Context().Err() == nil && !errors.Is(err, context.DeadlineExceeded) {
 			b.markDown()
 		}
-		return nil, err
+		return nil, wire.Failure{}, err
 	}
-	if resp.StatusCode == http.StatusServiceUnavailable {
+	f := wire.StatusFailure(resp.StatusCode)
+	switch {
+	case f.Cools:
 		b.cool(g.m.now(), g.m.retryAfter(resp, time.Second))
+	case f.Retryable:
+		b.failures.Add(1)
 	}
-	return resp, nil
+	return resp, f, nil
 }
 
 // hopByHop are the hop-by-hop headers of RFC 9110 §7.6.1: they describe one
@@ -160,12 +173,15 @@ func copyEndToEnd(dst, src http.Header) {
 // the decoded request, so every codec's form of one query (t=0.50 as much as
 // t=0.5) shares a replica and its result cache.
 //
-// The candidates are tried in order. A transport error or a 503 moves on to
-// the next; so does any other 5xx, one replica's internal failure, counted
-// against it — except from the last candidate, whose answer is relayed. A
-// 4xx is relayed at once: the replicas are deterministic, so one replica's
-// client error is every replica's. Once the client has hung up nobody will
-// read an answer, so no further candidate is tried.
+// The candidates are tried in order, and the failure table decides what an
+// answer's status means: a retryable class, or a transport error, moves on
+// to the next candidate, and any other answer is relayed — the replicas are
+// deterministic, so one replica's client error is every replica's, and a
+// deadline re-run elsewhere would only pass again. The gateway's own
+// timeout is a deadline too. The last candidate's retryable answer is
+// relayed, unless its class cools (the replica asked for no traffic) or it
+// never answered: then the gateway sheds. Once the client has hung up
+// nobody will read an answer, so no further candidate is tried.
 func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, q *wire.Request, mode wire.Mode, body []byte) {
 	cands := g.router.Candidates(CanonicalKey(q), g.m.Available())
 	for i, b := range cands {
@@ -177,20 +193,17 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, q *wire.Request,
 			continue
 		}
 		copyEndToEnd(req.Header, r.Header)
-		resp, err := g.roundTrip(r, b, req)
-		if err != nil {
+		resp, f, err := g.roundTrip(r, b, req)
+		switch {
+		case errors.Is(err, context.DeadlineExceeded):
+			// The gateway's own timeout: a deadline, re-run nowhere.
+			wire.ClassDeadline.Write(w, mode, wire.ClassDeadline.Error(err))
+			return
+		case err != nil:
 			continue
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable {
+		case f.Cools || f.Retryable && i < len(cands)-1:
 			resp.Body.Close()
 			continue
-		}
-		if resp.StatusCode >= http.StatusInternalServerError {
-			b.failures.Add(1)
-			if i < len(cands)-1 {
-				resp.Body.Close()
-				continue
-			}
 		}
 		if i > 0 {
 			g.failovers.Add(1)

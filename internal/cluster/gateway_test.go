@@ -436,3 +436,42 @@ func TestRelayStreamsEndlessReplicaBody(t *testing.T) {
 	resp.Body.Close()
 	<-done // the replica's handler returned
 }
+
+// The gateway's own -timeout is a deadline, not a dead replica: a backend
+// request that outlives it answers the deadline class — 504, no
+// Retry-After — in the client's codec, asks no other replica and takes none
+// out of rotation. Finding a replica that is really hung is the probes' job.
+func TestGatewayTimeoutIsADeadline(t *testing.T) {
+	n := newNet(t)
+	var asked atomic.Int64
+	hung := func() string {
+		return n.Serve(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			asked.Add(1)
+			<-r.Context().Done()
+		}))
+	}
+	m := newTestMembership(t, n, 10*time.Millisecond, hung(), hung(), hung())
+	g := NewGateway(m, PolicyHash, 20*time.Millisecond)
+	gwURL := n.Serve(g.Handler())
+	for _, form := range failForms(&wire.Request{Kind: wire.KindSkyline, Edge: 1, T: 0.5})[:3] {
+		status, hdr, msg := form.send(t, n.Client(), gwURL)
+		if status != http.StatusGatewayTimeout || msg != "deadline exceeded" || hdr.Get("Retry-After") != "" {
+			t.Errorf("%s: %d %q Retry-After %q, want 504 \"deadline exceeded\" without Retry-After", form.name, status, msg, hdr.Get("Retry-After"))
+		}
+		if got := asked.Swap(0); got != 1 {
+			t.Errorf("%s: %d replicas asked, want 1", form.name, got)
+		}
+		if got := len(m.Available()); got != 3 {
+			t.Errorf("%s: %d of 3 replicas available after the timeout, want 3", form.name, got)
+		}
+	}
+	for _, b := range m.Backends() {
+		if got := b.failures.Load(); got != 0 {
+			t.Errorf("%s: %d failures counted for the gateway's own timeout", b.URL(), got)
+		}
+	}
+	m.ProbeAll(ctx)
+	if got := len(m.Available()); got != 0 {
+		t.Errorf("after a probe round: %d hung replicas available, want 0", got)
+	}
+}

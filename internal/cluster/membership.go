@@ -1,8 +1,10 @@
 // Package cluster implements the multi-node serving tier in front of
 // replicated mcnserve backends: static membership with /readyz health
 // probing, routing by consistent hashing on the canonicalized query key for
-// result-cache affinity, and overload-aware failover that honours 503 +
-// Retry-After.
+// result-cache affinity, and failover that the failure table of
+// internal/wire decides: it asks the next replica exactly on the retryable
+// classes and cools a replica, for its Retry-After, exactly on the cooling
+// ones.
 //
 // The tier assumes replicated backends: every replica serves the full
 // network, so any available one answers any query — multi-source and period

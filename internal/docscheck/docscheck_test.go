@@ -6,9 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
+
+	"mcn/internal/wire"
 )
 
 // repoRoot walks up from the working directory to the directory holding
@@ -279,6 +282,64 @@ func TestServerFlagsDocumented(t *testing.T) {
 	}
 	if documented == 0 {
 		t.Error("README.md: no flags found in any \"| Flag |\" table; the reverse check is blind")
+	}
+}
+
+// TestFailureTableDocumented holds README.md's failure table equal to
+// wire.Failures, row for row: the class, its status, whether it carries
+// Retry-After, its message (a fixed one quoted, else the error's own text)
+// and what the gateway does with it. A client's and an operator's retry
+// logic is written from the README, so a class whose status or retry rule
+// moved in the code alone would break it unannounced.
+func TestFailureTableDocumented(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join(repoRoot(t), "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]string
+	inTable := false
+	for _, line := range strings.Split(string(b), "\n") {
+		switch {
+		case strings.HasPrefix(line, "| Class | Status |"):
+			inTable = true
+		case !strings.HasPrefix(line, "|"):
+			inTable = false
+		case inTable && !strings.HasPrefix(line, "|---"):
+			var cells []string
+			for _, c := range strings.Split(strings.Trim(line, "|"), " | ") {
+				cells = append(cells, strings.TrimSpace(c))
+			}
+			rows = append(rows, cells)
+		}
+	}
+	if len(rows) != len(wire.Failures) {
+		t.Fatalf("README.md failure table has %d rows, wire.Failures %d", len(rows), len(wire.Failures))
+	}
+	for i, f := range wire.Failures {
+		row := rows[i]
+		if len(row) != 6 {
+			t.Errorf("README.md failure table row %d has %d cells, want 6: %v", i, len(row), row)
+			continue
+		}
+		msg, gateway := "the error's own text", "relays it"
+		if f.Message != "" {
+			msg = "`" + f.Message + "`"
+		}
+		if i == int(wire.ClassInvalid) {
+			msg = "the refusal's own text"
+		}
+		switch {
+		case f.Cools:
+			gateway = "cools the replica"
+		case f.Retryable:
+			gateway = "asks the next"
+		}
+		retryAfter := map[bool]string{true: "yes", false: "no"}[f.Cools]
+		if row[0] != "`"+f.Outcome+"`" || row[1] != strconv.Itoa(f.Status) || row[2] != retryAfter ||
+			row[3] != msg || !strings.HasPrefix(row[4], gateway) {
+			t.Errorf("README.md failure table row %d = %v; wire.Failures has `%s` | %d | %s | %s | %s…",
+				i, row[:5], f.Outcome, f.Status, retryAfter, msg, gateway)
+		}
 	}
 }
 

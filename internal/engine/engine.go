@@ -454,11 +454,12 @@ type panicError struct{ error }
 
 func (p panicError) Unwrap() error { return p.error }
 
-// IsPanic reports whether err came from the executor's panic recovery —
-// always a server-side fault, never a malformed query.
+// IsPanic reports whether err came from the executor's panic recovery, or
+// from a result-cache computation that panicked while this query waited on
+// it — always a server-side fault, never a malformed query.
 func IsPanic(err error) bool {
 	var pe panicError
-	return errors.As(err, &pe)
+	return errors.As(err, &pe) || errors.Is(err, rescache.ErrComputePanic)
 }
 
 func (e *Executor) record(resp Response) {

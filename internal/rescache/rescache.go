@@ -43,6 +43,7 @@
 package rescache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -300,7 +301,10 @@ func (c *Cache) stale(ver uint64, tags []Tag) bool {
 // never cached: every waiter of a failed computation receives its error and
 // the next Do retries. A value that is not stored — it raced an
 // invalidation or is Superseded — is valid for its computing caller only,
-// so its waiters look the key up again instead of sharing it.
+// so its waiters look the key up again instead of sharing it; so do the
+// waiters of a computation that ended with its caller's context error (a
+// deadline or a cancellation is the leader's, not theirs), and their own
+// compute, bound to their own context, decides.
 //
 // The returned Value is shared with the cache and other callers; treat the
 // Result as read-only.
@@ -326,7 +330,7 @@ func (c *Cache) Do(key string, compute func() (Value, []Tag, error)) (val Value,
 		c.coalesced.Add(1)
 		c.mu.Unlock()
 		<-f.done
-		if f.err != nil || f.stored {
+		if f.stored || f.err != nil && !errors.Is(f.err, context.Canceled) && !errors.Is(f.err, context.DeadlineExceeded) {
 			return f.val, false, f.err
 		}
 	}

@@ -1,6 +1,7 @@
 package rescache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -339,6 +340,41 @@ func TestPanicReleasesWaiters(t *testing.T) {
 	// The key must be retryable afterwards.
 	if _, _, err := c.Do("hot", fill(2)); err != nil {
 		t.Fatalf("retry after panic: %v", err)
+	}
+}
+
+// A waiter does not inherit its leader's deadline: when the computation it
+// coalesced onto ends with the leader's context error, the waiter goes round
+// again and runs its own compute, under its own context, rather than fail
+// with an error that is not its own. Any other error is still shared.
+func TestWaiterOutlivesLeaderContext(t *testing.T) {
+	for _, leaderErr := range []error{
+		fmt.Errorf("engine: %w", context.DeadlineExceeded),
+		context.Canceled,
+		errors.New("core: the leader's own failure"),
+	} {
+		c := New(Options{Entries: 8})
+		entered := make(chan struct{})
+		go c.Do("hot", func() (Value, []Tag, error) {
+			close(entered)
+			for c.Stats().Coalesced == 0 { // the waiter registered on the flight
+				runtime.Gosched()
+			}
+			return Value{}, nil, leaderErr
+		})
+		<-entered
+		var ran atomic.Int64
+		v, hit, err := c.Do("hot", func() (Value, []Tag, error) {
+			ran.Add(1)
+			return mkValue(2), nil, nil
+		})
+		own := errors.Is(leaderErr, context.DeadlineExceeded) || errors.Is(leaderErr, context.Canceled)
+		switch {
+		case own && (err != nil || hit || ran.Load() != 1 || v.Result == nil):
+			t.Errorf("leader failed with %v: waiter got hit=%v err=%v after %d computes; want its own compute's value", leaderErr, hit, err, ran.Load())
+		case !own && (!errors.Is(err, leaderErr) || ran.Load() != 0):
+			t.Errorf("leader failed with %v: waiter got err=%v after %d computes; want the shared error", leaderErr, err, ran.Load())
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
 	"time"
@@ -50,7 +49,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // validate holds every semantic check of a decoded request, once for all
-// decoders, and builds the executor's form of it. For the period kinds it is
+// decoders, and builds the executor's form of it: every rule a client can
+// break is refused here, with an error wrapping wire.ErrInvalid, so an error
+// the query itself returns is never the caller's. For the period kinds it is
 // the static skyline or top-k request at the sweep's location, which the
 // executor admits and times like any other; runPeriodSweep reads the range
 // off q.
@@ -60,7 +61,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // what the operator configured. Zero means the server default.
 func (s *Server) validate(q *wire.Request) (mcn.BatchRequest, error) {
 	fail := func(format string, args ...any) (mcn.BatchRequest, error) {
-		return mcn.BatchRequest{}, fmt.Errorf(format, args...)
+		return mcn.BatchRequest{}, wire.Invalidf(format, args...)
 	}
 	engine := mcn.WithEngine(mcn.CEA)
 	if q.Engine == "lsa" { // the decoders admit only "" and "lsa"
@@ -106,10 +107,20 @@ func (s *Server) validate(q *wire.Request) (mcn.BatchRequest, error) {
 		}
 	}
 
+	// k for the kinds that take one, the cost type for the kinds that name
+	// one.
+	ranked := q.Kind == wire.KindTopK || q.Kind == wire.KindTopKPeriod || q.Kind == wire.KindMultiSourceTopK
+	if (ranked || q.Kind == wire.KindNearest) && q.K < 1 {
+		return fail("invalid k %d (want k >= 1)", q.K)
+	}
+	if (q.Kind == wire.KindNearest || q.Scatter()) && (q.Cost < 0 || q.Cost >= s.net.D()) {
+		return fail("cost %d out of range (network has %d cost types)", q.Cost, s.net.D())
+	}
+
 	// The top-k aggregate: explicit weights, or uniform when empty, over the
 	// d cost types — for multisource, over the |locs| per-source distances.
 	var agg mcn.Aggregate
-	if q.Kind == wire.KindTopK || q.Kind == wire.KindTopKPeriod || q.Kind == wire.KindMultiSourceTopK {
+	if ranked {
 		arity := s.net.D()
 		if q.Scatter() {
 			arity = len(locs)
@@ -143,6 +154,11 @@ func (s *Server) validate(q *wire.Request) (mcn.BatchRequest, error) {
 	case wire.KindWithin:
 		if len(q.Budget) != s.net.D() {
 			return fail("budget has %d components, network has %d", len(q.Budget), s.net.D())
+		}
+		for _, b := range q.Budget {
+			if !(b >= 0) {
+				return fail("invalid budget component %g (want a non-negative number)", b)
+			}
 		}
 		req = mcn.WithinRequest(locs[0], mcn.Of(q.Budget...), engine)
 	case wire.KindMultiSourceSkyline:
@@ -194,7 +210,7 @@ func (s *Server) runPeriodSweep(ctx context.Context, q *wire.Request, req mcn.Ba
 // streamQuery is the NDJSON response mode of /skyline and /topk (stream=1):
 // one wire.Facility per line, flushed the moment the progressive search
 // confirms it (skyline) or the incremental iterator produces it in ascending
-// score order (top-k, up to k when k > 0), then a terminal done-line on
+// score order (top-k, up to k), then a terminal done-line on
 // success or an in-band error line on failure. The NDJSON headers go out
 // with the first line, so a query that fails before it — shed, drained,
 // timed out, a storage fault — is answered by respond like a buffered one.
@@ -238,8 +254,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, q *wire.Req
 			s.respond(w, wire.ModeNDJSON, nil, resp.Err)
 			return
 		}
-		_, msg := classifyError(resp.Err)
-		json.NewEncoder(w).Encode(wire.Error{Error: msg}) //nolint:errcheck // client gone; nothing to do
+		json.NewEncoder(w).Encode(classify(resp.Err).Error(resp.Err)) //nolint:errcheck // client gone; nothing to do
 		return
 	}
 	// Terminal line: lets clients distinguish a complete result from a
@@ -251,19 +266,14 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, q *wire.Req
 }
 
 // respond renders the outcome of a query in the negotiated mode: out on
-// success, otherwise err classified into its status. Admission rejections
-// go out as sheds (503 + Retry-After): the condition clears as soon as
-// in-flight work finishes (overload) or never on this instance (drain) —
-// either way the client's move is the same, retry elsewhere or later.
+// success, otherwise err's failure class — its status, its Retry-After when
+// it cools, its client-safe message.
 func (s *Server) respond(w http.ResponseWriter, mode wire.Mode, out any, err error) {
 	if err == nil {
 		wire.Write(w, mode, http.StatusOK, out)
 		return
 	}
-	status, msg := classifyError(err)
-	if s.noteShed(err) {
-		wire.WriteShed(w, mode, wire.Error{Error: msg})
-		return
-	}
-	wire.Write(w, mode, status, wire.Error{Error: msg})
+	c := classify(err)
+	s.noteShed(c)
+	c.Write(w, mode, c.Error(err))
 }

@@ -46,14 +46,14 @@ func TestReadyzShedRateThreshold(t *testing.T) {
 	}
 
 	// One shed: rate 0.2/s over the 5s window, far under the 2/s threshold.
-	srv.noteShed(mcn.ErrOverloaded)
+	srv.noteShed(classify(mcn.ErrOverloaded))
 	if got := readyStatus(t, srv); got != http.StatusOK {
 		t.Fatalf("/readyz after a single shed = %d, want 200 (must not twitch)", got)
 	}
 
 	// A storm: 11 sheds this second pushes the rate to 2.2/s > 2/s.
 	for i := 0; i < 10; i++ {
-		srv.noteShed(mcn.ErrOverloaded)
+		srv.noteShed(classify(mcn.ErrOverloaded))
 	}
 	if got := readyStatus(t, srv); got != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz during shed storm = %d, want 503", got)
@@ -75,7 +75,7 @@ func TestReadyzShedRateThreshold(t *testing.T) {
 // the window reports unready.
 func TestReadyzLegacyAnyShed(t *testing.T) {
 	srv, clk := newReadyzServer(t, Config{Workers: 1, Timeout: time.Minute, ShedRate: -1, ShedWindow: 2 * time.Second})
-	srv.noteShed(mcn.ErrDraining)
+	srv.noteShed(classify(mcn.ErrDraining))
 	if got := readyStatus(t, srv); got != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz after shed with ShedRate<0 = %d, want 503", got)
 	}
@@ -88,9 +88,7 @@ func TestReadyzLegacyAnyShed(t *testing.T) {
 // Non-shed errors never count toward the shed rate.
 func TestNoteShedIgnoresOtherErrors(t *testing.T) {
 	srv, _ := newReadyzServer(t, Config{Workers: 1, Timeout: time.Minute, ShedRate: -1})
-	if srv.noteShed(http.ErrServerClosed) {
-		t.Fatal("noteShed counted a non-admission error")
-	}
+	srv.noteShed(classify(http.ErrServerClosed))
 	if got := readyStatus(t, srv); got != http.StatusOK {
 		t.Fatalf("/readyz = %d, want 200", got)
 	}

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"sync"
 	"time"
 
@@ -182,33 +181,34 @@ func (t *shedTracker) rate(now time.Time) float64 {
 	return float64(total) / float64(t.secs)
 }
 
-// noteShed records an admission rejection for /readyz and reports whether err
-// was one.
-func (s *Server) noteShed(err error) bool {
-	if errors.Is(err, mcn.ErrOverloaded) || errors.Is(err, mcn.ErrDraining) {
+// noteShed records an answer of class c toward the shed rate /readyz
+// watches when c is an admission rejection.
+func (s *Server) noteShed(c wire.Class) {
+	if c == wire.ClassShed || c == wire.ClassDraining {
 		s.sheds.note(s.now())
-		return true
 	}
-	return false
 }
 
-// classifyError maps a query error to an HTTP status and client-safe
-// message: overload/cancellation is 503, server faults (panics, storage I/O)
-// are 500 with the detail kept out of the response, and everything else —
-// validation the query layer itself performed — is the caller's 400.
-func classifyError(err error) (int, string) {
+// classify maps a query error to its failure class (wire.Failures), by
+// errors.Is and errors.As alone: a refused request, an admission
+// rejection, an ended context, a panic, a storage fault — and anything
+// else is unclassified, a fault of the server and never of the request.
+func classify(err error) wire.Class {
 	switch {
-	case errors.Is(err, mcn.ErrOverloaded) || errors.Is(err, mcn.ErrDraining):
-		return http.StatusServiceUnavailable, err.Error()
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return http.StatusServiceUnavailable, err.Error()
+	case errors.Is(err, wire.ErrInvalid):
+		return wire.ClassInvalid
+	case errors.Is(err, mcn.ErrOverloaded):
+		return wire.ClassShed
+	case errors.Is(err, mcn.ErrDraining):
+		return wire.ClassDraining
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		return wire.ClassDeadline
 	case mcn.IsQueryPanic(err):
-		return http.StatusInternalServerError, "internal query failure"
-	case strings.HasPrefix(err.Error(), "storage:"):
-		return http.StatusInternalServerError, "storage failure"
-	default:
-		return http.StatusBadRequest, err.Error()
+		return wire.ClassPanic
+	case mcn.IsStorageFault(err):
+		return wire.ClassStorage
 	}
+	return wire.ClassUnclassified
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -233,11 +233,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // instance ready, so health probes don't flap it out of rotation.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.exec.Draining() {
-		wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
+		wire.ClassDraining.Write(w, wire.ModeJSON, map[string]any{"status": "draining"})
 		return
 	}
 	if s.sheds.rate(s.now()) > s.shedRate {
-		wire.WriteShed(w, wire.ModeJSON, map[string]any{"status": "shedding"})
+		wire.ClassShed.Write(w, wire.ModeJSON, map[string]any{"status": "shedding"})
 		return
 	}
 	wire.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready"})

@@ -3,9 +3,11 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -14,6 +16,8 @@ import (
 	"time"
 
 	"mcn"
+	"mcn/internal/rescache"
+	"mcn/internal/storage"
 	"mcn/internal/testsupport/memnet"
 	"mcn/internal/wire"
 )
@@ -163,41 +167,79 @@ func TestStatsResultCache(t *testing.T) {
 	}
 }
 
-// Query errors map to statuses by fault domain: cancellation is 503, panics
-// and storage faults are 500 with internals kept out of the message, and
-// validation errors are the caller's 400.
+// Query errors map to failure classes by errors.Is and errors.As alone,
+// never by their text, and each class renders as its row of the failure
+// table in either codec: status, Retry-After exactly when the class cools,
+// and the client-safe message. A storage fault wrapped by another layer is
+// still one; the waiter of a panicked shared computation is a panic; an
+// internal invariant error, or a core error that names the request but
+// reached no validate rule, is unclassified — a 500, never the caller's
+// 400 with internal text.
 func TestClassifyError(t *testing.T) {
+	fault := storage.NewMemDevice().ReadPage(3, make([]byte, storage.PageSize))
+	if !mcn.IsStorageFault(fault) {
+		t.Fatalf("a device read error is not a storage fault: %v", fault)
+	}
 	cases := []struct {
-		err    error
-		status int
-		msg    string
+		err   error
+		class wire.Class
+		msg   string
 	}{
-		{context.Canceled, http.StatusServiceUnavailable, context.Canceled.Error()},
-		{fmt.Errorf("engine: queued query aborted: %w", context.DeadlineExceeded),
-			http.StatusServiceUnavailable, "engine: queued query aborted: context deadline exceeded"},
-		{fmt.Errorf("storage: read page 7: disk gone"), http.StatusInternalServerError, "storage failure"},
-		{fmt.Errorf("core: top-k requires k >= 1, got 0"), http.StatusBadRequest, "core: top-k requires k >= 1, got 0"},
+		{wire.Invalidf("edge %d out of range", 9), wire.ClassInvalid, "edge 9 out of range"},
+		{mcn.ErrOverloaded, wire.ClassShed, mcn.ErrOverloaded.Error()},
+		{mcn.ErrDraining, wire.ClassDraining, mcn.ErrDraining.Error()},
+		{context.Canceled, wire.ClassDeadline, "deadline exceeded"},
+		{fmt.Errorf("engine: queued query aborted: %w", context.DeadlineExceeded), wire.ClassDeadline, "deadline exceeded"},
+		{fault, wire.ClassStorage, "storage failure"},
+		{fmt.Errorf("core: skyline: %w", fault), wire.ClassStorage, "storage failure"},
+		{errors.New("storage: read page 7: disk gone"), wire.ClassUnclassified, "internal failure"},
+		{rescache.ErrComputePanic, wire.ClassPanic, "internal query failure"},
+		{errors.New("expand: key 1 pushed below the queue's floor 2"), wire.ClassUnclassified, "internal failure"},
+		{errors.New("core: top-k requires k >= 1, got 0"), wire.ClassUnclassified, "internal failure"},
 	}
-	for _, c := range cases {
-		status, msg := classifyError(c.err)
-		if status != c.status || msg != c.msg {
-			t.Errorf("classifyError(%v) = %d %q, want %d %q", c.err, status, msg, c.status, c.msg)
-		}
-	}
-
-	// A panicking query surfaces as a generic 500, not a 400 with internals.
 	g, err := mcn.Synthetic(mcn.SyntheticConfig{Nodes: 300, Facilities: 40, D: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := New(mcn.FromGraph(g), Config{Workers: 1})
+	for _, c := range cases {
+		if got := classify(c.err); got != c.class {
+			t.Errorf("classify(%v) = %s, want %s", c.err, wire.Failures[got].Outcome, wire.Failures[c.class].Outcome)
+			continue
+		}
+		row := wire.Failures[c.class]
+		for _, mode := range []wire.Mode{wire.ModeJSON, wire.ModeBinary} {
+			rec := httptest.NewRecorder()
+			srv.respond(rec, mode, nil, c.err)
+			msg := ""
+			if mode == wire.ModeBinary {
+				resp := decodeBinaryResponse(t, rec.Body.Bytes())
+				if resp.Status != rec.Code {
+					t.Errorf("%v: error frame says %d under HTTP %d", c.err, resp.Status, rec.Code)
+				}
+				msg = resp.Message
+			} else {
+				var e wire.Error
+				if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+					t.Fatalf("%v: %v in %q", c.err, err, rec.Body)
+				}
+				msg = e.Error
+			}
+			if rec.Code != row.Status || msg != c.msg || (rec.Header().Get("Retry-After") != "") != row.Cools {
+				t.Errorf("%v, mode %d: %d %q Retry-After %q, want %d %q (cools: %v)",
+					c.err, mode, rec.Code, msg, rec.Header().Get("Retry-After"), row.Status, c.msg, row.Cools)
+			}
+		}
+	}
+
+	// A panicking query surfaces as a generic 500, not a 400 with internals.
 	exec := mcn.FromGraph(g).NewExecutor(mcn.ExecutorConfig{Workers: 1})
 	resp := exec.Do(context.Background(), mcn.TopKRequest(mcn.Location{Edge: 0, T: 0.5}, nil, 2))
 	if !mcn.IsQueryPanic(resp.Err) {
 		t.Fatalf("nil aggregate did not register as a panic: %v", resp.Err)
 	}
-	status, msg := classifyError(resp.Err)
-	if status != http.StatusInternalServerError || msg != "internal query failure" {
-		t.Errorf("panic classified as %d %q", status, msg)
+	if got := classify(resp.Err); got != wire.ClassPanic {
+		t.Errorf("panic classified as %s", wire.Failures[got].Outcome)
 	}
 }
 

@@ -151,7 +151,7 @@ func (t *BTree) Lookup(key uint64) (value uint64, ok bool, err error) {
 		case kind == innerKind && n > 0:
 			page = searchInner(data, n, key)
 		default:
-			err = fmt.Errorf("storage: page %d is not a searchable btree node (kind %d, %d entries)", page, kind, n)
+			err = faultf("page %d is not a searchable btree node (kind %d, %d entries)", page, kind, n)
 		}
 		fr.Release()
 		if kind == leafKind || err != nil {

@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -415,17 +414,18 @@ func (b *BufferPool) FailureStats() FailureStats {
 }
 
 // readPage reads page id into data with one device read and verifies it
-// against its checksum (see verify). A failure is counted and surfaced once:
-// ErrChecksum, or the device's own error prefixed with the page id. Readers
+// against its checksum (see verify). A failure is counted and surfaced once,
+// as a fault: ErrChecksum, or the device's own error — prefixed with the
+// page id unless it is already a fault (this package's devices). Readers
 // are handed a frame only after a read that passed, so a failure can never
 // poison the cache.
 func (b *BufferPool) readPage(id PageID, data []byte) error {
 	if err := b.dev.ReadPage(id, data); err != nil {
 		b.failPermanent.Add(1)
-		if strings.HasPrefix(err.Error(), "storage:") {
+		if IsFault(err) {
 			return err
 		}
-		return fmt.Errorf("storage: page %d: %w", id, err)
+		return faultf("page %d: %w", id, err)
 	}
 	if id != 0 && int(id) < len(b.sums) {
 		return b.verify(id, data)
@@ -444,7 +444,7 @@ func (b *BufferPool) verify(id PageID, data []byte) error {
 	}
 	if PageChecksum(data) != b.sums[id] {
 		b.checksumErrs.Add(1)
-		return fmt.Errorf("storage: page %d: %w", id, ErrChecksum)
+		return faultf("page %d: %w", id, ErrChecksum)
 	}
 	if b.verified != nil {
 		b.verified[word].Or(bit)

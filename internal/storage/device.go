@@ -63,7 +63,7 @@ func NewMemDevice() *MemDevice { return &MemDevice{} }
 // ReadPage implements Device.
 func (m *MemDevice) ReadPage(id PageID, buf []byte) error {
 	if int(id) >= len(m.pages) {
-		return fmt.Errorf("storage: read of unallocated page %d (have %d)", id, len(m.pages))
+		return faultf("read of unallocated page %d (have %d)", id, len(m.pages))
 	}
 	copy(buf, m.pages[id])
 	return nil
@@ -150,7 +150,7 @@ func OpenFileDevice(path string) (*FileDevice, error) {
 // page id rather than a page of garbage.
 func (d *FileDevice) ReadPage(id PageID, buf []byte) error {
 	if int(id) >= d.n {
-		return fmt.Errorf("storage: read of unallocated page %d (have %d)", id, d.n)
+		return faultf("read of unallocated page %d (have %d)", id, d.n)
 	}
 	if d.mapped {
 		return d.copyPage(id, buf)
@@ -164,7 +164,7 @@ func (d *FileDevice) ReadPage(id PageID, buf []byte) error {
 	if err == nil || err == io.EOF {
 		err = io.ErrUnexpectedEOF
 	}
-	return fmt.Errorf("storage: read page %d: short read (%d of %d bytes): %w", id, n, PageSize, err)
+	return faultf("read page %d: short read (%d of %d bytes): %w", id, n, PageSize, err)
 }
 
 // copyPage copies page id out of the mapping. Touching a mapped page the
@@ -175,7 +175,7 @@ func (d *FileDevice) copyPage(id PageID, buf []byte) (err error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if d.data == nil {
-		return fmt.Errorf("storage: read page %d: %w", id, os.ErrClosed)
+		return faultf("read page %d: %w", id, os.ErrClosed)
 	}
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer func() {
@@ -183,7 +183,7 @@ func (d *FileDevice) copyPage(id PageID, buf []byte) (err error) {
 			if _, fault := r.(interface{ Addr() uintptr }); !fault {
 				panic(r)
 			}
-			err = fmt.Errorf("storage: read page %d: fault in mapped file: %w", id, io.ErrUnexpectedEOF)
+			err = faultf("read page %d: fault in mapped file: %w", id, io.ErrUnexpectedEOF)
 		}
 	}()
 	off := int(id) * PageSize

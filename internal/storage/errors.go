@@ -16,12 +16,35 @@ import (
 //
 // Neither is retried: the pool's devices do not fail transiently (a mapped
 // file re-reads the same bytes), so a second attempt would return the same
-// error later.
+// error later. Both, like a tree page that is not one, reach a query as a
+// fault (IsFault).
 
 // ErrChecksum reports a page whose content does not match the database's
 // checksum table: silent corruption turned into an explicit, classified
 // error.
 var ErrChecksum = errors.New("storage: page checksum mismatch")
+
+// fault is the one error type of every storage failure a query can observe:
+// a page the device could not read, a page whose content failed its
+// checksum, a tree or record page that does not hold what it must. The
+// serving tier answers each alike, whatever its text (IsFault).
+type fault struct{ err error }
+
+func (f *fault) Error() string { return f.err.Error() }
+
+// Unwrap returns the fault's cause: ErrChecksum, or the device's own error.
+func (f *fault) Unwrap() error { return f.err }
+
+// faultf formats a fault, its text prefixed "storage: ".
+func faultf(format string, args ...any) error {
+	return &fault{fmt.Errorf("storage: "+format, args...)}
+}
+
+// IsFault reports whether err is, or wraps, a storage fault.
+func IsFault(err error) bool {
+	var f *fault
+	return errors.As(err, &f)
+}
 
 // FailureStats counts the buffer pool's failed page reads since the pool was
 // created. Counters are updated atomically and read lock-free, like Stats;

@@ -186,14 +186,14 @@ const (
 // as raw bytes, arcFixed+8d each, valid until c is closed.
 func (n *Network) arcs(c *cursor, v graph.NodeID) ([]byte, error) {
 	if int(v) >= n.hdr.numNodes {
-		return nil, fmt.Errorf("storage: node %d out of range (%d nodes)", v, n.hdr.numNodes)
+		return nil, faultf("node %d out of range (%d nodes)", v, n.hdr.numNodes)
 	}
 	packed, ok, err := n.adjTree.Lookup(uint64(v))
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		return nil, fmt.Errorf("storage: node %d missing from adjacency tree", v)
+		return nil, faultf("node %d missing from adjacency tree", v)
 	}
 	*c = newCursor(n.pool, UnpackRef(packed))
 	head, err := c.next(2)
@@ -288,7 +288,7 @@ func (n *Network) FacilityEdge(p graph.FacilityID) (graph.EdgeID, error) {
 		return 0, err
 	}
 	if !ok {
-		return 0, fmt.Errorf("storage: facility %d missing from facility tree", p)
+		return 0, faultf("facility %d missing from facility tree", p)
 	}
 	return graph.EdgeID(v), nil
 }
@@ -302,7 +302,7 @@ func (n *Network) EdgeInfo(e graph.EdgeID) (graph.EdgeInfo, error) {
 		return graph.EdgeInfo{}, err
 	}
 	if !ok {
-		return graph.EdgeInfo{}, fmt.Errorf("storage: edge %d missing from edge tree", e)
+		return graph.EdgeInfo{}, faultf("edge %d missing from edge tree", e)
 	}
 	u := graph.NodeID(uVal)
 	var c cursor
@@ -319,5 +319,5 @@ func (n *Network) EdgeInfo(e graph.EdgeID) (graph.EdgeInfo, error) {
 		decodeArc(arcs[:size], &a, make(vec.Costs, n.hdr.d))
 		return graph.EdgeInfo{U: u, V: a.Neighbor, W: a.W, FacRef: a.FacRef, FacCount: a.FacCount}, nil
 	}
-	return graph.EdgeInfo{}, fmt.Errorf("storage: edge %d not present in adjacency of node %d", e, u)
+	return graph.EdgeInfo{}, faultf("edge %d not present in adjacency of node %d", e, u)
 }

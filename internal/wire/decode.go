@@ -47,12 +47,12 @@ func mediaType(ct string) string {
 // Content-Type is ContentTypeBinary, a JSON object otherwise — and the
 // response mode follows an explicit Accept for either media type, defaulting
 // to the body's own codec. body is the raw request body (nil for GET), which
-// the gateway forwards verbatim. The mode is valid even when err is not, so
-// the caller can render the 400 in it.
+// the gateway forwards verbatim. Every error wraps ErrInvalid. The mode is
+// valid even when err is not, so the caller can render the 400 in it.
 func DecodeHTTP(w http.ResponseWriter, r *http.Request) (q *Request, mode Mode, body []byte, err error) {
 	if r.Method == http.MethodGet {
 		q, mode, err = decodeURL(r.URL)
-		return q, mode, nil, err
+		return q, mode, nil, refused(err)
 	}
 	binaryIn := mediaType(r.Header.Get("Content-Type")) == ContentTypeBinary
 	accept := r.Header.Get("Accept")
@@ -62,10 +62,18 @@ func DecodeHTTP(w http.ResponseWriter, r *http.Request) (q *Request, mode Mode, 
 	}
 	body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestFrame+16))
 	if err != nil {
-		return nil, mode, nil, errors.New("unreadable or oversized request body")
+		return nil, mode, nil, Invalidf("unreadable or oversized request body")
 	}
 	q, err = DecodeRequestBody(body, binaryIn)
-	return q, mode, body, err
+	return q, mode, body, refused(err)
+}
+
+// refused marks a decoder's error as the caller's.
+func refused(err error) error {
+	if err == nil {
+		return nil
+	}
+	return invalid{err}
 }
 
 // DecodeRequestBody parses a /v1/query request body: one length-prefixed
@@ -348,12 +356,4 @@ func appendResponse(dst []byte, mode Mode, status int, v any) ([]byte, error) {
 		dst = append(dst, out...)
 	}
 	return append(dst, '\n'), err
-}
-
-// WriteShed writes v as a 503 carrying the Retry-After hint of every shed —
-// a replica's admission rejection, a gateway with no replica left, an unready
-// /readyz — so clients and gateways need only one retry discipline.
-func WriteShed(w http.ResponseWriter, mode Mode, v any) {
-	w.Header().Set("Retry-After", "1")
-	Write(w, mode, http.StatusServiceUnavailable, v)
 }

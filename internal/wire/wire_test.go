@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http/httptest"
 	"testing"
@@ -83,5 +84,35 @@ func TestWriteJSON(t *testing.T) {
 	var e Error
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error != "drained" {
 		t.Errorf("body = %q (%v)", rec.Body.String(), err)
+	}
+}
+
+// The gateway sees only a status, so the failure table must let the status
+// alone decide: StatusFailure reads every class's bits back off its status
+// (so classes that share a status share their Retryable and Cools bits),
+// and a status no class claims is the caller's below 500 and retryable at
+// or above it. A class's message is its fixed one, or the error's own text.
+// Every refusal of DecodeHTTP wraps ErrInvalid and keeps its text.
+func TestFailureTableByStatus(t *testing.T) {
+	for c, f := range Failures {
+		if got := StatusFailure(f.Status); got.Retryable != f.Retryable || got.Cools != f.Cools {
+			t.Errorf("%s: StatusFailure(%d) = %+v, bits differ from the class's %+v", f.Outcome, f.Status, got, f)
+		}
+		want := f.Message
+		if want == "" {
+			want = "own text"
+		}
+		if got := Class(c).Error(errors.New("own text")).Error; got != want {
+			t.Errorf("%s: message %q, want %q", f.Outcome, got, want)
+		}
+	}
+	for status, retryable := range map[int]bool{200: false, 404: false, 413: false, 502: true} {
+		if f := StatusFailure(status); f.Retryable != retryable || f.Cools {
+			t.Errorf("StatusFailure(%d) = %+v, want retryable %v and no cool-off", status, f, retryable)
+		}
+	}
+	_, _, _, err := DecodeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/skyline?edge=x", nil))
+	if !errors.Is(err, ErrInvalid) || err.Error() != `invalid edge "x"` {
+		t.Errorf("DecodeHTTP refusal = %v, want one wrapping ErrInvalid with its own text", err)
 	}
 }

@@ -520,9 +520,15 @@ func MultiSourceTopKRequest(costIdx int, locs []Location, agg Aggregate, k int, 
 }
 
 // IsQueryPanic reports whether a batch-response error came from the
-// executor's panic isolation (a fault in query processing, not a bad
+// executor's panic isolation, or from a shared computation that panicked
+// while the query waited on it (a fault in query processing, not a bad
 // request).
 func IsQueryPanic(err error) bool { return engine.IsPanic(err) }
+
+// IsStorageFault reports whether a query error is a storage failure of a
+// disk network: a page the device could not read, or whose content failed
+// its checksum.
+func IsStorageFault(err error) bool { return storage.IsFault(err) }
 
 // NewExecutor returns a long-lived concurrent query executor over the
 // network: a bounded worker pool with per-query cancellation, timeouts,
