@@ -224,12 +224,18 @@ serve-smoke:
 # cache, read while SetProfile and a maintainer's inserts and deletes race
 # them) and their slices in the root package and internal/timedep, plus the
 # root package's check that a maintainer's inserts and deletes leave every
-# cached static entry a hit with the uncached answer. Also part of
+# cached static entry a hit with the uncached answer. The second command
+# races the result cache's own coalescing, three passes: a herd on one cold
+# key, a panicking or failing leader releasing its waiters, a waiter
+# outliving its leader's context or leaving at its own deadline, and
+# lookups churning against invalidations and evictions. Also part of
 # `make cover`; this target is the dedicated CI step, so a race on the
 # update path is named in the failing step.
 update-smoke:
 	$(GO) test -race -count=3 -run '^(TestSetProfileRacesQueries|TestCachedEquivalenceRandomized|TestCachedEquivalenceTimeDependent|TestUpdateMix|TestMaintainerUpdatesInvalidateNothing)$$' \
 		. ./internal/timedep ./internal/testsupport/lattice
+	$(GO) test -race -count=3 -run '^(TestSingleflightCoalesces|TestPanicReleasesWaiters|TestWaiterOutlivesLeaderContext|TestWaiterKeepsOwnDeadline|TestConcurrentChurn|TestSingleflightLeaderErrorLeavesKeyRetryable)$$' \
+		./internal/rescache
 
 # Soak smoke: mcnsoak drives one second of sustained /v1/query load through
 # each codec against an in-process replica, then one second through the

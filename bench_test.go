@@ -29,6 +29,7 @@ import (
 	"mcn/internal/flat"
 	"mcn/internal/gen"
 	"mcn/internal/storage"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 
@@ -377,7 +378,7 @@ func BenchmarkBatchSkylineMem(b *testing.B) {
 		name string
 		src  expand.Source
 	}{
-		{"map", expand.NewMemorySource(mds.Graph)},
+		{"map", testnet.NewMemorySource(mds.Graph)},
 		{"flat", flat.Compile(mds.Graph)},
 	}
 	for _, s := range sources {
@@ -461,7 +462,7 @@ func BenchmarkTopKIteratorNext(b *testing.B) {
 	agg := vec.NewWeighted(coef...)
 
 	b.Run("mem", func(b *testing.B) {
-		src := expand.NewMemorySource(mds.Graph)
+		src := testnet.NewMemorySource(mds.Graph)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -36,8 +36,10 @@ func ParsePolicy(s string) (Policy, error) {
 // parameters sorted, floats in shortest form — without timeout_ms, which
 // changes delivery, not the answer (as stream=1 does, which a Request never
 // carries). A streamed and a buffered run of the same query, on any codec,
-// so share a replica and its cache entry. The same normalization feeds each
-// replica's own result-cache key, which is what makes hash affinity pay off.
+// so share a replica; a stream never reads the result cache. Like each
+// replica's own result-cache key, it keeps the weights as given, so a
+// repeated query reaches the replica that cached its answer, which is what
+// makes hash affinity pay off.
 func CanonicalKey(q *wire.Request) string {
 	key := *q
 	key.TimeoutMS = 0

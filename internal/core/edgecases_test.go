@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"mcn/internal/expand"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
 	"mcn/internal/testsupport/testnet"
@@ -21,7 +20,7 @@ func TestSkylineFacilityAtQuery(t *testing.T) {
 	}
 	loc := graph.Location{Edge: 1, T: 0.5}
 	for _, engine := range []Engine{LSA, CEA} {
-		res, err := Skyline(expand.NewMemorySource(g), loc, Options{Engine: engine})
+		res, err := Skyline(testnet.NewMemorySource(g), loc, Options{Engine: engine})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +51,7 @@ func TestSkylineParallelEdges(t *testing.T) {
 	f2 := b.AddFacility(slow, 1.0)
 	g := testnet.MustBuild(b)
 	loc := graph.Location{Edge: fast, T: 0}
-	res, err := Skyline(expand.NewMemorySource(g), loc, Options{})
+	res, err := Skyline(testnet.NewMemorySource(g), loc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"mcn/internal/expand"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
 	"mcn/internal/testsupport/testnet"
@@ -13,7 +12,7 @@ import (
 func TestIncrementalCEA(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		inst := testnet.Generate(seed, testnet.ShapeOf(seed))
-		mem := expand.NewMemorySource(inst.G)
+		mem := testnet.NewMemorySource(inst.G)
 		it, err := NewTopKIterator(mem, inst.Loc, inst.Agg, Options{Engine: CEA})
 		if err != nil {
 			t.Fatal(err)
@@ -37,7 +36,7 @@ func TestIncrementalEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := NewTopKIterator(expand.NewMemorySource(g), graph.Location{Edge: 0, T: 0.5}, vec.NewWeighted(1, 1), Options{})
+	it, err := NewTopKIterator(testnet.NewMemorySource(g), graph.Location{Edge: 0, T: 0.5}, vec.NewWeighted(1, 1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func TestIncrementalDimMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewTopKIterator(expand.NewMemorySource(g), graph.Location{Edge: 0, T: 0}, vec.NewWeighted(1), Options{}); err == nil {
+	if _, err := NewTopKIterator(testnet.NewMemorySource(g), graph.Location{Edge: 0, T: 0}, vec.NewWeighted(1), Options{}); err == nil {
 		t.Error("dimensionality mismatch accepted")
 	}
 }
@@ -64,7 +63,7 @@ func TestIncrementalDimMismatch(t *testing.T) {
 // Incremental stats must accumulate.
 func TestIncrementalStats(t *testing.T) {
 	inst := testnet.Generate(1, testnet.Shape{D: 3})
-	it, err := NewTopKIterator(expand.NewMemorySource(inst.G), inst.Loc, inst.Agg, Options{})
+	it, err := NewTopKIterator(testnet.NewMemorySource(inst.G), inst.Loc, inst.Agg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mcn/internal/core"
-	"mcn/internal/expand"
 	"mcn/internal/graph"
 	"mcn/internal/testsupport/lattice"
 	"mcn/internal/testsupport/testnet"
@@ -231,7 +230,7 @@ func FuzzWithinInvariants(f *testing.F) {
 func TestMultiSourceSkylineFinalize(t *testing.T) {
 	in := lattice.DirectedFork()
 	lattice.Check(t, in, lattice.Select{Kinds: lattice.KindSet(lattice.MultiSkyline)})
-	res, err := core.MultiSourceSkyline(expand.NewMemorySource(in.G), 0, in.Locs, core.Options{NoEnhancements: true})
+	res, err := core.MultiSourceSkyline(testnet.NewMemorySource(in.G), 0, in.Locs, core.Options{NoEnhancements: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +250,7 @@ func TestMultiSourceSkylineFinalize(t *testing.T) {
 func TestMultiSourceTopKFinalize(t *testing.T) {
 	in := lattice.DirectedFork()
 	lattice.Check(t, in, lattice.Select{Kinds: lattice.KindSet(lattice.MultiTopK)})
-	res, err := core.MultiSourceTopK(expand.NewMemorySource(in.G), 0, in.Locs, vec.NewWeighted(1, 1), 5, core.Options{})
+	res, err := core.MultiSourceTopK(testnet.NewMemorySource(in.G), 0, in.Locs, vec.NewWeighted(1, 1), 5, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"mcn/internal/expand"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
 	"mcn/internal/testsupport/testnet"
@@ -29,7 +28,7 @@ func TestMultiSourceMeetingPoint(t *testing.T) {
 		{Edge: 5, T: 1},
 	}
 	agg := vec.NewWeighted(1, 1, 1)
-	res, err := MultiSourceTopK(expand.NewMemorySource(g), 0, locs, agg, 1, Options{})
+	res, err := MultiSourceTopK(testnet.NewMemorySource(g), 0, locs, agg, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +43,7 @@ func TestMultiSourceValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := expand.NewMemorySource(g)
+	src := testnet.NewMemorySource(g)
 	loc := graph.Location{Edge: 0, T: 0.5}
 	if _, err := MultiSourceSkyline(src, 0, nil, Options{}); err == nil {
 		t.Error("empty location list accepted")
@@ -65,7 +64,7 @@ func TestMultiSourceValidation(t *testing.T) {
 func TestMultiSourceCEAAccessBound(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		inst := testnet.Generate(seed, testnet.ShapeOf(seed))
-		mem := expand.NewMemorySource(inst.G)
+		mem := testnet.NewMemorySource(inst.G)
 		if _, err := MultiSourceSkyline(mem, inst.CostIdx, inst.Locs, Options{Engine: CEA}); err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"mcn/internal/expand"
 	"mcn/internal/testsupport/testnet"
 )
 
@@ -13,7 +12,7 @@ import (
 func TestNaiveReadsEverything(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		inst := testnet.Generate(seed, testnet.ShapeOf(seed))
-		mem := expand.NewMemorySource(inst.G)
+		mem := testnet.NewMemorySource(inst.G)
 		if _, err := NaiveSkyline(mem, inst.Loc, Options{}); err != nil {
 			t.Fatal(err)
 		}
@@ -33,14 +32,14 @@ func TestNaiveReadsEverything(t *testing.T) {
 
 func TestNaiveTopKBadK(t *testing.T) {
 	inst := testnet.Generate(3, testnet.Shape{D: 3})
-	if _, err := NaiveTopK(expand.NewMemorySource(inst.G), inst.Loc, inst.Agg, 0, Options{}); err == nil {
+	if _, err := NaiveTopK(testnet.NewMemorySource(inst.G), inst.Loc, inst.Agg, 0, Options{}); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
 
 func TestMaterializeAllVectors(t *testing.T) {
 	inst := testnet.Generate(3, testnet.Shape{D: 3})
-	vectors, _, err := MaterializeAll(expand.NewMemorySource(inst.G), inst.Loc, Options{})
+	vectors, _, err := MaterializeAll(testnet.NewMemorySource(inst.G), inst.Loc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

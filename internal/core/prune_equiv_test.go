@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"mcn/internal/expand"
 	"mcn/internal/graph"
 	"mcn/internal/index"
 	"mcn/internal/testsupport/testnet"
@@ -24,7 +23,7 @@ func TestPrunedDisconnectedComponents(t *testing.T) {
 	b.AddEdge(4, 5, vec.Of(1, 1))
 	b.AddFacility(e12, 0.5)
 	g := testnet.MustBuild(b)
-	src := expand.NewMemorySource(g)
+	src := testnet.NewMemorySource(g)
 	bounds := index.FromGraph(g)
 
 	// From the facility's component: the index changes nothing.

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"mcn/internal/expand"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
 	"mcn/internal/testsupport/testnet"
@@ -49,7 +48,7 @@ func TestSkylineFixedExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, engine := range []Engine{LSA, CEA} {
-		res, err := Skyline(expand.NewMemorySource(g), loc, Options{Engine: engine})
+		res, err := Skyline(testnet.NewMemorySource(g), loc, Options{Engine: engine})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +65,7 @@ func TestSkylineFixedExample(t *testing.T) {
 func TestCEAAccessBound(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		inst := testnet.Generate(seed, testnet.ShapeOf(seed))
-		mem := expand.NewMemorySource(inst.G)
+		mem := testnet.NewMemorySource(inst.G)
 		if _, err := Skyline(mem, inst.Loc, Options{Engine: CEA}); err != nil {
 			t.Fatal(err)
 		}
@@ -86,11 +85,11 @@ func TestCEAAccessBound(t *testing.T) {
 func TestLSAAccessesAtLeastCEA(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		inst := testnet.Generate(seed, testnet.ShapeOf(seed))
-		lsa := expand.NewMemorySource(inst.G)
+		lsa := testnet.NewMemorySource(inst.G)
 		if _, err := Skyline(lsa, inst.Loc, Options{Engine: LSA}); err != nil {
 			t.Fatal(err)
 		}
-		cea := expand.NewMemorySource(inst.G)
+		cea := testnet.NewMemorySource(inst.G)
 		if _, err := Skyline(cea, inst.Loc, Options{Engine: CEA}); err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +106,7 @@ func TestSkylineNoFacilities(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, engine := range []Engine{LSA, CEA} {
-		res, err := Skyline(expand.NewMemorySource(g), graph.Location{Edge: 0, T: 0.5}, Options{Engine: engine})
+		res, err := Skyline(testnet.NewMemorySource(g), graph.Location{Edge: 0, T: 0.5}, Options{Engine: engine})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +123,7 @@ func TestSkylineSingleFacility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Skyline(expand.NewMemorySource(g), graph.Location{Edge: 0, T: 0}, Options{})
+	res, err := Skyline(testnet.NewMemorySource(g), graph.Location{Edge: 0, T: 0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +142,7 @@ func TestSkylineDisconnected(t *testing.T) {
 	fNear := b.AddFacility(e0, 0.75)
 	b.AddFacility(e1, 0.5) // unreachable
 	g := testnet.MustBuild(b)
-	res, err := Skyline(expand.NewMemorySource(g), graph.Location{Edge: e0, T: 0.25}, Options{})
+	res, err := Skyline(testnet.NewMemorySource(g), graph.Location{Edge: e0, T: 0.25}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +163,7 @@ func TestSkylineLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	loc := graph.Location{Edge: 0, T: 0.5}
-	res, err := Skyline(expand.NewMemorySource(g), loc, Options{})
+	res, err := Skyline(testnet.NewMemorySource(g), loc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

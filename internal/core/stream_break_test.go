@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"mcn/internal/expand"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
 	"mcn/internal/testsupport/testnet"
@@ -27,11 +26,11 @@ func TestSeqBreakStopsPerPop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := expand.NewMemorySource(g)
+	src := testnet.NewMemorySource(g)
 
 	for qi := 0; qi < 5; qi++ {
 		loc := graph.Location{Edge: graph.EdgeID(rng.Intn(g.NumEdges())), T: rng.Float64()}
-		var atBreak expand.Counter
+		var atBreak testnet.Counter
 		yields := 0
 		for _, err := range SkylineSeq(context.Background(), src, loc, Options{}) {
 			if err != nil {

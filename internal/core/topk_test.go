@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"mcn/internal/expand"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
 	"mcn/internal/testsupport/testnet"
@@ -28,7 +27,7 @@ func TestTopKFixedExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := vec.NewWeighted(0.9, 0.1)
-	res, err := TopK(expand.NewMemorySource(g), loc, agg, 1, Options{})
+	res, err := TopK(testnet.NewMemorySource(g), loc, agg, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +44,7 @@ func TestTopKLargerThanP(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := vec.NewWeighted(0.5, 0.5)
-	res, err := TopK(expand.NewMemorySource(g), graph.Location{Edge: 2, T: 0.5}, agg, 10, Options{})
+	res, err := TopK(testnet.NewMemorySource(g), graph.Location{Edge: 2, T: 0.5}, agg, 10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +59,7 @@ func TestTopKInvalidArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := expand.NewMemorySource(g)
+	src := testnet.NewMemorySource(g)
 	loc := graph.Location{Edge: 0, T: 0.5}
 	if _, err := TopK(src, loc, vec.NewWeighted(1, 1), 0, Options{}); err == nil {
 		t.Error("k=0 accepted")
@@ -73,7 +72,7 @@ func TestTopKInvalidArgs(t *testing.T) {
 func TestTopKCEAAccessBound(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		inst := testnet.Generate(seed, testnet.ShapeOf(seed))
-		mem := expand.NewMemorySource(inst.G)
+		mem := testnet.NewMemorySource(inst.G)
 		if _, err := TopK(mem, inst.Loc, inst.Agg, 4, Options{Engine: CEA}); err != nil {
 			t.Fatal(err)
 		}

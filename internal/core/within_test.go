@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"mcn/internal/expand"
 	"mcn/internal/flat"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
@@ -23,7 +22,7 @@ func TestWithinLocality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := expand.NewMemorySource(g)
+	mem := testnet.NewMemorySource(g)
 	res, err := Within(mem, graph.Location{Edge: 0, T: 0}, vec.Of(3, 3), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +45,7 @@ func TestWithinValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := expand.NewMemorySource(g)
+	src := testnet.NewMemorySource(g)
 	loc := graph.Location{Edge: 0, T: 0.5}
 	if _, err := Within(src, loc, vec.Of(1), Options{}); err == nil {
 		t.Error("wrong budget dimensionality accepted")
@@ -67,7 +66,7 @@ func TestWithinZeroBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Within(expand.NewMemorySource(g), graph.Location{Edge: 1, T: 0.5}, vec.Of(0, 0), Options{})
+	res, err := Within(testnet.NewMemorySource(g), graph.Location{Edge: 1, T: 0.5}, vec.Of(0, 0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -464,16 +464,10 @@ var selectorRe = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z
 
 // allowed lists the exports TestNoTestOnlyExports still lets through, each
 // with the ROADMAP item that deletes it: names the benchmark harness binds
-// (items 10 and 14: benchmark/ changes only in a PR of its own) and the
-// in-memory reference source the tests run on (item 9 moves it beside
-// internal/testsupport/testnet). The list may only shrink: a new test-only
-// export is deleted, unexported or moved into test code instead.
+// (items 10 and 14: benchmark/ changes only in a PR of its own). The list
+// may only shrink: a new test-only export is deleted, unexported or moved
+// into test code instead.
 var allowed = map[string]int{
-	"expand.NewMemorySource":    9,
-	"expand.MemorySource.Graph": 9,
-	"expand.Counter.Snapshot":   9,
-	"expand.Counter.Total":      9,
-
 	"core.MergeSkylines":      10,
 	"core.MergeTopK":          10,
 	"mcn.OpenDeviceOptions":   10,
@@ -513,7 +507,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		switch {
 		case !ok:
 			t.Errorf("%s (%s:%d) has no use in product code: delete it, unexport it, or move it into test code", key, filepath.ToSlash(where), pos.Line)
-		case item != 9 && !u.bench[obj]:
+		case !u.bench[obj]:
 			t.Errorf("%s is allowed for item %d because benchmark/ binds it, which it no longer does: delete it and its entry", key, item)
 		}
 	}

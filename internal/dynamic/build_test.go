@@ -33,7 +33,7 @@ func buildSources(t *testing.T, g *graph.Graph) map[string]expand.Source {
 		t.Fatal(err)
 	}
 	return map[string]expand.Source{
-		"memory": expand.NewMemorySource(g),
+		"memory": testnet.NewMemorySource(g),
 		"flat":   flat.Compile(g),
 		"disk":   disk,
 	}

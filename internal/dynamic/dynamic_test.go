@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mcn/internal/core"
-	"mcn/internal/expand"
 	"mcn/internal/graph"
 	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
@@ -33,7 +32,7 @@ func (m *Maintainer) Entry(h Handle) (Entry, bool) {
 func TestInsertReadsOneEdgeRecord(t *testing.T) {
 	inst := testnet.Generate(704, testnet.Shape{D: 3})
 	g, loc := inst.G, inst.Loc
-	mem := expand.NewMemorySource(g)
+	mem := testnet.NewMemorySource(g)
 	m, err := New(mem, loc, core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +55,7 @@ func TestInsertReadsOneEdgeRecord(t *testing.T) {
 func TestMaintainerTopK(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		inst := testnet.Generate(seed, testnet.ShapeOf(seed))
-		m, err := New(expand.NewMemorySource(inst.G), inst.Loc, core.Options{})
+		m, err := New(testnet.NewMemorySource(inst.G), inst.Loc, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +82,7 @@ func TestMaintainerTopK(t *testing.T) {
 func TestMaintainerErrors(t *testing.T) {
 	inst := testnet.Generate(702, testnet.Shape{D: 2})
 	g := inst.G
-	m, err := New(expand.NewMemorySource(g), inst.Loc, core.Options{})
+	m, err := New(testnet.NewMemorySource(g), inst.Loc, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func TestMaintainerErrors(t *testing.T) {
 
 func TestMaintainerEntryLookup(t *testing.T) {
 	inst := testnet.Generate(703, testnet.Shape{D: 2})
-	m, err := New(expand.NewMemorySource(inst.G), inst.Loc, core.Options{})
+	m, err := New(testnet.NewMemorySource(inst.G), inst.Loc, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -423,7 +423,7 @@ func (e *Executor) query(ctx context.Context, req Request) (*core.Result, bool, 
 	}
 	opts = opts.BindContext(ctx)
 	spec := rescache.KeySpec{Kind: cacheKind(req.Kind), Interval: -1, Agg: req.Agg, K: req.K, CostIdx: req.CostIdx, Budget: req.Budget}
-	return e.cache.Query(spec, req.Loc, opts,
+	return e.cache.Query(ctx, spec, req.Loc, opts,
 		func() (*core.Result, error) { return e.execute(req, opts) }, nil)
 }
 

@@ -16,6 +16,7 @@ import (
 	"mcn/internal/gen"
 	"mcn/internal/graph"
 	"mcn/internal/storage"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 
@@ -43,7 +44,7 @@ func sources(t testing.TB, inst *gen.Instance) map[string]expand.Source {
 		t.Fatal(err)
 	}
 	return map[string]expand.Source{
-		"memory": expand.NewMemorySource(inst.Graph),
+		"memory": testnet.NewMemorySource(inst.Graph),
 		"disk":   disk,
 	}
 }
@@ -122,7 +123,7 @@ func TestExecutorMatchesSequential(t *testing.T) {
 // stats, without racing (run with -race).
 func TestExecutorConcurrentDo(t *testing.T) {
 	inst := testInstance(t)
-	src := expand.NewMemorySource(inst.Graph)
+	src := testnet.NewMemorySource(inst.Graph)
 	exec := New(src, Config{Workers: 4})
 	reqs := mixedRequests(inst, 32)
 
@@ -177,7 +178,7 @@ func (s *gaugeSource) Adjacency(v graph.NodeID) ([]graph.AdjEntry, error) {
 // accesses can never overlap more than Workers deep.
 func TestExecutorBoundSharedAcrossCallers(t *testing.T) {
 	inst := testInstance(t)
-	src := &gaugeSource{Source: expand.NewMemorySource(inst.Graph)}
+	src := &gaugeSource{Source: testnet.NewMemorySource(inst.Graph)}
 	exec := New(src, Config{Workers: 2})
 
 	// Top-k only: enough source traffic to expose overlap without the full
@@ -218,7 +219,7 @@ func TestExecutorBoundSharedAcrossCallers(t *testing.T) {
 // in-flight queries mid-expansion.
 func TestExecutorCancellation(t *testing.T) {
 	inst := testInstance(t)
-	src := expand.NewMemorySource(inst.Graph)
+	src := testnet.NewMemorySource(inst.Graph)
 	exec := New(src, Config{Workers: 2})
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -241,7 +242,7 @@ func TestExecutorCancellation(t *testing.T) {
 // hook rather than letting them run to completion.
 func TestExecutorTimeout(t *testing.T) {
 	inst := testInstance(t)
-	src := expand.NewMemorySource(inst.Graph)
+	src := testnet.NewMemorySource(inst.Graph)
 	exec := New(src, Config{Workers: 1, Timeout: time.Nanosecond})
 
 	resp := exec.Do(context.Background(), Request{Kind: Skyline, Loc: inst.Queries[0]})
@@ -260,7 +261,7 @@ func TestExecutorTimeout(t *testing.T) {
 // converted to that query's error and every other query still answers.
 func TestExecutorPanicIsolation(t *testing.T) {
 	inst := testInstance(t)
-	src := expand.NewMemorySource(inst.Graph)
+	src := testnet.NewMemorySource(inst.Graph)
 	exec := New(src, Config{Workers: 4})
 
 	reqs := mixedRequests(inst, 12)
@@ -324,7 +325,7 @@ func TestExecutorOutOfRangeRecordIsAnError(t *testing.T) {
 // An unknown kind is an error, not a panic.
 func TestExecutorUnknownKind(t *testing.T) {
 	inst := testInstance(t)
-	exec := New(expand.NewMemorySource(inst.Graph), Config{})
+	exec := New(testnet.NewMemorySource(inst.Graph), Config{})
 	resp := exec.Do(context.Background(), Request{Kind: Kind(42), Loc: inst.Queries[0]})
 	if resp.Err == nil || !strings.Contains(resp.Err.Error(), "unknown query kind") {
 		t.Fatalf("err = %v, want unknown-kind error", resp.Err)

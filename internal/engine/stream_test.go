@@ -14,6 +14,7 @@ import (
 	"mcn/internal/core"
 	"mcn/internal/expand"
 	"mcn/internal/graph"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 
@@ -37,7 +38,7 @@ func stream(ctx context.Context, exec *Executor, req Request, seq func(context.C
 // in confirmation order, and honors an emit that stops early.
 func TestStreamSkyline(t *testing.T) {
 	inst := testInstance(t)
-	src := expand.NewMemorySource(inst.Graph)
+	src := testnet.NewMemorySource(inst.Graph)
 	exec := New(src, Config{Workers: 2})
 	req := Request{Kind: Skyline, Loc: inst.Queries[0]}
 	seq := func(ctx context.Context) iter.Seq2[core.Facility, error] {
@@ -84,7 +85,7 @@ func TestStreamSkyline(t *testing.T) {
 // TestStreamTopKStopsAtK.)
 func TestStreamTopK(t *testing.T) {
 	inst := testInstance(t)
-	src := expand.NewMemorySource(inst.Graph)
+	src := testnet.NewMemorySource(inst.Graph)
 	exec := New(src, Config{Workers: 2})
 	req := Request{Kind: TopK, Loc: inst.Queries[1], Agg: vec.NewWeighted(1, 1, 1), K: 3}
 
@@ -203,7 +204,7 @@ func TestStreamTopKPanicIsolation(t *testing.T) {
 	}
 	for _, ep := range entryPoints {
 		t.Run(ep.name, func(t *testing.T) {
-			src := &probeSource{Source: expand.NewMemorySource(inst.Graph)}
+			src := &probeSource{Source: testnet.NewMemorySource(inst.Graph)}
 			exec := New(src, Config{Workers: 1})
 
 			src.armed.Store(true)
@@ -243,7 +244,7 @@ func TestStreamTopKPanicIsolation(t *testing.T) {
 func TestDrainLifecycle(t *testing.T) {
 	inst := testInstance(t)
 	loc := inst.Queries[0]
-	src := &probeSource{Source: expand.NewMemorySource(inst.Graph)}
+	src := &probeSource{Source: testnet.NewMemorySource(inst.Graph)}
 	exec := New(src, Config{Workers: 1, QueueDepth: 1})
 
 	if exec.Workers() != 1 {

@@ -14,7 +14,7 @@ import (
 // modelling an overlay source: the AdjEntry rows keep base costs (which the
 // expansion must ignore) while EdgeCost and EdgeInfo serve the scaled ones.
 type costerSource struct {
-	*MemorySource
+	*testnet.MemorySource
 	factor float64
 }
 
@@ -42,8 +42,8 @@ func (c *costerSource) EdgeInfo(e graph.EdgeID) (graph.EdgeInfo, error) {
 func TestExpansionHonoursEdgeCoster(t *testing.T) {
 	g := lineGraph(t)
 	loc := graph.Location{Edge: 0, T: 0}
-	base := NewMemorySource(g)
-	scaled := &costerSource{MemorySource: NewMemorySource(g), factor: 3}
+	base := testnet.NewMemorySource(g)
+	scaled := &costerSource{MemorySource: testnet.NewMemorySource(g), factor: 3}
 
 	collect := func(src Source) (ids []graph.FacilityID, costs []float64) {
 		x, err := newOn(t, src, 0, loc)
@@ -88,7 +88,7 @@ func TestExpansionHonoursEdgeCoster(t *testing.T) {
 func TestDistancesHonoursEdgeCoster(t *testing.T) {
 	g := lineGraph(t)
 	loc := graph.Location{Edge: 0, T: 0}
-	mem := NewMemorySource(g)
+	mem := testnet.NewMemorySource(g)
 	base := distancesAfterDrain(t, mem, 0, loc, acquire(t, mem), nil)
 	tripled := &costerSource{MemorySource: mem, factor: 3}
 	for _, src := range []Source{tripled, acquire(t, tripled).Shared(tripled)} {
@@ -124,7 +124,7 @@ func lineGraph(t *testing.T) *graph.Graph {
 // cost would push a node below the key the queue last popped, and a NaN one
 // is no key at all. Every other edge keeps its graph cost.
 type badCoster struct {
-	*MemorySource
+	*testnet.MemorySource
 	bad  graph.EdgeID
 	cost float64
 }
@@ -143,7 +143,7 @@ func (c *badCoster) EdgeCost(e graph.EdgeID, costIdx int) float64 {
 func TestBadEdgeCostFailsStep(t *testing.T) {
 	g := lineGraph(t)
 	for _, cost := range []float64{-3, math.Inf(-1), math.NaN()} {
-		src := &badCoster{MemorySource: NewMemorySource(g), bad: 1, cost: cost}
+		src := &badCoster{MemorySource: testnet.NewMemorySource(g), bad: 1, cost: cost}
 		x, err := newOn(t, src, 0, graph.Location{Edge: 0, T: 0})
 		if err != nil {
 			t.Fatal(err)

@@ -32,9 +32,9 @@ func TestDistancesMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		inst := testnet.Generate(int64(trial), testnet.ShapeOf(int64(trial)))
 		g, loc, d := inst.G, inst.Loc, inst.G.D()
-		var src Source = unsized{NewMemorySource(g)}
+		var src Source = unsized{testnet.NewMemorySource(g)}
 		if trial%2 == 1 {
-			src = sized{NewMemorySource(g)}
+			src = sized{testnet.NewMemorySource(g)}
 		}
 		for i := 0; i < d; i++ {
 			sc.reset()
@@ -70,7 +70,7 @@ func TestDistancesMatchesOracle(t *testing.T) {
 // edge.
 func TestDistancesOnlySettledNodes(t *testing.T) {
 	g := lineGraph(t)
-	mem := NewMemorySource(g)
+	mem := testnet.NewMemorySource(g)
 	x, err := newOn(t, mem, 0, graph.Location{Edge: 0, T: 0.25})
 	if err != nil {
 		t.Fatal(err)

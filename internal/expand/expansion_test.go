@@ -85,7 +85,7 @@ func TestExpansionPathGraph(t *testing.T) {
 	f1 := b.AddFacility(e1, 0.25)
 	g := testnet.MustBuild(b)
 
-	src := NewMemorySource(g)
+	src := testnet.NewMemorySource(g)
 	x, err := newOn(t, src, 0, graph.Location{Edge: e0, T: 0.25})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestExpansionSameEdgeDirect(t *testing.T) {
 	e := b.AddEdge(0, 1, vec.Of(10))
 	f := b.AddFacility(e, 0.6)
 	g := testnet.MustBuild(b)
-	x, err := newOn(t, NewMemorySource(g), 0, graph.Location{Edge: e, T: 0.4})
+	x, err := newOn(t, testnet.NewMemorySource(g), 0, graph.Location{Edge: e, T: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestExpansionDirectedBehindQuery(t *testing.T) {
 	e0 := b.AddEdge(0, 1, vec.Of(1))
 	f := b.AddFacility(e0, 0.1)
 	g := testnet.MustBuild(b)
-	x, err := newOn(t, NewMemorySource(g), 0, graph.Location{Edge: e0, T: 0.5})
+	x, err := newOn(t, testnet.NewMemorySource(g), 0, graph.Location{Edge: e0, T: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestExpansionDirectedBehindQuery(t *testing.T) {
 	b2.AddEdge(1, 0, vec.Of(1))
 	f = b2.AddFacility(e0, 0.1)
 	g2 := testnet.MustBuild(b2)
-	x2, err := newOn(t, NewMemorySource(g2), 0, graph.Location{Edge: e0, T: 0.5})
+	x2, err := newOn(t, testnet.NewMemorySource(g2), 0, graph.Location{Edge: e0, T: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestExpansionTieOrderById(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := newOn(t, NewMemorySource(g), 0, loc)
+	x, err := newOn(t, testnet.NewMemorySource(g), 0, loc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestExpansionMatchesOracle(t *testing.T) {
 		g, loc, d := inst.G, inst.Loc, inst.G.D()
 		for i := 0; i < d; i++ {
 			oracle := testnet.FacilityCosts(g, loc, i)
-			x, err := newOn(t, NewMemorySource(g), i, loc)
+			x, err := newOn(t, testnet.NewMemorySource(g), i, loc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,7 +274,7 @@ func TestSharedSourceAccessBound(t *testing.T) {
 		g := randomGraph(t, rng, d, false)
 		loc := randomLocation(rng, g)
 
-		mem := NewMemorySource(g)
+		mem := testnet.NewMemorySource(g)
 		sc := acquire(t, mem)
 		shared := sc.Shared(mem)
 		for i := 0; i < d; i++ {
@@ -292,7 +292,7 @@ func TestSharedSourceAccessBound(t *testing.T) {
 		}
 
 		// An unshared run of the same expansions must fetch at least as much.
-		mem2 := NewMemorySource(g)
+		mem2 := testnet.NewMemorySource(g)
 		for i := 0; i < d; i++ {
 			x, err := newOn(t, mem2, i, loc)
 			if err != nil {
@@ -313,11 +313,11 @@ func TestSharedSourceSameResults(t *testing.T) {
 		g := randomGraph(t, rng, d, rng.Intn(2) == 0)
 		loc := randomLocation(rng, g)
 		for i := 0; i < d; i++ {
-			xa, err := newOn(t, NewMemorySource(g), i, loc)
+			xa, err := newOn(t, testnet.NewMemorySource(g), i, loc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mem := NewMemorySource(g)
+			mem := testnet.NewMemorySource(g)
 			xb, err := newOn(t, acquire(t, mem).Shared(mem), i, loc)
 			if err != nil {
 				t.Fatal(err)
@@ -353,7 +353,7 @@ func TestFacilityFilterSkipsRecords(t *testing.T) {
 	f1 := b.AddFacility(e1, 0.5)
 	g := testnet.MustBuild(b)
 
-	mem := NewMemorySource(g)
+	mem := testnet.NewMemorySource(g)
 	loc, err := graph.LocationAtNode(g, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +390,7 @@ func TestFilterDropsInHeapFacilities(t *testing.T) {
 	e := b.AddEdge(0, 1, vec.Of(1))
 	b.AddFacility(e, 0.9) // en-heaped at init (same edge as query)
 	g := testnet.MustBuild(b)
-	x, err := newOn(t, NewMemorySource(g), 0, graph.Location{Edge: e, T: 0.1})
+	x, err := newOn(t, testnet.NewMemorySource(g), 0, graph.Location{Edge: e, T: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestHeadKeyLowerBound(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		g := randomGraph(t, rng, 1, false)
 		loc := randomLocation(rng, g)
-		x, err := newOn(t, NewMemorySource(g), 0, loc)
+		x, err := newOn(t, testnet.NewMemorySource(g), 0, loc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ type unsized struct{ Source }
 
 // sized declares a MemorySource's id spaces, as flat.Source and
 // storage.Network do.
-type sized struct{ *MemorySource }
+type sized struct{ *testnet.MemorySource }
 
 func (s sized) NumNodes() int      { return s.Graph().NumNodes() }
 func (s sized) NumEdges() int      { return s.Graph().NumEdges() }
@@ -78,14 +78,14 @@ func TestScratchGrowsAcrossNetworks(t *testing.T) {
 	rng := rand.New(rand.NewSource(700))
 	small := connectedGraph(t, rng, 50, 10)
 	big := connectedGraph(t, rng, 5000, 400)
-	for name, wrap := range map[string]func(*MemorySource) Source{
-		"undeclared": func(m *MemorySource) Source { return unsized{m} },
-		"declared":   func(m *MemorySource) Source { return sized{m} },
+	for name, wrap := range map[string]func(*testnet.MemorySource) Source{
+		"undeclared": func(m *testnet.MemorySource) Source { return unsized{m} },
+		"declared":   func(m *testnet.MemorySource) Source { return sized{m} },
 	} {
 		t.Run(name, func(t *testing.T) {
 			sc := new(Scratch)
 			for _, g := range []*graph.Graph{small, big, small} {
-				src := wrap(NewMemorySource(g))
+				src := wrap(testnet.NewMemorySource(g))
 				sc.reset()
 				sc.bind(src)
 				checkAgainstOracle(t, src, g, sc)
@@ -212,9 +212,9 @@ func (s lyingSource) Facilities(ref uint64, count int) ([]graph.FacEntry, error)
 func TestOutOfRangeRecordFailsQuery(t *testing.T) {
 	g := connectedGraph(t, rand.New(rand.NewSource(701)), 200, 60)
 	for name, src := range map[string]lyingSource{
-		"node":     {sized: sized{NewMemorySource(g)}, badNeighbor: true},
-		"edge":     {sized: sized{NewMemorySource(g)}, badEdge: true},
-		"facility": {sized: sized{NewMemorySource(g)}, badFacility: true},
+		"node":     {sized: sized{testnet.NewMemorySource(g)}, badNeighbor: true},
+		"edge":     {sized: sized{testnet.NewMemorySource(g)}, badEdge: true},
+		"facility": {sized: sized{testnet.NewMemorySource(g)}, badFacility: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			sc := acquire(t, src)

@@ -1,10 +1,10 @@
 // Package flat compiles an in-memory graph.Graph into compressed-sparse-row
 // (CSR) arrays served through the expand.Source seam with zero per-call
-// allocation. It is the in-memory fast path of the library: where
-// expand.MemorySource rebuilds each adjacency row — including per-arc
-// facility lookups — on every Adjacency call, a flat.Source resolves
-// everything once at compile time and answers every record request with a
-// shared read-only sub-slice of one contiguous array.
+// allocation. It is the in-memory fast path of the library: where the
+// tests' reference source, testnet.MemorySource, rebuilds each adjacency
+// row — including per-arc facility lookups — on every Adjacency call, a
+// flat.Source resolves everything once at compile time and answers every
+// record request with a shared read-only sub-slice of one contiguous array.
 //
 // The layout mirrors the paper's adjacency/facility files (Fig. 2), but as
 // offset-indexed arrays instead of paged B+-trees:
@@ -34,7 +34,7 @@
 //
 // Deliberately, flat.Source does not count accesses: atomic counters on the
 // hot path would bounce one cache line between every worker of a concurrent
-// engine. Use expand.MemorySource when asserting access patterns.
+// engine. Tests that assert access patterns use testnet.MemorySource.
 package flat
 
 import (
@@ -134,8 +134,8 @@ func Compile(g *graph.Graph) *Source {
 // expansion over s, or over a View of it, may consult.
 func (s *Source) Bounds(b *index.Bounds) *index.Bounds { return b.Renumbered(s.rank) }
 
-// facRef matches MemorySource's record-reference convention: the edge id
-// itself, or NoFacRef for facility-free edges.
+// facRef matches testnet.MemorySource's record-reference convention: the
+// edge id itself, or NoFacRef for facility-free edges.
 func facRef(g *graph.Graph, e graph.EdgeID) (uint64, int) {
 	count := len(g.EdgeFacilities(e))
 	if count == 0 {
@@ -173,7 +173,7 @@ func (s *Source) Adjacency(v graph.NodeID) ([]graph.AdjEntry, error) {
 }
 
 // Facilities implements expand.Source; facRef is the edge id, as with
-// MemorySource. The returned slice is a shared read-only view.
+// testnet.MemorySource. The returned slice is a shared read-only view.
 func (s *Source) Facilities(facRef uint64, count int) ([]graph.FacEntry, error) {
 	if facRef == graph.NoFacRef || count == 0 {
 		return nil, nil

@@ -7,6 +7,7 @@ import (
 	"mcn/internal/expand"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
+	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
 
@@ -34,7 +35,7 @@ func TestCompileMatchesMemorySource(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		inst := testInstance(t, directed, 7)
 		g := inst.Graph
-		mem := expand.NewMemorySource(g)
+		mem := testnet.NewMemorySource(g)
 		fs := Compile(g)
 
 		if fs.D() != mem.D() || fs.Directed() != mem.Directed() {
@@ -167,7 +168,7 @@ func drain(t testing.TB, x *expand.Expansion) (pops, steps int) {
 func TestScratchReuseAcrossQueries(t *testing.T) {
 	inst := testInstance(t, false, 13)
 	fs := Compile(inst.Graph)
-	mem := expand.NewMemorySource(inst.Graph)
+	mem := testnet.NewMemorySource(inst.Graph)
 	for round := 0; round < 3; round++ {
 		for _, loc := range inst.Queries {
 			for cost := 0; cost < fs.D(); cost++ {
@@ -221,7 +222,7 @@ func BenchmarkExpansion(b *testing.B) {
 	}
 	g := inst.Graph
 	loc := inst.Queries[0]
-	mem := expand.NewMemorySource(g)
+	mem := testnet.NewMemorySource(g)
 	fs := Compile(g)
 
 	run := func(b *testing.B, src expand.Source) {

@@ -162,7 +162,7 @@ func TestOverlayQueryEquivalence(t *testing.T) {
 			fac := g.Facility(graph.FacilityID(f))
 			b.AddFacility(fac.Edge, fac.T)
 		}
-		ref := expand.NewMemorySource(testnet.MustBuild(b))
+		ref := testnet.NewMemorySource(testnet.MustBuild(b))
 
 		view := ov.View(rows, at)
 		for qi, loc := range inst.Queries {

@@ -17,10 +17,10 @@ const (
 	KindWithin  byte = 4
 )
 
-// KeySpec is everything that identifies a query's result. Key canonicalizes
-// it into a cache key: equivalent queries — the same location expressed at
-// the same offset, a weight vector scaled by a positive constant, any
-// instant inside the same elementary time interval — map to the same bytes.
+// KeySpec is everything that identifies a query's result. Key encodes it
+// into a cache key: two requests share a key only where they ask the same
+// query — the same fields, with -0 and +0 one value, and any instant inside
+// the same elementary time interval.
 type KeySpec struct {
 	// Kind is one of the Kind* bytes above.
 	Kind byte
@@ -51,12 +51,12 @@ type KeySpec struct {
 	Budget vec.Costs
 }
 
-// Key returns the canonical cache key for s, the L1 norm the key's weight
-// vector was normalized at (0 when the kind has no aggregate), and whether
-// the query is cacheable at all. Opaque aggregates (vec.Func and any type
-// this package does not know) are not canonicalizable, so ok is false and
-// the query bypasses the cache.
-func (s KeySpec) Key() (key string, scale float64, ok bool) {
+// Key returns the cache key for s and whether the query is cacheable at
+// all. Weight vectors are keyed as given, so proportional ones get
+// different keys: their scores differ. Opaque aggregates (vec.Func and any
+// type this package does not know) and non-finite coefficients cannot be
+// keyed, so ok is false and the query bypasses the cache.
+func (s KeySpec) Key() (key string, ok bool) {
 	b := make([]byte, 0, 96) // on the stack; every kind's key fits up to d = 5
 	b = append(b, s.Kind, s.Engine)
 	if s.NoEnhancements {
@@ -84,13 +84,16 @@ func (s KeySpec) Key() (key string, scale float64, ok bool) {
 		case *vec.MaxAgg:
 			coef, isMax = a.Coef, 1
 		default:
-			return "", 0, false
+			return "", false
 		}
 		b = append(b, isMax)
 		b = binary.LittleEndian.AppendUint64(b, uint64(s.K))
-		b, scale, ok = appendNormalized(b, coef)
-		if !ok {
-			return "", 0, false
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(coef)))
+		for _, a := range coef {
+			if math.IsNaN(a) || math.IsInf(a, 0) {
+				return "", false
+			}
+			b = appendFloat(b, a)
 		}
 	case KindNearest:
 		b = binary.LittleEndian.AppendUint64(b, uint64(s.K))
@@ -100,35 +103,9 @@ func (s KeySpec) Key() (key string, scale float64, ok bool) {
 			b = appendFloat(b, v)
 		}
 	default:
-		return "", 0, false
+		return "", false
 	}
-	return string(b), scale, true
-}
-
-// appendNormalized appends coef scaled to unit L1 norm and returns the norm
-// it divided by. Proportional weight vectors therefore share a key: IEEE
-// division is correctly rounded, so coef and coef·k (computed with exact
-// products) normalize to bit-identical quotients. A zero or non-finite norm
-// leaves the coefficients raw with scale 0 (nothing to normalize by; such
-// vectors still cache, they just never alias a scaled variant).
-func appendNormalized(b []byte, coef []float64) ([]byte, float64, bool) {
-	norm := 0.0
-	for _, a := range coef {
-		if math.IsNaN(a) || math.IsInf(a, 0) {
-			return b, 0, false
-		}
-		norm += a
-	}
-	scale := norm
-	if norm <= 0 || math.IsInf(norm, 0) {
-		scale = 0
-		norm = 1
-	}
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(coef)))
-	for _, a := range coef {
-		b = appendFloat(b, a/norm)
-	}
-	return b, scale, true
+	return string(b), true
 }
 
 // appendFloat appends v's IEEE bits with -0 folded into +0 so the two equal

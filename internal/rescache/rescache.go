@@ -1,9 +1,9 @@
-// Package rescache is the serving-layer query-result cache: completed
-// preference-query results keyed by a canonical encoding of the query
-// (kind, source location, normalized weight vector, k/budget, elementary
+// Package rescache is the serving-layer query-result cache: a memo of
+// completed preference-query results keyed by an exact encoding of the
+// query (kind, source location, weight vector, k/budget, elementary
 // interval for time-dependent queries), so Zipfian traffic — the same
 // (source, weights, k) requests repeating — expands the network once per
-// distinct query instead of once per request.
+// distinct query instead of once per request. Query is the one way in.
 //
 // The cache reuses the buffer pool's proven machinery one level up (see
 // internal/storage): one replacement domain — one CLOCK (second-chance)
@@ -25,8 +25,7 @@
 // entries carry tags (their elementary interval and ClassTimeDep), so a
 // profile edit kills exactly the entries of the intervals it changed. A
 // static entry carries none: the network it was computed on never changes,
-// so no Invalidate can name it. Flush is the generation-stamped epoch that
-// drops every entry at once, static ones included.
+// so no Invalidate can name it.
 //
 // # Consistency
 //
@@ -37,9 +36,11 @@
 // have made stale before they arrived. So a static entry is exact for the
 // network's life and a time-dependent one exact for its interval until an
 // edit changes it. A hit returns the shared cached result (callers must
-// treat it as read-only) and carries the work statistics of the query that
-// filled the entry — see the contract in ARCHITECTURE.md ("Serving-layer
-// result cache").
+// treat it as read-only): the answer the same request computes uncached,
+// work statistics included — see the contract in ARCHITECTURE.md
+// ("Serving-layer result cache"). A coalesced waiter keeps its own
+// context: when it ends first, the waiter returns the context's error and
+// the leader still stores its result.
 package rescache
 
 import (
@@ -85,10 +86,11 @@ func IntervalTag(k int) Tag { return Tag(tagKindInterval | uint64(k)) }
 // class through it without touching static entries.
 const ClassTimeDep = Tag(tagKindClass | 1)
 
-// Superseded marks a value computed from state that was replaced while the
+// Superseded marks a result computed from state that was replaced while the
 // computation ran in a way no stamp records — a time-dependent version
-// published, and its edit invalidated, before Do took its version snapshot.
-// Do returns such a value to its computing caller and never stores it.
+// published, and its edit invalidated, before Query took its version
+// snapshot. Query returns such a result to its computing caller and never
+// stores it.
 const Superseded = Tag(tagKindClass | 2)
 
 // Options tunes a Cache. The zero value selects the defaults.
@@ -100,38 +102,6 @@ type Options struct {
 
 // DefaultEntries is the capacity Options{Entries: 0} selects.
 const DefaultEntries = 4096
-
-// Value is one cached result. Scale records the L1 norm of the aggregate
-// the scores were computed at, so a hit under a positively scaled weight
-// vector (the same preferences, different units) can rescale the scores;
-// zero means the query kind has no aggregate scale (skyline, nearest,
-// within).
-type Value struct {
-	Result *core.Result
-	Scale  float64
-}
-
-// ResultAt adapts the cached result to the caller's weight scale (the L1
-// norm its KeySpec normalized away). An exact scale match — including the
-// scale-free kinds, where both are zero — returns the shared cached result
-// untouched, byte-identical to an uncached run. A proportionally scaled
-// weight vector shares the entry but gets a copy with scores multiplied by
-// the ratio; the ranking is unchanged because the ratio is positive.
-func (v Value) ResultAt(scale float64) *core.Result {
-	if v.Scale == scale || v.Scale == 0 {
-		return v.Result
-	}
-	ratio := scale / v.Scale
-	out := &core.Result{
-		Facilities: make([]core.Facility, len(v.Result.Facilities)),
-		Stats:      v.Result.Stats,
-	}
-	for i, f := range v.Result.Facilities {
-		f.Score *= ratio
-		out.Facilities[i] = f
-	}
-	return out
-}
 
 // Stats is a snapshot of a cache's lifetime counters, read lock-free one
 // counter at a time (approximate under concurrent traffic, monotone per
@@ -168,9 +138,9 @@ func (s Stats) String() string {
 		s.Hits, s.Misses, s.Coalesced, s.Invalidated, s.Evicted, 100*s.HitRate())
 }
 
-// Cache is a CLOCK-evicted, singleflight-coalesced map from canonical query
-// keys to completed results: one replacement domain under one mutex. It is
-// safe for concurrent use.
+// Cache is a CLOCK-evicted, singleflight-coalesced map from query keys to
+// completed results: one replacement domain under one mutex. It is safe for
+// concurrent use.
 type Cache struct {
 	cap int
 
@@ -182,12 +152,9 @@ type Cache struct {
 	evicted     atomic.Int64
 	live        atomic.Int64 // len(entries), mirrored for lock-free reads
 
-	// version is the global invalidation clock: bumped on every Invalidate
-	// and Flush, snapshotted by each computation before it starts.
+	// version is the global invalidation clock: bumped on every
+	// Invalidate, snapshotted by each computation before it starts.
 	version atomic.Uint64
-	// flushed is the version of the last Flush; entries whose snapshot
-	// predates it are stale regardless of tags.
-	flushed atomic.Uint64
 
 	// mu guards everything below it.
 	mu       sync.Mutex
@@ -206,7 +173,7 @@ type Cache struct {
 // entry is one cached result with its dependency stamps.
 type entry struct {
 	key  string
-	val  Value
+	res  *core.Result
 	tags []Tag
 	// ver is the cache version observed before the entry's computation
 	// began; any tag stamped after it marks the entry stale.
@@ -215,11 +182,11 @@ type entry struct {
 	ref  bool // CLOCK reference bit
 }
 
-// flight is one coalesced computation: the leader fills val/err/stored and
+// flight is one coalesced computation: the leader fills res/err/stored and
 // closes done; waiters block on done and share the outcome.
 type flight struct {
 	done   chan struct{}
-	val    Value
+	res    *core.Result
 	err    error
 	stored bool
 }
@@ -273,19 +240,9 @@ func (c *Cache) Invalidate(tags ...Tag) {
 	c.mu.Unlock()
 }
 
-// Flush invalidates every entry at once — the epoch fallback for updates
-// whose precise tag set is unknown. Like Invalidate it is O(1) in the
-// number of entries; memory is reclaimed lazily.
-func (c *Cache) Flush() {
-	c.flushed.Store(c.version.Add(1))
-}
-
 // stale reports whether an entry computed at version ver with the given
 // tags has been invalidated since. Caller holds mu.
 func (c *Cache) stale(ver uint64, tags []Tag) bool {
-	if c.flushed.Load() > ver {
-		return true
-	}
 	for _, t := range tags {
 		if c.stamped[t] > ver {
 			return true
@@ -294,21 +251,50 @@ func (c *Cache) stale(ver uint64, tags []Tag) bool {
 	return false
 }
 
-// Do returns the cached value for key, computing it on a miss. compute
-// returns the value plus the tags it depends on; concurrent Do calls for
-// the same key share one computation. hit reports whether the value came
-// from a live cached entry; coalesced waiters report hit=false. Errors are
-// never cached: every waiter of a failed computation receives its error and
-// the next Do retries. A value that is not stored — it raced an
+// Query answers one query through c: the one way a query enters the cache.
+// spec carries the kind's key fields and, for a time-dependent query, its
+// interval and axis; Query adds the location and the variant opt selects
+// (Engine, NoEnhancements), so that a hit is what the same request would
+// compute. run computes the result; tags, run on a miss only, returns the
+// tags a computed result depends on, and a nil tags means it depends on
+// nothing an Invalidate can name. A nil cache, a query whose opt.OnResult
+// must observe the search run, and a query Key cannot key all run without
+// the cache. hit reports a live entry's result, shared with the cache
+// (read-only). A caller that coalesces onto another's computation waits
+// until that ends or ctx does, whichever is first; in the second case it
+// returns ctx's error.
+func (c *Cache) Query(ctx context.Context, spec KeySpec, loc graph.Location, opt core.Options, run func() (*core.Result, error), tags func(*core.Result) []Tag) (res *core.Result, hit bool, err error) {
+	if c != nil && opt.OnResult == nil {
+		spec.Engine, spec.NoEnhancements = byte(opt.Engine), opt.NoEnhancements
+		spec.Edge, spec.T = loc.Edge, loc.T
+		if key, ok := spec.Key(); ok {
+			return c.do(ctx, key, func() (*core.Result, []Tag, error) {
+				res, err := run()
+				var deps []Tag
+				if err == nil && tags != nil {
+					deps = tags(res)
+				}
+				return res, deps, err
+			})
+		}
+	}
+	res, err = run()
+	return res, false, err
+}
+
+// do returns the cached result for key, computing it on a miss. compute
+// returns the result plus the tags it depends on; concurrent calls for the
+// same key share one computation. hit reports whether the result came from
+// a live cached entry; coalesced waiters report hit=false. A waiter whose
+// ctx ends before the computation returns ctx's error. Errors are never
+// cached: every waiter of a failed computation receives its error and the
+// next call retries. A result that is not stored — it raced an
 // invalidation or is Superseded — is valid for its computing caller only,
 // so its waiters look the key up again instead of sharing it; so do the
 // waiters of a computation that ended with its caller's context error (a
 // deadline or a cancellation is the leader's, not theirs), and their own
 // compute, bound to their own context, decides.
-//
-// The returned Value is shared with the cache and other callers; treat the
-// Result as read-only.
-func (c *Cache) Do(key string, compute func() (Value, []Tag, error)) (val Value, hit bool, err error) {
+func (c *Cache) do(ctx context.Context, key string, compute func() (*core.Result, []Tag, error)) (res *core.Result, hit bool, err error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
@@ -317,10 +303,10 @@ func (c *Cache) Do(key string, compute func() (Value, []Tag, error)) (val Value,
 				c.invalidated.Add(1)
 			} else {
 				e.ref = true
-				val = e.val
+				res = e.res
 				c.mu.Unlock()
 				c.hits.Add(1)
-				return val, true, nil
+				return res, true, nil
 			}
 		}
 		f, ok := c.inflight[key]
@@ -329,9 +315,13 @@ func (c *Cache) Do(key string, compute func() (Value, []Tag, error)) (val Value,
 		}
 		c.coalesced.Add(1)
 		c.mu.Unlock()
-		<-f.done
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
 		if f.stored || f.err != nil && !errors.Is(f.err, context.Canceled) && !errors.Is(f.err, context.DeadlineExceeded) {
-			return f.val, false, f.err
+			return f.res, false, f.err
 		}
 	}
 	c.misses.Add(1)
@@ -356,56 +346,20 @@ func (c *Cache) Do(key string, compute func() (Value, []Tag, error)) (val Value,
 			close(f.done)
 		}
 	}()
-	val, tags, err := compute()
+	res, tags, err := compute()
 	completed = true
 
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if err == nil && !slices.Contains(tags, Superseded) && !c.stale(ver, tags) {
 		if _, ok := c.entries[key]; !ok {
-			c.insert(&entry{key: key, val: val, tags: tags, ver: ver})
+			c.insert(&entry{key: key, res: res, tags: tags, ver: ver})
 		}
 		f.stored = true
 	}
 	c.mu.Unlock()
-	f.val, f.err = val, err
+	f.res, f.err = res, err
 	close(f.done)
-	return val, false, err
-}
-
-// Query answers one query through c: the one way a query enters the cache.
-// spec carries the kind's key fields and, for a time-dependent query, its
-// interval and axis; Query adds the location and the variant opt selects
-// (Engine, NoEnhancements), so that a hit is what the same request would
-// compute. run computes the result; tags, run on a miss only, returns the
-// tags a computed result depends on, and a nil tags means it depends on
-// nothing an Invalidate can name. A nil cache, a query whose opt.OnResult
-// must observe the search run, and a query Key cannot key all run without
-// the cache. hit reports a live entry's result: shared with the cache
-// (read-only) and rescaled to the caller's weights by Value.ResultAt.
-func (c *Cache) Query(spec KeySpec, loc graph.Location, opt core.Options, run func() (*core.Result, error), tags func(*core.Result) []Tag) (res *core.Result, hit bool, err error) {
-	if c != nil && opt.OnResult == nil {
-		spec.Engine, spec.NoEnhancements = byte(opt.Engine), opt.NoEnhancements
-		spec.Edge, spec.T = loc.Edge, loc.T
-		if key, scale, ok := spec.Key(); ok {
-			val, hit, err := c.Do(key, func() (Value, []Tag, error) {
-				res, err := run()
-				if err != nil {
-					return Value{}, nil, err
-				}
-				var deps []Tag
-				if tags != nil {
-					deps = tags(res)
-				}
-				return Value{Result: res, Scale: scale}, deps, nil
-			})
-			if err != nil {
-				return nil, false, err
-			}
-			return val.ResultAt(scale), hit, nil
-		}
-	}
-	res, err = run()
 	return res, false, err
 }
 

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mcn/internal/core"
 	"mcn/internal/graph"
@@ -18,47 +19,49 @@ import (
 )
 
 // Lookup probes the cache without computing; ok reports a live hit. It
-// obeys the same staleness rules as Do (a stale entry is discarded and
+// obeys the same staleness rules as do (a stale entry is discarded and
 // reported as a miss) but does not touch the hit/miss counters, so probes
-// from tests and diagnostics do not skew serving statistics.
-func (c *Cache) Lookup(key string) (Value, bool) {
+// from tests do not skew serving statistics.
+func (c *Cache) Lookup(key string) (*core.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
-		return Value{}, false
+		return nil, false
 	}
 	if c.stale(e.ver, e.tags) {
 		c.kill(e)
 		c.invalidated.Add(1)
-		return Value{}, false
+		return nil, false
 	}
 	e.ref = true
-	return e.val, true
+	return e.res, true
 }
 
-func mkValue(id int) Value {
-	return Value{Result: &core.Result{Facilities: []core.Facility{{ID: graph.FacilityID(id)}}}}
+var bg = context.Background()
+
+func mkResult(id int) *core.Result {
+	return &core.Result{Facilities: []core.Facility{{ID: graph.FacilityID(id)}}}
 }
 
-func fill(id int, tags ...Tag) func() (Value, []Tag, error) {
-	return func() (Value, []Tag, error) { return mkValue(id), tags, nil }
+func fill(id int, tags ...Tag) func() (*core.Result, []Tag, error) {
+	return func() (*core.Result, []Tag, error) { return mkResult(id), tags, nil }
 }
 
 func TestHitMissBasics(t *testing.T) {
 	c := New(Options{Entries: 8})
-	v, hit, err := c.Do("a", fill(1))
+	v, hit, err := c.do(bg, "a", fill(1))
 	if err != nil || hit {
 		t.Fatalf("first Do: hit=%v err=%v", hit, err)
 	}
-	if v.Result.Facilities[0].ID != 1 {
+	if v.Facilities[0].ID != 1 {
 		t.Fatalf("wrong value: %+v", v)
 	}
-	v2, hit, err := c.Do("a", fill(2))
+	v2, hit, err := c.do(bg, "a", fill(2))
 	if err != nil || !hit {
 		t.Fatalf("second Do: hit=%v err=%v", hit, err)
 	}
-	if v2.Result != v.Result {
+	if v2 != v {
 		t.Fatalf("hit did not return the cached result pointer")
 	}
 	st := c.Stats()
@@ -73,14 +76,14 @@ func TestHitMissBasics(t *testing.T) {
 func TestErrorsNotCached(t *testing.T) {
 	c := New(Options{Entries: 8})
 	boom := errors.New("boom")
-	_, _, err := c.Do("a", func() (Value, []Tag, error) { return Value{}, nil, boom })
+	_, _, err := c.do(bg, "a", func() (*core.Result, []Tag, error) { return nil, nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("error was cached")
 	}
-	_, hit, err := c.Do("a", fill(1))
+	_, hit, err := c.do(bg, "a", fill(1))
 	if err != nil || hit {
 		t.Fatalf("retry after error: hit=%v err=%v", hit, err)
 	}
@@ -88,8 +91,8 @@ func TestErrorsNotCached(t *testing.T) {
 
 func TestTagInvalidation(t *testing.T) {
 	c := New(Options{Entries: 8})
-	c.Do("a", fill(1, EdgeTag(10)))
-	c.Do("b", fill(2, EdgeTag(20)))
+	c.do(bg, "a", fill(1, EdgeTag(10)))
+	c.do(bg, "b", fill(2, EdgeTag(20)))
 
 	c.Invalidate(EdgeTag(10))
 
@@ -104,30 +107,12 @@ func TestTagInvalidation(t *testing.T) {
 	}
 }
 
-func TestFlushKillsEverything(t *testing.T) {
-	c := New(Options{Entries: 8})
-	for i := 0; i < 6; i++ {
-		c.Do(fmt.Sprintf("k%d", i), fill(i))
-	}
-	c.Flush()
-	for i := 0; i < 6; i++ {
-		if _, ok := c.Lookup(fmt.Sprintf("k%d", i)); ok {
-			t.Fatalf("entry k%d survived Flush", i)
-		}
-	}
-	// New inserts after the flush must live.
-	c.Do("fresh", fill(99))
-	if _, ok := c.Lookup("fresh"); !ok {
-		t.Fatalf("post-flush insert did not stick")
-	}
-}
-
 // An entry stored with no tags depends on nothing an Invalidate can name:
-// it survives every interval and class tag and dies only on Flush.
+// it survives every interval and class tag.
 func TestUntaggedEntrySurvivesInvalidate(t *testing.T) {
 	c := New(Options{Entries: 8})
-	c.Do("static", fill(1))
-	c.Do("timed", fill(2, IntervalTag(3), ClassTimeDep))
+	c.do(bg, "static", fill(1))
+	c.do(bg, "timed", fill(2, IntervalTag(3), ClassTimeDep))
 	for k := range 64 {
 		c.Invalidate(IntervalTag(k))
 	}
@@ -137,10 +122,6 @@ func TestUntaggedEntrySurvivesInvalidate(t *testing.T) {
 	}
 	if _, ok := c.Lookup("static"); !ok {
 		t.Fatalf("untagged entry was killed by Invalidate")
-	}
-	c.Flush()
-	if _, ok := c.Lookup("static"); ok {
-		t.Fatalf("untagged entry survived Flush")
 	}
 }
 
@@ -153,13 +134,13 @@ func TestQueryNilTagsStores(t *testing.T) {
 	runs := 0
 	run := func() (*core.Result, error) {
 		runs++
-		return mkValue(7).Result, nil
+		return mkResult(7), nil
 	}
-	first, hit, err := c.Query(spec, loc, core.Options{}, run, nil)
+	first, hit, err := c.Query(bg, spec, loc, core.Options{}, run, nil)
 	if err != nil || hit {
 		t.Fatalf("first Query: hit=%v err=%v", hit, err)
 	}
-	second, hit, err := c.Query(spec, loc, core.Options{}, run, nil)
+	second, hit, err := c.Query(bg, spec, loc, core.Options{}, run, nil)
 	if err != nil || !hit {
 		t.Fatalf("second Query: hit=%v err=%v", hit, err)
 	}
@@ -172,11 +153,11 @@ func TestInvalidateDuringCompute(t *testing.T) {
 	c := New(Options{Entries: 8})
 	// The invalidation lands while the computation is running: the result
 	// must be returned to the caller but never cached.
-	v, hit, err := c.Do("a", func() (Value, []Tag, error) {
+	v, hit, err := c.do(bg, "a", func() (*core.Result, []Tag, error) {
 		c.Invalidate(EdgeTag(5))
-		return mkValue(1), []Tag{EdgeTag(5)}, nil
+		return mkResult(1), []Tag{EdgeTag(5)}, nil
 	})
-	if err != nil || hit || v.Result == nil {
+	if err != nil || hit || v == nil {
 		t.Fatalf("Do: hit=%v err=%v", hit, err)
 	}
 	if _, ok := c.Lookup("a"); ok {
@@ -196,36 +177,36 @@ func TestSupersededNotSharedOrStored(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			c := New(Options{Entries: 8})
 			entered, gate := make(chan struct{}), make(chan struct{})
-			var leader Value
+			var leader *core.Result
 			var wg sync.WaitGroup
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				leader, _, _ = c.Do("hot", func() (Value, []Tag, error) {
+				leader, _, _ = c.do(bg, "hot", func() (*core.Result, []Tag, error) {
 					close(entered)
 					<-gate
-					return mkValue(1), tags(c), nil
+					return mkResult(1), tags(c), nil
 				})
 			}()
 			<-entered
-			var waiter Value
+			var waiter *core.Result
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				waiter, _, _ = c.Do("hot", fill(2))
+				waiter, _, _ = c.do(bg, "hot", fill(2))
 			}()
 			for c.Stats().Coalesced == 0 {
 				runtime.Gosched()
 			}
 			close(gate)
 			wg.Wait()
-			if leader.Result.Facilities[0].ID != 1 {
+			if leader.Facilities[0].ID != 1 {
 				t.Fatalf("leader got %+v, want its own value", leader)
 			}
-			if waiter.Result.Facilities[0].ID != 2 {
+			if waiter.Facilities[0].ID != 2 {
 				t.Fatalf("waiter shared the leader's unstored value %+v instead of computing its own", waiter)
 			}
-			if v, ok := c.Lookup("hot"); !ok || v.Result.Facilities[0].ID != 2 {
+			if v, ok := c.Lookup("hot"); !ok || v.Facilities[0].ID != 2 {
 				t.Fatalf("cached %+v (ok=%v), want only the waiter's value", v, ok)
 			}
 		})
@@ -235,13 +216,13 @@ func TestSupersededNotSharedOrStored(t *testing.T) {
 func TestClockEviction(t *testing.T) {
 	c := New(Options{Entries: 4})
 	for i := 0; i < 4; i++ {
-		c.Do(fmt.Sprintf("k%d", i), fill(i))
+		c.do(bg, fmt.Sprintf("k%d", i), fill(i))
 	}
 	// Touch k0 so it carries a reference bit; k1 is the sweep victim.
 	if _, ok := c.Lookup("k0"); !ok {
 		t.Fatalf("k0 missing before eviction")
 	}
-	c.Do("k4", fill(4))
+	c.do(bg, "k4", fill(4))
 	if _, ok := c.Lookup("k0"); !ok {
 		t.Fatalf("referenced entry k0 was evicted before unreferenced ones")
 	}
@@ -259,11 +240,11 @@ func TestClockEviction(t *testing.T) {
 func TestDeadSlotsReusedWithoutEvicting(t *testing.T) {
 	c := New(Options{Entries: 4})
 	for i := 0; i < 4; i++ {
-		c.Do(fmt.Sprintf("k%d", i), fill(i, EdgeTag(graph.EdgeID(i))))
+		c.do(bg, fmt.Sprintf("k%d", i), fill(i, EdgeTag(graph.EdgeID(i))))
 	}
 	c.Invalidate(EdgeTag(graph.EdgeID(2)))
 	c.Lookup("k2") // lazy kill
-	c.Do("k9", fill(9))
+	c.do(bg, "k9", fill(9))
 	if ev := c.Stats().Evicted; ev != 0 {
 		t.Fatalf("reusing a dead slot counted as eviction: %d", ev)
 	}
@@ -284,12 +265,12 @@ func TestSingleflightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := c.Do("hot", func() (Value, []Tag, error) {
+			v, _, err := c.do(bg, "hot", func() (*core.Result, []Tag, error) {
 				computes.Add(1)
 				<-gate
-				return mkValue(7), nil, nil
+				return mkResult(7), nil, nil
 			})
-			if err != nil || v.Result.Facilities[0].ID != 7 {
+			if err != nil || v.Facilities[0].ID != 7 {
 				t.Errorf("coalesced Do: v=%+v err=%v", v, err)
 			}
 		}()
@@ -316,7 +297,7 @@ func TestPanicReleasesWaiters(t *testing.T) {
 	var waitErr error
 	go func() {
 		defer func() { recover(); close(finish) }()
-		c.Do("hot", func() (Value, []Tag, error) {
+		c.do(bg, "hot", func() (*core.Result, []Tag, error) {
 			close(entered)
 			// Give the waiter time to register on the inflight record.
 			for c.Stats().Coalesced == 0 {
@@ -330,7 +311,7 @@ func TestPanicReleasesWaiters(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, waitErr = c.Do("hot", fill(1))
+		_, _, waitErr = c.do(bg, "hot", fill(1))
 	}()
 	<-finish
 	wg.Wait()
@@ -338,7 +319,7 @@ func TestPanicReleasesWaiters(t *testing.T) {
 		t.Fatalf("waiter error = %v; want ErrComputePanic", waitErr)
 	}
 	// The key must be retryable afterwards.
-	if _, _, err := c.Do("hot", fill(2)); err != nil {
+	if _, _, err := c.do(bg, "hot", fill(2)); err != nil {
 		t.Fatalf("retry after panic: %v", err)
 	}
 }
@@ -355,26 +336,58 @@ func TestWaiterOutlivesLeaderContext(t *testing.T) {
 	} {
 		c := New(Options{Entries: 8})
 		entered := make(chan struct{})
-		go c.Do("hot", func() (Value, []Tag, error) {
+		go c.do(bg, "hot", func() (*core.Result, []Tag, error) {
 			close(entered)
 			for c.Stats().Coalesced == 0 { // the waiter registered on the flight
 				runtime.Gosched()
 			}
-			return Value{}, nil, leaderErr
+			return nil, nil, leaderErr
 		})
 		<-entered
 		var ran atomic.Int64
-		v, hit, err := c.Do("hot", func() (Value, []Tag, error) {
+		v, hit, err := c.do(bg, "hot", func() (*core.Result, []Tag, error) {
 			ran.Add(1)
-			return mkValue(2), nil, nil
+			return mkResult(2), nil, nil
 		})
 		own := errors.Is(leaderErr, context.DeadlineExceeded) || errors.Is(leaderErr, context.Canceled)
 		switch {
-		case own && (err != nil || hit || ran.Load() != 1 || v.Result == nil):
+		case own && (err != nil || hit || ran.Load() != 1 || v == nil):
 			t.Errorf("leader failed with %v: waiter got hit=%v err=%v after %d computes; want its own compute's value", leaderErr, hit, err, ran.Load())
 		case !own && (!errors.Is(err, leaderErr) || ran.Load() != 0):
 			t.Errorf("leader failed with %v: waiter got err=%v after %d computes; want the shared error", leaderErr, err, ran.Load())
 		}
+	}
+}
+
+// A waiter keeps its own deadline: behind a leader that computes for 300 ms,
+// a waiter whose context ends after 10 ms returns context.DeadlineExceeded
+// at once, and the leader still stores its result.
+func TestWaiterKeepsOwnDeadline(t *testing.T) {
+	c := New(Options{Entries: 8})
+	entered := make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		c.do(bg, "hot", func() (*core.Result, []Tag, error) {
+			close(entered)
+			time.Sleep(300 * time.Millisecond)
+			return mkResult(1), nil, nil
+		})
+	}()
+	<-entered
+	ctx, cancel := context.WithTimeout(bg, 10*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	res, hit, err := c.do(ctx, "hot", fill(2))
+	if waited := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || res != nil || hit || waited >= 100*time.Millisecond {
+		t.Fatalf("waiter returned %v, hit %v, err %v after %v; want context.DeadlineExceeded in under 100ms", res, hit, err, waited)
+	}
+	if st := c.Stats(); st.Coalesced != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v; want the waiter coalesced onto the leader", st)
+	}
+	<-leaderDone
+	if got, ok := c.Lookup("hot"); !ok || got.Facilities[0].ID != 1 {
+		t.Fatalf("cached %v (ok=%v); want the leader's result", got, ok)
 	}
 }
 
@@ -394,7 +407,7 @@ func TestReplacementIndependentOfCores(t *testing.T) {
 		zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, keys-1)
 		for i := 0; i < requests; i++ {
 			id := int(zipf.Uint64())
-			c.Do(names[id], fill(id))
+			c.do(bg, names[id], fill(id))
 		}
 		st := c.Stats()
 		var live []string
@@ -425,9 +438,9 @@ func TestReplacementIndependentOfCores(t *testing.T) {
 func TestHitAllocatesNothing(t *testing.T) {
 	c := New(Options{Entries: 8})
 	compute := fill(1, EdgeTag(3), IntervalTag(2))
-	c.Do("warm", compute)
+	c.do(bg, "warm", compute)
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, hit, _ := c.Do("warm", compute); !hit {
+		if _, hit, _ := c.do(bg, "warm", compute); !hit {
 			t.Fatal("warm key missed")
 		}
 	})
@@ -445,7 +458,7 @@ func BenchmarkCacheHitParallel(b *testing.B) {
 	names := make([]string, keys)
 	for i := range names {
 		names[i] = fmt.Sprintf("k%d", i)
-		c.Do(names[i], fill(i, EdgeTag(graph.EdgeID(i))))
+		c.do(bg, names[i], fill(i, EdgeTag(graph.EdgeID(i))))
 	}
 	compute := fill(0)
 	var seed atomic.Int64
@@ -454,7 +467,7 @@ func BenchmarkCacheHitParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := int(seed.Add(97))
 		for pb.Next() {
-			if _, hit, _ := c.Do(names[i%keys], compute); !hit {
+			if _, hit, _ := c.do(bg, names[i%keys], compute); !hit {
 				b.Error("warm key missed")
 				return
 			}
@@ -473,49 +486,61 @@ func TestHitRate(t *testing.T) {
 	}
 }
 
+// Weights are keyed as given: a proportional vector computes different
+// scores, so it gets its own key. A -0 coefficient scores as +0 does, so
+// the two share one; a non-finite coefficient cannot be keyed.
 func TestKeyCanonicalization(t *testing.T) {
 	base := KeySpec{Kind: KindTopK, Interval: -1, Edge: 7, T: 0.25,
 		Agg: vec.NewWeighted(1, 2, 3), K: 5}
-	k1, scale1, ok := base.Key()
+	k1, ok := base.Key()
 	if !ok {
 		t.Fatalf("base not cacheable")
-	}
-	if scale1 != 6 {
-		t.Fatalf("scale = %g; want 6", scale1)
 	}
 
 	scaled := base
 	scaled.Agg = vec.NewWeighted(2, 4, 6)
-	k2, scale2, ok := scaled.Key()
-	if !ok || k2 != k1 {
-		t.Fatalf("proportional weight vectors got different keys")
-	}
-	if scale2 != 12 {
-		t.Fatalf("scaled norm = %g; want 12", scale2)
+	if k2, ok := scaled.Key(); !ok || k2 == k1 {
+		t.Fatalf("proportional weight vectors share a key (cacheable %v)", ok)
 	}
 
 	diff := base
 	diff.Agg = vec.NewWeighted(1, 2, 4)
-	if k3, _, _ := diff.Key(); k3 == k1 {
+	if k3, _ := diff.Key(); k3 == k1 {
 		t.Fatalf("different weights share a key")
 	}
 
 	maxAgg := base
 	maxAgg.Agg = vec.NewMax(1, 2, 3)
-	if k4, _, _ := maxAgg.Key(); k4 == k1 {
+	if k4, _ := maxAgg.Key(); k4 == k1 {
 		t.Fatalf("MaxAgg shares a key with Weighted")
+	}
+
+	zero, negZero := base, base
+	zero.Agg = vec.NewWeighted(0, 2, 3)
+	negZero.Agg = vec.NewWeighted(math.Copysign(0, -1), 2, 3)
+	kz, _ := zero.Key()
+	if kn, ok := negZero.Key(); !ok || kn != kz {
+		t.Fatalf("-0 and +0 coefficients got different keys (cacheable %v)", ok)
+	}
+
+	for _, bad := range []vec.Aggregate{vec.Weighted{Coef: []float64{1, math.Inf(1), 3}}, vec.MaxAgg{Coef: []float64{math.NaN(), 2, 3}}} {
+		nonFinite := base
+		nonFinite.Agg = bad
+		if _, ok := nonFinite.Key(); ok {
+			t.Fatalf("non-finite coefficients %v reported cacheable", bad)
+		}
 	}
 
 	opaque := base
 	opaque.Agg = vec.Func{D: 3, F: func(vec.Costs) float64 { return 0 }}
-	if _, _, ok := opaque.Key(); ok {
+	if _, ok := opaque.Key(); ok {
 		t.Fatalf("opaque aggregate reported cacheable")
 	}
 }
 
 func TestKeyDiscriminatesFields(t *testing.T) {
 	base := KeySpec{Kind: KindNearest, Interval: -1, Edge: 7, T: 0.25, K: 3, CostIdx: 1}
-	k0, _, _ := base.Key()
+	k0, _ := base.Key()
 	variants := []KeySpec{
 		{Kind: KindNearest, Interval: 0, Edge: 7, T: 0.25, K: 3, CostIdx: 1},
 		{Kind: KindNearest, Interval: -1, Axis: 1, Edge: 7, T: 0.25, K: 3, CostIdx: 1},
@@ -529,7 +554,7 @@ func TestKeyDiscriminatesFields(t *testing.T) {
 	}
 	seen := map[string]int{k0: -1}
 	for i, v := range variants {
-		k, _, ok := v.Key()
+		k, ok := v.Key()
 		if !ok {
 			t.Fatalf("variant %d not cacheable", i)
 		}
@@ -540,16 +565,16 @@ func TestKeyDiscriminatesFields(t *testing.T) {
 	}
 
 	within := KeySpec{Kind: KindWithin, Interval: -1, Edge: 7, Budget: vec.Of(1, 2)}
-	w0, _, _ := within.Key()
+	w0, _ := within.Key()
 	within.Budget = vec.Of(1, 3)
-	if w1, _, _ := within.Key(); w1 == w0 {
+	if w1, _ := within.Key(); w1 == w0 {
 		t.Fatalf("different budgets share a key")
 	}
 
 	negZero := KeySpec{Kind: KindSkyline, Interval: -1, Edge: 7, T: math.Copysign(0, -1)}
 	posZero := KeySpec{Kind: KindSkyline, Interval: -1, Edge: 7, T: 0}
-	kn, _, _ := negZero.Key()
-	kp, _, _ := posZero.Key()
+	kn, _ := negZero.Key()
+	kp, _ := posZero.Key()
 	if kn != kp {
 		t.Fatalf("-0 and +0 locations got different keys")
 	}
@@ -564,12 +589,9 @@ func TestConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := fmt.Sprintf("k%d", (w*7+i)%48)
-				c.Do(k, fill(i, EdgeTag(graph.EdgeID(i%16))))
+				c.do(bg, k, fill(i, EdgeTag(graph.EdgeID(i%16))))
 				if i%17 == 0 {
 					c.Invalidate(EdgeTag(graph.EdgeID(i % 16)))
-				}
-				if i%97 == 0 {
-					c.Flush()
 				}
 				c.Lookup(k)
 				c.Stats()
@@ -597,10 +619,10 @@ func TestSingleflightLeaderErrorLeavesKeyRetryable(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, hit, err := c.Do("hot", func() (Value, []Tag, error) {
+			_, hit, err := c.do(bg, "hot", func() (*core.Result, []Tag, error) {
 				computes.Add(1)
 				<-gate
-				return Value{}, nil, boom
+				return nil, nil, boom
 			})
 			if hit {
 				t.Error("failed compute reported as cache hit")
@@ -623,14 +645,14 @@ func TestSingleflightLeaderErrorLeavesKeyRetryable(t *testing.T) {
 		t.Fatal("failed compute left an entry in the cache")
 	}
 	// The key is immediately retryable and caches on success.
-	v, hit, err := c.Do("hot", fill(9))
+	v, hit, err := c.do(bg, "hot", fill(9))
 	if err != nil || hit {
 		t.Fatalf("retry after failure: hit=%v err=%v", hit, err)
 	}
-	if v.Result.Facilities[0].ID != 9 {
+	if v.Facilities[0].ID != 9 {
 		t.Fatalf("retry computed wrong value: %+v", v)
 	}
-	if _, hit, _ := c.Do("hot", fill(10)); !hit {
+	if _, hit, _ := c.do(bg, "hot", fill(10)); !hit {
 		t.Fatal("successful retry was not cached")
 	}
 }

@@ -353,8 +353,7 @@ func TestResultCacheStaysRetryableUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := engine.New(net, engine.Config{Workers: 2})
-	cache := rescache.New(rescache.Options{Entries: 32})
-	ex.SetCache(cache)
+	ex.SetCache(rescache.New(rescache.Options{Entries: 32}))
 
 	want := ex.Do(context.Background(), req)
 	if want.Err != nil {
@@ -367,12 +366,13 @@ func TestResultCacheStaysRetryableUnderFaults(t *testing.T) {
 		}
 	}
 
-	// Fail every page, flush the cache, and observe a classified error —
-	// then clear and require a correct, cacheable recompute.
+	// Fail every page, start over with a fresh cache, and observe a
+	// classified error — then clear and require a correct, cacheable
+	// recompute.
 	for p := 1; p < dev.NumPages(); p++ {
 		fd.FailPage(storage.PageID(p))
 	}
-	cache.Flush()
+	ex.SetCache(rescache.New(rescache.Options{Entries: 32}))
 	r := ex.Do(context.Background(), req)
 	if r.Err == nil {
 		t.Fatal("query succeeded with every page failed")

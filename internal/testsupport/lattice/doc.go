@@ -1,7 +1,7 @@
 // Package lattice is the differential test of every execution mode: one
-// table of modes — the source (MemorySource, flat, flat over a permuted
-// numbering, flat behind a six-method wrapper, disk behind a 1 % and a
-// 100 % buffer pool, disk behind the wrapper) × engine (LSA, CEA) ×
+// table of modes — the source (testnet.MemorySource, flat, flat over a
+// permuted numbering, flat behind a six-method wrapper, disk behind a 1 %
+// and a 100 % buffer pool, disk behind the wrapper) × engine (LSA, CEA) ×
 // enhancements (on, off) × bounds (none, the source's own pruning index),
 // plus a time-dependent network at an instant and over a period, a
 // dynamic.Maintainer after an insert/delete script, the update-mix rows

@@ -470,7 +470,7 @@ func openSources(t testing.TB, g *graph.Graph, seed int64, sel Select) []source 
 		}
 		switch {
 		case name == "mem":
-			out[s] = source{expand.NewMemorySource(g), idx}
+			out[s] = source{testnet.NewMemorySource(g), idx}
 		case name == "flat/permuted":
 			pg := permuted(g, seed)
 			pfs := flat.Compile(pg)
@@ -1002,7 +1002,7 @@ func (tv *timeNet) at(at float64) *snapshot {
 		return s
 	}
 	g := testnet.Scaled(tv.in.G, func(e graph.EdgeID) vec.Costs { return multAt(tv.profiled[e], at) })
-	s := &snapshot{o: newOracle(g, tv.in), mem: expand.NewMemorySource(g), idx: index.FromGraph(g), ref: map[[2]int]answer{}}
+	s := &snapshot{o: newOracle(g, tv.in), mem: testnet.NewMemorySource(g), idx: index.FromGraph(g), ref: map[[2]int]answer{}}
 	tv.snaps[at] = s
 	return s
 }

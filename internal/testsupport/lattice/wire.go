@@ -460,7 +460,7 @@ func (w *wireNet) stats(g target, path ...string) float64 {
 // row answers with the served row's bytes, the all-up one from one replica
 // for every form, and a fault row after a failover; the cached row answers
 // a cacheable request's repeat from the cache with the same bytes, and a
-// top-k with doubled weights too (checkRescaledHit).
+// top-k with doubled weights as its own request (checkDoubledWeights).
 func checkWire(t testing.TB, in *testnet.Instance, sel Select, o *oracle, srcs []source, seed int64, rep *Report) {
 	t.Helper()
 	w := newWireNet(t, in, seed, sel.Profiles)
@@ -488,6 +488,7 @@ func checkWire(t testing.TB, in *testnet.Instance, sel Select, o *oracle, srcs [
 				}
 			}
 			leg := int64(-1)               // the all-up gateway's replica for q
+			doubled := false               // q with doubled weights is cached
 			byMode := map[[2]int]string{}  // each row's first answer in each mode
 			refs := map[wire.Mode]string{} // the served row's
 			for _, c := range codecs {
@@ -562,7 +563,8 @@ func checkWire(t testing.TB, in *testnet.Instance, sel Select, o *oracle, srcs [
 						fail("asked again: %d cache hits, want %d", n, b2i(cacheable))
 					}
 					if k == TopK {
-						checkRescaledHit(t, w, c, q, in, o, want, fail)
+						checkDoubledWeights(t, w, c, q, in, srcs[s], opt, o, doubled, fail)
+						doubled = true
 					}
 				}
 			}
@@ -620,25 +622,32 @@ func checkReply(t testing.TB, tv *timeNet, k Kind, in *testnet.Instance, q *wire
 	return ""
 }
 
-// checkRescaledHit asks top-k request q again with its weights doubled: one
-// key, so a cache hit, whose scores rescache.Value.ResultAt rescales by the
-// ratio of the weights' norms. Doubling is exact in floating point, so the
-// answer must be the in-process one with every score doubled, bit for bit
-// once narrowed, and, with every score halved, the oracle's.
-func checkRescaledHit(t testing.TB, w *wireNet, c codec, q *wire.Request, in *testnet.Instance, o *oracle, want answer, fail func(string, ...any)) {
+// checkDoubledWeights asks top-k request q again with its weights doubled:
+// a request of its own, which the cache answers only once it has computed
+// it (cached reports whether an earlier codec did), and then with what it
+// computed. Either way the answer must be the in-process one for the
+// doubled weights, bit for bit once narrowed with its work counters, and,
+// with every score halved (doubling is exact in floating point), the
+// oracle's.
+func checkDoubledWeights(t testing.TB, w *wireNet, c codec, q *wire.Request, in *testnet.Instance, src source, opt core.Options, o *oracle, cached bool, fail func(string, ...any)) {
 	t.Helper()
 	scaled := *q
 	scaled.Weights = nil
 	for _, a := range q.Weights {
 		scaled.Weights = append(scaled.Weights, 2*a)
 	}
-	hits := w.cache.Stats().Hits
+	before := w.cache.Stats()
 	got, err := c.decode(w.ask(servedCached, c, &scaled), false)
-	if n := w.cache.Stats().Hits - hits; err != nil || n != 1 {
-		fail("weights doubled: %d cache hits (%v), want 1", n, err)
+	after := w.cache.Stats()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; err != nil || hits != int64(b2i(cached)) || misses != int64(b2i(!cached)) {
+		fail("weights doubled: %d cache hits and %d misses (%v), want %d and %d", hits, misses, err, b2i(cached), b2i(!cached))
 	}
-	if msg := same(got.facs, scaleScores(want.facs, 2), c.tolerance().narrow); msg != "" || got.stats != want.stats {
-		fail("weights doubled: differs from the in-process answer, scores doubled: %s; stats %+v, want %+v", msg, got.stats, want.stats)
+	want, err := core.TopK(src.src, in.Loc, vec.NewWeighted(scaled.Weights...), in.K, opt)
+	if err != nil {
+		fail("weights doubled, in process: %v", err)
+	}
+	if msg := same(got.facs, want.Facilities, c.tolerance().narrow); msg != "" || got.stats != want.Stats {
+		fail("weights doubled: differs from the in-process answer: %s; stats %+v, want %+v", msg, got.stats, want.Stats)
 	}
 	if msg := o.check(TopK, in, answer{facs: scaleScores(got.facs, 0.5)}, c.tolerance()); msg != "" {
 		fail("weights doubled, scores halved: oracle: %s", msg)

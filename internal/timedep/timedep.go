@@ -356,7 +356,7 @@ func (n *Network) instant(ctx context.Context, loc graph.Location, t float64, op
 	v := n.cur.Load()
 	k := v.intervalAt(t)
 	spec.Interval, spec.Axis = k, v.axis
-	res, _, err := n.cache.Query(spec, loc, opt, func() (*core.Result, error) {
+	res, _, err := n.cache.Query(ctx, spec, loc, opt, func() (*core.Result, error) {
 		if opt.Bounds == nil && spec.Kind == rescache.KindWithin {
 			// Only within reads an index, so only a within that runs builds
 			// it. The version's own, never the static network's: bounds built
@@ -371,7 +371,7 @@ func (n *Network) instant(ctx context.Context, loc graph.Location, t float64, op
 		tags := []rescache.Tag{rescache.IntervalTag(k), rescache.ClassTimeDep}
 		if n.cur.Load() != v {
 			// An edit published since v was loaded may have stamped its
-			// tags before Do's version snapshot, where they cannot mark
+			// tags before Query's version snapshot, where they cannot mark
 			// this entry stale: answer from v, store nothing.
 			tags = append(tags, rescache.Superseded)
 		}

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"mcn/internal/core"
-	"mcn/internal/expand"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
 	"mcn/internal/testsupport/testnet"
@@ -297,7 +296,7 @@ func TestOverPeriodMergesStaticNetwork(t *testing.T) {
 	if len(intervals) != 1 || intervals[0].From != 0 || intervals[0].To != 100 {
 		t.Fatalf("static network should give one interval, got %+v", intervals)
 	}
-	static, err := core.Skyline(expand.NewMemorySource(g), loc, core.Options{})
+	static, err := core.Skyline(testnet.NewMemorySource(g), loc, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -582,8 +582,8 @@ func (n *Network) Maintain(ctx context.Context, loc Location) (*Maintainer, erro
 
 // EnableResultCache attaches a serving-layer result cache to the network
 // and returns it. Every executor the network creates afterwards — via
-// NewExecutor and Batch — memoizes completed results
-// under canonical query keys with singleflight miss coalescing. Enable the
+// NewExecutor and Batch — memoizes completed results under exact query
+// keys (weights as given) with singleflight miss coalescing. Enable the
 // cache before creating executors; calling it again replaces the cache for
 // future executors only. The returned cache can be shared with a
 // TimeNetwork via TimeNetwork.EnableResultCache so instant time-dependent
@@ -612,15 +612,6 @@ func (n *Network) ResultCacheStats() (CacheStats, bool) {
 		return CacheStats{}, false
 	}
 	return n.cache.Stats(), true
-}
-
-// FlushResultCache drops every cached result at once, for a caller that
-// wants the cache cold again; no cached answer needs it to stay exact. A
-// no-op when no cache is enabled.
-func (n *Network) FlushResultCache() {
-	if n.cache != nil {
-		n.cache.Flush()
-	}
 }
 
 // IndexStats describes the pruning index attached to a network.

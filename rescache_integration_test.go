@@ -276,43 +276,39 @@ func TestThunderingHerdSingleExpansion(t *testing.T) {
 	}
 }
 
-// TestFlushResultCache checks that FlushResultCache drops every entry: a
-// repeated query misses and recomputes an identical answer, and on a
-// network without a cache the call does nothing.
-func TestFlushResultCache(t *testing.T) {
-	g := equivGraph(t, 7)
-	net := FromGraph(g)
-	net.EnableResultCache(CacheOptions{Entries: 64})
-	ex := net.NewExecutor(ExecutorConfig{Workers: 1})
-	req := SkylineRequest(RandomQueries(g, 1, 5)[0], WithEngine(CEA))
-
-	first := ex.Do(ctx, req)
-	repeat := ex.Do(ctx, req)
-	if first.Err != nil || repeat.Err != nil {
-		t.Fatalf("errs %v / %v", first.Err, repeat.Err)
+// TestCachedEquivalenceScaledWeights pins that the cache answers only the
+// identical request: on one cached executor, top-k with weights (1,2,3) and
+// then (3,6,9), proportional but scoring differently. The second request
+// misses, and both answers equal those of an executor on a network without
+// a cache, bit for bit: scores, order and work statistics.
+func TestCachedEquivalenceScaledWeights(t *testing.T) {
+	g, err := Synthetic(SyntheticConfig{Nodes: 2000, Facilities: 400, D: 3, Seed: 3})
+	if err != nil {
+		t.Fatalf("Synthetic: %v", err)
 	}
-	if first.Cached || !repeat.Cached {
-		t.Fatalf("cached = %v, %v; want a miss then a hit", first.Cached, repeat.Cached)
+	cachedNet, plainNet := FromGraph(g), FromGraph(g)
+	cachedNet.EnableResultCache(CacheOptions{})
+	cached := cachedNet.NewExecutor(ExecutorConfig{Workers: 1})
+	plain := plainNet.NewExecutor(ExecutorConfig{Workers: 1})
+	for i, loc := range RandomQueries(g, 50, 3) {
+		for _, w := range [][]float64{{1, 2, 3}, {3, 6, 9}} {
+			req := TopKRequest(loc, WeightedSum(w...), 8)
+			got, want := cached.Do(ctx, req), plain.Do(ctx, req)
+			if got.Err != nil || want.Err != nil {
+				t.Fatalf("query %d, weights %v: errs %v / %v", i, w, got.Err, want.Err)
+			}
+			if got.Cached {
+				t.Fatalf("query %d, weights %v: served from the cache; want a miss", i, w)
+			}
+			if !bitEqualResults(got.Result, want.Result) {
+				t.Fatalf("query %d, weights %v: cached executor answered\n%v\nuncached\n%v", i, w, got.Result, want.Result)
+			}
+		}
 	}
-
-	net.FlushResultCache()
-	after := ex.Do(ctx, req)
-	if after.Err != nil {
-		t.Fatal(after.Err)
+	if cs, _ := cachedNet.ResultCacheStats(); cs.Hits != 0 || cs.Misses != 100 {
+		t.Fatalf("cache %v; want 100 misses and no hit", cs)
 	}
-	if after.Cached {
-		t.Fatal("query after FlushResultCache was served from the cache")
-	}
-	if !bitEqualResults(first.Result, after.Result) {
-		t.Fatal("recomputed result differs from the first computation")
-	}
-	if cs, _ := net.ResultCacheStats(); cs.Hits != 1 || cs.Misses != 2 {
-		t.Fatalf("hits, misses = %d, %d; want 1, 2", cs.Hits, cs.Misses)
-	}
-
-	plain := FromGraph(g)
-	plain.FlushResultCache()
-	if _, ok := plain.ResultCacheStats(); ok || plain.ResultCache() != nil {
-		t.Fatal("FlushResultCache attached a cache to a network without one")
+	if _, ok := plainNet.ResultCacheStats(); ok || plainNet.ResultCache() != nil {
+		t.Fatal("the uncached network reports a result cache")
 	}
 }
