@@ -179,15 +179,19 @@ paperio:
 		}' "$$dir/1.csv"
 
 # Chaos harness. chaossmoke is the CI job, under the race detector: the
-# -short schedule counts, the fault-injecting device's own tests, and the
-# buffer pool's concurrency tests (pin/evict stress with failing reads,
-# waiters of a failed read, a device closed under readers), so a regression
-# in the fault layer is named in this one step. chaos is the long-mode run
+# -short schedule counts, the fault-injecting device's own tests, and, three
+# times over, the lent-page contract of the storage layer: queries racing
+# Close on a database file (each answer the oracle's or os.ErrClosed),
+# queries over a file truncated behind the open network (the oracle's
+# answer or io.ErrUnexpectedEOF, one counted failure each), an
+# eviction-churn stress in which every page handed out carries its own
+# stamp, and a device closed under readers, so a regression in the fault
+# layer is named in this one step. chaos is the long-mode run
 # (CHAOS_SCHEDULES randomized fault schedules, default 1000) for release
 # qualification or fault-layer changes.
 chaossmoke:
 	$(GO) test -race -short -count=1 ./internal/testsupport/chaos ./internal/testsupport/fault
-	$(GO) test -race -count=1 -run '^(TestPinEvictStress|TestFailedReadUnmapsBeforeWaitersWake|TestFileDeviceCloseRacesReads)$$' ./internal/storage
+	$(GO) test -race -count=3 -run '^(TestQueriesRaceClose|TestQueriesOverTruncatedDatabase|TestEvictionChurnStress|TestFileDeviceCloseRacesReads)$$' . ./internal/storage
 
 # Cluster tier smoke: the gateway suite (real gateway and replica handlers
 # on memnet, the in-memory HTTP network, and memnet's own contract) under

@@ -69,41 +69,52 @@ func baseWorkload(b *testing.B) bench.Workload {
 	return cfg.DefaultWorkload()
 }
 
-// runSkylineBench benchmarks one engine over a dataset's database on dev.
-func runSkylineBench(b *testing.B, dev storage.Device, ds *bench.Dataset, buffer float64, engine core.Engine) {
+// benchQueries times query i%len(ds.Queries) for i < b.N on one pool over
+// dev, then reports pages/query from one pass over ds.Queries on a fresh
+// pool, outside the timer: a constant of the tree, where an average over
+// b.N would drift with b.N.
+func benchQueries(b *testing.B, dev storage.Device, ds *bench.Dataset, buffer float64, query func(net *storage.Network, i int) error) {
 	b.Helper()
-	net, err := storage.OpenOptions(dev, buffer, storage.PoolOptions{})
-	if err != nil {
-		b.Fatal(err)
+	open := func() *storage.Network {
+		net, err := storage.OpenOptions(dev, buffer, storage.PoolOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return net
 	}
+	net := open()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := ds.Queries[i%len(ds.Queries)]
-		if _, err := core.Skyline(net, q, core.Options{Engine: engine}); err != nil {
+		if err := query(net, i%len(ds.Queries)); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(net.Stats().Physical)/float64(b.N), "pages/query")
+	net = open()
+	for i := range ds.Queries {
+		if err := query(net, i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(net.Stats().Physical)/float64(len(ds.Queries)), "pages/query")
+}
+
+// runSkylineBench benchmarks one engine over a dataset's database on dev.
+func runSkylineBench(b *testing.B, dev storage.Device, ds *bench.Dataset, buffer float64, engine core.Engine) {
+	b.Helper()
+	benchQueries(b, dev, ds, buffer, func(net *storage.Network, i int) error {
+		_, err := core.Skyline(net, ds.Queries[i], core.Options{Engine: engine})
+		return err
+	})
 }
 
 func runTopKBench(b *testing.B, ds *bench.Dataset, buffer float64, k int, engine core.Engine) {
 	b.Helper()
-	net, err := storage.OpenOptions(ds.Dev, buffer, storage.PoolOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % len(ds.Queries)
-		if _, err := core.TopK(net, ds.Queries[j], ds.Aggs[j], k, core.Options{Engine: engine}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(net.Stats().Physical)/float64(b.N), "pages/query")
+	benchQueries(b, ds.Dev, ds, buffer, func(net *storage.Network, i int) error {
+		_, err := core.TopK(net, ds.Queries[i], ds.Aggs[i], k, core.Options{Engine: engine})
+		return err
+	})
 }
 
 func engines() []core.Engine { return []core.Engine{core.LSA, core.CEA} }
@@ -245,19 +256,10 @@ func BenchmarkAblation(b *testing.B) {
 		{"CEA-plain", core.Options{Engine: core.CEA, NoEnhancements: true}},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
-			net, err := storage.OpenOptions(ds.Dev, w.Buffer, storage.PoolOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Skyline(net, ds.Queries[i%len(ds.Queries)], variant.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(net.Stats().Physical)/float64(b.N), "pages/query")
+			benchQueries(b, ds.Dev, ds, w.Buffer, func(net *storage.Network, i int) error {
+				_, err := core.Skyline(net, ds.Queries[i], variant.opts)
+				return err
+			})
 		})
 	}
 }
@@ -266,19 +268,10 @@ func BenchmarkAblation(b *testing.B) {
 func BenchmarkBaselineSkyline(b *testing.B) {
 	w := baseWorkload(b)
 	ds := dataset(b, "fig9b", w)
-	net, err := storage.OpenOptions(ds.Dev, w.Buffer, storage.PoolOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.NaiveSkyline(net, ds.Queries[i%len(ds.Queries)], core.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(net.Stats().Physical)/float64(b.N), "pages/query")
+	benchQueries(b, ds.Dev, ds, w.Buffer, func(net *storage.Network, i int) error {
+		_, err := core.NaiveSkyline(net, ds.Queries[i], core.Options{})
+		return err
+	})
 }
 
 // BenchmarkDiskSkyline: the disk rows of `make benchmem` — skylines over the

@@ -31,7 +31,7 @@ func TestCreateDatabaseReplacesOpenDatabase(t *testing.T) {
 	if err := CreateDatabase(gA, path); err != nil {
 		t.Fatal(err)
 	}
-	// A pool of a few frames: nearly every read after the rebuild misses
+	// A pool of a few pages: nearly every read after the rebuild misses
 	// and goes to the file.
 	a, err := OpenDatabaseOptions(path, 0.01, PoolOptions{})
 	if err != nil {

@@ -182,10 +182,14 @@ func TestStatsPoolShards(t *testing.T) {
 		if !ok {
 			t.Fatalf("shard entry %v is not an object", entry)
 		}
-		for _, key := range []string{"logical", "physical", "hits", "evictions", "coalesced"} {
+		keys := []string{"logical", "physical", "hits", "evictions"}
+		for _, key := range keys {
 			if _, ok := shard[key]; !ok {
 				t.Fatalf("shard entry missing %q: %v", key, shard)
 			}
+		}
+		if len(shard) != len(keys) {
+			t.Fatalf("shard entry %v, want exactly the keys %v", shard, keys)
 		}
 		logical += shard["logical"].(float64)
 	}

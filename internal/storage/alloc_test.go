@@ -4,9 +4,9 @@ package storage
 
 import "testing"
 
-// A warmed-up pool serves a miss out of the victim's buffer: a cold-page Get
-// and its Release allocate nothing, whatever the policy, and neither does the
-// borrowed-buffer path of a pool without capacity.
+// A miss on a MemDevice maps the device's own page: a cold-page Get
+// allocates nothing, whatever the policy, and neither does a pool without
+// capacity.
 func TestMissAllocatesNothing(t *testing.T) {
 	const pages = 64
 	dev := stampDevice(t, pages)
@@ -29,12 +29,12 @@ func TestMissAllocatesNothing(t *testing.T) {
 				}
 				next = (next + 1) % pages
 			}
-			for i := 0; i < 4*pages; i++ { // fill every frame, settle the maps
+			for i := 0; i < 4*pages; i++ { // fill the pool, settle the maps
 				miss()
 			}
 			before := pool.Stats().Physical
 			if got := testing.AllocsPerRun(1000, miss); got != 0 {
-				t.Errorf("%v allocs per cold-page Get+Release, want 0", got)
+				t.Errorf("%v allocs per cold-page Get, want 0", got)
 			}
 			if misses := pool.Stats().Physical - before; misses != 1001 {
 				t.Errorf("measured %d misses over 1001 gets: the pages were not cold", misses)

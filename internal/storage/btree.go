@@ -134,28 +134,24 @@ func OpenBTree(pool *BufferPool, root PageID) *BTree {
 }
 
 // Lookup returns the value stored under key, with ok=false when absent,
-// reading one node per level. Each node is pinned only while it is searched.
+// reading one node per level.
 func (t *BTree) Lookup(key uint64) (value uint64, ok bool, err error) {
 	page := t.root
 	for {
-		var fr *Frame
-		if fr, err = t.pool.Get(page); err != nil {
+		data, err := t.pool.Get(page)
+		if err != nil {
 			return 0, false, err
 		}
-		data := fr.Data()
 		kind := data[0]
 		n := int(binary.LittleEndian.Uint16(data[1:3]))
 		switch {
 		case kind == leafKind:
 			value, ok = searchLeaf(data, n, key)
+			return value, ok, nil
 		case kind == innerKind && n > 0:
 			page = searchInner(data, n, key)
 		default:
-			err = faultf("page %d is not a searchable btree node (kind %d, %d entries)", page, kind, n)
-		}
-		fr.Release()
-		if kind == leafKind || err != nil {
-			return value, ok, err
+			return 0, false, faultf("page %d is not a searchable btree node (kind %d, %d entries)", page, kind, n)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -12,9 +13,9 @@ import (
 // experiments are driven by the physical count (its processing time is
 // vastly I/O-dominated, Sec. VI footnote 7).
 //
-// Concurrent readers of the same cold page share one device read (miss
-// coalescing), so Physical counts actual device reads — it can be lower than
-// the number of misses observed by callers.
+// Concurrent misses of the same cold page cost one device read: the pool
+// serves misses one at a time, and a reader that waited for another's miss
+// of its page finds it cached and hits.
 type Stats struct {
 	Logical  int64
 	Physical int64
@@ -41,14 +42,10 @@ type ShardStats struct {
 	// Logical counts page requests; Physical the device reads issued.
 	Logical  int64 `json:"logical"`
 	Physical int64 `json:"physical"`
-	// Hits counts requests served from the pool's frames without waiting on
-	// the device: Logical − Physical − Coalesced.
+	// Hits counts requests served without a device read: Logical − Physical.
 	Hits int64 `json:"hits"`
-	// Evictions counts frames displaced by the replacement policy.
+	// Evictions counts pages displaced by the replacement policy.
 	Evictions int64 `json:"evictions"`
-	// Coalesced counts requests that piggybacked on another query's
-	// in-flight read of the same cold page (miss coalescing).
-	Coalesced int64 `json:"coalesced"`
 }
 
 // Policy selects the pool's replacement algorithm.
@@ -59,9 +56,10 @@ const (
 	// approximates LRU while touching only a reference bit on hits, so a hit
 	// takes no lock.
 	PolicyClock Policy = iota
-	// PolicyLRU is an exact least-recently-used list — the paper's buffer
-	// (Sec. VI), which mcnbench and the determinism tests run. It moves list
-	// nodes on every hit, so its hits take the pool's lock.
+	// PolicyLRU is exact least-recently-used replacement — the paper's
+	// buffer (Sec. VI), which mcnbench and the determinism tests run. Every
+	// use stamps the page with a tick under the pool's lock, so its hits take
+	// that lock, and a miss scans every cached page for the oldest stamp.
 	PolicyLRU
 )
 
@@ -83,144 +81,68 @@ type PoolOptions struct {
 	Policy Policy
 }
 
-// BufferPool is a page cache over a Device: one replacement domain of at
-// most capacity frames, so which pages it holds — and the paper's metric,
-// Stats().Physical — depends on the access sequence alone, not on the host's
-// core count. A capacity of zero disables caching entirely (the paper's 0%
-// buffer configuration): every logical read becomes a physical read.
+// BufferPool counts and replaces the pages of a Device: one replacement
+// domain of at most capacity pages, so which pages it holds — and the
+// paper's metric, Stats().Physical — depends on the access sequence alone,
+// not on the host's core count. A capacity of zero disables caching
+// entirely (the paper's 0% buffer configuration): every logical read
+// becomes a physical read.
 //
-// One mutex guards the replacement state and the miss path. A CLOCK hit does
-// not take it: a page-indexed table maps every cached page to its frame, and
-// a hit pins the frame it finds there with a compare-and-swap (see Get).
+// The pool keeps no page bytes of its own. A MemDevice lends its own pages
+// and a mapped FileDevice slices of its mapping, so a miss copies nothing.
+// Any other Device is a wrapper, read with ReadPage into a fresh buffer per
+// miss, which the garbage collector keeps alive for any reader still
+// holding it. Either way the bytes Get returns stay valid, whatever the pool
+// evicts later, until the device is closed: readers take no pins and give
+// nothing back.
 //
-// The pool is read-only — query processing never mutates the database — and
-// safe for concurrent readers under a pin/unpin contract: Get returns the
-// page's Frame pinned, its bytes are valid until the caller's Release, and
-// the replacement policy never picks a pinned frame. Each frame owns one
-// page buffer for the life of the pool; a miss reads the device straight
-// into the victim's buffer, so a warmed-up pool allocates nothing per miss.
-//
-// Misses are coalesced per page (singleflight): when several queries want
-// the same cold page at once, one of them reads the device and the rest wait
-// for that read, so a popular page costs one physical read per eviction
-// rather than one per waiting query. The page being read is mapped in the
-// table to the claimed frame it is read into, and that is where the others
-// find the read to wait for.
+// A CLOCK hit takes no lock: a page-indexed table maps every cached page to
+// its bytes, and a hit loads its entry and sets the page's reference bit. A
+// miss is one critical section under the pool's mutex: pick the victim, map
+// the page, count the physical read, and verify or touch the page. A
+// concurrent miss of the same page waits for that lock and then hits, so a
+// popular page costs one physical read per eviction, not one per reader.
 type BufferPool struct {
 	dev    Device
 	cap    int
 	policy Policy
+	// lend, set for a MemDevice and a mapped FileDevice, returns the
+	// device's own bytes of a page instead of a copy.
+	lend func(PageID) (*[PageSize]byte, error)
 	// sums, when set (OpenWithPool loads it from the database's checksum
 	// table), holds the CRC-32C of every covered page, indexed by page id; a
-	// freshly read page that disagrees fails the read with ErrChecksum. A
-	// page is verified on every read, except on a FileDevice, whose bytes
+	// freshly mapped page that disagrees fails the read with ErrChecksum. A
+	// page is verified on every miss, except on a FileDevice, whose bytes
 	// are not rewritten while it is open: there the verified bitset, indexed
 	// like sums, marks each page that has passed in this open, and a marked
-	// page is not verified again.
+	// page is only touched.
 	sums     []uint32
 	verified []atomic.Uint64
-	// table maps each cached page id to its frame, and each page being read
-	// to the claimed frame it is read into. Entries change only under mu;
-	// CLOCK hits read them without it. It covers the pages the device held
-	// when the pool was made (the database is read-only); a page beyond them
-	// is read like an uncached one.
-	table []atomic.Pointer[Frame]
+	// table maps each cached page id to its bytes. Entries change only under
+	// mu; CLOCK hits read them without it. It covers the pages the device
+	// held when the pool was made (the database is read-only); a page beyond
+	// them is read like an uncached one.
+	table []atomic.Pointer[[PageSize]byte]
+	// ref holds each page's CLOCK reference bit, set by lock-free hits, and
+	// used each page's LRU stamp, the pool's tick at its last use (under
+	// mu). Both are indexed like table; only the policy's own is allocated.
+	ref  []atomic.Bool
+	used []uint64
 
 	logical   atomic.Int64
 	physical  atomic.Int64
 	evictions atomic.Int64
-	coalesced atomic.Int64
 
 	// I/O failure counters (see FailureStats).
 	failPermanent atomic.Int64
 	checksumErrs  atomic.Int64
 
 	mu sync.Mutex
-	// free holds claimed frames that carry no page (after Drop or a failed
-	// read); nframes counts the frames allocated so far, at most cap.
-	free    []*Frame
-	nframes int
-
-	// The ring of frames, the CLOCK sweep hand, and the LRU use counter.
-	slots []*Frame
-	hand  int
-	tick  uint64
-}
-
-// Frame is one page buffer of a pool, handed to readers pinned: Data stays
-// valid, and the frame is never chosen for replacement, until Release. A
-// reader releases the frame it holds before asking the pool for another
-// page, so a single query never holds more than one pin.
-type Frame struct {
-	id   PageID
-	data []byte
-	// pins counts the readers using data, or is −1 while the pool has the
-	// frame claimed: a victim being refilled, or a spare. Readers pin with
-	// tryPin, which refuses a claimed frame, and Release lock-free; the pool
-	// claims only unpinned frames (0 → −1) and only under its lock, and a
-	// frame stays claimed while it is filled, so no reader can pin a
-	// half-read page through the table or a stale pointer.
-	pins atomic.Int32
-	// transient marks a buffer borrowed from framePool because the pool has
-	// no capacity or every frame is pinned; it is never in the table, and
-	// the last Release returns it.
-	transient bool
-	ref       atomic.Bool // clock reference bit, set by lock-free hits
-	used      uint64      // LRU: the pool's tick at the last use
-	// wait is non-nil while readers are blocked on the read into this frame.
-	wait *coalesced
-}
-
-// Data returns the page's bytes, read-only and valid until Release.
-func (f *Frame) Data() []byte { return f.data }
-
-// Release unpins the frame; the caller must not touch Data afterwards.
-func (f *Frame) Release() {
-	n := f.pins.Add(-1)
-	if n < 0 {
-		panic("storage: Frame released more often than pinned")
-	}
-	if n == 0 && f.transient {
-		framePool.Put(f)
-	}
-}
-
-// tryPin pins f unless the pool has claimed it.
-func (f *Frame) tryPin() bool {
-	for {
-		n := f.pins.Load()
-		if n < 0 {
-			return false
-		}
-		if f.pins.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-// claim takes an unpinned frame away from readers. Caller holds mu.
-func (f *Frame) claim() bool { return f.pins.CompareAndSwap(0, -1) }
-
-// take hands a borrowed buffer to the reader about to fill it with page id.
-func (f *Frame) take(id PageID) {
-	f.id = id
-	f.pins.Store(1)
-}
-
-// framePool lends page buffers to reads that no pool frame can hold.
-var framePool = sync.Pool{New: func() any {
-	return &Frame{data: make([]byte, PageSize), transient: true}
-}}
-
-// coalesced is the rendezvous of one in-flight read that other readers wait
-// for: the leader fills f/err and closes done while holding the pool lock.
-// It is allocated by the first waiter, so an uncontended miss allocates
-// nothing.
-type coalesced struct {
-	done chan struct{}
-	n    int // waiters (guarded by the pool lock)
-	f    *Frame
-	err  error
+	// ring holds the cached pages, at most cap, in CLOCK order; hand is the
+	// sweep's position and tick the LRU use counter.
+	ring []PageID
+	hand int
+	tick uint64
 }
 
 // NewBufferPool returns a pool holding at most capacity pages. At most one
@@ -236,8 +158,22 @@ func NewBufferPool(dev Device, capacity int, opts ...PoolOptions) *BufferPool {
 		cap:    capacity,
 		policy: o.Policy,
 	}
+	switch d := dev.(type) {
+	case *MemDevice:
+		b.lend = d.lend
+	case *FileDevice:
+		if d.mapped {
+			b.lend = d.lend
+		}
+	}
 	if capacity > 0 {
-		b.table = make([]atomic.Pointer[Frame], dev.NumPages())
+		n := dev.NumPages()
+		b.table = make([]atomic.Pointer[[PageSize]byte], n)
+		if b.policy == PolicyClock {
+			b.ref = make([]atomic.Bool, n)
+		} else {
+			b.used = make([]uint64, n)
+		}
 	}
 	return b
 }
@@ -266,14 +202,10 @@ func (b *BufferPool) Stats() Stats {
 // ShardStats returns the pool's counters as the one entry of a per-partition
 // report. Lock-free, like Stats.
 func (b *BufferPool) ShardStats() []ShardStats {
-	// Load order mirrors Stats: increments happen logical-first, so a
-	// snapshot never shows more work than was requested.
 	ev := b.evictions.Load()
-	co := b.coalesced.Load()
-	ph := b.physical.Load()
-	lo := b.logical.Load()
-	hits := max(lo-ph-co, 0) // a racing snapshot may see reads between counter updates
-	return []ShardStats{{Logical: lo, Physical: ph, Hits: hits, Evictions: ev, Coalesced: co}}
+	s := b.Stats()
+	hits := max(s.Logical-s.Physical, 0) // a snapshot racing ResetStats may see physical reads ahead
+	return []ShardStats{{Logical: s.Logical, Physical: s.Physical, Hits: hits, Evictions: ev}}
 }
 
 // ResetStats zeroes the access counters without evicting cached pages. Like
@@ -283,126 +215,58 @@ func (b *BufferPool) ResetStats() {
 	b.logical.Store(0)
 	b.physical.Store(0)
 	b.evictions.Store(0)
-	b.coalesced.Store(0)
 }
 
-// Get returns the frame holding page id, pinned: the caller reads
-// Frame.Data and then calls Frame.Release, before its next Get. A miss is
-// one device read, so a caller waits at most one read: its own, or the one
-// another query is making of the same page.
-func (b *BufferPool) Get(id PageID) (*Frame, error) {
+// Get returns the bytes of page id, read-only. They stay valid until the
+// device is closed; a caller that may race Close holds the device open
+// (Network does so around every record fetch). A miss is one device read,
+// made under the pool's lock, so a caller waits at most for its own read
+// and the misses queued before it.
+func (b *BufferPool) Get(id PageID) ([]byte, error) {
 	b.logical.Add(1)
 	if int(id) >= len(b.table) {
 		// Caching disabled (the table is empty): every logical read is a
 		// physical read, by definition of the paper's 0% buffer
-		// configuration (no coalescing either — the counters must stay
-		// equal). Also a page the device did not hold at construction.
+		// configuration. Also a page the device did not hold at
+		// construction.
 		b.physical.Add(1)
-		f := framePool.Get().(*Frame)
-		f.take(id)
-		if err := b.readPage(id, f.data); err != nil {
-			f.Release()
+		p, err := b.load(id)
+		if err != nil {
 			return nil, err
 		}
-		return f, nil
+		return p[:], nil
 	}
 
 	if b.policy == PolicyClock {
-		// A hit without the lock: pin the frame the table maps id to, and
-		// keep it only if it still holds id — between the load and the pin
-		// it may have been claimed, refilled with another page and released.
-		if f := b.table[id].Load(); f != nil && f.tryPin() {
-			if f.id == id {
-				if !f.ref.Load() {
-					f.ref.Store(true)
-				}
-				return f, nil
+		if p := b.table[id].Load(); p != nil {
+			if r := &b.ref[id]; !r.Load() {
+				r.Store(true)
 			}
-			f.Release()
+			return p[:], nil
 		}
 	}
 
 	b.mu.Lock()
-	if f := b.table[id].Load(); f != nil {
-		if f.pins.Load() < 0 {
-			// Under the lock a mapped frame is claimed only while another
-			// query reads the page into it: share that read.
-			return b.join(f)
-		}
-		b.touch(f, true)
-		f.pins.Add(1)
-		b.mu.Unlock()
-		return f, nil
+	defer b.mu.Unlock()
+	if p := b.table[id].Load(); p != nil {
+		b.use(id, true)
+		return p[:], nil
 	}
-	// Miss: claim the victim's frame, map the page to it, and read into its
-	// buffer outside the lock. The claim keeps the frame from being chosen
-	// again, or pinned through the table or a stale pointer, while the read
-	// is in flight.
-	f := b.acquire()
-	if f == nil {
-		// Every frame is pinned. The borrowed buffer is pinned for this
-		// reader alone and stays out of the table: nobody joins its read.
-		f = framePool.Get().(*Frame)
-		f.take(id)
-	} else {
-		f.id = id
-		b.touch(f, false) // a newcomer's bit starts clear
-		b.table[id].Store(f)
-	}
+	i := b.victim()
+	b.ring[i] = id
+	b.use(id, false) // a newcomer's bit starts clear
 	b.physical.Add(1)
-	b.mu.Unlock()
-
-	err := b.readPage(id, f.data)
-	if f.transient {
-		if err != nil {
-			f.Release() // the last Release returns the buffer
-			return nil, err
-		}
-		return f, nil
-	}
-
-	b.mu.Lock()
-	w := f.wait
-	f.wait = nil
-	var waiters int32
-	if w != nil && err == nil {
-		waiters = int32(w.n) // one pin per waiter, taken on its behalf
-	}
+	// A wrapper's ReadPage runs under the lock too: that is what lets a
+	// concurrent miss of this page wait and hit, with no rendezvous. No
+	// device calls back into its pool.
+	p, err := b.load(id)
 	if err != nil {
-		// The frame carries no page: a failure never poisons the table.
-		b.table[id].Store(nil)
-		b.discard(f)
-	} else {
-		f.pins.Store(1 + waiters)
-	}
-	if w != nil {
-		w.f, w.err = f, err
-		close(w.done)
-	}
-	b.mu.Unlock()
-	if err != nil {
+		// A failure never poisons the table: the page leaves the ring.
+		b.unring(i)
 		return nil, err
 	}
-	return f, nil
-}
-
-// join waits for the in-flight read led by lead and returns its frame with a
-// pin the leader took for this waiter, or the read's error. The caller holds
-// b.mu; join unlocks.
-func (b *BufferPool) join(lead *Frame) (*Frame, error) {
-	w := lead.wait
-	if w == nil {
-		w = &coalesced{done: make(chan struct{})}
-		lead.wait = w
-	}
-	w.n++
-	b.coalesced.Add(1)
-	b.mu.Unlock()
-	<-w.done
-	if w.err == nil {
-		return w.f, nil
-	}
-	return nil, w.err
+	b.table[id].Store(p)
+	return p[:], nil
 }
 
 // FailureStats returns the pool's lifetime I/O failure counters (lock-free).
@@ -413,36 +277,50 @@ func (b *BufferPool) FailureStats() FailureStats {
 	}
 }
 
-// readPage reads page id into data with one device read and verifies it
-// against its checksum (see verify). A failure is counted and surfaced once,
-// as a fault: ErrChecksum, or the device's own error — prefixed with the
-// page id unless it is already a fault (this package's devices). Readers
-// are handed a frame only after a read that passed, so a failure can never
-// poison the cache.
-func (b *BufferPool) readPage(id PageID, data []byte) error {
-	if err := b.dev.ReadPage(id, data); err != nil {
-		b.failPermanent.Add(1)
-		if IsFault(err) {
-			return err
+// load maps page id with one device read — the device's own bytes, or a
+// fresh copy from a wrapper — and checks it (see check). A failure is
+// counted and surfaced once, as a fault: ErrChecksum, a fault in the
+// mapping, or the device's own error, prefixed with the page id unless it
+// is already a fault (this package's devices).
+func (b *BufferPool) load(id PageID) (*[PageSize]byte, error) {
+	var p *[PageSize]byte
+	var err error
+	if b.lend != nil {
+		p, err = b.lend(id)
+	} else {
+		p = new([PageSize]byte)
+		if err = b.dev.ReadPage(id, p[:]); err != nil && !IsFault(err) {
+			err = faultf("page %d: %w", id, err)
 		}
-		return faultf("page %d: %w", id, err)
 	}
-	if id != 0 && int(id) < len(b.sums) {
-		return b.verify(id, data)
+	if err != nil {
+		b.failPermanent.Add(1)
+		return nil, err
 	}
-	return nil
+	return p, b.check(id, p)
 }
 
-// verify checks a freshly read covered page against its checksum. With a
-// verified bitset (a FileDevice), a page that has passed once in this open is
-// not checked again, and a page is marked only once it passes, so a corrupt
-// page fails on every read.
-func (b *BufferPool) verify(id PageID, data []byte) error {
+// check verifies a freshly mapped page against its checksum, or touches
+// it: a page the checksum table does not cover, or a FileDevice's page
+// that has passed in this open and is not verified again. A page is marked
+// only once it passes, so a corrupt page fails on every miss. Both run with
+// faults turned into panics, so that touching a mapped page the file no
+// longer backs (truncated behind the handle) or the medium cannot deliver
+// fails the read as a short read would, with io.ErrUnexpectedEOF.
+func (b *BufferPool) check(id PageID, p *[PageSize]byte) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			err = mappedFault(r, fmt.Sprintf("read page %d", id))
+			b.failPermanent.Add(1)
+		}
+	}()
 	word, bit := id/64, uint64(1)<<(id%64)
-	if b.verified != nil && b.verified[word].Load()&bit != 0 {
+	if id == 0 || int(id) >= len(b.sums) || b.verified != nil && b.verified[word].Load()&bit != 0 {
+		touch(p)
 		return nil
 	}
-	if PageChecksum(data) != b.sums[id] {
+	if PageChecksum(p[:]) != b.sums[id] {
 		b.checksumErrs.Add(1)
 		return faultf("page %d: %w", id, ErrChecksum)
 	}
@@ -452,95 +330,83 @@ func (b *BufferPool) verify(id PageID, data []byte) error {
 	return nil
 }
 
-// touch records a use under the lock and sets the reference bit to ref,
-// storing it only if it changes.
-func (b *BufferPool) touch(f *Frame, ref bool) {
-	b.tick++
-	f.used = b.tick
-	if f.ref.Load() != ref {
-		f.ref.Store(ref)
+// touch reads one byte of p, so that a fault in the page happens here. It
+// is not inlined, so the read cannot be dropped as unused.
+//
+//go:noinline
+func touch(p *[PageSize]byte) byte { return p[0] }
+
+// use records a use of the cached page id under the lock: an LRU stamp, or
+// the CLOCK reference bit set to ref, stored only if it changes.
+func (b *BufferPool) use(id PageID, ref bool) {
+	if b.policy == PolicyLRU {
+		b.tick++
+		b.used[id] = b.tick
+		return
+	}
+	if r := &b.ref[id]; r.Load() != ref {
+		r.Store(ref)
 	}
 }
 
-// acquire returns a claimed frame for a new page: a spare frame or a fresh
-// one while the pool is below capacity, entering the ring just behind the
-// hand, otherwise the policy's victim, taken out of the table. It returns
-// nil when every frame is pinned. Caller holds mu.
-func (b *BufferPool) acquire() *Frame {
-	var f *Frame
-	switch n := len(b.free); {
-	case n > 0:
-		f, b.free = b.free[n-1], b.free[:n-1]
-	case b.nframes < b.cap:
-		f = &Frame{data: make([]byte, PageSize)}
-		f.pins.Store(-1)
-		b.nframes++
-	case b.policy == PolicyClock:
-		return b.evictClock()
-	default:
-		return b.evictLRU()
+// victim returns the ring position a new page takes: a fresh one at the end
+// of the ring while the pool is below capacity, otherwise the policy's
+// victim's, whose page it takes out of the table. Caller holds mu.
+func (b *BufferPool) victim() int {
+	if len(b.ring) < b.cap {
+		b.ring = append(b.ring, 0)
+		return len(b.ring) - 1
 	}
-	b.slots = append(b.slots, f)
-	return f
+	var i int
+	if b.policy == PolicyClock {
+		i = b.sweep()
+	} else {
+		i = b.oldest()
+	}
+	b.evictions.Add(1)
+	b.table[b.ring[i]].Store(nil)
+	return i
 }
 
-// discard takes a claimed frame that carries no page off the ring and keeps
-// it spare. Caller holds mu.
-func (b *BufferPool) discard(f *Frame) {
-	i := slices.Index(b.slots, f)
-	b.slots = slices.Delete(b.slots, i, i+1)
+// sweep moves the hand past referenced pages, clearing their bit (the
+// second chance), and returns the position of the first unreferenced one,
+// the hand just past it: the newcomer takes that slot with its bit clear,
+// so it survives a full rotation before becoming a candidate. After two
+// rotations — possible only while lock-free hits keep setting bits — it
+// takes the page under the hand.
+func (b *BufferPool) sweep() int {
+	for n := 2 * len(b.ring); ; n-- {
+		i := b.hand
+		if b.hand++; b.hand == len(b.ring) {
+			b.hand = 0
+		}
+		if r := &b.ref[b.ring[i]]; n > 0 && r.Load() {
+			r.Store(false)
+		} else {
+			return i
+		}
+	}
+}
+
+// oldest returns the position of the cached page whose last use is oldest.
+func (b *BufferPool) oldest() int {
+	v := 0
+	for i, id := range b.ring {
+		if b.used[id] < b.used[b.ring[v]] {
+			v = i
+		}
+	}
+	return v
+}
+
+// unring takes the page at ring position i out of the ring after its read
+// failed. Caller holds mu.
+func (b *BufferPool) unring(i int) {
+	b.ring = slices.Delete(b.ring, i, i+1)
 	if i < b.hand {
 		b.hand--
 	}
-	if b.hand >= len(b.slots) {
+	if b.hand >= len(b.ring) {
 		b.hand = 0
 	}
-	b.free = append(b.free, f)
-}
-
-// evict removes a claimed victim's page from the table.
-func (b *BufferPool) evict(f *Frame) {
-	b.evictions.Add(1)
-	b.table[f.id].Store(nil)
-}
-
-// evictClock sweeps the hand past pinned and claimed frames and referenced
-// ones (clearing their bit — the second chance) until it claims a victim,
-// which keeps its slot for the new page: newcomers enter with the bit clear
-// just behind the hand, so they survive a full rotation before becoming
-// eviction candidates. Two rotations without a victim mean every frame is
-// pinned.
-func (b *BufferPool) evictClock() *Frame {
-	for n := 2 * len(b.slots); n > 0; n-- {
-		f := b.slots[b.hand]
-		b.hand++
-		if b.hand == len(b.slots) {
-			b.hand = 0
-		}
-		switch {
-		case f.pins.Load() != 0:
-		case f.ref.Load():
-			f.ref.Store(false)
-		case f.claim(): // fails if a lock-free hit pinned it just now
-			b.evict(f)
-			return f
-		}
-	}
-	return nil
-}
-
-// evictLRU claims the unpinned frame whose last use is oldest. LRU hits
-// take the lock, so no frame it sees unpinned can be pinned before the claim.
-func (b *BufferPool) evictLRU() *Frame {
-	var victim *Frame
-	for _, f := range b.slots {
-		if f.pins.Load() == 0 && (victim == nil || f.used < victim.used) {
-			victim = f
-		}
-	}
-	if victim == nil || !victim.claim() {
-		return nil
-	}
-	b.evict(victim)
-	return victim
 }

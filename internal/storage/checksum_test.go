@@ -81,10 +81,8 @@ func TestSingleBitFlipFailsChecksum(t *testing.T) {
 		}
 		// The neighbouring page is untouched and still verifies.
 		other := PageID(1 + f[0]%covered)
-		if fr, err := n.pool.Get(other); err != nil {
+		if _, err := n.pool.Get(other); err != nil {
 			t.Fatalf("clean page %d: %v", other, err)
-		} else {
-			fr.Release()
 		}
 	}
 }

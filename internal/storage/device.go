@@ -14,10 +14,11 @@
 // cluster on few pages (layout.go has the byte-level layout).
 //
 // A database is built on a MemDevice and written to its file whole. The
-// file is opened read-only and served from a memory map (on unix): a page
-// miss copies 4 KiB out of the page cache into the pool's frame instead of
-// making a read system call, and a fault in that copy is returned as an
-// error, not a crash (see FileDevice).
+// file is opened read-only and served from a memory map (on unix): the
+// buffer pool lends pages out of the mapping, so a page miss copies nothing
+// and makes no system call. A fault in mapped memory — a file truncated
+// behind the handle — fails the record fetch that touched it with an error,
+// not a crash (see FileDevice and Network).
 package storage
 
 import (
@@ -62,11 +63,21 @@ func NewMemDevice() *MemDevice { return &MemDevice{} }
 
 // ReadPage implements Device.
 func (m *MemDevice) ReadPage(id PageID, buf []byte) error {
-	if int(id) >= len(m.pages) {
-		return faultf("read of unallocated page %d (have %d)", id, len(m.pages))
+	p, err := m.lend(id)
+	if err != nil {
+		return err
 	}
-	copy(buf, m.pages[id])
+	copy(buf, p[:])
 	return nil
+}
+
+// lend returns the device's own page id, for the buffer pool to hand out
+// without a copy.
+func (m *MemDevice) lend(id PageID) (*[PageSize]byte, error) {
+	if int(id) >= len(m.pages) {
+		return nil, faultf("read of unallocated page %d (have %d)", id, len(m.pages))
+	}
+	return (*[PageSize]byte)(m.pages[id]), nil
 }
 
 // WritePage implements Device.
@@ -91,12 +102,20 @@ func (m *MemDevice) NumPages() int { return len(m.pages) }
 func (m *MemDevice) Close() error { return nil }
 
 // FileDevice is a database file opened read-only: WritePage and Alloc fail.
-// On unix the file is mapped, and a page read is one 4 KiB copy out of the
-// mapping (page cache shared with every other process that maps or reads
-// the file) into the caller's buffer: no system call per read; elsewhere it
-// is a ReadAt. The device copies rather than lending out slices of the
-// mapping, so a buffer-pool frame owns its bytes and the pool's pins, Drop
-// and Close keep their meaning.
+// On unix the file is mapped (page cache shared with every other process
+// that maps or reads the file), and a buffer pool over the device lends its
+// pages as slices of the mapping: a miss copies nothing and makes no system
+// call. ReadPage, the path of a device that wraps one, copies a page out of
+// the mapping; elsewhere it is a ReadAt.
+//
+// A slice of the mapping is valid until Close unmaps it. Touching one that
+// the file no longer backs (truncated behind the handle) or that the medium
+// cannot deliver raises a memory fault, so every reader of the mapping runs
+// with faults turned into panics and recovers them as the error a short
+// read gives: ReadPage, the pool's miss, and each record fetch of a Network.
+// Those readers hold mu for reading, and Close takes it exclusively before
+// it unmaps, so a fetch after Close fails with an error wrapping
+// os.ErrClosed.
 //
 // Its bytes are not rewritten while it is open (mcn.CreateDatabase replaces
 // a file by rename, never in place), so a pool reading a database from a
@@ -108,11 +127,13 @@ type FileDevice struct {
 	n int
 
 	// mapped is set when OpenFileDevice mapped the file; data is the
-	// mapping until Close unmaps it. mu orders Close's unmap after every
-	// copy in flight.
+	// mapping until Close unmaps it, and closed is set by Close. mu orders
+	// Close after every reader of the mapping and every record fetch in
+	// flight.
 	mapped bool
 	mu     sync.RWMutex
 	data   []byte
+	closed bool
 }
 
 // OpenFileDevice opens an existing file-backed device read-only, mapping it
@@ -148,12 +169,25 @@ func OpenFileDevice(path string) (*FileDevice, error) {
 // an allocated page that the file cannot fully deliver means the file was
 // truncated behind the handle (or the medium failed), and callers need the
 // page id rather than a page of garbage.
-func (d *FileDevice) ReadPage(id PageID, buf []byte) error {
+func (d *FileDevice) ReadPage(id PageID, buf []byte) (err error) {
 	if int(id) >= d.n {
 		return faultf("read of unallocated page %d (have %d)", id, d.n)
 	}
 	if d.mapped {
-		return d.copyPage(id, buf)
+		d.mu.RLock()
+		defer d.mu.RUnlock()
+		p, lerr := d.lend(id)
+		if lerr != nil {
+			return lerr
+		}
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+		defer func() {
+			if r := recover(); r != nil {
+				err = mappedFault(r, fmt.Sprintf("read page %d", id))
+			}
+		}()
+		copy(buf[:PageSize], p[:])
+		return nil
 	}
 	// ReadAt may legitimately pair a full read of the final page with
 	// io.EOF; only short reads fail.
@@ -167,28 +201,29 @@ func (d *FileDevice) ReadPage(id PageID, buf []byte) error {
 	return faultf("read page %d: short read (%d of %d bytes): %w", id, n, PageSize, err)
 }
 
-// copyPage copies page id out of the mapping. Touching a mapped page the
-// file no longer backs (truncated behind the handle) or the medium cannot
-// deliver raises a fault; it is recovered here and returned as the error a
-// short read gives.
-func (d *FileDevice) copyPage(id PageID, buf []byte) (err error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.data == nil {
-		return faultf("read page %d: %w", id, os.ErrClosed)
+// lend returns page id as a slice of the mapping, valid until Close. The
+// caller holds mu for reading, or cannot race Close, and reads the page
+// with faults turned into panics.
+func (d *FileDevice) lend(id PageID) (*[PageSize]byte, error) {
+	if int(id) >= d.n {
+		return nil, faultf("read of unallocated page %d (have %d)", id, d.n)
 	}
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	defer func() {
-		if r := recover(); r != nil {
-			if _, fault := r.(interface{ Addr() uintptr }); !fault {
-				panic(r)
-			}
-			err = faultf("read page %d: fault in mapped file: %w", id, io.ErrUnexpectedEOF)
-		}
-	}()
+	if d.data == nil {
+		return nil, faultf("read page %d: %w", id, os.ErrClosed)
+	}
 	off := int(id) * PageSize
-	copy(buf[:PageSize], d.data[off:off+PageSize])
-	return nil
+	return (*[PageSize]byte)(d.data[off : off+PageSize]), nil
+}
+
+// mappedFault returns the error for r, a panic recovered from a read of
+// mapped memory made under debug.SetPanicOnFault, at where: a memory fault
+// becomes the storage fault a short read gives, wrapping
+// io.ErrUnexpectedEOF. Any other panic goes on.
+func mappedFault(r any, where string) error {
+	if _, ok := r.(interface{ Addr() uintptr }); !ok {
+		panic(r)
+	}
+	return faultf("%s: fault in mapped file: %w", where, io.ErrUnexpectedEOF)
 }
 
 // WritePage implements Device: it fails, the device is read-only.
@@ -204,10 +239,12 @@ func (d *FileDevice) Alloc() (PageID, error) {
 // NumPages implements Device.
 func (d *FileDevice) NumPages() int { return d.n }
 
-// Close implements Device: it unmaps the file, once every read in flight
-// has finished, and closes it. A read after Close fails with an error.
+// Close implements Device: it unmaps the file, once every reader of the
+// mapping in flight has finished, and closes it. A read after Close fails
+// with an error wrapping os.ErrClosed.
 func (d *FileDevice) Close() error {
 	d.mu.Lock()
+	d.closed = true
 	var err error
 	if d.data != nil {
 		err = unmapFile(d.data)

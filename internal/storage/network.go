@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"os"
+	"runtime/debug"
 	"slices"
 	"sync/atomic"
 
@@ -22,8 +24,20 @@ import (
 // comment). Adjacency entries and EdgeInfo end-nodes name nodes by it, and
 // the pruning index Bounds returns is in it. Edge and facility ids are the
 // graph's.
+//
+// Over a mapped FileDevice the pages a fetch decodes are slices of the
+// mapping. Each record fetch (AppendAdjacency, AppendFacilities,
+// FacilityEdge and EdgeInfo) over a FileDevice holds the device open for
+// its duration, and once the device is closed fails with a storage fault
+// wrapping os.ErrClosed, even when the pool caches every page it needs.
+// Every fetch runs with memory faults turned into panics, and one raised
+// in the fetch — the file was truncated behind the handle — fails it with
+// the storage fault a short read gives, wrapping io.ErrUnexpectedEOF, and
+// counts as a permanent failure.
 type Network struct {
-	pool     *BufferPool
+	pool *BufferPool
+	// file is the pool's device when it is a FileDevice.
+	file     *FileDevice
 	hdr      *header
 	adjTree  *BTree
 	facTree  *BTree
@@ -39,8 +53,8 @@ type Network struct {
 // bufferFrac of the database pages (the paper's cache-size parameter; 0
 // disables caching, 1 or more holds every page), tuned by opts (the
 // replacement policy). A bufferFrac that is negative, infinite or NaN is
-// refused. The zero PoolOptions is a clock cache with lock-free hits and
-// miss coalescing.
+// refused. The zero PoolOptions is a clock cache with lock-free hits, whose
+// concurrent misses of one page share one read.
 func OpenOptions(dev Device, bufferFrac float64, opts PoolOptions) (*Network, error) {
 	if !(bufferFrac >= 0) || math.IsInf(bufferFrac, 1) {
 		return nil, fmt.Errorf("storage: buffer fraction %v: want a finite fraction of at least 0", bufferFrac)
@@ -77,7 +91,8 @@ func OpenWithPool(dev Device, pool *BufferPool) (*Network, error) {
 		return nil, fmt.Errorf("storage: checksum table: %w", err)
 	}
 	pool.sums = sums
-	if _, ok := pool.dev.(*FileDevice); ok {
+	file, _ := pool.dev.(*FileDevice)
+	if file != nil {
 		pool.verified = make([]atomic.Uint64, (len(sums)+63)/64)
 	}
 	// Load the pruning-bounds table (d × numNodes f64, criterion-major) and
@@ -103,6 +118,7 @@ func OpenWithPool(dev Device, pool *BufferPool) (*Network, error) {
 	}
 	return &Network{
 		pool:     pool,
+		file:     file,
 		hdr:      hdr,
 		adjTree:  OpenBTree(pool, hdr.adjTreeRoot),
 		facTree:  OpenBTree(pool, hdr.facTreeRoot),
@@ -175,6 +191,35 @@ func (n *Network) Stats() Stats { return n.pool.Stats() }
 // FailureStats returns the buffer pool's I/O failure counters.
 func (n *Network) FailureStats() FailureStats { return n.pool.FailureStats() }
 
+// enter starts a record fetch: it holds a FileDevice open, failing once it
+// is closed, and turns memory faults into panics. The fetch defers leave
+// with the setting enter returns.
+func (n *Network) enter() (old bool, err error) {
+	if f := n.file; f != nil {
+		f.mu.RLock()
+		if f.closed {
+			f.mu.RUnlock()
+			return false, faultf("fetch: %w", os.ErrClosed)
+		}
+	}
+	return debug.SetPanicOnFault(true), nil
+}
+
+// leave ends a record fetch begun by enter, restoring the fault setting
+// old. A memory fault raised in the fetch becomes its error, counted as a
+// permanent failure; any other panic goes on.
+func (n *Network) leave(old bool, err *error) {
+	r := recover()
+	debug.SetPanicOnFault(old)
+	if n.file != nil {
+		n.file.mu.RUnlock()
+	}
+	if r != nil {
+		*err = mappedFault(r, "fetch")
+		n.pool.failPermanent.Add(1)
+	}
+}
+
 // Record sizes of the data file (see the layout comment).
 const (
 	arcFixed = 4 + 4 + 1 + 2 + 8 // neighbor, edge, flags, facCount, facRef
@@ -226,12 +271,18 @@ func (n *Network) Adjacency(v graph.NodeID) ([]graph.AdjEntry, error) {
 	return entries, err
 }
 
-// AppendAdjacency decodes the adjacency record of v in place from the pinned
-// page, appending its entries to dst and their cost vectors to costs, and
+// AppendAdjacency decodes the adjacency record of v in place from its page,
+// appending its entries to dst and their cost vectors to costs, and
 // returns both extended. Each entry's W is a full slice of the appended part
 // of costs, so a caller that reuses its buffers decodes without allocating.
-// On error dst is returned unextended.
-func (n *Network) AppendAdjacency(dst []graph.AdjEntry, costs []float64, v graph.NodeID) ([]graph.AdjEntry, []float64, error) {
+// On error dst and costs are returned unextended.
+func (n *Network) AppendAdjacency(dst []graph.AdjEntry, costs []float64, v graph.NodeID) (outDst []graph.AdjEntry, outCosts []float64, err error) {
+	outDst, outCosts = dst, costs
+	old, err := n.enter()
+	if err != nil {
+		return dst, costs, err
+	}
+	defer n.leave(old, &err)
 	var c cursor
 	defer c.close()
 	arcs, err := n.arcs(&c, v)
@@ -258,11 +309,17 @@ func (n *Network) Facilities(facRef uint64, count int) ([]graph.FacEntry, error)
 }
 
 // AppendFacilities decodes the facility record at facRef holding count
-// entries, appending them to dst.
-func (n *Network) AppendFacilities(dst []graph.FacEntry, facRef uint64, count int) ([]graph.FacEntry, error) {
+// entries, appending them to dst. On error dst is returned unextended.
+func (n *Network) AppendFacilities(dst []graph.FacEntry, facRef uint64, count int) (out []graph.FacEntry, err error) {
 	if facRef == graph.NoFacRef || count == 0 {
 		return dst, nil
 	}
+	out = dst
+	old, err := n.enter()
+	if err != nil {
+		return dst, err
+	}
+	defer n.leave(old, &err)
 	c := newCursor(n.pool, UnpackRef(facRef))
 	defer c.close()
 	rec, err := c.next(count * facSize)
@@ -282,7 +339,12 @@ func (n *Network) AppendFacilities(dst []graph.FacEntry, facRef uint64, count in
 // FacilityEdge returns the edge that facility p lies on, via the facility
 // tree (used by the shrinking-stage optimisation that restricts facility-
 // record reads to candidate edges).
-func (n *Network) FacilityEdge(p graph.FacilityID) (graph.EdgeID, error) {
+func (n *Network) FacilityEdge(p graph.FacilityID) (_ graph.EdgeID, err error) {
+	old, err := n.enter()
+	if err != nil {
+		return 0, err
+	}
+	defer n.leave(old, &err)
 	v, ok, err := n.facTree.Lookup(uint64(p))
 	if err != nil {
 		return 0, err
@@ -296,7 +358,12 @@ func (n *Network) FacilityEdge(p graph.FacilityID) (graph.EdgeID, error) {
 // EdgeInfo resolves edge e to its end-nodes, cost vector and facility
 // record, used to initialise expansions at an on-edge query location. It
 // costs one edge-tree lookup plus one adjacency access.
-func (n *Network) EdgeInfo(e graph.EdgeID) (graph.EdgeInfo, error) {
+func (n *Network) EdgeInfo(e graph.EdgeID) (_ graph.EdgeInfo, err error) {
+	old, err := n.enter()
+	if err != nil {
+		return graph.EdgeInfo{}, err
+	}
+	defer n.leave(old, &err)
 	uVal, ok, err := n.edgeTree.Lookup(uint64(e))
 	if err != nil {
 		return graph.EdgeInfo{}, err

@@ -115,14 +115,13 @@ func (w *pageWriter) close() error {
 }
 
 // cursor reads bytes sequentially from a ref through a buffer pool,
-// following records across contiguous pages. It keeps the page it is on
-// pinned and unpins it before asking for the next, so it holds at most one
-// pin; close drops the last one.
+// following records across contiguous pages.
 type cursor struct {
 	pool *BufferPool
 	page PageID
 	off  int
-	fr   *Frame
+	// data is the page the cursor is on, nil before the first read.
+	data []byte
 	// spill holds a record that spans a page boundary, assembled by next;
 	// borrowed from spillPool and returned by close.
 	spill *[]byte
@@ -136,35 +135,26 @@ func newCursor(pool *BufferPool, ref Ref) cursor {
 	return cursor{pool: pool, page: ref.Page, off: int(ref.Off)}
 }
 
-// close unpins the page the cursor is on and returns its spill buffer.
+// close returns the cursor's spill buffer.
 func (c *cursor) close() {
-	if c.fr != nil {
-		c.fr.Release()
-		c.fr = nil
-	}
 	if c.spill != nil {
 		spillPool.Put(c.spill)
 		c.spill = nil
 	}
 }
 
-// ensure pins the page holding the next byte.
+// ensure fetches the page holding the next byte.
 func (c *cursor) ensure() error {
-	if c.fr != nil && c.off < PageSize {
+	if c.data != nil && c.off < PageSize {
 		return nil
 	}
-	if c.fr != nil {
-		c.fr.Release()
-		c.fr = nil
+	if c.data != nil {
 		c.page++
 		c.off = 0
 	}
-	fr, err := c.pool.Get(c.page)
-	if err != nil {
-		return err
-	}
-	c.fr = fr
-	return nil
+	var err error
+	c.data, err = c.pool.Get(c.page)
+	return err
 }
 
 func (c *cursor) read(p []byte) error {
@@ -172,17 +162,17 @@ func (c *cursor) read(p []byte) error {
 		if err := c.ensure(); err != nil {
 			return err
 		}
-		n := copy(p, c.fr.data[c.off:])
+		n := copy(p, c.data[c.off:])
 		c.off += n
 		p = p[n:]
 	}
 	return nil
 }
 
-// next returns the next n bytes: a view into the pinned page when they lie
-// within it — the common case, decoded in place — and a copy assembled
-// across pages in the spill buffer when the record spans a boundary. Either
-// is valid until the cursor's next call or its close.
+// next returns the next n bytes: a view into the page when they lie within
+// it — the common case, decoded in place — and a copy assembled across
+// pages in the spill buffer when the record spans a boundary. Either is
+// valid until the cursor's next call or its close.
 func (c *cursor) next(n int) ([]byte, error) {
 	if n == 0 {
 		return nil, nil
@@ -191,7 +181,7 @@ func (c *cursor) next(n int) ([]byte, error) {
 		return nil, err
 	}
 	if c.off+n <= PageSize {
-		b := c.fr.data[c.off : c.off+n]
+		b := c.data[c.off : c.off+n]
 		c.off += n
 		return b, nil
 	}

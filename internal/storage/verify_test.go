@@ -57,20 +57,16 @@ func TestFileDeviceWrapperVerifiedEveryRead(t *testing.T) {
 					n.pool.verified != nil, pool.verified != nil)
 			}
 			for read := 1; read <= 4; read++ {
-				fr, err := pool.Get(data)
+				_, err := pool.Get(data)
 				if read == k {
 					if !errors.Is(err, ErrChecksum) {
 						t.Fatalf("read %d, damaged: %v, want ErrChecksum", read, err)
 					}
 				} else if err != nil {
 					t.Fatalf("read %d, clean: %v", read, err)
-				} else {
-					fr.Release()
 				}
-				if fr, err := pool.Get(data + 1); err != nil {
+				if _, err := pool.Get(data + 1); err != nil {
 					t.Fatal(err)
-				} else {
-					fr.Release()
 				}
 			}
 			if fs := pool.FailureStats(); fs.Checksum != 1 {

@@ -84,21 +84,19 @@ func TestFilePageVerifiedOncePerOpen(t *testing.T) {
 	writeImage(t, mem, path)
 	n := openFile(t, path)
 	data := n.hdr.dataFirst
-	fr, err := n.pool.Get(data)
+	page, err := n.pool.Get(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := bytes.Clone(fr.Data())
-	fr.Release()
+	clean := bytes.Clone(page)
 
 	flipFileBit(t, path, data, 1234)
 	n.pool.Drop()
-	fr, err = n.pool.Get(data)
+	page, err = n.pool.Get(data)
 	if err != nil {
 		t.Fatalf("re-read of a page verified in this open: %v", err)
 	}
-	got := bytes.Clone(fr.Data())
-	fr.Release()
+	got := bytes.Clone(page)
 	if bytes.Equal(got, clean) || got[1234] != clean[1234]^0x04 {
 		t.Fatal("re-read did not return the rewritten bytes")
 	}

@@ -187,7 +187,7 @@ func checkGoroutines(t *testing.T, start int) {
 // bit flips and latency spikes injected on a significant fraction of reads,
 // every query of every schedule ends in the fault-free answer or an error
 // wrapping ErrChecksum — corruption is never handed out — each corrupt read
-// is counted once, and no failure poisons a frame: the disarmed rerun over
+// is counted once, and no failure poisons the pool: the disarmed rerun over
 // the warm pool is byte-identical to the fault-free run.
 func TestTransientOnlySchedules(t *testing.T) {
 	g, dev := testDB(t)
@@ -215,8 +215,8 @@ func TestTransientOnlySchedules(t *testing.T) {
 		if fs != (storage.FailureStats{Checksum: fc.ReadCorrupt}) {
 			t.Fatalf("schedule %d: %d corrupt reads injected, failure stats %+v", s, fc.ReadCorrupt, fs)
 		}
-		// Frame-table consistency: with injection off, the warm pool must
-		// serve the same answers — a poisoned frame would diverge here.
+		// Page-table consistency: with injection off, the warm pool must
+		// serve the same answers — a poisoned page would diverge here.
 		fd.Disarm()
 		mustMatch(t, fmt.Sprintf("schedule %d (disarmed rerun)", s), want, run(net, reqs))
 	}
@@ -229,8 +229,7 @@ func TestTransientOnlySchedules(t *testing.T) {
 // TestCorruptionSchedules injects silent single-bit corruption: the checksum
 // table must turn every hit into one counted ErrChecksum, so each query ends
 // in the fault-free answer or that classified error, and a query fails only
-// in a schedule that corrupted a read (queries coalesced on one corrupt read
-// share its error).
+// in a schedule that corrupted a read.
 func TestCorruptionSchedules(t *testing.T) {
 	g, dev := testDB(t)
 	reqs := workload(g, 2, 16)
@@ -259,7 +258,7 @@ func TestCorruptionSchedules(t *testing.T) {
 // affected query must return a promptly classified storage error naming the
 // page;
 // unaffected queries must still match the baseline; and clearing the fault
-// must restore full correctness (no poisoned frames, no stale cache).
+// must restore full correctness (no poisoned pages, no stale cache).
 func TestPermanentFaults(t *testing.T) {
 	g, dev := testDB(t)
 	reqs := workload(g, 3, 16)
@@ -297,8 +296,8 @@ func TestPermanentFaults(t *testing.T) {
 		if fs := net.FailureStats(); failed > 0 && fs.Permanent == 0 {
 			t.Fatalf("schedule %d: %d queries failed but Permanent counter is 0", s, failed)
 		}
-		// Clearing the fault must restore the baseline: failures never
-		// populate frames, so nothing poisonous is cached.
+		// Clearing the fault must restore the baseline: a failed read never
+		// enters the page table, so nothing poisonous is cached.
 		fd.ClearPage(victim)
 		mustMatch(t, fmt.Sprintf("schedule %d (cleared)", s), want, run(net, reqs))
 	}

@@ -3,7 +3,7 @@
 // fault.Device-wrapped database and assert the robustness invariants — no
 // hangs, every query ends in the fault-free result or an explicitly
 // classified error (ErrChecksum for a bit flip, a storage error naming the
-// page for an unreadable one), faults never poison buffer-pool frames or
+// page for an unreadable one), faults never poison buffer-pool pages or
 // cached results — a disarmed rerun is byte-identical to the fault-free
 // run — and no goroutines leak. The package contains no production code;
 // the number of randomized schedules scales with -short and the

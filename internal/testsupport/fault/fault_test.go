@@ -202,7 +202,7 @@ func testDB(t *testing.T) *storage.MemDevice {
 // End-to-end over the buffer pool of an opened database: under heavy
 // bit-flip and latency injection, every read through the pool either hands
 // out the page's true content or fails once with ErrChecksum, one counted
-// checksum error per corrupt read, and a failure never poisons a frame.
+// checksum error per corrupt read, and a failure never poisons the pool.
 func TestRetryingPoolSurvivesTransientOnlyFaults(t *testing.T) {
 	dev := testDB(t)
 	fd := Wrap(dev, Options{Seed: 21, ReadCorrupt: 0.5, LatencyProb: 0.1, Latency: time.Microsecond})
@@ -225,7 +225,7 @@ func TestRetryingPoolSurvivesTransientOnlyFaults(t *testing.T) {
 		if err := dev.ReadPage(id, want); err != nil {
 			t.Fatal(err)
 		}
-		fr, err := pool.Get(id)
+		data, err := pool.Get(id)
 		if err != nil {
 			if !errors.Is(err, storage.ErrChecksum) {
 				t.Fatalf("read %d of page %d: %v, want ErrChecksum", i, id, err)
@@ -233,10 +233,9 @@ func TestRetryingPoolSurvivesTransientOnlyFaults(t *testing.T) {
 			failed++
 			continue
 		}
-		if !bytes.Equal(fr.Data(), want) {
+		if !bytes.Equal(data, want) {
 			t.Fatalf("page %d: the pool handed out corrupt content", id)
 		}
-		fr.Release()
 		ok++
 	}
 	if ok == 0 || failed == 0 {
@@ -252,7 +251,7 @@ func TestPermanentFaultSurfacesThroughPool(t *testing.T) {
 	fd := Wrap(memDev(t, 4), Options{Seed: 23})
 	pool := storage.NewBufferPool(fd, 4)
 	fd.FailPage(2)
-	if _, err := pool.Get(2); err == nil { // a failed Get pins nothing
+	if _, err := pool.Get(2); err == nil {
 		t.Fatal("read of failed page succeeded")
 	} else if want := "storage: page 2: fault: page 2 permanently unreadable"; err.Error() != want {
 		t.Fatalf("permanent fault surfaced as %q, want %q", err, want)
@@ -260,13 +259,11 @@ func TestPermanentFaultSurfacesThroughPool(t *testing.T) {
 	if fs := pool.FailureStats(); fs != (storage.FailureStats{Permanent: 1}) {
 		t.Fatalf("want 1 permanent failure; got %+v", fs)
 	}
-	// The failure must not poison the frame table: clearing the fault makes
+	// The failure must not poison the page table: clearing the fault makes
 	// the page readable again.
 	fd.ClearPage(2)
-	if fr, err := pool.Get(2); err != nil {
+	if _, err := pool.Get(2); err != nil {
 		t.Fatalf("page still failing after ClearPage: %v", err)
-	} else {
-		fr.Release()
 	}
 	var errNil error
 	if errors.Is(errNil, storage.ErrChecksum) {

@@ -317,8 +317,8 @@ func writeImage(f *os.File, dev *storage.MemDevice) error {
 
 // OpenDatabaseOptions opens a disk database with a buffer pool sized to
 // bufferFrac of its pages (0 disables caching), tuned by opts. The zero
-// PoolOptions selects the defaults: a clock cache with lock-free hits and
-// miss coalescing.
+// PoolOptions selects the defaults: a clock cache with lock-free hits, whose
+// concurrent misses of one page share one read.
 func OpenDatabaseOptions(path string, bufferFrac float64, opts PoolOptions) (*Network, error) {
 	dev, err := storage.OpenFileDevice(path)
 	if err != nil {
@@ -350,7 +350,9 @@ func OpenDeviceOptions(dev Device, bufferFrac float64, opts PoolOptions) (*Netwo
 }
 
 // Close releases the underlying device of a disk-backed network; it is a
-// no-op for in-memory networks.
+// no-op for in-memory networks. It waits for the page fetches in flight,
+// and every later fetch fails, so a query racing Close returns its answer
+// or a storage failure wrapping os.ErrClosed.
 func (n *Network) Close() error {
 	if n.dev != nil {
 		return n.dev.Close()
@@ -653,10 +655,10 @@ func (n *Network) IOFailureStats() (IOFailureStats, bool) {
 	return n.store.FailureStats(), true
 }
 
-// PoolShardStats returns the buffer-pool counters (hits, evictions,
-// coalesced reads) of a disk-backed network as one entry — the pool is one
-// replacement domain; ok is false for in-memory networks. Lock-free, like
-// IOStats.
+// PoolShardStats returns the buffer-pool counters (logical and physical
+// reads, hits, evictions) of a disk-backed network as one entry — the pool
+// is one replacement domain; ok is false for in-memory networks. Lock-free,
+// like IOStats.
 func (n *Network) PoolShardStats() ([]PoolShardStats, bool) {
 	if n.store == nil {
 		return nil, false
