@@ -103,9 +103,12 @@ profile-disk:
 		-cpuprofile cpu-disk.prof -memprofile mem-disk.prof .
 
 # CPU+heap profiles of database builds: BenchmarkCreateDatabase, the sf25
-# network's record layout, B+-trees, pruning index (built alongside) and
-# checksums, written to disk; inspect with `go tool pprof cpu-build.prof` /
-# `go tool pprof mem-build.prof`.
+# network's locality order, record layout, B+-trees, pruning index (built
+# alongside on its own goroutines) and checksums, all encoded in the
+# memory device's own pages, then written with one write per slab and
+# renamed into place; inspect with `go tool pprof cpu-build.prof` /
+# `go tool pprof mem-build.prof`. The index's backward passes dominate; time
+# them alone with `go test -bench IndexFromGraph ./internal/index`.
 profile-build:
 	$(GO) test -run '^$$' -bench BenchmarkCreateDatabase -benchtime 32x \
 		-cpuprofile cpu-build.prof -memprofile mem-build.prof .

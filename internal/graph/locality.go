@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // hilbertBits is the resolution of the locality order: coordinates are
 // scaled onto a 2^hilbertBits × 2^hilbertBits grid, so a curve index fits in
@@ -15,8 +12,10 @@ const hilbertBits = 16
 // order. A Dijkstra wavefront grows through neighbouring space, so records
 // laid out in this order — the disk store's data file, the flat CSR rows —
 // put what one expansion reads on few pages and cache lines. A graph without
-// coordinates (every node on one cell) keeps id order. One sort of packed
-// index<<32 | id keys; no comparison closure.
+// coordinates (every node on one cell) keeps id order. The packed
+// index<<32 | id keys are sorted by an LSD radix sort on the index alone
+// (see sortByHigh32); it is stable, so the ids, packed in ascending order,
+// break the ties.
 func LocalityOrder(g *Graph) []NodeID {
 	n := g.NumNodes()
 	minX, minY := math.Inf(1), math.Inf(1)
@@ -40,12 +39,45 @@ func LocalityOrder(g *Graph) []NodeID {
 		d := hilbert(gridCell(p.X, minX, maxX), gridCell(p.Y, minY, maxY))
 		keys[v] = uint64(d)<<32 | uint64(v)
 	}
-	slices.Sort(keys)
+	keys = sortByHigh32(keys, make([]uint64, n))
 	order := make([]NodeID, n)
 	for r, k := range keys {
 		order[r] = NodeID(uint32(k))
 	}
 	return order
+}
+
+// sortByHigh32 sorts keys stably by their high 32 bits: an LSD radix sort,
+// four counting passes of 8 bits between keys and tmp (len(keys) each). A
+// pass whose digit is the same for every key is skipped. It returns
+// whichever of the two slices holds the result.
+func sortByHigh32(keys, tmp []uint64) []uint64 {
+	var count [4][256]int
+	for _, k := range keys {
+		count[0][k>>32&0xff]++
+		count[1][k>>40&0xff]++
+		count[2][k>>48&0xff]++
+		count[3][k>>56]++
+	}
+	for pass := range count {
+		shift := 32 + 8*pass
+		c := &count[pass]
+		if len(keys) == 0 || c[keys[0]>>shift&0xff] == len(keys) {
+			continue
+		}
+		at := 0
+		for digit, k := range c {
+			c[digit] = at
+			at += k
+		}
+		for _, k := range keys {
+			digit := k >> shift & 0xff
+			tmp[c[digit]] = k
+			c[digit]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
 }
 
 // gridCell maps x in [lo, hi] onto a grid cell 0..2^hilbertBits-1. A
@@ -63,22 +95,48 @@ func gridCell(x, lo, hi float64) uint32 {
 }
 
 // hilbert returns the index of cell (x, y) along the Hilbert curve over the
-// 2^hilbertBits × 2^hilbertBits grid: the classic quadrant walk, written
-// with masks instead of branches because the quadrant bits of a road
-// network's nodes are as good as random to a branch predictor.
+// 2^hilbertBits × 2^hilbertBits grid: the classic quadrant walk, four
+// levels per step of hilbertSteps.
 func hilbert(x, y uint32) uint32 {
-	const all = 1<<hilbertBits - 1
 	var d uint32
-	for k := hilbertBits - 1; k >= 0; k-- {
-		rx, ry := x>>k&1, y>>k&1
-		d |= ((3 * rx) ^ ry) << (2 * k)
-		// Rotate the quadrant into standard orientation: when ry is 0,
-		// reflect if rx is 1, then swap x and y.
-		swap := ry - 1 // all ones when ry == 0
-		flip := swap & -rx & all
-		x, y = x^flip, y^flip
-		t := (x ^ y) & swap
-		x, y = x^t, y^t
+	var s uint16
+	for k := hilbertBits - 4; k >= 0; k -= 4 {
+		e := hilbertSteps[s<<8|uint16(x>>k&15)<<4|uint16(y>>k&15)]
+		d = d<<8 | uint32(e&0xff)
+		s = e >> 8
 	}
 	return d
 }
+
+// hilbertSteps[s<<8 | xn<<4 | yn] is four levels of the quadrant walk, from
+// orientation s with xn and yn the next four bits of x and y: the levels'
+// index digits in its low byte, the orientation after them in bits 8–9.
+// An orientation is what the walk has done to the coordinates so far, bit 0
+// a swap of x and y and bit 1 a reflection of both; the two commute. At
+// each level the quadrant (rx, ry), read through the orientation, gives the
+// digit (3·rx) ⊕ ry, and when ry is 0 the walk swaps, after reflecting if
+// rx is 1.
+var hilbertSteps = func() (t [4 << 8]uint16) {
+	for s := range 4 {
+		for xn := range 16 {
+			for yn := range 16 {
+				o, digits := s, 0
+				for k := 3; k >= 0; k-- {
+					rx, ry := xn>>k&1, yn>>k&1
+					if o&1 != 0 {
+						rx, ry = ry, rx
+					}
+					if o&2 != 0 {
+						rx, ry = rx^1, ry^1
+					}
+					digits |= (3*rx ^ ry) << (2 * k)
+					if ry == 0 {
+						o ^= 1 | rx<<1
+					}
+				}
+				t[s<<8|xn<<4|yn] = uint16(digits | o<<8)
+			}
+		}
+	}
+	return t
+}()

@@ -24,9 +24,9 @@
 package index
 
 import (
-	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -143,37 +143,63 @@ func reverseArcs(g *graph.Graph) reversed {
 }
 
 // passScratch is what one goroutine's backward passes reuse: the pass's
-// per-edge costs, its sorted seeds and its heap.
+// per-edge costs, its frontier and the seeds' sort buffer.
 type passScratch struct {
-	w     []float64
-	seeds []boundItem
-	h     boundHeap
+	w   []float64
+	f   frontier
+	tmp []boundItem
 }
 
 // backward fills dist with every node's distance to its nearest facility
 // under criterion i: a multi-source Dijkstra over the reversed arcs.
 //
 // The pass calls cost once per edge, into s.w, and relaxes from that array.
-// The facility entry points seed dist directly, and the seeded nodes are
-// sorted by key once and merged with the heap, so the heap holds only the
-// relaxation frontier. A node still settles at the least sum over its paths
-// to a facility, each sum added in path order, so the table is bit-identical
-// to one built by pushing every seed and calling cost per relaxation.
+// The facility entry points seed dist directly; the seeded nodes, sorted by
+// key once, are merged with a radix heap that holds only the relaxation
+// frontier (see frontier). A node still settles at the least sum
+// over its paths to a facility, each sum added in path order, so the table
+// is bit-identical to one built by pushing every seed into a binary heap and
+// calling cost per relaxation: float addition is monotone, so the order in
+// which nodes of equal key settle changes no minimum.
 func (r reversed) backward(g *graph.Graph, i int, dist []float64, s *passScratch, cost func(e graph.EdgeID, costIdx int) float64) {
 	w := s.w
 	for e := range w {
 		w[e] = cost(graph.EdgeID(e), i)
 	}
+	s.seed(g, dist)
+
+	// Settle nodes in increasing distance to their nearest facility,
+	// relaxing along reversed arcs.
+	f := &s.f
+	for {
+		it, ok := f.pop()
+		if !ok {
+			return
+		}
+		if it.key > dist[it.node] {
+			continue // superseded entry
+		}
+		a := r.arcs[r.off[it.node]:r.off[it.node+1]]
+		for j := range a {
+			if key := it.key + w[a[j].edge]; key < dist[a[j].to] {
+				dist[a[j].to] = key
+				f.push(boundItem{key: key, node: a[j].to})
+			}
+		}
+	}
+}
+
+// seed starts a pass over the edge costs in s.w: dist is +Inf but at the
+// facility entry points, and the frontier holds those, sorted by key. A
+// facility at fraction T of edge (U,V) is reached from U by traversing T·w
+// forward; in an undirected network also from V by traversing (1−T)·w
+// backward. A node enters the seed list once, when first seeded; its key is
+// read back after all seeds are in.
+func (s *passScratch) seed(g *graph.Graph, dist []float64) {
 	for v := range dist {
 		dist[v] = math.Inf(1)
 	}
-
-	// Seed with the facility entry points: a facility at fraction T of edge
-	// (U,V) is reached from U by traversing T·w forward; in an undirected
-	// network also from V by traversing (1−T)·w backward. A node enters the
-	// seed list once, when first seeded; its key is read back after all
-	// seeds are in.
-	seeds := s.seeds[:0]
+	seeds := s.f.seeds[:0]
 	seed := func(v graph.NodeID, key float64) {
 		if key < dist[v] {
 			if math.IsInf(dist[v], 1) {
@@ -185,7 +211,7 @@ func (r reversed) backward(g *graph.Graph, i int, dist []float64, s *passScratch
 	for p := 0; p < g.NumFacilities(); p++ {
 		fac := g.Facility(graph.FacilityID(p))
 		ed := g.Edge(fac.Edge)
-		c := w[fac.Edge]
+		c := s.w[fac.Edge]
 		seed(ed.U, fac.T*c)
 		if !g.Directed() {
 			seed(ed.V, (1-fac.T)*c)
@@ -194,36 +220,8 @@ func (r reversed) backward(g *graph.Graph, i int, dist []float64, s *passScratch
 	for j := range seeds {
 		seeds[j].key = dist[seeds[j].node]
 	}
-	slices.SortFunc(seeds, func(a, b boundItem) int { return cmp.Compare(a.key, b.key) })
-	s.seeds = seeds
-
-	// Settle nodes in increasing distance to their nearest facility, taking
-	// the lesser of the next seed and the heap's top, relaxing along
-	// reversed arcs.
-	h := &s.h
-	h.a = h.a[:0]
-	for k := 0; ; {
-		var it boundItem
-		switch {
-		case k < len(seeds) && (len(h.a) == 0 || seeds[k].key <= h.a[0].key):
-			it = seeds[k]
-			k++
-		case len(h.a) > 0:
-			it = h.pop()
-		default:
-			return
-		}
-		if it.key > dist[it.node] {
-			continue // superseded entry
-		}
-		a := r.arcs[r.off[it.node]:r.off[it.node+1]]
-		for j := range a {
-			if key := it.key + w[a[j].edge]; key < dist[a[j].to] {
-				dist[a[j].to] = key
-				h.push(boundItem{key: key, node: a[j].to})
-			}
-		}
-	}
+	seeds, s.tmp = sortByKey(seeds, slices.Grow(s.tmp[:0], len(seeds))[:len(seeds)])
+	s.f.reset(seeds)
 }
 
 // FromData rehydrates a persisted bounds table (see storage.Build). data is
@@ -265,47 +263,129 @@ func (b *Bounds) Bytes() int { return 8 * len(b.data) }
 // tables, whose build cost was paid at storage.Build time).
 func (b *Bounds) BuildTime() time.Duration { return b.buildDur }
 
-// boundItem is one entry of the builder's binary min-heap.
+// boundItem is one entry of a backward pass's frontier.
 type boundItem struct {
 	key  float64
 	node graph.NodeID
 }
 
-type boundHeap struct{ a []boundItem }
+// frontier is a backward pass's priority queue: the pass's seeds, sorted by
+// key, merged with a radix heap (Ahuja, Mehlhorn, Orlin & Tarjan, J. ACM
+// 1990) of the keys pushed since, over their IEEE-754 bits — for
+// non-negative floats bit order is numeric order, and key + 0 turns −0 into
+// +0. Pops come out in non-decreasing key order, in no particular order
+// among equal keys, as long as no key is pushed below the last one popped,
+// which Dijkstra over non-negative weights guarantees.
+//
+// Bucket b ≥ 1 of the heap holds the keys whose bits first differ from the
+// floor's at bit b − 1, so every key in bucket b is below every key in
+// bucket b + 1; zero holds the keys equal to the floor. When zero runs dry,
+// pop moves the floor up to the lowest bucket's minimum and redistributes
+// that bucket into lower ones. The floor must never pass the next seed, or
+// keys pushed after that seed pops would land below it: so pop compares the
+// next seed with the lowest bucket's minimum, kept in low, and raises the
+// floor only when the heap's minimum is the one popped.
+type frontier struct {
+	seeds []boundItem
+	next  int // seeds[next] is the next seed to pop
 
-func (h *boundHeap) push(it boundItem) {
-	h.a = append(h.a, it)
-	i := len(h.a) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.a[parent].key <= h.a[i].key {
-			break
-		}
-		h.a[parent], h.a[i] = h.a[i], h.a[parent]
-		i = parent
+	floor uint64 // key bits of the heap's last minimum
+	full  uint64 // bit b set when bucket b ≥ 1 is non-empty
+	zero  []boundItem
+	rest  [64][]boundItem // rest[0] is unused
+	low   [64]uint64      // low[b] is the least key bits in rest[b]
+}
+
+func keyBits(key float64) uint64 { return math.Float64bits(key + 0) }
+
+// reset empties the frontier, keeping its storage, and loads seeds, sorted
+// by key, which it keeps.
+func (f *frontier) reset(seeds []boundItem) {
+	f.seeds, f.next = seeds, 0
+	f.floor, f.zero = 0, f.zero[:0]
+	for ; f.full != 0; f.full &= f.full - 1 {
+		b := bits.TrailingZeros64(f.full)
+		f.rest[b] = f.rest[b][:0]
 	}
 }
 
-func (h *boundHeap) pop() boundItem {
-	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= len(h.a) {
-			break
+// sortByKey sorts items by key: an LSD radix sort on the keys' bits, eight
+// counting passes of 8 bits between items and tmp (len(items) each). A pass
+// whose digit is the same for every key is skipped. It returns the slice
+// that holds the result, and the other.
+func sortByKey(items, tmp []boundItem) (sorted, spare []boundItem) {
+	var count [8][256]int
+	for _, it := range items {
+		k := keyBits(it.key)
+		for p := range count {
+			count[p][k>>(8*p)&0xff]++
 		}
-		c := l
-		if r < len(h.a) && h.a[r].key < h.a[l].key {
-			c = r
-		}
-		if h.a[i].key <= h.a[c].key {
-			break
-		}
-		h.a[i], h.a[c] = h.a[c], h.a[i]
-		i = c
 	}
-	return top
+	for p := range count {
+		shift := 8 * p
+		c := &count[p]
+		if len(items) == 0 || c[keyBits(items[0].key)>>shift&0xff] == len(items) {
+			continue
+		}
+		at := 0
+		for digit, k := range c {
+			c[digit] = at
+			at += k
+		}
+		for _, it := range items {
+			digit := keyBits(it.key) >> shift & 0xff
+			tmp[c[digit]] = it
+			c[digit]++
+		}
+		items, tmp = tmp, items
+	}
+	return items, tmp
+}
+
+// push adds it, whose key is at least the last key popped.
+func (f *frontier) push(it boundItem) {
+	k := keyBits(it.key)
+	b := bits.Len64(k ^ f.floor)
+	if b == 0 {
+		f.zero = append(f.zero, it)
+		return
+	}
+	if f.full&(1<<b) == 0 || k < f.low[b] {
+		f.low[b] = k
+	}
+	f.rest[b] = append(f.rest[b], it)
+	f.full |= 1 << b
+}
+
+// pop removes and returns an item of least key: the next seed when no key
+// in the heap is lower; ok is false when the frontier is empty.
+func (f *frontier) pop() (it boundItem, ok bool) {
+	if len(f.zero) == 0 && f.full != 0 &&
+		(f.next == len(f.seeds) || f.low[bits.TrailingZeros64(f.full)] < keyBits(f.seeds[f.next].key)) {
+		f.refill()
+	}
+	if n := len(f.zero); n > 0 {
+		it = f.zero[n-1]
+		f.zero = f.zero[:n-1]
+		return it, true
+	}
+	if f.next < len(f.seeds) {
+		f.next++
+		return f.seeds[f.next-1], true
+	}
+	return boundItem{}, false
+}
+
+// refill makes zero non-empty: the lowest non-empty bucket's minimum becomes
+// the floor, and each of that bucket's items moves to the bucket it now
+// belongs in, a lower one.
+func (f *frontier) refill() {
+	b := bits.TrailingZeros64(f.full)
+	src := f.rest[b]
+	f.floor = f.low[b]
+	f.rest[b] = src[:0]
+	f.full &^= 1 << b
+	for _, it := range src {
+		f.push(it)
+	}
 }

@@ -183,6 +183,46 @@ func (r reversed) referenceBackward(g *graph.Graph, i int, dist []float64, h *bo
 	}
 }
 
+// boundHeap is the binary min-heap of the reference pass.
+type boundHeap struct{ a []boundItem }
+
+func (h *boundHeap) push(it boundItem) {
+	h.a = append(h.a, it)
+	i := len(h.a) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h.a[parent].key <= h.a[i].key {
+			break
+		}
+		h.a[parent], h.a[i] = h.a[i], h.a[parent]
+		i = parent
+	}
+}
+
+func (h *boundHeap) pop() boundItem {
+	top := h.a[0]
+	last := len(h.a) - 1
+	h.a[0] = h.a[last]
+	h.a = h.a[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		if l >= len(h.a) {
+			break
+		}
+		c := l
+		if r < len(h.a) && h.a[r].key < h.a[l].key {
+			c = r
+		}
+		if h.a[i].key <= h.a[c].key {
+			break
+		}
+		h.a[i], h.a[c] = h.a[c], h.a[i]
+		i = c
+	}
+	return top
+}
+
 // referenceBounds is the criterion-major table the reference pass builds,
 // one criterion after another on one goroutine.
 func referenceBounds(g *graph.Graph, cost func(e graph.EdgeID, costIdx int) float64) []float64 {
@@ -299,6 +339,73 @@ func TestBoundsMatchReferenceBitForBit(t *testing.T) {
 	}
 }
 
+// A backward pass pops its frontier in non-decreasing key order: no pop,
+// seed or relaxed entry, comes out below one already popped. The frontier
+// merges the sorted seeds with a radix heap whose floor must never pass the
+// next seed, or entries pushed after that seed would land below the floor
+// and pop late; the pass's table could still come out right (a late pop
+// only re-relaxes), so the bit-identity tests cannot see that, and this one
+// counts out-of-order pops instead. testnet's networks have integer costs
+// in {0, 1, 2} (zero-length edges, exact ties) and facilities at the ends
+// and middles of edges, so seeds tie with each other and with relaxed keys;
+// the continuous shape and the hard instances add real-valued keys. The
+// loop below is backward's, instrumented; its table must equal FromGraph's.
+func TestFrontierPopsInOrder(t *testing.T) {
+	var graphs []*graph.Graph
+	for seed := int64(0); seed < 300; seed++ {
+		shape := testnet.ShapeOf(seed)
+		shape.Continuous = seed%3 == 2
+		if seed%10 == 0 {
+			shape.Nodes = 400
+		}
+		graphs = append(graphs, testnet.Generate(seed, shape).G)
+	}
+	graphs = append(graphs, hardInstance(1, 3, false), hardInstance(2, 3, true))
+	for gi, g := range graphs {
+		r := reverseArcs(g)
+		s := passScratch{w: make([]float64, g.NumEdges())}
+		n := g.NumNodes()
+		want := FromGraph(g).Data()
+		for i := 0; i < g.D(); i++ {
+			for e := range s.w {
+				s.w[e] = g.Edge(graph.EdgeID(e)).W[i]
+			}
+			dist := make([]float64, n)
+			s.seed(g, dist)
+			pops, late, last := 0, 0, math.Inf(-1)
+			for {
+				it, ok := s.f.pop()
+				if !ok {
+					break
+				}
+				pops++
+				if it.key < last {
+					late++
+				}
+				last = max(last, it.key)
+				if it.key > dist[it.node] {
+					continue
+				}
+				a := r.arcs[r.off[it.node]:r.off[it.node+1]]
+				for j := range a {
+					if key := it.key + s.w[a[j].edge]; key < dist[a[j].to] {
+						dist[a[j].to] = key
+						s.f.push(boundItem{key: key, node: a[j].to})
+					}
+				}
+			}
+			if late > 0 {
+				t.Errorf("graph %d criterion %d: %d of %d pops came out below a key already popped", gi, i, late, pops)
+			}
+			for v := range dist {
+				if math.Float64bits(dist[v]) != math.Float64bits(want[i*n+v]) {
+					t.Fatalf("graph %d criterion %d node %d: instrumented pass %v, FromGraph %v", gi, i, v, dist[v], want[i*n+v])
+				}
+			}
+		}
+	}
+}
+
 // FromData accepts exactly a d × numNodes table and round-trips Data.
 func TestFromDataArity(t *testing.T) {
 	g := randomInstance(3, false)
@@ -318,5 +425,20 @@ func TestFromDataArity(t *testing.T) {
 		if _, err := FromData(bad.d, bad.n, make([]float64, bad.len)); err == nil {
 			t.Errorf("d=%d nodes=%d len=%d accepted", bad.d, bad.n, bad.len)
 		}
+	}
+}
+
+// BenchmarkIndexFromGraph is the pruning index's build on the sf25 network
+// (43 750 nodes, 25 000 facilities, d = 4, the benchmark's disk_paper
+// instance): the d backward passes on up to GOMAXPROCS goroutines.
+func BenchmarkIndexFromGraph(b *testing.B) {
+	inst, err := gen.MakeInstance(gen.InstanceConfig{Nodes: 43_750, Facilities: 25_000, D: 4, Seed: 1, Queries: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		FromGraph(inst.Graph)
 	}
 }

@@ -58,9 +58,10 @@ func BuildBTree(dev Device, keys []uint64, values []uint64) (PageID, error) {
 			return 0, fmt.Errorf("storage: btree keys not strictly increasing at %d", i)
 		}
 	}
+	scratch := make([]byte, PageSize)
 	if len(keys) == 0 {
 		// Allocate a single empty leaf so the tree has a valid root.
-		return writeBTreeNode(dev, leafKind, nil, nil, nil)
+		return writeBTreeNode(dev, scratch, leafKind, nil, nil, nil)
 	}
 
 	// Level 0: leaves.
@@ -74,7 +75,7 @@ func BuildBTree(dev Device, keys []uint64, values []uint64) (PageID, error) {
 		if j > len(keys) {
 			j = len(keys)
 		}
-		id, err := writeBTreeNode(dev, leafKind, keys[i:j], values[i:j], nil)
+		id, err := writeBTreeNode(dev, scratch, leafKind, keys[i:j], values[i:j], nil)
 		if err != nil {
 			return 0, err
 		}
@@ -94,7 +95,7 @@ func BuildBTree(dev Device, keys []uint64, values []uint64) (PageID, error) {
 				ks[k] = nr.firstKey
 				ch[k] = nr.page
 			}
-			id, err := writeBTreeNode(dev, innerKind, ks, nil, ch)
+			id, err := writeBTreeNode(dev, scratch, innerKind, ks, nil, ch)
 			if err != nil {
 				return 0, err
 			}
@@ -105,12 +106,13 @@ func BuildBTree(dev Device, keys []uint64, values []uint64) (PageID, error) {
 	return level[0].page, nil
 }
 
-func writeBTreeNode(dev Device, kind byte, keys, values []uint64, children []PageID) (PageID, error) {
-	id, err := dev.Alloc()
+// writeBTreeNode allocates a page and encodes one node in it (see newPage
+// for scratch).
+func writeBTreeNode(dev Device, scratch []byte, kind byte, keys, values []uint64, children []PageID) (PageID, error) {
+	id, buf, err := newPage(dev, scratch)
 	if err != nil {
 		return 0, err
 	}
-	buf := make([]byte, PageSize)
 	buf[0] = kind
 	binary.LittleEndian.PutUint16(buf[1:3], uint16(len(keys)))
 	off := btreeHeader
@@ -125,7 +127,7 @@ func writeBTreeNode(dev Device, kind byte, keys, values []uint64, children []Pag
 			off += 4
 		}
 	}
-	return id, dev.WritePage(id, buf)
+	return id, putPage(dev, id, buf)
 }
 
 // OpenBTree returns a lookup handle for the tree rooted at root.

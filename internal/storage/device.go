@@ -54,9 +54,22 @@ type Device interface {
 }
 
 // MemDevice is an in-memory Device. The zero value is an empty device.
+//
+// Pages are cut from slabs, each a run of consecutive pages in one
+// allocation, so a build allocates a few slabs rather than a page at a
+// time, and WriteTo writes the device out with one write per slab. A slab
+// holds as many pages as the device had when it was cut, from minSlabPages
+// up to maxSlabPages, so a small device stays small.
 type MemDevice struct {
-	pages [][]byte
+	pages [][]byte // pages[id], a PageSize window of a slab
+	slabs [][]byte // the slabs, each as long as its allocated pages
 }
+
+// The page counts a MemDevice's slabs hold, at least and at most.
+const (
+	minSlabPages = 16
+	maxSlabPages = 256
+)
 
 // NewMemDevice returns an empty in-memory device.
 func NewMemDevice() *MemDevice { return &MemDevice{} }
@@ -72,7 +85,7 @@ func (m *MemDevice) ReadPage(id PageID, buf []byte) error {
 }
 
 // lend returns the device's own page id, for the buffer pool to hand out
-// without a copy.
+// and the builder to encode and checksum without a copy.
 func (m *MemDevice) lend(id PageID) (*[PageSize]byte, error) {
 	if int(id) >= len(m.pages) {
 		return nil, faultf("read of unallocated page %d (have %d)", id, len(m.pages))
@@ -91,8 +104,30 @@ func (m *MemDevice) WritePage(id PageID, buf []byte) error {
 
 // Alloc implements Device.
 func (m *MemDevice) Alloc() (PageID, error) {
-	m.pages = append(m.pages, make([]byte, PageSize))
+	last := len(m.slabs) - 1
+	if last < 0 || len(m.slabs[last]) == cap(m.slabs[last]) {
+		n := min(max(len(m.pages), minSlabPages), maxSlabPages)
+		m.slabs = append(m.slabs, make([]byte, 0, n*PageSize))
+		last++
+	}
+	slab := m.slabs[last]
+	m.slabs[last] = slab[:len(slab)+PageSize]
+	m.pages = append(m.pages, slab[len(slab):len(slab)+PageSize:len(slab)+PageSize])
 	return PageID(len(m.pages) - 1), nil
+}
+
+// WriteTo writes every page to w in page order, one write per slab, and
+// returns the bytes written (io.WriterTo).
+func (m *MemDevice) WriteTo(w io.Writer) (int64, error) {
+	var n int64
+	for _, slab := range m.slabs {
+		k, err := w.Write(slab)
+		n += int64(k)
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
 }
 
 // NumPages implements Device.

@@ -62,6 +62,59 @@ func TestMemDevice(t *testing.T) {
 	testDeviceBasics(t, NewMemDevice())
 }
 
+// countingWriter collects what it is written and counts the writes.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// WriteTo writes exactly the pages ReadPage reads, in order, one write per
+// slab: on the zero value, and at and around the first slab boundaries and
+// those of the largest slabs.
+func TestMemDeviceWriteTo(t *testing.T) {
+	var zero MemDevice
+	var w countingWriter
+	if n, err := zero.WriteTo(&w); n != 0 || err != nil || w.writes != 0 {
+		t.Fatalf("zero value: wrote %d bytes in %d writes, %v", n, w.writes, err)
+	}
+	for _, pages := range []int{1, minSlabPages - 1, minSlabPages, minSlabPages + 1,
+		maxSlabPages - 1, maxSlabPages, maxSlabPages + 1, 2*maxSlabPages - 1, 2 * maxSlabPages, 2*maxSlabPages + 1} {
+		var m MemDevice
+		var want []byte
+		page := make([]byte, PageSize)
+		for id := 0; id < pages; id++ {
+			if _, err := m.Alloc(); err != nil {
+				t.Fatal(err)
+			}
+			for i := range page {
+				page[i] = byte(id*7 + i)
+			}
+			if err := m.WritePage(PageID(id), page); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for id := 0; id < pages; id++ {
+			if err := m.ReadPage(PageID(id), page); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, page...)
+		}
+		var w countingWriter
+		n, err := m.WriteTo(&w)
+		if err != nil || n != int64(len(want)) || !bytes.Equal(w.Bytes(), want) {
+			t.Fatalf("%d pages: WriteTo wrote %d bytes (%v), not the %d ReadPage reads", pages, n, err, len(want))
+		}
+		if w.writes != len(m.slabs) {
+			t.Errorf("%d pages: %d writes for %d slabs", pages, w.writes, len(m.slabs))
+		}
+	}
+}
+
 // writeImage writes the pages of dev to a new file at path, as
 // mcn.CreateDatabase writes a database built in memory.
 func writeImage(t *testing.T, dev *MemDevice, path string) {

@@ -1,12 +1,15 @@
 package storage
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
+	"mcn/internal/gen"
 	"mcn/internal/graph"
 	"mcn/internal/vec"
 )
@@ -102,4 +105,59 @@ func TestDatabaseGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyAgainstGraph(t, goldenGraph(t), n)
+}
+
+// generatedImages pins the SHA-256 of the images BuildMem writes for two
+// networks beyond goldenGraph: the one gen.MakeInstance gives for 4 000
+// nodes, 800 facilities, d = 4 and seed 3 (201 pages), of the generator's
+// shape, whose records span pages, whose trees have inner nodes and whose
+// tables take several pages each, where goldenGraph fits each on one; and
+// the network without nodes (8 pages), whose tables are empty. Like
+// goldenPageCRCs they change only with the byte layout.
+var generatedImages = []struct {
+	name   string
+	graph  func(t *testing.T) *graph.Graph
+	sha256 string
+}{
+	{"gen 4000/800/d=4/seed 3", func(t *testing.T) *graph.Graph {
+		inst, err := gen.MakeInstance(gen.InstanceConfig{Nodes: 4000, Facilities: 800, D: 4, Queries: 1, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst.Graph
+	}, "8b91127df7521cf3e809db5af292f57a8d49ec832a6157a2fcec29290e760394"},
+	{"no nodes", func(t *testing.T) *graph.Graph {
+		g, err := graph.NewBuilder(2, false).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}, "8cee03dffeb652403233793e04ff4c0f77172ec14dd30af301a0a965cea5a01c"},
+}
+
+func TestGeneratedDatabaseGolden(t *testing.T) {
+	for _, c := range generatedImages {
+		g := c.graph(t)
+		// BuildMem encodes and checksums in the MemDevice's own pages; a
+		// device that wraps one is not a MemDevice, so its build goes
+		// through Alloc, WritePage and ReadPage alone. Both must write the
+		// golden bytes.
+		wrapped := struct{ *MemDevice }{NewMemDevice()}
+		if _, err := BuildIndexed(g, wrapped); err != nil {
+			t.Fatal(err)
+		}
+		dev, err := BuildMem(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for path, dev := range map[string]*MemDevice{"BuildMem": dev, "through the interface": wrapped.MemDevice} {
+			h := sha256.New()
+			if _, err := dev.WriteTo(h); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != c.sha256 {
+				t.Errorf("%s, %s: the image hashes to %s, want %s (%d pages)", c.name, path, got, c.sha256, dev.NumPages())
+			}
+		}
+	}
 }

@@ -217,10 +217,14 @@ func Build(g *graph.Graph, dev Device) error {
 	return err
 }
 
-// BuildIndexed is Build, returning the pruning index it computed and
-// persisted, in the database's node numbering.
+// BuildIndexed is Build, returning the pruning index it computed, in g's
+// node numbering (the database persists it in its own).
 // The index, a function of g alone, is computed on its own goroutine while
 // the records and trees are laid out; every return waits for it.
+//
+// On a MemDevice every page is encoded in place, in the device's own
+// memory, and checksummed there; any other device is written a page at a
+// time through the Device interface. Both write the same bytes.
 func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 	if dev.NumPages() != 0 {
 		return nil, fmt.Errorf("storage: device not empty (%d pages)", dev.NumPages())
@@ -228,11 +232,11 @@ func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 	if g.D() > math.MaxUint16 {
 		return nil, fmt.Errorf("storage: %d cost types, the header holds at most %d", g.D(), math.MaxUint16)
 	}
-	var graphBounds *index.Bounds
+	var bounds *index.Bounds
 	indexed := make(chan struct{})
 	go func() {
 		defer close(indexed)
-		graphBounds = index.FromGraph(g)
+		bounds = index.FromGraph(g)
 	}()
 	defer func() { <-indexed }()
 
@@ -262,66 +266,110 @@ func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 		return nil, fmt.Errorf("storage: data file: %w", err)
 	}
 
-	// Indexes, all keyed by dense ids.
-	ids := make([]uint64, len(order))
+	// Indexes, all keyed by dense ids: one run of ids serves as every
+	// tree's keys, and one buffer as the facility and edge trees' values
+	// (BuildBTree keeps neither).
+	ids := make([]uint64, max(len(order), g.NumFacilities(), g.NumEdges()))
 	for id := range ids {
 		ids[id] = uint64(id)
 	}
-	if h.adjTreeRoot, err = BuildBTree(dev, ids, adjRefs); err != nil {
+	if h.adjTreeRoot, err = BuildBTree(dev, ids[:len(order)], adjRefs); err != nil {
 		return nil, fmt.Errorf("storage: adjacency tree: %w", err)
 	}
 
-	facKeys := make([]uint64, g.NumFacilities())
-	facVals := make([]uint64, g.NumFacilities())
-	for p := range facKeys {
-		facKeys[p] = uint64(p)
+	vals := make([]uint64, max(g.NumFacilities(), g.NumEdges()))
+	facVals := vals[:g.NumFacilities()]
+	for p := range facVals {
 		facVals[p] = uint64(g.Facility(graph.FacilityID(p)).Edge)
 	}
-	if h.facTreeRoot, err = BuildBTree(dev, facKeys, facVals); err != nil {
+	if h.facTreeRoot, err = BuildBTree(dev, ids[:len(facVals)], facVals); err != nil {
 		return nil, fmt.Errorf("storage: facility tree: %w", err)
 	}
 
-	edgeKeys := make([]uint64, g.NumEdges())
-	edgeVals := make([]uint64, g.NumEdges())
-	for e := range edgeKeys {
-		edgeKeys[e] = uint64(e)
+	edgeVals := vals[:g.NumEdges()]
+	for e := range edgeVals {
 		edgeVals[e] = uint64(rank[g.Edge(graph.EdgeID(e)).U])
 	}
-	if h.edgeTreeRoot, err = BuildBTree(dev, edgeKeys, edgeVals); err != nil {
+	if h.edgeTreeRoot, err = BuildBTree(dev, ids[:len(edgeVals)], edgeVals); err != nil {
 		return nil, fmt.Errorf("storage: edge tree: %w", err)
 	}
 
+	// Every page written so far is final: checksum them while the index
+	// may still be running (see the checksum table below).
+	var crcs []uint32
+	scratch := make([]byte, PageSize)
+	sum := func() error {
+		for id := len(crcs) + 1; id < dev.NumPages(); id++ {
+			page, err := pageBytes(dev, PageID(id), scratch)
+			if err != nil {
+				return err
+			}
+			crcs = append(crcs, PageChecksum(page))
+		}
+		return nil
+	}
+	if err := sum(); err != nil {
+		return nil, fmt.Errorf("storage: checksum table: %w", err)
+	}
+
 	// Pruning-bounds and rank tables, written before the checksum table so
-	// their pages are covered by the checksums.
+	// their pages are covered by the checksums. The bounds are the graph's,
+	// criterion-major; value i·n + id of the table is node order[id]'s.
+	le := binary.LittleEndian
 	<-indexed
-	bounds := graphBounds.Renumbered(rank)
-	if h.boundsFirst, err = writeTable(dev, len(bounds.Data()), func(w *pageWriter, i int) error {
-		return w.writeF64(bounds.Data()[i])
+	n := len(order)
+	data := bounds.Data()
+	if h.boundsFirst, err = writeTable(dev, len(data), 8, func(b []byte, j int) error {
+		i, id := j/n*n, j%n // value j is criterion j/n's bound of node id
+		for k := 0; k < len(b); k += 8 {
+			le.PutUint64(b[k:], math.Float64bits(data[i+int(order[id])]))
+			if id++; id == n {
+				i, id = i+n, 0
+			}
+		}
+		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("storage: bounds table: %w", err)
 	}
-	if h.rankFirst, err = writeTable(dev, len(order), func(w *pageWriter, id int) error {
-		return w.writeU32(uint32(order[id]))
+	if h.rankFirst, err = writeTable(dev, n, 4, func(b []byte, id int) error {
+		for k := 0; k < len(b); k, id = k+4, id+1 {
+			le.PutUint32(b[k:], uint32(order[id]))
+		}
+		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("storage: rank table: %w", err)
 	}
 
-	// Checksum table: one slot per page written so far (1..n-1; the header
-	// page is written last, after the table's location is known, and carries
-	// its own checksum — see the layout comment).
-	n := dev.NumPages()
-	h.checksumPages = n - 1
-	page := make([]byte, PageSize)
-	if h.checksumFirst, err = writeTable(dev, n-1, func(w *pageWriter, i int) error {
-		if err := dev.ReadPage(PageID(i+1), page); err != nil {
-			return err
+	// Checksum table: one slot per page written so far (1..pages-1; the
+	// header page is written last, after the table's location is known, and
+	// carries its own checksum — see the layout comment).
+	if err := sum(); err != nil {
+		return nil, fmt.Errorf("storage: checksum table: %w", err)
+	}
+	h.checksumPages = len(crcs)
+	if h.checksumFirst, err = writeTable(dev, len(crcs), 8, func(b []byte, i int) error {
+		for k := 0; k < len(b); k, i = k+8, i+1 {
+			le.PutUint64(b[k:], uint64(crcs[i]))
 		}
-		return w.writeU64(uint64(PageChecksum(page)))
+		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("storage: checksum table: %w", err)
 	}
 
 	return bounds, dev.WritePage(0, h.encode())
+}
+
+// pageBytes returns the bytes of page id of dev: on a MemDevice the
+// device's own page, on any other device a copy read into scratch.
+func pageBytes(dev Device, id PageID, scratch []byte) ([]byte, error) {
+	if m, ok := dev.(*MemDevice); ok {
+		p, err := m.lend(id)
+		if err != nil {
+			return nil, err
+		}
+		return p[:], nil
+	}
+	return scratch, dev.ReadPage(id, scratch)
 }
 
 // writeData writes the data file: the adjacency record of every graph node
@@ -336,80 +384,109 @@ func writeData(g *graph.Graph, dev Device, order, rank []graph.NodeID) (PageID, 
 	if err != nil {
 		return 0, nil, err
 	}
-	facRefs := make([]uint64, g.NumEdges())
-	for e := range facRefs {
-		facRefs[e] = graph.NoFacRef // also marks a facility record not yet written
+	// Per edge, what both its arcs carry, gathered in edge order so that an
+	// arc reads one place, not the graph's edge, cost and facility lists:
+	// fac[e] holds the facility count, taken once per facility, and the
+	// record's ref, NoFacRef until the record is written; costs holds the
+	// encoded cost vectors, 8d bytes an edge.
+	type edgeFacs struct {
+		ref   uint64
+		count uint32
+	}
+	d8 := 8 * g.D()
+	fac := make([]edgeFacs, g.NumEdges())
+	costs := make([]byte, d8*g.NumEdges())
+	for e := range fac {
+		fac[e].ref = graph.NoFacRef
+		for c, x := range g.Edge(graph.EdgeID(e)).W {
+			le.PutUint64(costs[d8*e+8*c:], math.Float64bits(x))
+		}
+	}
+	for p := 0; p < g.NumFacilities(); p++ {
+		fac[g.Facility(graph.FacilityID(p)).Edge].count++
 	}
 	adjRefs := make([]uint64, len(order))
-	var rec []byte
+	arcSize := 19 + d8
 	for id, v := range order {
 		arcs := g.Arcs(v)
 		for _, a := range arcs {
-			facs := g.EdgeFacilities(a.Edge)
-			if len(facs) == 0 || facRefs[a.Edge] != graph.NoFacRef {
+			f := &fac[a.Edge]
+			if f.count == 0 || f.ref != graph.NoFacRef {
 				continue
 			}
-			if len(facs) > math.MaxUint16 {
-				return 0, nil, fmt.Errorf("edge %d has %d facilities, a record holds at most %d", a.Edge, len(facs), math.MaxUint16)
+			if f.count > math.MaxUint16 {
+				return 0, nil, fmt.Errorf("edge %d has %d facilities, a record holds at most %d", a.Edge, f.count, math.MaxUint16)
 			}
-			ref, err := w.pos()
+			ref, rec, err := w.record(12 * int(f.count))
 			if err != nil {
 				return 0, nil, err
 			}
-			facRefs[a.Edge] = ref.Pack()
-			rec = rec[:0]
-			for _, p := range facs {
-				rec = le.AppendUint32(rec, uint32(p))
-				rec = le.AppendUint64(rec, math.Float64bits(g.Facility(p).T))
+			f.ref = ref.Pack()
+			for k, p := range g.EdgeFacilities(a.Edge) {
+				le.PutUint32(rec[12*k:], uint32(p))
+				le.PutUint64(rec[12*k+4:], math.Float64bits(g.Facility(p).T))
 			}
-			if err := w.write(rec); err != nil {
+			if err := w.done(rec); err != nil {
 				return 0, nil, err
 			}
 		}
-		ref, err := w.pos()
+		if len(arcs) > math.MaxUint16 {
+			return 0, nil, fmt.Errorf("node %d has %d arcs, a record holds at most %d", v, len(arcs), math.MaxUint16)
+		}
+		ref, rec, err := w.record(2 + len(arcs)*arcSize)
 		if err != nil {
 			return 0, nil, err
 		}
 		adjRefs[id] = ref.Pack()
-		if len(arcs) > math.MaxUint16 {
-			return 0, nil, fmt.Errorf("node %d has %d arcs, a record holds at most %d", v, len(arcs), math.MaxUint16)
-		}
-		rec = le.AppendUint16(rec[:0], uint16(len(arcs)))
-		for _, a := range arcs {
-			var flags byte
+		le.PutUint16(rec, uint16(len(arcs)))
+		for k, a := range arcs {
+			r := rec[2+k*arcSize : 2+(k+1)*arcSize]
+			f := fac[a.Edge]
+			le.PutUint32(r[0:], uint32(rank[a.Neighbor]))
+			le.PutUint32(r[4:], uint32(a.Edge))
+			r[8] = 0
 			if a.Forward {
-				flags |= 1
+				r[8] = 1 // flags bit 0
 			}
-			rec = le.AppendUint32(rec, uint32(rank[a.Neighbor]))
-			rec = le.AppendUint32(rec, uint32(a.Edge))
-			rec = append(rec, flags)
-			rec = le.AppendUint16(rec, uint16(len(g.EdgeFacilities(a.Edge))))
-			rec = le.AppendUint64(rec, facRefs[a.Edge])
-			for _, c := range g.Edge(a.Edge).W {
-				rec = le.AppendUint64(rec, math.Float64bits(c))
-			}
+			le.PutUint16(r[9:], uint16(f.count))
+			le.PutUint64(r[11:], f.ref)
+			copy(r[19:], costs[d8*int(a.Edge):])
 		}
-		if err := w.write(rec); err != nil {
+		if err := w.done(rec); err != nil {
 			return 0, nil, err
 		}
 	}
 	return first.Page, adjRefs, w.close()
 }
 
-// writeTable writes a table of n fixed-size values, value i by put(w, i),
-// starting on a fresh page, and returns that page.
-func writeTable(dev Device, n int, put func(w *pageWriter, i int) error) (PageID, error) {
-	w := newPageWriter(dev)
-	ref, err := w.pos()
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < n; i++ {
-		if err := put(w, i); err != nil {
+// writeTable writes a table of n values of size bytes each, size a divisor
+// of PageSize, starting on a fresh page, and returns that page; an empty
+// table still takes one. fill(b, i) encodes values i, i+1, … into b, one
+// page's share at a time.
+func writeTable(dev Device, n, size int, fill func(b []byte, i int) error) (PageID, error) {
+	scratch := make([]byte, PageSize)
+	var first PageID
+	perPage := PageSize / size
+	for k := 0; k < max(int(tablePages(uint64(n), uint64(size))), 1); k++ {
+		id, buf, err := newPage(dev, scratch)
+		if err != nil {
+			return 0, err
+		}
+		if k == 0 {
+			first = id
+		} else if id != first+PageID(k) {
+			return 0, fmt.Errorf("storage: non-contiguous allocation (%d after %d)", id, first+PageID(k-1))
+		}
+		if i := k * perPage; i < n {
+			if err := fill(buf[:size*min(perPage, n-i)], i); err != nil {
+				return 0, err
+			}
+		}
+		if err := putPage(dev, id, buf); err != nil {
 			return 0, err
 		}
 	}
-	return ref.Page, w.close()
+	return first, nil
 }
 
 // BuildMem builds the database for g on a fresh in-memory device.

@@ -1,9 +1,7 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 )
 
@@ -22,64 +20,87 @@ func UnpackRef(v uint64) Ref {
 	return Ref{Page: PageID(v >> 16), Off: uint16(v & 0xFFFF)}
 }
 
+// newPage allocates a page on dev and returns the zeroed bytes to encode it
+// in: on a MemDevice the device's own page, so nothing is copied; on any
+// other device scratch (len PageSize), which putPage writes out.
+func newPage(dev Device, scratch []byte) (PageID, []byte, error) {
+	id, err := dev.Alloc()
+	if err != nil {
+		return 0, nil, err
+	}
+	if m, ok := dev.(*MemDevice); ok {
+		return id, m.pages[id], nil
+	}
+	clear(scratch)
+	return id, scratch, nil
+}
+
+// putPage stores buf, the bytes newPage returned for page id: a no-op on a
+// MemDevice, whose page buf is.
+func putPage(dev Device, id PageID, buf []byte) error {
+	if _, ok := dev.(*MemDevice); ok {
+		return nil
+	}
+	return dev.WritePage(id, buf)
+}
+
 // pageWriter appends bytes to consecutively allocated pages of a device.
 // Records may span page boundaries; because Alloc returns consecutive ids,
 // a reader can continue a record simply by moving to the next page.
 type pageWriter struct {
-	dev  Device
-	page PageID
-	buf  []byte
-	off  int
-	open bool
+	dev     Device
+	page    PageID
+	buf     []byte // the open page's bytes (see newPage)
+	scratch []byte
+	off     int
+	open    bool
+	// spill holds a record that does not fit in the open page, between
+	// record and done.
+	spill   []byte
+	spilled bool
 }
 
 func newPageWriter(dev Device) *pageWriter {
-	return &pageWriter{dev: dev, buf: make([]byte, PageSize)}
+	w := &pageWriter{dev: dev}
+	if _, ok := dev.(*MemDevice); !ok {
+		w.scratch = make([]byte, PageSize)
+	}
+	return w
 }
 
 // pos returns the ref at which the next byte will be written, opening the
 // first page lazily.
 func (w *pageWriter) pos() (Ref, error) {
-	if !w.open {
-		id, err := w.dev.Alloc()
-		if err != nil {
-			return Ref{}, err
-		}
-		w.page, w.off, w.open = id, 0, true
-	}
-	if w.off == PageSize {
-		if err := w.flushPage(); err != nil {
+	if !w.open || w.off == PageSize {
+		if err := w.nextPage(); err != nil {
 			return Ref{}, err
 		}
 	}
 	return Ref{Page: w.page, Off: uint16(w.off)}, nil
 }
 
-func (w *pageWriter) flushPage() error {
-	if err := w.dev.WritePage(w.page, w.buf); err != nil {
-		return err
+// nextPage stores the open page, if any, and opens the next one.
+func (w *pageWriter) nextPage() error {
+	if w.open {
+		if err := putPage(w.dev, w.page, w.buf); err != nil {
+			return err
+		}
 	}
-	id, err := w.dev.Alloc()
+	id, buf, err := newPage(w.dev, w.scratch)
 	if err != nil {
 		return err
 	}
-	if id != w.page+1 {
+	if w.open && id != w.page+1 {
 		return fmt.Errorf("storage: non-contiguous allocation (%d after %d)", id, w.page)
 	}
-	w.page, w.off = id, 0
-	for i := range w.buf {
-		w.buf[i] = 0
-	}
+	w.page, w.buf, w.off, w.open = id, buf, 0, true
 	return nil
 }
 
 func (w *pageWriter) write(p []byte) error {
-	if _, err := w.pos(); err != nil {
-		return err
-	}
 	for len(p) > 0 {
-		if w.off == PageSize {
-			if err := w.flushPage(); err != nil {
+		if !w.open || w.off == PageSize {
+			if err := w.nextPage(); err != nil {
 				return err
 			}
 		}
@@ -90,28 +111,38 @@ func (w *pageWriter) write(p []byte) error {
 	return nil
 }
 
-func (w *pageWriter) writeU32(v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return w.write(b[:])
+// record returns the ref of the next record and n > 0 bytes to encode it
+// in, which done then commits: the open page's own bytes when the record
+// fits in it, else a spill buffer that done writes across the boundary.
+func (w *pageWriter) record(n int) (Ref, []byte, error) {
+	ref, err := w.pos()
+	if err != nil {
+		return Ref{}, nil, err
+	}
+	if w.spilled = w.off+n > PageSize; w.spilled {
+		if cap(w.spill) < n {
+			w.spill = make([]byte, n)
+		}
+		return ref, w.spill[:n], nil
+	}
+	w.off += n
+	return ref, w.buf[w.off-n : w.off], nil
 }
 
-func (w *pageWriter) writeU64(v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return w.write(b[:])
+// done commits rec, the bytes the last record call returned.
+func (w *pageWriter) done(rec []byte) error {
+	if !w.spilled {
+		return nil
+	}
+	return w.write(rec)
 }
 
-func (w *pageWriter) writeF64(v float64) error {
-	return w.writeU64(math.Float64bits(v))
-}
-
-// close flushes the final partial page.
+// close stores the final partial page.
 func (w *pageWriter) close() error {
 	if !w.open {
 		return nil
 	}
-	return w.dev.WritePage(w.page, w.buf)
+	return putPage(w.dev, w.page, w.buf)
 }
 
 // cursor reads bytes sequentially from a ref through a buffer pool,

@@ -9,10 +9,18 @@ import (
 )
 
 func (w *pageWriter) writeU16(v uint16) error {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	return w.write(b[:])
+	return w.write(binary.LittleEndian.AppendUint16(nil, v))
 }
+
+func (w *pageWriter) writeU32(v uint32) error {
+	return w.write(binary.LittleEndian.AppendUint32(nil, v))
+}
+
+func (w *pageWriter) writeU64(v uint64) error {
+	return w.write(binary.LittleEndian.AppendUint64(nil, v))
+}
+
+func (w *pageWriter) writeF64(v float64) error { return w.writeU64(math.Float64bits(v)) }
 
 func TestRefPacking(t *testing.T) {
 	r := Ref{Page: 0xDEADBE, Off: 0x1234}

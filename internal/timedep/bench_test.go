@@ -29,8 +29,10 @@ func td2k(tb testing.TB) *gen.Instance {
 // axis=kept the edit re-profiles one of the 32 seeded edges on the palette,
 // so the axis holds and the network keeps its 32 profiles, whatever b.N;
 // under axis=moved it flips one edge between two other breakpoint sets, so
-// every edit retires instants and adds others. Either way the edit builds
-// one edge's rows and the read compiles nothing.
+// every edit retires instants and adds others. profiles=1024 is axis=kept
+// on 1 024 seeded edges: an edit must not cost in proportion to the
+// profiles already set. Either way the edit builds one edge's rows and the
+// read compiles nothing.
 func BenchmarkSetProfileThenRead(b *testing.B) {
 	inst := td2k(b)
 	g := inst.Graph
@@ -48,24 +50,28 @@ func BenchmarkSetProfileThenRead(b *testing.B) {
 		return p
 	}
 	flips := [][]float64{{8, 18}, {8.5, 18.5}}
-	var seeded [32]graph.EdgeID
+	var seeded []graph.EdgeID
+	kept := func(rng *rand.Rand, i int) (graph.EdgeID, Profile) {
+		return seeded[i%len(seeded)], profile(rng, palette)
+	}
 	for _, tc := range []struct {
-		name string
-		edit func(rng *rand.Rand, i int) (graph.EdgeID, Profile)
+		name     string
+		profiles int
+		edit     func(rng *rand.Rand, i int) (graph.EdgeID, Profile)
 	}{
-		{"axis=kept", func(rng *rand.Rand, i int) (graph.EdgeID, Profile) {
-			return seeded[i%len(seeded)], profile(rng, palette)
-		}},
-		{"axis=moved", func(rng *rand.Rand, i int) (graph.EdgeID, Profile) {
+		{"axis=kept", 32, kept},
+		{"axis=moved", 32, func(rng *rand.Rand, i int) (graph.EdgeID, Profile) {
 			return 0, profile(rng, flips[i%2])
 		}},
+		{"profiles=1024", 1024, kept},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			n := New(g)
-			for i := range seeded {
-				seeded[i] = graph.EdgeID(1 + rng.Intn(g.NumEdges()-1))
-				if err := n.SetProfile(seeded[i], profile(rng, palette)); err != nil {
+			seeded = seeded[:0]
+			for _, e := range rng.Perm(g.NumEdges() - 1)[:tc.profiles] {
+				seeded = append(seeded, graph.EdgeID(1+e)) // edge 0 is axis=moved's
+				if err := n.SetProfile(seeded[len(seeded)-1], profile(rng, palette)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -110,16 +110,33 @@ func (p Profile) clone() Profile {
 
 // floor returns the component-wise smallest multiplier the profile ever
 // applies, counting the unscaled costs before Times[0]: min(1, every Mult).
-// An unprofiled edge's zero Profile floors at 1.
-func (p Profile) floor(d int) vec.Costs {
+// An unprofiled edge's nil profile floors at 1.
+func (p *Profile) floor(d int) vec.Costs {
 	m := make(vec.Costs, d)
 	for i := range m {
 		m[i] = 1
+		if p == nil {
+			continue
+		}
 		for _, mult := range p.Mult {
 			m[i] = math.Min(m[i], mult[i])
 		}
 	}
 	return m
+}
+
+// multAt returns the multiplier the profile applies at instant t, nil (the
+// base costs) before its first breakpoint or for an unprofiled edge's nil
+// profile.
+func (p *Profile) multAt(t float64) vec.Costs {
+	if p == nil {
+		return nil
+	}
+	i := sort.Search(len(p.Times), func(i int) bool { return p.Times[i] > t })
+	if i == 0 {
+		return nil
+	}
+	return p.Mult[i-1]
 }
 
 // scaled appends base costs w under multiplier m to dst — the one place a
@@ -152,17 +169,23 @@ type Network struct {
 	cache *rescache.Cache
 
 	// cur is the published version. writeMu serialises the edits that
-	// derive and replace it; queries never take it.
+	// derive and replace it, and guards breaks; queries never take it.
 	cur     atomic.Pointer[version]
 	writeMu sync.Mutex
+	// breaks counts, for each instant of cur's axis, the profiles of cur
+	// that break there, so an edit moves the axis only when a count
+	// leaves or reaches zero.
+	breaks map[float64]int
 }
 
-// version is one immutable profile configuration: the profiles, their cost
-// rows by edge id (nil when unprofiled), the ascending global breakpoints
-// (interval k is active on [times[k-1], times[k]), interval 0 before
-// times[0]), and a pruning index admissible in every interval.
+// version is one immutable profile configuration: the profiles and their
+// cost rows by edge id (nil when unprofiled), the ascending global
+// breakpoints (interval k is active on [times[k-1], times[k]), interval 0
+// before times[0]), and a pruning index admissible in every interval. A
+// version shares every edge's profile and rows with its predecessor but the
+// edited edges'.
 type version struct {
-	profiles map[graph.EdgeID]Profile
+	profiles []*Profile
 	rows     []*flat.Rows
 	times    []float64
 	// axis numbers times for the result cache's keys: it advances whenever
@@ -206,7 +229,9 @@ func (v *version) floorIndex(n *Network) *index.Bounds {
 			lowest[e] = g.Edge(graph.EdgeID(e)).W
 		}
 		for e, p := range v.profiles {
-			lowest[e] = scaled(make(vec.Costs, 0, g.D()), lowest[e], p.floor(g.D()))
+			if p != nil {
+				lowest[e] = scaled(make(vec.Costs, 0, g.D()), lowest[e], p.floor(g.D()))
+			}
 		}
 		v.floor.bounds = n.ov.Base().Bounds(index.FromCosts(g, func(e graph.EdgeID, i int) float64 { return lowest[e][i] }))
 	})
@@ -217,8 +242,8 @@ func (v *version) floorIndex(n *Network) *index.Bounds {
 // at all times. It compiles the topology and base costs, which every version
 // shares.
 func New(g *graph.Graph) *Network {
-	n := &Network{base: g, ov: flat.NewOverlay(flat.Compile(g))}
-	n.cur.Store(&version{profiles: map[graph.EdgeID]Profile{}, rows: make([]*flat.Rows, g.NumEdges()), floor: &lazyIndex{}})
+	n := &Network{base: g, ov: flat.NewOverlay(flat.Compile(g)), breaks: map[float64]int{}}
+	n.cur.Store(&version{profiles: make([]*Profile, g.NumEdges()), rows: make([]*flat.Rows, g.NumEdges()), floor: &lazyIndex{}})
 	return n
 }
 
@@ -245,6 +270,12 @@ func (n *Network) SetProfile(e graph.EdgeID, p Profile) error {
 // carrying all of them, so a bulk attach merges the time axis once rather
 // than once per edit. The version keeps the edits' profiles: the caller must
 // not retain them.
+//
+// An edit costs the edited edges' rows and breakpoints plus one clone of
+// the per-edge profile and row pointers, whatever the number of profiles
+// set: the axis is rebuilt only when an instant enters or leaves it (see
+// breaks), and the intervals an axis-keeping edit invalidates are found
+// from the edited edges' own breakpoints.
 func (n *Network) setProfiles(edits map[graph.EdgeID]Profile) error {
 	d := n.base.D()
 	for e, p := range edits {
@@ -259,12 +290,12 @@ func (n *Network) setProfiles(edits map[graph.EdgeID]Profile) error {
 	defer n.writeMu.Unlock()
 	cur := n.cur.Load()
 	next := &version{
-		profiles: make(map[graph.EdgeID]Profile, len(cur.profiles)+len(edits)),
+		profiles: slices.Clone(cur.profiles),
 		rows:     slices.Clone(cur.rows),
+		times:    cur.times,
 		axis:     cur.axis,
 		floor:    cur.floor,
 	}
-	maps.Copy(next.profiles, cur.profiles)
 	for e, p := range edits {
 		costs := make(vec.Costs, 0, len(p.Mult)*d)
 		for _, m := range p.Mult {
@@ -277,26 +308,40 @@ func (n *Network) setProfiles(edits map[graph.EdgeID]Profile) error {
 		if !p.floor(d).Equal(cur.profiles[e].floor(d)) {
 			next.floor = &lazyIndex{}
 		}
-		next.profiles[e], next.rows[e] = p, rows
+		next.profiles[e], next.rows[e] = &p, rows
 	}
-	next.times = breakpointUnion(next.profiles)
+
+	// Count the new profiles' instants in before the old ones' out, so an
+	// instant both carry never passes through zero.
+	moved := false
+	for e := range edits {
+		for _, t := range next.profiles[e].Times {
+			if n.breaks[t]++; n.breaks[t] == 1 {
+				moved = true
+			}
+		}
+	}
+	for e := range edits {
+		if was := cur.profiles[e]; was != nil {
+			for _, t := range was.Times {
+				if n.breaks[t]--; n.breaks[t] == 0 {
+					delete(n.breaks, t)
+					moved = true
+				}
+			}
+		}
+	}
 	tags := []rescache.Tag{rescache.ClassTimeDep}
-	if slices.Equal(next.times, cur.times) {
+	if moved {
+		next.times = slices.Sorted(maps.Keys(n.breaks))
+		next.axis++
+	} else {
 		// Interval numbering is stable: only the intervals where an edited
 		// edge's cost changed are invalidated.
 		tags = nil
 		for e := range edits {
-			for k := 0; k <= len(next.times); k++ {
-				was, is := n.ov.View(cur.rows, next.start(k)), n.ov.View(next.rows, next.start(k))
-				a, _ := was.EdgeInfo(e)
-				b, _ := is.EdgeInfo(e)
-				if !a.W.Equal(b.W) {
-					tags = append(tags, rescache.IntervalTag(k))
-				}
-			}
+			tags = n.changedIntervals(tags, e, cur.profiles[e], next.profiles[e], next.times)
 		}
-	} else {
-		next.axis++
 	}
 	n.cur.Store(next)
 	if n.cache != nil && len(tags) > 0 {
@@ -307,15 +352,38 @@ func (n *Network) setProfiles(edits map[graph.EdgeID]Profile) error {
 	return nil
 }
 
-// breakpointUnion returns the sorted union of every profile's instants —
-// the global time axis of a version with these profiles.
-func breakpointUnion(profiles map[graph.EdgeID]Profile) []float64 {
-	var all []float64
-	for _, p := range profiles {
-		all = append(all, p.Times...)
+// changedIntervals appends to tags the intervals of axis where edge e costs
+// differently under profile is than under was (nil: unprofiled). axis holds
+// every instant of both, and the edge's cost changes only at those: between
+// two consecutive ones each profile applies one multiplier, and before the
+// first both apply the base costs.
+func (n *Network) changedIntervals(tags []rescache.Tag, e graph.EdgeID, was, is *Profile, axis []float64) []rescache.Tag {
+	w := n.base.Edge(e).W
+	var cuts []float64
+	if was != nil {
+		cuts = append(cuts, was.Times...)
 	}
-	slices.Sort(all)
-	return slices.Compact(all)
+	cuts = append(cuts, is.Times...)
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
+	a, b := make(vec.Costs, 0, len(w)), make(vec.Costs, 0, len(w))
+	// Interval k starts at axis[k-1], so the intervals starting in
+	// [axis[i], axis[j]) are i+1 … j.
+	first := func(t float64) int { return sort.SearchFloat64s(axis, t) + 1 }
+	for j, t := range cuts {
+		a, b = scaled(a[:0], w, was.multAt(t)), scaled(b[:0], w, is.multAt(t))
+		if a.Equal(b) {
+			continue
+		}
+		end := len(axis) + 1
+		if j+1 < len(cuts) {
+			end = first(cuts[j+1])
+		}
+		for k := first(t); k < end; k++ {
+			tags = append(tags, rescache.IntervalTag(k))
+		}
+	}
+	return tags
 }
 
 // Breakpoints returns the ascending instants in [from, to) where some edge

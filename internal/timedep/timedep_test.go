@@ -75,7 +75,7 @@ func (n *Network) CostAt(e graph.EdgeID, t float64) (vec.Costs, error) {
 // scaled component-wise when a profile interval covers t.
 func (v *version) costAt(g *graph.Graph, e graph.EdgeID, t float64) vec.Costs {
 	w := g.Edge(e).W
-	if p, ok := v.profiles[e]; ok {
+	if p := v.profiles[e]; p != nil {
 		return scaled(make(vec.Costs, 0, len(w)), w, p.At(t))
 	}
 	return w

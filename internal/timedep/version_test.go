@@ -1,7 +1,7 @@
 package timedep
 
 import (
-	"maps"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -66,10 +66,10 @@ func TestSetProfileCopiesProfile(t *testing.T) {
 func TestSetProfileCopiesOnlyEditedRows(t *testing.T) {
 	n, _ := randomProfiled(t, false, 2)
 	g := n.Base()
-	e := slices.Min(slices.Collect(maps.Keys(n.cur.Load().profiles)))
+	e := graph.EdgeID(slices.IndexFunc(n.cur.Load().profiles, func(p *Profile) bool { return p != nil }))
 	for _, name := range []string{"axis kept", "axis moved"} {
 		prev := n.cur.Load()
-		p := prev.profiles[e]
+		p := *prev.profiles[e]
 		edited := Profile{Times: p.Times, Mult: append([]vec.Costs{p.Mult[0].Scale(2)}, p.Mult[1:]...)}
 		if name == "axis moved" {
 			edited = Profile{Times: []float64{p.Times[0] - 0.5}, Mult: []vec.Costs{p.Mult[0].Scale(3)}}
@@ -130,7 +130,7 @@ func TestFloorIndexSharedWhileFloorsHold(t *testing.T) {
 	}
 	built := within()
 	var e graph.EdgeID
-	for n.cur.Load().profiles[e].Times != nil {
+	for n.cur.Load().profiles[e] != nil {
 		e++
 	}
 	// Multipliers of at least 1 floor at 1, as the unprofiled edge did.
@@ -246,5 +246,78 @@ func TestAxisChangeRenumbersCacheKeys(t *testing.T) {
 	slices.Sort(got)
 	if want := []graph.FacilityID{fa, fb}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("evening skyline under the previous axis = %v, want %v", got, want)
+	}
+}
+
+// Random edits keep the axis and the invalidations exact. After every edit
+// the axis is the sorted union of every profile's instants, however the
+// breakpoint counts got there; and an edit that keeps the axis invalidates
+// exactly the intervals where the edited edge's cost changed, found from
+// the edge's own breakpoints, which must agree with comparing its cost
+// under both versions at the start of every interval.
+func TestEditsKeepAxisAndInvalidationsExact(t *testing.T) {
+	n, _ := randomProfiled(t, false, 5)
+	rng := rand.New(rand.NewSource(5))
+	kept := 0
+	for i := 0; i < 400; i++ {
+		cur := n.cur.Load()
+		e := graph.EdgeID(rng.Intn(len(cur.profiles)))
+		if i%5 == 0 && cur.profiles[e] == nil {
+			e = graph.EdgeID(slices.IndexFunc(cur.profiles, func(p *Profile) bool { return p != nil }))
+		}
+		// Mostly instants already on the axis, now and then a new one.
+		var times []float64
+		for _, at := range cur.times {
+			if rng.Intn(2) == 0 {
+				times = append(times, at)
+			}
+		}
+		if len(times) == 0 || rng.Intn(8) == 0 {
+			times = append(times, float64(rng.Intn(60)))
+		}
+		times = slices.Compact(slices.Sorted(slices.Values(times)))
+		p := Profile{Times: times}
+		for range times {
+			m := make(vec.Costs, n.base.D())
+			for c := range m {
+				m[c] = []float64{0.5, 1, 2}[rng.Intn(3)]
+			}
+			p.Mult = append(p.Mult, m)
+		}
+		if err := n.SetProfile(e, p); err != nil {
+			t.Fatal(err)
+		}
+		next := n.cur.Load()
+		var union []float64
+		for _, q := range next.profiles {
+			if q != nil {
+				union = append(union, q.Times...)
+			}
+		}
+		if union = slices.Compact(slices.Sorted(slices.Values(union))); !slices.Equal(next.times, union) {
+			t.Fatalf("edit %d: axis %v, the profiles' instants are %v", i, next.times, union)
+		}
+		if !slices.Equal(next.times, cur.times) {
+			if next.axis != cur.axis+1 {
+				t.Fatalf("edit %d moved the axis but left its number at %d", i, next.axis)
+			}
+			continue
+		}
+		kept++
+		var want []rescache.Tag
+		for k := 0; k <= len(next.times); k++ {
+			was, is := n.ov.View(cur.rows, next.start(k)), n.ov.View(next.rows, next.start(k))
+			a, _ := was.EdgeInfo(e)
+			b, _ := is.EdgeInfo(e)
+			if !a.W.Equal(b.W) {
+				want = append(want, rescache.IntervalTag(k))
+			}
+		}
+		if got := n.changedIntervals(nil, e, cur.profiles[e], next.profiles[e], next.times); !slices.Equal(got, want) {
+			t.Fatalf("edit %d of edge %d: invalidates %v, the costs changed in %v", i, e, got, want)
+		}
+	}
+	if kept < 100 {
+		t.Fatalf("only %d of 400 edits kept the axis", kept)
 	}
 }

@@ -38,7 +38,6 @@
 package mcn
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -255,12 +254,14 @@ func CreateDatabase(g *Graph, path string) error {
 // CreateDatabaseIndexed is CreateDatabase, additionally reporting the size
 // and build time of the pruning index it embedded (mcngen prints these).
 //
-// The database is built in memory and written in one sequential pass to a
-// temporary file beside path, which is renamed over path once complete, so
-// a database already at path is replaced whole: a network that has it open
-// keeps reading the old file, and a build that fails leaves it untouched.
-// The file is created as os.Create would create it, with the permissions
-// the umask leaves of 0666.
+// The database is built in memory — every page encoded and checksummed in
+// place, the pruning index computed alongside the record layout — and
+// written in one sequential pass (MemDevice.WriteTo: one write per slab of
+// pages, no copy) to a temporary file beside path, which is renamed over
+// path once complete, so a database already at path is replaced whole: a
+// network that has it open keeps reading the old file, and a build that
+// fails leaves it untouched. The file is created as os.Create would create
+// it, with the permissions the umask leaves of 0666.
 func CreateDatabaseIndexed(g *Graph, path string) (IndexStats, error) {
 	tmp, err := createTemp(path)
 	if err != nil {
@@ -269,7 +270,9 @@ func CreateDatabaseIndexed(g *Graph, path string) (IndexStats, error) {
 	dev := storage.NewMemDevice()
 	bounds, err := storage.BuildIndexed(g, dev)
 	if err == nil {
-		err = writeImage(tmp, dev)
+		if _, err = dev.WriteTo(tmp); err != nil {
+			err = fmt.Errorf("mcn: write database: %w", err)
+		}
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
@@ -294,25 +297,6 @@ func createTemp(path string) (*os.File, error) {
 			return f, err
 		}
 	}
-}
-
-// writeImage writes the pages of dev to f in page order, in one buffered
-// sequential pass.
-func writeImage(f *os.File, dev *storage.MemDevice) error {
-	w := bufio.NewWriterSize(f, 1<<20)
-	page := make([]byte, storage.PageSize)
-	for id := 0; id < dev.NumPages(); id++ {
-		if err := dev.ReadPage(storage.PageID(id), page); err != nil {
-			return err
-		}
-		if _, err := w.Write(page); err != nil {
-			return fmt.Errorf("mcn: write database: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("mcn: write database: %w", err)
-	}
-	return nil
 }
 
 // OpenDatabaseOptions opens a disk database with a buffer pool sized to
