@@ -65,8 +65,8 @@ bench:
 # memo and the direct decode path) print the miss path's allocs/op next to
 # them, the maintainer rows print what one facility insert costs (an edge
 # lookup and O(d) arithmetic, no traversal) and what building a maintainer
-# costs (d node-only expansions, concurrent on the flat source, then one
-# sweep of the facility records),
+# costs (d node-distance passes over the flat source's heads column, run
+# concurrently, then one sweep of the facility records),
 # the time-dependent rows print one SetProfile plus the skyline read after
 # it, axis kept and axis moved (either way the edit builds one edge's cost
 # rows and shares the rest; the read compiles nothing), the start-up
@@ -81,10 +81,13 @@ bench:
 # Server.Handler(): URL decode, cache probe and the JSON envelope rendered
 # by the append encoder (TestCachedHitAllocs bounds its allocs). The two
 # build rows print what bringing the sf25 network online costs: a database
-# written to disk (CreateDatabase) and a network compiled in memory
-# (FromGraph), each with its pruning index.
+# written to disk with its pruning index (CreateDatabase) and a network
+# compiled in memory (FromGraph, whose index waits for the first within),
+# and the index rows print the pruning index's build alone, on sf25 and at
+# the paper's scale 1.0 (IndexFromGraph: the passes' scratch is pooled, so
+# its allocs are the table and the reversed arc set).
 benchmem:
-	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkFlatQuery|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline|BenchmarkMaintainerInsert|BenchmarkMaintainerBuild|BenchmarkSetProfileThenRead|BenchmarkAttachSyntheticProfiles|BenchmarkOverPeriod|BenchmarkCacheHitParallel|BenchmarkServeCachedHit|BenchmarkCreateDatabase|BenchmarkFromGraph' -benchtime 1x -benchmem ./...
+	$(GO) test -run '^$$' -bench 'BenchmarkExpansion|BenchmarkFlatQuery|BenchmarkBatchSkylineMem|BenchmarkDiskSkyline|BenchmarkMaintainerInsert|BenchmarkMaintainerBuild|BenchmarkSetProfileThenRead|BenchmarkAttachSyntheticProfiles|BenchmarkOverPeriod|BenchmarkCacheHitParallel|BenchmarkServeCachedHit|BenchmarkCreateDatabase|BenchmarkFromGraph|BenchmarkIndexFromGraph' -benchtime 1x -benchmem ./...
 
 # CPU+heap profiles of whole flat-path queries on the sf25 shape (a network
 # that outgrows L2, so memory layout shows); inspect with

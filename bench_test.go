@@ -517,7 +517,8 @@ func BenchmarkCreateDatabase(b *testing.B) {
 }
 
 // BenchmarkFromGraph: bringing the sf25 network online in memory — the flat
-// compile and the pruning index — one network per iteration.
+// compile alone, since the pruning index waits for the first within — one
+// network per iteration.
 func BenchmarkFromGraph(b *testing.B) {
 	g := sf25Graph(b)
 	b.ReportAllocs()

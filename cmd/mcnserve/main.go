@@ -114,7 +114,9 @@ func main() {
 	}
 
 	if is, ok := net.IndexStats(); ok {
-		log.Printf("mcnserve: pruning index attached (%d bytes)", is.BoundsBytes)
+		log.Printf("mcnserve: pruning index loaded (%d bytes)", is.BoundsBytes)
+	} else {
+		log.Printf("mcnserve: pruning index is built by the first within query")
 	}
 	if *cacheEntries > 0 {
 		cache := net.EnableResultCache(mcn.CacheOptions{Entries: *cacheEntries})

@@ -107,6 +107,22 @@ func BNL(items []vec.Costs) []int {
 	return window
 }
 
+// CheckBudget returns the error Within refuses budget with on a network of
+// d cost types, or nil: a caller that resolves Within's pruning index
+// before running it (a lazily built one) checks the budget first.
+func CheckBudget(budget vec.Costs, d int) error {
+	if len(budget) != d {
+		return fmt.Errorf("core: budget has %d components, network has %d", len(budget), d)
+	}
+	if err := budget.Validate(); err != nil {
+		return err
+	}
+	if !budget.Complete() {
+		return fmt.Errorf("core: budget must be fully specified")
+	}
+	return nil
+}
+
 // Within returns the facilities whose entire cost vector fits the budget
 // (cᵢ(p) ≤ budget[i] for every cost type) — the multi-cost range query the
 // paper notes NE supports. Each expansion stops as soon as its frontier
@@ -119,14 +135,8 @@ func BNL(items []vec.Costs) []int {
 // facility within budget pops at or below it, so the result set is
 // byte-identical to the unpruned run (the work Stats shrink).
 func Within(src expand.Source, loc graph.Location, budget vec.Costs, opt Options) (*Result, error) {
-	if len(budget) != src.D() {
-		return nil, fmt.Errorf("core: budget has %d components, network has %d", len(budget), src.D())
-	}
-	if err := budget.Validate(); err != nil {
+	if err := CheckBudget(budget, src.D()); err != nil {
 		return nil, err
-	}
-	if !budget.Complete() {
-		return nil, fmt.Errorf("core: budget must be fully specified")
 	}
 	sc := expand.Acquire(src)
 	defer sc.Release()

@@ -98,8 +98,9 @@ type Options struct {
 	// node they expand; a non-nil return aborts the query with that error.
 	// The engine layer wires per-query context cancellation and timeouts
 	// through it. It may be polled from several goroutines at once (a
-	// maintainer build runs its expansions concurrently on an in-memory
-	// source), so it must be cheap and safe for concurrent use.
+	// maintainer build runs its d passes concurrently on the flat source,
+	// and so does a within query's build of an in-memory network's pruning
+	// index), so it must be cheap and safe for concurrent use.
 	Interrupt func() error
 	// Bounds, when set, is the precomputed pruning index (internal/index):
 	// per-criterion lower bounds from every node to its nearest facility.

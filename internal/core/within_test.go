@@ -8,7 +8,6 @@ import (
 	"mcn/internal/flat"
 	"mcn/internal/gen"
 	"mcn/internal/graph"
-	"mcn/internal/index"
 	"mcn/internal/testsupport/testnet"
 	"mcn/internal/vec"
 )
@@ -97,7 +96,10 @@ func TestWithinBoundsCutExpansions(t *testing.T) {
 				t.Fatal(err)
 			}
 			fs := flat.Compile(inst.Graph)
-			bounds := fs.Bounds(index.FromGraph(inst.Graph))
+			bounds, err := fs.Index(inst.Graph, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			run := func(opt Options) (expanded, pruned int) {
 				for _, q := range inst.Queries {
 					probe, err := Nearest(fs, q, 0, 6, Options{})

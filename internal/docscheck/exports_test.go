@@ -478,6 +478,7 @@ var allowed = map[string]int{
 	"wire.MaxResponseFrame":   10,
 	"wire.ToFacilities":       10,
 
+	"index.FromGraph":                   14,
 	"mcn.Network.BaselineTopK":          14,
 	"mcn.Network.ResetIOStats":          14,
 	"rescache.EdgeTag":                  14,

@@ -40,10 +40,10 @@ func BenchmarkMaintainerInsert(b *testing.B) {
 }
 
 // BenchmarkMaintainerBuild: materialising a maintainer on the same sf25
-// shape and flat source as BenchmarkMaintainerInsert — d node-only
-// expansions, run concurrently because the source is zero-copy, then one
-// sweep of the facility records — with its allocs/op and bytes/op printed
-// by `make benchmem`.
+// shape and flat source as BenchmarkMaintainerInsert — d node-distance
+// passes over the source's heads column, run concurrently, then one sweep
+// of the facility records — with its allocs/op and bytes/op printed by
+// `make benchmem`.
 func BenchmarkMaintainerBuild(b *testing.B) {
 	inst, err := gen.MakeInstance(gen.InstanceConfig{Nodes: 43_750, Facilities: 25_000, D: 4, Queries: 1, Seed: 1})
 	if err != nil {

@@ -20,8 +20,8 @@ import (
 )
 
 // buildSources is every kind of source a maintainer is built over: the
-// reference adapter, the flat CSR path (whose expansions run concurrently)
-// and the disk store behind a small buffer pool.
+// reference adapter, the flat CSR path (whose node-distance passes run
+// concurrently) and the disk store behind a small buffer pool.
 func buildSources(t *testing.T, g *graph.Graph) map[string]expand.Source {
 	t.Helper()
 	dev, err := storage.BuildMem(g)
@@ -117,10 +117,63 @@ func TestBuildMatchesExpansions(t *testing.T) {
 	}
 }
 
-// Cancelling the context while the d expansions of a flat-source build run
+// A query location off its edge (T = -0.5, 1.5 or NaN) builds on the flat
+// and the disk source what it builds on the reference adapter, whose
+// node-only expansions refuse a negative or NaN seed key: the same error,
+// or, where no seed key is refused (T = -0.5 on a directed network seeds
+// only the edge's head, at a positive key), the same entries. No source
+// panics.
+func TestBuildOffEdgeLocation(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		inst := testnet.Generate(11, testnet.Shape{D: 2, Directed: directed, Nodes: 200, Continuous: true})
+		g := inst.G
+		e := graph.EdgeID(0)
+		for g.Edge(e).W[0] == 0 || g.Edge(e).W[1] == 0 {
+			e++
+		}
+		srcs := buildSources(t, g)
+		for _, at := range []float64{-0.5, 1.5, math.NaN()} {
+			loc := graph.Location{Edge: e, T: at}
+			ref, refErr := New(srcs["memory"], loc, core.Options{})
+			if refused := !(directed && at < 0); (refErr != nil) != refused {
+				t.Fatalf("directed %v, location %+v: the reference build returns %v", directed, loc, refErr)
+			}
+			for _, name := range []string{"flat", "disk"} {
+				where := fmt.Sprintf("directed %v, location %+v, %s", directed, loc, name)
+				m, err := New(srcs[name], loc, core.Options{})
+				if refErr != nil {
+					if err == nil || err.Error() != refErr.Error() {
+						t.Errorf("%s: error %v, the reference's is %v", where, err, refErr)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v, the reference builds", where, err)
+				}
+				if m.Len() != ref.Len() {
+					t.Fatalf("%s: %d entries, the reference has %d", where, m.Len(), ref.Len())
+				}
+				for h := Handle(0); h < Handle(g.NumFacilities()); h++ {
+					want, ok := ref.Entry(h)
+					if !ok {
+						continue
+					}
+					got, _ := m.Entry(h)
+					for i := range want.Costs {
+						if math.Float64bits(got.Costs[i]) != math.Float64bits(want.Costs[i]) {
+							t.Fatalf("%s: facility %d cost %d = %v, the reference's %v", where, h, i, got.Costs[i], want.Costs[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Cancelling the context while the d passes of a flat-source build run
 // concurrently must fail New with context.Canceled and leave none of their
 // goroutines behind. The Interrupt hook cancels on its 20th poll, once the
-// expansions have taken hundreds of steps between them.
+// passes have settled thousands of nodes between them.
 func TestBuildCancelStopsGoroutines(t *testing.T) {
 	inst, err := gen.MakeInstance(gen.InstanceConfig{Nodes: 4000, Facilities: 500, D: 4, Queries: 1, Seed: 11})
 	if err != nil {

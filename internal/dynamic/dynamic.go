@@ -2,12 +2,14 @@
 // incrementally maintaining the skyline and top-k sets of a fixed query
 // location while facilities are inserted and deleted.
 //
-// A Maintainer materialises its state once. d expansions from the query
+// A Maintainer materialises its state once. d passes from the query
 // location, one per cost type, settle every reachable node without reading
 // a facility record; they yield the location's distance to every node under
-// every cost type, and run concurrently on an in-memory source. One sweep of
-// the facility records then prices every initial facility on those
-// distances, with the arithmetic an expansion would use. Facility updates
+// every cost type. On the flat source each is one concurrent pass over its
+// heads column (expand.NodeDistancer); on any other source, a node-only
+// expansion, one after another. One sweep of the facility records then
+// prices every initial facility on those distances, with the arithmetic an
+// expansion would use. Facility updates
 // never change the network, so the distances stay exact for the
 // Maintainer's whole life. An insertion costs one edge lookup and O(d)
 // arithmetic on them; a deletion drops one entry. Neither traverses the
@@ -80,59 +82,62 @@ func New(src expand.Source, loc graph.Location, opt core.Options) (*Maintainer, 
 	return m, nil
 }
 
-// nodeDistances runs one node-only expansion from loc per cost type — every
-// facility record refused, so none is read — each polling opt.Interrupt
-// before every node it expands, and returns each one's node distances. On
-// a zero-copy source the d expansions run concurrently, each on its own
-// scratch; any other source runs them in turn, so that the order of its
-// record reads, and with it what a buffer pool keeps, does not depend on
-// scheduling.
-// Either way every expansion has ended when nodeDistances returns.
+// nodeDistances returns loc's distance to every node under every cost
+// type. A source that computes them on its own pass (expand.NodeDistancer,
+// the flat source) runs the d passes concurrently. Any other source runs
+// one node-only expansion per cost type in turn — every facility record
+// refused, so none is read — so that the order of its record reads, and
+// with it what a buffer pool keeps, does not depend on scheduling. Either
+// way opt.Interrupt is polled as the work goes, and every pass or
+// expansion has ended when nodeDistances returns.
 func nodeDistances(src expand.Source, loc graph.Location, opt core.Options) ([][]float64, error) {
 	dist := make([][]float64, src.D())
-	run := func(i int) error {
-		sc := expand.Acquire(src)
-		defer sc.Release()
-		x, err := expand.New(src, i, loc, sc, opt.Interrupt)
-		if err != nil {
-			return err
-		}
-		x.SetFilter(func(graph.EdgeID) bool { return false }, func(graph.FacilityID) bool { return false })
-		for {
-			ev, _, _, err := x.Step()
-			if err != nil {
-				return err
-			}
-			if ev == expand.EventExhausted {
-				dist[i] = x.Distances(nil)
-				return nil
-			}
-		}
-	}
-	if zc, ok := src.(expand.ZeroCopy); !ok || !zc.ZeroCopyRecords() {
+	if nd, ok := src.(expand.NodeDistancer); ok {
+		errs := make([]error, len(dist))
+		var wg sync.WaitGroup
 		for i := range dist {
-			if err := run(i); err != nil {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				dist[i], errs[i] = nd.NodeDistances(loc, i, nil, opt.Interrupt)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
 				return nil, err
 			}
 		}
 		return dist, nil
 	}
-	errs := make([]error, len(dist))
-	var wg sync.WaitGroup
 	for i := range dist {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = run(i)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+		var err error
+		if dist[i], err = expandNodes(src, loc, i, opt.Interrupt); err != nil {
 			return nil, err
 		}
 	}
 	return dist, nil
+}
+
+// expandNodes runs a node-only expansion from loc under cost type i to
+// exhaustion and returns its node distances.
+func expandNodes(src expand.Source, loc graph.Location, i int, interrupt func() error) ([]float64, error) {
+	sc := expand.Acquire(src)
+	defer sc.Release()
+	x, err := expand.New(src, i, loc, sc, interrupt)
+	if err != nil {
+		return nil, err
+	}
+	x.SetFilter(func(graph.EdgeID) bool { return false }, func(graph.FacilityID) bool { return false })
+	for {
+		ev, _, _, err := x.Step()
+		if err != nil {
+			return nil, err
+		}
+		if ev == expand.EventExhausted {
+			return x.Distances(nil), nil
+		}
+	}
 }
 
 // sweep builds the maintained entries from m.dist in one pass over the

@@ -160,9 +160,9 @@ type Executor struct {
 	// cache, when non-nil, memoizes completed results at the serving layer;
 	// see SetCache and internal/rescache.
 	cache *rescache.Cache
-	// bounds, when non-nil, is the lower-bound pruning index attached to
-	// every query whose options carry none; see SetBounds.
-	bounds expand.LowerBounder
+	// bounds, when non-nil, resolves the lower-bound pruning index that
+	// every within query whose options carry none runs with; see SetBounds.
+	bounds func(interrupt func() error) (expand.LowerBounder, error)
 
 	// Admission state. admitted counts queries past the shed check that have
 	// not yet released their worker slot (queued + running); inflight counts
@@ -195,12 +195,19 @@ func New(src expand.Source, cfg Config) *Executor {
 // Workers returns the configured parallelism bound.
 func (e *Executor) Workers() int { return e.cfg.Workers }
 
-// SetBounds attaches the lower-bound pruning index: every query whose
-// options carry no Bounds of their own runs with it. Attach before queries
-// start, like SetCache; it must not race in-flight queries. The bounds must
-// be admissible for the executor's source — built from the same graph and
-// facility set.
-func (e *Executor) SetBounds(lb expand.LowerBounder) { e.bounds = lb }
+// SetBounds attaches the lower-bound pruning index, which only within
+// queries read: each within query whose options carry no Bounds of their
+// own and whose budget is valid calls bounds once, as it starts to run,
+// with the query's interrupt, and runs with what it returns (nil: no
+// pruning). An error it returns fails the query. No other query kind, and
+// no cache hit, calls it, so bounds may build the index on its first call,
+// polling interrupt as it goes (an in-memory network's does); it must be
+// safe for concurrent use. Attach before queries start, like SetCache; it
+// must not race in-flight queries. The bounds must be admissible for the
+// executor's source — built from the same graph and facility set.
+func (e *Executor) SetBounds(bounds func(interrupt func() error) (expand.LowerBounder, error)) {
+	e.bounds = bounds
+}
 
 // admit performs admission control and acquires a worker slot: it rejects
 // with ErrDraining once StartDrain has been called, with ErrOverloaded when
@@ -412,16 +419,12 @@ func (e *Executor) envelope(ctx context.Context, req Request, body func(context.
 	return resp
 }
 
-// query is Do's body: it attaches the executor's pruning index and ctx to the
-// request's options and runs it against the executor's source, through the
-// result cache (a nil one runs it directly). Its entries carry no tags: the
-// source never changes, so no Invalidate can make one stale.
+// query is Do's body: it binds ctx to the request's options and runs it
+// against the executor's source, through the result cache (a nil one runs
+// it directly). Its entries carry no tags: the source never changes, so no
+// Invalidate can make one stale.
 func (e *Executor) query(ctx context.Context, req Request) (*core.Result, bool, error) {
-	opts := req.Opts
-	if opts.Bounds == nil {
-		opts.Bounds = e.bounds
-	}
-	opts = opts.BindContext(ctx)
+	opts := req.Opts.BindContext(ctx)
 	spec := rescache.KeySpec{Kind: cacheKind(req.Kind), Interval: -1, Agg: req.Agg, K: req.K, CostIdx: req.CostIdx, Budget: req.Budget}
 	return e.cache.Query(ctx, spec, req.Loc, opts,
 		func() (*core.Result, error) { return e.execute(req, opts) }, nil)
@@ -438,6 +441,15 @@ func (e *Executor) execute(req Request, opts core.Options) (*core.Result, error)
 	case Nearest:
 		return core.Nearest(src, req.Loc, req.CostIdx, req.K, opts)
 	case Within:
+		if opts.Bounds == nil && e.bounds != nil {
+			if err := core.CheckBudget(req.Budget, src.D()); err != nil {
+				return nil, err
+			}
+			var err error
+			if opts.Bounds, err = e.bounds(opts.Interrupt); err != nil {
+				return nil, err
+			}
+		}
 		return core.Within(src, req.Loc, req.Budget, opts)
 	case MultiSourceSkyline:
 		return core.MultiSourceSkyline(src, req.CostIdx, req.Locs, opts)

@@ -46,6 +46,19 @@ type EdgeCoster interface {
 	EdgeCost(e graph.EdgeID, costIdx int) float64
 }
 
+// NodeDistancer is implemented by sources that compute a location's
+// distance to every node under one cost type on a dedicated pass, without
+// the facility records and queue of an Expansion (the flat source, over its
+// heads column). NodeDistances writes into dst (reusing its backing array
+// when large enough) and returns what, indexed by NodeID, an exhausted
+// node-only expansion from loc under costIdx would return from Distances:
+// the same bits, +Inf where loc does not reach. interrupt, when not nil, is
+// polled before the query edge is read and periodically during the pass;
+// its error ends the call. Calls may run concurrently.
+type NodeDistancer interface {
+	NodeDistances(loc graph.Location, costIdx int, dst []float64, interrupt func() error) ([]float64, error)
+}
+
 // costerOf returns the EdgeCoster behind src, unwrapping the per-query
 // sharing layer (a SharedSource memoises records but must not hide the cost
 // overlay of the source it wraps). Nil when costs live in the records.

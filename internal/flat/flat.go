@@ -24,13 +24,20 @@
 // row's costs sit next to it rather than behind pointers into the graph's
 // edges. Edge and facility ids are the graph's. The numbering shows in no
 // answer and no work counter (expand's heap ties nodes by push order, not
-// by id), but a pruning index must be in it: build one with Source.Bounds.
+// by id), but a pruning index must be in it: build one with Source.Index.
+//
+// Beside the rows, Compile keeps each arc's head node in a column of its
+// own (4 bytes an arc), so that a pass that needs nothing else of a row —
+// the maintainer's node distances, the pruning index — streams it with the
+// cost slab instead of the 56-byte AdjEntry rows.
 //
 // flat.Source additionally implements expand.Sized (declared id spaces, so
-// a query's Dijkstra state is allocated at full size up front) and
+// a query's Dijkstra state is allocated at full size up front),
 // expand.ZeroCopy (records are free to re-fetch, so CEA's per-query record
 // memo is skipped — LSA and CEA are identical over a flat source, as the
-// sharing CEA exists to provide costs nothing here).
+// sharing CEA exists to provide costs nothing here) and
+// expand.NodeDistancer (a location's distance to every node, on one
+// index.Pass over the heads column).
 //
 // Deliberately, flat.Source does not count accesses: atomic counters on the
 // hot path would bounce one cache line between every worker of a concurrent
@@ -39,6 +46,7 @@ package flat
 
 import (
 	"fmt"
+	"slices"
 
 	"mcn/internal/graph"
 	"mcn/internal/index"
@@ -53,6 +61,8 @@ type Source struct {
 
 	adjOff  []int32          // len nodes+1; CSR offsets into adjRows
 	adjRows []graph.AdjEntry // prebuilt adjacency entries, grouped by tail node
+	heads   []graph.NodeID   // heads[j] is adjRows[j].Neighbor
+	costs   []float64        // adjRows[j].W is costs[j*d : (j+1)*d]
 	facOff  []int32          // len edges+1; CSR offsets into facRows
 	facRows []graph.FacEntry // facility entries grouped by edge, sorted by T
 	edges   []graph.EdgeInfo // resolved edge records
@@ -103,15 +113,17 @@ func Compile(g *graph.Graph) *Source {
 	for v := 0; v < n; v++ {
 		totalArcs += g.Degree(graph.NodeID(v))
 	}
-	s.adjRows = make([]graph.AdjEntry, 0, totalArcs)
+	rows := make([]graph.AdjEntry, 0, totalArcs)
+	heads := make([]graph.NodeID, 0, totalArcs)
 	costs := make([]float64, 0, totalArcs*d)
 	for r, v := range order {
-		s.adjOff[r] = int32(len(s.adjRows))
+		s.adjOff[r] = int32(len(rows))
 		for _, a := range g.Arcs(v) {
 			ref, count := facRef(g, a.Edge)
 			at := len(costs)
 			costs = append(costs, g.Edge(a.Edge).W...)
-			s.adjRows = append(s.adjRows, graph.AdjEntry{
+			heads = append(heads, s.rank[a.Neighbor])
+			rows = append(rows, graph.AdjEntry{
 				Neighbor: s.rank[a.Neighbor],
 				Edge:     a.Edge,
 				Forward:  a.Forward,
@@ -121,7 +133,8 @@ func Compile(g *graph.Graph) *Source {
 			})
 		}
 	}
-	s.adjOff[n] = int32(len(s.adjRows))
+	s.adjOff[n] = int32(len(rows))
+	s.adjRows, s.heads, s.costs = rows, heads, costs
 
 	for i := 0; i < p; i++ {
 		s.facEdge[i] = g.Facility(graph.FacilityID(i)).Edge
@@ -129,10 +142,71 @@ func Compile(g *graph.Graph) *Source {
 	return s
 }
 
-// Bounds returns b, a pruning index built over the compiled graph's node ids
-// (index.FromGraph, index.FromCosts), renumbered into s's: the only form an
-// expansion over s, or over a View of it, may consult.
-func (s *Source) Bounds(b *index.Bounds) *index.Bounds { return b.Renumbered(s.rank) }
+// Index builds the pruning index of g, the graph s was compiled from, under
+// cost (index.FromCosts; nil: g's edge costs), in s's numbering: the only
+// form an expansion over s, or over a View of it, may consult. Its passes
+// run in that numbering too, polling interrupt (when not nil) as they go;
+// an error it returns ends the build.
+func (s *Source) Index(g *graph.Graph, cost func(e graph.EdgeID, costIdx int) float64, interrupt func() error) (*index.Bounds, error) {
+	return index.FromCosts(g, s.rank, cost, interrupt)
+}
+
+// NodeDistances implements expand.NodeDistancer: one forward pass from loc
+// under cost type costIdx over the heads column, its weights gathered from
+// the cost slab, on pooled index.Pass scratch. It seeds the query edge's
+// end-nodes as expand.New does and adds in the same order, so each
+// distance has the bits a node-only expansion's Distances would report.
+// interrupt, when not nil, is polled before the query edge is read and
+// then every few hundred settled nodes. A location whose seed key is
+// negative or NaN (T outside [0, 1], or NaN) is refused wherever the
+// expansion refuses it, with the same error.
+func (s *Source) NodeDistances(loc graph.Location, costIdx int, dst []float64, interrupt func() error) ([]float64, error) {
+	if interrupt != nil {
+		if err := interrupt(); err != nil {
+			return nil, err
+		}
+	}
+	info, err := s.EdgeInfo(loc.Edge)
+	if err != nil {
+		return nil, err
+	}
+	c := info.W[costIdx]
+	kv, ku := (1-loc.T)*c, loc.T*c
+	if err := seedKey(kv); err != nil {
+		return nil, err
+	}
+	if !s.directed {
+		if err := seedKey(ku); err != nil {
+			return nil, err
+		}
+	}
+	p := index.AcquirePass()
+	defer p.Release()
+	w := p.Weights(len(s.heads))
+	for j := range w {
+		w[j] = s.costs[j*s.d+costIdx]
+	}
+	n := s.NumNodes()
+	dst = slices.Grow(dst[:0], n)[:n]
+	p.Start(dst)
+	p.Seed(info.V, kv)
+	if !s.directed {
+		p.Seed(info.U, ku)
+	}
+	if err := p.Run(s.adjOff, s.heads, w, interrupt); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// seedKey refuses the seed keys an expansion's queue refuses, negative or
+// NaN, with its error.
+func seedKey(key float64) error {
+	if key >= 0 {
+		return nil
+	}
+	return fmt.Errorf("expand: key %v pushed below the queue's floor 0", key)
+}
 
 // facRef matches testnet.MemorySource's record-reference convention: the
 // edge id itself, or NoFacRef for facility-free edges.

@@ -1,12 +1,17 @@
 // Package index holds the precomputed pruning index: per-criterion
 // lower-bound vectors from every network node to its nearest facility,
 // in the spirit of ParetoPrep's backward preparation pass. The bounds are
-// computed once — at graph compile time (mcn.FromGraph), database build time
-// (storage.Build, persisted in the database) or overlay compile time (one set
-// for every elementary interval) — and consulted by the expansion layer as an
-// admissible node-discard prune: a popped node label whose cost plus lower
-// bound provably cannot contribute a result facility is dropped before its
-// adjacency record is read.
+// computed once — by an in-memory network's first within query
+// (mcn.FromGraph), at database build time (storage.Build, persisted in the
+// database) or by a time-dependent version's first within query (one set
+// for every elementary interval) — and consulted by the expansion layer as
+// an admissible node-discard prune: a popped node label whose cost plus
+// lower bound provably cannot contribute a result facility is dropped
+// before its adjacency record is read.
+//
+// The passes run on Pass, a multi-source Dijkstra over a CSR with a weight
+// column, which a flat source also runs forward for the maintainer's node
+// distances (flat.Source.NodeDistances).
 //
 // Admissibility: Bounds.LowerBound(i, v) ≤ dᵢ(v → p) for every facility p,
 // where dᵢ is the network shortest distance under cost type i, so
@@ -60,168 +65,267 @@ type Bounds struct {
 	buildDur time.Duration
 }
 
-// FromGraph computes the index for g's base edge costs.
+// FromGraph computes the index for g's base edge costs, in g's node
+// numbering.
 func FromGraph(g *graph.Graph) *Bounds {
-	return FromCosts(g, func(e graph.EdgeID, costIdx int) float64 {
-		return g.Edge(e).W[costIdx]
-	})
+	b, _ := FromCosts(g, nil, nil, nil) // fails only through an interrupt
+	return b
 }
 
-// FromCosts computes the index for g's topology under an alternative cost
-// assignment (the timedep overlay's lowest cost at any instant). cost must
-// return a non-negative weight for every (edge, criterion) pair, and must be
-// safe for concurrent calls: the d backward passes run on up to GOMAXPROCS
-// goroutines. Each pass owns its scratch and writes only its criterion's
-// slice of the table, so the result is the same as one goroutine's.
-func FromCosts(g *graph.Graph, cost func(e graph.EdgeID, costIdx int) float64) *Bounds {
+// FromCosts computes the index for g's topology under a cost assignment:
+// cost(e, i) is edge e's weight under criterion i (nil: g's own edge costs;
+// the timedep overlay passes each edge's lowest cost at any instant). The
+// table is in the numbering rank gives, node v's bounds at rank[v] (nil:
+// g's own ids), and the passes run in it: a flat source's or a database's
+// locality order puts a node's in-arcs and its neighbours' distances near
+// each other, which a build in graph order does not.
+//
+// cost must return a non-negative weight for every (edge, criterion) pair,
+// and must be safe for concurrent calls: the d backward passes run on up to
+// GOMAXPROCS goroutines. Each pass runs on pooled scratch (see Pass) and
+// writes only its criterion's slice of the table, so the result is the
+// same as one goroutine's, and the same in every numbering.
+//
+// interrupt, when not nil, is polled before the build starts, before each
+// pass and then as the pass runs (see Pass.Run), from all of the build's
+// goroutines at once; an error it returns ends the build, which then
+// returns that error and no table.
+func FromCosts(g *graph.Graph, rank []graph.NodeID, cost func(e graph.EdgeID, costIdx int) float64, interrupt func() error) (*Bounds, error) {
 	start := time.Now()
+	if interrupt != nil {
+		if err := interrupt(); err != nil {
+			return nil, err
+		}
+	}
+	if cost == nil {
+		cost = func(e graph.EdgeID, i int) float64 { return g.Edge(e).W[i] }
+	}
+	if rank == nil {
+		rank = make([]graph.NodeID, g.NumNodes())
+		for v := range rank {
+			rank[v] = graph.NodeID(v)
+		}
+	}
 	d, n := g.D(), g.NumNodes()
 	b := &Bounds{d: d, numNodes: n, data: make([]float64, d*n)}
-	r := reverseArcs(g)
+	r := reverseArcs(g, rank)
 	workers := min(d, runtime.GOMAXPROCS(0))
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := passScratch{w: make([]float64, g.NumEdges())}
-			for i := w; i < d; i += workers {
-				r.backward(g, i, b.data[i*n:(i+1)*n], &s, cost)
+			p := AcquirePass()
+			defer p.Release()
+			for i := w; i < d && errs[w] == nil; i += workers {
+				errs[w] = r.backward(g, rank, i, b.data[i*n:(i+1)*n], p, cost, interrupt)
 			}
 		}()
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	b.buildDur = time.Since(start)
-	return b
+	return b, nil
 }
 
-// rarc is one reversed arc: the backward pass reaches to over edge.
-type rarc struct {
-	to   graph.NodeID
-	edge graph.EdgeID
-}
-
-// reversed is a graph's reversed arc set in CSR form: the arcs into node v
-// are arcs[off[v]:off[v+1]].
+// reversed is a graph's reversed arc set in CSR form, in some numbering:
+// the arcs into node v come from heads[off[v]:off[v+1]], over the edges
+// at the same positions of edges.
 type reversed struct {
-	off  []int32
-	arcs []rarc
+	off   []int32
+	heads []graph.NodeID
+	edges []graph.EdgeID
 }
 
-// reverseArcs builds the reversed arc set shared by every criterion's pass.
-func reverseArcs(g *graph.Graph) reversed {
+// reverseArcs builds the reversed arc set shared by every criterion's pass,
+// node v numbered rank[v].
+func reverseArcs(g *graph.Graph, rank []graph.NodeID) reversed {
 	n := g.NumNodes()
 
 	// One reverse arc per traversable direction. Undirected edges are
 	// traversable both ways, so the reversed arc set equals the forward one;
 	// either way a single O(E) sweep over the edge list builds it without
 	// consulting g.Arcs.
-	deg := make([]int32, n+1)
-	for e := 0; e < g.NumEdges(); e++ {
-		ed := g.Edge(graph.EdgeID(e))
-		deg[ed.V]++ // forward arc U→V reversed lands on V
-		if !g.Directed() {
-			deg[ed.U]++
-		}
-	}
 	off := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + deg[v]
-	}
-	arcs := make([]rarc, off[n])
-	fill := make([]int32, n)
 	for e := 0; e < g.NumEdges(); e++ {
 		ed := g.Edge(graph.EdgeID(e))
-		arcs[off[ed.V]+fill[ed.V]] = rarc{to: ed.U, edge: graph.EdgeID(e)}
-		fill[ed.V]++
+		off[rank[ed.V]+1]++ // forward arc U→V reversed lands on V
 		if !g.Directed() {
-			arcs[off[ed.U]+fill[ed.U]] = rarc{to: ed.V, edge: graph.EdgeID(e)}
-			fill[ed.U]++
+			off[rank[ed.U]+1]++
 		}
 	}
-	return reversed{off: off, arcs: arcs}
-}
-
-// passScratch is what one goroutine's backward passes reuse: the pass's
-// per-edge costs, its frontier and the seeds' sort buffer.
-type passScratch struct {
-	w   []float64
-	f   frontier
-	tmp []boundItem
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	r := reversed{off: off, heads: make([]graph.NodeID, off[n]), edges: make([]graph.EdgeID, off[n])}
+	fill := slices.Clone(off[:n])
+	add := func(to, from graph.NodeID, e graph.EdgeID) {
+		r.heads[fill[to]], r.edges[fill[to]] = from, e
+		fill[to]++
+	}
+	for e := 0; e < g.NumEdges(); e++ {
+		ed := g.Edge(graph.EdgeID(e))
+		u, v := rank[ed.U], rank[ed.V]
+		add(v, u, graph.EdgeID(e))
+		if !g.Directed() {
+			add(u, v, graph.EdgeID(e))
+		}
+	}
+	return r
 }
 
 // backward fills dist with every node's distance to its nearest facility
-// under criterion i: a multi-source Dijkstra over the reversed arcs.
-//
-// The pass calls cost once per edge, into s.w, and relaxes from that array.
-// The facility entry points seed dist directly; the seeded nodes, sorted by
-// key once, are merged with a radix heap that holds only the relaxation
-// frontier (see frontier). A node still settles at the least sum
-// over its paths to a facility, each sum added in path order, so the table
-// is bit-identical to one built by pushing every seed into a binary heap and
-// calling cost per relaxation: float addition is monotone, so the order in
-// which nodes of equal key settle changes no minimum.
-func (r reversed) backward(g *graph.Graph, i int, dist []float64, s *passScratch, cost func(e graph.EdgeID, costIdx int) float64) {
-	w := s.w
-	for e := range w {
-		w[e] = cost(graph.EdgeID(e), i)
+// under criterion i: a multi-source Dijkstra over the reversed arcs, seeded
+// at the facility entry points. A facility at fraction T of edge (U,V) is
+// reached from U by traversing T·w forward; in an undirected network also
+// from V by traversing (1−T)·w backward. It fails only through interrupt,
+// which it polls before it seeds and then as Run settles nodes.
+func (r reversed) backward(g *graph.Graph, rank []graph.NodeID, i int, dist []float64, p *Pass, cost func(e graph.EdgeID, costIdx int) float64, interrupt func() error) error {
+	if interrupt != nil {
+		if err := interrupt(); err != nil {
+			return err
+		}
 	}
-	s.seed(g, dist)
+	return p.Run(r.off, r.heads, r.seed(g, rank, i, dist, p, cost), interrupt)
+}
 
-	// Settle nodes in increasing distance to their nearest facility,
-	// relaxing along reversed arcs.
-	f := &s.f
-	for {
+// seed starts backward's pass on p and returns its weight column: cost is
+// called once per edge, in edge order, and the arcs' weights are gathered
+// from those.
+func (r reversed) seed(g *graph.Graph, rank []graph.NodeID, i int, dist []float64, p *Pass, cost func(e graph.EdgeID, costIdx int) float64) []float64 {
+	p.edgeW = slices.Grow(p.edgeW[:0], g.NumEdges())[:g.NumEdges()]
+	ew := p.edgeW
+	for e := range ew {
+		ew[e] = cost(graph.EdgeID(e), i)
+	}
+	w := p.Weights(len(r.edges))
+	for j, e := range r.edges {
+		w[j] = ew[e]
+	}
+	p.Start(dist)
+	for q := 0; q < g.NumFacilities(); q++ {
+		fac := g.Facility(graph.FacilityID(q))
+		ed := g.Edge(fac.Edge)
+		c := ew[fac.Edge]
+		p.Seed(rank[ed.U], fac.T*c)
+		if !g.Directed() {
+			p.Seed(rank[ed.V], (1-fac.T)*c)
+		}
+	}
+	return w
+}
+
+// Pass is the scratch of node-distance passes — multi-source Dijkstras
+// over a CSR with a weight per arc (see Run) — kept from pass to pass and
+// call to call: the weight column, the seeds and their sort buffer, and the
+// frontier's buckets. The pruning index's backward passes and a flat
+// source's forward ones (the maintainer's node distances) both run on it.
+// Take one with AcquirePass and give it back with Release; a Pass serves
+// one goroutine at a time.
+type Pass struct {
+	w     []float64
+	edgeW []float64 // a backward pass's weights by edge id
+	dist  []float64
+	seeds []boundItem
+	tmp   []boundItem
+	f     frontier
+}
+
+var passes = sync.Pool{New: func() any { return new(Pass) }}
+
+// AcquirePass returns a pass from the pool.
+func AcquirePass() *Pass { return passes.Get().(*Pass) }
+
+// Release returns p to the pool; the caller must not use it again.
+func (p *Pass) Release() {
+	p.dist = nil
+	passes.Put(p)
+}
+
+// Weights returns the pass's weight column, m entries long, for the caller
+// to fill before Run: its contents are left over from earlier passes.
+func (p *Pass) Weights(m int) []float64 {
+	p.w = slices.Grow(p.w[:0], m)[:m]
+	return p.w
+}
+
+// Start begins a pass that writes dist, one entry per node of the CSR Run
+// will be given: every node at +Inf, and no seed yet.
+func (p *Pass) Start(dist []float64) {
+	for v := range dist {
+		dist[v] = math.Inf(1)
+	}
+	p.dist, p.seeds = dist, p.seeds[:0]
+}
+
+// Seed offers node v at distance key; the pass starts from the least key
+// offered for each node. A node enters the seed list once, when first
+// seeded; its key is read back when Run sorts the seeds.
+func (p *Pass) Seed(v graph.NodeID, key float64) {
+	if key < p.dist[v] {
+		if math.IsInf(p.dist[v], 1) {
+			p.seeds = append(p.seeds, boundItem{node: v})
+		}
+		p.dist[v] = key
+	}
+}
+
+// load sorts the seeds by their keys and loads them into the frontier.
+func (p *Pass) load() {
+	seeds := p.seeds
+	for j := range seeds {
+		seeds[j].key = p.dist[seeds[j].node]
+	}
+	p.seeds, p.tmp = sortByKey(seeds, slices.Grow(p.tmp[:0], len(seeds))[:len(seeds)])
+	p.f.reset(p.seeds)
+}
+
+// pollEvery is how many nodes a pass settles between interrupt polls: a
+// few microseconds of work, so a cancelled pass stops promptly, at a
+// negligible cost per node.
+const pollEvery = 256
+
+// Run settles every node the seeds reach over the arcs of a CSR, whose node
+// v's arcs lead to heads[off[v]:off[v+1]] at the weights at the same
+// positions of w, and leaves each node's distance in Start's dist: the
+// least sum over its paths from a seed, each sum added in path order, +Inf
+// where no seed reaches. interrupt, when not nil, is polled every pollEvery
+// settled nodes, and its error ends the pass.
+//
+// The seeded nodes, sorted by key once, are merged with a radix heap that
+// holds only the relaxation frontier (see frontier). A node settles at the
+// least sum over its paths whatever order nodes of equal key pop in, since
+// float addition is monotone, so the distances are bit-identical to those
+// of a Dijkstra that pushes every seed into a binary heap — or of a forward
+// expand.Expansion from the same seeds.
+func (p *Pass) Run(off []int32, heads []graph.NodeID, w []float64, interrupt func() error) error {
+	p.load()
+	dist, f := p.dist, &p.f
+	for settled := 0; ; {
 		it, ok := f.pop()
 		if !ok {
-			return
+			return nil
 		}
 		if it.key > dist[it.node] {
 			continue // superseded entry
 		}
-		a := r.arcs[r.off[it.node]:r.off[it.node+1]]
-		for j := range a {
-			if key := it.key + w[a[j].edge]; key < dist[a[j].to] {
-				dist[a[j].to] = key
-				f.push(boundItem{key: key, node: a[j].to})
+		if settled++; settled%pollEvery == 0 && interrupt != nil {
+			if err := interrupt(); err != nil {
+				return err
+			}
+		}
+		for j := off[it.node]; j < off[it.node+1]; j++ {
+			if key := it.key + w[j]; key < dist[heads[j]] {
+				dist[heads[j]] = key
+				f.push(boundItem{key: key, node: heads[j]})
 			}
 		}
 	}
-}
-
-// seed starts a pass over the edge costs in s.w: dist is +Inf but at the
-// facility entry points, and the frontier holds those, sorted by key. A
-// facility at fraction T of edge (U,V) is reached from U by traversing T·w
-// forward; in an undirected network also from V by traversing (1−T)·w
-// backward. A node enters the seed list once, when first seeded; its key is
-// read back after all seeds are in.
-func (s *passScratch) seed(g *graph.Graph, dist []float64) {
-	for v := range dist {
-		dist[v] = math.Inf(1)
-	}
-	seeds := s.f.seeds[:0]
-	seed := func(v graph.NodeID, key float64) {
-		if key < dist[v] {
-			if math.IsInf(dist[v], 1) {
-				seeds = append(seeds, boundItem{node: v})
-			}
-			dist[v] = key
-		}
-	}
-	for p := 0; p < g.NumFacilities(); p++ {
-		fac := g.Facility(graph.FacilityID(p))
-		ed := g.Edge(fac.Edge)
-		c := s.w[fac.Edge]
-		seed(ed.U, fac.T*c)
-		if !g.Directed() {
-			seed(ed.V, (1-fac.T)*c)
-		}
-	}
-	for j := range seeds {
-		seeds[j].key = dist[seeds[j].node]
-	}
-	seeds, s.tmp = sortByKey(seeds, slices.Grow(s.tmp[:0], len(seeds))[:len(seeds)])
-	s.f.reset(seeds)
 }
 
 // FromData rehydrates a persisted bounds table (see storage.Build). data is
@@ -231,19 +335,6 @@ func FromData(d, numNodes int, data []float64) (*Bounds, error) {
 		return nil, fmt.Errorf("index: bounds table has %d values, want %d criteria × %d nodes", len(data), d, numNodes)
 	}
 	return &Bounds{d: d, numNodes: numNodes, data: data}, nil
-}
-
-// Renumbered returns b under another numbering of the same nodes: node v's
-// bounds move to node rank[v].
-func (b *Bounds) Renumbered(rank []graph.NodeID) *Bounds {
-	out := &Bounds{d: b.d, numNodes: b.numNodes, data: make([]float64, len(b.data)), buildDur: b.buildDur}
-	for i := 0; i < b.d; i++ {
-		from, to := b.data[i*b.numNodes:(i+1)*b.numNodes], out.data[i*b.numNodes:(i+1)*b.numNodes]
-		for v, r := range rank {
-			to[r] = from[v]
-		}
-	}
-	return out
 }
 
 // LowerBound implements expand.LowerBounder: the exact distance from v to

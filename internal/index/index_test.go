@@ -1,9 +1,12 @@
 package index
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"mcn/internal/gen"
@@ -176,11 +179,47 @@ func (r reversed) referenceBackward(g *graph.Graph, i int, dist []float64, h *bo
 		if it.key > dist[it.node] {
 			continue // superseded entry
 		}
-		a := r.arcs[r.off[it.node]:r.off[it.node+1]]
-		for j := range a {
-			relax(a[j].to, it.key+cost(a[j].edge, i))
+		for j := r.off[it.node]; j < r.off[it.node+1]; j++ {
+			relax(r.heads[j], it.key+cost(r.edges[j], i))
 		}
 	}
+}
+
+// fromCosts is FromCosts without an interrupt, which cannot fail.
+func fromCosts(t *testing.T, g *graph.Graph, rank []graph.NodeID, cost func(e graph.EdgeID, costIdx int) float64) *Bounds {
+	t.Helper()
+	b, err := FromCosts(g, rank, cost, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// identity is the numbering of n nodes by their own ids.
+func identity(n int) []graph.NodeID {
+	rank := make([]graph.NodeID, n)
+	for v := range rank {
+		rank[v] = graph.NodeID(v)
+	}
+	return rank
+}
+
+// shuffled is a fixed random numbering of n nodes.
+func shuffled(n int) []graph.NodeID {
+	rank := identity(n)
+	rand.New(rand.NewSource(int64(n))).Shuffle(n, func(i, j int) { rank[i], rank[j] = rank[j], rank[i] })
+	return rank
+}
+
+// unranked returns b, numbered by rank, back in the graph's own numbering.
+func unranked(b *Bounds, rank []graph.NodeID) *Bounds {
+	out := &Bounds{d: b.d, numNodes: b.numNodes, data: make([]float64, len(b.data))}
+	for i := 0; i < b.d; i++ {
+		for v, r := range rank {
+			out.data[i*b.numNodes+v] = b.data[i*b.numNodes+int(r)]
+		}
+	}
+	return out
 }
 
 // boundHeap is the binary min-heap of the reference pass.
@@ -228,7 +267,7 @@ func (h *boundHeap) pop() boundItem {
 func referenceBounds(g *graph.Graph, cost func(e graph.EdgeID, costIdx int) float64) []float64 {
 	n := g.NumNodes()
 	data := make([]float64, g.D()*n)
-	r := reverseArcs(g)
+	r := reverseArcs(g, identity(n))
 	var h boundHeap
 	for i := 0; i < g.D(); i++ {
 		r.referenceBackward(g, i, data[i*n:(i+1)*n], &h, cost)
@@ -323,7 +362,8 @@ func TestBoundsMatchReferenceBitForBit(t *testing.T) {
 				want []float64
 			}{
 				{"FromGraph", FromGraph(g), referenceBounds(g, base)},
-				{"FromCosts", FromCosts(g, scaled), referenceBounds(g, scaled)},
+				{"FromCosts", fromCosts(t, g, nil, scaled), referenceBounds(g, scaled)},
+				{"FromCosts/ranked", unranked(fromCosts(t, g, shuffled(g.NumNodes()), scaled), shuffled(g.NumNodes())), referenceBounds(g, scaled)},
 			} {
 				got := tc.got.Data()
 				if len(got) != len(tc.want) {
@@ -362,19 +402,18 @@ func TestFrontierPopsInOrder(t *testing.T) {
 	}
 	graphs = append(graphs, hardInstance(1, 3, false), hardInstance(2, 3, true))
 	for gi, g := range graphs {
-		r := reverseArcs(g)
-		s := passScratch{w: make([]float64, g.NumEdges())}
 		n := g.NumNodes()
+		rank := identity(n)
+		r := reverseArcs(g, rank)
+		var p Pass
 		want := FromGraph(g).Data()
 		for i := 0; i < g.D(); i++ {
-			for e := range s.w {
-				s.w[e] = g.Edge(graph.EdgeID(e)).W[i]
-			}
 			dist := make([]float64, n)
-			s.seed(g, dist)
+			w := r.seed(g, rank, i, dist, &p, func(e graph.EdgeID, i int) float64 { return g.Edge(e).W[i] })
+			p.load()
 			pops, late, last := 0, 0, math.Inf(-1)
 			for {
-				it, ok := s.f.pop()
+				it, ok := p.f.pop()
 				if !ok {
 					break
 				}
@@ -386,11 +425,10 @@ func TestFrontierPopsInOrder(t *testing.T) {
 				if it.key > dist[it.node] {
 					continue
 				}
-				a := r.arcs[r.off[it.node]:r.off[it.node+1]]
-				for j := range a {
-					if key := it.key + s.w[a[j].edge]; key < dist[a[j].to] {
-						dist[a[j].to] = key
-						s.f.push(boundItem{key: key, node: a[j].to})
+				for j := r.off[it.node]; j < r.off[it.node+1]; j++ {
+					if key := it.key + w[j]; key < dist[r.heads[j]] {
+						dist[r.heads[j]] = key
+						p.f.push(boundItem{key: key, node: r.heads[j]})
 					}
 				}
 			}
@@ -407,6 +445,42 @@ func TestFrontierPopsInOrder(t *testing.T) {
 }
 
 // FromData accepts exactly a d × numNodes table and round-trips Data.
+// A build polls its interrupt before it starts and then as its passes
+// settle nodes, from every worker: an error ends it, returned with no
+// table, whether it comes at the first poll or part way through the
+// passes. A build whose interrupt never fails builds FromGraph's table.
+func TestFromCostsInterrupt(t *testing.T) {
+	inst, err := gen.MakeInstance(gen.InstanceConfig{Nodes: 4000, Facilities: 500, D: 2, Queries: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := inst.Graph
+	stop := errors.New("stop")
+	for _, after := range []int32{1, 2, 5} {
+		var polls atomic.Int32
+		b, err := FromCosts(g, nil, nil, func() error {
+			if polls.Add(1) >= after {
+				return stop
+			}
+			return nil
+		})
+		if b != nil || !errors.Is(err, stop) {
+			t.Errorf("interrupt failing from poll %d: table %v, err %v", after, b != nil, err)
+		}
+	}
+	var polls atomic.Int32
+	b, err := FromCosts(g, nil, nil, func() error { polls.Add(1); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if polls.Load() < 5 {
+		t.Errorf("a build over %d nodes polled its interrupt %d times", g.NumNodes(), polls.Load())
+	}
+	if !slices.Equal(b.Data(), FromGraph(g).Data()) {
+		t.Error("a build with an interrupt differs from FromGraph's")
+	}
+}
+
 func TestFromDataArity(t *testing.T) {
 	g := randomInstance(3, false)
 	b := FromGraph(g)
@@ -430,15 +504,24 @@ func TestFromDataArity(t *testing.T) {
 
 // BenchmarkIndexFromGraph is the pruning index's build on the sf25 network
 // (43 750 nodes, 25 000 facilities, d = 4, the benchmark's disk_paper
-// instance): the d backward passes on up to GOMAXPROCS goroutines.
+// instance) and on the paper's scale 1.0 (173 977 nodes, 100 000
+// facilities): the d backward passes on up to GOMAXPROCS goroutines, in
+// the graph's numbering.
 func BenchmarkIndexFromGraph(b *testing.B) {
-	inst, err := gen.MakeInstance(gen.InstanceConfig{Nodes: 43_750, Facilities: 25_000, D: 4, Seed: 1, Queries: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FromGraph(inst.Graph)
+	for _, sc := range []struct {
+		name              string
+		nodes, facilities int
+	}{{"sf25", 43_750, 25_000}, {"scale1", 173_977, 100_000}} {
+		b.Run(sc.name, func(b *testing.B) {
+			inst, err := gen.MakeInstance(gen.InstanceConfig{Nodes: sc.nodes, Facilities: sc.facilities, D: 4, Seed: 1, Queries: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				FromGraph(inst.Graph)
+			}
+		})
 	}
 }

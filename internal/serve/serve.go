@@ -257,9 +257,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"admission": s.exec.AdmissionStats(),
 	}
 	if is, ok := s.net.IndexStats(); ok {
-		// The pruning index attached to every query, with the lifetime
+		// The pruning index within queries prune with, with the lifetime
 		// effect it had: node pops discarded before their adjacency was
-		// read, against total node expansions performed.
+		// read, against total node expansions performed. An in-memory
+		// network has none until its first within query builds it.
 		out["index"] = map[string]any{
 			"bounds_bytes":    is.BoundsBytes,
 			"build_ms":        float64(is.BuildTime.Microseconds()) / 1000,

@@ -45,6 +45,9 @@ const (
 type BTree struct {
 	pool *BufferPool
 	root PageID
+	// height bounds a descent: the levels a tree can have whose leaves all
+	// fit on the device's pages.
+	height int
 }
 
 // BuildBTree bulk-loads the given key-sorted entries onto dev and returns
@@ -132,14 +135,27 @@ func writeBTreeNode(dev Device, scratch []byte, kind byte, keys, values []uint64
 
 // OpenBTree returns a lookup handle for the tree rooted at root.
 func OpenBTree(pool *BufferPool, root PageID) *BTree {
-	return &BTree{pool: pool, root: root}
+	// BuildBTree's levels shrink by innerFanout from at most one leaf per
+	// page up to the root.
+	height := 1
+	for span := 1; span < pool.dev.NumPages(); span *= innerFanout {
+		height++
+	}
+	return &BTree{pool: pool, root: root, height: height}
 }
 
 // Lookup returns the value stored under key, with ok=false when absent,
-// reading one node per level.
+// reading one node per level. A node that is not one — of another kind,
+// with more entries than its kind holds, or deeper than the tree can reach
+// — fails the lookup with a storage fault, counted as a permanent failure:
+// a page that passes its checksum may still have been forged, and must
+// neither index past its end nor lead the descent round a cycle.
 func (t *BTree) Lookup(key uint64) (value uint64, ok bool, err error) {
 	page := t.root
-	for {
+	for depth := 1; ; depth++ {
+		if depth > t.height {
+			return 0, false, t.corrupt("btree descent passes page %d at depth %d, deeper than a tree of %d levels", page, depth, t.height)
+		}
 		data, err := t.pool.Get(page)
 		if err != nil {
 			return 0, false, err
@@ -147,15 +163,22 @@ func (t *BTree) Lookup(key uint64) (value uint64, ok bool, err error) {
 		kind := data[0]
 		n := int(binary.LittleEndian.Uint16(data[1:3]))
 		switch {
-		case kind == leafKind:
+		case kind == leafKind && n <= leafFanout:
 			value, ok = searchLeaf(data, n, key)
 			return value, ok, nil
-		case kind == innerKind && n > 0:
+		case kind == innerKind && n > 0 && n <= innerFanout:
 			page = searchInner(data, n, key)
 		default:
-			return 0, false, faultf("page %d is not a searchable btree node (kind %d, %d entries)", page, kind, n)
+			return 0, false, t.corrupt("page %d is not a searchable btree node (kind %d, %d entries)", page, kind, n)
 		}
 	}
+}
+
+// corrupt counts a tree page that is not what it must be as a permanent
+// failure and returns the storage fault that reports it.
+func (t *BTree) corrupt(format string, args ...any) error {
+	t.pool.failPermanent.Add(1)
+	return faultf(format, args...)
 }
 
 // searchLeaf finds key among the n entries of a leaf node: at slot

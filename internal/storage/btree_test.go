@@ -1,11 +1,14 @@
 package storage
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 )
 
 func buildTree(t *testing.T, keys, vals []uint64) (*BTree, *BufferPool) {
@@ -191,6 +194,73 @@ func TestBTreeDenseKeys(t *testing.T) {
 				if reads := pool.Stats().Logical - before; reads != int64(c.height) {
 					t.Fatalf("Lookup(%d) read %d nodes, want %d (the tree's height)", k, reads, c.height)
 				}
+			}
+		})
+	}
+}
+
+// A tree page forged to pass its checksum fails the lookup that reads it
+// with a storage fault, counted as a permanent failure, and never panics or
+// hangs: a leaf whose entry count runs past its page (its binary search
+// would index far beyond it), and an inner root whose only child is itself. The adjacency tree's root is rewritten and
+// its checksum slot resealed; a watchdog fails the test if the lookup does
+// not return.
+func TestForgedTreePageFails(t *testing.T) {
+	le := binary.LittleEndian
+	for _, c := range []struct {
+		name   string
+		mutate func(root PageID, page []byte)
+	}{
+		{"leaf count 0xFFFF", func(_ PageID, page []byte) {
+			page[0] = leafKind
+			le.PutUint16(page[1:3], 0xFFFF)
+			le.PutUint64(page[btreeHeader:], 1) // so node 0 is binary-searched for
+		}},
+		{"inner root is its own child", func(root PageID, page []byte) {
+			page[0] = innerKind
+			le.PutUint16(page[1:3], 1)
+			le.PutUint64(page[btreeHeader:], 0)
+			le.PutUint32(page[btreeHeader+8:], uint32(root))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dev, err := BuildMem(sampleGraph(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			clean, err := OpenOptions(dev, 0.3, PoolOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := clean.hdr.adjTreeRoot
+			rewritePage(t, dev, root, func(page []byte) { c.mutate(root, page) })
+			n, err := OpenOptions(dev, 0.3, PoolOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						done <- fmt.Errorf("panic: %v", r)
+					}
+				}()
+				_, err := n.Adjacency(0)
+				done <- err
+			}()
+			select {
+			case err = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Adjacency over the forged tree did not return within 10s")
+			}
+			if !IsFault(err) {
+				t.Fatalf("Adjacency over the forged tree: %v, want a storage fault", err)
+			}
+			if errors.Is(err, ErrChecksum) {
+				t.Fatalf("Adjacency error %v: the checksum slot was resealed, the tree must catch it", err)
+			}
+			if fs := n.FailureStats(); fs.Permanent != 1 {
+				t.Fatalf("FailureStats %v after one forged lookup, want permanent=1", fs)
 			}
 		})
 	}

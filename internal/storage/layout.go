@@ -217,10 +217,11 @@ func Build(g *graph.Graph, dev Device) error {
 	return err
 }
 
-// BuildIndexed is Build, returning the pruning index it computed, in g's
-// node numbering (the database persists it in its own).
-// The index, a function of g alone, is computed on its own goroutine while
-// the records and trees are laid out; every return waits for it.
+// BuildIndexed is Build, returning the pruning index it computed and
+// persisted, in the database's node numbering. The index's passes run in
+// that numbering, so the bounds table is written from it without a
+// permutation; they run on their own goroutines while the records and
+// trees are laid out, and every return waits for them.
 //
 // On a MemDevice every page is encoded in place, in the device's own
 // memory, and checksummed there; any other device is written a page at a
@@ -232,11 +233,17 @@ func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 	if g.D() > math.MaxUint16 {
 		return nil, fmt.Errorf("storage: %d cost types, the header holds at most %d", g.D(), math.MaxUint16)
 	}
+	// order[id] is the graph node the database numbers id; rank inverts it.
+	order := graph.LocalityOrder(g)
+	rank := make([]graph.NodeID, len(order))
+	for id, v := range order {
+		rank[v] = graph.NodeID(id)
+	}
 	var bounds *index.Bounds
 	indexed := make(chan struct{})
 	go func() {
 		defer close(indexed)
-		bounds = index.FromGraph(g)
+		bounds, _ = index.FromCosts(g, rank, nil, nil) // fails only through an interrupt
 	}()
 	defer func() { <-indexed }()
 
@@ -255,12 +262,6 @@ func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 		numFacs:  g.NumFacilities(),
 	}
 
-	// order[id] is the graph node the database numbers id; rank inverts it.
-	order := graph.LocalityOrder(g)
-	rank := make([]graph.NodeID, len(order))
-	for id, v := range order {
-		rank[v] = graph.NodeID(id)
-	}
 	var adjRefs []uint64
 	if h.dataFirst, adjRefs, err = writeData(g, dev, order, rank); err != nil {
 		return nil, fmt.Errorf("storage: data file: %w", err)
@@ -313,19 +314,15 @@ func BuildIndexed(g *graph.Graph, dev Device) (*index.Bounds, error) {
 	}
 
 	// Pruning-bounds and rank tables, written before the checksum table so
-	// their pages are covered by the checksums. The bounds are the graph's,
-	// criterion-major; value i·n + id of the table is node order[id]'s.
+	// their pages are covered by the checksums. The bounds are
+	// criterion-major, in the database's numbering already.
 	le := binary.LittleEndian
 	<-indexed
 	n := len(order)
 	data := bounds.Data()
 	if h.boundsFirst, err = writeTable(dev, len(data), 8, func(b []byte, j int) error {
-		i, id := j/n*n, j%n // value j is criterion j/n's bound of node id
-		for k := 0; k < len(b); k += 8 {
-			le.PutUint64(b[k:], math.Float64bits(data[i+int(order[id])]))
-			if id++; id == n {
-				i, id = i+n, 0
-			}
+		for k := 0; k < len(b); k, j = k+8, j+1 {
+			le.PutUint64(b[k:], math.Float64bits(data[j]))
 		}
 		return nil
 	}); err != nil {

@@ -448,6 +448,13 @@ type source struct {
 	bounds *index.Bounds // in the source's own numbering
 }
 
+// flatIndex is the pruning index of g in the numbering of s, its
+// compilation.
+func flatIndex(s *flat.Source, g *graph.Graph) *index.Bounds {
+	b, _ := s.Index(g, nil, nil) // fails only through an interrupt
+	return b
+}
+
 // openSources builds the sources of g that the selected rows run on, and
 // the reference MemorySource.
 func openSources(t testing.TB, g *graph.Graph, seed int64, sel Select) []source {
@@ -474,12 +481,12 @@ func openSources(t testing.TB, g *graph.Graph, seed int64, sel Select) []source 
 		case name == "flat/permuted":
 			pg := permuted(g, seed)
 			pfs := flat.Compile(pg)
-			out[s] = source{pfs, pfs.Bounds(index.FromGraph(pg))}
+			out[s] = source{pfs, flatIndex(pfs, pg)}
 		case strings.HasPrefix(name, "flat"):
 			if fs == nil {
 				fs = flat.Compile(g)
 			}
-			out[s] = source{fs, fs.Bounds(idx)}
+			out[s] = source{fs, flatIndex(fs, g)}
 		default:
 			if dev == nil {
 				var err error
@@ -929,6 +936,7 @@ type timeNet struct {
 // snapshot is the static network a time-dependent one is at an instant: its
 // oracle, a MemorySource of it, and its pruning index.
 type snapshot struct {
+	g   *graph.Graph // the network at the instant
 	o   *oracle
 	mem expand.Source
 	idx *index.Bounds
@@ -1002,7 +1010,7 @@ func (tv *timeNet) at(at float64) *snapshot {
 		return s
 	}
 	g := testnet.Scaled(tv.in.G, func(e graph.EdgeID) vec.Costs { return multAt(tv.profiled[e], at) })
-	s := &snapshot{o: newOracle(g, tv.in), mem: testnet.NewMemorySource(g), idx: index.FromGraph(g), ref: map[[2]int]answer{}}
+	s := &snapshot{g: g, o: newOracle(g, tv.in), mem: testnet.NewMemorySource(g), idx: index.FromGraph(g), ref: map[[2]int]answer{}}
 	tv.snaps[at] = s
 	return s
 }
@@ -1102,7 +1110,7 @@ func checkTime(t testing.TB, in *testnet.Instance, sel Select, seed int64) (own,
 					if err != nil {
 						t.Fatal(err)
 					}
-					opt.Bounds = base.Bounds(snap.idx)
+					opt.Bounds = flatIndex(base, snap.g)
 					sharedGot, err := runAt(ctx, tv.tn, k, in, at, opt)
 					if err != nil {
 						fail("%v", err)

@@ -48,7 +48,10 @@ func checkAdmissible(t *testing.T, label string, n *Network) {
 	positive := false
 	for k := 0; k <= len(ver.times); k++ {
 		at := ver.start(k)
-		exact := n.ov.Base().Bounds(index.FromCosts(g, func(e graph.EdgeID, i int) float64 { return ver.costAt(g, e, at)[i] }))
+		exact, err := n.ov.Base().Index(g, func(e graph.EdgeID, i int) float64 { return ver.costAt(g, e, at)[i] }, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < g.D(); i++ {
 			for v := 0; v < g.NumNodes(); v++ {
 				lb, want := bounds.LowerBound(i, graph.NodeID(v)), exact.LowerBound(i, graph.NodeID(v))

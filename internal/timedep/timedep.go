@@ -233,7 +233,7 @@ func (v *version) floorIndex(n *Network) *index.Bounds {
 				lowest[e] = scaled(make(vec.Costs, 0, g.D()), lowest[e], p.floor(g.D()))
 			}
 		}
-		v.floor.bounds = n.ov.Base().Bounds(index.FromCosts(g, func(e graph.EdgeID, i int) float64 { return lowest[e][i] }))
+		v.floor.bounds, _ = n.ov.Base().Index(g, func(e graph.EdgeID, i int) float64 { return lowest[e][i] }, nil) // fails only through an interrupt
 	})
 	return v.floor.bounds
 }

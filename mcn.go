@@ -46,6 +46,8 @@ import (
 	"iter"
 	"math/rand/v2"
 	"os"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"mcn/internal/core"
@@ -224,23 +226,60 @@ type Network struct {
 	// cache, when enabled, memoizes completed results for every executor
 	// this network creates; see EnableResultCache.
 	cache *rescache.Cache
-	// bounds is the precomputed lower-bound pruning index: built at
-	// FromGraph time for in-memory networks, loaded from the bounds table
-	// for disk databases. Attached to every query that brings none of its
-	// own; only `within` reads it.
-	bounds *index.Bounds
+	// prune is the lower-bound pruning index, which only `within` reads:
+	// loaded from the bounds table with a disk database, built by the first
+	// `within` of an in-memory network.
+	prune pruningIndex
+}
+
+// pruningIndex is a network's pruning index. A database's is loaded at
+// open, and build is nil. An in-memory network's is built by build, under
+// mu, polling the interrupt of the `within` query that needs it first; it
+// is published only when the build completes, so a cancelled build leaves
+// none, and the next `within` builds it again.
+type pruningIndex struct {
+	bounds atomic.Pointer[index.Bounds]
+	mu     sync.Mutex
+	build  func(interrupt func() error) (*index.Bounds, error)
+}
+
+// get returns the index for a `within` query polling interrupt, building
+// it first if there is none yet: a `within` that finds a build running
+// waits for it, and builds the index itself if that one was cancelled. It
+// returns nil without an error when the network has no index.
+func (p *pruningIndex) get(interrupt func() error) (expand.LowerBounder, error) {
+	if b := p.bounds.Load(); b != nil {
+		return b, nil
+	}
+	if p.build == nil {
+		return nil, nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if b := p.bounds.Load(); b != nil {
+		return b, nil
+	}
+	b, err := p.build(interrupt)
+	if err != nil {
+		return nil, err
+	}
+	p.bounds.Store(b)
+	return b, nil
 }
 
 // FromGraph wraps an in-memory graph for querying. The graph is compiled
 // once into a flat CSR representation (see internal/flat), so queries read
 // adjacency and facility records as shared slices with zero per-call
-// allocation. The pruning index depends on g alone and is computed while
-// the graph compiles.
+// allocation. Nothing else is computed: the pruning index, which only
+// `within` reads, is built by the network's first `within` query — through
+// Within or any executor — in the compiled numbering (see IndexStats). That
+// query's context cancels the build as it cancels the query; the next
+// `within` then builds it.
 func FromGraph(g *Graph) *Network {
-	indexed := make(chan *index.Bounds, 1)
-	go func() { indexed <- index.FromGraph(g) }()
 	src := flat.Compile(g)
-	return &Network{src: src, g: g, bounds: src.Bounds(<-indexed)}
+	n := &Network{src: src, g: g}
+	n.prune.build = func(interrupt func() error) (*index.Bounds, error) { return src.Index(g, nil, interrupt) }
+	return n
 }
 
 // CreateDatabase writes g to a disk database at path using the paper's
@@ -330,7 +369,9 @@ func OpenDeviceOptions(dev Device, bufferFrac float64, opts PoolOptions) (*Netwo
 	if err != nil {
 		return nil, err
 	}
-	return &Network{src: store, store: store, dev: dev, bounds: store.Bounds()}, nil
+	n := &Network{src: store, store: store, dev: dev}
+	n.prune.bounds.Store(store.Bounds())
+	return n, nil
 }
 
 // Close releases the underlying device of a disk-backed network; it is a
@@ -374,28 +415,19 @@ func (n *Network) NumFacilities() int {
 	return n.g.NumFacilities()
 }
 
-// defaultOptions materialises opts and attaches the network's pruning
-// index, without binding a context — the Seq surfaces use it directly because
-// core.SkylineSeq/TopKSeq bind ctx themselves, and a second binding would
-// chain two identical ctx checks into every interrupt poll.
-func (n *Network) defaultOptions(opts []Option) core.Options {
-	o := buildOptions(opts)
-	if o.Bounds == nil && n.bounds != nil {
-		o.Bounds = n.bounds
-	}
-	return o
-}
-
-// queryOptions is defaultOptions plus ctx cancellation/deadline binding —
-// what every non-streaming query method uses.
-func (n *Network) queryOptions(ctx context.Context, opts []Option) core.Options {
-	return n.defaultOptions(opts).BindContext(ctx)
+// queryOptions is buildOptions plus ctx cancellation/deadline binding —
+// what every non-streaming query method uses. The Seq surfaces use
+// buildOptions directly because core.SkylineSeq/TopKSeq bind ctx
+// themselves, and a second binding would chain two identical ctx checks
+// into every interrupt poll.
+func queryOptions(ctx context.Context, opts []Option) core.Options {
+	return buildOptions(opts).BindContext(ctx)
 }
 
 // Skyline computes sky(q) for the query location loc. Cancelling ctx aborts
 // the query at its next interrupt poll.
 func (n *Network) Skyline(ctx context.Context, loc Location, opts ...Option) (*Result, error) {
-	return core.Skyline(n.src, loc, n.queryOptions(ctx, opts))
+	return core.Skyline(n.src, loc, queryOptions(ctx, opts))
 }
 
 // SkylineSeq streams sky(q) as a range-over-func iterator: each confirmed
@@ -412,12 +444,12 @@ func (n *Network) Skyline(ctx context.Context, loc Location, opts ...Option) (*R
 //	    if enough() { break } // aborts the remaining search
 //	}
 func (n *Network) SkylineSeq(ctx context.Context, loc Location, opts ...Option) iter.Seq2[Facility, error] {
-	return core.SkylineSeq(ctx, n.src, loc, n.defaultOptions(opts))
+	return core.SkylineSeq(ctx, n.src, loc, buildOptions(opts))
 }
 
 // TopK computes the k facilities minimising agg from loc.
 func (n *Network) TopK(ctx context.Context, loc Location, agg Aggregate, k int, opts ...Option) (*Result, error) {
-	return core.TopK(n.src, loc, agg, k, n.queryOptions(ctx, opts))
+	return core.TopK(n.src, loc, agg, k, queryOptions(ctx, opts))
 }
 
 // TopKSeq streams facilities in ascending aggregate-score order without
@@ -426,7 +458,7 @@ func (n *Network) TopK(ctx context.Context, loc Location, agg Aggregate, k int, 
 // enumerates every reachable facility. Pooled state is borrowed for the
 // duration of the loop and returned when it exits.
 func (n *Network) TopKSeq(ctx context.Context, loc Location, agg Aggregate, opts ...Option) iter.Seq2[Facility, error] {
-	return core.TopKSeq(ctx, n.src, loc, agg, n.defaultOptions(opts))
+	return core.TopKSeq(ctx, n.src, loc, agg, buildOptions(opts))
 }
 
 // TopKIterator starts an incremental top-k query from loc; each Next call
@@ -436,7 +468,7 @@ func (n *Network) TopKSeq(ctx context.Context, loc Location, agg Aggregate, opts
 // is idempotent and safe from any goroutine). TopKSeq is the loop-shaped
 // form of the same query and closes itself.
 func (n *Network) TopKIterator(ctx context.Context, loc Location, agg Aggregate, opts ...Option) (*TopKIterator, error) {
-	return core.NewTopKIterator(n.src, loc, agg, n.queryOptions(ctx, opts))
+	return core.NewTopKIterator(n.src, loc, agg, queryOptions(ctx, opts))
 }
 
 // MultiSourceSkyline answers the multi-source skyline query (Deng et al.,
@@ -444,14 +476,14 @@ func (n *Network) TopKIterator(ctx context.Context, loc Location, agg Aggregate,
 // a single cost type, several query locations, and each facility judged by
 // its vector of network distances from all of them.
 func (n *Network) MultiSourceSkyline(ctx context.Context, costIdx int, locs []Location, opts ...Option) (*Result, error) {
-	return core.MultiSourceSkyline(n.src, costIdx, locs, n.queryOptions(ctx, opts))
+	return core.MultiSourceSkyline(n.src, costIdx, locs, queryOptions(ctx, opts))
 }
 
 // MultiSourceTopK ranks facilities by an increasingly monotone aggregate
 // over their distances from several query locations (aggregate
 // nearest-neighbour search, e.g. min-sum meeting points).
 func (n *Network) MultiSourceTopK(ctx context.Context, costIdx int, locs []Location, agg Aggregate, k int, opts ...Option) (*Result, error) {
-	return core.MultiSourceTopK(n.src, costIdx, locs, agg, k, n.queryOptions(ctx, opts))
+	return core.MultiSourceTopK(n.src, costIdx, locs, agg, k, queryOptions(ctx, opts))
 }
 
 // Nearest returns up to k facilities closest to loc under a single cost
@@ -459,7 +491,7 @@ func (n *Network) MultiSourceTopK(ctx context.Context, costIdx int, locs []Locat
 // primitive (NE) the paper's algorithms are built on, exposed for ordinary
 // kNN workloads.
 func (n *Network) Nearest(ctx context.Context, loc Location, costIdx, k int) ([]Facility, error) {
-	res, err := core.Nearest(n.src, loc, costIdx, k, n.queryOptions(ctx, nil))
+	res, err := core.Nearest(n.src, loc, costIdx, k, queryOptions(ctx, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -470,7 +502,17 @@ func (n *Network) Nearest(ctx context.Context, loc Location, costIdx, k int) ([]
 // component-wise — a multi-cost range query. The search explores only the
 // region each budget component allows.
 func (n *Network) Within(ctx context.Context, loc Location, budget Costs, opts ...Option) (*Result, error) {
-	return core.Within(n.src, loc, budget, n.queryOptions(ctx, opts))
+	o := queryOptions(ctx, opts)
+	if o.Bounds == nil {
+		if err := core.CheckBudget(budget, n.src.D()); err != nil {
+			return nil, err
+		}
+		var err error
+		if o.Bounds, err = n.prune.get(o.Interrupt); err != nil {
+			return nil, err
+		}
+	}
+	return core.Within(n.src, loc, budget, o)
 }
 
 // SkylineRequest builds a batch request for Network.Skyline at loc.
@@ -525,9 +567,7 @@ func (n *Network) NewExecutor(cfg ExecutorConfig) *Executor {
 	if n.cache != nil {
 		ex.SetCache(n.cache)
 	}
-	if n.bounds != nil {
-		ex.SetBounds(n.bounds)
-	}
+	ex.SetBounds(n.prune.get)
 	return ex
 }
 
@@ -543,27 +583,30 @@ func (n *Network) Batch(ctx context.Context, reqs []BatchRequest, cfg ExecutorCo
 // BaselineSkyline runs the paper's strawman skyline: d complete expansions
 // followed by a conventional skyline operator.
 func (n *Network) BaselineSkyline(ctx context.Context, loc Location) (*Result, error) {
-	return core.NaiveSkyline(n.src, loc, n.queryOptions(ctx, nil))
+	return core.NaiveSkyline(n.src, loc, queryOptions(ctx, nil))
 }
 
 // BaselineTopK runs the strawman top-k over fully materialised vectors.
 func (n *Network) BaselineTopK(ctx context.Context, loc Location, agg Aggregate, k int) (*Result, error) {
-	return core.NaiveTopK(n.src, loc, agg, k, n.queryOptions(ctx, nil))
+	return core.NaiveTopK(n.src, loc, agg, k, queryOptions(ctx, nil))
 }
 
 // Maintain materialises dynamic skyline/top-k maintenance state for loc
-// (the paper's future-work extension): d expansions that settle every node
-// and read no facility record, whose node distances the maintainer keeps,
-// then one sweep of the facility records that prices every facility on
-// them. Facilities can then be inserted and removed without traversing the
-// network. Cancelling ctx aborts the initial materialisation. The
+// (the paper's future-work extension): d passes that settle every node and
+// read no facility record, whose node distances the maintainer keeps, then
+// one sweep of the facility records that prices every facility on them. On
+// an in-memory network the passes run concurrently, each over the compiled
+// network's heads column; on a database they are node-only expansions, one
+// after another. Neither reads or builds the pruning index. Facilities can
+// then be inserted and removed without traversing the network. Cancelling
+// ctx aborts the initial materialisation. The
 // maintainer holds no pooled state; Close it when done with updates
 // (idempotent, any goroutine): Insert then fails with an error,
 // and the maintained results stay readable. Inserts and deletes change the
 // maintainer's own facility set only: the network, its executors and its
 // result cache never see them, so they invalidate no cached answer.
 func (n *Network) Maintain(ctx context.Context, loc Location) (*Maintainer, error) {
-	return dynamic.New(n.src, loc, n.queryOptions(ctx, nil))
+	return dynamic.New(n.src, loc, queryOptions(ctx, nil))
 }
 
 // EnableResultCache attaches a serving-layer result cache to the network
@@ -611,13 +654,15 @@ type IndexStats struct {
 }
 
 // IndexStats returns the pruning index's size and build time; ok is false
-// when the network carries no index (FromGraph builds one, and every
-// database carries one).
+// while the network has none. Every database carries one; an in-memory
+// network has one from the end of the first `within` query whose build
+// completes (see FromGraph). IndexStats never builds it.
 func (n *Network) IndexStats() (IndexStats, bool) {
-	if n.bounds == nil {
+	b := n.prune.bounds.Load()
+	if b == nil {
 		return IndexStats{}, false
 	}
-	return IndexStats{BoundsBytes: n.bounds.Bytes(), BuildTime: n.bounds.BuildTime()}, true
+	return IndexStats{BoundsBytes: b.Bytes(), BuildTime: b.BuildTime()}, true
 }
 
 // IOStats returns the buffer-pool counters of a disk-backed network; ok is
